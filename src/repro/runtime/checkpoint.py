@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -170,6 +170,23 @@ class CheckpointConfig:
             f"checkpoint must be a CheckpointConfig or a directory path, "
             f"got {type(value).__name__}"
         )
+
+    @classmethod
+    def for_item(cls, value, index: int, count: int) -> "CheckpointConfig | None":
+        """The config item *index* of a *count*-item batch checkpoints under.
+
+        *value* is a caller's ``checkpoint=`` argument (``None`` stays
+        ``None``).  Once the batch has more than one item, each item gets
+        its own derived tag ``<tag>-i<index>``: items sharing a directory
+        must never overwrite each other's snapshots, and each resumes from
+        its own latest boundary.
+        """
+        if value is None:
+            return None
+        config = cls.coerce(value)
+        if count > 1:
+            config = replace(config, tag=f"{config.tag}-i{index}")
+        return config
 
     def path_for(self, stage_index: int) -> Path:
         return self.directory / f"{self.tag}-stage{stage_index:04d}{_SUFFIX}"

@@ -387,7 +387,7 @@ def crash_after_stage(stage_index: int) -> None:
     a separate harness armed only through the ``REPRO_CRASH`` environment
     variable (``after_stage:<k>``), because it does not *raise*: it calls
     ``os._exit`` with :data:`CRASH_EXIT_CODE`, simulating a power loss /
-    SIGKILL with no chance to run cleanup.  The executors call it at each
+    SIGKILL with no chance to run cleanup.  The stage driver calls it at each
     stage boundary *after* the checkpoint write, so a crashed run's latest
     checkpoint covers stage ``k`` exactly.  Deliberately process-global and
     single-shot semantics-free: the armed process dies at the first

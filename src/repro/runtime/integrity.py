@@ -53,22 +53,31 @@ class IntegrityConfig:
 
 
 class IntegrityMonitor:
-    """Stage-boundary invariant checks for one execution.
+    """Stage-boundary invariant checks for one execution at a time.
 
-    Not thread-safe; the executors call it from the (single) stage loop.
-    Create a fresh monitor per run — the norm baseline and digest carry
-    state across stages of *one* execution only.
+    Not thread-safe; the stage driver
+    (:func:`repro.runtime.offload.run_stages`) calls it from the single
+    stage loop.  The norm baseline and digest carry state across stages of
+    *one* execution only, so the driver calls :meth:`reset` at the start
+    of every run: one instance may be passed to a Session and reused
+    across batch items and jobs.  ``stages_checked`` / ``max_norm_drift``
+    are *not* reset — on a reused instance they accumulate over its
+    lifetime.
     """
 
     def __init__(self, config: IntegrityConfig | None = None):
         self.config = config or IntegrityConfig()
-        self._baseline_norm: float | None = None
-        self._last_digest: str | None = None
-        self._last_stage: int | None = None
         #: Boundary checks performed (telemetry, surfaced in stats).
         self.stages_checked = 0
         #: Worst relative norm drift observed (telemetry).
         self.max_norm_drift = 0.0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the previous execution's norm baseline and digest."""
+        self._baseline_norm: float | None = None
+        self._last_digest: str | None = None
+        self._last_stage: int | None = None
 
     @classmethod
     def coerce(cls, value) -> "IntegrityMonitor | None":

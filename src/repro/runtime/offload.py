@@ -29,8 +29,16 @@ not per whole-gate matrix:
 
 The executor counts shard loads/stores so tests can verify the
 one-load-per-stage-per-shard property that the paper's speedup over QDAO
-rests on.  :mod:`repro.runtime.parallel` reuses the segmentation and
-per-shard machinery defined here to schedule shards across workers.
+rests on.
+
+**Who owns what.**  This module owns the stage loop: :func:`build_schedule`
+lowers a plan to per-stage segments and :func:`run_stages` is the one
+driver that walks them (state init, resume, layout transitions, guards,
+checkpoints, final un-permute) for every sharded executor.  An executor
+owns only its *shard pass* — how the shards of one segment are loaded,
+computed and stored: sequentially with per-shard retry in
+:func:`execute_plan_offloaded` here, across a supervised worker pool in
+:mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
@@ -106,6 +114,8 @@ class OffloadStats:
     shard_loads: int = 0
     shard_stores: int = 0
     bytes_transferred: int = 0
+    #: Shard passes *scheduled* per stage (the count ``timeline.py`` models);
+    #: a retried load shows in ``shard_loads``/``retries``, not here.
     per_stage_loads: list[int] = field(default_factory=list)
     #: Data-parallel width the run was scheduled with (1 = sequential).
     num_workers: int = 1
@@ -569,49 +579,111 @@ def run_groups_on_shard(
 
 
 # ---------------------------------------------------------------------------
-# Sequential executor
+# Stage schedule and the stage driver (shared by every sharded executor)
 # ---------------------------------------------------------------------------
 
 
-def execute_plan_offloaded(
+def build_schedule(
+    plan: ExecutionPlan, local_qubits: int, shape: list | None = None
+) -> tuple[list, list, int]:
+    """Lower *plan* to per-stage ``(logical_to_physical, segments)`` entries.
+
+    Returns ``(shape, schedule, fallbacks)``.  The *shape* — the
+    deterministic layout walk plus each stage's
+    :func:`split_stage_segment_shapes`, the expensive per-gate cross-shard
+    classification — depends only on the plan's structure, so a caller may
+    cache it and pass it back for any structurally identical plan (the
+    parallel runtime's schedule cache does).  Only the shape is reusable:
+    the *schedule* is always materialized from this plan's own gates, so a
+    cached shape never leaks another circuit's angles.
+
+    Each segment is ``("full", gate, None)`` or ``("shards", groups, ops)``
+    with *ops* the segment's local work lowered **once**
+    (:func:`compile_segment_ops`): every shard of every execution replays
+    the compiled stream instead of re-deriving fusion, analysis and gemm
+    planning.  A failed compile degrades that segment to the uncompiled
+    per-gate path (``ops=None``; shard passes branch on it) instead of
+    failing the run, and is counted in *fallbacks*.
+    """
+    if shape is None:
+        layout = QubitLayout(plan.num_qubits)
+        shape = []
+        for stage in plan.stages:
+            layout.update(stage.partition.logical_to_physical())
+            logical_to_physical = layout.logical_to_physical()
+            shape.append((
+                logical_to_physical,
+                split_stage_segment_shapes(stage, logical_to_physical, local_qubits),
+            ))
+    schedule = []
+    fallbacks = 0
+    for stage, (logical_to_physical, stage_shapes) in zip(plan.stages, shape):
+        segments = []
+        for kind, payload in materialize_stage_segments(stage, stage_shapes):
+            ops = None
+            if kind == "shards":
+                try:
+                    ops = compile_segment_ops(payload, logical_to_physical, local_qubits)
+                except ReproError:
+                    fallbacks += 1
+            segments.append((kind, payload, ops))
+        schedule.append((logical_to_physical, segments))
+    return shape, schedule, fallbacks
+
+
+def run_stages(
     plan: ExecutionPlan,
     machine: MachineConfig,
-    initial_state: StateVector | None = None,
-    deadline: "Deadline | float | None" = None,
-    retry: RetryPolicy | None = None,
-    checkpoint: "CheckpointConfig | str | None" = None,
-    resume_from=None,
-    monitor=None,
-) -> tuple[StateVector, OffloadStats]:
-    """Execute *plan* shard by shard, as the DRAM-offloading runtime would.
+    schedule: list,
+    shard_pass,
+    stats: OffloadStats,
+    state_scratch: np.ndarray,
+    initial_state: StateVector | None,
+    deadline: "Deadline | float | None",
+    checkpoint: "CheckpointConfig | str | None",
+    resume_from,
+    monitor,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stage loop of every sharded executor (the paper's EXECUTE).
 
-    The full state lives in a host-side array (standing in for node DRAM);
-    each stage walks its shards sequentially, applying every kernel of the
-    stage to one shard before touching the next.  This is the reference
-    one-worker scheduler; :class:`repro.runtime.parallel.ParallelRuntime`
-    maps the same shard passes onto multiple workers.
+    Owns everything but how one shard pass is scheduled: state init,
+    resume, layout transitions, full-state segments, relabel swaps and the
+    final un-permute, over a *schedule* from :func:`build_schedule`.  An
+    executor supplies ``shard_pass(shards, out_shards, ops, groups,
+    logical_to_physical, deadline)``, which must process every shard of
+    ``shards`` exactly once and store shard ``i`` at ``out_shards[j]`` for
+    the index ``j`` its kernels return, and the DRAM-side *state_scratch*
+    (permutations, cross-shard gates and relabelled stores ping-pong
+    between it and the one state array allocated here).  Returns ``(state,
+    spare)``: the final amplitudes in logical order and the other array,
+    which the executor may keep as its next scratch.
 
-    Fault tolerance: transient shard failures (load, kernel, store) are
-    retried from the DRAM copy under *retry* (bounded exponential backoff;
-    bit-exact, since a shard's DRAM slice is only written once its
-    computation finished), a failed segment-op compile degrades to the
-    uncompiled per-gate path, and *deadline* is checked cooperatively at
-    stage/segment/shard boundaries (:class:`repro.errors.DeadlineExceeded`).
+    The guards run inline, in this order, for every stage:
 
-    Durability: *checkpoint* (a :class:`CheckpointConfig` or directory
-    path) snapshots the DRAM state at stage boundaries; *resume_from* (a
-    checkpoint file or directory) validates the snapshot against the
-    plan's fingerprint and restarts after its last completed stage,
-    bit-exact with an uninterrupted run.  A failed checkpoint write is
-    counted (``checkpoint_errors``) and never fails the run.  *monitor*
-    (``True`` / :class:`IntegrityConfig` / :class:`IntegrityMonitor`)
-    enables per-stage norm-drift and inter-stage checksum checks that
-    raise :class:`repro.errors.IntegrityError` on corruption.
+    1. ``deadline.check("stage")`` (then ``"segment"`` before each segment;
+       the shard pass checks ``"shard"``);
+    2. ``monitor.stage_begin`` — the state is bit-identical to what the
+       previous ``stage_complete`` saw;
+    3. layout transition, then the stage's segments;
+    4. ``monitor.stage_complete`` — norm conservation, boundary digest;
+    5. the checkpoint write — advisory: a failed snapshot is counted
+       (``checkpoint_errors``) and costs resumability, never the run; the
+       last stage is not snapshotted, the result supersedes it;
+    6. the ``crash_after_stage`` hook, last, so a crash-recovery harness
+       dies with the boundary's checkpoint already durable.
+
+    Before the loop, *resume_from* is validated against the plan's
+    fingerprint and restores state + layout (stages up to the snapshot are
+    skipped), and the monitor is reset so an :class:`IntegrityMonitor`
+    instance reused across executions starts clean.  The driver owns the
+    stage-level fields of *stats* — ``num_stages``, ``per_stage_loads``
+    (*scheduled* shard passes; retried loads show in ``shard_loads`` /
+    ``retries``, which the shard pass owns), checkpoint, resume and
+    integrity counters.
     """
     n = plan.num_qubits
-    machine.validate(n)
+    local = machine.local_qubits
     deadline = Deadline.resolve(deadline)
-    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
     state = tracked_empty(1 << n)
     if initial_state is None:
         state[:] = 0.0
@@ -620,20 +692,20 @@ def execute_plan_offloaded(
         if initial_state.num_qubits != n:
             raise PlanValidationError("initial state size does not match plan")
         initial_state.copy_into(state)
-    # DRAM-side scratch for layout permutations, cross-shard gates and
-    # relabelled shard stores, plus a GPU-side buffer pair the shard
-    # contents ping-pong through: O(1) state-sized allocations for the
-    # whole execution.
-    state_scratch = tracked_empty(1 << n)
-
     layout = QubitLayout(n)
-    local = machine.local_qubits
-    stats = OffloadStats(num_shards=1 << (n - local))
-    shard_buf = tracked_empty(1 << local)
-    shard_scratch = tracked_empty(1 << local)
+
+    def relayout(target: dict[int, int]) -> None:
+        nonlocal state, state_scratch
+        if target != layout.logical_to_physical():
+            permuted = permute_state(state, layout, target, out=state_scratch)
+            if permuted is not state:
+                state, state_scratch = permuted, state
+            layout.update(target)
 
     ckpt = CheckpointConfig.coerce(checkpoint) if checkpoint is not None else None
     mon = IntegrityMonitor.coerce(monitor)
+    if mon is not None:
+        mon.reset()
     fingerprint = (
         checkpoint_fingerprint(plan)
         if ckpt is not None or resume_from is not None
@@ -658,96 +730,45 @@ def execute_plan_offloaded(
             start_stage = ck.stage_index + 1
             stats.resumed_from_stage = ck.stage_index
             stats.stages_skipped = start_stage
-    num_stages = len(plan.stages)
 
-    for stage_index, stage in enumerate(plan.stages):
-        if stage_index < start_stage:
-            continue
+    for stage_index in range(start_stage, len(schedule)):
+        logical_to_physical, segments = schedule[stage_index]
         deadline.check("stage")
         if mon is not None:
             mon.stage_begin(state, stage_index)
-        target = stage.partition.logical_to_physical()
-        if target != layout.logical_to_physical():
-            permuted = permute_state(state, layout, target, out=state_scratch)
-            if permuted is not state:
-                state, state_scratch = permuted, state
-            layout.update(target)
-        logical_to_physical = layout.logical_to_physical()
-
-        segments = split_stage_segments(stage, logical_to_physical, local)
+        relayout(logical_to_physical)
 
         stage_loads = 0
-        for kind, payload in segments:
+        for kind, payload, segment_ops in segments:
             deadline.check("segment")
             if kind == "full":
-                gate = payload
-                physical = [logical_to_physical[q] for q in gate.qubits]
+                physical = [logical_to_physical[q] for q in payload.qubits]
                 state, state_scratch = apply_gate_buffered(
-                    state, state_scratch, gate.matrix(), physical
+                    state, state_scratch, payload.matrix(), physical
                 )
                 continue
             relabels = segment_relabels_shards(payload, logical_to_physical, local)
-            # Lower the segment's local work once; every shard replays the
-            # compiled op stream (fusion/analysis/planning amortised over
-            # the whole shard sweep instead of paid per shard).  A compile
-            # failure degrades to the uncompiled per-gate path.
-            try:
-                segment_ops = compile_segment_ops(payload, logical_to_physical, local)
-            except ReproError:
-                segment_ops = None
-                stats.fallbacks += 1
             shards = shard_slices(state, local)
             # Relabelled shards land at new indices, so they are stored into
             # the second DRAM array (every index is written exactly once —
             # the relabel map is a bijection) and the arrays swap after the
             # pass.  Without relabels shards are updated in place.
             out_shards = shard_slices(state_scratch, local) if relabels else shards
-            for shard_index, shard in enumerate(shards):
-                # Transient failures retry from the DRAM shard, which is
-                # untouched until the store below succeeds.
-                attempt = 1
-                while True:
-                    try:
-                        deadline.check("shard")
-                        faults.check("shard_load", shard=shard_index)
-                        np.copyto(shard_buf, shard)
-                        data, scratch = shard_buf, shard_scratch
-                        stage_loads += 1
-                        stats.shard_loads += 1
-                        stats.bytes_transferred += data.nbytes
-
-                        if segment_ops is not None:
-                            data, scratch, out_index = run_segment_ops(
-                                data, scratch, segment_ops, logical_to_physical,
-                                local, shard_index,
-                            )
-                        else:
-                            data, scratch, out_index = run_groups_on_shard(
-                                data, scratch, payload, logical_to_physical,
-                                local, shard_index,
-                            )
-
-                        faults.check("shard_store", shard=shard_index)
-                        out_shards[out_index][:] = data
-                        shard_buf, shard_scratch = data, scratch
-                        stats.shard_stores += 1
-                        stats.bytes_transferred += data.nbytes
-                        break
-                    except TransientError:
-                        stats.retries += 1
-                        if attempt >= policy.max_attempts:
-                            raise
-                        policy.sleep(attempt)
-                        attempt += 1
+            shard_pass(
+                shards, out_shards, segment_ops, payload, logical_to_physical,
+                deadline,
+            )
+            stage_loads += len(shards)
             if relabels:
                 state, state_scratch = state_scratch, state
         stats.per_stage_loads.append(stage_loads)
         stats.num_stages += 1
         if mon is not None:
             mon.stage_complete(state, stage_index)
+            stats.integrity_checks += 1
         if (
             ckpt is not None
-            and stage_index < num_stages - 1
+            and stage_index < len(schedule) - 1
             and (stage_index + 1) % ckpt.every == 0
         ):
             try:
@@ -761,19 +782,107 @@ def execute_plan_offloaded(
                 )
                 stats.checkpoints_written += 1
             except (ReproError, OSError):
-                # Advisory: a failed snapshot costs resumability, never
-                # the run itself.
                 stats.checkpoint_errors += 1
         faults.crash_after_stage(stage_index)
 
     if mon is not None:
-        stats.integrity_checks = mon.stages_checked
         stats.max_norm_drift = mon.max_norm_drift
+    relayout({q: q for q in range(n)})
+    return state, state_scratch
 
-    identity = {q: q for q in range(n)}
-    if layout.logical_to_physical() != identity:
-        permuted = permute_state(state, layout, identity, out=state_scratch)
-        if permuted is not state:
-            state, state_scratch = permuted, state
 
+# ---------------------------------------------------------------------------
+# Sequential executor
+# ---------------------------------------------------------------------------
+
+
+def execute_plan_offloaded(
+    plan: ExecutionPlan,
+    machine: MachineConfig,
+    initial_state: StateVector | None = None,
+    deadline: "Deadline | float | None" = None,
+    retry: RetryPolicy | None = None,
+    checkpoint: "CheckpointConfig | str | None" = None,
+    resume_from=None,
+    monitor=None,
+) -> tuple[StateVector, OffloadStats]:
+    """Execute *plan* shard by shard, as the DRAM-offloading runtime would.
+
+    The full state lives in a host-side array (standing in for node DRAM);
+    each stage walks its shards sequentially, applying every kernel of the
+    stage to one shard before touching the next.  This is the reference
+    one-worker shard pass under :func:`run_stages` — kept as separate code
+    because the tests and the benchmark use it as the bit-exact oracle for
+    :class:`repro.runtime.parallel.ParallelRuntime`, which maps the same
+    passes onto multiple workers.
+
+    Fault tolerance: transient shard failures (load, kernel, store) are
+    retried from the DRAM copy under *retry* (bounded exponential backoff;
+    bit-exact, since a shard's DRAM slice is only written once its
+    computation finished), a failed segment-op compile degrades to the
+    uncompiled per-gate path, and *deadline* is checked cooperatively at
+    stage/segment/shard boundaries (:class:`repro.errors.DeadlineExceeded`).
+
+    Durability: *checkpoint* (a :class:`CheckpointConfig` or directory
+    path) snapshots the DRAM state at stage boundaries; *resume_from* (a
+    checkpoint file or directory) validates the snapshot against the
+    plan's fingerprint and restarts after its last completed stage,
+    bit-exact with an uninterrupted run.  A failed checkpoint write is
+    counted (``checkpoint_errors``) and never fails the run.  *monitor*
+    (``True`` / :class:`IntegrityConfig` / :class:`IntegrityMonitor`)
+    enables per-stage norm-drift and inter-stage checksum checks that
+    raise :class:`repro.errors.IntegrityError` on corruption.
+    """
+    n = plan.num_qubits
+    machine.validate(n)
+    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
+    local = machine.local_qubits
+    stats = OffloadStats(num_shards=1 << (n - local))
+    # The GPU-side buffer pair shard contents ping-pong through; with the
+    # driver's two DRAM arrays that is O(1) allocations per execution.
+    buffers = [tracked_empty(1 << local), tracked_empty(1 << local)]
+
+    def shard_pass(shards, out_shards, segment_ops, groups, logical_to_physical, deadline):
+        for shard_index, shard in enumerate(shards):
+            # Transient failures retry from the DRAM shard, which is
+            # untouched until the store below succeeds.
+            attempt = 1
+            while True:
+                try:
+                    deadline.check("shard")
+                    faults.check("shard_load", shard=shard_index)
+                    data, scratch = buffers
+                    np.copyto(data, shard)
+                    stats.shard_loads += 1
+                    stats.bytes_transferred += data.nbytes
+
+                    if segment_ops is not None:
+                        data, scratch, out_index = run_segment_ops(
+                            data, scratch, segment_ops, logical_to_physical,
+                            local, shard_index,
+                        )
+                    else:
+                        data, scratch, out_index = run_groups_on_shard(
+                            data, scratch, groups, logical_to_physical,
+                            local, shard_index,
+                        )
+
+                    faults.check("shard_store", shard=shard_index)
+                    out_shards[out_index][:] = data
+                    buffers[:] = data, scratch
+                    stats.shard_stores += 1
+                    stats.bytes_transferred += data.nbytes
+                    break
+                except TransientError:
+                    stats.retries += 1
+                    if attempt >= policy.max_attempts:
+                        raise
+                    policy.sleep(attempt)
+                    attempt += 1
+
+    _shape, schedule, stats.fallbacks = build_schedule(plan, local)
+    state, _spare = run_stages(
+        plan, machine, schedule, shard_pass, stats, tracked_empty(1 << n),
+        initial_state, deadline, checkpoint, resume_from, monitor,
+    )
     return StateVector(n, state), stats

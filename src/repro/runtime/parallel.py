@@ -40,14 +40,21 @@ problems back to back on one runtime — the "heavy traffic" scenario —
 reusing the worker pool, the per-worker device buffers, the DRAM scratch
 array, and the per-plan stage segmentation, so only the result array is
 allocated per problem.
+
+**Who owns what.**  The stage loop is not here: it is
+:func:`repro.runtime.offload.run_stages`, shared with the sequential
+executor, over a schedule from :func:`repro.runtime.offload.build_schedule`.
+This runtime owns its *shard pass* (:meth:`ParallelRuntime._run_segment_supervised`
+and the worker body under it) plus what makes it reusable — the schedule
+cache, the DRAM-scratch reuse, the per-worker stats and the exec lock.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,33 +65,28 @@ from ..errors import (
     DEFAULT_RETRY_POLICY,
     Deadline,
     PermanentError,
-    PlanValidationError,
-    ReproError,
     RetryPolicy,
     SessionClosedError,
     TransientError,
 )
-from ..sim.apply import apply_gate_buffered, tracked_empty
+from ..sim.apply import tracked_empty
 from ..sim.statevector import StateVector
 from . import faults
-from .checkpoint import (
-    CheckpointConfig,
-    checkpoint_fingerprint,
-    find_checkpoint,
-    write_checkpoint,
-)
-from .integrity import IntegrityMonitor
+from .checkpoint import CheckpointConfig
 from .offload import (
     OffloadStats,
     WorkerStats,
-    compile_segment_ops,
-    materialize_stage_segments,
+    build_schedule,
     run_groups_on_shard,
     run_segment_ops,
-    segment_relabels_shards,
-    split_stage_segment_shapes,
+    run_stages,
 )
-from .sharding import QubitLayout, permute_state, shard_slices
+
+# Not called here any more (the shared driver resolves them through
+# ``offload``), but profilers and tracers wrap these names on both runtime
+# modules, so they stay importable from this one.
+from .offload import compile_segment_ops  # noqa: F401
+from .sharding import permute_state  # noqa: F401
 
 __all__ = ["ParallelRuntime", "execute_plan_parallel"]
 
@@ -262,66 +264,32 @@ class ParallelRuntime:
     def _plan_schedule(
         self, plan: ExecutionPlan, schedule_key: str | None = None
     ) -> list:
-        """Per-stage ``(target, logical_to_physical, segments)`` for *plan*.
+        """The :func:`~repro.runtime.offload.build_schedule` of *plan*, cached.
 
-        The layout walk is deterministic, so the segmentation *shape* — the
-        expensive per-gate cross-shard classification — is computed once and
-        reused.  By default the cache is keyed by plan identity (run_batch
-        replaying one plan); callers executing many *structurally identical*
-        plans (a Session parameter sweep, where each plan rebinds different
-        gate angles onto the same staged structure) pass a ``schedule_key``
-        so they all share one shape.  Only the shape is cached: the
-        per-plan segments are re-materialized from each plan's own gates,
-        so cached schedules never leak another circuit's angles.
-
-        Each shards-segment of the schedule also carries its **compiled op
-        stream** (:func:`repro.runtime.offload.compile_segment_ops`):
-        fusion, structure analysis and gemm planning happen here, once per
-        plan, and every shard pass on every worker replays the pre-resolved
-        ops.  The ops bind the plan's gate matrices (angles included), so
-        they are rebuilt whenever the segments are re-materialized.
+        By default the cache is keyed by plan identity (run_batch replaying
+        one plan), and a hit returns the fully materialized schedule as-is.
+        Callers executing many *structurally identical* plans (a Session
+        parameter sweep, where each plan rebinds different gate angles onto
+        the same staged structure) pass a ``schedule_key`` so they all
+        share one segmentation *shape*; the segments and their compiled op
+        streams bind the plan's gate matrices (angles included), so they
+        are rebuilt from each plan's own gates whenever the plan object
+        differs.
         """
         key: object = schedule_key if schedule_key is not None else id(plan)
         cached = self._segment_cache.get(key)
+        shape = None
         if cached is not None and (schedule_key is not None or cached[0] is plan):
             owner, shape, schedule = cached
             self.schedule_cache_hits += 1
             if owner is plan:
-                # Same plan object: the fully materialized schedule is
-                # valid as-is (the run_batch one-plan-many-states path).
                 return schedule
         else:
-            local = self.machine.local_qubits
-            layout = QubitLayout(plan.num_qubits)
-            shape = []
-            for stage in plan.stages:
-                target = stage.partition.logical_to_physical()
-                layout.update(target)
-                logical_to_physical = layout.logical_to_physical()
-                shapes = split_stage_segment_shapes(stage, logical_to_physical, local)
-                shape.append((target, logical_to_physical, shapes))
             self.schedule_cache_misses += 1
-        # A different (structurally identical) plan under a shared
-        # schedule_key: re-materialize the shape with this plan's gates and
-        # compile each shards-segment's op stream from them.
-        local = self.machine.local_qubits
-        schedule = []
-        for stage, (target, l2p, stage_shapes) in zip(plan.stages, shape):
-            segments = []
-            for kind, payload in materialize_stage_segments(stage, stage_shapes):
-                if kind == "full":
-                    segments.append(("full", payload, None))
-                else:
-                    # A failed segment-op compile degrades that segment to
-                    # the uncompiled per-gate path (ops=None) instead of
-                    # failing the run; workers branch on it.
-                    try:
-                        ops = compile_segment_ops(payload, l2p, local)
-                    except ReproError:
-                        ops = None
-                        self.fallbacks += 1
-                    segments.append(("shards", payload, ops))
-            schedule.append((target, l2p, segments))
+        shape, schedule, fallbacks = build_schedule(
+            plan, self.machine.local_qubits, shape
+        )
+        self.fallbacks += fallbacks
         if key not in self._segment_cache:
             if len(self._segment_cache) >= _SEGMENT_CACHE_PLANS:
                 self._segment_cache.pop(next(iter(self._segment_cache)))
@@ -502,194 +470,51 @@ class ParallelRuntime:
             self.exec_lock_wait_seconds += time.monotonic() - started
             self.exec_lock_acquisitions += 1
         try:
-            return self._execute_exclusive(
-                plan, initial_state, schedule_key, deadline,
-                checkpoint=checkpoint, resume_from=resume_from,
-                monitor=monitor,
-            )
+            n = plan.num_qubits
+            self.machine.validate(n)
+            self._ensure_pools()
+            num_shards = 1 << (n - self.machine.local_qubits)
+            width = min(self.num_workers, num_shards)
+            stats = OffloadStats(num_shards=num_shards, num_workers=width)
+            stats.per_worker = [WorkerStats(worker=w) for w in range(width)]
+            #: Workers quarantined for the remainder of *this* execution.
+            quarantined: set[int] = set()
+            try:
+                # The driver allocates the result array — the only
+                # per-execution state-sized allocation — and hands back
+                # whichever of it and the cached DRAM scratch the caller is
+                # not given, which becomes the next scratch (no copy, no
+                # aliasing of cached buffers).
+                state, self._dram_scratch[n] = run_stages(
+                    plan, self.machine, self._plan_schedule(plan, schedule_key),
+                    partial(self._run_segment_supervised, stats, quarantined),
+                    stats, self._scratch_state(n), initial_state, deadline,
+                    checkpoint, resume_from, monitor,
+                )
+            finally:
+                for worker in stats.per_worker:
+                    stats.shard_loads += worker.shard_loads
+                    stats.shard_stores += worker.shard_stores
+                    stats.bytes_transferred += worker.bytes_loaded + worker.bytes_stored
+                    stats.retries += worker.retries
+                self.retries += stats.retries
+            return StateVector(n, state), stats
         finally:
             self._exec_lock.release()
 
-    def _execute_exclusive(
-        self,
-        plan: ExecutionPlan,
-        initial_state: StateVector | None = None,
-        schedule_key: str | None = None,
-        deadline: "Deadline | float | None" = None,
-        checkpoint: "CheckpointConfig | str | None" = None,
-        resume_from=None,
-        monitor=None,
-    ) -> tuple[StateVector, OffloadStats]:
-        machine = self.machine
-        n = plan.num_qubits
-        machine.validate(n)
-        deadline = Deadline.resolve(deadline)
-        self._ensure_pools()
-        ckpt = CheckpointConfig.coerce(checkpoint) if checkpoint is not None else None
-        mon = IntegrityMonitor.coerce(monitor)
-        fingerprint = (
-            checkpoint_fingerprint(plan)
-            if ckpt is not None or resume_from is not None
-            else ""
-        )
-
-        # The result array is the only per-execution state-sized
-        # allocation; the DRAM scratch is reused across calls.  Layout
-        # permutations and relabelled segment stores swap the two, so at
-        # the end the runtime keeps whichever array the caller is not
-        # handed (no copy, no aliasing of cached buffers).
-        state = tracked_empty(1 << n)
-        state_scratch = self._scratch_state(n)
-        fresh, cached = state, state_scratch
-        if initial_state is None:
-            state[:] = 0.0
-            state[0] = 1.0
-        else:
-            if initial_state.num_qubits != n:
-                raise PlanValidationError("initial state size does not match plan")
-            initial_state.copy_into(state)
-
-        local = machine.local_qubits
-        num_shards = 1 << (n - local)
-        width = min(self.num_workers, num_shards)
-        stats = OffloadStats(num_shards=num_shards, num_workers=width)
-        stats.per_worker = [WorkerStats(worker=w) for w in range(width)]
-        #: Workers quarantined for the remainder of *this* execution.
-        quarantined: set[int] = set()
-
-        schedule = self._plan_schedule(plan, schedule_key)
-        num_stages = len(schedule)
-        layout = QubitLayout(n)
-        start_stage = 0
-        if resume_from is not None:
-            ck = find_checkpoint(
-                resume_from,
-                fingerprint=fingerprint,
-                tag=ckpt.tag if ckpt is not None else "run",
-            )
-            if ck is not None:
-                if ck.num_qubits != n or ck.state.shape != state.shape \
-                        or ck.state.dtype != state.dtype:
-                    raise PlanValidationError(
-                        f"checkpoint {ck.path.name} does not match the "
-                        f"plan's state ({ck.num_qubits} qubits, "
-                        f"{ck.state.dtype})"
-                    )
-                np.copyto(state, ck.state)
-                layout.update(ck.layout_mapping())
-                start_stage = ck.stage_index + 1
-                stats.resumed_from_stage = ck.stage_index
-                stats.stages_skipped = start_stage
-
-        try:
-            for stage_index, (target, logical_to_physical, segments) in enumerate(
-                schedule
-            ):
-                if stage_index < start_stage:
-                    continue
-                deadline.check("stage")
-                if mon is not None:
-                    mon.stage_begin(state, stage_index)
-                if target != layout.logical_to_physical():
-                    permuted = permute_state(state, layout, target, out=state_scratch)
-                    if permuted is not state:
-                        state, state_scratch = permuted, state
-                    layout.update(target)
-
-                stage_loads = 0
-                for kind, payload, segment_ops in segments:
-                    deadline.check("segment")
-                    if kind == "full":
-                        gate = payload
-                        physical = [logical_to_physical[q] for q in gate.qubits]
-                        state, state_scratch = apply_gate_buffered(
-                            state, state_scratch, gate.matrix(), physical
-                        )
-                        continue
-                    relabels = segment_relabels_shards(
-                        payload, logical_to_physical, local
-                    )
-                    shards = shard_slices(state, local)
-                    out_shards = (
-                        shard_slices(state_scratch, local) if relabels else shards
-                    )
-                    self._run_segment_supervised(
-                        width,
-                        num_shards,
-                        quarantined,
-                        shards,
-                        out_shards,
-                        segment_ops,
-                        payload,
-                        logical_to_physical,
-                        local,
-                        stats,
-                        deadline,
-                    )
-                    stage_loads += num_shards
-                    if relabels:
-                        state, state_scratch = state_scratch, state
-                stats.per_stage_loads.append(stage_loads)
-                stats.num_stages += 1
-                if mon is not None:
-                    mon.stage_complete(state, stage_index)
-                if (
-                    ckpt is not None
-                    and stage_index < num_stages - 1
-                    and (stage_index + 1) % ckpt.every == 0
-                ):
-                    try:
-                        write_checkpoint(
-                            ckpt,
-                            fingerprint=fingerprint,
-                            num_qubits=n,
-                            stage_index=stage_index,
-                            layout=layout.logical_to_physical(),
-                            state=state,
-                        )
-                        stats.checkpoints_written += 1
-                    except (ReproError, OSError):
-                        # Advisory: losing a snapshot costs resumability,
-                        # never the run itself.
-                        stats.checkpoint_errors += 1
-                faults.crash_after_stage(stage_index)
-
-            identity = {q: q for q in range(n)}
-            if layout.logical_to_physical() != identity:
-                permuted = permute_state(state, layout, identity, out=state_scratch)
-                if permuted is not state:
-                    state, state_scratch = permuted, state
-        finally:
-            for worker in stats.per_worker:
-                stats.shard_loads += worker.shard_loads
-                stats.shard_stores += worker.shard_stores
-                stats.bytes_transferred += worker.bytes_loaded + worker.bytes_stored
-                stats.retries += worker.retries
-            self.retries += stats.retries
-
-        if mon is not None:
-            stats.integrity_checks = mon.stages_checked
-            stats.max_norm_drift = mon.max_norm_drift
-        if state is cached:
-            # The caller gets the cached array; keep the fresh one instead.
-            self._dram_scratch[n] = fresh
-        return StateVector(n, state), stats
-
     def _run_segment_supervised(
         self,
-        width: int,
-        num_shards: int,
+        stats: OffloadStats,
         quarantined: set[int],
         shards: list[np.ndarray],
         out_shards: list[np.ndarray],
         segment_ops: list | None,
         groups: list,
         logical_to_physical: dict[int, int],
-        local: int,
-        stats: OffloadStats,
         deadline: Deadline,
     ) -> None:
-        """Dispatch one shards-segment across the non-quarantined workers.
+        """Dispatch one shards-segment across the non-quarantined workers
+        (this runtime's shard pass under :func:`~repro.runtime.offload.run_stages`).
 
         The barrier is failure-safe: **every** submitted future is awaited
         before any exception propagates, so no worker is still touching a
@@ -700,6 +525,8 @@ class ParallelRuntime:
         When the last worker is quarantined the underlying transient error
         escalates to the caller.
         """
+        width, num_shards = stats.num_workers, stats.num_shards
+        local = self.machine.local_qubits
         active = [w for w in range(width) if w not in quarantined]
         if not active:
             # Every worker was quarantined by an earlier segment; execute()
@@ -708,16 +535,12 @@ class ParallelRuntime:
             raise PermanentError(
                 "no workers left to schedule"
             )  # pragma: no cover
+        # Round-robin over the survivors; with none quarantined this is the
+        # documented ownership rule (worker w owns shards w, w+W, w+2W, ...).
         assignments = {
             w: list(range(j, num_shards, len(active)))
             for j, w in enumerate(active)
         }
-        if len(active) == width:
-            # Fault-free fast path keeps the documented ownership rule:
-            # worker w owns shard indices w, w+W, w+2W, ...
-            assignments = {
-                w: list(range(w, num_shards, width)) for w in range(width)
-            }
         while True:
             futures = {
                 w: self._compute_pool.submit(
@@ -846,24 +669,14 @@ class ParallelRuntime:
                     f"{len(keys)} schedule keys but {len(items)} batch items"
                 )
         deadline = Deadline.resolve(deadline)
-        base_ckpt = (
-            CheckpointConfig.coerce(checkpoint) if checkpoint is not None else None
-        )
-        results = []
-        for i, ((plan, state), key) in enumerate(zip(items, keys)):
-            item_ckpt = base_ckpt
-            if base_ckpt is not None and len(items) > 1:
-                item_ckpt = dataclasses.replace(
-                    base_ckpt, tag=f"{base_ckpt.tag}-i{i}"
-                )
-            results.append(
-                self.execute(
-                    plan, state, schedule_key=key, deadline=deadline,
-                    checkpoint=item_ckpt, resume_from=resume_from,
-                    monitor=monitor,
-                )
+        return [
+            self.execute(
+                plan, state, schedule_key=key, deadline=deadline,
+                checkpoint=CheckpointConfig.for_item(checkpoint, i, len(items)),
+                resume_from=resume_from, monitor=monitor,
             )
-        return results
+            for i, ((plan, state), key) in enumerate(zip(items, keys))
+        ]
 
 
 def execute_plan_parallel(

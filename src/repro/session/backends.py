@@ -33,7 +33,6 @@ backends with :func:`register_backend`.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Iterable, Sequence
 
 from ..baselines import SIMULATORS, BaselineSimulator
@@ -144,10 +143,6 @@ class ExecutionBackend:
             checkpoint is not None or resume_from is not None
             or monitor is not None
         )
-        base_ckpt = (
-            CheckpointConfig.coerce(checkpoint)
-            if durable and checkpoint is not None else None
-        )
         out = []
         for i, ((plan, state, circuit), key, program) in enumerate(
             zip(items, keys, progs)
@@ -160,17 +155,9 @@ class ExecutionBackend:
             if deadline is not None:
                 kwargs["deadline"] = deadline
             if durable:
-                item_ckpt = base_ckpt
-                if base_ckpt is not None and len(items) > 1:
-                    # Per-item tags: batch items sharing a checkpoint
-                    # directory must never overwrite each other's
-                    # snapshots (and each resumes its own).
-                    item_ckpt = dataclasses.replace(
-                        base_ckpt, tag=f"{base_ckpt.tag}-i{i}"
-                    )
                 kwargs.update(
-                    checkpoint=item_ckpt, resume_from=resume_from,
-                    monitor=monitor,
+                    checkpoint=CheckpointConfig.for_item(checkpoint, i, len(items)),
+                    resume_from=resume_from, monitor=monitor,
                 )
             out.append(self.run_plan(plan, machine, **kwargs))
         return out

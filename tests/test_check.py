@@ -575,6 +575,35 @@ class TestLintRepro:
         findings = lint.check_file(path)
         assert [f.rule for f in findings] == ["monotonic-time"]
 
+    def test_second_stage_loop_flagged(self, lint):
+        guards = (
+            "find_checkpoint(d)\nmon.stage_begin(s, k)\nmon.stage_complete(s, k)\n"
+            "write_checkpoint(c)\nfaults.crash_after_stage(k)\n"
+        )
+        driver = self.write(lint, "runtime/driver.py", guards)
+        assert lint.check_one_stage_loop([driver]) == []
+        # A guard called from a second place is a second loop growing back.
+        copy = self.write(
+            lint, "runtime/copy.py", "mon.stage_begin(s, k)\nwrite_checkpoint(c)\n"
+        )
+        findings = lint.check_one_stage_loop([driver, copy])
+        assert {f.rule for f in findings} == {"one-stage-loop"}
+        assert sorted((f.path, f.line) for f in findings) == [
+            ("src/repro/runtime/copy.py", 1),
+            ("src/repro/runtime/copy.py", 2),
+            ("src/repro/runtime/driver.py", 2),
+            ("src/repro/runtime/driver.py", 4),
+        ]
+        # A guard dropped from the driver is flagged too ...
+        driver.write_text(guards.replace("faults.crash_after_stage(k)\n", ""))
+        assert [f.key for f in lint.check_one_stage_loop([driver])] == [
+            "src/repro/runtime/::one-stage-loop::crash_after_stage:missing"
+        ]
+        # ... but only guards under runtime/ count, and a file set without
+        # the driver says nothing.
+        elsewhere = self.write(lint, "service/daemon.py", guards)
+        assert lint.check_one_stage_loop([elsewhere]) == []
+
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")
         baseline = tmp_path / "baseline.json"

@@ -35,6 +35,7 @@ from repro.errors import (
     PlanValidationError,
     SpecParseError,
 )
+from repro.runtime import ParallelRuntime, execute_plan_offloaded, faults
 from repro.runtime.checkpoint import (
     CheckpointConfig,
     checkpoint_fingerprint,
@@ -42,7 +43,7 @@ from repro.runtime.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.runtime.faults import CRASH_EXIT_CODE
+from repro.runtime.faults import CRASH_EXIT_CODE, FaultInjector
 from repro.runtime.integrity import IntegrityConfig, IntegrityMonitor
 from repro.runtime.sharding import QubitLayout
 from repro.service import JobJournal, SimulationService, replay_journal
@@ -320,6 +321,128 @@ class TestIntegrityMonitor:
             IntegrityMonitor.coerce(IntegrityConfig(norm_tolerance=1.0)),
             IntegrityMonitor,
         )
+
+    @pytest.mark.parametrize("backend", ["offload", "parallel"])
+    def test_monitor_instance_is_reusable_across_executions(self, machine, plan, backend):
+        # One instance handed to a Session sees a batch of two and then a
+        # second job: every execution must start from a clean baseline and
+        # digest (stage 0 of run k+1 never matches the end of run k), while
+        # the instance's own telemetry accumulates.
+        monitor = IntegrityMonitor()
+        circuit = vqc(N, seed=0)
+        with Session(machine, backend=backend, planner="fast", monitor=monitor) as s:
+            batch = s.run([circuit, circuit], execute=True).results()
+            again = s.run(circuit, execute=True).results()
+            assert s.stats.integrity_checks == 3 * plan.num_stages
+        assert monitor.stages_checked == 3 * plan.num_stages
+        reference, _ = run_state(machine, circuit, backend)
+        for result in (*batch, *again):
+            assert np.array_equal(np.asarray(result.state.data), reference)
+
+
+# ---------------------------------------------------------------------------
+# One stage driver: every executor reports the same run
+# ---------------------------------------------------------------------------
+
+#: The OffloadStats fields that describe the run, not the executor.
+STATS_FIELDS = (
+    "num_stages", "per_stage_loads", "shard_loads", "shard_stores",
+    "bytes_transferred", "retries", "checkpoints_written",
+    "resumed_from_stage", "stages_skipped", "integrity_checks",
+)
+
+
+def execute_on(executor, plan, machine, fault=None, **kwargs):
+    """Run *plan* on ``"offload"`` or a W-worker ParallelRuntime.
+
+    Returns ``(state, stats, compile_fallbacks)``; the fallback count lives
+    on the stats for offload and on the runtime for parallel.
+    """
+    injector = FaultInjector(fault) if fault else None
+    if injector is not None:
+        faults.activate(injector)
+    try:
+        if executor == "offload":
+            state, stats = execute_plan_offloaded(plan, machine, **kwargs)
+            fallbacks = stats.fallbacks
+        else:
+            with ParallelRuntime(machine, num_workers=executor) as runtime:
+                state, stats = runtime.execute(plan, **kwargs)
+                fallbacks = runtime.fallbacks
+    finally:
+        if injector is not None:
+            faults.deactivate(injector)
+    return np.asarray(state.data).copy(), stats, fallbacks
+
+
+def assert_same_run(got, want):
+    state, stats, fallbacks = got
+    want_state, want_stats, want_fallbacks = want
+    assert np.array_equal(state, want_state)
+    assert fallbacks == want_fallbacks
+    assert {f: getattr(stats, f) for f in STATS_FIELDS} == {
+        f: getattr(want_stats, f) for f in STATS_FIELDS
+    }
+
+
+class TestExecutorStatsDifferential:
+    """The offload and parallel executors share one stage driver, so the
+    same run must read the same on every stats field it owns — and on the
+    traffic counters the shard passes keep — for any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            None,
+            "shard_load:transient:1",
+            "kernel_apply:transient:1",
+            "shard_store:transient:1",
+            "compile:permanent:1",
+        ],
+    )
+    def test_clean_and_faulted_runs(self, machine, plan, workers, fault):
+        clean = execute_on("offload", plan, machine)
+        sequential = execute_on("offload", plan, machine, fault=fault)
+        assert_same_run(execute_on(workers, plan, machine, fault=fault), sequential)
+        _state, stats, fallbacks = sequential
+        # per_stage_loads is the modelled pass count: a retried load shows
+        # in shard_loads/retries, never here.
+        assert stats.per_stage_loads == clean[1].per_stage_loads
+        compile_fault = fault is not None and fault.startswith("compile")
+        assert fallbacks == (1 if compile_fault else 0)
+        assert stats.retries == (0 if fault is None or compile_fault else 1)
+        if not compile_fault:
+            assert np.array_equal(sequential[0], clean[0])
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_checkpointed_monitored_run_and_every_resume_point(
+        self, machine, plan, workers, tmp_path
+    ):
+        runs = {}
+        for executor in ("offload", workers):
+            config = CheckpointConfig(tmp_path / str(executor), keep=99)
+            runs[executor] = execute_on(
+                executor, plan, machine, checkpoint=config, monitor=True
+            )
+        assert_same_run(runs[workers], runs["offload"])
+        assert runs["offload"][1].checkpoints_written == plan.num_stages - 1
+        assert runs["offload"][1].integrity_checks == plan.num_stages
+        snapshots = sorted((tmp_path / "offload").glob("*.ckpt"))
+        assert len(snapshots) == plan.num_stages - 1
+        for k, snapshot in enumerate(snapshots):
+            sequential = execute_on(
+                "offload", plan, machine, resume_from=snapshot, monitor=True
+            )
+            assert sequential[1].resumed_from_stage == k
+            assert np.array_equal(sequential[0], runs["offload"][0])
+            # Each executor resumes the *other's* snapshot of the boundary.
+            assert_same_run(
+                execute_on(
+                    workers, plan, machine, resume_from=snapshot, monitor=True
+                ),
+                sequential,
+            )
 
 
 # ---------------------------------------------------------------------------

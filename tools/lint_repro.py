@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Three rules, each enforcing an invariant the execution layer depends on
+Four rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -25,6 +25,15 @@ Three rules, each enforcing an invariant the execution layer depends on
     No ``time.time()`` anywhere in ``src/repro``: deadlines and timing
     use ``time.monotonic()`` / ``time.perf_counter()`` (wall-clock time
     jumps break :class:`repro.errors.Deadline`).
+
+``one-stage-loop``
+    Under ``runtime/``, each stage-boundary guard — ``write_checkpoint``,
+    ``find_checkpoint``, ``crash_after_stage``, ``.stage_begin``,
+    ``.stage_complete`` — has exactly one call site: the stage driver
+    (``runtime/offload.py::run_stages``).  A second call site is a second
+    stage loop growing back; a missing one is a guard dropped from the
+    driver.  Checked across files, whenever the linted set contains any
+    such call.
 
 Usage::
 
@@ -65,6 +74,15 @@ HOT_ALLOC_CALLS = {"zeros", "empty", "copy", "array", "ascontiguousarray"}
 HOT_ALLOC_NAMES = {"tracked_empty"}
 HOT_CLOSURES = {"run", "run_batched"}
 
+STAGE_LOOP_SCOPE = "runtime/"
+STAGE_GUARDS = (
+    "write_checkpoint",
+    "find_checkpoint",
+    "crash_after_stage",
+    "stage_begin",
+    "stage_complete",
+)
+
 
 class Finding:
     def __init__(self, path: str, line: int, rule: str, message: str, symbol: str):
@@ -94,9 +112,56 @@ def _enclosing(stack: list[str]) -> str:
     return ".".join(stack) if stack else "<module>"
 
 
+def _rel_src(path: Path) -> str:
+    """*path* relative to the package root (to the repo when outside it)."""
+    inside = SRC in path.parents or path.parent == SRC
+    return path.relative_to(SRC if inside else REPO).as_posix()
+
+
+def check_one_stage_loop(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-stage-loop`` rule over the linted *files*."""
+    sites: dict[str, list[tuple[str, int]]] = {guard: [] for guard in STAGE_GUARDS}
+    for path in files:
+        if not _rel_src(path).startswith(STAGE_LOOP_SCOPE):
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in sites:
+                sites[name].append((rel, node.lineno))
+    if not any(sites.values()):
+        return []  # the stage driver is not among the linted files
+    findings = []
+    for guard, calls in sites.items():
+        if not calls:
+            findings.append(
+                Finding(
+                    f"src/repro/{STAGE_LOOP_SCOPE}", 0, "one-stage-loop",
+                    f"no call to `{guard}` under {STAGE_LOOP_SCOPE}: the stage "
+                    f"driver lost a guard",
+                    f"{guard}:missing",
+                )
+            )
+        elif len(calls) > 1:
+            findings.extend(
+                Finding(
+                    rel, line, "one-stage-loop",
+                    f"`{guard}` has {len(calls)} call sites under "
+                    f"{STAGE_LOOP_SCOPE}: stage-boundary guards belong to the "
+                    f"one stage driver (runtime/offload.py::run_stages)",
+                    guard,
+                )
+                for rel, line in calls
+            )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
-    rel_src = path.relative_to(SRC).as_posix() if SRC in path.parents or path.parent == SRC else rel
+    rel_src = _rel_src(path)
     try:
         source = path.read_text()
     except OSError as exc:  # pragma: no cover - unreadable file
@@ -229,6 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     findings: list[Finding] = []
     for path in files:
         findings.extend(check_file(path))
+    findings.extend(check_one_stage_loop(files))
 
     if args.write_baseline:
         args.baseline.write_text(
