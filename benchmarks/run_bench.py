@@ -47,7 +47,17 @@ preserves:
   loop at B=16, and agreement across the incore (compiled vs interpreted,
   bit-exact), batched-vs-looped (tight tolerance — the B-wide gemm fold
   can change BLAS summation order), offload, and parallel (W ∈ {1,2,4},
-  bit-exact) paths.
+  bit-exact) paths;
+* **kernel_lowering** — shared-memory kernels as one op per monomial run:
+  qft / ising / su2random planned in-core, their compiled op stream
+  (:func:`repro.sim.fusion.lower_kernel_gates` items) against a per-gate
+  reference stream built here — one op per gate of every shared-memory
+  kernel, what the compiler emitted before the lowering.  Reports gates,
+  ops emitted and the exact fold (gates per op as a count pair), and the
+  lowered-vs-per-gate seconds.  The ``--quick`` gate requires the fold
+  counts to equal the committed baseline's **exactly** (they are a
+  property of plan and lowering, not of the host) and the speedup not to
+  fall behind the baseline's by more than ``--threshold``.
 
 Usage::
 
@@ -79,7 +89,8 @@ except ImportError:  # pragma: no cover
 import numpy as np
 
 from repro import Session, simulate
-from repro.circuits.library import ghz, graphstate, ising, qft, vqc, wstate
+from repro.circuits.library import ghz, graphstate, ising, qft, su2random, vqc, wstate
+from repro.core.kernel import KernelType
 from repro.planner import PassManager, resolve_planner
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
@@ -95,6 +106,7 @@ from repro.session.cache import rebind_plan
 from repro.runtime.sharding import QubitLayout, permute_state
 from repro.sim import StateVector, apply_matrix_reference, expand_matrix, kernel_qubits
 from repro.sim import apply as apply_mod
+from repro.sim.program import compile_unitary_op
 from repro.sim.apply import apply_gate_buffered, apply_matrix
 from repro.circuits.gates import gate_matrix
 
@@ -538,6 +550,87 @@ def run_compile_bench(
 
 
 # ---------------------------------------------------------------------------
+# Shared-memory kernel lowering
+# ---------------------------------------------------------------------------
+
+#: Families of the lowering scenario: diagonal-heavy (qft), cx·rz·cx
+#: sandwiches (ising) and all-to-all CX networks (su2random).
+LOWERING_FAMILIES = {
+    "qft": qft,
+    "ising": ising,
+    "su2random": lambda n: su2random(n, reps=1),
+}
+
+
+def _per_gate_stream(plan, program) -> list:
+    """The compiled stream with every shared-memory kernel expanded back to
+    one op per gate (the pre-lowering emission), other ops kept as they
+    are.  Single-stage in-core plans only: one layout for every kernel."""
+    (stage,) = plan.stages
+    l2p = stage.partition.logical_to_physical()
+    n = plan.num_qubits
+    kernels = list(stage.kernels)
+    stream, expanded = [], set()
+    for op in program.ops:
+        if op.source[0] != "sm":
+            stream.append(op)
+            continue
+        group = op.source[2]
+        if group in expanded:
+            continue
+        expanded.add(group)
+        assert kernels[group].kernel_type is KernelType.SHM
+        stream.extend(
+            compile_unitary_op(g.matrix(), [l2p[q] for q in g.qubits], n)
+            for g in kernels[group].gates
+        )
+    return stream
+
+
+def run_kernel_lowering_bench(num_qubits: int, repeats: int = 3) -> dict:
+    """Lowered op stream versus a per-gate stream of the same plans."""
+    machine = MachineConfig.for_circuit(num_qubits)
+    size = 1 << num_qubits
+    out = {}
+    for family, factory in LOWERING_FAMILIES.items():
+        circuit = factory(num_qubits)
+        plan, _ = partition(circuit, machine)
+        program = compile_plan(plan, machine)
+        per_gate = _per_gate_stream(plan, program)
+        ws = program.workspace
+
+        def run(ops):
+            state, scratch = ws.pair(size)
+            state[:] = 0.0
+            state[0] = 1.0
+            for op in ops:
+                state, scratch = op.run(state, scratch, ws)
+            return state
+
+        lowered_state = run(program.ops).copy()
+        per_gate_state = run(per_gate).copy()
+        lowered_seconds = _best_seconds(lambda: run(program.ops), repeats)
+        per_gate_seconds = _best_seconds(lambda: run(per_gate), repeats)
+        out[family] = {
+            "num_qubits": num_qubits,
+            "num_gates": program.num_gates,
+            "num_kernels": program.num_kernels,
+            "ops": len(program.ops),
+            "per_gate_ops": len(per_gate),
+            "op_counts": program.op_counts(),
+            # Exact: gates folded per emitted op, as the count pair.
+            "fold": [program.num_gates, len(program.ops)],
+            "lowered_seconds": lowered_seconds,
+            "per_gate_seconds": per_gate_seconds,
+            "speedup_vs_per_gate": per_gate_seconds / lowered_seconds,
+            "max_abs_diff_vs_per_gate": float(
+                np.max(np.abs(lowered_state - per_gate_state))
+            ),
+        }
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Planning-pipeline benchmark (cold path)
 # ---------------------------------------------------------------------------
 
@@ -782,6 +875,34 @@ def check_regression(
                 f"{old_comp['compiled_seconds_per_run']*1e3:.2f} ms/run "
                 f"(>{threshold}x regression)"
             )
+    # Kernel lowering: the fold is a count fixed by plan and lowering, so it
+    # must equal the baseline's exactly; the lowered stream must agree with
+    # the per-gate stream and keep its lead over it within the threshold.
+    for size, families in current.get("kernel_lowering", {}).items():
+        for family, new in families.items():
+            if new["max_abs_diff_vs_per_gate"] > 1e-10:
+                problems.append(
+                    f"kernel_lowering[{size}][{family}]: lowered state "
+                    f"diverges from the per-gate stream (max |diff| = "
+                    f"{new['max_abs_diff_vs_per_gate']:.2e})"
+                )
+            old = baseline.get("kernel_lowering", {}).get(size, {}).get(family)
+            if old is None:
+                continue
+            if new["fold"] != old["fold"] or new["per_gate_ops"] != old["per_gate_ops"]:
+                problems.append(
+                    f"kernel_lowering[{size}][{family}]: {new['fold'][0]} gates "
+                    f"-> {new['fold'][1]} ops (per-gate {new['per_gate_ops']}) "
+                    f"vs baseline {old['fold'][0]} -> {old['fold'][1]} "
+                    f"(per-gate {old['per_gate_ops']}): the fold changed"
+                )
+            if new["speedup_vs_per_gate"] * threshold < old["speedup_vs_per_gate"]:
+                problems.append(
+                    f"kernel_lowering[{size}][{family}]: "
+                    f"{new['speedup_vs_per_gate']:.2f}x over the per-gate "
+                    f"stream vs baseline {old['speedup_vs_per_gate']:.2f}x "
+                    f"(>{threshold}x regression)"
+                )
     # Wide-kernel micro pin: fused 3q matrices route through single-GEMM
     # dense plans and must stay comfortably ahead of the tensordot
     # reference (they were ~1.2x before the routing, ~4x after).
@@ -909,6 +1030,7 @@ def run_suite(
     compile_sizes: list[int] | None = None,
     compile_batch: int = 16,
     planner_sweep: list[tuple[str, int]] | None = None,
+    lowering_sizes: list[int] | None = None,
 ) -> dict:
     offload_sizes = offload_sizes or []
     session_sizes = session_sizes or []
@@ -923,7 +1045,8 @@ def run_suite(
         else {}
     )
     return {
-        "schema": 5,
+        "schema": 6,
+        "cpu_count": os.cpu_count(),
         "config": {
             "micro_qubits": micro_sizes,
             "plan_qubits": plan_sizes,
@@ -933,6 +1056,7 @@ def run_suite(
             "compile_qubits": compile_sizes,
             "compile_batch": compile_batch,
             "planner_sweep": [list(e) for e in planner_sweep],
+            "lowering_qubits": lowering_sizes or [],
             "repeats": repeats,
         },
         "micro": {str(n): run_micro(n, repeats) for n in micro_sizes},
@@ -949,6 +1073,10 @@ def run_suite(
             for n in compile_sizes
         },
         "plan": planner_results,
+        "kernel_lowering": {
+            str(n): run_kernel_lowering_bench(n, max(2, repeats - 2))
+            for n in lowering_sizes or []
+        },
     }
 
 
@@ -971,6 +1099,7 @@ def main(argv: list[str] | None = None) -> int:
         default=16,
         help="batch width B of the compiled (B, 2^n) execution scenario",
     )
+    parser.add_argument("--lowering-qubits", type=int, default=20)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument(
         "--quick",
@@ -1012,6 +1141,7 @@ def main(argv: list[str] | None = None) -> int:
         session_sweep = min(args.session_sweep, 10)
         compile_sizes = [min(args.compile_qubits, 10)]
         planner_sweep = PLAN_SWEEP_QUICK
+        lowering_sizes = [min(args.lowering_qubits, 14)]
         args.repeats = min(args.repeats, 3)
     else:
         # The full run also measures the quick sizes so `--quick` always has
@@ -1023,6 +1153,7 @@ def main(argv: list[str] | None = None) -> int:
         session_sweep = args.session_sweep
         compile_sizes = sorted({10, args.compile_qubits})
         planner_sweep = PLAN_SWEEP_FULL
+        lowering_sizes = sorted({14, args.lowering_qubits})
 
     results = run_suite(
         micro_sizes,
@@ -1034,6 +1165,7 @@ def main(argv: list[str] | None = None) -> int:
         compile_sizes,
         args.compile_batch,
         planner_sweep,
+        lowering_sizes,
     )
 
     for size in micro_sizes:
@@ -1116,6 +1248,17 @@ def main(argv: list[str] | None = None) -> int:
             f"offload {'ok' if comp['offload_state_matches'] else 'MISMATCH'}; "
             f"parallel {par}"
         )
+
+    for size, families in results["kernel_lowering"].items():
+        for family, low in families.items():
+            print(
+                f"kernel_lowering ({family}-{size}): {low['num_gates']} gates -> "
+                f"{low['ops']} ops (per-gate stream {low['per_gate_ops']}); "
+                f"{low['lowered_seconds']*1e3:.2f} ms vs per-gate "
+                f"{low['per_gate_seconds']*1e3:.2f} ms "
+                f"({low['speedup_vs_per_gate']:.2f}x, "
+                f"max|d|={low['max_abs_diff_vs_per_gate']:.1e})"
+            )
 
     planner = results.get("plan") or {}
     if planner:

@@ -120,6 +120,21 @@ class TestCompiledPrograms:
         assert compile_results["rebind_seconds"] < compile_results["compile_seconds"] * 5
 
 
+class TestKernelLowering:
+    @pytest.fixture(scope="class")
+    def lowering_results(self):
+        return run_bench.run_kernel_lowering_bench(num_qubits=14, repeats=3)
+
+    def test_every_family_folds_and_agrees(self, lowering_results):
+        for family, low in lowering_results.items():
+            assert low["ops"] < low["per_gate_ops"], family
+            assert low["max_abs_diff_vs_per_gate"] <= 1e-10, family
+
+    def test_lowered_stream_beats_per_gate_stream(self, lowering_results):
+        for family, low in lowering_results.items():
+            assert low["speedup_vs_per_gate"] > 1.2, family
+
+
 class TestPlannerPresets:
     @pytest.fixture(scope="class")
     def planner_results(self):
@@ -151,7 +166,7 @@ class TestBaselineRegression:
         current = run_bench.run_suite(
             micro_sizes=[16], plan_sizes=[14], repeats=3, offload_sizes=[12],
             session_sizes=[10], session_sweep=10, compile_sizes=[10],
-            planner_sweep=run_bench.PLAN_SWEEP_QUICK,
+            planner_sweep=run_bench.PLAN_SWEEP_QUICK, lowering_sizes=[14],
         )
         problems = run_bench.check_regression(current, baseline, threshold=2.0)
         assert not problems, "\n".join(problems)
@@ -160,7 +175,7 @@ class TestBaselineRegression:
         current = run_bench.run_suite(
             micro_sizes=[16], plan_sizes=[14], repeats=2, offload_sizes=[12],
             session_sizes=[10], session_sweep=4, compile_sizes=[10],
-            planner_sweep=run_bench.PLAN_SWEEP_QUICK[:1],
+            planner_sweep=run_bench.PLAN_SWEEP_QUICK[:1], lowering_sizes=[14],
         )
         assert run_bench.check_regression(current, current) == []
         slowed = json.loads(json.dumps(current))
@@ -184,5 +199,8 @@ class TestBaselineRegression:
             first_plan["seed_kernel_cost"] * 2.0
         )
         first_plan["presets"]["fast"]["seconds"] *= 10.0
+        slowed["kernel_lowering"]["14"]["qft"]["fold"][1] += 1
+        slowed["kernel_lowering"]["14"]["ising"]["speedup_vs_per_gate"] /= 10.0
+        slowed["kernel_lowering"]["14"]["su2random"]["max_abs_diff_vs_per_gate"] = 1.0
         problems = run_bench.check_regression(current=slowed, baseline=current)
-        assert len(problems) >= 14
+        assert len(problems) >= 17

@@ -16,7 +16,9 @@ before the first streaming op, uninitialized — buffer.  It further proves
 per-op qubit bounds, workspace-temporary alias freedom, per-op locality
 against the plan's layout walk, and (given the source plan) that the op
 stream is exactly the compiler's expected emission — no gate dropped,
-duplicated or reordered, no layout transpose missing or misplaced.
+duplicated or reordered, no shared-memory block split or merged
+differently from :func:`repro.sim.fusion.lower_kernel_gates`, no layout
+transpose missing or misplaced.
 
 Both return a :class:`~repro.check.report.CheckReport`; call
 :meth:`~repro.check.report.CheckReport.raise_if_failed` to convert failure
@@ -209,13 +211,17 @@ def expected_op_stream(
     """The compiler's expected op emission for *plan*: ``(source, gates)``
     pairs, in order.
 
-    Mirrors :func:`repro.runtime.compile.compile_plan`'s walk structurally
-    — layout transposes only at genuine permutation boundaries, one op per
-    fusion kernel, one per gate of a shared-memory kernel or an
-    un-kernelized stage, and the final identity-restore transpose — without
-    building any payloads.  ``gates`` is ``None`` for layout ops.
+    Follows :func:`repro.runtime.compile.compile_plan`'s walk — layout
+    transposes only at genuine permutation boundaries, one op per fusion
+    kernel, one per gate of an un-kernelized stage, and the final
+    identity-restore transpose — without building any payloads.  What a
+    shared-memory kernel executes is not mirrored but *read from the
+    spec*: the items of :func:`repro.sim.fusion.lower_kernel_gates`, the
+    same function every executor consumes, one op per item carrying the
+    item's gates.  ``gates`` is ``None`` for layout ops.
     """
     from ..runtime.sharding import QubitLayout, permutation_axes
+    from ..sim.fusion import lower_kernel_gates
 
     n = plan.num_qubits
     expected: list[tuple[Any, Optional[tuple]]] = []
@@ -236,8 +242,10 @@ def expected_op_stream(
             if kernel.kernel_type is KernelType.FUSION:
                 expected.append((("kernel", stage_idx, group_idx), gates))
             else:
-                for offset, gate in enumerate(gates):
-                    expected.append((("sm", stage_idx, group_idx, offset), (gate,)))
+                for item_idx, item in enumerate(lower_kernel_gates(gates)):
+                    expected.append(
+                        (("sm", stage_idx, group_idx, item_idx), item.gates)
+                    )
     identity = {q: q for q in range(n)}
     if layout.logical_to_physical() != identity:
         axes = permutation_axes(layout.logical_to_physical(), identity, n)
@@ -388,6 +396,20 @@ def _check_op_locality(
             machine.local_qubits if machine is not None
             else stage.partition.num_local
         )
+        # An op acts on the union of its gates' qubits — one gate's, a
+        # fused kernel's, or a folded block's — in the stage's layout.
+        touched = {q for gate in op.gates or () for q in gate.qubits}
+        if op.qubits is not None and touched <= l2p.keys():
+            positions = sorted(l2p[q] for q in touched)
+            if sorted(op.qubits) != positions:
+                report.add(
+                    "program.locality",
+                    f"op addresses physical positions {sorted(op.qubits)} but "
+                    f"its gates touch {positions} in the stage's layout",
+                    site="program.locality",
+                    op_index=op_index,
+                    stage=stage_idx,
+                )
         for gate in op.gates or ():
             bad = [
                 q for q in gate.non_insular_qubits()

@@ -6,8 +6,10 @@
 * the stage-by-stage layout walk — each boundary permutation becomes a
   precomputed axis-transpose op (and no-op permutations are elided);
 * the staging-invariant locality check;
-* kernel fusion (through the bounded fused-unitary cache) and the
-  logical→physical index translation;
+* kernel fusion (through the bounded fused-unitary cache), the folding of
+  each shared-memory kernel's monomial runs into single ops
+  (:func:`repro.sim.fusion.lower_kernel_gates`) and the logical→physical
+  index translation;
 * matrix structure analysis, dense gemm planning, diagonal broadcast
   vectors, permutation cycle tables, controlled-block reduction.
 
@@ -19,8 +21,8 @@ stack (see :meth:`CompiledProgram.run_batched`).
 Rebinds: ``compile_plan(new_plan, reuse=program)`` compiles a structurally
 identical plan (a parameter-sweep rebind from the Session plan cache) while
 reusing every op whose source gates compare equal — constant-structure
-gates (H, CX, …) keep their compiled payload verbatim; only angle-dependent
-ops are recomputed.
+gates and blocks (H, all-CX runs, …) keep their compiled payload verbatim;
+only ops that absorbed a changed angle are recomputed.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import PlanValidationError
-from ..sim.fusion import fused_unitary_cached
+from ..sim.fusion import LoweredItem, fused_unitary_cached, lower_kernel_gates
 from ..sim.program import (
     CompiledOp,
     CompiledProgram,
     Workspace,
     compile_layout_op,
+    compile_lowered_op,
     compile_unitary_op,
 )
 from . import faults
@@ -124,6 +127,9 @@ def compile_plan(
             return
         ops.append(build())
 
+    def emit_lowered(item: LoweredItem, l2p: dict[int, int], source) -> None:
+        emit(source, item.gates, lambda: compile_lowered_op(item, l2p, n, source))
+
     layout = QubitLayout(n)
     for stage_idx, stage in enumerate(plan.stages):
         target = stage.partition.logical_to_physical()
@@ -142,22 +148,16 @@ def compile_plan(
             for gate in stage.gates:
                 check_gate_locality(gate, logical_to_physical, local_count)
 
-        def gate_op(gate: Gate, l2p: dict[int, int], source):
-            physical = tuple(l2p[q] for q in gate.qubits)
-            return compile_unitary_op(gate.matrix(), physical, n, source, (gate,))
-
         def fused_op(gates: tuple[Gate, ...], l2p: dict[int, int], source):
             matrix, logical_qubits = fused_unitary_cached(gates)
             physical = tuple(l2p[q] for q in logical_qubits)
             return compile_unitary_op(matrix, physical, n, source, gates)
 
         if stage.kernels is None:
+            # Un-kernelized stage: one op per gate.
             for offset, gate in enumerate(stage.gates):
-                source = ("gate", stage_idx, offset)
-                emit(
-                    source, (gate,),
-                    lambda g=gate, l2p=logical_to_physical, s=source: gate_op(g, l2p, s),
-                )
+                (item,) = lower_kernel_gates((gate,))
+                emit_lowered(item, logical_to_physical, ("gate", stage_idx, offset))
             kernels_per_stage.append(0)
             continue
 
@@ -170,12 +170,11 @@ def compile_plan(
                     lambda g=gates, l2p=logical_to_physical, s=source: fused_op(g, l2p, s),
                 )
             else:
-                # Shared-memory kernels apply their gates one by one.
-                for offset, gate in enumerate(gates):
-                    source = ("sm", stage_idx, group_idx, offset)
-                    emit(
-                        source, (gate,),
-                        lambda g=gate, l2p=logical_to_physical, s=source: gate_op(g, l2p, s),
+                # Shared-memory kernels: one op per monomial run or dense gate.
+                for item_idx, item in enumerate(lower_kernel_gates(gates)):
+                    emit_lowered(
+                        item, logical_to_physical,
+                        ("sm", stage_idx, group_idx, item_idx),
                     )
         kernels_per_stage.append(len(stage.kernels))
         num_kernels += len(stage.kernels)
@@ -193,6 +192,7 @@ def compile_plan(
         ops=ops,
         workspace=workspace,
         num_stages=len(plan.stages),
+        num_gates=plan.gate_count(),
         num_kernels=num_kernels,
         num_permutations=num_permutations,
         kernels_per_stage=kernels_per_stage,

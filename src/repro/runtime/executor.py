@@ -3,9 +3,12 @@
 This is Algorithm 1's ``EXECUTE`` realised on the NumPy substrate: the
 state is permuted into each stage's physical layout, then every kernel of
 the stage is applied.  Kernels are applied either as a fused matrix
-(fusion kernels) or gate-by-gate (shared-memory kernels), always on the
-*physical* qubit indices given by the stage's logical→physical mapping,
-which is exactly what the GPU implementation does on each shard.
+(fusion kernels) or as their lowered items — one phased permutation per
+run of diagonal/permutation gates, dense gates one by one
+(shared-memory kernels, :func:`repro.sim.fusion.lower_kernel_gates`) —
+always on the *physical* qubit indices given by the stage's
+logical→physical mapping, which is exactly what the GPU implementation does
+on each shard.
 
 The executor validates the staging invariant as it goes: every non-insular
 qubit of every gate must be mapped to a local physical position
@@ -15,9 +18,9 @@ plan the real machine could not run without extra communication.
 By default the plan is first lowered to a
 :class:`~repro.sim.program.CompiledProgram` (memoized per plan object, see
 :mod:`repro.runtime.compile`) and the hot loop is a tight dispatch over
-pre-resolved ops; ``compiled=False`` keeps the original gate-at-a-time
-interpreter, which the compiled path is bit-exact with (the property tests
-and the benchmark gate check this).
+pre-resolved ops; ``compiled=False`` keeps the interpreter, which resolves
+every kernel and item as it meets it and which the compiled path is
+bit-exact with (the property tests and the benchmark gate check this).
 
 This single-stream executor is the correctness reference for the
 shard-level runtimes: :mod:`repro.runtime.offload` replays the same plan
@@ -37,7 +40,7 @@ from ..core.kernel import Kernel, KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import KernelError, PlanValidationError, TransientError
 from ..sim.apply import apply_gate_buffered, tracked_empty
-from ..sim.fusion import fused_unitary_cached
+from ..sim.fusion import apply_lowered_items, fused_unitary_cached, lower_kernel_gates
 from ..sim.program import CompiledProgram, thread_workspace
 from ..sim.statevector import StateVector
 from .compile import compiled_program_for
@@ -55,6 +58,14 @@ class ExecutionTrace:
     num_permutations: int = 0
     kernels_per_stage: list[int] = field(default_factory=list)
     locality_checked: bool = True
+    #: Gates executed and the ops they were applied as — fused kernels,
+    #: folded shared-memory runs, single dense gates, layout transposes —
+    #: i.e. how many gates an op absorbed.
+    num_gates: int = 0
+    num_ops: int = 0
+    #: Ops per kind (``CompiledProgram.op_counts()``); empty on the
+    #: interpreter path, which classifies nothing ahead of time.
+    op_counts: dict[str, int] = field(default_factory=dict)
 
 
 def _apply_kernel(
@@ -62,23 +73,18 @@ def _apply_kernel(
     scratch: np.ndarray,
     kernel: Kernel,
     logical_to_physical: dict[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply one kernel to the full state in the current physical layout.
 
-    The state ping-pongs between the two buffers; the returned pair is
-    ``(new_state, new_scratch)``.
+    The state ping-pongs between the two buffers; returns ``(new_state,
+    new_scratch, ops_applied)``.
     """
     if kernel.kernel_type is KernelType.FUSION:
         matrix, logical_qubits = fused_unitary_cached(kernel.gates)
         physical_qubits = [logical_to_physical[q] for q in logical_qubits]
-        return apply_gate_buffered(state, scratch, matrix, physical_qubits)
-    # Shared-memory kernels apply their gates one by one.
-    for gate in kernel.gates:
-        physical_qubits = [logical_to_physical[q] for q in gate.qubits]
-        state, scratch = apply_gate_buffered(
-            state, scratch, gate.matrix(), physical_qubits
-        )
-    return state, scratch
+        return *apply_gate_buffered(state, scratch, matrix, physical_qubits), 1
+    items = lower_kernel_gates(kernel.gates)
+    return *apply_lowered_items(state, scratch, items, logical_to_physical), len(items)
 
 
 def _check_locality(gate: Gate, logical_to_physical: dict[int, int], local_qubits: int) -> None:
@@ -100,6 +106,9 @@ def trace_for_program(program: CompiledProgram) -> ExecutionTrace:
         num_permutations=program.num_permutations,
         kernels_per_stage=list(program.kernels_per_stage),
         locality_checked=program.locality_checked,
+        num_gates=program.num_gates,
+        num_ops=len(program.ops),
+        op_counts=program.op_counts(),
     )
 
 
@@ -128,7 +137,7 @@ def execute_plan(
     compiled:
         Lower the plan to a :class:`~repro.sim.program.CompiledProgram`
         (memoized per plan object) and execute the op stream — the default
-        and fast path.  ``False`` runs the original per-gate interpreter;
+        and fast path.  ``False`` runs the interpreter;
         both produce bit-identical states.
     """
     if compiled:
@@ -171,6 +180,7 @@ def execute_plan(
             permuted = permute_state(state, layout, target, out=scratch)
             if permuted is not state:
                 state, scratch = permuted, state
+                trace.num_ops += 1
             layout.update(target)
             trace.num_permutations += 1
 
@@ -183,20 +193,22 @@ def execute_plan(
                 _check_locality(gate, logical_to_physical, local_count)
 
         if stage.kernels is None:
-            # Un-kernelized stage: apply the gates directly.
+            # Un-kernelized stage: one application per gate.
             for gate in stage.gates:
-                physical = [logical_to_physical[q] for q in gate.qubits]
-                state, scratch = apply_gate_buffered(
-                    state, scratch, gate.matrix(), physical
+                state, scratch = apply_lowered_items(
+                    state, scratch, lower_kernel_gates((gate,)), logical_to_physical
                 )
             trace.kernels_per_stage.append(0)
+            trace.num_ops += len(stage.gates)
         else:
             for kernel in stage.kernels:
-                state, scratch = _apply_kernel(
+                state, scratch, applied = _apply_kernel(
                     state, scratch, kernel, logical_to_physical
                 )
+                trace.num_ops += applied
             trace.kernels_per_stage.append(len(stage.kernels))
             trace.num_kernels += len(stage.kernels)
+        trace.num_gates += len(stage.gates)
         trace.num_stages += 1
 
     # Permute back to the identity layout so callers see logical ordering.
@@ -205,6 +217,7 @@ def execute_plan(
         permuted = permute_state(state, layout, identity, out=scratch)
         if permuted is not state:
             state, scratch = permuted, state
+            trace.num_ops += 1
         trace.num_permutations += 1
 
     return StateVector(n, state), trace

@@ -61,8 +61,8 @@ from ..errors import (
     TransientError,
 )
 from ..sim.apply import apply_gate_buffered, tracked_empty
-from ..sim.fusion import fused_unitary_cached
-from ..sim.program import compile_unitary_op, thread_workspace
+from ..sim.fusion import apply_lowered_items, fused_unitary_cached, lower_kernel_gates
+from ..sim.program import compile_lowered_op, compile_unitary_op, thread_workspace
 from ..sim.statevector import StateVector
 from . import faults
 from .checkpoint import (
@@ -345,8 +345,9 @@ def _project_insular(
 
 
 def stage_gate_groups(stage) -> list[tuple[list[Gate], object]]:
-    """The stage's kernels as ``(gates, kernel_type)`` groups (gate-at-a-time
-    groups with ``None`` type for un-kernelized stages)."""
+    """The stage's kernels as ``(gates, kernel_type)`` groups (one
+    single-gate group with ``None`` type per gate of an un-kernelized
+    stage)."""
     if stage.kernels is None:
         return [([g], None) for g in stage.gates]
     return [(list(k.gates), k.kernel_type) for k in stage.kernels]
@@ -411,8 +412,8 @@ def materialize_stage_segments(
 
     A ``(start, end)`` slice covering its whole group keeps the group's
     kernel type (fusion kernels stay fused); a partial slice — a kernel
-    split around a cross-shard gate — is applied gate-at-a-time, exactly as
-    the direct splitter does.
+    split around a cross-shard gate — loses it and runs like a
+    shared-memory kernel, exactly as the direct splitter does.
     """
     groups = stage_gate_groups(stage)
     segments: list[tuple[str, object]] = []
@@ -477,6 +478,26 @@ def group_uses_fusion(
     )
 
 
+def _local_runs(
+    gates: list[Gate], logical_to_physical: dict[int, int], local_qubits: int
+):
+    """Split a kernel group's gates, in order, into ``("local", gates)`` —
+    maximal runs acting on local physical positions only — and
+    ``("dynamic", gate)`` for each gate touching a non-local qubit (its
+    reduction depends on the shard index, see :func:`_gate_on_shard`)."""
+    run: list[Gate] = []
+    for gate in gates:
+        if all(logical_to_physical[q] < local_qubits for q in gate.qubits):
+            run.append(gate)
+            continue
+        if run:
+            yield "local", tuple(run)
+            run = []
+        yield "dynamic", gate
+    if run:
+        yield "local", tuple(run)
+
+
 def compile_segment_ops(
     groups: list[tuple[list[Gate], object]],
     logical_to_physical: dict[int, int],
@@ -484,15 +505,16 @@ def compile_segment_ops(
 ) -> list[tuple[str, object]]:
     """Compile a shards-segment's kernel groups into per-shard ops.
 
-    Shard-local work — fused kernels and gates whose qubits all map to
-    local physical positions — is lowered **once** to
-    :class:`~repro.sim.program.CompiledOp` closures (fusion, analysis,
+    Shard-local work — fused kernels and runs of gates whose qubits all map
+    to local physical positions — is lowered **once** to
+    :class:`~repro.sim.program.CompiledOp` closures (fusion, the folding of
+    monomial runs (:func:`~repro.sim.fusion.lower_kernel_gates`), analysis,
     logical→physical translation and gemm planning all resolved here), so
     every shard of every execution replays a pre-resolved stream instead of
     re-deriving it.  Gates touching non-local qubits keep the dynamic
-    per-shard path (their reduction depends on the shard index).  Returns
-    ``("local", op)`` / ``("dynamic", gate)`` entries for
-    :func:`run_segment_ops`.
+    per-shard path (their reduction depends on the shard index) and bound
+    the runs.  Returns ``("local", op)`` / ``("dynamic", gate)`` entries
+    for :func:`run_segment_ops`.
     """
     faults.check("compile")
     ops: list[tuple[str, object]] = []
@@ -504,19 +526,14 @@ def compile_segment_ops(
                 ("local", compile_unitary_op(matrix, physical, local_qubits))
             )
             continue
-        for gate in gates:
-            physical = [logical_to_physical[q] for q in gate.qubits]
-            if all(p < local_qubits for p in physical):
-                ops.append(
-                    (
-                        "local",
-                        compile_unitary_op(
-                            gate.matrix(), tuple(physical), local_qubits
-                        ),
-                    )
-                )
-            else:
-                ops.append(("dynamic", gate))
+        for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
+            if kind == "dynamic":
+                ops.append((kind, payload))
+                continue
+            ops.extend(
+                ("local", compile_lowered_op(item, logical_to_physical, local_qubits))
+                for item in lower_kernel_gates(payload)
+            )
     return ops
 
 
@@ -570,10 +587,15 @@ def run_groups_on_shard(
             matrix, logical_qubits = fused_unitary_cached(tuple(gates))
             physical = [logical_to_physical[q] for q in logical_qubits]
             data, scratch = apply_gate_buffered(data, scratch, matrix, physical)
-        else:
-            for gate in gates:
+            continue
+        for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
+            if kind == "dynamic":
                 data, scratch, index = _gate_on_shard(
-                    data, scratch, gate, logical_to_physical, local_qubits, index
+                    data, scratch, payload, logical_to_physical, local_qubits, index
+                )
+            else:
+                data, scratch = apply_lowered_items(
+                    data, scratch, lower_kernel_gates(payload), logical_to_physical
                 )
     return data, scratch, index
 
@@ -742,9 +764,9 @@ def run_stages(
         for kind, payload, segment_ops in segments:
             deadline.check("segment")
             if kind == "full":
-                physical = [logical_to_physical[q] for q in payload.qubits]
-                state, state_scratch = apply_gate_buffered(
-                    state, state_scratch, payload.matrix(), physical
+                state, state_scratch = apply_lowered_items(
+                    state, state_scratch, lower_kernel_gates((payload,)),
+                    logical_to_physical,
                 )
                 continue
             relabels = segment_relabels_shards(payload, logical_to_physical, local)

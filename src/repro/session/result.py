@@ -127,12 +127,20 @@ class Result:
         return dict(Counter(int(s) for s in self.samples))
 
     def summary(self) -> dict:
+        stats = self.execution_stats
+        op_counts = getattr(stats, "op_counts", None)
         return {
             "circuit": self.circuit_name,
             "backend": self.backend,
             "cache_hit": self.cache_hit,
             "num_stages": self.plan.num_stages,
             "num_kernels": self.plan.num_kernels,
+            # How many gates each executed op absorbed: gates of the plan
+            # against the ops of the program that ran it (``None`` for
+            # backends that execute no whole-state program).
+            "num_gates": self.plan.gate_count(),
+            "num_ops": getattr(stats, "num_ops", None),
+            "op_counts": dict(op_counts) if op_counts else None,
             "modelled_seconds": self.timing.total_seconds,
             "wall_seconds": self.wall_seconds,
             "shots": self.shots,

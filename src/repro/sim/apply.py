@@ -74,6 +74,7 @@ __all__ = [
     "apply_diagonal",
     "apply_matrix_reference",
     "apply_gate_buffered",
+    "apply_monomial",
     "apply_permutation_x",
     "qubit_axis",
     "expand_matrix",
@@ -433,6 +434,22 @@ def _permutation_inplace(
 #: stays ≤ 64×64); at or above it, the stacked-matmul post dimension is at
 #: least 2**_GEMM_EDGE and batched matmul runs at streaming speed.
 _GEMM_EDGE = 5
+
+#: Widest monomial block (a folded run of diagonal/permutation gates, see
+#: :func:`repro.sim.fusion.lower_kernel_gates`): the cost model's 10-qubit
+#: shared-memory kernel limit, so a kernel of monomial gates is one op.  A
+#: diagonal block is one broadcast multiply whatever its width; a block that
+#: permutes is one gather or ``2^k`` slice moves of ``2^(n-k)`` amplitudes,
+#: and narrower caps (4/6/8) measured slower than 10 at every state size
+#: from 16 to 20 qubits (table in docs/performance.md).
+MONOMIAL_WIDTH = 10
+
+#: A permuting block whose qubits all sit below this position is applied as
+#: one ``np.take`` through a ``2^h``-entry source index (``h`` = its top
+#: qubit + 1, so the index is at most 512 KiB) instead of ``2^k`` slice
+#: moves: two NumPy calls whatever the block width, which is what keeps
+#: wide blocks from losing to gate-at-a-time execution on small states.
+_MONOMIAL_GATHER_BITS = 16
 
 _DENSE_PLAN_CACHE: dict[tuple, tuple] = {}
 _DENSE_PLAN_CACHE_MAX = 4096
@@ -942,6 +959,92 @@ def apply_diagonal(
         raise ValueError(f"out has {out.size} amplitudes, expected {state.size}")  # lint: config-error
     np.multiply(tensor, diag_b, out=out.reshape(tensor.shape))
     return out
+
+
+def monomial_gather_plan(
+    perm: np.ndarray, phases: np.ndarray, qubits: Sequence[int], n: int
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Gather form of a permuting block, or ``None`` when it does not apply.
+
+    A block whose qubits all sit below :data:`_MONOMIAL_GATHER_BITS` acts
+    within every contiguous chunk of ``2^h`` amplitudes, ``h = max(qubits)
+    + 1``, so it is one ``np.take`` along the rows of ``state.reshape(-1,
+    2^h)`` whatever its width.  Returns ``(source, phase_b)``: ``source[j]``
+    is the chunk index whose amplitude lands at ``j``, ``phase_b`` the
+    phases by *output* index, broadcast over the ``(2,)*n`` state tensor
+    (``None`` when every phase is 1).
+    """
+    h = max(qubits) + 1
+    if h > _MONOMIAL_GATHER_BITS:
+        return None
+    dim = len(perm)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(dim)
+    # Index bits to flip on the way from an output block index back to its
+    # source, deposited at the block's qubit positions.
+    flip = inverse ^ np.arange(dim)
+    deposit = np.zeros(dim, dtype=np.int64)
+    for j, q in enumerate(qubits):
+        deposit |= ((flip >> j) & 1) << q
+    source = np.arange(1 << h).reshape((2,) * h) ^ _diag_broadcast(deposit, h, qubits)
+    if np.all(phases == 1):
+        return source.reshape(-1), None
+    out_phases = np.empty_like(phases)
+    out_phases[perm] = phases
+    return source.reshape(-1), _diag_broadcast(out_phases, n, qubits)
+
+
+def run_monomial_gather(
+    plan: tuple[np.ndarray, np.ndarray | None],
+    state: np.ndarray,
+    tmp: np.ndarray,
+    n: int,
+) -> None:
+    """Execute a :func:`monomial_gather_plan` in place on *state* — flat
+    ``(2^n,)`` or a ``(B, 2^n)`` stack — through *tmp* (``state.size``
+    elements, contents lost): one gather, then the copy back carries the
+    phases."""
+    source, phase_b = plan
+    np.take(
+        state.reshape(-1, source.size), source, axis=1,
+        out=tmp.reshape(-1, source.size), mode="clip",
+    )
+    shape = state.shape[:-1] + (2,) * n
+    if phase_b is None:
+        np.copyto(state.reshape(shape), tmp.reshape(shape))
+    else:
+        np.multiply(tmp.reshape(shape), phase_b, out=state.reshape(shape))
+
+
+def apply_monomial(
+    state: np.ndarray,
+    perm: np.ndarray | None,
+    phases: np.ndarray,
+    qubits: Sequence[int],
+) -> np.ndarray:
+    """Apply a phased permutation over *qubits* to *state*, in place.
+
+    The amplitude at block index ``c`` (bit ``j`` of ``c`` is
+    ``qubits[j]``) moves to index ``perm[c]`` scaled by ``phases[c]``;
+    ``perm=None`` is the identity permutation, i.e. a diagonal applied as
+    one broadcast multiply.  A block that permutes runs as one gather when
+    :func:`monomial_gather_plan` applies, else as a cycle walk over its
+    ``2^k`` slice views.  This is the interpreted form of the compiled
+    ``diagonal`` / ``permutation`` ops of
+    :func:`repro.sim.program.compile_monomial_op`, which replay the same
+    NumPy calls on the same operands — bit-exact with them.
+    """
+    n = int(state.size).bit_length() - 1
+    tensor = state.reshape((2,) * n)
+    if perm is None:
+        np.multiply(tensor, _diag_broadcast(phases, n, qubits), out=tensor)
+        return state
+    plan = monomial_gather_plan(perm, phases, qubits, n)
+    if plan is not None:
+        run_monomial_gather(plan, state, _scratch(state.size, slot=0), n)
+    else:
+        _permutation_inplace(_basis_views(tensor, n, qubits), perm.tolist(), phases)
+    return state
 
 
 def apply_gate_buffered(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,11 +50,16 @@ from .apply import (
     _inplace_preferred,
     _big_to_out,
     analyze_matrix,
+    monomial_gather_plan,
     qubit_axis,
     run_dense_plan,
+    run_monomial_gather,
     tracked_empty,
 )
 from .statevector import StateVector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .fusion import LoweredItem
 
 __all__ = [
     "CompiledOp",
@@ -63,6 +68,8 @@ __all__ = [
     "STREAM_KINDS",
     "Workspace",
     "compile_unitary_op",
+    "compile_monomial_op",
+    "compile_lowered_op",
     "compile_layout_op",
     "run_dense_plan_batched",
     "release_thread_workspace",
@@ -85,7 +92,7 @@ class Workspace:
     :func:`thread_workspace`.
     """
 
-    __slots__ = ("_pairs", "_pairs2d", "_tmps", "_views")
+    __slots__ = ("_pairs", "_pairs2d", "_tmps", "_views", "_views_held")
 
     #: LRU bounds per pool.  Pairs are state-sized (the expensive ones);
     #: tmps are at most half a (possibly batched) state and more varied in
@@ -94,13 +101,14 @@ class Workspace:
     #: pairs are B× a full state and workspaces are retained by the
     #: Session plan cache, so only the most recent batch width is kept: a
     #: fan-out at B=16, n=24 would otherwise pin gigabytes per width long
-    #: after the job finished.  The view memo is bounded by entry count
-    #: only (one entry per (op, buffer) — views are cheap); entries for
-    #: evicted buffers are dropped eagerly so they never pin dead pairs.
+    #: after the job finished.  The view memo is bounded by the total
+    #: number of views it holds (an entry is the 2^k views of one qubit
+    #: tuple over one buffer); entries for evicted buffers are dropped
+    #: eagerly so they never pin dead pairs.
     _MAX_PAIRS = 4
     _MAX_PAIRS2D = 1
     _MAX_TMPS = 64
-    _MAX_VIEWS = 4096
+    _MAX_VIEWS = 1 << 15
 
     def __init__(self) -> None:
         #: size -> [state, scratch] flat ping-pong pair.
@@ -113,12 +121,16 @@ class Workspace:
         )
         #: (size, slot) -> flat temporary.
         self._tmps: "OrderedDict[tuple[int, int], np.ndarray]" = OrderedDict()
-        #: (op token, buffer id) -> (buffer, views).  Per-workspace — and a
-        #: workspace belongs to exactly one thread — so the memo needs no
-        #: lock and scales with however many workers exist, each warming
-        #: its own entries (a shared fixed-size cache would thrash once
-        #: worker buffers outnumbered it).
+        #: (view key, buffer id) -> (buffer, views).  The key names *which*
+        #: views — ``(lead, n, qubits, fixed bits)`` — not which op asked:
+        #: a rebound program's new ops (same qubits, new phases) reuse the
+        #: views their predecessors built instead of orphaning them.
+        #: Per-workspace — and a workspace belongs to exactly one thread —
+        #: so the memo needs no lock and scales with however many workers
+        #: exist, each warming its own entries (a shared fixed-size cache
+        #: would thrash once worker buffers outnumbered it).
         self._views: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._views_held = 0
 
     def pair(self, size: int) -> list[np.ndarray]:
         """The ping-pong buffer pair for *size* amplitudes (a mutable list,
@@ -161,27 +173,37 @@ class Workspace:
 
     def views(
         self,
-        token: object,
         buf: np.ndarray,
-        build: "Callable[[np.ndarray], tuple[np.ndarray, ...]]",
-    ) -> tuple[np.ndarray, ...]:
-        """Memoized slice views of *buf* for the op identified by *token*.
+        n: int,
+        qubits: tuple[int, ...],
+        fixed: tuple[tuple[int, int], ...] = (),
+        lead: int = 0,
+    ) -> list[np.ndarray]:
+        """Memoized :func:`repro.sim.apply._basis_views` of *buf*: the
+        ``2^k`` slice views over *qubits* (``fixed`` pins further
+        ``(axis, bit)`` pairs, ``lead=1`` keeps a leading batch axis).
 
         A program's ping-pong buffers (and a shard worker's device
-        buffers) are stable across executions, so the 2^k views a
-        structured op needs are built once per (op, buffer) — the dominant
+        buffers) are stable across executions, so the views a structured
+        op needs are built once per (qubit tuple, buffer) — the dominant
         Python overhead of in-place ops on small states.  Entries are
-        verified by buffer identity and evicted LRU.
+        verified by buffer identity and evicted LRU once the memo holds
+        more than ``_MAX_VIEWS`` views in total.
         """
-        key = (token, id(buf))
+        key = (lead, n, qubits, fixed, id(buf))
         hit = self._views.get(key)
         if hit is not None and hit[0] is buf:
             self._views.move_to_end(key)
             return hit[1]
-        value = build(buf)
-        while len(self._views) >= self._MAX_VIEWS:
-            self._views.popitem(last=False)
+        shape = buf.shape[:lead] + (2,) * n
+        value = _basis_views(buf.reshape(shape), n, qubits, fixed, lead)
+        if hit is not None:  # a recycled id: the old buffer is gone
+            self._views_held -= len(self._views.pop(key)[1])
         self._views[key] = (buf, value)
+        self._views_held += len(value)
+        while self._views_held > self._MAX_VIEWS and len(self._views) > 1:
+            _key, (_buf, dropped) = self._views.popitem(last=False)
+            self._views_held -= len(dropped)
         return value
 
     def _drop_views_for(self, bufs: list[np.ndarray]) -> None:
@@ -192,13 +214,14 @@ class Workspace:
             if any(buf is b for b in bufs)
         ]
         for key in dead:
-            del self._views[key]
+            self._views_held -= len(self._views.pop(key)[1])
 
     def clear(self) -> None:
         self._pairs.clear()
         self._pairs2d.clear()
         self._tmps.clear()
         self._views.clear()
+        self._views_held = 0
 
 
 _WS_TLS = threading.local()
@@ -367,19 +390,65 @@ def compile_unitary_op(
     kind = _effective_kind(info, qubits, n)
     if _inplace_preferred(info, qubits, n):
         if info.kind == "diagonal":
-            return _diag_op(info, qubits, n, source, gates)
+            return _diag_op(info.diagonal, qubits, n, source, gates)
         if kind == "permutation":
-            return _perm_op(info, qubits, n, source, gates)
+            return _perm_op(info.perm, info.phases, qubits, n, source, gates)
         return _controlled_op(info, qubits, n, source, gates)
     if kind == "dense":
         return _dense_op(matrix, qubits, n, source, gates)
     return _big_op(matrix, qubits, n, source, gates)
 
 
-def _diag_op(
-    info: MatrixInfo, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
+def compile_monomial_op(
+    perm: "Sequence[int] | None",
+    phases: np.ndarray,
+    qubits: Sequence[int],
+    n: int,
+    source: tuple | None = None,
+    gates: "tuple | None" = None,
 ) -> CompiledOp:
-    diag_b = _diag_broadcast(info.diagonal, n, qubits)
+    """Lower one monomial block — amplitude ``c`` of the block index over
+    *qubits* moves to ``perm[c]`` scaled by ``phases[c]``; ``perm=None`` is
+    the identity — to a ``diagonal`` or ``permutation`` op.  The compiled
+    form of :func:`repro.sim.apply.apply_monomial`, bit-exact with it."""
+    qubits = tuple(qubits)
+    if perm is None:
+        return _diag_op(phases, qubits, n, source, gates)
+    plan = monomial_gather_plan(perm, phases, qubits, n)
+    if plan is None:
+        return _perm_op(perm, phases, qubits, n, source, gates)
+
+    def run(state, scratch, ws):
+        # An in-place op owes the scratch buffer nothing (the next streaming
+        # op overwrites it in full), so it serves as the gather target.
+        run_monomial_gather(plan, state, scratch, n)
+        return state, scratch
+
+    return CompiledOp("permutation", run, run, source, gates, qubits=qubits)
+
+
+def compile_lowered_op(
+    item: "LoweredItem",
+    logical_to_physical: "Mapping[int, int]",
+    n: int,
+    source: tuple | None = None,
+) -> CompiledOp:
+    """Lower one item of :func:`repro.sim.fusion.lower_kernel_gates` in a
+    stage's layout: a monomial block through :func:`compile_monomial_op`, a
+    dense gate through :func:`compile_unitary_op`.  The op records the
+    item's gates, so a rebind reuses it whenever they compare equal."""
+    physical = tuple(logical_to_physical[q] for q in item.qubits)
+    if item.matrix is None:
+        return compile_monomial_op(
+            item.perm, item.phases, physical, n, source, item.gates
+        )
+    return compile_unitary_op(item.matrix, physical, n, source, item.gates)
+
+
+def _diag_op(
+    diagonal: np.ndarray, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
+) -> CompiledOp:
+    diag_b = _diag_broadcast(diagonal, n, qubits)
     shape = (2,) * n
     bshape = (-1,) + shape
 
@@ -453,36 +522,28 @@ def _run_moves(views, moves, tmp) -> None:
 
 
 def _perm_op(
-    info: MatrixInfo, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
+    perm: Sequence[int], phases: np.ndarray, qubits: Sequence[int], n: int,
+    source: tuple | None, gates: "tuple | None",
 ) -> CompiledOp:
-    moves = _compile_permutation_moves(info.perm, info.phases)
-    shape = (2,) * n
+    qubits = tuple(qubits)
+    moves = _compile_permutation_moves(np.asarray(perm).tolist(), phases)
     view_size = 1 << (n - len(qubits))
-    # Distinct tokens name this op's single/batched entries in each
-    # workspace's view memo (per-thread, so no cross-worker sharing).
-    single_token, batch_token = object(), object()
 
     def run(state, scratch, ws):
-        views = ws.views(
-            single_token, state,
-            lambda buf: _basis_views(buf.reshape(shape), n, qubits),
-        )
+        views = ws.views(state, n, qubits)
         tmp = ws.tmp(view_size, slot=1).reshape(views[0].shape)
         _run_moves(views, moves, tmp)
         return state, scratch
 
     def run_batched(states, scratch, ws):
-        views = ws.views(
-            batch_token, states,
-            lambda buf: _basis_views(buf.reshape((-1,) + shape), n, qubits, lead=1),
-        )
+        views = ws.views(states, n, qubits, lead=1)
         tmp = ws.tmp(states.shape[0] * view_size, slot=1).reshape(views[0].shape)
         _run_moves(views, moves, tmp)
         return states, scratch
 
     return CompiledOp(
         "permutation", run, run_batched, source, gates,
-        qubits=tuple(qubits), tmp_slots=(1,),
+        qubits=qubits, tmp_slots=(1,),
     )
 
 
@@ -524,8 +585,9 @@ def _controlled_op(
             qubits=tuple(qubits), tmp_slots=(0,),
         )
 
-    ctrl_axes = [qubit_axis(n, qubits[p]) for p in info.controls]
-    shape = (2,) * n
+    target_qubits = tuple(target_qubits)
+    fixed = tuple((qubit_axis(n, qubits[p]), 1) for p in info.controls)
+    fixed_batched = tuple((1 + ax, 1) for ax, _bit in fixed)
     d = 1 << len(target_qubits)
     view_size = 1 << (n - len(qubits))
     red_kind = red.kind
@@ -535,7 +597,6 @@ def _controlled_op(
         if red_kind == "permutation"
         else None
     )
-    single_token, batch_token = object(), object()
 
     def _apply(views, snap, tmp):
         if red_kind == "diagonal":
@@ -548,25 +609,13 @@ def _controlled_op(
             _dense_views_inplace(views, reduced_matrix, snap=snap, tmp=tmp)
 
     def run(state, scratch, ws):
-        views = ws.views(
-            single_token, state,
-            lambda buf: _basis_views(
-                buf.reshape(shape), n, target_qubits,
-                [(ax, 1) for ax in ctrl_axes],
-            ),
-        )
+        views = ws.views(state, n, target_qubits, fixed)
         _apply(views, ws.tmp(d * view_size, slot=0), ws.tmp(view_size, slot=1))
         return state, scratch
 
     def run_batched(states, scratch, ws):
         batch = states.shape[0]
-        views = ws.views(
-            batch_token, states,
-            lambda buf: _basis_views(
-                buf.reshape((-1,) + shape), n, target_qubits,
-                [(1 + ax, 1) for ax in ctrl_axes], lead=1,
-            ),
-        )
+        views = ws.views(states, n, target_qubits, fixed_batched, lead=1)
         _apply(
             views,
             ws.tmp(batch * d * view_size, slot=0),
@@ -675,6 +724,7 @@ class CompiledProgram:
         ops: list[CompiledOp],
         workspace: Workspace | None = None,
         num_stages: int = 0,
+        num_gates: int = 0,
         num_kernels: int = 0,
         num_permutations: int = 0,
         kernels_per_stage: list[int] | None = None,
@@ -686,6 +736,10 @@ class CompiledProgram:
         self.ops = ops
         self.workspace = workspace if workspace is not None else Workspace()
         self.num_stages = num_stages
+        #: Gates of the source plan; ``num_gates / len(ops)`` is how many
+        #: gates an op absorbed on average (fusion kernels and folded
+        #: shared-memory runs absorb many, layout ops none).
+        self.num_gates = num_gates
         self.num_kernels = num_kernels
         self.num_permutations = num_permutations
         self.kernels_per_stage = kernels_per_stage or []

@@ -188,6 +188,77 @@ def mutate_program_oob_qubits(program):
     op.qubits = (program.num_qubits + 4,)
 
 
+def block_program():
+    """A program with folded shared-memory blocks around dense gates: two
+    stages of cx·rz·cx sandwiches (each composes to one diagonal block)
+    separated by an ``h`` on a shared qubit."""
+    from repro.circuits import Circuit
+    from repro.core.kernel import Kernel, KernelSequence, KernelType
+    from repro.core.plan import ExecutionPlan, Stage
+
+    gates = [
+        make_gate("cx", [0, 1]), make_gate("rz", [1], [0.3]), make_gate("cx", [0, 1]),
+        make_gate("cx", [2, 3]), make_gate("x", [2]),
+        make_gate("h", [1]),
+        make_gate("cx", [1, 2]), make_gate("rz", [2], [0.7]), make_gate("cx", [1, 2]),
+    ]
+    circuit = Circuit(N, gates)
+    partition_ = QubitPartition.from_sets(set(range(N)), set(), set())
+    kernel = Kernel(
+        gates=tuple(gates), qubits=(0, 1, 2, 3), kernel_type=KernelType.SHM,
+        cost=1.0, gate_indices=tuple(range(len(gates))),
+    )
+    stage = Stage(
+        gates=list(gates), partition=partition_,
+        gate_indices=list(range(len(gates))), kernels=KernelSequence([kernel]),
+    )
+    plan = ExecutionPlan(num_qubits=N, stages=[stage])
+    machine = MachineConfig.for_circuit(N)
+    program = compile_plan(plan, machine)
+    # block · h · block, each block folding five and three gates
+    assert [len(op.gates) for op in program.ops] == [5, 1, 3]
+    return program, plan, machine, circuit
+
+
+def _with_gates(op, gates, source):
+    from repro.sim.program import CompiledOp
+
+    return CompiledOp(
+        op.kind, op.run, op.run_batched, source, tuple(gates),
+        mode=op.mode, qubits=op.qubits, tmp_slots=op.tmp_slots,
+    )
+
+
+def mutate_block_split(program):
+    block = program.ops[0]
+    stage, group = block.source[1:3]
+    program.ops[0:1] = [
+        _with_gates(block, block.gates[:3], ("sm", stage, group, 0)),
+        _with_gates(block, block.gates[3:], ("sm", stage, group, 1)),
+    ]
+    for index, op in enumerate(program.ops[2:], start=2):
+        op.source = ("sm", stage, group, index)
+
+
+def mutate_block_merged_across_dense(program):
+    first, dense, second = program.ops
+    program.ops[:] = [
+        _with_gates(first, first.gates + second.gates, first.source),
+        dense,
+    ]
+
+
+def mutate_block_reordered(program):
+    program.ops[0], program.ops[2] = program.ops[2], program.ops[0]
+
+
+BLOCK_MUTATIONS = [
+    ("block-split", mutate_block_split),
+    ("block-merged-across-dense", mutate_block_merged_across_dense),
+    ("block-reordered", mutate_block_reordered),
+]
+
+
 PROGRAM_MUTATIONS = [
     ("op-dropped", mutate_program_op_dropped, "program.stream"),
     ("op-duplicated", mutate_program_op_duplicated, "program.stream"),
@@ -248,6 +319,22 @@ class TestSeededDefects:
         report = verify_program(program, plan=plan, machine=machine)
         assert not report.ok
         assert rule in rules_of(report), report.summary()
+
+    @pytest.mark.parametrize(
+        "name,mutate", BLOCK_MUTATIONS, ids=[m[0] for m in BLOCK_MUTATIONS]
+    )
+    def test_block_mutation_reported_at_program_stream(self, name, mutate):
+        """The expected stream is the lowering's own items, so a program
+        whose shared-memory blocks are cut differently — even one that
+        covers every gate exactly once — is rejected."""
+        program, plan, machine, circuit = block_program()
+        assert verify_program(program, plan=plan, machine=machine).ok
+        assert simulate_reference(circuit).allclose(program.run())
+        mutate(program)
+        covered = [g for op in program.ops for g in op.gates]
+        assert sorted(map(str, covered)) == sorted(map(str, plan.stages[0].gates))
+        report = verify_program(program, plan=plan, machine=machine)
+        assert "program.stream" in rules_of(report), report.summary()
 
     @pytest.mark.parametrize(
         "name,assignment,rule",
@@ -603,6 +690,43 @@ class TestLintRepro:
         # the driver says nothing.
         elsewhere = self.write(lint, "service/daemon.py", guards)
         assert lint.check_one_stage_loop([elsewhere]) == []
+
+    def test_second_kernel_lowering_flagged(self, lint):
+        lowering = self.write(
+            lint, "sim/fusion.py",
+            "def lower_kernel_gates(gates):\n"
+            "    return [g.matrix() for g in gates]\n"
+            "def fused_unitary(gates):\n"
+            "    for gate in gates:\n"
+            "        apply(gate.matrix())\n",
+        )
+        dynamic = self.write(
+            lint, "runtime/offload.py",
+            "def _gate_on_shard(shard, gate):\n"
+            "    return apply(shard, gate.matrix())\n",
+        )
+        assert lint.check_one_kernel_lowering([lowering, dynamic]) == []
+        # A gate-at-a-time loop over a kernel's gates growing back.
+        copy = self.write(
+            lint, "runtime/executor.py",
+            "def _apply_kernel(state, kernel):\n"
+            "    for gate in kernel.gates:\n"
+            "        state = apply(state, gate.matrix())\n"
+            "    return state\n",
+        )
+        findings = lint.check_one_kernel_lowering([lowering, dynamic, copy])
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("one-kernel-lowering", "src/repro/runtime/executor.py", 3)
+        ]
+        assert findings[0].key.endswith("::one-kernel-lowering::_apply_kernel")
+        # The lowering losing its own loop is flagged too ...
+        lowering.write_text("def lower_kernel_gates(gates):\n    return gates\n")
+        assert [f.key for f in lint.check_one_kernel_lowering([lowering])] == [
+            "src/repro/sim/fusion.py::one-kernel-lowering::lower_kernel_gates:missing"
+        ]
+        # ... but only loops under sim/ and runtime/ count.
+        elsewhere = self.write(lint, "analysis/tools.py", copy.read_text())
+        assert lint.check_one_kernel_lowering([elsewhere]) == []
 
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")

@@ -14,10 +14,11 @@ compiled segment ops, keep their bit-exactness guarantees.
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit
-from repro.circuits.library import ghz, qft, random_circuit, vqc
+from repro.circuits import Circuit, make_gate
+from repro.circuits.library import ghz, ising, qft, random_circuit, su2random, vqc
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
+from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.runtime import (
     ParallelRuntime,
@@ -28,7 +29,12 @@ from repro.runtime import (
 )
 from repro.runtime.offload import compile_segment_ops, run_segment_ops, run_groups_on_shard, split_stage_segments
 from repro.sim import StateVector, simulate_reference
-from repro.sim.fusion import configure_fusion_cache, fusion_cache_stats
+from repro.sim import apply as apply_mod
+from repro.sim.fusion import (
+    configure_fusion_cache,
+    fusion_cache_stats,
+    lower_kernel_gates,
+)
 from repro.session import Session
 from repro.session.cache import rebind_plan
 
@@ -310,6 +316,223 @@ class TestOffloadAndParallelPaths:
             again, _ = runtime.execute(plan)  # warm schedule cache
         assert np.array_equal(sequential.data, parallel.data)
         assert np.array_equal(sequential.data, again.data)
+
+
+# ---------------------------------------------------------------------------
+# Shared-memory kernels: one op per monomial run
+# ---------------------------------------------------------------------------
+
+#: Sizes today's other pins (8-10 qubits) never reach: above 16 qubits a
+#: block touching the top qubits runs as slice moves instead of a gather.
+LARGE_CIRCUITS = [
+    ("qft-14", lambda: qft(14)),
+    ("su2random-14", lambda: su2random(14, reps=1)),
+    ("ising-15", lambda: ising(15)),
+    ("random-16", lambda: random_circuit(16, 200, seed=5)),
+    ("su2random-17", lambda: su2random(17, reps=1)),
+]
+
+
+def _shm_plan(gates, n):
+    """*gates* as a one-stage plan holding one shared-memory kernel."""
+    gates = list(gates)
+    kernel = Kernel(
+        gates=tuple(gates), qubits=tuple(range(n)), kernel_type=KernelType.SHM,
+        cost=1.0, gate_indices=tuple(range(len(gates))),
+    )
+    stage = Stage(
+        gates=gates,
+        partition=QubitPartition.from_sets(set(range(n)), set(), set()),
+        gate_indices=list(range(len(gates))),
+        kernels=KernelSequence([kernel]),
+    )
+    return ExecutionPlan(num_qubits=n, stages=[stage])
+
+
+class TestLoweredKernels:
+    @pytest.mark.parametrize("name,factory", LARGE_CIRCUITS)
+    def test_compiled_bit_exact_with_interpreter_at_14_to_17_qubits(self, name, factory):
+        circuit = factory()
+        machine = MachineConfig.for_circuit(circuit.num_qubits)
+        plan = _staged_plan(circuit, machine)
+        init = StateVector.random_state(circuit.num_qubits, seed=2)
+        compiled, compiled_trace = execute_plan(plan, init, machine=machine)
+        interpreted, interp_trace = execute_plan(
+            plan, init, machine=machine, compiled=False
+        )
+        assert np.array_equal(compiled.data, interpreted.data)
+        assert simulate_reference(circuit, init).allclose(compiled)
+        # Both paths executed the same lowered items: fewer ops than gates.
+        assert compiled_trace.num_gates == interp_trace.num_gates == len(circuit)
+        assert compiled_trace.num_ops == interp_trace.num_ops < len(circuit)
+
+    @pytest.mark.parametrize("name,factory", LARGE_CIRCUITS)
+    def test_sharded_paths_bit_exact_at_14_to_17_qubits(self, name, factory):
+        circuit = factory()
+        n = circuit.num_qubits
+        machine = MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - 3)
+        plan = _staged_plan(circuit, machine)
+        offloaded, _ = execute_plan_offloaded(plan, machine)
+        assert simulate_reference(circuit).allclose(offloaded)
+        for workers in (1, 2, 4):
+            with ParallelRuntime(machine, num_workers=workers) as runtime:
+                parallel, _ = runtime.execute(plan)
+            assert np.array_equal(offloaded.data, parallel.data), workers
+        # Compiled segments against the dynamic per-group path, shard by shard.
+        local = machine.local_qubits
+        rng = np.random.default_rng(1)
+        for stage in plan.stages:
+            l2p = stage.partition.logical_to_physical()
+            for kind, groups in split_stage_segments(stage, l2p, local):
+                assert kind == "shards"
+                ops = compile_segment_ops(groups, l2p, local)
+                assert len(ops) <= sum(len(gates) for gates, _ in groups)
+                for shard_index in (0, 5):
+                    shard = rng.normal(size=1 << local) + 1j * rng.normal(size=1 << local)
+                    a, b = shard.copy(), np.empty_like(shard)
+                    c, d = shard.copy(), np.empty_like(shard)
+                    a, b, i = run_segment_ops(a, b, ops, l2p, local, shard_index)
+                    c, d, j = run_groups_on_shard(c, d, groups, l2p, local, shard_index)
+                    assert i == j and np.array_equal(a, c)
+
+    def test_degenerate_angles_rebuild_the_block_on_rebind(self):
+        """rx(0) is the identity (a diagonal), ry(pi) a permutation: a
+        rebind onto such angles changes which gates fold together, and
+        must rebuild from the new lowering, never reuse the cached op."""
+        n = 5
+
+        def gates(rx, rz, p, ry):
+            return [
+                make_gate("cx", [0, 1]), make_gate("rx", [1], [rx]),
+                make_gate("cz", [1, 2]), make_gate("rz", [2], [rz]),
+                make_gate("p", [3], [p]), make_gate("ry", [3], [ry]),
+                make_gate("cx", [3, 4]), make_gate("h", [0]),
+            ]
+
+        generic = gates(0.3, 0.4, 0.5, 0.6)
+        base = compile_plan(_shm_plan(generic, n))
+        assert [len(op.gates) for op in base.ops] == [1, 1, 3, 1, 1, 1]
+        for angles in [(0.0, 0.4, 0.5, 0.6), (0.3, 0.0, np.pi, 0.6),
+                       (0.3, 0.4, 0.5, np.pi), (0.0, 0.0, np.pi, np.pi)]:
+            degenerate = gates(*angles)
+            plan = _shm_plan(degenerate, n)
+            warm = compile_plan(plan, reuse=base)
+            cold = compile_plan(plan)
+            assert [op.gates for op in warm.ops] == [op.gates for op in cold.ops]
+            init = StateVector.random_state(n, seed=4)
+            assert np.array_equal(warm.run(init).data, cold.run(init).data)
+            assert simulate_reference(Circuit(n, degenerate), init).allclose(warm.run(init))
+            for op in warm.ops:  # a reused op binds exactly the gates it was built from
+                if any(op is old for old in base.ops):
+                    assert op.gates == next(o for o in base.ops if o is op).gates
+        # rx(0) folds into its neighbours: the all-dense split is gone.
+        folded = compile_plan(_shm_plan(gates(0.0, 0.4, 0.5, 0.6), n), reuse=base)
+        assert len(folded.ops) < len(base.ops)
+
+    def test_all_cx_block_is_reused_on_rebind(self):
+        machine = MachineConfig.for_circuit(12)
+        base, other = su2random(12, reps=1, seed=0), su2random(12, reps=1, seed=1)
+        base_plan = _staged_plan(base, machine)
+        base_program = compile_plan(base_plan, machine)
+        rebound = compile_plan(rebind_plan(base_plan, other), machine, reuse=base_program)
+        reused = [op for op in rebound.ops if any(op is old for old in base_program.ops)]
+        assert rebound.ops_reused == len(reused) > 0
+        cx_blocks = [
+            op for op in reused
+            if len(op.gates) > 1 and all(g.name == "cx" for g in op.gates)
+        ]
+        assert cx_blocks, [len(op.gates) for op in reused]
+        assert simulate_reference(other).allclose(rebound.run())
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_batched_blocks_bit_exact_with_looped_runs(self, n):
+        """Diagonal and permuting blocks are broadcast/copy ops: the
+        stacked pass equals looped runs bit for bit (no gemm involved).
+        At 17 qubits the block reaching qubit 16 runs as slice moves, the
+        low one as a gather."""
+        top = n - 1
+        gates = [
+            make_gate("cx", [0, 1]), make_gate("rz", [1], [0.3]), make_gate("cx", [1, 2]),
+            make_gate("y", [2]), make_gate("cp", [0, 3], [0.9]),
+            make_gate("h", [0]), make_gate("h", [1]), make_gate("h", [2]), make_gate("h", [3]),
+            make_gate("rzz", [0, top], [0.4]), make_gate("p", [top], [1.1]),
+            make_gate("h", [top]),
+            make_gate("swap", [4, top]), make_gate("t", [4]), make_gate("ccx", [4, 5, top]),
+        ]
+        program = compile_plan(_shm_plan(gates, n))
+        assert program.op_counts() == {"permutation": 2, "dense": 5, "diagonal": 1}
+        states = [StateVector.random_state(n, seed=s) for s in range(3)]
+        looped = [program.run(state).data.copy() for state in states]
+        for got, want in zip(program.run_batched(states), looped):
+            assert np.array_equal(got.data, want)
+        assert simulate_reference(Circuit(n, gates), states[0]).allclose(
+            StateVector(n, looped[0])
+        )
+
+    @pytest.mark.parametrize("gather_bits", [apply_mod._MONOMIAL_GATHER_BITS, 0])
+    def test_view_memo_is_bounded_over_200_rebinds(self, monkeypatch, gather_bits):
+        """Angle-carrying blocks are rebuilt on every rebind.  The view memo
+        is keyed by what the views are, not by which op asked, so a rebound
+        block finds its predecessor's views: 200 rebinds of su2random-14
+        neither grow the memo nor allocate (``gather_bits=0`` forces every
+        permuting block onto the slice-view path)."""
+        monkeypatch.setattr(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits)
+        machine = MachineConfig.for_circuit(14)
+        template = su2random(14, reps=1)
+        plan = _staged_plan(template, machine)
+        program = compile_plan(plan, machine)
+        workspace = program.workspace
+        rng = np.random.default_rng(0)
+        allocated = []
+
+        def rebind():
+            nonlocal program
+            gates = [
+                make_gate(g.name, g.qubits, rng.uniform(0.1, 6.0, len(g.params)))
+                for g in template.gates
+            ]
+            rebound = rebind_plan(plan, Circuit(14, gates))
+            program = compile_plan(rebound, machine, reuse=program)
+            assert program.workspace is workspace
+            apply_mod.reset_allocation_log()  # compiling may fuse; running must not allocate
+            final = program.run_view()
+            allocated.extend(apply_mod.allocation_log())
+            return final
+
+        rebind(), rebind()  # warm: both ping-pong buffers have met every op
+        held, entries = workspace._views_held, len(workspace._views)
+        if gather_bits == 0:
+            assert held > 0
+        assert held <= workspace._MAX_VIEWS
+        allocated.clear()
+        for _ in range(200):
+            final = rebind()
+        # Only a scattered wide fusion kernel's tensordot may allocate per run.
+        assert allocated == [1 << 14] * (200 * program.op_counts().get("big", 0))
+        assert (workspace._views_held, len(workspace._views)) == (held, entries)
+        assert abs(np.vdot(final, final).real - 1.0) < 1e-9
+
+    def test_view_memo_evicts_by_total_views(self):
+        from repro.sim.program import Workspace
+
+        ws = Workspace()
+        bufs = [np.zeros(1 << 12, dtype=complex) for _ in range(40)]
+        for buf in bufs:  # 40 entries of 2^10 views: past the 2^15 bound
+            assert len(ws.views(buf, 12, tuple(range(10)))) == 1 << 10
+        assert ws._views_held <= ws._MAX_VIEWS
+        assert ws._views_held == sum(len(v) for _b, v in ws._views.values())
+        # The survivors are the most recent buffers, still served from memo.
+        views = ws.views(bufs[-1], 12, tuple(range(10)))
+        assert views is ws.views(bufs[-1], 12, tuple(range(10)))
+
+    def test_lowering_is_memoized_and_read_only(self):
+        gates = tuple(su2random(6, reps=1).gates)
+        items = lower_kernel_gates(gates)
+        assert lower_kernel_gates(list(gates)) is items
+        block = next(item for item in items if item.matrix is None)
+        with pytest.raises(ValueError):
+            block.phases[0] = 2.0
+        assert sum(len(item.gates) for item in items) == len(gates)
 
 
 class TestMemoryControls:

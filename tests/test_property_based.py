@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,7 +20,11 @@ from repro.core import (
 from repro.ilp import IlpModel, lin_sum, solve_with_branch_and_bound, solve_with_scipy
 from repro.runtime import QubitLayout, execute_plan, permute_state
 from repro.sim import StateVector, apply_matrix, simulate_reference
-from repro.circuits.gates import gate_matrix
+from repro.sim import apply as apply_mod
+from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered
+from repro.sim.fusion import apply_lowered_items, lower_kernel_gates
+from repro.sim.program import Workspace, compile_lowered_op
+from repro.circuits.gates import GATE_SPECS, gate_matrix
 
 # Hypothesis settings: these tests build circuits and run simulators, so we
 # keep example counts modest and disable the too-slow health check.
@@ -57,6 +63,32 @@ def circuits(draw, min_qubits=3, max_qubits=6, max_gates=25):
     return circuit
 
 
+#: Generic angles plus the degenerate ones where a rotation's matrix gains
+#: exact zeros and changes class (rx(0) is diagonal, ry(pi) a permutation).
+_ANGLES = st.one_of(
+    st.floats(0.01, 6.28, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, np.pi / 2, np.pi, 2 * np.pi]),
+)
+
+
+@st.composite
+def laid_out_gate_sequences(draw, min_qubits=3, max_qubits=7, max_gates=30):
+    """``(n, gates, logical_to_physical)``: a gate sequence over *every*
+    library gate and a random layout to execute it in."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    gates = []
+    for _ in range(draw(st.integers(1, max_gates))):
+        spec = GATE_SPECS[draw(st.sampled_from(sorted(GATE_SPECS)))]
+        qubits = draw(
+            st.lists(st.integers(0, n - 1), min_size=spec.num_qubits,
+                     max_size=spec.num_qubits, unique=True)
+        )
+        params = [draw(_ANGLES) for _ in range(spec.num_params)]
+        gates.append(make_gate(spec.name, qubits, params))
+    layout = draw(st.permutations(range(n)))
+    return n, gates, dict(enumerate(layout))
+
+
 # ---------------------------------------------------------------------------
 # Simulator invariants
 # ---------------------------------------------------------------------------
@@ -93,6 +125,65 @@ class TestSimulatorProperties:
     def test_circuit_inverse_property(self, circuit):
         state = simulate_reference(circuit.compose(circuit.inverse()))
         assert abs(state.amplitude(0)) == pytest.approx(1.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Shared-memory kernel lowering
+# ---------------------------------------------------------------------------
+
+
+class TestLoweringProperties:
+    @given(laid_out_gate_sequences())
+    @settings(**SETTINGS)
+    def test_items_partition_the_gates_in_a_commuting_order(self, case):
+        _n, gates, _layout = case
+        items = lower_kernel_gates(gates)
+        for item in items:
+            assert set(item.qubits) == {q for g in item.gates for q in g.qubits}
+            assert len(item.qubits) <= MONOMIAL_WIDTH
+            assert (item.matrix is None) != (item.phases is None)
+        # Every gate lands in exactly one item (equal gates are
+        # interchangeable: match each to its earliest unused original) ...
+        unused = list(range(len(gates)))
+        order = []
+        for gate in (g for item in items for g in item.gates):
+            index = next(i for i in unused if gates[i] == gate)
+            unused.remove(index)
+            order.append(index)
+        assert not unused
+        # ... and two gates change their relative order only when they act
+        # on disjoint qubits (a dense gate hoisted ahead of the open block).
+        for a, first in enumerate(order):
+            for later in order[a + 1:]:
+                if later < first:
+                    assert not set(gates[first].qubits) & set(gates[later].qubits)
+
+    @given(laid_out_gate_sequences(), st.sampled_from([16, 0]), st.integers(0, 999))
+    @settings(**SETTINGS)
+    def test_lowered_matches_gate_at_a_time_and_the_oracle(self, case, gather_bits, seed):
+        """In any layout, on either permutation path (gather / slice
+        moves), the lowered items equal the per-gate stream to 1e-12 and
+        the reference oracle, and the compiled ops equal the interpreted
+        items bit for bit."""
+        n, gates, l2p = case
+        init = StateVector.random_state(n, seed=seed)
+        with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
+            items = lower_kernel_gates(gates)
+            lowered, _ = apply_lowered_items(
+                init.data.copy(), np.empty_like(init.data), items, l2p
+            )
+            state, scratch, ws = init.data.copy(), np.empty_like(init.data), Workspace()
+            for item in items:
+                state, scratch = compile_lowered_op(item, l2p, n).run(state, scratch, ws)
+        assert np.array_equal(state, lowered)
+        per_gate, scratch = init.data.copy(), np.empty_like(init.data)
+        for gate in gates:
+            per_gate, scratch = apply_gate_buffered(
+                per_gate, scratch, gate.matrix(), [l2p[q] for q in gate.qubits]
+            )
+        assert np.abs(lowered - per_gate).max() <= 1e-12
+        oracle = simulate_reference(Circuit(n, [g.remap(l2p) for g in gates]), init)
+        assert oracle.allclose(StateVector(n, lowered))
 
 
 # ---------------------------------------------------------------------------

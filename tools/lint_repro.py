@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Four rules, each enforcing an invariant the execution layer depends on
+Five rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -34,6 +34,19 @@ Four rules, each enforcing an invariant the execution layer depends on
     stage loop growing back; a missing one is a guard dropped from the
     driver.  Checked across files, whenever the linted set contains any
     such call.
+
+``one-kernel-lowering``
+    Under ``sim/`` and ``runtime/``, a loop over gates that calls
+    ``<gate>.matrix()`` — iterating a kernel's or group's gates to apply
+    them — exists only inside the two kernel lowerings,
+    ``sim/fusion.py::lower_kernel_gates`` (shared-memory kernels) and
+    ``fused_unitary`` (fusion kernels); the dynamic per-shard path
+    ``_gate_on_shard`` resolves one gate per call and is the only other
+    place a gate matrix is applied.  A second such loop is a
+    gate-at-a-time executor growing back beside the lowering every
+    executor and the verifier share; a missing one means the lowering
+    moved without this rule following it.  Checked across files, whenever
+    the linted set contains ``sim/fusion.py``.
 
 Usage::
 
@@ -82,6 +95,10 @@ STAGE_GUARDS = (
     "stage_begin",
     "stage_complete",
 )
+
+KERNEL_LOWERING_SCOPE = ("sim/", "runtime/")
+KERNEL_LOWERING_HOME = "sim/fusion.py"
+KERNEL_LOWERING_SITES = ("lower_kernel_gates", "fused_unitary", "_gate_on_shard")
 
 
 class Finding:
@@ -156,6 +173,76 @@ def check_one_stage_loop(files: list[Path]) -> list[Finding]:
                 )
                 for rel, line in calls
             )
+    return findings
+
+
+def _loop_targets(node: ast.AST) -> set[str]:
+    """Names bound by a ``for`` statement or a comprehension."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        targets = [node.target]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        targets = [gen.target for gen in node.generators]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-kernel-lowering`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    lowering_seen = home_linted = False
+
+    def visit(node: ast.AST, stack: list[str], rel: str) -> None:
+        nonlocal lowering_seen
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack = stack + [node.name]
+        targets = _loop_targets(node)
+        if targets:
+            for inner in ast.walk(node):
+                f = getattr(inner, "func", None)
+                if not (
+                    isinstance(inner, ast.Call)
+                    and isinstance(f, ast.Attribute)
+                    and f.attr == "matrix"
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in targets
+                ):
+                    continue
+                if any(name in KERNEL_LOWERING_SITES for name in stack):
+                    lowering_seen = lowering_seen or "lower_kernel_gates" in stack
+                    continue
+                where = _enclosing(stack)
+                findings.append(
+                    Finding(
+                        rel, inner.lineno, "one-kernel-lowering",
+                        f"loop over gates applying `{f.value.id}.matrix()` in "
+                        f"{where}: kernels execute the items of "
+                        f"sim/fusion.py::lower_kernel_gates, not their gates "
+                        f"one at a time",
+                        where,
+                    )
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel)
+
+    for path in files:
+        rel_src = _rel_src(path)
+        if not rel_src.startswith(KERNEL_LOWERING_SCOPE):
+            continue
+        home_linted = home_linted or rel_src == KERNEL_LOWERING_HOME
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(),
+        )
+    if home_linted and not lowering_seen:
+        findings.append(
+            Finding(
+                f"src/repro/{KERNEL_LOWERING_HOME}", 0, "one-kernel-lowering",
+                "no gate loop inside `lower_kernel_gates`: the shared-memory "
+                "kernel lowering moved without this rule following it",
+                "lower_kernel_gates:missing",
+            )
+        )
     return findings
 
 
@@ -295,6 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in files:
         findings.extend(check_file(path))
     findings.extend(check_one_stage_loop(files))
+    findings.extend(check_one_kernel_lowering(files))
 
     if args.write_baseline:
         args.baseline.write_text(
