@@ -48,6 +48,15 @@ preserves:
   bit-exact), batched-vs-looped (tight tolerance — the B-wide gemm fold
   can change BLAS summation order), offload, and parallel (W ∈ {1,2,4},
   bit-exact) paths;
+* **rebind** (rides with *compile*) — what a plan-cache hit costs to bind:
+  vqc / ising / qsvm at 12 qubits on the service workload's machine, one
+  cold ``compile_plan`` and then twenty ``compile_plan(reuse=)`` of freshly
+  drawn angles.  Records ``rebind_seconds`` (best of the twenty),
+  ``rebind_ops_reused`` / ``rebind_ops_rebound`` and ``rebind_fallbacks``
+  beside the cold ``compile_seconds`` and ``compiled_seconds_per_run``.
+  The ``--quick`` gate requires ``rebind_fallbacks == 0`` exactly, a rebind
+  to stay under one cold compile plus two runs, and ``rebind_seconds`` not
+  to exceed the committed baseline's by more than ``--threshold``;
 * **kernel_lowering** — shared-memory kernels as one op per monomial run:
   qft / ising / su2random planned in-core, their compiled op stream
   (:func:`repro.sim.fusion.lower_kernel_gates` items) against a per-gate
@@ -89,7 +98,8 @@ except ImportError:  # pragma: no cover
 import numpy as np
 
 from repro import Session, simulate
-from repro.circuits.library import ghz, graphstate, ising, qft, su2random, vqc, wstate
+from repro.circuits import Circuit, make_gate
+from repro.circuits.library import ghz, graphstate, ising, qft, qsvm, su2random, vqc, wstate
 from repro.core.kernel import KernelType
 from repro.planner import PassManager, resolve_planner
 from repro.cluster import MachineConfig
@@ -549,6 +559,66 @@ def run_compile_bench(
     }
 
 
+#: Families of the rebind scenario: the three warm-sweep structures of the
+#: repo benchmark's service workload, at its size and on its machine.
+REBIND_FAMILIES = {
+    "vqc": lambda n: vqc(n, ansatz_reps=1),
+    "ising": ising,
+    "qsvm": qsvm,
+}
+REBIND_QUBITS = 12
+
+
+def run_rebind_bench(repeats: int = 5, rebinds: int = 20) -> dict:
+    """What a plan-cache hit costs to bind: ``compile_plan(reuse=)`` of
+    freshly drawn angles against one cold compile and one run of the same
+    structure.  A rebind is a numeric fill over the cached program's
+    structure, so it must stay well under a recompile — and on generic
+    angles it must never fall back to one."""
+    n = REBIND_QUBITS
+    machine = MachineConfig.for_circuit(n, num_shards=4)
+    rng = np.random.default_rng(0)
+
+    def redraw(template):
+        return Circuit(n, [
+            make_gate(g.name, g.qubits, rng.uniform(0.1, 6.0, len(g.params)))
+            for g in template.gates
+        ])
+
+    out = {}
+    for family, build in REBIND_FAMILIES.items():
+        template = build(n)
+        plan, _ = partition(redraw(template), machine)
+        start = time.perf_counter()
+        program = compile_plan(plan, machine)
+        compile_seconds = time.perf_counter() - start
+        program.run_view()  # warm (allocates the workspace)
+        compiled = _best_seconds(lambda: program.run_view(), repeats)
+        samples, rebound, fallbacks = [], None, 0
+        for _ in range(rebinds):
+            circuit = redraw(template)
+            # A hit found its entry by this key, which leaves every gate's
+            # pattern cached for the rebind guard: not part of the bind.
+            circuit.structural_key()
+            rebound_plan = rebind_plan(plan, circuit)
+            start = time.perf_counter()
+            rebound = compile_plan(rebound_plan, machine, reuse=program)
+            samples.append(time.perf_counter() - start)
+            fallbacks += bool(rebound.ops_recompiled)
+        out[family] = {
+            "num_qubits": n,
+            "num_gates": len(template),
+            "num_ops": len(program.ops),
+            "compile_seconds": compile_seconds,
+            "compiled_seconds_per_run": compiled,
+            "rebind_seconds": float(np.min(samples)),
+            "rebind_ops_reused": rebound.ops_reused,
+            "rebind_ops_rebound": rebound.ops_rebound,
+            "rebind_fallbacks": fallbacks,
+        }
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Shared-memory kernel lowering
 # ---------------------------------------------------------------------------
@@ -861,6 +931,27 @@ def check_regression(
                     f"{per_circuit*1e3:.2f} ms/circuit warm execution "
                     f"(>{threshold}x)"
                 )
+    # A rebind is a numeric fill, not a recompile (current-run properties
+    # again): on generic angles it never takes the structure fallback, and
+    # it stays under one cold compile plus two runs of the program.
+    for family, reb in current.get("rebind", {}).items():
+        if reb["rebind_fallbacks"] != 0:
+            problems.append(
+                f"rebind[{family}]: {reb['rebind_fallbacks']} rebind(s) of generic "
+                f"angles fell back to a structural compile (want 0)"
+            )
+        budget = 2 * reb["compiled_seconds_per_run"] + reb["compile_seconds"]
+        if reb["rebind_seconds"] > budget:
+            problems.append(
+                f"rebind[{family}]: rebind {reb['rebind_seconds']*1e3:.2f} ms exceeds "
+                f"a cold compile plus two runs ({budget*1e3:.2f} ms)"
+            )
+        old = baseline.get("rebind", {}).get(family)
+        if old is not None and reb["rebind_seconds"] > threshold * old["rebind_seconds"]:
+            problems.append(
+                f"rebind[{family}]: {reb['rebind_seconds']*1e3:.2f} ms vs baseline "
+                f"{old['rebind_seconds']*1e3:.2f} ms (>{threshold}x regression)"
+            )
     for size, old_comp in baseline.get("compile", {}).items():
         new_comp = current.get("compile", {}).get(size)
         if new_comp is None:
@@ -1045,7 +1136,7 @@ def run_suite(
         else {}
     )
     return {
-        "schema": 6,
+        "schema": 7,
         "cpu_count": os.cpu_count(),
         "config": {
             "micro_qubits": micro_sizes,
@@ -1072,6 +1163,9 @@ def run_suite(
             str(n): run_compile_bench(n, repeats, batch_size=compile_batch)
             for n in compile_sizes
         },
+        # Rides with the compile scenario (there is nothing to rebind
+        # without one): fixed size, so it is the same at every scale.
+        "rebind": run_rebind_bench(repeats) if compile_sizes else {},
         "plan": planner_results,
         "kernel_lowering": {
             str(n): run_kernel_lowering_bench(n, max(2, repeats - 2))
@@ -1247,6 +1341,16 @@ def main(argv: list[str] | None = None) -> int:
             f"max|d|={batched['max_abs_diff']:.1e}); "
             f"offload {'ok' if comp['offload_state_matches'] else 'MISMATCH'}; "
             f"parallel {par}"
+        )
+
+    for family, reb in results["rebind"].items():
+        print(
+            f"rebind ({family}-{reb['num_qubits']}, {reb['num_gates']} gates -> "
+            f"{reb['num_ops']} ops): {reb['rebind_seconds']*1e3:.2f} ms "
+            f"({reb['rebind_ops_reused']} ops reused, {reb['rebind_ops_rebound']} "
+            f"rebound, {reb['rebind_fallbacks']} fallbacks) vs cold compile "
+            f"{reb['compile_seconds']*1e3:.2f} ms, run "
+            f"{reb['compiled_seconds_per_run']*1e3:.2f} ms"
         )
 
     for size, families in results["kernel_lowering"].items():

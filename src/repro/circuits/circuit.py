@@ -12,14 +12,22 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
 
-from .gates import Gate, make_gate
+from .gates import Gate, cache_patterns, make_gate
 
 __all__ = ["Circuit", "CircuitStats"]
+
+
+@lru_cache(maxsize=4096)
+def _gate_header(name: str, qubits: tuple[int, ...]) -> bytes:
+    """The bytes :meth:`Circuit.structural_key` hashes per gate ahead of its
+    pattern: separator, name, little-endian int32 qubits."""
+    return b"|" + name.encode() + np.asarray(qubits, dtype=np.int32).tobytes()
 
 
 @dataclass
@@ -238,19 +246,18 @@ class Circuit:
         stages by, so plans and stage schedules cached under this key can be
         replayed for any circuit that shares it.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.num_qubits.to_bytes(4, "little"))
+        cache_patterns(self._gates)
+        parts = [self.num_qubits.to_bytes(4, "little")]
         for g in self._gates:
-            h.update(b"|")
-            h.update(g.name.encode())
-            h.update(np.asarray(g.qubits, dtype=np.int32).tobytes())
+            parts.append(_gate_header(g.name, g.qubits))
             if g.params:
                 # The boolean non-zero pattern of the unitary: invariant
                 # across generic angles, distinct for structure-changing
-                # special angles (0, pi, ...).
-                pattern = np.abs(g.matrix()) > 1e-12
-                h.update(np.packbits(pattern.reshape(-1)).tobytes())
-        return h.hexdigest()
+                # special angles (0, pi, ...).  Cached on the gate.
+                parts.append(g.pattern()[0])
+        # One update of the joined bytes: the digest of a stream does not
+        # depend on how it is chunked, and SharedPlanStore persists it.
+        return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
 
     def canonical_relabeling(self) -> dict[int, int]:
         """Mapping of each logical qubit to its *first-use order* position.

@@ -33,6 +33,8 @@ __all__ = [
     "controlled_matrix",
     "is_diagonal",
     "is_antidiagonal",
+    "matrix_signature",
+    "cache_patterns",
     "make_gate",
     "SUPPORTED_GATES",
 ]
@@ -155,6 +157,64 @@ def is_antidiagonal(matrix: np.ndarray, atol: float = 1e-12) -> bool:
     """Return True if *matrix* is anti-diagonal (non-zeros only on the anti-diagonal)."""
     flipped = np.fliplr(matrix)
     return bool(np.allclose(flipped, np.diag(np.diag(flipped)), atol=atol))
+
+
+def matrix_signature(matrix: np.ndarray) -> bytes:
+    """Exact structural signature of a unitary: which entries are zero and
+    — from two qubits up — which are exactly one.
+
+    Every structural decision of :func:`repro.sim.apply.analyze_matrix`
+    (diagonal / permutation / controlled / dense, the permutation table,
+    the control and target bits, the reduced block's class) is a function
+    of these two patterns and nothing else, so two matrices with equal
+    signatures lower to the same op shape and differ only in payload.
+    Single-qubit matrices need no ones pattern: control detection starts
+    at two qubits.  This is the guard compiled-program rebinds compare
+    (:func:`repro.runtime.compile.compile_plan`), deliberately stricter
+    than the ``> 1e-12`` pattern of :meth:`Circuit.structural_key`.
+    """
+    return _signatures(matrix[None])[0]
+
+
+def _signatures(stack: np.ndarray) -> list[bytes]:
+    """:func:`matrix_signature` of each matrix of a ``(G, d, d)`` stack."""
+    count, dim = len(stack), stack.shape[-1]
+    zeros = _split((stack != 0).tobytes(), count)
+    if dim == 2:
+        return zeros
+    ones = _split((stack == 1).tobytes(), count)
+    return [z + o for z, o in zip(zeros, ones)]
+
+
+def _split(data: bytes, count: int) -> list[bytes]:
+    size = len(data) // count
+    return [data[i : i + size] for i in range(0, len(data), size)]
+
+
+#: bool bytes of a ``> 1e-12`` pattern -> its ``np.packbits`` bytes (what
+#: :meth:`Circuit.structural_key` has always hashed).  A handful of entries:
+#: one per distinct sparsity pattern in the gate vocabulary.
+_PACKED_PATTERNS: dict[bytes, bytes] = {}
+
+
+def cache_patterns(gates: "Iterable[Gate]") -> None:
+    """Compute and store :meth:`Gate.pattern` for every parameterized gate
+    of *gates* that lacks it — in one NumPy pass per matrix size instead of
+    five small calls per gate (a fresh circuit's key is mostly this)."""
+    by_dim: dict[int, list[Gate]] = {}
+    for gate in gates:
+        if gate.params and "_pattern_cache" not in gate.__dict__:
+            by_dim.setdefault(len(gate.qubits), []).append(gate)
+    for group in by_dim.values():
+        stack = np.array([gate.matrix() for gate in group])
+        loose = _split((np.abs(stack) > 1e-12).tobytes(), len(group))
+        for gate, pattern, signature in zip(group, loose, _signatures(stack)):
+            packed = _PACKED_PATTERNS.get(pattern)
+            if packed is None:
+                packed = _PACKED_PATTERNS[pattern] = np.packbits(
+                    np.frombuffer(pattern, dtype=np.bool_)
+                ).tobytes()
+            gate.__dict__["_pattern_cache"] = (packed, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +405,26 @@ class Gate:
         equal gates; copy it before mutating.
         """
         return _cached_matrix(self.name, self.params)
+
+    def pattern(self) -> tuple[bytes, bytes]:
+        """``(key_pattern, signature)`` of a parameterized gate's matrix.
+
+        ``key_pattern`` is the packed ``abs(matrix) > 1e-12`` sparsity
+        pattern :meth:`Circuit.structural_key` hashes; ``signature`` is the
+        exact :func:`matrix_signature` the compiled-program rebind guard
+        compares.  Both are computed once per gate instance (gates are
+        immutable; see :func:`cache_patterns`) — a job hashes its circuit
+        and binds its program from the same gate objects.  Parameter-free
+        gates need neither (their name fixes the matrix) and return empty
+        bytes.
+        """
+        if not self.params:
+            return (b"", b"")
+        cached = self.__dict__.get("_pattern_cache")
+        if cached is None:
+            cache_patterns((self,))
+            cached = self.__dict__["_pattern_cache"]
+        return cached
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries of this gate's matrix (cached, read-only).

@@ -66,6 +66,14 @@ class ExecutionTrace:
     #: Ops per kind (``CompiledProgram.op_counts()``); empty on the
     #: interpreter path, which classifies nothing ahead of time.
     op_counts: dict[str, int] = field(default_factory=dict)
+    #: Which compile path produced the program that ran
+    #: (:class:`~repro.sim.program.CompiledProgram` counters): ops taken
+    #: verbatim from the cached program, ops refilled through its
+    #: structure, ops built by a structure-fallback compile.  All zero for
+    #: a cold compile and on the interpreter path.
+    ops_reused: int = 0
+    ops_rebound: int = 0
+    ops_recompiled: int = 0
 
 
 def _apply_kernel(
@@ -109,6 +117,9 @@ def trace_for_program(program: CompiledProgram) -> ExecutionTrace:
         num_gates=program.num_gates,
         num_ops=len(program.ops),
         op_counts=program.op_counts(),
+        ops_reused=program.ops_reused,
+        ops_rebound=program.ops_rebound,
+        ops_recompiled=program.ops_recompiled,
     )
 
 

@@ -17,10 +17,17 @@ identical too.  The cache exploits that:
   circuit actually being executed, so angles are never stale;
 * alongside the plan, the cache stores the plan's **compiled program**
   (:class:`repro.sim.program.CompiledProgram`) when the executing backend
-  runs programs: on a hit the Session recompiles only the angle-dependent
-  ops (``compile_plan(reuse=...)``) — constant-structure gates (H, CX, …)
-  keep their compiled payload verbatim, and the whole rebound family
-  shares the base program's workspace buffers.
+  runs programs.  The program carries the angle-independent half of its
+  compilation (:class:`repro.runtime.compile.ProgramStructure`), so a hit
+  only *fills* it (``compile_plan(reuse=...)``): constant-structure gates
+  (H, CX, …) keep their compiled op verbatim, ops that absorbed an angle
+  get a new payload through the cached structure, and the whole rebound
+  family shares the base program's workspace buffers.  The structural key
+  is a tolerance pattern (``> 1e-12``); the fill guards itself with the
+  exact one, and a circuit that shares the key but not the exact pattern
+  (``rx(1e-13)`` against ``rx(0)``) is compiled from scratch, counted in
+  ``SessionStats.program_rebind_fallbacks``, and leaves the cached entry
+  as it was.
 
 The cache is an LRU over a bounded number of structures and is owned by a
 :class:`repro.session.Session`; it is not thread-safe on its own.

@@ -141,6 +141,13 @@ class Result:
             "num_gates": self.plan.gate_count(),
             "num_ops": getattr(stats, "num_ops", None),
             "op_counts": dict(op_counts) if op_counts else None,
+            # Which compile path the program took on a cache hit: ops kept
+            # from the cached program, ops refilled through its structure,
+            # ops of a structure-fallback compile (``None`` without a
+            # program; all zero for the run that compiled it cold).
+            "ops_reused": getattr(stats, "ops_reused", None),
+            "ops_rebound": getattr(stats, "ops_rebound", None),
+            "ops_recompiled": getattr(stats, "ops_recompiled", None),
             "modelled_seconds": self.timing.total_seconds,
             "wall_seconds": self.wall_seconds,
             "shots": self.shots,

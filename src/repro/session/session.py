@@ -127,6 +127,13 @@ class SessionStats:
     #: Ops taken verbatim from the cached program across all rebinds
     #: (constant-structure gates whose payload never changes).
     program_ops_reused: int = 0
+    #: Ops whose payload was refilled through the cached program's
+    #: structure across all rebinds (the numeric fill), rebinds whose plan
+    #: failed the structure guard and were compiled from scratch instead,
+    #: and the wall seconds all rebinds took together.
+    program_ops_rebound: int = 0
+    program_rebind_fallbacks: int = 0
+    program_rebind_seconds: float = 0.0
     #: Bounded fused-unitary cache counters, attributed to this session
     #: (deltas of the process-wide cache since the session was created).
     fusion_cache_hits: int = 0
@@ -184,6 +191,9 @@ class SessionStats:
             "programs_compiled": self.programs_compiled,
             "programs_rebound": self.programs_rebound,
             "program_ops_reused": self.program_ops_reused,
+            "program_ops_rebound": self.program_ops_rebound,
+            "program_rebind_fallbacks": self.program_rebind_fallbacks,
+            "program_rebind_seconds": self.program_rebind_seconds,
             "fusion_cache_hits": self.fusion_cache_hits,
             "fusion_cache_misses": self.fusion_cache_misses,
             "fusion_cache_evictions": self.fusion_cache_evictions,
@@ -608,8 +618,9 @@ class Session:
         runtimes that cache per-structure schedules.  ``program`` is the
         plan's compiled op stream when the resolved backend runs programs
         (``None`` otherwise): compiled once on a miss, and on a hit rebound
-        from the cached program — only ops whose gates changed (new angles)
-        are recompiled, and the whole family shares one workspace.
+        from the cached program — ops whose gates changed (new angles) get
+        their payload refilled through the cached program's structure, the
+        rest are kept, and the whole family shares one workspace.
         ``compile_programs=False`` skips all program work (``run`` passes
         it for ``execute=False`` jobs, which never execute a program).
 
@@ -674,9 +685,13 @@ class Session:
                         base_program = compile_plan(plan, machine)
                         self.stats.programs_compiled += 1
                         self.cache.put(key, plan, report, base_program)
+                    t0 = time.perf_counter()
                     program = compile_plan(rebound, machine, reuse=base_program)
+                    self.stats.program_rebind_seconds += time.perf_counter() - t0
                     self.stats.programs_rebound += 1
                     self.stats.program_ops_reused += program.ops_reused
+                    self.stats.program_ops_rebound += program.ops_rebound
+                    self.stats.program_rebind_fallbacks += bool(program.ops_recompiled)
                 except (KernelError, TransientError):
                     # Program lowering failed: run this job through the
                     # backend's uncompiled path instead of failing it.

@@ -961,18 +961,19 @@ def apply_diagonal(
     return out
 
 
-def monomial_gather_plan(
-    perm: np.ndarray, phases: np.ndarray, qubits: Sequence[int], n: int
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """Gather form of a permuting block, or ``None`` when it does not apply.
+def monomial_gather_index(
+    perm: np.ndarray, qubits: Sequence[int], n: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gather form of a permuting block — its angle-independent part — or
+    ``None`` when it does not apply.
 
     A block whose qubits all sit below :data:`_MONOMIAL_GATHER_BITS` acts
     within every contiguous chunk of ``2^h`` amplitudes, ``h = max(qubits)
     + 1``, so it is one ``np.take`` along the rows of ``state.reshape(-1,
-    2^h)`` whatever its width.  Returns ``(source, phase_b)``: ``source[j]``
-    is the chunk index whose amplitude lands at ``j``, ``phase_b`` the
-    phases by *output* index, broadcast over the ``(2,)*n`` state tensor
-    (``None`` when every phase is 1).
+    2^h)`` whatever its width.  Returns ``(source, phase_index)``:
+    ``source[j]`` is the chunk index whose amplitude lands at ``j``;
+    ``phases.take(phase_index)`` is the block's phases by *output* index,
+    broadcast over the ``(2,)*n`` state tensor.
     """
     h = max(qubits) + 1
     if h > _MONOMIAL_GATHER_BITS:
@@ -987,11 +988,19 @@ def monomial_gather_plan(
     for j, q in enumerate(qubits):
         deposit |= ((flip >> j) & 1) << q
     source = np.arange(1 << h).reshape((2,) * h) ^ _diag_broadcast(deposit, h, qubits)
-    if np.all(phases == 1):
-        return source.reshape(-1), None
-    out_phases = np.empty_like(phases)
-    out_phases[perm] = phases
-    return source.reshape(-1), _diag_broadcast(out_phases, n, qubits)
+    return source.reshape(-1), np.ascontiguousarray(_diag_broadcast(inverse, n, qubits))
+
+
+def monomial_gather_plan(
+    perm: np.ndarray, phases: np.ndarray, qubits: Sequence[int], n: int
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """:func:`monomial_gather_index` filled with *phases*: ``(source,
+    phase_b)``, ``phase_b`` being ``None`` when every phase is 1."""
+    index = monomial_gather_index(perm, qubits, n)
+    if index is None:
+        return None
+    source, phase_index = index
+    return source, None if np.all(phases == 1) else phases.take(phase_index)
 
 
 def run_monomial_gather(

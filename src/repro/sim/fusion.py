@@ -1,24 +1,43 @@
-"""Kernel fusion: build the fused unitary of a group of gates.
+"""Kernel lowering: what a kernel's gate list executes as.
 
 A *fusion kernel* (Section VI-B of the paper) executes a group of gates as
 a single matrix: the product of all gate matrices embedded into the space
-of the kernel's qubit set.
+of the kernel's qubit set.  A *shared-memory kernel* executes as one op
+per run of diagonal/permutation gates plus its dense gates
+(:func:`lower_kernel_gates`).
+
+Both lowerings come in two halves.  The **structure**
+(:func:`kernel_fusion`, :func:`kernel_lowering`) is everything that
+follows from each gate's name, qubits and the zero pattern of its matrix —
+the row positions and dispatch of every gate of a fused kernel; which
+gates fold into which block, the block's permutation and its phase gather
+tables.  The **fill** (:func:`fill_fused_unitary`,
+:func:`fill_lowered_item`) does the arithmetic for one set of angles.
+:func:`fused_unitary` and :func:`lower_kernel_gates` are "structure, then
+fill"; a compiled program keeps the structures of its kernels and runs
+only the fills when it is rebound to new angles
+(:mod:`repro.runtime.compile`).
 
 The fused matrix is built by applying each gate to the columns of a
 ``2^m × 2^m`` identity, viewed as a state on ``2m`` qubits whose high bits
 are the matrix rows.  Each gate therefore costs ``O(2^m · 4^k)`` through
 the specialized kernels of :mod:`repro.sim.apply` instead of the
 ``O(8^m)`` dense matmul per gate (``expand_matrix`` + ``@``) the seed
-implementation paid, and the two work buffers are the only allocations.
+implementation paid; the two work buffers belong to the calling thread's
+workspace and are reused from kernel to kernel.
 
 :func:`fused_unitary_cached` memoizes the result keyed by the gate tuple
 (kernel identity), so a kernel that is applied repeatedly — every stage of
 every shard in the offload executor — pays for fusion once.  The memo is
 an explicit bounded LRU (:class:`FusionCache`, replacing an opaque
 ``functools.lru_cache`` of the same default bound): long-running sweep
-services can now watch its hit/miss/eviction counters (surfaced through
+services can watch its hit/miss/eviction counters (surfaced through
 :class:`repro.session.SessionStats`) and resize or flush it at runtime
-(:func:`configure_fusion_cache`).
+(:func:`configure_fusion_cache`).  The memos hold what is asked for by
+gate tuple — a cold compile, the interpreter, the verifier, the shard
+executors; a program rebind fills through its own structures and inserts
+nothing (a sweep's angles never recur, so those entries could only evict
+the ones that do).
 """
 
 from __future__ import annotations
@@ -26,11 +45,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..circuits.gates import Gate
+from ..circuits.gates import Gate, gate_matrix
 from .apply import (
     MONOMIAL_WIDTH,
     analyze_matrix,
@@ -38,10 +57,19 @@ from .apply import (
     apply_monomial,
     tracked_empty,
 )
+from .program import OpTemplate, thread_workspace, unitary_template
 
 __all__ = [
     "FusionCache",
+    "ItemLowering",
+    "KernelFusion",
     "LoweredItem",
+    "kernel_fusion",
+    "gate_step",
+    "fill_fused_unitary",
+    "fill_fused_unitary_cached",
+    "kernel_lowering",
+    "fill_lowered_item",
     "fused_unitary",
     "fused_unitary_cached",
     "fusion_cache_stats",
@@ -59,6 +87,81 @@ def kernel_qubits(gates: Iterable[Gate]) -> tuple[int, ...]:
     for gate in gates:
         qubits.update(gate.qubits)
     return tuple(sorted(qubits))
+
+
+class KernelFusion(NamedTuple):
+    """The angle-independent part of :func:`fused_unitary` for one kernel
+    (:func:`kernel_fusion`): the qubit tuple the fused matrix spans and, per
+    gate, the compiled template of its application to the matrix rows —
+    row positions and dispatch resolved — plus the bound ``run`` closure
+    for parameter-free gates (``None`` where the gate carries angles)."""
+
+    qubits: tuple[int, ...]
+    steps: tuple[tuple[OpTemplate, "Callable | None"], ...]
+
+
+def kernel_fusion(
+    gates: Sequence[Gate], qubits: Sequence[int] | None = None
+) -> KernelFusion:
+    """Resolve how *gates* fuse over *qubits* (default: their sorted union).
+
+    The fused matrix is the identity, viewed flat as a state on ``2m``
+    qubits — flat index bit ``j`` (``j < m``) is matrix-column bit ``j``,
+    bit ``m + j`` is matrix-row bit ``j`` — to which every gate is applied
+    on the row bits (a gate left-multiplies the fused matrix).  Each
+    application is an op of :mod:`repro.sim.program`, which makes the same
+    in-place vs stream decisions as
+    :func:`repro.sim.apply.apply_gate_buffered`, on the same operands.
+    The result is valid for every gate tuple whose gates match *gates* in
+    name, qubits and :func:`~repro.circuits.gates.matrix_signature`.
+    """
+    qubits = kernel_qubits(gates) if qubits is None else tuple(qubits)
+    m = len(qubits)
+    pos = {q: i for i, q in enumerate(qubits)}
+    return KernelFusion(qubits, tuple([
+        gate_step(gate, tuple([m + pos[q] for q in gate.qubits]), 2 * m)
+        for gate in gates
+    ]))
+
+
+def gate_step(
+    gate: Gate, qubits: tuple[int, ...], n: int
+) -> "tuple[OpTemplate, Callable | None]":
+    """The template of *gate* applied at *qubits* of an ``n``-qubit buffer
+    and, when the gate carries no angle, its bound ``run`` closure (else
+    ``None``: the template is bound per job)."""
+    if gate.params:
+        return unitary_template(gate.matrix(), qubits, n), None
+    return _fixed_step(gate.name, qubits, n)
+
+
+@lru_cache(maxsize=1024)
+def _fixed_step(name: str, qubits: tuple[int, ...], n: int) -> "tuple[OpTemplate, Callable]":
+    """:func:`gate_step` of a parameter-free gate.  Nothing here depends on
+    a circuit, so kernels and programs share these process-wide (like the
+    analysis and gemm-plan memos of :mod:`repro.sim.apply`, which key on
+    the same matrices); the closures are pure functions of the buffers
+    they are handed."""
+    matrix = gate_matrix(name)
+    template = unitary_template(matrix, qubits, n)
+    return template, template.bind(matrix)[0]
+
+
+def fill_fused_unitary(fusion: KernelFusion, gates: Sequence[Gate]) -> np.ndarray:
+    """The fused matrix of *gates* through *fusion* — the numeric half of
+    :func:`fused_unitary`: bind each angle-carrying gate's matrix to its
+    template and run the steps over the identity.  The work buffers are the
+    calling thread's (slots no op borrows); the result is a fresh array."""
+    dim = 1 << len(fusion.qubits)
+    ws = thread_workspace()
+    buf, scratch = ws.tmp(dim * dim, slot=2), ws.tmp(dim * dim, slot=3)
+    buf.fill(0)
+    buf[:: dim + 1] = 1
+    for gate, (template, run) in zip(gates, fusion.steps):
+        if run is None:
+            run = template.bind(gate.matrix())[0]
+        buf, scratch = run(buf, scratch, ws)
+    return buf.reshape(dim, dim).copy()
 
 
 def fused_unitary(
@@ -79,21 +182,8 @@ def fused_unitary(
     (matrix, qubits):
         The little-endian fused unitary and the qubit tuple it acts on.
     """
-    if qubits is None:
-        qubits = kernel_qubits(gates)
-    qubits = tuple(qubits)
-    m = len(qubits)
-    dim = 1 << m
-    # Flat view of the identity as a state on 2m qubits: flat index bit j
-    # (j < m) is matrix-column bit j, bit m+j is matrix-row bit j.  A gate
-    # left-multiplying the fused matrix acts on the row bits.
-    buf = np.eye(dim, dtype=np.complex128).reshape(-1)
-    scratch = tracked_empty(dim * dim)
-    pos = {q: i for i, q in enumerate(qubits)}
-    for gate in gates:
-        row_qubits = [m + pos[q] for q in gate.qubits]
-        buf, scratch = apply_gate_buffered(buf, scratch, gate.matrix(), row_qubits)
-    return buf.reshape(dim, dim), qubits
+    fusion = kernel_fusion(gates, qubits)
+    return fill_fused_unitary(fusion, gates), fusion.qubits
 
 
 class FusionCache:
@@ -199,9 +289,24 @@ def fused_unitary_cached(
     hit = _FUSION_CACHE.lookup(key)
     if hit is not None:
         return hit
-    matrix, out_qubits = fused_unitary(gates, qubits)
+    return _fill_and_store(key, kernel_fusion(gates, qubits), gates)
+
+
+def fill_fused_unitary_cached(fusion: KernelFusion, gates: Sequence[Gate]) -> np.ndarray:
+    """:func:`fused_unitary_cached` for a caller that already holds the
+    kernel's :func:`kernel_fusion` (over the default qubit order): the same
+    memo entry, without resolving the fusion again on a miss."""
+    key = (tuple(gates), None)
+    hit = _FUSION_CACHE.lookup(key)
+    if hit is None:
+        hit = _fill_and_store(key, fusion, gates)
+    return hit[0]
+
+
+def _fill_and_store(key: tuple, fusion: KernelFusion, gates: Sequence[Gate]):
+    matrix = fill_fused_unitary(fusion, gates)
     matrix.setflags(write=False)
-    value = (matrix, out_qubits)
+    value = (matrix, fusion.qubits)
     _FUSION_CACHE.store(key, value)
     return value
 
@@ -231,26 +336,51 @@ class LoweredItem(NamedTuple):
     matrix: np.ndarray | None = None
 
 
-def _compose_monomial(
-    qubits: tuple[int, ...], perm: np.ndarray, phases: np.ndarray, gate: Gate, info
+class ItemLowering(NamedTuple):
+    """The angle-independent part of one :class:`LoweredItem`
+    (:func:`kernel_lowering`).
+
+    ``members`` are the positions, in the kernel's gate tuple, of the gates
+    the item absorbs (circuit order).  A block (``dense`` false) carries
+    its composed ``perm`` (``None``: identity) and, per phase-carrying
+    member, a gather table over the block index *at the width the block had
+    when it absorbed the gate* (qubits that joined later are top index bits
+    the gate's phase does not depend on): the item's phases are the running
+    product, in member order, of ``gate.matrix().take(table)`` repeated up
+    to the full width.  Gates that only permute (cx, swap, ccx, x: phases
+    all one by name) have no table.  ``parameterized`` says whether any
+    member has angles.
+    """
+
+    qubits: tuple[int, ...]
+    members: tuple[int, ...]
+    parameterized: bool
+    dense: bool = False
+    perm: np.ndarray | None = None
+    factors: tuple[tuple[int, np.ndarray], ...] = ()
+
+
+def _absorb(
+    qubits: tuple[int, ...], perm: np.ndarray, gate: Gate, info
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The block ``(qubits, perm, phases)`` followed by monomial *gate* —
-    ``O(2^k)`` vector work, no matrix is ever built."""
+    """The block ``(qubits, perm)`` followed by monomial *gate*: the grown
+    qubit tuple, the composed permutation, and ``sub`` — per block index,
+    the gate's own sub-index there — ``O(2^k)`` vector work, no matrix is
+    ever built."""
     for q in gate.qubits:
         if q not in qubits:
             # A new qubit becomes the block's top index bit; so far the
             # block is the identity along it.
             perm = np.concatenate((perm, perm + len(perm)))
-            phases = np.concatenate((phases, phases))
             qubits = qubits + (q,)
     pos = tuple(qubits.index(q) for q in gate.qubits)
     # The gate acts on the block's *output* index: read its sub-index there.
     sub = (perm >> pos[0]) & 1
     for j in range(1, len(pos)):
         sub |= ((perm >> pos[j]) & 1) << j
-    if info.kind == "diagonal":
-        return qubits, perm, phases * info.diagonal[sub]
-    return qubits, perm ^ _flip_table(info.perm, pos)[sub], phases * info.phases[sub]
+    if info.kind == "permutation":
+        perm = perm ^ _flip_table(info.perm, pos)[sub]
+    return qubits, perm, sub
 
 
 @lru_cache(maxsize=4096)
@@ -265,20 +395,13 @@ def _flip_table(gate_perm: tuple[int, ...], pos: tuple[int, ...]) -> np.ndarray:
 
 _NO_QUBITS: tuple[int, ...] = ()
 _UNIT_PERM = np.zeros(1, dtype=np.int64)
-_UNIT_PHASES = np.ones(1, dtype=np.complex128)
 _UNIT_PERM.setflags(write=False)
-_UNIT_PHASES.setflags(write=False)
 
 
-#: Smaller than the fusion cache: an entry holds up to 24 KiB of block
-#: vectors per 10-qubit block, and in a parameter sweep the angle-carrying
-#: kernels never hit — the cache serves the consumers of one job (compiler,
-#: verifier, both shard executors) and angle-free kernels across rebinds.
-_LOWERING_CACHE = FusionCache(maxsize=256)
-
-
-def lower_kernel_gates(gates: Sequence[Gate]) -> tuple[LoweredItem, ...]:
-    """Lower a shared-memory kernel's gate list to :class:`LoweredItem` s.
+def kernel_lowering(gates: Sequence[Gate]) -> tuple[ItemLowering, ...]:
+    """Resolve how a shared-memory kernel's gate list lowers — which gates
+    fold into which block, each block's permutation and phase gather
+    tables — without computing a phase.
 
     Every maximal run of *monomial* gates — matrices with one non-zero per
     row and column, :func:`repro.sim.apply.analyze_matrix` kind
@@ -292,36 +415,32 @@ def lower_kernel_gates(gates: Sequence[Gate]) -> tuple[LoweredItem, ...]:
     kernel; in longer gate lists the gate that would outgrow it starts the
     next block.
 
-    The lowering is layout-independent (logical qubits) and is the single
-    source of what a non-fusion kernel executes: the plan compiler, the
-    interpreter, both shard executors and the static verifier's expected
-    op stream all consume these items.  Memoized per gate tuple (angles
-    included) in a bounded LRU, like :func:`fused_unitary_cached`; the
-    returned arrays are shared and read-only.
+    All of this follows from each gate's name, qubits and the zero pattern
+    of its matrix, so the result is valid for every gate tuple that matches
+    *gates* in those (:func:`~repro.circuits.gates.matrix_signature`);
+    :func:`fill_lowered_item` supplies the angles.
     """
-    key = tuple(gates)
-    hit = _LOWERING_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-
-    items: list[LoweredItem] = []
-    # The open block: the gates absorbed so far and their composition.
-    run: list[Gate] = []
-    qubits, perm, phases = _NO_QUBITS, _UNIT_PERM, _UNIT_PHASES
+    items: list[ItemLowering] = []
+    # The open block: the members absorbed so far, their composition, and
+    # per phase-carrying member its gather table.
+    run: list[int] = []
+    factors: list[tuple[int, np.ndarray]] = []
+    qubits, perm = _NO_QUBITS, _UNIT_PERM
 
     def flush() -> None:
-        nonlocal run, qubits, perm, phases
+        nonlocal run, factors, qubits, perm
         if run:
-            perm.setflags(write=False)
-            phases.setflags(write=False)
             identity = np.array_equal(perm, np.arange(len(perm)))
-            items.append(
-                LoweredItem(qubits, tuple(run), None if identity else perm, phases)
-            )
-        run = []
-        qubits, perm, phases = _NO_QUBITS, _UNIT_PERM, _UNIT_PHASES
+            if not identity:
+                perm.setflags(write=False)
+            items.append(ItemLowering(
+                qubits, tuple(run), any(gates[i].params for i in run),
+                perm=None if identity else perm, factors=tuple(factors),
+            ))
+        run, factors = [], []
+        qubits, perm = _NO_QUBITS, _UNIT_PERM
 
-    for gate in key:
+    for member, gate in enumerate(gates):
         matrix = gate.matrix()
         info = analyze_matrix(matrix)
         if info.kind not in ("diagonal", "permutation"):
@@ -329,15 +448,101 @@ def lower_kernel_gates(gates: Sequence[Gate]) -> tuple[LoweredItem, ...]:
             # goes ahead of it; one that overlaps closes the block.
             if not set(gate.qubits).isdisjoint(qubits):
                 flush()
-            items.append(LoweredItem(gate.qubits, (gate,), matrix=matrix))
+            items.append(
+                ItemLowering(gate.qubits, (member,), bool(gate.params), dense=True)
+            )
             continue
         if len(set(qubits).union(gate.qubits)) > MONOMIAL_WIDTH:
             flush()
-        qubits, perm, phases = _compose_monomial(qubits, perm, phases, gate, info)
-        run.append(gate)
+        qubits, perm, sub = _absorb(qubits, perm, gate, info)
+        run.append(member)
+        if gate.params or not _only_permutes(gate.name):
+            table = _phase_positions(info.perm, len(matrix))[sub]
+            table.setflags(write=False)
+            factors.append((member, table))
     flush()
+    return tuple(items)
 
-    lowered = tuple(items)
+
+@lru_cache(maxsize=None)
+def _only_permutes(name: str) -> bool:
+    """Whether parameter-free monomial gate *name* has no phase but one
+    (x, cx, swap, ccx, ...): it moves amplitudes and scales nothing."""
+    info = analyze_matrix(gate_matrix(name))
+    values = info.diagonal if info.kind == "diagonal" else info.phases
+    return bool(np.all(values == 1))
+
+
+@lru_cache(maxsize=256)
+def _phase_positions(gate_perm: "tuple[int, ...] | None", dim: int) -> np.ndarray:
+    """Per sub-index of a monomial gate, the flat position of its phase in
+    the gate's ``dim x dim`` matrix (``gate_perm=None``: the diagonal), in
+    the smallest unsigned dtype — tables live as long as their program."""
+    rows = np.arange(dim) if gate_perm is None else np.asarray(gate_perm)
+    return (rows * dim + np.arange(dim)).astype(np.min_scalar_type(dim * dim - 1))
+
+
+@lru_cache(maxsize=MONOMIAL_WIDTH + 1)
+def _unit_phases(dim: int) -> np.ndarray:
+    phases = np.ones(dim, dtype=np.complex128)
+    phases.setflags(write=False)
+    return phases
+
+
+def fill_lowered_item(
+    lowering: ItemLowering, gates: Sequence[Gate], members: tuple[Gate, ...] | None = None
+) -> LoweredItem:
+    """The :class:`LoweredItem` of *lowering* for the kernel's *gates* — the
+    numeric half of :func:`lower_kernel_gates`: a dense item's matrix, or a
+    block's phases as the running product of its members' phases in circuit
+    order (gates that only permute contribute exact ones and are skipped).
+    *members* are the item's gates when the caller already picked them."""
+    if members is None:
+        members = tuple([gates[i] for i in lowering.members])
+    if lowering.dense:
+        return LoweredItem(lowering.qubits, members, matrix=members[0].matrix())
+    dim = 1 << len(lowering.qubits)
+    phases = None
+    for member, table in lowering.factors:
+        factor = gates[member].matrix().take(table)
+        if phases is None:
+            phases = np.tile(factor, dim // len(factor))
+        else:
+            # Widths only grow along a block: each row of the view is one
+            # repetition of the factor.
+            rows = phases.reshape(-1, len(factor))
+            np.multiply(rows, factor, out=rows)
+    if phases is None:
+        phases = _unit_phases(dim)
+    phases.setflags(write=False)
+    return LoweredItem(lowering.qubits, members, lowering.perm, phases)
+
+
+#: Smaller than the fusion cache: an entry holds up to 24 KiB of block
+#: vectors per 10-qubit block.  The cache serves the consumers of one job
+#: that ask by gate tuple (interpreter, verifier, both shard executors);
+#: compiled programs carry their kernels' lowering themselves and never
+#: come here on a rebind.
+_LOWERING_CACHE = FusionCache(maxsize=256)
+
+
+def lower_kernel_gates(gates: Sequence[Gate]) -> tuple[LoweredItem, ...]:
+    """Lower a shared-memory kernel's gate list to :class:`LoweredItem` s:
+    :func:`kernel_lowering` filled with the gates' angles
+    (:func:`fill_lowered_item`).
+
+    The lowering is layout-independent (logical qubits) and is the single
+    source of what a non-fusion kernel executes: the plan compiler, the
+    interpreter, both shard executors and the static verifier's expected
+    op stream all consume it.  Memoized per gate tuple (angles included)
+    in a bounded LRU, like :func:`fused_unitary_cached`; the returned
+    arrays are shared and read-only.
+    """
+    key = tuple(gates)
+    hit = _LOWERING_CACHE.lookup(key)
+    if hit is not None:
+        return hit
+    lowered = tuple(fill_lowered_item(item, key) for item in kernel_lowering(key))
     _LOWERING_CACHE.store(key, lowered)
     return lowered
 

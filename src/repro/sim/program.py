@@ -50,7 +50,7 @@ from .apply import (
     _inplace_preferred,
     _big_to_out,
     analyze_matrix,
-    monomial_gather_plan,
+    monomial_gather_index,
     qubit_axis,
     run_dense_plan,
     run_monomial_gather,
@@ -67,6 +67,9 @@ __all__ = [
     "INPLACE_KINDS",
     "STREAM_KINDS",
     "Workspace",
+    "OpTemplate",
+    "unitary_template",
+    "monomial_template",
     "compile_unitary_op",
     "compile_monomial_op",
     "compile_lowered_op",
@@ -366,8 +369,116 @@ def run_dense_plan_batched(
 
 
 # ---------------------------------------------------------------------------
-# Op builders
+# Op builders: a per-structure template, bound to a per-job payload
 # ---------------------------------------------------------------------------
+
+
+def _index_array(values: np.ndarray) -> np.ndarray:
+    """*values* (non-negative gather positions) as a contiguous, read-only
+    array of the smallest unsigned dtype that holds them — templates live
+    as long as the program family they serve."""
+    top = int(values.max()) if values.size else 0
+    out = np.ascontiguousarray(values, dtype=np.min_scalar_type(top))
+    out.setflags(write=False)
+    return out
+
+
+class OpTemplate:
+    """The angle-independent part of one compiled op.
+
+    Everything :func:`compile_unitary_op` / :func:`compile_monomial_op`
+    derive from *where* an op acts and from the zero/one structure of its
+    matrix — the kind, the views' qubit tuple, the permutation move table,
+    the gather index, the gemm-plan shape — is resolved once, when the
+    template is built.  ``bind(payload)`` does only the numeric fill
+    (gathering a diagonal, phases or a reduced block out of the matrix,
+    preparing gemm operands) and returns the ``(run, run_batched)``
+    closures; :meth:`op` wraps them with the op's static metadata.  A cold
+    compile builds the template and binds it once; a rebind to new angles
+    binds it again — the same code, so warm and cold programs cannot differ.
+
+    A template built by :func:`unitary_template` is valid for every matrix
+    with the :func:`~repro.circuits.gates.matrix_signature` of the one it
+    was built from; one built by :func:`monomial_template` for every phase
+    vector over its permutation.
+    """
+
+    __slots__ = ("kind", "qubits", "tmp_slots", "bind")
+
+    def __init__(
+        self,
+        kind: str,
+        qubits: tuple[int, ...],
+        bind: "Callable[[np.ndarray], tuple[Callable, Callable]]",
+        tmp_slots: tuple[int, ...] = (),
+    ) -> None:
+        self.kind = kind
+        self.qubits = qubits
+        self.bind = bind
+        self.tmp_slots = tmp_slots
+
+    def op(
+        self, payload: np.ndarray, source: tuple | None = None, gates: "tuple | None" = None
+    ) -> CompiledOp:
+        run, run_batched = self.bind(payload)
+        return CompiledOp(
+            self.kind, run, run_batched, source, gates,
+            qubits=self.qubits, tmp_slots=self.tmp_slots,
+        )
+
+
+def unitary_template(matrix: np.ndarray, qubits: Sequence[int], n: int) -> OpTemplate:
+    """The template of one unitary application; its payload is the matrix.
+
+    Classification (:func:`repro.sim.apply.analyze_matrix` plus the
+    position-aware refinements) runs here, once; the in-place vs stream
+    decision mirrors :func:`repro.sim.apply.apply_gate_buffered` exactly,
+    so compiled and interpreted executions are bit-exact.
+    """
+    qubits = tuple(qubits)
+    info = analyze_matrix(matrix)
+    kind = _effective_kind(info, qubits, n)
+    if _inplace_preferred(info, qubits, n):
+        dim = 1 << info.k
+        if info.kind == "diagonal":
+            return _diag_template(np.arange(dim) * (dim + 1), qubits, n)
+        if kind == "permutation":
+            positions = np.asarray(info.perm) * dim + np.arange(dim)
+            return _moves_template(info.perm, _index_array(positions), qubits, n)
+        return _controlled_template(info, qubits, n)
+    if kind == "dense":
+        return _dense_template(matrix, qubits, n)
+    return _big_template(qubits, n)
+
+
+def monomial_template(
+    perm: "Sequence[int] | None", qubits: Sequence[int], n: int
+) -> OpTemplate:
+    """The template of one monomial block — amplitude ``c`` of the block
+    index over *qubits* moves to ``perm[c]``; ``perm=None`` is the
+    identity.  Its payload is the block's phase vector.  The compiled form
+    of :func:`repro.sim.apply.apply_monomial`, bit-exact with it."""
+    qubits = tuple(qubits)
+    if perm is None:
+        return _diag_template(np.arange(1 << len(qubits)), qubits, n)
+    index = monomial_gather_index(perm, qubits, n)
+    if index is None:
+        return _moves_template(np.asarray(perm).tolist(), None, qubits, n)
+    source, phase_index = index
+    phase_index = _index_array(phase_index)
+
+    def bind(phases):
+        plan = (source, None if np.all(phases == 1) else phases.take(phase_index))
+
+        def run(state, scratch, ws):
+            # An in-place op owes the scratch buffer nothing (the next
+            # streaming op overwrites it in full), so it is the gather target.
+            run_monomial_gather(plan, state, scratch, n)
+            return state, scratch
+
+        return run, run
+
+    return OpTemplate("permutation", qubits, bind)
 
 
 def compile_unitary_op(
@@ -377,26 +488,9 @@ def compile_unitary_op(
     source: tuple | None = None,
     gates: "tuple | None" = None,
 ) -> CompiledOp:
-    """Lower one unitary application to a :class:`CompiledOp`.
-
-    Classification (:func:`repro.sim.apply.analyze_matrix` plus the
-    position-aware refinements) runs here, once; the returned closures
-    perform the update with the resolved payload only.  The in-place vs
-    stream decision mirrors :func:`repro.sim.apply.apply_gate_buffered`
-    exactly, so compiled and interpreted executions are bit-exact.
-    """
-    qubits = tuple(qubits)
-    info = analyze_matrix(matrix)
-    kind = _effective_kind(info, qubits, n)
-    if _inplace_preferred(info, qubits, n):
-        if info.kind == "diagonal":
-            return _diag_op(info.diagonal, qubits, n, source, gates)
-        if kind == "permutation":
-            return _perm_op(info.perm, info.phases, qubits, n, source, gates)
-        return _controlled_op(info, qubits, n, source, gates)
-    if kind == "dense":
-        return _dense_op(matrix, qubits, n, source, gates)
-    return _big_op(matrix, qubits, n, source, gates)
+    """Lower one unitary application to a :class:`CompiledOp`:
+    :func:`unitary_template` bound to *matrix*."""
+    return unitary_template(matrix, qubits, n).op(matrix, source, gates)
 
 
 def compile_monomial_op(
@@ -407,24 +501,9 @@ def compile_monomial_op(
     source: tuple | None = None,
     gates: "tuple | None" = None,
 ) -> CompiledOp:
-    """Lower one monomial block — amplitude ``c`` of the block index over
-    *qubits* moves to ``perm[c]`` scaled by ``phases[c]``; ``perm=None`` is
-    the identity — to a ``diagonal`` or ``permutation`` op.  The compiled
-    form of :func:`repro.sim.apply.apply_monomial`, bit-exact with it."""
-    qubits = tuple(qubits)
-    if perm is None:
-        return _diag_op(phases, qubits, n, source, gates)
-    plan = monomial_gather_plan(perm, phases, qubits, n)
-    if plan is None:
-        return _perm_op(perm, phases, qubits, n, source, gates)
-
-    def run(state, scratch, ws):
-        # An in-place op owes the scratch buffer nothing (the next streaming
-        # op overwrites it in full), so it serves as the gather target.
-        run_monomial_gather(plan, state, scratch, n)
-        return state, scratch
-
-    return CompiledOp("permutation", run, run, source, gates, qubits=qubits)
+    """Lower one monomial block to a ``diagonal`` or ``permutation`` op:
+    :func:`monomial_template` bound to *phases*."""
+    return monomial_template(perm, qubits, n).op(phases, source, gates)
 
 
 def compile_lowered_op(
@@ -445,41 +524,48 @@ def compile_lowered_op(
     return compile_unitary_op(item.matrix, physical, n, source, item.gates)
 
 
-def _diag_op(
-    diagonal: np.ndarray, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
-) -> CompiledOp:
-    diag_b = _diag_broadcast(diagonal, n, qubits)
+def _diag_template(positions: np.ndarray, qubits: tuple[int, ...], n: int) -> OpTemplate:
+    """Diagonal entry ``c`` sits at flat position ``positions[c]`` of the
+    payload (a matrix, or the phase vector itself)."""
+    index = _index_array(_diag_broadcast(positions, n, qubits))
     shape = (2,) * n
     bshape = (-1,) + shape
 
-    def run(state, scratch, ws):
-        t = state.reshape(shape)
-        np.multiply(t, diag_b, out=t)
-        return state, scratch
+    def bind(payload):
+        diag_b = payload.take(index)
 
-    def run_batched(states, scratch, ws):
-        t = states.reshape(bshape)
-        np.multiply(t, diag_b, out=t)
-        return states, scratch
+        def run(state, scratch, ws):
+            t = state.reshape(shape)
+            np.multiply(t, diag_b, out=t)
+            return state, scratch
 
-    return CompiledOp("diagonal", run, run_batched, source, gates, qubits=qubits)
+        def run_batched(states, scratch, ws):
+            t = states.reshape(bshape)
+            np.multiply(t, diag_b, out=t)
+            return states, scratch
+
+        return run, run_batched
+
+    return OpTemplate("diagonal", qubits, bind)
 
 
-def _compile_permutation_moves(
-    perm, phases
-) -> list[tuple[int, int, int, complex]]:
-    """Lower a phased permutation to a flat move sequence.
+def _permutation_moves(perm) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Lower a permutation to its move skeleton ``(cycle moves, fixed points)``.
 
-    Mirrors the cycle walk of
+    The cycle moves mirror the walk of
     :func:`repro.sim.apply._permutation_inplace` instruction for
-    instruction (same sources, destinations and order — bit-exact), but
-    hoists the cycle discovery to compile time.  Codes: 0 = copy view
-    ``b``→``a`` (phase-scaled), 1 = save view ``a`` to tmp, 2 = restore
-    tmp to view ``a`` (phase-scaled), 3 = scale view ``a`` in place.
+    instruction (same sources, destinations and order within a cycle —
+    bit-exact), with the cycle discovery hoisted out of execution.  Codes:
+    0 = copy view ``b``→``a`` scaled by ``phases[b]``, 1 = save view ``a``
+    to tmp, 2 = restore tmp to view ``a`` scaled by ``phases[b]``.  Fixed
+    points only ever need scaling (code 3, added per phase vector by
+    :func:`_bind_moves`); distinct cycles touch disjoint views, so running
+    the scales after the cycles changes no value.
     """
     d = len(perm)
     visited = [False] * d
-    moves: list[tuple[int, int, int, complex]] = []
+    moves: list[tuple[int, int, int]] = []
+    fixed: list[int] = []
     for start in range(d):
         if visited[start]:
             continue
@@ -491,21 +577,31 @@ def _compile_permutation_moves(
             visited[nxt] = True
             nxt = perm[nxt]
         if len(cycle) == 1:
-            if phases[start] != 1:
-                moves.append((3, start, 0, phases[start]))
+            fixed.append(start)
             continue
         last = cycle[-1]
-        moves.append((1, last, 0, 1))
+        moves.append((1, last, 0))
         for i in range(len(cycle) - 1, 0, -1):
-            src, dst = cycle[i - 1], cycle[i]
-            moves.append((0, dst, src, phases[src]))
-        moves.append((2, cycle[0], 0, phases[last]))
-    return moves
+            moves.append((0, cycle[i], cycle[i - 1]))
+        moves.append((2, cycle[0], last))
+    return moves, fixed
 
 
-def _run_moves(views, moves, tmp) -> None:
-    for code, a, b, phase in moves:
+def _bind_moves(
+    skeleton: tuple[list[tuple[int, int, int]], list[int]], phases: np.ndarray
+) -> tuple[list[tuple[int, int, int]], list[complex]]:
+    """The skeleton's moves for one phase vector: the shared cycle moves
+    plus a scale (code 3) per fixed point whose phase is not 1."""
+    moves, fixed = skeleton
+    values = phases.tolist()
+    scales = [(3, a, a) for a in fixed if values[a] != 1]
+    return (moves + scales if scales else moves), values
+
+
+def _run_moves(views, moves, phases, tmp) -> None:
+    for code, a, b in moves:
         if code == 0:
+            phase = phases[b]
             if phase == 1:
                 np.copyto(views[a], views[b])
             else:
@@ -513,159 +609,170 @@ def _run_moves(views, moves, tmp) -> None:
         elif code == 1:
             np.copyto(tmp, views[a])
         elif code == 2:
+            phase = phases[b]
             if phase == 1:
                 np.copyto(views[a], tmp)
             else:
                 np.multiply(tmp, phase, out=views[a])
         else:
-            views[a] *= phase
+            views[a] *= phases[b]
 
 
-def _perm_op(
-    perm: Sequence[int], phases: np.ndarray, qubits: Sequence[int], n: int,
-    source: tuple | None, gates: "tuple | None",
-) -> CompiledOp:
-    qubits = tuple(qubits)
-    moves = _compile_permutation_moves(np.asarray(perm).tolist(), phases)
+def _moves_template(
+    perm: Sequence[int], positions: "np.ndarray | None", qubits: tuple[int, ...], n: int
+) -> OpTemplate:
+    """A phased permutation as slice moves over its ``2^k`` views.  Phase
+    ``c`` sits at flat position ``positions[c]`` of the payload (a matrix),
+    or the payload is the phase vector itself (``positions=None``)."""
+    skeleton = _permutation_moves(perm)
     view_size = 1 << (n - len(qubits))
 
-    def run(state, scratch, ws):
-        views = ws.views(state, n, qubits)
-        tmp = ws.tmp(view_size, slot=1).reshape(views[0].shape)
-        _run_moves(views, moves, tmp)
-        return state, scratch
+    def bind(payload):
+        moves, phases = _bind_moves(
+            skeleton, payload if positions is None else payload.take(positions)
+        )
 
-    def run_batched(states, scratch, ws):
-        views = ws.views(states, n, qubits, lead=1)
-        tmp = ws.tmp(states.shape[0] * view_size, slot=1).reshape(views[0].shape)
-        _run_moves(views, moves, tmp)
-        return states, scratch
+        def run(state, scratch, ws):
+            views = ws.views(state, n, qubits)
+            tmp = ws.tmp(view_size, slot=1).reshape(views[0].shape)
+            _run_moves(views, moves, phases, tmp)
+            return state, scratch
 
-    return CompiledOp(
-        "permutation", run, run_batched, source, gates,
-        qubits=qubits, tmp_slots=(1,),
-    )
+        def run_batched(states, scratch, ws):
+            views = ws.views(states, n, qubits, lead=1)
+            tmp = ws.tmp(states.shape[0] * view_size, slot=1).reshape(views[0].shape)
+            _run_moves(views, moves, phases, tmp)
+            return states, scratch
+
+        return run, run_batched
+
+    return OpTemplate("permutation", qubits, bind, tmp_slots=(1,))
 
 
-def _controlled_op(
-    info: MatrixInfo, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
-) -> CompiledOp:
+def _controlled_template(info: MatrixInfo, qubits: tuple[int, ...], n: int) -> OpTemplate:
     red = info.reduced_info
-    reduced_matrix = info.reduced_matrix
-    target_qubits = [qubits[p] for p in info.targets]
-    control_qubit = qubits[info.controls[0]] if info.controls else None
+    target_qubits = tuple(qubits[p] for p in info.targets)
+    # Flat positions of the all-controls-1 block inside the matrix.
+    dim = 1 << info.k
+    sel = np.flatnonzero(
+        np.all([(np.arange(dim) >> p) & 1 for p in info.controls], axis=0)
+    )
+    block = _index_array(sel[:, None] * dim + sel[None, :])
 
     if (
         len(info.controls) == 1
         and len(info.targets) == 1
         and red.kind == "dense"
-        and target_qubits[0] < control_qubit
+        and target_qubits[0] < qubits[info.controls[0]]
     ):
         # Gather + one streaming gemm; the batch folds into the row count.
-        plan = _dense_plan(reduced_matrix, control_qubit, (target_qubits[0],))
-        ctrl = control_qubit
+        ctrl = qubits[info.controls[0]]
         tgt = target_qubits[0]
 
-        def run(state, scratch, ws):
-            _controlled_gather_gemm_inplace(
-                state, n, ctrl, tgt, reduced_matrix,
-                plan=plan, compact=ws.tmp(state.size // 2, slot=0),
-            )
-            return state, scratch
+        def bind(matrix):
+            reduced = matrix.take(block)
+            plan = _dense_plan(reduced, ctrl, (tgt,))
 
-        def run_batched(states, scratch, ws):
-            _controlled_gather_gemm_inplace(
-                states, n, ctrl, tgt, reduced_matrix,
-                plan=plan, compact=ws.tmp(states.size // 2, slot=0),
-            )
-            return states, scratch
+            def run(state, scratch, ws):
+                _controlled_gather_gemm_inplace(
+                    state, n, ctrl, tgt, reduced,
+                    plan=plan, compact=ws.tmp(state.size // 2, slot=0),
+                )
+                return state, scratch
 
-        return CompiledOp(
-            "controlled", run, run_batched, source, gates,
-            qubits=tuple(qubits), tmp_slots=(0,),
-        )
+            return run, run
 
-    target_qubits = tuple(target_qubits)
+        return OpTemplate("controlled", qubits, bind, tmp_slots=(0,))
+
     fixed = tuple((qubit_axis(n, qubits[p]), 1) for p in info.controls)
     fixed_batched = tuple((1 + ax, 1) for ax, _bit in fixed)
     d = 1 << len(target_qubits)
     view_size = 1 << (n - len(qubits))
     red_kind = red.kind
-    red_diag = red.diagonal
-    red_moves = (
-        _compile_permutation_moves(red.perm, red.phases)
-        if red_kind == "permutation"
-        else None
-    )
+    if red_kind == "permutation":
+        skeleton = _permutation_moves(red.perm)
+        positions = _index_array(np.asarray(red.perm) * d + np.arange(d))
 
-    def _apply(views, snap, tmp):
+    def bind(matrix):
+        reduced = matrix.take(block)
         if red_kind == "diagonal":
-            for b, view in enumerate(views):
-                if red_diag[b] != 1:
-                    view *= red_diag[b]
+            red_diag = reduced.diagonal()
+
+            def apply(views, snap, tmp):
+                for b, view in enumerate(views):
+                    if red_diag[b] != 1:
+                        view *= red_diag[b]
         elif red_kind == "permutation":
-            _run_moves(views, red_moves, tmp.reshape(views[0].shape))
+            moves, phases = _bind_moves(skeleton, reduced.take(positions))
+
+            def apply(views, snap, tmp):
+                _run_moves(views, moves, phases, tmp.reshape(views[0].shape))
         else:
-            _dense_views_inplace(views, reduced_matrix, snap=snap, tmp=tmp)
+            def apply(views, snap, tmp):
+                _dense_views_inplace(views, reduced, snap=snap, tmp=tmp)
 
-    def run(state, scratch, ws):
-        views = ws.views(state, n, target_qubits, fixed)
-        _apply(views, ws.tmp(d * view_size, slot=0), ws.tmp(view_size, slot=1))
-        return state, scratch
+        def run(state, scratch, ws):
+            views = ws.views(state, n, target_qubits, fixed)
+            apply(views, ws.tmp(d * view_size, slot=0), ws.tmp(view_size, slot=1))
+            return state, scratch
 
-    def run_batched(states, scratch, ws):
-        batch = states.shape[0]
-        views = ws.views(states, n, target_qubits, fixed_batched, lead=1)
-        _apply(
-            views,
-            ws.tmp(batch * d * view_size, slot=0),
-            ws.tmp(batch * view_size, slot=1),
-        )
-        return states, scratch
+        def run_batched(states, scratch, ws):
+            batch = states.shape[0]
+            views = ws.views(states, n, target_qubits, fixed_batched, lead=1)
+            apply(
+                views,
+                ws.tmp(batch * d * view_size, slot=0),
+                ws.tmp(batch * view_size, slot=1),
+            )
+            return states, scratch
 
-    return CompiledOp(
-        "controlled", run, run_batched, source, gates,
-        qubits=tuple(qubits), tmp_slots=(0, 1),
-    )
+        return run, run_batched
 
-
-def _dense_op(
-    matrix: np.ndarray, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
-) -> CompiledOp:
-    plan = _dense_plan(matrix, n, qubits)
-    needs_tmp = plan[0] in ("split_stacked", "split_gemm")
-
-    def run(state, scratch, ws):
-        tmp = ws.tmp(state.size // 2, slot=1) if needs_tmp else None
-        run_dense_plan(plan, state, scratch, tmp=tmp)
-        return scratch, state
-
-    def run_batched(states, scratch, ws):
-        run_dense_plan_batched(plan, states, scratch, ws)
-        return scratch, states
-
-    return CompiledOp(
-        "dense", run, run_batched, source, gates,
-        qubits=tuple(qubits), tmp_slots=(1,) if needs_tmp else (),
-    )
+    return OpTemplate("controlled", qubits, bind, tmp_slots=(0, 1))
 
 
-def _big_op(
-    matrix: np.ndarray, qubits: Sequence[int], n: int, source: tuple | None, gates: "tuple | None"
-) -> CompiledOp:
+_SPLIT_PLANS = ("split_stacked", "split_gemm")
+
+
+def _dense_template(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> OpTemplate:
+    # The plan's shape follows from (n, qubits) alone; the memoized planner
+    # hands the bind that follows the same plan back.
+    needs_tmp = _dense_plan(matrix, n, qubits)[0] in _SPLIT_PLANS
+
+    def bind(matrix):
+        plan = _dense_plan(matrix, n, qubits)
+
+        def run(state, scratch, ws):
+            tmp = ws.tmp(state.size // 2, slot=1) if needs_tmp else None
+            run_dense_plan(plan, state, scratch, tmp=tmp)
+            return scratch, state
+
+        def run_batched(states, scratch, ws):
+            run_dense_plan_batched(plan, states, scratch, ws)
+            return scratch, states
+
+        return run, run_batched
+
+    return OpTemplate("dense", qubits, bind, tmp_slots=(1,) if needs_tmp else ())
+
+
+def _big_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
     # Genuinely scattered wide matrix: the tensordot fallback (the one op
     # kind whose application is not allocation-free — tensordot builds its
     # own result; the cost is logged, matching the interpreted path).
-    def run(state, scratch, ws):
-        _big_to_out(state, matrix, qubits, n, scratch)
-        return scratch, state
+    def bind(matrix):
+        def run(state, scratch, ws):
+            _big_to_out(state, matrix, qubits, n, scratch)
+            return scratch, state
 
-    def run_batched(states, scratch, ws):
-        for b in range(states.shape[0]):
-            _big_to_out(states[b], matrix, qubits, n, scratch[b])
-        return scratch, states
+        def run_batched(states, scratch, ws):
+            for b in range(states.shape[0]):
+                _big_to_out(states[b], matrix, qubits, n, scratch[b])
+            return scratch, states
 
-    return CompiledOp("big", run, run_batched, source, gates, qubits=tuple(qubits))
+        return run, run_batched
+
+    return OpTemplate("big", qubits, bind)
 
 
 def compile_layout_op(
@@ -731,6 +838,9 @@ class CompiledProgram:
         locality_checked: bool = True,
         ops_reused: int = 0,
         provenance: dict | None = None,
+        ops_rebound: int = 0,
+        ops_recompiled: int = 0,
+        structure: object | None = None,
     ) -> None:
         self.num_qubits = num_qubits
         self.ops = ops
@@ -744,8 +854,19 @@ class CompiledProgram:
         self.num_permutations = num_permutations
         self.kernels_per_stage = kernels_per_stage or []
         self.locality_checked = locality_checked
-        #: How many ops were taken verbatim from the reuse program (rebind).
+        #: Which path each gate-binding op took when this program was compiled
+        #: with ``reuse=``: taken verbatim from the reuse program (equal
+        #: gates), payload refilled through the shared structure (new
+        #: angles), or built by a structural compile because the plan failed
+        #: the structure guard (all of them, then).  All zero for a cold
+        #: compile; layout transposes are never counted.
         self.ops_reused = ops_reused
+        self.ops_rebound = ops_rebound
+        self.ops_recompiled = ops_recompiled
+        #: The angle-independent half of the compilation
+        #: (:class:`repro.runtime.compile.ProgramStructure`), shared by the
+        #: whole family of programs rebound from this one.
+        self.structure = structure
         #: Planning provenance of the source plan (preset, pipeline, skips)
         #: — carried through compilation and rebinds so runtime consumers
         #: can attribute an executing program to the pipeline that planned it.

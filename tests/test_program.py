@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, make_gate
-from repro.circuits.library import ghz, ising, qft, random_circuit, su2random, vqc
+from repro.circuits.library import (
+    CIRCUIT_FAMILIES,
+    ghz,
+    ising,
+    qft,
+    random_circuit,
+    su2random,
+    vqc,
+)
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.kernel import Kernel, KernelSequence, KernelType
@@ -27,9 +35,11 @@ from repro.runtime import (
     execute_plan,
     execute_plan_offloaded,
 )
+from repro.errors import PlanValidationError
 from repro.runtime.offload import compile_segment_ops, run_segment_ops, run_groups_on_shard, split_stage_segments
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
+from repro.sim import fusion as fusion_mod
 from repro.sim.fusion import (
     configure_fusion_cache,
     fusion_cache_stats,
@@ -259,6 +269,244 @@ class TestRebind:
         warm = compile_plan(rebound_plan, machine, reuse=base_program)
         cold = compile_plan(rebound_plan, machine)
         assert np.array_equal(warm.run().data, cold.run().data)
+
+    # -- rebind = numeric fill over the cached program's structure ---------
+
+    #: Angles a rebind can meet: generic, and the degenerate ones where a
+    #: rotation's matrix changes class — exactly (0, pi, 2 pi: the plan no
+    #: longer has the base's structure and must be compiled from scratch)
+    #: or only within :meth:`Circuit.structural_key`'s tolerance (1e-13).
+    REBIND_ANGLES = [0.7, 0.0, np.pi / 2, np.pi, 2 * np.pi, 1e-13]
+
+    @staticmethod
+    def _redrawn(circuit, rng, angle=None):
+        """*circuit* with fresh generic angles; *angle* replaces about half
+        of them (all of them would make every family trivially regular)."""
+        gates = []
+        for g in circuit.gates:
+            params = rng.uniform(0.1, 6.0, len(g.params))
+            if angle is not None:
+                params = np.where(rng.random(len(params)) < 0.5, angle, params)
+            gates.append(make_gate(g.name, g.qubits, params))
+        return Circuit(circuit.num_qubits, gates, name=circuit.name)
+
+    @staticmethod
+    def _assert_same_program(warm, cold, plan, machine, seed=0):
+        n = plan.num_qubits
+        assert [(op.kind, op.qubits, op.gates, op.source) for op in warm.ops] == [
+            (op.kind, op.qubits, op.gates, op.source) for op in cold.ops
+        ]
+        init = StateVector.random_state(n, seed=seed)
+        want = cold.run(init).data
+        assert np.array_equal(warm.run(init).data, want)
+        states = [init, StateVector.random_state(n, seed=seed + 1)]
+        for got, ref in zip(warm.run_batched(states), cold.run_batched(states)):
+            assert np.array_equal(got.data, ref.data)
+        interpreted, _ = execute_plan(plan, init, machine=machine, compiled=False)
+        assert np.array_equal(interpreted.data, want)
+
+    @pytest.mark.parametrize("family", sorted(CIRCUIT_FAMILIES))
+    def test_rebind_equals_cold_compile_and_interpreter(self, family):
+        """Every library family x every angle class, in the layouts the
+        partitioner picks: ``compile_plan(rebound, reuse=base)`` equals
+        ``compile_plan(rebound)`` op for op and bit for bit (single and
+        batched runs) and equals the interpreter."""
+        rng = np.random.default_rng(7)
+        template = CIRCUIT_FAMILIES[family](7)
+        machine = _machine(7)
+        base_circuit = self._redrawn(template, rng)
+        base_plan = _staged_plan(base_circuit, machine)
+        base = compile_plan(base_plan, machine)
+        assert (base.ops_reused, base.ops_rebound, base.ops_recompiled) == (0, 0, 0)
+        gate_ops = sum(op.gates is not None for op in base.ops)
+        parameterized = any(g.params for g in template.gates)
+        for angle in self.REBIND_ANGLES:
+            plan = rebind_plan(base_plan, self._redrawn(template, rng, angle))
+            warm = compile_plan(plan, machine, reuse=base)
+            self._assert_same_program(warm, compile_plan(plan, machine), plan, machine)
+            if warm.ops_recompiled:  # the guard sent it to a structural compile
+                assert (warm.ops_reused, warm.ops_rebound) == (0, 0)
+                assert warm.structure is not base.structure
+            else:
+                assert warm.structure is base.structure
+                assert warm.ops_reused + warm.ops_rebound == gate_ops
+            if angle == 0.7 or not parameterized:
+                assert warm.ops_recompiled == 0
+                assert (warm.ops_rebound > 0) == parameterized
+
+    def test_tolerance_only_degeneracy_takes_the_fallback(self):
+        """rx(1e-13) shares rx(0)'s structural key (``> 1e-12`` pattern) but
+        not its exact zero pattern: the session hit must not bind it onto
+        rx(0)'s diagonal block — it recompiles, and says so."""
+        machine = MachineConfig.for_circuit(5)
+
+        def circuit(theta):
+            return Circuit(5).h(0).cx(0, 1).rx(theta, 1).cz(1, 2).ry(0.4, 3).cx(3, 4)
+
+        exact, tiny = circuit(0.0), circuit(1e-13)
+        assert exact.structural_key() == tiny.structural_key()
+        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+            results = s.run([exact, tiny, circuit(0.0)]).results()
+            stats = s.stats.as_dict()
+        assert stats["programs_rebound"] == 2
+        assert stats["program_rebind_fallbacks"] == 1
+        assert stats["program_ops_rebound"] == 0  # the third circuit reuses every op
+        assert stats["program_rebind_seconds"] > 0
+        assert results[1].summary()["ops_recompiled"] > 0
+        assert results[2].summary()["ops_recompiled"] == 0
+        assert results[2].summary()["ops_reused"] > 0
+        for c, result in zip([exact, tiny, exact], results):
+            assert simulate_reference(c).allclose(result.state)
+
+    def test_fused_matrix_changing_class_takes_the_fallback(self):
+        """rz(0) has rz's zero pattern, so every gate passes the guard —
+        but in front of a crx on the same qubit it turns the fused matrix
+        from dense into controlled (the control-0 rows become the
+        identity).  The kernel's op template no longer fits, and the plan
+        recompiles instead of binding the wrong op."""
+
+        def plan(theta):
+            gates = [
+                make_gate("rz", [1], [theta]), make_gate("crx", [0, 1], [0.3]),
+                make_gate("h", [2]),
+            ]
+            kernel = Kernel(
+                gates=tuple(gates[:2]), qubits=(0, 1), kernel_type=KernelType.FUSION,
+                cost=1.0, gate_indices=(0, 1),
+            )
+            rest = Kernel(
+                gates=(gates[2],), qubits=(2,), kernel_type=KernelType.SHM,
+                cost=1.0, gate_indices=(2,),
+            )
+            stage = Stage(
+                gates=gates, partition=QubitPartition.from_sets({0, 1, 2}, set(), set()),
+                gate_indices=[0, 1, 2], kernels=KernelSequence([kernel, rest]),
+            )
+            return ExecutionPlan(num_qubits=3, stages=[stage])
+
+        base = compile_plan(plan(0.4))
+        generic = compile_plan(plan(0.6), reuse=base)
+        assert (generic.ops_reused, generic.ops_rebound, generic.ops_recompiled) == (1, 1, 0)
+        degenerate = plan(0.0)
+        assert degenerate.stages[0].gates[0].pattern()[1] == base.ops[0].gates[0].pattern()[1]
+        warm, cold = compile_plan(degenerate, reuse=base), compile_plan(degenerate)
+        assert (warm.ops_reused, warm.ops_rebound, warm.ops_recompiled) == (0, 0, 2)
+        assert warm.structure is not base.structure
+        self._assert_same_program(warm, cold, degenerate, None)
+        assert simulate_reference(Circuit(3, degenerate.stages[0].gates)).allclose(warm.run())
+
+    def test_chain_of_50_rebinds_stays_bit_equal_to_cold(self):
+        rng = np.random.default_rng(3)
+        template = ising(8)
+        machine = _machine(8)
+        base_plan = _staged_plan(self._redrawn(template, rng), machine)
+        program = compile_plan(base_plan, machine)
+        structure, workspace = program.structure, program.workspace
+        init = StateVector.random_state(8, seed=1)
+        for _ in range(50):
+            plan = rebind_plan(base_plan, self._redrawn(template, rng))
+            program = compile_plan(plan, machine, reuse=program)
+            assert program.structure is structure and program.workspace is workspace
+            assert program.ops_recompiled == 0 and program.ops_rebound > 0
+            cold = compile_plan(plan, machine)
+            assert np.array_equal(program.run(init).data, cold.run(init).data)
+
+    @pytest.mark.parametrize("base_angle", [0.0, np.pi, 1e-13])
+    def test_rebind_still_proves_locality(self, base_angle):
+        """rx(0) is diagonal; rx(pi) is anti-diagonal and rx(1e-13) diagonal
+        only within tolerance (cos(pi/2) is 6e-17, not 0).  All three are
+        insular and may sit on a non-local qubit.  Rebinding rx(0.3) there
+        violates the staging invariant — whether the guard rejects the plan
+        (0: another exact zero pattern, structural compile) or admits it
+        (pi, 1e-13: same exact pattern, so only the recorded non-local
+        gates stand between the rebind and a wrong layout)."""
+
+        def plan(theta):
+            gates = [make_gate("h", [0]), make_gate("rx", [3], [theta]), make_gate("cx", [0, 1])]
+            stage = Stage(
+                gates=gates,
+                partition=QubitPartition.from_sets({0, 1}, {2, 3}, set()),
+                gate_indices=[0, 1, 2],
+            )
+            return ExecutionPlan(num_qubits=4, stages=[stage])
+
+        base = compile_plan(plan(base_angle))
+        assert simulate_reference(Circuit(4, plan(base_angle).stages[0].gates)).allclose(base.run())
+        with pytest.raises(PlanValidationError, match="staging invariant"):
+            compile_plan(plan(0.3))
+        with pytest.raises(PlanValidationError, match="staging invariant"):
+            compile_plan(plan(0.3), reuse=base)
+        # With the check off the same rebind compiles, and is a pure fill
+        # exactly when the exact patterns agree.
+        unchecked = compile_plan(plan(0.3), reuse=base, check_locality=False)
+        assert bool(unchecked.ops_recompiled) == (base_angle == 0.0)
+
+    def test_base_program_is_untouched_by_100_binds(self):
+        rng = np.random.default_rng(5)
+        template = vqc(8, ansatz_reps=1)
+        machine = _machine(8)
+        base_plan = _staged_plan(self._redrawn(template, rng), machine)
+        base = compile_plan(base_plan, machine)
+        init = StateVector.random_state(8, seed=2)
+        before = base.run(init).data.copy()
+        ops, gates = list(base.ops), [op.gates for op in base.ops]
+        items = [
+            fusion_mod.lower_kernel_gates(k.gates)
+            for stage in base_plan.stages for k in stage.kernels
+            if k.kernel_type is not KernelType.FUSION
+        ]
+        arrays = [
+            (a, a.copy()) for lowered in items for item in lowered
+            for a in (item.perm, item.phases, item.matrix) if a is not None
+        ]
+        for _ in range(100):
+            plan = rebind_plan(base_plan, self._redrawn(template, rng))
+            bound = compile_plan(plan, machine, reuse=base)
+            assert bound.ops_recompiled == 0
+            bound.run_view(init)  # shares the base's workspace
+        assert all(a is b for a, b in zip(base.ops, ops)) and len(base.ops) == len(ops)
+        assert [op.gates for op in base.ops] == gates
+        assert all(np.array_equal(a, copy) and not a.flags.writeable for a, copy in arrays)
+        assert np.array_equal(base.run(init).data, before)
+
+    def test_rebinds_leave_the_kernel_memos_alone(self):
+        """A warm job carries its kernels' lowering in the program: 200
+        rebinds insert nothing into the fused-unitary or lowering memos
+        (they used to store 3-8 never-hit angle-keyed entries each, turning
+        the 256-entry lowering memo over every ~40 jobs)."""
+        rng = np.random.default_rng(9)
+        machine = _machine(8)
+        for template in (vqc(8, ansatz_reps=1), ising(8)):
+            base_plan = _staged_plan(self._redrawn(template, rng), machine)
+            base = compile_plan(base_plan, machine)
+            before = fusion_cache_stats()
+            lowered = len(fusion_mod._LOWERING_CACHE)
+            for _ in range(200):
+                plan = rebind_plan(base_plan, self._redrawn(template, rng))
+                assert compile_plan(plan, machine, reuse=base).ops_rebound > 0
+            after = fusion_cache_stats()
+            assert (after["size"], after["evictions"], after["misses"]) == (
+                before["size"], before["evictions"], before["misses"],
+            )
+            assert len(fusion_mod._LOWERING_CACHE) == lowered
+
+    def test_rebound_plans_agree_across_sharded_executors(self):
+        """Fresh and degenerate angles through the restructured lowering:
+        offload == parallel (W = 1, 2, 4) bit for bit, == in-core to 1e-10."""
+        rng = np.random.default_rng(11)
+        template = su2random(9, reps=1)
+        machine = MachineConfig.for_circuit(9, num_shards=4, local_qubits=6)
+        base_plan = _staged_plan(self._redrawn(template, rng), machine)
+        base = compile_plan(base_plan, machine)
+        for angle in (None, 0.0, np.pi):
+            plan = rebind_plan(base_plan, self._redrawn(template, rng, angle))
+            offloaded, _ = execute_plan_offloaded(plan, machine)
+            for workers in (1, 2, 4):
+                with ParallelRuntime(machine, num_workers=workers) as runtime:
+                    parallel, _ = runtime.execute(plan)
+                assert np.array_equal(offloaded.data, parallel.data), (angle, workers)
+            incore = compile_plan(plan, machine, reuse=base).run()
+            assert incore.allclose(offloaded, atol=1e-10)
 
 
 class TestOffloadAndParallelPaths:

@@ -18,7 +18,9 @@ from repro.core import (
     stage_circuit,
 )
 from repro.ilp import IlpModel, lin_sum, solve_with_branch_and_bound, solve_with_scipy
-from repro.runtime import QubitLayout, execute_plan, permute_state
+from repro.core.kernel import Kernel, KernelSequence, KernelType
+from repro.core.plan import ExecutionPlan, QubitPartition, Stage
+from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
 from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered
@@ -64,10 +66,11 @@ def circuits(draw, min_qubits=3, max_qubits=6, max_gates=25):
 
 
 #: Generic angles plus the degenerate ones where a rotation's matrix gains
-#: exact zeros and changes class (rx(0) is diagonal, ry(pi) a permutation).
+#: exact zeros and changes class (rx(0) is diagonal, ry(pi) a permutation),
+#: or does so only within the structural key's 1e-12 tolerance (1e-13).
 _ANGLES = st.one_of(
     st.floats(0.01, 6.28, allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, np.pi / 2, np.pi, 2 * np.pi]),
+    st.sampled_from([0.0, np.pi / 2, np.pi, 2 * np.pi, 1e-13]),
 )
 
 
@@ -184,6 +187,88 @@ class TestLoweringProperties:
         assert np.abs(lowered - per_gate).max() <= 1e-12
         oracle = simulate_reference(Circuit(n, [g.remap(l2p) for g in gates]), init)
         assert oracle.allclose(StateVector(n, lowered))
+
+
+# ---------------------------------------------------------------------------
+# Program rebinds: numeric fill over a cached structure
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rebind_cases(draw):
+    """``(n, base gates, rebound gates, partition sets, chunks)``: a gate
+    sequence over every library gate in a random layout, cut into kernels
+    of alternating type, and the same sequence with every angle redrawn —
+    generic or degenerate, so some rebinds keep the structure and some
+    cannot."""
+    n, gates, layout = draw(laid_out_gate_sequences(max_qubits=6, max_gates=24))
+    rebound = [
+        make_gate(g.name, g.qubits, [draw(_ANGLES) for _ in g.params]) for g in gates
+    ]
+    order = sorted(range(n), key=layout.get)
+    cut_a, cut_b = sorted((draw(st.integers(1, n)), draw(st.integers(1, n))))
+    sets = (order[:cut_a], order[cut_a:cut_b], order[cut_b:])
+    chunks, start = [], 0
+    while start < len(gates):
+        size = draw(st.integers(1, 8))
+        chunks.append((start, min(start + size, len(gates))))
+        start += size
+    return n, gates, rebound, sets, chunks, draw(st.booleans())
+
+
+def _chunked_plan(n, gates, sets, chunks, kernelized):
+    kernels = None
+    if kernelized:
+        kernels = KernelSequence([
+            Kernel(
+                gates=tuple(gates[a:b]),
+                qubits=tuple(sorted({q for g in gates[a:b] for q in g.qubits})),
+                kernel_type=KernelType.FUSION if i % 2 else KernelType.SHM,
+                cost=1.0, gate_indices=tuple(range(a, b)),
+            )
+            for i, (a, b) in enumerate(chunks)
+        ])
+    stage = Stage(
+        # Built directly: from_sets would sort each set and lose the layout.
+        gates=list(gates), partition=QubitPartition(*map(tuple, sets)),
+        gate_indices=list(range(len(gates))), kernels=kernels,
+    )
+    return ExecutionPlan(num_qubits=n, stages=[stage])
+
+
+class TestRebindProperties:
+    @given(rebind_cases(), st.integers(0, 999))
+    @settings(**SETTINGS)
+    def test_rebind_equals_cold_compile_and_interpreter(self, case, seed):
+        """Whatever the angles do to the structure, ``compile_plan(rebound,
+        reuse=base)`` is ``compile_plan(rebound)``: op for op, bit for bit
+        single and batched, and bit for bit the interpreter — and it leaves
+        the base program computing what it computed."""
+        n, gates, rebound_gates, sets, chunks, kernelized = case
+        base_plan = _chunked_plan(n, gates, sets, chunks, kernelized)
+        plan = _chunked_plan(n, rebound_gates, sets, chunks, kernelized)
+        base = compile_plan(base_plan, check_locality=False)
+        init = StateVector.random_state(n, seed=seed)
+        base_before = base.run(init).data.copy()
+        warm = compile_plan(plan, check_locality=False, reuse=base)
+        cold = compile_plan(plan, check_locality=False)
+        assert [(op.kind, op.qubits, op.gates) for op in warm.ops] == [
+            (op.kind, op.qubits, op.gates) for op in cold.ops
+        ]
+        want = cold.run(init).data
+        assert np.array_equal(warm.run(init).data, want)
+        states = [init, StateVector.random_state(n, seed=seed + 1)]
+        for got, ref in zip(warm.run_batched(states), cold.run_batched(states)):
+            assert np.array_equal(got.data, ref.data)
+        interpreted, _ = execute_plan(plan, init, check_locality=False, compiled=False)
+        assert np.array_equal(interpreted.data, want)
+        assert simulate_reference(Circuit(n, rebound_gates), init).allclose(
+            StateVector(n, want)
+        )
+        assert np.array_equal(base.run(init).data, base_before)
+        # Rebinding the rebound program onto the base's angles closes the loop.
+        back = compile_plan(base_plan, check_locality=False, reuse=warm)
+        assert np.array_equal(back.run(init).data, base_before)
 
 
 # ---------------------------------------------------------------------------

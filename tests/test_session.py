@@ -74,6 +74,65 @@ class TestStructuralKey:
     def test_qubit_count_matters(self):
         assert Circuit(3).h(0).structural_key() != Circuit(4).h(0).structural_key()
 
+    #: Digests recorded at the commit before the key was reworked (patterns
+    #: cached per gate, pre-encoded name/qubit bytes): ``SharedPlanStore``
+    #: persists these, so they may never change.  Per library family at 7
+    #: qubits the template's key; ``GOLDEN_ALL`` is the blake2b of, per
+    #: family in name order, the keys of the template, of every angle set
+    #: to generic / 0 / pi/2 / pi / 2 pi / 1e-13, and the canonical key of
+    #: the qubit-reversed template.
+    GOLDEN_TEMPLATES = {
+        "ae": "fd3b77d9bcc4440f31b146c503210f8c",
+        "dj": "d26f0e68a2e7347ad70594a390da90e5",
+        "ghz": "666e1148b2e0dd128a212b629c6e11ec",
+        "graphstate": "d427ef03287de96fcfa9a06fcbea525f",
+        "hhl": "5e302062f66ceee89d0574ef9d349a11",
+        "ising": "e15e117764c96d77847936749ed4b9cd",
+        "qft": "28c4a0ea58eb09060a758b92a5e2941b",
+        "qpeexact": "0d0bb967c42a818f45c1d06a6e3c8f42",
+        "qsvm": "b4fe781de87f9737604895fef72d4848",
+        "su2random": "1603b4cb0fc085e5a7faf1f212c59373",
+        "vqc": "cf5fdce16b38b3e175867bc410ce9804",
+        "wstate": "27ff0e292e3440e2ba46f34452084a75",
+    }
+    GOLDEN_ALL = "9fa31438ef799cc2668a0eae6e3281d7"
+
+    def test_digests_are_byte_identical_to_the_recorded_ones(self):
+        import hashlib
+
+        from repro.circuits import make_gate
+        from repro.circuits.library import CIRCUIT_FAMILIES
+
+        assert sorted(CIRCUIT_FAMILIES) == sorted(self.GOLDEN_TEMPLATES)
+        angles = [None, 0.3, 0.0, np.pi / 2, np.pi, 2 * np.pi, 1e-13]
+        keys = []
+        for family in sorted(CIRCUIT_FAMILIES):
+            template = CIRCUIT_FAMILIES[family](7)
+            assert template.structural_key() == self.GOLDEN_TEMPLATES[family], family
+            for angle in angles:
+                circuit = template if angle is None else Circuit(7, [
+                    make_gate(g.name, g.qubits, [angle] * len(g.params))
+                    for g in template.gates
+                ])
+                keys.append(circuit.structural_key())
+                # Hashing again reads the per-gate pattern cache.
+                assert circuit.structural_key() == keys[-1]
+            reverse = {q: 6 - q for q in range(7)}
+            keys.append(template.remap_qubits(reverse).canonical_structural_key()[0])
+        digest = hashlib.blake2b("".join(keys).encode(), digest_size=16).hexdigest()
+        assert digest == self.GOLDEN_ALL, keys
+
+    def test_tolerance_and_exact_patterns_are_kept_apart(self):
+        """The key's ``> 1e-12`` pattern and the rebind guard's exact one
+        come from one per-gate cache and must not be confused: rx(1e-13)
+        keys like rx(0) but carries rx's own exact signature."""
+        from repro.circuits import make_gate
+
+        tiny, zero, generic = (make_gate("rx", [0], [t]) for t in (1e-13, 0.0, 0.3))
+        assert tiny.pattern()[0] == zero.pattern()[0] != generic.pattern()[0]
+        assert tiny.pattern()[1] == generic.pattern()[1] != zero.pattern()[1]
+        assert make_gate("h", [0]).pattern() == (b"", b"")
+
 
 # ---------------------------------------------------------------------------
 # Plan cache + rebind

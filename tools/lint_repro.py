@@ -38,11 +38,13 @@ Five rules, each enforcing an invariant the execution layer depends on
 ``one-kernel-lowering``
     Under ``sim/`` and ``runtime/``, a loop over gates that calls
     ``<gate>.matrix()`` — iterating a kernel's or group's gates to apply
-    them — exists only inside the two kernel lowerings,
-    ``sim/fusion.py::lower_kernel_gates`` (shared-memory kernels) and
-    ``fused_unitary`` (fusion kernels); the dynamic per-shard path
-    ``_gate_on_shard`` resolves one gate per call and is the only other
-    place a gate matrix is applied.  A second such loop is a
+    them — exists only inside the two kernel lowerings of
+    ``sim/fusion.py``, each a structure builder plus its numeric fill:
+    ``kernel_lowering`` / ``fill_lowered_item`` behind
+    ``lower_kernel_gates`` (shared-memory kernels) and ``kernel_fusion`` /
+    ``fill_fused_unitary`` behind ``fused_unitary`` (fusion kernels); the
+    dynamic per-shard path ``_gate_on_shard`` resolves one gate per call
+    and is the only other place a gate matrix is applied.  A second such loop is a
     gate-at-a-time executor growing back beside the lowering every
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
@@ -98,7 +100,13 @@ STAGE_GUARDS = (
 
 KERNEL_LOWERING_SCOPE = ("sim/", "runtime/")
 KERNEL_LOWERING_HOME = "sim/fusion.py"
-KERNEL_LOWERING_SITES = ("lower_kernel_gates", "fused_unitary", "_gate_on_shard")
+#: The shared-memory lowering (its public entry point and the structure
+#: builder it delegates the gate loop to), and every other licensed site.
+SHM_LOWERING_SITES = ("lower_kernel_gates", "kernel_lowering")
+KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
+    "fill_lowered_item", "fused_unitary", "kernel_fusion", "fill_fused_unitary",
+    "_gate_on_shard",
+)
 
 
 class Finding:
@@ -209,7 +217,9 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
                 ):
                     continue
                 if any(name in KERNEL_LOWERING_SITES for name in stack):
-                    lowering_seen = lowering_seen or "lower_kernel_gates" in stack
+                    lowering_seen = lowering_seen or any(
+                        name in SHM_LOWERING_SITES for name in stack
+                    )
                     continue
                 where = _enclosing(stack)
                 findings.append(
