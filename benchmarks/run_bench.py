@@ -101,7 +101,7 @@ from repro import Session, simulate
 from repro.circuits import Circuit, make_gate
 from repro.circuits.library import ghz, graphstate, ising, qft, qsvm, su2random, vqc, wstate
 from repro.core.kernel import KernelType
-from repro.planner import PassManager, resolve_planner
+from repro.planner import PassManager, legacy_pipeline, resolve_planner
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.runtime import (
@@ -426,7 +426,9 @@ def run_session_bench(
     ]
     cold_seconds = time.perf_counter() - start
 
-    with Session(machine, backend="incore", kernelize_config=config) as session:
+    with Session(
+        machine, backend="incore", planner=legacy_pipeline(kernelize_config=config)
+    ) as session:
         start = time.perf_counter()
         job = session.run(circuits)
         warm_seconds = time.perf_counter() - start

@@ -1,15 +1,21 @@
-"""Setuptools entry point.
+"""Setuptools entry point — the project's only packaging metadata.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-legacy editable installs (``pip install -e .`` without the wheel package)
-work in offline environments.
+The version is read from ``src/repro/__init__.py`` (``__version__``), the
+single place it is written; the package itself is not imported, so
+``pip install -e .`` works before the dependencies are installed.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.M).group(1)
+
 setup(
     name="repro",
-    version="1.5.0",
+    version=VERSION,
     description=(
         "Atlas reproduction: hierarchical partitioning for quantum circuit "
         "simulation (SC 2024)"

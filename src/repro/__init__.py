@@ -78,6 +78,7 @@ from .core import (
     partition,
 )
 from .planner import PassManager, available_presets, build_plan, register_preset
+from .planner import legacy_pipeline  # simulate()'s keyword knobs; not re-exported
 from .runtime import (
     CheckpointConfig,
     FaultInjector,
@@ -214,26 +215,20 @@ def simulate(
         Optional starting state (default |0…0>).
     planner:
         Planning pipeline preset name or :class:`PassManager`; when given
-        it replaces the legacy knobs below (see :mod:`repro.planner`).
+        it replaces the knobs below (see :mod:`repro.planner`).
     stager, kernelizer, kernelize_config:
-        Legacy partitioning strategy knobs (see :func:`repro.core.partition`).
+        The seed planner's strategy knobs (see :func:`repro.core.partition`),
+        turned into a pipeline by :func:`repro.planner.legacy_pipeline`.
     execute:
         When False, skip the functional state-vector execution (useful for
         circuits too large to materialise) and return ``state=None``.
     """
-    if planner is not None:
-        session_kwargs = dict(planner=planner)
-    else:
-        session_kwargs = dict(
-            stager=stager,
-            kernelizer=kernelizer,
-            kernelize_config=kernelize_config,
+    if planner is None:
+        planner = legacy_pipeline(
+            stager=stager, kernelizer=kernelizer, kernelize_config=kernelize_config
         )
     with Session(
-        machine,
-        backend="incore",
-        cost_model=cost_model,
-        **session_kwargs,
+        machine, backend="incore", cost_model=cost_model, planner=planner
     ) as session:
         job = session.run(circuit, initial_state=initial_state, execute=execute)
         result = job.result() if execute else job.modelled()

@@ -26,7 +26,7 @@ from ..core.kernelize import KernelizeConfig, kernelize
 from ..core.ordered_kernelize import ordered_kernelize
 from ..core.stage import stage_circuit
 from ..core.stage_heuristics import snuqs_stage_circuit
-from ..planner import resolve_planner
+from ..planner import legacy_pipeline, resolve_planner
 from ..session import Session
 from .reporting import geometric_mean
 
@@ -58,8 +58,10 @@ def _atlas_session(
     modelled backends — one loop, one plan cache.
     """
     return Session(
-        kernelize_config=KernelizeConfig(pruning_threshold=pruning_threshold),
-        ilp_time_limit=ilp_time_limit,
+        planner=legacy_pipeline(
+            kernelize_config=KernelizeConfig(pruning_threshold=pruning_threshold),
+            ilp_time_limit=ilp_time_limit,
+        )
     )
 
 
@@ -449,7 +451,9 @@ def session_amortization(
     ]
     cold_seconds = time.perf_counter() - t0
 
-    with Session(machine, backend=backend, kernelize_config=config) as session:
+    with Session(
+        machine, backend=backend, planner=legacy_pipeline(kernelize_config=config)
+    ) as session:
         t0 = time.perf_counter()
         job = session.run(circuits)
         warm_seconds = time.perf_counter() - t0

@@ -12,9 +12,9 @@ ever proved the property.
 
 :func:`verify_schedule` proves it statically: it replays the layout walk
 and the stage segmentation exactly as the runtimes do, computes every
-shard's output index symbolically (mirroring
-:func:`repro.runtime.offload._gate_on_shard`'s index arithmetic — control
-gating and anti-diagonal flips — without touching any amplitude data), and
+shard's output index symbolically (from the executors' own non-local axis
+table and :func:`repro.runtime.offload.shard_out_index` — control gating
+and anti-diagonal flips — without touching any amplitude data), and
 checks (1) the worker assignment covers every shard exactly once and stays
 in bounds, (2) the relabel map of every relabelling segment is a
 bijection, (3) segments flagged non-relabelling really have the identity
@@ -54,12 +54,14 @@ def shard_write_map(
     """The output index of every shard after applying *gates*, computed
     symbolically.
 
-    Mirrors :func:`repro.runtime.offload._gate_on_shard` index for index:
-    a gate whose non-local control bit is 0 on a shard leaves that shard's
-    index untouched (including any flips an earlier axis of the same gate
-    would have applied); an anti-diagonal non-local axis flips the
-    corresponding index bit; the index threads through the gate sequence so
-    later gates read the relabelled bits.  The map is computed from the
+    Index for index what :func:`repro.runtime.offload._gate_on_shard`
+    returns, because both read one axis table
+    (:func:`~repro.runtime.offload.nonlocal_axes`) through one rule
+    (:func:`~repro.runtime.offload.shard_out_index`): a gate whose
+    non-local control bit is 0 on a shard leaves that shard's index
+    untouched; an anti-diagonal non-local axis flips the corresponding
+    index bit; the index threads through the gate sequence so later gates
+    read the relabelled bits.  The map is computed from the
     segment's gates, not from the ops they lower to: the executors fold
     only runs of gates on local positions
     (:func:`repro.runtime.offload.compile_segment_ops`), a folded block's
@@ -70,42 +72,25 @@ def shard_write_map(
     a non-local axis (unresolvable per shard — a planner invariant
     violation).
     """
-    from ..runtime.offload import _axis_kind
+    from ..runtime.offload import nonlocal_axes, shard_out_index
 
+    tables = [nonlocal_axes(gate, logical_to_physical, local_qubits) for gate in gates]
+    mixing: dict[str, str] = {}
+    for gate, axes in zip(gates, tables):
+        for q, _shift, kind in axes:
+            if kind == "mixing":
+                mixing.setdefault(
+                    f"{gate}",
+                    f"gate {gate} mixes amplitudes along non-local qubit {q}",
+                )
+    moving = [axes for axes in tables if axes]  # all-local gates move no shard
     write_map: list[int] = []
-    mixing: list[str] = []
-    mixing_seen: set[str] = set()
     for shard_index in range(num_shards):
         index = shard_index
-        for gate in gates:
-            control_set = set(gate.control_qubits)
-            out_index = index
-            skipped = False
-            for pos, q in enumerate(gate.qubits):
-                p = logical_to_physical[q]
-                if p < local_qubits:
-                    continue
-                bit = (index >> (p - local_qubits)) & 1
-                if q in control_set:
-                    if bit == 0:
-                        skipped = True
-                        break
-                    continue
-                kind = _axis_kind(gate, pos)
-                if kind == "antidiagonal":
-                    out_index ^= 1 << (p - local_qubits)
-                elif kind == "mixing":
-                    desc = f"{gate}"
-                    if desc not in mixing_seen:
-                        mixing_seen.add(desc)
-                        mixing.append(
-                            f"gate {gate} mixes amplitudes along non-local "
-                            f"qubit {q}"
-                        )
-            if not skipped:
-                index = out_index
+        for axes in moving:
+            index = shard_out_index(axes, index)
         write_map.append(index)
-    return write_map, mixing
+    return write_map, list(mixing.values())
 
 
 def _segment_gates(groups: "list[tuple[list[Gate], str]]") -> "list[Gate]":

@@ -5,7 +5,7 @@ from .greedy_kernelize import greedy_kernelize
 from .kernel import Kernel, KernelSequence, KernelType
 from .kernelize import KernelizeConfig, kernelize
 from .ordered_kernelize import ordered_kernelize
-from .partitioner import KERNELIZERS, STAGERS, PartitionReport, partition
+from .partitioner import PartitionReport, partition
 from .plan import ExecutionPlan, QubitPartition, Stage
 from .stage import StagingResult, build_staging_ilp, solve_staging, stage_circuit
 from .stage_heuristics import greedy_stage_circuit, snuqs_stage_circuit
@@ -30,6 +30,4 @@ __all__ = [
     "greedy_stage_circuit",
     "partition",
     "PartitionReport",
-    "KERNELIZERS",
-    "STAGERS",
 ]

@@ -6,17 +6,15 @@ the circuit (ILP, Section IV) and then kernelizes every stage's subcircuit
 the executors in :mod:`repro.runtime` can run and the performance model can
 time.
 
-Since the planning pipeline refactor the function is a thin compatibility
-wrapper over :mod:`repro.planner`: the legacy knobs (``stager=``,
-``kernelizer=``, ``kernelize_config=``) map onto a fixed
-:class:`~repro.planner.PassManager` pipeline via
-:func:`repro.planner.legacy_pipeline`.  New code should prefer
-:func:`repro.planner.build_plan` (or ``Session(planner=...)``), which adds
-named presets, per-pass telemetry, refinement, and time budgets.
-
-The module-level :data:`KERNELIZERS` / :data:`STAGERS` dictionaries are the
-historical registries of the raw strategy functions, kept for backward
-compatibility; the pipeline's extensible registries live in
+The function is a thin wrapper over :mod:`repro.planner`: its knobs
+(``stager=``, ``kernelizer=``, ``kernelize_config=``) name a fixed
+:class:`~repro.planner.PassManager` pipeline built by
+:func:`repro.planner.legacy_pipeline`.  With :func:`repro.simulate` it is
+the keyword-style entry point — the seed-output fixture and the paper's
+stager × kernelizer ablation axes; everything else
+(:func:`repro.planner.build_plan`, ``Session(planner=...)``) takes a preset
+name or a pipeline, which adds per-pass telemetry, refinement and time
+budgets.  The strategy functions the knobs name are registered in
 :data:`repro.planner.KERNELIZERS` / :data:`repro.planner.STAGERS`.
 """
 
@@ -27,34 +25,10 @@ from dataclasses import dataclass, field
 from ..circuits.circuit import Circuit
 from ..cluster.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..cluster.machine import MachineConfig
-from .greedy_kernelize import greedy_kernelize
-from .kernelize import KernelizeConfig, kernelize
-from .ordered_kernelize import ordered_kernelize
+from .kernelize import KernelizeConfig
 from .plan import ExecutionPlan
-from .stage import stage_circuit
-from .stage_heuristics import snuqs_stage_circuit
 
-__all__ = ["partition", "PartitionReport", "KERNELIZERS", "STAGERS"]
-
-#: Historical registry of the raw kernelization functions, keyed by the
-#: names used in the paper's figures ("atlas" = KERNELIZE, "atlas-naive" =
-#: ORDERED-KERNELIZE, "greedy" = the 5-qubit packing baseline).  The
-#: pipeline registry (:data:`repro.planner.KERNELIZERS`) additionally
-#: carries "atlas" as the fast bitmask implementation and "atlas-ref" as
-#: this reference one.
-KERNELIZERS = {
-    "atlas": kernelize,
-    "atlas-naive": ordered_kernelize,
-    "greedy": greedy_kernelize,
-}
-
-#: Historical registry of the raw staging functions ("ilp" = Atlas,
-#: "snuqs" = the greedy baseline); see :data:`repro.planner.STAGERS` for
-#: the pipeline registry.
-STAGERS = {
-    "ilp": stage_circuit,
-    "snuqs": snuqs_stage_circuit,
-}
+__all__ = ["partition", "PartitionReport"]
 
 
 @dataclass

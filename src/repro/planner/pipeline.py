@@ -53,34 +53,35 @@ __all__ = [
     "PRESETS",
     "available_presets",
     "build_plan",
+    "freeze_config",
     "legacy_pipeline",
     "register_preset",
     "resolve_planner",
 ]
 
 
-def freeze_options(obj: Any) -> Any:
-    """Recursively convert pass options into a hashable structure.
+def freeze_config(obj: Any) -> Any:
+    """Recursively convert a config or pass-option tree into a hashable one.
 
-    Mirrors :func:`repro.session.cache.freeze_config` (kept separate to
-    avoid a planner -> session import cycle): dataclasses, mappings and
-    sequences become nested tuples; scalars pass through.  Two option trees
-    freeze equal exactly when every field compares equal — the correctness
-    condition for two pipelines sharing a structural plan-cache entry.
+    Dataclasses (frozen or not), mappings and sequences become nested
+    tuples; scalars pass through.  Two trees freeze equal exactly when
+    every field compares equal — the correctness condition for sharing a
+    plan-cache entry, and the one definition of it: behind
+    :meth:`PassManager.signature` and the keys of :mod:`repro.session.cache`.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return (
             type(obj).__name__,
             tuple(
-                (f.name, freeze_options(getattr(obj, f.name)))
+                (f.name, freeze_config(getattr(obj, f.name)))
                 for f in dataclasses.fields(obj)
             ),
         )
     if isinstance(obj, Mapping):
-        return tuple(sorted((k, freeze_options(v)) for k, v in obj.items()))
+        return tuple(sorted((k, freeze_config(v)) for k, v in obj.items()))
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return tuple(freeze_options(v) for v in items)
+        return tuple(freeze_config(v) for v in items)
     return obj
 
 
@@ -128,7 +129,7 @@ class PassManager:
             "pass-manager",
             self.preset,
             self.time_budget,
-            tuple((name, freeze_options(options)) for name, options in self.passes),
+            tuple((name, freeze_config(options)) for name, options in self.passes),
         )
 
     def run(
@@ -342,18 +343,20 @@ def legacy_pipeline(
     ilp_backend: str = "scipy",
     ilp_time_limit: float | None = 120.0,
 ) -> PassManager:
-    """A pipeline replicating the pre-pipeline ``partition(...)`` knobs.
+    """The seed planner's fixed pipeline, by its stager × kernelizer knobs.
 
-    Used by :func:`repro.core.partition` (and by Sessions constructed with
-    the legacy ``stager=`` / ``kernelizer=`` / ``kernelize_config=``
-    keywords) so existing callers keep their exact configuration surface.
-    The staging shortcuts stay on — they are provably lossless — and
-    ``"atlas"`` resolves to the result-identical fast DP, so plans carry
-    the seed planner's stage structure, kernel boundaries and costs
-    exactly.  (One cosmetic freedom remains: on fits-locally machines the
-    single-stage shortcut pads the zero-communication qubit partition with
-    the lowest-index unused qubits, where the ILP would pick arbitrarily
-    among the equally-optimal assignments.)
+    One role: the keyword-style entry points :func:`repro.core.partition`
+    and :func:`repro.simulate` build their pipeline here, which makes it
+    the seed-output fixture (plans carry the seed planner's stage
+    structure, kernel boundaries and costs exactly) and the paper's
+    stager × kernelizer ablation axes.  A :class:`~repro.session.Session`
+    takes the result like any other ``planner=``; it is not a degradation
+    target.  The staging shortcuts stay on — they are provably lossless —
+    and ``"atlas"`` resolves to the result-identical fast DP.  (One
+    cosmetic freedom remains: on fits-locally machines the single-stage
+    shortcut pads the zero-communication qubit partition with the
+    lowest-index unused qubits, where the ILP would pick arbitrarily among
+    the equally-optimal assignments.)
     """
     return PassManager(
         [

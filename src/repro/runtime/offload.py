@@ -177,6 +177,46 @@ def _axis_kind(gate: Gate, pos: int) -> str:
     return "mixing"
 
 
+@lru_cache(maxsize=16384)
+def _axis_table(
+    gate: Gate, physical: tuple[int, ...], local_qubits: int
+) -> tuple[tuple[int, int, str], ...]:
+    """``(qubit, shift, kind)`` for every qubit of *gate* at a non-local
+    *physical* position ``p >= local_qubits``, in ``gate.qubits`` order:
+    bit ``shift = p - local_qubits`` of a shard's index is the qubit's fixed
+    value on that shard, ``kind`` its :func:`_axis_kind`.  The one table the
+    segmentation, the shard executors and the race detector read.
+    """
+    return tuple(
+        (q, p - local_qubits, _axis_kind(gate, pos))
+        for pos, (q, p) in enumerate(zip(gate.qubits, physical))
+        if p >= local_qubits
+    )
+
+
+def nonlocal_axes(
+    gate: Gate, logical_to_physical: dict[int, int], local_qubits: int
+) -> tuple[tuple[int, int, str], ...]:
+    """The :func:`_axis_table` of *gate* under the layout *logical_to_physical*."""
+    return _axis_table(
+        gate, tuple(logical_to_physical[q] for q in gate.qubits), local_qubits
+    )
+
+
+def shard_out_index(axes: tuple[tuple[int, int, str], ...], shard_index: int) -> int:
+    """Where a gate with the non-local *axes* stores shard *shard_index*:
+    every anti-diagonal axis flips its index bit — unless a non-local
+    control bit is 0, which leaves the shard, and its index, untouched."""
+    out_index = shard_index
+    for _q, shift, kind in axes:
+        if kind == "control":
+            if not (shard_index >> shift) & 1:
+                return shard_index
+        elif kind == "antidiagonal":
+            out_index ^= 1 << shift
+    return out_index
+
+
 def _is_cross_shard(gate: Gate, logical_to_physical: dict[int, int], local_qubits: int) -> bool:
     """True when *gate* cannot be resolved shard-locally and must run on the
     full state.
@@ -188,23 +228,10 @@ def _is_cross_shard(gate: Gate, logical_to_physical: dict[int, int], local_qubit
     non-local qubit but not globally diagonal stays on the shard path) are
     all handled within the shard pass by :func:`_gate_on_shard`.
     """
-    for pos, q in enumerate(gate.qubits):
-        if logical_to_physical[q] < local_qubits:
-            continue
-        if _axis_kind(gate, pos) == "mixing":
-            return True
-    return False
-
-
-def _gate_relabels(gate: Gate, logical_to_physical: dict[int, int], local_qubits: int) -> bool:
-    """True when *gate* has an anti-diagonal axis on a non-local qubit (it
-    moves shards to new indices)."""
-    for pos, q in enumerate(gate.qubits):
-        if logical_to_physical[q] < local_qubits:
-            continue
-        if _axis_kind(gate, pos) == "antidiagonal":
-            return True
-    return False
+    return any(
+        kind == "mixing"
+        for _q, _shift, kind in nonlocal_axes(gate, logical_to_physical, local_qubits)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,37 +282,32 @@ def _gate_on_shard(
     untouched; the index changes when an anti-diagonal non-local axis
     relabels the shard (the caller must store the shard at the new index).
     """
-    physical = [logical_to_physical[q] for q in gate.qubits]
-    if all(p < local_qubits for p in physical):
+    physical = tuple(logical_to_physical[q] for q in gate.qubits)
+    axes = _axis_table(gate, physical, local_qubits)
+    if not axes:
         data, scratch = apply_gate_buffered(shard, scratch, gate.matrix(), physical)
         return data, scratch, shard_index
 
     # Some qubits are non-local; resolve each axis from the shard's fixed
     # high-order bits.
-    control_set = set(gate.control_qubits)
     fixed: list[tuple[int, int, int]] = []
-    out_index = shard_index
-    for pos, (q, p) in enumerate(zip(gate.qubits, physical)):
-        if p < local_qubits:
-            continue
-        bit = (shard_index >> (p - local_qubits)) & 1
-        if q in control_set:
+    for q, shift, kind in axes:
+        bit = (shard_index >> shift) & 1
+        if kind == "control":
             if bit == 0:
                 # Unsatisfied non-local control: the shard is untouched.
                 return shard, scratch, shard_index
             fixed.append((q, 1, 1))
-            continue
-        kind = _axis_kind(gate, pos)
-        if kind == "diagonal":
+        elif kind == "diagonal":
             fixed.append((q, bit, bit))
         elif kind == "antidiagonal":
             fixed.append((q, bit, 1 - bit))
-            out_index ^= 1 << (p - local_qubits)
         else:
             raise PlanValidationError(
                 f"gate {gate} mixes amplitudes along non-local qubit {q}; "
                 f"it must be executed on the full state"
             )
+    out_index = shard_out_index(axes, shard_index)
     matrix, reduced_qubits = _reduced_gate(gate, tuple(fixed))
     if not reduced_qubits:
         # Pure phase on this shard (possibly plus a shard relabel).
@@ -455,13 +477,15 @@ def segment_relabels_shards(
     logical_to_physical: dict[int, int],
     local_qubits: int,
 ) -> bool:
-    """True when any gate of a shards-segment relabels shard indices (so
-    stores must target a second DRAM array rather than update in place)."""
-    for gates, _ in groups:
-        for gate in gates:
-            if _gate_relabels(gate, logical_to_physical, local_qubits):
-                return True
-    return False
+    """True when any gate of a shards-segment relabels shard indices — has
+    an anti-diagonal axis on a non-local qubit — so stores must target a
+    second DRAM array rather than update in place."""
+    return any(
+        kind == "antidiagonal"
+        for gates, _ in groups
+        for gate in gates
+        for _q, _shift, kind in nonlocal_axes(gate, logical_to_physical, local_qubits)
+    )
 
 
 def group_uses_fusion(

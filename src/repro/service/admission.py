@@ -14,9 +14,10 @@ the reason at the call site, never as a deferred failure:
   more circuits than a single job may carry.
 
 The memory check reuses the session's own cost model
-(:meth:`~repro.session.Session.modelled_device_bytes`): a job is admitted
-if *any* backend in the session's degradation chain can hold it, mirroring
-exactly the fallback the session will perform at execution time.
+(:meth:`~repro.session.Session.modelled_device_bytes`) and its own
+degradation chain (:meth:`~repro.session.Session.backend_chain`): a job is
+admitted if *any* backend in the chain can hold it — the fallback the
+session will perform at execution time.
 """
 
 from __future__ import annotations
@@ -144,18 +145,12 @@ class AdmissionController:
         session = self._session
         budget = self.policy.memory_budget_bytes
         for circuit in circuits:
-            fits = None
-            for backend in ("incore", "offload", "parallel"):
-                try:
-                    bytes_needed = session.modelled_device_bytes(
-                        backend, session.machine, circuit.num_qubits
-                    )
-                except Exception:
-                    continue
-                if bytes_needed <= budget:
-                    fits = backend
-                    break
-            if fits is None:
+            if not any(
+                session.modelled_device_bytes(
+                    backend, session.machine, circuit.num_qubits
+                ) <= budget
+                for backend in session.backend_chain()
+            ):
                 raise AdmissionError(
                     f"circuit {circuit.name!r} ({circuit.num_qubits} qubits) "
                     f"exceeds the service memory budget of {budget} bytes on "

@@ -116,7 +116,7 @@ class SharedPlanStore:
             self._load_all()
 
     # ------------------------------------------------------------------
-    # Store protocol consumed by Session._bind_shared_plan
+    # Store protocol consumed by Session._lookup
     # ------------------------------------------------------------------
 
     def get(self, key: object) -> "dict | None":

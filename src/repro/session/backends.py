@@ -90,10 +90,10 @@ class ExecutionBackend:
     #: leave this off.
     uses_programs: bool = False
 
-    #: Whether the backend understands the durability kwargs
+    #: Whether :meth:`run_plan` takes the durability kwargs
     #: (``checkpoint=`` / ``resume_from=`` / ``monitor=``).  Only the shard
-    #: executors snapshot stage boundaries; the Session silently skips the
-    #: plumbing for backends without it.
+    #: executors have stage boundaries to snapshot; :meth:`run_batch`
+    #: drops the three for the backends without.
     supports_checkpoints: bool = False
 
     def run_plan(
@@ -121,45 +121,43 @@ class ExecutionBackend:
         self,
         items: Sequence[tuple[ExecutionPlan, StateVector | None, Circuit | None]],
         machine: MachineConfig,
-        schedule_keys: Sequence[str | None] | None = None,
-        programs: Sequence | None = None,
-        deadline: Deadline | None = None,
-        checkpoint=None,
-        resume_from=None,
-        monitor=None,
+        *,
+        schedule_keys: Sequence[str | None],
+        programs: Sequence,
+        deadline: Deadline,
+        checkpoint,
+        resume_from,
+        monitor,
     ) -> list[tuple[StateVector, object]]:
         """Execute many ``(plan, initial_state, circuit)`` problems in order.
 
-        The default runs them back to back through :meth:`run_plan`;
-        backends with shared runtime state (worker pools, buffers,
-        segmentation caches, compiled programs) override this to amortise
-        it.  ``program=`` / ``deadline=`` / the durability kwargs are only
-        forwarded when present, so third-party backends with older
-        :meth:`run_plan` signatures keep working.
+        The one batch signature: the Session passes every keyword on every
+        call (``programs[i]`` is ``None`` where nothing was compiled, an
+        unbounded ``deadline`` never expires), and an override takes them
+        all — a backend without stage boundaries ignores ``checkpoint`` /
+        ``resume_from`` / ``monitor``.  The default runs the items back to
+        back through :meth:`run_plan`; backends with shared runtime state
+        (worker pools, buffers, segmentation caches, compiled programs)
+        override it to amortise that state.
         """
-        keys = schedule_keys if schedule_keys is not None else [None] * len(items)
-        progs = programs if programs is not None else [None] * len(items)
-        durable = self.supports_checkpoints and (
-            checkpoint is not None or resume_from is not None
-            or monitor is not None
-        )
         out = []
         for i, ((plan, state, circuit), key, program) in enumerate(
-            zip(items, keys, progs)
+            zip(items, schedule_keys, programs)
         ):
-            if deadline is not None:
-                deadline.check("batch item")
-            kwargs = dict(initial_state=state, circuit=circuit, schedule_key=key)
-            if program is not None:
-                kwargs["program"] = program
-            if deadline is not None:
-                kwargs["deadline"] = deadline
-            if durable:
-                kwargs.update(
+            deadline.check("batch item")
+            durable = {}
+            if self.supports_checkpoints:
+                durable = dict(
                     checkpoint=CheckpointConfig.for_item(checkpoint, i, len(items)),
                     resume_from=resume_from, monitor=monitor,
                 )
-            out.append(self.run_plan(plan, machine, **kwargs))
+            out.append(
+                self.run_plan(
+                    plan, machine, initial_state=state, circuit=circuit,
+                    schedule_key=key, program=program, deadline=deadline,
+                    **durable,
+                )
+            )
         return out
 
     def recovery_counters(self) -> dict:
@@ -186,7 +184,7 @@ class ExecutionBackend:
         """Adapter hook: the backend's own planner identity, or ``None``.
 
         ``None`` (all the Atlas-pipeline backends) means the Session's
-        stager/kernelizer configuration keys the plan cache; a backend with
+        pipeline signature and cost model key the plan cache; a backend with
         its own partitioner (the modelled baselines) returns a stable tuple
         instead, so its plans are cached separately.
         """
@@ -264,16 +262,11 @@ class InCoreBackend(ExecutionBackend):
                 plan, initial_state=initial_state, machine=machine, compiled=False
             )
 
-    def run_batch(self, items, machine, schedule_keys=None, programs=None, deadline=None):
-        if programs is None:
-            return super().run_batch(
-                items, machine, schedule_keys=schedule_keys, deadline=deadline
-            )
+    def run_batch(self, items, machine, *, schedule_keys, programs, deadline, checkpoint, resume_from, monitor):
         results: list[tuple[StateVector, object] | None] = [None] * len(items)
         index = 0
         while index < len(items):
-            if deadline is not None:
-                deadline.check("batch item")
+            deadline.check("batch item")
             program = programs[index]
             span = index + 1
             while program is not None and span < len(items) and programs[span] is program:
@@ -359,7 +352,7 @@ class ParallelBackend(ExecutionBackend):
             checkpoint=checkpoint, resume_from=resume_from, monitor=monitor,
         )
 
-    def run_batch(self, items, machine, schedule_keys=None, programs=None, deadline=None, checkpoint=None, resume_from=None, monitor=None):
+    def run_batch(self, items, machine, *, schedule_keys, programs, deadline, checkpoint, resume_from, monitor):
         runtime = self.runtime_for(machine)
         pairs = [(plan, state) for plan, state, _circuit in items]
         return runtime.run_batch(

@@ -35,10 +35,9 @@ The cache is an LRU over a bounded number of structures and is owned by a
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from ..circuits.circuit import Circuit
@@ -46,6 +45,7 @@ from ..core.kernel import Kernel, KernelSequence, KernelType
 from ..core.partitioner import PartitionReport
 from ..core.plan import ExecutionPlan, QubitPartition, Stage
 from ..errors import CacheCorruptionError, PlanValidationError
+from ..planner.pipeline import freeze_config
 
 __all__ = [
     "CacheStats",
@@ -62,35 +62,12 @@ __all__ = [
 ]
 
 
-def freeze_config(obj) -> object:
-    """Recursively convert *obj* into a hashable structure for cache keys.
-
-    Handles dataclasses (frozen or not), mappings, and sequences; scalars
-    pass through.  Two configs freeze equal exactly when every field
-    compares equal, which is the correctness condition for sharing a plan.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            type(obj).__name__,
-            tuple(
-                (f.name, freeze_config(getattr(obj, f.name)))
-                for f in dataclasses.fields(obj)
-            ),
-        )
-    if isinstance(obj, Mapping):
-        return tuple(sorted((k, freeze_config(v)) for k, v in obj.items()))
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return tuple(freeze_config(v) for v in items)
-    return obj
-
-
 def plan_cache_key(circuit: Circuit, machine, planner_key: object) -> tuple:
     """The full cache key for planning *circuit* on *machine*.
 
     ``planner_key`` identifies everything else that influences the plan:
-    the stager/kernelizer names and configs for the Atlas pipeline, or the
-    baseline simulator identity for modelled baseline backends.
+    the full pipeline signature and the cost model for the Atlas pipeline,
+    or the baseline simulator identity for modelled baseline backends.
     """
     return (circuit.structural_key(), freeze_config(machine), planner_key)
 
@@ -157,13 +134,10 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "corruptions": self.corruptions,
-            "hit_rate": self.hit_rate,
-        }
+        """Every field by name plus the derived ``hit_rate``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["hit_rate"] = self.hit_rate
+        return out
 
 
 class PlanCache:

@@ -35,14 +35,14 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..cluster.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..cluster.machine import MachineConfig
-from ..core.kernelize import KernelizeConfig
 from ..core.partitioner import PartitionReport
 from ..core.plan import ExecutionPlan
 from ..errors import (
@@ -57,7 +57,7 @@ from ..errors import (
     StateValidationError,
     TransientError,
 )
-from ..planner.pipeline import PassManager, legacy_pipeline, resolve_planner
+from ..planner.pipeline import PassManager, resolve_planner
 from ..runtime import faults as _faults
 from ..runtime.compile import compile_plan
 from ..runtime.faults import FaultInjector
@@ -84,10 +84,6 @@ from .cache import (
 from .result import Job, Result, normalize_observable
 
 __all__ = ["Session", "SessionStats"]
-
-#: Sentinel distinguishing "knob not passed" from an explicit ``None``
-#: (``ilp_time_limit=None`` means an unlimited per-solve budget).
-_UNSET = object()
 
 
 @dataclass
@@ -168,48 +164,47 @@ class SessionStats:
     exec_lock_wait_seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "circuits_run": self.circuits_run,
-            "plans_built": self.plans_built,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": (
-                self.cache_hits / (self.cache_hits + self.cache_misses)
-                if (self.cache_hits + self.cache_misses)
-                else 0.0
-            ),
-            "shared_cache_hits": self.shared_cache_hits,
-            "shared_cache_misses": self.shared_cache_misses,
-            "backend_runs": dict(self.backend_runs),
-            "plan_seconds": self.plan_seconds,
-            "planning_pass_seconds": dict(self.planning_pass_seconds),
-            "planning_passes_skipped": dict(self.planning_passes_skipped),
-            "execute_seconds": self.execute_seconds,
-            "schedule_cache_hits": self.schedule_cache_hits,
-            "schedule_cache_misses": self.schedule_cache_misses,
-            "programs_compiled": self.programs_compiled,
-            "programs_rebound": self.programs_rebound,
-            "program_ops_reused": self.program_ops_reused,
-            "program_ops_rebound": self.program_ops_rebound,
-            "program_rebind_fallbacks": self.program_rebind_fallbacks,
-            "program_rebind_seconds": self.program_rebind_seconds,
-            "fusion_cache_hits": self.fusion_cache_hits,
-            "fusion_cache_misses": self.fusion_cache_misses,
-            "fusion_cache_evictions": self.fusion_cache_evictions,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
-            "quarantined_workers": self.quarantined_workers,
-            "faults_injected": self.faults_injected,
-            "cache_corruptions": self.cache_corruptions,
-            "static_checks": self.static_checks,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_errors": self.checkpoint_errors,
-            "integrity_checks": self.integrity_checks,
-            "max_norm_drift": self.max_norm_drift,
-            "exec_lock_acquisitions": self.exec_lock_acquisitions,
-            "exec_lock_wait_seconds": self.exec_lock_wait_seconds,
-        }
+        """Every field by name (dict-valued ones copied) plus the derived
+        ``cache_hit_rate``."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = dict(value) if isinstance(value, dict) else value
+        lookups = self.cache_hits + self.cache_misses
+        out["cache_hit_rate"] = self.cache_hits / lookups if lookups else 0.0
+        return out
+
+
+class _Request(NamedTuple):
+    """A :meth:`Session.run` call, validated and in batch form."""
+
+    #: One circuit and one (validated) initial state per job item.
+    circuits: list
+    states: list
+    machine: MachineConfig
+    #: The backend asked for, resolved (``"auto"`` applied) but not yet admitted.
+    backend_name: str
+    shots: int | None
+    observable_keys: list
+    rng: np.random.Generator
+    deadline: Deadline
+    execute: bool
+    planner: "str | PassManager | None"
+    checkpoint: object
+    resume_from: object
+
+
+class _Item(NamedTuple):
+    """One job item, planned: its inputs and what :meth:`Session.plan_for`
+    returned for the circuit."""
+
+    circuit: Circuit
+    state: StateVector | None
+    plan: ExecutionPlan
+    report: PartitionReport | None
+    cache_hit: bool
+    schedule_key: str
+    program: CompiledProgram | None
 
 
 class Session:
@@ -230,15 +225,13 @@ class Session:
         ``"quality"`` or anything registered with
         :func:`repro.planner.register_preset`), a
         :class:`repro.planner.PassManager`, or ``None`` for the default
-        (``"balanced"``; per-:meth:`run` override available).  The full
-        pipeline configuration is part of the plan-cache key, so plans
-        produced by different pipelines never alias each other.
+        (``"balanced"``; per-:meth:`run` override available).  This is the
+        only planning knob: the seed planner's stager × kernelizer axes
+        are a ``PassManager`` like any other.  The full pipeline
+        configuration is part of the plan-cache key, so plans produced by
+        different pipelines never alias each other.
     cost_model:
         Kernel cost model; part of the plan-cache key.
-    stager, kernelizer, kernelize_config, ilp_time_limit:
-        Legacy planning knobs (see :func:`repro.core.partition`), mapped
-        onto a fixed pipeline via :func:`repro.planner.legacy_pipeline`.
-        Mutually exclusive with ``planner``.
     seed:
         Seed of the session RNG used for measurement sampling.  Repeated
         ``run(shots=...)`` calls draw *independent* samples from this one
@@ -304,10 +297,6 @@ class Session:
         backend: str = "auto",
         cost_model: CostModel = DEFAULT_COST_MODEL,
         planner: "str | PassManager | None" = None,
-        stager: str | None = None,
-        kernelizer: str | None = None,
-        kernelize_config: KernelizeConfig | None = None,
-        ilp_time_limit: "float | None | object" = _UNSET,
         seed: int = 0,
         cache_size: int = 128,
         retry: RetryPolicy | None = None,
@@ -330,31 +319,7 @@ class Session:
         self.machine = machine
         self.backend = backend
         self.cost_model = cost_model
-        legacy_given = (
-            stager is not None
-            or kernelizer is not None
-            or kernelize_config is not None
-            or ilp_time_limit is not _UNSET
-        )
-        if legacy_given:
-            if planner is not None:
-                raise ValueError(  # lint: config-error
-                    "pass planner=... or the legacy stager/kernelizer/"
-                    "kernelize_config/ilp_time_limit knobs, not both"
-                )
-            self.planner = legacy_pipeline(
-                stager=stager if stager is not None else "ilp",
-                kernelizer=kernelizer if kernelizer is not None else "atlas",
-                kernelize_config=kernelize_config,
-                # An explicit None keeps its historical meaning: no
-                # per-solve time limit.
-                ilp_time_limit=(
-                    120.0 if ilp_time_limit is _UNSET else ilp_time_limit
-                ),
-            )
-        else:
-            self.planner = resolve_planner(planner)
-        self.kernelize_config = kernelize_config
+        self.planner = resolve_planner(planner)
         self.cache = PlanCache(maxsize=cache_size)
         self.stats = SessionStats()
         self.retry = retry
@@ -446,43 +411,45 @@ class Session:
     # Robustness helpers: admission, degradation chain, recovery totals
     # ------------------------------------------------------------------
 
-    #: Ordered degradation chain: each backend's smaller-working-set
-    #: successor.  ``incore`` holds the full state in device memory;
-    #: ``offload`` streams one shard's buffers; ``parallel`` streams one
-    #: shard-buffer set per worker but recovers transient faults in flight.
-    _BACKEND_CHAIN = {"incore": "offload", "offload": "parallel"}
+    #: Ordered degradation chain, each backend followed by its
+    #: smaller-working-set successor.  ``incore`` holds the full state in
+    #: device memory; ``offload`` streams one shard's buffers; ``parallel``
+    #: streams one shard-buffer set per worker but recovers transient
+    #: faults in flight.
+    _BACKEND_CHAIN = ("incore", "offload", "parallel")
 
-    def _next_backend(self, name: str) -> str | None:
-        return self._BACKEND_CHAIN.get(name)
+    def backend_chain(self, name: str | None = None) -> tuple[str, ...]:
+        """The degradation chain from backend *name* on (all of it by default).
 
-    def _modelled_device_bytes(
-        self, name: str, machine: MachineConfig, num_qubits: int
-    ) -> int:
-        """Modelled device-memory working set of one job on backend *name*.
-
-        Complex128 amplitudes: the in-core executors ping-pong two full
-        state buffers; the shard runtimes hold two buffer pairs of ``2^L``
-        amplitudes per worker (the double-buffered prefetch), with the
-        state itself residing in DRAM.
+        What the session walks when a job is over its memory budget or an
+        allocation fails, and what the service's admission control checks
+        a job against.  A backend outside the chain degrades to nothing.
         """
-        full = 2 * 16 * (1 << num_qubits)
-        if num_qubits <= machine.local_qubits or name not in ("offload", "parallel"):
-            return full
-        shard_pairs = 4 * 16 * (1 << machine.local_qubits)
-        if name == "offload":
-            return shard_pairs
-        workers = max(1, min(machine.num_shards, machine.physical_gpus))
-        return workers * shard_pairs
+        chain = self._BACKEND_CHAIN
+        if name is None:
+            return chain
+        return chain[chain.index(name):] if name in chain else (name,)
 
     def modelled_device_bytes(
         self, backend_name: str, machine: MachineConfig, num_qubits: int
     ) -> int:
-        """Public admission model: one job's modelled device working set.
+        """Modelled device-memory working set of one job on *backend_name*.
 
-        Used by this session's own admission check and by the service
-        layer's :class:`repro.service.AdmissionController`.
+        The admission model of this session and of the service layer's
+        :class:`repro.service.AdmissionController`.  Complex128 amplitudes:
+        the in-core executors ping-pong two full state buffers; the shard
+        runtimes hold two buffer pairs of ``2^L`` amplitudes per worker
+        (the double-buffered prefetch), with the state itself residing in
+        DRAM.
         """
-        return self._modelled_device_bytes(backend_name, machine, num_qubits)
+        full = 2 * 16 * (1 << num_qubits)
+        if num_qubits <= machine.local_qubits or backend_name not in self._SHARDED_BACKENDS:
+            return full
+        shard_pairs = 4 * 16 * (1 << machine.local_qubits)
+        if backend_name == "offload":
+            return shard_pairs
+        workers = max(1, min(machine.num_shards, machine.physical_gpus))
+        return workers * shard_pairs
 
     def _admit(
         self,
@@ -490,7 +457,7 @@ class Session:
         machine: MachineConfig,
         num_qubits: int,
         execute: bool,
-    ) -> tuple[str, list[str]]:
+    ) -> list[str]:
         """Admission check: reject or degrade over-budget jobs up front.
 
         With ``memory_budget_bytes`` unset this is a no-op.  Otherwise the
@@ -499,47 +466,41 @@ class Session:
         backend (each hop counted as a fallback) and ``degrade=False`` —
         or an exhausted chain — raises
         :class:`~repro.errors.AdmissionError`.
-        Returns ``(admitted_backend, chain_walked)``.
+        Returns the chain walked; its last entry is the admitted backend.
         """
-        chain = [backend_name]
-        if not execute or self.memory_budget_bytes is None:
-            return backend_name, chain
         budget = self.memory_budget_bytes
-        name = backend_name
-        while True:
-            need = self._modelled_device_bytes(name, machine, num_qubits)
+        if not execute or budget is None:
+            return [backend_name]
+        candidates = self.backend_chain(backend_name) if self.degrade else (backend_name,)
+        for hops, name in enumerate(candidates):
+            need = self.modelled_device_bytes(name, machine, num_qubits)
             if need <= budget:
-                if len(chain) > 1:
-                    self._session_fallbacks += len(chain) - 1
-                return name, chain
-            nxt = self._next_backend(name) if self.degrade else None
-            if nxt is None:
-                raise AdmissionError(
-                    f"modelled working set of {need} bytes on backend "
-                    f"{name!r} exceeds the memory budget of {budget} bytes"
-                    + (
-                        ""
-                        if self.degrade
-                        else " (degrade=False disables the fallback chain)"
-                    ),
-                    backend=name,
-                    bytes_needed=need,
-                    budget=budget,
-                )
-            name = nxt
-            chain.append(name)
+                self._session_fallbacks += hops
+                return list(candidates[: hops + 1])
+        raise AdmissionError(
+            f"modelled working set of {need} bytes on backend "
+            f"{name!r} exceeds the memory budget of {budget} bytes"
+            + ("" if self.degrade else " (degrade=False disables the fallback chain)"),
+            backend=name,
+            bytes_needed=need,
+            budget=budget,
+        )
 
     def _recovery_totals(self) -> dict:
-        """Cumulative recovery counters: session-level + every backend's."""
+        """Cumulative recovery counters: session-level + every backend's,
+        plus the faults fired by the injector this session counts (its own,
+        else the process-wide active one), when there is one."""
         totals = {
             "retries": 0,
             "fallbacks": self._session_fallbacks,
             "quarantined_workers": 0,
         }
         for backend in self._backends.values():
-            counters = backend.recovery_counters()
-            for key in ("retries", "fallbacks", "quarantined_workers"):
-                totals[key] += counters.get(key, 0)
+            for key, value in backend.recovery_counters().items():
+                totals[key] += value
+        counting = self._injector if self._injector is not None else _faults.active_injector()
+        if counting is not None:
+            totals["faults_injected"] = counting.total_fired
         return totals
 
     def _validate_state(
@@ -583,7 +544,7 @@ class Session:
             return self.planner
         return resolve_planner(planner)
 
-    def _planner_key(self, manager: PassManager | None = None) -> tuple:
+    def _planner_key(self, manager: PassManager) -> tuple:
         """Cache-key component identifying the full planning configuration.
 
         Everything that can influence the produced plan is folded in: the
@@ -592,8 +553,6 @@ class Session:
         presets/pipelines therefore can never share — or rebind from — one
         structural cache entry.
         """
-        if manager is None:
-            manager = self.planner
         return (
             "atlas-pipeline",
             manager.signature(),
@@ -629,112 +588,106 @@ class Session:
         a shared hit binds the stored plan skeleton to this circuit
         (relabeled out of canonical form when needed) without running the
         partitioner, and every pipeline-built plan is published back.
+
+        Whatever the source it is one flow: key → :meth:`_acquire_plan`
+        (local hit | shared hit | build) → program → store → static check.
         """
         with self._lock:
-            return self._plan_for_locked(
-                circuit, machine, backend, compile_programs, planner
-            )
+            machine = self._resolve_machine(machine)
+            backend_name = self.resolve_backend(circuit.num_qubits, machine, backend)
+            backend_obj = self.backend_instance(backend_name)
+            manager = self.resolve_planner_manager(planner)
 
-    def _plan_for_locked(
+            planner_key = backend_obj.planner_key()
+            if planner_key is None:
+                planner_key = self._planner_key(manager)
+            key = plan_cache_key(circuit, machine, planner_key)
+            # Collision-resistant structure name (built-in hash() is not): the
+            # blake2b structural fingerprint plus a digest of the machine and
+            # planner parts of the cache key.
+            tail = hashlib.blake2b(repr(key[1:]).encode(), digest_size=8).hexdigest()
+            schedule_key = f"session-plan-{key[0]}-{tail}"
+
+            source, base, report, cached_program, publish = self._acquire_plan(
+                circuit, machine, key, planner_key, backend_obj, manager
+            )
+            plan = rebind_plan(base, circuit) if source == "local" else base
+            wants_program = compile_programs and backend_obj.uses_programs
+            base_program = cached_program
+            if wants_program and base_program is None:
+                # Nothing compiled for this structure yet: a fresh plan, or a
+                # local entry stored by a job that runs no programs (another
+                # backend — they share the Atlas planner key — or
+                # ``execute=False``).  Compile the entry's own plan once, so
+                # later hits only rebind.
+                base_program = self._program_for(base, machine, reuse=None)
+            if source != "local" or base_program is not cached_program:
+                # A shared hit is stored too, so later same-structure jobs
+                # rebind (and share the program workspace) locally.
+                self.cache.put(key, base, report, base_program)
+            program = None
+            if wants_program and base_program is not None:
+                program = base_program
+                if source == "local":
+                    program = self._program_for(plan, machine, reuse=base_program)
+            if publish is not None:
+                # In canonical labels, so any relabeled twin from another
+                # tenant binds the same skeleton.
+                shared_key, mapping = publish
+                self.shared_cache.put(
+                    shared_key, plan_skeleton(relabel_plan(plan, mapping), program)
+                )
+            if self.check != "off":
+                self._static_check(plan, machine, circuit, program, backend_name)
+            hit = source != "built"
+            return plan, None if hit else report, hit, schedule_key, program
+
+    def _acquire_plan(
         self,
         circuit: Circuit,
-        machine: MachineConfig | None,
-        backend: str | None,
-        compile_programs: bool,
-        planner: "str | PassManager | None",
-    ) -> tuple[ExecutionPlan, PartitionReport | None, bool, str, CompiledProgram | None]:
-        machine = self._resolve_machine(machine)
-        backend_name = self.resolve_backend(circuit.num_qubits, machine, backend)
-        backend_obj = self.backend_instance(backend_name)
-        manager = self.resolve_planner_manager(planner)
+        machine: MachineConfig,
+        key: tuple,
+        planner_key: object,
+        backend_obj: ExecutionBackend,
+        manager: PassManager,
+    ) -> tuple:
+        """The local cache entry for *circuit*'s structure from the cheapest
+        source that has it, counted.
 
-        planner_key = backend_obj.planner_key()
-        if planner_key is None:
-            planner_key = self._planner_key(manager)
-        key = plan_cache_key(circuit, machine, planner_key)
-        # Collision-resistant structure name (built-in hash() is not): the
-        # blake2b structural fingerprint plus a digest of the machine and
-        # planner parts of the cache key.
-        tail = hashlib.blake2b(repr(key[1:]).encode(), digest_size=8).hexdigest()
-        schedule_key = f"session-plan-{key[0]}-{tail}"
-
-        try:
-            cached = self.cache.get(key)
-            if cached is not None:
-                _faults.check("cache_rebind")
-        except CacheCorruptionError:
-            # A poisoned entry (failed checksum, or an injected
-            # ``cache_rebind`` fault): evict it and replan from scratch
-            # instead of executing a corrupted structure.
-            self.cache.evict(key)
-            self.stats.cache_corruptions += 1
-            self._session_fallbacks += 1
-            cached = None
+        Returns ``(source, plan, report, program, publish)``.  ``"local"``:
+        the cached entry — ``plan`` has yet to be rebound to *circuit*, and
+        ``program`` is ``None`` if nothing was compiled for it so far.
+        ``"shared"`` (bound from the cross-tenant store) and ``"built"``:
+        ``plan`` is *circuit*'s own and the entry is yet to be stored.
+        ``publish`` is ``(shared_key, mapping)`` when a built plan goes to
+        the shared store.
+        """
+        cached = self._lookup(self.cache, key)
         if cached is not None:
-            plan, report, base_program = cached
             self.stats.cache_hits += 1
-            rebound = rebind_plan(plan, circuit)
-            program = None
-            if compile_programs and backend_obj.uses_programs:
-                try:
-                    if base_program is None:
-                        # The entry was populated by a backend that does not
-                        # run programs (they share the Atlas planner key);
-                        # compile the cached base plan once and upgrade the
-                        # entry so later hits only rebind.
-                        base_program = compile_plan(plan, machine)
-                        self.stats.programs_compiled += 1
-                        self.cache.put(key, plan, report, base_program)
-                    t0 = time.perf_counter()
-                    program = compile_plan(rebound, machine, reuse=base_program)
-                    self.stats.program_rebind_seconds += time.perf_counter() - t0
-                    self.stats.programs_rebound += 1
-                    self.stats.program_ops_reused += program.ops_reused
-                    self.stats.program_ops_rebound += program.ops_rebound
-                    self.stats.program_rebind_fallbacks += bool(program.ops_recompiled)
-                except (KernelError, TransientError):
-                    # Program lowering failed: run this job through the
-                    # backend's uncompiled path instead of failing it.
-                    program = None
-                    self._session_fallbacks += 1
-            if self.check != "off":
-                self._static_check(rebound, machine, circuit, program, backend_name)
-            return rebound, None, True, schedule_key, program
+            plan, report, program = cached
+            return "local", plan, report, program, None
         self.stats.cache_misses += 1
 
         # Local miss: try the cross-tenant shared store under the circuit's
         # canonical (qubit-relabel invariant) structural key before paying
         # for the partitioner.
         shared = self.shared_cache
-        shared_key = shared_mapping = None
+        shared_slot = None
         if shared is not None:
-            shared_key, shared_mapping = shared_plan_key(
-                circuit, machine, planner_key
+            shared_slot = shared_key, mapping = shared_plan_key(circuit, machine, planner_key)
+            plan = self._lookup(
+                shared, shared_key,
+                lambda skeleton: skeleton_to_plan(skeleton, circuit, mapping),
             )
-            plan = self._bind_shared_plan(shared, shared_key, shared_mapping, circuit)
             if plan is not None:
                 self.stats.shared_cache_hits += 1
-                program = None
-                if compile_programs and backend_obj.uses_programs:
-                    try:
-                        program = compile_plan(plan, machine)
-                        self.stats.programs_compiled += 1
-                    except (KernelError, TransientError):
-                        program = None
-                        self._session_fallbacks += 1
-                # Upgrade to a local entry so later same-structure jobs
-                # rebind (and share the program workspace) locally.
-                self.cache.put(key, plan, None, program)
-                if self.check != "off":
-                    self._static_check(plan, machine, circuit, program, backend_name)
-                return plan, None, True, schedule_key, program
+                return "shared", plan, None, None, None
             self.stats.shared_cache_misses += 1
 
         t0 = time.perf_counter()
-        backend_plan = backend_obj.make_plan(circuit, machine)
-        if backend_plan is not None:
-            plan, report = backend_plan, None
-        else:
+        plan, report = backend_obj.make_plan(circuit, machine), None
+        if plan is None:
             plan, report = self._plan_with_fallback(circuit, machine, manager)
             for name, seconds in report.pass_seconds.items():
                 self.stats.planning_pass_seconds[name] = (
@@ -746,54 +699,62 @@ class Session:
                 )
         self.stats.plan_seconds += time.perf_counter() - t0
         self.stats.plans_built += 1
-        program = None
-        if compile_programs and backend_obj.uses_programs:
-            try:
-                program = compile_plan(plan, machine)
-                self.stats.programs_compiled += 1
-            except (KernelError, TransientError):
-                program = None
-                self._session_fallbacks += 1
-        self.cache.put(key, plan, report, program)
-        if shared is not None and backend_plan is None:
-            # Publish pipeline-built plans (only — baseline partitioners
-            # keep to the local cache) in canonical labels, so any
-            # relabeled twin from another tenant binds the same skeleton.
-            shared.put(
-                shared_key, plan_skeleton(relabel_plan(plan, shared_mapping), program)
-            )
-        if self.check != "off":
-            self._static_check(plan, machine, circuit, program, backend_name)
-        return plan, report, False, schedule_key, program
+        # Only pipeline-built plans (the ones with a report) are published;
+        # a backend's own partitioner keeps to the local cache.
+        return "built", plan, report, None, shared_slot if report is not None else None
 
-    def _bind_shared_plan(
-        self,
-        shared,
-        shared_key: tuple,
-        mapping: dict,
-        circuit: Circuit,
-    ) -> ExecutionPlan | None:
-        """Look up and bind a shared-store skeleton; ``None`` on any miss.
+    def _program_for(
+        self, plan: ExecutionPlan, machine: MachineConfig, reuse: CompiledProgram | None
+    ) -> CompiledProgram | None:
+        """*plan*'s compiled program, counted: compiled from scratch
+        (``reuse=None``) or rebound from the structure's cached program
+        *reuse* — ops whose gates changed get their payload refilled
+        through it, the rest are kept.  ``None`` when lowering fails: the
+        job then runs through the backend's uncompiled path instead of
+        failing, one counted fallback.
+        """
+        t0 = time.perf_counter()
+        try:
+            program = compile_plan(plan, machine, reuse=reuse)
+        except (KernelError, TransientError):
+            self._session_fallbacks += 1
+            return None
+        if reuse is None:
+            self.stats.programs_compiled += 1
+        else:
+            self.stats.program_rebind_seconds += time.perf_counter() - t0
+            self.stats.programs_rebound += 1
+            self.stats.program_ops_reused += program.ops_reused
+            self.stats.program_ops_rebound += program.ops_rebound
+            self.stats.program_rebind_fallbacks += bool(program.ops_recompiled)
+        return program
+
+    def _lookup(self, store, key: tuple, bind=None):
+        """``store.get(key)`` — run through *bind* when given — or ``None``
+        on any miss.
 
         Integrity failures — a checksum mismatch surfaced by the store, an
-        injected ``cache_rebind`` fault, or a skeleton that no longer fits
-        the circuit — evict the entry and fall back to planning: a
-        corrupted cross-tenant entry is never executed.
+        injected ``cache_rebind`` fault, or a shared skeleton that no longer
+        fits the circuit — evict the entry and read as a miss, so the
+        caller replans: a corrupted entry, local or cross-tenant, is never
+        executed.
         """
         try:
-            skeleton = shared.get(shared_key)
-            if skeleton is None:
-                return None
-            _faults.check("cache_rebind")
-            return skeleton_to_plan(skeleton, circuit, mapping)
+            found = store.get(key)
+            if found is not None:
+                _faults.check("cache_rebind")
+                if bind is not None:
+                    found = bind(found)
+            return found
         except (CacheCorruptionError, PlanValidationError, KeyError):
-            shared.evict(shared_key)
+            store.evict(key)
             self.stats.cache_corruptions += 1
             self._session_fallbacks += 1
             return None
 
     #: Backends whose execution shards the state across workers — the ones
-    #: whose schedules the ``check="full"`` race detector verifies.
+    #: whose schedules the ``check="full"`` race detector verifies, and whose
+    #: device working set is shard buffers rather than the full state.
     _SHARDED_BACKENDS = ("offload", "parallel")
 
     def _static_check(
@@ -843,13 +804,13 @@ class Session:
     def _plan_with_fallback(
         self, circuit: Circuit, machine: MachineConfig, manager: PassManager
     ) -> tuple[ExecutionPlan, PartitionReport]:
-        """Run the planning pipeline, degrading on failure when allowed.
+        """Run the planning pipeline, degrading once on failure when allowed.
 
         Chain (``degrade=True``): the configured pipeline → the ``"fast"``
-        preset → the legacy fixed pipeline.  Each fallback is counted in
-        ``SessionStats.fallbacks``; when every pipeline fails, the
-        *original* error propagates (the fallbacks were attempts to save
-        the job, not the authoritative diagnosis).
+        preset → the *original* error (the fallback was an attempt to save
+        the job, not the authoritative diagnosis).  The hop is counted in
+        ``SessionStats.fallbacks``; a failing ``"fast"`` has nowhere to go
+        and re-raises uncounted.
 
         Configuration errors — a plain ``ValueError``/``TypeError`` that is
         not a typed :class:`ReproError` (unknown stager, unknown pass, bad
@@ -860,22 +821,19 @@ class Session:
         try:
             return manager.run(circuit, machine, cost_model=self.cost_model)
         except Exception as exc:
-            if not self.degrade:
-                raise
-            if isinstance(exc, (ValueError, TypeError)) and not isinstance(
-                exc, ReproError
+            fallback = resolve_planner("fast")
+            if (
+                not self.degrade
+                or (isinstance(exc, (ValueError, TypeError)) and not isinstance(exc, ReproError))
+                or fallback.signature() == manager.signature()
             ):
                 raise
             original = exc
-        for fallback in (resolve_planner("fast"), legacy_pipeline()):
-            if fallback.signature() == manager.signature():
-                continue
-            self._session_fallbacks += 1
-            try:
-                return fallback.run(circuit, machine, cost_model=self.cost_model)
-            except Exception:
-                continue
-        raise original
+        self._session_fallbacks += 1
+        try:
+            return fallback.run(circuit, machine, cost_model=self.cost_model)
+        except Exception:
+            raise original from None
 
     # ------------------------------------------------------------------
     # The job API
@@ -907,83 +865,7 @@ class Session:
         (:meth:`Job.modelled_results`, ``state=None``), and the first
         :meth:`Job.result`/:meth:`Job.results` call performs the functional
         execution lazily — exactly once, thread-safe — through this
-        session.  See :meth:`run` parameter docs below.
-        """
-        if not execute:
-            with self._lock:
-                modelled_job = self._run_locked(
-                    circuits,
-                    shots=shots,
-                    observables=observables,
-                    initial_state=initial_state,
-                    initial_states=initial_states,
-                    backend=backend,
-                    machine=machine,
-                    planner=planner,
-                    seed=seed,
-                    execute=False,
-                    deadline=deadline,
-                    normalize=normalize,
-                )
-            def _execute_deferred() -> Job:
-                return self.run(
-                    circuits,
-                    shots=shots,
-                    observables=observables,
-                    initial_state=initial_state,
-                    initial_states=initial_states,
-                    backend=backend,
-                    machine=machine,
-                    planner=planner,
-                    seed=seed,
-                    execute=True,
-                    deadline=deadline,
-                    normalize=normalize,
-                    checkpoint=checkpoint,
-                    resume_from=resume_from,
-                )
-            return Job.deferred(
-                _execute_deferred,
-                modelled=modelled_job.results(),
-                backend=modelled_job.backend,
-            )
-        with self._lock:
-            return self._run_locked(
-                circuits,
-                shots=shots,
-                observables=observables,
-                initial_state=initial_state,
-                initial_states=initial_states,
-                backend=backend,
-                machine=machine,
-                planner=planner,
-                seed=seed,
-                execute=True,
-                deadline=deadline,
-                normalize=normalize,
-                checkpoint=checkpoint,
-                resume_from=resume_from,
-            )
-
-    def _run_locked(
-        self,
-        circuits: Circuit | list[Circuit] | tuple[Circuit, ...],
-        *,
-        shots: int | None = None,
-        observables=None,
-        initial_state: StateVector | None = None,
-        initial_states=None,
-        backend: str | None = None,
-        machine: MachineConfig | None = None,
-        planner: "str | PassManager | None" = None,
-        seed: int | None = None,
-        execute: bool = True,
-        deadline: "Deadline | float | None" = None,
-        normalize: bool = False,
-        checkpoint=None,
-        resume_from=None,
-    ) -> Job:
-        """Synchronous core of :meth:`run` (caller holds the session lock).
+        session.
 
         Parameters
         ----------
@@ -1036,8 +918,70 @@ class Session:
             an uninterrupted run (corrupt snapshots are evicted, never
             trusted).  See ``docs/robustness.md`` § Durable execution.
         """
+        request = dict(
+            shots=shots,
+            observables=observables,
+            initial_state=initial_state,
+            initial_states=initial_states,
+            backend=backend,
+            machine=machine,
+            planner=planner,
+            seed=seed,
+            deadline=deadline,
+            normalize=normalize,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+        )
+        with self._lock:
+            job = self._run_locked(circuits, execute=execute, **request)
+        if execute:
+            return job
+        return Job.deferred(
+            lambda: self.run(circuits, execute=True, **request),
+            modelled=job.results(),
+            backend=job.backend,
+        )
+
+    def _run_locked(self, circuits, **request) -> Job:
+        """Synchronous core of :meth:`run`, which passes its keywords on
+        (caller holds the session lock): normalise the request, admit it,
+        plan its distinct circuits, execute them as one batch, assemble
+        the results."""
         if self._closed:
             raise SessionClosedError("Session is closed")
+        req = self._normalize_request(circuits, **request)
+        t_job = time.perf_counter()
+        recovery_before = self._recovery_totals()
+        injector = self._injector
+        if injector is not None:
+            _faults.activate(injector)
+        try:
+            # Admission: degrade down the backend chain before allocating a
+            # working set the modelled device memory cannot hold.
+            chain = self._admit(
+                req.backend_name, req.machine, req.circuits[0].num_qubits, req.execute
+            )
+            items = self._plan_items(req, chain[-1])
+            outs, execute_seconds = [(None, None)] * len(items), 0.0
+            if req.execute:
+                outs, execute_seconds = self._execute(req, items, chain)
+        finally:
+            if injector is not None:
+                _faults.deactivate(injector)
+        results = self._assemble(req, items, outs, chain, execute_seconds, recovery_before)
+        return Job(
+            results=results,
+            backend=chain[-1],
+            wall_seconds=time.perf_counter() - t_job,
+            cache_hits=sum(1 for r in results if r.cache_hit),
+        )
+
+    def _normalize_request(
+        self, circuits, *, shots, observables, initial_state, initial_states,
+        backend, machine, planner, seed, execute, deadline, normalize,
+        checkpoint, resume_from,
+    ) -> _Request:
+        """Validate a :meth:`run` call and put it in batch form."""
         single = isinstance(circuits, Circuit)
         circuit_list = [circuits] if single else list(circuits)
         if not circuit_list:
@@ -1054,200 +998,160 @@ class Session:
         if initial_state is not None and initial_states is not None:
             raise ValueError("pass initial_state or initial_states, not both")  # lint: config-error
         if initial_states is not None:
-            initial_states = list(initial_states)
+            states = list(initial_states)
             if single:
                 # One circuit fanned out over many starting states.
-                circuit_list = circuit_list * len(initial_states)
-            elif len(initial_states) != len(circuit_list):
+                circuit_list = circuit_list * len(states)
+            elif len(states) != len(circuit_list):
                 raise ValueError(  # lint: config-error
                     f"{len(circuit_list)} circuits but "
-                    f"{len(initial_states)} initial states"
+                    f"{len(states)} initial states"
                 )
-            states = initial_states
         else:
             states = [initial_state] * len(circuit_list)
         if execute:
             states = [self._validate_state(s, normalize) for s in states]
-
-        backend_name = self.resolve_backend(
-            circuit_list[0].num_qubits, machine, backend
+        return _Request(
+            circuits=circuit_list,
+            states=states,
+            machine=machine,
+            backend_name=self.resolve_backend(circuit_list[0].num_qubits, machine, backend),
+            shots=shots,
+            observable_keys=[normalize_observable(o) for o in observables or ()],
+            rng=self._rng if seed is None else np.random.default_rng(seed),
+            deadline=Deadline.resolve(deadline),
+            execute=execute,
+            planner=planner,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
         )
-        rng = self._rng if seed is None else np.random.default_rng(seed)
-        observable_keys = (
-            [normalize_observable(o) for o in observables] if observables else []
-        )
-        deadline = Deadline.resolve(deadline)
 
-        t_job = time.perf_counter()
-        recovery_before = self._recovery_totals()
-        injector = self._injector
-        counting = injector if injector is not None else _faults.active_injector()
-        faults_before = counting.total_fired if counting is not None else 0
-        if injector is not None:
-            _faults.activate(injector)
-        try:
-            # Admission: degrade down the backend chain before allocating a
-            # working set the modelled device memory cannot hold.
-            backend_name, backend_chain = self._admit(
-                backend_name, machine, circuit_list[0].num_qubits, execute
-            )
-            backend_obj = self.backend_instance(backend_name)
-
-            planned: dict[int, tuple] = {}
-            items = []
-            for circuit, state in zip(circuit_list, states):
-                deadline.check("planning")
-                if id(circuit) in planned:
-                    # The same circuit object fanned out over several initial
-                    # states: reuse the exact plan and compiled program (not
-                    # even a rebind) — the backend batches these into one
-                    # stacked (B, 2^n) execution.
-                    plan, report, hit, schedule_key, program = planned[id(circuit)]
-                else:
-                    plan, report, hit, schedule_key, program = self.plan_for(
-                        circuit,
-                        machine,
-                        backend_name,
-                        compile_programs=execute,
-                        planner=planner,
-                    )
-                    planned[id(circuit)] = (plan, report, hit, schedule_key, program)
-                items.append((circuit, state, plan, report, hit, schedule_key, program))
-
-            if execute:
-                t0 = time.perf_counter()
-                while True:
-                    batch_kwargs = {}
-                    if backend_obj.uses_programs:
-                        # Only program-running backends see the keyword, so
-                        # third-party backends with the older run_batch
-                        # signature keep working.
-                        batch_kwargs["programs"] = [item[6] for item in items]
-                    if deadline.seconds is not None:
-                        batch_kwargs["deadline"] = deadline
-                    if getattr(backend_obj, "supports_checkpoints", False) and (
-                        checkpoint is not None
-                        or resume_from is not None
-                        or self.monitor is not None
-                    ):
-                        batch_kwargs["checkpoint"] = checkpoint
-                        batch_kwargs["resume_from"] = resume_from
-                        batch_kwargs["monitor"] = self.monitor
-                    try:
-                        outs = backend_obj.run_batch(
-                            [(plan, state, circuit) for circuit, state, plan, *_ in items],
-                            machine,
-                            schedule_keys=[item[5] for item in items],
-                            **batch_kwargs,
-                        )
-                        break
-                    except MemoryError:
-                        # A real allocation failure: degrade down the chain
-                        # (smaller device working set) and re-run the batch.
-                        next_name = self._next_backend(backend_name)
-                        if not self.degrade or next_name is None:
-                            raise
-                        backend_name = next_name
-                        backend_obj = self.backend_instance(backend_name)
-                        backend_chain.append(backend_name)
-                        self._session_fallbacks += 1
-                execute_seconds = time.perf_counter() - t0
-                self.stats.execute_seconds += execute_seconds
-                self.stats.backend_runs[backend_name] = (
-                    self.stats.backend_runs.get(backend_name, 0) + len(items)
+    def _plan_items(self, req: _Request, backend_name: str) -> list[_Item]:
+        """Plan each distinct circuit object once, in request order."""
+        planned: dict[int, tuple] = {}
+        items = []
+        for circuit, state in zip(req.circuits, req.states):
+            req.deadline.check("planning")
+            if id(circuit) not in planned:
+                planned[id(circuit)] = self.plan_for(
+                    circuit, req.machine, backend_name,
+                    compile_programs=req.execute, planner=req.planner,
                 )
-            else:
-                outs = [(None, None)] * len(items)
-                execute_seconds = 0.0
-        finally:
-            if injector is not None:
-                _faults.deactivate(injector)
+            # The same circuit object fanned out over several initial
+            # states reuses the exact plan and compiled program (not even a
+            # rebind) — the backend batches these into one stacked
+            # (B, 2^n) execution.
+            items.append(_Item(circuit, state, *planned[id(circuit)]))
+        return items
 
+    def _execute(
+        self, req: _Request, items: list[_Item], chain: list[str]
+    ) -> tuple[list, float]:
+        """Run the planned items as one batch on the admitted backend
+        (``chain[-1]``); returns ``(outs, wall_seconds)``.  A real
+        allocation failure degrades down the backend chain — appending to
+        *chain* — and re-runs the batch.
+        """
+        t0 = time.perf_counter()
+        while True:
+            try:
+                outs = self.backend_instance(chain[-1]).run_batch(
+                    [(item.plan, item.state, item.circuit) for item in items],
+                    req.machine,
+                    schedule_keys=[item.schedule_key for item in items],
+                    programs=[item.program for item in items],
+                    deadline=req.deadline,
+                    checkpoint=req.checkpoint,
+                    resume_from=req.resume_from,
+                    monitor=self.monitor,
+                )
+                break
+            except MemoryError:
+                # The smaller device working set is the next backend's.
+                successors = self.backend_chain(chain[-1])[1:]
+                if not self.degrade or not successors:
+                    raise
+                chain.append(successors[0])
+                self._session_fallbacks += 1
+        execute_seconds = time.perf_counter() - t0
+        self.stats.execute_seconds += execute_seconds
+        self.stats.backend_runs[chain[-1]] = (
+            self.stats.backend_runs.get(chain[-1], 0) + len(items)
+        )
+        return outs, execute_seconds
+
+    def _assemble(
+        self, req: _Request, items: list[_Item], outs: list, chain: list[str],
+        execute_seconds: float, recovery_before: dict,
+    ) -> list[Result]:
+        """One :class:`Result` per item (samples, expectations, modelled
+        timing, per-job recovery provenance), and the job folded into
+        ``self.stats``."""
+        backend_obj = self.backend_instance(chain[-1])
         # Per-job recovery provenance: what it took to deliver this job
         # (deltas over the pre-job counters), attached to every Result.
         recovery_after = self._recovery_totals()
         recovery = {
-            k: recovery_after[k] - recovery_before[k] for k in recovery_after
+            k: v - recovery_before.get(k, 0) for k, v in recovery_after.items()
         }
-        if counting is not None:
-            recovery["faults_injected"] = counting.total_fired - faults_before
-        if len(backend_chain) > 1:
-            recovery["backend_chain"] = list(backend_chain)
+        if len(chain) > 1:
+            recovery["backend_chain"] = list(chain)
         recovery = {k: v for k, v in recovery.items() if v} or None
 
         per_item_wall = execute_seconds / len(items)
         results = []
-        for (circuit, state, plan, report, hit, schedule_key, program), (out_state, exec_stats) in zip(
-            items, outs
-        ):
+        for item, (out_state, exec_stats) in zip(items, outs):
             samples = None
             expectations: dict[tuple[int, ...], float] = {}
             if out_state is not None:
-                if shots is not None:
-                    samples = out_state.sample(shots, rng)
-                for key in observable_keys:
+                if req.shots is not None:
+                    samples = out_state.sample(req.shots, req.rng)
+                for key in req.observable_keys:
                     expectations[key] = out_state.expectation_z_product(key)
             results.append(
                 Result(
-                    circuit_name=circuit.name,
-                    backend=backend_name,
+                    circuit_name=item.circuit.name,
+                    backend=chain[-1],
                     state=out_state,
-                    timing=backend_obj.timing(plan, machine, self.cost_model),
-                    plan=plan,
-                    report=report,
-                    cache_hit=hit,
+                    timing=backend_obj.timing(item.plan, req.machine, self.cost_model),
+                    plan=item.plan,
+                    report=item.report,
+                    cache_hit=item.cache_hit,
                     wall_seconds=per_item_wall,
                     samples=samples,
-                    shots=shots if samples is not None else None,
+                    shots=req.shots if samples is not None else None,
                     expectations=expectations,
                     execution_stats=exec_stats,
                     recovery=recovery,
                 )
             )
 
-        self.stats.retries = recovery_after["retries"]
-        self.stats.fallbacks = recovery_after["fallbacks"]
-        self.stats.quarantined_workers = recovery_after["quarantined_workers"]
-        if counting is not None:
-            self.stats.faults_injected = counting.total_fired
+        stats = self.stats
+        for key, value in recovery_after.items():
+            setattr(stats, key, value)
         if isinstance(backend_obj, ParallelBackend):
-            hits, misses = backend_obj.schedule_cache_counters()
-            self.stats.schedule_cache_hits = hits
-            self.stats.schedule_cache_misses = misses
-            acquisitions, waited = backend_obj.exec_lock_counters()
-            self.stats.exec_lock_acquisitions = acquisitions
-            self.stats.exec_lock_wait_seconds = waited
+            stats.schedule_cache_hits, stats.schedule_cache_misses = (
+                backend_obj.schedule_cache_counters()
+            )
+            stats.exec_lock_acquisitions, stats.exec_lock_wait_seconds = (
+                backend_obj.exec_lock_counters()
+            )
         for _out_state, exec_stats in outs:
-            self.stats.checkpoints_written += getattr(
-                exec_stats, "checkpoints_written", 0
-            )
-            self.stats.checkpoint_errors += getattr(
-                exec_stats, "checkpoint_errors", 0
-            )
-            self.stats.integrity_checks += getattr(
-                exec_stats, "integrity_checks", 0
-            )
-            self.stats.max_norm_drift = max(
-                self.stats.max_norm_drift,
-                getattr(exec_stats, "max_norm_drift", 0.0),
+            stats.checkpoints_written += getattr(exec_stats, "checkpoints_written", 0)
+            stats.checkpoint_errors += getattr(exec_stats, "checkpoint_errors", 0)
+            stats.integrity_checks += getattr(exec_stats, "integrity_checks", 0)
+            stats.max_norm_drift = max(
+                stats.max_norm_drift, getattr(exec_stats, "max_norm_drift", 0.0)
             )
         fusion = fusion_cache_stats()
-        self.stats.fusion_cache_hits = fusion["hits"] - self._fusion_baseline["hits"]
-        self.stats.fusion_cache_misses = (
-            fusion["misses"] - self._fusion_baseline["misses"]
-        )
-        self.stats.fusion_cache_evictions = (
+        stats.fusion_cache_hits = fusion["hits"] - self._fusion_baseline["hits"]
+        stats.fusion_cache_misses = fusion["misses"] - self._fusion_baseline["misses"]
+        stats.fusion_cache_evictions = (
             fusion["evictions"] - self._fusion_baseline["evictions"]
         )
-        self.stats.jobs += 1
-        self.stats.circuits_run += len(results)
-        job = Job(
-            results=results,
-            backend=backend_name,
-            wall_seconds=time.perf_counter() - t_job,
-            cache_hits=sum(1 for r in results if r.cache_hit),
-        )
-        return job
+        stats.jobs += 1
+        stats.circuits_run += len(results)
+        return results
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

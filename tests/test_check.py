@@ -728,6 +728,54 @@ class TestLintRepro:
         elsewhere = self.write(lint, "analysis/tools.py", copy.read_text())
         assert lint.check_one_kernel_lowering([elsewhere]) == []
 
+    def test_second_planning_surface_flagged(self, lint):
+        clean = self.write(
+            lint, "session/session.py",
+            "from ..planner.pipeline import resolve_planner\n"
+            "def plan(planner):\n"
+            "    'legacy_pipeline and stager= may be mentioned in prose.'\n"
+            "    return resolve_planner(planner)\n",
+        )
+        assert lint.check_one_planning_surface([clean]) == []
+        # The seed planner's knobs growing back as a second surface: the
+        # import, a keyword parameter, and a call forwarding the keyword.
+        second = self.write(
+            lint, "service/service.py",
+            "from ..planner import legacy_pipeline\n"
+            "def make(machine, kernelizer=None):\n"
+            "    return Session(machine, planner=legacy_pipeline(stager='ilp'))\n",
+        )
+        findings = lint.check_one_planning_surface([clean, second])
+        assert {f.rule for f in findings} == {"one-planning-surface"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (1, "legacy_pipeline"), (2, "kernelizer="),
+            (3, "legacy_pipeline"), (3, "stager="),
+        ]
+        # The keyword-style entry points live outside session/ and service/.
+        entry = self.write(lint, "core/partitioner.py", second.read_text())
+        assert lint.check_one_planning_surface([entry]) == []
+
+    def test_interpreter_call_outside_backends_flagged(self, lint):
+        home = self.write(
+            lint, "session/backends.py",
+            "def run_plan(plan):\n    return execute_plan(plan, compiled=False)\n",
+        )
+        compiled = self.write(
+            lint, "runtime/executor.py",
+            "def execute_plan(plan, compiled=True):\n"
+            "    return run(plan, compiled=compiled)\n",
+        )
+        assert lint.check_interpreter_call_sites([home, compiled]) == []
+        # A third interpreter call site is a second executor tier.
+        tier = self.write(
+            lint, "service/service.py",
+            "def slow(plan):\n    return execute_plan(plan, compiled=False)\n",
+        )
+        findings = lint.check_interpreter_call_sites([home, compiled, tier])
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("interpreter-call-sites", "src/repro/service/service.py", 2)
+        ]
+
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")
         baseline = tmp_path / "baseline.json"

@@ -206,10 +206,6 @@ class TestPresetPlans:
         with pytest.raises(TypeError):
             resolve_planner(42)
 
-    def test_planner_and_legacy_knobs_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            Session(planner="fast", kernelize_config=FAST_CONFIG)
-
 
 # ---------------------------------------------------------------------------
 # 3. Cache isolation across pipelines
@@ -257,13 +253,6 @@ class TestPlannerCacheKeys:
         assert session.planner.preset == "balanced"
         session.close()
 
-    def test_legacy_knobs_build_legacy_pipeline(self):
-        session = Session(kernelize_config=FAST_CONFIG)
-        assert session.planner.preset == ""
-        names = session.planner.pass_names()
-        assert "refine" not in names
-        session.close()
-
     def test_signature_covers_full_configuration(self):
         a = resolve_planner("fast").signature()
         b = resolve_planner("balanced").signature()
@@ -271,6 +260,24 @@ class TestPlannerCacheKeys:
         assert a != b
         assert a == c
         assert hash(a) is not None
+        # ... and, through the one ``freeze_config``, the plan-cache keys are
+        # byte-identical to those of the commit that still kept two copies
+        # of it (digests recorded there): shared-store files written before
+        # still hit.
+        import hashlib
+
+        from repro.session.cache import plan_cache_key, shared_plan_key
+
+        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
+        with Session(machine) as session:
+            planner_key = session._planner_key(resolve_planner("fast"))
+        keys = (
+            plan_cache_key(qft(8), machine, planner_key),
+            shared_plan_key(qft(8), machine, planner_key)[0],
+        )
+        assert [
+            hashlib.blake2b(repr(k).encode(), digest_size=16).hexdigest() for k in keys
+        ] == ["25b3ed54bf16dd76a4606dc572ca78fc", "e6e5f256d5c572c790fbe766d8fcf01e"]
 
 
 # ---------------------------------------------------------------------------

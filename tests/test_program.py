@@ -36,6 +36,7 @@ from repro.runtime import (
     execute_plan_offloaded,
 )
 from repro.errors import PlanValidationError
+from repro.planner import legacy_pipeline
 from repro.runtime.offload import compile_segment_ops, run_segment_ops, run_groups_on_shard, split_stage_segments
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
@@ -199,7 +200,7 @@ class TestBatchedExecution:
         machine = _machine(n)
         circuit = qft(n)
         states = [StateVector.random_state(n, seed=s) for s in range(4)]
-        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+        with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             job = s.run(circuit, initial_states=states)
             singles = [
                 s.run(circuit, initial_state=state).results()[0] for state in states
@@ -231,7 +232,7 @@ class TestRebind:
     def test_session_cache_hit_runs_rebound_program(self):
         machine = _machine(10)
         sweep = [vqc(10, seed=s) for s in range(6)]
-        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+        with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             job = s.run(sweep)
             stats = s.stats
         assert stats.programs_compiled == 1
@@ -248,7 +249,7 @@ class TestRebind:
         rebind compiles."""
         machine = _machine(8)
         sweep = [vqc(8, seed=s) for s in range(3)]
-        with Session(machine, kernelize_config=FAST_CONFIG) as s:
+        with Session(machine, planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             s.run(sweep[0], backend="offload")
             assert s.stats.programs_compiled == 0
             job = s.run(sweep, backend="incore")
@@ -345,7 +346,7 @@ class TestRebind:
 
         exact, tiny = circuit(0.0), circuit(1e-13)
         assert exact.structural_key() == tiny.structural_key()
-        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+        with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             results = s.run([exact, tiny, circuit(0.0)]).results()
             stats = s.stats.as_dict()
         assert stats["programs_rebound"] == 2
@@ -786,7 +787,7 @@ class TestLoweredKernels:
 class TestMemoryControls:
     def test_execute_false_jobs_compile_no_programs(self):
         machine = _machine(10)
-        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+        with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             job = s.run([vqc(10, seed=i) for i in range(3)], execute=False)
             assert s.stats.programs_compiled == 0
             assert s.stats.programs_rebound == 0
@@ -851,7 +852,7 @@ class TestBoundedFusionCache:
     def test_session_surfaces_fusion_counters(self):
         machine = _machine(8)
         sweep = [vqc(8, seed=s) for s in range(3)]
-        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+        with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             s.run(sweep)
             stats = s.stats.as_dict()
         assert stats["fusion_cache_misses"] > 0

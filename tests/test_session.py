@@ -17,6 +17,7 @@ from repro import Circuit, MachineConfig, Session, simulate, simulate_reference
 from repro.circuits.library import qft, vqc
 from repro.core import KernelizeConfig, partition
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
+from repro.planner import legacy_pipeline
 from repro.session import (
     BACKENDS,
     PlanCache,
@@ -43,7 +44,7 @@ def sweep_machine() -> MachineConfig:
 
 
 def _session(machine, **kwargs) -> Session:
-    kwargs.setdefault("kernelize_config", FAST_CONFIG)
+    kwargs.setdefault("planner", legacy_pipeline(kernelize_config=FAST_CONFIG))
     return Session(machine, **kwargs)
 
 
@@ -499,3 +500,350 @@ class TestSampleGenerator:
         )
         with pytest.raises(ValueError):
             state.expectation_z_product([9])
+
+
+# ---------------------------------------------------------------------------
+# Plan acquisition: every way a Session reaches a plan, counted
+# ---------------------------------------------------------------------------
+
+
+def _counted(stats: dict) -> dict:
+    """``SessionStats.as_dict()`` with wall-clock values reduced to "did it
+    take time" and zero/empty entries dropped (the key set is fixed, so
+    comparing these compares the full dicts)."""
+    out = {}
+    for key, value in stats.items():
+        if key.endswith("_seconds"):
+            value = sorted(value) if isinstance(value, dict) else value > 0
+        if value:
+            out[key] = value
+    return out
+
+
+#: Recorded at commit 41238a0 (the parent of the one-flow ``plan_for``) by
+#: running ``TestPlanAcquisitionMatrix.walk``; see ``_counted`` for the form.
+ACQUISITION_GOLDENS = {
+    ('incore', False): {
+        'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fusion_cache_misses=5, jobs=1, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, programs_compiled=1, shared_cache_misses=1),
+        'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=1,
+            cache_misses=1, circuits_run=2, execute_seconds=True, fusion_cache_misses=5,
+            jobs=2, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, program_ops_rebound=19,
+            program_ops_reused=4, program_rebind_seconds=True, programs_compiled=1,
+            programs_rebound=1, shared_cache_misses=1),
+        'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.3333333333333333,
+            cache_hits=1, cache_misses=2, circuits_run=3, execute_seconds=True,
+            fusion_cache_misses=5, jobs=3, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, program_ops_rebound=19, program_ops_reused=4,
+            program_rebind_seconds=True, programs_compiled=1, programs_rebound=1,
+            shared_cache_misses=2),
+        'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.5,
+            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
+            fusion_cache_misses=6, jobs=4, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, program_ops_rebound=19, program_ops_reused=13,
+            program_rebind_seconds=True, programs_compiled=2, programs_rebound=2,
+            shared_cache_misses=2),
+        'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fusion_cache_misses=11, jobs=1, programs_compiled=1,
+            shared_cache_hits=1),
+        'relabelled-shared-hit': dict(backend_runs={'incore': 2}, cache_misses=2,
+            circuits_run=2, execute_seconds=True, fusion_cache_misses=16, jobs=2,
+            programs_compiled=2, shared_cache_hits=2),
+        'corrupt-local': dict(backend_runs={'incore': 4}, cache_corruptions=1,
+            cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
+            execute_seconds=True, fallbacks=1, fusion_cache_misses=21, jobs=5,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=2, program_ops_rebound=19,
+            program_ops_reused=13, program_rebind_seconds=True, programs_compiled=3,
+            programs_rebound=2, shared_cache_hits=1, shared_cache_misses=2),
+        'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
+            cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
+            fusion_cache_hits=1, fusion_cache_misses=21, jobs=3, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, programs_compiled=3, shared_cache_hits=2,
+            shared_cache_misses=1),
+    },
+    ('incore', True): {
+        'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fallbacks=1, faults_injected=1, fusion_cache_misses=5,
+            jobs=1, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, shared_cache_misses=1),
+        'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=1,
+            cache_misses=1, circuits_run=2, execute_seconds=True, fallbacks=2,
+            faults_injected=1, fusion_cache_misses=10, jobs=2, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, shared_cache_misses=1),
+        'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.3333333333333333,
+            cache_hits=1, cache_misses=2, circuits_run=3, execute_seconds=True,
+            fallbacks=2, fusion_cache_misses=10, jobs=3, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, shared_cache_misses=2),
+        'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.5,
+            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
+            fallbacks=3, faults_injected=1, fusion_cache_misses=11, jobs=4,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
+        'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fallbacks=1, faults_injected=1,
+            fusion_cache_misses=16, jobs=1, shared_cache_hits=1),
+        'relabelled-shared-hit': dict(backend_runs={'incore': 2}, cache_misses=2,
+            circuits_run=2, execute_seconds=True, fallbacks=2, faults_injected=1,
+            fusion_cache_misses=21, jobs=2, shared_cache_hits=2),
+        'corrupt-local': dict(backend_runs={'incore': 4}, cache_corruptions=1,
+            cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
+            execute_seconds=True, fallbacks=5, faults_injected=1,
+            fusion_cache_misses=26, jobs=5, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, shared_cache_hits=1, shared_cache_misses=2),
+        'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
+            cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
+            faults_injected=1, fusion_cache_hits=1, fusion_cache_misses=26, jobs=3,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, shared_cache_hits=2,
+            shared_cache_misses=1),
+    },
+    ('offload', False): {
+        'cold': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fusion_cache_misses=5, jobs=1, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, shared_cache_misses=1),
+        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=1,
+            cache_misses=1, circuits_run=2, execute_seconds=True,
+            fusion_cache_misses=10, jobs=2, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, shared_cache_misses=1),
+        'plan-only': dict(backend_runs={'offload': 2},
+            cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
+            circuits_run=3, execute_seconds=True, fusion_cache_misses=10, jobs=3,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
+        'local-hit-no-program': dict(backend_runs={'offload': 3}, cache_hit_rate=0.5,
+            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
+            fusion_cache_misses=11, jobs=4, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, shared_cache_misses=2),
+        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fusion_cache_misses=16, jobs=1, shared_cache_hits=1),
+        'relabelled-shared-hit': dict(backend_runs={'offload': 2}, cache_misses=2,
+            circuits_run=2, execute_seconds=True, fusion_cache_misses=21, jobs=2,
+            shared_cache_hits=2),
+        'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
+            cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
+            execute_seconds=True, fallbacks=1, fusion_cache_misses=26, jobs=5,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=2, shared_cache_hits=1,
+            shared_cache_misses=2),
+        'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
+            cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
+            fusion_cache_hits=1, fusion_cache_misses=26, jobs=3, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, shared_cache_hits=2, shared_cache_misses=1),
+    },
+    ('offload', True): {
+        'cold': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fallbacks=1, faults_injected=1, fusion_cache_hits=3,
+            fusion_cache_misses=5, jobs=1, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=1, shared_cache_misses=1),
+        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=1,
+            cache_misses=1, circuits_run=2, execute_seconds=True, fallbacks=2,
+            faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=10, jobs=2,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, shared_cache_misses=1),
+        'plan-only': dict(backend_runs={'offload': 2},
+            cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
+            circuits_run=3, execute_seconds=True, fallbacks=2, fusion_cache_hits=6,
+            fusion_cache_misses=10, jobs=3, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, shared_cache_misses=2),
+        'local-hit-no-program': dict(backend_runs={'offload': 3}, cache_hit_rate=0.5,
+            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
+            fallbacks=3, faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=11,
+            jobs=4, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
+        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
+            execute_seconds=True, fallbacks=1, faults_injected=1, fusion_cache_hits=9,
+            fusion_cache_misses=16, jobs=1, shared_cache_hits=1),
+        'relabelled-shared-hit': dict(backend_runs={'offload': 2}, cache_misses=2,
+            circuits_run=2, execute_seconds=True, fallbacks=2, faults_injected=1,
+            fusion_cache_hits=12, fusion_cache_misses=21, jobs=2, shared_cache_hits=2),
+        'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
+            cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
+            execute_seconds=True, fallbacks=5, faults_injected=1, fusion_cache_hits=15,
+            fusion_cache_misses=26, jobs=5, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, shared_cache_hits=1, shared_cache_misses=2),
+        'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
+            cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
+            faults_injected=1, fusion_cache_hits=16, fusion_cache_misses=26, jobs=3,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, shared_cache_hits=2,
+            shared_cache_misses=1),
+    },
+}
+
+
+class TestPlanAcquisitionMatrix:
+    """One scripted walk over every plan-acquisition path — cold build,
+    local hit, local hit on an entry stored without a program, shared hit,
+    relabelled shared hit, corrupt local entry, corrupt shared entry — per
+    backend, clean and with a ``compile`` fault armed on each step.  After
+    every step the acting session's full ``SessionStats.as_dict()`` must
+    equal the golden recorded at the commit before ``plan_for`` became one
+    flow (three copy-pasted branches then), and every state must be
+    bit-equal to a fresh single-session run of the same circuit.
+    """
+
+    N = 8
+    STEPS = (
+        "cold", "local-hit", "plan-only", "local-hit-no-program",
+        "shared-hit", "relabelled-shared-hit", "corrupt-local", "corrupt-shared",
+    )
+
+    def walk(self, machine, backend, inject):
+        """Run the script; returns ``[(step, counted stats, circuit, state)]``."""
+        from repro.runtime import faults
+        from repro.runtime.faults import FaultInjector
+        from repro.service import SharedPlanStore
+        from repro.sim.fusion import configure_fusion_cache
+
+        configure_fusion_cache(clear=True)  # its counters are process-wide
+        n = self.N
+        reverse = {q: n - 1 - q for q in range(n)}
+        store = SharedPlanStore()
+        trail = []
+
+        def step(name, session, circuit, **run_kwargs):
+            injector = FaultInjector("compile:transient:1") if inject else None
+            if injector is not None:
+                faults.activate(injector)
+            try:
+                job = session.run(circuit, **run_kwargs)
+            finally:
+                faults.deactivate(injector)
+            state = None
+            if run_kwargs.get("execute", True):
+                state = job.result().state.data.copy()
+            trail.append((name, _counted(session.stats.as_dict()), circuit, state))
+
+        with Session(machine, backend=backend, planner="fast", shared_cache=store) as a, \
+                Session(machine, backend=backend, planner="fast", shared_cache=store) as b:
+            step("cold", a, vqc(n, seed=0))
+            step("local-hit", a, vqc(n, seed=1))
+            step("plan-only", a, qft(n), execute=False)
+            step("local-hit-no-program", a, qft(n))
+            step("shared-hit", b, vqc(n, seed=2))
+            step("relabelled-shared-hit", b, vqc(n, seed=3).remap_qubits(reverse))
+            # Bit-rot a's cached vqc plan: the lookup must evict it (and then
+            # finds the structure in the shared store).
+            entry = next(e for e in a.cache._entries.values() if e[0].circuit_name.startswith("vqc"))
+            entry[0].stages[0].gate_indices.append(0)
+            step("corrupt-local", a, vqc(n, seed=4))
+            # Bit-rot the store's qft skeleton: b must evict it and replan.
+            skeleton = next(
+                e.skeleton for e in store._entries.values()
+                if e.skeleton["circuit_name"].startswith("qft")
+            )
+            skeleton["num_qubits"] += 1
+            step("corrupt-shared", b, qft(n))
+        assert tuple(name for name, *_ in trail) == self.STEPS
+        return trail
+
+    @pytest.mark.parametrize("inject", [False, True], ids=["clean", "compile-fault"])
+    @pytest.mark.parametrize("backend", ["incore", "offload"])
+    def test_counts_and_states_match_the_recorded_walk(self, sweep_machine, backend, inject):
+        trail = self.walk(sweep_machine, backend, inject)
+        golden = ACQUISITION_GOLDENS[backend, inject]
+        for name, counted, _circuit, _state in trail:
+            assert counted == golden[name], (backend, inject, name)
+        with Session(sweep_machine, backend=backend, planner="fast") as solo:
+            for name, _counted_stats, circuit, state in trail:
+                if state is not None:
+                    expected = solo.run(circuit).result().state.data
+                    assert np.array_equal(state, expected), (backend, inject, name)
+
+
+# ---------------------------------------------------------------------------
+# Planner degradation: configured pipeline -> "fast" -> the original error
+# ---------------------------------------------------------------------------
+
+
+class _Exploding:
+    def __init__(self, message):
+        self.message = message
+
+    def run(self, ctx, record):
+        raise RuntimeError(self.message)
+
+
+class TestPlannerDegradation:
+    @pytest.fixture()
+    def broken(self):
+        from repro.planner import PassManager
+        from repro.planner.passes import PASSES, register_pass
+
+        register_pass("explode", _Exploding("configured pipeline failed"))
+        yield PassManager([("explode", {})], preset="broken")
+        del PASSES["explode"]
+
+    def test_failing_pipeline_takes_exactly_one_counted_hop_to_fast(self, sweep_machine, broken):
+        with Session(sweep_machine, backend="incore", planner=broken) as session:
+            result = session.run(qft(8)).result()
+            assert result.report.preset == "fast"
+            assert result.recovery == {"fallbacks": 1}
+            assert session.stats.fallbacks == 1
+        assert simulate_reference(qft(8)).allclose(result.state)
+
+    def test_when_fast_fails_too_the_original_error_propagates(
+        self, sweep_machine, broken, monkeypatch
+    ):
+        from repro.planner.passes import PASSES
+
+        with Session(sweep_machine, backend="incore", planner=broken) as session:
+            with monkeypatch.context() as patch:
+                patch.setitem(PASSES, "finalize", _Exploding("fast failed too"))
+                with pytest.raises(RuntimeError, match="configured pipeline failed"):
+                    session.run(qft(8))
+            # The hop was taken and counted, once; the session is usable.
+            session.run(qft(8))
+            assert session.stats.fallbacks == 2
+
+    def test_failing_fast_has_nowhere_to_go_zero_hops(self, sweep_machine, monkeypatch):
+        from repro.planner.passes import PASSES
+
+        with Session(sweep_machine, backend="incore", planner="fast") as session:
+            with monkeypatch.context() as patch:
+                patch.setitem(PASSES, "finalize", _Exploding("fast failed"))
+                with pytest.raises(RuntimeError, match="fast failed"):
+                    session.run(qft(8))
+            session.run(qft(8))
+            assert session.stats.fallbacks == 0
+
+    def test_config_errors_never_degrade(self, sweep_machine):
+        typo = legacy_pipeline(stager="no-such-stager")
+        with Session(sweep_machine, backend="incore", planner=typo) as session:
+            with pytest.raises(ValueError, match="unknown stager"):
+                session.run(qft(8))
+            session.run(qft(8), planner="fast")
+            assert session.stats.fallbacks == 0
+
+
+class TestStatsDicts:
+    def test_as_dict_is_every_field_plus_the_derived_ratio(self):
+        from dataclasses import fields
+
+        from repro.session import CacheStats, SessionStats
+
+        for stats, ratio in ((SessionStats(), "cache_hit_rate"), (CacheStats(), "hit_rate")):
+            assert set(stats.as_dict()) == {f.name for f in fields(stats)} | {ratio}
+        stats = SessionStats(cache_hits=3, cache_misses=1, backend_runs={"incore": 2})
+        as_dict = stats.as_dict()
+        assert as_dict["cache_hit_rate"] == 0.75 and as_dict["cache_hits"] == 3
+        as_dict["backend_runs"]["incore"] = 99  # a copy, not the live dict
+        assert stats.backend_runs == {"incore": 2}
+        assert CacheStats(hits=1, misses=3).as_dict()["hit_rate"] == 0.25

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Five rules, each enforcing an invariant the execution layer depends on
+Seven rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -49,6 +49,24 @@ Five rules, each enforcing an invariant the execution layer depends on
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
     the linted set contains ``sim/fusion.py``.
+
+``one-planning-surface``
+    Nothing under ``session/`` or ``service/`` names ``legacy_pipeline``
+    or takes, passes or forwards a ``stager`` / ``kernelizer`` keyword: a
+    :class:`~repro.session.Session` is told how to plan through
+    ``planner=`` (a preset name or a ``PassManager``) and nothing else.
+    The seed planner's knobs live at the keyword-style entry points
+    (``repro.simulate``, ``repro.core.partition``), which build a
+    ``legacy_pipeline`` and hand it over like any other pipeline; the name
+    reappearing here is the second configuration surface, or the third
+    planner-degradation hop, growing back.
+
+``interpreter-call-sites``
+    ``compiled=False`` — the per-gate interpreter — is passed only in
+    ``session/backends.py``, where it is the bit-exact degradation target
+    of a failed compiled program.  It stays the named oracle (tests and
+    benchmarks call it freely); any other caller under ``src/repro`` is a
+    second executor tier growing back.
 
 Usage::
 
@@ -107,6 +125,13 @@ KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
     "fill_lowered_item", "fused_unitary", "kernel_fusion", "fill_fused_unitary",
     "_gate_on_shard",
 )
+
+
+PLANNING_SURFACE_SCOPE = ("session/", "service/")
+PLANNING_SURFACE_NAME = "legacy_pipeline"
+PLANNING_SURFACE_KEYWORDS = {"stager", "kernelizer"}
+
+INTERPRETER_HOME = "session/backends.py"
 
 
 class Finding:
@@ -256,6 +281,67 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_one_planning_surface(files: list[Path]) -> list[Finding]:
+    """The ``one-planning-surface`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        if not _rel_src(path).startswith(PLANNING_SURFACE_SCOPE):
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = None
+            if isinstance(node, ast.Name):
+                named = node.id
+            elif isinstance(node, ast.Attribute):
+                named = node.attr
+            elif isinstance(node, ast.alias):
+                named = node.name.rpartition(".")[2]
+            keyword = None
+            if isinstance(node, (ast.keyword, ast.arg)):
+                keyword = node.arg
+            if named == PLANNING_SURFACE_NAME or keyword in PLANNING_SURFACE_KEYWORDS:
+                symbol = named or f"{keyword}="
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "one-planning-surface",
+                        f"`{symbol}` under {_rel_src(path).split('/')[0]}/: a Session "
+                        f"plans through `planner=` only — build the "
+                        f"legacy_pipeline at the keyword-style entry point "
+                        f"(repro.simulate, repro.core.partition) and pass it in",
+                        symbol,
+                    )
+                )
+    return findings
+
+
+def check_interpreter_call_sites(files: list[Path]) -> list[Finding]:
+    """The ``interpreter-call-sites`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        if _rel_src(path) == INTERPRETER_HOME or SRC not in path.parents:
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            for kw in node.keywords:
+                if (
+                    kw.arg == "compiled"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False
+                ):
+                    findings.append(
+                        Finding(
+                            rel, node.lineno, "interpreter-call-sites",
+                            f"`compiled=False` outside {INTERPRETER_HOME}: the "
+                            f"per-gate interpreter is the backends' degradation "
+                            f"target and the tests' oracle, not an executor tier",
+                            "compiled=False",
+                        )
+                    )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -393,6 +479,8 @@ def main(argv: list[str] | None = None) -> int:
         findings.extend(check_file(path))
     findings.extend(check_one_stage_loop(files))
     findings.extend(check_one_kernel_lowering(files))
+    findings.extend(check_one_planning_surface(files))
+    findings.extend(check_interpreter_call_sites(files))
 
     if args.write_baseline:
         args.baseline.write_text(
