@@ -730,9 +730,11 @@ PLAN_PRESETS = ("fast", "balanced", "quality")
 
 
 def _seed_planner() -> PassManager:
-    """The seed planner as a pipeline: full ILP iteration (no shortcuts)
-    plus the reference beam DP — the pre-pipeline ``partition()`` code
-    path, pass for pass."""
+    """The seed planner as a pipeline: the ILP stager with no pass-level
+    shortcut (a fits-locally circuit still goes through the solver) plus
+    the reference beam DP — the pre-pipeline ``partition()`` code path,
+    pass for pass.  Staging itself is ``stage_circuit``, the same for
+    every planner, so the stage counts must agree exactly."""
     return PassManager(
         [
             ("analyze", {}),
@@ -741,7 +743,6 @@ def _seed_planner() -> PassManager:
                 {
                     "stager": "ilp",
                     "single_stage_shortcut": False,
-                    "lower_bound_start": False,
                     "ilp_time_limit": 120.0,
                 },
             ),
@@ -825,8 +826,10 @@ def check_regression(
     problems: list[str] = []
     # Planning-pipeline invariants are current-run properties: the fast
     # preset must beat the seed planner >= 2x at the median while never
-    # producing a costlier plan, and the preset quality ladder must be
-    # monotone (quality <= balanced <= fast kernel cost).
+    # producing a costlier plan, every preset must reach the seed planner's
+    # stage count (they all stage through ``stage_circuit``), and the
+    # preset quality ladder must be monotone (quality <= balanced <= fast
+    # kernel cost).
     planner = current.get("plan") or {}
     if planner:
         if planner["fast_median_speedup_vs_seed"] < 2.0:
@@ -837,6 +840,13 @@ def check_regression(
             )
         for key, entry in planner["entries"].items():
             presets = entry["presets"]
+            for name, preset in presets.items():
+                if preset["num_stages"] != entry["seed_stages"]:
+                    problems.append(
+                        f"plan[{key}]: {name} preset staged into "
+                        f"{preset['num_stages']} stages, the seed planner into "
+                        f"{entry['seed_stages']}"
+                    )
             if presets["fast"]["kernel_cost"] > entry["seed_kernel_cost"] + 1e-9:
                 problems.append(
                     f"plan[{key}]: fast preset kernel cost "
@@ -1138,7 +1148,7 @@ def run_suite(
         else {}
     )
     return {
-        "schema": 7,
+        "schema": 8,
         "cpu_count": os.cpu_count(),
         "config": {
             "micro_qubits": micro_sizes,

@@ -204,3 +204,19 @@ class TestBaselineRegression:
         slowed["kernel_lowering"]["14"]["su2random"]["max_abs_diff_vs_per_gate"] = 1.0
         problems = run_bench.check_regression(current=slowed, baseline=current)
         assert len(problems) >= 17
+
+    def test_check_regression_flags_a_preset_off_the_seed_stage_count(self):
+        # Every planner stages through ``stage_circuit``: a preset whose
+        # stage count differs from the seed planner's is a second staging.
+        preset = {"kernel_cost": 1.0, "num_stages": 2, "seconds": 1.0}
+        current = {"plan": {
+            "fast_median_speedup_vs_seed": 3.0,
+            "entries": {"qft-10/sharded": {
+                "seed_kernel_cost": 1.0, "seed_stages": 2,
+                "presets": {name: dict(preset) for name in run_bench.PLAN_PRESETS},
+            }},
+        }}
+        assert run_bench.check_regression(current, {}) == []
+        current["plan"]["entries"]["qft-10/sharded"]["presets"]["balanced"]["num_stages"] = 3
+        problems = run_bench.check_regression(current, {})
+        assert len(problems) == 1 and "balanced preset staged into 3 stages" in problems[0]

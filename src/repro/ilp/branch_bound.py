@@ -19,7 +19,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import ConstraintSense, IlpModel, Solution, SolveStatus, VarType
+from .model import IlpModel, Solution, SolveStatus
+from .scipy_backend import lower_model
 
 __all__ = ["solve_with_branch_and_bound"]
 
@@ -28,37 +29,23 @@ _INT_TOL = 1e-6
 
 def _build_lp(model: IlpModel):
     """Lower the model to linprog form (A_ub, b_ub, A_eq, b_eq, c, bounds)."""
-    n = model.num_variables
-    c = np.zeros(n)
-    for idx, coeff in model.objective.coeffs.items():
-        c[idx] = coeff
-
-    ub_rows, ub_cols, ub_data, b_ub = [], [], [], []
-    eq_rows, eq_cols, eq_data, b_eq = [], [], [], []
-    n_ub = n_eq = 0
-    for con in model.constraints:
-        rhs = -con.expr.constant
-        if con.sense is ConstraintSense.EQ:
-            for idx, coeff in con.expr.coeffs.items():
-                eq_rows.append(n_eq)
-                eq_cols.append(idx)
-                eq_data.append(coeff)
-            b_eq.append(rhs)
-            n_eq += 1
-        else:
-            sign = 1.0 if con.sense is ConstraintSense.LE else -1.0
-            for idx, coeff in con.expr.coeffs.items():
-                ub_rows.append(n_ub)
-                ub_cols.append(idx)
-                ub_data.append(sign * coeff)
-            b_ub.append(sign * rhs)
-            n_ub += 1
-
-    a_ub = sparse.csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(n_ub, n)) if n_ub else None
-    a_eq = sparse.csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(n_eq, n)) if n_eq else None
-    bounds = [(var.lower, var.upper) for var in model.variables]
-    int_vars = [v.index for v in model.variables if v.var_type in (VarType.BINARY, VarType.INTEGER)]
-    return c, a_ub, np.array(b_ub), a_eq, np.array(b_eq), bounds, int_vars
+    c, matrix, lo, hi, integrality, lower, upper = lower_model(model)
+    eq = lo == hi
+    # linprog wants ``A_ub x <= b_ub``: a ``>=`` row goes in negated, and a
+    # two-sided row contributes its ``>=`` half after the one-sided rows.
+    le = ~eq & np.isfinite(hi)
+    ge = ~eq & np.isfinite(lo)
+    first = le | ge
+    both = le & ge
+    a_ub = None
+    if first.any():
+        sign = np.where(le, 1.0, -1.0)[first]
+        a_ub = sparse.vstack([sparse.diags(sign) @ matrix[first], -matrix[both]], format="csr")
+    b_ub = np.concatenate([np.where(le, hi, -lo)[first], -lo[both]])
+    a_eq = matrix[eq] if eq.any() else None
+    bounds = list(zip(lower.tolist(), upper.tolist()))
+    int_vars = np.flatnonzero(integrality).tolist()
+    return c, a_ub, b_ub, a_eq, hi[eq], bounds, int_vars
 
 
 def _solve_relaxation(c, a_ub, b_ub, a_eq, b_eq, bounds):

@@ -15,8 +15,9 @@ expressions or constants.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "VarType",
@@ -131,18 +132,25 @@ class LinExpr:
             return LinExpr.constant_expr(float(other))
         raise TypeError(f"cannot combine LinExpr with {type(other)!r}")
 
-    def __add__(self, other) -> "LinExpr":
+    def _accumulate(self, other, scale: float = 1.0) -> "LinExpr":
+        """Add ``scale * other`` into this expression in place; returns self."""
+        if isinstance(other, Variable):
+            self.coeffs[other.index] = self.coeffs.get(other.index, 0.0) + scale
+            return self
         other = self._coerce(other)
-        out = self.copy()
+        coeffs = self.coeffs
         for idx, coeff in other.coeffs.items():
-            out.coeffs[idx] = out.coeffs.get(idx, 0.0) + coeff
-        out.constant += other.constant
-        return out
+            coeffs[idx] = coeffs.get(idx, 0.0) + scale * coeff
+        self.constant += scale * other.constant
+        return self
+
+    def __add__(self, other) -> "LinExpr":
+        return self.copy()._accumulate(other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LinExpr":
-        return self + (self._coerce(other) * -1.0)
+        return self.copy()._accumulate(other, -1.0)
 
     def __rsub__(self, other) -> "LinExpr":
         return self._coerce(other) - self
@@ -171,10 +179,15 @@ class LinExpr:
 
 
 def lin_sum(terms: Iterable) -> LinExpr:
-    """Sum variables/expressions/constants into a single :class:`LinExpr`."""
+    """Sum variables/expressions/constants into a single :class:`LinExpr`.
+
+    Accumulates into one expression in place, so the cost is linear in the
+    number of terms (``total = total + term`` copies the running dict per
+    term, which is quadratic on the cardinality rows of the staging ILP).
+    """
     total = LinExpr()
     for term in terms:
-        total = total + term
+        total._accumulate(term)
     return total
 
 
@@ -214,18 +227,32 @@ class Solution:
 
 
 class IlpModel:
-    """Container for variables, constraints and the objective."""
+    """Container for variables, constraints and the objective.
+
+    Constraints live in **one row store**, in CSR order: row ``r`` reads
+    ``row_lo[r] <= sum(coefs[j] * x[cols[j]] for j in ptr[r]:ptr[r+1]) <=
+    row_hi[r]`` (an equality has ``lo == hi``; a one-sided row has the other
+    side infinite).  :meth:`add_row` appends to it directly and
+    :meth:`add_constraint` appends the row of an expression-algebra
+    :class:`Constraint`, so a model built either way — or both ways mixed —
+    lowers to the same matrix; the solver backends read :meth:`rows`.
+    """
 
     def __init__(self, name: str = "ilp"):
         self.name = name
         self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
         self.objective: LinExpr = LinExpr()
+        self._cols: list[int] = []
+        self._coefs: list[float] = []
+        self._row_ptr: list[int] = [0]
+        self._row_lo: list[float] = []
+        self._row_hi: list[float] = []
 
     # -- variable creation ----------------------------------------------------
 
-    def binary_var(self, name: str) -> Variable:
-        return self._add_var(name, VarType.BINARY, 0.0, 1.0)
+    def binary_var(self, name: str, lower: float = 0.0, upper: float = 1.0) -> Variable:
+        """A 0/1 variable; ``lower == upper`` fixes it (presolve drops it)."""
+        return self._add_var(name, VarType.BINARY, lower, upper)
 
     def integer_var(self, name: str, lower: float = 0.0, upper: float = 1e9) -> Variable:
         return self._add_var(name, VarType.INTEGER, lower, upper)
@@ -240,10 +267,28 @@ class IlpModel:
 
     # -- constraints / objective ----------------------------------------------
 
+    def add_row(self, cols: Sequence[int], coefs: Sequence[float], lo: float, hi: float) -> None:
+        """Append ``lo <= sum(coefs[i] * x[cols[i]]) <= hi`` to the row store.
+
+        *cols* are variable indices, each at most once, with non-zero *coefs*.
+        """
+        self._cols.extend(cols)
+        self._coefs.extend(coefs)
+        self._row_ptr.append(len(self._cols))
+        self._row_lo.append(lo)
+        self._row_hi.append(hi)
+
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
         if name:
             constraint.name = name
-        self.constraints.append(constraint)
+        terms = [(i, c) for i, c in constraint.expr.coeffs.items() if c != 0.0]
+        rhs = -constraint.expr.constant
+        self.add_row(
+            [i for i, _ in terms],
+            [c for _, c in terms],
+            -math.inf if constraint.sense is ConstraintSense.LE else rhs,
+            math.inf if constraint.sense is ConstraintSense.GE else rhs,
+        )
         return constraint
 
     def add_eq(self, expr, value, name: str = "") -> Constraint:
@@ -256,6 +301,11 @@ class IlpModel:
             expr = LinExpr.from_term(expr)
         self.objective = expr
 
+    def rows(self) -> tuple[list[float], list[int], list[int], list[float], list[float]]:
+        """The row store as ``(coefs, cols, row_ptr, row_lo, row_hi)`` — the
+        ``(data, indices, indptr)`` of a CSR matrix plus the row bounds."""
+        return self._coefs, self._cols, self._row_ptr, self._row_lo, self._row_hi
+
     # -- introspection ----------------------------------------------------------
 
     @property
@@ -264,7 +314,7 @@ class IlpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._row_lo)
 
     def check_solution(self, values: Mapping[int, float], tol: float = 1e-6) -> bool:
         """Verify that *values* satisfy every constraint and integrality."""
@@ -274,7 +324,14 @@ class IlpModel:
                 return False
             if var.var_type in (VarType.BINARY, VarType.INTEGER) and abs(v - round(v)) > tol:
                 return False
-        return all(c.is_satisfied(values, tol) for c in self.constraints)
+        coefs, cols, ptr = self._coefs, self._cols, self._row_ptr
+        for r, (lo, hi) in enumerate(zip(self._row_lo, self._row_hi)):
+            activity = sum(
+                coefs[j] * values.get(cols[j], 0.0) for j in range(ptr[r], ptr[r + 1])
+            )
+            if activity < lo - tol or activity > hi + tol:
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

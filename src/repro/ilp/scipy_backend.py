@@ -11,52 +11,34 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .model import ConstraintSense, IlpModel, Solution, SolveStatus, VarType
+from .model import IlpModel, Solution, SolveStatus, VarType
 
-__all__ = ["solve_with_scipy"]
+__all__ = ["lower_model", "solve_with_scipy"]
 
 
-def _lower_model(model: IlpModel):
-    """Lower an :class:`IlpModel` to (c, A, lb, ub, integrality, bounds)."""
+def lower_model(model: IlpModel):
+    """Lower an :class:`IlpModel` to (c, A, row lb, row ub, integrality, lower, upper)."""
     n = model.num_variables
     c = np.zeros(n)
     for idx, coeff in model.objective.coeffs.items():
         c[idx] = coeff
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    con_lb: list[float] = []
-    con_ub: list[float] = []
-    for row, con in enumerate(model.constraints):
-        for idx, coeff in con.expr.coeffs.items():
-            if coeff != 0.0:
-                rows.append(row)
-                cols.append(idx)
-                data.append(coeff)
-        rhs = -con.expr.constant
-        if con.sense is ConstraintSense.LE:
-            con_lb.append(-np.inf)
-            con_ub.append(rhs)
-        elif con.sense is ConstraintSense.GE:
-            con_lb.append(rhs)
-            con_ub.append(np.inf)
-        else:
-            con_lb.append(rhs)
-            con_ub.append(rhs)
+    # The model's row store already is a CSR matrix plus row bounds.
+    coefs, cols, row_ptr, row_lo, row_hi = model.rows()
+    a_matrix = sparse.csr_matrix(
+        (np.asarray(coefs, dtype=float), np.asarray(cols, dtype=np.int32),
+         np.asarray(row_ptr, dtype=np.int32)),
+        shape=(model.num_constraints, n),
+    )
 
-    num_cons = len(model.constraints)
-    a_matrix = sparse.csr_matrix((data, (rows, cols)), shape=(num_cons, n))
-
-    integrality = np.zeros(n)
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    for var in model.variables:
-        lower[var.index] = var.lower
-        upper[var.index] = var.upper
-        if var.var_type in (VarType.BINARY, VarType.INTEGER):
-            integrality[var.index] = 1
-    return c, a_matrix, np.array(con_lb), np.array(con_ub), integrality, lower, upper
+    integrality = np.array(
+        [v.var_type in (VarType.BINARY, VarType.INTEGER) for v in model.variables], dtype=float
+    )
+    lower = np.array([v.lower for v in model.variables], dtype=float)
+    upper = np.array([v.upper for v in model.variables], dtype=float)
+    con_lb = np.array(row_lo, dtype=float)
+    con_ub = np.array(row_hi, dtype=float)
+    return c, a_matrix, con_lb, con_ub, integrality, lower, upper
 
 
 def solve_with_scipy(model: IlpModel, time_limit: float | None = None) -> Solution:
@@ -69,9 +51,9 @@ def solve_with_scipy(model: IlpModel, time_limit: float | None = None) -> Soluti
     time_limit:
         Optional wall-clock limit in seconds passed to HiGHS.
     """
-    c, a_matrix, con_lb, con_ub, integrality, lower, upper = _lower_model(model)
+    c, a_matrix, con_lb, con_ub, integrality, lower, upper = lower_model(model)
     constraints = []
-    if model.constraints:
+    if model.num_constraints:
         constraints.append(LinearConstraint(a_matrix, con_lb, con_ub))
     options: dict = {}
     if time_limit is not None:

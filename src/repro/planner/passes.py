@@ -16,10 +16,12 @@ Built-in pipeline (the order the presets use)::
 * **analyze** — cheap structural facts (non-insular qubit union, gate
   counts) that later passes use for their adaptive skips;
 * **stage** — circuit staging through the unified stager registry
-  (``"ilp"``, ``"snuqs"``, ``"greedy"``), with two provably lossless
-  cost-model-adaptive shortcuts: a circuit whose non-insular union fits the
-  local set is staged directly (no solver), and the ILP stage-count
-  iteration starts at the provable lower bound ``ceil(|U| / L)``;
+  (``"ilp"``, ``"snuqs"``, ``"greedy"``), with one provably lossless
+  cost-model-adaptive shortcut: a circuit whose non-insular union fits the
+  local set is staged directly (no solver).  That the ILP stager starts
+  its stage-count iteration at a proven lower bound is not an option of
+  this pass: :func:`repro.core.stage.stage_circuit` does so for every
+  caller;
 * **kernelize** — per-stage kernelization through the unified kernelizer
   registry (``"atlas"``, ``"atlas-ref"``, ``"atlas-naive"``, ``"greedy"``);
 * **refine** — quality escalation that can only improve the plan: per
@@ -33,7 +35,6 @@ Built-in pipeline (the order the presets use)::
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable
 
 from ..circuits.gates import Gate
@@ -88,7 +89,7 @@ KERNELIZERS: dict[str, Callable[..., KernelSequence]] = {
 
 #: Unified stager registry.  Entries are called as
 #: ``fn(circuit, machine, **options)`` where the options always include
-#: ``min_stages``, ``ilp_backend``, ``ilp_time_limit`` and ``max_stages``
+#: ``ilp_backend``, ``ilp_time_limit`` and ``max_stages``
 #: (heuristic stagers swallow what they do not use with ``**_ignored``).
 STAGERS: dict[str, Callable[..., StagingResult]] = {}
 
@@ -107,14 +108,14 @@ def register_stager(name: str, fn: Callable[..., StagingResult]) -> None:
 
     *fn* is invoked as ``fn(circuit, machine, **options)`` and must accept
     (or swallow via ``**kwargs``) the standard staging options
-    ``min_stages`` / ``ilp_backend`` / ``ilp_time_limit`` / ``max_stages``
+    ``ilp_backend`` / ``ilp_time_limit`` / ``max_stages``
     in addition to anything pipeline-specific, and return a
     :class:`~repro.core.stage.StagingResult`.
     """
     STAGERS[name] = fn
 
 
-def _stage_ilp(circuit, machine, *, min_stages, ilp_backend, ilp_time_limit, max_stages):
+def _stage_ilp(circuit, machine, *, ilp_backend, ilp_time_limit, max_stages):
     return stage_circuit(
         circuit,
         machine.local_qubits,
@@ -124,7 +125,6 @@ def _stage_ilp(circuit, machine, *, min_stages, ilp_backend, ilp_time_limit, max
         backend=ilp_backend,
         max_stages=max_stages,
         time_limit=ilp_time_limit,
-        min_stages=min_stages,
     )
 
 
@@ -288,12 +288,13 @@ class StagePass(PlanningPass):
         stager: the shortcut reproduces the ILP's optimal answer, whereas
         heuristic stagers are often run precisely to study *their*
         behaviour, which must not be silently replaced.
-    lower_bound_start:
-        Start the ILP stage-count iteration at ``ceil(|U| / L)`` — any
-        smaller count is provably infeasible because ``s`` stages expose at
-        most ``s * L`` distinct local qubits.  Default True.
     ilp_backend, ilp_time_limit, max_stages:
         Passed to the ILP stager.
+
+    Besides the staging's stage count and cost the pass reports the ILP's
+    size as counts: ``stage_lower_bound`` (the stage windows' proven bound,
+    where the iteration starts) and, one entry per solve, ``ilp_rows``,
+    ``ilp_cols`` and ``ilp_fixed_vars`` (columns the windows fixed).
     """
 
     name = "stage"
@@ -319,18 +320,9 @@ class StagePass(PlanningPass):
                 f"directly, staging solver skipped"
             )
         else:
-            min_stages = 1
-            if stager == "ilp" and options.get("lower_bound_start", True):
-                union = ctx.facts.get("non_insular_union")
-                if union:
-                    min_stages = max(
-                        1, math.ceil(len(union) / ctx.machine.local_qubits)
-                    )
-            record.metrics["min_stages_start"] = min_stages
             ctx.staging = STAGERS[stager](
                 ctx.circuit,
                 ctx.machine,
-                min_stages=min_stages,
                 ilp_backend=options.get("ilp_backend", "scipy"),
                 ilp_time_limit=options.get("ilp_time_limit", 120.0),
                 max_stages=options.get("max_stages", 32),
@@ -341,6 +333,10 @@ class StagePass(PlanningPass):
             solver_status=ctx.staging.solver_status,
             solver_seconds=ctx.staging.solver_seconds,
             num_solves=ctx.staging.num_solves,
+            stage_lower_bound=ctx.staging.lower_bound,
+            ilp_rows=[rows for rows, _, _ in ctx.staging.model_sizes],
+            ilp_cols=[cols for _, cols, _ in ctx.staging.model_sizes],
+            ilp_fixed_vars=[fixed for _, _, fixed in ctx.staging.model_sizes],
         )
 
 

@@ -13,12 +13,12 @@ planner is accepted (``Session(planner=...)``, ``session.run(planner=...)``,
 :func:`build_plan`):
 
 =============  =============================================================
-``"fast"``     latency-critical cold planning: lossless staging shortcuts
-               (fits-locally direct staging, ILP lower-bound start), a
-               tighter per-solve ILP time limit, the bitmask beam DP, no
-               refinement.  Same plan quality as the seed planner — the
-               shortcuts are provably lossless and the fast DP is
-               result-identical to the reference.
+``"fast"``     latency-critical cold planning: the lossless staging
+               shortcut (fits-locally direct staging), a tighter per-solve
+               ILP time limit, the bitmask beam DP, no refinement.  Same
+               plan quality as the seed planner — the shortcut is provably
+               lossless and the fast DP is result-identical to the
+               reference.
 ``"balanced"`` the default: fast's pipeline plus the cheap ``ordered``
                refinement guard (contiguous-optimal DP per stage, keep the
                cheaper kernelization) — never worse than ``"fast"``.
@@ -230,7 +230,6 @@ def _fast_preset() -> PassManager:
                 {
                     "stager": "ilp",
                     "single_stage_shortcut": True,
-                    "lower_bound_start": True,
                     "ilp_time_limit": 15.0,
                 },
             ),
@@ -250,7 +249,6 @@ def _balanced_preset() -> PassManager:
                 {
                     "stager": "ilp",
                     "single_stage_shortcut": True,
-                    "lower_bound_start": True,
                     "ilp_time_limit": 120.0,
                 },
             ),
@@ -271,7 +269,6 @@ def _quality_preset() -> PassManager:
                 {
                     "stager": "ilp",
                     "single_stage_shortcut": True,
-                    "lower_bound_start": True,
                     "ilp_time_limit": 120.0,
                 },
             ),
@@ -351,7 +348,7 @@ def legacy_pipeline(
     structure, kernel boundaries and costs exactly) and the paper's
     stager × kernelizer ablation axes.  A :class:`~repro.session.Session`
     takes the result like any other ``planner=``; it is not a degradation
-    target.  The staging shortcuts stay on — they are provably lossless —
+    target.  The staging shortcut stays on — it is provably lossless —
     and ``"atlas"`` resolves to the result-identical fast DP.  (One
     cosmetic freedom remains: on fits-locally machines the single-stage
     shortcut pads the zero-communication qubit partition with the
@@ -366,7 +363,6 @@ def legacy_pipeline(
                 {
                     "stager": stager,
                     "single_stage_shortcut": True,
-                    "lower_bound_start": True,
                     "ilp_backend": ilp_backend,
                     "ilp_time_limit": ilp_time_limit,
                 },

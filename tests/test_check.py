@@ -776,6 +776,40 @@ class TestLintRepro:
             ("interpreter-call-sites", "src/repro/service/service.py", 2)
         ]
 
+    def test_second_staging_bound_or_solver_bypass_flagged(self, lint):
+        home = self.write(
+            lint, "core/stage.py",
+            "from ..ilp import IlpModel, solve\n"
+            "def stage_circuit(circuit):\n"
+            "    return solve(IlpModel())\n",
+        )
+        assert lint.check_one_staging_bound([home]) == []
+        # The deleted knobs growing back, anywhere under src/ ...
+        knob = self.write(
+            lint, "planner/passes.py",
+            "def run(options):\n"
+            "    return stage(min_stages=2 if options['lower_bound_start'] else 1)\n",
+        )
+        findings = lint.check_one_staging_bound([home, knob])
+        assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            ("src/repro/planner/passes.py", 2, "lower_bound_start"),
+            ("src/repro/planner/passes.py", 2, "min_stages"),
+        ]
+        # ... and staging reaching the solver past the traced seam.
+        bypass = self.write(
+            lint, "core/stage.py",
+            "from .. import ilp\n"
+            "from ..ilp.scipy_backend import solve_with_scipy\n"
+            "def stage_circuit(circuit):\n"
+            "    return ilp.solve(circuit) or solve_with_scipy(circuit)\n",
+        )
+        findings = lint.check_one_staging_bound([bypass])
+        assert {f.rule for f in findings} == {"one-staging-bound"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (0, "solve:missing"), (2, "solve_with_scipy"), (4, ".solve"),
+            (4, "solve_with_scipy"),
+        ]
+
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")
         baseline = tmp_path / "baseline.json"

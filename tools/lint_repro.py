@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Seven rules, each enforcing an invariant the execution layer depends on
+Eight rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -68,6 +68,17 @@ Seven rules, each enforcing an invariant the execution layer depends on
     benchmarks call it freely); any other caller under ``src/repro`` is a
     second executor tier growing back.
 
+``one-staging-bound``
+    Nothing under ``src/`` names ``min_stages`` or ``lower_bound_start``:
+    the stage count's lower bound is proven inside
+    ``core/stage.py::stage_circuit`` (the stage windows) for every caller,
+    and a caller-supplied start or a switch for it is the second bound
+    growing back.  And ``core/stage.py`` reaches the solver only by
+    calling its module attribute ``solve`` (bound by a module-level
+    import): that name is the seam ``benchmarks/perf/layers.py`` traces
+    ``ilp.solve`` through, so a backend called directly — or ``solve``
+    reached through another object — would run unpriced.
+
 Usage::
 
     python tools/lint_repro.py [--baseline tools/lint_baseline.json]
@@ -132,6 +143,14 @@ PLANNING_SURFACE_NAME = "legacy_pipeline"
 PLANNING_SURFACE_KEYWORDS = {"stager", "kernelizer"}
 
 INTERPRETER_HOME = "session/backends.py"
+
+STAGING_BOUND_WORDS = ("min_stages", "lower_bound_start")
+STAGING_HOME = "core/stage.py"
+STAGING_SOLVER_SEAM = "solve"
+#: Ways past the seam: the backends behind ``repro.ilp.solve``.
+STAGING_SOLVER_BYPASSES = {
+    "solve_with_scipy", "solve_with_branch_and_bound", "milp", "linprog", "BACKENDS",
+}
 
 
 class Finding:
@@ -342,6 +361,71 @@ def check_interpreter_call_sites(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_one_staging_bound(files: list[Path]) -> list[Finding]:
+    """The ``one-staging-bound`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        source = path.read_text()
+        for number, line in enumerate(source.splitlines(), 1):
+            for word in STAGING_BOUND_WORDS:
+                if word in line:
+                    findings.append(
+                        Finding(
+                            rel, number, "one-staging-bound",
+                            f"`{word}` under src/: the stage count starts at the "
+                            f"bound core/stage.py::stage_circuit proves itself; "
+                            f"there is no caller-side start and no switch for it",
+                            word,
+                        )
+                    )
+        if _rel_src(path) != STAGING_HOME:
+            continue
+        tree = ast.parse(source, filename=str(path))
+        bound_at_module_level = any(
+            isinstance(node, ast.ImportFrom)
+            and any((a.asname or a.name) == STAGING_SOLVER_SEAM for a in node.names)
+            for node in tree.body
+        )
+        seam_calls = 0
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                seam_calls += node.func.id == STAGING_SOLVER_SEAM
+            if isinstance(node, ast.Attribute):
+                named = node.attr
+            elif isinstance(node, ast.Name):
+                named = node.id
+            elif isinstance(node, ast.alias):
+                named = node.name
+            else:
+                continue
+            through_object = named == STAGING_SOLVER_SEAM and isinstance(node, ast.Attribute)
+            if named in STAGING_SOLVER_BYPASSES or through_object:
+                symbol = f".{named}" if through_object else named
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "one-staging-bound",
+                        f"`{symbol}` in {STAGING_HOME}: staging calls the solver "
+                        f"only as the module attribute `{STAGING_SOLVER_SEAM}` — "
+                        f"the seam the repo benchmark traces ilp.solve through",
+                        symbol,
+                    )
+                )
+        if not (bound_at_module_level and seam_calls):
+            findings.append(
+                Finding(
+                    rel, 0, "one-staging-bound",
+                    f"{STAGING_HOME} no longer imports `{STAGING_SOLVER_SEAM}` at "
+                    f"module level and calls it by that name: the solver seam "
+                    f"moved without this rule following it",
+                    f"{STAGING_SOLVER_SEAM}:missing",
+                )
+            )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -481,6 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_kernel_lowering(files))
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_interpreter_call_sites(files))
+    findings.extend(check_one_staging_bound(files))
 
     if args.write_baseline:
         args.baseline.write_text(
