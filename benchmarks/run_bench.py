@@ -7,8 +7,14 @@ per-gate allocation) that :func:`repro.sim.apply.apply_matrix_reference`
 preserves:
 
 * **micro** — gates/sec by gate class (dense 1q, dense 2q, diagonal,
-  permutation, controlled, fused 3q), each swept across qubit positions of
-  a ``2^n`` state, for the engine and for the seed reference;
+  permutation, controlled, fused 3q), each swept across **every** position
+  of a ``2^n`` state, for the engine and for the seed reference, plus the
+  class's worst-position / median-position ratio — gated against the
+  baseline's at ``--threshold`` for the dense classes (widths 1-3), so a
+  planner cliff at one position cannot hide in the class mean; and, for the widths a fused kernel can have
+  beyond that sweep (k = 4..8), a run at position 1 through the planner's
+  pick and through the stacked matmul it is chosen over (the pick must
+  not cost more than 1.25x the alternative);
 * **plan** — end-to-end :func:`repro.runtime.execute_plan` wall time on a
   QFT benchmark circuit (the paper's QFT-28 shape at a configurable size)
   versus a faithful re-implementation of the seed executor;
@@ -132,6 +138,16 @@ GATE_CLASSES = {
     "fused_3q": (lambda: _random_unitary(8, seed=9), 3),
 }
 
+#: The classes whose every position goes through the dense planner (widths
+#: 1-3): the ones whose worst-position / median-position ratio is gated.
+DENSE_CLASSES = ("dense_1q", "dense_2q", "fused_3q")
+
+#: Widths past the position sweep (a fusion kernel holds up to 8 qubits),
+#: timed at the one start position where the planner's rule for them is not
+#: the mid-register one: a run starting at position 1 takes the 2x-inflated
+#: right gemm instead of the stacked matmul with a post dimension of 2.
+WIDE_LOW_WIDTHS = (4, 5, 6, 7, 8)
+
 
 def _random_unitary(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -161,54 +177,95 @@ def _best_seconds(fn, repeats: int) -> float:
 
 
 def _sweep_positions(n: int, k: int) -> list[list[int]]:
-    """Qubit tuples covering low / middle / high positions of the register."""
-    if k == 1:
-        picks = sorted({0, 1, n // 2, n - 2, n - 1})
-        return [[q] for q in picks]
+    """Every contiguous run of *k* positions, bottom to top — the dense
+    planner's cliffs sit at single positions, and sampling low / middle /
+    high is how they stayed unseen — then, for 2q gates, a reversed, a
+    register-spanning and a mid-distance pair."""
+    runs = [list(range(q0, q0 + k)) for q0 in range(n - k + 1)]
     if k == 2:
-        return [
-            [0, 1],
-            [1, 0],
-            [0, n - 1],
-            [n // 2 - 1, n // 2],
-            [2, n // 2],
-            [n - 2, n - 1],
-        ]
-    return [[0, 1, 2], [n // 2 - 1, n // 2, n // 2 + 1], [n - 3, n - 2, n - 1]]
+        runs += [[1, 0], [0, n - 1], [2, n // 2]]
+    return runs
 
 
 def run_micro(num_qubits: int, repeats: int = 5) -> dict:
-    """Gates/sec per gate class for the engine vs the seed reference."""
+    """Gates/sec per gate class for the engine vs the seed reference.
+
+    The engine is timed position by position: ``position_copies`` is the
+    cost at each contiguous position, lowest first, in state copies (the
+    table the dense planner's thresholds and the dense-run fold are read
+    off), ``position_ratio`` the worst of them over the median one
+    (``worst_run`` names it) — the number that shows a planner cliff.  The
+    reference does the same work wherever the gate sits, so it runs every
+    fourth tuple.
+    """
     rng = np.random.default_rng(0)
     state = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     state /= np.linalg.norm(state)
-    scratch = np.empty_like(state)
+    buffers = [state, np.empty_like(state)]
+    copy = _best_seconds(lambda: np.copyto(buffers[1], buffers[0]), 3 * repeats)
     results: dict[str, dict] = {}
     for label, (factory, k) in GATE_CLASSES.items():
         matrix = factory()
         sweeps = _sweep_positions(num_qubits, k)
 
-        def run_fast(buffers=[state, scratch]):
-            buf, scr = buffers
-            for qubits in sweeps:
-                buf, scr = apply_gate_buffered(buf, scr, matrix, qubits)
-            buffers[0], buffers[1] = buf, scr
+        def run_fast(qubits):
+            buffers[0], buffers[1] = apply_gate_buffered(
+                buffers[0], buffers[1], matrix, qubits
+            )
 
         def run_reference():
-            for qubits in sweeps:
+            for qubits in sweeps[::4]:
                 apply_matrix_reference(state, matrix, qubits)
 
-        fast = _best_seconds(run_fast, repeats) / len(sweeps)
-        reference = _best_seconds(run_reference, repeats) / len(sweeps)
+        # Whole passes over the positions, best per position: a burst of
+        # host noise then costs several positions one sample each instead
+        # of one position all of its samples (the ratio below is a max).
+        passes = [
+            [_best_seconds(lambda q=qubits: run_fast(q), 1) for qubits in sweeps]
+            for _ in range(repeats)
+        ]
+        per_tuple = np.min(passes, axis=0)
+        fast = float(np.mean(per_tuple))
+        reference = _best_seconds(run_reference, repeats) / len(sweeps[::4])
+        contiguous = per_tuple[: num_qubits - k + 1]
         results[label] = {
             "fast_gates_per_s": 1.0 / fast,
             "ref_gates_per_s": 1.0 / reference,
             "speedup": reference / fast,
+            "position_copies": [round(seconds / copy, 2) for seconds in contiguous],
+            "position_ratio": float(np.max(contiguous) / np.median(contiguous)),
+            "worst_run": sweeps[int(np.argmax(contiguous))],
         }
     classes_1q2q = [c for c, (_, k) in GATE_CLASSES.items() if k <= 2]
     speedups = [results[c]["speedup"] for c in classes_1q2q]
     results["mix_1q2q_speedup"] = float(np.exp(np.mean(np.log(speedups))))
+    results["wide_low"] = _wide_low_runs(num_qubits, buffers, copy, repeats)
     return results
+
+
+def _wide_low_runs(num_qubits: int, buffers: list, copy: float, repeats: int) -> list[dict]:
+    """Per width of :data:`WIDE_LOW_WIDTHS`, the run starting at position 1
+    through the planner's pick and through the stacked matmul it is chosen
+    over, both in state copies — so that rule stays a measurement too."""
+    rows = []
+    for k in WIDE_LOW_WIDTHS:
+        qubits = tuple(range(1, 1 + k))
+        matrix = _random_unitary(1 << k, seed=k)
+        plan = apply_mod._dense_plan_impl(matrix, num_qubits, qubits)
+        stacked = ("stacked", matrix, 1 << (num_qubits - k - 1), 1 << k, 2)
+        picked, alternative = (
+            _best_seconds(
+                lambda p=p: apply_mod.run_dense_plan(p, buffers[0], buffers[1]), repeats
+            )
+            for p in (plan, stacked)
+        )
+        rows.append({
+            "k": k,
+            "plan": plan[0],
+            "copies": round(picked / copy, 2),
+            "stacked_copies": round(alternative / copy, 2),
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +571,16 @@ def run_compile_bench(
     )
     batched_states_match = batched_max_diff <= 1e-10
     _best_seconds(lambda: program.run_batched_view(states), 1)  # warm batch pair
-    looped_seconds = _best_seconds(
-        lambda: [program.run_view(state) for state in states], repeats
-    )
-    batched_seconds = _best_seconds(
-        lambda: program.run_batched_view(states), repeats
-    )
+    # Alternate the two sides (best of *repeats* samples each, as before):
+    # a burst of host noise then cannot take every sample of one side.
+    looped_seconds = batched_seconds = float("inf")
+    for _ in range(repeats):
+        looped_seconds = min(looped_seconds, _best_seconds(
+            lambda: [program.run_view(state) for state in states], 1
+        ))
+        batched_seconds = min(batched_seconds, _best_seconds(
+            lambda: program.run_batched_view(states), 1
+        ))
 
     # Bit-exactness gates across the execution paths.
     offload_state, _ = execute_plan_offloaded(plan, machine)
@@ -1062,6 +1123,16 @@ def check_regression(
                 f"vs baseline {old_sess['plan_seconds_warm']:.3f}s "
                 f"(>{threshold}x regression)"
             )
+    # Current-run property (host speed cancels): what the planner picks for
+    # a wide run at position 1 must not lose to the stacked matmul.
+    for size, classes in current.get("micro", {}).items():
+        for row in classes.get("wide_low", []):
+            if row["copies"] > 1.25 * row["stacked_copies"]:
+                problems.append(
+                    f"micro[{size}][wide_low]: a {row['k']}-qubit run at position 1 "
+                    f"costs {row['copies']:.1f} state copies through {row['plan']} "
+                    f"vs {row['stacked_copies']:.1f} through the stacked matmul"
+                )
     for size, classes in baseline.get("micro", {}).items():
         now = current.get("micro", {}).get(size)
         if now is None:
@@ -1074,6 +1145,17 @@ def check_regression(
                 problems.append(
                     f"micro[{size}][{label}]: {new_rate:.1f} gates/s vs "
                     f"baseline {old_rate:.1f} (>{threshold}x regression)"
+                )
+            # A position cliff moves this ratio, not the class's mean rate.
+            # Gated for the classes the dense planner places at every
+            # position; a structured gate's median is an in-place kernel
+            # too short (~50 us at 16 qubits) for a stable ratio.
+            old_ratio, new_ratio = metrics["position_ratio"], now[label]["position_ratio"]
+            if label in DENSE_CLASSES and new_ratio > threshold * old_ratio:
+                problems.append(
+                    f"micro[{size}][{label}]: worst position "
+                    f"{now[label]['worst_run']} costs {new_ratio:.1f}x the median "
+                    f"one vs baseline {old_ratio:.1f}x (>{threshold}x regression)"
                 )
     for size, old_plan in baseline.get("plans", {}).items():
         new_plan = current.get("plans", {}).get(size)
@@ -1148,7 +1230,7 @@ def run_suite(
         else {}
     )
     return {
-        "schema": 8,
+        "schema": 9,
         "cpu_count": os.cpu_count(),
         "config": {
             "micro_qubits": micro_sizes,
@@ -1252,7 +1334,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         # The full run also measures the quick sizes so `--quick` always has
         # matching baseline entries to regression-check against.
-        micro_sizes = sorted({16, args.micro_qubits})
+        # ... and 17 qubits, the shard size of the repo benchmark's
+        # shard-stream workload.
+        micro_sizes = sorted({16, 17, args.micro_qubits})
         plan_sizes = sorted({14, args.plan_qubits})
         offload_sizes = sorted({12, args.offload_qubits})
         session_sizes = sorted({10, args.session_qubits})
@@ -1282,9 +1366,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(
                     f"  {label:12s} {metrics['fast_gates_per_s']:10.1f} gates/s "
                     f"(seed {metrics['ref_gates_per_s']:10.1f}; "
-                    f"{metrics['speedup']:.1f}x)"
+                    f"{metrics['speedup']:.1f}x; worst position "
+                    f"{metrics['position_ratio']:.1f}x the median, at "
+                    f"{metrics['worst_run']})"
                 )
         print(f"  1q/2q mix speedup: {micro['mix_1q2q_speedup']:.1f}x")
+        print("  wide runs at position 1 (pick vs stacked, state copies): " + ", ".join(
+            f"{row['k']}q {row['plan']} {row['copies']:.1f} vs {row['stacked_copies']:.1f}"
+            for row in micro["wide_low"]
+        ))
     for size in plan_sizes:
         plan = results["plans"][str(size)]
         print(

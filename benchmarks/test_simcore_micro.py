@@ -220,3 +220,27 @@ class TestBaselineRegression:
         current["plan"]["entries"]["qft-10/sharded"]["presets"]["balanced"]["num_stages"] = 3
         problems = run_bench.check_regression(current, {})
         assert len(problems) == 1 and "balanced preset staged into 3 stages" in problems[0]
+
+    def test_check_regression_flags_a_position_cliff(self):
+        # A cliff at one position barely moves a class's mean rate; the
+        # worst-position / median-position ratio is what shows it.
+        dense = {"fast_gates_per_s": 300.0, "position_ratio": 2.0, "worst_run": [4, 5]}
+        baseline = {"micro": {"16": {"dense_2q": dense, "mix_1q2q_speedup": 5.0}}}
+        assert run_bench.check_regression(baseline, baseline) == []
+        cliff = {"micro": {"16": {"dense_2q": dict(
+            dense, fast_gates_per_s=280.0, position_ratio=4.5, worst_run=[11, 12]
+        )}}}
+        problems = run_bench.check_regression(cliff, baseline)
+        assert len(problems) == 1 and "worst position [11, 12]" in problems[0]
+
+    def test_check_regression_flags_a_wide_low_run_that_loses_to_stacked(self):
+        row = {"k": 5, "plan": "gemm_right", "copies": 10.0, "stacked_copies": 14.0}
+        assert run_bench.check_regression({"micro": {"16": {"wide_low": [row]}}}, {}) == []
+        lost = dict(row, copies=30.0)
+        problems = run_bench.check_regression({"micro": {"16": {"wide_low": [lost]}}}, {})
+        assert len(problems) == 1 and "5-qubit run at position 1" in problems[0]
+
+    def test_sweep_covers_every_position(self):
+        for k in (1, 2, 3):
+            runs = run_bench._sweep_positions(17, k)[: 17 - k + 1]
+            assert runs == [list(range(q0, q0 + k)) for q0 in range(17 - k + 1)]

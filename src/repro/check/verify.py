@@ -13,7 +13,8 @@ ping-pong buffers symbolically: which buffer *actually* holds the state
 stream's declared ``mode`` metadata *claims* holds it.  Any divergence is a
 ping-pong parity violation: every subsequent op would read a stale — and,
 before the first streaming op, uninitialized — buffer.  It further proves
-per-op qubit bounds, workspace-temporary alias freedom, per-op locality
+per-op qubit bounds, workspace-temporary alias freedom, that every folded
+dense op covers one contiguous run of positions, per-op locality
 against the plan's layout walk, and (given the source plan) that the op
 stream is exactly the compiler's expected emission — no gate dropped,
 duplicated or reordered, no shared-memory block split or merged
@@ -242,7 +243,8 @@ def expected_op_stream(
             if kernel.kernel_type is KernelType.FUSION:
                 expected.append((("kernel", stage_idx, group_idx), gates))
             else:
-                for item_idx, item in enumerate(lower_kernel_gates(gates)):
+                lowered = lower_kernel_gates(gates, layout.logical_to_physical())
+                for item_idx, item in enumerate(lowered):
                     expected.append(
                         (("sm", stage_idx, group_idx, item_idx), item.gates)
                     )
@@ -330,6 +332,24 @@ def _check_op_metadata(report: CheckReport, program: "CompiledProgram") -> None:
                     f"op addresses out-of-bounds physical position(s) {bad} "
                     f"(program spans {n} qubits)",
                     site="program.qubit-bounds",
+                    op_index=op_index,
+                )
+        if (
+            op.kind == "dense" and op.qubits and len(op.gates or ()) > 1
+            and isinstance(op.source, tuple) and op.source[:1] == ("sm",)
+        ):
+            # A fold of 1q dense gates exists to share one gemm: its
+            # positions are one contiguous run and it borrows no temporary
+            # (the split plans are the only dense ones that do).
+            run = max(op.qubits) - min(op.qubits) + 1 == len(op.qubits)
+            if not run or op.tmp_slots:
+                report.add(
+                    "program.fold",
+                    f"folded dense op on positions {op.qubits} "
+                    + ("borrows temporaries: it plans to a split gemm"
+                       if run else "is not one contiguous run")
+                    + ", dearer than the sweeps the fold replaced",
+                    site="program.fold",
                     op_index=op_index,
                 )
         if len(set(op.tmp_slots)) != len(op.tmp_slots):
@@ -435,14 +455,15 @@ def verify_program(
 
     Always proves the ping-pong parity discipline (declared mode vs op
     kind, with an abstract two-buffer interpretation flagging stale /
-    uninitialized reads), per-op qubit bounds and workspace-temporary
+    uninitialized reads), per-op qubit bounds, that every fold of dense
+    gates is one contiguous single-gemm run, and workspace-temporary
     alias freedom.  Given the source *plan*, additionally proves the
     stream is exactly the compiler's expected emission (no op dropped,
     duplicated or reordered) and that every op's gates respect their
     stage's locality set.
     """
     report = CheckReport(target="program")
-    report.checks_run += ["parity", "qubit-bounds", "tmp-alias"]
+    report.checks_run += ["parity", "qubit-bounds", "fold", "tmp-alias"]
     _check_op_metadata(report, program)
     if plan is not None:
         report.checks_run += ["stream", "locality"]

@@ -3,7 +3,7 @@
 A *kernel* is a group of gates executed together on one GPU: either as a
 single fused matrix ("fusion" kernel) or out of GPU shared memory ("shm"
 kernel: the amplitudes are loaded once and the gates applied to them —
-here as one op per run of diagonal/permutation gates plus the dense gates,
+here as one op per run of diagonal/permutation gates or group of dense gates,
 :func:`repro.sim.fusion.lower_kernel_gates`) — Section VI-B of the paper.
 Kernels are produced by the kernelization algorithms in
 :mod:`repro.core.kernelize`, :mod:`repro.core.ordered_kernelize` and

@@ -7,8 +7,9 @@
   precomputed axis-transpose op (and no-op permutations are elided);
 * the staging-invariant locality check;
 * kernel fusion, the folding of each shared-memory kernel's monomial runs
-  into single ops (:func:`repro.sim.fusion.kernel_lowering`) and the
-  logical→physical index translation;
+  and neighbouring 1q dense gates into single ops
+  (:func:`repro.sim.fusion.kernel_lowering`) and the logical→physical
+  index translation;
 * matrix structure analysis, dense gemm planning, diagonal broadcast
   vectors, permutation cycle tables, controlled-block reduction.
 
@@ -102,16 +103,29 @@ class _StructureChanged(Exception):
     signatures show: the plan needs a structural compile of its own."""
 
 
+def _product_template(slot, matrix) -> OpTemplate:
+    """The op template of a slot whose matrix is a product of its gates'
+    (a fused kernel, a dense fold): built from the first *matrix* bound —
+    the structure's own plan's, inside :func:`compile_plan`, before the
+    program exists — and good for every later one with that exact
+    signature; another raises :class:`_StructureChanged`."""
+    signature = matrix_signature(matrix)
+    if slot.template is None:
+        slot.template = unitary_template(matrix, slot.physical, slot.n)
+        slot.signature = signature
+    elif signature != slot.signature:
+        raise _StructureChanged
+    return slot.template
+
+
 class _FusedSlot:
     """One fusion kernel: its gates fuse into one matrix, applied as one op.
 
-    The op template is chosen from the first matrix bound — the
-    structure's own plan, inside :func:`compile_plan`, before the program
-    exists; that one goes through the fused-unitary memo, which the other
-    consumers of the job's kernels share.  A later matrix (never memoized:
-    a sweep's angles do not recur) with another signature — rz(0) ahead of
-    a crx turns a dense product into a controlled one —
-    raises :class:`_StructureChanged`.
+    The first matrix bound (:func:`_product_template`) goes through the
+    fused-unitary memo, which the other consumers of the job's kernels
+    share; a later one is never memoized (a sweep's angles do not recur).
+    A signature change here: rz(0) ahead of a crx turns a dense product
+    into a controlled one.
     """
 
     __slots__ = ("source", "pool", "members", "parameterized",
@@ -131,21 +145,25 @@ class _FusedSlot:
     def fill(self, pool, gates) -> CompiledOp:
         if self.template is None:
             matrix = fill_fused_unitary_cached(self.fusion, gates)
-            self.template = unitary_template(matrix, self.physical, self.n)
-            self.signature = matrix_signature(matrix)
         else:
             matrix = fill_fused_unitary(self.fusion, gates)
             matrix.setflags(write=False)
-            if matrix_signature(matrix) != self.signature:
-                raise _StructureChanged
-        return self.template.op(matrix, self.source, gates)
+        return _product_template(self, matrix).op(matrix, self.source, gates)
 
 
 class _ItemSlot:
     """One item of a shared-memory kernel's lowering (or the lone gate of
-    an un-kernelized stage): a monomial block or a dense gate."""
+    an un-kernelized stage): a monomial block, a dense gate, or a fold of
+    1q dense gates.
 
-    __slots__ = ("source", "pool", "members", "parameterized", "lowering", "template")
+    A monomial block's and a lone dense gate's op template follow from the
+    structure; a fold's is chosen like a fused kernel's
+    (:func:`_product_template`).  A signature change here: ``rx(a)`` then
+    ``rx(-a)`` on one qubit multiply to an exact diagonal.
+    """
+
+    __slots__ = ("source", "pool", "members", "parameterized", "lowering",
+                 "physical", "n", "template", "signature")
 
     def __init__(self, source, pool: int, lowering: ItemLowering, gates, l2p, n: int) -> None:
         self.source = source
@@ -153,16 +171,23 @@ class _ItemSlot:
         self.members = lowering.members
         self.parameterized = lowering.parameterized
         self.lowering = lowering
-        physical = tuple(l2p[q] for q in lowering.qubits)
-        if lowering.dense:
-            self.template = gate_step(gates[lowering.members[0]], physical, n)[0]
-        else:
-            self.template = monomial_template(lowering.perm, physical, n)
+        self.physical = tuple(l2p[q] for q in lowering.qubits)
+        self.n = n
+        self.template: OpTemplate | None = None
+        self.signature = b""
+        if not lowering.dense:
+            self.template = monomial_template(lowering.perm, self.physical, n)
+        elif len(lowering.members) == 1:
+            self.template = gate_step(gates[lowering.members[0]], self.physical, n)[0]
 
     def fill(self, pool, gates) -> CompiledOp:
         item = fill_lowered_item(self.lowering, pool, gates)
-        payload = item.matrix if self.lowering.dense else item.phases
-        return self.template.op(payload, self.source, gates)
+        if not self.lowering.dense:
+            return self.template.op(item.phases, self.source, gates)
+        template = (
+            self.template if len(gates) == 1 else _product_template(self, item.matrix)
+        )
+        return template.op(item.matrix, self.source, gates)
 
 
 class ProgramStructure:
@@ -217,7 +242,7 @@ class ProgramStructure:
                 self.stages.append((l2p, local, None))
                 for offset, gate in enumerate(stage.gates):
                     pool = open_pool((gate,), l2p, local)
-                    (lowering,) = kernel_lowering((gate,))
+                    (lowering,) = kernel_lowering((gate,), l2p)
                     self.slots.append(_ItemSlot(
                         ("gate", stage_idx, offset), pool, lowering, (gate,), l2p, n
                     ))
@@ -235,8 +260,8 @@ class ProgramStructure:
                         ("kernel", stage_idx, group_idx), pool, gates, l2p, n
                     ))
                     continue
-                # Shared-memory kernels: one op per monomial run or dense gate.
-                for item_idx, lowering in enumerate(kernel_lowering(gates)):
+                # Shared-memory kernels: one op per monomial run or dense group.
+                for item_idx, lowering in enumerate(kernel_lowering(gates, l2p)):
                     self.slots.append(_ItemSlot(
                         ("sm", stage_idx, group_idx, item_idx), pool, lowering,
                         gates, l2p, n,

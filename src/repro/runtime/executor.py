@@ -4,7 +4,8 @@ This is Algorithm 1's ``EXECUTE`` realised on the NumPy substrate: the
 state is permuted into each stage's physical layout, then every kernel of
 the stage is applied.  Kernels are applied either as a fused matrix
 (fusion kernels) or as their lowered items — one phased permutation per
-run of diagonal/permutation gates, dense gates one by one
+run of diagonal/permutation gates, one gemm per group of 1q dense gates
+on neighbouring positions
 (shared-memory kernels, :func:`repro.sim.fusion.lower_kernel_gates`) —
 always on the *physical* qubit indices given by the stage's
 logical→physical mapping, which is exactly what the GPU implementation does
@@ -59,7 +60,7 @@ class ExecutionTrace:
     kernels_per_stage: list[int] = field(default_factory=list)
     locality_checked: bool = True
     #: Gates executed and the ops they were applied as — fused kernels,
-    #: folded shared-memory runs, single dense gates, layout transposes —
+    #: folded shared-memory runs and dense groups, layout transposes —
     #: i.e. how many gates an op absorbed.
     num_gates: int = 0
     num_ops: int = 0
@@ -91,7 +92,7 @@ def _apply_kernel(
         matrix, logical_qubits = fused_unitary_cached(kernel.gates)
         physical_qubits = [logical_to_physical[q] for q in logical_qubits]
         return *apply_gate_buffered(state, scratch, matrix, physical_qubits), 1
-    items = lower_kernel_gates(kernel.gates)
+    items = lower_kernel_gates(kernel.gates, logical_to_physical)
     return *apply_lowered_items(state, scratch, items, logical_to_physical), len(items)
 
 
@@ -207,7 +208,8 @@ def execute_plan(
             # Un-kernelized stage: one application per gate.
             for gate in stage.gates:
                 state, scratch = apply_lowered_items(
-                    state, scratch, lower_kernel_gates((gate,)), logical_to_physical
+                    state, scratch, lower_kernel_gates((gate,), logical_to_physical),
+                    logical_to_physical,
                 )
             trace.kernels_per_stage.append(0)
             trace.num_ops += len(stage.gates)

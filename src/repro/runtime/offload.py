@@ -556,7 +556,7 @@ def compile_segment_ops(
                 continue
             ops.extend(
                 ("local", compile_lowered_op(item, logical_to_physical, local_qubits))
-                for item in lower_kernel_gates(payload)
+                for item in lower_kernel_gates(payload, logical_to_physical)
             )
     return ops
 
@@ -619,7 +619,8 @@ def run_groups_on_shard(
                 )
             else:
                 data, scratch = apply_lowered_items(
-                    data, scratch, lower_kernel_gates(payload), logical_to_physical
+                    data, scratch, lower_kernel_gates(payload, logical_to_physical),
+                    logical_to_physical,
                 )
     return data, scratch, index
 
@@ -789,7 +790,8 @@ def run_stages(
             deadline.check("segment")
             if kind == "full":
                 state, state_scratch = apply_lowered_items(
-                    state, state_scratch, lower_kernel_gates((payload,)),
+                    state, state_scratch,
+                    lower_kernel_gates((payload,), logical_to_physical),
                     logical_to_physical,
                 )
                 continue

@@ -69,6 +69,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import KernelError
+
 __all__ = [
     "apply_matrix",
     "apply_diagonal",
@@ -429,11 +431,36 @@ def _permutation_inplace(
             np.multiply(tmp, phases[last], out=views[cycle[0]])
 
 
-#: Below this qubit index, a gate is applied by a single right-multiply gemm
-#: with the matrix expanded over all lower index bits (the expanded matrix
-#: stays ≤ 64×64); at or above it, the stacked-matmul post dimension is at
-#: least 2**_GEMM_EDGE and batched matmul runs at streaming speed.
+#: A contiguous run of qubits whose top position is below this is applied by
+#: a single right-multiply gemm with the matrix expanded over all lower index
+#: bits (at most ``2**_GEMM_EDGE`` = 32 columns).  The per-position table in
+#: docs/performance.md puts the crossover here for every width: a 32-column
+#: gemm (≈ 5 state copies) beats the batched matmul it replaces, whose post
+#: dimension would be ``2**q0`` ≤ 16; a 64-column one (≈ 9) loses to it.
+#: Above the edge a run is one batched ("stacked") matmul, which reaches its
+#: plateau (≈ 2 copies) only once the post dimension passes ~128: positions
+#: 3–5 have no cheap plan at any width, which is why the dense-run fold
+#: (:data:`DENSE_FOLD_WIDTH`) shares those sweeps between gates instead.
 _GEMM_EDGE = 5
+
+#: Lowest position a stacked run may start at: with a post dimension of 1 or
+#: 2 the batched matmul is pure dispatch (3q at position 1: 15 state copies
+#: against 3.4 through the 2x-inflated right gemm).  Measured at every width
+#: a fused kernel can have (k = 3..8 at 16, 17 and 20 qubits, "Wide runs at
+#: position 1" in docs/performance.md: the right gemm costs 0.4–0.8x the
+#: stacked matmul even as a 512-column one); ``run_bench`` times both per
+#: width (``wide_low``) and gates the pick.  From position 2 up the stacked
+#: matmul wins for k ≥ 4.
+_STACKED_MIN_LOW = 2
+
+#: The dense-run fold of :func:`repro.sim.fusion.kernel_lowering`, read off
+#: the same table: commuting 1q dense gates on adjacent physical positions
+#: fold into one gemm.  Below :data:`_GEMM_EDGE` a group keeps growing — it
+#: is one right gemm whose cost is set by its top position, not by how many
+#: gates it carries; above, groups hold this many positions (a 2q stacked
+#: matmul costs 2.1–2.6 copies where a 1q one costs 1.7–2.4; a third qubit
+#: doubles the flops for a gain inside this host's noise).
+DENSE_FOLD_WIDTH = 2
 
 #: Widest monomial block (a folded run of diagonal/permutation gates, see
 #: :func:`repro.sim.fusion.lower_kernel_gates`): the cost model's 10-qubit
@@ -465,14 +492,57 @@ _WIDE_STACKED_MAX = 8
 _WIDE_HOLE_MAX = 6
 
 
-def _dense_plan(matrix: np.ndarray, n: int, qubits: tuple[int, ...]) -> tuple:
-    """Choose and precompute the gemm strategy for a dense 1q/2q gate.
+def _gemm_strategy(qubits: Sequence[int], n: int) -> str | None:
+    """The dense planner's position table: the single-matmul strategy for
+    a dense gate on *qubits* of an ``n``-qubit state — ``"gemm_right"``,
+    ``"gemm_left"`` or ``"stacked"`` — or ``None`` when only the fallbacks
+    remain (the split plans for a 2q gate, the tensordot contraction for a
+    wider one).  Every threshold lives here: :func:`_dense_plan_impl` builds
+    the operands of whatever this returns and
+    :func:`_single_gemm_plannable` is "not ``None``".
 
-    All strategies perform the update as one or a few BLAS ``matmul`` calls
-    writing directly into the output buffer — no transpose copies of the
-    state.  Plans (including the prepared small matrices) are memoized per
-    ``(matrix, n, qubits)``; the matrix object is kept referenced so its id
-    stays valid.
+    A contiguous run (every 1q gate is one) goes through the right gemm
+    while its expanded matrix stays within ``2**_GEMM_EDGE`` columns or the
+    run starts below :data:`_STACKED_MIN_LOW`, else through one stacked
+    matmul with the run merged into a single ``2^k`` axis — also at the top
+    of the register, where an expanded left gemm is never cheaper (its
+    inflation is paid in flops; the stacked plan's batch count only
+    shrinks).  Mid-register runs wider than :data:`_WIDE_STACKED_MAX` have
+    no plan.  Qubits with holes between them plan when they fit a low
+    (right gemm) or high (left gemm) window: six index bits for a 2q gate,
+    one spare bit for a wider one while the window stays within
+    :data:`_WIDE_HOLE_MAX` bits.
+    """
+    k = len(qubits)
+    q0, q1 = min(qubits), max(qubits)
+    if q1 - q0 + 1 == k:
+        if k > _WIDE_STACKED_MAX:
+            # Only at a register edge, where the run is one exact gemm.
+            return "gemm_right" if q0 == 0 else "stacked" if q1 == n - 1 else None
+        if q1 < _GEMM_EDGE or q0 < _STACKED_MIN_LOW:
+            return "gemm_right"
+        return "stacked"
+    if k == 2:
+        window = _GEMM_EDGE + 1
+    elif k + 1 <= _WIDE_HOLE_MAX:
+        window = k + 1
+    else:
+        return None
+    if q1 < window:
+        return "gemm_right"
+    if q0 >= n - window:
+        return "gemm_left"
+    return None
+
+
+def _dense_plan(matrix: np.ndarray, n: int, qubits: tuple[int, ...]) -> tuple:
+    """Memoized :func:`_dense_plan_impl` per ``(matrix, n, qubits)`` — for
+    callers that apply the same matrix *object* again and again (the
+    interpreter, whose gate and kernel matrices are cached instances).  The
+    matrix is kept referenced so its id stays valid.  A template's ``bind``
+    calls :func:`_dense_plan_impl` itself: a sweep's matrices never recur,
+    so their entries could only pin dead operands and, at the bound, wipe
+    the entries that do recur.
     """
     key = (id(matrix), n, qubits)
     hit = _DENSE_PLAN_CACHE.get(key)
@@ -504,56 +574,28 @@ def _reorder_matrix_bits(matrix: np.ndarray, qubits: tuple[int, ...]) -> np.ndar
 
 
 def _dense_plan_impl(matrix: np.ndarray, n: int, qubits: tuple[int, ...]) -> tuple:
-    if len(qubits) >= 3:
-        # Wide (fused-kernel) matrices: contiguous runs plan inflation-free
-        # (one exact gemm at a register edge, stacked in the middle); only
-        # non-contiguous tuples fall through to the one-spare-bit windows
-        # (2x flop inflation, gated by _WIDE_HOLE_MAX in the plannable
-        # check).  Ordering mirrors _single_gemm_plannable.
-        k = len(qubits)
-        qs = sorted(qubits)
-        q0, q1 = qs[0], qs[-1]
-        if q1 - q0 + 1 == k:
-            if q0 == 0:
-                b = expand_matrix(matrix, qubits, range(k))
-                return ("gemm_right", np.ascontiguousarray(b.T), 1 << k)
-            if q1 == n - 1:
-                b = expand_matrix(matrix, [q - q0 for q in qubits], range(k))
-                return ("gemm_left", np.ascontiguousarray(b), 1 << k)
-            # Mid-register run: the k qubits merge into one length-2^k axis.
-            m = np.ascontiguousarray(_reorder_matrix_bits(matrix, tuple(qubits)))
-            return ("stacked", m, 1 << (n - q1 - 1), 1 << k, 1 << q0)
-        if q1 + 1 <= k + 1:
-            b = expand_matrix(matrix, qubits, range(q1 + 1))
-            return ("gemm_right", np.ascontiguousarray(b.T), 1 << (q1 + 1))
-        b = expand_matrix(matrix, [q - q0 for q in qubits], range(n - q0))
-        return ("gemm_left", np.ascontiguousarray(b), 1 << (n - q0))
-
-    if len(qubits) == 1:
-        q = qubits[0]
-        if q < _GEMM_EDGE:
-            # out_row = state_row @ B^T with B over index bits 0..q.
-            b = expand_matrix(matrix, [q], range(q + 1))
-            return ("gemm_right", np.ascontiguousarray(b.T), 1 << (q + 1))
-        # Batched (2,2) @ (2, post) with post = 2^q.
-        m = np.ascontiguousarray(matrix)
-        return ("stacked", m, 1 << (n - q - 1), 2, 1 << q)
-
-    q0, q1 = sorted(qubits)
-    if q1 < _GEMM_EDGE + 1:
+    """Choose (:func:`_gemm_strategy`) and precompute the gemm plan of a
+    dense gate: one BLAS ``matmul`` — or, for a 2q gate outside every
+    window, a few — writing directly into the output buffer, no transpose
+    copies of the state.  A wider gate outside every window has no plan
+    (callers route it to the tensordot contraction first).
+    """
+    strategy = _gemm_strategy(qubits, n)
+    q0, q1 = min(qubits), max(qubits)
+    if strategy == "gemm_right":
+        # out_row = state_row @ B^T with B over index bits 0..q1.
         b = expand_matrix(matrix, qubits, range(q1 + 1))
         return ("gemm_right", np.ascontiguousarray(b.T), 1 << (q1 + 1))
-    if q0 >= n - (_GEMM_EDGE + 1):
+    if strategy == "gemm_left":
         # out_col = B @ state_col with B over index bits q0..n-1.
         b = expand_matrix(matrix, [q - q0 for q in qubits], range(n - q0))
         return ("gemm_left", np.ascontiguousarray(b), 1 << (n - q0))
-    if q1 == q0 + 1:
-        # Adjacent bits merge into one length-4 axis; reorder the matrix so
-        # its high index bit is the high qubit.
-        m = matrix
-        if qubits[0] == q1:
-            m = matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-        return ("stacked", np.ascontiguousarray(m), 1 << (n - q1 - 1), 4, 1 << q0)
+    if strategy == "stacked":
+        # Batched (2^k, 2^k) @ (2^k, post): the run merges into one axis.
+        m = np.ascontiguousarray(_reorder_matrix_bits(matrix, tuple(qubits)))
+        return ("stacked", m, 1 << (n - q1 - 1), 1 << len(qubits), 1 << q0)
+    if len(qubits) != 2:
+        raise KernelError(f"no gemm plan for qubits {tuple(qubits)} of {n}")
     # Non-adjacent: block over the high qubit (outer axis, so each block is
     # a reshapeable view) and contract the low qubit inside each block.
     g = matrix.reshape(2, 2, 2, 2)  # (out_b1, out_b0, in_b1, in_b0)
@@ -640,14 +682,19 @@ def _big_to_out(
     n: int,
     out: np.ndarray | None,
 ) -> np.ndarray:
-    """Reference tensordot contraction (k ≥ 3 dense fallback)."""
+    """Reference tensordot contraction (k ≥ 3 dense fallback).
+
+    *state* (and *out*) may carry leading batch axes, ``(B, 2^n)``: the
+    stack is then one contraction, not B of them.
+    """
     k = len(qubits)
-    tensor = state.reshape((2,) * n)
+    lead = state.ndim - 1
+    tensor = state.reshape(state.shape[:-1] + (2,) * n)
     gate_tensor = np.ascontiguousarray(matrix).reshape((2,) * (2 * k))
     # Contract gate input axes with the state axes of the target qubits.
     # Matrix tensor axis order is (out_{k-1},...,out_0, in_{k-1},...,in_0):
     # the most-significant matrix bit comes first in C order.
-    axes = [qubit_axis(n, q) for q in reversed(qubits)]
+    axes = [lead + qubit_axis(n, q) for q in reversed(qubits)]
     # tensordot allocates its state-sized result (plus internal transpose
     # workspace); record it so the allocation log stays honest — the k >= 3
     # fallback is the one dispatch path that is not allocation-free.
@@ -655,7 +702,7 @@ def _big_to_out(
     result = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
     result = np.moveaxis(result, range(k), axes)
     if out is None:
-        return np.ascontiguousarray(result).reshape(-1)
+        return np.ascontiguousarray(result).reshape(state.shape)
     # tensordot produced a fresh array, so writing into out is safe even
     # when out is state.
     np.copyto(out.reshape(result.shape), result)
@@ -668,35 +715,14 @@ def _big_to_out(
 
 
 def _single_gemm_plannable(qubits: Sequence[int], n: int) -> bool:
-    """True when the dense gemm planner covers *qubits* with one matmul.
-
-    1q gates always plan; 2q gates plan inside the measured position
-    windows or when adjacent.  Wide (k ≥ 3) tuples plan when all qubits
-    sit in a low/high window with at most one spare index bit (≤ 2x flop
-    inflation) or form a contiguous run (no inflation); anything else
-    falls back to the tensordot contraction.
-    """
-    k = len(qubits)
-    if k == 1:
-        return True
-    qs = sorted(qubits)
-    q0, q1 = qs[0], qs[-1]
-    if k == 2:
-        return q1 <= _GEMM_EDGE or q0 >= n - (_GEMM_EDGE + 1) or q1 == q0 + 1
-    if q1 - q0 + 1 == k:
-        # Contiguous: one inflation-free gemm.  Register-edge runs plan at
-        # any width; mid-register runs only while the stacked matmul's post
-        # dimension stays BLAS-friendly.
-        return q0 == 0 or q1 == n - 1 or k <= _WIDE_STACKED_MAX
-    # One spare index bit in a low/high window (2x flop inflation): only
-    # worthwhile while the expanded matrix stays small.
-    if k + 1 <= _WIDE_HOLE_MAX:
-        return q1 + 1 <= k + 1 or q0 >= n - (k + 1)
-    return False
+    """True when the dense gemm planner covers *qubits* with one matmul
+    (:func:`_gemm_strategy`); a 2q gate it does not cover runs a split
+    plan, a wider one falls back to the tensordot contraction."""
+    return _gemm_strategy(qubits, n) is not None
 
 
 def _effective_kind(info: MatrixInfo, qubits: Sequence[int], n: int) -> str:
-    """Position-aware dispatch refinement (measured on 20-qubit states).
+    """Position-aware dispatch refinement.
 
     The slice-based structured kernels operate on views whose contiguous
     runs have length ``2^min(qubits)``; for very low positions a streaming

@@ -3,15 +3,16 @@
 A *fusion kernel* (Section VI-B of the paper) executes a group of gates as
 a single matrix: the product of all gate matrices embedded into the space
 of the kernel's qubit set.  A *shared-memory kernel* executes as one op
-per run of diagonal/permutation gates plus its dense gates
+per run of diagonal/permutation gates, one per group of 1q dense gates on
+neighbouring physical positions and one per wider dense gate
 (:func:`lower_kernel_gates`).
 
 Both lowerings come in two halves.  The **structure**
 (:func:`kernel_fusion`, :func:`kernel_lowering`) is everything that
 follows from each gate's name, qubits and the zero pattern of its matrix —
-the row positions and dispatch of every gate of a fused kernel; which
-gates fold into which block, the block's permutation and its phase gather
-tables.  The **fill** (:func:`fill_fused_unitary`,
+the row positions and dispatch of every gate of a fused kernel; in a
+stage's layout, which gates fold into which block or dense group, the
+block's permutation and its phase gather tables.  The **fill** (:func:`fill_fused_unitary`,
 :func:`fill_lowered_item`) does the arithmetic for one set of angles.
 :func:`fused_unitary` and :func:`lower_kernel_gates` are "structure, then
 fill"; a compiled program keeps the structures of its kernels and runs
@@ -51,7 +52,9 @@ import numpy as np
 
 from ..circuits.gates import Gate, gate_matrix
 from .apply import (
+    DENSE_FOLD_WIDTH,
     MONOMIAL_WIDTH,
+    _GEMM_EDGE,
     analyze_matrix,
     apply_gate_buffered,
     apply_monomial,
@@ -325,7 +328,9 @@ class LoweredItem(NamedTuple):
     ``qubits[j]``) moves to index ``perm[c]`` scaled by ``phases[c]``;
     ``perm`` is ``None`` when the run composes to the identity permutation
     (a diagonal block — ``cx·rz·cx`` is one).  A *dense* item
-    (``matrix is not None``) is a single gate carried with its matrix.
+    (``matrix is not None``) is a single gate carried with its matrix, or a
+    fold of commuting 1q dense gates on physically adjacent qubits carried
+    with their product (``qubits`` in ascending physical position).
     ``gates`` are the gates the item absorbed, in circuit order.
     """
 
@@ -348,8 +353,11 @@ class ItemLowering(NamedTuple):
     the gate's phase does not depend on): the item's phases are the running
     product, in member order, of ``gate.matrix().take(table)`` repeated up
     to the full width.  Gates that only permute (cx, swap, ccx, x: phases
-    all one by name) have no table.  ``parameterized`` says whether any
-    member has angles.
+    all one by name) have no table.  A ``dense`` item is one gate
+    (``slots`` empty) or a fold of 1q gates: ``slots[i]`` is the index in
+    ``qubits`` of the qubit ``members[i]`` acts on, and the item's matrix
+    is the Kronecker product over ``qubits`` of each qubit's 2×2 product.
+    ``parameterized`` says whether any member has angles.
     """
 
     qubits: tuple[int, ...]
@@ -358,6 +366,7 @@ class ItemLowering(NamedTuple):
     dense: bool = False
     perm: np.ndarray | None = None
     factors: tuple[tuple[int, np.ndarray], ...] = ()
+    slots: tuple[int, ...] = ()
 
 
 def _absorb(
@@ -398,10 +407,31 @@ _UNIT_PERM = np.zeros(1, dtype=np.int64)
 _UNIT_PERM.setflags(write=False)
 
 
-def kernel_lowering(gates: Sequence[Gate]) -> tuple[ItemLowering, ...]:
-    """Resolve how a shared-memory kernel's gate list lowers — which gates
-    fold into which block, each block's permutation and phase gather
-    tables — without computing a phase.
+def _fold_positions(positions: Sequence[int]) -> list[list[int]]:
+    """Cut ascending physical *positions* into the groups one dense item
+    each covers.  Only neighbours share a group, so a group is a contiguous
+    run and always plans to a single gemm; it grows while its top stays
+    below the right-gemm edge (one gemm whose cost the top position sets)
+    or it holds fewer than :data:`~repro.sim.apply.DENSE_FOLD_WIDTH`
+    positions."""
+    groups: list[list[int]] = []
+    for p in positions:
+        if groups and p == groups[-1][-1] + 1 and (
+            p < _GEMM_EDGE or len(groups[-1]) < DENSE_FOLD_WIDTH
+        ):
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+    return groups
+
+
+def kernel_lowering(
+    gates: Sequence[Gate], logical_to_physical: Mapping[int, int] | None = None
+) -> tuple[ItemLowering, ...]:
+    """Resolve how a shared-memory kernel's gate list lowers in a stage's
+    layout (``None``: the identity layout, every qubit at its own index) —
+    which gates fold into which item, each block's permutation and phase
+    gather tables — without computing a phase or a product.
 
     Every maximal run of *monomial* gates — matrices with one non-zero per
     row and column, :func:`repro.sim.apply.analyze_matrix` kind
@@ -409,15 +439,25 @@ def kernel_lowering(gates: Sequence[Gate]) -> tuple[ItemLowering, ...]:
     swap, ccx, …), a class closed under multiplication — folds into one
     block, so executing the kernel sweeps the state once per *run* instead
     of once per gate.  A dense gate (h, rx, ry, u3, …) on qubits disjoint
-    from the open block is emitted ahead of it (they commute); one that
-    overlaps closes it.  A block spans at most
+    from the open block goes ahead of it (they commute); one that overlaps
+    closes it.  A block spans at most
     :data:`~repro.sim.apply.MONOMIAL_WIDTH` qubits — a whole shared-memory
     kernel; in longer gate lists the gate that would outgrow it starts the
     next block.
 
-    All of this follows from each gate's name, qubits and the zero pattern
-    of its matrix, so the result is valid for every gate tuple that matches
-    *gates* in those (:func:`~repro.circuits.gates.matrix_signature`);
+    The 1q dense gates waiting ahead of the open block commute when they
+    act on distinct qubits and multiply when they share one, so they fold
+    too: per qubit into one 2×2 product, and across qubits whose *physical*
+    positions are adjacent into one item (:func:`_fold_positions`) — a gemm
+    on two neighbouring positions costs what a gemm on one does.  The fold
+    has to see the layout: logically adjacent qubits that sit apart would
+    plan to a split gemm or the tensordot contraction, dearer than the two
+    sweeps they replace.  Wider dense gates stay items of their own.
+
+    All of this follows from the layout and each gate's name, qubits and
+    the zero pattern of its matrix, so the result is valid for every gate
+    tuple that matches *gates* in those
+    (:func:`~repro.circuits.gates.matrix_signature`);
     :func:`fill_lowered_item` supplies the angles.
     """
     items: list[ItemLowering] = []
@@ -426,9 +466,25 @@ def kernel_lowering(gates: Sequence[Gate]) -> tuple[ItemLowering, ...]:
     run: list[int] = []
     factors: list[tuple[int, np.ndarray]] = []
     qubits, perm = _NO_QUBITS, _UNIT_PERM
+    # The 1q dense gates ahead of the open block, by qubit, in circuit order.
+    waiting: dict[int, list[int]] = {}
+    position = (lambda q: q) if logical_to_physical is None else logical_to_physical.__getitem__
+
+    def flush_dense() -> None:
+        by_position = {position(q): q for q in waiting}
+        for group in _fold_positions(sorted(by_position)):
+            folded = tuple([by_position[p] for p in group])
+            members = sorted(m for q in folded for m in waiting[q])
+            items.append(ItemLowering(
+                folded, tuple(members), any(gates[m].params for m in members),
+                dense=True,
+                slots=tuple([folded.index(gates[m].qubits[0]) for m in members]),
+            ))
+        waiting.clear()
 
     def flush() -> None:
         nonlocal run, factors, qubits, perm
+        flush_dense()
         if run:
             identity = np.array_equal(perm, np.arange(len(perm)))
             if not identity:
@@ -448,9 +504,13 @@ def kernel_lowering(gates: Sequence[Gate]) -> tuple[ItemLowering, ...]:
             # goes ahead of it; one that overlaps closes the block.
             if not set(gate.qubits).isdisjoint(qubits):
                 flush()
-            items.append(
-                ItemLowering(gate.qubits, (member,), bool(gate.params), dense=True)
-            )
+            if len(gate.qubits) == 1:
+                waiting.setdefault(gate.qubits[0], []).append(member)
+            else:
+                flush_dense()
+                items.append(
+                    ItemLowering(gate.qubits, (member,), bool(gate.params), dense=True)
+                )
             continue
         if len(set(qubits).union(gate.qubits)) > MONOMIAL_WIDTH:
             flush()
@@ -493,14 +553,28 @@ def fill_lowered_item(
     lowering: ItemLowering, gates: Sequence[Gate], members: tuple[Gate, ...] | None = None
 ) -> LoweredItem:
     """The :class:`LoweredItem` of *lowering* for the kernel's *gates* — the
-    numeric half of :func:`lower_kernel_gates`: a dense item's matrix, or a
-    block's phases as the running product of its members' phases in circuit
-    order (gates that only permute contribute exact ones and are skipped).
-    *members* are the item's gates when the caller already picked them."""
+    numeric half of :func:`lower_kernel_gates`: a dense item's matrix (the
+    gate's own, or a fold's Kronecker product), or a block's phases as the
+    running product of its members' phases in circuit order (gates that
+    only permute contribute exact ones and are skipped).  *members* are the
+    item's gates when the caller already picked them."""
     if members is None:
         members = tuple([gates[i] for i in lowering.members])
     if lowering.dense:
-        return LoweredItem(lowering.qubits, members, matrix=members[0].matrix())
+        if len(members) == 1:
+            return LoweredItem(lowering.qubits, members, matrix=members[0].matrix())
+        # Per qubit the product of its gates, later gates on the left ...
+        per_qubit: list = [None] * len(lowering.qubits)
+        for gate, slot in zip(members, lowering.slots):
+            earlier = per_qubit[slot]
+            per_qubit[slot] = gate.matrix() if earlier is None else gate.matrix() @ earlier
+        # ... then the Kronecker product, the last qubit the top index bit.
+        matrix = per_qubit[0]
+        for high in per_qubit[1:]:
+            dim = 2 * len(matrix)
+            matrix = (high[:, None, :, None] * matrix[None, :, None, :]).reshape(dim, dim)
+        matrix.setflags(write=False)
+        return LoweredItem(lowering.qubits, members, matrix=matrix)
     dim = 1 << len(lowering.qubits)
     phases = None
     for member, table in lowering.factors:
@@ -526,23 +600,33 @@ def fill_lowered_item(
 _LOWERING_CACHE = FusionCache(maxsize=256)
 
 
-def lower_kernel_gates(gates: Sequence[Gate]) -> tuple[LoweredItem, ...]:
-    """Lower a shared-memory kernel's gate list to :class:`LoweredItem` s:
+def lower_kernel_gates(
+    gates: Sequence[Gate], logical_to_physical: Mapping[int, int] | None = None
+) -> tuple[LoweredItem, ...]:
+    """Lower a shared-memory kernel's gate list, in a stage's layout
+    (``None``: the identity layout), to :class:`LoweredItem` s:
     :func:`kernel_lowering` filled with the gates' angles
     (:func:`fill_lowered_item`).
 
-    The lowering is layout-independent (logical qubits) and is the single
-    source of what a non-fusion kernel executes: the plan compiler, the
-    interpreter, both shard executors and the static verifier's expected
-    op stream all consume it.  Memoized per gate tuple (angles included)
-    in a bounded LRU, like :func:`fused_unitary_cached`; the returned
-    arrays are shared and read-only.
+    Item qubits are logical; the layout only decides which dense gates
+    share an item.  This is the single source of what a non-fusion kernel
+    executes: the plan compiler, the interpreter, both shard executors and
+    the static verifier's expected op stream all consume it.  Memoized per
+    gate tuple (angles included) and the positions of its qubits in a
+    bounded LRU, like :func:`fused_unitary_cached`; the returned arrays are
+    shared and read-only.
     """
-    key = tuple(gates)
+    gates = tuple(gates)
+    key = (gates, None if logical_to_physical is None else tuple(
+        [logical_to_physical[q] for g in gates for q in g.qubits]
+    ))
     hit = _LOWERING_CACHE.lookup(key)
     if hit is not None:
         return hit
-    lowered = tuple(fill_lowered_item(item, key) for item in kernel_lowering(key))
+    lowered = tuple(
+        fill_lowered_item(item, gates)
+        for item in kernel_lowering(gates, logical_to_physical)
+    )
     _LOWERING_CACHE.store(key, lowered)
     return lowered
 
@@ -577,7 +661,9 @@ def apply_gate_sequence(state: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
     """
     buf = tracked_empty(state.size)
     np.copyto(buf, state)
+    # No stage here: every qubit sits at its own index.
+    identity = {q: q for gate in gates for q in gate.qubits}
     buf, _scratch = apply_lowered_items(
-        buf, tracked_empty(state.size), lower_kernel_gates(gates)
+        buf, tracked_empty(state.size), lower_kernel_gates(gates, identity)
     )
     return buf

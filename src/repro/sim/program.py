@@ -43,10 +43,11 @@ from .apply import (
     _basis_views,
     _controlled_gather_gemm_inplace,
     _dense_accumulate,
-    _dense_plan,
+    _dense_plan_impl,
     _dense_views_inplace,
     _diag_broadcast,
     _effective_kind,
+    _gemm_strategy,
     _inplace_preferred,
     _big_to_out,
     analyze_matrix,
@@ -447,7 +448,7 @@ def unitary_template(matrix: np.ndarray, qubits: Sequence[int], n: int) -> OpTem
             return _moves_template(info.perm, _index_array(positions), qubits, n)
         return _controlled_template(info, qubits, n)
     if kind == "dense":
-        return _dense_template(matrix, qubits, n)
+        return _dense_template(qubits, n)
     return _big_template(qubits, n)
 
 
@@ -514,7 +515,7 @@ def compile_lowered_op(
 ) -> CompiledOp:
     """Lower one item of :func:`repro.sim.fusion.lower_kernel_gates` in a
     stage's layout: a monomial block through :func:`compile_monomial_op`, a
-    dense gate through :func:`compile_unitary_op`.  The op records the
+    dense gate or fold through :func:`compile_unitary_op`.  The op records the
     item's gates, so a rebind reuses it whenever they compare equal."""
     physical = tuple(logical_to_physical[q] for q in item.qubits)
     if item.matrix is None:
@@ -671,7 +672,7 @@ def _controlled_template(info: MatrixInfo, qubits: tuple[int, ...], n: int) -> O
 
         def bind(matrix):
             reduced = matrix.take(block)
-            plan = _dense_plan(reduced, ctrl, (tgt,))
+            plan = _dense_plan_impl(reduced, ctrl, (tgt,))
 
             def run(state, scratch, ws):
                 _controlled_gather_gemm_inplace(
@@ -731,16 +732,14 @@ def _controlled_template(info: MatrixInfo, qubits: tuple[int, ...], n: int) -> O
     return OpTemplate("controlled", qubits, bind, tmp_slots=(0, 1))
 
 
-_SPLIT_PLANS = ("split_stacked", "split_gemm")
-
-
-def _dense_template(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> OpTemplate:
-    # The plan's shape follows from (n, qubits) alone; the memoized planner
-    # hands the bind that follows the same plan back.
-    needs_tmp = _dense_plan(matrix, n, qubits)[0] in _SPLIT_PLANS
+def _dense_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
+    # Whether the plan needs a temporary follows from (n, qubits) alone.
+    # Binds plan unmemoized: their matrices are fresh per job (see
+    # :func:`repro.sim.apply._dense_plan`).
+    needs_tmp = _gemm_strategy(qubits, n) is None
 
     def bind(matrix):
-        plan = _dense_plan(matrix, n, qubits)
+        plan = _dense_plan_impl(matrix, n, qubits)
 
         def run(state, scratch, ws):
             tmp = ws.tmp(state.size // 2, slot=1) if needs_tmp else None
@@ -766,8 +765,7 @@ def _big_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
             return scratch, state
 
         def run_batched(states, scratch, ws):
-            for b in range(states.shape[0]):
-                _big_to_out(states[b], matrix, qubits, n, scratch[b])
+            _big_to_out(states, matrix, qubits, n, scratch)
             return scratch, states
 
         return run, run_batched

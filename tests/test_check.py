@@ -355,6 +355,32 @@ class TestSeededDefects:
         assert "program.parity" in rules_of(report)
         assert "program.uninitialized-read" in rules_of(report)
 
+    def test_folded_dense_op_must_be_one_single_gemm_run(self):
+        """A fold of 1q dense gates shares one gemm: an op claiming three
+        rotations on positions that are not one contiguous run (here built
+        by hand - the lowering never emits it), or one that borrows the
+        split plans' temporary, is rejected at `program.fold`."""
+        from repro.sim.program import compile_unitary_op
+
+        gates = tuple(make_gate("rx", [q], [0.2 + q]) for q in (0, 1, 3))
+        matrix = np.kron(np.kron(gates[2].matrix(), gates[1].matrix()), gates[0].matrix())
+        program, _plan, _machine = fresh_program()
+        holed = compile_unitary_op(matrix, (0, 1, 3), N, ("sm", 0, 0, 0), gates)
+        assert holed.kind == "dense"
+        program.ops = [holed]
+        assert rules_of(verify_program(program)) == {"program.fold"}
+        run = compile_unitary_op(matrix, (3, 4, 5), N, ("sm", 0, 0, 0), gates)
+        program.ops = [run]
+        assert verify_program(program).ok
+        run.tmp_slots = (1,)
+        assert rules_of(verify_program(program)) == {"program.fold"}
+        # One gate on apart positions is the plan's business, not a fold.
+        program.ops = [
+            compile_unitary_op(np.kron(matrix[:2, :2], matrix[:2, :2]), (0, 3), N,
+                               ("sm", 0, 0, 0), gates[:1])
+        ]
+        assert verify_program(program).ok
+
 
 class TestMisexecutionDemos:
     """A sample of the planted program defects, actually executed: the
@@ -727,6 +753,28 @@ class TestLintRepro:
         # ... but only loops under sim/ and runtime/ count.
         elsewhere = self.write(lint, "analysis/tools.py", copy.read_text())
         assert lint.check_one_kernel_lowering([elsewhere]) == []
+
+    def test_lowering_call_without_the_layout_flagged(self, lint):
+        # The dense fold pairs gates by physical position: a call site that
+        # leaves the layout to its default folds by logical adjacency.
+        good = self.write(
+            lint, "check/verify.py",
+            "def expected(gates, layout):\n"
+            "    a = lower_kernel_gates(gates, layout.logical_to_physical())\n"
+            "    b = fusion.kernel_lowering(gates, logical_to_physical=layout)\n"
+            "    return a, b, lower_kernel_gates(*args)\n",
+        )
+        assert lint.check_one_kernel_lowering([good]) == []
+        bad = self.write(
+            lint, "service/replay.py",
+            "def replay(kernel):\n"
+            "    return fusion.lower_kernel_gates(kernel.gates)\n",
+        )
+        findings = lint.check_one_kernel_lowering([good, bad])
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("one-kernel-lowering", "src/repro/service/replay.py", 2)
+        ]
+        assert findings[0].key.endswith("::one-kernel-lowering::replay:layout")
 
     def test_second_planning_surface_flagged(self, lint):
         clean = self.write(

@@ -177,6 +177,25 @@ class TestBatchedExecution:
         for got, want in zip(batched, looped):
             assert np.max(np.abs(got.data - want.data)) <= self.ATOL
 
+    def test_batched_tensordot_fallback_is_one_contraction(self):
+        # A scattered wide kernel (no gemm plan) contracts the whole stack
+        # at once: one allocation of B states, not B of one.
+        from repro.sim.program import Workspace, compile_unitary_op
+
+        n, qubits, batch = 9, (7, 0, 4, 2), 5
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        op = compile_unitary_op(np.linalg.qr(raw)[0], qubits, n)
+        assert op.kind == "big"
+        ws = Workspace()
+        states = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+        looped = [op.run(row.copy(), np.empty_like(row), ws)[0].copy() for row in states]
+        apply_mod.reset_allocation_log()
+        got, _ = op.run_batched(states, np.empty_like(states), ws)
+        assert apply_mod.allocation_log() == [batch << n]
+        for row, want in zip(got, looped):
+            assert np.max(np.abs(row - want)) <= self.ATOL
+
     def test_batched_default_initial_states(self):
         circuit = qft(8)
         machine = _machine(8)
@@ -709,7 +728,9 @@ class TestLoweredKernels:
             make_gate("swap", [4, top]), make_gate("t", [4]), make_gate("ccx", [4, 5, top]),
         ]
         program = compile_plan(_shm_plan(gates, n))
-        assert program.op_counts() == {"permutation": 2, "dense": 5, "diagonal": 1}
+        # Two dense ops: the h on qubits 0-3 fold into one low-edge gemm,
+        # the h on the top qubit stays alone (five before the dense fold).
+        assert program.op_counts() == {"permutation": 2, "dense": 2, "diagonal": 1}
         states = [StateVector.random_state(n, seed=s) for s in range(3)]
         looped = [program.run(state).data.copy() for state in states]
         for got, want in zip(program.run_batched(states), looped):

@@ -48,7 +48,9 @@ Eight rules, each enforcing an invariant the execution layer depends on
     gate-at-a-time executor growing back beside the lowering every
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
-    the linted set contains ``sim/fusion.py``.
+    the linted set contains ``sim/fusion.py``.  Anywhere in the package, a
+    call of ``lower_kernel_gates`` / ``kernel_lowering`` passes the stage
+    layout: the dense fold pairs gates by physical position.
 
 ``one-planning-surface``
     Nothing under ``session/`` or ``service/`` names ``legacy_pipeline``
@@ -187,6 +189,11 @@ def _rel_src(path: Path) -> str:
     return path.relative_to(SRC if inside else REPO).as_posix()
 
 
+def _call_name(node: ast.Call) -> str | None:
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 def check_one_stage_loop(files: list[Path]) -> list[Finding]:
     """The cross-file ``one-stage-loop`` rule over the linted *files*."""
     sites: dict[str, list[tuple[str, int]]] = {guard: [] for guard in STAGE_GUARDS}
@@ -197,8 +204,7 @@ def check_one_stage_loop(files: list[Path]) -> list[Finding]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            name = _call_name(node)
             if name in sites:
                 sites[name].append((rel, node.lineno))
     if not any(sites.values()):
@@ -239,16 +245,37 @@ def _loop_targets(node: ast.AST) -> set[str]:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+def _omits_layout(node: ast.Call) -> bool:
+    """A call of the shared-memory lowering that leaves its layout argument
+    to the default (the identity layout)."""
+    if _call_name(node) not in SHM_LOWERING_SITES:
+        return False
+    spread = any(isinstance(a, ast.Starred) for a in node.args)
+    named = any(kw.arg in (None, "logical_to_physical") for kw in node.keywords)
+    return len(node.args) < 2 and not spread and not named
+
+
 def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
     """The cross-file ``one-kernel-lowering`` rule over the linted *files*."""
     findings: list[Finding] = []
     lowering_seen = home_linted = False
 
-    def visit(node: ast.AST, stack: list[str], rel: str) -> None:
+    def visit(node: ast.AST, stack: list[str], rel: str, loops: bool) -> None:
         nonlocal lowering_seen
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             stack = stack + [node.name]
-        targets = _loop_targets(node)
+        if isinstance(node, ast.Call) and _omits_layout(node):
+            where = _enclosing(stack)
+            findings.append(
+                Finding(
+                    rel, node.lineno, "one-kernel-lowering",
+                    f"`{_call_name(node)}` called without the stage layout in "
+                    f"{where}: the dense fold pairs gates by physical position, "
+                    f"pass the stage's logical_to_physical",
+                    f"{where}:layout",
+                )
+            )
+        targets = _loop_targets(node) if loops else ()
         if targets:
             for inner in ast.walk(node):
                 f = getattr(inner, "func", None)
@@ -277,16 +304,17 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
                     )
                 )
         for child in ast.iter_child_nodes(node):
-            visit(child, stack, rel)
+            visit(child, stack, rel, loops)
 
     for path in files:
         rel_src = _rel_src(path)
-        if not rel_src.startswith(KERNEL_LOWERING_SCOPE):
-            continue
+        in_scope = rel_src.startswith(KERNEL_LOWERING_SCOPE)
+        if not in_scope and SRC not in path.parents:
+            continue  # the layout rule covers the whole package
         home_linted = home_linted or rel_src == KERNEL_LOWERING_HOME
         visit(
             ast.parse(path.read_text(), filename=str(path)), [],
-            path.relative_to(REPO).as_posix(),
+            path.relative_to(REPO).as_posix(), in_scope,
         )
     if home_linted and not lowering_seen:
         findings.append(
