@@ -7,7 +7,13 @@ memory, and per-gate-type application times.  This module performs the same
 calibration against whatever execution substrate is available — here the
 NumPy engine — so that the cost model's *relative* shape (which width is
 most cost-efficient, how much a diagonal gate saves, ...) is measured rather
-than guessed.
+than guessed.  What is timed is :func:`repro.sim.apply.apply_matrix`, which
+runs the same bound op template a compiled program stores for that matrix
+and position (one engine), so these are the ops programs execute; with a
+distinct ``out`` a structured gate's time includes the state copy that
+precedes its in-place update.  Still missing for ROADMAP item 2(b): pricing
+the *lowered* item list (blocks, folds) rather than single gates, and a
+persisted per-host profile.
 
 The calibrated :class:`repro.cluster.costmodel.CostModel` can be passed to
 :func:`repro.core.partition` and to all the benchmark drivers; the default

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuits.gates import Gate
 from ..cluster.machine import MachineConfig
 from ..core.kernel import Kernel, KernelType
 from ..core.plan import ExecutionPlan
@@ -44,7 +43,7 @@ from ..sim.apply import apply_gate_buffered, tracked_empty
 from ..sim.fusion import apply_lowered_items, fused_unitary_cached, lower_kernel_gates
 from ..sim.program import CompiledProgram, thread_workspace
 from ..sim.statevector import StateVector
-from .compile import compiled_program_for
+from .compile import check_gate_locality, compiled_program_for
 from .sharding import QubitLayout, permute_state
 
 __all__ = ["ExecutionTrace", "execute_plan", "trace_for_program"]
@@ -94,16 +93,6 @@ def _apply_kernel(
         return *apply_gate_buffered(state, scratch, matrix, physical_qubits), 1
     items = lower_kernel_gates(kernel.gates, logical_to_physical)
     return *apply_lowered_items(state, scratch, items, logical_to_physical), len(items)
-
-
-def _check_locality(gate: Gate, logical_to_physical: dict[int, int], local_qubits: int) -> None:
-    for q in gate.non_insular_qubits():
-        if logical_to_physical[q] >= local_qubits:
-            raise PlanValidationError(
-                f"staging invariant violated: non-insular qubit {q} of gate "
-                f"{gate} is mapped to non-local physical position "
-                f"{logical_to_physical[q]} (L={local_qubits})"
-            )
 
 
 def trace_for_program(program: CompiledProgram) -> ExecutionTrace:
@@ -202,7 +191,7 @@ def execute_plan(
         logical_to_physical = layout.logical_to_physical()
         if check_locality:
             for gate in stage.gates:
-                _check_locality(gate, logical_to_physical, local_count)
+                check_gate_locality(gate, logical_to_physical, local_count)
 
         if stage.kernels is None:
             # Un-kernelized stage: one application per gate.

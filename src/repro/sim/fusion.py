@@ -55,12 +55,14 @@ from .apply import (
     DENSE_FOLD_WIDTH,
     MONOMIAL_WIDTH,
     _GEMM_EDGE,
+    OpTemplate,
     analyze_matrix,
     apply_gate_buffered,
     apply_monomial,
+    thread_workspace,
     tracked_empty,
+    unitary_template,
 )
-from .program import OpTemplate, thread_workspace, unitary_template
 
 __all__ = [
     "FusionCache",
@@ -112,10 +114,10 @@ def kernel_fusion(
     qubits — flat index bit ``j`` (``j < m``) is matrix-column bit ``j``,
     bit ``m + j`` is matrix-row bit ``j`` — to which every gate is applied
     on the row bits (a gate left-multiplies the fused matrix).  Each
-    application is an op of :mod:`repro.sim.program`, which makes the same
-    in-place vs stream decisions as
-    :func:`repro.sim.apply.apply_gate_buffered`, on the same operands.
-    The result is valid for every gate tuple whose gates match *gates* in
+    application is an op template of :mod:`repro.sim.apply`
+    (:func:`~repro.sim.apply.unitary_template`), the one
+    :func:`~repro.sim.apply.apply_gate_buffered` would bind for the same
+    matrix and position.  The result is valid for every gate tuple whose gates match *gates* in
     name, qubits and :func:`~repro.circuits.gates.matrix_signature`.
     """
     qubits = kernel_qubits(gates) if qubits is None else tuple(qubits)
@@ -142,7 +144,7 @@ def gate_step(
 def _fixed_step(name: str, qubits: tuple[int, ...], n: int) -> "tuple[OpTemplate, Callable]":
     """:func:`gate_step` of a parameter-free gate.  Nothing here depends on
     a circuit, so kernels and programs share these process-wide (like the
-    analysis and gemm-plan memos of :mod:`repro.sim.apply`, which key on
+    analysis and bound-op memos of :mod:`repro.sim.apply`, which key on
     the same matrices); the closures are pure functions of the buffers
     they are handed."""
     matrix = gate_matrix(name)
@@ -284,8 +286,8 @@ def fused_unitary_cached(
     """Memoized :func:`fused_unitary` keyed by kernel identity.
 
     The returned matrix is a shared read-only instance; because the object
-    is stable across calls, the dispatch analysis in :mod:`repro.sim.apply`
-    is also computed only once per kernel.  Backed by the bounded
+    is stable across calls, the dispatch analysis and the bound op in
+    :mod:`repro.sim.apply` are also computed only once per kernel.  Backed by the bounded
     :class:`FusionCache` (see :func:`configure_fusion_cache`).
     """
     key = (tuple(gates), None if qubits is None else tuple(qubits))
@@ -639,7 +641,8 @@ def apply_lowered_items(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply lowered *items* in order; returns ``(state, scratch)`` with
     the ping-pong roles possibly swapped (the interpreter's counterpart of
-    :func:`repro.sim.program.compile_lowered_op`, bit-exact with it)."""
+    :func:`repro.sim.program.compile_lowered_op`: the same templates,
+    bound per item object as it is met)."""
     for item in items:
         physical = (
             item.qubits if logical_to_physical is None

@@ -66,6 +66,31 @@ PATH_CASES = [
 ]
 
 
+#: The ``out`` contract through the bound templates, at n = 13 (wide enough
+#: for the split gemm plans and the controlled gather-gemm): (label, matrix,
+#: qubit lists — low, middle and top of the register).  Where a position
+#: reroutes the kind (a permutation at the very bottom and a plannable
+#: controlled pair run as a gemm) the list says so.
+_U3Q = _random_unitary(8, seed=21)
+OUT_CONTRACT_N = 13
+OUT_CONTRACT_CASES = [
+    ("diagonal-1q", gate_matrix("rz", (0.7,)), ([0], [6], [12])),
+    ("diagonal-2q", gate_matrix("cp", (1.1,)), ([0, 1], [8, 5], [12, 11])),
+    ("permutation-2q", gate_matrix("cx"), ([1, 2], [4, 9], [9, 4], [11, 12])),  # [1, 2]: gemm
+    ("permutation-swap", gate_matrix("swap"), ([0, 2], [3, 8], [12, 10])),
+    ("permutation-3q", gate_matrix("ccx"), ([0, 1, 2], [3, 7, 9], [10, 12, 11])),
+    # qubits = [target, control]: target below control is the gather-gemm,
+    # above it the strided views; [0, 1] and [11, 12] plan to one gemm.
+    ("controlled", gate_matrix("ch"), ([0, 1], [3, 9], [9, 3], [2, 12], [12, 2], [11, 12])),
+    ("controlled-crx", gate_matrix("crx", (0.8,)), ([4, 10], [10, 4])),
+    ("dense-1q", gate_matrix("h"), ([0], [4], [5], [12])),
+    # [2, 9] is a split gemm, [6, 11] a split stacked plan, [8, 12] a left gemm.
+    ("dense-2q", gate_matrix("rxx", (0.5,)), ([0, 1], [1, 0], [6, 7], [2, 9], [6, 11], [8, 12], [11, 12])),
+    ("big-plannable", _U3Q, ([0, 1, 2], [0, 1, 3], [5, 6, 7], [7, 5, 6], [10, 11, 12])),
+    ("big-scattered", _U3Q, ([0, 5, 11], [2, 6, 12])),
+]
+
+
 class TestDispatchClassification:
     @pytest.mark.parametrize("name,params,kind", PATH_CASES)
     def test_gate_matrices_hit_their_specialized_path(self, name, params, kind):
@@ -104,6 +129,40 @@ class TestFastPathEquivalence:
             returned = apply_matrix(inplace, matrix, qubits, out=inplace)
             assert returned is inplace
             assert np.allclose(inplace, reference)
+
+    @pytest.mark.parametrize("out_mode", ["none", "distinct", "state"])
+    @pytest.mark.parametrize(
+        "matrix,qubit_lists",
+        [case[1:] for case in OUT_CONTRACT_CASES],
+        ids=[case[0] for case in OUT_CONTRACT_CASES],
+    )
+    def test_out_contract_through_the_bound_templates(self, matrix, qubit_lists, out_mode):
+        """Every kind x every ``out`` mode x low / middle / top positions:
+        `state` is untouched unless ``out is state``, and the result is
+        the compiled op's, bit for bit (`apply_matrix` runs the same bound
+        template), and the reference's within rounding."""
+        from repro.sim.program import Workspace, compile_unitary_op
+
+        n = OUT_CONTRACT_N
+        for trial, qubits in enumerate(qubit_lists):
+            state = _random_state(n, seed=trial)
+            before = state.copy()
+            op = compile_unitary_op(matrix, qubits, n)
+            compiled, _ = op.run(state.copy(), np.empty_like(state), Workspace())
+            if out_mode == "none":
+                got = apply_matrix(state, matrix, qubits)
+                assert got is not state
+            elif out_mode == "distinct":
+                buffer = np.full_like(state, np.nan)
+                got = apply_matrix(state, matrix, qubits, out=buffer)
+                assert got is buffer
+            else:
+                target = state.copy()
+                got = apply_matrix(target, matrix, qubits, out=target)
+                assert got is target
+            assert np.array_equal(state, before), (qubits, "state was modified")
+            assert np.array_equal(got, compiled), (qubits, op.kind)
+            assert np.allclose(got, apply_matrix_reference(before, matrix, qubits)), qubits
 
     def test_dense_1q_all_positions(self):
         unitary = _random_unitary(2, seed=3)

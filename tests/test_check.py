@@ -776,6 +776,57 @@ class TestLintRepro:
         ]
         assert findings[0].key.endswith("::one-kernel-lowering::replay:layout")
 
+    def test_second_kernel_set_flagged(self, lint):
+        engine = self.write(
+            lint, "sim/apply.py",
+            "import threading\n"
+            "_WS_TLS = threading.local()\n"
+            "def _effective_kind(info, qubits, n):\n"
+            "    return 'dense' if info.kind == 'big' else info.kind\n"
+            "def _permutation_moves(perm):\n"
+            "    nxt = perm[0]\n"
+            "    while nxt != 0:\n"
+            "        nxt = perm[nxt]\n"
+            "def unitary_template(matrix, qubits, n):\n"
+            "    info = analyze_matrix(matrix)\n"
+            "    if info.kind == 'diagonal':\n"
+            "        return 0\n"
+            "    return _effective_kind(info, qubits, n)\n"
+            "def apply_gate_buffered(state, scratch, matrix, qubits):\n"
+            "    return unitary_template(matrix, qubits, 3).bind(matrix)\n",
+        )
+        assert lint.check_one_kernel_set([engine]) == []
+        # The interpreter's own dispatch, cycle walk and scratch pool
+        # growing back beside the templates.
+        fork = self.write(
+            lint, "sim/statevector.py",
+            "import threading\n"
+            "_POOL = threading.local()\n"
+            "def apply(state, matrix, qubits):\n"
+            "    info = analyze_matrix(matrix)\n"
+            "    kind = _effective_kind(info, qubits, 3)\n"
+            "    if info.reduced_info.kind == 'permutation':\n"
+            "        nxt = perm[0]\n"
+            "        while nxt != 0:\n"
+            "            nxt = perm[nxt]\n",
+        )
+        findings = lint.check_one_kernel_set([engine, fork])
+        assert {f.rule for f in findings} == {"one-kernel-set"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "apply:_effective_kind", "apply:cycles", "apply:kind",
+            "threading.local", "threading.local",
+        ]
+        # Outside the engine's scope a `.kind` comparison is someone else's.
+        elsewhere = self.write(
+            lint, "check/verify.py", "def f(info):\n    return info.kind == 'x'\n"
+        )
+        assert lint.check_one_kernel_set([engine, elsewhere]) == []
+        # The choice moving away without the rule following is flagged too.
+        engine.write_text("import threading\n_WS_TLS = threading.local()\n")
+        assert [f.key for f in lint.check_one_kernel_set([engine])] == [
+            "src/repro/sim/apply.py::one-kernel-set::_effective_kind:missing"
+        ]
+
     def test_second_planning_surface_flagged(self, lint):
         clean = self.write(
             lint, "session/session.py",

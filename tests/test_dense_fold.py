@@ -170,24 +170,60 @@ def _redrawn(template, rng):
     ])
 
 
-def test_rebinds_leave_the_dense_plan_memo_alone():
-    """A template's bind plans without memoizing: 200 rebinds of ising-12
-    leave `_DENSE_PLAN_CACHE` where the cold compile left it (50 rebinds
-    used to grow it 49 -> 1899 entries, each pinning a dead matrix and
-    its expanded copy, until the wipe at 4096 dropped the live ones)."""
-    rng = np.random.default_rng(3)
+def _ising_plan(rng):
     machine = MachineConfig.for_circuit(12, num_shards=4)
     template = ising(12)
-    base_plan, _ = partition(_redrawn(template, rng), machine,
-                             kernelize_config=KernelizeConfig(pruning_threshold=16))
+    plan, _ = partition(_redrawn(template, rng), machine,
+                        kernelize_config=KernelizeConfig(pruning_threshold=16))
+    return machine, template, plan
+
+
+def test_rebinds_leave_the_dense_plan_memo_alone():
+    """A template's bind fills without memoizing: 200 rebinds of ising-12
+    leave `_BOUND_OPS` (the entry points' memo, where gemm plans live
+    now) where the cold compile left it (50 rebinds used to grow its
+    predecessor 49 -> 1899 entries, each pinning a dead matrix and its
+    expanded copy, until the wipe at 4096 dropped the live ones)."""
+    rng = np.random.default_rng(3)
+    machine, template, base_plan = _ising_plan(rng)
     base = compile_plan(base_plan, machine)
     base.run()
-    size = len(apply_mod._DENSE_PLAN_CACHE)
+    size = len(apply_mod._BOUND_OPS)
     for _ in range(200):
         plan = rebind_plan(base_plan, _redrawn(template, rng))
         program = compile_plan(plan, machine, reuse=base)
         assert program.ops_rebound > 0 and program.ops_recompiled == 0
-    assert len(apply_mod._DENSE_PLAN_CACHE) == size
+    assert len(apply_mod._BOUND_OPS) == size
+
+
+def test_an_interpreted_sweep_stays_within_the_memo_bound(monkeypatch):
+    """The interpreter does memoize — one entry per item *object* it
+    applies.  Over a 50-job angle sweep of ising-12 the angle-carrying
+    items add a constant number of entries a job, the parameter-free ones
+    hit theirs, and below the bound nothing is wiped (the old gemm-plan
+    memo wiped at the same 4096 and nowhere else); at the bound the memo
+    restarts and results do not change."""
+    rng = np.random.default_rng(4)
+    machine, template, base_plan = _ising_plan(rng)
+    apply_mod._BOUND_OPS.clear()
+    sizes, first = [], None
+    for _ in range(50):
+        plan = rebind_plan(base_plan, _redrawn(template, rng))
+        execute_plan(plan, machine=machine, compiled=False)
+        sizes.append(len(apply_mod._BOUND_OPS))
+        first = first or set(apply_mod._BOUND_OPS)
+    per_job = sizes[1] - sizes[0]
+    assert 0 < per_job < sizes[0]  # some of the first job's entries recur
+    assert sizes == [sizes[0] + job * per_job for job in range(50)]
+    assert sizes[-1] < apply_mod._BOUND_OPS_MAX
+    assert first <= set(apply_mod._BOUND_OPS)
+
+    monkeypatch.setattr(apply_mod, "_BOUND_OPS_MAX", 2 * per_job)
+    for _ in range(5):
+        plan = rebind_plan(base_plan, _redrawn(template, rng))
+        interpreted, _ = execute_plan(plan, machine=machine, compiled=False)
+        assert len(apply_mod._BOUND_OPS) <= 2 * per_job
+        assert np.array_equal(interpreted.data, compile_plan(plan, machine).run().data)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,31 @@ class TestCompiledVsInterpreted:
         b, _ = execute_plan(plan, initial_state=init, machine=machine, compiled=False)
         assert np.array_equal(a.data, b.data)
 
+    def test_the_interpreter_compiles_nothing(self, monkeypatch):
+        """`compiled=False` is the plumbing oracle: it walks plan -> stage
+        -> kernel -> item itself.  It never enters the plan compiler, builds
+        no program or structure and consults no program memo — what it
+        shares with the compiled path is the per-op templates, nothing of
+        the layout walk, slots, bind or reuse it is there to check."""
+        import repro.runtime.compile as compile_mod
+        import repro.runtime.executor as executor_mod
+        from repro.sim.program import CompiledProgram
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the interpreter entered the plan compiler")
+
+        circuit = vqc(8, seed=2)
+        machine = _machine(8)
+        plan = _staged_plan(circuit, machine)
+        want, _ = execute_plan(plan, machine=machine)
+        monkeypatch.setattr(compile_mod, "compile_plan", forbidden)
+        monkeypatch.setattr(executor_mod, "compiled_program_for", forbidden)
+        monkeypatch.setattr(compile_mod.ProgramStructure, "__init__", forbidden)
+        monkeypatch.setattr(CompiledProgram, "__init__", forbidden)
+        got, trace = execute_plan(plan, machine=machine, compiled=False)
+        assert np.array_equal(got.data, want.data)
+        assert trace.op_counts == {} and trace.num_ops > 0
+
     def test_unkernelized_stage_plan(self):
         """Plans whose stages carry raw gates (kernels=None) compile too."""
         circuit = Circuit(5).h(0).cx(0, 1).rz(0.4, 1).cx(1, 2).h(3).cp(0.3, 3, 4)
@@ -848,6 +873,70 @@ class TestMemoryControls:
             # Fresh workspaces simulate many workers' distinct buffers.
             got = program.run(workspace=Workspace())
             assert np.array_equal(got.data, want)
+
+
+    def test_entry_points_do_not_retain_caller_buffers(self):
+        """The entry points run the compiler's bound ops on the thread
+        workspace, whose view memo is keyed by buffer identity and holds
+        its base alive — so they must not feed it buffers nobody owns: a
+        buffer pair that is dropped after a permutation, a controlled and a
+        dense gate went over it is really gone."""
+        import gc
+        import weakref
+
+        from repro.circuits.gates import gate_matrix
+        from repro.sim.apply import apply_gate_buffered, apply_matrix
+
+        n = 12
+        cases = [("cx", [4, 9]), ("ch", [9, 3]), ("ch", [3, 9]), ("h", [6])]
+        state = StateVector.random_state(n, seed=1).data.copy()
+        scratch = np.empty_like(state)
+        refs = [weakref.ref(state), weakref.ref(scratch)]
+        for name, qubits in cases:
+            state, scratch = apply_gate_buffered(state, scratch, gate_matrix(name), qubits)
+            apply_matrix(state, gate_matrix(name), qubits, out=state)
+            out = apply_matrix(state, gate_matrix(name), qubits, out=scratch)
+            assert out is scratch
+        del state, scratch, out
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_a_dropped_workspace_goes_without_the_cycle_collector(self):
+        """A program's workspace dies with the program by reference count
+        (a fresh Session per job must not leave state-sized buffers waiting
+        for a gen-2 collection: +5 % peak RSS on `cold-plan-16q` when the
+        workspace kept its caller-buffers face on itself)."""
+        import gc
+        import weakref
+
+        from repro.sim.program import Workspace
+
+        gc.disable()
+        try:
+            ws = Workspace()
+            ws.for_caller_buffers().tmp(1 << 8)
+            ref = weakref.ref(ws.pair(1 << 10)[0])
+            del ws
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_reference_backend_loop_leaves_the_thread_workspace_flat(self):
+        """200 fresh 14-qubit states through the reference backend (the
+        entry points, gate by gate): the thread workspace ends up holding
+        O(1) state-sized arrays and no view of any of them."""
+        from repro.sim.program import thread_workspace
+
+        n = 14
+        circuit = random_circuit(n, 12, seed=5)
+        ws = thread_workspace()
+        views_before = ws._views_held
+        with Session(_machine(n), backend="reference") as session:
+            for seed in range(200):
+                session.run(circuit, initial_state=StateVector.basis_state(n, seed))
+        assert ws._views_held == views_before
+        state_sized = [size for size, _slot in ws._tmps if size >= 1 << n]
+        assert len(state_sized) <= 2 and len(ws._pairs) <= ws._MAX_PAIRS
 
 
 class TestBoundedFusionCache:

@@ -115,6 +115,44 @@ class TestApplyDiagonal:
             apply_diagonal(state, np.ones(4, dtype=complex), [0])
 
 
+    @pytest.mark.parametrize("qubits,message", [
+        ([0, 3], "out of range for 3 qubits"),
+        ([-1, 0], "out of range for 3 qubits"),
+        ([1, 1], "duplicate qubits"),
+        ([0], "does not match 1 qubits"),
+    ])
+    def test_bad_qubits_raise_like_apply_matrix(self, qubits, message):
+        """`apply_diagonal` and `apply_monomial` check what `apply_matrix`
+        checks, with its messages ([0, 3] used to die inside a NumPy
+        reshape, [-1, 0] with an IndexError)."""
+        from repro.sim.apply import apply_monomial
+
+        state = StateVector.random_state(3, seed=0).data
+        before = state.copy()
+        phases = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            apply_diagonal(state, phases, qubits, out=state)
+        with pytest.raises(ValueError, match=message):
+            apply_monomial(state, np.array([1, 0, 3, 2]), phases, qubits)
+        if len(qubits) == 2:
+            with pytest.raises(ValueError, match=message):
+                apply_matrix(state, gate_matrix("cz"), qubits)
+        assert np.array_equal(state, before)
+
+    def test_monomial_lengths_and_state_size_are_checked(self):
+        from repro.sim.apply import apply_monomial
+
+        state = StateVector.random_state(3, seed=0).data
+        with pytest.raises(ValueError, match="permutation of length 2 does not match 2 qubits"):
+            apply_monomial(state, np.array([1, 0]), np.ones(4, dtype=complex), [0, 1])
+        with pytest.raises(ValueError, match="phase vector of length 2 does not match 2 qubits"):
+            apply_monomial(state, None, np.ones(2, dtype=complex), [0, 1])
+        with pytest.raises(ValueError, match="not a power of two"):
+            apply_diagonal(np.ones(6, dtype=complex), np.ones(2, dtype=complex), [0])
+        with pytest.raises(ValueError, match="out has 4 amplitudes, expected 8"):
+            apply_diagonal(state, np.ones(2, dtype=complex), [0], out=np.empty(4, complex))
+
+
 class TestExpandMatrix:
     def test_identity_embedding(self):
         h = gate_matrix("h")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Eight rules, each enforcing an invariant the execution layer depends on
+Nine rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -17,9 +17,10 @@ Eight rules, each enforcing an invariant the execution layer depends on
 ``hot-alloc``
     No allocation calls (``np.zeros`` / ``np.empty`` / ``np.copy`` /
     ``np.array`` / ``np.ascontiguousarray`` / ``tracked_empty``) inside
-    the per-op ``run()`` / ``run_batched()`` closures of
-    ``sim/program.py``: compiled-op execution must be allocation-free in
-    steady state; buffers come from the :class:`Workspace` only.
+    the per-op ``run()`` / ``run_batched()`` closures of ``sim/apply.py``
+    (the op templates) and ``sim/program.py`` (the layout op): op
+    execution must be allocation-free in steady state; buffers come from
+    the :class:`Workspace` only.
 
 ``monotonic-time``
     No ``time.time()`` anywhere in ``src/repro``: deadlines and timing
@@ -51,6 +52,23 @@ Eight rules, each enforcing an invariant the execution layer depends on
     the linted set contains ``sim/fusion.py``.  Anywhere in the package, a
     call of ``lower_kernel_gates`` / ``kernel_lowering`` passes the stage
     layout: the dense fold pairs gates by physical position.
+
+``one-kernel-set``
+    Under ``sim/``, ``runtime/`` and ``analysis/`` there is one
+    gate-application engine: the op templates of ``sim/apply.py``.
+    ``_effective_kind`` (and ``_inplace_preferred``, should it come back)
+    is called from ``unitary_template`` and nowhere else — that call is
+    where a matrix classification and a position become a kernel; a
+    comparison on a ``MatrixInfo``'s ``.kind`` (``info.kind``,
+    ``red.kind``, ``….reduced_info.kind``) appears only in the analysis,
+    the template builders and the monomial-run classification of
+    ``sim/fusion.py``; only ``_permutation_moves`` walks permutation
+    cycles (a ``while`` loop stepping through ``perm[...]``); and
+    ``threading.local()`` appears once under ``sim/`` — the thread
+    workspace is the only per-thread buffer set.  Any of these growing a
+    second site is the interpreter's own kernels, dispatch or scratch pool
+    coming back beside the templates.  Checked across files, whenever the
+    linted set contains ``sim/apply.py``.
 
 ``one-planning-surface``
     Nothing under ``session/`` or ``service/`` names ``legacy_pipeline``
@@ -115,7 +133,7 @@ BARE_RAISE_SCOPE = (
 BARE_RAISE_BUILTINS = {"ValueError", "RuntimeError", "TypeError"}
 PRAGMA = "lint: config-error"
 
-HOT_ALLOC_FILE = "sim/program.py"
+HOT_ALLOC_FILES = ("sim/apply.py", "sim/program.py")
 HOT_ALLOC_CALLS = {"zeros", "empty", "copy", "array", "ascontiguousarray"}
 HOT_ALLOC_NAMES = {"tracked_empty"}
 HOT_CLOSURES = {"run", "run_batched"}
@@ -139,6 +157,24 @@ KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
     "_gate_on_shard",
 )
 
+
+KERNEL_SET_SCOPE = ("sim/", "runtime/", "analysis/")
+KERNEL_SET_HOME = "sim/apply.py"
+#: The functions that refine a classification by position, and the one
+#: function allowed to call them.
+KERNEL_CHOICE_FUNCS = ("_effective_kind", "_inplace_preferred")
+KERNEL_CHOICE_CALLER = "unitary_template"
+#: Names a ``MatrixInfo`` goes by where its ``.kind`` is compared, and the
+#: functions licensed to compare it: the analysis that builds it, the
+#: position refinement, the template builders, and the shared-memory
+#: lowering's "is this gate monomial" classification.
+MATRIX_INFO_NAMES = {"info", "red", "reduced_info"}
+MATRIX_KIND_SITES = {
+    "_analyze_impl", "_effective_kind", "unitary_template", "_controlled_template",
+    "kernel_lowering", "_absorb", "_only_permutes",
+}
+CYCLE_WALK_SITE = "_permutation_moves"
+THREAD_LOCAL_SCOPE = "sim/"
 
 PLANNING_SURFACE_SCOPE = ("session/", "service/")
 PLANNING_SURFACE_NAME = "legacy_pipeline"
@@ -328,6 +364,105 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def _names_matrix_info(node: ast.AST) -> bool:
+    """``<info>.kind`` for one of the names a ``MatrixInfo`` goes by."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "kind"):
+        return False
+    owner = node.value
+    named = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    return named in MATRIX_INFO_NAMES
+
+
+def check_one_kernel_set(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-kernel-set`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    choice_calls = {name: 0 for name in KERNEL_CHOICE_FUNCS}
+    thread_locals: list[tuple[str, int]] = []
+    home_linted = False
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-kernel-set", message, symbol))
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack = stack + [node.name]
+        where = _enclosing(stack)
+        if isinstance(node, ast.Call):
+            name = _call_name(node)
+            if name in choice_calls:
+                choice_calls[name] += 1
+                if KERNEL_CHOICE_CALLER not in stack:
+                    flag(
+                        rel, node.lineno,
+                        f"`{name}` called in {where}: a classification and a "
+                        f"position become a kernel in sim/apply.py::"
+                        f"{KERNEL_CHOICE_CALLER} and nowhere else — bind its "
+                        f"template instead of dispatching again",
+                        f"{where}:{name}",
+                    )
+            f = node.func
+            if (
+                rel_src.startswith(THREAD_LOCAL_SCOPE)
+                and isinstance(f, ast.Attribute) and f.attr == "local"
+                and isinstance(f.value, ast.Name) and f.value.id == "threading"
+            ):
+                thread_locals.append((rel, node.lineno))
+        if isinstance(node, ast.Compare) and not MATRIX_KIND_SITES.intersection(stack):
+            if any(_names_matrix_info(side) for side in [node.left, *node.comparators]):
+                flag(
+                    rel, node.lineno,
+                    f"comparison on a MatrixInfo's `.kind` in {where}: kernels "
+                    f"are chosen by the template builders of sim/apply.py, "
+                    f"not per call site",
+                    f"{where}:kind",
+                )
+        if isinstance(node, ast.While) and CYCLE_WALK_SITE not in stack:
+            walks = any(
+                isinstance(inner, ast.Subscript)
+                and isinstance(inner.value, ast.Name) and inner.value.id == "perm"
+                for inner in ast.walk(node)
+            )
+            if walks:
+                flag(
+                    rel, node.lineno,
+                    f"permutation cycle walk in {where}: cycles are lowered "
+                    f"to moves once, in sim/apply.py::{CYCLE_WALK_SITE}",
+                    f"{where}:cycles",
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        rel_src = _rel_src(path)
+        if SRC not in path.parents or not rel_src.startswith(KERNEL_SET_SCOPE):
+            continue
+        home_linted = home_linted or rel_src == KERNEL_SET_HOME
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(), rel_src,
+        )
+    if not home_linted:
+        return findings
+    if choice_calls[KERNEL_CHOICE_FUNCS[0]] == 0:
+        flag(
+            f"src/repro/{KERNEL_SET_HOME}", 0,
+            f"no call to `{KERNEL_CHOICE_FUNCS[0]}`: the kernel choice moved "
+            f"without this rule following it",
+            f"{KERNEL_CHOICE_FUNCS[0]}:missing",
+        )
+    if len(thread_locals) != 1:
+        for rel, line in thread_locals or [(f"src/repro/{KERNEL_SET_HOME}", 0)]:
+            flag(
+                rel, line,
+                f"{len(thread_locals)} `threading.local()` under "
+                f"{THREAD_LOCAL_SCOPE}: the thread workspace "
+                f"(sim/apply.py::thread_workspace) is the one per-thread "
+                f"buffer set",
+                "threading.local",
+            )
+    return findings
+
+
 def check_one_planning_surface(files: list[Path]) -> list[Finding]:
     """The ``one-planning-surface`` rule over the linted *files*."""
     findings = []
@@ -468,7 +603,7 @@ def check_file(path: Path) -> list[Finding]:
     in_scope_raise = any(
         rel_src == scope or rel_src.startswith(scope) for scope in BARE_RAISE_SCOPE
     )
-    is_hot_file = rel_src == HOT_ALLOC_FILE
+    is_hot_file = rel_src in HOT_ALLOC_FILES
 
     func_stack: list[str] = []
     #: Parallel stack: whether each enclosing function is a class method.
@@ -591,6 +726,7 @@ def main(argv: list[str] | None = None) -> int:
         findings.extend(check_file(path))
     findings.extend(check_one_stage_loop(files))
     findings.extend(check_one_kernel_lowering(files))
+    findings.extend(check_one_kernel_set(files))
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_interpreter_call_sites(files))
     findings.extend(check_one_staging_bound(files))
