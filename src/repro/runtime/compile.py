@@ -15,8 +15,10 @@
 
 The result is a flat stream of :class:`repro.sim.program.CompiledOp` whose
 execution is a tight loop with zero per-gate analysis, hashing or dict
-lookups — and which also executes **batched** against a ``(B, 2^n)`` state
-stack (see :meth:`CompiledProgram.run_batched`).
+lookups.  Every op has one closure written against ``(..., 2^n)`` buffers,
+so the same stream runs a ``(B, 2^n)`` state stack
+(:meth:`CompiledProgram.run_batched`) with every row bit-identical to the
+flat run of that state.
 
 Compilation has two halves.  The **structure** (:class:`ProgramStructure`)
 is everything that follows from the plan's skeleton and each gate's name,

@@ -144,10 +144,10 @@ class AdmissionController:
         """Admit if any backend in the degradation chain fits the budget."""
         session = self._session
         budget = self.policy.memory_budget_bytes
-        for circuit in circuits:
+        for circuit, width in session.stack_widths(circuits):
             if not any(
                 session.modelled_device_bytes(
-                    backend, session.machine, circuit.num_qubits
+                    backend, session.machine, circuit.num_qubits, width
                 ) <= budget
                 for backend in session.backend_chain()
             ):

@@ -240,8 +240,9 @@ class InCoreBackend(ExecutionBackend):
     per-gate dispatch; the structural cache rebinds programs across a
     parameter sweep).  Batch items that share one program — a circuit
     fanned out over many initial states, a shots/observables sweep —
-    execute as a single stacked ``(B, 2^n)`` pass with B-wide GEMM and
-    broadcast calls per op instead of B independent runs.
+    execute as a single stacked ``(B, 2^n)`` pass through the same op
+    closures, every row bit-identical to its own run (``big`` ops within
+    their documented bound).
     """
 
     name = "incore"

@@ -86,6 +86,24 @@ def shared_plan_key(circuit: Circuit, machine, planner_key: object) -> tuple[tup
     return (canonical, freeze_config(machine), planner_key), mapping
 
 
+def _structure_digest(num_qubits: int, stages) -> str:
+    """The one integrity checksum of a plan structure: blake2b over the
+    repr of ``(num_qubits, per-stage (gate indices, sorted logical →
+    physical items, kernel gate indices or None))``.  *stages* yields
+    ``(gate_indices, partition, kernel_gate_indices | None)``.  The layout
+    is persisted — shared-store entries and checkpoints carry the digest —
+    so it must not change."""
+    body = tuple(
+        (
+            tuple(gate_indices),
+            tuple(sorted(partition.logical_to_physical().items())),
+            None if kernels is None else tuple(tuple(k) for k in kernels),
+        )
+        for gate_indices, partition, kernels in stages
+    )
+    return hashlib.blake2b(repr((num_qubits, body)).encode(), digest_size=8).hexdigest()
+
+
 def plan_fingerprint(plan: ExecutionPlan) -> str:
     """A cheap structural checksum of *plan* for cache-integrity checks.
 
@@ -95,23 +113,18 @@ def plan_fingerprint(plan: ExecutionPlan) -> str:
     is recomputed on every cache hit, so it must stay cheap relative to the
     rebind + program-recompile work the hit performs anyway.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr(
+    return _structure_digest(
+        plan.num_qubits,
         (
-            plan.num_qubits,
-            tuple(
-                (
-                    tuple(stage.gate_indices),
-                    tuple(sorted(stage.partition.logical_to_physical().items())),
-                    tuple(tuple(k.gate_indices) for k in stage.kernels)
-                    if stage.kernels is not None
-                    else None,
-                )
-                for stage in plan.stages
-            ),
-        )
-    ).encode())
-    return h.hexdigest()
+            (
+                stage.gate_indices,
+                stage.partition,
+                None if stage.kernels is None
+                else [k.gate_indices for k in stage.kernels],
+            )
+            for stage in plan.stages
+        ),
+    )
 
 
 @dataclass
@@ -387,28 +400,22 @@ def skeleton_fingerprint(skeleton: Mapping) -> str:
     """Recompute the integrity checksum of a parsed skeleton.
 
     Produces exactly the digest :func:`plan_fingerprint` would for the
-    plan the skeleton describes — same fields, same repr layout — so a
+    plan the skeleton describes (both go through one digest helper), so a
     skeleton loaded from disk can be verified against its stored
     ``fingerprint`` without first materialising a plan.
     """
-    h = hashlib.blake2b(digest_size=8)
-    stage_reprs = []
-    for stage in skeleton["stages"]:
-        partition = QubitPartition.from_sets(
-            stage["local"], stage["regional"], stage["global"]
-        )
-        kernels = stage.get("kernels")
-        stage_reprs.append(
+    return _structure_digest(
+        skeleton["num_qubits"],
+        (
             (
-                tuple(stage["gate_indices"]),
-                tuple(sorted(partition.logical_to_physical().items())),
-                tuple(tuple(k["gate_indices"]) for k in kernels)
-                if kernels is not None
-                else None,
+                stage["gate_indices"],
+                QubitPartition.from_sets(stage["local"], stage["regional"], stage["global"]),
+                None if stage.get("kernels") is None
+                else [k["gate_indices"] for k in stage["kernels"]],
             )
-        )
-    h.update(repr((skeleton["num_qubits"], tuple(stage_reprs))).encode())
-    return h.hexdigest()
+            for stage in skeleton["stages"]
+        ),
+    )
 
 
 def skeleton_to_plan(

@@ -36,7 +36,8 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from itertools import groupby
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -430,19 +431,34 @@ class Session:
             return chain
         return chain[chain.index(name):] if name in chain else (name,)
 
+    @staticmethod
+    def stack_widths(circuits: Sequence[Circuit]) -> list[tuple[Circuit, int]]:
+        """``(circuit, width)`` per run of one circuit object in *circuits*:
+        the items that share a plan and a compiled program, which a backend
+        with ``uses_programs`` executes as one ``(width, 2^n)`` stack."""
+        return [
+            (run[0], len(run))
+            for run in (list(group) for _id, group in groupby(circuits, key=id))
+        ]
+
     def modelled_device_bytes(
-        self, backend_name: str, machine: MachineConfig, num_qubits: int
+        self, backend_name: str, machine: MachineConfig, num_qubits: int,
+        stack_width: int = 1,
     ) -> int:
         """Modelled device-memory working set of one job on *backend_name*.
 
         The admission model of this session and of the service layer's
         :class:`repro.service.AdmissionController`.  Complex128 amplitudes:
-        the in-core executors ping-pong two full state buffers; the shard
+        the in-core executors ping-pong two full state buffers — two
+        ``(stack_width, 2^n)`` stacks when the backend runs one program
+        over a fan-out (:meth:`stack_widths`) as a single pass; the shard
         runtimes hold two buffer pairs of ``2^L`` amplitudes per worker
         (the double-buffered prefetch), with the state itself residing in
         DRAM.
         """
         full = 2 * 16 * (1 << num_qubits)
+        if stack_width > 1 and self.backend_instance(backend_name).uses_programs:
+            full *= stack_width
         if num_qubits <= machine.local_qubits or backend_name not in self._SHARDED_BACKENDS:
             return full
         shard_pairs = 4 * 16 * (1 << machine.local_qubits)
@@ -457,11 +473,13 @@ class Session:
         machine: MachineConfig,
         num_qubits: int,
         execute: bool,
+        stack_width: int = 1,
     ) -> list[str]:
         """Admission check: reject or degrade over-budget jobs up front.
 
         With ``memory_budget_bytes`` unset this is a no-op.  Otherwise the
-        job's modelled working set must fit the budget; when it does not,
+        job's modelled working set — at the widest stack it fans out into —
+        must fit the budget; when it does not,
         ``degrade=True`` walks the backend chain to the first admissible
         backend (each hop counted as a fallback) and ``degrade=False`` —
         or an exhausted chain — raises
@@ -473,7 +491,7 @@ class Session:
             return [backend_name]
         candidates = self.backend_chain(backend_name) if self.degrade else (backend_name,)
         for hops, name in enumerate(candidates):
-            need = self.modelled_device_bytes(name, machine, num_qubits)
+            need = self.modelled_device_bytes(name, machine, num_qubits, stack_width)
             if need <= budget:
                 self._session_fallbacks += hops
                 return list(candidates[: hops + 1])
@@ -959,7 +977,8 @@ class Session:
             # Admission: degrade down the backend chain before allocating a
             # working set the modelled device memory cannot hold.
             chain = self._admit(
-                req.backend_name, req.machine, req.circuits[0].num_qubits, req.execute
+                req.backend_name, req.machine, req.circuits[0].num_qubits, req.execute,
+                max(width for _circuit, width in self.stack_widths(req.circuits)),
             )
             items = self._plan_items(req, chain[-1])
             outs, execute_seconds = [(None, None)] * len(items), 0.0

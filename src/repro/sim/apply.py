@@ -29,8 +29,15 @@ a classification and a position into a kernel choice; it and
 :func:`monomial_template` (a folded run of diagonal/permutation gates)
 return an :class:`OpTemplate` — everything that follows from *where* the op
 acts and from the zero/one structure of its matrix — whose ``bind`` does
-the numeric fill and returns ``run(state, scratch, ws)`` /
-``run_batched(states, scratch, ws)`` closures.  Structured kinds update the
+the numeric fill and returns **one** closure, ``run(states, scratch, ws)``,
+written against ``(..., 2^n)`` buffers: a flat state is a stack of one.
+Leading axes are taken from ``states.ndim``; elementwise and copy kernels
+just loop longer (no multiply runs from one view into another of the same
+buffer, and a view keeps ``2^_MIN_VIEW_BITS`` amplitudes, so a longer loop
+rounds no differently), and the gemm forms keep the stack a *looped* leading
+matmul axis, never a gemm dimension (:func:`run_dense_plan`), so row ``b``
+of a stacked run is the flat run of row ``b`` bit for bit — ``big`` (one
+tensordot over the stack) within ``2^k`` ulp.  Structured kinds update the
 state buffer in place, streaming kinds write the scratch buffer in full and
 the ping-pong roles swap; temporaries and memoized slice views come from a
 :class:`Workspace`, one per thread (:func:`thread_workspace`).  Compiled
@@ -102,7 +109,6 @@ __all__ = [
     "expand_matrix",
     "analyze_matrix",
     "run_dense_plan",
-    "run_dense_plan_batched",
     "MatrixInfo",
     "tracked_empty",
     "reset_allocation_log",
@@ -236,7 +242,9 @@ def _analyze_impl(matrix: np.ndarray) -> MatrixInfo:
             sel = np.flatnonzero(all_ones)
             reduced = np.ascontiguousarray(matrix[np.ix_(sel, sel)])
             reduced_info = _analyze_impl(reduced)
-            if reduced_info.kind in ("diagonal", "permutation", "dense"):
+            # Never diagonal or monomial here: identity ⊕ monomial is itself
+            # monomial and was classified above.
+            if reduced_info.kind == "dense":
                 return MatrixInfo(
                     kind="controlled",
                     k=k,
@@ -290,8 +298,7 @@ def _basis_views(
     batch axes — indexed by the basis of *qubits*.
 
     ``fixed`` pins additional ``(axis, bit)`` pairs of the ``(2,)*n``
-    tensor (used to restrict to a controlled subspace); the axes in
-    ``fixed`` must already include the ``lead`` offset.  The leading axes
+    tensor (used to restrict to a controlled subspace).  The leading axes
     are kept whole in every view.  View ``b`` fixes qubit ``qubits[j]`` to
     bit ``j`` of ``b``.
     """
@@ -301,7 +308,7 @@ def _basis_views(
     tensor = buf.reshape(buf.shape[:lead] + (2,) * n + (1,))
     base: list = [slice(None)] * (lead + n + 1)
     for ax, bit in fixed:
-        base[ax] = bit
+        base[lead + ax] = bit
     views = []
     for b in range(1 << len(qubits)):
         idx = list(base)
@@ -747,41 +754,50 @@ def run_dense_plan(
 ) -> None:
     """Execute a precomputed dense gemm *plan*, writing straight into *out*.
 
+    *state* and *out* are ``(..., 2^n)``: a flat state or a stack of them.
+    The stack is always a *looped* leading matmul axis, never folded into a
+    gemm dimension, so NumPy issues per state exactly the gemm a flat run
+    issues and row ``b`` of a stacked result equals the flat run of row
+    ``b`` bit for bit.
+
     ``tmp`` (split plans only) is a work buffer of ``state.size // 2``
     elements; when omitted it comes from the calling thread's workspace.
     This is the run-time half of the dense path: a bound op stores the plan
     tuple and calls this with its workspace's temporary.
     """
     kind = plan[0]
+    lead = state.shape[:-1]
     if kind == "gemm_right":
         _, bt, cols = plan
-        np.matmul(state.reshape(-1, cols), bt, out=out.reshape(-1, cols))
+        shape = lead + (-1, cols)
+        np.matmul(state.reshape(shape), bt, out=out.reshape(shape))
         return
     if kind == "gemm_left":
         _, b, rows = plan
-        np.matmul(b, state.reshape(rows, -1), out=out.reshape(rows, -1))
+        shape = lead + (rows, -1)
+        np.matmul(b, state.reshape(shape), out=out.reshape(shape))
         return
     if kind == "stacked":
-        _, m, pre, d, post = plan
-        np.matmul(m, state.reshape(pre, d, post), out=out.reshape(pre, d, post))
+        _, m, _pre, d, post = plan
+        np.matmul(m, state.reshape(-1, d, post), out=out.reshape(-1, d, post))
         return
     if tmp is None:
         tmp = thread_workspace().tmp(state.size // 2, slot=1)
     if kind == "split_stacked":
-        _, mats, pre, mid, post = plan
-        src = state.reshape(pre, 2, mid, 2, post)
-        dst = out.reshape(pre, 2, mid, 2, post)
-        tmp = tmp.reshape(pre, mid, 2, post)
+        _, mats, _pre, mid, post = plan
+        src = state.reshape(-1, 2, mid, 2, post)
+        dst = out.reshape(-1, 2, mid, 2, post)
+        tmp = tmp.reshape(-1, mid, 2, post)
         for a in (0, 1):
             dst_a = dst[:, a]
             np.matmul(mats[a][0], src[:, 0], out=dst_a)
             np.matmul(mats[a][1], src[:, 1], out=tmp)
             dst_a += tmp
     else:  # split_gemm
-        _, bts, pre, mid, cols = plan
-        src = state.reshape(pre, 2, mid, cols)
-        dst = out.reshape(pre, 2, mid, cols)
-        tmp = tmp.reshape(pre, mid, cols)
+        _, bts, _pre, mid, cols = plan
+        src = state.reshape(-1, 2, mid, cols)
+        dst = out.reshape(-1, 2, mid, cols)
+        tmp = tmp.reshape(-1, mid, cols)
         for a in (0, 1):
             dst_a = dst[:, a]
             np.matmul(src[:, 0], bts[a][0], out=dst_a)
@@ -830,6 +846,18 @@ def _single_gemm_plannable(qubits: Sequence[int], n: int) -> bool:
     return _gemm_strategy(qubits, n) is not None
 
 
+#: A view kernel (slice moves, the strided controlled update) needs at least
+#: this many qubits outside the op.  The views of a ``(B, 2^n)`` stack can
+#: merge with its leading axis into one NumPy loop, and a loop's rounding
+#: (fused or not) depends on its length: a single-element call takes NumPy's
+#: scalar complex multiply, a vector's tail may.  With ``2^3`` amplitudes per
+#: view a state's share of any loop is whole vectors on every build
+#: (AVX-512: 4 complex128), so the stacked pass rounds as the flat one; an op
+#: spanning (almost) the whole of a tiny state goes to the gemm path, where
+#: the stack is a looped axis.
+_MIN_VIEW_BITS = 3
+
+
 def _effective_kind(info: MatrixInfo, qubits: Sequence[int], n: int) -> str:
     """Position-aware dispatch refinement.
 
@@ -838,22 +866,23 @@ def _effective_kind(info: MatrixInfo, qubits: Sequence[int], n: int) -> str:
     BLAS gemm beats them.  Permutation cycles tolerate short runs well
     (they are plain strided copies), so they reroute only at the very
     bottom; controlled subspace updates reroute whenever the dense planner
-    has a single-gemm strategy for the position pair.  Wide (k ≥ 3) dense
-    matrices reroute to the streaming gemm path whenever the planner covers
-    their qubit tuple (see :func:`_single_gemm_plannable`).
+    has a single-gemm strategy for the position pair.  Wide (k ≥ 3)
+    matrices keep their structured kernel while its views hold
+    :data:`_MIN_VIEW_BITS` qubits; otherwise, and when dense, they reroute
+    to the streaming gemm path whenever the planner covers their qubit
+    tuple (see :func:`_single_gemm_plannable`), else to the tensordot
+    contraction.
     """
-    if info.kind == "big":
-        return "dense" if _single_gemm_plannable(qubits, n) else "big"
-    if info.k > 2 or info.kind in ("diagonal", "dense"):
+    if info.kind in ("diagonal", "dense"):
         return info.kind
+    plannable = _single_gemm_plannable(qubits, n)
     if info.kind == "permutation":
-        if max(qubits) <= 2:
-            return "dense"
+        views = info.k > 2 or max(qubits) > 2
+    else:
+        views = info.kind == "controlled" and (info.k > 2 or not plannable)
+    if views and n - info.k >= _MIN_VIEW_BITS:
         return info.kind
-    # controlled
-    if _single_gemm_plannable(qubits, n):
-        return "dense"
-    return info.kind
+    return "dense" if plannable or info.k <= 2 else "big"
 
 
 def _controlled_gather_gemm_inplace(
@@ -870,11 +899,10 @@ def _controlled_gather_gemm_inplace(
     sub-state with the target at its original position, and *plan* is the
     dense 1q gemm plan of the reduced matrix on it.
 
-    *state* may carry a leading batch dimension (total size ``B · 2^n``):
-    the batch folds into the row count unchanged.
+    *state* may be a ``(B, 2^n)`` stack: the rows of every state join the
+    looped leading matmul axis, each still its own gemm.
     """
     post_c = 1 << control_qubit
-    # pre_c for a single state; B·pre_c when state is a (B, 2^n) batch.
     rows = state.size // (2 * post_c)
     subspace = state.reshape(rows, 2, post_c)[:, 1, :]
     compact = compact[: rows * post_c].reshape(rows, post_c)
@@ -955,34 +983,31 @@ STREAM_KINDS = frozenset({"dense", "big", "layout"})
 class CompiledOp:
     """One fully-resolved operation of a compiled stream.
 
-    ``run(state, scratch, ws)`` operates on flat ``(2^n,)`` buffers,
-    ``run_batched(states, scratch, ws)`` on ``(B, 2^n)`` stacks; both
-    return the ``(state, scratch)`` pair with roles possibly swapped
-    (streaming ops write into scratch, structured ops update in place).
+    ``run(states, scratch, ws)`` operates on ``(..., 2^n)`` buffers — a
+    flat state is a stack of one — and returns the ``(states, scratch)``
+    pair with roles possibly swapped (streaming ops write into scratch,
+    structured ops update in place).  Row ``b`` of a stacked run equals the
+    flat run of row ``b`` bit for bit (``big`` within a documented bound).
     ``source`` names where in the plan the op came from and ``gates`` the
     gate objects its payload was resolved from — the rebind machinery
     reuses an op verbatim when a structurally identical plan binds equal
     gates at the same source.
 
-    The remaining slots are *static metadata* mirroring what the closures
-    actually do, consumed by :mod:`repro.check` to verify the stream
+    The remaining slots are *static metadata* mirroring what the closure
+    actually does, consumed by :mod:`repro.check` to verify the stream
     without executing it: ``mode`` declares the ping-pong discipline
     (``"inplace"`` or ``"stream"``), ``qubits`` the physical qubit
     positions the payload touches (``None`` for whole-state layout ops)
-    and ``tmp_slots`` the workspace temporary slots the closures borrow
+    and ``tmp_slots`` the workspace temporary slots the closure borrows
     (slots must never alias within one op).
     """
 
-    __slots__ = (
-        "kind", "run", "run_batched", "source", "gates",
-        "mode", "qubits", "tmp_slots",
-    )
+    __slots__ = ("kind", "run", "source", "gates", "mode", "qubits", "tmp_slots")
 
     def __init__(
         self,
         kind: str,
         run: "Callable[..., tuple[np.ndarray, np.ndarray]]",
-        run_batched: "Callable[..., tuple[np.ndarray, np.ndarray]]",
         source: tuple | None = None,
         gates: "tuple | None" = None,
         mode: str | None = None,
@@ -991,7 +1016,6 @@ class CompiledOp:
     ) -> None:
         self.kind = kind
         self.run = run
-        self.run_batched = run_batched
         self.source = source
         self.gates = gates
         self.mode = mode if mode is not None else (
@@ -1002,58 +1026,6 @@ class CompiledOp:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CompiledOp {self.kind} source={self.source}>"
-
-
-# ---------------------------------------------------------------------------
-# Batched dense-plan execution
-# ---------------------------------------------------------------------------
-
-
-def run_dense_plan_batched(
-    plan: tuple, states: np.ndarray, out: np.ndarray, ws: Workspace
-) -> None:
-    """Execute a dense gemm *plan* against a ``(B, 2^n)`` state stack.
-
-    The batch folds into the leading gemm dimension (``gemm_right`` /
-    ``stacked`` / split plans) or broadcasts over a batched matmul
-    (``gemm_left``), so each op is one B-wide BLAS call.  Each output
-    amplitude is the same mathematical dot product a single-state run
-    computes, but the folded shape can change BLAS blocking and therefore
-    summation order — per-state results match looped runs to ~1e-16 per
-    op, not necessarily bit for bit.
-    """
-    kind = plan[0]
-    if kind == "gemm_right":
-        _, bt, cols = plan
-        np.matmul(states.reshape(-1, cols), bt, out=out.reshape(-1, cols))
-    elif kind == "gemm_left":
-        _, b, rows = plan
-        shape = (states.shape[0], rows, states.shape[-1] // rows)
-        np.matmul(b, states.reshape(shape), out=out.reshape(shape))
-    elif kind == "stacked":
-        _, m, _pre, d, post = plan
-        shape = (-1, d, post)
-        np.matmul(m, states.reshape(shape), out=out.reshape(shape))
-    elif kind == "split_stacked":
-        _, mats, _pre, mid, post = plan
-        src = states.reshape(-1, 2, mid, 2, post)
-        dst = out.reshape(-1, 2, mid, 2, post)
-        tmp = ws.tmp(states.size // 2, slot=1).reshape(-1, mid, 2, post)
-        for a in (0, 1):
-            dst_a = dst[:, a]
-            np.matmul(mats[a][0], src[:, 0], out=dst_a)
-            np.matmul(mats[a][1], src[:, 1], out=tmp)
-            dst_a += tmp
-    else:  # split_gemm
-        _, bts, _pre, mid, cols = plan
-        src = states.reshape(-1, 2, mid, cols)
-        dst = out.reshape(-1, 2, mid, cols)
-        tmp = ws.tmp(states.size // 2, slot=1).reshape(-1, mid, cols)
-        for a in (0, 1):
-            dst_a = dst[:, a]
-            np.matmul(src[:, 0], bts[a][0], out=dst_a)
-            np.matmul(src[:, 1], bts[a][1], out=tmp)
-            dst_a += tmp
 
 
 # ---------------------------------------------------------------------------
@@ -1079,8 +1051,9 @@ class OpTemplate:
     permutation move table, the gather index, the gemm-plan shape — is
     resolved once, when the template is built.  ``bind(payload)`` does only the numeric fill
     (gathering a diagonal, phases or a reduced block out of the matrix,
-    preparing gemm operands) and returns the ``(run, run_batched)``
-    closures; :meth:`op` wraps them with the op's static metadata.  A cold
+    preparing gemm operands) and returns the one ``run(states, scratch,
+    ws)`` closure, written against ``(..., 2^n)`` buffers; :meth:`op` wraps
+    it with the op's static metadata.  A cold
     compile builds the template and binds it once; a rebind to new angles
     binds it again — the same code, so warm and cold programs cannot differ.
 
@@ -1098,7 +1071,7 @@ class OpTemplate:
         self,
         kind: str,
         qubits: tuple[int, ...],
-        bind: "Callable[[np.ndarray], tuple[Callable, Callable]]",
+        bind: "Callable[[np.ndarray], Callable]",
         tmp_slots: tuple[int, ...] = (),
         uses_scratch: bool = False,
     ) -> None:
@@ -1111,9 +1084,8 @@ class OpTemplate:
     def op(
         self, payload: np.ndarray, source: tuple | None = None, gates: "tuple | None" = None
     ) -> CompiledOp:
-        run, run_batched = self.bind(payload)
         return CompiledOp(
-            self.kind, run, run_batched, source, gates,
+            self.kind, self.bind(payload), source, gates,
             qubits=self.qubits, tmp_slots=self.tmp_slots,
         )
 
@@ -1163,13 +1135,13 @@ def monomial_template(
     def bind(phases):
         plan = (source, None if np.all(phases == 1) else phases.take(phase_index))
 
-        def run(state, scratch, ws):
+        def run(states, scratch, ws):
             # An in-place op owes the scratch buffer nothing (the next
             # streaming op overwrites it in full), so it is the gather target.
-            run_monomial_gather(plan, state, scratch, n)
-            return state, scratch
+            run_monomial_gather(plan, states, scratch, n)
+            return states, scratch
 
-        return run, run
+        return run
 
     return OpTemplate("permutation", qubits, bind, uses_scratch=True)
 
@@ -1178,23 +1150,17 @@ def _diag_template(positions: np.ndarray, qubits: tuple[int, ...], n: int) -> Op
     """Diagonal entry ``c`` sits at flat position ``positions[c]`` of the
     payload (a matrix, or the phase vector itself)."""
     index = _index_array(_diag_broadcast(positions, n, qubits))
-    shape = (2,) * n
-    bshape = (-1,) + shape
+    shape = (-1,) + (2,) * n
 
     def bind(payload):
         diag_b = payload.take(index)
 
-        def run(state, scratch, ws):
-            t = state.reshape(shape)
-            np.multiply(t, diag_b, out=t)
-            return state, scratch
-
-        def run_batched(states, scratch, ws):
-            t = states.reshape(bshape)
+        def run(states, scratch, ws):
+            t = states.reshape(shape)
             np.multiply(t, diag_b, out=t)
             return states, scratch
 
-        return run, run_batched
+        return run
 
     return OpTemplate("diagonal", qubits, bind)
 
@@ -1251,11 +1217,13 @@ def _bind_moves(
 def _run_moves(views, moves, phases, tmp) -> None:
     for code, a, b in moves:
         if code == 0:
-            phase = phases[b]
-            if phase == 1:
-                np.copyto(views[a], views[b])
-            else:
-                np.multiply(views[b], phase, out=views[a])
+            # Copy, then scale in place — never one multiply from view to
+            # view: the two interleave in one buffer, and whether NumPy
+            # then rounds through its SIMD (fused) or scalar complex loop
+            # depends on an overlap heuristic that reads the stack depth.
+            np.copyto(views[a], views[b])
+            if phases[b] != 1:
+                views[a] *= phases[b]
         elif code == 1:
             np.copyto(tmp, views[a])
         elif code == 2:
@@ -1275,32 +1243,29 @@ def _moves_template(
     ``c`` sits at flat position ``positions[c]`` of the payload (a matrix),
     or the payload is the phase vector itself (``positions=None``)."""
     skeleton = _permutation_moves(perm)
-    view_size = 1 << (n - len(qubits))
+    k = len(qubits)
 
     def bind(payload):
         moves, phases = _bind_moves(
             skeleton, payload if positions is None else payload.take(positions)
         )
 
-        def run(state, scratch, ws):
-            views = ws.views(state, n, qubits)
-            tmp = ws.tmp(view_size, slot=1).reshape(views[0].shape)
-            _run_moves(views, moves, phases, tmp)
-            return state, scratch
-
-        def run_batched(states, scratch, ws):
-            views = ws.views(states, n, qubits, lead=1)
-            tmp = ws.tmp(states.shape[0] * view_size, slot=1).reshape(views[0].shape)
+        def run(states, scratch, ws):
+            views = ws.views(states, n, qubits, lead=states.ndim - 1)
+            tmp = ws.tmp(states.size >> k, slot=1).reshape(views[0].shape)
             _run_moves(views, moves, phases, tmp)
             return states, scratch
 
-        return run, run_batched
+        return run
 
     return OpTemplate("permutation", qubits, bind, tmp_slots=(1,))
 
 
 def _controlled_template(info: MatrixInfo, qubits: tuple[int, ...], n: int) -> OpTemplate:
-    red = info.reduced_info
+    """The dense all-controls-1 block (``info.reduced_info`` is never
+    anything else: a diagonal or monomial block makes the whole matrix
+    monomial, which :func:`analyze_matrix` classifies first) applied on the
+    controlled subspace only."""
     target_qubits = tuple(qubits[p] for p in info.targets)
     # Flat positions of the all-controls-1 block inside the matrix.
     dim = 1 << info.k
@@ -1312,69 +1277,41 @@ def _controlled_template(info: MatrixInfo, qubits: tuple[int, ...], n: int) -> O
     if (
         len(info.controls) == 1
         and len(info.targets) == 1
-        and red.kind == "dense"
         and target_qubits[0] < qubits[info.controls[0]]
     ):
-        # Gather + one streaming gemm; the batch folds into the row count.
+        # Gather + one streaming gemm; a stack only lengthens the row loop.
         ctrl = qubits[info.controls[0]]
         tgt = target_qubits[0]
 
         def bind(matrix):
             plan = _dense_plan_impl(matrix.take(block), ctrl, (tgt,))
 
-            def run(state, scratch, ws):
+            def run(states, scratch, ws):
                 _controlled_gather_gemm_inplace(
-                    state, ctrl, plan, ws.tmp(state.size // 2, slot=0)
+                    states, ctrl, plan, ws.tmp(states.size // 2, slot=0)
                 )
-                return state, scratch
+                return states, scratch
 
-            return run, run
+            return run
 
         return OpTemplate("controlled", qubits, bind, tmp_slots=(0,))
 
     fixed = tuple((qubit_axis(n, qubits[p]), 1) for p in info.controls)
-    fixed_batched = tuple((1 + ax, 1) for ax, _bit in fixed)
     d = 1 << len(target_qubits)
-    view_size = 1 << (n - len(qubits))
-    red_kind = red.kind
-    if red_kind == "permutation":
-        skeleton = _permutation_moves(red.perm)
-        positions = _index_array(np.asarray(red.perm) * d + np.arange(d))
+    k = len(qubits)
 
     def bind(matrix):
         reduced = matrix.take(block)
-        if red_kind == "diagonal":
-            red_diag = reduced.diagonal()
 
-            def apply(views, snap, tmp):
-                for b, view in enumerate(views):
-                    if red_diag[b] != 1:
-                        view *= red_diag[b]
-        elif red_kind == "permutation":
-            moves, phases = _bind_moves(skeleton, reduced.take(positions))
-
-            def apply(views, snap, tmp):
-                _run_moves(views, moves, phases, tmp.reshape(views[0].shape))
-        else:
-            def apply(views, snap, tmp):
-                _dense_views_inplace(views, reduced, snap=snap, tmp=tmp)
-
-        def run(state, scratch, ws):
-            views = ws.views(state, n, target_qubits, fixed)
-            apply(views, ws.tmp(d * view_size, slot=0), ws.tmp(view_size, slot=1))
-            return state, scratch
-
-        def run_batched(states, scratch, ws):
-            batch = states.shape[0]
-            views = ws.views(states, n, target_qubits, fixed_batched, lead=1)
-            apply(
-                views,
-                ws.tmp(batch * d * view_size, slot=0),
-                ws.tmp(batch * view_size, slot=1),
+        def run(states, scratch, ws):
+            views = ws.views(states, n, target_qubits, fixed, lead=states.ndim - 1)
+            view_size = states.size >> k
+            _dense_views_inplace(
+                views, reduced, ws.tmp(d * view_size, slot=0), ws.tmp(view_size, slot=1)
             )
             return states, scratch
 
-        return run, run_batched
+        return run
 
     return OpTemplate("controlled", qubits, bind, tmp_slots=(0, 1))
 
@@ -1386,16 +1323,12 @@ def _dense_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
     def bind(matrix):
         plan = _dense_plan_impl(matrix, n, qubits)
 
-        def run(state, scratch, ws):
-            tmp = ws.tmp(state.size // 2, slot=1) if needs_tmp else None
-            run_dense_plan(plan, state, scratch, tmp=tmp)
-            return scratch, state
-
-        def run_batched(states, scratch, ws):
-            run_dense_plan_batched(plan, states, scratch, ws)
+        def run(states, scratch, ws):
+            tmp = ws.tmp(states.size // 2, slot=1) if needs_tmp else None
+            run_dense_plan(plan, states, scratch, tmp=tmp)
             return scratch, states
 
-        return run, run_batched
+        return run
 
     return OpTemplate("dense", qubits, bind, tmp_slots=(1,) if needs_tmp else ())
 
@@ -1405,15 +1338,11 @@ def _big_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
     # kind whose application is not allocation-free — tensordot builds its
     # own result; the cost is logged).
     def bind(matrix):
-        def run(state, scratch, ws):
-            _big_to_out(state, matrix, qubits, n, scratch)
-            return scratch, state
-
-        def run_batched(states, scratch, ws):
+        def run(states, scratch, ws):
             _big_to_out(states, matrix, qubits, n, scratch)
             return scratch, states
 
-        return run, run_batched
+        return run
 
     return OpTemplate("big", qubits, bind)
 
@@ -1477,7 +1406,7 @@ def _unitary_op(
     _validate(state, matrix, qubits)
     template = unitary_template(matrix, qubits, n)
     return _remember(
-        key, (matrix, template.kind in INPLACE_KINDS, template.bind(matrix)[0])
+        key, (matrix, template.kind in INPLACE_KINDS, template.bind(matrix))
     )
 
 
@@ -1501,7 +1430,7 @@ def _monomial_op(
     _check_qubits(qubits, n)
     template = monomial_template(perm, qubits, n)
     return _remember(
-        key, (phases, perm, template.uses_scratch, template.bind(phases)[0])
+        key, (phases, perm, template.uses_scratch, template.bind(phases))
     )
 
 

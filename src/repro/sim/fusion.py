@@ -149,7 +149,7 @@ def _fixed_step(name: str, qubits: tuple[int, ...], n: int) -> "tuple[OpTemplate
     they are handed."""
     matrix = gate_matrix(name)
     template = unitary_template(matrix, qubits, n)
-    return template, template.bind(matrix)[0]
+    return template, template.bind(matrix)
 
 
 def fill_fused_unitary(fusion: KernelFusion, gates: Sequence[Gate]) -> np.ndarray:
@@ -164,7 +164,7 @@ def fill_fused_unitary(fusion: KernelFusion, gates: Sequence[Gate]) -> np.ndarra
     buf[:: dim + 1] = 1
     for gate, (template, run) in zip(gates, fusion.steps):
         if run is None:
-            run = template.bind(gate.matrix())[0]
+            run = template.bind(gate.matrix())
         buf, scratch = run(buf, scratch, ws)
     return buf.reshape(dim, dim).copy()
 

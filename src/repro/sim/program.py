@@ -1,25 +1,28 @@
-"""Compiled op streams: pre-resolved gate application with batched execution.
+"""Compiled op streams: pre-resolved gate application, flat or stacked.
 
 :mod:`repro.sim.apply` holds the engine — the kernels, the
-:class:`OpTemplate` builders that turn a matrix and a position into
-``run`` / ``run_batched`` closures, and the :class:`Workspace` they borrow
-buffers from.  Its entry points bind a template on first sight of a payload;
-this module binds them *ahead of time*: :func:`compile_unitary_op` classifies
-a matrix once and returns a :class:`CompiledOp` whose closures carry the
-fully-resolved payload — the broadcast diagonal vector, the permutation move
-table, the reduced controlled block, or the dense gemm plan with its
-prepared small matrices — so executing the op is a tight sequence of
-NumPy/BLAS calls with zero analysis, zero hashing and zero dict lookups.
+:class:`OpTemplate` builders that turn a matrix and a position into a
+``run`` closure, and the :class:`Workspace` it borrows buffers from.  Its
+entry points bind a template on first sight of a payload; this module binds
+them *ahead of time*: :func:`compile_unitary_op` classifies a matrix once
+and returns a :class:`CompiledOp` whose closure carries the fully-resolved
+payload — the broadcast diagonal vector, the permutation move table, the
+reduced controlled block, or the dense gemm plan with its prepared small
+matrices — so executing the op is a tight sequence of NumPy/BLAS calls with
+zero analysis, zero hashing and zero dict lookups.
 
 Ops follow the ping-pong buffer contract of
 :func:`repro.sim.apply.apply_gate_buffered`, which runs the very same
-closures.  Every op also has a **batched** form: the same payload applied
-to a ``(B, 2^n)`` stack of states with single B-wide GEMM/broadcast calls
-per op instead of ``B`` independent passes.  The batch dimension folds into
-the leading gemm axis; structured (copy/broadcast) ops are bit-identical to
-``B`` single runs, while GEMM ops hand BLAS a different matrix shape and
-may differ by summation-order rounding (~1e-16 per op) — batched and
-looped results agree to tight tolerance, and often exactly.
+closures.  An op has **one body**, written against ``(..., 2^n)`` buffers:
+a flat state is a stack of one, and a ``(B, 2^n)`` stack runs the same
+payload with one NumPy call per op instead of ``B`` passes.  In the gemm
+forms the stack is a looped leading matmul axis, never a gemm dimension, so
+BLAS sees per state exactly the operands of a flat run: row ``b`` of
+``run_batched(states)`` equals ``run(states[b])`` **bit for bit**.  The one
+exception is ``big`` (the tensordot fallback contracts the whole stack at
+once), which agrees within ``2^k`` ulp of the state's largest amplitude per
+op of width ``k`` (:meth:`CompiledProgram.stack_ulps`; 0 ulp measured on the
+build host).
 
 :class:`CompiledProgram` strings ops into an executable program.  Its
 :class:`Workspace` preallocates and owns every buffer the program needs —
@@ -44,7 +47,6 @@ from .apply import (
     Workspace,
     monomial_template,
     release_thread_workspace,
-    run_dense_plan_batched,
     thread_workspace,
     tracked_empty,
     unitary_template,
@@ -68,7 +70,6 @@ __all__ = [
     "compile_monomial_op",
     "compile_lowered_op",
     "compile_layout_op",
-    "run_dense_plan_batched",
     "release_thread_workspace",
     "thread_workspace",
 ]
@@ -126,21 +127,15 @@ def compile_layout_op(
     :func:`repro.runtime.sharding.permutation_axes`; identity permutations
     must be elided by the caller (the compiler never emits them).
     """
-    axes = list(axes)
-    shape = (2,) * n
-    baxes = [0] + [a + 1 for a in axes]
+    shape = (-1,) + (2,) * n
+    axes = [0] + [a + 1 for a in axes]
 
-    def run(state, scratch, ws):
-        permuted = np.transpose(state.reshape(shape), axes=axes)
-        np.copyto(scratch.reshape(permuted.shape), permuted)
-        return scratch, state
-
-    def run_batched(states, scratch, ws):
-        permuted = np.transpose(states.reshape((-1,) + shape), axes=baxes)
+    def run(states, scratch, ws):
+        permuted = np.transpose(states.reshape(shape), axes=axes)
         np.copyto(scratch.reshape(permuted.shape), permuted)
         return scratch, states
 
-    return CompiledOp("layout", run, run_batched, source, None, qubits=None)
+    return CompiledOp("layout", run, source, None, qubits=None)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +219,13 @@ class CompiledProgram:
             counts[op.kind] = counts.get(op.kind, 0) + 1
         return counts
 
+    def stack_ulps(self) -> int:
+        """The documented bound on how far row ``b`` of a stacked run may
+        sit from the flat run of state ``b``, in ulp of that state's largest
+        amplitude: 0 — bit for bit — unless the program holds ``big`` ops,
+        each adding the length ``2^k`` of its contraction's sums."""
+        return sum(1 << len(op.qubits) for op in self.ops if op.kind == "big")
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -247,6 +249,22 @@ class CompiledProgram:
             raise StateValidationError("initial state size does not match program")
         np.copyto(buf, data.reshape(buf.shape))
 
+    def _run_ops(self, pair: list[np.ndarray], ws: Workspace) -> np.ndarray:
+        """The one op loop: run the stream over the loaded ping-pong *pair*
+        — flat ``(2^n,)`` buffers or a ``(B, 2^n)`` stack — and persist the
+        final roles."""
+        state, scratch = pair
+        for op in self.ops:
+            state, scratch = op.run(state, scratch, ws)
+        pair[0], pair[1] = state, scratch
+        return state
+
+    def _owned(self, final: np.ndarray) -> StateVector:
+        """A caller-owned copy of one final state (a workspace view)."""
+        out = tracked_empty(final.size)
+        np.copyto(out, final)
+        return StateVector(self.num_qubits, out)
+
     def run_view(
         self,
         initial_state: StateVector | np.ndarray | None = None,
@@ -262,14 +280,9 @@ class CompiledProgram:
         thread-safe, the buffers are not.
         """
         ws = workspace if workspace is not None else self.workspace
-        size = 1 << self.num_qubits
-        pair = ws.pair(size)
-        state, scratch = pair
-        self._load(state, initial_state)
-        for op in self.ops:
-            state, scratch = op.run(state, scratch, ws)
-        pair[0], pair[1] = state, scratch
-        return state
+        pair = ws.pair(1 << self.num_qubits)
+        self._load(pair[0], initial_state)
+        return self._run_ops(pair, ws)
 
     def run(
         self,
@@ -278,30 +291,25 @@ class CompiledProgram:
     ) -> StateVector:
         """Execute and return a fresh :class:`StateVector` (one tracked
         state-sized allocation for the caller-owned copy)."""
-        final = self.run_view(initial_state, workspace=workspace)
-        out = tracked_empty(final.size)
-        np.copyto(out, final)
-        return StateVector(self.num_qubits, out)
+        return self._owned(self.run_view(initial_state, workspace=workspace))
 
     def run_batched_view(
         self, initial_states: Sequence, workspace: Workspace | None = None
     ) -> np.ndarray:
         """Execute the program once against a ``(B, 2^n)`` stack of initial
         states; returns the stacked final states as a view into the
-        workspace batch buffer (invalidated by the next run)."""
+        workspace batch buffer (invalidated by the next run).  The same op
+        loop as :meth:`run_view`: row ``b`` equals ``run_view`` of state
+        ``b`` bit for bit (module docstring; ``big`` ops within their
+        bound)."""
         batch = len(initial_states)
         if batch == 0:
             raise ValueError("empty batch")  # lint: config-error
         ws = workspace if workspace is not None else self.workspace
-        size = 1 << self.num_qubits
-        pair = ws.pair2d(batch, size)
-        states, scratch = pair
-        for b, initial in enumerate(initial_states):
-            self._load(states[b], initial)
-        for op in self.ops:
-            states, scratch = op.run_batched(states, scratch, ws)
-        pair[0], pair[1] = states, scratch
-        return states
+        pair = ws.pair2d(batch, 1 << self.num_qubits)
+        for row, initial in zip(pair[0], initial_states):
+            self._load(row, initial)
+        return self._run_ops(pair, ws)
 
     def run_batched(
         self, initial_states: Sequence, workspace: Workspace | None = None
@@ -309,12 +317,7 @@ class CompiledProgram:
         """Batched execution returning caller-owned :class:`StateVector`
         copies, one per initial state, in order."""
         finals = self.run_batched_view(initial_states, workspace=workspace)
-        out = []
-        for b in range(finals.shape[0]):
-            buf = tracked_empty(finals.shape[1])
-            np.copyto(buf, finals[b])
-            out.append(StateVector(self.num_qubits, buf))
-        return out
+        return [self._owned(row) for row in finals]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -72,6 +72,9 @@ PATH_CASES = [
 #: reroutes the kind (a permutation at the very bottom and a plannable
 #: controlled pair run as a gemm) the list says so.
 _U3Q = _random_unitary(8, seed=21)
+# x·rz on qubits[0], rz on qubits[1]: two phased 2-cycles between views
+# that differ in qubits[0] alone.
+_PHASED_X = np.kron(gate_matrix("rz", (0.4,)), gate_matrix("x") @ gate_matrix("rz", (0.9,)))
 OUT_CONTRACT_N = 13
 OUT_CONTRACT_CASES = [
     ("diagonal-1q", gate_matrix("rz", (0.7,)), ([0], [6], [12])),
@@ -79,6 +82,9 @@ OUT_CONTRACT_CASES = [
     ("permutation-2q", gate_matrix("cx"), ([1, 2], [4, 9], [9, 4], [11, 12])),  # [1, 2]: gemm
     ("permutation-swap", gate_matrix("swap"), ([0, 2], [3, 8], [12, 10])),
     ("permutation-3q", gate_matrix("ccx"), ([0, 1, 2], [3, 7, 9], [10, 12, 11])),
+    # Generic phases: the cycle moves scale what they copy.  At [0, 12] and
+    # [1, 11] source and destination interleave under a fixed top qubit.
+    ("permutation-phased", _PHASED_X, ([0, 1], [0, 12], [1, 11], [4, 9], [12, 0])),
     # qubits = [target, control]: target below control is the gather-gemm,
     # above it the strided views; [0, 1] and [11, 12] plan to one gemm.
     ("controlled", gate_matrix("ch"), ([0, 1], [3, 9], [9, 3], [2, 12], [12, 2], [11, 12])),
@@ -96,6 +102,62 @@ class TestDispatchClassification:
     def test_gate_matrices_hit_their_specialized_path(self, name, params, kind):
         info = apply_mod.analyze_matrix(gate_matrix(name, params))
         assert info.kind == kind
+
+    def test_a_controlled_block_is_always_dense(self):
+        """identity ⊕ (diagonal or monomial block) is itself monomial and
+        classifies as such before control detection runs: no library gate,
+        at generic or degenerate angles, and no generated controlled-monomial
+        matrix is ever `controlled` with a structured block — the templates
+        carry no such branch."""
+        from repro.circuits.gates import GATE_SPECS
+
+        for name, spec in sorted(GATE_SPECS.items()):
+            for angle in (0.0, 0.7, np.pi / 2, np.pi, 2 * np.pi):
+                info = apply_mod.analyze_matrix(gate_matrix(name, (angle,) * spec.num_params))
+                if info.kind == "controlled":
+                    assert info.reduced_info.kind == "dense", (name, angle)
+        rng = np.random.default_rng(5)
+        for k in (2, 3):
+            dim = 1 << k
+            for controls in range(1, k):
+                block_dim = dim >> controls
+                for trial in range(20):
+                    perm = rng.permutation(block_dim) if trial % 2 else np.arange(block_dim)
+                    block = np.zeros((block_dim, block_dim), dtype=complex)
+                    block[perm, np.arange(block_dim)] = np.exp(1j * rng.uniform(0, 6, block_dim))
+                    matrix = np.eye(dim, dtype=complex)
+                    matrix[dim - block_dim :, dim - block_dim :] = block
+                    # Controls on any index bits, not just the top ones.
+                    bits = rng.permutation(k)
+                    index = sum(((np.arange(dim) >> j) & 1) << bits[j] for j in range(k))
+                    matrix = matrix[np.ix_(index, index)]
+                    info = apply_mod.analyze_matrix(matrix)
+                    assert info.kind in ("diagonal", "permutation"), (k, controls, trial)
+
+    def test_view_kernels_keep_whole_vectors_per_state(self):
+        """A view kernel needs `_MIN_VIEW_BITS` qubits outside the op: with
+        fewer, a stack's views merge with its leading axis into NumPy loops
+        whose length — a single element on a flat state — picks the
+        rounding.  Such ops go to the gemm path; either way every stacked
+        row is the flat run, bit for bit."""
+        from repro.sim.program import Workspace, compile_unitary_op
+
+        rng = np.random.default_rng(8)
+        phased = np.zeros((8, 8), dtype=complex)
+        phased[rng.permutation(8), np.arange(8)] = np.exp(1j * rng.uniform(0, 6, 8))
+        controlled = np.eye(8, dtype=complex)
+        controlled[4:, 4:] = _random_unitary(4, seed=9)
+        for matrix, kind in ((phased, "permutation"), (controlled, "controlled")):
+            assert apply_mod.analyze_matrix(matrix).kind == kind
+            for n in range(3, 3 + apply_mod._MIN_VIEW_BITS + 1):
+                op = compile_unitary_op(matrix, (0, 1, 2), n)
+                views = n - 3 >= apply_mod._MIN_VIEW_BITS
+                assert op.kind == (kind if views else "dense"), (kind, n)
+                stack = np.stack([_random_state(n, seed=b) for b in range(5)])
+                flat = [op.run(row.copy(), np.empty_like(row), Workspace())[0] for row in stack]
+                rows, _ = op.run(stack.copy(), np.empty_like(stack), Workspace())
+                for row, want in zip(rows, flat):
+                    assert np.array_equal(row, want), (kind, n)
 
     def test_wide_dense_matrix_falls_back_to_tensordot(self):
         info = apply_mod.analyze_matrix(_random_unitary(8, seed=0))
@@ -163,6 +225,20 @@ class TestFastPathEquivalence:
             assert np.array_equal(state, before), (qubits, "state was modified")
             assert np.array_equal(got, compiled), (qubits, op.kind)
             assert np.allclose(got, apply_matrix_reference(before, matrix, qubits)), qubits
+            # One body: the same closure on a stack — of one, two, five —
+            # gives every row the flat run's bits (`big`: its bound).
+            bound = 0.0
+            if op.kind == "big":
+                bound = (1 << len(qubits)) * np.spacing(np.max(np.abs(compiled)))
+            for batch in (1, 2, 5):
+                stack = np.stack([_random_state(n, seed=trial + b) for b in range(batch)])
+                flat = [
+                    op.run(row.copy(), np.empty_like(row), Workspace())[0] for row in stack
+                ]
+                rows, _ = op.run(stack.copy(), np.empty_like(stack), Workspace())
+                assert rows.shape == stack.shape
+                for row, want in zip(rows, flat):
+                    assert np.max(np.abs(row - want)) <= bound, (qubits, op.kind, batch)
 
     def test_dense_1q_all_positions(self):
         unitary = _random_unitary(2, seed=3)

@@ -224,7 +224,7 @@ def _with_gates(op, gates, source):
     from repro.sim.program import CompiledOp
 
     return CompiledOp(
-        op.kind, op.run, op.run_batched, source, tuple(gates),
+        op.kind, op.run, source, tuple(gates),
         mode=op.mode, qubits=op.qubits, tmp_slots=op.tmp_slots,
     )
 
@@ -826,6 +826,55 @@ class TestLintRepro:
         assert [f.key for f in lint.check_one_kernel_set([engine])] == [
             "src/repro/sim/apply.py::one-kernel-set::_effective_kind:missing"
         ]
+
+    def test_second_op_body_flagged(self, lint):
+        engine = self.write(
+            lint, "sim/apply.py",
+            "class CompiledOp:\n"
+            "    __slots__ = ('kind', 'run', 'source')\n"
+            "def _dense_template(qubits, n):\n"
+            "    def bind(matrix):\n"
+            "        def run(states, scratch, ws):\n"
+            "            return scratch, states\n"
+            "        return run\n"
+            "    return OpTemplate('dense', qubits, bind)\n"
+            "def _unitary_op(matrix, qubits, n):\n"
+            "    return unitary_template(matrix, qubits, n).bind(matrix)\n",
+        )
+        program = self.write(
+            lint, "sim/program.py",
+            "class CompiledProgram:\n"
+            "    def run_batched(self, initial_states):\n"
+            "        return self.run_batched_view(initial_states)\n",
+        )
+        assert lint.check_one_op_body([engine, program]) == []
+        # The stacked twin growing back: a second closure, its slot, and a
+        # caller picking the flat half of the pair.
+        twin = self.write(
+            lint, "sim/apply.py",
+            "class CompiledOp:\n"
+            "    __slots__ = ('kind', 'run', 'run_batched', 'source')\n"
+            "def _dense_template(qubits, n):\n"
+            "    def bind(matrix):\n"
+            "        def run(state, scratch, ws):\n"
+            "            return scratch, state\n"
+            "        def run_batched(states, scratch, ws):\n"
+            "            return scratch, states\n"
+            "        return run, run_batched\n"
+            "    return OpTemplate('dense', qubits, bind)\n"
+            "def _unitary_op(matrix, qubits, n):\n"
+            "    return unitary_template(matrix, qubits, n).bind(matrix)[0]\n",
+        )
+        findings = lint.check_one_op_body([twin, program])
+        assert {f.rule for f in findings} == {"one-op-body"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (2, "CompiledOp.__slots__"),
+            (7, "_dense_template.bind:run_batched"),
+            (12, "_unitary_op:bind[]"),
+        ]
+        # Outside sim/ the names are someone else's.
+        elsewhere = self.write(lint, "runtime/compile.py", twin.read_text())
+        assert lint.check_one_op_body([elsewhere]) == []
 
     def test_second_planning_surface_flagged(self, lint):
         clean = self.write(

@@ -450,6 +450,53 @@ class TestGracefulDegradation:
             for result, expected in zip(job, clean):
                 assert np.array_equal(result.state.data, expected)
             assert job[0].recovery["fallbacks"] >= 1
+        # A fan-out runs as one stacked pass: its failure degrades the whole
+        # span to per-item interpreter runs, bit-exact with the stacked
+        # program pass (qft lowers to no `big` op).
+        circuit = qft(N)
+        states = [StateVector.random_state(N, seed=s) for s in range(3)]
+        with make_session(machine, "incore", None) as clean_session:
+            job = clean_session.run(circuit, initial_states=states)
+            clean = [r.state.data.copy() for r in job]
+            assert job[0].recovery is None
+        with make_session(
+            machine, "incore", None, faults="kernel_apply:KernelError:1"
+        ) as session:
+            job = session.run(circuit, initial_states=states)
+            for result, expected in zip(job, clean):
+                assert np.array_equal(result.state.data, expected)
+            assert job[0].recovery["fallbacks"] == 1
+
+    def test_admission_charges_the_fan_out_stack(self, machine):
+        """A circuit fanned out over B initial states runs in-core as one
+        (B, 2^n) ping-pong pair: admission charges the stack, not one
+        state, and degrades (or rejects) it like any over-budget job."""
+        circuit = qft(N)
+        states = [StateVector.random_state(N, seed=s) for s in range(4)]
+        single = 2 * 16 * (1 << N)
+        with make_session(machine, "incore", None) as session:
+            assert session.modelled_device_bytes("incore", machine, N) == single
+            assert session.modelled_device_bytes("incore", machine, N, 4) == 4 * single
+            # The shard runtimes run a fan-out one state at a time.
+            for backend in ("offload", "parallel"):
+                assert session.modelled_device_bytes(
+                    backend, machine, N, 4
+                ) == session.modelled_device_bytes(backend, machine, N)
+            want = [r.state.data.copy() for r in session.run(circuit, initial_states=states)]
+        with make_session(
+            machine, "incore", None, memory_budget_bytes=single, degrade=False
+        ) as session:
+            assert session.run(circuit, initial_state=states[0]).backend == "incore"
+            with pytest.raises(AdmissionError) as excinfo:
+                session.run(circuit, initial_states=states)
+            assert excinfo.value.context["bytes_needed"] == 4 * single
+        with make_session(
+            machine, "incore", None, memory_budget_bytes=single
+        ) as session:
+            job = session.run(circuit, initial_states=states)
+            assert job[0].recovery["backend_chain"] == ["incore", "offload"]
+            for result, expected in zip(job, want):
+                assert np.allclose(result.state.data, expected)
 
     def test_planner_preset_failure_falls_back(self, machine):
         from repro.planner import PassManager

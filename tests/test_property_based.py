@@ -260,6 +260,10 @@ class TestRebindProperties:
         states = [init, StateVector.random_state(n, seed=seed + 1)]
         for got, ref in zip(warm.run_batched(states), cold.run_batched(states)):
             assert np.array_equal(got.data, ref.data)
+        if "big" not in cold.op_counts():
+            # One op body: a stacked row is the flat run, bit for bit.
+            for got, state in zip(cold.run_batched(states), states):
+                assert np.array_equal(got.data, cold.run(state).data)
         interpreted, _ = execute_plan(plan, init, check_locality=False, compiled=False)
         assert np.array_equal(interpreted.data, want)
         assert simulate_reference(Circuit(n, rebound_gates), init).allclose(

@@ -171,6 +171,21 @@ class TestAdmission:
                 [qft(N)], tenant="t", pending_total=0, pending_tenant=0
             )
 
+        class InCoreOnly(Session):
+            _BACKEND_CHAIN = ("incore",)
+
+        # One circuit object repeated runs in-core as one stack: the budget
+        # is checked against the stack, not against one state.
+        a, b = qft(N), qft(N)
+        with InCoreOnly(machine) as session:
+            one_state = session.modelled_device_bytes("incore", machine, N)
+            controller = AdmissionController(
+                AdmissionPolicy(memory_budget_bytes=one_state), session
+            )
+            controller.admit([a, b, a, b], tenant="t", pending_total=0, pending_tenant=0)
+            with pytest.raises(AdmissionError):
+                controller.admit([a, a, b], tenant="t", pending_total=0, pending_tenant=0)
+
     def test_modelled_time_ceiling(self, machine):
         svc = SimulationService(
             machine, policy=AdmissionPolicy(max_modelled_seconds=1e-30)
@@ -386,6 +401,33 @@ class TestSharedPlanStore:
         loaded = reborn.get(("k",))
         assert loaded == skeleton
         assert skeleton_fingerprint(loaded) == loaded["fingerprint"]
+
+    def test_persisted_fingerprints_are_pinned(self):
+        """Stores and checkpoints written by earlier versions carry these
+        digests: a plan and its skeleton hash through one helper, byte for
+        byte as before (recorded at the commit that introduced the helper)."""
+        from repro.circuits import Circuit
+        from repro.core.plan import ExecutionPlan, QubitPartition, Stage
+        from repro.session import plan_fingerprint
+
+        sharded_machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
+        with Session(sharded_machine, planner="fast") as session:
+            sharded, *_ = session.plan_for(qft(8), sharded_machine, "offload")
+        circuit = Circuit(5).h(0).cx(0, 1).rz(0.4, 1).cx(1, 2).h(3).cp(0.3, 3, 4)
+        unkernelized = ExecutionPlan(num_qubits=5, stages=[Stage(
+            gates=list(circuit.gates),
+            partition=QubitPartition.from_sets({0, 1, 2}, {3}, {4}),
+            gate_indices=list(range(len(circuit.gates))),
+        )])
+        assert all(stage.kernels for stage in sharded.stages)
+        assert [
+            digest(plan)
+            for plan in (sharded, unkernelized)
+            for digest in (
+                plan_fingerprint,
+                lambda p: skeleton_fingerprint(json.loads(json.dumps(plan_skeleton(p)))),
+            )
+        ] == ["495386e278cf8e8e"] * 2 + ["df963237be101652"] * 2
 
     def test_on_disk_tampering_evicted_at_load(self, machine, tmp_path):
         store = SharedPlanStore(persist_dir=tmp_path)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Nine rules, each enforcing an invariant the execution layer depends on
+Ten rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -17,8 +17,8 @@ Nine rules, each enforcing an invariant the execution layer depends on
 ``hot-alloc``
     No allocation calls (``np.zeros`` / ``np.empty`` / ``np.copy`` /
     ``np.array`` / ``np.ascontiguousarray`` / ``tracked_empty``) inside
-    the per-op ``run()`` / ``run_batched()`` closures of ``sim/apply.py``
-    (the op templates) and ``sim/program.py`` (the layout op): op
+    the per-op ``run()`` closures of ``sim/apply.py`` (the op templates)
+    and ``sim/program.py`` (the layout op): op
     execution must be allocation-free in steady state; buffers come from
     the :class:`Workspace` only.
 
@@ -60,15 +60,25 @@ Nine rules, each enforcing an invariant the execution layer depends on
     is called from ``unitary_template`` and nowhere else — that call is
     where a matrix classification and a position become a kernel; a
     comparison on a ``MatrixInfo``'s ``.kind`` (``info.kind``,
-    ``red.kind``, ``….reduced_info.kind``) appears only in the analysis,
-    the template builders and the monomial-run classification of
-    ``sim/fusion.py``; only ``_permutation_moves`` walks permutation
+    ``….reduced_info.kind``) appears only in the analysis, the position
+    refinement, ``unitary_template`` and the monomial-run classification
+    of ``sim/fusion.py``; only ``_permutation_moves`` walks permutation
     cycles (a ``while`` loop stepping through ``perm[...]``); and
     ``threading.local()`` appears once under ``sim/`` — the thread
     workspace is the only per-thread buffer set.  Any of these growing a
     second site is the interpreter's own kernels, dispatch or scratch pool
     coming back beside the templates.  Checked across files, whenever the
     linted set contains ``sim/apply.py``.
+
+``one-op-body``
+    Under ``sim/`` an op has one body, ``run(states, scratch, ws)``,
+    written against ``(..., 2^n)`` buffers — a flat state is a stack of
+    one: no function named ``run_batched`` is nested inside another
+    function (``CompiledProgram.run_batched`` is a method and drives the
+    same op loop), ``CompiledOp.__slots__`` holds no ``run_batched``, and
+    the result of a ``….bind(...)`` call is never subscripted
+    (``OpTemplate.bind`` returns the one closure, not a pair).  Any of
+    these is the hand-written stacked twin of an op growing back.
 
 ``one-planning-surface``
     Nothing under ``session/`` or ``service/`` names ``legacy_pipeline``
@@ -136,7 +146,7 @@ PRAGMA = "lint: config-error"
 HOT_ALLOC_FILES = ("sim/apply.py", "sim/program.py")
 HOT_ALLOC_CALLS = {"zeros", "empty", "copy", "array", "ascontiguousarray"}
 HOT_ALLOC_NAMES = {"tracked_empty"}
-HOT_CLOSURES = {"run", "run_batched"}
+HOT_CLOSURES = {"run"}
 
 STAGE_LOOP_SCOPE = "runtime/"
 STAGE_GUARDS = (
@@ -166,15 +176,19 @@ KERNEL_CHOICE_FUNCS = ("_effective_kind", "_inplace_preferred")
 KERNEL_CHOICE_CALLER = "unitary_template"
 #: Names a ``MatrixInfo`` goes by where its ``.kind`` is compared, and the
 #: functions licensed to compare it: the analysis that builds it, the
-#: position refinement, the template builders, and the shared-memory
+#: position refinement, the one template chooser, and the shared-memory
 #: lowering's "is this gate monomial" classification.
-MATRIX_INFO_NAMES = {"info", "red", "reduced_info"}
+MATRIX_INFO_NAMES = {"info", "reduced_info"}
 MATRIX_KIND_SITES = {
-    "_analyze_impl", "_effective_kind", "unitary_template", "_controlled_template",
+    "_analyze_impl", "_effective_kind", "unitary_template",
     "kernel_lowering", "_absorb", "_only_permutes",
 }
 CYCLE_WALK_SITE = "_permutation_moves"
 THREAD_LOCAL_SCOPE = "sim/"
+
+OP_BODY_SCOPE = "sim/"
+OP_BODY_TWIN = "run_batched"
+OP_BODY_CLASS = "CompiledOp"
 
 PLANNING_SURFACE_SCOPE = ("session/", "service/")
 PLANNING_SURFACE_NAME = "legacy_pipeline"
@@ -463,6 +477,64 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_one_op_body(files: list[Path]) -> list[Finding]:
+    """The ``one-op-body`` rule over the linted *files*."""
+    findings: list[Finding] = []
+
+    def flag(rel: str, node: ast.AST, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, node.lineno, "one-op-body", message, symbol))
+
+    def visit(node: ast.AST, stack: list[str], rel: str) -> None:
+        where = _enclosing(stack)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == OP_BODY_TWIN and stack:
+                flag(
+                    rel, node,
+                    f"`{OP_BODY_TWIN}` closure in {where}: an op has one body, "
+                    f"`run`, written against (..., 2^n) buffers — a flat "
+                    f"state is a stack of one",
+                    f"{where}:{OP_BODY_TWIN}",
+                )
+            stack = stack + [node.name]
+        if isinstance(node, ast.ClassDef) and node.name == OP_BODY_CLASS:
+            for stmt in node.body:
+                slots = isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                )
+                if slots and any(
+                    isinstance(c, ast.Constant) and c.value == OP_BODY_TWIN
+                    for c in ast.walk(stmt.value)
+                ):
+                    flag(
+                        rel, stmt,
+                        f"`{OP_BODY_TWIN}` in {OP_BODY_CLASS}.__slots__: an op "
+                        f"carries one closure",
+                        f"{OP_BODY_CLASS}.__slots__",
+                    )
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "bind"
+        ):
+            flag(
+                rel, node,
+                f"subscript on a `.bind(...)` call in {where}: "
+                f"OpTemplate.bind returns the one `run` closure, not a pair",
+                f"{where}:bind[]",
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel)
+
+    for path in files:
+        if SRC in path.parents and _rel_src(path).startswith(OP_BODY_SCOPE):
+            visit(
+                ast.parse(path.read_text(), filename=str(path)), [],
+                path.relative_to(REPO).as_posix(),
+            )
+    return findings
+
+
 def check_one_planning_surface(files: list[Path]) -> list[Finding]:
     """The ``one-planning-surface`` rule over the linted *files*."""
     findings = []
@@ -609,7 +681,7 @@ def check_file(path: Path) -> list[Finding]:
     #: Parallel stack: whether each enclosing function is a class method.
     #: ``CompiledProgram.run`` (the documented one-allocation public API)
     #: is a method; the hot-alloc rule targets only the nested per-op
-    #: ``run`` / ``run_batched`` closures.
+    #: ``run`` closures.
     method_stack: list[bool] = []
 
     def visit(node: ast.AST, parent: ast.AST | None = None) -> None:
@@ -727,6 +799,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_stage_loop(files))
     findings.extend(check_one_kernel_lowering(files))
     findings.extend(check_one_kernel_set(files))
+    findings.extend(check_one_op_body(files))
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_interpreter_call_sites(files))
     findings.extend(check_one_staging_bound(files))
