@@ -145,10 +145,14 @@ class TestPlannerPresets:
     def test_fast_preset_median_speedup(self, planner_results):
         assert planner_results["fast_median_speedup_vs_seed"] >= 2.0
 
-    def test_fast_preset_cost_never_worse_than_seed(self, planner_results):
+    def test_fast_preset_cost_is_the_seed_cost_on_the_same_stages(self, planner_results):
+        # The fast preset differs from the seed planner in the DP's
+        # implementation (and in how it reaches the staging): same stages,
+        # same kernels, the same float.
         for key, entry in planner_results["entries"].items():
             fast = entry["presets"]["fast"]
-            assert fast["kernel_cost"] <= entry["seed_kernel_cost"] + 1e-9, key
+            assert fast["staging_matches_seed"], key
+            assert fast["kernel_cost"] == entry["seed_kernel_cost"], key
 
     def test_preset_quality_ladder_monotone(self, planner_results):
         for key, entry in planner_results["entries"].items():
@@ -198,7 +202,7 @@ class TestBaselineRegression:
         first_plan["presets"]["fast"]["kernel_cost"] = (
             first_plan["seed_kernel_cost"] * 2.0
         )
-        first_plan["presets"]["fast"]["seconds"] *= 10.0
+        first_plan["presets"]["fast"]["speedup_vs_seed"] /= 10.0
         slowed["kernel_lowering"]["14"]["qft"]["fold"][1] += 1
         slowed["kernel_lowering"]["14"]["ising"]["speedup_vs_per_gate"] /= 10.0
         slowed["kernel_lowering"]["14"]["su2random"]["max_abs_diff_vs_per_gate"] = 1.0
@@ -220,6 +224,41 @@ class TestBaselineRegression:
         current["plan"]["entries"]["qft-10/sharded"]["presets"]["balanced"]["num_stages"] = 3
         problems = run_bench.check_regression(current, {})
         assert len(problems) == 1 and "balanced preset staged into 3 stages" in problems[0]
+
+    def test_check_regression_holds_the_fast_preset_to_the_seed_cost_exactly(self):
+        # 18.68 vs the reference's 19.0 passed a `<=` gate: on the seed
+        # planner's own stages a different cost — cheaper included — means
+        # the two DPs returned different kernelizations.
+        preset = {"kernel_cost": 19.0, "num_stages": 1, "staging_matches_seed": True}
+        entry = {
+            "seed_kernel_cost": 19.0, "seed_stages": 1,
+            "presets": {name: dict(preset) for name in run_bench.PLAN_PRESETS},
+        }
+        current = {"plan": {"fast_median_speedup_vs_seed": 3.0, "entries": {"qft-20/local": entry}}}
+        assert run_bench.check_regression(current, {}) == []
+        for name in run_bench.PLAN_PRESETS:
+            entry["presets"][name]["kernel_cost"] = 18.68
+        problems = run_bench.check_regression(current, {})
+        assert len(problems) == 1 and "not the seed planner's 19.0" in problems[0]
+        # On a different staging only "no worse" can be asked.
+        entry["presets"]["fast"]["staging_matches_seed"] = False
+        assert run_bench.check_regression(current, {}) == []
+
+    def test_check_regression_compares_plan_speedups_not_milliseconds(self):
+        def plan(seconds, speedup):
+            preset = {
+                "kernel_cost": 1.0, "num_stages": 1, "staging_matches_seed": True,
+                "seconds": seconds, "speedup_vs_seed": speedup,
+            }
+            return {"plan": {"fast_median_speedup_vs_seed": 3.0, "entries": {"qft-10/local": {
+                "seed_kernel_cost": 1.0, "seed_stages": 1,
+                "presets": {name: dict(preset) for name in run_bench.PLAN_PRESETS},
+            }}}}
+        # A host running everything 3x slower is not a regression ...
+        assert run_bench.check_regression(plan(0.051, 4.0), plan(0.017, 4.0)) == []
+        # ... the fast preset losing its lead over the seed planner is.
+        problems = run_bench.check_regression(plan(0.017, 1.9), plan(0.017, 4.0))
+        assert len(problems) == 1 and "1.90x the seed planner vs baseline 4.00x" in problems[0]
 
     def test_check_regression_flags_a_position_cliff(self):
         # A cliff at one position barely moves a class's mean rate; the

@@ -21,8 +21,9 @@ from ..baselines import QdaoSimulator
 from ..circuits.library import CIRCUIT_FAMILIES, PAPER_FAMILIES, get_circuit, hhl, vqc
 from ..cluster.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..cluster.machine import MachineConfig
+from ..core.fast_kernelize import fast_kernelize
 from ..core.greedy_kernelize import greedy_kernelize
-from ..core.kernelize import KernelizeConfig, kernelize
+from ..core.kernelize import KernelizeConfig
 from ..core.ordered_kernelize import ordered_kernelize
 from ..core.stage import stage_circuit
 from ..core.stage_heuristics import snuqs_stage_circuit
@@ -312,7 +313,7 @@ def figure10_kernelization(
         ratios = []
         for n in qubit_range:
             circuit = get_circuit(family, n)
-            atlas_cost = kernelize(circuit, cost_model, config).total_cost
+            atlas_cost = fast_kernelize(circuit, cost_model, config).total_cost
             greedy_cost = greedy_kernelize(circuit, cost_model).total_cost
             ratios.append(atlas_cost / greedy_cost)
         rel = geometric_mean(ratios)
@@ -337,7 +338,7 @@ def figure13_pruning_threshold(
         ratios = []
         start = time.perf_counter()
         for circuit, greedy_cost in zip(circuits, greedy_costs):
-            cost = kernelize(circuit, cost_model, config).total_cost
+            cost = fast_kernelize(circuit, cost_model, config).total_cost
             ratios.append(cost / greedy_cost)
         elapsed = time.perf_counter() - start
         rows.append(
@@ -378,7 +379,7 @@ def figure14_24_per_circuit_cost(
         rows.append(
             {
                 "qubits": n,
-                "atlas": kernelize(circuit, cost_model, config).total_cost,
+                "atlas": fast_kernelize(circuit, cost_model, config).total_cost,
                 "atlas_naive": ordered_kernelize(circuit, cost_model).total_cost,
                 "greedy": greedy_kernelize(circuit, cost_model).total_cost,
             }
@@ -397,7 +398,7 @@ def figure25_hhl_case_study(
     for n in hhl_sizes:
         circuit = hhl(n)
         t0 = time.perf_counter()
-        atlas_cost = kernelize(circuit, cost_model, config).total_cost
+        atlas_cost = fast_kernelize(circuit, cost_model, config).total_cost
         atlas_time = time.perf_counter() - t0
         t0 = time.perf_counter()
         naive_cost = ordered_kernelize(circuit, cost_model).total_cost
@@ -488,7 +489,7 @@ def figure26_36_preprocessing_time(
         circuit = get_circuit(family, n)
         timings = {}
         t0 = time.perf_counter()
-        kernelize(circuit, cost_model, config)
+        fast_kernelize(circuit, cost_model, config)
         timings["atlas_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         ordered_kernelize(circuit, cost_model)

@@ -137,7 +137,13 @@ class CostModel:
         """Cost units of a shared-memory kernel containing *gates*."""
         if num_qubits > self.max_shm_qubits:
             return float("inf")
-        return self.shm_load_cost + sum(self.gate_cost(g) for g in gates)
+        # Left-to-right accumulation, not sum(): builtin sum() over floats is
+        # compensated from Python 3.12, and this must be the same bits as the
+        # kernelizer DP's running closing cost on every interpreter.
+        gate_costs = 0.0
+        for g in gates:
+            gate_costs += self.gate_cost(g)
+        return self.shm_load_cost + gate_costs
 
     # ------------------------------------------------------------------
     # Kernel-level API used by the kernelizers

@@ -59,6 +59,18 @@ class KernelizeConfig:
     #: Enable the subsumption shortcut (Appendix B-b).
     subsume: bool = True
 
+    def __post_init__(self) -> None:
+        # An empty beam keeps no state at all: the DP would return an empty
+        # kernelization of a non-empty stage.
+        if self.pruning_threshold < 1:
+            raise ValueError(
+                f"pruning_threshold must be >= 1, got {self.pruning_threshold}"
+            )
+        if self.max_kernel_width is not None and self.max_kernel_width < 1:
+            raise ValueError(
+                f"max_kernel_width must be None or >= 1, got {self.max_kernel_width}"
+            )
+
 
 @dataclass(frozen=True)
 class _OpenKernel:
@@ -124,7 +136,13 @@ class _CostCache:
         width = len(qubits)
         fusion = self.fusion[width] if width <= self.max_fusion else float("inf")
         if width <= self.max_shm:
-            shm = self.shm_load + sum(self.gate_shm_cost[i] for i in gate_indices)
+            # Left-to-right accumulation, not sum(): builtin sum() over
+            # floats is compensated from Python 3.12, and the closing cost
+            # must be the same bits as fast_kernelize's running ``+=``.
+            shm_sum = 0.0
+            for i in gate_indices:
+                shm_sum += self.gate_shm_cost[i]
+            shm = self.shm_load + shm_sum
         else:
             shm = float("inf")
         return min(fusion, shm)
@@ -153,11 +171,17 @@ def _close_dead_kernels(
 
 
 def _estimate(state: _DpState, costs: _CostCache) -> float:
-    """Lower-ish bound used for beam ranking: closed cost + open kernels' cost now."""
-    total = state.closed_cost
+    """Lower-ish bound used for beam ranking: closed cost + open kernels' cost now.
+
+    The association is pinned — the open kernels' closing costs summed in
+    open order, then ``closed_cost +`` that — because it is what
+    ``fast_kernelize`` maintains: adding ``closed_cost`` first differs in the
+    last bit, which re-orders ties and selects another kernelization.
+    """
+    open_cost = 0.0
     for kernel in state.open_kernels:
-        total += costs.close_cost(kernel.gate_indices, kernel.qubits)
-    return total
+        open_cost += costs.close_cost(kernel.gate_indices, kernel.qubits)
+    return state.closed_cost + open_cost
 
 
 def kernelize(
@@ -252,16 +276,19 @@ def kernelize(
         states = states[: config.pruning_threshold]
         beam = {s.key(): s for s in states}
 
-    # Close everything that is still open and pick the best state.
+    # Close everything that is still open and pick the best state: the
+    # first of least total (the first state when no total is finite — a gate
+    # wider than both strategies allow prices every kernelization at inf,
+    # and a complete one must still come back).
     best_total = float("inf")
-    best_closed: tuple[tuple[int, ...], ...] = ()
+    best_closed: tuple[tuple[int, ...], ...] | None = None
     for state in beam.values():
         total = state.closed_cost
         closed = list(state.closed)
         for kernel in state.open_kernels:
             total += costs.close_cost(kernel.gate_indices, kernel.qubits)
             closed.append(kernel.gate_indices)
-        if total < best_total:
+        if best_closed is None or total < best_total:
             best_total = total
             best_closed = tuple(closed)
 

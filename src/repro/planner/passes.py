@@ -70,9 +70,12 @@ __all__ = [
 #: Unified kernelizer registry: every strategy behind one
 #: ``(gates, cost_model, config) -> KernelSequence`` signature.
 #: ``"atlas"`` is the beam DP in its fast bitmask implementation
-#: (:func:`repro.core.fast_kernelize.fast_kernelize` — result-identical to
-#: the reference); ``"atlas-ref"`` is the reference implementation kept as
-#: the auditable oracle; ``"atlas-naive"`` the contiguous-segment DP;
+#: (:func:`repro.core.fast_kernelize.fast_kernelize` — the same ordered
+#: kernels, types and costs as the reference, compared with ``==`` by
+#: ``tests/test_planner.py``); ``"atlas-ref"`` is the reference
+#: implementation kept as the auditable oracle, and this entry is its only
+#: caller under ``src/`` (lint rule ``kernelizer-oracle``);
+#: ``"atlas-naive"`` the contiguous-segment DP;
 #: ``"greedy"`` the 5-qubit packing baseline.
 KERNELIZERS: dict[str, Callable[..., KernelSequence]] = {
     "atlas": lambda gates, cost_model, config: fast_kernelize(

@@ -958,6 +958,58 @@ class TestLintRepro:
             (4, "solve_with_scipy"),
         ]
 
+    def test_reference_kernelizer_outside_its_registry_entry_flagged(self, lint):
+        home = self.write(lint, "core/kernelize.py", "def kernelize(stage):\n    return stage\n")
+        reexport = self.write(
+            lint, "core/__init__.py", "from .kernelize import KernelizeConfig, kernelize\n"
+        )
+        registry = self.write(
+            lint, "planner/passes.py",
+            "from ..core.fast_kernelize import fast_kernelize\n"
+            "from ..core.kernelize import KernelizeConfig, kernelize\n"
+            "KERNELIZERS = {\n"
+            "    'atlas': lambda gates, cm, config: fast_kernelize(gates, cm, config),\n"
+            "    'atlas-ref': lambda gates, cm, config: kernelize(gates, cm, config),\n"
+            "}\n",
+        )
+        config_only = self.write(
+            lint, "planner/pipeline.py", "from ..core.kernelize import KernelizeConfig\n"
+        )
+        files = [home, reexport, registry, config_only]
+        assert lint.check_kernelizer_oracle(files) == []
+        # The slow DP becoming a production path: imported and called
+        # elsewhere, reached through the package, or called in the registry's
+        # file outside its own entry.
+        figure = self.write(
+            lint, "analysis/experiments.py",
+            "from ..core.kernelize import KernelizeConfig, kernelize\n"
+            "def figure10(circuit):\n"
+            "    return kernelize(circuit).total_cost\n",
+        )
+        through = self.write(
+            lint, "baselines/atlas.py",
+            "from .. import core\n"
+            "def plan(stage):\n"
+            "    return core.kernelize(stage)\n",
+        )
+        refine = self.write(
+            lint, "planner/passes.py",
+            registry.read_text() + "def refine(stage):\n    return kernelize(stage)\n",
+        )
+        findings = lint.check_kernelizer_oracle(files + [figure, through])
+        assert {f.rule for f in findings} == {"kernelizer-oracle"}
+        assert sorted((f.path, f.line) for f in findings) == [
+            ("src/repro/analysis/experiments.py", 1),
+            ("src/repro/analysis/experiments.py", 3),
+            ("src/repro/baselines/atlas.py", 3),
+            ("src/repro/planner/passes.py", 8),
+        ]
+        # The entry going missing means the oracle moved without the rule.
+        refine.write_text("KERNELIZERS = {}\n")
+        assert [f.key.rpartition("::")[2] for f in lint.check_kernelizer_oracle([refine])] == [
+            "atlas-ref:missing"
+        ]
+
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")
         baseline = tmp_path / "baseline.json"

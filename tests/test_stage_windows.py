@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import repro.core.stage as stage_mod
 from repro.circuits import Circuit
 from repro.circuits.library import random_circuit
+from repro.core import KernelizeConfig, fast_kernelize
 from repro.core.plan import QubitPartition
 from repro.core.stage import (
     _ilp_dependencies,
@@ -253,6 +254,36 @@ class TestStagingCommutesWithRelabelling:
                 (pi[q] for q in mine.partition.regional),
                 (pi[q] for q in mine.partition.global_),
             )
+
+
+class TestKernelizationCommutesWithRelabelling:
+    @given(
+        staging_problems(max_gates=30),
+        st.sampled_from([1, 5, 100]),
+        st.sampled_from([None, 3, 4]),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(**SETTINGS)
+    def test_relabelled_gates_kernelize_to_the_image(self, problem, beam, width, subsume, data):
+        # Every DP operation is a mask operation equivariant under a qubit
+        # permutation, and every order it imposes is by gate index or kernel
+        # creation: the same ordered kernels, types and costs come back, on
+        # the image qubits.  No every-qubit-used caveat — idle qubits never
+        # enter a mask.
+        circuit = problem[0]
+        pi = dict(enumerate(data.draw(st.permutations(range(circuit.num_qubits)))))
+        config = KernelizeConfig(
+            pruning_threshold=beam, max_kernel_width=width, subsume=subsume
+        )
+        ours = fast_kernelize(circuit, config=config)
+        theirs = fast_kernelize(circuit.remap_qubits(pi), config=config)
+        assert [
+            (k.gate_indices, k.kernel_type, k.cost, k.qubits) for k in theirs
+        ] == [
+            (k.gate_indices, k.kernel_type, k.cost, tuple(sorted(pi[q] for q in k.qubits)))
+            for k in ours
+        ]
 
 
 class TestFailFast:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Ten rules, each enforcing an invariant the execution layer depends on
+Eleven rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -109,6 +109,17 @@ Ten rules, each enforcing an invariant the execution layer depends on
     ``ilp.solve`` through, so a backend called directly — or ``solve``
     reached through another object — would run unpriced.
 
+``kernelizer-oracle``
+    Under ``src/repro`` the reference DP ``kernelize`` is named in two
+    places outside its own module: ``core/__init__.py`` re-exports it and
+    ``planner/passes.py`` imports it for the ``"atlas-ref"`` entry of the
+    ``KERNELIZERS`` registry.  Production plans through
+    ``fast_kernelize``, which the differential tests hold to the same
+    ordered kernels, types and costs; the reference is several times
+    slower and exists to be audited against Algorithms 3/4 and compared
+    against.  Any other reference is the slow DP becoming a production
+    path unnoticed.
+
 Usage::
 
     python tools/lint_repro.py [--baseline tools/lint_baseline.json]
@@ -203,6 +214,12 @@ STAGING_SOLVER_SEAM = "solve"
 STAGING_SOLVER_BYPASSES = {
     "solve_with_scipy", "solve_with_branch_and_bound", "milp", "linprog", "BACKENDS",
 }
+
+KERNELIZER_ORACLE = "kernelize"
+KERNELIZER_ORACLE_HOME = "core/kernelize.py"
+KERNELIZER_ORACLE_REEXPORT = "core/__init__.py"
+KERNELIZER_REGISTRY_HOME = "planner/passes.py"
+KERNELIZER_REGISTRY_KEY = "atlas-ref"
 
 
 class Finding:
@@ -661,6 +678,68 @@ def check_one_staging_bound(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_kernelizer_oracle(files: list[Path]) -> list[Finding]:
+    """The ``kernelizer-oracle`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        rel_src = _rel_src(path)
+        if SRC not in path.parents or rel_src == KERNELIZER_ORACLE_HOME:
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # Imports are licensed in the two files that may name the oracle;
+        # uses only inside the registry entry.
+        licensed: set[int] = set()
+        if rel_src in (KERNELIZER_ORACLE_REEXPORT, KERNELIZER_REGISTRY_HOME):
+            licensed.update(id(n) for n in ast.walk(tree) if isinstance(n, ast.alias))
+        entry_uses = 0
+        if rel_src == KERNELIZER_REGISTRY_HOME:
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Dict):
+                    continue
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and key.value == KERNELIZER_REGISTRY_KEY:
+                        uses = [
+                            n for n in ast.walk(value)
+                            if isinstance(n, ast.Name) and n.id == KERNELIZER_ORACLE
+                        ]
+                        entry_uses += len(uses)
+                        licensed.update(id(n) for n in uses)
+            if not entry_uses:
+                findings.append(
+                    Finding(
+                        rel, 0, "kernelizer-oracle",
+                        f"{KERNELIZER_REGISTRY_HOME} has no "
+                        f"\"{KERNELIZER_REGISTRY_KEY}\" registry entry calling "
+                        f"`{KERNELIZER_ORACLE}`: the oracle's one entry point moved "
+                        f"without this rule following it",
+                        f"{KERNELIZER_REGISTRY_KEY}:missing",
+                    )
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named = node.id
+            elif isinstance(node, ast.Attribute):
+                named = node.attr
+            elif isinstance(node, ast.alias):
+                named = node.name
+            else:
+                continue
+            if named == KERNELIZER_ORACLE and id(node) not in licensed:
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "kernelizer-oracle",
+                        f"`{KERNELIZER_ORACLE}` (the reference DP) outside "
+                        f"{KERNELIZER_ORACLE_REEXPORT}'s re-export and the "
+                        f"\"{KERNELIZER_REGISTRY_KEY}\" registry entry: production "
+                        f"code plans through fast_kernelize — same kernels, types "
+                        f"and costs, several times faster",
+                        KERNELIZER_ORACLE,
+                    )
+                )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -803,6 +882,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_interpreter_call_sites(files))
     findings.extend(check_one_staging_bound(files))
+    findings.extend(check_kernelizer_oracle(files))
 
     if args.write_baseline:
         args.baseline.write_text(
