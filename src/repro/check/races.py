@@ -201,11 +201,7 @@ def verify_schedule(
     every shards-segment (the hook the differential tests use to model a
     corrupted redistribution).
     """
-    from ..runtime.offload import (
-        materialize_stage_segments,
-        segment_relabels_shards,
-        split_stage_segment_shapes,
-    )
+    from ..runtime.offload import segment_relabels_shards, split_stage_segments
     from ..runtime.sharding import QubitLayout
 
     report = CheckReport(target="schedule")
@@ -223,8 +219,7 @@ def verify_schedule(
         if target != layout.logical_to_physical():
             layout.update(target)
         l2p = layout.logical_to_physical()
-        shapes = split_stage_segment_shapes(stage, l2p, local)
-        segments = materialize_stage_segments(stage, shapes)
+        segments = split_stage_segments(stage, l2p, local)
         for segment_idx, (kind, payload) in enumerate(segments):
             if kind != "shards":
                 continue  # full-state segments run single-threaded

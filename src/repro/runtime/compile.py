@@ -43,6 +43,13 @@ A rebind
 * takes verbatim every op whose gates compare equal to the reuse
   program's (``ops_reused``) and refills the rest (``ops_rebound``),
   returning new ops — programs and their arrays are never written to.
+
+A shards-segment of the sharded executors' schedule is the same thing over
+``2^L`` shard buffers: :class:`SegmentStructure` holds the slots of the
+segment's local work, built by the per-kernel builder the plan walk uses
+(:meth:`_Structure.add_kernel`), and
+:func:`repro.runtime.offload.compile_segment_ops` admits, binds or builds
+it through the same :func:`bind_structure`.
 """
 
 from __future__ import annotations
@@ -79,6 +86,8 @@ from .sharding import QubitLayout, permutation_axes
 
 __all__ = [
     "ProgramStructure",
+    "SegmentStructure",
+    "bind_structure",
     "check_gate_locality",
     "clear_program_cache",
     "compile_plan",
@@ -120,7 +129,25 @@ def _product_template(slot, matrix) -> OpTemplate:
     return slot.template
 
 
-class _FusedSlot:
+class _Slot:
+    """One op of a stream, minus the angles: which gates of its *pool* it
+    absorbs (``members``; ``None``: the whole pool) and how they lower.
+    The two kinds fill an op differently; they keep one the same way."""
+
+    __slots__ = ("source", "pool", "members", "parameterized")
+
+    def bind(self, pool, old):
+        """The op for *pool*'s gates.  *old* — the op an earlier bind of
+        this slot produced, if any — is kept when its gates compare equal
+        (angles included — Gate equality covers params), which a slot
+        without parameterized gates needs no comparison for."""
+        gates = pool if self.members is None else tuple([pool[i] for i in self.members])
+        if old is not None and (not self.parameterized or old.gates == gates):
+            return old
+        return self.fill(pool, gates)
+
+
+class _FusedSlot(_Slot):
     """One fusion kernel: its gates fuse into one matrix, applied as one op.
 
     The first matrix bound (:func:`_product_template`) goes through the
@@ -130,11 +157,10 @@ class _FusedSlot:
     into a controlled one.
     """
 
-    __slots__ = ("source", "pool", "members", "parameterized",
-                 "fusion", "physical", "n", "template", "signature")
+    __slots__ = ("fusion", "physical", "n", "template", "signature")
 
-    def __init__(self, source, pool: int, gates, l2p, n: int) -> None:
-        self.source = source
+    def __init__(self, pool: int, gates, l2p, n: int) -> None:
+        self.source = None
         self.pool = pool
         self.members = None  # the whole kernel
         self.parameterized = any(g.params for g in gates)
@@ -153,7 +179,7 @@ class _FusedSlot:
         return _product_template(self, matrix).op(matrix, self.source, gates)
 
 
-class _ItemSlot:
+class _ItemSlot(_Slot):
     """One item of a shared-memory kernel's lowering (or the lone gate of
     an un-kernelized stage): a monomial block, a dense gate, or a fold of
     1q dense gates.
@@ -164,11 +190,10 @@ class _ItemSlot:
     ``rx(-a)`` on one qubit multiply to an exact diagonal.
     """
 
-    __slots__ = ("source", "pool", "members", "parameterized", "lowering",
-                 "physical", "n", "template", "signature")
+    __slots__ = ("lowering", "physical", "n", "template", "signature")
 
-    def __init__(self, source, pool: int, lowering: ItemLowering, gates, l2p, n: int) -> None:
-        self.source = source
+    def __init__(self, pool: int, lowering: ItemLowering, gates, l2p, n: int) -> None:
+        self.source = None
         self.pool = pool
         self.members = lowering.members
         self.parameterized = lowering.parameterized
@@ -192,40 +217,113 @@ class _ItemSlot:
         return template.op(item.matrix, self.source, gates)
 
 
-class ProgramStructure:
-    """Everything about a compiled plan that does not depend on angles.
+class _DynamicSlot:
+    """A gate of a shards-segment with a qubit at a non-local position.
+    Its reduction depends on the shard index, so nothing is lowered here:
+    the gate itself passes through to the shard pass, and it bounds the
+    runs of local gates around it."""
+
+    __slots__ = ("pool",)
+
+    def __init__(self, pool: int) -> None:
+        self.pool = pool
+
+    def bind(self, pool, old) -> Gate:
+        return pool[0]
+
+
+class _Structure:
+    """The angle-independent half of an op stream over ``2^n`` buffers.
 
     ``slots`` has one entry per op of the stream, in order: a finished
-    layout :class:`CompiledOp`, or a slot that fills an op from the gates
-    of its *pool* — the gate tuple of one kernel, or the lone gate of an
-    un-kernelized stage.  ``keys`` records, per pool, each gate's name,
-    qubits and exact signature, and ``stages`` each stage's layout, local
-    qubit count and kernel types: what :meth:`admit` compares.
-    ``nonlocal_gates`` lists the ``(pool, position)`` of every gate with a
-    qubit at a non-local physical position, with that stage's layout and
-    local count: the gates :meth:`bind` proves locality for.
+    :class:`CompiledOp`, or a slot that binds an op from the gates of its
+    *pool* — the gate tuple of one kernel (or of one run of its gates), or
+    a lone gate.  ``keys`` records, per pool, each gate's name, qubits and
+    exact signature: what :meth:`matches` compares.
+    """
+
+    def __init__(self, num_qubits: int) -> None:
+        self.num_qubits = num_qubits
+        self.slots: list = []
+        self.keys: list[tuple] = []
+
+    def open_pool(self, gates: tuple[Gate, ...]) -> int:
+        self.keys.append(tuple([
+            (g.name, g.qubits, g.pattern()[1] if g.params else b"") for g in gates
+        ]))
+        return len(self.keys) - 1
+
+    def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> list:
+        """Open a pool for *gates* — on local positions of the layout
+        *l2p* — and append its slots, which are returned: one op when the
+        kernel is *fused*, else one per item of its lowering (a monomial
+        run, a dense gate, a dense fold)."""
+        pool, n = self.open_pool(gates), self.num_qubits
+        if fused:
+            new = [_FusedSlot(pool, gates, l2p, n)]
+        else:
+            new = [
+                _ItemSlot(pool, lowering, gates, l2p, n)
+                for lowering in kernel_lowering(gates, l2p)
+            ]
+        self.slots.extend(new)
+        return new
+
+    def matches(self, pools: list[tuple[Gate, ...]]) -> bool:
+        """Whether *pools* are this structure's, gate for gate: the name,
+        the qubits and — for parameterized gates — the exact matrix
+        signature (stricter than :meth:`Circuit.structural_key`'s
+        ``> 1e-12`` pattern, so ``rx(1e-13)`` is not taken for ``rx(0)``)."""
+        if len(pools) != len(self.keys):
+            return False
+        for pool, key in zip(pools, self.keys):
+            if len(pool) != len(key):
+                return False
+            for gate, (name, qubits, signature) in zip(pool, key):
+                if (
+                    gate.name != name
+                    or gate.qubits != qubits
+                    or (signature and gate.pattern()[1] != signature)
+                ):
+                    return False
+        return True
+
+    def bind(self, pools: list[tuple[Gate, ...]], reuse_ops: list | None) -> tuple[list, int]:
+        """The op stream for matching *pools*: ``(ops, ops taken verbatim
+        from reuse_ops)`` — *reuse_ops* aligned slot by slot, it was bound
+        from this structure (:meth:`_Slot.bind`)."""
+        ops: list = []
+        reused = 0
+        for index, slot in enumerate(self.slots):
+            if isinstance(slot, CompiledOp):
+                ops.append(slot)
+                continue
+            old = reuse_ops[index] if reuse_ops is not None else None
+            op = slot.bind(pools[slot.pool], old)
+            reused += op is old
+            ops.append(op)
+        return ops, reused
+
+
+class ProgramStructure(_Structure):
+    """Everything about a compiled plan that does not depend on angles.
+
+    On top of the slots (layout transposes are finished ops) and pool
+    keys, ``stages`` records each stage's layout, local qubit count and
+    kernel types for :meth:`admit`, and ``nonlocal_gates`` lists the
+    ``(pool, position)`` of every gate with a qubit at a non-local
+    physical position, with that stage's layout and local count: the gates
+    :meth:`prove_locality` checks.
     """
 
     def __init__(self, plan: ExecutionPlan, machine: MachineConfig | None) -> None:
-        n = self.num_qubits = plan.num_qubits
-        self.slots: list = []
-        self.keys: list[tuple] = []
+        n = plan.num_qubits
+        super().__init__(n)
         self.stages: list[tuple] = []
         self.nonlocal_gates: list[tuple[int, int, dict[int, int], int]] = []
         self.num_kernels = 0
         self.num_permutations = 0
         self.kernels_per_stage: list[int] = []
-
-        def open_pool(gates: tuple[Gate, ...], l2p: dict[int, int], local: int) -> int:
-            pool = len(self.keys)
-            self.keys.append(tuple([
-                (g.name, g.qubits, g.pattern()[1] if g.params else b"") for g in gates
-            ]))
-            far = {q for q, position in l2p.items() if position >= local}
-            for position, gate in enumerate(gates):
-                if not far.isdisjoint(gate.qubits):
-                    self.nonlocal_gates.append((pool, position, l2p, local))
-            return pool
 
         layout = QubitLayout(n)
         for stage_idx, stage in enumerate(plan.stages):
@@ -243,11 +341,8 @@ class ProgramStructure:
                 # Un-kernelized stage: one op per gate.
                 self.stages.append((l2p, local, None))
                 for offset, gate in enumerate(stage.gates):
-                    pool = open_pool((gate,), l2p, local)
-                    (lowering,) = kernel_lowering((gate,), l2p)
-                    self.slots.append(_ItemSlot(
-                        ("gate", stage_idx, offset), pool, lowering, (gate,), l2p, n
-                    ))
+                    (slot,) = self._add((gate,), False, l2p, local)
+                    slot.source = ("gate", stage_idx, offset)
                 self.kernels_per_stage.append(0)
                 continue
 
@@ -256,18 +351,13 @@ class ProgramStructure:
             )
             for group_idx, kernel in enumerate(stage.kernels):
                 gates = tuple(kernel.gates)
-                pool = open_pool(gates, l2p, local)
                 if kernel.kernel_type is KernelType.FUSION:
-                    self.slots.append(_FusedSlot(
-                        ("kernel", stage_idx, group_idx), pool, gates, l2p, n
-                    ))
+                    (slot,) = self._add(gates, True, l2p, local)
+                    slot.source = ("kernel", stage_idx, group_idx)
                     continue
                 # Shared-memory kernels: one op per monomial run or dense group.
-                for item_idx, lowering in enumerate(kernel_lowering(gates, l2p)):
-                    self.slots.append(_ItemSlot(
-                        ("sm", stage_idx, group_idx, item_idx), pool, lowering,
-                        gates, l2p, n,
-                    ))
+                for item_idx, slot in enumerate(self._add(gates, False, l2p, local)):
+                    slot.source = ("sm", stage_idx, group_idx, item_idx)
             self.kernels_per_stage.append(len(stage.kernels))
             self.num_kernels += len(stage.kernels)
 
@@ -283,16 +373,22 @@ class ProgramStructure:
             not isinstance(slot, CompiledOp) for slot in self.slots
         )
 
+    def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> list:
+        """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
+        pool = len(self.keys)
+        far = {q for q, position in l2p.items() if position >= local}
+        for position, gate in enumerate(gates):
+            if not far.isdisjoint(gate.qubits):
+                self.nonlocal_gates.append((pool, position, l2p, local))
+        return self.add_kernel(gates, fused, l2p)
+
     def admit(
         self, plan: ExecutionPlan, machine: MachineConfig | None
     ) -> list[tuple[Gate, ...]] | None:
         """*plan*'s gate pools when it has this structure, else ``None``.
 
         Compared: the qubit count; per stage the layout, the local qubit
-        count and the kernel types; per gate the name, the qubits and —
-        for parameterized gates — the exact matrix signature (stricter
-        than :meth:`Circuit.structural_key`'s ``> 1e-12`` pattern, so
-        ``rx(1e-13)`` is not taken for ``rx(0)``).
+        count and the kernel types; per gate what :meth:`matches` does.
         """
         if plan.num_qubits != self.num_qubits or len(plan.stages) != len(self.stages):
             return None
@@ -314,50 +410,72 @@ class ProgramStructure:
                 if kernel.kernel_type is not kernel_type:
                     return None
                 pools.append(tuple(kernel.gates))
-        if len(pools) != len(self.keys):
-            return None
-        for pool, key in zip(pools, self.keys):
-            if len(pool) != len(key):
-                return None
-            for gate, (name, qubits, signature) in zip(pool, key):
-                if (
-                    gate.name != name
-                    or gate.qubits != qubits
-                    or (signature and gate.pattern()[1] != signature)
-                ):
-                    return None
-        return pools
+        return pools if self.matches(pools) else None
 
-    def bind(
-        self,
-        pools: list[tuple[Gate, ...]],
-        reuse_ops: list[CompiledOp] | None,
-        check_locality: bool,
-    ) -> tuple[list[CompiledOp], int]:
-        """The op stream for admitted *pools*: ``(ops, ops taken verbatim
-        from reuse_ops)``.  An op of *reuse_ops* (aligned slot by slot — it
-        was bound from this structure) is kept when its gates compare equal
-        (angles included — Gate equality covers params), which a slot
-        without parameterized gates needs no comparison for."""
-        if check_locality:
-            for pool, position, l2p, local in self.nonlocal_gates:
-                check_gate_locality(pools[pool][position], l2p, local)
-        ops: list[CompiledOp] = []
-        reused = 0
-        for index, slot in enumerate(self.slots):
-            if isinstance(slot, CompiledOp):
-                ops.append(slot)
-                continue
-            pool = pools[slot.pool]
-            gates = pool if slot.members is None else tuple([pool[i] for i in slot.members])
-            if reuse_ops is not None:
-                old = reuse_ops[index]
-                if not slot.parameterized or old.gates == gates:
-                    ops.append(old)
-                    reused += 1
-                    continue
-            ops.append(slot.fill(pool, gates))
-        return ops, reused
+    def prove_locality(self, pools: list[tuple[Gate, ...]]) -> None:
+        """The staging invariant, for exactly the gates it is not vacuous
+        for."""
+        for pool, position, l2p, local in self.nonlocal_gates:
+            check_gate_locality(pools[pool][position], l2p, local)
+
+
+class SegmentStructure(_Structure):
+    """A shards-segment's per-shard work over ``2^L`` shard buffers: the
+    same slots a plan's kernels get, built by the same builder.
+
+    *pieces* is the segment cut at the shard boundary
+    (:func:`repro.runtime.offload.compile_segment_ops` does the cutting):
+    ``("fused", gates)`` — a fusion kernel wholly on local positions —,
+    ``("local", gates)`` — a run of local gates of any other kernel — and
+    ``("dynamic", (gate,))`` for a gate touching a non-local qubit.
+    """
+
+    def __init__(self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int) -> None:
+        super().__init__(local)
+        self.layout = l2p
+        self.kinds = [kind for kind, _gates in pieces]
+        for kind, gates in pieces:
+            if kind == "dynamic":
+                self.slots.append(_DynamicSlot(self.open_pool(gates)))
+            else:
+                self.add_kernel(gates, kind == "fused", l2p)
+
+    def admit(
+        self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int
+    ) -> list[tuple[Gate, ...]] | None:
+        """*pieces*' gate pools when the segment has this structure (shard
+        size, layout, the cut, and gate for gate :meth:`matches`)."""
+        if (
+            local != self.num_qubits
+            or l2p != self.layout
+            or [kind for kind, _gates in pieces] != self.kinds
+        ):
+            return None
+        pools = [gates for _kind, gates in pieces]
+        return pools if self.matches(pools) else None
+
+
+def bind_structure(reuse, admit, build) -> tuple[_Structure, list, int, bool]:
+    """The one admit → bind → else-cold sequence of every compile.
+
+    *reuse* is ``(structure, ops bound from it)`` of an earlier compile, or
+    ``None``; ``admit(structure)`` returns the new job's pools when it has
+    that structure; ``build()`` returns ``(fresh structure, its pools)``.
+    A job that is not admitted — or whose products leave their templates'
+    class half way through the bind (:class:`_StructureChanged`) — is built
+    cold and never adopts the reuse structure.  Returns ``(structure, ops,
+    ops taken verbatim, whether the reuse structure was bound)``.
+    """
+    if reuse is not None:
+        structure, reuse_ops = reuse
+        pools = admit(structure)
+        if pools is not None:
+            try:
+                return (structure, *structure.bind(pools, reuse_ops), True)
+            except _StructureChanged:
+                pass
+    structure, pools = build()
+    return (structure, *structure.bind(pools, None), False)
 
 
 def _local_count(stage, machine: MachineConfig | None) -> int:
@@ -401,20 +519,20 @@ def compile_plan(
     if reuse is not None and reuse.num_qubits != plan.num_qubits:
         raise PlanValidationError("reuse program spans a different qubit count")
 
-    structure = reuse.structure if reuse is not None else None
-    ops: list[CompiledOp] | None = None
-    reused = 0
-    if isinstance(structure, ProgramStructure):
+    def admit(structure: ProgramStructure):
         pools = structure.admit(plan, machine)
-        if pools is not None:
-            try:
-                ops, reused = structure.bind(pools, reuse.ops, check_locality)
-            except _StructureChanged:
-                pass
-    rebound = ops is not None
-    if ops is None:
+        if check_locality and pools is not None:
+            structure.prove_locality(pools)
+        return pools
+
+    def build():
         structure = ProgramStructure(plan, machine)
-        ops, reused = structure.bind(structure.admit(plan, machine), None, check_locality)
+        return structure, admit(structure)
+
+    held = reuse.structure if reuse is not None else None
+    structure, ops, reused, rebound = bind_structure(
+        (held, reuse.ops) if isinstance(held, ProgramStructure) else None, admit, build
+    )
 
     return CompiledProgram(
         num_qubits=plan.num_qubits,

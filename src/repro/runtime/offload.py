@@ -32,19 +32,24 @@ one-load-per-stage-per-shard property that the paper's speedup over QDAO
 rests on.
 
 **Who owns what.**  This module owns the stage loop: :func:`build_schedule`
-lowers a plan to per-stage segments and :func:`run_stages` is the one
-driver that walks them (state init, resume, layout transitions, guards,
-checkpoints, final un-permute) for every sharded executor.  An executor
-owns only its *shard pass* — how the shards of one segment are loaded,
-computed and stored: sequentially with per-shard retry in
-:func:`execute_plan_offloaded` here, across a supervised worker pool in
-:mod:`repro.runtime.parallel`.
+lowers a plan to a :class:`Schedule` — the sharded executors' *program*:
+per-stage segments whose shard-local work is compiled through the plan
+compiler's slots (:class:`repro.runtime.compile.SegmentStructure`) and
+bound per job — and :func:`run_stages` is the one driver that walks it
+(state init, resume, layout transitions, guards, checkpoints, final
+un-permute) for every sharded executor.  An executor owns only its *shard
+pass* — how the shards of one segment are loaded, computed and stored:
+sequentially with per-shard retry in :func:`execute_plan_offloaded` here,
+across a supervised worker pool in :mod:`repro.runtime.parallel`.  Neither
+keeps a schedule: both take one (``schedule=``) from a caller that does —
+the Session plan cache — and build it cold otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +67,7 @@ from ..errors import (
 )
 from ..sim.apply import apply_gate_buffered, tracked_empty
 from ..sim.fusion import apply_lowered_items, fused_unitary_cached, lower_kernel_gates
-from ..sim.program import compile_lowered_op, compile_unitary_op, thread_workspace
+from ..sim.program import thread_workspace
 from ..sim.statevector import StateVector
 from . import faults
 from .checkpoint import (
@@ -71,12 +76,15 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
+from .compile import SegmentStructure, bind_structure
 from .integrity import IntegrityMonitor
 from .sharding import QubitLayout, permute_state, shard_slices
 
 __all__ = [
     "OffloadStats",
+    "Schedule",
     "WorkerStats",
+    "build_schedule",
     "compile_segment_ops",
     "execute_plan_offloaded",
     "run_segment_ops",
@@ -375,86 +383,6 @@ def stage_gate_groups(stage) -> list[tuple[list[Gate], object]]:
     return [(list(k.gates), k.kernel_type) for k in stage.kernels]
 
 
-def split_stage_segment_shapes(
-    stage,
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-) -> list[tuple[str, object]]:
-    """Structural description of a stage's shard/full-state segmentation.
-
-    The *shape* refers to gates only through their position — ``("full",
-    (group_idx, offset))`` descriptors for cross-shard gates and
-    ``("shards", [(group_idx, start, end), ...])`` descriptors for runs of
-    shard-resolvable gates, where ``group_idx`` indexes
-    :func:`stage_gate_groups` and ``(start, end)`` slices that group's gate
-    list.  Because the classification depends only on each gate's matrix
-    sparsity pattern (never on its angles), a shape computed for one plan is
-    valid for every plan sharing its circuit's
-    :meth:`~repro.circuits.circuit.Circuit.structural_key` — the property
-    the parallel runtime's schedule cache and the Session plan cache rely
-    on.  :func:`materialize_stage_segments` turns a shape back into the
-    executable segment list for a concrete plan.
-    """
-    shapes: list[tuple[str, object]] = []
-    current: list[tuple[int, int, int]] = []
-
-    def flush() -> None:
-        nonlocal current
-        if current:
-            shapes.append(("shards", current))
-            current = []
-
-    for group_idx, (gates, _ktype) in enumerate(stage_gate_groups(stage)):
-        if any(_is_cross_shard(g, logical_to_physical, local_qubits) for g in gates):
-            # Split the kernel's gate list, preserving order, into runs of
-            # shard-resolvable gates and the mixing gates between them.
-            run_start: int | None = None
-            for offset, gate in enumerate(gates):
-                if _is_cross_shard(gate, logical_to_physical, local_qubits):
-                    if run_start is not None:
-                        current.append((group_idx, run_start, offset))
-                        run_start = None
-                    flush()
-                    shapes.append(("full", (group_idx, offset)))
-                else:
-                    if run_start is None:
-                        run_start = offset
-            if run_start is not None:
-                current.append((group_idx, run_start, len(gates)))
-        else:
-            current.append((group_idx, 0, len(gates)))
-    flush()
-    return shapes
-
-
-def materialize_stage_segments(
-    stage, shapes: list[tuple[str, object]]
-) -> list[tuple[str, object]]:
-    """Turn a segmentation shape into executable segments for *stage*.
-
-    A ``(start, end)`` slice covering its whole group keeps the group's
-    kernel type (fusion kernels stay fused); a partial slice — a kernel
-    split around a cross-shard gate — loses it and runs like a
-    shared-memory kernel, exactly as the direct splitter does.
-    """
-    groups = stage_gate_groups(stage)
-    segments: list[tuple[str, object]] = []
-    for kind, payload in shapes:
-        if kind == "full":
-            group_idx, offset = payload
-            segments.append(("full", groups[group_idx][0][offset]))
-        else:
-            materialized: list[tuple[list[Gate], object]] = []
-            for group_idx, start, end in payload:
-                gates, ktype = groups[group_idx]
-                if start == 0 and end == len(gates):
-                    materialized.append((gates, ktype))
-                else:
-                    materialized.append((gates[start:end], None))
-            segments.append(("shards", materialized))
-    return segments
-
-
 def split_stage_segments(
     stage,
     logical_to_physical: dict[int, int],
@@ -466,10 +394,33 @@ def split_stage_segments(
     kernel_type)`` groups every shard processes independently — separated by
     ``("full", gate)`` segments for gates that genuinely mix amplitudes
     across shards (hand-built plans only; staged plans never produce them).
+    A kernel holding such a gate is split around it, order preserved; its
+    pieces lose the kernel type and run like a shared-memory kernel.
     """
-    return materialize_stage_segments(
-        stage, split_stage_segment_shapes(stage, logical_to_physical, local_qubits)
-    )
+    segments: list[tuple[str, object]] = []
+    current: list[tuple[list[Gate], object]] = []
+    for gates, ktype in stage_gate_groups(stage):
+        crossing = [_is_cross_shard(g, logical_to_physical, local_qubits) for g in gates]
+        if not any(crossing):
+            current.append((gates, ktype))
+            continue
+        run: list[Gate] = []
+        for gate, crosses in zip(gates, crossing):
+            if not crosses:
+                run.append(gate)
+                continue
+            if run:
+                current.append((run, None))
+                run = []
+            if current:
+                segments.append(("shards", current))
+                current = []
+            segments.append(("full", gate))
+        if run:
+            current.append((run, None))
+    if current:
+        segments.append(("shards", current))
+    return segments
 
 
 def segment_relabels_shards(
@@ -522,42 +473,56 @@ def _local_runs(
         yield "local", tuple(run)
 
 
+class SegmentOps(list):
+    """A shards-segment's bound per-shard stream — ``("local", op)`` /
+    ``("dynamic", gate)`` entries for :func:`run_segment_ops` — with the
+    structure it was bound from, which the next job's rebind fills again."""
+
+    __slots__ = ("structure",)
+
+
 def compile_segment_ops(
     groups: list[tuple[list[Gate], object]],
     logical_to_physical: dict[int, int],
     local_qubits: int,
-) -> list[tuple[str, object]]:
+    reuse: SegmentOps | None = None,
+) -> SegmentOps:
     """Compile a shards-segment's kernel groups into per-shard ops.
 
-    Shard-local work — fused kernels and runs of gates whose qubits all map
-    to local physical positions — is lowered **once** to
-    :class:`~repro.sim.program.CompiledOp` closures (fusion, the folding of
-    monomial runs (:func:`~repro.sim.fusion.lower_kernel_gates`), analysis,
-    logical→physical translation and gemm planning all resolved here), so
-    every shard of every execution replays a pre-resolved stream instead of
-    re-deriving it.  Gates touching non-local qubits keep the dynamic
-    per-shard path (their reduction depends on the shard index) and bound
-    the runs.  Returns ``("local", op)`` / ``("dynamic", gate)`` entries
-    for :func:`run_segment_ops`.
+    The segment is cut at the shard boundary — a fusion kernel wholly on
+    local positions, runs of local gates of the other kernels, and the
+    gates touching a non-local qubit between them — and compiled like a
+    plan over ``2^L`` buffers: the local pieces lower **once** to
+    :class:`~repro.sim.program.CompiledOp` closures through the slots of a
+    :class:`~repro.runtime.compile.SegmentStructure`, so every shard of
+    every execution replays a pre-resolved stream; the gates touching
+    non-local qubits keep the dynamic per-shard path (their reduction
+    depends on the shard index) and bound the runs.  *reuse* — this segment
+    of an earlier job of the same structure — is admitted and bound as
+    ``compile_plan(reuse=)`` binds a program: ops whose gates compare equal
+    are taken verbatim, the rest refilled, a segment that does not have the
+    structure built cold.
     """
     faults.check("compile")
-    ops: list[tuple[str, object]] = []
+    pieces: list[tuple[str, tuple[Gate, ...]]] = []
     for gates, ktype in groups:
         if group_uses_fusion(gates, ktype, logical_to_physical, local_qubits):
-            matrix, logical_qubits = fused_unitary_cached(tuple(gates))
-            physical = tuple(logical_to_physical[q] for q in logical_qubits)
-            ops.append(
-                ("local", compile_unitary_op(matrix, physical, local_qubits))
-            )
+            pieces.append(("fused", tuple(gates)))
             continue
         for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
-            if kind == "dynamic":
-                ops.append((kind, payload))
-                continue
-            ops.extend(
-                ("local", compile_lowered_op(item, logical_to_physical, local_qubits))
-                for item in lower_kernel_gates(payload, logical_to_physical)
-            )
+            pieces.append((kind, payload if kind == "local" else (payload,)))
+    structure, bound, _reused, _rebound = bind_structure(
+        None if reuse is None else (reuse.structure, [payload for _kind, payload in reuse]),
+        lambda held: held.admit(pieces, logical_to_physical, local_qubits),
+        lambda: (
+            SegmentStructure(pieces, logical_to_physical, local_qubits),
+            [gates for _kind, gates in pieces],
+        ),
+    )
+    ops = SegmentOps(
+        ("dynamic" if isinstance(op, Gate) else "local", op) for op in bound
+    )
+    ops.structure = structure
     return ops
 
 
@@ -630,58 +595,89 @@ def run_groups_on_shard(
 # ---------------------------------------------------------------------------
 
 
+class Segment(NamedTuple):
+    """One segment of a stage: ``("full", gate, None, False)``, or
+    ``("shards", groups, ops, relabels)`` with *ops* the groups' compiled
+    per-shard stream — ``None`` after a failed compile, which degrades the
+    segment to the uncompiled per-gate path (shard passes branch on it) —
+    and *relabels* whether its stores need the second DRAM array
+    (:func:`segment_relabels_shards`)."""
+
+    kind: str
+    payload: object
+    ops: SegmentOps | None
+    relabels: bool
+
+
+@dataclass
+class Schedule:
+    """A plan lowered for the sharded executors: what they run, as a
+    :class:`~repro.sim.program.CompiledProgram` is what the in-core one
+    does."""
+
+    #: Per stage ``(logical_to_physical, segments)``.
+    stages: list[tuple[dict[int, int], list[Segment]]]
+    #: Segments degraded to the uncompiled path by a compile failure.
+    fallbacks: int = 0
+    #: Whether every shards-segment was bound over the ``reuse`` schedule's
+    #: structure (false for a cold build, and when any segment was).
+    rebound: bool = False
+
+
 def build_schedule(
-    plan: ExecutionPlan, local_qubits: int, shape: list | None = None
-) -> tuple[list, list, int]:
-    """Lower *plan* to per-stage ``(logical_to_physical, segments)`` entries.
+    plan: ExecutionPlan, local_qubits: int, reuse: Schedule | None = None
+) -> Schedule:
+    """Lower *plan* to a :class:`Schedule`: the layout walk, each stage's
+    :func:`split_stage_segments`, and every shards-segment's local work
+    compiled **once** (:func:`compile_segment_ops`), so every shard of
+    every execution replays the compiled stream instead of re-deriving
+    fusion, analysis and gemm planning.
 
-    Returns ``(shape, schedule, fallbacks)``.  The *shape* — the
-    deterministic layout walk plus each stage's
-    :func:`split_stage_segment_shapes`, the expensive per-gate cross-shard
-    classification — depends only on the plan's structure, so a caller may
-    cache it and pass it back for any structurally identical plan (the
-    parallel runtime's schedule cache does).  Only the shape is reusable:
-    the *schedule* is always materialized from this plan's own gates, so a
-    cached shape never leaks another circuit's angles.
-
-    Each segment is ``("full", gate, None)`` or ``("shards", groups, ops)``
-    with *ops* the segment's local work lowered **once**
-    (:func:`compile_segment_ops`): every shard of every execution replays
-    the compiled stream instead of re-deriving fusion, analysis and gemm
-    planning.  A failed compile degrades that segment to the uncompiled
-    per-gate path (``ops=None``; shard passes branch on it) instead of
-    failing the run, and is counted in *fallbacks*.
+    *reuse* is an earlier schedule of the same structure (the Session plan
+    cache's, for a parameter sweep): segment by segment its structures are
+    admitted and bound to this plan's gates, and whatever does not match —
+    or was degraded there — is built cold, so the result equals a cold
+    build bit for bit and never carries another circuit's angles.  A
+    failed compile degrades that segment instead of failing the run, and
+    is counted in ``fallbacks``.
     """
-    if shape is None:
-        layout = QubitLayout(plan.num_qubits)
-        shape = []
-        for stage in plan.stages:
-            layout.update(stage.partition.logical_to_physical())
-            logical_to_physical = layout.logical_to_physical()
-            shape.append((
-                logical_to_physical,
-                split_stage_segment_shapes(stage, logical_to_physical, local_qubits),
-            ))
-    schedule = []
+    layout = QubitLayout(plan.num_qubits)
+    stages = []
     fallbacks = 0
-    for stage, (logical_to_physical, stage_shapes) in zip(plan.stages, shape):
+    rebound = reuse is not None
+    for stage_index, stage in enumerate(plan.stages):
+        layout.update(stage.partition.logical_to_physical())
+        logical_to_physical = layout.logical_to_physical()
+        held = (
+            reuse.stages[stage_index][1]
+            if reuse is not None and stage_index < len(reuse.stages) else ()
+        )
         segments = []
-        for kind, payload in materialize_stage_segments(stage, stage_shapes):
+        for index, (kind, payload) in enumerate(
+            split_stage_segments(stage, logical_to_physical, local_qubits)
+        ):
+            if kind == "full":
+                segments.append(Segment(kind, payload, None, False))
+                continue
+            old = held[index].ops if index < len(held) else None
             ops = None
-            if kind == "shards":
-                try:
-                    ops = compile_segment_ops(payload, logical_to_physical, local_qubits)
-                except ReproError:
-                    fallbacks += 1
-            segments.append((kind, payload, ops))
-        schedule.append((logical_to_physical, segments))
-    return shape, schedule, fallbacks
+            try:
+                ops = compile_segment_ops(payload, logical_to_physical, local_qubits, old)
+            except ReproError:
+                fallbacks += 1
+            rebound = rebound and None not in (ops, old) and ops.structure is old.structure
+            segments.append(Segment(
+                kind, payload, ops,
+                segment_relabels_shards(payload, logical_to_physical, local_qubits),
+            ))
+        stages.append((logical_to_physical, segments))
+    return Schedule(stages, fallbacks, rebound)
 
 
 def run_stages(
     plan: ExecutionPlan,
     machine: MachineConfig,
-    schedule: list,
+    schedule: Schedule,
     shard_pass,
     stats: OffloadStats,
     state_scratch: np.ndarray,
@@ -778,15 +774,15 @@ def run_stages(
             stats.resumed_from_stage = ck.stage_index
             stats.stages_skipped = start_stage
 
-    for stage_index in range(start_stage, len(schedule)):
-        logical_to_physical, segments = schedule[stage_index]
+    for stage_index in range(start_stage, len(schedule.stages)):
+        logical_to_physical, segments = schedule.stages[stage_index]
         deadline.check("stage")
         if mon is not None:
             mon.stage_begin(state, stage_index)
         relayout(logical_to_physical)
 
         stage_loads = 0
-        for kind, payload, segment_ops in segments:
+        for kind, payload, segment_ops, relabels in segments:
             deadline.check("segment")
             if kind == "full":
                 state, state_scratch = apply_lowered_items(
@@ -795,7 +791,6 @@ def run_stages(
                     logical_to_physical,
                 )
                 continue
-            relabels = segment_relabels_shards(payload, logical_to_physical, local)
             shards = shard_slices(state, local)
             # Relabelled shards land at new indices, so they are stored into
             # the second DRAM array (every index is written exactly once —
@@ -816,7 +811,7 @@ def run_stages(
             stats.integrity_checks += 1
         if (
             ckpt is not None
-            and stage_index < len(schedule) - 1
+            and stage_index < len(schedule.stages) - 1
             and (stage_index + 1) % ckpt.every == 0
         ):
             try:
@@ -853,6 +848,7 @@ def execute_plan_offloaded(
     checkpoint: "CheckpointConfig | str | None" = None,
     resume_from=None,
     monitor=None,
+    schedule: Schedule | None = None,
 ) -> tuple[StateVector, OffloadStats]:
     """Execute *plan* shard by shard, as the DRAM-offloading runtime would.
 
@@ -880,6 +876,11 @@ def execute_plan_offloaded(
     (``True`` / :class:`IntegrityConfig` / :class:`IntegrityMonitor`)
     enables per-stage norm-drift and inter-stage checksum checks that
     raise :class:`repro.errors.IntegrityError` on corruption.
+
+    *schedule* is *plan*'s :func:`build_schedule` when the caller holds it
+    (the Session builds one per structure and rebinds it per job); without
+    one it is built cold here.  ``stats.fallbacks`` counts the segments of
+    the schedule that ran degraded.
     """
     n = plan.num_qubits
     machine.validate(n)
@@ -928,7 +929,9 @@ def execute_plan_offloaded(
                     policy.sleep(attempt)
                     attempt += 1
 
-    _shape, schedule, stats.fallbacks = build_schedule(plan, local)
+    if schedule is None:
+        schedule = build_schedule(plan, local)
+    stats.fallbacks = schedule.fallbacks
     state, _spare = run_stages(
         plan, machine, schedule, shard_pass, stats, tracked_empty(1 << n),
         initial_state, deadline, checkpoint, resume_from, monitor,

@@ -37,16 +37,18 @@ timings for this reason.)
 
 :meth:`ParallelRuntime.run_batch` executes many ``(plan, initial state)``
 problems back to back on one runtime — the "heavy traffic" scenario —
-reusing the worker pool, the per-worker device buffers, the DRAM scratch
-array, and the per-plan stage segmentation, so only the result array is
-allocated per problem.
+reusing the worker pool, the per-worker device buffers and the DRAM scratch
+array, so only the result array is allocated per problem.
 
 **Who owns what.**  The stage loop is not here: it is
 :func:`repro.runtime.offload.run_stages`, shared with the sequential
 executor, over a schedule from :func:`repro.runtime.offload.build_schedule`.
 This runtime owns its *shard pass* (:meth:`ParallelRuntime._run_segment_supervised`
-and the worker body under it) plus what makes it reusable — the schedule
-cache, the DRAM-scratch reuse, the per-worker stats and the exec lock.
+and the worker body under it) plus what makes it reusable — the pools, the
+DRAM-scratch reuse, the per-worker stats and the exec lock.  It holds
+nothing keyed by plan: a caller that executes a structure more than once
+keeps the :class:`~repro.runtime.offload.Schedule` (the Session plan cache
+does) and passes it back through ``schedule=``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from . import faults
 from .checkpoint import CheckpointConfig
 from .offload import (
     OffloadStats,
+    Schedule,
     WorkerStats,
     build_schedule,
     run_groups_on_shard,
@@ -82,16 +85,14 @@ from .offload import (
     run_stages,
 )
 
-# Not called here any more (the shared driver resolves them through
-# ``offload``), but profilers and tracers wrap these names on both runtime
-# modules, so they stay importable from this one.
+# Not called here (the shared driver and ``build_schedule`` resolve them
+# through ``offload``): ``benchmarks/perf/layers.py`` registers its
+# ``runtime.compile_segment`` / ``runtime.layout`` span sites on both
+# runtime modules by these names, so they stay importable from this one.
 from .offload import compile_segment_ops  # noqa: F401
 from .sharding import permute_state  # noqa: F401
 
 __all__ = ["ParallelRuntime", "execute_plan_parallel"]
-
-#: How many plans' stage segmentations a runtime memoizes for run_batch.
-_SEGMENT_CACHE_PLANS = 8
 
 
 class _WorkerFailed(Exception):
@@ -160,15 +161,6 @@ class ParallelRuntime:
         self._tls = threading.local()
         #: DRAM scratch array per state size, reused across executions.
         self._dram_scratch: dict[int, np.ndarray] = {}
-        #: cache key -> (plan, segmentation shape, plan's materialized
-        #: schedule).  Keyed by ``id(plan)`` by default, or by the
-        #: caller-supplied ``schedule_key`` so structurally identical plans
-        #: (a Session parameter sweep) share one shape; the materialized
-        #: schedule is only ever served back to the plan that built it.
-        self._segment_cache: dict[object, tuple[ExecutionPlan, list, list]] = {}
-        #: Schedule-cache accounting, surfaced through Session stats.
-        self.schedule_cache_hits = 0
-        self.schedule_cache_misses = 0
         #: Cumulative recovery accounting across executions, surfaced
         #: through Session stats.
         self.retries = 0
@@ -176,8 +168,8 @@ class ParallelRuntime:
         self.fallbacks = 0
         self._closed = False
         #: Serializes executions when one runtime is shared by concurrent
-        #: jobs (the service's shared pool): the worker pool, DRAM scratch
-        #: and segment caches are shared state, so callers take turns at
+        #: jobs (the service's shared pool): the worker pool and DRAM
+        #: scratch are shared state, so callers take turns at
         #: execution granularity while shards parallelise within each turn.
         self._exec_lock = threading.RLock()
         #: Exec-lock contention accounting (surfaced in SessionStats): how
@@ -206,7 +198,6 @@ class ParallelRuntime:
             self._loader_pool.shutdown(wait=True)
             self._loader_pool = None
         self._dram_scratch.clear()
-        self._segment_cache.clear()
         self._closed = True
 
     @property
@@ -256,45 +247,6 @@ class ParallelRuntime:
         if scratch is None:
             scratch = self._dram_scratch[num_qubits] = tracked_empty(1 << num_qubits)
         return scratch
-
-    # ------------------------------------------------------------------
-    # Stage segmentation (memoized per plan for run_batch)
-    # ------------------------------------------------------------------
-
-    def _plan_schedule(
-        self, plan: ExecutionPlan, schedule_key: str | None = None
-    ) -> list:
-        """The :func:`~repro.runtime.offload.build_schedule` of *plan*, cached.
-
-        By default the cache is keyed by plan identity (run_batch replaying
-        one plan), and a hit returns the fully materialized schedule as-is.
-        Callers executing many *structurally identical* plans (a Session
-        parameter sweep, where each plan rebinds different gate angles onto
-        the same staged structure) pass a ``schedule_key`` so they all
-        share one segmentation *shape*; the segments and their compiled op
-        streams bind the plan's gate matrices (angles included), so they
-        are rebuilt from each plan's own gates whenever the plan object
-        differs.
-        """
-        key: object = schedule_key if schedule_key is not None else id(plan)
-        cached = self._segment_cache.get(key)
-        shape = None
-        if cached is not None and (schedule_key is not None or cached[0] is plan):
-            owner, shape, schedule = cached
-            self.schedule_cache_hits += 1
-            if owner is plan:
-                return schedule
-        else:
-            self.schedule_cache_misses += 1
-        shape, schedule, fallbacks = build_schedule(
-            plan, self.machine.local_qubits, shape
-        )
-        self.fallbacks += fallbacks
-        if key not in self._segment_cache:
-            if len(self._segment_cache) >= _SEGMENT_CACHE_PLANS:
-                self._segment_cache.pop(next(iter(self._segment_cache)))
-        self._segment_cache[key] = (plan, shape, schedule)
-        return schedule
 
     # ------------------------------------------------------------------
     # Worker body
@@ -420,7 +372,7 @@ class ParallelRuntime:
         self,
         plan: ExecutionPlan,
         initial_state: StateVector | None = None,
-        schedule_key: str | None = None,
+        schedule: Schedule | None = None,
         deadline: "Deadline | float | None" = None,
         checkpoint: "CheckpointConfig | str | None" = None,
         resume_from=None,
@@ -436,10 +388,10 @@ class ParallelRuntime:
         redistributed shards run the identical kernel sequence on another
         worker's private buffers.
 
-        ``schedule_key`` (optional) names the plan's *structure*: plans that
-        share it (structurally identical circuits planned under one Session
-        cache key) reuse one cached segmentation shape instead of
-        re-classifying every gate (see :meth:`_plan_schedule`).
+        ``schedule`` (optional) is *plan*'s
+        :func:`~repro.runtime.offload.build_schedule`, for a caller that
+        holds it already (the Session builds it once per structure and
+        rebinds it per job); without one it is built cold here.
 
         ``deadline`` (optional, seconds or a :class:`~repro.errors.Deadline`)
         is checked cooperatively at stage/segment/shard boundaries; an
@@ -448,9 +400,9 @@ class ParallelRuntime:
 
         **Pool sharing:** one runtime may serve several concurrent jobs
         (the multi-tenant service front-ends exactly this).  Executions are
-        serialized on an internal lock — the worker pool, DRAM scratch and
-        segmentation caches are shared across the callers, while each
-        plan's shards still fan out over every worker.  Concurrent callers
+        serialized on an internal lock — the worker pool and DRAM scratch
+        are shared across the callers, while each plan's shards still fan
+        out over every worker.  Concurrent callers
         interleave at execution granularity (per batch item), so a long
         batch does not monopolise the pool against a competing job.
 
@@ -473,10 +425,14 @@ class ParallelRuntime:
             n = plan.num_qubits
             self.machine.validate(n)
             self._ensure_pools()
+            if schedule is None:
+                schedule = build_schedule(plan, self.machine.local_qubits)
             num_shards = 1 << (n - self.machine.local_qubits)
             width = min(self.num_workers, num_shards)
             stats = OffloadStats(num_shards=num_shards, num_workers=width)
             stats.per_worker = [WorkerStats(worker=w) for w in range(width)]
+            stats.fallbacks = schedule.fallbacks
+            self.fallbacks += stats.fallbacks
             #: Workers quarantined for the remainder of *this* execution.
             quarantined: set[int] = set()
             try:
@@ -486,7 +442,7 @@ class ParallelRuntime:
                 # not given, which becomes the next scratch (no copy, no
                 # aliasing of cached buffers).
                 state, self._dram_scratch[n] = run_stages(
-                    plan, self.machine, self._plan_schedule(plan, schedule_key),
+                    plan, self.machine, schedule,
                     partial(self._run_segment_supervised, stats, quarantined),
                     stats, self._scratch_state(n), initial_state, deadline,
                     checkpoint, resume_from, monitor,
@@ -604,7 +560,6 @@ class ParallelRuntime:
         self,
         plans: ExecutionPlan | Iterable,
         initial_states: Sequence[StateVector | None] | None = None,
-        schedule_keys: str | Sequence[str | None] | None = None,
         deadline: "Deadline | float | None" = None,
         checkpoint: "CheckpointConfig | str | None" = None,
         resume_from=None,
@@ -615,15 +570,12 @@ class ParallelRuntime:
         Three call shapes are supported:
 
         * ``run_batch(plan, initial_states=[s0, s1, ...])`` — one plan
-          replayed over many initial states (planning, segmentation, and
-          all buffers shared; the heavy-traffic scenario);
+          replayed over many initial states (planning, one schedule built
+          here, and all buffers shared; the heavy-traffic scenario);
         * ``run_batch([plan0, plan1, ...])`` — many plans from |0...0>;
         * ``run_batch([(plan0, s0), (plan1, s1), ...])`` — explicit pairs.
 
-        ``schedule_keys`` is either one structure key shared by every item
-        (a parameter sweep of structurally identical plans) or one key per
-        item (see :meth:`execute`); ``None`` entries fall back to per-plan
-        identity caching.  ``deadline`` bounds the *whole batch*: one
+        ``deadline`` bounds the *whole batch*: one
         budget shared by every item, checked at every stage/segment/shard
         boundary of each execution.
 
@@ -638,6 +590,7 @@ class ParallelRuntime:
         each problem already occupies every worker.
         """
         items: list[tuple[ExecutionPlan, StateVector | None]] = []
+        schedule = None
         if isinstance(plans, ExecutionPlan):
             if initial_states is None:
                 raise ValueError(  # lint: config-error
@@ -645,6 +598,12 @@ class ParallelRuntime:
                     "of plans to run several circuits"
                 )
             items = [(plans, state) for state in initial_states]
+            if items:
+                # ``execute``'s own checks first: a closed runtime or a plan
+                # the machine cannot hold raises before any compile work.
+                self.machine.validate(plans.num_qubits)
+                self._ensure_pools()
+                schedule = build_schedule(plans, self.machine.local_qubits)
         elif initial_states is not None:
             plan_list = list(plans)
             if len(plan_list) != len(initial_states):
@@ -660,22 +619,14 @@ class ParallelRuntime:
                 else:
                     plan, state = item
                     items.append((plan, state))
-        if schedule_keys is None or isinstance(schedule_keys, str):
-            keys: list[str | None] = [schedule_keys] * len(items)
-        else:
-            keys = list(schedule_keys)
-            if len(keys) != len(items):
-                raise ValueError(  # lint: config-error
-                    f"{len(keys)} schedule keys but {len(items)} batch items"
-                )
         deadline = Deadline.resolve(deadline)
         return [
             self.execute(
-                plan, state, schedule_key=key, deadline=deadline,
+                plan, state, schedule=schedule, deadline=deadline,
                 checkpoint=CheckpointConfig.for_item(checkpoint, i, len(items)),
                 resume_from=resume_from, monitor=monitor,
             )
-            for i, ((plan, state), key) in enumerate(zip(items, keys))
+            for i, (plan, state) in enumerate(items)
         ]
 
 

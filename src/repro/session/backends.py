@@ -33,7 +33,7 @@ backends with :func:`register_backend`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..baselines import SIMULATORS, BaselineSimulator
 from ..circuits.circuit import Circuit
@@ -83,12 +83,17 @@ class ExecutionBackend:
     #: Registry name; set per subclass/instance.
     name: str = "backend"
 
-    #: Whether the Session should compile plans to
-    #: :class:`~repro.sim.program.CompiledProgram` streams for this backend
-    #: (and pass them through ``program=``/``programs=``).  Backends with
-    #: their own amortisation layer (the shard runtimes' schedule cache)
-    #: leave this off.
+    #: Whether the Session should lower plans for this backend, keep the
+    #: result in its plan cache and pass each job's through
+    #: ``program=``/``programs=``: a
+    #: :class:`~repro.sim.program.CompiledProgram` stream, or for the
+    #: sharded backends a :class:`~repro.runtime.offload.Schedule`.
     uses_programs: bool = False
+
+    #: Which of the two: ``"program"`` or ``"schedule"``.  The Session
+    #: lowers, rebinds and caches by this kind and by nothing else — a
+    #: subclass registered under any name gets the kind it runs.
+    program_kind: str = "program"
 
     #: Whether :meth:`run_plan` takes the durability kwargs
     #: (``checkpoint=`` / ``resume_from=`` / ``monitor=``).  Only the shard
@@ -102,17 +107,15 @@ class ExecutionBackend:
         machine: MachineConfig,
         initial_state: StateVector | None = None,
         circuit: Circuit | None = None,
-        schedule_key: str | None = None,
         program=None,
         deadline: Deadline | None = None,
     ) -> tuple[StateVector, object]:
         """Execute *plan* and return ``(final_state, execution_stats)``.
 
         ``circuit`` is the source circuit (used by backends that do not
-        replay the staged plan, e.g. the reference oracle); ``schedule_key``
-        names the plan structure for backends that cache per-structure
-        schedules (see :meth:`ParallelRuntime.execute`); ``program`` is the
-        plan's compiled op stream for backends with ``uses_programs``;
+        replay the staged plan, e.g. the reference oracle); ``program`` is
+        what the Session lowered the plan to for backends with
+        ``uses_programs`` (a compiled op stream, or a shard schedule);
         ``deadline`` is the job's cooperative cancellation budget.
         """
         raise NotImplementedError
@@ -122,7 +125,6 @@ class ExecutionBackend:
         items: Sequence[tuple[ExecutionPlan, StateVector | None, Circuit | None]],
         machine: MachineConfig,
         *,
-        schedule_keys: Sequence[str | None],
         programs: Sequence,
         deadline: Deadline,
         checkpoint,
@@ -137,13 +139,11 @@ class ExecutionBackend:
         all — a backend without stage boundaries ignores ``checkpoint`` /
         ``resume_from`` / ``monitor``.  The default runs the items back to
         back through :meth:`run_plan`; backends with shared runtime state
-        (worker pools, buffers, segmentation caches, compiled programs)
-        override it to amortise that state.
+        (worker pools, buffers, compiled programs) override it to amortise
+        that state.
         """
         out = []
-        for i, ((plan, state, circuit), key, program) in enumerate(
-            zip(items, schedule_keys, programs)
-        ):
+        for i, ((plan, state, circuit), program) in enumerate(zip(items, programs)):
             deadline.check("batch item")
             durable = {}
             if self.supports_checkpoints:
@@ -154,8 +154,7 @@ class ExecutionBackend:
             out.append(
                 self.run_plan(
                     plan, machine, initial_state=state, circuit=circuit,
-                    schedule_key=key, program=program, deadline=deadline,
-                    **durable,
+                    program=program, deadline=deadline, **durable,
                 )
             )
         return out
@@ -218,7 +217,7 @@ class ReferenceBackend(ExecutionBackend):
 
     name = "reference"
 
-    def run_plan(self, plan, machine, initial_state=None, circuit=None, schedule_key=None, program=None, deadline=None):
+    def run_plan(self, plan, machine, initial_state=None, circuit=None, program=None, deadline=None):
         if deadline is not None:
             deadline.check("job")
         n = plan.num_qubits
@@ -248,7 +247,7 @@ class InCoreBackend(ExecutionBackend):
     name = "incore"
     uses_programs = True
 
-    def run_plan(self, plan, machine, initial_state=None, circuit=None, schedule_key=None, program=None, deadline=None):
+    def run_plan(self, plan, machine, initial_state=None, circuit=None, program=None, deadline=None):
         if deadline is not None:
             deadline.check("job")
         try:
@@ -263,7 +262,7 @@ class InCoreBackend(ExecutionBackend):
                 plan, initial_state=initial_state, machine=machine, compiled=False
             )
 
-    def run_batch(self, items, machine, *, schedule_keys, programs, deadline, checkpoint, resume_from, monitor):
+    def run_batch(self, items, machine, *, programs, deadline, checkpoint, resume_from, monitor):
         results: list[tuple[StateVector, object] | None] = [None] * len(items)
         index = 0
         while index < len(items):
@@ -302,9 +301,11 @@ class OffloadBackend(ExecutionBackend):
     """Sequential DRAM shard-streaming executor (one load per stage per shard)."""
 
     name = "offload"
+    uses_programs = True
+    program_kind = "schedule"
     supports_checkpoints = True
 
-    def run_plan(self, plan, machine, initial_state=None, circuit=None, schedule_key=None, program=None, deadline=None, checkpoint=None, resume_from=None, monitor=None):
+    def run_plan(self, plan, machine, initial_state=None, circuit=None, program=None, deadline=None, checkpoint=None, resume_from=None, monitor=None):
         state, stats = execute_plan_offloaded(
             plan,
             machine,
@@ -314,6 +315,7 @@ class OffloadBackend(ExecutionBackend):
             checkpoint=checkpoint,
             resume_from=resume_from,
             monitor=monitor,
+            schedule=program,
         )
         self.retries = getattr(self, "retries", 0) + stats.retries
         self.fallbacks = getattr(self, "fallbacks", 0) + stats.fallbacks
@@ -321,14 +323,16 @@ class OffloadBackend(ExecutionBackend):
 
 
 class ParallelBackend(ExecutionBackend):
-    """Parallel shard scheduler: worker pool, prefetch, schedule cache.
+    """Parallel shard scheduler: worker pool and prefetch.
 
     Owns one long-lived :class:`ParallelRuntime` per machine configuration
-    so repeated and batched jobs reuse pools, device buffers, DRAM scratch
-    and cached segmentation shapes.
+    so repeated and batched jobs reuse pools, device buffers and DRAM
+    scratch.
     """
 
     name = "parallel"
+    uses_programs = True
+    program_kind = "schedule"
     supports_checkpoints = True
 
     def __init__(self, num_workers: int | None = None, retry: RetryPolicy | None = None):
@@ -347,25 +351,17 @@ class ParallelBackend(ExecutionBackend):
             )
         return runtime
 
-    def run_plan(self, plan, machine, initial_state=None, circuit=None, schedule_key=None, program=None, deadline=None, checkpoint=None, resume_from=None, monitor=None):
+    def run_plan(self, plan, machine, initial_state=None, circuit=None, program=None, deadline=None, checkpoint=None, resume_from=None, monitor=None):
         return self.runtime_for(machine).execute(
-            plan, initial_state, schedule_key=schedule_key, deadline=deadline,
+            plan, initial_state, schedule=program, deadline=deadline,
             checkpoint=checkpoint, resume_from=resume_from, monitor=monitor,
         )
 
-    def run_batch(self, items, machine, *, schedule_keys, programs, deadline, checkpoint, resume_from, monitor):
-        runtime = self.runtime_for(machine)
-        pairs = [(plan, state) for plan, state, _circuit in items]
-        return runtime.run_batch(
-            pairs, schedule_keys=schedule_keys, deadline=deadline,
-            checkpoint=checkpoint, resume_from=resume_from, monitor=monitor,
-        )
-
-    def schedule_cache_counters(self) -> tuple[int, int]:
-        """Summed ``(hits, misses)`` of every owned runtime's schedule cache."""
-        hits = sum(r.schedule_cache_hits for r in self._runtimes.values())
-        misses = sum(r.schedule_cache_misses for r in self._runtimes.values())
-        return hits, misses
+    #: The default loop — every item arrives with its own bound schedule, the
+    #: runtime is shared through :meth:`runtime_for` — under this class's own
+    #: name: ``benchmarks/perf/layers.py`` registers its ``session.execute``
+    #: span site on each backend class that defines ``run_batch``.
+    run_batch = ExecutionBackend.run_batch
 
     def exec_lock_counters(self) -> tuple[int, float]:
         """Summed ``(acquisitions, wait_seconds)`` of every owned runtime's
@@ -411,7 +407,7 @@ class BaselineBackend(ExecutionBackend):
     def make_plan(self, circuit, machine):
         return self.simulator.partition(circuit, machine)
 
-    def run_plan(self, plan, machine, initial_state=None, circuit=None, schedule_key=None, program=None, deadline=None):
+    def run_plan(self, plan, machine, initial_state=None, circuit=None, program=None, deadline=None):
         if deadline is not None:
             deadline.check("job")
         # Baseline staging heuristics satisfy their own locality notion but

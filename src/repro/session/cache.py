@@ -15,9 +15,12 @@ identical too.  The cache exploits that:
   (:func:`rebind_plan`): the stage/kernel skeleton — partitions, kernel
   boundaries, costs — is shared, while every gate object comes from the
   circuit actually being executed, so angles are never stale;
-* alongside the plan, the cache stores the plan's **compiled program**
-  (:class:`repro.sim.program.CompiledProgram`) when the executing backend
-  runs programs.  The program carries the angle-independent half of its
+* alongside the plan, the cache stores what the executing backends
+  lowered it to, one per kind: the plan's **compiled program**
+  (:class:`repro.sim.program.CompiledProgram`) for the in-core backends,
+  its **shard schedule** (:class:`repro.runtime.offload.Schedule`) for the
+  sharded ones, which rebinds the same way per shards-segment
+  (``build_schedule(reuse=...)``).  The program carries the angle-independent half of its
   compilation (:class:`repro.runtime.compile.ProgramStructure`), so a hit
   only *fills* it (``compile_plan(reuse=...)``): constant-structure gates
   (H, CX, …) keep their compiled op verbatim, ops that absorbed an angle
@@ -177,8 +180,9 @@ class PlanCache:
     def get(self, key: tuple) -> tuple | None:
         """Look up *key*, counting a hit or miss and refreshing LRU order.
 
-        Returns ``(plan, report, program)`` — ``program`` is ``None`` when
-        the entry was stored without a compiled program.  Every hit is
+        Returns ``(plan, report, programs)`` — ``programs`` maps a kind
+        (``"program"``, ``"schedule"``) to what was stored for it, and is
+        empty when the entry was stored with neither.  Every hit is
         verified against the structural checksum recorded at :meth:`put`
         time; an entry that no longer matches (a mutated or corrupted plan)
         is evicted and surfaced as a
@@ -189,7 +193,7 @@ class PlanCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        plan, report, program, checksum = entry
+        plan, report, programs, checksum = entry
         if checksum is not None and plan_fingerprint(plan) != checksum:
             del self._entries[key]
             self.stats.corruptions += 1
@@ -200,25 +204,26 @@ class PlanCache:
             )
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return plan, report, program
+        return plan, report, programs
 
     def put(
         self,
         key: tuple,
         plan: ExecutionPlan,
         report: PartitionReport | None = None,
-        program=None,
+        programs: Mapping | None = None,
     ) -> None:
-        """Store ``(plan, report, program)`` under *key*, evicting the LRU
-        entry if full.  ``program`` is the plan's compiled op stream (or
-        ``None`` for backends that do not run programs); its workspace is
-        shared with every rebind served from this entry."""
+        """Store ``(plan, report, programs)`` under *key*, evicting the LRU
+        entry if full.  ``programs`` holds, by kind, what backends lowered
+        the structure to — the compiled op stream (its workspace is shared
+        with every rebind served from this entry), the shard schedule —
+        so backends sharing a key never evict each other's."""
         if key in self._entries:
             self._entries.move_to_end(key)
         elif len(self._entries) >= self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        self._entries[key] = (plan, report, program, plan_fingerprint(plan))
+        self._entries[key] = (plan, report, dict(programs or {}), plan_fingerprint(plan))
 
     def evict(self, key: tuple) -> bool:
         """Drop *key* if present (used on corruption detected downstream)."""

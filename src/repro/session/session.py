@@ -12,9 +12,8 @@ amortise across requests:
 * a **job API** — ``run(circuit_or_circuits, shots=..., observables=...)``
   returning :class:`~repro.session.result.Job`/:class:`~repro.session.result.Result`
   objects carrying states, samples, expectation values, modelled timing and
-  plan provenance, with batches routed through
-  :meth:`ParallelRuntime.run_batch` so pools, buffers and cached
-  segmentation shapes are reused.
+  plan provenance, with batches routed through one backend ``run_batch``
+  so pools, buffers and cached programs are reused.
 
 Quick start::
 
@@ -32,7 +31,6 @@ Quick start::
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -62,6 +60,7 @@ from ..planner.pipeline import PassManager, resolve_planner
 from ..runtime import faults as _faults
 from ..runtime.compile import compile_plan
 from ..runtime.faults import FaultInjector
+from ..runtime.offload import Schedule, build_schedule
 from ..sim.fusion import fusion_cache_stats
 from ..sim.program import CompiledProgram
 from ..sim.statevector import StateVector
@@ -113,11 +112,13 @@ class SessionStats:
     #: Planning-pass skip counters: pass name -> times it skipped its work
     #: (e.g. the stage pass after the fits-locally shortcut).
     planning_passes_skipped: dict[str, int] = field(default_factory=dict)
-    #: Parallel-runtime segmentation cache counters (hits, misses).
+    #: Shard schedules the sharded backends' jobs acquired: rebound from
+    #: the plan cache's (hits), or built cold (misses — the first job of a
+    #: structure, and one whose gates did not fit the cached structure).
     schedule_cache_hits: int = 0
     schedule_cache_misses: int = 0
-    #: Compiled programs built from scratch (plan-cache misses on
-    #: program-running backends).
+    #: Compiled programs built from scratch (plan-cache misses on the
+    #: in-core backends; these six count in-core programs only).
     programs_compiled: int = 0
     #: Programs produced by rebinding a cached program to new angles.
     programs_rebound: int = 0
@@ -204,8 +205,7 @@ class _Item(NamedTuple):
     plan: ExecutionPlan
     report: PartitionReport | None
     cache_hit: bool
-    schedule_key: str
-    program: CompiledProgram | None
+    program: "CompiledProgram | Schedule | None"
 
 
 class Session:
@@ -435,7 +435,7 @@ class Session:
     def stack_widths(circuits: Sequence[Circuit]) -> list[tuple[Circuit, int]]:
         """``(circuit, width)`` per run of one circuit object in *circuits*:
         the items that share a plan and a compiled program, which a backend
-        with ``uses_programs`` executes as one ``(width, 2^n)`` stack."""
+        that runs compiled programs executes as one ``(width, 2^n)`` stack."""
         return [
             (run[0], len(run))
             for run in (list(group) for _id, group in groupby(circuits, key=id))
@@ -457,9 +457,11 @@ class Session:
         DRAM.
         """
         full = 2 * 16 * (1 << num_qubits)
-        if stack_width > 1 and self.backend_instance(backend_name).uses_programs:
-            full *= stack_width
-        if num_qubits <= machine.local_qubits or backend_name not in self._SHARDED_BACKENDS:
+        if backend_name not in self._SHARDED_BACKENDS:
+            if stack_width > 1 and self.backend_instance(backend_name).uses_programs:
+                full *= stack_width
+            return full
+        if num_qubits <= machine.local_qubits:
             return full
         shard_pairs = 4 * 16 * (1 << machine.local_qubits)
         if backend_name == "offload":
@@ -584,22 +586,30 @@ class Session:
         backend: str | None = None,
         compile_programs: bool = True,
         planner: "str | PassManager | None" = None,
-    ) -> tuple[ExecutionPlan, PartitionReport | None, bool, str, CompiledProgram | None]:
+    ) -> "tuple[ExecutionPlan, PartitionReport | None, bool, CompiledProgram | Schedule | None]":
         """Plan *circuit* through the structural cache.
 
-        Returns ``(plan, report, cache_hit, schedule_key, program)``.  On a
-        hit the plan is the cached structure re-bound to this circuit's
-        gates and ``report`` is ``None`` (no preprocessing happened); on a
-        miss the partitioner runs and the result is cached.
-        ``schedule_key`` is a stable string naming the structure, passed to
-        runtimes that cache per-structure schedules.  ``program`` is the
-        plan's compiled op stream when the resolved backend runs programs
-        (``None`` otherwise): compiled once on a miss, and on a hit rebound
-        from the cached program — ops whose gates changed (new angles) get
-        their payload refilled through the cached program's structure, the
-        rest are kept, and the whole family shares one workspace.
-        ``compile_programs=False`` skips all program work (``run`` passes
-        it for ``execute=False`` jobs, which never execute a program).
+        Returns ``(plan, report, cache_hit, program)``.  On a hit the plan
+        is the cached structure re-bound to this circuit's gates and
+        ``report`` is ``None`` (no preprocessing happened); on a miss the
+        partitioner runs and the result is cached.  ``program`` is what the
+        resolved backend executes when it ``uses_programs`` (``None``
+        otherwise), lowered once per structure and bound per job:
+
+        * an in-core backend's compiled op stream — compiled once on a
+          miss, and on a hit rebound from the cached program: ops whose
+          gates changed (new angles) get their payload refilled through
+          the cached program's structure, the rest are kept, and the whole
+          family shares one workspace;
+        * a sharded backend's :class:`~repro.runtime.offload.Schedule` —
+          built cold by the first job of a structure and kept, rebound
+          from it by every later one (``offload`` and ``parallel`` share
+          it), counted in ``schedule_cache_misses`` / ``_hits``.
+
+        The cache entry holds one of each kind, so backends sharing a key
+        never evict each other's.  ``compile_programs=False`` skips all of
+        it (``run`` passes it for ``execute=False`` jobs, which never
+        execute a program).
 
         With a ``shared_cache`` configured, a local miss consults the
         cross-tenant store under the circuit's canonical structural key:
@@ -620,45 +630,40 @@ class Session:
             if planner_key is None:
                 planner_key = self._planner_key(manager)
             key = plan_cache_key(circuit, machine, planner_key)
-            # Collision-resistant structure name (built-in hash() is not): the
-            # blake2b structural fingerprint plus a digest of the machine and
-            # planner parts of the cache key.
-            tail = hashlib.blake2b(repr(key[1:]).encode(), digest_size=8).hexdigest()
-            schedule_key = f"session-plan-{key[0]}-{tail}"
 
-            source, base, report, cached_program, publish = self._acquire_plan(
+            source, base, report, programs, publish = self._acquire_plan(
                 circuit, machine, key, planner_key, backend_obj, manager
             )
             plan = rebind_plan(base, circuit) if source == "local" else base
-            wants_program = compile_programs and backend_obj.uses_programs
-            base_program = cached_program
-            if wants_program and base_program is None:
-                # Nothing compiled for this structure yet: a fresh plan, or a
-                # local entry stored by a job that runs no programs (another
-                # backend — they share the Atlas planner key — or
-                # ``execute=False``).  Compile the entry's own plan once, so
-                # later hits only rebind.
-                base_program = self._program_for(base, machine, reuse=None)
-            if source != "local" or base_program is not cached_program:
+            kind = backend_obj.program_kind
+            held = keep = programs.get(kind)
+            program = None
+            if compile_programs and backend_obj.uses_programs:
+                if kind == "schedule":
+                    program, keep = self._schedule_for(plan, machine, held)
+                else:
+                    program, keep = self._compiled_for(
+                        plan, base, machine, held, source == "local"
+                    )
+            if source != "local" or keep is not held:
                 # A shared hit is stored too, so later same-structure jobs
                 # rebind (and share the program workspace) locally.
-                self.cache.put(key, base, report, base_program)
-            program = None
-            if wants_program and base_program is not None:
-                program = base_program
-                if source == "local":
-                    program = self._program_for(plan, machine, reuse=base_program)
+                self.cache.put(key, base, report, {**programs, kind: keep})
             if publish is not None:
                 # In canonical labels, so any relabeled twin from another
                 # tenant binds the same skeleton.
                 shared_key, mapping = publish
                 self.shared_cache.put(
-                    shared_key, plan_skeleton(relabel_plan(plan, mapping), program)
+                    shared_key,
+                    plan_skeleton(
+                        relabel_plan(plan, mapping),
+                        program if kind == "program" else None,
+                    ),
                 )
             if self.check != "off":
-                self._static_check(plan, machine, circuit, program, backend_name)
+                self._static_check(plan, machine, circuit, program, kind == "schedule")
             hit = source != "built"
-            return plan, None if hit else report, hit, schedule_key, program
+            return plan, None if hit else report, hit, program
 
     def _acquire_plan(
         self,
@@ -672,9 +677,9 @@ class Session:
         """The local cache entry for *circuit*'s structure from the cheapest
         source that has it, counted.
 
-        Returns ``(source, plan, report, program, publish)``.  ``"local"``:
+        Returns ``(source, plan, report, programs, publish)``.  ``"local"``:
         the cached entry — ``plan`` has yet to be rebound to *circuit*, and
-        ``program`` is ``None`` if nothing was compiled for it so far.
+        ``programs`` holds what was lowered for it so far, by kind.
         ``"shared"`` (bound from the cross-tenant store) and ``"built"``:
         ``plan`` is *circuit*'s own and the entry is yet to be stored.
         ``publish`` is ``(shared_key, mapping)`` when a built plan goes to
@@ -683,8 +688,7 @@ class Session:
         cached = self._lookup(self.cache, key)
         if cached is not None:
             self.stats.cache_hits += 1
-            plan, report, program = cached
-            return "local", plan, report, program, None
+            return ("local", *cached, None)
         self.stats.cache_misses += 1
 
         # Local miss: try the cross-tenant shared store under the circuit's
@@ -700,7 +704,7 @@ class Session:
             )
             if plan is not None:
                 self.stats.shared_cache_hits += 1
-                return "shared", plan, None, None, None
+                return "shared", plan, None, {}, None
             self.stats.shared_cache_misses += 1
 
         t0 = time.perf_counter()
@@ -719,17 +723,58 @@ class Session:
         self.stats.plans_built += 1
         # Only pipeline-built plans (the ones with a report) are published;
         # a backend's own partitioner keeps to the local cache.
-        return "built", plan, report, None, shared_slot if report is not None else None
+        return "built", plan, report, {}, shared_slot if report is not None else None
+
+    def _schedule_for(
+        self, plan: ExecutionPlan, machine: MachineConfig, held: "Schedule | None"
+    ) -> "tuple[Schedule, Schedule | None]":
+        """The shard schedule of the job's own *plan*, counted: ``(the
+        job's, the cache entry's)``.
+
+        Acquired once per job: rebound from the entry's *held* schedule (a
+        hit), or built cold (a miss) when the entry has none or the rebind
+        had to build any segment cold.  A cold build becomes the entry's
+        unless a compile failure degraded single segments of it (the
+        executor counts those as it runs them) — the next job then builds
+        cold again rather than rebinding onto the uncompiled path.
+        """
+        schedule = build_schedule(plan, machine.local_qubits, reuse=held)
+        if schedule.rebound:
+            self.stats.schedule_cache_hits += 1
+        else:
+            self.stats.schedule_cache_misses += 1
+        if held is None and not schedule.fallbacks:
+            held = schedule
+        return schedule, held
+
+    def _compiled_for(
+        self, plan: ExecutionPlan, base: ExecutionPlan, machine: MachineConfig,
+        held: "CompiledProgram | None", rebind: bool,
+    ) -> "tuple[CompiledProgram | None, CompiledProgram | None]":
+        """The compiled program of the job's own *plan*: ``(the job's, the
+        cache entry's)``.
+
+        With nothing compiled for the structure yet — a fresh plan, or a
+        local entry stored by a job that ran no program (a sharded backend,
+        they share the Atlas planner key, or ``execute=False``) — the
+        entry's own plan *base* is compiled once, so later hits only
+        rebind.  *rebind*: *plan* is not *base* but a local hit rebound to
+        the job's gates, and so is its program.
+        """
+        if held is None:
+            held = self._program_for(base, machine, None)
+        if rebind and held is not None:
+            return self._program_for(plan, machine, held), held
+        return held, held
 
     def _program_for(
-        self, plan: ExecutionPlan, machine: MachineConfig, reuse: CompiledProgram | None
-    ) -> CompiledProgram | None:
-        """*plan*'s compiled program, counted: compiled from scratch
-        (``reuse=None``) or rebound from the structure's cached program
-        *reuse* — ops whose gates changed get their payload refilled
-        through it, the rest are kept.  ``None`` when lowering fails: the
-        job then runs through the backend's uncompiled path instead of
-        failing, one counted fallback.
+        self, plan: ExecutionPlan, machine: MachineConfig, reuse
+    ) -> "CompiledProgram | None":
+        """*plan* compiled, counted: from scratch (``reuse=None``) or
+        rebound from the structure's cached *reuse* — ops whose gates
+        changed get their payload refilled through it, the rest are kept.
+        ``None`` when lowering fails: the job then runs through the
+        backend's uncompiled path instead of failing, one counted fallback.
         """
         t0 = time.perf_counter()
         try:
@@ -770,9 +815,9 @@ class Session:
             self._session_fallbacks += 1
             return None
 
-    #: Backends whose execution shards the state across workers — the ones
-    #: whose schedules the ``check="full"`` race detector verifies, and whose
-    #: device working set is shard buffers rather than the full state.
+    #: Backends the admission model charges shard buffers rather than the
+    #: full state (everything else about sharded execution follows the
+    #: backend object's ``program_kind``).
     _SHARDED_BACKENDS = ("offload", "parallel")
 
     def _static_check(
@@ -780,30 +825,27 @@ class Session:
         plan: ExecutionPlan,
         machine: MachineConfig,
         circuit: Circuit,
-        program: "CompiledProgram | None",
-        backend_name: str,
+        program: "CompiledProgram | Schedule | None",
+        sharded: bool,
     ) -> None:
         """Run the configured static checks; raise
         :class:`~repro.errors.StaticCheckError` on the first failed report.
 
         ``"plans"`` verifies the plan IR; ``"full"`` additionally verifies
-        the compiled op stream (when one was built) and — on the sharded
-        backends — the shard schedule's write exclusivity.  The machine's
+        the compiled op stream (when one was built) and — *sharded*: the
+        backend runs a schedule — the shard schedule's write exclusivity.  The machine's
         locality bound applies only where execution shards the state;
         in-core backends verify against each stage's own partition.
         """
         from ..check import verify_plan, verify_program, verify_schedule
 
-        sharded = (
-            backend_name in self._SHARDED_BACKENDS
-            and machine.local_qubits < plan.num_qubits
-        )
+        sharded = sharded and machine.local_qubits < plan.num_qubits
         self.stats.static_checks += 1
         report = verify_plan(
             plan, machine=machine if sharded else None, circuit=circuit
         )
         if self.check == "full":
-            if program is not None:
+            if isinstance(program, CompiledProgram):
                 report.merge(
                     verify_program(
                         program, plan=plan,
@@ -1069,7 +1111,8 @@ class Session:
         """Run the planned items as one batch on the admitted backend
         (``chain[-1]``); returns ``(outs, wall_seconds)``.  A real
         allocation failure degrades down the backend chain — appending to
-        *chain* — and re-runs the batch.
+        *chain* — and re-runs the batch, planned again for the successor (a
+        cache hit that binds the kind of program *it* runs).
         """
         t0 = time.perf_counter()
         while True:
@@ -1077,7 +1120,6 @@ class Session:
                 outs = self.backend_instance(chain[-1]).run_batch(
                     [(item.plan, item.state, item.circuit) for item in items],
                     req.machine,
-                    schedule_keys=[item.schedule_key for item in items],
                     programs=[item.program for item in items],
                     deadline=req.deadline,
                     checkpoint=req.checkpoint,
@@ -1092,6 +1134,7 @@ class Session:
                     raise
                 chain.append(successors[0])
                 self._session_fallbacks += 1
+                items = self._plan_items(req, chain[-1])
         execute_seconds = time.perf_counter() - t0
         self.stats.execute_seconds += execute_seconds
         self.stats.backend_runs[chain[-1]] = (
@@ -1149,9 +1192,6 @@ class Session:
         for key, value in recovery_after.items():
             setattr(stats, key, value)
         if isinstance(backend_obj, ParallelBackend):
-            stats.schedule_cache_hits, stats.schedule_cache_misses = (
-                backend_obj.schedule_cache_counters()
-            )
             stats.exec_lock_acquisitions, stats.exec_lock_wait_seconds = (
                 backend_obj.exec_lock_counters()
             )

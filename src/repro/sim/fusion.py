@@ -641,8 +641,8 @@ def apply_lowered_items(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply lowered *items* in order; returns ``(state, scratch)`` with
     the ping-pong roles possibly swapped (the interpreter's counterpart of
-    :func:`repro.sim.program.compile_lowered_op`: the same templates,
-    bound per item object as it is met)."""
+    the plan compiler's item slots: the same templates, bound per item
+    object as it is met)."""
     for item in items:
         physical = (
             item.qubits if logical_to_physical is None

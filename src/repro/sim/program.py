@@ -34,7 +34,7 @@ compilation lives in :mod:`repro.runtime.compile`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,10 +53,6 @@ from .apply import (
 )
 from .statevector import StateVector
 
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .fusion import LoweredItem
-
 __all__ = [
     "CompiledOp",
     "CompiledProgram",
@@ -67,8 +63,6 @@ __all__ = [
     "unitary_template",
     "monomial_template",
     "compile_unitary_op",
-    "compile_monomial_op",
-    "compile_lowered_op",
     "compile_layout_op",
     "release_thread_workspace",
     "thread_workspace",
@@ -85,37 +79,6 @@ def compile_unitary_op(
     """Lower one unitary application to a :class:`CompiledOp`:
     :func:`unitary_template` bound to *matrix*."""
     return unitary_template(matrix, qubits, n).op(matrix, source, gates)
-
-
-def compile_monomial_op(
-    perm: "Sequence[int] | None",
-    phases: np.ndarray,
-    qubits: Sequence[int],
-    n: int,
-    source: tuple | None = None,
-    gates: "tuple | None" = None,
-) -> CompiledOp:
-    """Lower one monomial block to a ``diagonal`` or ``permutation`` op:
-    :func:`monomial_template` bound to *phases*."""
-    return monomial_template(perm, qubits, n).op(phases, source, gates)
-
-
-def compile_lowered_op(
-    item: "LoweredItem",
-    logical_to_physical: "Mapping[int, int]",
-    n: int,
-    source: tuple | None = None,
-) -> CompiledOp:
-    """Lower one item of :func:`repro.sim.fusion.lower_kernel_gates` in a
-    stage's layout: a monomial block through :func:`compile_monomial_op`, a
-    dense gate or fold through :func:`compile_unitary_op`.  The op records the
-    item's gates, so a rebind reuses it whenever they compare equal."""
-    physical = tuple(logical_to_physical[q] for q in item.qubits)
-    if item.matrix is None:
-        return compile_monomial_op(
-            item.perm, item.phases, physical, n, source, item.gates
-        )
-    return compile_unitary_op(item.matrix, physical, n, source, item.gates)
 
 
 def compile_layout_op(

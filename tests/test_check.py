@@ -722,7 +722,7 @@ class TestLintRepro:
             lint, "sim/fusion.py",
             "def lower_kernel_gates(gates):\n"
             "    return [g.matrix() for g in gates]\n"
-            "def fused_unitary(gates):\n"
+            "def fill_fused_unitary(fusion, gates):\n"
             "    for gate in gates:\n"
             "        apply(gate.matrix())\n",
         )
@@ -753,6 +753,51 @@ class TestLintRepro:
         # ... but only loops under sim/ and runtime/ count.
         elsewhere = self.write(lint, "analysis/tools.py", copy.read_text())
         assert lint.check_one_kernel_lowering([elsewhere]) == []
+
+    def test_second_segment_compiler_flagged(self, lint):
+        home = self.write(
+            lint, "runtime/compile.py",
+            "def add_kernel(gates, l2p):\n"
+            "    return [monomial_template(i.perm, i.qubits, 5) for i in kernel_lowering(gates, l2p)]\n",
+        )
+        offload = self.write(
+            lint, "runtime/offload.py",
+            "from .compile import SegmentStructure\n"
+            "def compile_segment_ops(groups, l2p, local, reuse=None):\n"
+            "    return SegmentStructure(groups, l2p, local)\n"
+            "def execute(plan, schedule=None):\n"
+            "    return schedule\n",
+        )
+        interpreter = self.write(
+            lint, "sim/fusion.py", "def step(gate):\n    return gate_step(gate, (0,), 1)\n"
+        )
+        files = [home, offload, interpreter]
+        assert lint.check_one_segment_compiler(files) == []
+        # The hand-rolled segment walk growing back beside the slots, and
+        # the second cache's key threaded towards a runtime.
+        offload.write_text(
+            "def compile_segment_ops(groups, l2p, local):\n"
+            "    for gates, _ktype in groups:\n"
+            "        for item in fusion.kernel_lowering(gates, l2p):\n"
+            "            yield unitary_template(item.matrix, item.qubits, local)\n"
+        )
+        session = self.write(
+            lint, "session/session.py",
+            "def run(backend, plan, key):\n"
+            "    return backend.run_plan(plan, schedule_key=key)\n",
+        )
+        findings = lint.check_one_segment_compiler(files + [session])
+        assert {f.rule for f in findings} == {"one-segment-compiler"}
+        assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            ("src/repro/runtime/offload.py", 3, "kernel_lowering"),
+            ("src/repro/runtime/offload.py", 4, "unitary_template"),
+            ("src/repro/session/session.py", 2, "schedule_key"),
+        ]
+        # The compiler moving away is flagged too.
+        home.write_text("def add_kernel(gates, l2p):\n    return []\n")
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_segment_compiler([home])] == [
+            "compile:missing"
+        ]
 
     def test_lowering_call_without_the_layout_flagged(self, lint):
         # The dense fold pairs gates by physical position: a call site that

@@ -347,7 +347,7 @@ class TestIntegrityMonitor:
 #: The OffloadStats fields that describe the run, not the executor.
 STATS_FIELDS = (
     "num_stages", "per_stage_loads", "shard_loads", "shard_stores",
-    "bytes_transferred", "retries", "checkpoints_written",
+    "bytes_transferred", "retries", "fallbacks", "checkpoints_written",
     "resumed_from_stage", "stages_skipped", "integrity_checks",
 )
 
@@ -355,8 +355,8 @@ STATS_FIELDS = (
 def execute_on(executor, plan, machine, fault=None, **kwargs):
     """Run *plan* on ``"offload"`` or a W-worker ParallelRuntime.
 
-    Returns ``(state, stats, compile_fallbacks)``; the fallback count lives
-    on the stats for offload and on the runtime for parallel.
+    Returns ``(state, stats, compile_fallbacks)``; both executors report
+    the segments their schedule degraded on the stats of the execution.
     """
     injector = FaultInjector(fault) if fault else None
     if injector is not None:
@@ -364,15 +364,14 @@ def execute_on(executor, plan, machine, fault=None, **kwargs):
     try:
         if executor == "offload":
             state, stats = execute_plan_offloaded(plan, machine, **kwargs)
-            fallbacks = stats.fallbacks
         else:
             with ParallelRuntime(machine, num_workers=executor) as runtime:
                 state, stats = runtime.execute(plan, **kwargs)
-                fallbacks = runtime.fallbacks
+                assert runtime.fallbacks == stats.fallbacks  # the lifetime sum
     finally:
         if injector is not None:
             faults.deactivate(injector)
-    return np.asarray(state.data).copy(), stats, fallbacks
+    return np.asarray(state.data).copy(), stats, stats.fallbacks
 
 
 def assert_same_run(got, want):

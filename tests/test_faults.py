@@ -440,6 +440,32 @@ class TestGracefulDegradation:
             with pytest.raises(AdmissionError):
                 session.run(sweep)
 
+    def test_allocation_failure_degrades_to_the_next_backend(
+        self, machine, sweep, reference_states, monkeypatch
+    ):
+        # A real MemoryError out of the in-core backend: the batch re-runs on
+        # `offload`, planned again for it — the in-core items carry compiled
+        # programs, which a sharded backend must never be handed as its
+        # schedule.
+        from repro.session.backends import InCoreBackend
+
+        def out_of_memory(self, *args, **kwargs):
+            raise MemoryError("device allocation failed")
+
+        monkeypatch.setattr(InCoreBackend, "run_batch", out_of_memory)
+        with make_session(machine, "incore", None) as session:
+            job = session.run(sweep)
+            assert job.backend == "offload"
+            assert job[0].recovery["backend_chain"] == ["incore", "offload"]
+            assert job[0].recovery["fallbacks"] == 1
+            assert session.stats.programs_compiled == 1
+            assert session.stats.schedule_cache_misses == 1
+            for result, expected in zip(job, reference_states["offload"]):
+                assert np.array_equal(result.state.data, expected)
+        with make_session(machine, "incore", None, degrade=False) as session:
+            with pytest.raises(MemoryError):
+                session.run(sweep)
+
     def test_program_failure_falls_back_to_interpreter(self, machine, sweep):
         with make_session(machine, "incore", None) as clean_session:
             clean = [r.state.data.copy() for r in clean_session.run(sweep)]

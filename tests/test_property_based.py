@@ -25,7 +25,7 @@ from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered
 from repro.sim.fusion import apply_lowered_items, lower_kernel_gates
-from repro.sim.program import Workspace, compile_lowered_op
+from repro.sim.program import Workspace, compile_unitary_op, monomial_template
 from repro.circuits.gates import GATE_SPECS, gate_matrix
 
 # Hypothesis settings: these tests build circuits and run simulators, so we
@@ -177,7 +177,12 @@ class TestLoweringProperties:
             )
             state, scratch, ws = init.data.copy(), np.empty_like(init.data), Workspace()
             for item in items:
-                state, scratch = compile_lowered_op(item, l2p, n).run(state, scratch, ws)
+                physical = tuple(l2p[q] for q in item.qubits)
+                if item.matrix is None:
+                    op = monomial_template(item.perm, physical, n).op(item.phases)
+                else:
+                    op = compile_unitary_op(item.matrix, physical, n)
+                state, scratch = op.run(state, scratch, ws)
         assert np.array_equal(state, lowered)
         per_gate, scratch = init.data.copy(), np.empty_like(init.data)
         for gate in gates:

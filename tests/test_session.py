@@ -342,6 +342,26 @@ class TestSessionJobs:
         for circuit, result in zip(sweep, job):
             assert simulate_reference(circuit).allclose(result.state)
 
+    def test_sweep_through_offload_backend_shares_schedule(self):
+        """The sequential executor had no cache at all; its schedule is the
+        same plan-cache object the parallel backend's is."""
+        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
+        sweep = [vqc(8, seed=s) for s in range(4)]
+        with _session(machine, backend="offload") as session:
+            job = session.run(sweep)
+            assert session.stats.schedule_cache_misses == 1
+            assert session.stats.schedule_cache_hits == len(sweep) - 1
+            with _session(machine, backend="parallel") as twin:
+                assert np.array_equal(
+                    twin.run(sweep[-1]).result().state.data, job.results()[-1].state.data
+                )
+            # ... and parallel jobs of this session rebind the very same one.
+            session.run(sweep[0], backend="parallel")
+            assert session.stats.schedule_cache_misses == 1
+            assert session.stats.schedule_cache_hits == len(sweep)
+        for circuit, result in zip(sweep, job):
+            assert simulate_reference(circuit).allclose(result.state)
+
     def test_one_circuit_many_initial_states(self, sweep_machine):
         circuit = qft(8)
         inits = [StateVector.random_state(8, seed=s) for s in range(3)]
@@ -610,82 +630,94 @@ ACQUISITION_GOLDENS = {
             shared_cache_misses=1),
     },
     ('offload', False): {
-        'cold': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fusion_cache_misses=5, jobs=1, plan_seconds=True,
+        'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
+            circuits_run=1, execute_seconds=True, fusion_cache_misses=5, jobs=1,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, schedule_cache_misses=1,
+            shared_cache_misses=1),
+        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
+            cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
+            fusion_cache_misses=5, jobs=2, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=1, shared_cache_misses=1),
-        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=1,
-            cache_misses=1, circuits_run=2, execute_seconds=True,
-            fusion_cache_misses=10, jobs=2, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=1, shared_cache_misses=1),
+            plans_built=1, schedule_cache_hits=1, schedule_cache_misses=1,
+            shared_cache_misses=1),
         'plan-only': dict(backend_runs={'offload': 2},
             cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
-            circuits_run=3, execute_seconds=True, fusion_cache_misses=10, jobs=3,
+            circuits_run=3, execute_seconds=True, fusion_cache_misses=5, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
-        'local-hit-no-program': dict(backend_runs={'offload': 3}, cache_hit_rate=0.5,
-            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
-            fusion_cache_misses=11, jobs=4, plan_seconds=True,
+            'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
+            schedule_cache_misses=1, shared_cache_misses=2),
+        'local-hit-no-program': dict(backend_runs={'offload': 3},
+            cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
+            execute_seconds=True, fusion_cache_misses=6, jobs=4, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, shared_cache_misses=2),
-        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fusion_cache_misses=16, jobs=1, shared_cache_hits=1),
-        'relabelled-shared-hit': dict(backend_runs={'offload': 2}, cache_misses=2,
-            circuits_run=2, execute_seconds=True, fusion_cache_misses=21, jobs=2,
+            plans_built=2, schedule_cache_hits=1, schedule_cache_misses=2,
+            shared_cache_misses=2),
+        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
+            circuits_run=1, execute_seconds=True, fusion_cache_misses=11, jobs=1,
+            schedule_cache_misses=1, shared_cache_hits=1),
+        'relabelled-shared-hit': dict(backend_runs={'offload': 2},
+            cache_misses=2, circuits_run=2, execute_seconds=True,
+            fusion_cache_misses=16, jobs=2, schedule_cache_misses=2,
             shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
-            execute_seconds=True, fallbacks=1, fusion_cache_misses=26, jobs=5,
+            execute_seconds=True, fallbacks=1, fusion_cache_misses=21, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, shared_cache_hits=1,
-            shared_cache_misses=2),
+            'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
+            schedule_cache_misses=3, shared_cache_hits=1, shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
-            fusion_cache_hits=1, fusion_cache_misses=26, jobs=3, plan_seconds=True,
+            fusion_cache_hits=1, fusion_cache_misses=21, jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=1, shared_cache_hits=2, shared_cache_misses=1),
+            plans_built=1, schedule_cache_misses=3, shared_cache_hits=2,
+            shared_cache_misses=1),
     },
     ('offload', True): {
-        'cold': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fallbacks=1, faults_injected=1, fusion_cache_hits=3,
-            fusion_cache_misses=5, jobs=1, plan_seconds=True,
+        'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
+            circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
+            fusion_cache_hits=3, fusion_cache_misses=5, jobs=1, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=1, shared_cache_misses=1),
-        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=1,
-            cache_misses=1, circuits_run=2, execute_seconds=True, fallbacks=2,
-            faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=10, jobs=2,
-            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, shared_cache_misses=1),
+            plans_built=1, schedule_cache_misses=1, shared_cache_misses=1),
+        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
+            cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
+            fallbacks=2, faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=10,
+            jobs=2, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=1, schedule_cache_misses=2,
+            shared_cache_misses=1),
         'plan-only': dict(backend_runs={'offload': 2},
             cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
             circuits_run=3, execute_seconds=True, fallbacks=2, fusion_cache_hits=6,
             fusion_cache_misses=10, jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, shared_cache_misses=2),
-        'local-hit-no-program': dict(backend_runs={'offload': 3}, cache_hit_rate=0.5,
-            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
-            fallbacks=3, faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=11,
-            jobs=4, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
-        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fallbacks=1, faults_injected=1, fusion_cache_hits=9,
-            fusion_cache_misses=16, jobs=1, shared_cache_hits=1),
-        'relabelled-shared-hit': dict(backend_runs={'offload': 2}, cache_misses=2,
-            circuits_run=2, execute_seconds=True, fallbacks=2, faults_injected=1,
-            fusion_cache_hits=12, fusion_cache_misses=21, jobs=2, shared_cache_hits=2),
+            plans_built=2, schedule_cache_misses=2, shared_cache_misses=2),
+        'local-hit-no-program': dict(backend_runs={'offload': 3},
+            cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
+            execute_seconds=True, fallbacks=3, faults_injected=1, fusion_cache_hits=6,
+            fusion_cache_misses=11, jobs=4, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=2, schedule_cache_misses=3, shared_cache_misses=2),
+        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
+            circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
+            fusion_cache_hits=9, fusion_cache_misses=16, jobs=1,
+            schedule_cache_misses=1, shared_cache_hits=1),
+        'relabelled-shared-hit': dict(backend_runs={'offload': 2},
+            cache_misses=2, circuits_run=2, execute_seconds=True, fallbacks=2,
+            faults_injected=1, fusion_cache_hits=12, fusion_cache_misses=21, jobs=2,
+            schedule_cache_misses=2, shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
             execute_seconds=True, fallbacks=5, faults_injected=1, fusion_cache_hits=15,
             fusion_cache_misses=26, jobs=5, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, shared_cache_hits=1, shared_cache_misses=2),
+            plans_built=2, schedule_cache_misses=4, shared_cache_hits=1,
+            shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
             faults_injected=1, fusion_cache_hits=16, fusion_cache_misses=26, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, shared_cache_hits=2,
-            shared_cache_misses=1),
+            'kernelize', 'stage'], plans_built=1, schedule_cache_misses=3,
+            shared_cache_hits=2, shared_cache_misses=1),
     },
 }
 
@@ -699,6 +731,16 @@ class TestPlanAcquisitionMatrix:
     equal the golden recorded at the commit before ``plan_for`` became one
     flow (three copy-pasted branches then), and every state must be
     bit-equal to a fresh single-session run of the same circuit.
+
+    The two ``('offload', ...)`` goldens were re-recorded when the shard
+    schedule moved into the plan cache (the ``('incore', ...)`` ones are
+    the original recording): ``schedule_cache_hits`` / ``_misses`` now
+    count the offload backend's schedule acquisitions (a fault-degraded
+    schedule is never kept, so every step of the faulted walk is a miss),
+    and a local hit rebinds the cached schedule's fused kernels instead of
+    going through the fused-unitary memo, so the clean walk's
+    ``fusion_cache_misses`` read what the in-core walk's do.  Every other
+    number, the fallback counts included, is what it was.
     """
 
     N = 8

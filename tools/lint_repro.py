@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Eleven rules, each enforcing an invariant the execution layer depends on
+Twelve rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -41,17 +41,32 @@ Eleven rules, each enforcing an invariant the execution layer depends on
     ``<gate>.matrix()`` — iterating a kernel's or group's gates to apply
     them — exists only inside the two kernel lowerings of
     ``sim/fusion.py``, each a structure builder plus its numeric fill:
-    ``kernel_lowering`` / ``fill_lowered_item`` behind
-    ``lower_kernel_gates`` (shared-memory kernels) and ``kernel_fusion`` /
-    ``fill_fused_unitary`` behind ``fused_unitary`` (fusion kernels); the
-    dynamic per-shard path ``_gate_on_shard`` resolves one gate per call
-    and is the only other place a gate matrix is applied.  A second such loop is a
+    ``kernel_lowering`` / ``fill_lowered_item`` (shared-memory kernels;
+    ``lower_kernel_gates`` is their memoized front door) and
+    ``kernel_fusion`` / ``fill_fused_unitary`` (fusion kernels) — the four
+    the plan compiler's slots, and through them ``compile_segment_ops``,
+    call; the dynamic per-shard path ``_gate_on_shard`` resolves one gate
+    per call and is the only other place a gate matrix is applied.  A second such loop is a
     gate-at-a-time executor growing back beside the lowering every
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
     the linted set contains ``sim/fusion.py``.  Anywhere in the package, a
     call of ``lower_kernel_gates`` / ``kernel_lowering`` passes the stage
     layout: the dense fold pairs gates by physical position.
+
+``one-segment-compiler``
+    Under ``runtime/``, ``unitary_template`` / ``monomial_template`` /
+    ``gate_step`` / ``kernel_lowering`` / ``kernel_fusion`` — the calls
+    that turn gates into op templates — are made from
+    ``runtime/compile.py`` and nowhere else: a shards-segment is compiled
+    by the slots a plan is (``SegmentStructure``), so one of them called
+    from ``runtime/offload.py`` or ``runtime/parallel.py`` is the second
+    segment compiler growing back.  And the text ``schedule_key`` appears
+    nowhere under ``src/``: a shard schedule lives in the Session plan
+    cache and reaches the executors as ``schedule=``; a structure-name
+    string threaded towards a runtime is the second cache's plumbing.
+    Checked across files; ``runtime/compile.py`` making none of the calls
+    means the compiler moved without this rule following it.
 
 ``one-kernel-set``
     Under ``sim/``, ``runtime/`` and ``analysis/`` there is one
@@ -174,10 +189,16 @@ KERNEL_LOWERING_HOME = "sim/fusion.py"
 #: builder it delegates the gate loop to), and every other licensed site.
 SHM_LOWERING_SITES = ("lower_kernel_gates", "kernel_lowering")
 KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
-    "fill_lowered_item", "fused_unitary", "kernel_fusion", "fill_fused_unitary",
-    "_gate_on_shard",
+    "fill_lowered_item", "kernel_fusion", "fill_fused_unitary", "_gate_on_shard",
 )
 
+SEGMENT_COMPILER_SCOPE = "runtime/"
+SEGMENT_COMPILER_HOME = "runtime/compile.py"
+SEGMENT_COMPILER_CALLS = {
+    "unitary_template", "monomial_template", "gate_step", "kernel_lowering",
+    "kernel_fusion",
+}
+SCHEDULE_KEY_WORD = "schedule_key"
 
 KERNEL_SET_SCOPE = ("sim/", "runtime/", "analysis/")
 KERNEL_SET_HOME = "sim/apply.py"
@@ -392,6 +413,55 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
                 "lower_kernel_gates:missing",
             )
         )
+    return findings
+
+
+def check_one_segment_compiler(files: list[Path]) -> list[Finding]:
+    """The ``one-segment-compiler`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
+        source = path.read_text()
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if SCHEDULE_KEY_WORD in line:
+                findings.append(
+                    Finding(
+                        rel, lineno, "one-segment-compiler",
+                        f"`{SCHEDULE_KEY_WORD}` under src/: a shard schedule lives "
+                        f"in the Session plan cache and reaches the executors as "
+                        f"`schedule=`, not as a key into a second cache",
+                        SCHEDULE_KEY_WORD,
+                    )
+                )
+        if not rel_src.startswith(SEGMENT_COMPILER_SCOPE):
+            continue
+        calls = [
+            node for node in ast.walk(ast.parse(source, filename=str(path)))
+            if isinstance(node, ast.Call) and _call_name(node) in SEGMENT_COMPILER_CALLS
+        ]
+        if rel_src == SEGMENT_COMPILER_HOME:
+            if not calls:
+                findings.append(
+                    Finding(
+                        rel, 0, "one-segment-compiler",
+                        f"{SEGMENT_COMPILER_HOME} calls no template builder: the "
+                        f"plan compiler moved without this rule following it",
+                        "compile:missing",
+                    )
+                )
+            continue
+        for node in calls:
+            findings.append(
+                Finding(
+                    rel, node.lineno, "one-segment-compiler",
+                    f"`{_call_name(node)}` called outside {SEGMENT_COMPILER_HOME}: "
+                    f"shards-segments compile through its slots "
+                    f"(SegmentStructure), not through a second walk",
+                    _call_name(node),
+                )
+            )
     return findings
 
 
@@ -877,6 +947,7 @@ def main(argv: list[str] | None = None) -> int:
         findings.extend(check_file(path))
     findings.extend(check_one_stage_loop(files))
     findings.extend(check_one_kernel_lowering(files))
+    findings.extend(check_one_segment_compiler(files))
     findings.extend(check_one_kernel_set(files))
     findings.extend(check_one_op_body(files))
     findings.extend(check_one_planning_surface(files))
