@@ -47,9 +47,12 @@ preserves:
   :class:`repro.sim.CompiledProgram` and re-executed many times versus the
   per-gate interpreter (`execute_plan(compiled=False)`), program rebind
   cost, and batched ``(B, 2^n)`` execution versus a B-loop of single-state
-  runs.  The ``--quick`` gate requires compiled re-execution ≥ 2x over the
-  interpreter (and ≥ 2x over the committed session baseline's warm
-  per-circuit execution when present), batched execution ≥ 1.5x over the
+  runs.  The ``--quick`` gate requires a compiled program never to be
+  slower than the interpreter on the same plan (both bind the same kernel
+  ops, so the ratio says what compiling saves in dispatch, whatever the
+  kernels cost; a ratio, with the ``--threshold`` slack) nor than the
+  committed session baseline's warm per-circuit execution when present,
+  batched execution ≥ 1.5x over the
   loop at B=16, and agreement across the incore (compiled vs interpreted,
   bit-exact), batched-vs-looped (tight tolerance — the B-wide gemm fold
   can change BLAS summation order), offload, and parallel (W ∈ {1,2,4},
@@ -63,16 +66,26 @@ preserves:
   The ``--quick`` gate requires ``rebind_fallbacks == 0`` exactly, a rebind
   to stay under one cold compile plus two runs, and ``rebind_seconds`` not
   to exceed the committed baseline's by more than ``--threshold``;
-* **kernel_lowering** — shared-memory kernels as one op per monomial run:
+* **kernel_lowering** — shared-memory kernels as one op each:
   qft / ising / su2random planned in-core, their compiled op stream
-  (:func:`repro.sim.fusion.lower_kernel_gates` items) against a per-gate
+  (one kernel op per shared-memory kernel, applying the items of
+  :func:`repro.sim.fusion.lower_kernel_gates`) against a per-gate
   reference stream built here — one op per gate of every shared-memory
   kernel, what the compiler emitted before the lowering.  Reports gates,
   ops emitted and the exact fold (gates per op as a count pair), and the
   lowered-vs-per-gate seconds.  The ``--quick`` gate requires the fold
   counts to equal the committed baseline's **exactly** (they are a
   property of plan and lowering, not of the host) and the speedup not to
-  fall behind the baseline's by more than ``--threshold``.
+  fall behind the baseline's by more than ``--threshold``;
+* **sm_kernel** — the two bodies of the kernel op, per shared-memory kernel
+  of qft / ising / su2random (16 qubits with ``--quick``; 16, 17 and 20 in
+  the full run): its item count and what one application costs in state
+  copies through the native body (one pass over the state) and through the
+  item loop (a sweep per item).  The ``--quick`` gate is a ratio within the
+  run: on every kernel of three or more items the native body is at least
+  as fast as the item loop.  Skipped — recorded as unavailable, with the
+  reason — where :func:`repro.sim.native.status` says the library could
+  not be built.
 
 Usage::
 
@@ -122,8 +135,10 @@ from repro.session.cache import rebind_plan
 from repro.runtime.sharding import QubitLayout, permute_state
 from repro.sim import StateVector, apply_matrix_reference, expand_matrix, kernel_qubits
 from repro.sim import apply as apply_mod
-from repro.sim.program import compile_unitary_op
-from repro.sim.apply import apply_gate_buffered, apply_matrix
+from repro.sim import native
+from repro.sim.fusion import kernel_items, lower_kernel_gates
+from repro.sim.program import Workspace, compile_unitary_op
+from repro.sim.apply import apply_gate_buffered, apply_matrix, kernel_template
 from repro.circuits.gates import gate_matrix
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_simcore.json"
@@ -768,6 +783,47 @@ def run_kernel_lowering_bench(num_qubits: int, repeats: int = 3) -> dict:
     return out
 
 
+def run_sm_kernel_bench(num_qubits: int, repeats: int = 3) -> dict:
+    """The kernel op's two bodies, per shared-memory kernel of the lowering
+    families' in-core plans: items, and one application in state copies
+    through the native body and through the item loop."""
+    status = native.status()
+    if not status["available"]:
+        return {"available": False, "reason": status["reason"]}
+    machine = MachineConfig.for_circuit(num_qubits)
+    ws = Workspace()
+    state, scratch = ws.pair(1 << num_qubits)
+    state[:] = 1.0 / (1 << (num_qubits // 2))
+    copy_seconds = _best_seconds(lambda: np.copyto(scratch, state), 3 * repeats)
+    families = {}
+    for family, factory in LOWERING_FAMILIES.items():
+        plan, _ = partition(factory(num_qubits), machine)
+        (stage,) = plan.stages
+        l2p = stage.partition.logical_to_physical()
+        rows = []
+        for kernel in stage.kernels:
+            if kernel.kernel_type is not KernelType.SHM:
+                continue
+            items = lower_kernel_gates(kernel.gates, l2p)
+            template = kernel_template(kernel_items(items, l2p), num_qubits)
+            bodies = {"native": template.bind(items), "item_loop": template.item_loop(items)}
+            seconds = dict.fromkeys(bodies, float("inf"))
+            for _ in range(repeats):  # alternated: host noise hits both alike
+                for name, run in bodies.items():
+                    seconds[name] = min(
+                        seconds[name], _best_seconds(lambda: run(state, scratch, ws), 1)
+                    )
+            rows.append({
+                "qubits": len(kernel.qubits),
+                "items": len(items),
+                "native": template.native,
+                "native_copies": seconds["native"] / copy_seconds,
+                "item_loop_copies": seconds["item_loop"] / copy_seconds,
+            })
+        families[family] = rows
+    return {"available": True, "copy_seconds": copy_seconds, "families": families}
+
+
 # ---------------------------------------------------------------------------
 # Planning-pipeline benchmark (cold path)
 # ---------------------------------------------------------------------------
@@ -971,15 +1027,19 @@ def check_regression(
                     f"bit-exact with the sequential executor"
                 )
     # Compiled-program invariants are current-run properties (measured
-    # within one run, so host speed cancels): compiled re-execution must
-    # beat the per-gate interpreter >= 2x, batched (B, 2^n) execution must
-    # beat the B-loop >= 1.5x, and every path must stay bit-exact.
+    # within one run, so host speed cancels): a compiled program is never
+    # slower than the interpreter on the same plan (they bind the same
+    # kernel ops — the margin is dispatch, and shrinks whenever the shared
+    # engine improves, so what is protected is the order, within the
+    # threshold's slack), batched (B, 2^n) execution must beat the B-loop
+    # >= 1.5x, and every path must stay bit-exact.
     for size, comp in current.get("compile", {}).items():
-        if comp["speedup_vs_interpreted"] < 2.0:
+        if comp["speedup_vs_interpreted"] * threshold < 1.0:
             problems.append(
-                f"compile[{size}]: compiled re-execution only "
-                f"{comp['speedup_vs_interpreted']:.2f}x over the interpreter "
-                f"(< 2x)"
+                f"compile[{size}]: compiled re-execution is slower than the "
+                f"interpreter on the same plan "
+                f"({comp['speedup_vs_interpreted']:.2f}x, beyond the "
+                f"{threshold}x slack)"
             )
         if comp["batched"]["speedup_vs_loop"] < 1.5:
             problems.append(
@@ -1011,11 +1071,9 @@ def check_regression(
                 )
         # Cross-check against the committed session baseline: compiled
         # re-execution of the same VQC family must never fall behind the
-        # committed sweep's warm per-circuit execution cost.  (The >= 2x
-        # claim is carried by the interpreter comparison above: the
-        # interpreter *is* the session execution path before the compile
-        # layer, measured in this same run; once the committed baseline is
-        # itself compiled-backed, per-circuit parity is the invariant.)
+        # committed sweep's warm per-circuit execution cost (the committed
+        # baseline is itself compiled-backed: per-circuit parity is the
+        # invariant).
         base_sess = baseline.get("session", {}).get(size)
         if base_sess is not None and base_sess["num_qubits"] == comp["num_qubits"]:
             per_circuit = base_sess["execute_seconds_warm"] / base_sess["sweep_size"]
@@ -1090,6 +1148,19 @@ def check_regression(
                     f"stream vs baseline {old['speedup_vs_per_gate']:.2f}x "
                     f"(>{threshold}x regression)"
                 )
+    # The kernel op's native body against its item loop, kernel by kernel:
+    # a ratio within the run, asked only where there is more than a sweep
+    # or two to save.
+    for size, section in current.get("sm_kernel", {}).items():
+        for family, kernels in section.get("families", {}).items():
+            for index, kernel in enumerate(kernels):
+                if kernel["items"] >= 3 and kernel["native_copies"] > kernel["item_loop_copies"]:
+                    problems.append(
+                        f"sm_kernel[{size}][{family}][{index}]: {kernel['items']} "
+                        f"items cost {kernel['native_copies']:.2f} state copies "
+                        f"through the native body, {kernel['item_loop_copies']:.2f} "
+                        f"through the item loop (native slower)"
+                    )
     # Wide-kernel micro pin: fused 3q matrices route through single-GEMM
     # dense plans and must stay comfortably ahead of the tensordot
     # reference (they were ~1.2x before the routing, ~4x after).
@@ -1239,6 +1310,7 @@ def run_suite(
     compile_batch: int = 16,
     planner_sweep: list[tuple[str, int]] | None = None,
     lowering_sizes: list[int] | None = None,
+    sm_kernel_sizes: list[int] | None = None,
 ) -> dict:
     offload_sizes = offload_sizes or []
     session_sizes = session_sizes or []
@@ -1253,7 +1325,7 @@ def run_suite(
         else {}
     )
     return {
-        "schema": 10,
+        "schema": 11,
         "cpu_count": os.cpu_count(),
         "config": {
             "micro_qubits": micro_sizes,
@@ -1265,6 +1337,7 @@ def run_suite(
             "compile_batch": compile_batch,
             "planner_sweep": [list(e) for e in planner_sweep],
             "lowering_qubits": lowering_sizes or [],
+            "sm_kernel_qubits": sm_kernel_sizes or [],
             "repeats": repeats,
         },
         "micro": {str(n): run_micro(n, repeats) for n in micro_sizes},
@@ -1287,6 +1360,9 @@ def run_suite(
         "kernel_lowering": {
             str(n): run_kernel_lowering_bench(n, max(2, repeats - 2))
             for n in lowering_sizes or []
+        },
+        "sm_kernel": {
+            str(n): run_sm_kernel_bench(n, repeats) for n in sm_kernel_sizes or []
         },
     }
 
@@ -1353,6 +1429,7 @@ def main(argv: list[str] | None = None) -> int:
         compile_sizes = [min(args.compile_qubits, 10)]
         planner_sweep = PLAN_SWEEP_QUICK
         lowering_sizes = [min(args.lowering_qubits, 14)]
+        sm_kernel_sizes = [16]
         args.repeats = min(args.repeats, 3)
     else:
         # The full run also measures the quick sizes so `--quick` always has
@@ -1367,6 +1444,9 @@ def main(argv: list[str] | None = None) -> int:
         compile_sizes = sorted({10, args.compile_qubits})
         planner_sweep = PLAN_SWEEP_FULL
         lowering_sizes = sorted({14, args.lowering_qubits})
+        # The shard size of the repo benchmark's shard-stream workload and
+        # the state size of its in-core one.
+        sm_kernel_sizes = [16, 17, 20]
 
     results = run_suite(
         micro_sizes,
@@ -1379,6 +1459,7 @@ def main(argv: list[str] | None = None) -> int:
         args.compile_batch,
         planner_sweep,
         lowering_sizes,
+        sm_kernel_sizes,
     )
 
     for size in micro_sizes:
@@ -1488,6 +1569,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"({low['speedup_vs_per_gate']:.2f}x, "
                 f"max|d|={low['max_abs_diff_vs_per_gate']:.1e})"
             )
+
+    for size, section in results["sm_kernel"].items():
+        if not section["available"]:
+            print(f"sm_kernel ({size} qubits): skipped, no native body ({section['reason']})")
+            continue
+        for family, kernels in section["families"].items():
+            print(f"sm_kernel ({family}-{size}, items: native vs item loop, state copies): " + ", ".join(
+                f"{k['items']}: {k['native_copies']:.1f} vs {k['item_loop_copies']:.1f}"
+                for k in kernels
+            ))
 
     planner = results.get("plan") or {}
     if planner:

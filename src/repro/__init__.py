@@ -100,7 +100,7 @@ from .service import (
 from .session import Job, JobStatus, Result, Session
 from .sim import CompiledProgram, StateVector, simulate_reference
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "Circuit",

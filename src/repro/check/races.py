@@ -62,11 +62,12 @@ def shard_write_map(
     untouched; an anti-diagonal non-local axis flips the corresponding
     index bit; the index threads through the gate sequence so later gates
     read the relabelled bits.  The map is computed from the
-    segment's gates, not from the ops they lower to: the executors fold
+    segment's gates, not from the ops they lower to: the executors lower
     only runs of gates on local positions
-    (:func:`repro.runtime.offload.compile_segment_ops`), a folded block's
-    qubits are the union of its gates', so no block touches a shard-index
-    bit, and the gates that do are never folded nor reordered against each
+    (:func:`repro.runtime.offload.compile_segment_ops`) — each run one
+    ``sm`` kernel op, in place over the union of its gates' physical
+    positions, or one fused op — so no op touches a shard-index bit, and
+    the gates that do are never folded nor reordered against each
     other.  Returns ``(write_map, mixing)``
     where ``mixing`` lists descriptions of gates that mix amplitudes along
     a non-local axis (unresolvable per shard — a planner invariant

@@ -13,13 +13,14 @@ ping-pong buffers symbolically: which buffer *actually* holds the state
 stream's declared ``mode`` metadata *claims* holds it.  Any divergence is a
 ping-pong parity violation: every subsequent op would read a stale — and,
 before the first streaming op, uninitialized — buffer.  It further proves
-per-op qubit bounds, workspace-temporary alias freedom, that every folded
-dense op covers one contiguous run of positions, per-op locality
-against the plan's layout walk, and (given the source plan) that the op
-stream is exactly the compiler's expected emission — no gate dropped,
-duplicated or reordered, no shared-memory block split or merged
-differently from :func:`repro.sim.fusion.lower_kernel_gates`, no layout
-transpose missing or misplaced.
+per-op qubit bounds, workspace-temporary alias freedom, that every fold of
+dense gates inside a shared-memory kernel op covers one contiguous run of
+positions, per-op locality against the plan's layout walk, and (given the
+source plan) that the op stream is exactly the compiler's expected
+emission — no gate dropped, duplicated or reordered, one ``sm`` op per
+shared-memory kernel whose items are those of
+:func:`repro.sim.fusion.lower_kernel_gates` (no block split, merged or
+reordered), no layout transpose missing or misplaced.
 
 Both return a :class:`~repro.check.report.CheckReport`; call
 :meth:`~repro.check.report.CheckReport.raise_if_failed` to convert failure
@@ -208,51 +209,56 @@ def verify_plan(
 
 def expected_op_stream(
     plan: "ExecutionPlan", machine: "Optional[MachineConfig]" = None
-) -> list[tuple[Any, Optional[tuple]]]:
-    """The compiler's expected op emission for *plan*: ``(source, gates)``
-    pairs, in order.
+) -> list[tuple[Any, Optional[tuple], Optional[tuple]]]:
+    """The compiler's expected op emission for *plan*: ``(source, gates,
+    items)`` triples, in order.
 
     Follows :func:`repro.runtime.compile.compile_plan`'s walk — layout
-    transposes only at genuine permutation boundaries, one op per fusion
-    kernel, one per gate of an un-kernelized stage, and the final
-    identity-restore transpose — without building any payloads.  What a
-    shared-memory kernel executes is not mirrored but *read from the
-    spec*: the items of :func:`repro.sim.fusion.lower_kernel_gates`, the
-    same function every executor consumes, one op per item carrying the
-    item's gates.  ``gates`` is ``None`` for layout ops.
+    transposes only at genuine permutation boundaries, one op per kernel,
+    one per gate of an un-kernelized stage, and the final identity-restore
+    transpose — without building any payloads.  What a shared-memory kernel
+    (or a lone gate) executes is not mirrored but *read from the spec*: its
+    one op carries, as ``items``, the ``(kind, physical positions, gates)``
+    of every item of :func:`repro.sim.fusion.lower_kernel_gates`, the same
+    function every executor consumes.  ``gates`` is ``None`` for layout
+    ops, ``items`` for layout ops and fusion kernels.
     """
     from ..runtime.sharding import QubitLayout, permutation_axes
-    from ..sim.fusion import lower_kernel_gates
+    from ..sim.fusion import kernel_items, lower_kernel_gates
+
+    def lowered(source: tuple, gates: tuple, l2p: dict[int, int]) -> tuple:
+        items = lower_kernel_gates(gates, l2p)
+        return source, gates, tuple([
+            (described.kind, described.qubits, item.gates)
+            for described, item in zip(kernel_items(items, l2p), items)
+        ])
 
     n = plan.num_qubits
-    expected: list[tuple[Any, Optional[tuple]]] = []
+    expected: list[tuple[Any, Optional[tuple], Optional[tuple]]] = []
     layout = QubitLayout(n)
     for stage_idx, stage in enumerate(plan.stages):
         target = stage.partition.logical_to_physical()
         if target != layout.logical_to_physical():
             axes = permutation_axes(layout.logical_to_physical(), target, n)
             if axes != list(range(n)):
-                expected.append((("layout", stage_idx), None))
+                expected.append((("layout", stage_idx), None, None))
             layout.update(target)
+        l2p = layout.logical_to_physical()
         if stage.kernels is None:
             for offset, gate in enumerate(stage.gates):
-                expected.append((("gate", stage_idx, offset), (gate,)))
+                expected.append(lowered(("gate", stage_idx, offset), (gate,), l2p))
             continue
         for group_idx, kernel in enumerate(stage.kernels):
             gates = tuple(kernel.gates)
             if kernel.kernel_type is KernelType.FUSION:
-                expected.append((("kernel", stage_idx, group_idx), gates))
+                expected.append((("kernel", stage_idx, group_idx), gates, None))
             else:
-                lowered = lower_kernel_gates(gates, layout.logical_to_physical())
-                for item_idx, item in enumerate(lowered):
-                    expected.append(
-                        (("sm", stage_idx, group_idx, item_idx), item.gates)
-                    )
+                expected.append(lowered(("sm", stage_idx, group_idx), gates, l2p))
     identity = {q: q for q in range(n)}
     if layout.logical_to_physical() != identity:
         axes = permutation_axes(layout.logical_to_physical(), identity, n)
         if axes != list(range(n)):
-            expected.append((("layout", "final"), None))
+            expected.append((("layout", "final"), None, None))
     return expected
 
 
@@ -334,21 +340,16 @@ def _check_op_metadata(report: CheckReport, program: "CompiledProgram") -> None:
                     site="program.qubit-bounds",
                     op_index=op_index,
                 )
-        if (
-            op.kind == "dense" and op.qubits and len(op.gates or ()) > 1
-            and isinstance(op.source, tuple) and op.source[:1] == ("sm",)
-        ):
-            # A fold of 1q dense gates exists to share one gemm: its
-            # positions are one contiguous run and it borrows no temporary
-            # (the split plans are the only dense ones that do).
-            run = max(op.qubits) - min(op.qubits) + 1 == len(op.qubits)
-            if not run or op.tmp_slots:
+        for kind, positions, _gates in (op.items or ()) if op.kind == "sm" else ():
+            # A fold of 1q dense gates exists to share one gemm in the item
+            # loop: its positions are one contiguous run (which always plans
+            # to a single matmul, no temporary).
+            if kind == "fold" and max(positions) - min(positions) + 1 != len(positions):
                 report.add(
                     "program.fold",
-                    f"folded dense op on positions {op.qubits} "
-                    + ("borrows temporaries: it plans to a split gemm"
-                       if run else "is not one contiguous run")
-                    + ", dearer than the sweeps the fold replaced",
+                    f"folded dense item on positions {positions} is not one "
+                    f"contiguous run: it plans to a split gemm, dearer than "
+                    f"the sweeps the fold replaced",
                     site="program.fold",
                     op_index=op_index,
                 )
@@ -377,7 +378,7 @@ def _check_op_stream(
             expected=len(expected),
             actual=len(program.ops),
         )
-    for op_index, (op, (source, gates)) in enumerate(zip(program.ops, expected)):
+    for op_index, (op, (source, gates, items)) in enumerate(zip(program.ops, expected)):
         if op.source != source:
             report.add(
                 "program.stream",
@@ -392,6 +393,15 @@ def _check_op_stream(
                 "program.stream",
                 f"op at source {source} binds different gates than the plan "
                 f"stages there",
+                site="program.stream",
+                op_index=op_index,
+            )
+        elif items is not None and op.items != items:
+            report.add(
+                "program.stream",
+                f"kernel op at source {source} applies its gates as other "
+                f"items than the kernel lowers to (a block split, merged or "
+                f"reordered)",
                 site="program.stream",
                 op_index=op_index,
             )

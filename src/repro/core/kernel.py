@@ -3,8 +3,9 @@
 A *kernel* is a group of gates executed together on one GPU: either as a
 single fused matrix ("fusion" kernel) or out of GPU shared memory ("shm"
 kernel: the amplitudes are loaded once and the gates applied to them —
-here as one op per run of diagonal/permutation gates or group of dense gates,
-:func:`repro.sim.fusion.lower_kernel_gates`) — Section VI-B of the paper.
+here tile by tile, as one item per run of diagonal/permutation gates or group
+of dense gates, :func:`repro.sim.fusion.lower_kernel_gates`) — Section VI-B
+of the paper.
 Kernels are produced by the kernelization algorithms in
 :mod:`repro.core.kernelize`, :mod:`repro.core.ordered_kernelize` and
 :mod:`repro.core.greedy_kernelize`.

@@ -6,12 +6,14 @@
 * the stage-by-stage layout walk — each boundary permutation becomes a
   precomputed axis-transpose op (and no-op permutations are elided);
 * the staging-invariant locality check;
-* kernel fusion, the folding of each shared-memory kernel's monomial runs
-  and neighbouring 1q dense gates into single ops
-  (:func:`repro.sim.fusion.kernel_lowering`) and the logical→physical
+* kernel fusion, the lowering of each shared-memory kernel — its monomial
+  runs folded into blocks, neighbouring 1q dense gates into folds
+  (:func:`repro.sim.fusion.kernel_lowering`) — into **one** op
+  (:func:`repro.sim.apply.kernel_template`) and the logical→physical
   index translation;
 * matrix structure analysis, dense gemm planning, diagonal broadcast
-  vectors, permutation cycle tables, controlled-block reduction.
+  vectors, permutation cycle tables, controlled-block reduction, the
+  kernel ops' tile bits and index maps.
 
 The result is a flat stream of :class:`repro.sim.program.CompiledOp` whose
 execution is a tight loop with zero per-gate analysis, hashing or dict
@@ -43,6 +45,7 @@ A rebind
 * takes verbatim every op whose gates compare equal to the reuse
   program's (``ops_reused``) and refills the rest (``ops_rebound``),
   returning new ops — programs and their arrays are never written to.
+  An op is a kernel (or a lone gate), so the counts are in kernels.
 
 A shards-segment of the sharded executors' schedule is the same thing over
 ``2^L`` shard buffers: :class:`SegmentStructure` holds the slots of the
@@ -62,14 +65,15 @@ from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import PlanValidationError
+from ..sim.apply import kernel_template
 from ..sim.fusion import (
     ItemLowering,
     KernelFusion,
     fill_fused_unitary,
     fill_lowered_item,
     fill_fused_unitary_cached,
-    gate_step,
     kernel_fusion,
+    kernel_items,
     kernel_lowering,
 )
 from ..sim.program import (
@@ -78,7 +82,6 @@ from ..sim.program import (
     OpTemplate,
     Workspace,
     compile_layout_op,
-    monomial_template,
     unitary_template,
 )
 from . import faults
@@ -109,112 +112,102 @@ def check_gate_locality(
 
 
 class _StructureChanged(Exception):
-    """A fused kernel's matrix left the class its op template was built
-    for — a product can gain exact zeros or ones that none of its factors'
-    signatures show: the plan needs a structural compile of its own."""
+    """A product's matrix — a fused kernel's, a dense fold's — left the
+    class its op template was built for (a product can gain exact zeros or
+    ones that none of its factors' signatures show): the plan needs a
+    structural compile of its own."""
 
 
-def _product_template(slot, matrix) -> OpTemplate:
-    """The op template of a slot whose matrix is a product of its gates'
-    (a fused kernel, a dense fold): built from the first *matrix* bound —
-    the structure's own plan's, inside :func:`compile_plan`, before the
-    program exists — and good for every later one with that exact
-    signature; another raises :class:`_StructureChanged`."""
+def _guard_signature(signatures: list, index: int, matrix) -> None:
+    """Hold product *index* of a slot to the exact signature of the first
+    *matrix* bound there — the structure's own plan's, inside
+    :func:`compile_plan`, before the program exists; an op template holds
+    for one signature, so another raises :class:`_StructureChanged`."""
     signature = matrix_signature(matrix)
-    if slot.template is None:
-        slot.template = unitary_template(matrix, slot.physical, slot.n)
-        slot.signature = signature
-    elif signature != slot.signature:
+    if signatures[index] is None:
+        signatures[index] = signature
+    elif signature != signatures[index]:
         raise _StructureChanged
-    return slot.template
 
 
 class _Slot:
-    """One op of a stream, minus the angles: which gates of its *pool* it
-    absorbs (``members``; ``None``: the whole pool) and how they lower.
-    The two kinds fill an op differently; they keep one the same way."""
+    """One op of a stream, minus the angles: a kernel's gates (its *pool*)
+    and how they lower.  The two kinds — a fused kernel, a shared-memory
+    kernel — fill an op differently; they keep one the same way."""
 
-    __slots__ = ("source", "pool", "members", "parameterized")
+    __slots__ = ("source", "pool", "parameterized", "signatures")
 
-    def bind(self, pool, old):
-        """The op for *pool*'s gates.  *old* — the op an earlier bind of
+    def bind(self, gates, old):
+        """The op for the pool's *gates*.  *old* — the op an earlier bind of
         this slot produced, if any — is kept when its gates compare equal
         (angles included — Gate equality covers params), which a slot
         without parameterized gates needs no comparison for."""
-        gates = pool if self.members is None else tuple([pool[i] for i in self.members])
         if old is not None and (not self.parameterized or old.gates == gates):
             return old
-        return self.fill(pool, gates)
+        return self.fill(gates)
 
 
 class _FusedSlot(_Slot):
     """One fusion kernel: its gates fuse into one matrix, applied as one op.
 
-    The first matrix bound (:func:`_product_template`) goes through the
+    The first matrix bound chooses the op template and goes through the
     fused-unitary memo, which the other consumers of the job's kernels
     share; a later one is never memoized (a sweep's angles do not recur).
     A signature change here: rz(0) ahead of a crx turns a dense product
     into a controlled one.
     """
 
-    __slots__ = ("fusion", "physical", "n", "template", "signature")
+    __slots__ = ("fusion", "physical", "n", "template")
 
     def __init__(self, pool: int, gates, l2p, n: int) -> None:
         self.source = None
         self.pool = pool
-        self.members = None  # the whole kernel
         self.parameterized = any(g.params for g in gates)
         self.fusion: KernelFusion = kernel_fusion(gates)
         self.physical = tuple(l2p[q] for q in self.fusion.qubits)
         self.n = n
         self.template: OpTemplate | None = None
-        self.signature = b""
+        self.signatures: list[bytes | None] = [None]
 
-    def fill(self, pool, gates) -> CompiledOp:
+    def fill(self, gates) -> CompiledOp:
         if self.template is None:
             matrix = fill_fused_unitary_cached(self.fusion, gates)
         else:
             matrix = fill_fused_unitary(self.fusion, gates)
             matrix.setflags(write=False)
-        return _product_template(self, matrix).op(matrix, self.source, gates)
+        _guard_signature(self.signatures, 0, matrix)
+        if self.template is None:
+            self.template = unitary_template(matrix, self.physical, self.n)
+        return self.template.op(matrix, self.source, gates)
 
 
-class _ItemSlot(_Slot):
-    """One item of a shared-memory kernel's lowering (or the lone gate of
-    an un-kernelized stage): a monomial block, a dense gate, or a fold of
-    1q dense gates.
+class _KernelSlot(_Slot):
+    """One shared-memory kernel (or a run of its gates on local positions,
+    or the lone gate of an un-kernelized stage): its lowering's items — the
+    monomial blocks, dense gates and folds of 1q dense gates — applied as
+    one op (:func:`repro.sim.apply.kernel_template`).
 
-    A monomial block's and a lone dense gate's op template follow from the
-    structure; a fold's is chosen like a fused kernel's
-    (:func:`_product_template`).  A signature change here: ``rx(a)`` then
+    A fold's product is guarded like a fused kernel's matrix — the item
+    loop's template for it holds for one signature: ``rx(a)`` then
     ``rx(-a)`` on one qubit multiply to an exact diagonal.
     """
 
-    __slots__ = ("lowering", "physical", "n", "template", "signature")
+    __slots__ = ("lowering", "template")
 
-    def __init__(self, pool: int, lowering: ItemLowering, gates, l2p, n: int) -> None:
+    def __init__(self, pool: int, gates, l2p, n: int) -> None:
         self.source = None
         self.pool = pool
-        self.members = lowering.members
-        self.parameterized = lowering.parameterized
-        self.lowering = lowering
-        self.physical = tuple(l2p[q] for q in lowering.qubits)
-        self.n = n
-        self.template: OpTemplate | None = None
-        self.signature = b""
-        if not lowering.dense:
-            self.template = monomial_template(lowering.perm, self.physical, n)
-        elif len(lowering.members) == 1:
-            self.template = gate_step(gates[lowering.members[0]], self.physical, n)[0]
+        self.parameterized = any(g.params for g in gates)
+        self.lowering: tuple[ItemLowering, ...] = kernel_lowering(gates, l2p)
+        self.template = kernel_template(kernel_items(self.lowering, l2p), n)
+        self.signatures: list[bytes | None] = [None] * len(self.lowering)
 
-    def fill(self, pool, gates) -> CompiledOp:
-        item = fill_lowered_item(self.lowering, pool, gates)
-        if not self.lowering.dense:
-            return self.template.op(item.phases, self.source, gates)
-        template = (
-            self.template if len(gates) == 1 else _product_template(self, item.matrix)
-        )
-        return template.op(item.matrix, self.source, gates)
+    def fill(self, gates) -> CompiledOp:
+        items = [fill_lowered_item(lowering, gates) for lowering in self.lowering]
+        for index, item in enumerate(items):
+            if item.factors is not None:
+                _guard_signature(self.signatures, index, item.matrix)
+        return self.template.op(items, self.source, gates)
 
 
 class _DynamicSlot:
@@ -253,21 +246,15 @@ class _Structure:
         ]))
         return len(self.keys) - 1
 
-    def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> list:
+    def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> _Slot:
         """Open a pool for *gates* — on local positions of the layout
-        *l2p* — and append its slots, which are returned: one op when the
-        kernel is *fused*, else one per item of its lowering (a monomial
-        run, a dense gate, a dense fold)."""
+        *l2p* — and append its slot, which is returned: one op, the fused
+        matrix when the kernel is *fused*, else all the items of its
+        lowering."""
         pool, n = self.open_pool(gates), self.num_qubits
-        if fused:
-            new = [_FusedSlot(pool, gates, l2p, n)]
-        else:
-            new = [
-                _ItemSlot(pool, lowering, gates, l2p, n)
-                for lowering in kernel_lowering(gates, l2p)
-            ]
-        self.slots.extend(new)
-        return new
+        slot = (_FusedSlot if fused else _KernelSlot)(pool, gates, l2p, n)
+        self.slots.append(slot)
+        return slot
 
     def matches(self, pools: list[tuple[Gate, ...]]) -> bool:
         """Whether *pools* are this structure's, gate for gate: the name,
@@ -338,11 +325,10 @@ class ProgramStructure(_Structure):
             local = _local_count(stage, machine)
 
             if stage.kernels is None:
-                # Un-kernelized stage: one op per gate.
+                # Un-kernelized stage: a kernel of one gate each.
                 self.stages.append((l2p, local, None))
                 for offset, gate in enumerate(stage.gates):
-                    (slot,) = self._add((gate,), False, l2p, local)
-                    slot.source = ("gate", stage_idx, offset)
+                    self._add((gate,), False, l2p, local).source = ("gate", stage_idx, offset)
                 self.kernels_per_stage.append(0)
                 continue
 
@@ -350,14 +336,10 @@ class ProgramStructure(_Structure):
                 (l2p, local, tuple(kernel.kernel_type for kernel in stage.kernels))
             )
             for group_idx, kernel in enumerate(stage.kernels):
-                gates = tuple(kernel.gates)
-                if kernel.kernel_type is KernelType.FUSION:
-                    (slot,) = self._add(gates, True, l2p, local)
-                    slot.source = ("kernel", stage_idx, group_idx)
-                    continue
-                # Shared-memory kernels: one op per monomial run or dense group.
-                for item_idx, slot in enumerate(self._add(gates, False, l2p, local)):
-                    slot.source = ("sm", stage_idx, group_idx, item_idx)
+                fused = kernel.kernel_type is KernelType.FUSION
+                self._add(tuple(kernel.gates), fused, l2p, local).source = (
+                    "kernel" if fused else "sm", stage_idx, group_idx
+                )
             self.kernels_per_stage.append(len(stage.kernels))
             self.num_kernels += len(stage.kernels)
 
@@ -373,7 +355,7 @@ class ProgramStructure(_Structure):
             not isinstance(slot, CompiledOp) for slot in self.slots
         )
 
-    def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> list:
+    def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> _Slot:
         """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
         pool = len(self.keys)
         far = {q for q, position in l2p.items() if position >= local}

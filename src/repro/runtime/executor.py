@@ -3,9 +3,9 @@
 This is Algorithm 1's ``EXECUTE`` realised on the NumPy substrate: the
 state is permuted into each stage's physical layout, then every kernel of
 the stage is applied.  Kernels are applied either as a fused matrix
-(fusion kernels) or as their lowered items — one phased permutation per
-run of diagonal/permutation gates, one gemm per group of 1q dense gates
-on neighbouring positions
+(fusion kernels) or as their lowered items in one pass — a phased
+permutation per run of diagonal/permutation gates, the 1q dense gates on
+neighbouring positions together
 (shared-memory kernels, :func:`repro.sim.fusion.lower_kernel_gates`) —
 always on the *physical* qubit indices given by the stage's
 logical→physical mapping, which is exactly what the GPU implementation does
@@ -58,9 +58,9 @@ class ExecutionTrace:
     num_permutations: int = 0
     kernels_per_stage: list[int] = field(default_factory=list)
     locality_checked: bool = True
-    #: Gates executed and the ops they were applied as — fused kernels,
-    #: folded shared-memory runs and dense groups, layout transposes —
-    #: i.e. how many gates an op absorbed.
+    #: Gates executed and the ops they were applied as — kernels (fused
+    #: or shared-memory), lone gates, layout transposes — i.e. how many
+    #: gates an op absorbed.
     num_gates: int = 0
     num_ops: int = 0
     #: Ops per kind (``CompiledProgram.op_counts()``); empty on the
@@ -92,7 +92,7 @@ def _apply_kernel(
         physical_qubits = [logical_to_physical[q] for q in logical_qubits]
         return *apply_gate_buffered(state, scratch, matrix, physical_qubits), 1
     items = lower_kernel_gates(kernel.gates, logical_to_physical)
-    return *apply_lowered_items(state, scratch, items, logical_to_physical), len(items)
+    return *apply_lowered_items(state, scratch, items, logical_to_physical), 1
 
 
 def trace_for_program(program: CompiledProgram) -> ExecutionTrace:

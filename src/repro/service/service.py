@@ -47,6 +47,7 @@ from ..circuits.library import get_circuit
 from ..errors import ServiceClosedError, SpecParseError
 from ..runtime.checkpoint import CheckpointConfig
 from ..session import Job, Session
+from ..sim import native
 from .admission import AdmissionController, AdmissionPolicy
 from .journal import JobJournal
 from .persistence import SharedPlanStore
@@ -864,4 +865,6 @@ class SimulationService:
                 },
                 "shared_store": self.store.stats.as_dict(),
                 "session": self.session.stats.as_dict(),
+                # Which body shared-memory kernels run in this process.
+                "engine": native.engine(),
             }

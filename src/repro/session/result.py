@@ -35,6 +35,7 @@ from ..core.partitioner import PartitionReport
 from ..core.plan import ExecutionPlan
 from ..errors import DeadlineExceeded, JobCancelledError
 from ..runtime.timeline import TimingBreakdown
+from ..sim import native
 from ..sim.statevector import StateVector
 
 __all__ = ["Job", "JobStatus", "Result", "normalize_observable"]
@@ -141,6 +142,9 @@ class Result:
             "num_gates": self.plan.gate_count(),
             "num_ops": getattr(stats, "num_ops", None),
             "op_counts": dict(op_counts) if op_counts else None,
+            # Which body shared-memory kernels ran in this process: the C
+            # tile pass ("native") or the NumPy item loop ("numpy").
+            "engine": native.engine(),
             # Which compile path the program took on a cache hit: ops kept
             # from the cached program, ops refilled through its structure,
             # ops of a structure-fallback compile (``None`` without a

@@ -25,8 +25,11 @@ pattern and every class has a cheapest NumPy/BLAS form:
     Genuinely scattered wide tuples: the ``tensordot`` contraction.
 
 **Op templates.**  :func:`unitary_template` is the one function that turns
-a classification and a position into a kernel choice; it and
-:func:`monomial_template` (a folded run of diagonal/permutation gates)
+a classification and a position into a kernel choice; it,
+:func:`monomial_template` (a folded run of diagonal/permutation gates) and
+:func:`kernel_template` (a whole shared-memory kernel: all its lowered items
+in one pass over the state, through the C body of :mod:`repro.sim.native`
+when the host has it, else through the items' own templates in turn)
 return an :class:`OpTemplate` — everything that follows from *where* the op
 acts and from the zero/one structure of its matrix — whose ``bind`` does
 the numeric fill and returns **one** closure, ``run(states, scratch, ws)``,
@@ -47,9 +50,11 @@ segments and fused-matrix fills bind these templates ahead of time.
 **Entry points.**  :func:`apply_gate_buffered`, :func:`apply_matrix`,
 :func:`apply_diagonal` and :func:`apply_monomial` are the same templates
 bound on first sight of a payload object and memoized by its identity, run
-on the calling thread's workspace.  They are what the interpreter
-(``execute_plan(compiled=False)``), the dynamic per-shard gates and
-:class:`~repro.sim.statevector.StateVector` call.  The kernels' numerics are
+on the calling thread's workspace.  They are what the dynamic per-shard
+gates, fused-kernel applications and
+:class:`~repro.sim.statevector.StateVector` call (the interpreter's kernels
+go through :func:`repro.sim.fusion.apply_lowered_items`, which binds
+:func:`kernel_template` the same way).  The kernels' numerics are
 pinned by two implementations that share nothing with the templates:
 :func:`apply_matrix_reference` (the seed tensordot contraction) and
 ``benchmarks/perf/oracle.py``.
@@ -93,11 +98,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import KernelError
+from . import native
 
 __all__ = [
     "apply_matrix",
@@ -122,6 +128,9 @@ __all__ = [
     "STREAM_KINDS",
     "unitary_template",
     "monomial_template",
+    "KernelItem",
+    "KernelTemplate",
+    "kernel_template",
 ]
 
 
@@ -140,9 +149,16 @@ _ALLOCATION_LOG: list[int] = []
 
 
 def tracked_empty(size: int) -> np.ndarray:
-    """Allocate a flat complex128 buffer, recording it in the allocation log."""
+    """Allocate a flat complex128 buffer, recording it in the allocation log.
+
+    The buffer starts on a cache line (NumPy promises 16 bytes): a tile
+    chunk of the native kernel body is then whole lines, which halves the
+    cost of its strided gathers (measured 6.4 → 3.1 ms for a sweep of 128-byte
+    chunks over 2^20 amplitudes)."""
     _ALLOCATION_LOG.append(int(size))
-    return np.empty(int(size), dtype=np.complex128)
+    raw = np.empty(int(size) + 3, dtype=np.complex128)
+    start = (-raw.ctypes.data % 64) // 16
+    return raw[start : start + int(size)]
 
 
 def reset_allocation_log() -> None:
@@ -976,7 +992,7 @@ def run_monomial_gather(
 #: buffer in full, swapping the ping-pong roles.  The static verifier
 #: (:mod:`repro.check`) proves each op's declared ``mode`` against this
 #: table without executing anything.
-INPLACE_KINDS = frozenset({"diagonal", "permutation", "controlled"})
+INPLACE_KINDS = frozenset({"diagonal", "permutation", "controlled", "sm"})
 STREAM_KINDS = frozenset({"dense", "big", "layout"})
 
 
@@ -999,10 +1015,12 @@ class CompiledOp:
     (``"inplace"`` or ``"stream"``), ``qubits`` the physical qubit
     positions the payload touches (``None`` for whole-state layout ops)
     and ``tmp_slots`` the workspace temporary slots the closure borrows
-    (slots must never alias within one op).
+    (slots must never alias within one op); an ``"sm"`` op — a whole
+    shared-memory kernel — also lists its ``items``, in order, as
+    ``(kind, physical positions, gates)`` (:class:`KernelItem` kinds).
     """
 
-    __slots__ = ("kind", "run", "source", "gates", "mode", "qubits", "tmp_slots")
+    __slots__ = ("kind", "run", "source", "gates", "mode", "qubits", "tmp_slots", "items")
 
     def __init__(
         self,
@@ -1013,6 +1031,7 @@ class CompiledOp:
         mode: str | None = None,
         qubits: tuple[int, ...] | None = None,
         tmp_slots: tuple[int, ...] = (),
+        items: "tuple | None" = None,
     ) -> None:
         self.kind = kind
         self.run = run
@@ -1023,6 +1042,7 @@ class CompiledOp:
         )
         self.qubits = qubits
         self.tmp_slots = tmp_slots
+        self.items = items
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CompiledOp {self.kind} source={self.source}>"
@@ -1348,6 +1368,301 @@ def _big_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
 
 
 # ---------------------------------------------------------------------------
+# The kernel template: a shared-memory kernel is one op
+# ---------------------------------------------------------------------------
+
+#: A tile of the native body spans this many index bits — ``2^11`` amplitudes,
+#: 32 KiB split re/im, L1-resident — or more when the kernel's positions and
+#: index bits 0–2 need it.  The 27 shared-memory kernels of the 20-qubit
+#: benchmark round take 82 ms at 10 or 11 bits, 87 ms at 12, 91 ms at 13.
+_TILE_BITS = 11
+#: Index bits 0–2 are always tile bits: gather and scatter then move
+#: contiguous chunks of at least 128 bytes, and a tile row is whole vectors.
+_TILE_LOW = 3
+#: ``SM_MAX_TILE_BITS`` / ``SM_MAX_DENSE`` of ``smkernel.c``: ten active
+#: positions plus the low three; the widest dense item applied in the tile.
+_MAX_TILE_BITS = 13
+_MAX_DENSE = 4
+#: Below this a state is not worth a tile (and has no whole vector).
+_MIN_NATIVE_QUBITS = 4
+_SM_GATE1, _SM_DIAG, _SM_MOVE, _SM_GATHER, _SM_DENSE = range(5)
+
+
+class KernelItem(NamedTuple):
+    """The structure of one lowered item of a shared-memory kernel, as
+    :func:`kernel_template` takes it: the physical positions it acts on —
+    bit ``j`` of a block's index or a matrix's index is ``qubits[j]`` — and
+    its ``kind``: ``"block"`` (a monomial block moving block index ``c`` to
+    ``perm[c]``, ``perm=None`` the identity, ``phased`` false when every
+    phase is one by construction), ``"gate"`` (one dense gate) or ``"fold"``
+    (commuting 1q dense gates, one 2×2 per position).  An item's numbers
+    arrive at bind time as an object with ``phases`` (block), ``matrix``
+    (gate; a fold's Kronecker product) and ``factors`` (a fold's 2×2s)."""
+
+    qubits: tuple[int, ...]
+    kind: str
+    perm: "np.ndarray | None" = None
+    phased: bool = True
+
+
+class KernelTemplate(OpTemplate):
+    """:func:`kernel_template`'s result: an :class:`OpTemplate` of kind
+    ``"sm"`` whose payload is the kernel's filled items.  ``native`` says
+    whether ``bind`` takes the C body; ``item_loop`` binds the loop over the
+    items' own op bodies whatever ``bind`` takes — the native body's oracle."""
+
+    __slots__ = ("items", "native", "item_loop")
+
+    def ulps(self) -> int:
+        """The documented bound on how far the native body may sit from the
+        item loop, in ulp of the state's largest amplitude: two per
+        elementary step — a block, a gate, each 2×2 of a fold.  Both bodies
+        compute the same products; they differ in what is fused (BLAS and
+        NumPy's loops use multiply-add, the C body never does) and in how a
+        fold is associated (one Kronecker gemm against a 2×2 per qubit).
+        Measured: at most 2 for one step, 4 over kernels of up to 13 items
+        (3000 random kernels, 4–14 qubits)."""
+        return 2 * sum(len(item.qubits) if item.kind == "fold" else 1 for item in self.items)
+
+    def op(
+        self, payload: Sequence, source: tuple | None = None, gates: "tuple | None" = None
+    ) -> CompiledOp:
+        op = super().op(payload, source, gates)
+        op.items = tuple([
+            (item.kind, item.qubits, filled.gates) for item, filled in zip(self.items, payload)
+        ])
+        return op
+
+
+def _deposit(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Bit ``j`` of each value moved to bit ``positions[j]``."""
+    out = np.zeros_like(values)
+    for j, position in enumerate(positions):
+        out |= ((values >> j) & 1) << position
+    return out
+
+
+def _extract(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Bit ``positions[j]`` of each value moved to bit ``j``."""
+    out = np.zeros_like(values)
+    for j, position in enumerate(positions):
+        out |= ((values >> position) & 1) << j
+    return out
+
+
+def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
+    """The structural half of the native body for *items* on ``2^n``
+    amplitudes: ``(prog, tabs, fills, payload size)`` as ``smkernel.c``
+    reads them, or ``None`` when the kernel does not fit one tile.
+
+    The tile's bits are the kernel's positions, index bits 0–2 and the
+    next-lowest free positions up to :data:`_TILE_BITS`, kept in physical
+    order: tile-local bit ``i`` is the ``i``-th lowest of them, so the bits
+    below the first gap are contiguous chunks of the state.  ``fills`` are
+    ``(item, mode, offset, index)``: how a bind packs item payloads into the
+    one complex payload (mode 0 a matrix, 1 a fold's factor ``index``, 2
+    ``phases.take(index)``).
+    """
+    tile = {q for item in items for q in item.qubits} | set(range(_TILE_LOW))
+    if len(tile) > _MAX_TILE_BITS or any(
+        item.kind == "gate" and len(item.qubits) > _MAX_DENSE for item in items
+    ):
+        return None
+    free = (p for p in range(n) if p not in tile)
+    tile = sorted(tile | {next(free) for _ in range(min(n, _TILE_BITS) - len(tile))})
+    bits = len(tile)
+    local = {position: bit for bit, position in enumerate(tile)}
+    chunk_bits = next((i for i, p in enumerate(tile) if p != i), bits)
+    chunk_at = _deposit(np.arange(1 << (bits - chunk_bits)), tile[chunk_bits:])
+
+    words: list[list[int]] = []
+    tabs: list[np.ndarray] = []
+    fills: list[tuple] = []
+    sizes = [0, 0]  # tabs entries, payload complexes
+
+    def emit(code, a0=0, a1=0, a2=0, table=(), payload=0, where=()) -> int:
+        words.append([code, a0, a1, a2, sizes[0], sizes[1], *where, *[0] * (4 - len(where))])
+        for part in table:
+            tabs.append(part)
+            sizes[0] += len(part)
+        sizes[1] += payload
+        return sizes[1] - payload
+
+    def emit_phases(index, where, order=None) -> None:
+        """A diagonal pass over the tile: amplitude ``j`` times the phase of
+        its block index (through *order*, a permuting block's source)."""
+        low = [j for j, bit in enumerate(where) if bit < lane_bits]
+        high = [j for j, bit in enumerate(where) if bit >= lane_bits]
+        run_bits = min([where[j] for j in high], default=bits)
+        starts = np.arange(1 << (bits - run_bits)) << run_bits
+        entries = _deposit(np.arange(1 << len(high)), high)
+        if low:  # the block reaches into the vector: an entry is VL phases
+            lanes = np.arange(1 << lane_bits)
+            entries = entries[:, None] | _deposit(
+                _extract(lanes, [where[j] for j in low]), low
+            )[None, :]
+        entries = entries.reshape(-1)
+        if order is not None:
+            entries = order[entries]
+        offset = emit(
+            _SM_DIAG, run_bits, bool(low),
+            table=[_extract(starts, [where[j] for j in high])], payload=entries.size,
+        )
+        fills.append((index, 2, offset, _index_array(entries)))
+
+    for index, item in enumerate(items):
+        where = [local[q] for q in item.qubits]
+        if item.kind == "fold" or (item.kind == "gate" and len(where) == 1):
+            for j, bit in enumerate(where):
+                offset = emit(_SM_GATE1, bit, payload=4)
+                fills.append((index, 1 if item.kind == "fold" else 0, offset, j))
+        elif item.kind == "gate":
+            offset = emit(
+                _SM_DENSE, len(where), 0, min(where) >= lane_bits,
+                payload=4 ** len(where), where=where,
+            )
+            fills.append((index, 0, offset, None))
+        elif item.perm is None:
+            if item.phased:
+                emit_phases(index, where)
+        else:
+            source = np.empty(len(item.perm), dtype=np.int64)
+            source[item.perm] = np.arange(len(item.perm))
+            run_bits = min(where)
+            if run_bits >= lane_bits:  # whole runs move, scaled on the way
+                starts = np.arange(1 << (bits - run_bits)) << run_bits
+                target = _extract(starts, where)
+                moved = starts ^ _deposit(target ^ source[target], where)
+                offset = emit(
+                    _SM_MOVE, run_bits, item.phased,
+                    table=[moved >> run_bits, source[target]],
+                    payload=len(source) if item.phased else 0,
+                )
+                if item.phased:
+                    fills.append((index, 2, offset, _index_array(np.arange(len(source)))))
+            else:
+                amplitudes = np.arange(1 << bits)
+                target = _extract(amplitudes, where)
+                emit(_SM_GATHER, table=[amplitudes ^ _deposit(target ^ source[target], where)])
+                if item.phased:
+                    emit_phases(index, where, order=source)
+
+    outer = [p for p in range(n) if p not in local]
+    prog = np.array(
+        [bits, chunk_bits, len(outer), len(words), *outer, *chunk_at.tolist(),
+         *[word for item_words in words for word in item_words]],
+        dtype=np.int64,
+    )
+    table = np.concatenate(tabs).astype(np.uint16) if tabs else np.zeros(1, np.uint16)
+    return prog, table, fills, max(sizes[1], 1)
+
+
+def _item_template(item: KernelItem, payload, n: int) -> OpTemplate:
+    """The op template an item has on its own — what the item loop runs
+    (a dense item's is chosen from the matrix in *payload*)."""
+    if item.kind == "block":
+        return monomial_template(item.perm, item.qubits, n)
+    return unitary_template(payload.matrix, item.qubits, n)
+
+
+def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
+    """The template of one shared-memory kernel — all its lowered *items* as
+    **one** in-place op over ``(..., 2^n)`` buffers; its payload is the
+    items filled with one job's numbers (:class:`KernelItem`).
+
+    The op has two bodies and nothing selects between them but the host and
+    the input.  The **native** body (``smkernel.c`` through
+    :mod:`repro.sim.native`) sweeps the state once: per tile it gathers
+    ``2^T`` amplitudes, applies every item there and scatters them back —
+    a fold as its 2×2s, a block as phases looked up through a structural
+    index map, a wider gate as a gather–matvec–scatter; a stack is the same
+    call looped over rows, so row ``b`` is the flat run bit for bit.  It is
+    taken when the library loads, the state has a whole tile row
+    (``n >= 4``) and the kernel fits a tile.  The **item loop** runs each
+    item's own op body (:func:`monomial_template` / :func:`unitary_template`)
+    in turn — what a kernel executed before it was one op; it is the
+    fallback and, as :attr:`KernelTemplate.item_loop`, the named oracle the
+    native body is tested against (they agree within a pinned ulp bound, not
+    bit for bit: the C body neither fuses nor blocks its sums as BLAS does).
+    Every executor reaches a kernel through this template, so within one
+    process they agree bit for bit whichever body runs.
+
+    The items' own templates are built when the item loop is first bound,
+    a dense item's from the matrix bound then (a template holds for one
+    matrix signature — the plan compiler's slots guard that,
+    :mod:`repro.runtime.compile`).
+    """
+    items = tuple(items)
+    qubits = tuple(sorted({q for item in items for q in item.qubits}))
+    templates: list = [None] * len(items)
+
+    def item_loop(payloads):
+        runs = []
+        for index, (item, payload) in enumerate(zip(items, payloads)):
+            if templates[index] is None:
+                templates[index] = _item_template(item, payload, n)
+            runs.append(templates[index].bind(
+                payload.phases if item.kind == "block" else payload.matrix
+            ))
+
+        def run(states, scratch, ws):
+            state, spare = states, scratch
+            for step in runs:
+                state, spare = step(state, spare, ws)
+            if state is not states:  # an odd number of streaming items
+                np.copyto(states, state)
+            return states, scratch
+
+        return run
+
+    lib = native.library() if n >= _MIN_NATIVE_QUBITS else None
+    program = _tile_program(items, n, lib.sm_lane_bits()) if lib is not None else None
+    if program is None:
+        bind = item_loop
+    else:
+        prog, tabs, fills, size = program
+        apply_tiles = lib.sm_apply
+        row = 1 << n
+        prog_at, tabs_at = prog.ctypes.data, tabs.ctypes.data
+
+        def bind(payloads):
+            numbers = np.empty(size, dtype=np.complex128)
+            for index, mode, offset, extra in fills:
+                payload = payloads[index]
+                if mode == 2:
+                    np.take(payload.phases, extra, out=numbers[offset : offset + extra.size])
+                else:
+                    matrix = payload.matrix if mode == 0 else payload.factors[extra]
+                    numbers[offset : offset + matrix.size] = matrix.reshape(-1)
+            numbers_at = numbers.ctypes.data
+            loop: list = []
+
+            # The default argument keeps the arrays behind the three
+            # addresses alive as long as the closure.
+            def run(states, scratch, ws, _held=(prog, tabs, numbers)):
+                if states.dtype != np.complex128 or not states.flags.c_contiguous:
+                    # Not a buffer the C body can walk: the item loop, bound
+                    # on first need.
+                    if not loop:
+                        loop.append(item_loop(payloads))
+                    return loop[0](states, scratch, ws)
+                failed = apply_tiles(
+                    states.ctypes.data, states.size // row, row, prog_at, tabs_at, numbers_at
+                )
+                if failed:
+                    raise KernelError(f"native kernel rejected its program (code {failed})")
+                return states, scratch
+
+            return run
+
+    template = KernelTemplate("sm", qubits, bind, tmp_slots=(0, 1), uses_scratch=True)
+    template.items = items
+    template.native = program is not None
+    template.item_loop = item_loop
+    return template
+
+
+# ---------------------------------------------------------------------------
 # Entry points: templates bound on first sight of a payload
 # ---------------------------------------------------------------------------
 
@@ -1370,8 +1685,10 @@ def apply_matrix_reference(
 
 
 #: The bound ops of the entry points: ``(id(matrix), qubits, n)`` →
-#: ``(matrix, inplace, run)`` and ``(id(phases), id(perm), qubits, n)`` →
-#: ``(phases, perm, uses_scratch, run)``.  For callers that apply the same
+#: ``(matrix, inplace, run)``, ``(id(phases), id(perm), qubits, n)`` →
+#: ``(phases, perm, uses_scratch, run)`` and, for a kernel's lowered items
+#: (:func:`repro.sim.fusion.apply_lowered_items`), ``(id(items), positions,
+#: size)`` → ``(items, run)``.  For callers that apply the same
 #: payload *object* again and again — the interpreter and the dynamic shard
 #: gates, whose gate matrices, fused matrices and lowered items are cached
 #: instances.  The payload is kept referenced so its id stays valid, and an

@@ -3,9 +3,10 @@
 A *fusion kernel* (Section VI-B of the paper) executes a group of gates as
 a single matrix: the product of all gate matrices embedded into the space
 of the kernel's qubit set.  A *shared-memory kernel* executes as one op
-per run of diagonal/permutation gates, one per group of 1q dense gates on
-neighbouring physical positions and one per wider dense gate
-(:func:`lower_kernel_gates`).
+too (:func:`repro.sim.apply.kernel_template`) that applies its *items* in
+one pass over the state: one item per run of diagonal/permutation gates,
+one per group of 1q dense gates on neighbouring physical positions and one
+per wider dense gate (:func:`lower_kernel_gates`).
 
 Both lowerings come in two halves.  The **structure**
 (:func:`kernel_fusion`, :func:`kernel_lowering`) is everything that
@@ -54,11 +55,15 @@ from ..circuits.gates import Gate, gate_matrix
 from .apply import (
     DENSE_FOLD_WIDTH,
     MONOMIAL_WIDTH,
+    _BOUND_OPS,
     _GEMM_EDGE,
+    KernelItem,
     OpTemplate,
+    _check_qubits,
+    _num_qubits,
+    _remember,
     analyze_matrix,
-    apply_gate_buffered,
-    apply_monomial,
+    kernel_template,
     thread_workspace,
     tracked_empty,
     unitary_template,
@@ -81,6 +86,7 @@ __all__ = [
     "configure_fusion_cache",
     "kernel_qubits",
     "lower_kernel_gates",
+    "kernel_items",
     "apply_lowered_items",
     "apply_gate_sequence",
 ]
@@ -317,7 +323,7 @@ def _fill_and_store(key: tuple, fusion: KernelFusion, gates: Sequence[Gate]):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory kernels: one op per monomial run
+# Shared-memory kernels: one item per monomial run or dense group
 # ---------------------------------------------------------------------------
 
 
@@ -332,7 +338,8 @@ class LoweredItem(NamedTuple):
     (a diagonal block — ``cx·rz·cx`` is one).  A *dense* item
     (``matrix is not None``) is a single gate carried with its matrix, or a
     fold of commuting 1q dense gates on physically adjacent qubits carried
-    with their product (``qubits`` in ascending physical position).
+    with their product (``qubits`` in ascending physical position) and, as
+    ``factors``, the 2×2 per qubit that product is the Kronecker product of.
     ``gates`` are the gates the item absorbed, in circuit order.
     """
 
@@ -341,6 +348,7 @@ class LoweredItem(NamedTuple):
     perm: np.ndarray | None = None
     phases: np.ndarray | None = None
     matrix: np.ndarray | None = None
+    factors: tuple[np.ndarray, ...] | None = None
 
 
 class ItemLowering(NamedTuple):
@@ -576,7 +584,7 @@ def fill_lowered_item(
             dim = 2 * len(matrix)
             matrix = (high[:, None, :, None] * matrix[None, :, None, :]).reshape(dim, dim)
         matrix.setflags(write=False)
-        return LoweredItem(lowering.qubits, members, matrix=matrix)
+        return LoweredItem(lowering.qubits, members, matrix=matrix, factors=tuple(per_qubit))
     dim = 1 << len(lowering.qubits)
     phases = None
     for member, table in lowering.factors:
@@ -633,26 +641,64 @@ def lower_kernel_gates(
     return lowered
 
 
+def kernel_items(
+    items: "Sequence[ItemLowering | LoweredItem]",
+    logical_to_physical: Mapping[int, int] | None = None,
+) -> tuple[KernelItem, ...]:
+    """What :func:`~repro.sim.apply.kernel_template` needs of a kernel's
+    *items* — their structure (:func:`kernel_lowering`) or the filled ones
+    (:func:`lower_kernel_gates`) — in a stage's layout: physical positions
+    and kind."""
+    out = []
+    for item in items:
+        physical = item.qubits if logical_to_physical is None else tuple(
+            [logical_to_physical[q] for q in item.qubits]
+        )
+        if isinstance(item, ItemLowering):
+            if item.dense:
+                out.append(KernelItem(physical, "gate" if len(item.members) == 1 else "fold"))
+            else:
+                out.append(KernelItem(physical, "block", item.perm, bool(item.factors)))
+        elif item.matrix is None:
+            out.append(KernelItem(physical, "block", item.perm, not bool(np.all(item.phases == 1))))
+        else:
+            out.append(KernelItem(physical, "fold" if item.factors else "gate"))
+    return tuple(out)
+
+
 def apply_lowered_items(
     state: np.ndarray,
     scratch: np.ndarray,
     items: Sequence[LoweredItem],
     logical_to_physical: Mapping[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply lowered *items* in order; returns ``(state, scratch)`` with
-    the ping-pong roles possibly swapped (the interpreter's counterpart of
-    the plan compiler's item slots: the same templates, bound per item
-    object as it is met)."""
-    for item in items:
-        physical = (
-            item.qubits if logical_to_physical is None
-            else [logical_to_physical[q] for q in item.qubits]
-        )
-        if item.matrix is None:
-            apply_monomial(state, item.perm, item.phases, physical)
-        else:
-            state, scratch = apply_gate_buffered(state, scratch, item.matrix, physical)
-    return state, scratch
+    """Apply a kernel's lowered *items* to *state*, in place; returns
+    ``(state, scratch)`` (the interpreter's counterpart of the plan
+    compiler's kernel slot: the same :func:`~repro.sim.apply.kernel_template`,
+    bound to the items object as it is met and memoized by its identity —
+    lowered items are cached instances).  *scratch* is work space."""
+    if not items:
+        return state, scratch
+    positions = tuple([
+        item.qubits if logical_to_physical is None
+        else tuple([logical_to_physical[q] for q in item.qubits])
+        for item in items
+    ])
+    key = (id(items), positions, state.size)
+    hit = _BOUND_OPS.get(key)
+    if hit is None or hit[0] is not items:
+        n = _num_qubits(state)
+        for item, physical in zip(items, positions):
+            _check_qubits(physical, n)
+            payload = item.phases if item.matrix is None else item.matrix[0]
+            if len(payload) != 1 << len(physical):
+                raise ValueError(  # lint: config-error
+                    f"item payload of length {len(payload)} does not match "
+                    f"{len(physical)} qubits"
+                )
+        template = kernel_template(kernel_items(items, logical_to_physical), n)
+        hit = _remember(key, (items, template.bind(items)))
+    return hit[1](state, scratch, thread_workspace().for_caller_buffers())
 
 
 def apply_gate_sequence(state: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:

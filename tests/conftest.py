@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.circuits.library import (
@@ -50,3 +55,59 @@ def family_circuit_10(request):
         "random": lambda: random_circuit(10, 60, seed=11),
     }
     return builders[request.param]()
+
+
+# ---------------------------------------------------------------------------
+# The item-loop runs of tests/test_native_kernel.py
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+#: The engine, program, schedule and session test modules: one run, niced,
+#: beside the suite that is waiting for it (a second one slowed the suite by
+#: as much as it saved on a two-core host).
+FALLBACK_MODULES = [[
+    "tests/test_apply_fastpaths.py", "tests/test_program.py",
+    "tests/test_schedule.py", "tests/test_session.py",
+]]
+FALLBACK_TEST = "test_modules_pass_on_the_item_loop"
+#: What a fallback run patches in before pytest starts: a loader whose one
+#: attempt is already made, and failed.
+UNAVAILABLE = (
+    "from repro.sim import native; native._STATE = dict(available=False, "
+    "reason='disabled for this run', path=None, compiler=None, flags=[], "
+    "build_seconds=0.0, library=None); "
+)
+_fallback_runs: list[subprocess.Popen] = []
+
+
+def pytest_collection_finish(session):
+    """Start the fallback runs as soon as the suite knows it will collect
+    their verdict, so they overlap everything that runs before it (they are
+    ~30 s of work, and the suite has two minutes)."""
+    wanted = any(item.name == FALLBACK_TEST for item in session.items)
+    if not wanted or session.config.option.collectonly:
+        return
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    for modules in FALLBACK_MODULES:
+        script = UNAVAILABLE + (
+            "import os, sys, pytest; os.nice(10); "
+            f"sys.exit(pytest.main(['-x', '-q', '-p', 'no:cacheprovider', *{modules!r}]))"
+        )
+        _fallback_runs.append(subprocess.Popen(
+            [sys.executable, "-c", script], cwd=REPO, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        ))
+
+
+def pytest_sessionfinish(session):
+    for run in _fallback_runs:
+        if run.poll() is None:
+            run.kill()
+            run.communicate()
+
+
+@pytest.fixture
+def fallback_runs():
+    """``(modules, process)`` per fallback run started at collection."""
+    return list(zip(FALLBACK_MODULES, _fallback_runs))

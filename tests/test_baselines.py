@@ -125,4 +125,4 @@ class TestSimulateApi:
             simulate(ghz(10), small_machine, kernelizer="magic")
 
     def test_version_exported(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"

@@ -215,41 +215,31 @@ def block_program():
     plan = ExecutionPlan(num_qubits=N, stages=[stage])
     machine = MachineConfig.for_circuit(N)
     program = compile_plan(plan, machine)
-    # block · h · block, each block folding five and three gates
-    assert [len(op.gates) for op in program.ops] == [5, 1, 3]
+    # One kernel op of three items (three ops while an item was the unit
+    # of the stream): block · h · block, the blocks folding five and three
+    # gates.
+    (kernel,) = program.ops
+    assert [len(gates_) for _kind, _qubits, gates_ in kernel.items] == [5, 1, 3]
     return program, plan, machine, circuit
 
 
-def _with_gates(op, gates, source):
-    from repro.sim.program import CompiledOp
-
-    return CompiledOp(
-        op.kind, op.run, source, tuple(gates),
-        mode=op.mode, qubits=op.qubits, tmp_slots=op.tmp_slots,
-    )
-
-
 def mutate_block_split(program):
-    block = program.ops[0]
-    stage, group = block.source[1:3]
-    program.ops[0:1] = [
-        _with_gates(block, block.gates[:3], ("sm", stage, group, 0)),
-        _with_gates(block, block.gates[3:], ("sm", stage, group, 1)),
-    ]
-    for index, op in enumerate(program.ops[2:], start=2):
-        op.source = ("sm", stage, group, index)
+    (kernel,) = program.ops
+    (kind, qubits, gates), *rest = kernel.items
+    kernel.items = ((kind, qubits, gates[:3]), (kind, qubits, gates[3:]), *rest)
 
 
 def mutate_block_merged_across_dense(program):
-    first, dense, second = program.ops
-    program.ops[:] = [
-        _with_gates(first, first.gates + second.gates, first.source),
-        dense,
-    ]
+    (kernel,) = program.ops
+    (kind, qubits, first), dense, (_kind, more, second) = kernel.items
+    merged = tuple(sorted(set(qubits) | set(more)))
+    kernel.items = ((kind, merged, first + second), dense)
 
 
 def mutate_block_reordered(program):
-    program.ops[0], program.ops[2] = program.ops[2], program.ops[0]
+    (kernel,) = program.ops
+    first, dense, second = kernel.items
+    kernel.items = (second, dense, first)
 
 
 BLOCK_MUTATIONS = [
@@ -331,7 +321,7 @@ class TestSeededDefects:
         assert verify_program(program, plan=plan, machine=machine).ok
         assert simulate_reference(circuit).allclose(program.run())
         mutate(program)
-        covered = [g for op in program.ops for g in op.gates]
+        covered = [g for op in program.ops for _kind, _qubits, gates in op.items for g in gates]
         assert sorted(map(str, covered)) == sorted(map(str, plan.stages[0].gates))
         report = verify_program(program, plan=plan, machine=machine)
         assert "program.stream" in rules_of(report), report.summary()
@@ -355,30 +345,22 @@ class TestSeededDefects:
         assert "program.parity" in rules_of(report)
         assert "program.uninitialized-read" in rules_of(report)
 
-    def test_folded_dense_op_must_be_one_single_gemm_run(self):
-        """A fold of 1q dense gates shares one gemm: an op claiming three
-        rotations on positions that are not one contiguous run (here built
-        by hand - the lowering never emits it), or one that borrows the
-        split plans' temporary, is rejected at `program.fold`."""
-        from repro.sim.program import compile_unitary_op
-
-        gates = tuple(make_gate("rx", [q], [0.2 + q]) for q in (0, 1, 3))
-        matrix = np.kron(np.kron(gates[2].matrix(), gates[1].matrix()), gates[0].matrix())
+    def test_folded_dense_item_must_be_one_contiguous_run(self):
+        """A fold of 1q dense gates shares one gemm in the item loop: a
+        kernel op claiming a fold on positions that are not one contiguous
+        run (planted here - the lowering never emits it) is rejected at
+        `program.fold`.  (The rule read ops while a fold was one; it reads
+        the kernel op's items now.)"""
         program, _plan, _machine = fresh_program()
-        holed = compile_unitary_op(matrix, (0, 1, 3), N, ("sm", 0, 0, 0), gates)
-        assert holed.kind == "dense"
-        program.ops = [holed]
+        kernel = next(op for op in program.ops if op.kind == "sm")
+        gates = tuple(make_gate("rx", [q], [0.2 + q]) for q in (0, 1, 3))
+        program.ops = [kernel]
+        kernel.items = (("fold", (0, 1, 3), gates),)
         assert rules_of(verify_program(program)) == {"program.fold"}
-        run = compile_unitary_op(matrix, (3, 4, 5), N, ("sm", 0, 0, 0), gates)
-        program.ops = [run]
+        kernel.items = (("fold", (3, 4, 5), gates),)
         assert verify_program(program).ok
-        run.tmp_slots = (1,)
-        assert rules_of(verify_program(program)) == {"program.fold"}
         # One gate on apart positions is the plan's business, not a fold.
-        program.ops = [
-            compile_unitary_op(np.kron(matrix[:2, :2], matrix[:2, :2]), (0, 3), N,
-                               ("sm", 0, 0, 0), gates[:1])
-        ]
+        kernel.items = (("gate", (0, 3), gates[:1]),)
         assert verify_program(program).ok
 
 
@@ -443,10 +425,11 @@ class TestCleanSweep:
         program = compile_plan(plan, machine)
         expected = expected_op_stream(plan, machine)
         assert len(expected) == len(program.ops)
-        for op, (source, gates) in zip(program.ops, expected):
+        for op, (source, gates, items) in zip(program.ops, expected):
             assert op.source == source
             if gates is not None:
                 assert tuple(op.gates or ()) == gates
+            assert op.items == items
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +903,104 @@ class TestLintRepro:
         # Outside sim/ the names are someone else's.
         elsewhere = self.write(lint, "runtime/compile.py", twin.read_text())
         assert lint.check_one_op_body([elsewhere]) == []
+
+    def test_kernel_template_keeps_two_named_bodies_and_two_callers(self, lint):
+        engine_source = (
+            "def kernel_template(items, n):\n"
+            "    def item_loop(payloads):\n"
+            "        def run(states, scratch, ws):\n"
+            "            return states, scratch\n"
+            "        return run\n"
+            "    lib = native.library()\n"
+            "    def bind(payloads):\n"
+            "        def run(states, scratch, ws):\n"
+            "            lib.sm_apply(states)\n"
+            "            return states, scratch\n"
+            "        return run\n"
+            "    return bind, item_loop\n"
+        )
+        kernel_set_rest = (
+            "import threading\n"
+            "_WS_TLS = threading.local()\n"
+            "def unitary_template(matrix, qubits, n):\n"
+            "    return _effective_kind(None, qubits, n)\n"
+        )
+        engine = self.write(lint, "sim/apply.py", kernel_set_rest + engine_source)
+        slot = self.write(
+            lint, "runtime/compile.py", "def fill(items, n):\n    return kernel_template(items, n)\n"
+        )
+        loader = self.write(
+            lint, "sim/native.py", "def _load(lib):\n    lib.sm_apply.restype = int\n"
+        )
+        assert lint.check_one_op_body([engine]) == []
+        assert lint.check_one_kernel_set([engine, slot, loader]) == []
+        # A third body (selected by a flag), a second caller of the
+        # template, and a second binder of the native entry point.
+        third = self.write(
+            lint, "sim/apply.py",
+            kernel_set_rest + engine_source.replace(
+                "    return bind, item_loop\n",
+                "    def tiled(payloads):\n"
+                "        def run(states, scratch, ws):\n"
+                "            return states, scratch\n"
+                "        return run\n"
+                "    return tiled if FAST else bind, item_loop\n",
+            ),
+        )
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_op_body([third])] == [
+            "kernel_template:tiled:run"
+        ]
+        shortcut = self.write(
+            lint, "runtime/offload.py",
+            "def run_groups(items, n, lib):\n"
+            "    lib.sm_apply(items)\n"
+            "    return kernel_template(items, n)\n",
+        )
+        findings = lint.check_one_kernel_set([third, slot, loader, shortcut])
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "run_groups:kernel_template", "run_groups:sm_apply",
+        ]
+        # A body going missing is the rule left behind.
+        engine.write_text(kernel_set_rest + "def kernel_template(items, n):\n    return None\n")
+        assert sorted(f.key.rpartition("::")[2] for f in lint.check_one_op_body([engine])) == [
+            "kernel_template:bind:missing", "kernel_template:item_loop:missing",
+        ]
+
+    def test_second_native_loader_flagged(self, lint):
+        home = self.write(
+            lint, "sim/native.py",
+            "import ctypes\nimport subprocess\n"
+            "def _load(path):\n    return ctypes.CDLL(path)\n",
+        )
+        user = self.write(
+            lint, "sim/apply.py",
+            "from . import native\n"
+            "def run(states):\n    return states.ctypes.data\n",  # NumPy's, not the module
+        )
+        assert lint.check_one_native_loader([home, user]) == []
+        second = self.write(
+            lint, "runtime/fast.py",
+            "import subprocess\nfrom ctypes import CDLL\nimport cffi\n"
+            "lib = CDLL('x.so')\n",
+        )
+        switched = self.write(
+            lint, "sim/native.py",
+            home.read_text() + "import os\nFORCE = os.environ.get('REPRO_NATIVE')\n",
+        )
+        findings = lint.check_one_native_loader([switched, user, second])
+        assert {f.rule for f in findings} == {"one-native-loader"}
+        assert sorted((f.path.rpartition("/")[2], f.key.rpartition("::")[2]) for f in findings) == [
+            ("fast.py", "CDLL"), ("fast.py", "cffi"), ("fast.py", "ctypes"),
+            ("fast.py", "subprocess"), ("native.py", "environ"),
+        ]
+
+    def test_no_built_object_is_tracked(self):
+        tracked = subprocess.run(
+            ["git", "ls-files", "--", "*.so", "*.o"], cwd=REPO, capture_output=True, text=True,
+        )
+        if tracked.returncode != 0:
+            pytest.skip("not a git checkout")
+        assert tracked.stdout.split() == []
 
     def test_second_planning_surface_flagged(self, lint):
         clean = self.write(

@@ -283,10 +283,14 @@ def _shm_kernels_plan(n, gates, sets, chunks):
     return ExecutionPlan(num_qubits=n, stages=[stage])
 
 
-def _folded_ops(program):
+def _folded_items(program):
+    """The ``(positions, gates)`` of every dense fold inside the program's
+    shared-memory kernel ops (a fold was an op of its own while an item
+    was the unit of the stream; the unit changed, not the fold)."""
     return [
-        op for op in program.ops
-        if op.kind == "dense" and op.source[0] == "sm" and len(op.gates) > 1
+        (positions, gates)
+        for op in program.ops if op.kind == "sm"
+        for kind, positions, gates in op.items if kind == "fold"
     ]
 
 
@@ -303,10 +307,10 @@ class TestDenseFoldDifferential:
         interpreted, trace = execute_plan(plan, init, machine=machine, compiled=False)
         assert np.array_equal(compiled.data, interpreted.data)
         assert trace.num_ops == len(program.ops)
-        # The verifier reads the same lowering: same sources, same gates.
-        assert [(op.source, op.gates) for op in program.ops] == [
-            (source, gates_) for source, gates_ in expected_op_stream(plan, machine)
-        ]
+        # The verifier reads the same lowering: same sources, gates, items.
+        assert [(op.source, op.gates, op.items) for op in program.ops] == (
+            expected_op_stream(plan, machine)
+        )
         assert verify_program(program, plan=plan, machine=machine).ok
         offloaded, _ = execute_plan_offloaded(plan, machine, init)
         with ParallelRuntime(machine, num_workers=2) as runtime:
@@ -314,10 +318,10 @@ class TestDenseFoldDifferential:
         assert np.array_equal(offloaded.data, parallel.data)
         assert offloaded.allclose(compiled, atol=1e-10)
         assert simulate_reference(Circuit(n, gates), init).allclose(compiled)
-        # No fold plans to a split gemm or the tensordot path.
-        for op in _folded_ops(program):
-            assert max(op.qubits) - min(op.qubits) + 1 == len(op.qubits)
-            assert _gemm_strategy(op.qubits, n) in SINGLE_GEMM and op.tmp_slots == ()
+        # No fold plans to a split gemm or the tensordot path in the item loop.
+        for positions, _gates in _folded_items(program):
+            assert max(positions) - min(positions) + 1 == len(positions)
+            assert _gemm_strategy(positions, n) in SINGLE_GEMM
 
     @given(folded_kernel_cases(), st.integers(0, 999))
     @settings(**SETTINGS)
@@ -334,8 +338,8 @@ class TestDenseFoldDifferential:
         warm = compile_plan(plan, check_locality=False, reuse=base)
         cold = compile_plan(plan, check_locality=False)
         assert warm.ops_recompiled == 0
-        assert [(op.kind, op.qubits, op.gates) for op in warm.ops] == [
-            (op.kind, op.qubits, op.gates) for op in cold.ops
+        assert [(op.kind, op.qubits, op.gates, op.items) for op in warm.ops] == [
+            (op.kind, op.qubits, op.gates, op.items) for op in cold.ops
         ]
         init = StateVector.random_state(n, seed=seed)
         assert np.array_equal(warm.run(init).data, cold.run(init).data)
@@ -360,7 +364,8 @@ class TestDenseFoldDifferential:
 
         base_plan, _ = plan_for(0.7)
         base = compile_plan(base_plan)
-        assert [len(op.gates) for op in base.ops] == [3, 1]
+        # One kernel op of two items (two ops before the kernel was the unit).
+        assert [[len(g) for _k, _q, g in op.items] for op in base.ops] == [[3, 1]]
         plan, gates = plan_for(0.0)
         warm = compile_plan(plan, reuse=base)
         assert warm.ops_rebound == 0 and warm.ops_recompiled == len(warm.ops)
@@ -384,7 +389,7 @@ class TestDenseFoldDifferential:
             return _shm_kernels_plan(2, gates, ((0, 1), (), ()), [(0, 3)]), gates
 
         base = compile_plan(plan_for(1.3)[0])
-        assert [len(op.gates) for op in base.ops] == [3]
+        assert [[len(g) for _k, _q, g in op.items] for op in base.ops] == [[3]]
         generic = compile_plan(plan_for(2.1)[0], reuse=base)
         assert (generic.ops_rebound, generic.ops_recompiled) == (1, 0)
         plan, gates = plan_for(-0.4)
@@ -406,7 +411,7 @@ class TestDenseFoldDifferential:
         plan, _ = partition(template, machine,
                             kernelize_config=KernelizeConfig(pruning_threshold=16))
         program = compile_plan(plan, machine)
-        assert _folded_ops(program)
+        assert _folded_items(program)
         assert verify_program(program, plan=plan, machine=machine).ok
         interpreted, _ = execute_plan(plan, machine=machine, compiled=False)
         assert np.array_equal(program.run().data, interpreted.data)

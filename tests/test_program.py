@@ -41,6 +41,7 @@ from repro.runtime.offload import compile_segment_ops, run_segment_ops, run_grou
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim import fusion as fusion_mod
+from repro.sim import native
 from repro.sim.fusion import (
     configure_fusion_cache,
     fusion_cache_stats,
@@ -267,9 +268,17 @@ class TestRebind:
         base_program = compile_plan(base_plan, machine)
         rebound_plan = rebind_plan(base_plan, other)
         rebound = compile_plan(rebound_plan, machine, reuse=base_program)
-        # Constant-structure gates (the CX entangler layers) reuse their
-        # compiled payload verbatim; angle-bearing ops recompile.
-        assert 0 < rebound.ops_reused < len(rebound.ops)
+        # The unit of reuse is the kernel (it was the item before a
+        # shared-memory kernel became one op — the unit changed, not the
+        # behaviour): a kernel whose gates all compare equal is taken
+        # verbatim, one holding a redrawn angle is refilled.  Every kernel
+        # of vqc-10 holds a rotation, so all are refilled; the CX layers
+        # inside them are structural and cost the refill nothing.
+        gate_ops = [op for op in rebound.ops if op.gates]
+        assert (rebound.ops_reused, rebound.ops_rebound) == (0, len(gate_ops))
+        assert all(new is not old for new, old in zip(rebound.ops, base_program.ops) if new.gates)
+        again = compile_plan(rebound_plan, machine, reuse=rebound)
+        assert (again.ops_reused, again.ops_rebound) == (len(gate_ops), 0)
         assert simulate_reference(other).allclose(rebound.run())
         # The base program is untouched and still computes the base circuit.
         assert simulate_reference(base).allclose(base_program.run())
@@ -284,7 +293,9 @@ class TestRebind:
             stats = s.stats
         assert stats.programs_compiled == 1
         assert stats.programs_rebound == len(sweep) - 1
-        assert stats.program_ops_reused > 0
+        # Counted in kernels (items before): each of vqc-10's holds a
+        # rotation, so every rebind refills them all.
+        assert stats.program_ops_reused == 0 and stats.program_ops_rebound > 0
         for circuit, result in zip(sweep, job.results()):
             assert simulate_reference(circuit).allclose(result.state)
 
@@ -713,14 +724,17 @@ class TestLoweredKernels:
 
         generic = gates(0.3, 0.4, 0.5, 0.6)
         base = compile_plan(_shm_plan(generic, n))
-        assert [len(op.gates) for op in base.ops] == [1, 1, 3, 1, 1, 1]
+        # One op for the kernel (six before: the unit changed from item to
+        # kernel, not the lowering), listing the same six items.
+        (kernel,) = base.ops
+        assert [len(gates_) for _kind, _qubits, gates_ in kernel.items] == [1, 1, 3, 1, 1, 1]
         for angles in [(0.0, 0.4, 0.5, 0.6), (0.3, 0.0, np.pi, 0.6),
                        (0.3, 0.4, 0.5, np.pi), (0.0, 0.0, np.pi, np.pi)]:
             degenerate = gates(*angles)
             plan = _shm_plan(degenerate, n)
             warm = compile_plan(plan, reuse=base)
             cold = compile_plan(plan)
-            assert [op.gates for op in warm.ops] == [op.gates for op in cold.ops]
+            assert [op.items for op in warm.ops] == [op.items for op in cold.ops]
             init = StateVector.random_state(n, seed=4)
             assert np.array_equal(warm.run(init).data, cold.run(init).data)
             assert simulate_reference(Circuit(n, degenerate), init).allclose(warm.run(init))
@@ -729,21 +743,22 @@ class TestLoweredKernels:
                     assert op.gates == next(o for o in base.ops if o is op).gates
         # rx(0) folds into its neighbours: the all-dense split is gone.
         folded = compile_plan(_shm_plan(gates(0.0, 0.4, 0.5, 0.6), n), reuse=base)
-        assert len(folded.ops) < len(base.ops)
+        assert len(folded.ops[0].items) < len(kernel.items)
 
     def test_all_cx_block_is_reused_on_rebind(self):
-        machine = MachineConfig.for_circuit(12)
-        base, other = su2random(12, reps=1, seed=0), su2random(12, reps=1, seed=1)
+        # 14 qubits: su2random-12 (used while an item was the unit) stages
+        # no kernel that is CX only.
+        machine = MachineConfig.for_circuit(14)
+        base, other = su2random(14, reps=1, seed=0), su2random(14, reps=1, seed=1)
         base_plan = _staged_plan(base, machine)
         base_program = compile_plan(base_plan, machine)
         rebound = compile_plan(rebind_plan(base_plan, other), machine, reuse=base_program)
         reused = [op for op in rebound.ops if any(op is old for old in base_program.ops)]
+        # Kernels are reused whole (items were, before): the kernels that
+        # hold nothing but the CX ladder are taken verbatim.
         assert rebound.ops_reused == len(reused) > 0
-        cx_blocks = [
-            op for op in reused
-            if len(op.gates) > 1 and all(g.name == "cx" for g in op.gates)
-        ]
-        assert cx_blocks, [len(op.gates) for op in reused]
+        assert all(g.name == "cx" for op in reused for g in op.gates)
+        assert any(len(op.gates) > 1 for op in reused), [len(op.gates) for op in reused]
         assert simulate_reference(other).allclose(rebound.run())
 
     @pytest.mark.parametrize("n", [9, 17])
@@ -763,9 +778,13 @@ class TestLoweredKernels:
             make_gate("swap", [4, top]), make_gate("t", [4]), make_gate("ccx", [4, 5, top]),
         ]
         program = compile_plan(_shm_plan(gates, n))
-        # Two dense ops: the h on qubits 0-3 fold into one low-edge gemm,
-        # the h on the top qubit stays alone (five before the dense fold).
-        assert program.op_counts() == {"permutation": 2, "dense": 2, "diagonal": 1}
+        # One kernel op (five item ops before the kernel became the unit)
+        # of five items: the h on qubits 0-3 fold into one, the h on the
+        # top qubit stays alone.
+        assert program.op_counts() == {"sm": 1}
+        assert [kind for kind, _qubits, _gates in program.ops[0].items] == [
+            "block", "fold", "block", "gate", "block",
+        ]
         states = [StateVector.random_state(n, seed=s) for s in range(5)]
         looped = [program.run(state).data.copy() for state in states]
         for batch in (1, 2, 5):
@@ -822,8 +841,8 @@ class TestLoweredKernels:
 
         rebind(), rebind()  # warm: both ping-pong buffers have met every op
         held, entries = workspace._views_held, len(workspace._views)
-        if gather_bits == 0:
-            assert held > 0
+        if gather_bits == 0 and native.engine() == "numpy":
+            assert held > 0  # the native kernel body borrows no views
         assert held <= workspace._MAX_VIEWS
         allocated.clear()
         for _ in range(200):

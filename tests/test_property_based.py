@@ -23,8 +23,8 @@ from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
 from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim import apply as apply_mod
-from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered
-from repro.sim.fusion import apply_lowered_items, lower_kernel_gates
+from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered, kernel_template
+from repro.sim.fusion import apply_lowered_items, kernel_items, lower_kernel_gates
 from repro.sim.program import Workspace, compile_unitary_op, monomial_template
 from repro.circuits.gates import GATE_SPECS, gate_matrix
 
@@ -166,8 +166,9 @@ class TestLoweringProperties:
     def test_lowered_matches_gate_at_a_time_and_the_oracle(self, case, gather_bits, seed):
         """In any layout, on either permutation path (gather / slice
         moves), the lowered items equal the per-gate stream to 1e-12 and
-        the reference oracle, and the compiled ops equal the interpreted
-        items bit for bit."""
+        the reference oracle; the compiled kernel op equals the interpreted
+        items bit for bit, and the kernel template's item loop is exactly
+        the items' own ops run in turn."""
         n, gates, l2p = case
         init = StateVector.random_state(n, seed=seed)
         with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
@@ -175,7 +176,15 @@ class TestLoweringProperties:
             lowered, _ = apply_lowered_items(
                 init.data.copy(), np.empty_like(init.data), items, l2p
             )
-            state, scratch, ws = init.data.copy(), np.empty_like(init.data), Workspace()
+            ws = Workspace()
+            template = kernel_template(kernel_items(items, l2p), n)
+            compiled, _ = template.op(items).run(
+                init.data.copy(), np.empty_like(init.data), ws
+            )
+            looped, _ = template.item_loop(items)(
+                init.data.copy(), np.empty_like(init.data), ws
+            )
+            state, scratch = init.data.copy(), np.empty_like(init.data)
             for item in items:
                 physical = tuple(l2p[q] for q in item.qubits)
                 if item.matrix is None:
@@ -183,7 +192,9 @@ class TestLoweringProperties:
                 else:
                     op = compile_unitary_op(item.matrix, physical, n)
                 state, scratch = op.run(state, scratch, ws)
-        assert np.array_equal(state, lowered)
+        assert np.array_equal(compiled, lowered)
+        assert np.array_equal(state, looped)
+        assert np.abs(looped - lowered).max() <= 1e-12
         per_gate, scratch = init.data.copy(), np.empty_like(init.data)
         for gate in gates:
             per_gate, scratch = apply_gate_buffered(

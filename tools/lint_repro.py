@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twelve rules, each enforcing an invariant the execution layer depends on
+Thirteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -17,8 +17,10 @@ Twelve rules, each enforcing an invariant the execution layer depends on
 ``hot-alloc``
     No allocation calls (``np.zeros`` / ``np.empty`` / ``np.copy`` /
     ``np.array`` / ``np.ascontiguousarray`` / ``tracked_empty``) inside
-    the per-op ``run()`` closures of ``sim/apply.py`` (the op templates)
-    and ``sim/program.py`` (the layout op): op
+    the per-op ``run()`` closures of ``sim/apply.py`` (the op templates,
+    both bodies of the kernel template's ``run`` included — the native
+    body's tile buffers are the library's own, thread-local) and
+    ``sim/program.py`` (the layout op): op
     execution must be allocation-free in steady state; buffers come from
     the :class:`Workspace` only.
 
@@ -82,8 +84,15 @@ Twelve rules, each enforcing an invariant the execution layer depends on
     ``threading.local()`` appears once under ``sim/`` — the thread
     workspace is the only per-thread buffer set.  Any of these growing a
     second site is the interpreter's own kernels, dispatch or scratch pool
-    coming back beside the templates.  Checked across files, whenever the
-    linted set contains ``sim/apply.py``.
+    coming back beside the templates.  A shared-memory kernel reaches
+    execution through one template, ``kernel_template``: it is called
+    from ``runtime/compile.py`` (the kernel slot) and
+    ``sim/fusion.py::apply_lowered_items`` (the interpreter, the
+    un-kernelized and the uncompiled shard paths) and nowhere else, and
+    the native library's entry point ``sm_apply`` is named nowhere but
+    inside it — a second caller of either is a second way for a kernel to
+    run.  Checked across files, whenever the linted set contains
+    ``sim/apply.py``.
 
 ``one-op-body``
     Under ``sim/`` an op has one body, ``run(states, scratch, ws)``,
@@ -93,7 +102,22 @@ Twelve rules, each enforcing an invariant the execution layer depends on
     same op loop), ``CompiledOp.__slots__`` holds no ``run_batched``, and
     the result of a ``….bind(...)`` call is never subscripted
     (``OpTemplate.bind`` returns the one closure, not a pair).  Any of
-    these is the hand-written stacked twin of an op growing back.
+    these is the hand-written stacked twin of an op growing back.  The
+    kernel template is the one op with two bodies, and it names them:
+    inside ``kernel_template`` exactly two ``run`` closures are defined —
+    under ``bind``, the native tile pass, and under ``item_loop``, the
+    loop over the items' own op bodies, which is the native body's oracle
+    in the tests and its only fallback.  A third is a third body; nothing
+    but the host and the input selects between the two.
+
+``one-native-loader``
+    ``ctypes`` / ``cffi`` / ``subprocess`` are imported, and ``CDLL`` is
+    named, in exactly one module under ``src/``: ``sim/native.py``, which
+    builds, caches and loads the kernel library.  That module reads no
+    environment variable (no ``environ``, no ``getenv``): nothing but the
+    host — a compiler on ``PATH``, a writable cache — decides whether the
+    native body runs.  And no ``.so`` / ``.o`` file is tracked by git: the
+    library is built on first use, never shipped.
 
 ``one-planning-surface``
     Nothing under ``session/`` or ``service/`` names ``legacy_pipeline``
@@ -151,6 +175,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -218,9 +243,23 @@ MATRIX_KIND_SITES = {
 CYCLE_WALK_SITE = "_permutation_moves"
 THREAD_LOCAL_SCOPE = "sim/"
 
+#: The kernel template, the modules that may call it, and the native entry
+#: point only it may name.
+KERNEL_TEMPLATE = "kernel_template"
+KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py", "sim/fusion.py"}
+NATIVE_ENTRY = "sm_apply"
+
 OP_BODY_SCOPE = "sim/"
 OP_BODY_TWIN = "run_batched"
 OP_BODY_CLASS = "CompiledOp"
+#: The kernel template's two bodies: the function each ``run`` is nested in.
+KERNEL_BODIES = {"bind": "native", "item_loop": "item loop"}
+
+NATIVE_LOADER_HOME = "sim/native.py"
+NATIVE_LOADER_MODULES = {"ctypes", "cffi", "subprocess"}
+NATIVE_LOADER_NAME = "CDLL"
+NATIVE_ENV_WORDS = ("environ", "getenv")
+NATIVE_ARTIFACT_SUFFIXES = ("*.so", "*.o")
 
 PLANNING_SURFACE_SCOPE = ("session/", "service/")
 PLANNING_SURFACE_NAME = "legacy_pipeline"
@@ -501,6 +540,14 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                         f"template instead of dispatching again",
                         f"{where}:{name}",
                     )
+            if name == KERNEL_TEMPLATE and rel_src not in KERNEL_TEMPLATE_CALLERS:
+                flag(
+                    rel, node.lineno,
+                    f"`{KERNEL_TEMPLATE}` called in {where}: a shared-memory "
+                    f"kernel reaches execution through the compiler's kernel "
+                    f"slot and sim/fusion.py::apply_lowered_items only",
+                    f"{where}:{KERNEL_TEMPLATE}",
+                )
             f = node.func
             if (
                 rel_src.startswith(THREAD_LOCAL_SCOPE)
@@ -508,6 +555,17 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                 and isinstance(f.value, ast.Name) and f.value.id == "threading"
             ):
                 thread_locals.append((rel, node.lineno))
+        if (
+            isinstance(node, ast.Attribute) and node.attr == NATIVE_ENTRY
+            and not (rel_src == KERNEL_SET_HOME and KERNEL_TEMPLATE in stack)
+            and rel_src != NATIVE_LOADER_HOME  # declares its signature
+        ):
+            flag(
+                rel, node.lineno,
+                f"`{NATIVE_ENTRY}` named in {where}: the native body is bound "
+                f"in sim/apply.py::{KERNEL_TEMPLATE} and nowhere else",
+                f"{where}:{NATIVE_ENTRY}",
+            )
         if isinstance(node, ast.Compare) and not MATRIX_KIND_SITES.intersection(stack):
             if any(_names_matrix_info(side) for side in [node.left, *node.comparators]):
                 flag(
@@ -615,10 +673,110 @@ def check_one_op_body(files: list[Path]) -> list[Finding]:
 
     for path in files:
         if SRC in path.parents and _rel_src(path).startswith(OP_BODY_SCOPE):
-            visit(
-                ast.parse(path.read_text(), filename=str(path)), [],
-                path.relative_to(REPO).as_posix(),
+            tree = ast.parse(path.read_text(), filename=str(path))
+            rel = path.relative_to(REPO).as_posix()
+            visit(tree, [], rel)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == KERNEL_TEMPLATE:
+                    _check_kernel_bodies(node, rel, flag)
+    return findings
+
+
+def _check_kernel_bodies(template: ast.FunctionDef, rel: str, flag) -> None:
+    """Exactly one ``run`` closure under each named body of the kernel
+    template, and none elsewhere in it."""
+    seen: dict[str, int] = {}
+
+    def visit(node: ast.AST, stack: list[str]) -> None:
+        if isinstance(node, ast.FunctionDef):
+            if node.name == "run":
+                parent = stack[-1] if stack else ""
+                seen[parent] = seen.get(parent, 0) + 1
+                if parent not in KERNEL_BODIES or seen[parent] > 1:
+                    flag(
+                        rel, node,
+                        f"`run` closure under `{parent or KERNEL_TEMPLATE}` in "
+                        f"{KERNEL_TEMPLATE}: the kernel op has two bodies — "
+                        + ", ".join(f"{body} under `{fn}`" for fn, body in KERNEL_BODIES.items())
+                        + " — and nothing selects a third",
+                        f"{KERNEL_TEMPLATE}:{parent}:run",
+                    )
+            stack = stack + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack)
+
+    for child in template.body:
+        visit(child, [])
+    for parent, body in KERNEL_BODIES.items():
+        if parent not in seen:
+            flag(
+                rel, template,
+                f"{KERNEL_TEMPLATE} defines no `run` under `{parent}`: the "
+                f"{body} body moved without this rule following it",
+                f"{KERNEL_TEMPLATE}:{parent}:missing",
             )
+
+
+def check_one_native_loader(files: list[Path]) -> list[Finding]:
+    """The ``one-native-loader`` rule over the linted *files*."""
+    findings: list[Finding] = []
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-native-loader", message, symbol))
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
+        source = path.read_text()
+        home = rel_src == NATIVE_LOADER_HOME
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            modules: list[str] = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                modules = [node.module.split(".")[0]]
+            named = (
+                isinstance(node, ast.Name) and node.id == NATIVE_LOADER_NAME
+            ) or (isinstance(node, ast.Attribute) and node.attr == NATIVE_LOADER_NAME)
+            for module in NATIVE_LOADER_MODULES.intersection(modules):
+                if not home:
+                    flag(
+                        rel, node.lineno,
+                        f"`{module}` imported outside {NATIVE_LOADER_HOME}: one "
+                        f"module builds, caches and loads native code",
+                        module,
+                    )
+            if named and not home:
+                flag(
+                    rel, node.lineno,
+                    f"`{NATIVE_LOADER_NAME}` named outside {NATIVE_LOADER_HOME}",
+                    NATIVE_LOADER_NAME,
+                )
+        if home:
+            for lineno, line in enumerate(source.splitlines(), 1):
+                for word in NATIVE_ENV_WORDS:
+                    if word in line:
+                        flag(
+                            rel, lineno,
+                            f"`{word}` in {NATIVE_LOADER_HOME}: nothing but the "
+                            f"host decides whether the native body runs",
+                            word,
+                        )
+    try:
+        tracked = subprocess.run(
+            ["git", "ls-files", "--", *NATIVE_ARTIFACT_SUFFIXES], cwd=REPO,
+            capture_output=True, text=True, timeout=30,
+        ).stdout.split()
+    except (OSError, subprocess.SubprocessError):  # no git: nothing is tracked
+        tracked = []
+    for name in tracked:
+        flag(
+            name, 0,
+            "a built object is tracked by git: the kernel library is built on "
+            "first use, never shipped",
+            "tracked-artifact",
+        )
     return findings
 
 
@@ -950,6 +1108,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_segment_compiler(files))
     findings.extend(check_one_kernel_set(files))
     findings.extend(check_one_op_body(files))
+    findings.extend(check_one_native_loader(files))
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_interpreter_call_sites(files))
     findings.extend(check_one_staging_bound(files))
