@@ -83,20 +83,12 @@ from .runtime import (
     CheckpointConfig,
     FaultInjector,
     FaultPlan,
-    FaultSpec,
     IntegrityConfig,
     TimingBreakdown,
     compile_plan,
     execute_plan,
-    model_simulation_time,
 )
-from .service import (
-    AdmissionPolicy,
-    JobJournal,
-    SharedPlanStore,
-    SimulationService,
-    replay_journal,
-)
+from .service import AdmissionPolicy, SharedPlanStore, SimulationService
 from .session import Job, JobStatus, Result, Session
 from .sim import CompiledProgram, StateVector, simulate_reference
 
@@ -120,7 +112,6 @@ __all__ = [
     "execute_plan",
     "compile_plan",
     "CompiledProgram",
-    "model_simulation_time",
     "TimingBreakdown",
     "Session",
     "Job",
@@ -155,14 +146,11 @@ __all__ = [
     "JobCancelledError",
     "RetryPolicy",
     "Deadline",
-    "FaultSpec",
     "FaultPlan",
     "FaultInjector",
-    # Durable execution: checkpoints, integrity monitors, job journal.
+    # Durable execution: checkpoints, integrity monitors.
     "CheckpointConfig",
     "IntegrityConfig",
-    "JobJournal",
-    "replay_journal",
     # Static verification layer.
     "CheckReport",
     "verify_plan",

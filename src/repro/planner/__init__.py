@@ -36,9 +36,7 @@ from .passes import (
     PreprocessPass,
     RefinePass,
     StagePass,
-    register_kernelizer,
     register_pass,
-    register_stager,
 )
 from .pipeline import (
     PRESETS,
@@ -65,8 +63,6 @@ __all__ = [
     "KERNELIZERS",
     "STAGERS",
     "register_pass",
-    "register_kernelizer",
-    "register_stager",
     "PassManager",
     "PRESETS",
     "available_presets",

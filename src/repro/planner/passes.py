@@ -62,8 +62,6 @@ __all__ = [
     "KERNELIZERS",
     "STAGERS",
     "register_pass",
-    "register_kernelizer",
-    "register_stager",
 ]
 
 
@@ -95,27 +93,6 @@ KERNELIZERS: dict[str, Callable[..., KernelSequence]] = {
 #: ``ilp_backend``, ``ilp_time_limit`` and ``max_stages``
 #: (heuristic stagers swallow what they do not use with ``**_ignored``).
 STAGERS: dict[str, Callable[..., StagingResult]] = {}
-
-
-def register_kernelizer(name: str, fn: Callable[..., KernelSequence]) -> None:
-    """Register a kernelization strategy under *name* (overwrites existing).
-
-    *fn* must accept ``(gates, cost_model, config)`` where ``config`` is a
-    :class:`~repro.core.kernelize.KernelizeConfig` or ``None``.
-    """
-    KERNELIZERS[name] = fn
-
-
-def register_stager(name: str, fn: Callable[..., StagingResult]) -> None:
-    """Register a staging strategy under *name* (overwrites existing).
-
-    *fn* is invoked as ``fn(circuit, machine, **options)`` and must accept
-    (or swallow via ``**kwargs``) the standard staging options
-    ``ilp_backend`` / ``ilp_time_limit`` / ``max_stages``
-    in addition to anything pipeline-specific, and return a
-    :class:`~repro.core.stage.StagingResult`.
-    """
-    STAGERS[name] = fn
 
 
 def _stage_ilp(circuit, machine, *, ilp_backend, ilp_time_limit, max_stages):

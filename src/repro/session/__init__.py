@@ -26,7 +26,6 @@ from .cache import (
     plan_fingerprint,
     plan_skeleton,
     rebind_plan,
-    relabel_plan,
     shared_plan_key,
     skeleton_fingerprint,
     skeleton_to_plan,
@@ -47,7 +46,6 @@ __all__ = [
     "plan_fingerprint",
     "plan_skeleton",
     "rebind_plan",
-    "relabel_plan",
     "shared_plan_key",
     "skeleton_fingerprint",
     "skeleton_to_plan",

@@ -58,7 +58,6 @@ __all__ = [
     "plan_fingerprint",
     "plan_skeleton",
     "rebind_plan",
-    "relabel_plan",
     "shared_plan_key",
     "skeleton_fingerprint",
     "skeleton_to_plan",
@@ -236,6 +235,55 @@ class PlanCache:
         self._entries.clear()
 
 
+def _bind(circuit: Circuit, what: str, num_qubits: int, stages, provenance) -> ExecutionPlan:
+    """An :class:`ExecutionPlan` of *circuit*'s own gates over a stored
+    structure — the one stage → kernel rebuild behind :func:`rebind_plan`
+    and :func:`skeleton_to_plan`.  *stages* holds, per stage, ``(gate
+    indices, partition, kernels | None)`` with a kernel given as ``(gate
+    indices, qubits, kernel type, cost)``; *what* names the structure in
+    the error of one that does not fit the circuit."""
+    if num_qubits != circuit.num_qubits:
+        raise PlanValidationError(
+            f"{what} spans {num_qubits} qubits, circuit has {circuit.num_qubits}"
+        )
+    stages = list(stages)
+    total = sum(len(gate_indices) for gate_indices, _, _ in stages)
+    if total != len(circuit):
+        raise PlanValidationError(
+            f"{what} covers {total} gates, circuit has {len(circuit)}"
+        )
+    bound = []
+    for gate_indices, partition, kernels in stages:
+        gates = [circuit.gates[i] for i in gate_indices]
+        if kernels is not None:
+            kernels = KernelSequence(
+                kernels=[
+                    Kernel(
+                        gates=tuple(gates[i] for i in indices),
+                        qubits=qubits,
+                        kernel_type=kernel_type,
+                        cost=cost,
+                        gate_indices=indices,
+                    )
+                    for indices, qubits, kernel_type, cost in kernels
+                ]
+            )
+        bound.append(
+            Stage(
+                gates=gates,
+                partition=partition,
+                kernels=kernels,
+                gate_indices=list(gate_indices),
+            )
+        )
+    return ExecutionPlan(
+        num_qubits=num_qubits,
+        stages=bound,
+        circuit_name=circuit.name,
+        provenance=dict(provenance),
+    )
+
+
 def rebind_plan(plan: ExecutionPlan, circuit: Circuit) -> ExecutionPlan:
     """Re-bind a cached plan's structure onto *circuit*'s gates.
 
@@ -246,92 +294,20 @@ def rebind_plan(plan: ExecutionPlan, circuit: Circuit) -> ExecutionPlan:
     *circuit* via the recorded ``gate_indices``, so the executed angles are
     always the new circuit's.  The cached plan is not modified.
     """
-    if plan.num_qubits != circuit.num_qubits:
-        raise PlanValidationError(
-            f"plan spans {plan.num_qubits} qubits, circuit has {circuit.num_qubits}"
-        )
-    if plan.gate_count() != len(circuit):
-        raise PlanValidationError(
-            f"plan covers {plan.gate_count()} gates, circuit has {len(circuit)}"
-        )
-    stages = []
-    for stage in plan.stages:
-        gates = [circuit.gates[i] for i in stage.gate_indices]
-        kernels = None
-        if stage.kernels is not None:
-            kernels = KernelSequence(
-                kernels=[
-                    Kernel(
-                        gates=tuple(gates[i] for i in kernel.gate_indices),
-                        qubits=kernel.qubits,
-                        kernel_type=kernel.kernel_type,
-                        cost=kernel.cost,
-                        gate_indices=kernel.gate_indices,
-                    )
-                    for kernel in stage.kernels
-                ]
+    return _bind(
+        circuit,
+        "plan",
+        plan.num_qubits,
+        (
+            (
+                stage.gate_indices,
+                stage.partition,
+                None if stage.kernels is None
+                else [(k.gate_indices, k.qubits, k.kernel_type, k.cost) for k in stage.kernels],
             )
-        stages.append(
-            Stage(
-                gates=gates,
-                partition=stage.partition,
-                kernels=kernels,
-                gate_indices=list(stage.gate_indices),
-            )
-        )
-    return ExecutionPlan(
-        num_qubits=plan.num_qubits,
-        stages=stages,
-        circuit_name=circuit.name,
-        provenance=dict(plan.provenance),
-    )
-
-
-def relabel_plan(plan: ExecutionPlan, mapping: Mapping[int, int]) -> ExecutionPlan:
-    """Rewrite every qubit reference of *plan* through *mapping*.
-
-    Stage partitions, kernel qubit sets and the gates themselves are all
-    relabeled consistently, so the staging invariant (non-insular qubits
-    local) is preserved: relabeling both sides of the subset relation
-    cannot break it.  Stage and kernel *gate indices* are label-free and
-    carry over verbatim — which is what lets a plan built for a circuit's
-    canonical labeling be rebound to any relabeled submission
-    (:func:`skeleton_to_plan`).  The input plan is not modified.
-    """
-    stages = []
-    for stage in plan.stages:
-        gates = [g.remap(dict(mapping)) for g in stage.gates]
-        kernels = None
-        if stage.kernels is not None:
-            kernels = KernelSequence(
-                kernels=[
-                    Kernel(
-                        gates=tuple(gates[i] for i in kernel.gate_indices),
-                        qubits=tuple(sorted(mapping[q] for q in kernel.qubits)),
-                        kernel_type=kernel.kernel_type,
-                        cost=kernel.cost,
-                        gate_indices=kernel.gate_indices,
-                    )
-                    for kernel in stage.kernels
-                ]
-            )
-        stages.append(
-            Stage(
-                gates=gates,
-                partition=QubitPartition.from_sets(
-                    (mapping[q] for q in stage.partition.local),
-                    (mapping[q] for q in stage.partition.regional),
-                    (mapping[q] for q in stage.partition.global_),
-                ),
-                kernels=kernels,
-                gate_indices=list(stage.gate_indices),
-            )
-        )
-    return ExecutionPlan(
-        num_qubits=plan.num_qubits,
-        stages=stages,
-        circuit_name=plan.circuit_name,
-        provenance=dict(plan.provenance),
+            for stage in plan.stages
+        ),
+        plan.provenance,
     )
 
 
@@ -344,20 +320,27 @@ def relabel_plan(plan: ExecutionPlan, mapping: Mapping[int, int]) -> ExecutionPl
 SKELETON_VERSION = 1
 
 
-def plan_skeleton(plan: ExecutionPlan, program=None) -> dict:
+def plan_skeleton(
+    plan: ExecutionPlan, program=None, mapping: Mapping[int, int] | None = None
+) -> dict:
     """Serialize *plan*'s structure into a JSON-able skeleton dict.
 
     The skeleton carries exactly what a rebind needs — per-stage gate
     indices, the qubit partitions, and the kernel grouping — plus a
-    ``fingerprint`` checksum (:func:`plan_fingerprint` of *plan*) that
-    loaders verify before trusting the entry.  Gates are deliberately *not*
-    stored: a skeleton is always bound to the gates of the circuit being
-    executed (:func:`skeleton_to_plan`), so angles can never be stale.
+    ``fingerprint`` checksum (:func:`plan_fingerprint` of the structure
+    stored) that loaders verify before trusting the entry.  Gates are
+    deliberately *not* stored: a skeleton is always bound to the gates of
+    the circuit being executed (:func:`skeleton_to_plan`), so angles can
+    never be stale.  With a *mapping* every qubit label — stage partitions,
+    kernel qubit sets — is stored relabelled through it (gate indices are
+    label-free): a plan published in its circuit's canonical labels binds
+    to any relabelled twin.
     ``program`` (the plan's :class:`~repro.sim.program.CompiledProgram`, if
     one was compiled) contributes metadata only — op count and workspace
     shape — used for telemetry and warm-start validation, never replayed
     from disk.
     """
+    relabel = (lambda q: q) if mapping is None else mapping.__getitem__
     stages = []
     for stage in plan.stages:
         kernels = None
@@ -365,7 +348,7 @@ def plan_skeleton(plan: ExecutionPlan, program=None) -> dict:
             kernels = [
                 {
                     "gate_indices": list(kernel.gate_indices),
-                    "qubits": list(kernel.qubits),
+                    "qubits": sorted(relabel(q) for q in kernel.qubits),
                     "kernel_type": kernel.kernel_type.value,
                     "cost": kernel.cost,
                 }
@@ -374,9 +357,9 @@ def plan_skeleton(plan: ExecutionPlan, program=None) -> dict:
         stages.append(
             {
                 "gate_indices": list(stage.gate_indices),
-                "local": sorted(stage.partition.local),
-                "regional": sorted(stage.partition.regional),
-                "global": sorted(stage.partition.global_),
+                "local": sorted(relabel(q) for q in stage.partition.local),
+                "regional": sorted(relabel(q) for q in stage.partition.regional),
+                "global": sorted(relabel(q) for q in stage.partition.global_),
                 "kernels": kernels,
             }
         )
@@ -386,7 +369,7 @@ def plan_skeleton(plan: ExecutionPlan, program=None) -> dict:
             "num_ops": len(getattr(program, "ops", ()) or ()),
             "num_qubits": getattr(program, "num_qubits", plan.num_qubits),
         }
-    return {
+    skeleton = {
         "version": SKELETON_VERSION,
         "num_qubits": plan.num_qubits,
         "circuit_name": plan.circuit_name,
@@ -397,8 +380,9 @@ def plan_skeleton(plan: ExecutionPlan, program=None) -> dict:
             if isinstance(v, (str, int, float, bool, type(None)))
         },
         "program_meta": program_meta,
-        "fingerprint": plan_fingerprint(plan),
     }
+    skeleton["fingerprint"] = skeleton_fingerprint(skeleton)
+    return skeleton
 
 
 def skeleton_fingerprint(skeleton: Mapping) -> str:
@@ -437,52 +421,32 @@ def skeleton_to_plan(
     :func:`rebind_plan`.  Pass ``mapping=None`` (or an identity mapping)
     when the skeleton was stored in the circuit's own labels.
     """
-    if skeleton["num_qubits"] != circuit.num_qubits:
-        raise PlanValidationError(
-            f"skeleton spans {skeleton['num_qubits']} qubits, circuit has "
-            f"{circuit.num_qubits}"
-        )
-    total = sum(len(stage["gate_indices"]) for stage in skeleton["stages"])
-    if total != len(circuit):
-        raise PlanValidationError(
-            f"skeleton covers {total} gates, circuit has {len(circuit)}"
-        )
     if mapping is None:
         inverse = {q: q for q in range(circuit.num_qubits)}
     else:
         inverse = {canonical: original for original, canonical in mapping.items()}
-    stages = []
-    for stage in skeleton["stages"]:
-        gates = [circuit.gates[i] for i in stage["gate_indices"]]
-        kernels = None
-        if stage["kernels"] is not None:
-            kernels = KernelSequence(
-                kernels=[
-                    Kernel(
-                        gates=tuple(gates[i] for i in k["gate_indices"]),
-                        qubits=tuple(sorted(inverse[q] for q in k["qubits"])),
-                        kernel_type=KernelType(k["kernel_type"]),
-                        cost=float(k["cost"]),
-                        gate_indices=tuple(k["gate_indices"]),
+    return _bind(
+        circuit,
+        "skeleton",
+        skeleton["num_qubits"],
+        (
+            (
+                stage["gate_indices"],
+                QubitPartition.from_sets(
+                    *((inverse[q] for q in stage[level]) for level in ("local", "regional", "global"))
+                ),
+                None if stage["kernels"] is None
+                else [
+                    (
+                        tuple(k["gate_indices"]),
+                        tuple(sorted(inverse[q] for q in k["qubits"])),
+                        KernelType(k["kernel_type"]),
+                        float(k["cost"]),
                     )
                     for k in stage["kernels"]
-                ]
+                ],
             )
-        stages.append(
-            Stage(
-                gates=gates,
-                partition=QubitPartition.from_sets(
-                    (inverse[q] for q in stage["local"]),
-                    (inverse[q] for q in stage["regional"]),
-                    (inverse[q] for q in stage["global"]),
-                ),
-                kernels=kernels,
-                gate_indices=list(stage["gate_indices"]),
-            )
-        )
-    return ExecutionPlan(
-        num_qubits=circuit.num_qubits,
-        stages=stages,
-        circuit_name=circuit.name,
-        provenance=dict(skeleton.get("provenance") or {}),
+            for stage in skeleton["stages"]
+        ),
+        skeleton.get("provenance") or {},
     )

@@ -77,7 +77,6 @@ from .cache import (
     plan_cache_key,
     plan_skeleton,
     rebind_plan,
-    relabel_plan,
     shared_plan_key,
     skeleton_to_plan,
 )
@@ -639,12 +638,8 @@ class Session:
             held = keep = programs.get(kind)
             program = None
             if compile_programs and backend_obj.uses_programs:
-                if kind == "schedule":
-                    program, keep = self._schedule_for(plan, machine, held)
-                else:
-                    program, keep = self._compiled_for(
-                        plan, base, machine, held, source == "local"
-                    )
+                acquire = self._schedule_for if kind == "schedule" else self._compiled_for
+                program, keep = acquire(plan, machine, held)
             if source != "local" or keep is not held:
                 # A shared hit is stored too, so later same-structure jobs
                 # rebind (and share the program workspace) locally.
@@ -655,10 +650,7 @@ class Session:
                 shared_key, mapping = publish
                 self.shared_cache.put(
                     shared_key,
-                    plan_skeleton(
-                        relabel_plan(plan, mapping),
-                        program if kind == "program" else None,
-                    ),
+                    plan_skeleton(plan, program if kind == "program" else None, mapping),
                 )
             if self.check != "off":
                 self._static_check(plan, machine, circuit, program, kind == "schedule")
@@ -748,24 +740,21 @@ class Session:
         return schedule, held
 
     def _compiled_for(
-        self, plan: ExecutionPlan, base: ExecutionPlan, machine: MachineConfig,
-        held: "CompiledProgram | None", rebind: bool,
+        self, plan: ExecutionPlan, machine: MachineConfig, held: "CompiledProgram | None"
     ) -> "tuple[CompiledProgram | None, CompiledProgram | None]":
-        """The compiled program of the job's own *plan*: ``(the job's, the
-        cache entry's)``.
+        """The compiled program of the job's own *plan*, counted: ``(the
+        job's, the cache entry's)`` — :meth:`_schedule_for`'s shape.
 
-        With nothing compiled for the structure yet — a fresh plan, or a
-        local entry stored by a job that ran no program (a sharded backend,
-        they share the Atlas planner key, or ``execute=False``) — the
-        entry's own plan *base* is compiled once, so later hits only
-        rebind.  *rebind*: *plan* is not *base* but a local hit rebound to
-        the job's gates, and so is its program.
+        Rebound from the entry's *held* program, or compiled cold when the
+        entry has none — a fresh plan, or a local entry stored by a job
+        that ran no program (a sharded backend, they share the Atlas
+        planner key, or ``execute=False``) — and then kept as the entry's,
+        so later hits only rebind.
         """
+        program = self._program_for(plan, machine, held)
         if held is None:
-            held = self._program_for(base, machine, None)
-        if rebind and held is not None:
-            return self._program_for(plan, machine, held), held
-        return held, held
+            held = program
+        return program, held
 
     def _program_for(
         self, plan: ExecutionPlan, machine: MachineConfig, reuse

@@ -126,3 +126,18 @@ class TestSimulateApi:
 
     def test_version_exported(self):
         assert repro.__version__ == "1.8.0"
+
+    def test_every_exported_name_is_documented(self):
+        """``repro.__all__`` is the surface ``docs/api.md`` documents: a name
+        a user does not need there is not exported from the top level (it
+        stays importable from its subpackage)."""
+        import re
+        from pathlib import Path
+
+        api = (Path(__file__).resolve().parents[1] / "docs" / "api.md").read_text()
+        undocumented = [
+            name for name in repro.__all__
+            if not re.search(rf"\b{re.escape(name)}\b", api)
+        ]
+        assert not undocumented
+        assert all(hasattr(repro, name) for name in repro.__all__)

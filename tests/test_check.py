@@ -1136,6 +1136,36 @@ class TestLintRepro:
             "atlas-ref:missing"
         ]
 
+    def test_second_or_stage_loop_in_the_micro_gate_flagged(self, lint, tmp_path):
+        gate = tmp_path / "benchmarks" / "run_bench.py"
+        gate.parent.mkdir()
+        gate.write_text(
+            "def run_rebind(best, cold):\n"
+            "    rebind_seconds = best['rebind']\n"  # a local may be called what it is
+            "    return {'rebind_vs_run': rebind_seconds / best['run'],\n"
+            "            'rebind_fallbacks': 0}\n"
+        )
+        assert lint.check_bench_host_free() == []
+        # A second written, a rate written, a baseline's second read back —
+        # and the seed executor's stage loop, copied in to be raced.
+        gate.write_text(
+            "from repro.runtime.sharding import permute_state\n"
+            "def time_plan(plan, fast, old):\n"
+            "    out = {'fast_seconds': fast, 'speedup': 2.0}\n"
+            "    out['fast_gates_per_s'] = 1.0 / fast\n"
+            "    return out, fast > 2 * old['fast_seconds']\n"
+            "def _seed_stage_loop(plan, state, layout, target):\n"
+            "    for stage in plan.stages:\n"
+            "        state = permute_state(state, layout, target)\n"
+            "    return state\n"
+        )
+        findings = lint.check_bench_host_free()
+        assert {f.rule for f in findings} == {"bench-host-free"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (3, "fast_seconds"), (4, "fast_gates_per_s"), (5, "fast_seconds"),
+            (8, "permute_state"),
+        ]
+
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")
         baseline = tmp_path / "baseline.json"

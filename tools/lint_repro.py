@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Thirteen rules, each enforcing an invariant the execution layer depends on
+Fourteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -159,6 +159,16 @@ Thirteen rules, each enforcing an invariant the execution layer depends on
     against.  Any other reference is the slow DP becoming a production
     path unnoticed.
 
+``bench-host-free``
+    ``benchmarks/run_bench.py`` writes counts and ratios of two timings of
+    one run, never a second: no string constant ending ``_seconds`` or
+    ``_per_s`` is a key of a dict literal or a subscript there (what a host
+    costs in seconds is ``benchmarks/perf``'s question, and an absolute
+    time gated against a committed baseline flakes on a shared host).  And
+    no function there calls ``permute_state`` — the mark of a stage loop: a
+    copy of the seed executor kept beside the runtime's to race it is a
+    third executor growing back.  Checked on every run.
+
 Usage::
 
     python tools/lint_repro.py [--baseline tools/lint_baseline.json]
@@ -280,6 +290,11 @@ KERNELIZER_ORACLE_HOME = "core/kernelize.py"
 KERNELIZER_ORACLE_REEXPORT = "core/__init__.py"
 KERNELIZER_REGISTRY_HOME = "planner/passes.py"
 KERNELIZER_REGISTRY_KEY = "atlas-ref"
+
+
+BENCH_HOST_FREE_FILE = "benchmarks/run_bench.py"
+BENCH_TIMING_SUFFIXES = ("_seconds", "_per_s")
+BENCH_STAGE_LOOP_MARK = "permute_state"
 
 
 class Finding:
@@ -968,6 +983,46 @@ def check_kernelizer_oracle(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_bench_host_free() -> list[Finding]:
+    """The ``bench-host-free`` rule over ``benchmarks/run_bench.py``."""
+    path = REPO / BENCH_HOST_FREE_FILE
+    if not path.exists():
+        return []
+    findings = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        keys: list = []
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        for key in keys:
+            if (
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and key.value.endswith(BENCH_TIMING_SUFFIXES)
+            ):
+                findings.append(
+                    Finding(
+                        BENCH_HOST_FREE_FILE, key.lineno, "bench-host-free",
+                        f"result key \"{key.value}\": this file writes counts and "
+                        f"ratios of two timings of one run, never a second — price "
+                        f"it against np.copyto or the alternative timed beside it",
+                        key.value,
+                    )
+                )
+        if isinstance(node, ast.Call) and _call_name(node) == BENCH_STAGE_LOOP_MARK:
+            findings.append(
+                Finding(
+                    BENCH_HOST_FREE_FILE, node.lineno, "bench-host-free",
+                    f"`{BENCH_STAGE_LOOP_MARK}` called from the micro gate: a stage "
+                    f"loop of its own is a third executor growing back — time "
+                    f"the runtime's, through its entry points",
+                    BENCH_STAGE_LOOP_MARK,
+                )
+            )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -1113,6 +1168,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_interpreter_call_sites(files))
     findings.extend(check_one_staging_bound(files))
     findings.extend(check_kernelizer_oracle(files))
+    findings.extend(check_bench_host_free())
 
     if args.write_baseline:
         args.baseline.write_text(
