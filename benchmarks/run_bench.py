@@ -22,8 +22,9 @@ keeps what that benchmark cannot say, in six sections:
   binds, and which ops it reused / refilled / recompiled;
 * **kernel_lowering** — the compiled op stream against one op per gate of
   every shared-memory kernel: the exact fold and the speedup;
-* **sm_kernel** — the kernel op's native body against its item loop, per
-  shared-memory kernel, in state copies.
+* **sm_kernel** — the kernel op's native body against its fallback, in
+  state copies: the item loop per shared-memory kernel, the fused gemm per
+  fusion kernel.
 
 :data:`RULES` is the whole gate: one row per gated path, walked by
 :func:`check_regression`.  Usage::
@@ -33,7 +34,7 @@ keeps what that benchmark cannot say, in six sections:
     PYTHONPATH=src python benchmarks/run_bench.py --quick --write   # baseline at quick scale
 
 Exit status 1 on any finding (``--threshold``, default 2x, is the slack of
-the ``ratio`` rows).  ``pytest -m bench benchmarks/test_simcore_micro.py``
+the ``ratio`` and ``within`` rows).  ``pytest -m bench benchmarks/test_simcore_micro.py``
 runs the same sections with their floors as assertions.
 """
 
@@ -65,7 +66,9 @@ import numpy as np
 
 from repro.circuits import Circuit, make_gate
 from repro.circuits.gates import gate_matrix
-from repro.circuits.library import ghz, graphstate, ising, qft, qsvm, su2random, vqc, wstate
+from repro.circuits.library import (
+    ae, ghz, graphstate, ising, qft, qpeexact, qsvm, su2random, vqc, wstate,
+)
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.kernel import KernelType
@@ -75,11 +78,11 @@ from repro.session.cache import rebind_plan
 from repro.sim import StateVector, apply_matrix_reference, native
 from repro.sim import apply as apply_mod
 from repro.sim.apply import apply_gate_buffered, kernel_template
-from repro.sim.fusion import kernel_items, lower_kernel_gates
+from repro.sim.fusion import fused_unitary, kernel_items, lower_kernel_gates
 from repro.sim.program import Workspace, compile_unitary_op
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_simcore.json"
-SCHEMA = 12
+SCHEMA = 13
 
 #: Gate classes of the micro benchmark: name -> (matrix factory, #qubits).
 GATE_CLASSES = {
@@ -120,6 +123,12 @@ REBINDS = 20
 #: Families of the lowering scenarios: diagonal-heavy (qft), cx·rz·cx
 #: sandwiches (ising) and all-to-all CX networks (su2random).
 LOWERING_FAMILIES = {"qft": qft, "ising": ising, "su2random": lambda n: su2random(n, reps=1)}
+#: Families whose in-core plans hold the fusion kernels of the
+#: ``sm_kernel`` section.
+FUSION_FAMILIES = {
+    "qft": qft, "ising": ising, "qsvm": qsvm, "vqc": vqc, "ae": ae,
+    "qpeexact": qpeexact, "su2random": lambda n: su2random(n, reps=1),
+}
 
 #: What each section runs at: (``--quick``, full run).  The full run holds
 #: the quick sizes, so ``--quick`` always finds its baseline entries; 17 is
@@ -131,7 +140,7 @@ SIZES = {
     "plan": (PLAN_SWEEP_QUICK, PLAN_SWEEP),
     "compile": ((10,), (10,)),
     "kernel_lowering": ((14,), (14, 20)),
-    "sm_kernel": ((16,), (16, 17, 20)),
+    "sm_kernel": ((12,), (12, 17, 20)),
 }
 
 
@@ -425,11 +434,13 @@ def run_kernel_lowering_bench(num_qubits: int, repeats: int) -> dict:
 
 
 def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
-    """The kernel op's two bodies, per shared-memory kernel of the lowering
-    families' in-core plans: items, and one application in state copies
-    through the native body (one pass over the state) and through the item
-    loop (a sweep per item).  Recorded as unavailable, with the reason,
-    where :func:`repro.sim.native.status` says the library was not built."""
+    """The kernel op's native body against its fallback, in state copies,
+    one row per kernel of in-core plans: per shared-memory kernel of the
+    lowering families (``families``) against the item loop (a sweep per
+    item), per fusion kernel of :data:`FUSION_FAMILIES` (``fusion``)
+    against the fused gemm it binds without the library.  Recorded as
+    unavailable, with the reason, where :func:`repro.sim.native.status`
+    says the library was not built."""
     status = native.status()
     if not status["available"]:
         return {"available": False, "reason": status["reason"]}
@@ -437,33 +448,47 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
     ws = Workspace()
     state, scratch = ws.pair(1 << num_qubits)
     state[:] = 1.0 / (1 << (num_qubits // 2))
-    families = {}
-    for family, factory in LOWERING_FAMILIES.items():
-        plan, _ = partition(factory(num_qubits), machine)
-        (stage,) = plan.stages
-        l2p = stage.partition.logical_to_physical()
-        rows = []
-        for kernel in stage.kernels:
-            if kernel.kernel_type is not KernelType.SHM:
-                continue
-            items = lower_kernel_gates(kernel.gates, l2p)
-            template = kernel_template(kernel_items(items, l2p), num_qubits)
-            native_body, item_loop = template.bind(items), template.item_loop(items)
-            best = _side_by_side(
-                repeats,
-                ("native", lambda: native_body(state, scratch, ws)),
-                ("item_loop", lambda: item_loop(state, scratch, ws)),
-                *[("copy", lambda: np.copyto(scratch, state))] * WARM_COPIES,
-            )
-            rows.append({
-                "qubits": len(kernel.qubits),
-                "items": len(items),
-                "native": template.native,
-                "native_copies": best["native"] / best["copy"],
-                "item_loop_copies": best["item_loop"] / best["copy"],
-            })
-        families[family] = rows
-    return {"available": True, "families": families}
+
+    def row(kernel, l2p: dict[int, int], fallback: str) -> dict:
+        """One kernel: the native body and the fallback — ``item_loop`` or
+        the fused ``gemm`` — timed side by side with the copy."""
+        items = lower_kernel_gates(kernel.gates, l2p)
+        template = kernel_template(kernel_items(items, l2p), num_qubits)
+        if fallback == "item_loop":
+            other = template.item_loop(items)
+        else:
+            matrix, qubits = fused_unitary(kernel.gates)
+            other = compile_unitary_op(matrix, [l2p[q] for q in qubits], num_qubits).run
+        tiled = template.bind(items)
+        best = _side_by_side(
+            repeats,
+            ("native", lambda: tiled(state, scratch, ws)),
+            (fallback, lambda: other(state, scratch, ws)),
+            *[("copy", lambda: np.copyto(scratch, state))] * WARM_COPIES,
+        )
+        return {
+            "qubits": len(kernel.qubits),
+            "items": len(items),
+            "native": template.native,
+            "native_copies": best["native"] / best["copy"],
+            f"{fallback}_copies": best[fallback] / best["copy"],
+        }
+
+    out: dict = {"available": True}
+    for section, kind, fallback, table in (
+        ("families", KernelType.SHM, "item_loop", LOWERING_FAMILIES),
+        ("fusion", KernelType.FUSION, "gemm", FUSION_FAMILIES),
+    ):
+        out[section] = {}
+        for family, factory in table.items():
+            plan, _ = partition(factory(num_qubits), machine)
+            (stage,) = plan.stages
+            l2p = stage.partition.logical_to_physical()
+            out[section][family] = [
+                row(kernel, l2p, fallback)
+                for kernel in stage.kernels if kernel.kernel_type is kind
+            ]
+    return out
 
 
 # --- Planning pipeline (cold path) ---
@@ -553,7 +578,8 @@ class Rule(NamedTuple):
     equal, exactly, to *bound*, or with no bound to the baseline's value at
     the same path; ``ratio`` — not worse than the baseline's by more than
     ``--threshold`` (*bound* says which way is better, ``"higher"`` /
-    ``"lower"``); ``floor`` / ``ceiling`` — a bound within this run.  A
+    ``"lower"``); ``floor`` / ``ceiling`` — a bound within this run;
+    ``within`` — at most ``--threshold`` times a bound within this run.  A
     *bound* given as a field name is read from the nearest enclosing record
     that has it (``num_stages`` against its entry's ``seed_stages``); *when*
     restricts the rule to the records it accepts."""
@@ -608,6 +634,8 @@ RULES = (
     Rule("sm_kernel.*.families.*.*.native_copies", "ceiling", "item_loop_copies",
          "on a kernel of three or more items the native body is no slower than the item loop",
          when=lambda kernel: kernel["items"] >= 3),
+    Rule("sm_kernel.*.fusion.*.*.native_copies", "within", "gemm_copies",
+         "a fusion kernel's tile pass is no slower than the fused gemm it replaced"),
 )
 
 #: What must hold between a value and its bound, per kind, and how a finding
@@ -664,7 +692,7 @@ def check_regression(current: dict, baseline: dict, threshold: float = 2.0) -> l
                 source = f"this run's {rule.bound} "
             else:
                 bound, source = rule.bound, ""
-            if rule.kind == "ratio":
+            if rule.kind in ("ratio", "within"):
                 relation = f"within {threshold:g}x of"
                 ok = value * threshold >= bound if rule.bound == "higher" else value <= bound * threshold
             else:
@@ -746,6 +774,13 @@ def report(results: dict) -> None:
                 f"{k['items']}: {k['native_copies']:.1f} vs {k['item_loop_copies']:.1f}"
                 for k in kernels
             ))
+        for family, kernels in section.get("fusion", {}).items():
+            if kernels:
+                print(f"fusion kernels ({family}-{size}, items: native vs fused gemm, state copies): "
+                      + ", ".join(
+                          f"{k['items']}: {k['native_copies']:.1f} vs {k['gemm_copies']:.1f}"
+                          for k in kernels
+                      ))
     planner = results["plan"]
     print(
         f"plan (pipeline, {len(planner['entries'])} entries): fast preset median "

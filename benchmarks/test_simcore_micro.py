@@ -83,12 +83,19 @@ def synthetic() -> dict:
         "kernel_lowering": {"14": {"qft": {
             "fold": [105, 3], "per_gate_ops": 105, "speedup_vs_per_gate": 14.0,
         }}},
-        "sm_kernel": {"16": {"available": True, "families": {"qft": [
-            {"qubits": 9, "items": 19, "native": True,
-             "native_copies": 11.0, "item_loop_copies": 42.0},
-            {"qubits": 2, "items": 2, "native": True,
-             "native_copies": 2.0, "item_loop_copies": 1.5},
-        ]}}},
+        "sm_kernel": {"16": {
+            "available": True,
+            "families": {"qft": [
+                {"qubits": 9, "items": 19, "native": True,
+                 "native_copies": 11.0, "item_loop_copies": 42.0},
+                {"qubits": 2, "items": 2, "native": True,
+                 "native_copies": 2.0, "item_loop_copies": 1.5},
+            ]},
+            "fusion": {"ising": [
+                {"qubits": 5, "items": 3, "native": True,
+                 "native_copies": 1.6, "gemm_copies": 4.6},
+            ]},
+        }},
     }
 
 
@@ -172,6 +179,7 @@ class TestTheRule:
         ("compile.10.batched.speedup_vs_loop", 1.4),
         ("rebind.vqc.rebind_vs_budget", 1.1),
         ("sm_kernel.16.families.qft.0.native_copies", 43.0),
+        ("sm_kernel.16.fusion.ising.0.native_copies", 9.3),
     ]
 
     def test_one_within_run_bound_broken_is_one_finding_without_a_baseline(self):
@@ -186,6 +194,16 @@ class TestTheRule:
         tree["sm_kernel"]["16"]["families"]["qft"][1]["items"] = 3
         problems = run_bench.check_regression(tree, {})
         assert len(problems) == 1 and "item_loop_copies" in problems[0]
+
+    def test_a_fusion_kernel_is_held_to_its_fused_gemm_within_the_threshold(self):
+        # 1.6 copies against the gemm's 4.6: slower than the gemm is fine up
+        # to --threshold times it, and the threshold is the slack.
+        slower = changed("sm_kernel.16.fusion.ising.0.native_copies", lambda _: 6.0)
+        assert run_bench.check_regression(slower, {}) == []
+        worse = changed("sm_kernel.16.fusion.ising.0.native_copies", lambda _: 10.0)
+        (problem,) = run_bench.check_regression(worse, {})
+        assert "gemm_copies" in problem and "within 2x" in problem
+        assert run_bench.check_regression(worse, {}, threshold=4.0) == []
 
     def test_a_uniformly_slower_host_writes_the_same_tree(self, monkeypatch):
         """Every section run on a made-up clock, then on one sixteen times

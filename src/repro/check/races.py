@@ -66,7 +66,8 @@ def shard_write_map(
     only runs of gates on local positions
     (:func:`repro.runtime.offload.compile_segment_ops`) — each run one
     ``sm`` kernel op, in place over the union of its gates' physical
-    positions, or one fused op — so no op touches a shard-index bit, and
+    positions (a fusion kernel too, where the native body takes it), or
+    one fused op — so no op touches a shard-index bit, and
     the gates that do are never folded nor reordered against each
     other.  Returns ``(write_map, mixing)``
     where ``mixing`` lists descriptions of gates that mix amplitudes along

@@ -18,9 +18,9 @@ dense gates inside a shared-memory kernel op covers one contiguous run of
 positions, per-op locality against the plan's layout walk, and (given the
 source plan) that the op stream is exactly the compiler's expected
 emission — no gate dropped, duplicated or reordered, one ``sm`` op per
-shared-memory kernel whose items are those of
-:func:`repro.sim.fusion.lower_kernel_gates` (no block split, merged or
-reordered), no layout transpose missing or misplaced.
+shared-memory kernel, and per fusion kernel the native body takes, whose
+items are those of :func:`repro.sim.fusion.lower_kernel_gates` (no block
+split, merged or reordered), no layout transpose missing or misplaced.
 
 Both return a :class:`~repro.check.report.CheckReport`; call
 :meth:`~repro.check.report.CheckReport.raise_if_failed` to convert failure
@@ -220,20 +220,26 @@ def expected_op_stream(
     (or a lone gate) executes is not mirrored but *read from the spec*: its
     one op carries, as ``items``, the ``(kind, physical positions, gates)``
     of every item of :func:`repro.sim.fusion.lower_kernel_gates`, the same
-    function every executor consumes.  ``gates`` is ``None`` for layout
-    ops, ``items`` for layout ops and fusion kernels.
+    function every executor consumes.  So does a fusion kernel wherever its
+    items take the native body (:func:`repro.sim.apply.takes_native`); where
+    they do not it is one fused op.  ``gates`` is ``None`` for layout ops,
+    ``items`` for layout ops and fused ops.
     """
     from ..runtime.sharding import QubitLayout, permutation_axes
+    from ..sim.apply import takes_native
     from ..sim.fusion import kernel_items, lower_kernel_gates
+
+    n = plan.num_qubits
 
     def lowered(source: tuple, gates: tuple, l2p: dict[int, int]) -> tuple:
         items = lower_kernel_gates(gates, l2p)
+        described = kernel_items(items, l2p)
+        if source[0] == "kernel" and not takes_native(described, n):
+            return source, gates, None
         return source, gates, tuple([
-            (described.kind, described.qubits, item.gates)
-            for described, item in zip(kernel_items(items, l2p), items)
+            (shape.kind, shape.qubits, item.gates) for shape, item in zip(described, items)
         ])
 
-    n = plan.num_qubits
     expected: list[tuple[Any, Optional[tuple], Optional[tuple]]] = []
     layout = QubitLayout(n)
     for stage_idx, stage in enumerate(plan.stages):
@@ -249,11 +255,10 @@ def expected_op_stream(
                 expected.append(lowered(("gate", stage_idx, offset), (gate,), l2p))
             continue
         for group_idx, kernel in enumerate(stage.kernels):
-            gates = tuple(kernel.gates)
-            if kernel.kernel_type is KernelType.FUSION:
-                expected.append((("kernel", stage_idx, group_idx), gates, None))
-            else:
-                expected.append(lowered(("sm", stage_idx, group_idx), gates, l2p))
+            fused = kernel.kernel_type is KernelType.FUSION
+            expected.append(lowered(
+                ("kernel" if fused else "sm", stage_idx, group_idx), tuple(kernel.gates), l2p
+            ))
     identity = {q: q for q in range(n)}
     if layout.logical_to_physical() != identity:
         axes = permutation_axes(layout.logical_to_physical(), identity, n)

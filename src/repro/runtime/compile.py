@@ -6,10 +6,11 @@
 * the stage-by-stage layout walk — each boundary permutation becomes a
   precomputed axis-transpose op (and no-op permutations are elided);
 * the staging-invariant locality check;
-* kernel fusion, the lowering of each shared-memory kernel — its monomial
-  runs folded into blocks, neighbouring 1q dense gates into folds
+* the lowering of each kernel — its monomial runs folded into blocks,
+  neighbouring 1q dense gates into folds
   (:func:`repro.sim.fusion.kernel_lowering`) — into **one** op
-  (:func:`repro.sim.apply.kernel_template`) and the logical→physical
+  (:func:`repro.sim.apply.kernel_template`), a fusion kernel's fused
+  matrix where that op has no native body, and the logical→physical
   index translation;
 * matrix structure analysis, dense gemm planning, diagonal broadcast
   vectors, permutation cycle tables, controlled-block reduction, the
@@ -67,14 +68,16 @@ from ..core.plan import ExecutionPlan
 from ..errors import PlanValidationError
 from ..sim.apply import kernel_template
 from ..sim.fusion import (
+    FusionCache,
     ItemLowering,
     KernelFusion,
     fill_fused_unitary,
     fill_lowered_item,
-    fill_fused_unitary_cached,
+    fused_unitary_cached,
     kernel_fusion,
     kernel_items,
     kernel_lowering,
+    kernel_qubits,
 )
 from ..sim.program import (
     CompiledOp,
@@ -95,6 +98,7 @@ __all__ = [
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
+    "fused_kernel_op",
 ]
 
 
@@ -130,12 +134,27 @@ def _guard_signature(signatures: list, index: int, matrix) -> None:
         raise _StructureChanged
 
 
-class _Slot:
-    """One op of a stream, minus the angles: a kernel's gates (its *pool*)
-    and how they lower.  The two kinds — a fused kernel, a shared-memory
-    kernel — fill an op differently; they keep one the same way."""
+class _KernelSlot:
+    """One op of a stream, minus the angles: a shared-memory kernel (or a
+    run of its gates on local positions, or the lone gate of an
+    un-kernelized stage) — its gates are the slot's *pool* — lowered to
+    items — the monomial blocks, dense gates and folds of 1q dense gates —
+    and applied as one op (:func:`repro.sim.apply.kernel_template`).
 
-    __slots__ = ("source", "pool", "parameterized", "signatures")
+    A fold's product is guarded — the item loop's template for it holds for
+    one signature: ``rx(a)`` then ``rx(-a)`` on one qubit multiply to an
+    exact diagonal.
+    """
+
+    __slots__ = ("source", "pool", "parameterized", "signatures", "lowering", "template")
+
+    def __init__(self, pool: int, gates, l2p, n: int) -> None:
+        self.source = None
+        self.pool = pool
+        self.parameterized = any(g.params for g in gates)
+        self.lowering: tuple[ItemLowering, ...] = kernel_lowering(gates, l2p)
+        self.template = kernel_template(kernel_items(self.lowering, l2p), n)
+        self.signatures: list[bytes | None] = [None] * len(self.lowering)
 
     def bind(self, gates, old):
         """The op for the pool's *gates*.  *old* — the op an earlier bind of
@@ -146,68 +165,56 @@ class _Slot:
             return old
         return self.fill(gates)
 
-
-class _FusedSlot(_Slot):
-    """One fusion kernel: its gates fuse into one matrix, applied as one op.
-
-    The first matrix bound chooses the op template and goes through the
-    fused-unitary memo, which the other consumers of the job's kernels
-    share; a later one is never memoized (a sweep's angles do not recur).
-    A signature change here: rz(0) ahead of a crx turns a dense product
-    into a controlled one.
-    """
-
-    __slots__ = ("fusion", "physical", "n", "template")
-
-    def __init__(self, pool: int, gates, l2p, n: int) -> None:
-        self.source = None
-        self.pool = pool
-        self.parameterized = any(g.params for g in gates)
-        self.fusion: KernelFusion = kernel_fusion(gates)
-        self.physical = tuple(l2p[q] for q in self.fusion.qubits)
-        self.n = n
-        self.template: OpTemplate | None = None
-        self.signatures: list[bytes | None] = [None]
-
-    def fill(self, gates) -> CompiledOp:
-        if self.template is None:
-            matrix = fill_fused_unitary_cached(self.fusion, gates)
-        else:
-            matrix = fill_fused_unitary(self.fusion, gates)
-            matrix.setflags(write=False)
-        _guard_signature(self.signatures, 0, matrix)
-        if self.template is None:
-            self.template = unitary_template(matrix, self.physical, self.n)
-        return self.template.op(matrix, self.source, gates)
-
-
-class _KernelSlot(_Slot):
-    """One shared-memory kernel (or a run of its gates on local positions,
-    or the lone gate of an un-kernelized stage): its lowering's items — the
-    monomial blocks, dense gates and folds of 1q dense gates — applied as
-    one op (:func:`repro.sim.apply.kernel_template`).
-
-    A fold's product is guarded like a fused kernel's matrix — the item
-    loop's template for it holds for one signature: ``rx(a)`` then
-    ``rx(-a)`` on one qubit multiply to an exact diagonal.
-    """
-
-    __slots__ = ("lowering", "template")
-
-    def __init__(self, pool: int, gates, l2p, n: int) -> None:
-        self.source = None
-        self.pool = pool
-        self.parameterized = any(g.params for g in gates)
-        self.lowering: tuple[ItemLowering, ...] = kernel_lowering(gates, l2p)
-        self.template = kernel_template(kernel_items(self.lowering, l2p), n)
-        self.signatures: list[bytes | None] = [None] * len(self.lowering)
-
     def fill(self, gates) -> CompiledOp:
         items = [fill_lowered_item(lowering, gates) for lowering in self.lowering]
         for index, item in enumerate(items):
             if item.factors is not None:
                 _guard_signature(self.signatures, index, item.matrix)
         return self.template.op(items, self.source, gates)
+
+
+class _FusedSlot(_KernelSlot):
+    """One fusion kernel: the kernel slot — its lowered items in one pass
+    over the state, no fused matrix built — wherever the kernel template
+    takes the native body (:func:`repro.sim.apply.takes_native`; a buffer
+    the C body cannot walk, which no executor hands over, runs that body's
+    oracle, the item loop).
+
+    Its fallback bind, where the template does not (no library, a kernel
+    that does not fit a tile), is the fused gemm: the gates multiplied into
+    one matrix, applied as one op — what every fusion kernel ran before it
+    was a tile pass, bit for bit.  The first matrix bound chooses the op
+    template and goes through the fused-unitary memo, which the other
+    consumers of the job's kernels share; a later one is never memoized (a
+    sweep's angles do not recur).  A signature change here: rz(0) ahead of
+    a crx turns a dense product into a controlled one.
+    """
+
+    __slots__ = ("physical", "n", "fusion", "gemm")
+
+    def __init__(self, pool: int, gates, l2p, n: int) -> None:
+        super().__init__(pool, gates, l2p, n)
+        if not self.template.native:
+            self.physical = tuple(l2p[q] for q in kernel_qubits(gates))
+            self.n = n
+            self.fusion: KernelFusion | None = None  # resolved by the first rebind
+            self.gemm: OpTemplate | None = None
+            self.signatures = [None]
+
+    def fill(self, gates) -> CompiledOp:
+        if self.template.native:
+            return super().fill(gates)
+        if self.gemm is None:
+            matrix, _qubits = fused_unitary_cached(gates)
+        else:
+            if self.fusion is None:
+                self.fusion = kernel_fusion(gates)
+            matrix = fill_fused_unitary(self.fusion, gates)
+            matrix.setflags(write=False)
+        _guard_signature(self.signatures, 0, matrix)
+        if self.gemm is None:
+            self.gemm = unitary_template(matrix, self.physical, self.n)
+        return self.gemm.op(matrix, self.source, gates)
 
 
 class _DynamicSlot:
@@ -246,11 +253,11 @@ class _Structure:
         ]))
         return len(self.keys) - 1
 
-    def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> _Slot:
+    def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> _KernelSlot:
         """Open a pool for *gates* — on local positions of the layout
-        *l2p* — and append its slot, which is returned: one op, the fused
-        matrix when the kernel is *fused*, else all the items of its
-        lowering."""
+        *l2p* — and append its slot, which is returned: one op, all the
+        items of its lowering — or, for a *fused* kernel the native body
+        does not take, its fused matrix."""
         pool, n = self.open_pool(gates), self.num_qubits
         slot = (_FusedSlot if fused else _KernelSlot)(pool, gates, l2p, n)
         self.slots.append(slot)
@@ -278,7 +285,7 @@ class _Structure:
     def bind(self, pools: list[tuple[Gate, ...]], reuse_ops: list | None) -> tuple[list, int]:
         """The op stream for matching *pools*: ``(ops, ops taken verbatim
         from reuse_ops)`` — *reuse_ops* aligned slot by slot, it was bound
-        from this structure (:meth:`_Slot.bind`)."""
+        from this structure (:meth:`_KernelSlot.bind`)."""
         ops: list = []
         reused = 0
         for index, slot in enumerate(self.slots):
@@ -355,7 +362,7 @@ class ProgramStructure(_Structure):
             not isinstance(slot, CompiledOp) for slot in self.slots
         )
 
-    def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> _Slot:
+    def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> _KernelSlot:
         """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
         pool = len(self.keys)
         far = {q for q, position in l2p.items() if position >= local}
@@ -462,6 +469,25 @@ def bind_structure(reuse, admit, build) -> tuple[_Structure, list, int, bool]:
 
 def _local_count(stage, machine: MachineConfig | None) -> int:
     return machine.local_qubits if machine is not None else stage.partition.num_local
+
+
+#: The ops of fusion kernels run outside a compiled program, by gate tuple
+#: (angles included), the positions of its gates' qubits and the state size.
+_FUSED_OPS = FusionCache(maxsize=256)
+
+
+def fused_kernel_op(gates: tuple[Gate, ...], l2p: dict[int, int], n: int) -> CompiledOp:
+    """The op of the fusion kernel *gates* in the layout *l2p* over ``2^n``
+    buffers, for the interpreter and the uncompiled shard path: the slot a
+    compiled program holds for the kernel, bound to *gates* — so every
+    executor runs the same body on the same payload.  Memoized, like the
+    lowering those paths run the other kernels through."""
+    key = (gates, tuple([l2p[q] for gate in gates for q in gate.qubits]), n)
+    op = _FUSED_OPS.lookup(key)
+    if op is None:
+        op = _FusedSlot(0, gates, l2p, n).fill(gates)
+        _FUSED_OPS.store(key, op)
+    return op
 
 
 def compile_plan(
@@ -584,9 +610,10 @@ def compiled_program_for(
 def clear_program_cache() -> None:
     """Drop the ``execute_plan`` program memo (each entry retains a plan,
     its compiled op stream, and the program's lazily-built workspace
-    buffers).  Pair with
-    :func:`repro.sim.program.release_thread_workspace` to fully release
-    the compiled path's memory in a long-lived process that occasionally
-    simulates very large states."""
+    buffers) and the fusion-kernel ops of :func:`fused_kernel_op`.  Pair
+    with :func:`repro.sim.program.release_thread_workspace` to fully
+    release the compiled path's memory in a long-lived process that
+    occasionally simulates very large states."""
     with _PROGRAM_CACHE_LOCK:
         _PROGRAM_CACHE.clear()
+    _FUSED_OPS.clear()

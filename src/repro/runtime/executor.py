@@ -2,12 +2,13 @@
 
 This is Algorithm 1's ``EXECUTE`` realised on the NumPy substrate: the
 state is permuted into each stage's physical layout, then every kernel of
-the stage is applied.  Kernels are applied either as a fused matrix
-(fusion kernels) or as their lowered items in one pass — a phased
-permutation per run of diagonal/permutation gates, the 1q dense gates on
-neighbouring positions together
-(shared-memory kernels, :func:`repro.sim.fusion.lower_kernel_gates`) —
-always on the *physical* qubit indices given by the stage's
+the stage is applied.  A kernel is applied as its lowered items in one
+pass — a phased permutation per run of diagonal/permutation gates, the 1q
+dense gates on neighbouring positions together
+(:func:`repro.sim.fusion.lower_kernel_gates`) — or, for a fusion kernel
+where that pass has no native body, as its fused matrix
+(:func:`repro.runtime.compile.fused_kernel_op`), always on the *physical*
+qubit indices given by the stage's
 logical→physical mapping, which is exactly what the GPU implementation does
 on each shard.
 
@@ -39,11 +40,11 @@ from ..cluster.machine import MachineConfig
 from ..core.kernel import Kernel, KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import KernelError, PlanValidationError, TransientError
-from ..sim.apply import apply_gate_buffered, tracked_empty
-from ..sim.fusion import apply_lowered_items, fused_unitary_cached, lower_kernel_gates
+from ..sim.apply import tracked_empty
+from ..sim.fusion import apply_lowered_items, lower_kernel_gates
 from ..sim.program import CompiledProgram, thread_workspace
 from ..sim.statevector import StateVector
-from .compile import check_gate_locality, compiled_program_for
+from .compile import check_gate_locality, compiled_program_for, fused_kernel_op
 from .sharding import QubitLayout, permute_state
 
 __all__ = ["ExecutionTrace", "execute_plan", "trace_for_program"]
@@ -88,9 +89,9 @@ def _apply_kernel(
     new_scratch, ops_applied)``.
     """
     if kernel.kernel_type is KernelType.FUSION:
-        matrix, logical_qubits = fused_unitary_cached(kernel.gates)
-        physical_qubits = [logical_to_physical[q] for q in logical_qubits]
-        return *apply_gate_buffered(state, scratch, matrix, physical_qubits), 1
+        n = state.size.bit_length() - 1
+        op = fused_kernel_op(tuple(kernel.gates), logical_to_physical, n)
+        return *op.run(state, scratch, thread_workspace().for_caller_buffers()), 1
     items = lower_kernel_gates(kernel.gates, logical_to_physical)
     return *apply_lowered_items(state, scratch, items, logical_to_physical), 1
 

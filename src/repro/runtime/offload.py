@@ -66,7 +66,7 @@ from ..errors import (
     TransientError,
 )
 from ..sim.apply import apply_gate_buffered, tracked_empty
-from ..sim.fusion import apply_lowered_items, fused_unitary_cached, lower_kernel_gates
+from ..sim.fusion import apply_lowered_items, lower_kernel_gates
 from ..sim.program import thread_workspace
 from ..sim.statevector import StateVector
 from . import faults
@@ -76,7 +76,7 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
-from .compile import SegmentStructure, bind_structure
+from .compile import SegmentStructure, bind_structure, fused_kernel_op
 from .integrity import IntegrityMonitor
 from .sharding import QubitLayout, permute_state, shard_slices
 
@@ -445,7 +445,8 @@ def group_uses_fusion(
     logical_to_physical: dict[int, int],
     local_qubits: int,
 ) -> bool:
-    """Whether a kernel group can be applied as one fused local matrix."""
+    """Whether a kernel group is a fusion kernel wholly on local positions
+    — one op over the shard (:func:`repro.runtime.compile.fused_kernel_op`)."""
     return ktype is KernelType.FUSION and all(
         logical_to_physical[q] < local_qubits
         for gate in gates
@@ -573,9 +574,8 @@ def run_groups_on_shard(
     index = shard_index
     for gates, ktype in groups:
         if group_uses_fusion(gates, ktype, logical_to_physical, local_qubits):
-            matrix, logical_qubits = fused_unitary_cached(tuple(gates))
-            physical = [logical_to_physical[q] for q in logical_qubits]
-            data, scratch = apply_gate_buffered(data, scratch, matrix, physical)
+            op = fused_kernel_op(tuple(gates), logical_to_physical, local_qubits)
+            data, scratch = op.run(data, scratch, thread_workspace().for_caller_buffers())
             continue
         for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
             if kind == "dynamic":

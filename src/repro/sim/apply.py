@@ -51,8 +51,8 @@ segments and fused-matrix fills bind these templates ahead of time.
 :func:`apply_diagonal` and :func:`apply_monomial` are the same templates
 bound on first sight of a payload object and memoized by its identity, run
 on the calling thread's workspace.  They are what the dynamic per-shard
-gates, fused-kernel applications and
-:class:`~repro.sim.statevector.StateVector` call (the interpreter's kernels
+gates and :class:`~repro.sim.statevector.StateVector` call (the
+interpreter's shared-memory kernels
 go through :func:`repro.sim.fusion.apply_lowered_items`, which binds
 :func:`kernel_template` the same way).  The kernels' numerics are
 pinned by two implementations that share nothing with the templates:
@@ -131,6 +131,7 @@ __all__ = [
     "KernelItem",
     "KernelTemplate",
     "kernel_template",
+    "takes_native",
 ]
 
 
@@ -1424,6 +1425,19 @@ class KernelTemplate(OpTemplate):
         (3000 random kernels, 4–14 qubits)."""
         return 2 * sum(len(item.qubits) if item.kind == "fold" else 1 for item in self.items)
 
+    def gemm_ulps(self) -> int:
+        """The documented bound on how far the native body of a *fusion*
+        kernel may sit from its fused gemm — the body it binds where the
+        native one is not taken — in ulp of the state's largest amplitude:
+        :meth:`ulps` for the product of the same steps the fused matrix
+        multiplies out, plus ``2^k`` for the gemm's ``2^k``-term sums over
+        the kernel's ``k`` positions.  Measured: at most 9, and never over a
+        sixth of the bound (every fusion kernel the planner emits for qft,
+        ising, qsvm, vqc, ae, qpeexact and su2random at 4–14 qubits, 15
+        random layouts each: 1245 cases, kernels of 4–7 qubits and up to
+        119 gates)."""
+        return self.ulps() + (1 << len(self.qubits))
+
     def op(
         self, payload: Sequence, source: tuple | None = None, gates: "tuple | None" = None
     ) -> CompiledOp:
@@ -1450,10 +1464,26 @@ def _extract(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
+def takes_native(items: Sequence[KernelItem], n: int) -> bool:
+    """Whether :func:`kernel_template` binds a kernel of *items* on ``2^n``
+    amplitudes to the native body (its ``native``): the library loads, the
+    state has a whole tile row (``n >= 4``) and the kernel fits one tile —
+    at most 13 tile bits, no dense gate wider than 4 qubits.  Host and
+    structure decide it, never the numbers; the static verifier reads it to
+    know what a fusion kernel compiles to."""
+    tile = {q for item in items for q in item.qubits} | set(range(_TILE_LOW))
+    return (
+        n >= _MIN_NATIVE_QUBITS
+        and len(tile) <= _MAX_TILE_BITS
+        and all(item.kind != "gate" or len(item.qubits) <= _MAX_DENSE for item in items)
+        and native.library() is not None
+    )
+
+
 def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
     """The structural half of the native body for *items* on ``2^n``
-    amplitudes: ``(prog, tabs, fills, payload size)`` as ``smkernel.c``
-    reads them, or ``None`` when the kernel does not fit one tile.
+    amplitudes (a kernel :func:`takes_native` accepts): ``(prog, tabs,
+    fills, payload size)`` as ``smkernel.c`` reads them.
 
     The tile's bits are the kernel's positions, index bits 0–2 and the
     next-lowest free positions up to :data:`_TILE_BITS`, kept in physical
@@ -1464,10 +1494,6 @@ def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
     ``phases.take(index)``).
     """
     tile = {q for item in items for q in item.qubits} | set(range(_TILE_LOW))
-    if len(tile) > _MAX_TILE_BITS or any(
-        item.kind == "gate" and len(item.qubits) > _MAX_DENSE for item in items
-    ):
-        return None
     free = (p for p in range(n) if p not in tile)
     tile = sorted(tile | {next(free) for _ in range(min(n, _TILE_BITS) - len(tile))})
     bits = len(tile)
@@ -1566,9 +1592,9 @@ def _item_template(item: KernelItem, payload, n: int) -> OpTemplate:
 
 
 def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
-    """The template of one shared-memory kernel — all its lowered *items* as
-    **one** in-place op over ``(..., 2^n)`` buffers; its payload is the
-    items filled with one job's numbers (:class:`KernelItem`).
+    """The template of one kernel — all its lowered *items* as **one**
+    in-place op over ``(..., 2^n)`` buffers; its payload is the items
+    filled with one job's numbers (:class:`KernelItem`).
 
     The op has two bodies and nothing selects between them but the host and
     the input.  The **native** body (``smkernel.c`` through
@@ -1577,13 +1603,17 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     a fold as its 2×2s, a block as phases looked up through a structural
     index map, a wider gate as a gather–matvec–scatter; a stack is the same
     call looped over rows, so row ``b`` is the flat run bit for bit.  It is
-    taken when the library loads, the state has a whole tile row
-    (``n >= 4``) and the kernel fits a tile.  The **item loop** runs each
+    taken when :func:`takes_native` says so — the library loads, the state
+    has a whole tile row (``n >= 4``) and the kernel fits a tile — and the
+    buffer is a contiguous ``complex128`` one.  The **item loop** runs each
     item's own op body (:func:`monomial_template` / :func:`unitary_template`)
-    in turn — what a kernel executed before it was one op; it is the
-    fallback and, as :attr:`KernelTemplate.item_loop`, the named oracle the
-    native body is tested against (they agree within a pinned ulp bound, not
-    bit for bit: the C body neither fuses nor blocks its sums as BLAS does).
+    in turn — what a kernel executed before it was one op; it is a
+    shared-memory kernel's fallback and, as :attr:`KernelTemplate.item_loop`,
+    the named oracle the native body is tested against (they agree within a
+    pinned ulp bound, not bit for bit: the C body neither fuses nor blocks
+    its sums as BLAS does).  A fusion kernel is this template wherever it
+    takes the native body, and the fused gemm elsewhere
+    (:mod:`repro.runtime.compile`).
     Every executor reaches a kernel through this template, so within one
     process they agree bit for bit whichever body runs.
 
@@ -1615,12 +1645,11 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
 
         return run
 
-    lib = native.library() if n >= _MIN_NATIVE_QUBITS else None
-    program = _tile_program(items, n, lib.sm_lane_bits()) if lib is not None else None
-    if program is None:
+    if not takes_native(items, n):
         bind = item_loop
     else:
-        prog, tabs, fills, size = program
+        lib = native.library()
+        prog, tabs, fills, size = _tile_program(items, n, lib.sm_lane_bits())
         apply_tiles = lib.sm_apply
         row = 1 << n
         prog_at, tabs_at = prog.ctypes.data, tabs.ctypes.data
@@ -1657,7 +1686,7 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
 
     template = KernelTemplate("sm", qubits, bind, tmp_slots=(0, 1), uses_scratch=True)
     template.items = items
-    template.native = program is not None
+    template.native = bind is not item_loop
     template.item_loop = item_loop
     return template
 

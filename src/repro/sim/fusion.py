@@ -1,12 +1,13 @@
 """Kernel lowering: what a kernel's gate list executes as.
 
-A *fusion kernel* (Section VI-B of the paper) executes a group of gates as
-a single matrix: the product of all gate matrices embedded into the space
-of the kernel's qubit set.  A *shared-memory kernel* executes as one op
-too (:func:`repro.sim.apply.kernel_template`) that applies its *items* in
-one pass over the state: one item per run of diagonal/permutation gates,
-one per group of 1q dense gates on neighbouring physical positions and one
-per wider dense gate (:func:`lower_kernel_gates`).
+A kernel executes as one op (:func:`repro.sim.apply.kernel_template`) that
+applies its *items* in one pass over the state: one item per run of
+diagonal/permutation gates, one per group of 1q dense gates on
+neighbouring physical positions and one per wider dense gate
+(:func:`lower_kernel_gates`).  A *fusion kernel* (Section VI-B of the
+paper) does too wherever that pass has its native body; elsewhere it
+executes as a single matrix: the product of all gate matrices embedded
+into the space of the kernel's qubit set.
 
 Both lowerings come in two halves.  The **structure**
 (:func:`kernel_fusion`, :func:`kernel_lowering`) is everything that
@@ -29,14 +30,17 @@ implementation paid; the two work buffers belong to the calling thread's
 workspace and are reused from kernel to kernel.
 
 :func:`fused_unitary_cached` memoizes the result keyed by the gate tuple
-(kernel identity), so a kernel that is applied repeatedly — every stage of
-every shard in the offload executor — pays for fusion once.  The memo is
-an explicit bounded LRU (:class:`FusionCache`, replacing an opaque
-``functools.lru_cache`` of the same default bound): long-running sweep
-services can watch its hit/miss/eviction counters (surfaced through
+(kernel identity), so a kernel whose matrix several consumers of one job
+ask for pays for fusion once.  The memo is an explicit bounded LRU
+(:class:`FusionCache`, replacing an opaque ``functools.lru_cache`` of the
+same default bound): long-running sweep services can watch its
+hit/miss/eviction counters (surfaced through
 :class:`repro.session.SessionStats`) and resize or flush it at runtime
-(:func:`configure_fusion_cache`).  The memos hold what is asked for by
-gate tuple — a cold compile, the interpreter, the verifier, the shard
+(:func:`configure_fusion_cache`).  Its one caller in the executors is the
+fused-gemm fallback of a fusion kernel's slot
+(:mod:`repro.runtime.compile`), so where the native body takes every
+fusion kernel nothing asks it.  The memos hold what is asked for by gate
+tuple — a cold compile, the interpreter, the verifier, the shard
 executors; a program rebind fills through its own structures and inserts
 nothing (a sweep's angles never recur, so those entries could only evict
 the ones that do).
@@ -77,7 +81,6 @@ __all__ = [
     "kernel_fusion",
     "gate_step",
     "fill_fused_unitary",
-    "fill_fused_unitary_cached",
     "kernel_lowering",
     "fill_lowered_item",
     "fused_unitary",
@@ -300,21 +303,7 @@ def fused_unitary_cached(
     hit = _FUSION_CACHE.lookup(key)
     if hit is not None:
         return hit
-    return _fill_and_store(key, kernel_fusion(gates, qubits), gates)
-
-
-def fill_fused_unitary_cached(fusion: KernelFusion, gates: Sequence[Gate]) -> np.ndarray:
-    """:func:`fused_unitary_cached` for a caller that already holds the
-    kernel's :func:`kernel_fusion` (over the default qubit order): the same
-    memo entry, without resolving the fusion again on a miss."""
-    key = (tuple(gates), None)
-    hit = _FUSION_CACHE.lookup(key)
-    if hit is None:
-        hit = _fill_and_store(key, fusion, gates)
-    return hit[0]
-
-
-def _fill_and_store(key: tuple, fusion: KernelFusion, gates: Sequence[Gate]):
+    fusion = kernel_fusion(gates, qubits)
     matrix = fill_fused_unitary(fusion, gates)
     matrix.setflags(write=False)
     value = (matrix, fusion.qubits)

@@ -10,7 +10,8 @@
  * job's numbers (block phases, 2x2s, dense matrices) as complex128.
  *
  * Numerics: every complex product is (ar*br - ai*bi, ar*bi + ai*br), sums
- * run in index order, nothing is fused or reassociated (build with
+ * run in one fixed order (a dense item's: dense_terms), nothing is fused or
+ * reassociated (build with
  * -ffp-contract=off, never -ffast-math), so an amplitude's bits depend on
  * this source and the payload only - not on the tile shape, the vector
  * width or the lane it sat in.
@@ -210,31 +211,60 @@ static void move_runs(const double *re, const double *im, double *ore, double *o
     }
 }
 
-/* A dense k-qubit matrix (row-major complex) on tile bits `bits`: per group
- * of 2^k amplitudes gather, multiply (exact zeros skipped, sums in column
- * order), scatter.  Instantiated over vectors (every bit clear of the
- * vector) and over single amplitudes. */
+/* A dense k-qubit matrix m (row-major complex) on tile bits `bits`.  Row r's
+ * sum runs over the offsets t = 0, 1, ..., 2^k - 1 in order, term
+ * m[r][r ^ t] * x[r ^ t] - the diagonal first - and drops an offset only
+ * when it is exactly zero in every row (a controlled gate costs its block).
+ * Every variant computes that same sum, so a lane's bits do not depend on
+ * which one ran.  `dense_terms` lists the offsets kept. */
+static int dense_terms(int d, const double *m, int *terms)
+{
+    int count = 0;
+    for (int t = 0; t < d; t++)
+        for (int r = 0; r < d; r++)
+            if (m[2 * (r * d + (r ^ t))] != 0.0 || m[2 * (r * d + (r ^ t)) + 1] != 0.0) {
+                terms[count++] = t;
+                break;
+            }
+    return count;
+}
+
+/* The k bits, less `low`, in ascending order: where a group's index gets
+ * its zeros inserted (dense_base). */
+static void dense_sorted(int k, const int64_t *bits, int64_t low, int64_t *sorted)
+{
+    for (int j = 0; j < k; j++) {
+        int at = j;
+        for (; at > 0 && sorted[at - 1] > bits[j] - low; at--) sorted[at] = sorted[at - 1];
+        sorted[at] = bits[j] - low;
+    }
+}
+
+/* Group g's first index with a zero inserted at each of the k sorted bits. */
+static inline int64_t dense_base(int64_t g, int k, const int64_t *sorted)
+{
+    for (int j = 0; j < k; j++)
+        g = ((g >> sorted[j]) << (sorted[j] + 1)) | (g & (((int64_t)1 << sorted[j]) - 1));
+    return g;
+}
+
+/* Per group of 2^k amplitudes gather, multiply, scatter.  Instantiated over
+ * vectors (every bit clear of the vector) and over single amplitudes. */
 #define DENSE(NAME, T, UNIT, LOW, LOAD, STORE, BROADCAST)                               \
     static void NAME(double *re, double *im, int tile_bits, int k, const int64_t *bits, \
                      const double *m)                                                   \
     {                                                                                   \
         const int d = 1 << k;                                                           \
         int64_t off[1 << SM_MAX_DENSE], sorted[SM_MAX_DENSE];                           \
+        int terms[1 << SM_MAX_DENSE];                                                   \
+        const int count = dense_terms(d, m, terms);                                     \
         for (int c = 0; c < d; c++) {                                                   \
             off[c] = 0;                                                                 \
             for (int j = 0; j < k; j++) off[c] |= (int64_t)((c >> j) & 1) << bits[j];   \
         }                                                                               \
-        for (int j = 0; j < k; j++) {                                                   \
-            int at = j;                                                                 \
-            for (; at > 0 && sorted[at - 1] > bits[j] - LOW; at--) sorted[at] = sorted[at - 1]; \
-            sorted[at] = bits[j] - LOW;                                                 \
-        }                                                                               \
+        dense_sorted(k, bits, LOW, sorted);                                             \
         for (int64_t g = 0; g < (int64_t)1 << (tile_bits - LOW - k); g++) {             \
-            int64_t base = g;                                                           \
-            for (int j = 0; j < k; j++)                                                 \
-                base = ((base >> sorted[j]) << (sorted[j] + 1)) |                       \
-                       (base & (((int64_t)1 << sorted[j]) - 1));                        \
-            base *= UNIT;                                                               \
+            const int64_t base = dense_base(g, k, sorted) * UNIT;                       \
             T xr[1 << SM_MAX_DENSE], xi[1 << SM_MAX_DENSE];                             \
             for (int c = 0; c < d; c++) {                                               \
                 xr[c] = LOAD(re + base + off[c]);                                       \
@@ -242,15 +272,13 @@ static void move_runs(const double *re, const double *im, double *ore, double *o
             }                                                                           \
             for (int r = 0; r < d; r++) {                                               \
                 T yr = BROADCAST(0.0), yi = BROADCAST(0.0);                             \
-                int started = 0;                                                        \
-                for (int c = 0; c < d; c++) {                                           \
+                for (int i = 0; i < count; i++) {                                       \
+                    const int c = r ^ terms[i];                                         \
                     const double mr = m[2 * (r * d + c)], mi = m[2 * (r * d + c) + 1];  \
-                    if (mr == 0.0 && mi == 0.0) continue;                               \
                     const T pr = BROADCAST(mr) * xr[c] - BROADCAST(mi) * xi[c];         \
                     const T pi = BROADCAST(mr) * xi[c] + BROADCAST(mi) * xr[c];         \
-                    yr = started ? yr + pr : pr;                                        \
-                    yi = started ? yi + pi : pi;                                        \
-                    started = 1;                                                        \
+                    yr = i ? yr + pr : pr;                                              \
+                    yi = i ? yi + pi : pi;                                              \
                 }                                                                       \
                 STORE(re + base + off[r], yr);                                          \
                 STORE(im + base + off[r], yi);                                          \
@@ -264,6 +292,89 @@ static void move_runs(const double *re, const double *im, double *ore, double *o
 DENSE(dense_each, double, 1, 0, LOAD1, STORE1, SAME)
 #if LB
 DENSE(dense_wide, vd, VL, LB, ld, st, SPLAT)
+
+/* Lane l of the result is lane l ^ s of x. */
+static inline vd lane_xor(vd x, int s)
+{
+    switch (s) {
+    case 1: return SHUF2(x, x, 1, 0, 3, 2, 5, 4, 7, 6);
+    case 2: return SHUF2(x, x, 2, 3, 0, 1, 6, 7, 4, 5);
+    case 3: return SHUF2(x, x, 3, 2, 1, 0, 7, 6, 5, 4);
+    case 4: return SHUF2(x, x, 4, 5, 6, 7, 0, 1, 2, 3);
+    case 5: return SHUF2(x, x, 5, 4, 7, 6, 1, 0, 3, 2);
+    case 6: return SHUF2(x, x, 6, 7, 4, 5, 2, 3, 0, 1);
+    case 7: return SHUF2(x, x, 7, 6, 5, 4, 3, 2, 1, 0);
+    default: return x;
+    }
+}
+
+/* A dense item with bits inside the vector: the move gate1_lane makes, per
+ * item.  Bit j of the item index is a lane bit ("low", j in `low`) or picks
+ * one of the 2^k_high vectors of a group.  Output vector h (a high index)
+ * lane l is row r = h | low index of l; its term t reads vector h ^ t_high,
+ * lane l ^ (t_low's lane bits) - one lane permute per (vector, t_low) - times
+ * a per-lane coefficient m[r][r ^ t] built once per call. */
+static void dense_lane(double *re, double *im, int tile_bits, int k, const int64_t *bits,
+                       const double *m)
+{
+    const int d = 1 << k;
+    int low = 0, kh = 0;
+    int64_t high[SM_MAX_DENSE], sorted[SM_MAX_DENSE];
+    for (int j = 0; j < k; j++) {
+        if (bits[j] < LB) low |= 1 << j;
+        else high[kh++] = bits[j];
+    }
+    dense_sorted(kh, high, LB, sorted);
+    int64_t off[1 << SM_MAX_DENSE];
+    int terms[1 << SM_MAX_DENSE], shift[1 << SM_MAX_DENSE], rows[1 << SM_MAX_DENSE];
+    const int count = dense_terms(d, m, terms);
+    int num_rows = 0;
+    for (int c = 0; c < d; c++) { /* off: c's vector (its high bits); shift: its lane bits */
+        off[c] = 0;
+        shift[c] = 0;
+        for (int j = 0; j < k; j++)
+            if ((c >> j) & 1) {
+                if ((low >> j) & 1) shift[c] |= 1 << bits[j];
+                else off[c] |= (int64_t)1 << bits[j];
+            }
+        if (!(c & low)) rows[num_rows++] = c;
+    }
+    /* coef[h][i]: lane l holds m[r][r ^ terms[i]], r = rows[h] | l's low bits */
+    vd cr[(1 << (SM_MAX_DENSE - 1)) * (1 << SM_MAX_DENSE)];
+    vd ci[(1 << (SM_MAX_DENSE - 1)) * (1 << SM_MAX_DENSE)];
+    for (int h = 0; h < num_rows; h++)
+        for (int i = 0; i < count; i++)
+            for (int lane = 0; lane < VL; lane++) {
+                int r = rows[h];
+                for (int j = 0; j < k; j++)
+                    if ((low >> j) & 1) r |= ((lane >> bits[j]) & 1) << j;
+                const int c = r ^ terms[i];
+                cr[h * count + i][lane] = m[2 * (r * d + c)];
+                ci[h * count + i][lane] = m[2 * (r * d + c) + 1];
+            }
+    for (int64_t g = 0; g < (int64_t)1 << (tile_bits - LB - kh); g++) {
+        const int64_t base = dense_base(g, kh, sorted) * VL;
+        vd xr[1 << SM_MAX_DENSE], xi[1 << SM_MAX_DENSE];
+        for (int c = 0; c < d; c++) { /* c's vector, permuted by c's lane bits */
+            xr[c] = lane_xor(ld(re + base + off[c]), shift[c]);
+            xi[c] = lane_xor(ld(im + base + off[c]), shift[c]);
+        }
+        for (int h = 0; h < num_rows; h++) {
+            const int r = rows[h];
+            vd yr = SPLAT(0.0), yi = SPLAT(0.0);
+            for (int i = 0; i < count; i++) {
+                const int c = r ^ terms[i];
+                const vd mr = cr[h * count + i], mi = ci[h * count + i];
+                const vd pr = mr * xr[c] - mi * xi[c];
+                const vd pi = mr * xi[c] + mi * xr[c];
+                yr = i ? yr + pr : pr;
+                yi = i ? yi + pi : pi;
+            }
+            st(re + base + off[r], yr);
+            st(im + base + off[r], yi);
+        }
+    }
+}
 #endif
 
 /* Apply the kernel `prog` to every row of `state`; 0 on success. */
@@ -321,7 +432,9 @@ int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, const int6
                     break;
                 default: /* SM_DENSE */
 #if LB
-                    if (it[3]) { dense_wide(re, im, tile_bits, (int)it[1], it + 6, pay); break; }
+                    if (it[3]) dense_wide(re, im, tile_bits, (int)it[1], it + 6, pay);
+                    else dense_lane(re, im, tile_bits, (int)it[1], it + 6, pay);
+                    break;
 #endif
                     dense_each(re, im, tile_bits, (int)it[1], it + 6, pay);
                 }

@@ -904,6 +904,43 @@ class TestLintRepro:
         elsewhere = self.write(lint, "runtime/compile.py", twin.read_text())
         assert lint.check_one_op_body([elsewhere]) == []
 
+    #: The compiler's two slots: the kernel template, and the fusion slot's
+    #: fallback bind — the one fused matrix asked for under runtime/.
+    SLOTS = (
+        "def fill(items, n):\n"
+        "    return kernel_template(items, n)\n"
+        "class _FusedSlot:\n"
+        "    def fill(self, gates):\n"
+        "        return fused_unitary_cached(gates)\n"
+    )
+
+    def test_a_fusion_kernel_has_one_fused_gemm(self, lint):
+        slot = self.write(lint, "runtime/compile.py", self.SLOTS)
+        assert lint.check_one_kernel_set([slot]) == []
+        # The interpreter fusing a kernel by itself again: both call sites
+        # are flagged, and one outside the fusion slot even on its own.
+        interpreter = self.write(
+            lint, "runtime/executor.py",
+            "def _apply_kernel(state, kernel):\n"
+            "    return fused_unitary_cached(kernel.gates)\n",
+        )
+        findings = lint.check_one_kernel_set([slot, interpreter])
+        assert {f.rule for f in findings} == {"one-kernel-set"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "_FusedSlot.fill:fused_unitary_cached", "_apply_kernel:fused_unitary_cached",
+        ]
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_kernel_set([interpreter])] == [
+            "_apply_kernel:fused_unitary_cached"
+        ]
+        # Under sim/ the memo is someone else's; the fallback going missing
+        # is the rule left behind.
+        sim = self.write(lint, "sim/fusion.py", "def f(gates):\n    return fused_unitary(gates)\n")
+        assert lint.check_one_kernel_set([slot, sim]) == []
+        slot.write_text("def fill(items, n):\n    return kernel_template(items, n)\n")
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_kernel_set([slot])] == [
+            "_FusedSlot:missing"
+        ]
+
     def test_kernel_template_keeps_two_named_bodies_and_two_callers(self, lint):
         engine_source = (
             "def kernel_template(items, n):\n"
@@ -926,9 +963,7 @@ class TestLintRepro:
             "    return _effective_kind(None, qubits, n)\n"
         )
         engine = self.write(lint, "sim/apply.py", kernel_set_rest + engine_source)
-        slot = self.write(
-            lint, "runtime/compile.py", "def fill(items, n):\n    return kernel_template(items, n)\n"
-        )
+        slot = self.write(lint, "runtime/compile.py", self.SLOTS)
         loader = self.write(
             lint, "sim/native.py", "def _load(lib):\n    lib.sm_apply.restype = int\n"
         )
@@ -995,9 +1030,12 @@ class TestLintRepro:
         ]
 
     def test_no_built_object_is_tracked(self):
-        tracked = subprocess.run(
-            ["git", "ls-files", "--", "*.so", "*.o"], cwd=REPO, capture_output=True, text=True,
-        )
+        try:
+            tracked = subprocess.run(
+                ["git", "ls-files", "--", "*.so", "*.o"], cwd=REPO, capture_output=True, text=True,
+            )
+        except OSError:
+            pytest.skip("no git on PATH")
         if tracked.returncode != 0:
             pytest.skip("not a git checkout")
         assert tracked.stdout.split() == []

@@ -23,6 +23,7 @@ from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
+import repro.runtime.compile as compile_mod
 from repro.errors import KernelError
 from repro.runtime import (
     ParallelRuntime,
@@ -196,33 +197,38 @@ def test_rebinds_leave_the_dense_plan_memo_alone():
     assert len(apply_mod._BOUND_OPS) == size
 
 
-def test_an_interpreted_sweep_stays_within_the_memo_bound(monkeypatch):
-    """The interpreter does memoize — one entry per item *object* it
-    applies.  Over a 50-job angle sweep of ising-12 the angle-carrying
-    items add a constant number of entries a job, the parameter-free ones
-    hit theirs, and below the bound nothing is wiped (the old gemm-plan
-    memo wiped at the same 4096 and nowhere else); at the bound the memo
-    restarts and results do not change."""
+def test_an_interpreted_sweep_stays_within_the_memo_bounds(monkeypatch):
+    """The interpreter does memoize — one entry per item *object* of a
+    shared-memory kernel it applies (`_BOUND_OPS`) and one bound op per
+    fusion kernel's gate tuple (`_FUSED_OPS`).  Over a 50-job angle sweep
+    of ising-12 the angle-carrying kernels add a constant number of entries
+    a job, the parameter-free ones hit theirs, and below the bounds nothing
+    is wiped (the old gemm-plan memo wiped at the same 4096 and nowhere
+    else); at the bounds the memos restart or evict and results do not
+    change."""
     rng = np.random.default_rng(4)
     machine, template, base_plan = _ising_plan(rng)
-    apply_mod._BOUND_OPS.clear()
+    bound, fused = apply_mod._BOUND_OPS, compile_mod._FUSED_OPS
+    bound.clear()
+    fused.clear()
     sizes, first = [], None
     for _ in range(50):
         plan = rebind_plan(base_plan, _redrawn(template, rng))
         execute_plan(plan, machine=machine, compiled=False)
-        sizes.append(len(apply_mod._BOUND_OPS))
-        first = first or set(apply_mod._BOUND_OPS)
+        sizes.append(len(bound) + len(fused))
+        first = first or (set(bound), set(fused._entries))
     per_job = sizes[1] - sizes[0]
     assert 0 < per_job < sizes[0]  # some of the first job's entries recur
     assert sizes == [sizes[0] + job * per_job for job in range(50)]
-    assert sizes[-1] < apply_mod._BOUND_OPS_MAX
-    assert first <= set(apply_mod._BOUND_OPS)
+    assert len(bound) < apply_mod._BOUND_OPS_MAX and len(fused) < fused.maxsize
+    assert first[0] <= set(bound) and first[1] <= set(fused._entries)
 
-    monkeypatch.setattr(apply_mod, "_BOUND_OPS_MAX", 2 * per_job)
+    monkeypatch.setattr(apply_mod, "_BOUND_OPS_MAX", 2)
+    monkeypatch.setattr(fused, "maxsize", 2)
     for _ in range(5):
         plan = rebind_plan(base_plan, _redrawn(template, rng))
         interpreted, _ = execute_plan(plan, machine=machine, compiled=False)
-        assert len(apply_mod._BOUND_OPS) <= 2 * per_job
+        assert len(bound) <= 2 and len(fused) <= 2
         assert np.array_equal(interpreted.data, compile_plan(plan, machine).run().data)
 
 

@@ -1,15 +1,17 @@
-"""The kernel op's two bodies: the native tile pass against the item loop.
+"""The kernel op's two bodies: the native tile pass against its fallback.
 
-A shared-memory kernel is one op (`repro.sim.apply.kernel_template`) with
-two bodies and no switch: the C tile pass of `repro.sim.native` when the
-host can build and load it, the loop over the items' own NumPy ops
-otherwise.  The item loop is the native body's oracle here — generated
-kernels over every lowered item kind, lowest position, state size, buffer
-shape and layout — within the documented bound `KernelTemplate.ulps()`; the
-loader's cache, races and failure modes are exercised on private cache
-directories; and the engine, program, schedule and session test modules are
-run, unedited, with the loader reporting "unavailable" (`conftest.py` starts
-those runs at collection).
+A kernel is one op (`repro.sim.apply.kernel_template`) with two bodies and
+no switch: the C tile pass of `repro.sim.native` when the host can build
+and load it, otherwise the loop over the items' own NumPy ops — or, for a
+fusion kernel, its fused gemm.  The item loop is the native body's oracle
+here — generated kernels over every lowered item kind, lowest position,
+state size, buffer shape and layout — within the documented bound
+`KernelTemplate.ulps()`, and the fused gemm is every planner fusion
+kernel's within `KernelTemplate.gemm_ulps()`; the loader's cache, races
+and failure modes are exercised on private cache directories; and the
+engine, program, schedule and session test modules are run, unedited, with
+the loader reporting "unavailable" (`conftest.py` starts those runs at
+collection).
 """
 
 import hashlib
@@ -18,21 +20,31 @@ import stat
 import subprocess
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import make_gate
-from repro.circuits.library import qft
+from repro.circuits.library import ae, ising, qft, qpeexact, qsvm, su2random, vqc
 from repro.cluster import MachineConfig
 from repro.core import partition
-from repro.runtime import compile_plan
-from repro.sim import native
+from repro.core.kernel import KernelType
+from repro.runtime import (
+    ParallelRuntime,
+    clear_program_cache,
+    compile_plan,
+    execute_plan,
+    execute_plan_offloaded,
+)
+from repro.runtime.compile import fused_kernel_op
+from repro.sim import StateVector, native
 from repro.sim.apply import Workspace, apply_matrix_reference, kernel_template
-from repro.sim.fusion import LoweredItem, kernel_items, lower_kernel_gates
+from repro.sim.fusion import LoweredItem, fused_unitary, kernel_items, lower_kernel_gates
+from repro.sim.program import compile_unitary_op
 
 REPO = Path(__file__).resolve().parent.parent
 needs_native = pytest.mark.skipif(
@@ -169,6 +181,37 @@ class TestNativeAgainstTheItemLoop:
         want = apply_matrix_reference(state, unitary, positions)
         assert np.abs(got - want).max() <= dim * np.spacing(np.abs(state).max())
 
+    def test_the_scalar_build_computes_the_same_bytes(self, tmp_path, monkeypatch):
+        """`-DSM_SCALAR` — no vector extensions: every dense item the plain
+        gather–matvec–scatter, no lane permutes — against this host's
+        vector build, byte for byte on states with exact zeros: an
+        amplitude's bits follow from the source and the payload, not from
+        the vector width or the lane it sat in."""
+        scalar = tmp_path / "scalar.so"
+        subprocess.run(
+            [native.status()["compiler"], *native.FLAGS, "-DSM_SCALAR", "-o", str(scalar),
+             str(native.SOURCE)], check=True, capture_output=True, timeout=120,
+        )
+        builds = (native.library(), native._load(scalar))
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            n = int(rng.integers(4, 13))
+            l2p = dict(enumerate(rng.choice(n, size=3, replace=False).tolist()))
+            gates = tuple(
+                gate for kind in rng.choice(sorted(ITEM_KINDS), size=int(rng.integers(1, 4)))
+                for gate in ITEM_KINDS[kind]([0, 1, 2], rng.uniform(0.05, 6.2, 3).tolist())
+            )
+            items = lower_kernel_gates(gates, l2p)
+            (state,) = _random_states(n, 1, int(rng.integers(1000)))
+            state[rng.random(1 << n) < 0.3] = 0.0
+            outs = []
+            for lib in builds:
+                monkeypatch.setitem(native._STATE, "library", lib)
+                template = kernel_template(kernel_items(items, l2p), n)
+                assert template.native
+                outs.append(_apply(template.bind(items), state).tobytes())
+            assert outs[0] == outs[1], (n, l2p, [g.name for g in gates])
+
     def test_a_buffer_the_c_body_cannot_walk_takes_the_item_loop(self):
         """Facts of the input pick the body: a strided view runs the item
         loop (and is still updated in place)."""
@@ -247,6 +290,167 @@ class TestNativeAgainstTheItemLoop:
 
 
 PINNED_QFT10_DIGEST = "00ad2b5cb53babd240489def30cb523136c73bc26e8ce6e5495f3a98fd80913e"
+
+
+# ---------------------------------------------------------------------------
+# Fusion kernels: the same op, the fused gemm its fallback
+# ---------------------------------------------------------------------------
+
+FUSION_FAMILIES = {
+    "qft": qft, "ising": ising, "qsvm": qsvm, "vqc": vqc, "ae": ae,
+    "qpeexact": qpeexact, "su2random": su2random,
+}
+#: The three structures of the repo benchmark's service workload.
+SERVICE_STRUCTURES = {"qsvm": qsvm, "ising": ising, "vqc": lambda n: vqc(n, ansatz_reps=1)}
+UNAVAILABLE = dict(
+    available=False, reason="disabled for this test", path=None, compiler=None,
+    flags=[], build_seconds=0.0, library=None,
+)
+
+
+@lru_cache(maxsize=None)
+def _fusion_kernels(family: str, n: int) -> tuple:
+    """The gate tuples of the fusion kernels the planner emits for *family*
+    on an in-core ``n``-qubit machine."""
+    plan, _ = partition(FUSION_FAMILIES[family](n), MachineConfig.for_circuit(n))
+    return tuple(
+        tuple(kernel.gates) for stage in plan.stages for kernel in stage.kernels or ()
+        if kernel.kernel_type is KernelType.FUSION
+    )
+
+
+@st.composite
+def fusion_cases(draw):
+    """`(n, gates, layout)`: one planner fusion kernel of the seven families
+    at 4–14 qubits, in a random stage layout."""
+    family = draw(st.sampled_from(sorted(FUSION_FAMILIES)))
+    n = draw(st.integers(4, 14))
+    kernels = _fusion_kernels(family, n)
+    assume(kernels)
+    gates = draw(st.sampled_from(kernels))
+    return n, gates, dict(enumerate(draw(st.permutations(range(n)))))
+
+
+def _fused_gemm(gates, l2p, n):
+    """The op a fusion kernel bound before it was a tile pass: its fused
+    matrix over the kernel's positions."""
+    matrix, qubits = fused_unitary(gates)
+    return compile_unitary_op(matrix, [l2p[q] for q in qubits], n)
+
+
+def _run_op(op, state):
+    out, _ = op.run(state.copy(), np.empty_like(state), Workspace())
+    return out
+
+
+class TestFusionKernels:
+    """A fusion kernel is the kernel op: its lowered items in one native
+    tile pass where the host has the body, its fused gemm otherwise — one
+    template either way, so every executor agrees bit for bit."""
+
+    @needs_native
+    @given(fusion_cases(), st.integers(0, 999))
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    def test_planner_kernels_against_the_fused_gemm(self, case, seed):
+        n, gates, l2p = case
+        self._check_against_the_gemm(n, gates, l2p, seed)
+
+    @needs_native
+    def test_ae_12_dense_items_in_the_vector(self):
+        """ae-12's first fusion kernel holds three controlled-ry items on
+        index bits 0/1 — inside the vector, where the C body once ran a
+        scalar gather–matvec–scatter and lost to the fused gemm by 2x; the
+        per-lane variant (`dense_lane`) computes the same sums."""
+        (gates, *_), n = _fusion_kernels("ae", 12), 12
+        l2p = {q: q for q in range(n)}
+        inside = [
+            item for item in lower_kernel_gates(gates, l2p)
+            if item.matrix is not None and item.factors is None
+            and len(item.qubits) > 1 and min(item.qubits) < 3
+        ]
+        assert len(inside) == 3 and all(g.name == "cry" for item in inside for g in item.gates)
+        for seed in range(3):
+            self._check_against_the_gemm(n, gates, l2p, seed)
+
+    @staticmethod
+    def _check_against_the_gemm(n, gates, l2p, seed):
+        """Native within `gemm_ulps()` of the fused gemm; a `(1, 2^n)` and a
+        `(B, 2^n)` stack are the flat runs bit for bit."""
+        op = fused_kernel_op(gates, l2p, n)
+        assert op.kind == "sm"
+        items = lower_kernel_gates(gates, l2p)
+        template = kernel_template(kernel_items(items, l2p), n)
+        gemm = _fused_gemm(gates, l2p, n)
+        states = _random_states(n, 3, seed)
+        flat = [_apply(op.run, row) for row in states]
+        for row, got in zip(states, flat):
+            want = _run_op(gemm, row)
+            bound = template.gemm_ulps() * np.spacing(np.abs(row).max())
+            assert np.abs(got.real - want.real).max() <= bound
+            assert np.abs(got.imag - want.imag).max() <= bound
+        assert np.array_equal(_apply(op.run, states[:1])[0], flat[0])
+        for row, want in zip(_apply(op.run, states), flat):
+            assert np.array_equal(row, want)
+
+    def test_without_the_library_fusion_kernels_keep_the_fused_gemm(self, monkeypatch):
+        """The loader "unavailable": every fusion kernel of the service
+        structures binds the fused gemm — the bits it had before the tile
+        pass existed, ising-12's and qsvm-12's one `big` op included."""
+        monkeypatch.setattr(native, "_STATE", UNAVAILABLE)
+        clear_program_cache()  # ops bound under the native body
+        try:
+            machine = MachineConfig.for_circuit(12, num_shards=4)
+            (state,) = _random_states(12, 1, 7)
+            for family, build in SERVICE_STRUCTURES.items():
+                plan, _ = partition(build(12), machine)
+                program = compile_plan(plan, machine)
+                layouts = [stage.partition.logical_to_physical() for stage in plan.stages]
+                fused = [op for op in program.ops if op.source[0] == "kernel"]
+                assert fused and all(op.kind != "sm" for op in fused), family
+                assert ("big" in program.op_counts()) == (family != "vqc"), family
+                for op in fused:
+                    want = _run_op(_fused_gemm(op.gates, layouts[op.source[1]], 12), state)
+                    assert np.array_equal(_run_op(op, state), want), family
+                    again = fused_kernel_op(op.gates, layouts[op.source[1]], 12)
+                    assert np.array_equal(_run_op(again, state), want), family
+        finally:
+            clear_program_cache()
+
+    @needs_native
+    @pytest.mark.parametrize("family", sorted(SERVICE_STRUCTURES))
+    def test_executors_agree_on_the_service_structures(self, family):
+        """Interpreter, compiled, offload and parallel W ∈ {1, 2, 4}: bit
+        for bit.  No fused op is left, so a stack is the flat run bit for
+        bit — `stack_ulps()` 0 where ising-12 and qsvm-12 each had a `big`
+        op."""
+        machine = MachineConfig.for_circuit(12, num_shards=4)
+        plan, _ = partition(SERVICE_STRUCTURES[family](12), machine)
+        program = compile_plan(plan, machine)
+        assert program.stack_ulps() == 0
+        assert all(op.kind == "sm" for op in program.ops if op.source[0] == "kernel")
+        self._check_executors(plan, machine, program)
+
+    @needs_native
+    def test_executors_agree_on_ising_20_in_shards(self):
+        machine = MachineConfig.for_circuit(20, num_shards=2, local_qubits=17)
+        plan, _ = partition(ising(20), machine)
+        self._check_executors(plan, machine, compile_plan(plan, machine))
+
+    @staticmethod
+    def _check_executors(plan, machine, program):
+        init = StateVector.random_state(plan.num_qubits, seed=3)
+        want = program.run(init).data
+        interpreted, _ = execute_plan(plan, init, machine=machine, compiled=False)
+        assert np.array_equal(interpreted.data, want)
+        offloaded, _ = execute_plan_offloaded(plan, machine, init)
+        assert np.array_equal(offloaded.data, want)
+        for workers in (1, 2, 4):
+            with ParallelRuntime(machine, num_workers=workers) as runtime:
+                parallel, _ = runtime.execute(plan, init)
+            assert np.array_equal(parallel.data, want), workers
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.sim import fusion as fusion_mod
 from repro.sim import native
 from repro.sim.fusion import (
     configure_fusion_cache,
+    fused_unitary_cached,
     fusion_cache_stats,
     lower_kernel_gates,
 )
@@ -986,22 +987,23 @@ class TestMemoryControls:
 
 
 class TestBoundedFusionCache:
+    """The fused-unitary memo is consulted by one caller, the fused-gemm
+    fallback of a fusion kernel: on a host with the native body a plan of
+    kernels that fit a tile never reaches it."""
+
     def test_eviction_and_counters(self):
         stats0 = fusion_cache_stats()
         assert stats0["maxsize"] >= 1
         configure_fusion_cache(maxsize=4, clear=True)
         try:
-            machine = _machine(6)
             # Distinct kernels from distinct angles: more structures than
             # the bound, so the cache must evict instead of growing.
             for seed in range(8):
-                circuit = random_circuit(6, 30, seed=seed)
-                plan = _staged_plan(circuit, machine)
-                execute_plan(plan, machine=machine)
+                fused_unitary_cached(random_circuit(6, 30, seed=seed).gates[:8])
             stats = fusion_cache_stats()
             assert stats["size"] <= 4
-            assert stats["evictions"] > 0
-            assert stats["misses"] > 0
+            assert stats["evictions"] - stats0["evictions"] == 4
+            assert stats["misses"] - stats0["misses"] == 8
         finally:
             configure_fusion_cache(maxsize=stats0["maxsize"], clear=True)
 
@@ -1010,10 +1012,16 @@ class TestBoundedFusionCache:
         sweep = [vqc(8, seed=s) for s in range(3)]
         with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             s.run(sweep)
+            ran = s.stats.as_dict()
+            fused_unitary_cached((make_gate("rx", [0], [0.1234567]), make_gate("cx", [0, 1])))
+            s.run(sweep[-1])  # a repeat: every op is kept, nothing asks the memo
             stats = s.stats.as_dict()
-        assert stats["fusion_cache_misses"] > 0
-        assert stats["fusion_cache_hits"] >= 0
+        # Deltas since the session began, read at the end of each job,
+        # whichever body the kernels ran.
+        assert stats["fusion_cache_misses"] == ran["fusion_cache_misses"] + 1
+        assert stats["fusion_cache_hits"] == ran["fusion_cache_hits"]
         assert "fusion_cache_evictions" in stats
+        assert (ran["fusion_cache_misses"] > 0) == (native.engine() == "numpy")
 
 
 class TestWideGemmRouting:

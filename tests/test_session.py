@@ -28,7 +28,7 @@ from repro.session import (
     rebind_plan,
     select_auto_backend,
 )
-from repro.sim import StateVector
+from repro.sim import StateVector, native
 
 FAST_CONFIG = KernelizeConfig(pruning_threshold=8)
 
@@ -552,6 +552,15 @@ def _counted(stats: dict) -> dict:
 #: rebinding that to the job's (+1 and ``programs_rebound`` +1,
 #: ``program_ops_reused`` +2): the count changed, not the result — the state
 #: is still ``np.array_equal`` to the solo run's.
+#:
+#: The ``fusion_cache_*`` counts are the fused-gemm fallback's, the one
+#: caller of the fused-unitary memo: they hold where fusion kernels bind it
+#: (``native.engine() == "numpy"``) and read zero where the native body
+#: takes them (:meth:`TestPlanAcquisitionMatrix.golden`).  The faulted
+#: offload walk's ``fusion_cache_hits`` were re-pinned (3 … 16 → the faulted
+#: in-core walk's) when the uncompiled shard path started binding a fusion
+#: kernel's op once per gate tuple instead of asking the memo per shard: the
+#: body changed, not the result.
 ACQUISITION_GOLDENS = {
     ('incore', False): {
         'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
@@ -684,45 +693,45 @@ ACQUISITION_GOLDENS = {
     ('offload', True): {
         'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
             circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_hits=3, fusion_cache_misses=5, jobs=1, plan_seconds=True,
+            fusion_cache_misses=5, jobs=1, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, schedule_cache_misses=1, shared_cache_misses=1),
         'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
             cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
-            fallbacks=2, faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=10,
+            fallbacks=2, faults_injected=1, fusion_cache_misses=10,
             jobs=2, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, schedule_cache_misses=2,
             shared_cache_misses=1),
         'plan-only': dict(backend_runs={'offload': 2},
             cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
-            circuits_run=3, execute_seconds=True, fallbacks=2, fusion_cache_hits=6,
+            circuits_run=3, execute_seconds=True, fallbacks=2,
             fusion_cache_misses=10, jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_misses=2, shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'offload': 3},
             cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
-            execute_seconds=True, fallbacks=3, faults_injected=1, fusion_cache_hits=6,
+            execute_seconds=True, fallbacks=3, faults_injected=1,
             fusion_cache_misses=11, jobs=4, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_misses=3, shared_cache_misses=2),
         'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
             circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_hits=9, fusion_cache_misses=16, jobs=1,
+            fusion_cache_misses=16, jobs=1,
             schedule_cache_misses=1, shared_cache_hits=1),
         'relabelled-shared-hit': dict(backend_runs={'offload': 2},
             cache_misses=2, circuits_run=2, execute_seconds=True, fallbacks=2,
-            faults_injected=1, fusion_cache_hits=12, fusion_cache_misses=21, jobs=2,
+            faults_injected=1, fusion_cache_misses=21, jobs=2,
             schedule_cache_misses=2, shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
-            execute_seconds=True, fallbacks=5, faults_injected=1, fusion_cache_hits=15,
+            execute_seconds=True, fallbacks=5, faults_injected=1,
             fusion_cache_misses=26, jobs=5, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_misses=4, shared_cache_hits=1,
             shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
-            faults_injected=1, fusion_cache_hits=16, fusion_cache_misses=26, jobs=3,
+            faults_injected=1, fusion_cache_hits=1, fusion_cache_misses=26, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, schedule_cache_misses=3,
             shared_cache_hits=2, shared_cache_misses=1),
@@ -759,12 +768,14 @@ class TestPlanAcquisitionMatrix:
 
     def walk(self, machine, backend, inject):
         """Run the script; returns ``[(step, counted stats, circuit, state)]``."""
-        from repro.runtime import faults
+        from repro.runtime import clear_program_cache, faults
         from repro.runtime.faults import FaultInjector
         from repro.service import SharedPlanStore
         from repro.sim.fusion import configure_fusion_cache
 
-        configure_fusion_cache(clear=True)  # its counters are process-wide
+        # Its counters are process-wide, and so are the memos in front of it.
+        configure_fusion_cache(clear=True)
+        clear_program_cache()
         n = self.N
         reverse = {q: n - 1 - q for q in range(n)}
         store = SharedPlanStore()
@@ -806,13 +817,22 @@ class TestPlanAcquisitionMatrix:
         assert tuple(name for name, *_ in trail) == self.STEPS
         return trail
 
+    @staticmethod
+    def golden(backend, inject, step) -> dict:
+        """The recorded counts of *step* for this process's engine: the
+        fused-unitary memo is never consulted where the native body takes
+        every fusion kernel (all of them fit a tile here)."""
+        golden = ACQUISITION_GOLDENS[backend, inject][step]
+        if native.engine() == "numpy":
+            return golden
+        return {key: value for key, value in golden.items() if not key.startswith("fusion_cache_")}
+
     @pytest.mark.parametrize("inject", [False, True], ids=["clean", "compile-fault"])
     @pytest.mark.parametrize("backend", ["incore", "offload"])
     def test_counts_and_states_match_the_recorded_walk(self, sweep_machine, backend, inject):
         trail = self.walk(sweep_machine, backend, inject)
-        golden = ACQUISITION_GOLDENS[backend, inject]
         for name, counted, _circuit, _state in trail:
-            assert counted == golden[name], (backend, inject, name)
+            assert counted == self.golden(backend, inject, name), (backend, inject, name)
         with Session(sweep_machine, backend=backend, planner="fast") as solo:
             for name, _counted_stats, circuit, state in trail:
                 if state is not None:

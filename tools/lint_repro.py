@@ -84,15 +84,20 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     ``threading.local()`` appears once under ``sim/`` — the thread
     workspace is the only per-thread buffer set.  Any of these growing a
     second site is the interpreter's own kernels, dispatch or scratch pool
-    coming back beside the templates.  A shared-memory kernel reaches
-    execution through one template, ``kernel_template``: it is called
-    from ``runtime/compile.py`` (the kernel slot) and
+    coming back beside the templates.  A kernel reaches execution through
+    one template, ``kernel_template``: it is called from
+    ``runtime/compile.py`` (the kernel slot) and
     ``sim/fusion.py::apply_lowered_items`` (the interpreter, the
     un-kernelized and the uncompiled shard paths) and nowhere else, and
     the native library's entry point ``sm_apply`` is named nowhere but
     inside it — a second caller of either is a second way for a kernel to
-    run.  Checked across files, whenever the linted set contains
-    ``sim/apply.py``.
+    run.  A fusion kernel too: where the native body does not take it, the
+    fusion slot binds its fused gemm, so under ``runtime/``
+    ``fused_unitary`` / ``fused_unitary_cached`` have exactly one call
+    site, in ``runtime/compile.py::_FusedSlot`` — the interpreter and the
+    shard paths run that slot's op — and a second is an executor fusing a
+    kernel by itself again.  Checked across files, whenever the linted set
+    contains ``sim/apply.py`` (the fused-matrix site: ``runtime/compile.py``).
 
 ``one-op-body``
     Under ``sim/`` an op has one body, ``run(states, scratch, ws)``,
@@ -107,8 +112,10 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     inside ``kernel_template`` exactly two ``run`` closures are defined —
     under ``bind``, the native tile pass, and under ``item_loop``, the
     loop over the items' own op bodies, which is the native body's oracle
-    in the tests and its only fallback.  A third is a third body; nothing
-    but the host and the input selects between the two.
+    in the tests and a shared-memory kernel's only fallback (a fusion
+    kernel's is its fused gemm, bound by the compiler's slot, never a run
+    closure here).  A third is a third body; nothing but the host and the
+    input selects between the two.
 
 ``one-native-loader``
     ``ctypes`` / ``cffi`` / ``subprocess`` are imported, and ``CDLL`` is
@@ -258,6 +265,11 @@ THREAD_LOCAL_SCOPE = "sim/"
 KERNEL_TEMPLATE = "kernel_template"
 KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py", "sim/fusion.py"}
 NATIVE_ENTRY = "sm_apply"
+#: The fused matrix of a fusion kernel: under ``runtime/`` asked for once,
+#: by the fallback bind of the compiler's fusion slot.
+FUSED_MATRIX_CALLS = {"fused_unitary", "fused_unitary_cached"}
+FUSED_MATRIX_SCOPE = "runtime/"
+FUSED_MATRIX_HOME = ("runtime/compile.py", "_FusedSlot")
 
 OP_BODY_SCOPE = "sim/"
 OP_BODY_TWIN = "run_batched"
@@ -533,17 +545,21 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
     findings: list[Finding] = []
     choice_calls = {name: 0 for name in KERNEL_CHOICE_FUNCS}
     thread_locals: list[tuple[str, int]] = []
-    home_linted = False
+    fused_matrix_sites: list[tuple[str, int, str, bool]] = []
+    home_linted = fused_home_linted = False
 
     def flag(rel: str, line: int, message: str, symbol: str) -> None:
         findings.append(Finding(rel, line, "one-kernel-set", message, symbol))
 
     def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             stack = stack + [node.name]
         where = _enclosing(stack)
         if isinstance(node, ast.Call):
             name = _call_name(node)
+            if name in FUSED_MATRIX_CALLS and rel_src.startswith(FUSED_MATRIX_SCOPE):
+                home = rel_src == FUSED_MATRIX_HOME[0] and FUSED_MATRIX_HOME[1] in stack
+                fused_matrix_sites.append((rel, node.lineno, where, name, home))
             if name in choice_calls:
                 choice_calls[name] += 1
                 if KERNEL_CHOICE_CALLER not in stack:
@@ -611,9 +627,29 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
         if SRC not in path.parents or not rel_src.startswith(KERNEL_SET_SCOPE):
             continue
         home_linted = home_linted or rel_src == KERNEL_SET_HOME
+        fused_home_linted = fused_home_linted or rel_src == FUSED_MATRIX_HOME[0]
         visit(
             ast.parse(path.read_text(), filename=str(path)), [],
             path.relative_to(REPO).as_posix(), rel_src,
+        )
+    home, slot = FUSED_MATRIX_HOME
+    for rel, line, where, name, at_home in fused_matrix_sites:
+        if not at_home or len(fused_matrix_sites) > 1:
+            flag(
+                rel, line,
+                f"`{name}` called in {where}: a fusion kernel reaches execution "
+                f"through the compiler's slot — kernel_template, or its fallback "
+                f"bind in src/repro/{home}::{slot}, the one call site under "
+                f"{FUSED_MATRIX_SCOPE} — never through a fused gemm of its own",
+                f"{where}:{name}",
+            )
+    if fused_home_linted and not fused_matrix_sites:
+        flag(
+            f"src/repro/{home}", 0,
+            f"no call to {' / '.join(sorted(FUSED_MATRIX_CALLS))} under "
+            f"{FUSED_MATRIX_SCOPE}: the fusion slot's fallback bind moved without "
+            f"this rule following it",
+            f"{slot}:missing",
         )
     if not home_linted:
         return findings
