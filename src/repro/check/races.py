@@ -10,21 +10,31 @@ is written exactly once per slice.  PR 6's quarantine/redistribution keeps
 the *assignment* a partition of the shard set; nothing before this module
 ever proved the property.
 
-:func:`verify_schedule` proves it statically: it replays the layout walk
-and the stage segmentation exactly as the runtimes do, computes every
-shard's output index symbolically (from the executors' own non-local axis
-table and :func:`repro.runtime.offload.shard_out_index` — control gating
-and anti-diagonal flips — without touching any amplitude data), and
-checks (1) the worker assignment covers every shard exactly once and stays
-in bounds, (2) the relabel map of every relabelling segment is a
-bijection, (3) segments flagged non-relabelling really have the identity
-map (their in-place stores depend on it), (4) per-worker write footprints
-are pairwise disjoint, and (5) no shard-resolved gate actually mixes
-amplitudes across shards.
+A segment that carries a stage boundary reads or writes DRAM through
+strided views instead of contiguous slices: a gather-in loads the stage's
+shards from the array still in the previous layout, a scatter-out stores
+them into the second array in the next layout
+(:func:`repro.runtime.sharding.shard_views`).
+
+:func:`verify_schedule` proves it statically over the
+:class:`~repro.runtime.offload.Schedule` the executors run — its stages,
+segments, store flags and recorded boundary moves, read as they are and
+not re-derived: it computes every shard's output index symbolically (from
+the executors' own non-local axis table and
+:func:`repro.runtime.offload.shard_out_index` — control gating and
+anti-diagonal flips — without touching any amplitude data), and checks (1)
+the worker assignment covers every shard exactly once and stays in bounds,
+(2) the relabel map of every segment that stores out of place is a
+bijection, (3) segments flagged in place really have the identity map and
+move no layout (their in-place stores depend on both), (4) every gather-in
+and scatter-out view set partitions the ``2^n`` amplitudes, (5) per-worker
+write footprints are pairwise disjoint, and (6) no shard-resolved gate
+actually mixes amplitudes across shards.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .report import CheckReport
@@ -33,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuits.gates import Gate
     from ..cluster.machine import MachineConfig
     from ..core.plan import ExecutionPlan
+    from ..runtime.offload import Schedule
 
 __all__ = ["round_robin_assignment", "shard_write_map", "verify_schedule"]
 
@@ -97,6 +108,31 @@ def shard_write_map(
 
 def _segment_gates(groups: "list[tuple[list[Gate], str]]") -> "list[Gate]":
     return [g for gates, _ktype in groups for g in gates]
+
+
+def _view_partition_defect(mapping: dict[int, int], n: int) -> Optional[str]:
+    """Why shard views through the layout *mapping* would not partition the
+    ``2^n`` amplitudes, or ``None`` when they do.
+
+    A view fixes the amplitudes' bits at the positions the non-local
+    qubits take and runs over the rest, so the views are pairwise disjoint
+    with a complete union exactly when *mapping* places each of the ``n``
+    qubits on its own position of ``0..n-1``: two qubits on one position
+    make two shards' views overlap there, and a position no qubit takes
+    is an index bit no shard ever sets.
+    """
+    if sorted(mapping) != list(range(n)):
+        return f"it places qubits {sorted(mapping)}, not 0..{n - 1}"
+    taken = Counter(mapping.values())
+    shared = sorted(p for p, count in taken.items() if count > 1)
+    missing = sorted(set(range(n)) - set(taken))
+    if shared or missing:
+        return (
+            f"positions {shared} hold two qubits each and {missing} none: "
+            f"shard views overlap and amplitudes with bits {missing} set are "
+            f"in no view"
+        )
+    return None
 
 
 def _check_assignment(
@@ -192,45 +228,42 @@ def verify_schedule(
     machine: "MachineConfig",
     num_workers: int = 1,
     assignments: Optional[dict[int, list[int]]] = None,
+    schedule: "Schedule | None" = None,
 ) -> CheckReport:
-    """Statically verify the parallel shard schedule *plan* induces.
+    """Statically verify the parallel shard schedule of *plan*.
 
-    Replays each stage's layout and segmentation exactly as
-    :func:`repro.runtime.offload.execute_plan_offloaded` and
-    :class:`repro.runtime.parallel.ParallelRuntime` do, then proves the
-    write-exclusivity properties listed in the module docstring.
+    Reads *schedule* — the :func:`repro.runtime.offload.build_schedule`
+    of *plan* that :func:`repro.runtime.offload.execute_plan_offloaded`
+    and :class:`repro.runtime.parallel.ParallelRuntime` run; built here
+    when not given — stage by stage and segment by segment, then proves
+    the write-exclusivity properties listed in the module docstring.
     *assignments* overrides the default round-robin shard→worker map for
     every shards-segment (the hook the differential tests use to model a
     corrupted redistribution).
     """
-    from ..runtime.offload import segment_relabels_shards, split_stage_segments
-    from ..runtime.sharding import QubitLayout
+    from ..runtime.offload import build_schedule
 
     report = CheckReport(target="schedule")
     report.checks_run += [
-        "assignment", "relabel-bijection", "relabel-flag", "write-disjointness",
-        "mixing",
+        "assignment", "relabel-bijection", "relabel-flag", "transition-partition",
+        "transition-in-place", "write-disjointness", "mixing",
     ]
     n = plan.num_qubits
     local = machine.local_qubits if machine.local_qubits < n else n
     num_shards = 1 << (n - local)
+    if schedule is None:
+        schedule = build_schedule(plan, local)
 
-    layout = QubitLayout(n)
-    for stage_idx, stage in enumerate(plan.stages):
-        target = stage.partition.logical_to_physical()
-        if target != layout.logical_to_physical():
-            layout.update(target)
-        l2p = layout.logical_to_physical()
-        segments = split_stage_segments(stage, l2p, local)
-        for segment_idx, (kind, payload) in enumerate(segments):
-            if kind != "shards":
+    for stage_idx, (l2p, segments) in enumerate(schedule.stages):
+        for segment_idx, segment in enumerate(segments):
+            if segment.kind != "shards":
                 continue  # full-state segments run single-threaded
             assignment = (
                 assignments if assignments is not None
                 else round_robin_assignment(num_shards, num_workers)
             )
             _check_assignment(report, assignment, num_shards, stage_idx, segment_idx)
-            gates = _segment_gates(payload)
+            gates = _segment_gates(segment.payload)
             write_map, mixing = shard_write_map(gates, l2p, local, num_shards)
             for message in mixing:
                 report.add(
@@ -240,18 +273,42 @@ def verify_schedule(
                     stage=stage_idx,
                     segment=segment_idx,
                 )
-            relabels = segment_relabels_shards(payload, l2p, local)
+            moves = {"gather-in": segment.load_from, "scatter-out": segment.store_to}
+            for move, other in moves.items():
+                if other is None:
+                    continue
+                for layout in (l2p, other):
+                    defect = _view_partition_defect(layout, n)
+                    if defect is not None:
+                        report.add(
+                            "schedule.transition-partition",
+                            f"{move} views do not partition the 2^{n} "
+                            f"amplitudes: {defect}",
+                            site="schedule.transition-partition",
+                            stage=stage_idx,
+                            segment=segment_idx,
+                            layout=dict(layout),
+                        )
+                if segment.in_place:
+                    report.add(
+                        "schedule.transition-in-place",
+                        f"a {move} segment is flagged in place: its stores "
+                        f"would overwrite amplitudes other shards still load",
+                        site="schedule.transition-in-place",
+                        stage=stage_idx,
+                        segment=segment_idx,
+                    )
             identity = write_map == list(range(num_shards))
-            if not relabels and not identity:
+            if segment.in_place and not identity:
                 report.add(
                     "schedule.relabel-flag",
-                    "segment is flagged non-relabelling (in-place stores) "
-                    "but its write map is not the identity",
+                    "segment is flagged in place but its write map is not "
+                    "the identity",
                     site="schedule.relabel-flag",
                     stage=stage_idx,
                     segment=segment_idx,
                 )
-            if relabels and sorted(write_map) != list(range(num_shards)):
+            if not segment.in_place and sorted(write_map) != list(range(num_shards)):
                 missed = sorted(set(range(num_shards)) - set(write_map))
                 report.add(
                     "schedule.relabel-bijection",

@@ -3,12 +3,13 @@
 A long offloaded/parallel run is a sequence of stages, and the DRAM state
 between two stages is a complete, self-describing snapshot: the amplitude
 array in the *physical* qubit layout that the just-completed stage left
-behind.  This module persists exactly that — after stage ``k`` completes,
+behind — the next stage's, when its last pass scattered into it.  This
+module persists exactly that — after stage ``k`` completes,
 the executor writes a **checkpoint** holding the state bytes, the layout,
 and the plan's structural fingerprint; a later ``resume_from=`` run
 validates the fingerprint, restores the state + layout, skips stages
-``0..k`` and continues bit-exact with an uninterrupted run (the stage
-``k+1`` permute sees precisely the layout it would have seen live).
+``0..k`` and continues bit-exact with an uninterrupted run (the move into
+stage ``k+1`` sees precisely the layout it would have seen live).
 
 File format (version :data:`CHECKPOINT_VERSION`)::
 

@@ -31,13 +31,21 @@ The executor counts shard loads/stores so tests can verify the
 one-load-per-stage-per-shard property that the paper's speedup over QDAO
 rests on.
 
+The qubit remapping between stages (Algorithm 1's SHARD step) decides only
+*which* amplitudes a shard load reads: where the layouts allow it, a stage
+boundary is the next pass's loads gathering through strided views of the
+array still in the old layout, or the previous pass's stores scattering
+into the new one (:func:`repro.runtime.sharding.in_pass_moves`), and no
+stage-level sweep of the state runs at all.
+
 **Who owns what.**  This module owns the stage loop: :func:`build_schedule`
 lowers a plan to a :class:`Schedule` — the sharded executors' *program*:
 per-stage segments whose shard-local work is compiled through the plan
 compiler's slots (:class:`repro.runtime.compile.SegmentStructure`) and
-bound per job — and :func:`run_stages` is the one driver that walks it
-(state init, resume, layout transitions, guards, checkpoints, final
-un-permute) for every sharded executor.  An executor owns only its *shard
+bound per job, with each layout boundary decided once — and
+:func:`run_stages` is the one driver that walks it (state init, resume,
+the permutes no pass carries, guards, checkpoints) for every sharded
+executor.  An executor owns only its *shard
 pass* — how the shards of one segment are loaded, computed and stored:
 sequentially with per-shard retry in :func:`execute_plan_offloaded` here,
 across a supervised worker pool in :mod:`repro.runtime.parallel`.  Neither
@@ -53,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..circuits.gates import Gate
+from ..circuits.gates import GATE_SPECS, Gate, gate_matrix
 from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
@@ -78,7 +86,14 @@ from .checkpoint import (
 )
 from .compile import SegmentStructure, bind_structure, fused_kernel_op
 from .integrity import IntegrityMonitor
-from .sharding import QubitLayout, permute_state, shard_slices
+from .sharding import (
+    QubitLayout,
+    in_pass_moves,
+    permute_state,
+    shard_slices,
+    shard_views,
+    zero_state_shards,
+)
 
 __all__ = [
     "OffloadStats",
@@ -149,6 +164,13 @@ class OffloadStats:
     integrity_checks: int = 0
     #: Worst relative state-norm drift the monitor observed.
     max_norm_drift: float = 0.0
+    #: Stage-boundary layout changes run as a full-state permute (no
+    #: in-pass move carries the boundary, or a resume's layout is not the
+    #: one the schedule expected).
+    layout_permutes: int = 0
+    #: Stage-boundary layout changes folded into a shard pass's loads
+    #: (gather-in) or stores (scatter-out), or elided on |0…0⟩.
+    layout_in_pass: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +178,11 @@ class OffloadStats:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16384)
-def _axis_kind(gate: Gate, pos: int) -> str:
-    """How *gate* acts along the axis of ``gate.qubits[pos]``.
+@lru_cache(maxsize=1024)
+def _axis_kind(name: str, pattern: bytes, pos: int) -> str:
+    """How a *name* gate whose matrix has the ``> 1e-12`` *pattern*
+    (:meth:`Gate.pattern`; empty for a parameter-free gate, whose name fixes
+    its matrix) acts along the axis of its qubit ``pos``.
 
     ``"control"``
         A declared control qubit (never mixes, gates the gate on/off).
@@ -171,11 +195,21 @@ def _axis_kind(gate: Gate, pos: int) -> str:
     ``"mixing"``
         Amplitude genuinely moves between the two bit values — the gate
         cannot be resolved per shard along this axis.
+
+    Keyed by what it reads, not by the angle-bearing gate: a warm job of
+    new angles finds every kind here.
     """
-    if gate.qubits[pos] in gate.control_qubits:
+    spec = GATE_SPECS[name]
+    if pos >= spec.num_qubits - spec.num_controls:
         return "control"
-    matrix = gate.matrix()
-    rows, cols = np.nonzero(np.abs(matrix) > 1e-12)
+    dim = 1 << spec.num_qubits
+    if pattern:
+        nonzero = np.unpackbits(
+            np.frombuffer(pattern, dtype=np.uint8), count=dim * dim
+        ).reshape(dim, dim)
+    else:
+        nonzero = np.abs(gate_matrix(name)) > 1e-12
+    rows, cols = np.nonzero(nonzero)
     row_bits = (rows >> pos) & 1
     col_bits = (cols >> pos) & 1
     if np.array_equal(row_bits, col_bits):
@@ -187,17 +221,19 @@ def _axis_kind(gate: Gate, pos: int) -> str:
 
 @lru_cache(maxsize=16384)
 def _axis_table(
-    gate: Gate, physical: tuple[int, ...], local_qubits: int
+    name: str,
+    pattern: bytes,
+    qubits: tuple[int, ...],
+    physical: tuple[int, ...],
+    local_qubits: int,
 ) -> tuple[tuple[int, int, str], ...]:
-    """``(qubit, shift, kind)`` for every qubit of *gate* at a non-local
-    *physical* position ``p >= local_qubits``, in ``gate.qubits`` order:
-    bit ``shift = p - local_qubits`` of a shard's index is the qubit's fixed
-    value on that shard, ``kind`` its :func:`_axis_kind`.  The one table the
-    segmentation, the shard executors and the race detector read.
-    """
+    """``(qubit, shift, kind)`` for every qubit of a gate at a non-local
+    *physical* position ``p >= local_qubits``, in *qubits* order: bit
+    ``shift = p - local_qubits`` of a shard's index is the qubit's fixed
+    value on that shard, ``kind`` its :func:`_axis_kind`."""
     return tuple(
-        (q, p - local_qubits, _axis_kind(gate, pos))
-        for pos, (q, p) in enumerate(zip(gate.qubits, physical))
+        (q, p - local_qubits, _axis_kind(name, pattern, pos))
+        for pos, (q, p) in enumerate(zip(qubits, physical))
         if p >= local_qubits
     )
 
@@ -205,9 +241,12 @@ def _axis_table(
 def nonlocal_axes(
     gate: Gate, logical_to_physical: dict[int, int], local_qubits: int
 ) -> tuple[tuple[int, int, str], ...]:
-    """The :func:`_axis_table` of *gate* under the layout *logical_to_physical*."""
+    """The :func:`_axis_table` of *gate* under the layout
+    *logical_to_physical* — the one table the segmentation, the shard
+    executors and the race detector read."""
     return _axis_table(
-        gate, tuple(logical_to_physical[q] for q in gate.qubits), local_qubits
+        gate.name, gate.pattern()[0], gate.qubits,
+        tuple(logical_to_physical[q] for q in gate.qubits), local_qubits,
     )
 
 
@@ -290,9 +329,9 @@ def _gate_on_shard(
     untouched; the index changes when an anti-diagonal non-local axis
     relabels the shard (the caller must store the shard at the new index).
     """
-    physical = tuple(logical_to_physical[q] for q in gate.qubits)
-    axes = _axis_table(gate, physical, local_qubits)
+    axes = nonlocal_axes(gate, logical_to_physical, local_qubits)
     if not axes:
+        physical = [logical_to_physical[q] for q in gate.qubits]
         data, scratch = apply_gate_buffered(shard, scratch, gate.matrix(), physical)
         return data, scratch, shard_index
 
@@ -596,17 +635,26 @@ def run_groups_on_shard(
 
 
 class Segment(NamedTuple):
-    """One segment of a stage: ``("full", gate, None, False)``, or
-    ``("shards", groups, ops, relabels)`` with *ops* the groups' compiled
-    per-shard stream — ``None`` after a failed compile, which degrades the
-    segment to the uncompiled per-gate path (shard passes branch on it) —
-    and *relabels* whether its stores need the second DRAM array
-    (:func:`segment_relabels_shards`)."""
+    """One segment of a stage: ``("full", gate, None, True)``, or
+    ``("shards", groups, ops, in_place, load_from, store_to)`` with *ops*
+    the groups' compiled per-shard stream — ``None`` after a failed
+    compile, which degrades the segment to the uncompiled per-gate path
+    (shard passes branch on it).
+
+    A shards-segment may carry a stage boundary (:func:`build_schedule`):
+    *load_from* — its loads gather the stage's shards through views of the
+    array still in that earlier layout — or *store_to* — its stores scatter
+    into the second array in that next layout.  *in_place* says its
+    stores update the slices it loaded; it is false when the segment
+    relabels shards (:func:`segment_relabels_shards`) or carries a
+    boundary, and its stores then fill the second DRAM array."""
 
     kind: str
     payload: object
     ops: SegmentOps | None
-    relabels: bool
+    in_place: bool
+    load_from: dict[int, int] | None = None
+    store_to: dict[int, int] | None = None
 
 
 @dataclass
@@ -633,6 +681,12 @@ def build_schedule(
     every execution replays the compiled stream instead of re-deriving
     fusion, analysis and gemm planning.
 
+    Each layout boundary — into stage 0, between stages, and back to
+    logical order — is decided here, once, by :func:`in_pass_moves`: a
+    gather-in on the next stage's first segment or a scatter-out on the
+    previous stage's last one, when that segment is a shards-segment.  A
+    boundary neither carries is left to the driver's full-state permute.
+
     *reuse* is an earlier schedule of the same structure (the Session plan
     cache's, for a parameter sweep): segment by segment its structures are
     admitted and bound to this plan's gates, and whatever does not match —
@@ -657,7 +711,7 @@ def build_schedule(
             split_stage_segments(stage, logical_to_physical, local_qubits)
         ):
             if kind == "full":
-                segments.append(Segment(kind, payload, None, False))
+                segments.append(Segment(kind, payload, None, True))
                 continue
             old = held[index].ops if index < len(held) else None
             ops = None
@@ -668,9 +722,23 @@ def build_schedule(
             rebound = rebound and None not in (ops, old) and ops.structure is old.structure
             segments.append(Segment(
                 kind, payload, ops,
-                segment_relabels_shards(payload, logical_to_physical, local_qubits),
+                not segment_relabels_shards(payload, logical_to_physical, local_qubits),
             ))
         stages.append((logical_to_physical, segments))
+    identity = {q: q for q in range(plan.num_qubits)}
+    layouts = [identity] + [l2p for l2p, _segments in stages] + [identity]
+    for k, (old, new) in enumerate(zip(layouts, layouts[1:])):
+        if old == new:
+            continue
+        after = stages[k][1] if k < len(stages) else []
+        before = stages[k - 1][1] if k else []
+        for move in in_pass_moves(old, new, local_qubits):
+            if move == "gather" and after and after[0].kind == "shards":
+                after[0] = after[0]._replace(in_place=False, load_from=old)
+                break
+            if move == "scatter" and before and before[-1].kind == "shards":
+                before[-1] = before[-1]._replace(in_place=False, store_to=new)
+                break
     return Schedule(stages, fallbacks, rebound)
 
 
@@ -696,10 +764,25 @@ def run_stages(
     logical_to_physical, deadline)``, which must process every shard of
     ``shards`` exactly once and store shard ``i`` at ``out_shards[j]`` for
     the index ``j`` its kernels return, and the DRAM-side *state_scratch*
-    (permutations, cross-shard gates and relabelled stores ping-pong
-    between it and the one state array allocated here).  Returns ``(state,
+    (permutations, cross-shard gates and every store that is not in place
+    ping-pong between it and the one state array allocated here).  A shard
+    or out-shard may be a strided ``(2,)*L`` view (:func:`shard_views`):
+    the pass copies through ``reshape(view.shape)``.  Returns ``(state,
     spare)``: the final amplitudes in logical order and the other array,
     which the executor may keep as its next scratch.
+
+    A layout boundary is a shard load or a shard store wherever the
+    schedule recorded one: the stage's first pass gathers from the array
+    still in the layout it expects (``load_from``), a stage's last pass
+    scatters into the next layout (``store_to``).  The full-state
+    :func:`permute_state` runs only where neither was recorded, or where
+    the array is not in the recorded source layout (a resume from another
+    boundary's snapshot).  A run from |0…0⟩ that resumes nothing and has
+    no monitor moves no data into stage 0's layout (a qubit permutation
+    fixes |0…0⟩), and when stage 0 opens with a shards-segment that pass
+    loads generated shards (:func:`zero_state_shards`) instead of a
+    zero-filled state.  ``stats.layout_permutes`` / ``layout_in_pass``
+    count the two paths.
 
     The guards run inline, in this order, for every stage:
 
@@ -707,7 +790,7 @@ def run_stages(
        the shard pass checks ``"shard"``);
     2. ``monitor.stage_begin`` — the state is bit-identical to what the
        previous ``stage_complete`` saw;
-    3. layout transition, then the stage's segments;
+    3. the permute, if the boundary needs one, then the stage's segments;
     4. ``monitor.stage_complete`` — norm conservation, boundary digest;
     5. the checkpoint write — advisory: a failed snapshot is counted
        (``checkpoint_errors``) and costs resumability, never the run; the
@@ -727,14 +810,9 @@ def run_stages(
     n = plan.num_qubits
     local = machine.local_qubits
     deadline = Deadline.resolve(deadline)
+    if initial_state is not None and initial_state.num_qubits != n:
+        raise PlanValidationError("initial state size does not match plan")
     state = tracked_empty(1 << n)
-    if initial_state is None:
-        state[:] = 0.0
-        state[0] = 1.0
-    else:
-        if initial_state.num_qubits != n:
-            raise PlanValidationError("initial state size does not match plan")
-        initial_state.copy_into(state)
     layout = QubitLayout(n)
 
     def relayout(target: dict[int, int]) -> None:
@@ -744,6 +822,7 @@ def run_stages(
             if permuted is not state:
                 state, state_scratch = permuted, state
             layout.update(target)
+            stats.layout_permutes += 1
 
     ckpt = CheckpointConfig.coerce(checkpoint) if checkpoint is not None else None
     mon = IntegrityMonitor.coerce(monitor)
@@ -774,15 +853,40 @@ def run_stages(
             stats.resumed_from_stage = ck.stage_index
             stats.stages_skipped = start_stage
 
+    # A qubit permutation fixes |0…0⟩: a fresh run from it moves no data
+    # into stage 0's layout, and a first shards-segment loads generated
+    # shards instead of a zero-filled state.
+    generated = False
+    if initial_state is None and start_stage == 0 and mon is None and schedule.stages:
+        first_layout, first_segments = schedule.stages[0]
+        generated = bool(first_segments) and first_segments[0].kind == "shards"
+        if first_layout != layout.logical_to_physical():
+            layout.update(first_layout)
+            stats.layout_in_pass += 1
+    if start_stage == 0 and initial_state is not None:
+        initial_state.copy_into(state)
+    elif start_stage == 0 and not generated:
+        state[:] = 0.0
+        state[0] = 1.0
+
     for stage_index in range(start_stage, len(schedule.stages)):
         logical_to_physical, segments = schedule.stages[stage_index]
         deadline.check("stage")
         if mon is not None:
             mon.stage_begin(state, stage_index)
-        relayout(logical_to_physical)
+        source = layout.logical_to_physical()
+        gather = (
+            source != logical_to_physical
+            and bool(segments) and segments[0].load_from == source
+        )
+        if gather:
+            layout.update(logical_to_physical)
+            stats.layout_in_pass += 1
+        else:
+            relayout(logical_to_physical)
 
         stage_loads = 0
-        for kind, payload, segment_ops, relabels in segments:
+        for kind, payload, segment_ops, in_place, _load_from, store_to in segments:
             deadline.check("segment")
             if kind == "full":
                 state, state_scratch = apply_lowered_items(
@@ -791,19 +895,33 @@ def run_stages(
                     logical_to_physical,
                 )
                 continue
-            shards = shard_slices(state, local)
-            # Relabelled shards land at new indices, so they are stored into
-            # the second DRAM array (every index is written exactly once —
-            # the relabel map is a bijection) and the arrays swap after the
-            # pass.  Without relabels shards are updated in place.
-            out_shards = shard_slices(state_scratch, local) if relabels else shards
+            if generated:
+                shards = zero_state_shards(state, local)
+            elif gather:
+                shards = shard_views(state, source, logical_to_physical, local)
+            else:
+                shards = shard_slices(state, local)
+            # A pass that is not in place — its shards land at relabelled
+            # indices, or it moves the layout — stores into the second DRAM
+            # array (every amplitude written exactly once: the relabel map
+            # is a bijection and the views partition the state), which
+            # leaves its sources intact until the arrays swap after it.
+            out = state if in_place else state_scratch
+            out_shards = (
+                shard_slices(out, local) if store_to is None
+                else shard_views(out, store_to, logical_to_physical, local)
+            )
             shard_pass(
                 shards, out_shards, segment_ops, payload, logical_to_physical,
                 deadline,
             )
             stage_loads += len(shards)
-            if relabels:
+            if not in_place:
                 state, state_scratch = state_scratch, state
+            if store_to is not None:
+                layout.update(store_to)
+                stats.layout_in_pass += 1
+            generated = gather = False
         stats.per_stage_loads.append(stage_loads)
         stats.num_stages += 1
         if mon is not None:
@@ -901,7 +1019,7 @@ def execute_plan_offloaded(
                     deadline.check("shard")
                     faults.check("shard_load", shard=shard_index)
                     data, scratch = buffers
-                    np.copyto(data, shard)
+                    np.copyto(data.reshape(shard.shape), shard)
                     stats.shard_loads += 1
                     stats.bytes_transferred += data.nbytes
 
@@ -917,7 +1035,8 @@ def execute_plan_offloaded(
                         )
 
                     faults.check("shard_store", shard=shard_index)
-                    out_shards[out_index][:] = data
+                    out = out_shards[out_index]
+                    np.copyto(out, data.reshape(out.shape))
                     buffers[:] = data, scratch
                     stats.shard_stores += 1
                     stats.bytes_transferred += data.nbytes

@@ -15,18 +15,22 @@ time on one thread.  This module maps the same shard passes onto a pool of
 * **Per-worker buffer ownership** — each worker thread owns two ping-pong
   buffer pairs of ``2^L`` amplitudes (its "device memory").  No shard
   buffer is ever shared between workers; the DRAM-resident state is only
-  touched through disjoint shard views (see
-  :func:`repro.runtime.sharding.shard_slices`).
+  touched through disjoint shard views — contiguous slices
+  (:func:`repro.runtime.sharding.shard_slices`), or strided views
+  (:func:`~repro.runtime.sharding.shard_views`) on a pass that carries a
+  stage boundary.
 * **Double-buffered prefetch** — while a worker computes on one buffer
   pair, the load of its next shard proceeds into the other pair on a
   dedicated loader thread, modelling the PCIe/compute overlap of the
   paper's offload pipeline.  The alternation guarantees a prefetch never
   writes a buffer the compute still reads.
 * **Barriers only where the model requires them** — workers join at the
-  end of each shards-segment; full-state gates (cross-shard mixing, only
-  reachable from hand-built plans) and inter-stage layout permutations run
-  on the scheduling thread between barriers, exactly like the sequential
-  executor.
+  end of each shards-segment.  A stage boundary is the workers' own loads
+  (gathered from the old layout) or stores (scattered into the new one)
+  wherever the schedule recorded it; full-state gates (cross-shard mixing,
+  only reachable from hand-built plans) and the layout permutes no pass
+  carries run on the scheduling thread between barriers, exactly like the
+  sequential executor.
 
 The NumPy/BLAS kernels of :mod:`repro.sim.apply` release the GIL for the
 bulk of their work and keep their temporaries in thread-local scratch
@@ -86,7 +90,8 @@ from .offload import (
 )
 
 # Not called here (the shared driver and ``build_schedule`` resolve them
-# through ``offload``): ``benchmarks/perf/layers.py`` registers its
+# through ``offload``; the lint rule ``one-layout-move`` keeps the permute
+# out of the shard passes): ``benchmarks/perf/layers.py`` registers its
 # ``runtime.compile_segment`` / ``runtime.layout`` span sites on both
 # runtime modules by these names, so they stay importable from this one.
 from .offload import compile_segment_ops  # noqa: F401
@@ -292,7 +297,8 @@ class ParallelRuntime:
         def load(slot: int, shard_index: int) -> float:
             start = time.perf_counter()
             faults.check("shard_load", worker=worker, shard=shard_index)
-            np.copyto(pairs[slot][0], shards[shard_index])
+            shard = shards[shard_index]
+            np.copyto(pairs[slot][0].reshape(shard.shape), shard)
             return time.perf_counter() - start
 
         if self._loader_pool is None:
@@ -338,7 +344,8 @@ class ParallelRuntime:
 
                         start = time.perf_counter()
                         faults.check("shard_store", worker=worker, shard=index)
-                        out_shards[out_index][:] = data
+                        out = out_shards[out_index]
+                        np.copyto(out, data.reshape(out.shape))
                         stats.store_seconds += time.perf_counter() - start
                         stats.shard_stores += 1
                         stats.bytes_stored += data.nbytes

@@ -11,6 +11,12 @@ tensor (axis ``n-1-p`` holds physical qubit ``p``) and axes are transposed
 so that each logical qubit moves to its new physical position.  Shards are
 then contiguous slices of the permuted array: shard ``j`` holds the
 amplitudes whose non-local physical bits encode ``j``.
+
+The sharded executors rarely run that full-state permutation: the same
+transpose, fixed at one shard index, is a strided :func:`shard_views` view
+of the un-permuted array, so a stage boundary becomes the next pass's loads
+(gather-in) or the previous pass's stores (scatter-out), as
+:func:`in_pass_moves` decides.
 """
 
 from __future__ import annotations
@@ -20,7 +26,20 @@ import numpy as np
 from ..core.plan import QubitPartition
 from ..errors import PlanValidationError, StateValidationError
 
-__all__ = ["QubitLayout", "permutation_axes", "permute_state", "shard_slices"]
+__all__ = [
+    "QubitLayout",
+    "in_pass_moves",
+    "permutation_axes",
+    "permute_state",
+    "shard_slices",
+    "shard_views",
+    "zero_state_shards",
+]
+
+#: A strided shard view reads or writes runs of ``2^RUN_BITS`` amplitudes
+#: (128 bytes of complex128) when the array's physical bits ``0..RUN_BITS-1``
+#: all sit on local positions of the shard layout.
+RUN_BITS = 3
 
 
 class QubitLayout:
@@ -159,3 +178,75 @@ def shard_slices(state: np.ndarray, local_qubits: int) -> list[np.ndarray]:
         )
     num_shards = state.size // shard_size
     return [state[j * shard_size : (j + 1) * shard_size] for j in range(num_shards)]
+
+
+def shard_views(
+    state: np.ndarray,
+    layout: dict[int, int],
+    shard_layout: dict[int, int],
+    local_qubits: int,
+) -> list[np.ndarray]:
+    """Shard ``j`` of *shard_layout* as a ``(2,)*L`` view into *state*,
+    which is laid out in *layout*.
+
+    Element ``(b_{L-1}, ..., b_0)`` of view ``j`` is the amplitude whose
+    *shard_layout* physical bits are ``b`` below ``L`` and ``j`` above —
+    exactly the amplitude at that place of shard ``j`` of
+    ``permute_state(state, layout, shard_layout)``, so copying a view is a
+    shard load of the permuted state (or a store into it) without the
+    permutation.  Both mappings must be bijections onto ``0..n-1``; then the
+    views partition the amplitudes, pairwise disjoint like
+    :func:`shard_slices`.
+    """
+    n = state.size.bit_length() - 1
+    tensor = np.transpose(
+        state.reshape((2,) * n), permutation_axes(layout, shard_layout, n)
+    )
+    high = n - local_qubits
+    return [
+        tensor[tuple((j >> (high - 1 - axis)) & 1 for axis in range(high))]
+        for j in range(1 << high)
+    ]
+
+
+def zero_state_shards(state: np.ndarray, local_qubits: int) -> list[np.ndarray]:
+    """The shards of |0…0⟩, in any layout, for a first pass to load
+    instead of reading DRAM: shard 0 is ``e₀``, written into *state*'s own
+    first slice (the rest of *state* is left as it is), and every other
+    shard is one read-only zero-stride view of a single zero."""
+    first = state[: 1 << local_qubits]
+    first[:] = 0.0
+    first[0] = 1.0
+    zeros = np.broadcast_to(np.zeros((), dtype=state.dtype), first.shape)
+    return [first] + [zeros] * (state.size // first.size - 1)
+
+
+def in_pass_moves(
+    old: dict[int, int], new: dict[int, int], local_qubits: int
+) -> tuple[str, ...]:
+    """The shard-pass moves that carry the state from layout *old* to
+    *new*, best first — the sharded executors' one rule for a stage
+    boundary (``()`` leaves the full-state :func:`permute_state`):
+
+    ``"gather"``
+        the next pass loads each shard of *new* through a
+        :func:`shard_views` view of the array still in *old*; it holds when
+        *old*'s physical bits ``0..RUN_BITS-1`` all land on local positions
+        of *new*, so every DRAM read is a contiguous run;
+    ``"scatter"``
+        the previous pass stores each shard of *old* through a view of the
+        second array, laid out in *new*; it holds when *new*'s low bits all
+        come from local positions of *old*.
+
+    When both hold the gather comes first: it measured cheaper on every
+    such boundary of the repo benchmark's plans (``docs/performance.md``).
+    """
+    low = range(min(RUN_BITS, len(old)))
+    old_at = {p: q for q, p in old.items()}
+    new_at = {p: q for q, p in new.items()}
+    moves = ()
+    if all(new[old_at[p]] < local_qubits for p in low):
+        moves += ("gather",)
+    if all(old[new_at[p]] < local_qubits for p in low):
+        moves += ("scatter",)
+    return moves

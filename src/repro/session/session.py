@@ -845,7 +845,8 @@ class Session:
                 num_shards = 1 << (plan.num_qubits - machine.local_qubits)
                 report.merge(
                     verify_schedule(
-                        plan, machine, num_workers=min(4, num_shards)
+                        plan, machine, num_workers=min(4, num_shards),
+                        schedule=None if isinstance(program, CompiledProgram) else program,
                     )
                 )
         report.raise_if_failed()

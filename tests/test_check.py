@@ -39,10 +39,10 @@ from repro.core import partition
 from repro.core.plan import QubitPartition
 from repro.errors import PlanValidationError, StaticCheckError
 from repro.planner import build_plan
-from repro.runtime import compile_plan
-from repro.runtime.offload import _gate_on_shard
+from repro.runtime import compile_plan, execute_plan_offloaded
+from repro.runtime.offload import _gate_on_shard, build_schedule
 from repro.session import Session
-from repro.sim import simulate_reference
+from repro.sim import StateVector, simulate_reference
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -258,19 +258,43 @@ PROGRAM_MUTATIONS = [
     ("oob-qubits", mutate_program_oob_qubits, "program.qubit-bounds"),
 ]
 
+def assign(assignment):
+    """A schedule mutation that leaves the schedule alone and hands the
+    verifier a corrupted shard→worker map."""
+    return lambda schedule: assignment
+
+
+def mutate_transition_in_place(schedule):
+    """Stage 0's first pass gathers its shards from the logical layout but
+    is flagged in place: it stores over slices later shards still load."""
+    l2p, segments = schedule.stages[0]
+    segments[0] = segments[0]._replace(load_from={q: q for q in l2p}, in_place=True)
+
+
+def mutate_scatter_not_bijective(schedule):
+    """The last pass scatters into a "layout" that puts qubits 0 and 1 on
+    one position."""
+    l2p, segments = schedule.stages[-1]
+    segments[-1] = segments[-1]._replace(
+        in_place=False, store_to={q: max(q - 1, 0) for q in l2p}
+    )
+
+
 SCHEDULE_MUTATIONS = [
     (
         "shared-shard",
-        {0: [0, 1, 2], 1: [2, 3]},
+        assign({0: [0, 1, 2], 1: [2, 3]}),
         "schedule.duplicate-assignment",
     ),
     (
         "double-assignment",
-        {0: [0, 0, 1], 1: [2, 3]},
+        assign({0: [0, 0, 1], 1: [2, 3]}),
         "schedule.duplicate-assignment",
     ),
-    ("orphan-shard", {0: [0], 1: [1]}, "schedule.orphan-shard"),
-    ("out-of-range", {0: [0, 1, 2, 3, 7]}, "schedule.out-of-range"),
+    ("orphan-shard", assign({0: [0], 1: [1]}), "schedule.orphan-shard"),
+    ("out-of-range", assign({0: [0, 1, 2, 3, 7]}), "schedule.out-of-range"),
+    ("transition-in-place", mutate_transition_in_place, "schedule.transition-in-place"),
+    ("scatter-not-bijective", mutate_scatter_not_bijective, "schedule.transition-partition"),
 ]
 
 
@@ -327,14 +351,18 @@ class TestSeededDefects:
         assert "program.stream" in rules_of(report), report.summary()
 
     @pytest.mark.parametrize(
-        "name,assignment,rule",
+        "name,mutate,rule",
         SCHEDULE_MUTATIONS,
         ids=[m[0] for m in SCHEDULE_MUTATIONS],
     )
-    def test_schedule_mutation_rejected(self, name, assignment, rule):
+    def test_schedule_mutation_rejected(self, name, mutate, rule):
         plan, machine = fresh_plan()
-        assert verify_schedule(plan, machine, num_workers=2).ok
-        report = verify_schedule(plan, machine, assignments=assignment)
+        schedule = build_schedule(plan, LOCAL)
+        assert verify_schedule(plan, machine, num_workers=2, schedule=schedule).ok
+        assignments = mutate(schedule)
+        report = verify_schedule(
+            plan, machine, assignments=assignments, schedule=schedule
+        )
         assert not report.ok
         assert rule in rules_of(report), report.summary()
 
@@ -401,6 +429,20 @@ class TestMisexecutionDemos:
                     return
                 program.ops[a], program.ops[b] = program.ops[b], program.ops[a]
         raise AssertionError("no op swap misexecuted")
+
+    def test_transition_flagged_in_place_misexecutes(self):
+        """From a given state the planted gather really runs, and its
+        in-place stores clobber amplitudes the later shards' views read."""
+        plan, machine = fresh_plan()
+        init = StateVector.random_state(N, seed=5)
+        schedule = build_schedule(plan, LOCAL)
+        want = execute_plan_offloaded(plan, machine, init, schedule=schedule)[0]
+        assert simulate_reference(qft(N), init).allclose(want)
+        mutate_transition_in_place(schedule)
+        assert not verify_schedule(plan, machine, schedule=schedule).ok
+        got, stats = execute_plan_offloaded(plan, machine, init, schedule=schedule)
+        assert stats.layout_in_pass == 1
+        assert not simulate_reference(qft(N), init).allclose(got)
 
 
 # ---------------------------------------------------------------------------
@@ -1203,6 +1245,47 @@ class TestLintRepro:
             (3, "fast_seconds"), (4, "fast_gates_per_s"), (5, "fast_seconds"),
             (8, "permute_state"),
         ]
+
+    def test_second_layout_move_flagged(self, lint):
+        interpreter = self.write(
+            lint, "runtime/executor.py",
+            "def execute_plan(state, layout, target):\n"
+            "    return permute_state(state, layout, target)\n",
+        )
+        driver = self.write(
+            lint, "runtime/offload.py",
+            "def run_stages(state, layout):\n"
+            "    def relayout(target):\n"
+            "        return permute_state(state, layout, target)\n"
+            "    return relayout\n",
+        )
+        assert lint.check_one_layout_move([interpreter, driver]) == []
+        # A stage-boundary sweep growing back beside the in-pass moves: in
+        # a shard pass, and in the driver's file outside the driver.
+        pool = self.write(
+            lint, "runtime/parallel.py",
+            "def _run_worker(state, layout, target):\n"
+            "    return permute_state(state, layout, target)\n",
+        )
+        driver.write_text(
+            driver.read_text()
+            + "def build_schedule(state, layout, target):\n"
+            "    return permute_state(state, layout, target)\n"
+        )
+        findings = lint.check_one_layout_move([interpreter, driver, pool])
+        assert {f.rule for f in findings} == {"one-layout-move"}
+        assert sorted((f.path, f.line) for f in findings) == [
+            ("src/repro/runtime/offload.py", 6),
+            ("src/repro/runtime/parallel.py", 2),
+        ]
+        # The driver losing its fallback is flagged; outside runtime/ the
+        # name is someone else's.
+        driver.write_text("def run_stages(state):\n    return state\n")
+        assert [f.key for f in lint.check_one_layout_move([driver])] == [
+            "src/repro/runtime/offload.py::one-layout-move::run_stages:permute_state:missing"
+        ]
+        elsewhere = self.write(lint, "analysis/figures.py", pool.read_text())
+        assert lint.check_one_layout_move([elsewhere]) == []
 
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")

@@ -29,6 +29,7 @@ import pytest
 
 from repro import MachineConfig, Session
 from repro.circuits.library import qft, vqc
+from repro.core.plan import ExecutionPlan
 from repro.errors import (
     CacheCorruptionError,
     IntegrityError,
@@ -45,9 +46,12 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import CRASH_EXIT_CODE, FaultInjector
 from repro.runtime.integrity import IntegrityConfig, IntegrityMonitor
-from repro.runtime.sharding import QubitLayout
+from repro.runtime.offload import build_schedule
+from repro.runtime.sharding import QubitLayout, permute_state
 from repro.service import JobJournal, SimulationService, replay_journal
 from repro.sim.statevector import StateVector
+
+from test_parallel_runtime import _insular_gates, _layout_plan
 
 N = 7
 LOCAL = 4
@@ -442,6 +446,87 @@ class TestExecutorStatsDifferential:
                 ),
                 sequential,
             )
+
+
+# ---------------------------------------------------------------------------
+# Resume across stage boundaries that are shard stores
+# ---------------------------------------------------------------------------
+
+#: ``order[p]`` per stage (7 qubits, L = 4): stages 0–2 each exit by a
+#: scatter into the next stage's layout; the last one is permuted back.
+SCATTER_ORDERS = [
+    [0, 1, 2, 3, 4, 5, 6],
+    [3, 1, 2, 4, 0, 5, 6],
+    [3, 4, 2, 5, 0, 1, 6],
+    [5, 4, 2, 6, 0, 1, 3],
+]
+
+
+class TestResumeAcrossLayoutMoves:
+    @pytest.fixture()
+    def scatter_plan(self):
+        plan, _circuit = _layout_plan(N, LOCAL, [
+            (order, _insular_gates(order[:LOCAL], order[LOCAL:], 0.3 + k))
+            for k, order in enumerate(SCATTER_ORDERS)
+        ])
+        layouts = [dict(zip(order, range(N))) for order in SCATTER_ORDERS]
+        schedule = build_schedule(plan, LOCAL)
+        assert [segs[-1].store_to for _l2p, segs in schedule.stages] == layouts[1:] + [None]
+        return plan, layouts
+
+    @pytest.mark.parametrize("executor", ["offload", 1, 2, 4])
+    def test_resume_at_every_stage_of_a_scatter_plan_is_bit_exact(
+        self, machine, scatter_plan, tmp_path, executor
+    ):
+        """A snapshot after stage k holds the array the scatter left: in
+        stage k+1's layout, and the checkpoint says so.  Resuming from it
+        needs no move into stage k+1 and is bit-exact."""
+        plan, layouts = scatter_plan
+        reference, stats, _ = execute_on(
+            executor, plan, machine, checkpoint=CheckpointConfig(tmp_path, keep=99)
+        )
+        assert (stats.layout_permutes, stats.layout_in_pass) == (1, 3)
+        snapshots = sorted(tmp_path.glob("*.ckpt"))
+        assert len(snapshots) == len(layouts) - 1
+        for k, snapshot in enumerate(snapshots):
+            ck = load_checkpoint(snapshot)
+            assert ck.layout_mapping() == layouts[k + 1]
+            # The array really is in that layout: it is the logical-order
+            # state after stage k, permuted into it.
+            head = ExecutionPlan(num_qubits=N, stages=plan.stages[: k + 1])
+            logical = execute_plan_offloaded(head, machine)[0].data
+            assert np.array_equal(
+                permute_state(logical, QubitLayout(N), layouts[k + 1]), ck.state
+            )
+            resumed, rstats, _ = execute_on(executor, plan, machine, resume_from=snapshot)
+            assert np.array_equal(resumed, reference), f"resume after stage {k}"
+            assert rstats.resumed_from_stage == k
+            assert rstats.layout_permutes == 1  # the final one, as uninterrupted
+
+    def test_a_snapshot_in_another_layout_resumes_through_the_permute(
+        self, machine, scatter_plan, tmp_path
+    ):
+        """A snapshot whose layout is not the one the schedule expects at
+        the next stage (written here in logical order) is moved by the
+        full-state permute, and the run is still bit-exact."""
+        plan, layouts = scatter_plan
+        config = CheckpointConfig(tmp_path / "run", keep=99)
+        reference, _, _ = execute_on("offload", plan, machine, checkpoint=config)
+        for k, snapshot in enumerate(sorted((tmp_path / "run").glob("*.ckpt"))):
+            ck = load_checkpoint(snapshot)
+            moved = write_checkpoint(
+                CheckpointConfig(tmp_path / f"logical{k}"),
+                fingerprint=checkpoint_fingerprint(plan),
+                num_qubits=N,
+                stage_index=k,
+                layout=QubitLayout(N).logical_to_physical(),
+                state=permute_state(ck.state, QubitLayout(N, ck.layout_mapping()),
+                                    QubitLayout(N).logical_to_physical()),
+            )
+            for executor in ("offload", 2):
+                resumed, stats, _ = execute_on(executor, plan, machine, resume_from=moved)
+                assert np.array_equal(resumed, reference), (k, executor)
+                assert stats.layout_permutes == 2  # the fallback, then the final one
 
 
 # ---------------------------------------------------------------------------

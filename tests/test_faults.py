@@ -32,11 +32,14 @@ from repro.errors import (
     StateValidationError,
     TransientError,
 )
-from repro.runtime import faults
+from repro.runtime import execute_plan_offloaded, faults
 from repro.runtime.faults import SITES, FaultInjector, FaultPlan, FaultSpec
+from repro.runtime.offload import build_schedule
 from repro.runtime.parallel import ParallelRuntime
 from repro.session.cache import PlanCache, plan_cache_key, plan_fingerprint
 from repro.sim.statevector import StateVector
+
+from test_parallel_runtime import boundary_kinds_plan
 
 N = 7
 LOCAL = 4  # -> 2^(7-4) = 8 shards
@@ -339,6 +342,50 @@ class TestWorkerSupervision:
             job = session.run(sweep)
             for result, expected in zip(job, reference_states["parallel-w2"]):
                 assert np.array_equal(result.state.data, expected)
+
+
+class TestFaultsOnLayoutMoves:
+    """A pass that carries a stage boundary loads through views of the
+    array in the old layout and stores into the other array (in the new
+    layout when it scatters), so its source is untouched until the pass
+    ends: a retried shard re-reads exactly what its first attempt read."""
+
+    @pytest.mark.parametrize("executor", ["offload", 1, 2])
+    @pytest.mark.parametrize("site", ["shard_load", "shard_store"])
+    # Stage 0's pass gathers from the logical layout (the state is given)
+    # and scatters into stage 1's; stage 3's gathers and scatters back.
+    @pytest.mark.parametrize("stage", [0, 3])
+    def test_transient_fault_on_a_gather_scatter_pass_retries_bit_exact(
+        self, executor, site, stage
+    ):
+        plan, _circuit = boundary_kinds_plan()
+        schedule = build_schedule(plan, LOCAL)
+        (segment,) = schedule.stages[stage][1]
+        assert segment.load_from is not None and segment.store_to is not None
+        machine = MachineConfig.for_circuit(N, local_qubits=LOCAL)
+        init = StateVector.random_state(N, seed=12)
+
+        def run():
+            if executor == "offload":
+                return execute_plan_offloaded(
+                    plan, machine, init, retry=FAST_RETRY, schedule=schedule
+                )
+            with ParallelRuntime(machine, num_workers=executor, retry=FAST_RETRY) as runtime:
+                return runtime.execute(plan, init, schedule=schedule)
+
+        clean, _ = run()
+        shards_per_pass = 1 << (N - LOCAL)
+        # Every earlier stage is one pass: skip its loads (stores) and fail
+        # the first one of this stage's pass.
+        injector = FaultInjector(f"{site}:transient:1:{stage * shards_per_pass}")
+        faults.activate(injector)
+        try:
+            got, stats = run()
+        finally:
+            faults.deactivate(injector)
+        assert injector.total_fired == 1 and stats.retries == 1
+        assert stats.layout_in_pass == 4
+        assert np.array_equal(got.data, clean.data)
 
 
 class TestDeadlines:

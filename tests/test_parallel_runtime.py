@@ -7,14 +7,22 @@ executor's stage for stage, and the per-worker statistics sum to the run
 totals.  The differential sweep covers staged planner output as well as
 hand-built plans with cross-shard (full-state) segments, non-local
 controls, shard-relabelling anti-diagonal gates, and pure-phase
-reductions.
+reductions; generated plans cover the stage boundaries the shard passes
+carry (gather-in loads, scatter-out stores, |0…0⟩ elision) against the
+always-permute schedule, bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import Circuit
-from repro.circuits.library import qft, random_circuit
+from repro import Session
+from repro.check import verify_schedule
+from repro.circuits import Circuit, make_gate
+from repro.circuits.library import ising, qft, random_circuit
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
@@ -24,7 +32,11 @@ from repro.runtime import (
     execute_plan_parallel,
     model_simulation_time,
 )
+from repro.runtime import offload as offload_mod
+from repro.runtime.offload import build_schedule
 from repro.sim import StateVector, simulate_reference
+
+from test_property_based import SETTINGS
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -339,3 +351,215 @@ class TestTimelineCrossCheck:
         breakdown = model_simulation_time(plan, machine)
         assert breakdown.offload_shard_loads_per_stage == 0
         assert breakdown.parallel_workers == 1
+
+
+# ---------------------------------------------------------------------------
+# Layout transitions: a stage boundary is a shard load or a shard store
+# ---------------------------------------------------------------------------
+
+
+def _layout_plan(n, local, stage_specs):
+    """A plan of one stage per ``(order, gates)``: ``order[p]`` is the
+    logical qubit at physical position ``p``, the first *local* of them
+    local.  Returns ``(plan, circuit)``."""
+    stages, start = [], 0
+    for order, gates in stage_specs:
+        stages.append(Stage(
+            # Built directly: from_sets would sort each set and lose the order.
+            gates=list(gates),
+            partition=QubitPartition(tuple(order[:local]), tuple(order[local:]), ()),
+            gate_indices=list(range(start, start + len(gates))),
+        ))
+        start += len(gates)
+    circuit = Circuit(n, [g for _order, gates in stage_specs for g in gates])
+    return ExecutionPlan(num_qubits=n, stages=stages), circuit
+
+
+def _insular_gates(local, high, angle=0.4):
+    """Local dense work plus every per-shard resolution of a non-local
+    qubit: a relabel, a non-local control and a phase."""
+    return [
+        make_gate("h", [local[0]]),
+        make_gate("cx", [local[1], local[0]]),
+        make_gate("x", [high[0]]),
+        make_gate("crz", [local[2], high[1]], [angle]),
+        make_gate("rz", [high[-1]], [angle + 0.3]),
+    ]
+
+
+_ANGLE = st.floats(0.1, 6.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def layout_cases(draw):
+    """``(n, L, plan, circuit)``: 1–3 stages at 6–12 qubits, each stage's
+    layout random or one to three position swaps from the previous one —
+    so over the examples every boundary kind fires: gather, scatter,
+    permute, and elided on |0…0⟩ — with relabelling, controlled and phase
+    gates on non-local qubits, and a full-state segment (``h`` on a
+    non-local qubit) at a stage's start or end now and then."""
+    n = draw(st.integers(6, 12))
+    local = draw(st.integers(3, n - 1))
+    order = list(range(n))
+    specs = []
+    for _stage in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            order = list(draw(st.permutations(range(n))))
+        else:
+            order = list(order)
+            for _swap in range(draw(st.integers(1, 3))):
+                a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                order[a], order[b] = order[b], order[a]
+        low, high = order[:local], order[local:]
+        gates = []
+        if draw(st.booleans()):
+            gates.append(make_gate("h", [draw(st.sampled_from(high))]))
+        for _gate in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(["dense", "pair", "relabel", "phase", "control"]))
+            if kind == "dense":
+                gates.append(make_gate("ry", [draw(st.sampled_from(low))], [draw(_ANGLE)]))
+            elif kind == "pair":
+                a, b = draw(st.lists(st.sampled_from(low), min_size=2, max_size=2, unique=True))
+                gates.append(make_gate("cx", [a, b]))
+            elif kind == "relabel":
+                gates.append(make_gate(draw(st.sampled_from(["x", "y"])), [draw(st.sampled_from(high))]))
+            elif kind == "phase":
+                a = draw(st.sampled_from(high))
+                b = draw(st.sampled_from([q for q in order if q != a]))
+                gates.append(make_gate("cp", [b, a], [draw(_ANGLE)]))
+            else:
+                gates.append(make_gate(
+                    "crz", [draw(st.sampled_from(low)), draw(st.sampled_from(high))],
+                    [draw(_ANGLE)],
+                ))
+        if draw(st.booleans()):
+            gates.append(make_gate("h", [draw(st.sampled_from(high))]))
+        specs.append((list(order), gates))
+    return (n, local, *_layout_plan(n, local, specs))
+
+
+#: ``order[p]`` per stage on 7 qubits with L = 4, picked so that the
+#: boundaries are, in turn: gather (elided from |0…0⟩), scatter, permute,
+#: gather, and a scatter back to logical order.
+BOUNDARY_KIND_ORDERS = [
+    [0, 1, 2, 3, 5, 4, 6],
+    [3, 1, 2, 6, 5, 4, 0],
+    [5, 1, 2, 6, 3, 4, 0],
+    [0, 1, 2, 5, 3, 4, 6],
+]
+
+
+def boundary_kinds_plan():
+    """``(plan, circuit)`` over :data:`BOUNDARY_KIND_ORDERS`, one shard
+    pass per stage."""
+    return _layout_plan(7, 4, [
+        (order, _insular_gates(order[:4], order[4:], 0.2 + k))
+        for k, order in enumerate(BOUNDARY_KIND_ORDERS)
+    ])
+
+
+def _permute_oracle(plan, local):
+    """*plan*'s schedule with the boundary rule answering "permute" every
+    time: the full-state permute at every boundary, as the stage driver
+    ran before boundaries moved into the shard passes."""
+    with mock.patch.object(offload_mod, "in_pass_moves", lambda old, new, local_qubits: ()):
+        return build_schedule(plan, local)
+
+
+class TestLayoutTransitions:
+    @given(layout_cases(), st.booleans(), st.integers(0, 999))
+    @settings(**{**SETTINGS, "max_examples": 30})
+    def test_in_pass_moves_equal_the_permute_oracle(self, case, given_state, seed):
+        """Gathers and scatters move amplitudes and nothing else: every
+        executor equals the always-permute schedule bit for bit, from a
+        given state and from |0…0⟩, and counts every boundary that moves
+        the layout once, on one of the two paths."""
+        n, local, plan, circuit = case
+        machine = MachineConfig.for_circuit(n, local_qubits=local)
+        init = StateVector.random_state(n, seed=seed) if given_state else None
+        schedule = build_schedule(plan, local)
+        assert verify_schedule(plan, machine, num_workers=4, schedule=schedule).ok
+        want, oracle = execute_plan_offloaded(
+            plan, machine, init, schedule=_permute_oracle(plan, local)
+        )
+        got, stats = execute_plan_offloaded(plan, machine, init, schedule=schedule)
+        assert np.array_equal(got.data, want.data)
+        assert simulate_reference(circuit, init).allclose(got)
+        counts = (stats.layout_permutes, stats.layout_in_pass)
+        assert sum(counts) == oracle.layout_permutes + oracle.layout_in_pass
+        assert stats.per_stage_loads == oracle.per_stage_loads
+        for workers in WORKER_COUNTS:
+            with ParallelRuntime(machine, num_workers=workers) as runtime:
+                par, par_stats = runtime.execute(plan, init, schedule=schedule)
+            assert np.array_equal(par.data, want.data), workers
+            assert (par_stats.layout_permutes, par_stats.layout_in_pass) == counts
+
+    def test_every_boundary_kind_is_recorded_and_counted(self):
+        plan, circuit = boundary_kinds_plan()
+        machine = MachineConfig.for_circuit(7, local_qubits=4)
+        layouts = [dict(zip(order, range(7))) for order in BOUNDARY_KIND_ORDERS]
+        identity = {q: q for q in range(7)}
+        schedule = build_schedule(plan, 4)
+        moves = [
+            (seg.load_from, seg.store_to, seg.in_place)
+            for _l2p, (seg,) in schedule.stages
+        ]
+        assert moves == [
+            (identity, layouts[1], False),
+            (None, None, False),  # relabels: stores out of place anyway
+            (None, None, False),
+            (layouts[2], identity, False),
+        ]
+        want = execute_plan_offloaded(plan, machine, schedule=_permute_oracle(plan, 4))[0]
+        assert simulate_reference(circuit).allclose(want)
+        init = StateVector.random_state(7, seed=4)
+        want_init = execute_plan_offloaded(
+            plan, machine, init, schedule=_permute_oracle(plan, 4)
+        )[0]
+        # From |0…0⟩ the first gather is elided; from a given state, or
+        # under a monitor, it runs.  Either way one permute is left.
+        for run_init, monitor, ref in ((None, None, want), (init, None, want_init), (None, True, want)):
+            got, stats = execute_plan_offloaded(plan, machine, run_init, monitor=monitor)
+            assert np.array_equal(got.data, ref.data)
+            assert (stats.layout_permutes, stats.layout_in_pass) == (1, 4)
+            assert stats.shard_loads == 4 * stats.num_shards
+
+    def test_a_stage_opening_with_a_full_state_gate_is_permuted_into(self):
+        """The gather needs the stage's first segment to be a shard pass;
+        a full-state gate there leaves the boundary to the permute."""
+        specs = [
+            (order, _insular_gates(order[:4], order[4:])) for order in BOUNDARY_KIND_ORDERS[:2]
+        ]
+        specs[0][1].insert(0, make_gate("h", [BOUNDARY_KIND_ORDERS[0][4]]))
+        plan, circuit = _layout_plan(7, 4, specs)
+        machine = MachineConfig.for_circuit(7, local_qubits=4)
+        schedule = build_schedule(plan, 4)
+        first = schedule.stages[0][1]
+        assert [seg.kind for seg in first] == ["full", "shards"]
+        assert first[0].load_from is None and first[-1].store_to is not None
+        init = StateVector.random_state(7, seed=8)
+        got, stats = execute_plan_offloaded(plan, machine, init, schedule=schedule)
+        assert (stats.layout_permutes, stats.layout_in_pass) == (2, 1)
+        want = execute_plan_offloaded(plan, machine, init, schedule=_permute_oracle(plan, 4))[0]
+        assert np.array_equal(got.data, want.data)
+        assert simulate_reference(circuit, init).allclose(got)
+
+    @pytest.mark.parametrize(
+        "family,counts", [(qft, (0, 3)), (ising, (1, 2))], ids=["qft-20", "ising-20"]
+    )
+    def test_benchmark_workload_moves(self, family, counts):
+        """The repo benchmark's shard-stream machine and plans: qft's three
+        boundaries are elided, gathered and scattered; ising keeps one
+        permute.  A generated or gathered load is still one shard load."""
+        machine = MachineConfig.for_circuit(20, num_shards=2, local_qubits=17)
+        with Session(machine) as session:
+            plan, *_ = session.plan_for(family(20), machine, "parallel")
+        schedule = build_schedule(plan, machine.local_qubits)
+        offload, stats = execute_plan_offloaded(plan, machine, schedule=schedule)
+        with ParallelRuntime(machine, num_workers=2) as runtime:
+            parallel, par_stats = runtime.execute(plan, schedule=schedule)
+        assert np.array_equal(parallel.data, offload.data)
+        for s in (stats, par_stats):
+            assert (s.layout_permutes, s.layout_in_pass) == counts
+            assert s.num_stages == 2 and s.shard_loads == 16
+            assert s.per_stage_loads == [8, 8]

@@ -20,7 +20,7 @@ from repro.circuits.library import CIRCUIT_FAMILIES, vqc
 from repro.core import KernelizeConfig, partition
 from repro.errors import SessionClosedError
 from repro.runtime import ParallelRuntime, compile as compile_mod, execute_plan_offloaded
-from repro.runtime import parallel as parallel_mod
+from repro.runtime import offload as offload_mod, parallel as parallel_mod
 from repro.runtime.offload import Schedule, build_schedule
 from repro.session.backends import BACKENDS, ParallelBackend, register_backend
 from repro.session.cache import rebind_plan
@@ -34,10 +34,11 @@ WORKERS = (1, 2, 4)
 
 def entries(schedule):
     """What a schedule executes, comparable with ``==``: per stage the
-    layout, per segment its kind, relabel flag and compiled entries."""
+    layout, per segment its kind, store flag, layout moves and compiled
+    entries."""
     return [
         (l2p, [
-            (seg.kind, seg.relabels, seg.ops if seg.ops is None else [
+            (seg.kind, seg.in_place, seg.load_from, seg.store_to, seg.ops if seg.ops is None else [
                 (kind, payload if kind == "dynamic"
                  else (payload.kind, payload.qubits, payload.gates))
                 for kind, payload in seg.ops
@@ -151,6 +152,23 @@ class TestScheduleRebindDifferential:
                         kept += op is was
                         refilled += op is not was
         assert kept and refilled
+
+    def test_a_rebind_of_new_angles_misses_no_axis_kind(self):
+        """The non-local axis memo is keyed by what a kind depends on — the
+        gate's name, its ``> 1e-12`` pattern and the positions — not by the
+        angle-bearing gate: a second job of new angles finds every entry."""
+        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
+        base_plan, _ = partition(vqc(8, seed=0), machine)
+        base = build_schedule(base_plan, machine.local_qubits)
+        memos = (offload_mod._axis_kind, offload_mod._axis_table)
+        before = [memo.cache_info() for memo in memos]
+        warm = build_schedule(
+            rebind_plan(base_plan, vqc(8, seed=1)), machine.local_qubits, reuse=base
+        )
+        after = [memo.cache_info() for memo in memos]
+        assert warm.rebound
+        assert [info.misses for info in after] == [info.misses for info in before]
+        assert after[1].hits > before[1].hits
 
     def test_a_degraded_segment_is_built_cold_by_the_next_build(self):
         """``ops is None`` (a failed compile) is that schedule's: a rebind

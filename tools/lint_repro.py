@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Fourteen rules, each enforcing an invariant the execution layer depends on
+Fifteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -176,6 +176,17 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     copy of the seed executor kept beside the runtime's to race it is a
     third executor growing back.  Checked on every run.
 
+``one-layout-move``
+    Under ``runtime/``, ``permute_state`` — a full-state sweep that moves
+    the amplitudes into another qubit layout — is called only by the
+    interpreter (``runtime/executor.py``) and by the sharded stage driver
+    (``runtime/offload.py::run_stages``), whose permute is the fallback
+    for a stage boundary no shard load or store carries.  A call anywhere
+    else is a second stage-boundary sweep growing back beside the
+    in-pass moves; the driver losing its call means the fallback moved
+    without this rule following it.  Checked across files, whenever the
+    linted set contains ``runtime/offload.py``.
+
 Usage::
 
     python tools/lint_repro.py [--baseline tools/lint_baseline.json]
@@ -307,6 +318,13 @@ KERNELIZER_REGISTRY_KEY = "atlas-ref"
 BENCH_HOST_FREE_FILE = "benchmarks/run_bench.py"
 BENCH_TIMING_SUFFIXES = ("_seconds", "_per_s")
 BENCH_STAGE_LOOP_MARK = "permute_state"
+
+LAYOUT_MOVE_SCOPE = "runtime/"
+LAYOUT_MOVE_CALL = "permute_state"
+#: Where a full-state permute may run: anywhere in the interpreter (``""``),
+#: and in the sharded stage driver's fallback.
+LAYOUT_MOVE_SITES = {"runtime/executor.py": "", "runtime/offload.py": "run_stages"}
+LAYOUT_MOVE_DRIVER = "runtime/offload.py"
 
 
 class Finding:
@@ -1059,6 +1077,56 @@ def check_bench_host_free() -> list[Finding]:
     return findings
 
 
+def check_one_layout_move(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-layout-move`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    driver_linted = driver_calls = False
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        nonlocal driver_calls
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack = stack + [node.name]
+        if isinstance(node, ast.Call) and _call_name(node) == LAYOUT_MOVE_CALL:
+            site = LAYOUT_MOVE_SITES.get(rel_src)
+            if site is not None and (not site or site in stack):
+                driver_calls = driver_calls or rel_src == LAYOUT_MOVE_DRIVER
+            else:
+                where = _enclosing(stack)
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "one-layout-move",
+                        f"`{LAYOUT_MOVE_CALL}` called in {where}: a stage boundary "
+                        f"is a shard load or store (runtime/offload.py::"
+                        f"build_schedule); the full-state permute is the "
+                        f"interpreter's and run_stages's fallback only",
+                        f"{where}:{LAYOUT_MOVE_CALL}",
+                    )
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        rel_src = _rel_src(path)
+        if SRC not in path.parents or not rel_src.startswith(LAYOUT_MOVE_SCOPE):
+            continue
+        driver_linted = driver_linted or rel_src == LAYOUT_MOVE_DRIVER
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(), rel_src,
+        )
+    if driver_linted and not driver_calls:
+        findings.append(
+            Finding(
+                f"src/repro/{LAYOUT_MOVE_DRIVER}", 0, "one-layout-move",
+                f"no `{LAYOUT_MOVE_CALL}` in {LAYOUT_MOVE_DRIVER}::run_stages: the "
+                f"stage driver's permute fallback moved without this rule "
+                f"following it",
+                f"run_stages:{LAYOUT_MOVE_CALL}:missing",
+            )
+        )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -1205,6 +1273,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_staging_bound(files))
     findings.extend(check_kernelizer_oracle(files))
     findings.extend(check_bench_host_free())
+    findings.extend(check_one_layout_move(files))
 
     if args.write_baseline:
         args.baseline.write_text(
