@@ -24,7 +24,8 @@ keeps what that benchmark cannot say, in six sections:
   every shared-memory kernel: the exact fold and the speedup;
 * **sm_kernel** — the kernel op's native body against its fallback, in
   state copies: the item loop per shared-memory kernel, the fused gemm per
-  fusion kernel.
+  fusion kernel — and there the item loop too, the record of why the gemm
+  stays the fusion kernels' fallback.
 
 :data:`RULES` is the whole gate: one row per gated path, walked by
 :func:`check_regression`.  Usage::
@@ -82,7 +83,7 @@ from repro.sim.fusion import fused_unitary, kernel_items, lower_kernel_gates
 from repro.sim.program import Workspace, compile_unitary_op
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_simcore.json"
-SCHEMA = 13
+SCHEMA = 14
 
 #: Gate classes of the micro benchmark: name -> (matrix factory, #qubits).
 GATE_CLASSES = {
@@ -434,13 +435,15 @@ def run_kernel_lowering_bench(num_qubits: int, repeats: int) -> dict:
 
 
 def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
-    """The kernel op's native body against its fallback, in state copies,
+    """The kernel op's native body against its fallbacks, in state copies,
     one row per kernel of in-core plans: per shared-memory kernel of the
     lowering families (``families``) against the item loop (a sweep per
     item), per fusion kernel of :data:`FUSION_FAMILIES` (``fusion``)
-    against the fused gemm it binds without the library.  Recorded as
-    unavailable, with the reason, where :func:`repro.sim.native.status`
-    says the library was not built."""
+    against the fused gemm it binds without the library and against the
+    item loop it could bind instead (the go / no-go record on retiring the
+    gemm: where ``item_loop_copies`` exceeds ``gemm_copies``, the item loop
+    loses).  Recorded as unavailable, with the reason, where
+    :func:`repro.sim.native.status` says the library was not built."""
     status = native.status()
     if not status["available"]:
         return {"available": False, "reason": status["reason"]}
@@ -449,35 +452,32 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
     state, scratch = ws.pair(1 << num_qubits)
     state[:] = 1.0 / (1 << (num_qubits // 2))
 
-    def row(kernel, l2p: dict[int, int], fallback: str) -> dict:
-        """One kernel: the native body and the fallback — ``item_loop`` or
-        the fused ``gemm`` — timed side by side with the copy."""
+    def row(kernel, l2p: dict[int, int], fused: bool) -> dict:
+        """One kernel: the native body and the fallbacks — the item loop,
+        and for a fusion kernel the fused gemm — timed side by side with
+        the copy."""
         items = lower_kernel_gates(kernel.gates, l2p)
         template = kernel_template(kernel_items(items, l2p), num_qubits)
-        if fallback == "item_loop":
-            other = template.item_loop(items)
-        else:
+        runs = {"native": template.bind(items), "item_loop": template.item_loop(items)}
+        if fused:
             matrix, qubits = fused_unitary(kernel.gates)
-            other = compile_unitary_op(matrix, [l2p[q] for q in qubits], num_qubits).run
-        tiled = template.bind(items)
+            runs["gemm"] = compile_unitary_op(matrix, [l2p[q] for q in qubits], num_qubits).run
         best = _side_by_side(
             repeats,
-            ("native", lambda: tiled(state, scratch, ws)),
-            (fallback, lambda: other(state, scratch, ws)),
+            *[(name, lambda run=run: run(state, scratch, ws)) for name, run in runs.items()],
             *[("copy", lambda: np.copyto(scratch, state))] * WARM_COPIES,
         )
         return {
             "qubits": len(kernel.qubits),
             "items": len(items),
             "native": template.native,
-            "native_copies": best["native"] / best["copy"],
-            f"{fallback}_copies": best[fallback] / best["copy"],
+            **{f"{name}_copies": best[name] / best["copy"] for name in runs},
         }
 
     out: dict = {"available": True}
-    for section, kind, fallback, table in (
-        ("families", KernelType.SHM, "item_loop", LOWERING_FAMILIES),
-        ("fusion", KernelType.FUSION, "gemm", FUSION_FAMILIES),
+    for section, kind, table in (
+        ("families", KernelType.SHM, LOWERING_FAMILIES),
+        ("fusion", KernelType.FUSION, FUSION_FAMILIES),
     ):
         out[section] = {}
         for family, factory in table.items():
@@ -485,7 +485,7 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
             (stage,) = plan.stages
             l2p = stage.partition.logical_to_physical()
             out[section][family] = [
-                row(kernel, l2p, fallback)
+                row(kernel, l2p, kind is KernelType.FUSION)
                 for kernel in stage.kernels if kernel.kernel_type is kind
             ]
     return out
@@ -776,9 +776,10 @@ def report(results: dict) -> None:
             ))
         for family, kernels in section.get("fusion", {}).items():
             if kernels:
-                print(f"fusion kernels ({family}-{size}, items: native vs fused gemm, state copies): "
-                      + ", ".join(
-                          f"{k['items']}: {k['native_copies']:.1f} vs {k['gemm_copies']:.1f}"
+                print(f"fusion kernels ({family}-{size}, items: native vs fused gemm vs item loop, "
+                      "state copies): " + ", ".join(
+                          f"{k['items']}: {k['native_copies']:.1f} vs {k['gemm_copies']:.1f} "
+                          f"vs {k['item_loop_copies']:.1f}"
                           for k in kernels
                       ))
     planner = results["plan"]

@@ -219,8 +219,9 @@ def expected_op_stream(
     transpose — without building any payloads.  What a shared-memory kernel
     (or a lone gate) executes is not mirrored but *read from the spec*: its
     one op carries, as ``items``, the ``(kind, physical positions, gates)``
-    of every item of :func:`repro.sim.fusion.lower_kernel_gates`, the same
-    function every executor consumes.  So does a fusion kernel wherever its
+    of every item of :func:`repro.sim.fusion.lower_kernel_gates`, the
+    lowering and fill of the compiler's kernel slot, whose op every
+    executor runs.  So does a fusion kernel wherever its
     items take the native body (:func:`repro.sim.apply.takes_native`); where
     they do not it is one fused op.  ``gates`` is ``None`` for layout ops,
     ``items`` for layout ops and fused ops.

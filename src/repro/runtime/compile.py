@@ -54,12 +54,17 @@ segment's local work, built by the per-kernel builder the plan walk uses
 (:meth:`_Structure.add_kernel`), and
 :func:`repro.runtime.offload.compile_segment_ops` admits, binds or builds
 it through the same :func:`bind_structure`.
+
+What runs outside a program — the interpreter, a shards-segment a compile
+fault degraded, a full-state segment — gets each kernel's op from the same
+slots too (:func:`kernel_op`), so there is one way to build a kernel op.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import Any
 
 from ..circuits.gates import Gate, matrix_signature
 from ..cluster.machine import MachineConfig
@@ -68,16 +73,12 @@ from ..core.plan import ExecutionPlan
 from ..errors import PlanValidationError
 from ..sim.apply import kernel_template
 from ..sim.fusion import (
-    FusionCache,
     ItemLowering,
-    KernelFusion,
     fill_fused_unitary,
     fill_lowered_item,
-    fused_unitary_cached,
     kernel_fusion,
     kernel_items,
     kernel_lowering,
-    kernel_qubits,
 )
 from ..sim.program import (
     CompiledOp,
@@ -98,7 +99,8 @@ __all__ = [
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
-    "fused_kernel_op",
+    "kernel_op",
+    "kernel_op_stats",
 ]
 
 
@@ -182,12 +184,11 @@ class _FusedSlot(_KernelSlot):
 
     Its fallback bind, where the template does not (no library, a kernel
     that does not fit a tile), is the fused gemm: the gates multiplied into
-    one matrix, applied as one op — what every fusion kernel ran before it
-    was a tile pass, bit for bit.  The first matrix bound chooses the op
-    template and goes through the fused-unitary memo, which the other
-    consumers of the job's kernels share; a later one is never memoized (a
-    sweep's angles do not recur).  A signature change here: rz(0) ahead of
-    a crx turns a dense product into a controlled one.
+    one matrix through the kernel's fusion structure, resolved with the
+    slot, and applied as one op — what every fusion kernel ran before it
+    was a tile pass, bit for bit.  The first matrix filled chooses the op
+    template.  A signature change here: rz(0) ahead of a crx turns a dense
+    product into a controlled one.
     """
 
     __slots__ = ("physical", "n", "fusion", "gemm")
@@ -195,22 +196,17 @@ class _FusedSlot(_KernelSlot):
     def __init__(self, pool: int, gates, l2p, n: int) -> None:
         super().__init__(pool, gates, l2p, n)
         if not self.template.native:
-            self.physical = tuple(l2p[q] for q in kernel_qubits(gates))
+            self.fusion = kernel_fusion(gates)
+            self.physical = tuple(l2p[q] for q in self.fusion.qubits)
             self.n = n
-            self.fusion: KernelFusion | None = None  # resolved by the first rebind
             self.gemm: OpTemplate | None = None
             self.signatures = [None]
 
     def fill(self, gates) -> CompiledOp:
         if self.template.native:
             return super().fill(gates)
-        if self.gemm is None:
-            matrix, _qubits = fused_unitary_cached(gates)
-        else:
-            if self.fusion is None:
-                self.fusion = kernel_fusion(gates)
-            matrix = fill_fused_unitary(self.fusion, gates)
-            matrix.setflags(write=False)
+        matrix = fill_fused_unitary(self.fusion, gates)
+        matrix.setflags(write=False)
         _guard_signature(self.signatures, 0, matrix)
         if self.gemm is None:
             self.gemm = unitary_template(matrix, self.physical, self.n)
@@ -471,23 +467,73 @@ def _local_count(stage, machine: MachineConfig | None) -> int:
     return machine.local_qubits if machine is not None else stage.partition.num_local
 
 
-#: The ops of fusion kernels run outside a compiled program, by gate tuple
-#: (angles included), the positions of its gates' qubits and the state size.
-_FUSED_OPS = FusionCache(maxsize=256)
+class _Memo:
+    """A bounded LRU that counts its hits, misses and evictions.  A lock
+    guards the bookkeeping (pool threads share the memos); what is memoized
+    is built outside it — two threads racing on one key at worst both build
+    it, and the later store wins."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key: tuple) -> Any:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return entry
+
+    def store(self, key: tuple, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
 
-def fused_kernel_op(gates: tuple[Gate, ...], l2p: dict[int, int], n: int) -> CompiledOp:
-    """The op of the fusion kernel *gates* in the layout *l2p* over ``2^n``
-    buffers, for the interpreter and the uncompiled shard path: the slot a
-    compiled program holds for the kernel, bound to *gates* — so every
-    executor runs the same body on the same payload.  Memoized, like the
-    lowering those paths run the other kernels through."""
-    key = (gates, tuple([l2p[q] for gate in gates for q in gate.qubits]), n)
-    op = _FUSED_OPS.lookup(key)
+#: The kernel ops run outside a compiled program, by gate tuple (angles
+#: included), the positions of its gates' qubits, the state size and kind.
+_KERNEL_OPS = _Memo(maxsize=256)
+
+
+def kernel_op(
+    gates: tuple[Gate, ...], l2p: dict[int, int], n: int, fused: bool
+) -> CompiledOp:
+    """The op of the kernel *gates* — a *fused* one, or a shared-memory
+    kernel, a run of its gates, a lone gate — in the layout *l2p* over
+    ``2^n`` buffers, for the interpreter, a degraded shards-segment and a
+    full-state segment: the slot a compiled program holds for the kernel,
+    filled with *gates*, so every executor runs the compiled path's very
+    op.  Memoized: a job of those paths meets each kernel once per stage
+    or shard."""
+    key = (gates, tuple([l2p[q] for gate in gates for q in gate.qubits]), n, fused)
+    op = _KERNEL_OPS.lookup(key)
     if op is None:
-        op = _FusedSlot(0, gates, l2p, n).fill(gates)
-        _FUSED_OPS.store(key, op)
+        op = (_FusedSlot if fused else _KernelSlot)(0, gates, l2p, n).fill(gates)
+        _KERNEL_OPS.store(key, op)
     return op
+
+
+def kernel_op_stats() -> dict[str, int]:
+    """The :func:`kernel_op` memo's counters: ``hits``, ``misses``,
+    ``evictions`` and ``size`` (what ``SessionStats.fusion_cache_*``
+    report per session)."""
+    memo = _KERNEL_OPS
+    return {"hits": memo.hits, "misses": memo.misses, "evictions": memo.evictions, "size": len(memo)}
 
 
 def compile_plan(
@@ -564,13 +610,10 @@ def compile_plan(
 # Per-plan program memo (for the execute_plan fast path)
 # ---------------------------------------------------------------------------
 
-#: Bounded: each cached program's workspace lazily holds up to one
-#: state-sized buffer pair, so the memo is kept small.
-_PROGRAM_CACHE_MAX = 4
-_PROGRAM_CACHE: "OrderedDict[tuple, tuple[ExecutionPlan, CompiledProgram]]" = (
-    OrderedDict()
-)
-_PROGRAM_CACHE_LOCK = threading.Lock()
+#: ``(plan, program)`` by plan identity.  Bounded: each cached program's
+#: workspace lazily holds up to one state-sized buffer pair, so the memo is
+#: kept small.
+_PROGRAMS = _Memo(maxsize=4)
 
 
 def compiled_program_for(
@@ -584,36 +627,25 @@ def compiled_program_for(
     fan-out over one plan — compile once.  The memo validates object
     identity (ids can be recycled) and holds only a handful of entries;
     cross-circuit amortisation belongs to the Session plan cache, which
-    stores programs alongside plans and rebinds them explicitly.  A lock
-    guards the memo (concurrent ``execute_plan`` callers share it);
-    compilation itself runs outside the lock — racing threads at worst
-    both compile and the later store wins.
+    stores programs alongside plans and rebinds them explicitly.
+    Concurrent ``execute_plan`` callers share the memo; racing threads at
+    worst both compile and the later store wins.
     """
-    key = (
-        id(plan),
-        machine.local_qubits if machine is not None else None,
-        check_locality,
-    )
-    with _PROGRAM_CACHE_LOCK:
-        hit = _PROGRAM_CACHE.get(key)
-        if hit is not None and hit[0] is plan:
-            _PROGRAM_CACHE.move_to_end(key)
-            return hit[1]
-    program = compile_plan(plan, machine=machine, check_locality=check_locality)
-    with _PROGRAM_CACHE_LOCK:
-        if key not in _PROGRAM_CACHE and len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_MAX:
-            _PROGRAM_CACHE.popitem(last=False)
-        _PROGRAM_CACHE[key] = (plan, program)
-    return program
+    key = (id(plan), machine.local_qubits if machine is not None else None, check_locality)
+    entry = _PROGRAMS.lookup(key)
+    if entry is None or entry[0] is not plan:
+        entry = (plan, compile_plan(plan, machine=machine, check_locality=check_locality))
+        _PROGRAMS.store(key, entry)
+    return entry[1]
 
 
 def clear_program_cache() -> None:
     """Drop the ``execute_plan`` program memo (each entry retains a plan,
     its compiled op stream, and the program's lazily-built workspace
-    buffers) and the fusion-kernel ops of :func:`fused_kernel_op`.  Pair
-    with :func:`repro.sim.program.release_thread_workspace` to fully
-    release the compiled path's memory in a long-lived process that
-    occasionally simulates very large states."""
-    with _PROGRAM_CACHE_LOCK:
-        _PROGRAM_CACHE.clear()
-    _FUSED_OPS.clear()
+    buffers) and the kernel ops of :func:`kernel_op` (which hold their
+    payloads, and the body the host had when they were built).  Pair with
+    :func:`repro.sim.program.release_thread_workspace` to fully release
+    the compiled path's memory in a long-lived process that occasionally
+    simulates very large states."""
+    _PROGRAMS.clear()
+    _KERNEL_OPS.clear()

@@ -2,15 +2,13 @@
 
 This is Algorithm 1's ``EXECUTE`` realised on the NumPy substrate: the
 state is permuted into each stage's physical layout, then every kernel of
-the stage is applied.  A kernel is applied as its lowered items in one
-pass — a phased permutation per run of diagonal/permutation gates, the 1q
-dense gates on neighbouring positions together
-(:func:`repro.sim.fusion.lower_kernel_gates`) — or, for a fusion kernel
-where that pass has no native body, as its fused matrix
-(:func:`repro.runtime.compile.fused_kernel_op`), always on the *physical*
-qubit indices given by the stage's
-logical→physical mapping, which is exactly what the GPU implementation does
-on each shard.
+the stage is applied as the op the plan compiler's slot builds for it
+(:func:`repro.runtime.compile.kernel_op`): its lowered items in one pass —
+a phased permutation per run of diagonal/permutation gates, the 1q dense
+gates on neighbouring positions together — or, for a fusion kernel where
+that pass has no native body, its fused matrix, always on the *physical*
+qubit indices given by the stage's logical→physical mapping, which is
+exactly what the GPU implementation does on each shard.
 
 The executor validates the staging invariant as it goes: every non-insular
 qubit of every gate must be mapped to a local physical position
@@ -20,9 +18,9 @@ plan the real machine could not run without extra communication.
 By default the plan is first lowered to a
 :class:`~repro.sim.program.CompiledProgram` (memoized per plan object, see
 :mod:`repro.runtime.compile`) and the hot loop is a tight dispatch over
-pre-resolved ops; ``compiled=False`` keeps the interpreter, which resolves
-every kernel and item as it meets it and which the compiled path is
-bit-exact with (the property tests and the benchmark gate check this).
+pre-resolved ops; ``compiled=False`` keeps the interpreter, which walks
+plan → stage → kernel itself and takes each kernel's op as it meets it —
+the same op, so the two are bit-exact by construction.
 
 This single-stream executor is the correctness reference for the
 shard-level runtimes: :mod:`repro.runtime.offload` replays the same plan
@@ -37,14 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.machine import MachineConfig
-from ..core.kernel import Kernel, KernelType
+from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import KernelError, PlanValidationError, TransientError
 from ..sim.apply import tracked_empty
-from ..sim.fusion import apply_lowered_items, lower_kernel_gates
 from ..sim.program import CompiledProgram, thread_workspace
 from ..sim.statevector import StateVector
-from .compile import check_gate_locality, compiled_program_for, fused_kernel_op
+from .compile import check_gate_locality, compiled_program_for, kernel_op
 from .sharding import QubitLayout, permute_state
 
 __all__ = ["ExecutionTrace", "execute_plan", "trace_for_program"]
@@ -75,25 +72,6 @@ class ExecutionTrace:
     ops_reused: int = 0
     ops_rebound: int = 0
     ops_recompiled: int = 0
-
-
-def _apply_kernel(
-    state: np.ndarray,
-    scratch: np.ndarray,
-    kernel: Kernel,
-    logical_to_physical: dict[int, int],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Apply one kernel to the full state in the current physical layout.
-
-    The state ping-pongs between the two buffers; returns ``(new_state,
-    new_scratch, ops_applied)``.
-    """
-    if kernel.kernel_type is KernelType.FUSION:
-        n = state.size.bit_length() - 1
-        op = fused_kernel_op(tuple(kernel.gates), logical_to_physical, n)
-        return *op.run(state, scratch, thread_workspace().for_caller_buffers()), 1
-    items = lower_kernel_gates(kernel.gates, logical_to_physical)
-    return *apply_lowered_items(state, scratch, items, logical_to_physical), 1
 
 
 def trace_for_program(program: CompiledProgram) -> ExecutionTrace:
@@ -166,12 +144,13 @@ def execute_plan(
         if initial_state.num_qubits != n:
             raise PlanValidationError("initial state size does not match plan")
         initial_state.copy_into(state)
-    # The whole execution ping-pongs between these two buffers: every gate,
-    # kernel and layout permutation writes into one of them.  The engine
-    # allocates nothing further per gate; only wide (k >= 3 dense) fused
-    # kernels cost a tensordot workspace per application, so allocations
-    # scale with the kernel count, never with the gate count.
+    # The whole execution ping-pongs between these two buffers: every kernel
+    # op and layout permutation writes into one of them.  A kernel op
+    # allocates nothing per application but a `big` op's tensordot result
+    # (a scattered fused gemm, bound only where the native body does not
+    # take the kernel), so allocations never scale with the gate count.
     scratch = tracked_empty(1 << n)
+    ws = thread_workspace().for_caller_buffers()
 
     layout = QubitLayout(n)
     trace = ExecutionTrace(locality_checked=check_locality)
@@ -195,22 +174,20 @@ def execute_plan(
                 check_gate_locality(gate, logical_to_physical, local_count)
 
         if stage.kernels is None:
-            # Un-kernelized stage: one application per gate.
-            for gate in stage.gates:
-                state, scratch = apply_lowered_items(
-                    state, scratch, lower_kernel_gates((gate,), logical_to_physical),
-                    logical_to_physical,
-                )
+            # Un-kernelized stage: a kernel of one gate each.
+            kernels = [((gate,), False) for gate in stage.gates]
             trace.kernels_per_stage.append(0)
-            trace.num_ops += len(stage.gates)
         else:
-            for kernel in stage.kernels:
-                state, scratch, applied = _apply_kernel(
-                    state, scratch, kernel, logical_to_physical
-                )
-                trace.num_ops += applied
-            trace.kernels_per_stage.append(len(stage.kernels))
-            trace.num_kernels += len(stage.kernels)
+            kernels = [
+                (tuple(kernel.gates), kernel.kernel_type is KernelType.FUSION)
+                for kernel in stage.kernels
+            ]
+            trace.kernels_per_stage.append(len(kernels))
+            trace.num_kernels += len(kernels)
+        for gates, fused in kernels:
+            op = kernel_op(gates, logical_to_physical, n, fused)
+            state, scratch = op.run(state, scratch, ws)
+        trace.num_ops += len(kernels)
         trace.num_gates += len(stage.gates)
         trace.num_stages += 1
 

@@ -74,7 +74,6 @@ from ..errors import (
     TransientError,
 )
 from ..sim.apply import apply_gate_buffered, tracked_empty
-from ..sim.fusion import apply_lowered_items, lower_kernel_gates
 from ..sim.program import thread_workspace
 from ..sim.statevector import StateVector
 from . import faults
@@ -84,7 +83,7 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
-from .compile import SegmentStructure, bind_structure, fused_kernel_op
+from .compile import SegmentStructure, bind_structure, kernel_op
 from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
@@ -485,7 +484,7 @@ def group_uses_fusion(
     local_qubits: int,
 ) -> bool:
     """Whether a kernel group is a fusion kernel wholly on local positions
-    — one op over the shard (:func:`repro.runtime.compile.fused_kernel_op`)."""
+    — one op over the shard (:func:`repro.runtime.compile.kernel_op`)."""
     return ktype is KernelType.FUSION and all(
         logical_to_physical[q] < local_qubits
         for gate in gates
@@ -611,10 +610,11 @@ def run_groups_on_shard(
     """
     faults.check("kernel_apply", shard=shard_index)
     index = shard_index
+    ws = thread_workspace().for_caller_buffers()
     for gates, ktype in groups:
         if group_uses_fusion(gates, ktype, logical_to_physical, local_qubits):
-            op = fused_kernel_op(tuple(gates), logical_to_physical, local_qubits)
-            data, scratch = op.run(data, scratch, thread_workspace().for_caller_buffers())
+            op = kernel_op(tuple(gates), logical_to_physical, local_qubits, True)
+            data, scratch = op.run(data, scratch, ws)
             continue
         for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
             if kind == "dynamic":
@@ -622,10 +622,8 @@ def run_groups_on_shard(
                     data, scratch, payload, logical_to_physical, local_qubits, index
                 )
             else:
-                data, scratch = apply_lowered_items(
-                    data, scratch, lower_kernel_gates(payload, logical_to_physical),
-                    logical_to_physical,
-                )
+                op = kernel_op(payload, logical_to_physical, local_qubits, False)
+                data, scratch = op.run(data, scratch, ws)
     return data, scratch, index
 
 
@@ -889,10 +887,9 @@ def run_stages(
         for kind, payload, segment_ops, in_place, _load_from, store_to in segments:
             deadline.check("segment")
             if kind == "full":
-                state, state_scratch = apply_lowered_items(
-                    state, state_scratch,
-                    lower_kernel_gates((payload,), logical_to_physical),
-                    logical_to_physical,
+                op = kernel_op((payload,), logical_to_physical, n, False)
+                state, state_scratch = op.run(
+                    state, state_scratch, thread_workspace().for_caller_buffers()
                 )
                 continue
             if generated:

@@ -58,10 +58,9 @@ from ..errors import (
 )
 from ..planner.pipeline import PassManager, resolve_planner
 from ..runtime import faults as _faults
-from ..runtime.compile import compile_plan
+from ..runtime.compile import compile_plan, kernel_op_stats
 from ..runtime.faults import FaultInjector
 from ..runtime.offload import Schedule, build_schedule
-from ..sim.fusion import fusion_cache_stats
 from ..sim.program import CompiledProgram
 from ..sim.statevector import StateVector
 from .backends import (
@@ -131,8 +130,11 @@ class SessionStats:
     program_ops_rebound: int = 0
     program_rebind_fallbacks: int = 0
     program_rebind_seconds: float = 0.0
-    #: Bounded fused-unitary cache counters, attributed to this session
-    #: (deltas of the process-wide cache since the session was created).
+    #: Counters of the kernel-op memo of the paths that run outside a
+    #: compiled program — the interpreter, a shard schedule degraded by a
+    #: compile fault (:func:`repro.runtime.compile.kernel_op`) — attributed
+    #: to this session (deltas of the process-wide memo since the session
+    #: was created).  The names predate the memo they count.
     fusion_cache_hits: int = 0
     fusion_cache_misses: int = 0
     fusion_cache_evictions: int = 0
@@ -338,7 +340,7 @@ class Session:
         #: program-compile fallback, cache evict-and-replan); backend-level
         #: counters are aggregated separately (see ``_recovery_totals``).
         self._session_fallbacks = 0
-        self._fusion_baseline = fusion_cache_stats()
+        self._fusion_baseline = kernel_op_stats()
         self._rng = np.random.default_rng(seed)
         self._backends: dict[str, ExecutionBackend] = {}
         self._closed = False
@@ -1192,12 +1194,10 @@ class Session:
             stats.max_norm_drift = max(
                 stats.max_norm_drift, getattr(exec_stats, "max_norm_drift", 0.0)
             )
-        fusion = fusion_cache_stats()
-        stats.fusion_cache_hits = fusion["hits"] - self._fusion_baseline["hits"]
-        stats.fusion_cache_misses = fusion["misses"] - self._fusion_baseline["misses"]
-        stats.fusion_cache_evictions = (
-            fusion["evictions"] - self._fusion_baseline["evictions"]
-        )
+        ops = kernel_op_stats()
+        stats.fusion_cache_hits = ops["hits"] - self._fusion_baseline["hits"]
+        stats.fusion_cache_misses = ops["misses"] - self._fusion_baseline["misses"]
+        stats.fusion_cache_evictions = ops["evictions"] - self._fusion_baseline["evictions"]
         stats.jobs += 1
         stats.circuits_run += len(results)
         return results

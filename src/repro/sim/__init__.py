@@ -7,15 +7,7 @@ from .apply import (
     apply_matrix_reference,
     expand_matrix,
 )
-from .fusion import (
-    FusionCache,
-    apply_gate_sequence,
-    configure_fusion_cache,
-    fused_unitary,
-    fused_unitary_cached,
-    fusion_cache_stats,
-    kernel_qubits,
-)
+from .fusion import apply_gate_sequence, fused_unitary, kernel_qubits
 from .program import (
     CompiledOp,
     CompiledProgram,
@@ -33,16 +25,12 @@ __all__ = [
     "Workspace",
     "compile_unitary_op",
     "release_thread_workspace",
-    "FusionCache",
-    "configure_fusion_cache",
-    "fusion_cache_stats",
     "apply_matrix",
     "apply_matrix_reference",
     "apply_diagonal",
     "apply_gate_buffered",
     "expand_matrix",
     "fused_unitary",
-    "fused_unitary_cached",
     "kernel_qubits",
     "apply_gate_sequence",
     "simulate_reference",

@@ -47,14 +47,13 @@ the ping-pong roles swap; temporaries and memoized slice views come from a
 programs (:mod:`repro.sim.program`, :mod:`repro.runtime.compile`), shard
 segments and fused-matrix fills bind these templates ahead of time.
 
-**Entry points.**  :func:`apply_gate_buffered`, :func:`apply_matrix`,
-:func:`apply_diagonal` and :func:`apply_monomial` are the same templates
-bound on first sight of a payload object and memoized by its identity, run
-on the calling thread's workspace.  They are what the dynamic per-shard
-gates and :class:`~repro.sim.statevector.StateVector` call (the
-interpreter's shared-memory kernels
-go through :func:`repro.sim.fusion.apply_lowered_items`, which binds
-:func:`kernel_template` the same way).  The kernels' numerics are
+**Entry points.**  :func:`apply_gate_buffered`, :func:`apply_matrix` and
+:func:`apply_diagonal` are the same templates bound on first sight of a
+payload object and memoized by its identity, run on the calling thread's
+workspace.  They are what the dynamic per-shard gates and
+:class:`~repro.sim.statevector.StateVector` call; a kernel, on every
+executor, is the plan compiler's op
+(:func:`repro.runtime.compile.kernel_op` outside a program).  The kernels' numerics are
 pinned by two implementations that share nothing with the templates:
 :func:`apply_matrix_reference` (the seed tensordot contraction) and
 ``benchmarks/perf/oracle.py``.
@@ -110,7 +109,6 @@ __all__ = [
     "apply_diagonal",
     "apply_matrix_reference",
     "apply_gate_buffered",
-    "apply_monomial",
     "qubit_axis",
     "expand_matrix",
     "analyze_matrix",
@@ -1714,13 +1712,11 @@ def apply_matrix_reference(
 
 
 #: The bound ops of the entry points: ``(id(matrix), qubits, n)`` →
-#: ``(matrix, inplace, run)``, ``(id(phases), id(perm), qubits, n)`` →
-#: ``(phases, perm, uses_scratch, run)`` and, for a kernel's lowered items
-#: (:func:`repro.sim.fusion.apply_lowered_items`), ``(id(items), positions,
-#: size)`` → ``(items, run)``.  For callers that apply the same
-#: payload *object* again and again — the interpreter and the dynamic shard
-#: gates, whose gate matrices, fused matrices and lowered items are cached
-#: instances.  The payload is kept referenced so its id stays valid, and an
+#: ``(matrix, inplace, run)`` and ``(id(phases), id(perm), qubits, n)`` →
+#: ``(phases, perm, uses_scratch, run)``.  For callers that apply the same
+#: payload *object* again and again — the dynamic shard gates and
+#: :class:`~repro.sim.statevector.StateVector`, whose gate matrices are
+#: cached instances.  The payload is kept referenced so its id stays valid, and an
 #: entry counts only while it is that object; a validated hit needs no
 #: re-validation (the checks depend on the key alone).  Compiled programs
 #: never come here: a template's ``bind`` fills without memoizing, because a
@@ -1865,27 +1861,6 @@ def apply_diagonal(
     out = _inplace_target(state, out)
     run(out, None, thread_workspace().for_caller_buffers())
     return out
-
-
-def apply_monomial(
-    state: np.ndarray,
-    perm: np.ndarray | None,
-    phases: np.ndarray,
-    qubits: Sequence[int],
-) -> np.ndarray:
-    """Apply a phased permutation over *qubits* to *state*, in place.
-
-    The amplitude at block index ``c`` (bit ``j`` of ``c`` is
-    ``qubits[j]``) moves to index ``perm[c]`` scaled by ``phases[c]``;
-    ``perm=None`` is the identity permutation, i.e. a diagonal applied as
-    one broadcast multiply.  This is :func:`monomial_template` bound to
-    *phases* (memoized per ``(phases, perm)`` object pair): the op a
-    compiled program runs for the same block.
-    """
-    _phases, _perm, uses_scratch, run = _monomial_op(state, perm, phases, qubits)
-    ws = thread_workspace()
-    run(state, ws.tmp(state.size, slot=0) if uses_scratch else None, ws.for_caller_buffers())
-    return state
 
 
 def apply_gate_buffered(

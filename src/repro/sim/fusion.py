@@ -17,9 +17,11 @@ stage's layout, which gates fold into which block or dense group, the
 block's permutation and its phase gather tables.  The **fill** (:func:`fill_fused_unitary`,
 :func:`fill_lowered_item`) does the arithmetic for one set of angles.
 :func:`fused_unitary` and :func:`lower_kernel_gates` are "structure, then
-fill"; a compiled program keeps the structures of its kernels and runs
-only the fills when it is rebound to new angles
-(:mod:`repro.runtime.compile`).
+fill", unmemoized.  Executors reach both halves through the plan
+compiler's kernel slots (:mod:`repro.runtime.compile`): a compiled program
+keeps the structures of its kernels and runs only the fills when it is
+rebound to new angles, and the paths that run outside a program bind the
+same slots (:func:`repro.runtime.compile.kernel_op`).
 
 The fused matrix is built by applying each gate to the columns of a
 ``2^m × 2^m`` identity, viewed as a state on ``2m`` qubits whose high bits
@@ -28,30 +30,12 @@ the specialized kernels of :mod:`repro.sim.apply` instead of the
 ``O(8^m)`` dense matmul per gate (``expand_matrix`` + ``@``) the seed
 implementation paid; the two work buffers belong to the calling thread's
 workspace and are reused from kernel to kernel.
-
-:func:`fused_unitary_cached` memoizes the result keyed by the gate tuple
-(kernel identity), so a kernel whose matrix several consumers of one job
-ask for pays for fusion once.  The memo is an explicit bounded LRU
-(:class:`FusionCache`, replacing an opaque ``functools.lru_cache`` of the
-same default bound): long-running sweep services can watch its
-hit/miss/eviction counters (surfaced through
-:class:`repro.session.SessionStats`) and resize or flush it at runtime
-(:func:`configure_fusion_cache`).  Its one caller in the executors is the
-fused-gemm fallback of a fusion kernel's slot
-(:mod:`repro.runtime.compile`), so where the native body takes every
-fusion kernel nothing asks it.  The memos hold what is asked for by gate
-tuple — a cold compile, the interpreter, the verifier, the shard
-executors; a program rebind fills through its own structures and inserts
-nothing (a sweep's angles never recur, so those entries could only evict
-the ones that do).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,13 +43,11 @@ from ..circuits.gates import Gate, gate_matrix
 from .apply import (
     DENSE_FOLD_WIDTH,
     MONOMIAL_WIDTH,
-    _BOUND_OPS,
     _GEMM_EDGE,
     KernelItem,
     OpTemplate,
     _check_qubits,
     _num_qubits,
-    _remember,
     analyze_matrix,
     kernel_template,
     thread_workspace,
@@ -74,7 +56,6 @@ from .apply import (
 )
 
 __all__ = [
-    "FusionCache",
     "ItemLowering",
     "KernelFusion",
     "LoweredItem",
@@ -84,13 +65,9 @@ __all__ = [
     "kernel_lowering",
     "fill_lowered_item",
     "fused_unitary",
-    "fused_unitary_cached",
-    "fusion_cache_stats",
-    "configure_fusion_cache",
     "kernel_qubits",
     "lower_kernel_gates",
     "kernel_items",
-    "apply_lowered_items",
     "apply_gate_sequence",
 ]
 
@@ -198,117 +175,6 @@ def fused_unitary(
     """
     fusion = kernel_fusion(gates, qubits)
     return fill_fused_unitary(fusion, gates), fusion.qubits
-
-
-class FusionCache:
-    """Bounded, thread-safe LRU cache for per-kernel lowerings — fused
-    kernel unitaries, and (a second instance) shared-memory kernels'
-    lowered items.
-
-    The ``functools.lru_cache`` it replaces was bounded too, but opaque:
-    this cache counts hits, misses and evictions so services can watch
-    steady-state behaviour (:func:`fusion_cache_stats` /
-    :class:`repro.session.SessionStats`), and its bound is adjustable at
-    runtime (:func:`configure_fusion_cache`) — a sweep service whose
-    working set outgrows the default no longer silently thrashes.  A lock
-    guards the bookkeeping: the parallel shard runtime's workers share
-    this cache.  Fusion itself runs outside the lock — two threads racing
-    on the same key at worst both build the matrix and one result wins.
-    """
-
-    def __init__(self, maxsize: int = 1024):
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")  # lint: config-error
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple) -> Any:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def store(self, key: tuple, value: Any) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            # A while-loop, not a single pop: after configure_fusion_cache
-            # shrinks maxsize, the cache must actually drain below its old
-            # high-water mark as new kernels arrive.
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-            }
-
-
-_FUSION_CACHE = FusionCache(maxsize=1024)
-
-
-def fusion_cache_stats() -> dict:
-    """Counters of the process-wide fused-unitary cache (hits, misses,
-    evictions, size, maxsize)."""
-    return _FUSION_CACHE.stats()
-
-
-def configure_fusion_cache(maxsize: int | None = None, clear: bool = False) -> None:
-    """Resize (``maxsize``) and/or ``clear`` the process-wide fusion cache.
-
-    Shrinking takes effect lazily: existing entries beyond the new bound
-    are evicted as new kernels arrive.
-    """
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")  # lint: config-error
-        _FUSION_CACHE.maxsize = maxsize
-    if clear:
-        _FUSION_CACHE.clear()
-
-
-def fused_unitary_cached(
-    gates: Sequence[Gate], qubits: Sequence[int] | None = None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Memoized :func:`fused_unitary` keyed by kernel identity.
-
-    The returned matrix is a shared read-only instance; because the object
-    is stable across calls, the dispatch analysis and the bound op in
-    :mod:`repro.sim.apply` are also computed only once per kernel.  Backed by the bounded
-    :class:`FusionCache` (see :func:`configure_fusion_cache`).
-    """
-    key = (tuple(gates), None if qubits is None else tuple(qubits))
-    hit = _FUSION_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-    fusion = kernel_fusion(gates, qubits)
-    matrix = fill_fused_unitary(fusion, gates)
-    matrix.setflags(write=False)
-    value = (matrix, fusion.qubits)
-    _FUSION_CACHE.store(key, value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -591,43 +457,22 @@ def fill_lowered_item(
     return LoweredItem(lowering.qubits, members, lowering.perm, phases)
 
 
-#: Smaller than the fusion cache: an entry holds up to 24 KiB of block
-#: vectors per 10-qubit block.  The cache serves the consumers of one job
-#: that ask by gate tuple (interpreter, verifier, both shard executors);
-#: compiled programs carry their kernels' lowering themselves and never
-#: come here on a rebind.
-_LOWERING_CACHE = FusionCache(maxsize=256)
-
-
 def lower_kernel_gates(
     gates: Sequence[Gate], logical_to_physical: Mapping[int, int] | None = None
 ) -> tuple[LoweredItem, ...]:
     """Lower a shared-memory kernel's gate list, in a stage's layout
     (``None``: the identity layout), to :class:`LoweredItem` s:
     :func:`kernel_lowering` filled with the gates' angles
-    (:func:`fill_lowered_item`).
-
-    Item qubits are logical; the layout only decides which dense gates
-    share an item.  This is the single source of what a non-fusion kernel
-    executes: the plan compiler, the interpreter, both shard executors and
-    the static verifier's expected op stream all consume it.  Memoized per
-    gate tuple (angles included) and the positions of its qubits in a
-    bounded LRU, like :func:`fused_unitary_cached`; the returned arrays are
-    shared and read-only.
+    (:func:`fill_lowered_item`) — what the plan compiler's kernel slot
+    builds and fills, spelled out for the static verifier's expected op
+    stream.  Item qubits are logical; the layout only decides which dense
+    gates share an item.  The returned arrays are read-only.
     """
     gates = tuple(gates)
-    key = (gates, None if logical_to_physical is None else tuple(
-        [logical_to_physical[q] for g in gates for q in g.qubits]
-    ))
-    hit = _LOWERING_CACHE.lookup(key)
-    if hit is not None:
-        return hit
-    lowered = tuple(
+    return tuple(
         fill_lowered_item(item, gates)
         for item in kernel_lowering(gates, logical_to_physical)
     )
-    _LOWERING_CACHE.store(key, lowered)
-    return lowered
 
 
 def kernel_items(
@@ -655,53 +500,18 @@ def kernel_items(
     return tuple(out)
 
 
-def apply_lowered_items(
-    state: np.ndarray,
-    scratch: np.ndarray,
-    items: Sequence[LoweredItem],
-    logical_to_physical: Mapping[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a kernel's lowered *items* to *state*, in place; returns
-    ``(state, scratch)`` (the interpreter's counterpart of the plan
-    compiler's kernel slot: the same :func:`~repro.sim.apply.kernel_template`,
-    bound to the items object as it is met and memoized by its identity —
-    lowered items are cached instances).  *scratch* is work space."""
-    if not items:
-        return state, scratch
-    positions = tuple([
-        item.qubits if logical_to_physical is None
-        else tuple([logical_to_physical[q] for q in item.qubits])
-        for item in items
-    ])
-    key = (id(items), positions, state.size)
-    hit = _BOUND_OPS.get(key)
-    if hit is None or hit[0] is not items:
-        n = _num_qubits(state)
-        for item, physical in zip(items, positions):
-            _check_qubits(physical, n)
-            payload = item.phases if item.matrix is None else item.matrix[0]
-            if len(payload) != 1 << len(physical):
-                raise ValueError(  # lint: config-error
-                    f"item payload of length {len(payload)} does not match "
-                    f"{len(physical)} qubits"
-                )
-        template = kernel_template(kernel_items(items, logical_to_physical), n)
-        hit = _remember(key, (items, template.bind(items)))
-    return hit[1](state, scratch, thread_workspace().for_caller_buffers())
-
-
 def apply_gate_sequence(state: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
-    """Apply *gates* in order to a flat state vector (no fusion).
+    """Apply *gates* in order to a flat state vector (no fusion): one kernel
+    op over its lowered items, every qubit at its own index.
 
     The input array is not modified; the returned array is freshly
-    allocated.  Internally the gates ping-pong between two buffers, so the
-    whole sequence costs O(1) state-sized allocations.
+    allocated, and the op's work space is one more state-sized buffer.
     """
+    n = _num_qubits(state)
+    _check_qubits(kernel_qubits(gates), n)
     buf = tracked_empty(state.size)
     np.copyto(buf, state)
-    # No stage here: every qubit sits at its own index.
-    identity = {q: q for gate in gates for q in gate.qubits}
-    buf, _scratch = apply_lowered_items(
-        buf, tracked_empty(state.size), lower_kernel_gates(gates, identity)
-    )
+    items = lower_kernel_gates(gates, None)  # no stage: the identity layout
+    run = kernel_template(kernel_items(items), n).bind(items)
+    buf, _scratch = run(buf, tracked_empty(state.size), thread_workspace().for_caller_buffers())
     return buf

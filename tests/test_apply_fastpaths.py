@@ -17,7 +17,7 @@ from repro.circuits.gates import gate_matrix, make_gate
 from repro.circuits.library import qft, random_circuit
 from repro.cluster import MachineConfig
 from repro.core import partition
-from repro.runtime import execute_plan
+from repro.runtime import compiled_program_for, execute_plan
 from repro.sim import (
     StateVector,
     apply_gate_buffered,
@@ -25,7 +25,6 @@ from repro.sim import (
     apply_matrix_reference,
     expand_matrix,
     fused_unitary,
-    fused_unitary_cached,
     simulate_reference,
 )
 from repro.sim import apply as apply_mod
@@ -313,16 +312,6 @@ class TestFusedUnitary:
             seed_style = expand_matrix(gate.matrix(), gate.qubits, qubits) @ seed_style
         assert np.allclose(fused, seed_style)
 
-    def test_cached_variant_shares_one_instance(self):
-        gates = (make_gate("h", [0]), make_gate("cx", [1, 0]))
-        m1, q1 = fused_unitary_cached(gates)
-        m2, q2 = fused_unitary_cached(gates)
-        assert m1 is m2 and q1 == q2
-        assert not m1.flags.writeable
-        fresh, _ = fused_unitary(list(gates))
-        assert np.allclose(m1, fresh)
-
-
 class TestAllocationRegression:
     def test_execute_plan_state_allocations_are_constant(self):
         """A warm plan execution allocates the ping-pong buffer pair plus
@@ -333,18 +322,12 @@ class TestAllocationRegression:
         machine = MachineConfig.for_circuit(n, num_gpus=4, local_qubits=n - 2)
         plan, _ = partition(circuit, machine)
 
-        # Warm run: populates the scratch pool and the fused-unitary cache.
+        # Warm run: populates the scratch pool and the program memo.
         execute_plan(plan)
 
         # Kernel applications that go through the k>=3 tensordot fallback
         # each log one state-sized workspace allocation.
-        big_applications = 0
-        for stage in plan.stages:
-            for kernel in stage.kernels or []:
-                matrix, _ = fused_unitary_cached(kernel.gates)
-                info = apply_mod.analyze_matrix(matrix)
-                if info.kind == "big":
-                    big_applications += 1
+        big_applications = compiled_program_for(plan).op_counts().get("big", 0)
 
         apply_mod.reset_allocation_log()
         result, _ = execute_plan(plan)

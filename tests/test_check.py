@@ -947,40 +947,75 @@ class TestLintRepro:
         assert lint.check_one_op_body([elsewhere]) == []
 
     #: The compiler's two slots: the kernel template, and the fusion slot's
-    #: fallback bind — the one fused matrix asked for under runtime/.
+    #: fallback bind — the one place a fused matrix is built under runtime/
+    #: (its structure with the slot, its fill per bind).
     SLOTS = (
         "def fill(items, n):\n"
         "    return kernel_template(items, n)\n"
         "class _FusedSlot:\n"
+        "    def __init__(self, gates):\n"
+        "        self.fusion = kernel_fusion(gates)\n"
         "    def fill(self, gates):\n"
-        "        return fused_unitary_cached(gates)\n"
+        "        return fill_fused_unitary(self.fusion, gates)\n"
     )
 
     def test_a_fusion_kernel_has_one_fused_gemm(self, lint):
         slot = self.write(lint, "runtime/compile.py", self.SLOTS)
         assert lint.check_one_kernel_set([slot]) == []
-        # The interpreter fusing a kernel by itself again: both call sites
-        # are flagged, and one outside the fusion slot even on its own.
+        # The interpreter fusing a kernel by itself again: flagged, with or
+        # without the slot in the linted set.
         interpreter = self.write(
             lint, "runtime/executor.py",
             "def _apply_kernel(state, kernel):\n"
-            "    return fused_unitary_cached(kernel.gates)\n",
+            "    matrix, _qubits = fused_unitary(kernel.gates)\n"
+            "    return fill_fused_unitary(kernel_fusion(kernel.gates), kernel.gates)\n",
         )
-        findings = lint.check_one_kernel_set([slot, interpreter])
-        assert {f.rule for f in findings} == {"one-kernel-set"}
-        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
-            "_FusedSlot.fill:fused_unitary_cached", "_apply_kernel:fused_unitary_cached",
+        flagged = [
+            "_apply_kernel:fill_fused_unitary", "_apply_kernel:fused_unitary",
+            "_apply_kernel:kernel_fusion",
         ]
-        assert [f.key.rpartition("::")[2] for f in lint.check_one_kernel_set([interpreter])] == [
-            "_apply_kernel:fused_unitary_cached"
-        ]
-        # Under sim/ the memo is someone else's; the fallback going missing
-        # is the rule left behind.
+        for files in ([slot, interpreter], [interpreter]):
+            findings = lint.check_one_kernel_set(files)
+            assert {f.rule for f in findings} == {"one-kernel-set"}
+            assert sorted(f.key.rpartition("::")[2] for f in findings) == flagged
+        # Under sim/ the fusion is someone else's; the fallback going
+        # missing is the rule left behind.
         sim = self.write(lint, "sim/fusion.py", "def f(gates):\n    return fused_unitary(gates)\n")
         assert lint.check_one_kernel_set([slot, sim]) == []
         slot.write_text("def fill(items, n):\n    return kernel_template(items, n)\n")
         assert [f.key.rpartition("::")[2] for f in lint.check_one_kernel_set([slot])] == [
             "_FusedSlot:missing"
+        ]
+
+    def test_the_second_kernel_op_builder_stays_retired(self, lint):
+        """The interpreter's own op builder and its memos' surface are named
+        nowhere under src/ — in code or in prose — and a gate list applied
+        outside any plan is the one other caller of the kernel template."""
+        fusion = self.write(
+            lint, "sim/fusion.py",
+            "def apply_gate_sequence(state, gates):\n"
+            "    return kernel_template(kernel_items(gates), 3)\n",
+        )
+        assert lint.check_one_kernel_set([fusion]) == []
+        fusion.write_text(
+            fusion.read_text()
+            + "def apply_lowered_items(state, scratch, items):\n"
+            "    return kernel_template(kernel_items(items), 3)\n"
+        )
+        session = self.write(
+            lint, "session/session.py",
+            '"""Counters of fusion_cache_stats()."""\n'
+            "from ..runtime.compile import fused_kernel_op\n",
+        )
+        outside = lint.REPO / "tests" / "test_x.py"
+        outside.parent.mkdir(parents=True, exist_ok=True)
+        outside.write_text("from repro.sim.fusion import configure_fusion_cache\n")
+        findings = lint.check_one_kernel_set([fusion, session, outside])
+        assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            ("src/repro/session/session.py", 1, "fusion_cache_stats"),
+            ("src/repro/session/session.py", 2, "fused_kernel_op"),
+            ("src/repro/sim/fusion.py", 3, "apply_lowered_items"),
+            ("src/repro/sim/fusion.py", 4, "apply_lowered_items:kernel_template"),
         ]
 
     def test_kernel_template_keeps_two_named_bodies_and_two_callers(self, lint):

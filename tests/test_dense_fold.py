@@ -197,38 +197,35 @@ def test_rebinds_leave_the_dense_plan_memo_alone():
     assert len(apply_mod._BOUND_OPS) == size
 
 
-def test_an_interpreted_sweep_stays_within_the_memo_bounds(monkeypatch):
-    """The interpreter does memoize — one entry per item *object* of a
-    shared-memory kernel it applies (`_BOUND_OPS`) and one bound op per
-    fusion kernel's gate tuple (`_FUSED_OPS`).  Over a 50-job angle sweep
-    of ising-12 the angle-carrying kernels add a constant number of entries
-    a job, the parameter-free ones hit theirs, and below the bounds nothing
-    is wiped (the old gemm-plan memo wiped at the same 4096 and nowhere
-    else); at the bounds the memos restart or evict and results do not
-    change."""
+def test_an_interpreted_sweep_stays_within_the_memo_bound(monkeypatch):
+    """The interpreter memoizes one op per kernel — gate tuple, layout and
+    kind (`kernel_op`, the compiler's slot filled) — and nothing in the
+    entry points' memo (`_BOUND_OPS`).  Over a 50-job angle sweep of
+    ising-12 the angle-carrying kernels add a constant number of entries a
+    job, the parameter-free ones hit theirs, and below the bound nothing is
+    evicted; at the bound the memo evicts and results do not change."""
     rng = np.random.default_rng(4)
     machine, template, base_plan = _ising_plan(rng)
-    bound, fused = apply_mod._BOUND_OPS, compile_mod._FUSED_OPS
+    ops, bound = compile_mod._KERNEL_OPS, apply_mod._BOUND_OPS
+    compile_mod.clear_program_cache()
     bound.clear()
-    fused.clear()
     sizes, first = [], None
     for _ in range(50):
         plan = rebind_plan(base_plan, _redrawn(template, rng))
         execute_plan(plan, machine=machine, compiled=False)
-        sizes.append(len(bound) + len(fused))
-        first = first or (set(bound), set(fused._entries))
+        sizes.append(len(ops))
+        first = first or set(ops._entries)
     per_job = sizes[1] - sizes[0]
     assert 0 < per_job < sizes[0]  # some of the first job's entries recur
     assert sizes == [sizes[0] + job * per_job for job in range(50)]
-    assert len(bound) < apply_mod._BOUND_OPS_MAX and len(fused) < fused.maxsize
-    assert first[0] <= set(bound) and first[1] <= set(fused._entries)
+    assert len(ops) < ops.maxsize and first <= set(ops._entries)
+    assert not bound
 
-    monkeypatch.setattr(apply_mod, "_BOUND_OPS_MAX", 2)
-    monkeypatch.setattr(fused, "maxsize", 2)
+    monkeypatch.setattr(ops, "maxsize", 2)
     for _ in range(5):
         plan = rebind_plan(base_plan, _redrawn(template, rng))
         interpreted, _ = execute_plan(plan, machine=machine, compiled=False)
-        assert len(bound) <= 2 and len(fused) <= 2
+        assert len(ops) <= 2
         assert np.array_equal(interpreted.data, compile_plan(plan, machine).run().data)
 
 

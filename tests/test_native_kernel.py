@@ -7,7 +7,8 @@ fusion kernel, its fused gemm.  The item loop is the native body's oracle
 here — generated kernels over every lowered item kind, lowest position,
 state size, buffer shape and layout — within the documented bound
 `KernelTemplate.ulps()`, and the fused gemm is every planner fusion
-kernel's within `KernelTemplate.gemm_ulps()`; the loader's cache, races
+kernel's within `KernelTemplate.gemm_ulps()`; on either body every
+executor, compiled or not, runs the compiler's op bit for bit; the loader's cache, races
 and failure modes are exercised on private cache directories; and the
 engine, program, schedule and session test modules are run, unedited, with
 the loader reporting "unavailable" (`conftest.py` starts those runs at
@@ -39,8 +40,10 @@ from repro.runtime import (
     compile_plan,
     execute_plan,
     execute_plan_offloaded,
+    faults,
 )
-from repro.runtime.compile import fused_kernel_op
+from repro.runtime.compile import kernel_op
+from repro.runtime.faults import FaultInjector
 from repro.sim import StateVector, native
 from repro.sim.apply import Workspace, apply_matrix_reference, kernel_template
 from repro.sim.fusion import LoweredItem, fused_unitary, kernel_items, lower_kernel_gates
@@ -306,6 +309,32 @@ UNAVAILABLE = dict(
     available=False, reason="disabled for this test", path=None, compiler=None,
     flags=[], build_seconds=0.0, library=None,
 )
+#: The executor cases: the service structures on the service machine, and
+#: ising-20 on the shard-stream machine (8 shards of 2^17).
+EXECUTOR_CASES = (*sorted(SERVICE_STRUCTURES), "ising-20")
+
+
+@lru_cache(maxsize=None)
+def _executor_case(case: str) -> tuple:
+    """``(plan, machine)`` of an :data:`EXECUTOR_CASES` entry."""
+    if case == "ising-20":
+        machine = MachineConfig.for_circuit(20, num_shards=2, local_qubits=17)
+        return partition(ising(20), machine)[0], machine
+    machine = MachineConfig.for_circuit(12, num_shards=4)
+    return partition(SERVICE_STRUCTURES[case](12), machine)[0], machine
+
+
+@pytest.fixture(params=["native", "numpy"])
+def engine(request, monkeypatch):
+    """Each body in turn: the host's native one, and the loader forced
+    "unavailable" — the item loop, and the fused gemm for fusion kernels."""
+    if request.param == "native" and not native.status()["available"]:
+        pytest.skip(f"no native body: {native.status()['reason']}")
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_STATE", UNAVAILABLE)
+    clear_program_cache()  # programs and kernel ops bound under the other body
+    yield request.param
+    clear_program_cache()
 
 
 @lru_cache(maxsize=None)
@@ -379,7 +408,7 @@ class TestFusionKernels:
     def _check_against_the_gemm(n, gates, l2p, seed):
         """Native within `gemm_ulps()` of the fused gemm; a `(1, 2^n)` and a
         `(B, 2^n)` stack are the flat runs bit for bit."""
-        op = fused_kernel_op(gates, l2p, n)
+        op = kernel_op(gates, l2p, n, True)
         assert op.kind == "sm"
         items = lower_kernel_gates(gates, l2p)
         template = kernel_template(kernel_items(items, l2p), n)
@@ -414,43 +443,74 @@ class TestFusionKernels:
                 for op in fused:
                     want = _run_op(_fused_gemm(op.gates, layouts[op.source[1]], 12), state)
                     assert np.array_equal(_run_op(op, state), want), family
-                    again = fused_kernel_op(op.gates, layouts[op.source[1]], 12)
+                    again = kernel_op(op.gates, layouts[op.source[1]], 12, True)
                     assert np.array_equal(_run_op(again, state), want), family
         finally:
             clear_program_cache()
 
     @needs_native
     @pytest.mark.parametrize("family", sorted(SERVICE_STRUCTURES))
-    def test_executors_agree_on_the_service_structures(self, family):
-        """Interpreter, compiled, offload and parallel W ∈ {1, 2, 4}: bit
-        for bit.  No fused op is left, so a stack is the flat run bit for
-        bit — `stack_ulps()` 0 where ising-12 and qsvm-12 each had a `big`
-        op."""
-        machine = MachineConfig.for_circuit(12, num_shards=4)
-        plan, _ = partition(SERVICE_STRUCTURES[family](12), machine)
+    def test_no_fused_op_is_left_on_the_service_structures(self, family):
+        """No fused op is left, so a stack is the flat run bit for bit —
+        `stack_ulps()` 0 where ising-12 and qsvm-12 each had a `big` op."""
+        plan, machine = _executor_case(family)
         program = compile_plan(plan, machine)
         assert program.stack_ulps() == 0
         assert all(op.kind == "sm" for op in program.ops if op.source[0] == "kernel")
-        self._check_executors(plan, machine, program)
 
-    @needs_native
-    def test_executors_agree_on_ising_20_in_shards(self):
-        machine = MachineConfig.for_circuit(20, num_shards=2, local_qubits=17)
-        plan, _ = partition(ising(20), machine)
-        self._check_executors(plan, machine, compile_plan(plan, machine))
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_kernel_op_is_the_compiled_op(self, engine, case):
+        """Every kernel, on either body: the op the uncompiled paths take
+        (`kernel_op`) is the compiled program's at that source — kind,
+        positions, items — and writes the same bits."""
+        plan, machine = _executor_case(case)
+        n = plan.num_qubits
+        program = compile_plan(plan, machine)
+        layouts = [stage.partition.logical_to_physical() for stage in plan.stages]
+        (state,) = _random_states(n, 1, 5)
+        kernels = [op for op in program.ops if op.source[0] != "layout"]
+        assert len(kernels) == program.num_kernels
+        assert any(op.source[0] == "kernel" for op in kernels)
+        for op in kernels:
+            again = kernel_op(op.gates, layouts[op.source[1]], n, op.source[0] == "kernel")
+            assert (again.kind, again.qubits, again.items) == (op.kind, op.qubits, op.items)
+            if engine == "numpy" and op.source[0] == "kernel":
+                assert op.kind != "sm", op.source  # the fused gemm
+            assert np.array_equal(_run_op(again, state), _run_op(op, state)), op.source
 
-    @staticmethod
-    def _check_executors(plan, machine, program):
+    @pytest.mark.parametrize("case", EXECUTOR_CASES)
+    def test_executors_agree(self, engine, case):
+        """Interpreter, compiled, offload and parallel W ∈ {1, 2, 4}, on
+        either body, each also with its first compile failing (in-core
+        degrades to the interpreter, a shard schedule's segment to the
+        uncompiled shard pass): bit for bit."""
+        plan, machine = _executor_case(case)
         init = StateVector.random_state(plan.num_qubits, seed=3)
-        want = program.run(init).data
+        want = compile_plan(plan, machine).run(init).data
         interpreted, _ = execute_plan(plan, init, machine=machine, compiled=False)
         assert np.array_equal(interpreted.data, want)
-        offloaded, _ = execute_plan_offloaded(plan, machine, init)
-        assert np.array_equal(offloaded.data, want)
-        for workers in (1, 2, 4):
-            with ParallelRuntime(machine, num_workers=workers) as runtime:
-                parallel, _ = runtime.execute(plan, init)
-            assert np.array_equal(parallel.data, want), workers
+
+        def run(execute, degraded):
+            clear_program_cache()  # so the in-core run compiles
+            injector = FaultInjector("compile:KernelError:1")
+            if degraded:
+                faults.activate(injector)
+            try:
+                state, _ = execute()
+            finally:
+                faults.deactivate(injector)
+            assert injector.total_fired == degraded
+            return state.data
+
+        for degraded in (False, True):
+            incore = run(lambda: execute_plan(plan, init, machine=machine), degraded)
+            assert np.array_equal(incore, want), degraded
+            offloaded = run(lambda: execute_plan_offloaded(plan, machine, init), degraded)
+            assert np.array_equal(offloaded, want), degraded
+            for workers in (1, 2, 4):
+                with ParallelRuntime(machine, num_workers=workers) as runtime:
+                    parallel = run(lambda: runtime.execute(plan, init), degraded)
+                assert np.array_equal(parallel, want), (degraded, workers)
 
 
 # ---------------------------------------------------------------------------

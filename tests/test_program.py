@@ -42,12 +42,9 @@ from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim import fusion as fusion_mod
 from repro.sim import native
-from repro.sim.fusion import (
-    configure_fusion_cache,
-    fused_unitary_cached,
-    fusion_cache_stats,
-    lower_kernel_gates,
-)
+from repro.runtime import compile as compile_mod
+from repro.runtime.compile import kernel_op, kernel_op_stats
+from repro.sim.fusion import lower_kernel_gates
 from repro.session import Session
 from repro.session.cache import rebind_plan
 
@@ -103,11 +100,11 @@ class TestCompiledVsInterpreted:
 
     def test_the_interpreter_compiles_nothing(self, monkeypatch):
         """`compiled=False` is the plumbing oracle: it walks plan -> stage
-        -> kernel -> item itself.  It never enters the plan compiler, builds
-        no program or structure and consults no program memo — what it
-        shares with the compiled path is the per-op templates, nothing of
-        the layout walk, slots, bind or reuse it is there to check."""
-        import repro.runtime.compile as compile_mod
+        -> kernel itself.  It never enters the plan compiler, builds no
+        program or structure and consults no program memo — what it shares
+        with the compiled path is each kernel's op (`kernel_op`: the
+        compiler's slot, filled), one per kernel, nothing of the layout
+        walk, structure, bind or reuse it is there to check."""
         import repro.runtime.executor as executor_mod
         from repro.sim.program import CompiledProgram
 
@@ -122,9 +119,19 @@ class TestCompiledVsInterpreted:
         monkeypatch.setattr(executor_mod, "compiled_program_for", forbidden)
         monkeypatch.setattr(compile_mod.ProgramStructure, "__init__", forbidden)
         monkeypatch.setattr(CompiledProgram, "__init__", forbidden)
+        compile_mod.clear_program_cache()
+        before = kernel_op_stats()
         got, trace = execute_plan(plan, machine=machine, compiled=False)
+        after = kernel_op_stats()
         assert np.array_equal(got.data, want.data)
         assert trace.op_counts == {} and trace.num_ops > 0
+        asked = {key: after[key] - before[key] for key in ("hits", "misses")}
+        assert asked["misses"] > 0 and asked["hits"] + asked["misses"] == trace.num_kernels
+        # Again: every kernel's op is the one built the first time.
+        again, _ = execute_plan(plan, machine=machine, compiled=False)
+        final = kernel_op_stats()
+        assert (final["hits"] - after["hits"], final["misses"]) == (trace.num_kernels, after["misses"])
+        assert np.array_equal(again.data, want.data)
 
     def test_unkernelized_stage_plan(self):
         """Plans whose stages carry raw gates (kernels=None) compile too."""
@@ -536,26 +543,21 @@ class TestRebind:
         assert all(np.array_equal(a, copy) and not a.flags.writeable for a, copy in arrays)
         assert np.array_equal(base.run(init).data, before)
 
-    def test_rebinds_leave_the_kernel_memos_alone(self):
-        """A warm job carries its kernels' lowering in the program: 200
-        rebinds insert nothing into the fused-unitary or lowering memos
-        (they used to store 3-8 never-hit angle-keyed entries each, turning
-        the 256-entry lowering memo over every ~40 jobs)."""
+    def test_rebinds_leave_the_kernel_op_memo_alone(self):
+        """A warm job carries its kernels' slots in the program: 200 rebinds
+        insert nothing into the kernel-op memo of the uncompiled paths (the
+        memos before it took 3-8 never-hit angle-keyed entries a rebind,
+        turning a 256-entry memo over every ~40 jobs)."""
         rng = np.random.default_rng(9)
         machine = _machine(8)
         for template in (vqc(8, ansatz_reps=1), ising(8)):
             base_plan = _staged_plan(self._redrawn(template, rng), machine)
             base = compile_plan(base_plan, machine)
-            before = fusion_cache_stats()
-            lowered = len(fusion_mod._LOWERING_CACHE)
+            before = kernel_op_stats()
             for _ in range(200):
                 plan = rebind_plan(base_plan, self._redrawn(template, rng))
                 assert compile_plan(plan, machine, reuse=base).ops_rebound > 0
-            after = fusion_cache_stats()
-            assert (after["size"], after["evictions"], after["misses"]) == (
-                before["size"], before["evictions"], before["misses"],
-            )
-            assert len(fusion_mod._LOWERING_CACHE) == lowered
+            assert kernel_op_stats() == before
 
     def test_rebound_plans_agree_across_sharded_executors(self):
         """Fresh and degenerate angles through the restructured lowering:
@@ -867,10 +869,9 @@ class TestLoweredKernels:
         views = ws.views(bufs[-1], 12, tuple(range(10)))
         assert views is ws.views(bufs[-1], 12, tuple(range(10)))
 
-    def test_lowering_is_memoized_and_read_only(self):
+    def test_lowering_is_read_only(self):
         gates = tuple(su2random(6, reps=1).gates)
-        items = lower_kernel_gates(gates)
-        assert lower_kernel_gates(list(gates)) is items
+        items = lower_kernel_gates(gates, None)
         block = next(item for item in items if item.matrix is None)
         with pytest.raises(ValueError):
             block.phases[0] = 2.0
@@ -986,42 +987,45 @@ class TestMemoryControls:
         assert len(state_sized) <= 2 and len(ws._pairs) <= ws._MAX_PAIRS
 
 
-class TestBoundedFusionCache:
-    """The fused-unitary memo is consulted by one caller, the fused-gemm
-    fallback of a fusion kernel: on a host with the native body a plan of
-    kernels that fit a tile never reaches it."""
+class TestBoundedKernelOpMemo:
+    """The one per-kernel op memo left is `kernel_op`'s, consulted by the
+    paths that run outside a compiled program: a compiled program, on
+    either body, never reaches it."""
 
-    def test_eviction_and_counters(self):
-        stats0 = fusion_cache_stats()
-        assert stats0["maxsize"] >= 1
-        configure_fusion_cache(maxsize=4, clear=True)
-        try:
-            # Distinct kernels from distinct angles: more structures than
-            # the bound, so the cache must evict instead of growing.
-            for seed in range(8):
-                fused_unitary_cached(random_circuit(6, 30, seed=seed).gates[:8])
-            stats = fusion_cache_stats()
-            assert stats["size"] <= 4
-            assert stats["evictions"] - stats0["evictions"] == 4
-            assert stats["misses"] - stats0["misses"] == 8
-        finally:
-            configure_fusion_cache(maxsize=stats0["maxsize"], clear=True)
+    def test_eviction_and_counters(self, monkeypatch):
+        compile_mod.clear_program_cache()
+        monkeypatch.setattr(compile_mod._KERNEL_OPS, "maxsize", 4)
+        before = kernel_op_stats()
+        layout = {q: q for q in range(6)}
+        # Distinct kernels from distinct angles: more than the bound, so
+        # the memo must evict instead of growing.
+        kernels = [tuple(random_circuit(6, 30, seed=seed).gates[:8]) for seed in range(8)]
+        ops = [kernel_op(gates, layout, 6, seed % 2 == 0) for seed, gates in enumerate(kernels)]
+        stats = kernel_op_stats()
+        assert stats["size"] == 4
+        assert stats["evictions"] - before["evictions"] == 4
+        assert stats["misses"] - before["misses"] == 8
+        # A kept kernel is the same op; an evicted one is built again.
+        assert kernel_op(kernels[-1], layout, 6, False) is ops[-1]
+        assert kernel_op(kernels[0], layout, 6, True) is not ops[0]
+        stats, before = kernel_op_stats(), stats
+        assert (stats["hits"] - before["hits"], stats["misses"] - before["misses"]) == (1, 1)
+        compile_mod.clear_program_cache()
 
-    def test_session_surfaces_fusion_counters(self):
+    def test_session_surfaces_the_memo_counters(self):
         machine = _machine(8)
         sweep = [vqc(8, seed=s) for s in range(3)]
         with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
             s.run(sweep)
             ran = s.stats.as_dict()
-            fused_unitary_cached((make_gate("rx", [0], [0.1234567]), make_gate("cx", [0, 1])))
+            kernel_op((make_gate("rx", [0], [0.1234567]), make_gate("cx", [0, 1])), {0: 0, 1: 1}, 2, True)
             s.run(sweep[-1])  # a repeat: every op is kept, nothing asks the memo
             stats = s.stats.as_dict()
-        # Deltas since the session began, read at the end of each job,
-        # whichever body the kernels ran.
-        assert stats["fusion_cache_misses"] == ran["fusion_cache_misses"] + 1
-        assert stats["fusion_cache_hits"] == ran["fusion_cache_hits"]
+        # Deltas since the session began, read at the end of each job;
+        # compiled programs never ask the memo, whichever body they bind.
+        assert (ran["fusion_cache_hits"], ran["fusion_cache_misses"]) == (0, 0)
+        assert (stats["fusion_cache_hits"], stats["fusion_cache_misses"]) == (0, 1)
         assert "fusion_cache_evictions" in stats
-        assert (ran["fusion_cache_misses"] > 0) == (native.engine() == "numpy")
 
 
 class TestWideGemmRouting:

@@ -20,11 +20,12 @@ from repro.core import (
 from repro.ilp import IlpModel, lin_sum, solve_with_branch_and_bound, solve_with_scipy
 from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
-from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
+from repro.runtime import QubitLayout, clear_program_cache, compile_plan, execute_plan, permute_state
+from repro.runtime.compile import kernel_op
 from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered, kernel_template
-from repro.sim.fusion import apply_lowered_items, kernel_items, lower_kernel_gates
+from repro.sim.fusion import kernel_items, lower_kernel_gates
 from repro.sim.program import Workspace, compile_unitary_op, monomial_template
 from repro.circuits.gates import GATE_SPECS, gate_matrix
 
@@ -166,17 +167,21 @@ class TestLoweringProperties:
     def test_lowered_matches_gate_at_a_time_and_the_oracle(self, case, gather_bits, seed):
         """In any layout, on either permutation path (gather / slice
         moves), the lowered items equal the per-gate stream to 1e-12 and
-        the reference oracle; the compiled kernel op equals the interpreted
-        items bit for bit, and the kernel template's item loop is exactly
-        the items' own ops run in turn."""
+        the reference oracle; the compiler's kernel op (what every executor
+        runs) is the kernel template bound to the items lowered in that
+        layout, bit for bit, and the template's item loop is exactly the
+        items' own ops run in turn."""
         n, gates, l2p = case
         init = StateVector.random_state(n, seed=seed)
         with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
-            items = lower_kernel_gates(gates)
-            lowered, _ = apply_lowered_items(
-                init.data.copy(), np.empty_like(init.data), items, l2p
-            )
+            # The op is memoized without the path it was built on: build it
+            # fresh here, and leave it behind for no one.
+            clear_program_cache()
+            op = kernel_op(tuple(gates), l2p, n, False)
+            clear_program_cache()
+            items = lower_kernel_gates(gates, l2p)
             ws = Workspace()
+            lowered, _ = op.run(init.data.copy(), np.empty_like(init.data), ws)
             template = kernel_template(kernel_items(items, l2p), n)
             compiled, _ = template.op(items).run(
                 init.data.copy(), np.empty_like(init.data), ws

@@ -28,7 +28,7 @@ from repro.session import (
     rebind_plan,
     select_auto_backend,
 )
-from repro.sim import StateVector, native
+from repro.sim import StateVector
 
 FAST_CONFIG = KernelizeConfig(pruning_threshold=8)
 
@@ -553,139 +553,140 @@ def _counted(stats: dict) -> dict:
 #: ``program_ops_reused`` +2): the count changed, not the result — the state
 #: is still ``np.array_equal`` to the solo run's.
 #:
-#: The ``fusion_cache_*`` counts are the fused-gemm fallback's, the one
-#: caller of the fused-unitary memo: they hold where fusion kernels bind it
-#: (``native.engine() == "numpy"``) and read zero where the native body
-#: takes them (:meth:`TestPlanAcquisitionMatrix.golden`).  The faulted
-#: offload walk's ``fusion_cache_hits`` were re-pinned (3 … 16 → the faulted
-#: in-core walk's) when the uncompiled shard path started binding a fusion
-#: kernel's op once per gate tuple instead of asking the memo per shard: the
-#: body changed, not the result.
+#: The ``fusion_cache_*`` counts were re-pinned when the memo they count
+#: changed — from the fused-unitary memo of the fused-gemm fallback (read
+#: only where the native body is missing) to the kernel-op memo of the paths
+#: that run outside a compiled program (``repro.runtime.compile.kernel_op``)
+#: — the memo counted changed, not the result: every state is still
+#: ``np.array_equal`` to the solo run's.  Only the faulted offload walk
+#: reaches that memo (its degraded segments run the uncompiled shard pass;
+#: the in-core walk's compile fault is retried by the session, so its jobs
+#: still run programs), and it reads the same on either engine.
 ACQUISITION_GOLDENS = {
     ('incore', False): {
         'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fusion_cache_misses=5, jobs=1, plan_seconds=True,
+            execute_seconds=True, jobs=1, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, programs_compiled=1, shared_cache_misses=1),
         'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=1,
-            cache_misses=1, circuits_run=2, execute_seconds=True, fusion_cache_misses=5,
-            jobs=2, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            cache_misses=1, circuits_run=2, execute_seconds=True, jobs=2,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, program_ops_rebound=7,
             program_ops_reused=1, program_rebind_seconds=True, programs_compiled=1,
             programs_rebound=1, shared_cache_misses=1),
         'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.3333333333333333,
             cache_hits=1, cache_misses=2, circuits_run=3, execute_seconds=True,
-            fusion_cache_misses=5, jobs=3, plan_seconds=True,
+            jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, program_ops_rebound=7, program_ops_reused=1,
             program_rebind_seconds=True, programs_compiled=1, programs_rebound=1,
             shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.5,
             cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
-            fusion_cache_misses=6, jobs=4, plan_seconds=True,
+            jobs=4, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, program_ops_rebound=7, program_ops_reused=1,
             program_rebind_seconds=True, programs_compiled=2, programs_rebound=1,
             shared_cache_misses=2),
         'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fusion_cache_misses=11, jobs=1, programs_compiled=1,
+            execute_seconds=True, jobs=1, programs_compiled=1,
             shared_cache_hits=1),
         'relabelled-shared-hit': dict(backend_runs={'incore': 2}, cache_misses=2,
-            circuits_run=2, execute_seconds=True, fusion_cache_misses=16, jobs=2,
+            circuits_run=2, execute_seconds=True, jobs=2,
             programs_compiled=2, shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'incore': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
-            execute_seconds=True, fallbacks=1, fusion_cache_misses=21, jobs=5,
+            execute_seconds=True, fallbacks=1, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=2, program_ops_rebound=7,
             program_ops_reused=1, program_rebind_seconds=True, programs_compiled=3,
             programs_rebound=1, shared_cache_hits=1, shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
-            fusion_cache_hits=1, fusion_cache_misses=21, jobs=3, plan_seconds=True,
+            jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, programs_compiled=3, shared_cache_hits=2,
             shared_cache_misses=1),
     },
     ('incore', True): {
         'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fallbacks=1, faults_injected=1, fusion_cache_misses=5,
-            jobs=1, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            execute_seconds=True, fallbacks=1, faults_injected=1, jobs=1,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, shared_cache_misses=1),
         'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=1,
             cache_misses=1, circuits_run=2, execute_seconds=True, fallbacks=2,
-            faults_injected=1, fusion_cache_misses=10, jobs=2, plan_seconds=True,
+            faults_injected=1, jobs=2, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, shared_cache_misses=1),
         'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.3333333333333333,
             cache_hits=1, cache_misses=2, circuits_run=3, execute_seconds=True,
-            fallbacks=2, fusion_cache_misses=10, jobs=3, plan_seconds=True,
+            fallbacks=2, jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.5,
             cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
-            fallbacks=3, faults_injected=1, fusion_cache_misses=11, jobs=4,
+            fallbacks=3, faults_injected=1, jobs=4,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
         'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
             execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_misses=16, jobs=1, shared_cache_hits=1),
+            jobs=1, shared_cache_hits=1),
         'relabelled-shared-hit': dict(backend_runs={'incore': 2}, cache_misses=2,
             circuits_run=2, execute_seconds=True, fallbacks=2, faults_injected=1,
-            fusion_cache_misses=21, jobs=2, shared_cache_hits=2),
+            jobs=2, shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'incore': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
             execute_seconds=True, fallbacks=5, faults_injected=1,
-            fusion_cache_misses=26, jobs=5, plan_seconds=True,
+            jobs=5, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, shared_cache_hits=1, shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
-            faults_injected=1, fusion_cache_hits=1, fusion_cache_misses=26, jobs=3,
+            faults_injected=1, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, shared_cache_hits=2,
             shared_cache_misses=1),
     },
     ('offload', False): {
         'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
-            circuits_run=1, execute_seconds=True, fusion_cache_misses=5, jobs=1,
+            circuits_run=1, execute_seconds=True, jobs=1,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, schedule_cache_misses=1,
             shared_cache_misses=1),
         'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
             cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
-            fusion_cache_misses=5, jobs=2, plan_seconds=True,
+            jobs=2, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, schedule_cache_hits=1, schedule_cache_misses=1,
             shared_cache_misses=1),
         'plan-only': dict(backend_runs={'offload': 2},
             cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
-            circuits_run=3, execute_seconds=True, fusion_cache_misses=5, jobs=3,
+            circuits_run=3, execute_seconds=True, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
             schedule_cache_misses=1, shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'offload': 3},
             cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
-            execute_seconds=True, fusion_cache_misses=6, jobs=4, plan_seconds=True,
+            execute_seconds=True, jobs=4, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_hits=1, schedule_cache_misses=2,
             shared_cache_misses=2),
         'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
-            circuits_run=1, execute_seconds=True, fusion_cache_misses=11, jobs=1,
+            circuits_run=1, execute_seconds=True, jobs=1,
             schedule_cache_misses=1, shared_cache_hits=1),
         'relabelled-shared-hit': dict(backend_runs={'offload': 2},
             cache_misses=2, circuits_run=2, execute_seconds=True,
-            fusion_cache_misses=16, jobs=2, schedule_cache_misses=2,
+            jobs=2, schedule_cache_misses=2,
             shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
-            execute_seconds=True, fallbacks=1, fusion_cache_misses=21, jobs=5,
+            execute_seconds=True, fallbacks=1, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
             schedule_cache_misses=3, shared_cache_hits=1, shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
-            fusion_cache_hits=1, fusion_cache_misses=21, jobs=3, plan_seconds=True,
+            jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, schedule_cache_misses=3, shared_cache_hits=2,
             shared_cache_misses=1),
@@ -693,45 +694,45 @@ ACQUISITION_GOLDENS = {
     ('offload', True): {
         'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
             circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_misses=5, jobs=1, plan_seconds=True,
+            fusion_cache_hits=3, fusion_cache_misses=1, jobs=1, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=1, schedule_cache_misses=1, shared_cache_misses=1),
         'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
             cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
-            fallbacks=2, faults_injected=1, fusion_cache_misses=10,
+            fallbacks=2, faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=2,
             jobs=2, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, schedule_cache_misses=2,
             shared_cache_misses=1),
         'plan-only': dict(backend_runs={'offload': 2},
             cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
             circuits_run=3, execute_seconds=True, fallbacks=2,
-            fusion_cache_misses=10, jobs=3, plan_seconds=True,
+            fusion_cache_hits=6, fusion_cache_misses=2, jobs=3, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_misses=2, shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'offload': 3},
             cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
             execute_seconds=True, fallbacks=3, faults_injected=1,
-            fusion_cache_misses=11, jobs=4, plan_seconds=True,
+            fusion_cache_hits=21, fusion_cache_misses=7, jobs=4, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_misses=3, shared_cache_misses=2),
         'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
             circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_misses=16, jobs=1,
+            fusion_cache_hits=24, fusion_cache_misses=8, jobs=1,
             schedule_cache_misses=1, shared_cache_hits=1),
         'relabelled-shared-hit': dict(backend_runs={'offload': 2},
             cache_misses=2, circuits_run=2, execute_seconds=True, fallbacks=2,
-            faults_injected=1, fusion_cache_misses=21, jobs=2,
+            faults_injected=1, fusion_cache_hits=27, fusion_cache_misses=9, jobs=2,
             schedule_cache_misses=2, shared_cache_hits=2),
         'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
             execute_seconds=True, fallbacks=5, faults_injected=1,
-            fusion_cache_misses=26, jobs=5, plan_seconds=True,
+            fusion_cache_hits=30, fusion_cache_misses=10, jobs=5, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
             plans_built=2, schedule_cache_misses=4, shared_cache_hits=1,
             shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
-            faults_injected=1, fusion_cache_hits=1, fusion_cache_misses=26, jobs=3,
+            faults_injected=1, fusion_cache_hits=50, fusion_cache_misses=10, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
             'kernelize', 'stage'], plans_built=1, schedule_cache_misses=3,
             shared_cache_hits=2, shared_cache_misses=1),
@@ -753,11 +754,9 @@ class TestPlanAcquisitionMatrix:
     schedule moved into the plan cache (the ``('incore', ...)`` ones are
     the original recording): ``schedule_cache_hits`` / ``_misses`` now
     count the offload backend's schedule acquisitions (a fault-degraded
-    schedule is never kept, so every step of the faulted walk is a miss),
-    and a local hit rebinds the cached schedule's fused kernels instead of
-    going through the fused-unitary memo, so the clean walk's
-    ``fusion_cache_misses`` read what the in-core walk's do.  Every other
-    number, the fallback counts included, is what it was.
+    schedule is never kept, so every step of the faulted walk is a miss).
+    Every other number, the fallback counts included, is what it was, but
+    ``fusion_cache_*`` (see :data:`ACQUISITION_GOLDENS`).
     """
 
     N = 8
@@ -771,10 +770,8 @@ class TestPlanAcquisitionMatrix:
         from repro.runtime import clear_program_cache, faults
         from repro.runtime.faults import FaultInjector
         from repro.service import SharedPlanStore
-        from repro.sim.fusion import configure_fusion_cache
 
-        # Its counters are process-wide, and so are the memos in front of it.
-        configure_fusion_cache(clear=True)
+        # The program and kernel-op memos are process-wide.
         clear_program_cache()
         n = self.N
         reverse = {q: n - 1 - q for q in range(n)}
@@ -817,22 +814,12 @@ class TestPlanAcquisitionMatrix:
         assert tuple(name for name, *_ in trail) == self.STEPS
         return trail
 
-    @staticmethod
-    def golden(backend, inject, step) -> dict:
-        """The recorded counts of *step* for this process's engine: the
-        fused-unitary memo is never consulted where the native body takes
-        every fusion kernel (all of them fit a tile here)."""
-        golden = ACQUISITION_GOLDENS[backend, inject][step]
-        if native.engine() == "numpy":
-            return golden
-        return {key: value for key, value in golden.items() if not key.startswith("fusion_cache_")}
-
     @pytest.mark.parametrize("inject", [False, True], ids=["clean", "compile-fault"])
     @pytest.mark.parametrize("backend", ["incore", "offload"])
     def test_counts_and_states_match_the_recorded_walk(self, sweep_machine, backend, inject):
         trail = self.walk(sweep_machine, backend, inject)
         for name, counted, _circuit, _state in trail:
-            assert counted == self.golden(backend, inject, name), (backend, inject, name)
+            assert counted == ACQUISITION_GOLDENS[backend, inject][name], (backend, inject, name)
         with Session(sweep_machine, backend=backend, planner="fast") as solo:
             for name, _counted_stats, circuit, state in trail:
                 if state is not None:

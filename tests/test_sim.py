@@ -122,31 +122,23 @@ class TestApplyDiagonal:
         ([0], "does not match 1 qubits"),
     ])
     def test_bad_qubits_raise_like_apply_matrix(self, qubits, message):
-        """`apply_diagonal` and `apply_monomial` check what `apply_matrix`
-        checks, with its messages ([0, 3] used to die inside a NumPy
-        reshape, [-1, 0] with an IndexError)."""
-        from repro.sim.apply import apply_monomial
-
+        """`apply_diagonal` checks what `apply_matrix` checks, with its
+        messages ([0, 3] used to die inside a NumPy reshape, [-1, 0] with
+        an IndexError)."""
         state = StateVector.random_state(3, seed=0).data
         before = state.copy()
         phases = np.ones(4, dtype=complex)
         with pytest.raises(ValueError, match=message):
             apply_diagonal(state, phases, qubits, out=state)
-        with pytest.raises(ValueError, match=message):
-            apply_monomial(state, np.array([1, 0, 3, 2]), phases, qubits)
         if len(qubits) == 2:
             with pytest.raises(ValueError, match=message):
                 apply_matrix(state, gate_matrix("cz"), qubits)
         assert np.array_equal(state, before)
 
-    def test_monomial_lengths_and_state_size_are_checked(self):
-        from repro.sim.apply import apply_monomial
-
+    def test_diagonal_lengths_and_state_size_are_checked(self):
         state = StateVector.random_state(3, seed=0).data
-        with pytest.raises(ValueError, match="permutation of length 2 does not match 2 qubits"):
-            apply_monomial(state, np.array([1, 0]), np.ones(4, dtype=complex), [0, 1])
         with pytest.raises(ValueError, match="phase vector of length 2 does not match 2 qubits"):
-            apply_monomial(state, None, np.ones(2, dtype=complex), [0, 1])
+            apply_diagonal(state, np.ones(2, dtype=complex), [0, 1])
         with pytest.raises(ValueError, match="not a power of two"):
             apply_diagonal(np.ones(6, dtype=complex), np.ones(2, dtype=complex), [0])
         with pytest.raises(ValueError, match="out has 4 amplitudes, expected 8"):
@@ -207,6 +199,9 @@ class TestFusion:
         state[0] = 1
         out = apply_gate_sequence(state, circuit.gates)
         assert np.allclose(out, simulate_reference(circuit).data)
+        assert state[0] == 1 and np.array_equal(apply_gate_sequence(state, []), state)
+        with pytest.raises(ValueError, match="out of range for 4 qubits"):
+            apply_gate_sequence(state, [make_gate("h", [4])])
 
 
 class TestStateVector:

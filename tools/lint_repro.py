@@ -44,7 +44,7 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     them — exists only inside the two kernel lowerings of
     ``sim/fusion.py``, each a structure builder plus its numeric fill:
     ``kernel_lowering`` / ``fill_lowered_item`` (shared-memory kernels;
-    ``lower_kernel_gates`` is their memoized front door) and
+    ``lower_kernel_gates`` is the two in one call) and
     ``kernel_fusion`` / ``fill_fused_unitary`` (fusion kernels) — the four
     the plan compiler's slots, and through them ``compile_segment_ops``,
     call; the dynamic per-shard path ``_gate_on_shard`` resolves one gate
@@ -85,19 +85,23 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     workspace is the only per-thread buffer set.  Any of these growing a
     second site is the interpreter's own kernels, dispatch or scratch pool
     coming back beside the templates.  A kernel reaches execution through
-    one template, ``kernel_template``: it is called from
-    ``runtime/compile.py`` (the kernel slot) and
-    ``sim/fusion.py::apply_lowered_items`` (the interpreter, the
-    un-kernelized and the uncompiled shard paths) and nowhere else, and
-    the native library's entry point ``sm_apply`` is named nowhere but
-    inside it — a second caller of either is a second way for a kernel to
-    run.  A fusion kernel too: where the native body does not take it, the
-    fusion slot binds its fused gemm, so under ``runtime/``
-    ``fused_unitary`` / ``fused_unitary_cached`` have exactly one call
-    site, in ``runtime/compile.py::_FusedSlot`` — the interpreter and the
-    shard paths run that slot's op — and a second is an executor fusing a
-    kernel by itself again.  Checked across files, whenever the linted set
-    contains ``sim/apply.py`` (the fused-matrix site: ``runtime/compile.py``).
+    one template, ``kernel_template``: under ``sim/``, ``runtime/`` and
+    ``analysis/`` it is called from ``runtime/compile.py`` (the kernel
+    slot, which every executor's kernel op comes from — ``kernel_op`` for
+    the interpreter, a degraded shards-segment and a full-state segment)
+    and from ``sim/fusion.py::apply_gate_sequence`` (a gate list applied
+    outside any plan) and nowhere else, and the native library's entry
+    point ``sm_apply`` is named nowhere but inside it — a second caller of
+    either is a second way for a kernel to run.  A fusion kernel too: where
+    the native body does not take it, the fusion slot binds its fused gemm,
+    so under ``runtime/`` ``fused_unitary`` / ``kernel_fusion`` /
+    ``fill_fused_unitary`` are called only inside
+    ``runtime/compile.py::_FusedSlot``, and anywhere else is an executor
+    fusing a kernel by itself again.  The retired second op builder —
+    ``apply_lowered_items``, ``fused_unitary_cached``, ``fused_kernel_op``,
+    ``configure_fusion_cache``, ``fusion_cache_stats`` — is named nowhere
+    under ``src/``.  Checked across files, whenever the linted set contains
+    ``sim/apply.py`` (the fused-matrix site: ``runtime/compile.py``).
 
 ``one-op-body``
     Under ``sim/`` an op has one body, ``run(states, scratch, ws)``,
@@ -271,16 +275,24 @@ MATRIX_KIND_SITES = {
 CYCLE_WALK_SITE = "_permutation_moves"
 THREAD_LOCAL_SCOPE = "sim/"
 
-#: The kernel template, the modules that may call it, and the native entry
-#: point only it may name.
+#: The kernel template, where it may be called — module, and the function
+#: there (``""``: anywhere in it) — and the native entry point only it may
+#: name.
 KERNEL_TEMPLATE = "kernel_template"
-KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py", "sim/fusion.py"}
+KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py": "", "sim/fusion.py": "apply_gate_sequence"}
 NATIVE_ENTRY = "sm_apply"
-#: The fused matrix of a fusion kernel: under ``runtime/`` asked for once,
-#: by the fallback bind of the compiler's fusion slot.
-FUSED_MATRIX_CALLS = {"fused_unitary", "fused_unitary_cached"}
+#: The fused matrix of a fusion kernel: under ``runtime/`` built only by the
+#: fallback bind of the compiler's fusion slot (its structure with the
+#: slot, its fill per bind).
+FUSED_MATRIX_CALLS = {"fused_unitary", "kernel_fusion", "fill_fused_unitary"}
 FUSED_MATRIX_SCOPE = "runtime/"
 FUSED_MATRIX_HOME = ("runtime/compile.py", "_FusedSlot")
+#: The second kernel-op builder of the uncompiled paths and its memos'
+#: surface: named nowhere under ``src/``.
+RETIRED_KERNEL_NAMES = (
+    "apply_lowered_items", "fused_unitary_cached", "fused_kernel_op",
+    "configure_fusion_cache", "fusion_cache_stats",
+)
 
 OP_BODY_SCOPE = "sim/"
 OP_BODY_TWIN = "run_batched"
@@ -563,21 +575,32 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
     findings: list[Finding] = []
     choice_calls = {name: 0 for name in KERNEL_CHOICE_FUNCS}
     thread_locals: list[tuple[str, int]] = []
-    fused_matrix_sites: list[tuple[str, int, str, bool]] = []
+    fused_matrix_at_home = 0
     home_linted = fused_home_linted = False
 
     def flag(rel: str, line: int, message: str, symbol: str) -> None:
         findings.append(Finding(rel, line, "one-kernel-set", message, symbol))
 
     def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        nonlocal fused_matrix_at_home
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             stack = stack + [node.name]
         where = _enclosing(stack)
         if isinstance(node, ast.Call):
             name = _call_name(node)
             if name in FUSED_MATRIX_CALLS and rel_src.startswith(FUSED_MATRIX_SCOPE):
-                home = rel_src == FUSED_MATRIX_HOME[0] and FUSED_MATRIX_HOME[1] in stack
-                fused_matrix_sites.append((rel, node.lineno, where, name, home))
+                home, slot = FUSED_MATRIX_HOME
+                if rel_src == home and slot in stack:
+                    fused_matrix_at_home += 1
+                else:
+                    flag(
+                        rel, node.lineno,
+                        f"`{name}` called in {where}: a fusion kernel reaches "
+                        f"execution through the compiler's slot — kernel_template, "
+                        f"or its fused-gemm fallback built in src/repro/{home}::"
+                        f"{slot} and nowhere else under {FUSED_MATRIX_SCOPE}",
+                        f"{where}:{name}",
+                    )
             if name in choice_calls:
                 choice_calls[name] += 1
                 if KERNEL_CHOICE_CALLER not in stack:
@@ -589,12 +612,14 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                         f"template instead of dispatching again",
                         f"{where}:{name}",
                     )
-            if name == KERNEL_TEMPLATE and rel_src not in KERNEL_TEMPLATE_CALLERS:
+            caller = KERNEL_TEMPLATE_CALLERS.get(rel_src)
+            if name == KERNEL_TEMPLATE and (caller is None or (caller and caller not in stack)):
                 flag(
                     rel, node.lineno,
-                    f"`{KERNEL_TEMPLATE}` called in {where}: a shared-memory "
-                    f"kernel reaches execution through the compiler's kernel "
-                    f"slot and sim/fusion.py::apply_lowered_items only",
+                    f"`{KERNEL_TEMPLATE}` called in {where}: every executor's "
+                    f"kernel op is built by the compiler's kernel slot "
+                    f"(runtime/compile.py, kernel_op outside a program); "
+                    f"sim/fusion.py::apply_gate_sequence is the one other caller",
                     f"{where}:{KERNEL_TEMPLATE}",
                 )
             f = node.func
@@ -641,32 +666,32 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
             visit(child, stack, rel, rel_src)
 
     for path in files:
-        rel_src = _rel_src(path)
-        if SRC not in path.parents or not rel_src.startswith(KERNEL_SET_SCOPE):
+        if SRC not in path.parents:
+            continue
+        rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
+        source = path.read_text()
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for name in RETIRED_KERNEL_NAMES:
+                if name in line:
+                    flag(
+                        rel, lineno,
+                        f"`{name}` under src/: the paths that run outside a "
+                        f"program take the compiler's op "
+                        f"(runtime/compile.py::kernel_op), whose memo is the one "
+                        f"per-kernel op memo left",
+                        name,
+                    )
+        if not rel_src.startswith(KERNEL_SET_SCOPE):
             continue
         home_linted = home_linted or rel_src == KERNEL_SET_HOME
         fused_home_linted = fused_home_linted or rel_src == FUSED_MATRIX_HOME[0]
-        visit(
-            ast.parse(path.read_text(), filename=str(path)), [],
-            path.relative_to(REPO).as_posix(), rel_src,
-        )
-    home, slot = FUSED_MATRIX_HOME
-    for rel, line, where, name, at_home in fused_matrix_sites:
-        if not at_home or len(fused_matrix_sites) > 1:
-            flag(
-                rel, line,
-                f"`{name}` called in {where}: a fusion kernel reaches execution "
-                f"through the compiler's slot — kernel_template, or its fallback "
-                f"bind in src/repro/{home}::{slot}, the one call site under "
-                f"{FUSED_MATRIX_SCOPE} — never through a fused gemm of its own",
-                f"{where}:{name}",
-            )
-    if fused_home_linted and not fused_matrix_sites:
+        visit(ast.parse(source, filename=str(path)), [], rel, rel_src)
+    if fused_home_linted and not fused_matrix_at_home:
+        home, slot = FUSED_MATRIX_HOME
         flag(
             f"src/repro/{home}", 0,
-            f"no call to {' / '.join(sorted(FUSED_MATRIX_CALLS))} under "
-            f"{FUSED_MATRIX_SCOPE}: the fusion slot's fallback bind moved without "
-            f"this rule following it",
+            f"no call to {' / '.join(sorted(FUSED_MATRIX_CALLS))} in {slot}: the "
+            f"fusion slot's fallback bind moved without this rule following it",
             f"{slot}:missing",
         )
     if not home_linted:
