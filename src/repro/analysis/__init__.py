@@ -11,8 +11,6 @@ from .experiments import (
     figure14_24_per_circuit_cost,
     figure25_hhl_case_study,
     figure26_36_preprocessing_time,
-    planner_preset_comparison,
-    session_amortization,
     table1_circuit_sizes,
 )
 from .reporting import format_series, format_table, geometric_mean
@@ -29,8 +27,6 @@ __all__ = [
     "figure14_24_per_circuit_cost",
     "figure25_hhl_case_study",
     "figure26_36_preprocessing_time",
-    "planner_preset_comparison",
-    "session_amortization",
     "format_table",
     "format_series",
     "geometric_mean",

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..baselines import QdaoSimulator
-from ..circuits.library import CIRCUIT_FAMILIES, PAPER_FAMILIES, get_circuit, hhl, vqc
+from ..circuits.library import PAPER_FAMILIES, get_circuit, hhl
 from ..cluster.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..cluster.machine import MachineConfig
 from ..core.fast_kernelize import fast_kernelize
@@ -27,7 +26,7 @@ from ..core.kernelize import KernelizeConfig
 from ..core.ordered_kernelize import ordered_kernelize
 from ..core.stage import stage_circuit
 from ..core.stage_heuristics import snuqs_stage_circuit
-from ..planner import legacy_pipeline, resolve_planner
+from ..planner import legacy_pipeline
 from ..session import Session
 from .reporting import geometric_mean
 
@@ -43,8 +42,6 @@ __all__ = [
     "figure14_24_per_circuit_cost",
     "figure25_hhl_case_study",
     "figure26_36_preprocessing_time",
-    "planner_preset_comparison",
-    "session_amortization",
 ]
 
 
@@ -418,64 +415,6 @@ def figure25_hhl_case_study(
     return rows
 
 
-def session_amortization(
-    num_qubits: int = 10,
-    sweep_size: int = 20,
-    num_shards: int = 4,
-    local_qubits: int | None = None,
-    pruning_threshold: int = 32,
-    backend: str = "incore",
-) -> dict:
-    """Plan-cache amortisation on a structurally identical VQC sweep.
-
-    The Session tentpole's headline experiment: a variational parameter
-    sweep (*sweep_size* ``vqc`` circuits differing only in rotation angles)
-    is run cold — one fresh one-shot :func:`repro.simulate` per circuit, so
-    ILP staging and DP kernelization rerun every time — and warm, through
-    one :class:`repro.session.Session` whose structural plan cache
-    partitions once and re-binds the plan for every further circuit.
-    Returns both wall times, the speedup, and the session's cache stats.
-    """
-    from repro import simulate  # local import: repro imports this package
-
-    if local_qubits is None:
-        local_qubits = num_qubits - max(1, num_shards.bit_length() - 1)
-    machine = MachineConfig.for_circuit(
-        num_qubits, num_shards=num_shards, local_qubits=local_qubits
-    )
-    config = KernelizeConfig(pruning_threshold=pruning_threshold)
-    circuits = [vqc(num_qubits, seed=s) for s in range(sweep_size)]
-
-    t0 = time.perf_counter()
-    cold_states = [
-        simulate(c, machine, kernelize_config=config).state for c in circuits
-    ]
-    cold_seconds = time.perf_counter() - t0
-
-    with Session(
-        machine, backend=backend, planner=legacy_pipeline(kernelize_config=config)
-    ) as session:
-        t0 = time.perf_counter()
-        job = session.run(circuits)
-        warm_seconds = time.perf_counter() - t0
-        stats = session.stats.as_dict()
-
-    matches = sum(
-        1 for cold, res in zip(cold_states, job) if cold.allclose(res.state)
-    )
-    return {
-        "sweep_size": sweep_size,
-        "num_qubits": num_qubits,
-        "backend": job.backend,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup": cold_seconds / warm_seconds if warm_seconds else float("inf"),
-        "plans_built": stats["plans_built"],
-        "cache_hits": stats["cache_hits"],
-        "states_match_cold": matches,
-    }
-
-
 def figure26_36_preprocessing_time(
     family: str,
     qubit_range: Sequence[int] = tuple(range(28, 37)),
@@ -498,45 +437,4 @@ def figure26_36_preprocessing_time(
         greedy_kernelize(circuit, cost_model)
         timings["greedy_s"] = time.perf_counter() - t0
         rows.append({"qubits": n, **timings})
-    return rows
-
-
-def planner_preset_comparison(
-    families: Sequence[str] = ("qft", "ghz", "ising"),
-    num_qubits: int = 12,
-    presets: Sequence[str] = ("fast", "balanced", "quality"),
-    num_shards: int = 4,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> list[dict]:
-    """Cold-plan latency and quality per planning preset.
-
-    The planning-side companion of :func:`session_amortization`: for every
-    family the circuit is cold-planned by each preset of the PassManager
-    pipeline (see ``docs/planning.md``); the rows carry the measured
-    latency, the plan quality, and the passes each preset skipped —
-    the data behind the ``plan`` scenario of ``benchmarks/run_bench.py``.
-    """
-    rows = []
-    for family in families:
-        circuit = get_circuit(family, num_qubits)
-        machine = MachineConfig.for_circuit(
-            num_qubits, num_shards=num_shards,
-            local_qubits=num_qubits - max(1, num_shards.bit_length() - 1),
-        )
-        for preset in presets:
-            manager = resolve_planner(preset)
-            start = time.perf_counter()
-            _plan, report = manager.run(circuit, machine, cost_model=cost_model)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {
-                    "circuit": family,
-                    "preset": preset,
-                    "plan_s": elapsed,
-                    "kernel_cost": report.total_kernel_cost,
-                    "stages": report.num_stages,
-                    "kernels": report.num_kernels,
-                    "passes_skipped": ", ".join(report.passes_skipped) or "-",
-                }
-            )
     return rows

@@ -11,8 +11,8 @@ is classified on exactly one of two branches:
 * :class:`PermanentError` — retrying cannot help (a kernel that computes
   garbage, an invalid plan, an over-budget allocation, a missed deadline, a
   closed session).  These propagate promptly; the recovery story, where one
-  exists, is *degradation* (a different backend, the interpreter instead of
-  the compiled program, a simpler planner), never a blind retry.
+  exists, is *degradation* (a different backend, a simpler planner), never
+  a blind retry.
 
 Each concrete class also inherits the builtin exception it historically
 replaced (``ValueError``/``RuntimeError``/…), so code written against the
@@ -91,9 +91,9 @@ class ShardIOError(TransientError, OSError):
 class KernelError(PermanentError, RuntimeError):
     """A kernel application failed or produced an invalid result.
 
-    Deterministic kernels fail the same way on every retry, so this is
-    permanent; the compiled-program path degrades to the interpreter
-    (``compiled=False``) instead.
+    Deterministic kernels fail the same way on every retry — and every
+    executor builds a kernel's op the same way — so this is permanent and
+    propagates.
     """
 
 

@@ -1,7 +1,7 @@
 """Plan compiler: lower :class:`ExecutionPlan` to a :class:`CompiledProgram`.
 
-:func:`compile_plan` performs, **once**, everything the staged interpreter
-(:func:`repro.runtime.execute_plan`) re-derives on every execution:
+:func:`compile_plan` performs, **once**, everything a walk of the plan
+would re-derive on every execution:
 
 * the stage-by-stage layout walk — each boundary permutation becomes a
   precomputed axis-transpose op (and no-op permutations are elided);
@@ -53,18 +53,15 @@ A shards-segment of the sharded executors' schedule is the same thing over
 segment's local work, built by the per-kernel builder the plan walk uses
 (:meth:`_Structure.add_kernel`), and
 :func:`repro.runtime.offload.compile_segment_ops` admits, binds or builds
-it through the same :func:`bind_structure`.
-
-What runs outside a program — the interpreter, a shards-segment a compile
-fault degraded, a full-state segment — gets each kernel's op from the same
-slots too (:func:`kernel_op`), so there is one way to build a kernel op.
+it through the same :func:`bind_structure`; a full-state segment is one
+over all ``n`` positions.  There is one way to build a kernel op, and a
+lowering that fails raises its typed error.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any
 
 from ..circuits.gates import Gate, matrix_signature
 from ..cluster.machine import MachineConfig
@@ -99,8 +96,6 @@ __all__ = [
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
-    "kernel_op",
-    "kernel_op_stats",
 ]
 
 
@@ -467,75 +462,6 @@ def _local_count(stage, machine: MachineConfig | None) -> int:
     return machine.local_qubits if machine is not None else stage.partition.num_local
 
 
-class _Memo:
-    """A bounded LRU that counts its hits, misses and evictions.  A lock
-    guards the bookkeeping (pool threads share the memos); what is memoized
-    is built outside it — two threads racing on one key at worst both build
-    it, and the later store wins."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = self.misses = self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple) -> Any:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            return entry
-
-    def store(self, key: tuple, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-#: The kernel ops run outside a compiled program, by gate tuple (angles
-#: included), the positions of its gates' qubits, the state size and kind.
-_KERNEL_OPS = _Memo(maxsize=256)
-
-
-def kernel_op(
-    gates: tuple[Gate, ...], l2p: dict[int, int], n: int, fused: bool
-) -> CompiledOp:
-    """The op of the kernel *gates* — a *fused* one, or a shared-memory
-    kernel, a run of its gates, a lone gate — in the layout *l2p* over
-    ``2^n`` buffers, for the interpreter, a degraded shards-segment and a
-    full-state segment: the slot a compiled program holds for the kernel,
-    filled with *gates*, so every executor runs the compiled path's very
-    op.  Memoized: a job of those paths meets each kernel once per stage
-    or shard."""
-    key = (gates, tuple([l2p[q] for gate in gates for q in gate.qubits]), n, fused)
-    op = _KERNEL_OPS.lookup(key)
-    if op is None:
-        op = (_FusedSlot if fused else _KernelSlot)(0, gates, l2p, n).fill(gates)
-        _KERNEL_OPS.store(key, op)
-    return op
-
-
-def kernel_op_stats() -> dict[str, int]:
-    """The :func:`kernel_op` memo's counters: ``hits``, ``misses``,
-    ``evictions`` and ``size`` (what ``SessionStats.fusion_cache_*``
-    report per session)."""
-    memo = _KERNEL_OPS
-    return {"hits": memo.hits, "misses": memo.misses, "evictions": memo.evictions, "size": len(memo)}
-
-
 def compile_plan(
     plan: ExecutionPlan,
     machine: MachineConfig | None = None,
@@ -607,13 +533,15 @@ def compile_plan(
 
 
 # ---------------------------------------------------------------------------
-# Per-plan program memo (for the execute_plan fast path)
+# Per-plan program memo (for execute_plan)
 # ---------------------------------------------------------------------------
 
-#: ``(plan, program)`` by plan identity.  Bounded: each cached program's
-#: workspace lazily holds up to one state-sized buffer pair, so the memo is
-#: kept small.
-_PROGRAMS = _Memo(maxsize=4)
+#: ``(plan, program)`` by plan identity, least recently used first.
+#: Bounded: each cached program's workspace lazily holds up to one
+#: state-sized buffer pair, so the memo is kept small.
+_PROGRAMS: OrderedDict[tuple, tuple[ExecutionPlan, CompiledProgram]] = OrderedDict()
+_PROGRAMS_MAX = 4
+_PROGRAMS_LOCK = threading.Lock()
 
 
 def compiled_program_for(
@@ -632,20 +560,26 @@ def compiled_program_for(
     worst both compile and the later store wins.
     """
     key = (id(plan), machine.local_qubits if machine is not None else None, check_locality)
-    entry = _PROGRAMS.lookup(key)
+    with _PROGRAMS_LOCK:
+        entry = _PROGRAMS.get(key)
+        if entry is not None:
+            _PROGRAMS.move_to_end(key)
     if entry is None or entry[0] is not plan:
         entry = (plan, compile_plan(plan, machine=machine, check_locality=check_locality))
-        _PROGRAMS.store(key, entry)
+        with _PROGRAMS_LOCK:
+            _PROGRAMS[key] = entry
+            _PROGRAMS.move_to_end(key)
+            while len(_PROGRAMS) > _PROGRAMS_MAX:
+                _PROGRAMS.popitem(last=False)
     return entry[1]
 
 
 def clear_program_cache() -> None:
     """Drop the ``execute_plan`` program memo (each entry retains a plan,
-    its compiled op stream, and the program's lazily-built workspace
-    buffers) and the kernel ops of :func:`kernel_op` (which hold their
-    payloads, and the body the host had when they were built).  Pair with
+    its compiled op stream — bound under the body the host had then — and
+    the program's lazily-built workspace buffers).  Pair with
     :func:`repro.sim.program.release_thread_workspace` to fully release
     the compiled path's memory in a long-lived process that occasionally
     simulates very large states."""
-    _PROGRAMS.clear()
-    _KERNEL_OPS.clear()
+    with _PROGRAMS_LOCK:
+        _PROGRAMS.clear()

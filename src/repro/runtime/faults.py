@@ -1,8 +1,8 @@
 """Deterministic, seedable fault injection for the execution layer.
 
 Every recovery path in the runtime — shard retry, worker quarantine,
-compiled-program fallback, cache eviction-and-replan — is only trustworthy
-if it can be *exercised on demand*.  This module plants named **injection
+cache eviction-and-replan — and every typed error it propagates instead
+is only trustworthy if it can be *exercised on demand*.  This module plants named **injection
 sites** at the failure-prone boundaries of the execution layer; a
 :class:`FaultInjector` activated for a run decides, deterministically,
 which site occurrences raise which typed error.

@@ -50,7 +50,10 @@ pass* — how the shards of one segment are loaded, computed and stored:
 sequentially with per-shard retry in :func:`execute_plan_offloaded` here,
 across a supervised worker pool in :mod:`repro.runtime.parallel`.  Neither
 keeps a schedule: both take one (``schedule=``) from a caller that does —
-the Session plan cache — and build it cold otherwise.
+the Session plan cache — and build it cold otherwise.  The schedule is the
+only way a plan runs here, and the recovery rule is one line: transient
+shard faults retry inside the shard pass, and everything else — a segment
+that fails to lower included — raises.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
-from .compile import SegmentStructure, bind_structure, kernel_op
+from .compile import SegmentStructure, bind_structure
 from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
@@ -147,9 +150,6 @@ class OffloadStats:
     retries: int = 0
     #: Workers quarantined during this execution after exhausting retries.
     quarantined_workers: int = 0
-    #: Segments degraded to the uncompiled per-gate path after a compile
-    #: failure.
-    fallbacks: int = 0
     #: Stage-boundary checkpoints durably written this execution.
     checkpoints_written: int = 0
     #: Checkpoint writes that failed (the run continues — checkpointing is
@@ -484,7 +484,7 @@ def group_uses_fusion(
     local_qubits: int,
 ) -> bool:
     """Whether a kernel group is a fusion kernel wholly on local positions
-    — one op over the shard (:func:`repro.runtime.compile.kernel_op`)."""
+    — one op over the shard (a fused slot of the segment's structure)."""
     return ktype is KernelType.FUSION and all(
         logical_to_physical[q] < local_qubits
         for gate in gates
@@ -540,7 +540,8 @@ def compile_segment_ops(
     of an earlier job of the same structure — is admitted and bound as
     ``compile_plan(reuse=)`` binds a program: ops whose gates compare equal
     are taken verbatim, the rest refilled, a segment that does not have the
-    structure built cold.
+    structure built cold.  A full-state segment's gate is the same call
+    with *local_qubits* ``= n``: one local op over the whole state.
     """
     faults.check("compile")
     pieces: list[tuple[str, tuple[Gate, ...]]] = []
@@ -575,7 +576,11 @@ def run_segment_ops(
     workspace=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply a compiled shards-segment (:func:`compile_segment_ops`) to one
-    loaded shard.  Same contract as :func:`run_groups_on_shard`; compiled
+    loaded shard.
+
+    Returns the final ``(data, scratch, shard_index)`` — the index may
+    differ from the input when anti-diagonal non-local axes relabelled the
+    shard; the caller stores the shard at the returned index.  Compiled
     local ops make the hot loop a tight pre-resolved dispatch.  *workspace*
     defaults to the calling thread's private buffer set, keeping concurrent
     shard workers race-free.
@@ -594,50 +599,16 @@ def run_segment_ops(
     return data, scratch, index
 
 
-def run_groups_on_shard(
-    data: np.ndarray,
-    scratch: np.ndarray,
-    groups: list[tuple[list[Gate], object]],
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-    shard_index: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Apply a shards-segment's kernel groups to one loaded shard.
-
-    Returns the final ``(data, scratch, shard_index)`` — the index may
-    differ from the input when anti-diagonal non-local axes relabelled the
-    shard; the caller stores the shard at the returned index.
-    """
-    faults.check("kernel_apply", shard=shard_index)
-    index = shard_index
-    ws = thread_workspace().for_caller_buffers()
-    for gates, ktype in groups:
-        if group_uses_fusion(gates, ktype, logical_to_physical, local_qubits):
-            op = kernel_op(tuple(gates), logical_to_physical, local_qubits, True)
-            data, scratch = op.run(data, scratch, ws)
-            continue
-        for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
-            if kind == "dynamic":
-                data, scratch, index = _gate_on_shard(
-                    data, scratch, payload, logical_to_physical, local_qubits, index
-                )
-            else:
-                op = kernel_op(payload, logical_to_physical, local_qubits, False)
-                data, scratch = op.run(data, scratch, ws)
-    return data, scratch, index
-
-
 # ---------------------------------------------------------------------------
 # Stage schedule and the stage driver (shared by every sharded executor)
 # ---------------------------------------------------------------------------
 
 
 class Segment(NamedTuple):
-    """One segment of a stage: ``("full", gate, None, True)``, or
-    ``("shards", groups, ops, in_place, load_from, store_to)`` with *ops*
-    the groups' compiled per-shard stream — ``None`` after a failed
-    compile, which degrades the segment to the uncompiled per-gate path
-    (shard passes branch on it).
+    """One segment of a stage: ``("full", gate, ops, True)`` with *ops* the
+    gate's op over the whole state, or ``("shards", groups, ops, in_place,
+    load_from, store_to)`` with *ops* the groups' compiled per-shard
+    stream.
 
     A shards-segment may carry a stage boundary (:func:`build_schedule`):
     *load_from* — its loads gather the stage's shards through views of the
@@ -649,7 +620,7 @@ class Segment(NamedTuple):
 
     kind: str
     payload: object
-    ops: SegmentOps | None
+    ops: SegmentOps
     in_place: bool
     load_from: dict[int, int] | None = None
     store_to: dict[int, int] | None = None
@@ -663,9 +634,7 @@ class Schedule:
 
     #: Per stage ``(logical_to_physical, segments)``.
     stages: list[tuple[dict[int, int], list[Segment]]]
-    #: Segments degraded to the uncompiled path by a compile failure.
-    fallbacks: int = 0
-    #: Whether every shards-segment was bound over the ``reuse`` schedule's
+    #: Whether every segment was bound over the ``reuse`` schedule's
     #: structure (false for a cold build, and when any segment was).
     rebound: bool = False
 
@@ -674,10 +643,11 @@ def build_schedule(
     plan: ExecutionPlan, local_qubits: int, reuse: Schedule | None = None
 ) -> Schedule:
     """Lower *plan* to a :class:`Schedule`: the layout walk, each stage's
-    :func:`split_stage_segments`, and every shards-segment's local work
-    compiled **once** (:func:`compile_segment_ops`), so every shard of
-    every execution replays the compiled stream instead of re-deriving
-    fusion, analysis and gemm planning.
+    :func:`split_stage_segments`, and every segment's work compiled
+    **once** (:func:`compile_segment_ops`; a full-state segment's gate
+    over all ``n`` positions), so every shard of every execution replays
+    the compiled stream instead of re-deriving fusion, analysis and gemm
+    planning.  A lowering that fails raises its typed error.
 
     Each layout boundary — into stage 0, between stages, and back to
     logical order — is decided here, once, by :func:`in_pass_moves`: a
@@ -687,15 +657,13 @@ def build_schedule(
 
     *reuse* is an earlier schedule of the same structure (the Session plan
     cache's, for a parameter sweep): segment by segment its structures are
-    admitted and bound to this plan's gates, and whatever does not match —
-    or was degraded there — is built cold, so the result equals a cold
-    build bit for bit and never carries another circuit's angles.  A
-    failed compile degrades that segment instead of failing the run, and
-    is counted in ``fallbacks``.
+    admitted and bound to this plan's gates, and whatever does not match is
+    built cold, so the result equals a cold build bit for bit and never
+    carries another circuit's angles.
     """
-    layout = QubitLayout(plan.num_qubits)
+    n = plan.num_qubits
+    layout = QubitLayout(n)
     stages = []
-    fallbacks = 0
     rebound = reuse is not None
     for stage_index, stage in enumerate(plan.stages):
         layout.update(stage.partition.logical_to_physical())
@@ -708,22 +676,17 @@ def build_schedule(
         for index, (kind, payload) in enumerate(
             split_stage_segments(stage, logical_to_physical, local_qubits)
         ):
-            if kind == "full":
-                segments.append(Segment(kind, payload, None, True))
-                continue
             old = held[index].ops if index < len(held) else None
-            ops = None
-            try:
+            if kind == "full":
+                ops = compile_segment_ops([([payload], None)], logical_to_physical, n, old)
+                in_place = True
+            else:
                 ops = compile_segment_ops(payload, logical_to_physical, local_qubits, old)
-            except ReproError:
-                fallbacks += 1
-            rebound = rebound and None not in (ops, old) and ops.structure is old.structure
-            segments.append(Segment(
-                kind, payload, ops,
-                not segment_relabels_shards(payload, logical_to_physical, local_qubits),
-            ))
+                in_place = not segment_relabels_shards(payload, logical_to_physical, local_qubits)
+            rebound = rebound and old is not None and ops.structure is old.structure
+            segments.append(Segment(kind, payload, ops, in_place))
         stages.append((logical_to_physical, segments))
-    identity = {q: q for q in range(plan.num_qubits)}
+    identity = {q: q for q in range(n)}
     layouts = [identity] + [l2p for l2p, _segments in stages] + [identity]
     for k, (old, new) in enumerate(zip(layouts, layouts[1:])):
         if old == new:
@@ -737,7 +700,7 @@ def build_schedule(
             if move == "scatter" and before and before[-1].kind == "shards":
                 before[-1] = before[-1]._replace(in_place=False, store_to=new)
                 break
-    return Schedule(stages, fallbacks, rebound)
+    return Schedule(stages, rebound)
 
 
 def run_stages(
@@ -758,7 +721,7 @@ def run_stages(
     Owns everything but how one shard pass is scheduled: state init,
     resume, layout transitions, full-state segments, relabel swaps and the
     final un-permute, over a *schedule* from :func:`build_schedule`.  An
-    executor supplies ``shard_pass(shards, out_shards, ops, groups,
+    executor supplies ``shard_pass(shards, out_shards, ops,
     logical_to_physical, deadline)``, which must process every shard of
     ``shards`` exactly once and store shard ``i`` at ``out_shards[j]`` for
     the index ``j`` its kernels return, and the DRAM-side *state_scratch*
@@ -884,10 +847,10 @@ def run_stages(
             relayout(logical_to_physical)
 
         stage_loads = 0
-        for kind, payload, segment_ops, in_place, _load_from, store_to in segments:
+        for kind, _payload, segment_ops, in_place, _load_from, store_to in segments:
             deadline.check("segment")
             if kind == "full":
-                op = kernel_op((payload,), logical_to_physical, n, False)
+                ((_local, op),) = segment_ops
                 state, state_scratch = op.run(
                     state, state_scratch, thread_workspace().for_caller_buffers()
                 )
@@ -908,10 +871,7 @@ def run_stages(
                 shard_slices(out, local) if store_to is None
                 else shard_views(out, store_to, logical_to_physical, local)
             )
-            shard_pass(
-                shards, out_shards, segment_ops, payload, logical_to_physical,
-                deadline,
-            )
+            shard_pass(shards, out_shards, segment_ops, logical_to_physical, deadline)
             stage_loads += len(shards)
             if not in_place:
                 state, state_scratch = state_scratch, state
@@ -978,9 +938,9 @@ def execute_plan_offloaded(
     Fault tolerance: transient shard failures (load, kernel, store) are
     retried from the DRAM copy under *retry* (bounded exponential backoff;
     bit-exact, since a shard's DRAM slice is only written once its
-    computation finished), a failed segment-op compile degrades to the
-    uncompiled per-gate path, and *deadline* is checked cooperatively at
-    stage/segment/shard boundaries (:class:`repro.errors.DeadlineExceeded`).
+    computation finished); anything else raises its typed error; and
+    *deadline* is checked cooperatively at stage/segment/shard boundaries
+    (:class:`repro.errors.DeadlineExceeded`).
 
     Durability: *checkpoint* (a :class:`CheckpointConfig` or directory
     path) snapshots the DRAM state at stage boundaries; *resume_from* (a
@@ -994,8 +954,7 @@ def execute_plan_offloaded(
 
     *schedule* is *plan*'s :func:`build_schedule` when the caller holds it
     (the Session builds one per structure and rebinds it per job); without
-    one it is built cold here.  ``stats.fallbacks`` counts the segments of
-    the schedule that ran degraded.
+    one it is built cold here.
     """
     n = plan.num_qubits
     machine.validate(n)
@@ -1006,7 +965,7 @@ def execute_plan_offloaded(
     # driver's two DRAM arrays that is O(1) allocations per execution.
     buffers = [tracked_empty(1 << local), tracked_empty(1 << local)]
 
-    def shard_pass(shards, out_shards, segment_ops, groups, logical_to_physical, deadline):
+    def shard_pass(shards, out_shards, segment_ops, logical_to_physical, deadline):
         for shard_index, shard in enumerate(shards):
             # Transient failures retry from the DRAM shard, which is
             # untouched until the store below succeeds.
@@ -1020,16 +979,10 @@ def execute_plan_offloaded(
                     stats.shard_loads += 1
                     stats.bytes_transferred += data.nbytes
 
-                    if segment_ops is not None:
-                        data, scratch, out_index = run_segment_ops(
-                            data, scratch, segment_ops, logical_to_physical,
-                            local, shard_index,
-                        )
-                    else:
-                        data, scratch, out_index = run_groups_on_shard(
-                            data, scratch, groups, logical_to_physical,
-                            local, shard_index,
-                        )
+                    data, scratch, out_index = run_segment_ops(
+                        data, scratch, segment_ops, logical_to_physical,
+                        local, shard_index,
+                    )
 
                     faults.check("shard_store", shard=shard_index)
                     out = out_shards[out_index]
@@ -1047,7 +1000,6 @@ def execute_plan_offloaded(
 
     if schedule is None:
         schedule = build_schedule(plan, local)
-    stats.fallbacks = schedule.fallbacks
     state, _spare = run_stages(
         plan, machine, schedule, shard_pass, stats, tracked_empty(1 << n),
         initial_state, deadline, checkpoint, resume_from, monitor,

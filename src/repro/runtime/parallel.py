@@ -39,10 +39,10 @@ fewer cores than workers the schedule still pipelines correctly but cannot
 yield wall-clock speedup; the benchmark records ``cpu_count`` next to its
 timings for this reason.)
 
-:meth:`ParallelRuntime.run_batch` executes many ``(plan, initial state)``
-problems back to back on one runtime — the "heavy traffic" scenario —
-reusing the worker pool, the per-worker device buffers and the DRAM scratch
-array, so only the result array is allocated per problem.
+One runtime executes many plans back to back — the "heavy traffic"
+scenario, a Session's batch — reusing the worker pool, the per-worker
+device buffers and the DRAM scratch array, so only the result array is
+allocated per execution.
 
 **Who owns what.**  The stage loop is not here: it is
 :func:`repro.runtime.offload.run_stages`, shared with the sequential
@@ -61,7 +61,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +84,6 @@ from .offload import (
     Schedule,
     WorkerStats,
     build_schedule,
-    run_groups_on_shard,
     run_segment_ops,
     run_stages,
 )
@@ -134,7 +133,7 @@ class ParallelRuntime:
 
     Use as a context manager (or call :meth:`close`) to release the worker
     threads; a runtime is cheap to keep alive across many :meth:`execute`
-    / :meth:`run_batch` calls and that is the intended usage.
+    calls and that is the intended usage.
 
     **Supervision** (see ``docs/robustness.md``): a shard whose load,
     kernel stream or store raises a :class:`~repro.errors.TransientError`
@@ -170,7 +169,6 @@ class ParallelRuntime:
         #: through Session stats.
         self.retries = 0
         self.quarantined_workers = 0
-        self.fallbacks = 0
         self._closed = False
         #: Serializes executions when one runtime is shared by concurrent
         #: jobs (the service's shared pool): the worker pool and DRAM
@@ -230,7 +228,7 @@ class ParallelRuntime:
         """The calling worker thread's two ping-pong buffer pairs.
 
         Allocated once per (worker thread, shard size) and reused for
-        every segment, stage, and batch item — the worker's "device
+        every segment, stage, and execution — the worker's "device
         memory".  Two pairs, not one, so the prefetch of shard ``i+1``
         never touches the pair shard ``i`` is computing in.
         """
@@ -263,8 +261,7 @@ class ParallelRuntime:
         indices: list[int],
         shards: list[np.ndarray],
         out_shards: list[np.ndarray],
-        segment_ops: list | None,
-        groups: list,
+        segment_ops: list,
         logical_to_physical: dict[int, int],
         local_qubits: int,
         stats: WorkerStats,
@@ -274,9 +271,8 @@ class ParallelRuntime:
 
         Loads pipeline through the loader pool: while shard ``i`` computes
         in one buffer pair, shard ``i+1`` streams into the other.  The
-        segment arrives pre-compiled (``segment_ops``; ``None`` after a
-        compile fallback, which replays *groups* per gate); temporaries
-        come from this worker thread's private workspace.
+        segment arrives pre-compiled (``segment_ops``); temporaries come
+        from this worker thread's private workspace.
 
         Transient failures — whether raised here or inside a prefetch on
         the loader thread — retry the current shard from its DRAM copy
@@ -330,16 +326,10 @@ class ParallelRuntime:
                         stats.bytes_loaded += data.nbytes
 
                         start = time.perf_counter()
-                        if segment_ops is not None:
-                            data, scratch, out_index = run_segment_ops(
-                                data, scratch, segment_ops, logical_to_physical,
-                                local_qubits, index,
-                            )
-                        else:
-                            data, scratch, out_index = run_groups_on_shard(
-                                data, scratch, groups, logical_to_physical,
-                                local_qubits, index,
-                            )
+                        data, scratch, out_index = run_segment_ops(
+                            data, scratch, segment_ops, logical_to_physical,
+                            local_qubits, index,
+                        )
                         stats.compute_seconds += time.perf_counter() - start
 
                         start = time.perf_counter()
@@ -410,8 +400,9 @@ class ParallelRuntime:
         serialized on an internal lock — the worker pool and DRAM scratch
         are shared across the callers, while each plan's shards still fan
         out over every worker.  Concurrent callers
-        interleave at execution granularity (per batch item), so a long
-        batch does not monopolise the pool against a competing job.
+        interleave at execution granularity (per batch item of a Session),
+        so a long batch does not monopolise the pool against a competing
+        job.
 
         ``checkpoint`` / ``resume_from`` / ``monitor`` enable the
         durability layer — stage-boundary snapshots, fingerprint-validated
@@ -438,8 +429,6 @@ class ParallelRuntime:
             width = min(self.num_workers, num_shards)
             stats = OffloadStats(num_shards=num_shards, num_workers=width)
             stats.per_worker = [WorkerStats(worker=w) for w in range(width)]
-            stats.fallbacks = schedule.fallbacks
-            self.fallbacks += stats.fallbacks
             #: Workers quarantined for the remainder of *this* execution.
             quarantined: set[int] = set()
             try:
@@ -471,8 +460,7 @@ class ParallelRuntime:
         quarantined: set[int],
         shards: list[np.ndarray],
         out_shards: list[np.ndarray],
-        segment_ops: list | None,
-        groups: list,
+        segment_ops: list,
         logical_to_physical: dict[int, int],
         deadline: Deadline,
     ) -> None:
@@ -513,7 +501,6 @@ class ParallelRuntime:
                     shards,
                     out_shards,
                     segment_ops,
-                    groups,
                     logical_to_physical,
                     local,
                     stats.per_worker[w],
@@ -563,79 +550,6 @@ class ParallelRuntime:
                 w: leftover[j :: len(active)] for j, w in enumerate(active)
             }
 
-    def run_batch(
-        self,
-        plans: ExecutionPlan | Iterable,
-        initial_states: Sequence[StateVector | None] | None = None,
-        deadline: "Deadline | float | None" = None,
-        checkpoint: "CheckpointConfig | str | None" = None,
-        resume_from=None,
-        monitor=None,
-    ) -> list[tuple[StateVector, OffloadStats]]:
-        """Execute a batch of problems, amortising planning and buffers.
-
-        Three call shapes are supported:
-
-        * ``run_batch(plan, initial_states=[s0, s1, ...])`` — one plan
-          replayed over many initial states (planning, one schedule built
-          here, and all buffers shared; the heavy-traffic scenario);
-        * ``run_batch([plan0, plan1, ...])`` — many plans from |0...0>;
-        * ``run_batch([(plan0, s0), (plan1, s1), ...])`` — explicit pairs.
-
-        ``deadline`` bounds the *whole batch*: one
-        budget shared by every item, checked at every stage/segment/shard
-        boundary of each execution.
-
-        ``checkpoint`` / ``resume_from`` / ``monitor`` apply the
-        durability layer per item: each batch item checkpoints under its
-        own derived tag (``<tag>-i<index>`` once the batch has more than
-        one item), so snapshots of different items sharing a directory
-        never collide and each item resumes from its own latest boundary.
-
-        Returns one ``(final_state, stats)`` per problem, in order.  The
-        problems run back to back — shards are the parallel dimension, so
-        each problem already occupies every worker.
-        """
-        items: list[tuple[ExecutionPlan, StateVector | None]] = []
-        schedule = None
-        if isinstance(plans, ExecutionPlan):
-            if initial_states is None:
-                raise ValueError(  # lint: config-error
-                    "run_batch(plan, ...) needs initial_states; pass a list "
-                    "of plans to run several circuits"
-                )
-            items = [(plans, state) for state in initial_states]
-            if items:
-                # ``execute``'s own checks first: a closed runtime or a plan
-                # the machine cannot hold raises before any compile work.
-                self.machine.validate(plans.num_qubits)
-                self._ensure_pools()
-                schedule = build_schedule(plans, self.machine.local_qubits)
-        elif initial_states is not None:
-            plan_list = list(plans)
-            if len(plan_list) != len(initial_states):
-                raise ValueError(  # lint: config-error
-                    f"{len(plan_list)} plans but {len(initial_states)} "
-                    f"initial states"
-                )
-            items = list(zip(plan_list, initial_states))
-        else:
-            for item in plans:
-                if isinstance(item, ExecutionPlan):
-                    items.append((item, None))
-                else:
-                    plan, state = item
-                    items.append((plan, state))
-        deadline = Deadline.resolve(deadline)
-        return [
-            self.execute(
-                plan, state, schedule=schedule, deadline=deadline,
-                checkpoint=CheckpointConfig.for_item(checkpoint, i, len(items)),
-                resume_from=resume_from, monitor=monitor,
-            )
-            for i, (plan, state) in enumerate(items)
-        ]
-
 
 def execute_plan_parallel(
     plan: ExecutionPlan,
@@ -646,8 +560,8 @@ def execute_plan_parallel(
     """One-shot parallel execution (see :class:`ParallelRuntime`).
 
     Spins up a runtime, executes *plan*, and tears the workers down again.
-    Prefer a long-lived :class:`ParallelRuntime` (or its
-    :meth:`~ParallelRuntime.run_batch`) when executing more than once.
+    Prefer a long-lived :class:`ParallelRuntime` (or a
+    :class:`~repro.session.Session`) when executing more than once.
     """
     with ParallelRuntime(machine, num_workers=num_workers) as runtime:
         return runtime.execute(plan, initial_state)

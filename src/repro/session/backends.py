@@ -40,13 +40,7 @@ from ..circuits.circuit import Circuit
 from ..cluster.costmodel import CostModel
 from ..cluster.machine import MachineConfig
 from ..core.plan import ExecutionPlan
-from ..errors import (
-    Deadline,
-    KernelError,
-    PlanValidationError,
-    RetryPolicy,
-    TransientError,
-)
+from ..errors import Deadline, PlanValidationError, RetryPolicy
 from ..runtime import faults
 from ..runtime.checkpoint import CheckpointConfig
 from ..runtime.executor import execute_plan, trace_for_program
@@ -169,7 +163,6 @@ class ExecutionBackend:
         """
         return {
             "retries": getattr(self, "retries", 0),
-            "fallbacks": getattr(self, "fallbacks", 0),
             "quarantined_workers": getattr(self, "quarantined_workers", 0),
         }
 
@@ -241,7 +234,7 @@ class InCoreBackend(ExecutionBackend):
     fanned out over many initial states, a shots/observables sweep —
     execute as a single stacked ``(B, 2^n)`` pass through the same op
     closures, every row bit-identical to its own run (``big`` ops within
-    their documented bound).
+    their documented bound).  A failure raises its typed error.
     """
 
     name = "incore"
@@ -250,17 +243,10 @@ class InCoreBackend(ExecutionBackend):
     def run_plan(self, plan, machine, initial_state=None, circuit=None, program=None, deadline=None):
         if deadline is not None:
             deadline.check("job")
-        try:
-            faults.check("kernel_apply")
-            if program is not None:
-                return program.run(initial_state), trace_for_program(program)
-            return execute_plan(plan, initial_state=initial_state, machine=machine)
-        except (KernelError, TransientError):
-            # Compiled-program failure → the bit-exact per-gate interpreter.
-            self.fallbacks = getattr(self, "fallbacks", 0) + 1
-            return execute_plan(
-                plan, initial_state=initial_state, machine=machine, compiled=False
-            )
+        faults.check("kernel_apply")
+        if program is not None:
+            return program.run(initial_state), trace_for_program(program)
+        return execute_plan(plan, initial_state=initial_state, machine=machine)
 
     def run_batch(self, items, machine, *, programs, deadline, checkpoint, resume_from, monitor):
         results: list[tuple[StateVector, object] | None] = [None] * len(items)
@@ -274,19 +260,9 @@ class InCoreBackend(ExecutionBackend):
             if span - index > 1:
                 # One program, many initial states: a single (B, 2^n) pass.
                 states = [state for _plan, state, _circuit in items[index:span]]
-                try:
-                    faults.check("kernel_apply")
-                    for offset, final in enumerate(program.run_batched(states)):
-                        results[index + offset] = (final, trace_for_program(program))
-                except (KernelError, TransientError):
-                    # Degrade the whole stacked pass to per-item interpreter
-                    # runs; the batch stays bit-exact with the program path.
-                    self.fallbacks = getattr(self, "fallbacks", 0) + 1
-                    for offset, (plan, state, _circuit) in enumerate(items[index:span]):
-                        results[index + offset] = execute_plan(
-                            plan, initial_state=state, machine=machine,
-                            compiled=False,
-                        )
+                faults.check("kernel_apply")
+                for offset, final in enumerate(program.run_batched(states)):
+                    results[index + offset] = (final, trace_for_program(program))
             else:
                 plan, state, circuit = items[index]
                 results[index] = self.run_plan(
@@ -318,7 +294,6 @@ class OffloadBackend(ExecutionBackend):
             schedule=program,
         )
         self.retries = getattr(self, "retries", 0) + stats.retries
-        self.fallbacks = getattr(self, "fallbacks", 0) + stats.fallbacks
         return state, stats
 
 
@@ -373,8 +348,6 @@ class ParallelBackend(ExecutionBackend):
     def recovery_counters(self) -> dict:
         return {
             "retries": sum(r.retries for r in self._runtimes.values()),
-            "fallbacks": getattr(self, "fallbacks", 0)
-            + sum(r.fallbacks for r in self._runtimes.values()),
             "quarantined_workers": sum(
                 r.quarantined_workers for r in self._runtimes.values()
             ),

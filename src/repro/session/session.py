@@ -48,17 +48,15 @@ from ..errors import (
     AdmissionError,
     CacheCorruptionError,
     Deadline,
-    KernelError,
     PlanValidationError,
     ReproError,
     RetryPolicy,
     SessionClosedError,
     StateValidationError,
-    TransientError,
 )
 from ..planner.pipeline import PassManager, resolve_planner
 from ..runtime import faults as _faults
-from ..runtime.compile import compile_plan, kernel_op_stats
+from ..runtime.compile import compile_plan
 from ..runtime.faults import FaultInjector
 from ..runtime.offload import Schedule, build_schedule
 from ..sim.program import CompiledProgram
@@ -130,18 +128,16 @@ class SessionStats:
     program_ops_rebound: int = 0
     program_rebind_fallbacks: int = 0
     program_rebind_seconds: float = 0.0
-    #: Counters of the kernel-op memo of the paths that run outside a
-    #: compiled program — the interpreter, a shard schedule degraded by a
-    #: compile fault (:func:`repro.runtime.compile.kernel_op`) — attributed
-    #: to this session (deltas of the process-wide memo since the session
-    #: was created).  The names predate the memo they count.
+    #: Always 0: every kernel op is built by a program or a schedule, and
+    #: no per-kernel memo is left to count (``docs/api.md``).  Kept for
+    #: readers of ``as_dict()``.
     fusion_cache_hits: int = 0
     fusion_cache_misses: int = 0
     fusion_cache_evictions: int = 0
     #: Recovery accounting (see ``docs/robustness.md``): transient shard
     #: retries across the session's runtimes, graceful degradations taken
-    #: (backend chain, compiled-program → interpreter, planner preset →
-    #: fallback, cache evict-and-replan), workers quarantined after
+    #: (backend chain, planner preset → fallback, cache
+    #: evict-and-replan), workers quarantined after
     #: exhausting their retry budget, injected faults fired, and cache
     #: entries evicted for failing their integrity check.
     retries: int = 0
@@ -337,10 +333,9 @@ class Session:
         self._lock = threading.RLock()
         self._injector = FaultInjector(faults) if faults is not None else None
         #: Session-level degradations (backend chain, planner fallback,
-        #: program-compile fallback, cache evict-and-replan); backend-level
-        #: counters are aggregated separately (see ``_recovery_totals``).
+        #: cache evict-and-replan); backend-level counters are aggregated
+        #: separately (see ``_recovery_totals``).
         self._session_fallbacks = 0
-        self._fusion_baseline = kernel_op_stats()
         self._rng = np.random.default_rng(seed)
         self._backends: dict[str, ExecutionBackend] = {}
         self._closed = False
@@ -727,61 +722,42 @@ class Session:
 
         Acquired once per job: rebound from the entry's *held* schedule (a
         hit), or built cold (a miss) when the entry has none or the rebind
-        had to build any segment cold.  A cold build becomes the entry's
-        unless a compile failure degraded single segments of it (the
-        executor counts those as it runs them) — the next job then builds
-        cold again rather than rebinding onto the uncompiled path.
+        had to build any segment cold.  A cold build becomes the entry's.
         """
         schedule = build_schedule(plan, machine.local_qubits, reuse=held)
         if schedule.rebound:
             self.stats.schedule_cache_hits += 1
         else:
             self.stats.schedule_cache_misses += 1
-        if held is None and not schedule.fallbacks:
+        if held is None:
             held = schedule
         return schedule, held
 
     def _compiled_for(
         self, plan: ExecutionPlan, machine: MachineConfig, held: "CompiledProgram | None"
-    ) -> "tuple[CompiledProgram | None, CompiledProgram | None]":
+    ) -> "tuple[CompiledProgram, CompiledProgram]":
         """The compiled program of the job's own *plan*, counted: ``(the
         job's, the cache entry's)`` — :meth:`_schedule_for`'s shape.
 
-        Rebound from the entry's *held* program, or compiled cold when the
-        entry has none — a fresh plan, or a local entry stored by a job
-        that ran no program (a sharded backend, they share the Atlas
-        planner key, or ``execute=False``) — and then kept as the entry's,
-        so later hits only rebind.
-        """
-        program = self._program_for(plan, machine, held)
-        if held is None:
-            held = program
-        return program, held
-
-    def _program_for(
-        self, plan: ExecutionPlan, machine: MachineConfig, reuse
-    ) -> "CompiledProgram | None":
-        """*plan* compiled, counted: from scratch (``reuse=None``) or
-        rebound from the structure's cached *reuse* — ops whose gates
-        changed get their payload refilled through it, the rest are kept.
-        ``None`` when lowering fails: the job then runs through the
-        backend's uncompiled path instead of failing, one counted fallback.
+        Rebound from the entry's *held* program — ops whose gates changed
+        get their payload refilled through its structure, the rest are
+        kept — or compiled cold when the entry has none (a fresh plan, or a
+        local entry stored by a job that ran no program: a sharded backend,
+        they share the Atlas planner key, or ``execute=False``) and then
+        kept as the entry's, so later hits only rebind.  A lowering that
+        fails raises its typed error.
         """
         t0 = time.perf_counter()
-        try:
-            program = compile_plan(plan, machine, reuse=reuse)
-        except (KernelError, TransientError):
-            self._session_fallbacks += 1
-            return None
-        if reuse is None:
+        program = compile_plan(plan, machine, reuse=held)
+        if held is None:
             self.stats.programs_compiled += 1
-        else:
-            self.stats.program_rebind_seconds += time.perf_counter() - t0
-            self.stats.programs_rebound += 1
-            self.stats.program_ops_reused += program.ops_reused
-            self.stats.program_ops_rebound += program.ops_rebound
-            self.stats.program_rebind_fallbacks += bool(program.ops_recompiled)
-        return program
+            return program, program
+        self.stats.program_rebind_seconds += time.perf_counter() - t0
+        self.stats.programs_rebound += 1
+        self.stats.program_ops_reused += program.ops_reused
+        self.stats.program_ops_rebound += program.ops_rebound
+        self.stats.program_rebind_fallbacks += bool(program.ops_recompiled)
+        return program, held
 
     def _lookup(self, store, key: tuple, bind=None):
         """``store.get(key)`` — run through *bind* when given — or ``None``
@@ -1194,10 +1170,6 @@ class Session:
             stats.max_norm_drift = max(
                 stats.max_norm_drift, getattr(exec_stats, "max_norm_drift", 0.0)
             )
-        ops = kernel_op_stats()
-        stats.fusion_cache_hits = ops["hits"] - self._fusion_baseline["hits"]
-        stats.fusion_cache_misses = ops["misses"] - self._fusion_baseline["misses"]
-        stats.fusion_cache_evictions = ops["evictions"] - self._fusion_baseline["evictions"]
         stats.jobs += 1
         stats.circuits_run += len(results)
         return results

@@ -52,8 +52,7 @@ segments and fused-matrix fills bind these templates ahead of time.
 payload object and memoized by its identity, run on the calling thread's
 workspace.  They are what the dynamic per-shard gates and
 :class:`~repro.sim.statevector.StateVector` call; a kernel, on every
-executor, is the plan compiler's op
-(:func:`repro.runtime.compile.kernel_op` outside a program).  The kernels' numerics are
+executor, is the plan compiler's op.  The kernels' numerics are
 pinned by two implementations that share nothing with the templates:
 :func:`apply_matrix_reference` (the seed tensordot contraction) and
 ``benchmarks/perf/oracle.py``.

@@ -20,8 +20,8 @@ block's permutation and its phase gather tables.  The **fill** (:func:`fill_fuse
 fill", unmemoized.  Executors reach both halves through the plan
 compiler's kernel slots (:mod:`repro.runtime.compile`): a compiled program
 keeps the structures of its kernels and runs only the fills when it is
-rebound to new angles, and the paths that run outside a program bind the
-same slots (:func:`repro.runtime.compile.kernel_op`).
+rebound to new angles, and a shard schedule's segments hold the same
+slots.
 
 The fused matrix is built by applying each gate to the columns of a
 ``2^m × 2^m`` identity, viewed as a state on ``2m`` qubits whose high bits

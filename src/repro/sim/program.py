@@ -121,8 +121,8 @@ class CompiledProgram:
     concurrently, but **each concurrent caller must pass its own
     workspace** (``run(..., workspace=thread_workspace())``) — the default
     program-owned workspace belongs to one executing thread at a time.
-    `execute_plan` does exactly this, so its compiled path stays as
-    thread-safe as the interpreter.
+    `execute_plan` does exactly this, so concurrent callers of one plan
+    never share a buffer.
     """
 
     def __init__(

@@ -793,10 +793,10 @@ class TestLintRepro:
             "def execute(plan, schedule=None):\n"
             "    return schedule\n",
         )
-        interpreter = self.write(
+        lowering = self.write(
             lint, "sim/fusion.py", "def step(gate):\n    return gate_step(gate, (0,), 1)\n"
         )
-        files = [home, offload, interpreter]
+        files = [home, offload, lowering]
         assert lint.check_one_segment_compiler(files) == []
         # The hand-rolled segment walk growing back beside the slots, and
         # the second cache's key threaded towards a runtime.
@@ -866,7 +866,7 @@ class TestLintRepro:
             "    return unitary_template(matrix, qubits, 3).bind(matrix)\n",
         )
         assert lint.check_one_kernel_set([engine]) == []
-        # The interpreter's own dispatch, cycle walk and scratch pool
+        # A second executor's own dispatch, cycle walk and scratch pool
         # growing back beside the templates.
         fork = self.write(
             lint, "sim/statevector.py",
@@ -962,9 +962,9 @@ class TestLintRepro:
     def test_a_fusion_kernel_has_one_fused_gemm(self, lint):
         slot = self.write(lint, "runtime/compile.py", self.SLOTS)
         assert lint.check_one_kernel_set([slot]) == []
-        # The interpreter fusing a kernel by itself again: flagged, with or
+        # An executor fusing a kernel by itself again: flagged, with or
         # without the slot in the linted set.
-        interpreter = self.write(
+        executor = self.write(
             lint, "runtime/executor.py",
             "def _apply_kernel(state, kernel):\n"
             "    matrix, _qubits = fused_unitary(kernel.gates)\n"
@@ -974,7 +974,7 @@ class TestLintRepro:
             "_apply_kernel:fill_fused_unitary", "_apply_kernel:fused_unitary",
             "_apply_kernel:kernel_fusion",
         ]
-        for files in ([slot, interpreter], [interpreter]):
+        for files in ([slot, executor], [executor]):
             findings = lint.check_one_kernel_set(files)
             assert {f.rule for f in findings} == {"one-kernel-set"}
             assert sorted(f.key.rpartition("::")[2] for f in findings) == flagged
@@ -987,10 +987,11 @@ class TestLintRepro:
             "_FusedSlot:missing"
         ]
 
-    def test_the_second_kernel_op_builder_stays_retired(self, lint):
-        """The interpreter's own op builder and its memos' surface are named
-        nowhere under src/ — in code or in prose — and a gate list applied
-        outside any plan is the one other caller of the kernel template."""
+    def test_the_uncompiled_paths_stay_retired(self, lint):
+        """The uncompiled paths' op builders, their memos' surface and the
+        degraded shard pass are named nowhere under src/ — in code or in
+        prose, as whole words — and a gate list applied outside any plan is
+        the one other caller of the kernel template."""
         fusion = self.write(
             lint, "sim/fusion.py",
             "def apply_gate_sequence(state, gates):\n"
@@ -1005,18 +1006,46 @@ class TestLintRepro:
         session = self.write(
             lint, "session/session.py",
             '"""Counters of fusion_cache_stats()."""\n'
-            "from ..runtime.compile import fused_kernel_op\n",
+            "from ..runtime.compile import fused_kernel_op\n"
+            "from ..runtime.compile import kernel_op, kernel_op_stats\n"
+            "OPS = compile_segment_ops  # kernel_ops, a kernel_opcode: other words\n",
+        )
+        shards = self.write(
+            lint, "runtime/offload.py",
+            "def shard_pass(data, scratch, groups):\n"
+            "    return run_groups_on_shard(data, scratch, groups)\n",
         )
         outside = lint.REPO / "tests" / "test_x.py"
         outside.parent.mkdir(parents=True, exist_ok=True)
         outside.write_text("from repro.sim.fusion import configure_fusion_cache\n")
-        findings = lint.check_one_kernel_set([fusion, session, outside])
+        findings = lint.check_one_kernel_set([fusion, session, shards, outside])
         assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            ("src/repro/runtime/offload.py", 2, "run_groups_on_shard"),
             ("src/repro/session/session.py", 1, "fusion_cache_stats"),
             ("src/repro/session/session.py", 2, "fused_kernel_op"),
+            ("src/repro/session/session.py", 3, "kernel_op"),
+            ("src/repro/session/session.py", 3, "kernel_op_stats"),
             ("src/repro/sim/fusion.py", 3, "apply_lowered_items"),
             ("src/repro/sim/fusion.py", 4, "apply_lowered_items:kernel_template"),
         ]
+
+    def test_a_plan_runs_one_way(self, lint):
+        """`execute_plan` runs the compiled program and takes no switch to a
+        second executor tier."""
+        executor = self.write(
+            lint, "runtime/executor.py",
+            "def execute_plan(plan, initial_state=None, machine=None, check_locality=True):\n"
+            "    return compiled_program_for(plan, machine).run(initial_state)\n",
+        )
+        assert lint.check_one_kernel_set([executor]) == []
+        for signature in ("plan, compiled=True", "plan, *, compiled=True"):
+            executor.write_text(
+                f"def execute_plan({signature}):\n    return run(plan, compiled=compiled)\n"
+            )
+            findings = lint.check_one_kernel_set([executor])
+            assert [(f.rule, f.line, f.key.rpartition("::")[2]) for f in findings] == [
+                ("one-kernel-set", 1, "execute_plan:compiled")
+            ]
 
     def test_kernel_template_keeps_two_named_bodies_and_two_callers(self, lint):
         engine_source = (
@@ -1144,27 +1173,6 @@ class TestLintRepro:
         entry = self.write(lint, "core/partitioner.py", second.read_text())
         assert lint.check_one_planning_surface([entry]) == []
 
-    def test_interpreter_call_outside_backends_flagged(self, lint):
-        home = self.write(
-            lint, "session/backends.py",
-            "def run_plan(plan):\n    return execute_plan(plan, compiled=False)\n",
-        )
-        compiled = self.write(
-            lint, "runtime/executor.py",
-            "def execute_plan(plan, compiled=True):\n"
-            "    return run(plan, compiled=compiled)\n",
-        )
-        assert lint.check_interpreter_call_sites([home, compiled]) == []
-        # A third interpreter call site is a second executor tier.
-        tier = self.write(
-            lint, "service/service.py",
-            "def slow(plan):\n    return execute_plan(plan, compiled=False)\n",
-        )
-        findings = lint.check_interpreter_call_sites([home, compiled, tier])
-        assert [(f.rule, f.path, f.line) for f in findings] == [
-            ("interpreter-call-sites", "src/repro/service/service.py", 2)
-        ]
-
     def test_second_staging_bound_or_solver_bypass_flagged(self, lint):
         home = self.write(
             lint, "core/stage.py",
@@ -1282,11 +1290,6 @@ class TestLintRepro:
         ]
 
     def test_second_layout_move_flagged(self, lint):
-        interpreter = self.write(
-            lint, "runtime/executor.py",
-            "def execute_plan(state, layout, target):\n"
-            "    return permute_state(state, layout, target)\n",
-        )
         driver = self.write(
             lint, "runtime/offload.py",
             "def run_stages(state, layout):\n"
@@ -1294,9 +1297,15 @@ class TestLintRepro:
             "        return permute_state(state, layout, target)\n"
             "    return relayout\n",
         )
-        assert lint.check_one_layout_move([interpreter, driver]) == []
+        assert lint.check_one_layout_move([driver]) == []
         # A stage-boundary sweep growing back beside the in-pass moves: in
-        # a shard pass, and in the driver's file outside the driver.
+        # a stage walk of the plan, in a shard pass, and in the driver's
+        # file outside the driver.
+        executor = self.write(
+            lint, "runtime/executor.py",
+            "def execute_plan(state, layout, target):\n"
+            "    return permute_state(state, layout, target)\n",
+        )
         pool = self.write(
             lint, "runtime/parallel.py",
             "def _run_worker(state, layout, target):\n"
@@ -1307,9 +1316,10 @@ class TestLintRepro:
             + "def build_schedule(state, layout, target):\n"
             "    return permute_state(state, layout, target)\n"
         )
-        findings = lint.check_one_layout_move([interpreter, driver, pool])
+        findings = lint.check_one_layout_move([executor, driver, pool])
         assert {f.rule for f in findings} == {"one-layout-move"}
         assert sorted((f.path, f.line) for f in findings) == [
+            ("src/repro/runtime/executor.py", 2),
             ("src/repro/runtime/offload.py", 6),
             ("src/repro/runtime/parallel.py", 2),
         ]

@@ -5,8 +5,7 @@ place that decides which single-matmul strategy a dense gate gets, and
 `_single_gemm_plannable` / `_dense_plan_impl` read it.  The shared-memory
 lowering (`sim/fusion.py::kernel_lowering`) folds commuting 1q dense gates
 on physically adjacent positions into one item — for every consumer alike
-(compiler, interpreter, both shard executors, the verifier's expected
-stream), never into an item that plans to a split or tensordot path, and
+(compiler, both shard executors, the verifier's expected stream), never into an item that plans to a split or tensordot path, and
 as a numeric fill on rebinds.
 """
 
@@ -23,12 +22,10 @@ from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
-import repro.runtime.compile as compile_mod
 from repro.errors import KernelError
 from repro.runtime import (
     ParallelRuntime,
     compile_plan,
-    execute_plan,
     execute_plan_offloaded,
 )
 from repro.session.cache import rebind_plan
@@ -197,38 +194,6 @@ def test_rebinds_leave_the_dense_plan_memo_alone():
     assert len(apply_mod._BOUND_OPS) == size
 
 
-def test_an_interpreted_sweep_stays_within_the_memo_bound(monkeypatch):
-    """The interpreter memoizes one op per kernel — gate tuple, layout and
-    kind (`kernel_op`, the compiler's slot filled) — and nothing in the
-    entry points' memo (`_BOUND_OPS`).  Over a 50-job angle sweep of
-    ising-12 the angle-carrying kernels add a constant number of entries a
-    job, the parameter-free ones hit theirs, and below the bound nothing is
-    evicted; at the bound the memo evicts and results do not change."""
-    rng = np.random.default_rng(4)
-    machine, template, base_plan = _ising_plan(rng)
-    ops, bound = compile_mod._KERNEL_OPS, apply_mod._BOUND_OPS
-    compile_mod.clear_program_cache()
-    bound.clear()
-    sizes, first = [], None
-    for _ in range(50):
-        plan = rebind_plan(base_plan, _redrawn(template, rng))
-        execute_plan(plan, machine=machine, compiled=False)
-        sizes.append(len(ops))
-        first = first or set(ops._entries)
-    per_job = sizes[1] - sizes[0]
-    assert 0 < per_job < sizes[0]  # some of the first job's entries recur
-    assert sizes == [sizes[0] + job * per_job for job in range(50)]
-    assert len(ops) < ops.maxsize and first <= set(ops._entries)
-    assert not bound
-
-    monkeypatch.setattr(ops, "maxsize", 2)
-    for _ in range(5):
-        plan = rebind_plan(base_plan, _redrawn(template, rng))
-        interpreted, _ = execute_plan(plan, machine=machine, compiled=False)
-        assert len(ops) <= 2
-        assert np.array_equal(interpreted.data, compile_plan(plan, machine).run().data)
-
-
 # ---------------------------------------------------------------------------
 # Differential: one fold for every consumer
 # ---------------------------------------------------------------------------
@@ -307,9 +272,9 @@ class TestDenseFoldDifferential:
         init = StateVector.random_state(n, seed=seed)
         program = compile_plan(plan, machine)
         compiled = program.run(init)
-        interpreted, trace = execute_plan(plan, init, machine=machine, compiled=False)
-        assert np.array_equal(compiled.data, interpreted.data)
-        assert trace.num_ops == len(program.ops)
+        # One shard: every kernel lowers over the program's n positions.
+        whole, _ = execute_plan_offloaded(plan, MachineConfig.for_circuit(n), init)
+        assert np.array_equal(compiled.data, whole.data)
         # The verifier reads the same lowering: same sources, gates, items.
         assert [(op.source, op.gates, op.items) for op in program.ops] == (
             expected_op_stream(plan, machine)
@@ -416,8 +381,8 @@ class TestDenseFoldDifferential:
         program = compile_plan(plan, machine)
         assert _folded_items(program)
         assert verify_program(program, plan=plan, machine=machine).ok
-        interpreted, _ = execute_plan(plan, machine=machine, compiled=False)
-        assert np.array_equal(program.run().data, interpreted.data)
+        whole, _ = execute_plan_offloaded(plan, MachineConfig.for_circuit(n))
+        assert np.array_equal(program.run().data, whole.data)
         offloaded, _ = execute_plan_offloaded(plan, machine)
         with ParallelRuntime(machine, num_workers=2) as runtime:
             parallel, _ = runtime.execute(plan)

@@ -33,6 +33,7 @@ from repro.core.plan import ExecutionPlan
 from repro.errors import (
     CacheCorruptionError,
     IntegrityError,
+    KernelError,
     PlanValidationError,
     SpecParseError,
 )
@@ -351,17 +352,14 @@ class TestIntegrityMonitor:
 #: The OffloadStats fields that describe the run, not the executor.
 STATS_FIELDS = (
     "num_stages", "per_stage_loads", "shard_loads", "shard_stores",
-    "bytes_transferred", "retries", "fallbacks", "checkpoints_written",
+    "bytes_transferred", "retries", "checkpoints_written",
     "resumed_from_stage", "stages_skipped", "integrity_checks",
 )
 
 
 def execute_on(executor, plan, machine, fault=None, **kwargs):
-    """Run *plan* on ``"offload"`` or a W-worker ParallelRuntime.
-
-    Returns ``(state, stats, compile_fallbacks)``; both executors report
-    the segments their schedule degraded on the stats of the execution.
-    """
+    """Run *plan* on ``"offload"`` or a W-worker ParallelRuntime; returns
+    ``(state, stats)``."""
     injector = FaultInjector(fault) if fault else None
     if injector is not None:
         faults.activate(injector)
@@ -371,18 +369,16 @@ def execute_on(executor, plan, machine, fault=None, **kwargs):
         else:
             with ParallelRuntime(machine, num_workers=executor) as runtime:
                 state, stats = runtime.execute(plan, **kwargs)
-                assert runtime.fallbacks == stats.fallbacks  # the lifetime sum
     finally:
         if injector is not None:
             faults.deactivate(injector)
-    return np.asarray(state.data).copy(), stats, stats.fallbacks
+    return np.asarray(state.data).copy(), stats
 
 
 def assert_same_run(got, want):
-    state, stats, fallbacks = got
-    want_state, want_stats, want_fallbacks = want
+    state, stats = got
+    want_state, want_stats = want
     assert np.array_equal(state, want_state)
-    assert fallbacks == want_fallbacks
     assert {f: getattr(stats, f) for f in STATS_FIELDS} == {
         f: getattr(want_stats, f) for f in STATS_FIELDS
     }
@@ -401,22 +397,23 @@ class TestExecutorStatsDifferential:
             "shard_load:transient:1",
             "kernel_apply:transient:1",
             "shard_store:transient:1",
-            "compile:permanent:1",
         ],
     )
     def test_clean_and_faulted_runs(self, machine, plan, workers, fault):
         clean = execute_on("offload", plan, machine)
         sequential = execute_on("offload", plan, machine, fault=fault)
         assert_same_run(execute_on(workers, plan, machine, fault=fault), sequential)
-        _state, stats, fallbacks = sequential
+        _state, stats = sequential
         # per_stage_loads is the modelled pass count: a retried load shows
         # in shard_loads/retries, never here.
         assert stats.per_stage_loads == clean[1].per_stage_loads
-        compile_fault = fault is not None and fault.startswith("compile")
-        assert fallbacks == (1 if compile_fault else 0)
-        assert stats.retries == (0 if fault is None or compile_fault else 1)
-        if not compile_fault:
-            assert np.array_equal(sequential[0], clean[0])
+        assert stats.retries == (0 if fault is None else 1)
+        assert np.array_equal(sequential[0], clean[0])
+
+    @pytest.mark.parametrize("executor", ["offload", 1, 2, 4])
+    def test_a_failed_compile_raises_on_every_executor(self, machine, plan, executor):
+        with pytest.raises(KernelError):
+            execute_on(executor, plan, machine, fault="compile:permanent:1")
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_checkpointed_monitored_run_and_every_resume_point(
@@ -482,7 +479,7 @@ class TestResumeAcrossLayoutMoves:
         stage k+1's layout, and the checkpoint says so.  Resuming from it
         needs no move into stage k+1 and is bit-exact."""
         plan, layouts = scatter_plan
-        reference, stats, _ = execute_on(
+        reference, stats = execute_on(
             executor, plan, machine, checkpoint=CheckpointConfig(tmp_path, keep=99)
         )
         assert (stats.layout_permutes, stats.layout_in_pass) == (1, 3)
@@ -498,7 +495,7 @@ class TestResumeAcrossLayoutMoves:
             assert np.array_equal(
                 permute_state(logical, QubitLayout(N), layouts[k + 1]), ck.state
             )
-            resumed, rstats, _ = execute_on(executor, plan, machine, resume_from=snapshot)
+            resumed, rstats = execute_on(executor, plan, machine, resume_from=snapshot)
             assert np.array_equal(resumed, reference), f"resume after stage {k}"
             assert rstats.resumed_from_stage == k
             assert rstats.layout_permutes == 1  # the final one, as uninterrupted
@@ -511,7 +508,7 @@ class TestResumeAcrossLayoutMoves:
         full-state permute, and the run is still bit-exact."""
         plan, layouts = scatter_plan
         config = CheckpointConfig(tmp_path / "run", keep=99)
-        reference, _, _ = execute_on("offload", plan, machine, checkpoint=config)
+        reference, _ = execute_on("offload", plan, machine, checkpoint=config)
         for k, snapshot in enumerate(sorted((tmp_path / "run").glob("*.ckpt"))):
             ck = load_checkpoint(snapshot)
             moved = write_checkpoint(
@@ -524,7 +521,7 @@ class TestResumeAcrossLayoutMoves:
                                     QubitLayout(N).logical_to_physical()),
             )
             for executor in ("offload", 2):
-                resumed, stats, _ = execute_on(executor, plan, machine, resume_from=moved)
+                resumed, stats = execute_on(executor, plan, machine, resume_from=moved)
                 assert np.array_equal(resumed, reference), (k, executor)
                 assert stats.layout_permutes == 2  # the fallback, then the final one
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import MachineConfig, Session
-from repro.circuits.library import qft, vqc
+from repro.circuits.library import ising, qft, vqc
 from repro.errors import (
     AdmissionError,
     CacheCorruptionError,
@@ -99,21 +99,24 @@ def expected_outcome(backend: str, workers, site: str, flavor: str) -> str:
     * ``noop`` — the site is never reached on this backend (e.g. shard
       I/O on the in-core executor); the run must be clean and bit-exact.
     * ``recover`` — the fault fires and the run still completes bit-exact
-      (retry, quarantine, or a degradation fallback).
+      (retry, quarantine, or evict-and-replan).
     * ``error`` — the fault propagates as its typed error, promptly.
+
+    The rule: transient shard faults retry inside the shard pass, and
+    everything else raises.
     """
     if site == "cache_rebind":
         return "recover"  # evict-and-replan, every backend
     if site == "compile":
-        return "recover"  # program/segment-ops fallback, every backend
+        return "error"  # a failed lowering raises, every backend
     if site in ("checkpoint_write", "checkpoint_load", "journal_append"):
         # Durability sites are only reached when checkpointing, resume or
         # journalling is armed — the plain matrix never enables them
         # (TestDurabilityFaultSites covers the armed paths).
         return "noop"
     if backend == "incore":
-        # No shards, no workers; kernel faults degrade to the interpreter.
-        return "recover" if site == "kernel_apply" else "noop"
+        # No shards, no workers: a failed kernel application raises.
+        return "error" if site == "kernel_apply" else "noop"
     if site == "worker_start":
         if backend == "offload":
             return "noop"  # sequential executor has no workers
@@ -513,32 +516,63 @@ class TestGracefulDegradation:
             with pytest.raises(MemoryError):
                 session.run(sweep)
 
-    def test_program_failure_falls_back_to_interpreter(self, machine, sweep):
-        with make_session(machine, "incore", None) as clean_session:
-            clean = [r.state.data.copy() for r in clean_session.run(sweep)]
-        with make_session(
-            machine, "incore", None, faults="kernel_apply:KernelError:1"
-        ) as session:
-            job = session.run(sweep)
-            for result, expected in zip(job, clean):
-                assert np.array_equal(result.state.data, expected)
-            assert job[0].recovery["fallbacks"] >= 1
-        # A fan-out runs as one stacked pass: its failure degrades the whole
-        # span to per-item interpreter runs, bit-exact with the stacked
-        # program pass (qft lowers to no `big` op).
+    @pytest.mark.parametrize(
+        "label,backend,workers", BACKEND_CONFIGS[:4], ids=[c[0] for c in BACKEND_CONFIGS[:4]]
+    )
+    def test_a_real_build_failure_surfaces_once(self, label, backend, workers, monkeypatch):
+        """A kernel whose op cannot be built — the builder itself raising,
+        not an injected fault — fails the job with its KernelError after
+        one attempt: no second executor rebuilds it, nothing counts a
+        fallback, and the session's next run is a fresh session's bits."""
+        from repro.runtime import compile as compile_mod
+
+        circuit = ising(10)
+        machine = MachineConfig.for_circuit(10, num_gpus=4, local_qubits=7)
+        real = compile_mod.kernel_template
+        failing, attempts = [], []
+
+        def broken(items, n):
+            # The first kernel built is the one that fails, wherever it is
+            # built again (the same items over the same buffer size).
+            key = (n, tuple(
+                (item.qubits, item.kind, item.phased,
+                 None if item.perm is None else tuple(np.asarray(item.perm).ravel()))
+                for item in items
+            ))
+            failing[:] = failing or [key]
+            if key == failing[0]:
+                attempts.append(key)
+                raise KernelError("kernel op could not be built")
+            return real(items, n)
+
+        with make_session(machine, backend, workers) as session:
+            monkeypatch.setattr(compile_mod, "kernel_template", broken)
+            with pytest.raises(KernelError, match="could not be built"):
+                session.run(circuit)
+            monkeypatch.setattr(compile_mod, "kernel_template", real)
+            assert len(attempts) == 1
+            result = session.run(circuit).result()
+            assert session.stats.fallbacks == 0 and result.recovery is None
+        with make_session(machine, backend, workers) as fresh:
+            want = fresh.run(circuit).result().state.data
+        assert np.array_equal(result.state.data, want)
+
+    def test_a_failed_stacked_pass_raises(self, machine):
+        """A fan-out runs in-core as one stacked pass; a kernel failure
+        there raises like any other, and the next fan-out is bit-exact."""
         circuit = qft(N)
         states = [StateVector.random_state(N, seed=s) for s in range(3)]
         with make_session(machine, "incore", None) as clean_session:
-            job = clean_session.run(circuit, initial_states=states)
-            clean = [r.state.data.copy() for r in job]
-            assert job[0].recovery is None
+            clean = [r.state.data.copy() for r in clean_session.run(circuit, initial_states=states)]
         with make_session(
             machine, "incore", None, faults="kernel_apply:KernelError:1"
         ) as session:
+            with pytest.raises(KernelError):
+                session.run(circuit, initial_states=states)
             job = session.run(circuit, initial_states=states)
             for result, expected in zip(job, clean):
                 assert np.array_equal(result.state.data, expected)
-            assert job[0].recovery["fallbacks"] == 1
+            assert session.stats.fallbacks == 0
 
     def test_admission_charges_the_fan_out_stack(self, machine):
         """A circuit fanned out over B initial states runs in-core as one

@@ -8,7 +8,7 @@ here — generated kernels over every lowered item kind, lowest position,
 state size, buffer shape and layout — within the documented bound
 `KernelTemplate.ulps()`, and the fused gemm is every planner fusion
 kernel's within `KernelTemplate.gemm_ulps()`; on either body every
-executor, compiled or not, runs the compiler's op bit for bit; the loader's cache, races
+executor runs the compiler's op bit for bit; the loader's cache, races
 and failure modes are exercised on private cache directories; and the
 engine, program, schedule and session test modules are run, unedited, with
 the loader reporting "unavailable" (`conftest.py` starts those runs at
@@ -42,8 +42,9 @@ from repro.runtime import (
     execute_plan_offloaded,
     faults,
 )
-from repro.runtime.compile import kernel_op
+from repro.errors import KernelError
 from repro.runtime.faults import FaultInjector
+from repro.runtime.offload import compile_segment_ops
 from repro.sim import StateVector, native
 from repro.sim.apply import Workspace, apply_matrix_reference, kernel_template
 from repro.sim.fusion import LoweredItem, fused_unitary, kernel_items, lower_kernel_gates
@@ -332,9 +333,17 @@ def engine(request, monkeypatch):
         pytest.skip(f"no native body: {native.status()['reason']}")
     if request.param == "numpy":
         monkeypatch.setattr(native, "_STATE", UNAVAILABLE)
-    clear_program_cache()  # programs and kernel ops bound under the other body
+    clear_program_cache()  # programs bound under the other body
     yield request.param
     clear_program_cache()
+
+
+def _segment_op(gates, l2p, n, fused):
+    """The op of the kernel *gates* in a segment over all *n* positions —
+    what a full-state segment of a shard schedule is built by."""
+    ktype = KernelType.FUSION if fused else None
+    ((_kind, op),) = compile_segment_ops([(list(gates), ktype)], l2p, n)
+    return op
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +417,7 @@ class TestFusionKernels:
     def _check_against_the_gemm(n, gates, l2p, seed):
         """Native within `gemm_ulps()` of the fused gemm; a `(1, 2^n)` and a
         `(B, 2^n)` stack are the flat runs bit for bit."""
-        op = kernel_op(gates, l2p, n, True)
+        op = _segment_op(gates, l2p, n, True)
         assert op.kind == "sm"
         items = lower_kernel_gates(gates, l2p)
         template = kernel_template(kernel_items(items, l2p), n)
@@ -443,7 +452,7 @@ class TestFusionKernels:
                 for op in fused:
                     want = _run_op(_fused_gemm(op.gates, layouts[op.source[1]], 12), state)
                     assert np.array_equal(_run_op(op, state), want), family
-                    again = kernel_op(op.gates, layouts[op.source[1]], 12, True)
+                    again = _segment_op(op.gates, layouts[op.source[1]], 12, True)
                     assert np.array_equal(_run_op(again, state), want), family
         finally:
             clear_program_cache()
@@ -459,10 +468,11 @@ class TestFusionKernels:
         assert all(op.kind == "sm" for op in program.ops if op.source[0] == "kernel")
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
-    def test_kernel_op_is_the_compiled_op(self, engine, case):
-        """Every kernel, on either body: the op the uncompiled paths take
-        (`kernel_op`) is the compiled program's at that source — kind,
-        positions, items — and writes the same bits."""
+    def test_a_segment_op_is_the_compiled_op(self, engine, case):
+        """Every kernel, on either body: the op a segment over all n
+        positions builds for it (a shard schedule's full-state segment) is
+        the compiled program's at that source — kind, positions, items —
+        and writes the same bits."""
         plan, machine = _executor_case(case)
         n = plan.num_qubits
         program = compile_plan(plan, machine)
@@ -472,7 +482,7 @@ class TestFusionKernels:
         assert len(kernels) == program.num_kernels
         assert any(op.source[0] == "kernel" for op in kernels)
         for op in kernels:
-            again = kernel_op(op.gates, layouts[op.source[1]], n, op.source[0] == "kernel")
+            again = _segment_op(op.gates, layouts[op.source[1]], n, op.source[0] == "kernel")
             assert (again.kind, again.qubits, again.items) == (op.kind, op.qubits, op.items)
             if engine == "numpy" and op.source[0] == "kernel":
                 assert op.kind != "sm", op.source  # the fused gemm
@@ -480,37 +490,32 @@ class TestFusionKernels:
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_executors_agree(self, engine, case):
-        """Interpreter, compiled, offload and parallel W ∈ {1, 2, 4}, on
-        either body, each also with its first compile failing (in-core
-        degrades to the interpreter, a shard schedule's segment to the
-        uncompiled shard pass): bit for bit."""
+        """Compiled, offload and parallel W ∈ {1, 2, 4}, on either body:
+        bit for bit.  Each first has its compile fail, which raises the
+        `KernelError` and leaves the next run the same bits."""
         plan, machine = _executor_case(case)
         init = StateVector.random_state(plan.num_qubits, seed=3)
         want = compile_plan(plan, machine).run(init).data
-        interpreted, _ = execute_plan(plan, init, machine=machine, compiled=False)
-        assert np.array_equal(interpreted.data, want)
 
-        def run(execute, degraded):
+        def run(execute):
             clear_program_cache()  # so the in-core run compiles
             injector = FaultInjector("compile:KernelError:1")
-            if degraded:
-                faults.activate(injector)
+            faults.activate(injector)
             try:
-                state, _ = execute()
+                with pytest.raises(KernelError):
+                    execute()
             finally:
                 faults.deactivate(injector)
-            assert injector.total_fired == degraded
+            assert injector.total_fired == 1
+            state, _ = execute()
             return state.data
 
-        for degraded in (False, True):
-            incore = run(lambda: execute_plan(plan, init, machine=machine), degraded)
-            assert np.array_equal(incore, want), degraded
-            offloaded = run(lambda: execute_plan_offloaded(plan, machine, init), degraded)
-            assert np.array_equal(offloaded, want), degraded
-            for workers in (1, 2, 4):
-                with ParallelRuntime(machine, num_workers=workers) as runtime:
-                    parallel = run(lambda: runtime.execute(plan, init), degraded)
-                assert np.array_equal(parallel, want), (degraded, workers)
+        assert np.array_equal(run(lambda: execute_plan(plan, init, machine=machine)), want)
+        assert np.array_equal(run(lambda: execute_plan_offloaded(plan, machine, init)), want)
+        for workers in (1, 2, 4):
+            with ParallelRuntime(machine, num_workers=workers) as runtime:
+                parallel = run(lambda: runtime.execute(plan, init))
+            assert np.array_equal(parallel, want), workers
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,20 @@ from repro.circuits.library import ising, qft, random_circuit
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
+from repro.errors import KernelError
 from repro.runtime import (
     ParallelRuntime,
+    compile_plan,
     execute_plan_offloaded,
     execute_plan_parallel,
+    faults,
     model_simulation_time,
 )
 from repro.runtime import offload as offload_mod
+from repro.runtime.faults import FaultInjector
 from repro.runtime.offload import build_schedule
 from repro.sim import StateVector, simulate_reference
+from repro.sim.program import Workspace
 
 from test_property_based import SETTINGS
 
@@ -128,6 +133,43 @@ class TestDifferential:
         # The h(3) full-state segment splits the stage: two shard passes.
         assert par_stats.per_stage_loads == [2 * par_stats.num_shards]
         assert par_stats.per_stage_loads == seq_stats.per_stage_loads
+
+    def test_a_full_state_segment_runs_the_compiled_op_of_its_gate(self, offload_machine_6):
+        """The h(3) full-state segment is lowered with the schedule, by the
+        slot a compiled program builds for the same lone gate over all n
+        positions: the same op, the same bits; a rebind binds it again."""
+        _circuit, plan = _hand_built_plan()
+        local = offload_machine_6.local_qubits
+        schedule = build_schedule(plan, local)
+        ((_l2p, segments),) = schedule.stages
+        (full,) = [segment for segment in segments if segment.kind == "full"]
+        assert full.payload.name == "h"
+        ((kind, op),) = full.ops
+        program = compile_plan(plan, check_locality=False)
+        (twin,) = [o for o in program.ops if o.gates == (full.payload,)]
+        assert (kind, op.kind, op.qubits, op.items) == ("local", twin.kind, twin.qubits, twin.items)
+        state = StateVector.random_state(6, seed=4).data
+        ours, _ = op.run(state.copy(), np.empty_like(state), Workspace())
+        theirs, _ = twin.run(state.copy(), np.empty_like(state), Workspace())
+        assert np.array_equal(ours, theirs)
+        assert build_schedule(plan, local, reuse=schedule).rebound
+
+    def test_a_full_state_segment_that_fails_to_lower_fails_the_build(self, offload_machine_6):
+        """Segments lower in order — shards, the h(3) full-state gate,
+        shards: a compile failure at the second fails the build, before any
+        shard moves, and the next build is whole."""
+        _circuit, plan = _hand_built_plan()
+        local = offload_machine_6.local_qubits
+        injector = FaultInjector("compile:permanent:1:1")
+        faults.activate(injector)
+        try:
+            with pytest.raises(KernelError):
+                build_schedule(plan, local)
+        finally:
+            faults.deactivate(injector)
+        assert injector.total_fired == 1
+        kinds = [segment.kind for _l2p, segments in build_schedule(plan, local).stages for segment in segments]
+        assert kinds == ["shards", "full", "shards"]
 
     def test_workers_beyond_shards_are_clamped(self, small_machine):
         plan = _staged_plan(qft(10), small_machine)
@@ -250,38 +292,7 @@ class TestWorkerStats:
         assert stats.per_worker == []
 
 
-class TestRunBatch:
-    def test_one_plan_many_states(self, small_machine):
-        plan = _staged_plan(qft(10), small_machine)
-        states = [StateVector.random_state(10, seed=s) for s in range(4)]
-        with ParallelRuntime(small_machine) as runtime:
-            results = runtime.run_batch(plan, initial_states=states)
-        assert len(results) == 4
-        for state, (out, _) in zip(states, results):
-            expected, _ = execute_plan_offloaded(
-                plan, small_machine, initial_state=state
-            )
-            assert np.array_equal(out.data, expected.data)
-
-    def test_many_plans(self, small_machine):
-        circuits = [qft(10), random_circuit(10, 30, seed=2)]
-        plans = [_staged_plan(c, small_machine) for c in circuits]
-        with ParallelRuntime(small_machine) as runtime:
-            results = runtime.run_batch(plans)
-        for circuit, (out, _) in zip(circuits, results):
-            assert simulate_reference(circuit).allclose(out)
-
-    def test_plan_state_pairs(self, small_machine):
-        circuit = qft(10)
-        plan = _staged_plan(circuit, small_machine)
-        init = StateVector.random_state(10, seed=5)
-        with ParallelRuntime(small_machine) as runtime:
-            [(out_zero, _), (out_init, _)] = runtime.run_batch(
-                [(plan, None), (plan, init)]
-            )
-        assert simulate_reference(circuit).allclose(out_zero)
-        assert simulate_reference(circuit, init).allclose(out_init)
-
+class TestRuntimeReuse:
     def test_results_do_not_alias_runtime_buffers(self, small_machine):
         # A later execution must not overwrite an earlier returned state.
         plan = _staged_plan(qft(10), small_machine)
@@ -292,14 +303,6 @@ class TestRunBatch:
             runtime.execute(plan, initial_state=init)
             runtime.execute(plan)
         assert np.array_equal(first.data, snapshot)
-
-    def test_batch_length_mismatch(self, small_machine):
-        plan = _staged_plan(qft(10), small_machine)
-        with ParallelRuntime(small_machine) as runtime:
-            with pytest.raises(ValueError):
-                runtime.run_batch([plan, plan], initial_states=[None])
-            with pytest.raises(ValueError):
-                runtime.run_batch(plan)
 
     def test_closed_runtime_rejects_work(self, small_machine):
         plan = _staged_plan(qft(10), small_machine)

@@ -1,9 +1,10 @@
 """Tests for compiled plan programs (`sim/program.py` + `runtime/compile.py`).
 
 The contract under test: lowering a plan to a :class:`CompiledProgram` and
-executing the op stream is **bit-exact** with the gate-at-a-time
-interpreter (`execute_plan(compiled=False)`) on staged and hand-built
-plans; batched ``(B, 2^n)`` execution matches B looped single-state runs
+executing the op stream matches the reference simulator, and is
+**bit-exact** with the offload executor running the same plan as one shard
+(every kernel then lowers over the same ``n`` positions) on staged and
+hand-built plans; batched ``(B, 2^n)`` execution matches B looped single-state runs
 to tight tolerance (the B-wide gemm fold can change BLAS summation order,
 so exact bit equality is not guaranteed there); rebound (plan-cache-hit)
 programs execute the new circuit's angles while reusing every
@@ -37,13 +38,11 @@ from repro.runtime import (
 )
 from repro.errors import PlanValidationError
 from repro.planner import legacy_pipeline
-from repro.runtime.offload import compile_segment_ops, run_segment_ops, run_groups_on_shard, split_stage_segments
+from repro.runtime.offload import build_schedule, compile_segment_ops, run_segment_ops, split_stage_segments
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim import fusion as fusion_mod
 from repro.sim import native
-from repro.runtime import compile as compile_mod
-from repro.runtime.compile import kernel_op, kernel_op_stats
 from repro.sim.fusion import lower_kernel_gates
 from repro.session import Session
 from repro.session.cache import rebind_plan
@@ -60,6 +59,15 @@ def _machine(n, local_offset=2):
     return MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - local_offset)
 
 
+def _one_shard(plan, initial_state=None):
+    """*plan* through the offload executor on a machine that holds the
+    whole state in one shard: another executor, whose every kernel lowers
+    over the same ``n`` positions a compiled program's does."""
+    return execute_plan_offloaded(
+        plan, MachineConfig.for_circuit(plan.num_qubits), initial_state
+    )[0]
+
+
 CIRCUITS = [
     ("qft-10", lambda: qft(10)),
     ("vqc-10", lambda: vqc(10, seed=3)),
@@ -68,24 +76,23 @@ CIRCUITS = [
 ]
 
 
-class TestCompiledVsInterpreted:
+class TestCompiledVsOffload:
     @pytest.mark.parametrize("name,factory", CIRCUITS)
     def test_bit_exact_on_staged_plans(self, name, factory):
         circuit = factory()
         machine = _machine(circuit.num_qubits)
         plan = _staged_plan(circuit, machine)
-        compiled_state, compiled_trace = execute_plan(plan, machine=machine)
-        interp_state, interp_trace = execute_plan(
-            plan, machine=machine, compiled=False
-        )
-        assert np.array_equal(compiled_state.data, interp_state.data)
+        compiled_state, trace = execute_plan(plan, machine=machine)
+        assert np.array_equal(compiled_state.data, _one_shard(plan).data)
         assert simulate_reference(circuit).allclose(compiled_state)
-        # The compile-time trace metadata matches what the interpreter
-        # counts while executing.
-        assert compiled_trace.num_stages == interp_trace.num_stages
-        assert compiled_trace.num_kernels == interp_trace.num_kernels
-        assert compiled_trace.num_permutations == interp_trace.num_permutations
-        assert compiled_trace.kernels_per_stage == interp_trace.kernels_per_stage
+        # The compile-time trace metadata counts the plan's own structure.
+        layouts = [{q: q for q in range(plan.num_qubits)}]
+        layouts += [stage.partition.logical_to_physical() for stage in plan.stages]
+        layouts.append(layouts[0])
+        assert trace.num_stages == len(plan.stages)
+        assert trace.kernels_per_stage == [len(stage.kernels) for stage in plan.stages]
+        assert trace.num_kernels == sum(trace.kernels_per_stage)
+        assert trace.num_permutations == sum(a != b for a, b in zip(layouts, layouts[1:]))
 
     @pytest.mark.parametrize("name,factory", CIRCUITS)
     def test_bit_exact_from_random_initial_state(self, name, factory):
@@ -95,43 +102,7 @@ class TestCompiledVsInterpreted:
         plan = _staged_plan(circuit, machine)
         init = StateVector.random_state(n, seed=7)
         a, _ = execute_plan(plan, initial_state=init, machine=machine)
-        b, _ = execute_plan(plan, initial_state=init, machine=machine, compiled=False)
-        assert np.array_equal(a.data, b.data)
-
-    def test_the_interpreter_compiles_nothing(self, monkeypatch):
-        """`compiled=False` is the plumbing oracle: it walks plan -> stage
-        -> kernel itself.  It never enters the plan compiler, builds no
-        program or structure and consults no program memo — what it shares
-        with the compiled path is each kernel's op (`kernel_op`: the
-        compiler's slot, filled), one per kernel, nothing of the layout
-        walk, structure, bind or reuse it is there to check."""
-        import repro.runtime.executor as executor_mod
-        from repro.sim.program import CompiledProgram
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the interpreter entered the plan compiler")
-
-        circuit = vqc(8, seed=2)
-        machine = _machine(8)
-        plan = _staged_plan(circuit, machine)
-        want, _ = execute_plan(plan, machine=machine)
-        monkeypatch.setattr(compile_mod, "compile_plan", forbidden)
-        monkeypatch.setattr(executor_mod, "compiled_program_for", forbidden)
-        monkeypatch.setattr(compile_mod.ProgramStructure, "__init__", forbidden)
-        monkeypatch.setattr(CompiledProgram, "__init__", forbidden)
-        compile_mod.clear_program_cache()
-        before = kernel_op_stats()
-        got, trace = execute_plan(plan, machine=machine, compiled=False)
-        after = kernel_op_stats()
-        assert np.array_equal(got.data, want.data)
-        assert trace.op_counts == {} and trace.num_ops > 0
-        asked = {key: after[key] - before[key] for key in ("hits", "misses")}
-        assert asked["misses"] > 0 and asked["hits"] + asked["misses"] == trace.num_kernels
-        # Again: every kernel's op is the one built the first time.
-        again, _ = execute_plan(plan, machine=machine, compiled=False)
-        final = kernel_op_stats()
-        assert (final["hits"] - after["hits"], final["misses"]) == (trace.num_kernels, after["misses"])
-        assert np.array_equal(again.data, want.data)
+        assert np.array_equal(a.data, _one_shard(plan, init).data)
 
     def test_unkernelized_stage_plan(self):
         """Plans whose stages carry raw gates (kernels=None) compile too."""
@@ -143,8 +114,7 @@ class TestCompiledVsInterpreted:
         )
         plan = ExecutionPlan(num_qubits=5, stages=[stage])
         a, _ = execute_plan(plan)
-        b, _ = execute_plan(plan, compiled=False)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.data, _one_shard(plan).data)
         assert simulate_reference(circuit).allclose(a)
 
     def test_locality_check_happens_at_compile_time(self):
@@ -171,7 +141,7 @@ class TestCompiledVsInterpreted:
         circuit = qft(10)
         machine = _machine(10)
         plan = _staged_plan(circuit, machine)
-        want, _ = execute_plan(plan, machine=machine, compiled=False)
+        want = _one_shard(plan)
 
         def work(seed):
             state, _ = execute_plan(plan, machine=machine)
@@ -376,15 +346,14 @@ class TestRebind:
             flat = cold.run(state).data
             bound = cold.stack_ulps() * np.spacing(np.max(np.abs(flat)))
             assert np.max(np.abs(got.data - flat)) <= bound
-        interpreted, _ = execute_plan(plan, init, machine=machine, compiled=False)
-        assert np.array_equal(interpreted.data, want)
+        assert np.array_equal(_one_shard(plan, init).data, want)
 
     @pytest.mark.parametrize("family", sorted(CIRCUIT_FAMILIES))
-    def test_rebind_equals_cold_compile_and_interpreter(self, family):
+    def test_rebind_equals_cold_compile_and_offload(self, family):
         """Every library family x every angle class, in the layouts the
         partitioner picks: ``compile_plan(rebound, reuse=base)`` equals
         ``compile_plan(rebound)`` op for op and bit for bit (single and
-        batched runs) and equals the interpreter."""
+        batched runs) and equals the one-shard offload run."""
         rng = np.random.default_rng(7)
         template = CIRCUIT_FAMILIES[family](7)
         machine = _machine(7)
@@ -543,22 +512,6 @@ class TestRebind:
         assert all(np.array_equal(a, copy) and not a.flags.writeable for a, copy in arrays)
         assert np.array_equal(base.run(init).data, before)
 
-    def test_rebinds_leave_the_kernel_op_memo_alone(self):
-        """A warm job carries its kernels' slots in the program: 200 rebinds
-        insert nothing into the kernel-op memo of the uncompiled paths (the
-        memos before it took 3-8 never-hit angle-keyed entries a rebind,
-        turning a 256-entry memo over every ~40 jobs)."""
-        rng = np.random.default_rng(9)
-        machine = _machine(8)
-        for template in (vqc(8, ansatz_reps=1), ising(8)):
-            base_plan = _staged_plan(self._redrawn(template, rng), machine)
-            base = compile_plan(base_plan, machine)
-            before = kernel_op_stats()
-            for _ in range(200):
-                plan = rebind_plan(base_plan, self._redrawn(template, rng))
-                assert compile_plan(plan, machine, reuse=base).ops_rebound > 0
-            assert kernel_op_stats() == before
-
     def test_rebound_plans_agree_across_sharded_executors(self):
         """Fresh and degenerate angles through the restructured lowering:
         offload == parallel (W = 1, 2, 4) bit for bit, == in-core to 1e-10."""
@@ -590,10 +543,10 @@ class TestOffloadAndParallelPaths:
         assert incore.allclose(offloaded, atol=1e-10)
         assert simulate_reference(circuit).allclose(offloaded)
 
-    def test_compiled_segment_ops_bit_exact_with_dynamic_groups(self):
-        """`run_segment_ops` (compiled) and `run_groups_on_shard` (dynamic)
-        must agree bit for bit on every shard, including non-local
-        resolution paths and shard relabels."""
+    def test_compiled_segment_ops_match_the_reference_shard_by_shard(self):
+        """`run_segment_ops` on each shard of a state, stored at the index
+        it returns, is the reference's state — through every non-local
+        resolution path and shard relabel."""
         circuit = (
             Circuit(6).h(0).h(1).x(4).y(5).cp(0.7, 3, 4).crz(0.5, 1, 5).cx(0, 1)
         )
@@ -603,24 +556,22 @@ class TestOffloadAndParallelPaths:
             gate_indices=list(range(len(circuit.gates))),
         )
         logical_to_physical = stage.partition.logical_to_physical()
+        assert logical_to_physical == {q: q for q in range(6)}
         local = 3
-        segments = split_stage_segments(stage, logical_to_physical, local)
-        rng = np.random.default_rng(0)
-        for kind, groups in segments:
-            assert kind == "shards"
-            ops = compile_segment_ops(groups, logical_to_physical, local)
-            for shard_index in range(8):
-                shard = rng.normal(size=8) + 1j * rng.normal(size=8)
-                a, b = shard.copy(), np.empty(8, dtype=complex)
-                c, d = shard.copy(), np.empty(8, dtype=complex)
-                a, b, idx_compiled = run_segment_ops(
-                    a, b, ops, logical_to_physical, local, shard_index
-                )
-                c, d, idx_dynamic = run_groups_on_shard(
-                    c, d, groups, logical_to_physical, local, shard_index
-                )
-                assert idx_compiled == idx_dynamic
-                assert np.array_equal(a, c)
+        ((kind, groups),) = split_stage_segments(stage, logical_to_physical, local)
+        assert kind == "shards"
+        ops = compile_segment_ops(groups, logical_to_physical, local)
+        init = StateVector.random_state(6, seed=0)
+        want = simulate_reference(circuit, init).data
+        stored = []
+        for shard_index in range(8):
+            data = init.data[shard_index * 8:(shard_index + 1) * 8].copy()
+            data, _scratch, out = run_segment_ops(
+                data, np.empty_like(data), ops, logical_to_physical, local, shard_index
+            )
+            assert np.allclose(data, want[out * 8:(out + 1) * 8], atol=1e-12)
+            stored.append(out)
+        assert sorted(stored) == list(range(8))
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_parallel_bit_exact_with_offloaded(self, workers):
@@ -668,20 +619,17 @@ def _shm_plan(gates, n):
 
 class TestLoweredKernels:
     @pytest.mark.parametrize("name,factory", LARGE_CIRCUITS)
-    def test_compiled_bit_exact_with_interpreter_at_14_to_17_qubits(self, name, factory):
+    def test_compiled_bit_exact_with_offload_at_14_to_17_qubits(self, name, factory):
         circuit = factory()
         machine = MachineConfig.for_circuit(circuit.num_qubits)
         plan = _staged_plan(circuit, machine)
         init = StateVector.random_state(circuit.num_qubits, seed=2)
-        compiled, compiled_trace = execute_plan(plan, init, machine=machine)
-        interpreted, interp_trace = execute_plan(
-            plan, init, machine=machine, compiled=False
-        )
-        assert np.array_equal(compiled.data, interpreted.data)
+        compiled, trace = execute_plan(plan, init, machine=machine)
+        assert np.array_equal(compiled.data, _one_shard(plan, init).data)
         assert simulate_reference(circuit, init).allclose(compiled)
-        # Both paths executed the same lowered items: fewer ops than gates.
-        assert compiled_trace.num_gates == interp_trace.num_gates == len(circuit)
-        assert compiled_trace.num_ops == interp_trace.num_ops < len(circuit)
+        # The program executed the lowered items: fewer ops than gates.
+        assert trace.num_gates == len(circuit)
+        assert trace.num_ops < len(circuit)
 
     @pytest.mark.parametrize("name,factory", LARGE_CIRCUITS)
     def test_sharded_paths_bit_exact_at_14_to_17_qubits(self, name, factory):
@@ -695,22 +643,11 @@ class TestLoweredKernels:
             with ParallelRuntime(machine, num_workers=workers) as runtime:
                 parallel, _ = runtime.execute(plan)
             assert np.array_equal(offloaded.data, parallel.data), workers
-        # Compiled segments against the dynamic per-group path, shard by shard.
-        local = machine.local_qubits
-        rng = np.random.default_rng(1)
-        for stage in plan.stages:
-            l2p = stage.partition.logical_to_physical()
-            for kind, groups in split_stage_segments(stage, l2p, local):
-                assert kind == "shards"
-                ops = compile_segment_ops(groups, l2p, local)
-                assert len(ops) <= sum(len(gates) for gates, _ in groups)
-                for shard_index in (0, 5):
-                    shard = rng.normal(size=1 << local) + 1j * rng.normal(size=1 << local)
-                    a, b = shard.copy(), np.empty_like(shard)
-                    c, d = shard.copy(), np.empty_like(shard)
-                    a, b, i = run_segment_ops(a, b, ops, l2p, local, shard_index)
-                    c, d, j = run_groups_on_shard(c, d, groups, l2p, local, shard_index)
-                    assert i == j and np.array_equal(a, c)
+        # Compiled segments: the lowered items, fewer ops than gates.
+        for _l2p, segments in build_schedule(plan, machine.local_qubits).stages:
+            for segment in segments:
+                assert segment.kind == "shards"
+                assert len(segment.ops) <= sum(len(gates) for gates, _ in segment.payload)
 
     def test_degenerate_angles_rebuild_the_block_on_rebind(self):
         """rx(0) is the identity (a diagonal), ry(pi) a permutation: a
@@ -986,46 +923,17 @@ class TestMemoryControls:
         state_sized = [size for size, _slot in ws._tmps if size >= 1 << n]
         assert len(state_sized) <= 2 and len(ws._pairs) <= ws._MAX_PAIRS
 
-
-class TestBoundedKernelOpMemo:
-    """The one per-kernel op memo left is `kernel_op`'s, consulted by the
-    paths that run outside a compiled program: a compiled program, on
-    either body, never reaches it."""
-
-    def test_eviction_and_counters(self, monkeypatch):
-        compile_mod.clear_program_cache()
-        monkeypatch.setattr(compile_mod._KERNEL_OPS, "maxsize", 4)
-        before = kernel_op_stats()
-        layout = {q: q for q in range(6)}
-        # Distinct kernels from distinct angles: more than the bound, so
-        # the memo must evict instead of growing.
-        kernels = [tuple(random_circuit(6, 30, seed=seed).gates[:8]) for seed in range(8)]
-        ops = [kernel_op(gates, layout, 6, seed % 2 == 0) for seed, gates in enumerate(kernels)]
-        stats = kernel_op_stats()
-        assert stats["size"] == 4
-        assert stats["evictions"] - before["evictions"] == 4
-        assert stats["misses"] - before["misses"] == 8
-        # A kept kernel is the same op; an evicted one is built again.
-        assert kernel_op(kernels[-1], layout, 6, False) is ops[-1]
-        assert kernel_op(kernels[0], layout, 6, True) is not ops[0]
-        stats, before = kernel_op_stats(), stats
-        assert (stats["hits"] - before["hits"], stats["misses"] - before["misses"]) == (1, 1)
-        compile_mod.clear_program_cache()
-
-    def test_session_surfaces_the_memo_counters(self):
-        machine = _machine(8)
+    @pytest.mark.parametrize("backend", ["incore", "offload"])
+    def test_no_per_kernel_op_memo_is_left_to_count(self, backend):
+        """Every kernel op is a program's or a schedule's: the
+        ``fusion_cache_*`` fields stay in ``SessionStats`` and read 0."""
         sweep = [vqc(8, seed=s) for s in range(3)]
-        with Session(machine, backend="incore", planner=legacy_pipeline(kernelize_config=FAST_CONFIG)) as s:
+        with Session(_machine(8), backend=backend, planner="fast") as s:
             s.run(sweep)
-            ran = s.stats.as_dict()
-            kernel_op((make_gate("rx", [0], [0.1234567]), make_gate("cx", [0, 1])), {0: 0, 1: 1}, 2, True)
-            s.run(sweep[-1])  # a repeat: every op is kept, nothing asks the memo
             stats = s.stats.as_dict()
-        # Deltas since the session began, read at the end of each job;
-        # compiled programs never ask the memo, whichever body they bind.
-        assert (ran["fusion_cache_hits"], ran["fusion_cache_misses"]) == (0, 0)
-        assert (stats["fusion_cache_hits"], stats["fusion_cache_misses"]) == (0, 1)
-        assert "fusion_cache_evictions" in stats
+        assert {key: stats[key] for key in stats if key.startswith("fusion_cache_")} == {
+            "fusion_cache_hits": 0, "fusion_cache_misses": 0, "fusion_cache_evictions": 0,
+        }
 
 
 class TestWideGemmRouting:

@@ -20,8 +20,8 @@ from repro.core import (
 from repro.ilp import IlpModel, lin_sum, solve_with_branch_and_bound, solve_with_scipy
 from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
-from repro.runtime import QubitLayout, clear_program_cache, compile_plan, execute_plan, permute_state
-from repro.runtime.compile import kernel_op
+from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
+from repro.runtime.offload import compile_segment_ops
 from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered, kernel_template
@@ -174,11 +174,9 @@ class TestLoweringProperties:
         n, gates, l2p = case
         init = StateVector.random_state(n, seed=seed)
         with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
-            # The op is memoized without the path it was built on: build it
-            # fresh here, and leave it behind for no one.
-            clear_program_cache()
-            op = kernel_op(tuple(gates), l2p, n, False)
-            clear_program_cache()
+            # A run of gates over all n positions: the slot a full-state
+            # segment (or a compiled program's kernel) is built by.
+            ((_kind, op),) = compile_segment_ops([(list(gates), None)], l2p, n)
             items = lower_kernel_gates(gates, l2p)
             ws = Workspace()
             lowered, _ = op.run(init.data.copy(), np.empty_like(init.data), ws)
@@ -260,11 +258,11 @@ def _chunked_plan(n, gates, sets, chunks, kernelized):
 class TestRebindProperties:
     @given(rebind_cases(), st.integers(0, 999))
     @settings(**SETTINGS)
-    def test_rebind_equals_cold_compile_and_interpreter(self, case, seed):
+    def test_rebind_equals_cold_compile(self, case, seed):
         """Whatever the angles do to the structure, ``compile_plan(rebound,
         reuse=base)`` is ``compile_plan(rebound)``: op for op, bit for bit
-        single and batched, and bit for bit the interpreter — and it leaves
-        the base program computing what it computed."""
+        single and batched, and the reference's state — and it leaves the
+        base program computing what it computed."""
         n, gates, rebound_gates, sets, chunks, kernelized = case
         base_plan = _chunked_plan(n, gates, sets, chunks, kernelized)
         plan = _chunked_plan(n, rebound_gates, sets, chunks, kernelized)
@@ -285,8 +283,6 @@ class TestRebindProperties:
             # One op body: a stacked row is the flat run, bit for bit.
             for got, state in zip(cold.run_batched(states), states):
                 assert np.array_equal(got.data, cold.run(state).data)
-        interpreted, _ = execute_plan(plan, init, check_locality=False, compiled=False)
-        assert np.array_equal(interpreted.data, want)
         assert simulate_reference(Circuit(n, rebound_gates), init).allclose(
             StateVector(n, want)
         )

@@ -1,12 +1,13 @@
 """A shard schedule is a program (`runtime/offload.py::build_schedule`).
 
 The contract under test: a sharded plan lowers to a :class:`Schedule` whose
-shards-segments are bound through the plan compiler's slots; rebinding an
+segments are bound through the plan compiler's slots; rebinding an
 earlier schedule of the same structure (``reuse=``) equals a cold build —
 entry for entry, and bit for bit on the sequential executor and on the
 parallel one at every worker count; what does not fit the structure is
-built cold; the Session plan cache holds the schedule next to the in-core
-program and is the only thing that does.
+built cold; a lowering that fails raises and leaves nothing behind; the
+Session plan cache holds the schedule next to the in-core program and is
+the only thing that does.
 """
 
 import numpy as np
@@ -18,11 +19,12 @@ from repro import MachineConfig, Session
 from repro.circuits import Circuit, make_gate
 from repro.circuits.library import CIRCUIT_FAMILIES, vqc
 from repro.core import KernelizeConfig, partition
-from repro.errors import SessionClosedError
+from repro.errors import KernelError, TransientError
 from repro.runtime import ParallelRuntime, compile as compile_mod, execute_plan_offloaded
-from repro.runtime import offload as offload_mod, parallel as parallel_mod
+from repro.runtime import offload as offload_mod
 from repro.runtime.offload import Schedule, build_schedule
 from repro.session.backends import BACKENDS, ParallelBackend, register_backend
+from repro.session import session as session_mod
 from repro.session.cache import rebind_plan
 from repro.sim import StateVector, simulate_reference
 from repro.sim.program import CompiledProgram
@@ -38,7 +40,7 @@ def entries(schedule):
     entries."""
     return [
         (l2p, [
-            (seg.kind, seg.in_place, seg.load_from, seg.store_to, seg.ops if seg.ops is None else [
+            (seg.kind, seg.in_place, seg.load_from, seg.store_to, [
                 (kind, payload if kind == "dynamic"
                  else (payload.kind, payload.qubits, payload.gates))
                 for kind, payload in seg.ops
@@ -64,7 +66,7 @@ def assert_rebind_equals_cold(base_plan, plan, machine, seed):
         new.ops.structure is old.ops.structure
         for (_l2p, news), (_l2p_old, olds) in zip(warm.stages, base.stages)
         for new, old in zip(news, olds)
-        if new.kind == old.kind == "shards"
+        if new.kind == old.kind
     ]
     if warm.rebound:
         assert all(shared)
@@ -170,69 +172,31 @@ class TestScheduleRebindDifferential:
         assert [info.misses for info in after] == [info.misses for info in before]
         assert after[1].hits > before[1].hits
 
-    def test_a_degraded_segment_is_built_cold_by_the_next_build(self):
-        """``ops is None`` (a failed compile) is that schedule's: a rebind
-        from it compiles the segment again and is not a rebind."""
+    def test_a_failed_segment_compile_raises_and_leaves_nothing_behind(self):
+        """A segment that does not lower fails the build with its typed
+        error; the next build of the plan, or a rebind onto the last good
+        schedule, is a whole schedule again."""
         from repro.runtime import faults
         from repro.runtime.faults import FaultInjector
 
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
         plan, _ = partition(vqc(8, seed=0), machine)
-        injector = FaultInjector("compile:permanent:1")
-        faults.activate(injector)
-        try:
-            degraded = build_schedule(plan, machine.local_qubits)
-        finally:
-            faults.deactivate(injector)
-        assert degraded.fallbacks == 1
-        assert [seg.ops is None for _l2p, segs in degraded.stages for seg in segs].count(True) == 1
-        healed = build_schedule(plan, machine.local_qubits, reuse=degraded)
-        assert healed.fallbacks == 0 and not healed.rebound
-        assert entries(healed) == entries(build_schedule(plan, machine.local_qubits))
-        want, stats = execute_plan_offloaded(plan, machine, schedule=healed)
-        assert stats.fallbacks == 0
-        got, stats = execute_plan_offloaded(plan, machine, schedule=degraded)
-        assert stats.fallbacks == 1 and np.array_equal(got.data, want.data)
-
-    def test_run_batch_over_one_plan_builds_one_schedule(self, monkeypatch):
-        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
-        plan, _ = partition(vqc(8, seed=0), machine)
-        builds = []
-        real = parallel_mod.build_schedule
-        monkeypatch.setattr(
-            parallel_mod, "build_schedule",
-            lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs),
+        base = build_schedule(plan, machine.local_qubits)
+        for flavor, error in (("permanent", KernelError), ("transient", TransientError)):
+            injector = FaultInjector(f"compile:{flavor}:1")
+            faults.activate(injector)
+            try:
+                with pytest.raises(error):
+                    build_schedule(plan, machine.local_qubits, reuse=base)
+            finally:
+                faults.deactivate(injector)
+            assert injector.total_fired == 1
+        healed = build_schedule(plan, machine.local_qubits, reuse=base)
+        assert healed.rebound and entries(healed) == entries(base)
+        assert np.array_equal(
+            execute_plan_offloaded(plan, machine, schedule=healed)[0].data,
+            execute_plan_offloaded(plan, machine)[0].data,
         )
-        inits = [StateVector.random_state(8, seed=s) for s in range(3)]
-        with ParallelRuntime(machine, num_workers=2) as runtime:
-            outs = runtime.run_batch(plan, initial_states=inits)
-            assert len(builds) == 1
-            runtime.execute(plan)  # a direct caller that passes none: cold
-            assert len(builds) == 2
-            assert not any(isinstance(v, Schedule) for v in vars(runtime).values())
-        for init, (state, _stats) in zip(inits, outs):
-            assert np.array_equal(
-                state.data, execute_plan_offloaded(plan, machine, init)[0].data
-            )
-
-    def test_run_batch_checks_before_it_compiles(self, monkeypatch):
-        """A closed runtime, a plan the machine cannot hold and an empty
-        batch raise / return what ``execute`` would, without compile work
-        (which could consume a one-shot compile fault)."""
-        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
-        plan, _ = partition(vqc(8, seed=0), machine)
-        small = MachineConfig.for_circuit(4, num_shards=2, local_qubits=3)
-        monkeypatch.setattr(
-            parallel_mod, "build_schedule",
-            lambda *args, **kwargs: pytest.fail("compiled before the checks"),
-        )
-        with ParallelRuntime(machine, num_workers=2) as runtime:
-            assert runtime.run_batch(plan, initial_states=[]) == []
-        with pytest.raises(SessionClosedError):
-            runtime.run_batch(plan, initial_states=[None])
-        with ParallelRuntime(small, num_workers=2) as runtime:
-            with pytest.raises(ValueError):
-                runtime.run_batch(plan, initial_states=[None])
 
 
 SHARDED = ("offload", "parallel")
@@ -329,22 +293,44 @@ class TestSessionHoldsTheSchedule:
 
     @pytest.mark.parametrize("backend", SHARDED)
     def test_a_one_shot_compile_fault_never_pins_a_structure(self, machine, backend):
-        """The degraded segment is counted for the job that ran it; the
-        next job of the structure builds cold again (and is the one that
-        is cached), the one after rebinds."""
+        """The job whose schedule fails to lower raises, and caches
+        nothing: the next job of the structure builds cold (and is the one
+        that is cached), the one after rebinds."""
         sweep = [vqc(self.N, seed=s) for s in range(3)]
         with Session(
             machine, backend=backend, planner="fast", faults="compile:transient:1"
         ) as session:
+            with pytest.raises(TransientError):
+                session.run(sweep[0])
             results = [session.run(circuit).result() for circuit in sweep]
             stats = session.stats
-            assert (stats.schedule_cache_misses, stats.schedule_cache_hits) == (2, 1)
-            assert (stats.fallbacks, stats.faults_injected) == (1, 1)
-        assert [r.execution_stats.fallbacks for r in results] == [1, 0, 0]
-        assert [r.recovery for r in results] == [
-            {"fallbacks": 1, "faults_injected": 1}, None, None
-        ]
+            assert (stats.schedule_cache_misses, stats.schedule_cache_hits) == (1, 2)
+            assert (stats.fallbacks, stats.faults_injected) == (0, 1)
+        assert [r.recovery for r in results] == [None, None, None]
         for circuit, result in zip(sweep, results):
             assert np.array_equal(
                 result.state.data, self.cold_state(machine, backend, circuit)
+            )
+
+    @pytest.mark.parametrize("backend", SHARDED)
+    def test_a_fan_out_runs_one_schedule(self, machine, backend, monkeypatch):
+        """One circuit over many initial states builds one schedule, which
+        every item runs; the runtime keeps none of it."""
+        builds = []
+        real = session_mod.build_schedule
+        monkeypatch.setattr(
+            session_mod, "build_schedule",
+            lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs),
+        )
+        circuit = vqc(self.N, seed=0)
+        inits = [StateVector.random_state(self.N, seed=s) for s in range(3)]
+        with Session(machine, backend=backend, planner="fast") as session:
+            job = session.run(circuit, initial_states=inits)
+            assert len(builds) == 1 and session.stats.schedule_cache_misses == 1
+            plan = job[0].plan
+            for runtime in getattr(session.backend_instance(backend), "_runtimes", {}).values():
+                assert not any(isinstance(v, Schedule) for v in vars(runtime).values())
+        for init, result in zip(inits, job):
+            assert np.array_equal(
+                result.state.data, execute_plan_offloaded(plan, machine, init)[0].data
             )

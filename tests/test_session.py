@@ -553,15 +553,15 @@ def _counted(stats: dict) -> dict:
 #: ``program_ops_reused`` +2): the count changed, not the result — the state
 #: is still ``np.array_equal`` to the solo run's.
 #:
-#: The ``fusion_cache_*`` counts were re-pinned when the memo they count
-#: changed — from the fused-unitary memo of the fused-gemm fallback (read
-#: only where the native body is missing) to the kernel-op memo of the paths
-#: that run outside a compiled program (``repro.runtime.compile.kernel_op``)
-#: — the memo counted changed, not the result: every state is still
-#: ``np.array_equal`` to the solo run's.  Only the faulted offload walk
-#: reaches that memo (its degraded segments run the uncompiled shard pass;
-#: the in-core walk's compile fault is retried by the session, so its jobs
-#: still run programs), and it reads the same on either engine.
+#: The two faulted walks (``(..., True)``) were re-recorded when a failed
+#: lowering stopped degrading to an uncompiled path: a faulted step now
+#: raises its ``TransientError`` — counting what it acquired before the
+#: compile (a cache lookup, a plan built, a shared hit), storing nothing —
+#: and the walk runs the step again, clean, so every later number is the
+#: clean walk's plus the failed attempts.  No job runs outside a program or
+#: a schedule, so ``fallbacks`` counts only the cache evictions and
+#: ``fusion_cache_*`` read 0; every state is still ``np.array_equal`` to
+#: the solo run's.
 ACQUISITION_GOLDENS = {
     ('incore', False): {
         'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
@@ -609,43 +609,45 @@ ACQUISITION_GOLDENS = {
             shared_cache_misses=1),
     },
     ('incore', True): {
-        'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fallbacks=1, faults_injected=1, jobs=1,
-            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, shared_cache_misses=1),
-        'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=1,
-            cache_misses=1, circuits_run=2, execute_seconds=True, fallbacks=2,
-            faults_injected=1, jobs=2, plan_seconds=True,
+        'cold': dict(backend_runs={'incore': 1}, cache_misses=2, circuits_run=1,
+            execute_seconds=True, jobs=1, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=1, shared_cache_misses=1),
-        'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.3333333333333333,
-            cache_hits=1, cache_misses=2, circuits_run=3, execute_seconds=True,
-            fallbacks=2, jobs=3, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, shared_cache_misses=2),
-        'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.5,
-            cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
-            fallbacks=3, faults_injected=1, jobs=4,
+            plans_built=2, programs_compiled=1, shared_cache_misses=2),
+        'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=2,
+            cache_misses=2, circuits_run=2, execute_seconds=True, jobs=2,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, shared_cache_misses=2),
-        'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
-            execute_seconds=True, fallbacks=1, faults_injected=1,
-            jobs=1, shared_cache_hits=1),
-        'relabelled-shared-hit': dict(backend_runs={'incore': 2}, cache_misses=2,
-            circuits_run=2, execute_seconds=True, fallbacks=2, faults_injected=1,
-            jobs=2, shared_cache_hits=2),
+            'kernelize', 'stage'], plans_built=2, program_ops_rebound=7,
+            program_ops_reused=1, program_rebind_seconds=True, programs_compiled=1,
+            programs_rebound=1, shared_cache_misses=2),
+        'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=3,
+            cache_misses=3, circuits_run=4, execute_seconds=True, jobs=4,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=3, program_ops_rebound=7,
+            program_ops_reused=1, program_rebind_seconds=True, programs_compiled=1,
+            programs_rebound=1, shared_cache_misses=3),
+        'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.625,
+            cache_hits=5, cache_misses=3, circuits_run=5, execute_seconds=True, jobs=5,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=3, program_ops_rebound=7,
+            program_ops_reused=1, program_rebind_seconds=True, programs_compiled=2,
+            programs_rebound=1, shared_cache_misses=3),
+        'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=2, circuits_run=1,
+            execute_seconds=True, jobs=1, programs_compiled=1, shared_cache_hits=2),
+        'relabelled-shared-hit': dict(backend_runs={'incore': 2}, cache_misses=4,
+            circuits_run=2, execute_seconds=True, jobs=2, programs_compiled=2,
+            shared_cache_hits=4),
         'corrupt-local': dict(backend_runs={'incore': 4}, cache_corruptions=1,
-            cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
-            execute_seconds=True, fallbacks=5, faults_injected=1,
-            jobs=5, plan_seconds=True,
+            cache_hit_rate=0.5, cache_hits=5, cache_misses=5, circuits_run=6,
+            execute_seconds=True, fallbacks=1, jobs=6, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, shared_cache_hits=1, shared_cache_misses=2),
+            plans_built=3, program_ops_rebound=7, program_ops_reused=1,
+            program_rebind_seconds=True, programs_compiled=3, programs_rebound=1,
+            shared_cache_hits=2, shared_cache_misses=3),
         'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
-            cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
-            faults_injected=1, jobs=3,
+            cache_misses=6, circuits_run=3, execute_seconds=True, fallbacks=1, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, shared_cache_hits=2,
-            shared_cache_misses=1),
+            'kernelize', 'stage'], plans_built=2, programs_compiled=3,
+            shared_cache_hits=4, shared_cache_misses=2),
     },
     ('offload', False): {
         'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
@@ -692,50 +694,41 @@ ACQUISITION_GOLDENS = {
             shared_cache_misses=1),
     },
     ('offload', True): {
-        'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
-            circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_hits=3, fusion_cache_misses=1, jobs=1, plan_seconds=True,
+        'cold': dict(backend_runs={'offload': 1}, cache_misses=2, circuits_run=1,
+            execute_seconds=True, jobs=1, plan_seconds=True,
             planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=1, schedule_cache_misses=1, shared_cache_misses=1),
-        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
-            cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
-            fallbacks=2, faults_injected=1, fusion_cache_hits=6, fusion_cache_misses=2,
-            jobs=2, plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, schedule_cache_misses=2,
-            shared_cache_misses=1),
-        'plan-only': dict(backend_runs={'offload': 2},
-            cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
-            circuits_run=3, execute_seconds=True, fallbacks=2,
-            fusion_cache_hits=6, fusion_cache_misses=2, jobs=3, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, schedule_cache_misses=2, shared_cache_misses=2),
-        'local-hit-no-program': dict(backend_runs={'offload': 3},
-            cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
-            execute_seconds=True, fallbacks=3, faults_injected=1,
-            fusion_cache_hits=21, fusion_cache_misses=7, jobs=4, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, schedule_cache_misses=3, shared_cache_misses=2),
-        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
-            circuits_run=1, execute_seconds=True, fallbacks=1, faults_injected=1,
-            fusion_cache_hits=24, fusion_cache_misses=8, jobs=1,
-            schedule_cache_misses=1, shared_cache_hits=1),
-        'relabelled-shared-hit': dict(backend_runs={'offload': 2},
-            cache_misses=2, circuits_run=2, execute_seconds=True, fallbacks=2,
-            faults_injected=1, fusion_cache_hits=27, fusion_cache_misses=9, jobs=2,
-            schedule_cache_misses=2, shared_cache_hits=2),
-        'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
-            cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
-            execute_seconds=True, fallbacks=5, faults_injected=1,
-            fusion_cache_hits=30, fusion_cache_misses=10, jobs=5, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
-            plans_built=2, schedule_cache_misses=4, shared_cache_hits=1,
-            shared_cache_misses=2),
-        'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
-            cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=4,
-            faults_injected=1, fusion_cache_hits=50, fusion_cache_misses=10, jobs=3,
+            plans_built=2, schedule_cache_misses=1, shared_cache_misses=2),
+        'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=2,
+            cache_misses=2, circuits_run=2, execute_seconds=True, jobs=2,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, schedule_cache_misses=3,
-            shared_cache_hits=2, shared_cache_misses=1),
+            'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
+            schedule_cache_misses=1, shared_cache_misses=2),
+        'plan-only': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=3,
+            cache_misses=3, circuits_run=4, execute_seconds=True, jobs=4,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=3, schedule_cache_hits=1,
+            schedule_cache_misses=1, shared_cache_misses=3),
+        'local-hit-no-program': dict(backend_runs={'offload': 3}, cache_hit_rate=0.625,
+            cache_hits=5, cache_misses=3, circuits_run=5, execute_seconds=True, jobs=5,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=3, schedule_cache_hits=1,
+            schedule_cache_misses=2, shared_cache_misses=3),
+        'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=2, circuits_run=1,
+            execute_seconds=True, jobs=1, schedule_cache_misses=1, shared_cache_hits=2),
+        'relabelled-shared-hit': dict(backend_runs={'offload': 2}, cache_misses=4,
+            circuits_run=2, execute_seconds=True, jobs=2, schedule_cache_misses=2,
+            shared_cache_hits=4),
+        'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
+            cache_hit_rate=0.5, cache_hits=5, cache_misses=5, circuits_run=6,
+            execute_seconds=True, fallbacks=1, jobs=6, plan_seconds=True,
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            plans_built=3, schedule_cache_hits=1, schedule_cache_misses=3,
+            shared_cache_hits=2, shared_cache_misses=3),
+        'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
+            cache_misses=6, circuits_run=3, execute_seconds=True, fallbacks=1, jobs=3,
+            plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
+            'kernelize', 'stage'], plans_built=2, schedule_cache_misses=3,
+            shared_cache_hits=4, shared_cache_misses=2),
     },
 }
 
@@ -744,19 +737,18 @@ class TestPlanAcquisitionMatrix:
     """One scripted walk over every plan-acquisition path — cold build,
     local hit, local hit on an entry stored without a program, shared hit,
     relabelled shared hit, corrupt local entry, corrupt shared entry — per
-    backend, clean and with a ``compile`` fault armed on each step.  After
-    every step the acting session's full ``SessionStats.as_dict()`` must
-    equal the golden recorded at the commit before ``plan_for`` became one
-    flow (three copy-pasted branches then), and every state must be
-    bit-equal to a fresh single-session run of the same circuit.
+    backend, clean and with a ``compile`` fault armed on each step (the
+    step raises, then runs again clean).  After every step the acting
+    session's full ``SessionStats.as_dict()`` must equal the golden, and
+    every state must be bit-equal to a fresh single-session run of the
+    same circuit.
 
-    The two ``('offload', ...)`` goldens were re-recorded when the shard
-    schedule moved into the plan cache (the ``('incore', ...)`` ones are
-    the original recording): ``schedule_cache_hits`` / ``_misses`` now
-    count the offload backend's schedule acquisitions (a fault-degraded
-    schedule is never kept, so every step of the faulted walk is a miss).
-    Every other number, the fallback counts included, is what it was, but
-    ``fusion_cache_*`` (see :data:`ACQUISITION_GOLDENS`).
+    The clean in-core goldens are the recording at the commit before
+    ``plan_for`` became one flow (three copy-pasted branches then); the
+    clean offload ones were re-recorded when the shard schedule moved into
+    the plan cache (``schedule_cache_hits`` / ``_misses`` count the offload
+    backend's schedule acquisitions); the faulted ones when a failed
+    lowering became a raised error (see :data:`ACQUISITION_GOLDENS`).
     """
 
     N = 8
@@ -767,11 +759,14 @@ class TestPlanAcquisitionMatrix:
 
     def walk(self, machine, backend, inject):
         """Run the script; returns ``[(step, counted stats, circuit, state)]``."""
+        from contextlib import nullcontext
+
+        from repro.errors import TransientError
         from repro.runtime import clear_program_cache, faults
         from repro.runtime.faults import FaultInjector
         from repro.service import SharedPlanStore
 
-        # The program and kernel-op memos are process-wide.
+        # The program memo is process-wide.
         clear_program_cache()
         n = self.N
         reverse = {q: n - 1 - q for q in range(n)}
@@ -779,13 +774,19 @@ class TestPlanAcquisitionMatrix:
         trail = []
 
         def step(name, session, circuit, **run_kwargs):
-            injector = FaultInjector("compile:transient:1") if inject else None
-            if injector is not None:
+            executes = run_kwargs.get("execute", True)
+            if inject:
+                # A job that lowers anything raises its typed error; the
+                # session runs the step again, clean.
+                injector = FaultInjector("compile:transient:1")
                 faults.activate(injector)
-            try:
-                job = session.run(circuit, **run_kwargs)
-            finally:
-                faults.deactivate(injector)
+                try:
+                    with pytest.raises(TransientError) if executes else nullcontext():
+                        session.run(circuit, **run_kwargs)
+                finally:
+                    faults.deactivate(injector)
+                assert injector.total_fired == executes
+            job = session.run(circuit, **run_kwargs)
             state = None
             if run_kwargs.get("execute", True):
                 state = job.result().state.data.copy()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Fifteen rules, each enforcing an invariant the execution layer depends on
+Fourteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -83,12 +83,12 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     cycles (a ``while`` loop stepping through ``perm[...]``); and
     ``threading.local()`` appears once under ``sim/`` — the thread
     workspace is the only per-thread buffer set.  Any of these growing a
-    second site is the interpreter's own kernels, dispatch or scratch pool
-    coming back beside the templates.  A kernel reaches execution through
-    one template, ``kernel_template``: under ``sim/``, ``runtime/`` and
-    ``analysis/`` it is called from ``runtime/compile.py`` (the kernel
-    slot, which every executor's kernel op comes from — ``kernel_op`` for
-    the interpreter, a degraded shards-segment and a full-state segment)
+    second site is a second executor's own kernels, dispatch or scratch
+    pool coming back beside the templates.  A kernel reaches execution
+    through one template, ``kernel_template``: under ``sim/``, ``runtime/``
+    and ``analysis/`` it is called from ``runtime/compile.py`` (the kernel
+    slot, which every executor's kernel op comes from — a compiled
+    program's, or a shard schedule's segment, full-state ones included)
     and from ``sim/fusion.py::apply_gate_sequence`` (a gate list applied
     outside any plan) and nowhere else, and the native library's entry
     point ``sm_apply`` is named nowhere but inside it — a second caller of
@@ -97,11 +97,16 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     so under ``runtime/`` ``fused_unitary`` / ``kernel_fusion`` /
     ``fill_fused_unitary`` are called only inside
     ``runtime/compile.py::_FusedSlot``, and anywhere else is an executor
-    fusing a kernel by itself again.  The retired second op builder —
-    ``apply_lowered_items``, ``fused_unitary_cached``, ``fused_kernel_op``,
-    ``configure_fusion_cache``, ``fusion_cache_stats`` — is named nowhere
-    under ``src/``.  Checked across files, whenever the linted set contains
-    ``sim/apply.py`` (the fused-matrix site: ``runtime/compile.py``).
+    fusing a kernel by itself again.  The retired uncompiled paths — the
+    second op builder ``apply_lowered_items``, ``fused_unitary_cached``,
+    ``fused_kernel_op``, ``configure_fusion_cache``,
+    ``fusion_cache_stats``, and after it ``kernel_op``, ``kernel_op_stats``
+    and the degraded shard pass ``run_groups_on_shard`` — are named nowhere
+    under ``src/`` (as whole words), and ``execute_plan`` takes no
+    ``compiled`` parameter: a plan runs as a compiled program or a shard
+    schedule, and a failed lowering raises.  Checked across files, whenever
+    the linted set contains ``sim/apply.py`` (the fused-matrix site:
+    ``runtime/compile.py``).
 
 ``one-op-body``
     Under ``sim/`` an op has one body, ``run(states, scratch, ws)``,
@@ -141,13 +146,6 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     reappearing here is the second configuration surface, or the third
     planner-degradation hop, growing back.
 
-``interpreter-call-sites``
-    ``compiled=False`` — the per-gate interpreter — is passed only in
-    ``session/backends.py``, where it is the bit-exact degradation target
-    of a failed compiled program.  It stays the named oracle (tests and
-    benchmarks call it freely); any other caller under ``src/repro`` is a
-    second executor tier growing back.
-
 ``one-staging-bound``
     Nothing under ``src/`` names ``min_stages`` or ``lower_bound_start``:
     the stage count's lower bound is proven inside
@@ -183,13 +181,13 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
 ``one-layout-move``
     Under ``runtime/``, ``permute_state`` — a full-state sweep that moves
     the amplitudes into another qubit layout — is called only by the
-    interpreter (``runtime/executor.py``) and by the sharded stage driver
-    (``runtime/offload.py::run_stages``), whose permute is the fallback
-    for a stage boundary no shard load or store carries.  A call anywhere
-    else is a second stage-boundary sweep growing back beside the
-    in-pass moves; the driver losing its call means the fallback moved
-    without this rule following it.  Checked across files, whenever the
-    linted set contains ``runtime/offload.py``.
+    sharded stage driver (``runtime/offload.py::run_stages``), whose
+    permute is the fallback for a stage boundary no shard load or store
+    carries (a compiled program's boundaries are its precomputed layout
+    ops).  A call anywhere else is a second stage-boundary sweep growing
+    back beside the in-pass moves; the driver losing its call means the
+    fallback moved without this rule following it.  Checked across files,
+    whenever the linted set contains ``runtime/offload.py``.
 
 Usage::
 
@@ -207,6 +205,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -287,12 +286,17 @@ NATIVE_ENTRY = "sm_apply"
 FUSED_MATRIX_CALLS = {"fused_unitary", "kernel_fusion", "fill_fused_unitary"}
 FUSED_MATRIX_SCOPE = "runtime/"
 FUSED_MATRIX_HOME = ("runtime/compile.py", "_FusedSlot")
-#: The second kernel-op builder of the uncompiled paths and its memos'
-#: surface: named nowhere under ``src/``.
+#: The uncompiled paths — their kernel-op builders, memos' surface and
+#: degraded shard pass: named nowhere under ``src/`` (whole words).
 RETIRED_KERNEL_NAMES = (
     "apply_lowered_items", "fused_unitary_cached", "fused_kernel_op",
     "configure_fusion_cache", "fusion_cache_stats",
+    "kernel_op", "kernel_op_stats", "run_groups_on_shard",
 )
+RETIRED_KERNEL_WORDS = re.compile(r"\b(%s)\b" % "|".join(RETIRED_KERNEL_NAMES))
+#: The plan executor, and the parameter that selected a second tier.
+PLAN_EXECUTOR = "execute_plan"
+RETIRED_EXECUTOR_PARAM = "compiled"
 
 OP_BODY_SCOPE = "sim/"
 OP_BODY_TWIN = "run_batched"
@@ -309,8 +313,6 @@ NATIVE_ARTIFACT_SUFFIXES = ("*.so", "*.o")
 PLANNING_SURFACE_SCOPE = ("session/", "service/")
 PLANNING_SURFACE_NAME = "legacy_pipeline"
 PLANNING_SURFACE_KEYWORDS = {"stager", "kernelizer"}
-
-INTERPRETER_HOME = "session/backends.py"
 
 STAGING_BOUND_WORDS = ("min_stages", "lower_bound_start")
 STAGING_HOME = "core/stage.py"
@@ -333,10 +335,9 @@ BENCH_STAGE_LOOP_MARK = "permute_state"
 
 LAYOUT_MOVE_SCOPE = "runtime/"
 LAYOUT_MOVE_CALL = "permute_state"
-#: Where a full-state permute may run: anywhere in the interpreter (``""``),
-#: and in the sharded stage driver's fallback.
-LAYOUT_MOVE_SITES = {"runtime/executor.py": "", "runtime/offload.py": "run_stages"}
+#: Where a full-state permute may run: the sharded stage driver's fallback.
 LAYOUT_MOVE_DRIVER = "runtime/offload.py"
+LAYOUT_MOVE_SITE = "run_stages"
 
 
 class Finding:
@@ -586,6 +587,21 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             stack = stack + [node.name]
         where = _enclosing(stack)
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == PLAN_EXECUTOR
+            and any(
+                arg.arg == RETIRED_EXECUTOR_PARAM
+                for arg in node.args.args + node.args.kwonlyargs
+            )
+        ):
+            flag(
+                rel, node.lineno,
+                f"`{PLAN_EXECUTOR}` takes `{RETIRED_EXECUTOR_PARAM}`: a plan runs "
+                f"as its compiled program and nothing else — a failed lowering "
+                f"raises, it does not select a second executor tier",
+                f"{where}:{RETIRED_EXECUTOR_PARAM}",
+            )
         if isinstance(node, ast.Call):
             name = _call_name(node)
             if name in FUSED_MATRIX_CALLS and rel_src.startswith(FUSED_MATRIX_SCOPE):
@@ -618,7 +634,7 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                     rel, node.lineno,
                     f"`{KERNEL_TEMPLATE}` called in {where}: every executor's "
                     f"kernel op is built by the compiler's kernel slot "
-                    f"(runtime/compile.py, kernel_op outside a program); "
+                    f"(runtime/compile.py); "
                     f"sim/fusion.py::apply_gate_sequence is the one other caller",
                     f"{where}:{KERNEL_TEMPLATE}",
                 )
@@ -671,16 +687,16 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
         rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
         source = path.read_text()
         for lineno, line in enumerate(source.splitlines(), 1):
-            for name in RETIRED_KERNEL_NAMES:
-                if name in line:
-                    flag(
-                        rel, lineno,
-                        f"`{name}` under src/: the paths that run outside a "
-                        f"program take the compiler's op "
-                        f"(runtime/compile.py::kernel_op), whose memo is the one "
-                        f"per-kernel op memo left",
-                        name,
-                    )
+            for match in RETIRED_KERNEL_WORDS.finditer(line):
+                name = match.group(1)
+                flag(
+                    rel, lineno,
+                    f"`{name}` under src/: nothing runs outside a compiled "
+                    f"program or a shard schedule — every kernel op comes from "
+                    f"their slots, with no per-kernel op memo, and a failed "
+                    f"lowering raises",
+                    name,
+                )
         if not rel_src.startswith(KERNEL_SET_SCOPE):
             continue
         home_linted = home_linted or rel_src == KERNEL_SET_HOME
@@ -907,34 +923,6 @@ def check_one_planning_surface(files: list[Path]) -> list[Finding]:
     return findings
 
 
-def check_interpreter_call_sites(files: list[Path]) -> list[Finding]:
-    """The ``interpreter-call-sites`` rule over the linted *files*."""
-    findings = []
-    for path in files:
-        if _rel_src(path) == INTERPRETER_HOME or SRC not in path.parents:
-            continue
-        rel = path.relative_to(REPO).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if (
-                    kw.arg == "compiled"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is False
-                ):
-                    findings.append(
-                        Finding(
-                            rel, node.lineno, "interpreter-call-sites",
-                            f"`compiled=False` outside {INTERPRETER_HOME}: the "
-                            f"per-gate interpreter is the backends' degradation "
-                            f"target and the tests' oracle, not an executor tier",
-                            "compiled=False",
-                        )
-                    )
-    return findings
-
-
 def check_one_staging_bound(files: list[Path]) -> list[Finding]:
     """The ``one-staging-bound`` rule over the linted *files*."""
     findings = []
@@ -1112,9 +1100,8 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             stack = stack + [node.name]
         if isinstance(node, ast.Call) and _call_name(node) == LAYOUT_MOVE_CALL:
-            site = LAYOUT_MOVE_SITES.get(rel_src)
-            if site is not None and (not site or site in stack):
-                driver_calls = driver_calls or rel_src == LAYOUT_MOVE_DRIVER
+            if rel_src == LAYOUT_MOVE_DRIVER and LAYOUT_MOVE_SITE in stack:
+                driver_calls = True
             else:
                 where = _enclosing(stack)
                 findings.append(
@@ -1122,8 +1109,8 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
                         rel, node.lineno, "one-layout-move",
                         f"`{LAYOUT_MOVE_CALL}` called in {where}: a stage boundary "
                         f"is a shard load or store (runtime/offload.py::"
-                        f"build_schedule); the full-state permute is the "
-                        f"interpreter's and run_stages's fallback only",
+                        f"build_schedule); the full-state permute is "
+                        f"{LAYOUT_MOVE_SITE}'s fallback only",
                         f"{where}:{LAYOUT_MOVE_CALL}",
                     )
                 )
@@ -1143,10 +1130,10 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
         findings.append(
             Finding(
                 f"src/repro/{LAYOUT_MOVE_DRIVER}", 0, "one-layout-move",
-                f"no `{LAYOUT_MOVE_CALL}` in {LAYOUT_MOVE_DRIVER}::run_stages: the "
+                f"no `{LAYOUT_MOVE_CALL}` in {LAYOUT_MOVE_DRIVER}::{LAYOUT_MOVE_SITE}: the "
                 f"stage driver's permute fallback moved without this rule "
                 f"following it",
-                f"run_stages:{LAYOUT_MOVE_CALL}:missing",
+                f"{LAYOUT_MOVE_SITE}:{LAYOUT_MOVE_CALL}:missing",
             )
         )
     return findings
@@ -1294,7 +1281,6 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_op_body(files))
     findings.extend(check_one_native_loader(files))
     findings.extend(check_one_planning_surface(files))
-    findings.extend(check_interpreter_call_sites(files))
     findings.extend(check_one_staging_bound(files))
     findings.extend(check_kernelizer_oracle(files))
     findings.extend(check_bench_host_free())
