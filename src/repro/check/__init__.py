@@ -20,7 +20,7 @@ and into the ``"quality"`` planner preset via the ``verify`` pass; see
 ``docs/static-analysis.md``.
 """
 
-from .races import round_robin_assignment, shard_write_map, verify_schedule
+from .races import round_robin_assignment, verify_schedule
 from .report import CheckReport, Violation
 from .verify import expected_op_stream, verify_plan, verify_program
 
@@ -29,7 +29,6 @@ __all__ = [
     "Violation",
     "expected_op_stream",
     "round_robin_assignment",
-    "shard_write_map",
     "verify_plan",
     "verify_program",
     "verify_schedule",

@@ -18,11 +18,10 @@ them into the second array in the next layout
 
 :func:`verify_schedule` proves it statically over the
 :class:`~repro.runtime.offload.Schedule` the executors run — its stages,
-segments, store flags and recorded boundary moves, read as they are and
-not re-derived: it computes every shard's output index symbolically (from
-the executors' own non-local axis table and
-:func:`repro.runtime.offload.shard_out_index` — control gating and
-anti-diagonal flips — without touching any amplitude data), and checks (1)
+segments, store flags, recorded boundary moves and recorded write maps
+(the index every shard is stored at, which the executors read off the
+compiled segment: ``Segment.ops.write_map``), read as they are and not
+re-derived, without touching any amplitude data — and checks (1)
 the worker assignment covers every shard exactly once and stays in bounds,
 (2) the relabel map of every segment that stores out of place is a
 bijection, (3) segments flagged in place really have the identity map and
@@ -35,17 +34,16 @@ actually mixes amplitudes across shards.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .report import CheckReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..circuits.gates import Gate
     from ..cluster.machine import MachineConfig
     from ..core.plan import ExecutionPlan
     from ..runtime.offload import Schedule
 
-__all__ = ["round_robin_assignment", "shard_write_map", "verify_schedule"]
+__all__ = ["round_robin_assignment", "verify_schedule"]
 
 
 def round_robin_assignment(num_shards: int, num_workers: int) -> dict[int, list[int]]:
@@ -54,60 +52,6 @@ def round_robin_assignment(num_shards: int, num_workers: int) -> dict[int, list[
     :class:`repro.runtime.parallel.ParallelRuntime`)."""
     width = max(1, min(num_workers, num_shards))
     return {w: list(range(w, num_shards, width)) for w in range(width)}
-
-
-def shard_write_map(
-    gates: "Sequence[Gate]",
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-    num_shards: int,
-) -> tuple[list[int], list[str]]:
-    """The output index of every shard after applying *gates*, computed
-    symbolically.
-
-    Index for index what :func:`repro.runtime.offload._gate_on_shard`
-    returns, because both read one axis table
-    (:func:`~repro.runtime.offload.nonlocal_axes`) through one rule
-    (:func:`~repro.runtime.offload.shard_out_index`): a gate whose
-    non-local control bit is 0 on a shard leaves that shard's index
-    untouched; an anti-diagonal non-local axis flips the corresponding
-    index bit; the index threads through the gate sequence so later gates
-    read the relabelled bits.  The map is computed from the
-    segment's gates, not from the ops they lower to: the executors lower
-    only runs of gates on local positions
-    (:func:`repro.runtime.offload.compile_segment_ops`) — each run one
-    ``sm`` kernel op, in place over the union of its gates' physical
-    positions (a fusion kernel too, where the native body takes it), or
-    one fused op — so no op touches a shard-index bit, and
-    the gates that do are never folded nor reordered against each
-    other.  Returns ``(write_map, mixing)``
-    where ``mixing`` lists descriptions of gates that mix amplitudes along
-    a non-local axis (unresolvable per shard — a planner invariant
-    violation).
-    """
-    from ..runtime.offload import nonlocal_axes, shard_out_index
-
-    tables = [nonlocal_axes(gate, logical_to_physical, local_qubits) for gate in gates]
-    mixing: dict[str, str] = {}
-    for gate, axes in zip(gates, tables):
-        for q, _shift, kind in axes:
-            if kind == "mixing":
-                mixing.setdefault(
-                    f"{gate}",
-                    f"gate {gate} mixes amplitudes along non-local qubit {q}",
-                )
-    moving = [axes for axes in tables if axes]  # all-local gates move no shard
-    write_map: list[int] = []
-    for shard_index in range(num_shards):
-        index = shard_index
-        for axes in moving:
-            index = shard_out_index(axes, index)
-        write_map.append(index)
-    return write_map, list(mixing.values())
-
-
-def _segment_gates(groups: "list[tuple[list[Gate], str]]") -> "list[Gate]":
-    return [g for gates, _ktype in groups for g in gates]
 
 
 def _view_partition_defect(mapping: dict[int, int], n: int) -> Optional[str]:
@@ -242,6 +186,7 @@ def verify_schedule(
     corrupted redistribution).
     """
     from ..runtime.offload import build_schedule
+    from ..runtime.sharding import nonlocal_axes
 
     report = CheckReport(target="schedule")
     report.checks_run += [
@@ -263,12 +208,19 @@ def verify_schedule(
                 else round_robin_assignment(num_shards, num_workers)
             )
             _check_assignment(report, assignment, num_shards, stage_idx, segment_idx)
-            gates = _segment_gates(segment.payload)
-            write_map, mixing = shard_write_map(gates, l2p, local, num_shards)
-            for message in mixing:
+            write_map = segment.ops.write_map
+            mixing = {
+                f"{gate}": q
+                for gates, _ktype in segment.payload
+                for gate in gates
+                for q, _shift, kind in nonlocal_axes(gate, l2p, local)
+                if kind == "mixing"
+            }
+            for gate, q in mixing.items():
                 report.add(
                     "schedule.mixing",
-                    message + " — it cannot run in a shards-segment",
+                    f"gate {gate} mixes amplitudes along non-local qubit {q} — "
+                    f"it cannot run in a shards-segment",
                     site="schedule.mixing",
                     stage=stage_idx,
                     segment=segment_idx,

@@ -51,17 +51,21 @@ A rebind
 A shards-segment of the sharded executors' schedule is the same thing over
 ``2^L`` shard buffers: :class:`SegmentStructure` holds the slots of the
 segment's local work, built by the per-kernel builder the plan walk uses
-(:meth:`_Structure.add_kernel`), and
-:func:`repro.runtime.offload.compile_segment_ops` admits, binds or builds
-it through the same :func:`bind_structure`; a full-state segment is one
-over all ``n`` positions.  There is one way to build a kernel op, and a
-lowering that fails raises its typed error.
+(:meth:`_Structure.add_kernel`), and one slot per gate on a non-local
+qubit, which binds that gate's op for every assignment of the shard's
+fixed bits; :func:`repro.runtime.offload.compile_segment_ops` admits,
+binds or builds it through the same :func:`bind_structure` and records
+each shard's op stream and output index.  A full-state segment is one over
+all ``n`` positions.  There is one way to build an op a schedule runs, and
+a lowering that fails raises its typed error.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+
+import numpy as np
 
 from ..circuits.gates import Gate, matrix_signature
 from ..cluster.machine import MachineConfig
@@ -83,10 +87,11 @@ from ..sim.program import (
     OpTemplate,
     Workspace,
     compile_layout_op,
+    compile_phase_op,
     unitary_template,
 )
 from . import faults
-from .sharding import QubitLayout, permutation_axes
+from .sharding import QubitLayout, nonlocal_axes, permutation_axes, shard_out_index
 
 __all__ = [
     "ProgramStructure",
@@ -208,29 +213,117 @@ class _FusedSlot(_KernelSlot):
         return self.gemm.op(matrix, self.source, gates)
 
 
+def _transitions(gate: Gate, axes, variant: int) -> tuple | None:
+    """``(qubit, bit_in, bit_out)`` per non-local axis of *gate* on a shard
+    whose bit on ``axes[j]`` is bit ``j`` of *variant*: a control is kept
+    at 1 (``None`` when it is 0: no op), a diagonal qubit keeps its bit and
+    an anti-diagonal one flips it."""
+    fixed = []
+    for j, (q, _shift, kind) in enumerate(axes):
+        bit = (variant >> j) & 1
+        if kind == "control":
+            if not bit:
+                return None
+            fixed.append((q, 1, 1))
+        elif kind == "diagonal":
+            fixed.append((q, bit, bit))
+        elif kind == "antidiagonal":
+            fixed.append((q, bit, 1 - bit))
+        else:
+            raise PlanValidationError(
+                f"gate {gate} mixes amplitudes along non-local qubit {q}; "
+                f"it must be executed on the full state"
+            )
+    return tuple(fixed)
+
+
+def _reduce(matrix: np.ndarray, qubits, fixed) -> np.ndarray:
+    """*matrix* over *qubits* with each ``(qubit, bit_in, bit_out)`` of
+    *fixed* resolved: the block taking that qubit's *bit_in* to its
+    *bit_out*, over the remaining qubits in order.  Amplitude the block
+    drops would leak between shards; the axis kinds say there is none
+    above ``1e-12``."""
+    qubits = list(qubits)
+    for q, bit_in, bit_out in fixed:
+        pos = qubits.index(q)
+        del qubits[pos]
+        index = np.arange(len(matrix))
+        bits = (index >> pos) & 1
+        matrix = matrix[np.ix_(index[bits == bit_out], index[bits == bit_in])]
+    matrix = np.ascontiguousarray(matrix)
+    matrix.setflags(write=False)
+    return matrix
+
+
 class _DynamicSlot:
     """A gate of a shards-segment with a qubit at a non-local position.
-    Its reduction depends on the shard index, so nothing is lowered here:
-    the gate itself passes through to the shard pass, and it bounds the
-    runs of local gates around it."""
 
-    __slots__ = ("pool",)
+    A shard's index fixes the bits of those qubits — the gate's non-local
+    *axes* (:func:`~repro.runtime.sharding.nonlocal_axes`) — so the gate is
+    one op per assignment of them, a *variant* (bit ``j`` of variant ``v``
+    on ``axes[j]``): the gate's matrix with its non-local qubits resolved
+    (:func:`_transitions`, :func:`_reduce`) on its local positions, through
+    :func:`unitary_template` — or times the scalar left when no qubit is
+    local; a non-local control at 0 is no op (``None``).  The templates
+    are built here, once; a bind fills them.  The axis table is part of
+    the structure (:meth:`SegmentStructure.admit`): ``rx(pi)`` and
+    ``rx(1e-13)`` share an exact signature, but the first relabels shards
+    and the second does not.
+    """
 
-    def __init__(self, pool: int) -> None:
+    __slots__ = ("pool", "parameterized", "axes", "variants", "templates")
+
+    def __init__(self, pool: int, gate: Gate, l2p: dict[int, int], local: int) -> None:
         self.pool = pool
+        self.parameterized = bool(gate.params)
+        self.axes = nonlocal_axes(gate, l2p, local)
+        self.variants = tuple(
+            _transitions(gate, self.axes, v) for v in range(1 << len(self.axes))
+        )
+        physical = tuple(l2p[q] for q in gate.qubits if l2p[q] < local)
+        matrix = gate.matrix()
+        self.templates = tuple(
+            None if fixed is None or not physical
+            else unitary_template(_reduce(matrix, gate.qubits, fixed), physical, local)
+            for fixed in self.variants
+        )
 
-    def bind(self, pool, old) -> Gate:
-        return pool[0]
+    def variant(self, shard_index: int) -> int:
+        """The variant a shard at *shard_index* runs."""
+        return sum(
+            ((shard_index >> shift) & 1) << j for j, (_q, shift, _kind) in enumerate(self.axes)
+        )
+
+    def bind(self, pool, old) -> tuple[CompiledOp | None, ...]:
+        """The variant ops for the pool's one gate.  *old* is kept when its
+        gate compares equal — read off its last variant, every bit 1, which
+        always has an op."""
+        if old is not None and (not self.parameterized or old[-1].gates == pool):
+            return old
+        (gate,) = pool
+        matrix = gate.matrix()
+        ops: list[CompiledOp | None] = []
+        for fixed, template in zip(self.variants, self.templates):
+            if fixed is None:
+                ops.append(None)
+                continue
+            reduced = _reduce(matrix, gate.qubits, fixed)
+            ops.append(
+                compile_phase_op(reduced[0, 0], pool) if template is None
+                else template.op(reduced, None, pool)
+            )
+        return tuple(ops)
 
 
 class _Structure:
     """The angle-independent half of an op stream over ``2^n`` buffers.
 
     ``slots`` has one entry per op of the stream, in order: a finished
-    :class:`CompiledOp`, or a slot that binds an op from the gates of its
-    *pool* — the gate tuple of one kernel (or of one run of its gates), or
-    a lone gate.  ``keys`` records, per pool, each gate's name, qubits and
-    exact signature: what :meth:`matches` compares.
+    :class:`CompiledOp`, or a slot that binds an op (a dynamic slot: one
+    per variant) from the gates of its *pool* — the gate tuple of one
+    kernel (or of one run of its gates), or a lone gate.  ``keys`` records,
+    per pool, each gate's name, qubits and exact signature: what
+    :meth:`matches` compares.
     """
 
     def __init__(self, num_qubits: int) -> None:
@@ -407,24 +500,28 @@ class SegmentStructure(_Structure):
     (:func:`repro.runtime.offload.compile_segment_ops` does the cutting):
     ``("fused", gates)`` — a fusion kernel wholly on local positions —,
     ``("local", gates)`` — a run of local gates of any other kernel — and
-    ``("dynamic", (gate,))`` for a gate touching a non-local qubit.
+    ``("dynamic", (gate,))`` for a gate touching a non-local qubit (a
+    :class:`_DynamicSlot`).
     """
 
     def __init__(self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int) -> None:
         super().__init__(local)
         self.layout = l2p
         self.kinds = [kind for kind, _gates in pieces]
+        self.num_shards = 1 << (len(l2p) - local)
         for kind, gates in pieces:
             if kind == "dynamic":
-                self.slots.append(_DynamicSlot(self.open_pool(gates)))
+                self.slots.append(_DynamicSlot(self.open_pool(gates), gates[0], l2p, local))
             else:
                 self.add_kernel(gates, kind == "fused", l2p)
+        self.dynamic = [slot for slot in self.slots if isinstance(slot, _DynamicSlot)]
 
     def admit(
         self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int
     ) -> list[tuple[Gate, ...]] | None:
         """*pieces*' gate pools when the segment has this structure (shard
-        size, layout, the cut, and gate for gate :meth:`matches`)."""
+        size, layout, the cut, gate for gate :meth:`matches`, and each
+        dynamic gate's axis table)."""
         if (
             local != self.num_qubits
             or l2p != self.layout
@@ -432,7 +529,29 @@ class SegmentStructure(_Structure):
         ):
             return None
         pools = [gates for _kind, gates in pieces]
-        return pools if self.matches(pools) else None
+        if not self.matches(pools) or any(
+            nonlocal_axes(pools[slot.pool][0], l2p, local) != slot.axes for slot in self.dynamic
+        ):
+            return None
+        return pools
+
+    def shard_streams(self, ops: list) -> tuple[tuple[tuple[CompiledOp, ...], int], ...]:
+        """Per shard index, ``(the ops of *ops* — bound from this structure,
+        slot by slot — that run on the shard, the index it is stored at)``:
+        a dynamic slot runs the variant its gate reads off the index as it
+        stands, and the index threads on through
+        :func:`~repro.runtime.sharding.shard_out_index`."""
+        table = []
+        for shard_index in range(self.num_shards):
+            index, stream = shard_index, []
+            for slot, op in zip(self.slots, ops):
+                if isinstance(slot, _DynamicSlot):
+                    op = op[slot.variant(index)]
+                    index = shard_out_index(slot.axes, index)
+                if op is not None:
+                    stream.append(op)
+            table.append((tuple(stream), index))
+        return tuple(table)
 
 
 def bind_structure(reuse, admit, build) -> tuple[_Structure, list, int, bool]:

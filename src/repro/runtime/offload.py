@@ -11,8 +11,8 @@ cheaper than gate-at-a-time offloading (the QDAO comparison of Figure 7).
 This module provides that shard-by-shard execution path.  Gates whose
 non-insular qubits are local act entirely within a shard; insular non-local
 qubits are handled per shard from the shard's fixed high-order bits.  The
-classification is **per qubit axis** (matching :func:`_project_insular`),
-not per whole-gate matrix:
+classification is **per qubit axis**
+(:func:`repro.runtime.sharding.nonlocal_axes`), not per whole-gate matrix:
 
 * a *control* on a non-local qubit selects which shards the reduced gate is
   applied to,
@@ -26,6 +26,9 @@ not per whole-gate matrix:
 * only a qubit the gate genuinely *mixes* (e.g. an H the staging invariant
   would never place non-locally) forces the gate onto the full-state path,
   splitting the stage into extra shard passes.
+
+All of it is resolved when a segment is compiled: each shard index has a
+recorded op stream and output index, and a shard pass only replays them.
 
 The executor counts shard loads/stores so tests can verify the
 one-load-per-stage-per-shard property that the paper's speedup over QDAO
@@ -59,12 +62,11 @@ that fails to lower included — raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ..circuits.gates import GATE_SPECS, Gate, gate_matrix
+from ..circuits.gates import Gate
 from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
@@ -76,7 +78,7 @@ from ..errors import (
     RetryPolicy,
     TransientError,
 )
-from ..sim.apply import apply_gate_buffered, tracked_empty
+from ..sim.apply import tracked_empty
 from ..sim.program import thread_workspace
 from ..sim.statevector import StateVector
 from . import faults
@@ -91,6 +93,7 @@ from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
     in_pass_moves,
+    nonlocal_axes,
     permute_state,
     shard_slices,
     shard_views,
@@ -173,94 +176,8 @@ class OffloadStats:
 
 
 # ---------------------------------------------------------------------------
-# Per-qubit axis classification
+# Stage segmentation (shared with the parallel runtime)
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def _axis_kind(name: str, pattern: bytes, pos: int) -> str:
-    """How a *name* gate whose matrix has the ``> 1e-12`` *pattern*
-    (:meth:`Gate.pattern`; empty for a parameter-free gate, whose name fixes
-    its matrix) acts along the axis of its qubit ``pos``.
-
-    ``"control"``
-        A declared control qubit (never mixes, gates the gate on/off).
-    ``"diagonal"``
-        The matrix never changes this bit: every non-zero entry has equal
-        input and output bit.  True for globally diagonal gates, but also
-        e.g. for the control axis of an undeclared controlled structure.
-    ``"antidiagonal"``
-        The matrix always flips this bit (X/Y-like axis).
-    ``"mixing"``
-        Amplitude genuinely moves between the two bit values — the gate
-        cannot be resolved per shard along this axis.
-
-    Keyed by what it reads, not by the angle-bearing gate: a warm job of
-    new angles finds every kind here.
-    """
-    spec = GATE_SPECS[name]
-    if pos >= spec.num_qubits - spec.num_controls:
-        return "control"
-    dim = 1 << spec.num_qubits
-    if pattern:
-        nonzero = np.unpackbits(
-            np.frombuffer(pattern, dtype=np.uint8), count=dim * dim
-        ).reshape(dim, dim)
-    else:
-        nonzero = np.abs(gate_matrix(name)) > 1e-12
-    rows, cols = np.nonzero(nonzero)
-    row_bits = (rows >> pos) & 1
-    col_bits = (cols >> pos) & 1
-    if np.array_equal(row_bits, col_bits):
-        return "diagonal"
-    if np.all(row_bits != col_bits):
-        return "antidiagonal"
-    return "mixing"
-
-
-@lru_cache(maxsize=16384)
-def _axis_table(
-    name: str,
-    pattern: bytes,
-    qubits: tuple[int, ...],
-    physical: tuple[int, ...],
-    local_qubits: int,
-) -> tuple[tuple[int, int, str], ...]:
-    """``(qubit, shift, kind)`` for every qubit of a gate at a non-local
-    *physical* position ``p >= local_qubits``, in *qubits* order: bit
-    ``shift = p - local_qubits`` of a shard's index is the qubit's fixed
-    value on that shard, ``kind`` its :func:`_axis_kind`."""
-    return tuple(
-        (q, p - local_qubits, _axis_kind(name, pattern, pos))
-        for pos, (q, p) in enumerate(zip(qubits, physical))
-        if p >= local_qubits
-    )
-
-
-def nonlocal_axes(
-    gate: Gate, logical_to_physical: dict[int, int], local_qubits: int
-) -> tuple[tuple[int, int, str], ...]:
-    """The :func:`_axis_table` of *gate* under the layout
-    *logical_to_physical* — the one table the segmentation, the shard
-    executors and the race detector read."""
-    return _axis_table(
-        gate.name, gate.pattern()[0], gate.qubits,
-        tuple(logical_to_physical[q] for q in gate.qubits), local_qubits,
-    )
-
-
-def shard_out_index(axes: tuple[tuple[int, int, str], ...], shard_index: int) -> int:
-    """Where a gate with the non-local *axes* stores shard *shard_index*:
-    every anti-diagonal axis flips its index bit — unless a non-local
-    control bit is 0, which leaves the shard, and its index, untouched."""
-    out_index = shard_index
-    for _q, shift, kind in axes:
-        if kind == "control":
-            if not (shard_index >> shift) & 1:
-                return shard_index
-        elif kind == "antidiagonal":
-            out_index ^= 1 << shift
-    return out_index
 
 
 def _is_cross_shard(gate: Gate, logical_to_physical: dict[int, int], local_qubits: int) -> bool:
@@ -272,144 +189,13 @@ def _is_cross_shard(gate: Gate, logical_to_physical: dict[int, int], local_qubit
     for planner-produced plans.  Control, diagonal and anti-diagonal axes
     (checked **per qubit**, so e.g. a gate that is diagonal along one
     non-local qubit but not globally diagonal stays on the shard path) are
-    all handled within the shard pass by :func:`_gate_on_shard`.
+    all resolved per shard, by the gate's variants in the segment's
+    compiled stream (:func:`compile_segment_ops`).
     """
     return any(
         kind == "mixing"
         for _q, _shift, kind in nonlocal_axes(gate, logical_to_physical, local_qubits)
     )
-
-
-# ---------------------------------------------------------------------------
-# Gate reduction for fixed non-local bits
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _reduced_gate(
-    gate: Gate, fixed: tuple[tuple[int, int, int], ...]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduce *gate* by resolving the listed ``(qubit, bit_in, bit_out)``
-    assignments.
-
-    Control qubits are dropped (the caller only asks when the bit is 1);
-    insular diagonal qubits are projected onto their fixed bit
-    (``bit_out == bit_in``); anti-diagonal qubits are projected onto the
-    flipped transition (``bit_out == 1 - bit_in``).  Memoized so every
-    shard that resolves the same gate the same way shares one matrix object
-    (which also keeps the apply-engine's dispatch analysis warm).
-    """
-    matrix = gate.matrix()
-    qubits = list(gate.qubits)
-    control_set = set(gate.control_qubits)
-    for q, bit_in, bit_out in fixed:
-        if q in control_set:
-            matrix, qubits = _drop_control(matrix, qubits, q)
-        else:
-            matrix, qubits = _project_insular(matrix, qubits, q, bit_in, bit_out)
-    matrix = np.ascontiguousarray(matrix)
-    matrix.setflags(write=False)
-    return matrix, tuple(qubits)
-
-
-def _gate_on_shard(
-    shard: np.ndarray,
-    scratch: np.ndarray,
-    gate: Gate,
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-    shard_index: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Apply *gate* to one shard, resolving insular non-local qubits.
-
-    The shard contents ping-pong between the two buffers; returns
-    ``(shard, scratch, new_shard_index)``.  The buffers are unchanged when
-    a controlled gate whose non-local control bit is 0 leaves the shard
-    untouched; the index changes when an anti-diagonal non-local axis
-    relabels the shard (the caller must store the shard at the new index).
-    """
-    axes = nonlocal_axes(gate, logical_to_physical, local_qubits)
-    if not axes:
-        physical = [logical_to_physical[q] for q in gate.qubits]
-        data, scratch = apply_gate_buffered(shard, scratch, gate.matrix(), physical)
-        return data, scratch, shard_index
-
-    # Some qubits are non-local; resolve each axis from the shard's fixed
-    # high-order bits.
-    fixed: list[tuple[int, int, int]] = []
-    for q, shift, kind in axes:
-        bit = (shard_index >> shift) & 1
-        if kind == "control":
-            if bit == 0:
-                # Unsatisfied non-local control: the shard is untouched.
-                return shard, scratch, shard_index
-            fixed.append((q, 1, 1))
-        elif kind == "diagonal":
-            fixed.append((q, bit, bit))
-        elif kind == "antidiagonal":
-            fixed.append((q, bit, 1 - bit))
-        else:
-            raise PlanValidationError(
-                f"gate {gate} mixes amplitudes along non-local qubit {q}; "
-                f"it must be executed on the full state"
-            )
-    out_index = shard_out_index(axes, shard_index)
-    matrix, reduced_qubits = _reduced_gate(gate, tuple(fixed))
-    if not reduced_qubits:
-        # Pure phase on this shard (possibly plus a shard relabel).
-        shard *= matrix[0, 0]
-        return shard, scratch, out_index
-    reduced_physical = [logical_to_physical[q] for q in reduced_qubits]
-    if any(p >= local_qubits for p in reduced_physical):
-        raise PlanValidationError(
-            f"gate {gate} has a non-insular qubit mapped to a non-local position"
-        )
-    data, scratch = apply_gate_buffered(shard, scratch, matrix, reduced_physical)
-    return data, scratch, out_index
-
-
-def _drop_control(matrix: np.ndarray, qubits: list[int], control: int) -> tuple[np.ndarray, list[int]]:
-    """Remove a satisfied control qubit from a gate matrix."""
-    pos = qubits.index(control)
-    k = len(qubits)
-    dim = 1 << k
-    keep = [i for i in range(dim) if (i >> pos) & 1]
-    reduced = matrix[np.ix_(keep, keep)]
-    new_qubits = [q for q in qubits if q != control]
-    return np.ascontiguousarray(reduced), new_qubits
-
-
-def _project_insular(
-    matrix: np.ndarray, qubits: list[int], qubit: int, bit_in: int, bit_out: int
-) -> tuple[np.ndarray, list[int]]:
-    """Project an insular qubit onto the fixed ``bit_in -> bit_out`` transition.
-
-    For a diagonal axis ``bit_out == bit_in`` and projection keeps the
-    ``bit -> bit`` block; for an anti-diagonal axis ``bit_out == 1 -
-    bit_in`` and projection keeps the flip block.  Amplitude leaving the
-    projected transition would leak between shards, so the projection is
-    verified to be exact (for a unitary matrix the one-sided check
-    suffices).
-    """
-    pos = qubits.index(qubit)
-    k = len(qubits)
-    dim = 1 << k
-    rows_in = [i for i in range(dim) if ((i >> pos) & 1) == bit_in]
-    rows_out = [i for i in range(dim) if ((i >> pos) & 1) == bit_out]
-    block = matrix[np.ix_(rows_out, rows_in)]
-    other = [i for i in range(dim) if ((i >> pos) & 1) != bit_out]
-    if other and np.max(np.abs(matrix[np.ix_(other, rows_in)])) > 1e-12:
-        raise PlanValidationError(
-            f"gate matrix mixes amplitudes along qubit {qubit}; it cannot be "
-            f"resolved per shard"
-        )
-    new_qubits = [q for q in qubits if q != qubit]
-    return np.ascontiguousarray(block), new_qubits
-
-
-# ---------------------------------------------------------------------------
-# Stage segmentation (shared with the parallel runtime)
-# ---------------------------------------------------------------------------
 
 
 def stage_gate_groups(stage) -> list[tuple[list[Gate], object]]:
@@ -461,22 +247,6 @@ def split_stage_segments(
     return segments
 
 
-def segment_relabels_shards(
-    groups: list[tuple[list[Gate], object]],
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-) -> bool:
-    """True when any gate of a shards-segment relabels shard indices — has
-    an anti-diagonal axis on a non-local qubit — so stores must target a
-    second DRAM array rather than update in place."""
-    return any(
-        kind == "antidiagonal"
-        for gates, _ in groups
-        for gate in gates
-        for _q, _shift, kind in nonlocal_axes(gate, logical_to_physical, local_qubits)
-    )
-
-
 def group_uses_fusion(
     gates: list[Gate],
     ktype,
@@ -498,7 +268,7 @@ def _local_runs(
     """Split a kernel group's gates, in order, into ``("local", gates)`` —
     maximal runs acting on local physical positions only — and
     ``("dynamic", gate)`` for each gate touching a non-local qubit (its
-    reduction depends on the shard index, see :func:`_gate_on_shard`)."""
+    reduction depends on the shard index: one op per variant)."""
     run: list[Gate] = []
     for gate in gates:
         if all(logical_to_physical[q] < local_qubits for q in gate.qubits):
@@ -513,11 +283,19 @@ def _local_runs(
 
 
 class SegmentOps(list):
-    """A shards-segment's bound per-shard stream — ``("local", op)`` /
-    ``("dynamic", gate)`` entries for :func:`run_segment_ops` — with the
-    structure it was bound from, which the next job's rebind fills again."""
+    """A shards-segment's bound stream — one entry per piece: ``("local",
+    op)``, or ``("dynamic", variant ops)`` for a gate on a non-local qubit
+    (``None`` where a variant is no op) — with the structure it was bound
+    from, which the next job's rebind fills again, and ``shards``: per
+    shard index the ops that run on that shard and the index it is stored
+    at, which :func:`run_segment_ops` reads."""
 
-    __slots__ = ("structure",)
+    __slots__ = ("structure", "shards")
+
+    @property
+    def write_map(self) -> list[int]:
+        """The index each shard is stored at, by shard index."""
+        return [out_index for _stream, out_index in self.shards]
 
 
 def compile_segment_ops(
@@ -531,13 +309,14 @@ def compile_segment_ops(
     The segment is cut at the shard boundary — a fusion kernel wholly on
     local positions, runs of local gates of the other kernels, and the
     gates touching a non-local qubit between them — and compiled like a
-    plan over ``2^L`` buffers: the local pieces lower **once** to
+    plan over ``2^L`` buffers: every piece lowers **once** to
     :class:`~repro.sim.program.CompiledOp` closures through the slots of a
-    :class:`~repro.runtime.compile.SegmentStructure`, so every shard of
-    every execution replays a pre-resolved stream; the gates touching
-    non-local qubits keep the dynamic per-shard path (their reduction
-    depends on the shard index) and bound the runs.  *reuse* — this segment
-    of an earlier job of the same structure — is admitted and bound as
+    :class:`~repro.runtime.compile.SegmentStructure` — a gate touching
+    non-local qubits to one op per assignment of the shard's fixed bits
+    on them — and the shard index is threaded through those gates here,
+    so every shard of every execution replays a pre-resolved stream and
+    is stored at a recorded index.  *reuse* — this segment of an earlier
+    job of the same structure — is admitted and bound as
     ``compile_plan(reuse=)`` binds a program: ops whose gates compare equal
     are taken verbatim, the rest refilled, a segment that does not have the
     structure built cold.  A full-state segment's gate is the same call
@@ -560,43 +339,41 @@ def compile_segment_ops(
         ),
     )
     ops = SegmentOps(
-        ("dynamic" if isinstance(op, Gate) else "local", op) for op in bound
+        ("dynamic" if kind == "dynamic" else "local", op)
+        for kind, op in zip(structure.kinds, bound)
     )
     ops.structure = structure
+    ops.shards = structure.shard_streams(bound)
     return ops
 
 
 def run_segment_ops(
     data: np.ndarray,
     scratch: np.ndarray,
-    ops: list[tuple[str, object]],
+    ops: SegmentOps,
     logical_to_physical: dict[int, int],
     local_qubits: int,
     shard_index: int,
     workspace=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Apply a compiled shards-segment (:func:`compile_segment_ops`) to one
-    loaded shard.
+    loaded shard: the op stream recorded for *shard_index*, as a compiled
+    program runs its ops (the layout arguments are the recorded stream's,
+    resolved when it was compiled).
 
-    Returns the final ``(data, scratch, shard_index)`` — the index may
-    differ from the input when anti-diagonal non-local axes relabelled the
-    shard; the caller stores the shard at the returned index.  Compiled
-    local ops make the hot loop a tight pre-resolved dispatch.  *workspace*
-    defaults to the calling thread's private buffer set, keeping concurrent
-    shard workers race-free.
+    Returns the final ``(data, scratch, out_index)``: the caller stores
+    the shard at the recorded *out_index*, which differs from
+    *shard_index* when anti-diagonal non-local axes relabel the shard.
+    *workspace* defaults to the calling thread's private buffer set,
+    keeping concurrent shard workers race-free.
     """
     if workspace is None:
         workspace = thread_workspace()
     faults.check("kernel_apply", shard=shard_index)
-    index = shard_index
-    for kind, payload in ops:
-        if kind == "local":
-            data, scratch = payload.run(data, scratch, workspace)
-        else:
-            data, scratch, index = _gate_on_shard(
-                data, scratch, payload, logical_to_physical, local_qubits, index
-            )
-    return data, scratch, index
+    stream, out_index = ops.shards[shard_index]
+    for op in stream:
+        data, scratch = op.run(data, scratch, workspace)
+    return data, scratch, out_index
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +392,9 @@ class Segment(NamedTuple):
     array still in that earlier layout — or *store_to* — its stores scatter
     into the second array in that next layout.  *in_place* says its
     stores update the slices it loaded; it is false when the segment
-    relabels shards (:func:`segment_relabels_shards`) or carries a
-    boundary, and its stores then fill the second DRAM array."""
+    relabels shards (its recorded ``ops.write_map`` is not the identity)
+    or carries a boundary, and its stores then fill the second DRAM
+    array."""
 
     kind: str
     payload: object
@@ -679,11 +457,10 @@ def build_schedule(
             old = held[index].ops if index < len(held) else None
             if kind == "full":
                 ops = compile_segment_ops([([payload], None)], logical_to_physical, n, old)
-                in_place = True
             else:
                 ops = compile_segment_ops(payload, logical_to_physical, local_qubits, old)
-                in_place = not segment_relabels_shards(payload, logical_to_physical, local_qubits)
             rebound = rebound and old is not None and ops.structure is old.structure
+            in_place = ops.write_map == list(range(len(ops.shards)))
             segments.append(Segment(kind, payload, ops, in_place))
         stages.append((logical_to_physical, segments))
     identity = {q: q for q in range(n)}

@@ -36,8 +36,7 @@ The NumPy/BLAS kernels of :mod:`repro.sim.apply` release the GIL for the
 bulk of their work and keep their temporaries in thread-local scratch
 pools, so workers genuinely overlap on multi-core hosts.  (On a host with
 fewer cores than workers the schedule still pipelines correctly but cannot
-yield wall-clock speedup; the benchmark records ``cpu_count`` next to its
-timings for this reason.)
+yield wall-clock speedup.)
 
 One runtime executes many plans back to back — the "heavy traffic"
 scenario, a Session's batch — reusing the worker pool, the per-worker

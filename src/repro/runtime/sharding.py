@@ -17,20 +17,29 @@ transpose, fixed at one shard index, is a strided :func:`shard_views` view
 of the un-permuted array, so a stage boundary becomes the next pass's loads
 (gather-in) or the previous pass's stores (scatter-out), as
 :func:`in_pass_moves` decides.
+
+A gate with a qubit at a non-local position acts on a shard whose index
+fixes that qubit's bit: :func:`nonlocal_axes` says how, axis by axis, and
+:func:`shard_out_index` where the shard goes.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from ..circuits.gates import GATE_SPECS, Gate, gate_matrix
 from ..core.plan import QubitPartition
 from ..errors import PlanValidationError, StateValidationError
 
 __all__ = [
     "QubitLayout",
     "in_pass_moves",
+    "nonlocal_axes",
     "permutation_axes",
     "permute_state",
+    "shard_out_index",
     "shard_slices",
     "shard_views",
     "zero_state_shards",
@@ -250,3 +259,89 @@ def in_pass_moves(
     if all(old[new_at[p]] < local_qubits for p in low):
         moves += ("scatter",)
     return moves
+
+
+@lru_cache(maxsize=1024)
+def _axis_kind(name: str, pattern: bytes, pos: int) -> str:
+    """How a *name* gate whose matrix has the ``> 1e-12`` *pattern*
+    (:meth:`Gate.pattern`; empty for a parameter-free gate, whose name fixes
+    its matrix) acts along the axis of its qubit ``pos``.
+
+    ``"control"``
+        A declared control qubit (never mixes, gates the gate on/off).
+    ``"diagonal"``
+        The matrix never changes this bit: every non-zero entry has equal
+        input and output bit.  True for globally diagonal gates, but also
+        e.g. for the control axis of an undeclared controlled structure.
+    ``"antidiagonal"``
+        The matrix always flips this bit (X/Y-like axis).
+    ``"mixing"``
+        Amplitude genuinely moves between the two bit values — the gate
+        cannot be resolved per shard along this axis.
+
+    Keyed by what it reads, not by the angle-bearing gate: a warm job of
+    new angles finds every kind here.
+    """
+    spec = GATE_SPECS[name]
+    if pos >= spec.num_qubits - spec.num_controls:
+        return "control"
+    dim = 1 << spec.num_qubits
+    if pattern:
+        nonzero = np.unpackbits(
+            np.frombuffer(pattern, dtype=np.uint8), count=dim * dim
+        ).reshape(dim, dim)
+    else:
+        nonzero = np.abs(gate_matrix(name)) > 1e-12
+    rows, cols = np.nonzero(nonzero)
+    row_bits = (rows >> pos) & 1
+    col_bits = (cols >> pos) & 1
+    if np.array_equal(row_bits, col_bits):
+        return "diagonal"
+    if np.all(row_bits != col_bits):
+        return "antidiagonal"
+    return "mixing"
+
+
+@lru_cache(maxsize=16384)
+def _axis_table(
+    name: str,
+    pattern: bytes,
+    qubits: tuple[int, ...],
+    physical: tuple[int, ...],
+    local_qubits: int,
+) -> tuple[tuple[int, int, str], ...]:
+    """``(qubit, shift, kind)`` for every qubit of a gate at a non-local
+    *physical* position ``p >= local_qubits``, in *qubits* order: bit
+    ``shift = p - local_qubits`` of a shard's index is the qubit's fixed
+    value on that shard, ``kind`` its :func:`_axis_kind`."""
+    return tuple(
+        (q, p - local_qubits, _axis_kind(name, pattern, pos))
+        for pos, (q, p) in enumerate(zip(qubits, physical))
+        if p >= local_qubits
+    )
+
+
+def nonlocal_axes(
+    gate: Gate, logical_to_physical: dict[int, int], local_qubits: int
+) -> tuple[tuple[int, int, str], ...]:
+    """The :func:`_axis_table` of *gate* under the layout
+    *logical_to_physical* — the one table the segmentation, the segment
+    compiler and the race detector read."""
+    return _axis_table(
+        gate.name, gate.pattern()[0], gate.qubits,
+        tuple(logical_to_physical[q] for q in gate.qubits), local_qubits,
+    )
+
+
+def shard_out_index(axes: tuple[tuple[int, int, str], ...], shard_index: int) -> int:
+    """Where a gate with the non-local *axes* stores shard *shard_index*:
+    every anti-diagonal axis flips its index bit — unless a non-local
+    control bit is 0, which leaves the shard, and its index, untouched."""
+    out_index = shard_index
+    for _q, shift, kind in axes:
+        if kind == "control":
+            if not (shard_index >> shift) & 1:
+                return shard_index
+        elif kind == "antidiagonal":
+            out_index ^= 1 << shift
+    return out_index

@@ -50,9 +50,10 @@ segments and fused-matrix fills bind these templates ahead of time.
 **Entry points.**  :func:`apply_gate_buffered`, :func:`apply_matrix` and
 :func:`apply_diagonal` are the same templates bound on first sight of a
 payload object and memoized by its identity, run on the calling thread's
-workspace.  They are what the dynamic per-shard gates and
-:class:`~repro.sim.statevector.StateVector` call; a kernel, on every
-executor, is the plan compiler's op.  The kernels' numerics are
+workspace.  They are what :class:`~repro.sim.statevector.StateVector`
+calls; no runtime does: every op an executor runs — a kernel, or a shard's
+variant of a gate on non-local qubits — is the plan compiler's, bound with
+its program or shard schedule.  The kernels' numerics are
 pinned by two implementations that share nothing with the templates:
 :func:`apply_matrix_reference` (the seed tensordot contraction) and
 ``benchmarks/perf/oracle.py``.
@@ -1712,16 +1713,17 @@ def apply_matrix_reference(
 
 #: The bound ops of the entry points: ``(id(matrix), qubits, n)`` →
 #: ``(matrix, inplace, run)`` and ``(id(phases), id(perm), qubits, n)`` →
-#: ``(phases, perm, uses_scratch, run)``.  For callers that apply the same
-#: payload *object* again and again — the dynamic shard gates and
+#: ``(phases, perm, uses_scratch, run)``.  For callers outside any plan
+#: that apply the same payload *object* again and again —
 #: :class:`~repro.sim.statevector.StateVector`, whose gate matrices are
-#: cached instances.  The payload is kept referenced so its id stays valid, and an
-#: entry counts only while it is that object; a validated hit needs no
-#: re-validation (the checks depend on the key alone).  Compiled programs
-#: never come here: a template's ``bind`` fills without memoizing, because a
-#: sweep's payloads never recur — their entries could only pin dead
-#: operands and, at the bound, wipe the entries that do recur.  Shared
-#: across threads: entries are immutable and dict get/set are atomic.
+#: cached instances.  The payload is kept referenced so its id stays valid,
+#: and an entry counts only while it is that object; a validated hit needs
+#: no re-validation (the checks depend on the key alone).  Executors never
+#: come here: compiled programs and shard schedules bind their templates
+#: ahead of time, without memoizing, because a sweep's payloads never
+#: recur — their entries could only pin dead operands and, at the bound,
+#: wipe the entries that do recur.  Shared across threads: entries are
+#: immutable and dict get/set are atomic.
 _BOUND_OPS: dict[tuple, tuple] = {}
 _BOUND_OPS_MAX = 4096
 

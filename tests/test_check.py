@@ -27,12 +27,11 @@ from repro.check import (
     Violation,
     expected_op_stream,
     round_robin_assignment,
-    shard_write_map,
     verify_plan,
     verify_program,
     verify_schedule,
 )
-from repro.circuits import make_gate
+from repro.circuits import Circuit, make_gate
 from repro.circuits.library import CIRCUIT_FAMILIES, get_circuit, qft
 from repro.cluster import MachineConfig
 from repro.core import partition
@@ -40,7 +39,7 @@ from repro.core.plan import QubitPartition
 from repro.errors import PlanValidationError, StaticCheckError
 from repro.planner import build_plan
 from repro.runtime import compile_plan, execute_plan_offloaded
-from repro.runtime.offload import _gate_on_shard, build_schedule
+from repro.runtime.offload import build_schedule, compile_segment_ops, run_segment_ops
 from repro.session import Session
 from repro.sim import StateVector, simulate_reference
 
@@ -192,7 +191,6 @@ def block_program():
     """A program with folded shared-memory blocks around dense gates: two
     stages of cx·rz·cx sandwiches (each composes to one diagonal block)
     separated by an ``h`` on a shared qubit."""
-    from repro.circuits import Circuit
     from repro.core.kernel import Kernel, KernelSequence, KernelType
     from repro.core.plan import ExecutionPlan, Stage
 
@@ -280,7 +278,47 @@ def mutate_scatter_not_bijective(schedule):
     )
 
 
+def shards_segment(schedule, in_place=None):
+    """``(layout, segments, index)`` of the first shards-segment (whose
+    store flag is *in_place*, when given)."""
+    for l2p, segments in schedule.stages:
+        for index, segment in enumerate(segments):
+            if segment.kind == "shards" and in_place in (None, segment.in_place):
+                return l2p, segments, index
+    raise AssertionError("no such shards-segment")
+
+
+def mutate_write_map_in_place(schedule):
+    """An in-place segment's recorded write map swaps shards 0 and 1: each
+    store overwrites the slice the other shard still loads."""
+    _l2p, segments, index = shards_segment(schedule, in_place=True)
+    ops = segments[index].ops
+    swapped = [1, 0, *range(2, len(ops.shards))]
+    ops.shards = tuple((stream, out) for (stream, _out), out in zip(ops.shards, swapped))
+
+
+def mutate_write_map_not_bijective(schedule):
+    """A segment that stores out of place records every shard at slice 0."""
+    _l2p, segments, index = shards_segment(schedule)
+    segments[index] = segments[index]._replace(in_place=False)
+    ops = segments[index].ops
+    ops.shards = tuple((stream, 0) for stream, _out in ops.shards)
+
+
+def mutate_mixing_gate(schedule):
+    """An H on a non-local qubit planted in a shards-segment."""
+    l2p, segments, index = shards_segment(schedule)
+    far = next(q for q, p in l2p.items() if p >= LOCAL)
+    segment = segments[index]
+    segments[index] = segment._replace(
+        payload=segment.payload + [([make_gate("h", [far])], None)]
+    )
+
+
 SCHEDULE_MUTATIONS = [
+    ("write-map-in-place", mutate_write_map_in_place, "schedule.relabel-flag"),
+    ("write-map-not-bijective", mutate_write_map_not_bijective, "schedule.relabel-bijection"),
+    ("mixing-gate", mutate_mixing_gate, "schedule.mixing"),
     (
         "shared-shard",
         assign({0: [0, 1, 2], 1: [2, 3]}),
@@ -444,6 +482,18 @@ class TestMisexecutionDemos:
         assert stats.layout_in_pass == 1
         assert not simulate_reference(qft(N), init).allclose(got)
 
+    def test_write_map_flagged_in_place_misexecutes(self):
+        """The executors store at the recorded map: with shards 0 and 1
+        swapped in place, shard 0's store lands on the slice shard 1 has not
+        loaded yet."""
+        plan, machine = fresh_plan()
+        init = StateVector.random_state(N, seed=5)
+        schedule = build_schedule(plan, LOCAL)
+        mutate_write_map_in_place(schedule)
+        assert not verify_schedule(plan, machine, schedule=schedule).ok
+        got, _stats = execute_plan_offloaded(plan, machine, init, schedule=schedule)
+        assert not simulate_reference(qft(N), init).allclose(got)
+
 
 # ---------------------------------------------------------------------------
 # Clean sweep: every library circuit x preset verifies clean end to end.
@@ -475,48 +525,55 @@ class TestCleanSweep:
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: the race detector's symbolic index arithmetic must
-# agree with the executor's real index arithmetic, shard for shard.
+# Differential tests: the write map the race detector reads is the one the
+# executors store at, and it is where the reference puts each shard.
 # ---------------------------------------------------------------------------
+
+IDENTITY = {q: q for q in range(N)}
 
 
 class TestWriteMapDifferential:
     @pytest.mark.parametrize(
-        "gate",
+        "gates",
         [
-            make_gate("x", [N - 1]),
-            make_gate("z", [N - 1]),
-            make_gate("cx", [0, N - 1]),
-            make_gate("cz", [N - 2, N - 1]),
-            make_gate("cp", [N - 1, 1], [0.3]),
+            [make_gate("x", [N - 1])],
+            [make_gate("z", [N - 1])],
+            [make_gate("cx", [0, N - 1])],
+            [make_gate("cz", [N - 2, N - 1])],
+            [make_gate("cp", [N - 1, 1], [0.3])],
+            [make_gate("x", [N - 1]), make_gate("cx", [0, N - 1])],
         ],
-        ids=["x", "z", "cx-nonlocal-control", "cz", "cp"],
+        ids=["x", "z", "cx-nonlocal-control", "cz", "cp", "x-then-its-control"],
     )
-    def test_write_map_matches_gate_on_shard(self, gate):
-        l2p = {q: q for q in range(N)}
-        write_map, mixing = shard_write_map([gate], l2p, LOCAL, NUM_SHARDS)
-        assert not mixing
-        shard = np.zeros(1 << LOCAL, dtype=np.complex128)
-        scratch = np.zeros_like(shard)
-        for shard_index in range(NUM_SHARDS):
-            _, _, out_index = _gate_on_shard(
-                shard, scratch, gate, l2p, LOCAL, shard_index
+    def test_the_recorded_write_map_is_where_the_reference_puts_each_shard(self, gates):
+        """Each shard of a random state, run through its recorded stream,
+        is the reference's shard at its recorded index — the control of the
+        last case reads the bit the x before it flipped."""
+        ops = compile_segment_ops([(gates, None)], IDENTITY, LOCAL)
+        init = StateVector.random_state(N, seed=7)
+        want = simulate_reference(Circuit(N, gates), init).data
+        size = 1 << LOCAL
+        for shard_index, out in enumerate(ops.write_map):
+            data = init.data[shard_index * size:(shard_index + 1) * size].copy()
+            data, _scratch, stored = run_segment_ops(
+                data, np.empty_like(data), ops, IDENTITY, LOCAL, shard_index
             )
-            assert write_map[shard_index] == out_index
+            assert stored == out
+            assert np.allclose(data, want[out * size:(out + 1) * size], atol=1e-12)
+        assert sorted(ops.write_map) == list(range(NUM_SHARDS))
 
     def test_gate_sequence_threads_indices(self):
         # Two anti-diagonal flips on distinct non-local qubits compose.
         gates = [make_gate("x", [N - 1]), make_gate("x", [N - 2])]
-        l2p = {q: q for q in range(N)}
-        write_map, mixing = shard_write_map(gates, l2p, LOCAL, NUM_SHARDS)
-        assert not mixing
-        assert write_map == [s ^ 0b11 for s in range(NUM_SHARDS)]
+        ops = compile_segment_ops([(gates, None)], IDENTITY, LOCAL)
+        assert ops.write_map == [s ^ 0b11 for s in range(NUM_SHARDS)]
 
     def test_mixing_gate_is_flagged(self):
-        write_map, mixing = shard_write_map(
-            [make_gate("h", [N - 1])], {q: q for q in range(N)}, LOCAL, NUM_SHARDS
-        )
-        assert mixing
+        """No segment compiles a gate that mixes along a non-local qubit;
+        one planted in a schedule is the race detector's `schedule.mixing`
+        (the mutation table)."""
+        with pytest.raises(PlanValidationError, match="mixes amplitudes"):
+            compile_segment_ops([([make_gate("h", [N - 1])], None)], IDENTITY, LOCAL)
 
     def test_round_robin_is_a_partition(self):
         for workers in (1, 2, 3, 4, 7):
@@ -751,10 +808,12 @@ class TestLintRepro:
             "    for gate in gates:\n"
             "        apply(gate.matrix())\n",
         )
+        # One gate's matrix, resolved per variant: a loop, not over gates.
         dynamic = self.write(
-            lint, "runtime/offload.py",
-            "def _gate_on_shard(shard, gate):\n"
-            "    return apply(shard, gate.matrix())\n",
+            lint, "runtime/compile.py",
+            "class _DynamicSlot:\n"
+            "    def bind(self, pool, old):\n"
+            "        return [reduce(pool[0].matrix(), f) for f in self.variants]\n",
         )
         assert lint.check_one_kernel_lowering([lowering, dynamic]) == []
         # A gate-at-a-time loop over a kernel's gates growing back.
@@ -988,10 +1047,11 @@ class TestLintRepro:
         ]
 
     def test_the_uncompiled_paths_stay_retired(self, lint):
-        """The uncompiled paths' op builders, their memos' surface and the
-        degraded shard pass are named nowhere under src/ — in code or in
-        prose, as whole words — and a gate list applied outside any plan is
-        the one other caller of the kernel template."""
+        """The uncompiled paths' op builders, their memos' surface, the
+        degraded shard pass and the per-shard gate resolution are named
+        nowhere under src/ — in code or in prose, as whole words — a gate
+        list applied outside any plan is the one other caller of the kernel
+        template, and no runtime calls an entry point of the engine."""
         fusion = self.write(
             lint, "sim/fusion.py",
             "def apply_gate_sequence(state, gates):\n"
@@ -1013,14 +1073,37 @@ class TestLintRepro:
         shards = self.write(
             lint, "runtime/offload.py",
             "def shard_pass(data, scratch, groups):\n"
-            "    return run_groups_on_shard(data, scratch, groups)\n",
+            "    return run_groups_on_shard(data, scratch, groups)\n"
+            "def run_segment_ops(data, scratch, ops, l2p, local, index):\n"
+            "    for gate in ops:\n"
+            "        data, scratch, index = _gate_on_shard(data, scratch, gate, index)\n"
+            "    in_place = not segment_relabels_shards(ops, l2p, local)\n"
+            "    return apply_gate_buffered(data, scratch, m, q), apply_matrix(data, m, q)\n",
+        )
+        races = self.write(
+            lint, "check/races.py",
+            '"""Mirrors the executors (a shard_write_map of old)."""\n'
+            "def _gate_on_shard_count(write_map):\n"
+            "    return apply_diagonal(write_map, d, q)\n",
+        )
+        statevector = self.write(
+            lint, "sim/statevector.py",
+            "def apply(state, scratch, m, q):\n"
+            "    return apply_gate_buffered(state, scratch, m, q)\n",
         )
         outside = lint.REPO / "tests" / "test_x.py"
         outside.parent.mkdir(parents=True, exist_ok=True)
         outside.write_text("from repro.sim.fusion import configure_fusion_cache\n")
-        findings = lint.check_one_kernel_set([fusion, session, shards, outside])
+        findings = lint.check_one_kernel_set(
+            [fusion, session, shards, races, statevector, outside]
+        )
         assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            ("src/repro/check/races.py", 1, "shard_write_map"),
             ("src/repro/runtime/offload.py", 2, "run_groups_on_shard"),
+            ("src/repro/runtime/offload.py", 5, "_gate_on_shard"),
+            ("src/repro/runtime/offload.py", 6, "segment_relabels_shards"),
+            ("src/repro/runtime/offload.py", 7, "run_segment_ops:apply_gate_buffered"),
+            ("src/repro/runtime/offload.py", 7, "run_segment_ops:apply_matrix"),
             ("src/repro/session/session.py", 1, "fusion_cache_stats"),
             ("src/repro/session/session.py", 2, "fused_kernel_op"),
             ("src/repro/session/session.py", 3, "kernel_op"),

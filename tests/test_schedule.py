@@ -17,16 +17,17 @@ from hypothesis import strategies as st
 
 from repro import MachineConfig, Session
 from repro.circuits import Circuit, make_gate
-from repro.circuits.library import CIRCUIT_FAMILIES, vqc
+from repro.circuits.library import CIRCUIT_FAMILIES, qft, vqc
 from repro.core import KernelizeConfig, partition
 from repro.errors import KernelError, TransientError
 from repro.runtime import ParallelRuntime, compile as compile_mod, execute_plan_offloaded
-from repro.runtime import offload as offload_mod
+from repro.runtime import sharding as sharding_mod
 from repro.runtime.offload import Schedule, build_schedule
 from repro.session.backends import BACKENDS, ParallelBackend, register_backend
 from repro.session import session as session_mod
 from repro.session.cache import rebind_plan
 from repro.sim import StateVector, simulate_reference
+from repro.sim import apply as apply_mod, program as program_mod
 from repro.sim.program import CompiledProgram
 
 from test_property_based import SETTINGS, _chunked_plan, rebind_cases
@@ -34,15 +35,20 @@ from test_property_based import SETTINGS, _chunked_plan, rebind_cases
 WORKERS = (1, 2, 4)
 
 
+def op_entry(op):
+    return None if op is None else (op.kind, op.qubits, op.gates)
+
+
 def entries(schedule):
     """What a schedule executes, comparable with ``==``: per stage the
-    layout, per segment its kind, store flag, layout moves and compiled
-    entries."""
+    layout, per segment its kind, store flag, layout moves, recorded write
+    map and compiled entries — a dynamic gate's op per variant (``None``:
+    no op on those shards)."""
     return [
         (l2p, [
-            (seg.kind, seg.in_place, seg.load_from, seg.store_to, [
-                (kind, payload if kind == "dynamic"
-                 else (payload.kind, payload.qubits, payload.gates))
+            (seg.kind, seg.in_place, seg.load_from, seg.store_to, seg.ops.write_map, [
+                (kind, [op_entry(op) for op in payload] if kind == "dynamic"
+                 else op_entry(payload))
                 for kind, payload in seg.ops
             ])
             for seg in segments
@@ -162,7 +168,7 @@ class TestScheduleRebindDifferential:
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
         base_plan, _ = partition(vqc(8, seed=0), machine)
         base = build_schedule(base_plan, machine.local_qubits)
-        memos = (offload_mod._axis_kind, offload_mod._axis_table)
+        memos = (sharding_mod._axis_kind, sharding_mod._axis_table)
         before = [memo.cache_info() for memo in memos]
         warm = build_schedule(
             rebind_plan(base_plan, vqc(8, seed=1)), machine.local_qubits, reuse=base
@@ -171,6 +177,65 @@ class TestScheduleRebindDifferential:
         assert warm.rebound
         assert [info.misses for info in after] == [info.misses for info in before]
         assert after[1].hits > before[1].hits
+
+    def test_a_warm_shard_pass_binds_nothing(self, monkeypatch):
+        """Every op a shard pass runs is bound with its schedule: running a
+        rebound schedule classifies no matrix and binds no template on any
+        executor — the gates on non-local qubits included (qft-8 here has
+        15, each bound once per shard per job while the pass resolved
+        them)."""
+        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=5)
+        rng = np.random.default_rng(5)
+        base_plan, _ = partition(redrawn(qft(8), rng), machine)
+        plan = rebind_plan(base_plan, redrawn(qft(8), rng))
+        local = machine.local_qubits
+        warm = build_schedule(plan, local, reuse=build_schedule(base_plan, local))
+        assert warm.rebound
+        assert any(
+            kind == "dynamic"
+            for _l2p, segments in warm.stages for seg in segments for kind, _op in seg.ops
+        )
+        calls = []
+        for module, name in (
+            (apply_mod, "_unitary_op"), (apply_mod, "unitary_template"),
+            (program_mod, "unitary_template"), (compile_mod, "unitary_template"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _real=real, _name=name, **kwargs:
+                    calls.append(_name) or _real(*args, **kwargs),
+            )
+        want = execute_plan_offloaded(plan, machine, schedule=warm)[0].data
+        for workers in (1, 2):
+            with ParallelRuntime(machine, num_workers=workers) as runtime:
+                assert np.array_equal(runtime.execute(plan, schedule=warm)[0].data, want)
+        assert calls == []
+
+    def test_a_rebind_across_the_pattern_boundary_equals_the_cold_build(self):
+        """rx(pi) on a non-local qubit relabels shards and rx(1e-13) does
+        not, yet the two share an exact signature: each gate's axis table
+        is part of its segment's structure, so a rebind either way is built
+        cold — write map, store flag and ops — and runs bit for bit."""
+        n, local = 6, 4
+        machine = MachineConfig.for_circuit(n, local_qubits=local)
+
+        def plan(angle):
+            gates = [
+                make_gate("h", [0]), make_gate("cx", [0, 1]),
+                make_gate("rx", [5], [angle]), make_gate("cp", [1, 4], [0.3]),
+                make_gate("ry", [2], [0.4]),
+            ]
+            sets = (range(local), [4], [5])
+            return _chunked_plan(n, gates, sets, [(0, len(gates))], True)
+
+        relabel, phase = build_schedule(plan(np.pi), local), build_schedule(plan(1e-13), local)
+        ((_l2p, (relabels,)),), ((_l2p2, (stays,)),) = relabel.stages, phase.stages
+        assert not relabels.in_place and relabels.ops.write_map == [2, 3, 0, 1]
+        assert stays.in_place and stays.ops.write_map == [0, 1, 2, 3]
+        for base, angle in ((1e-13, np.pi), (np.pi, 1e-13)):
+            warm = assert_rebind_equals_cold(plan(base), plan(angle), machine, seed=4)
+            assert not warm.rebound
 
     def test_a_failed_segment_compile_raises_and_leaves_nothing_behind(self):
         """A segment that does not lower fails the build with its typed

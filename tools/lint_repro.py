@@ -47,8 +47,8 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     ``lower_kernel_gates`` is the two in one call) and
     ``kernel_fusion`` / ``fill_fused_unitary`` (fusion kernels) — the four
     the plan compiler's slots, and through them ``compile_segment_ops``,
-    call; the dynamic per-shard path ``_gate_on_shard`` resolves one gate
-    per call and is the only other place a gate matrix is applied.  A second such loop is a
+    call (a gate on a non-local qubit is one gate, resolved by its own
+    slot without a loop over gates).  A second such loop is a
     gate-at-a-time executor growing back beside the lowering every
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
@@ -101,10 +101,16 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     second op builder ``apply_lowered_items``, ``fused_unitary_cached``,
     ``fused_kernel_op``, ``configure_fusion_cache``,
     ``fusion_cache_stats``, and after it ``kernel_op``, ``kernel_op_stats``
-    and the degraded shard pass ``run_groups_on_shard`` — are named nowhere
-    under ``src/`` (as whole words), and ``execute_plan`` takes no
-    ``compiled`` parameter: a plan runs as a compiled program or a shard
-    schedule, and a failed lowering raises.  Checked across files, whenever
+    and the degraded shard pass ``run_groups_on_shard``, and then the
+    per-shard gate resolution ``_gate_on_shard`` with its relabel predicate
+    ``segment_relabels_shards`` and the race detector's restatement of it,
+    ``shard_write_map`` — are named nowhere under ``src/`` (as whole
+    words), and ``execute_plan`` takes no ``compiled`` parameter: a plan
+    runs as a compiled program or a shard schedule, and a failed lowering
+    raises.  Under ``runtime/`` no entry point of ``sim/apply.py``
+    (``apply_gate_buffered`` / ``apply_matrix`` / ``apply_diagonal``, which
+    bind a template on first sight of a matrix) is called: every op a shard
+    pass runs is bound with its schedule.  Checked across files, whenever
     the linted set contains ``sim/apply.py`` (the fused-matrix site:
     ``runtime/compile.py``).
 
@@ -245,7 +251,7 @@ KERNEL_LOWERING_HOME = "sim/fusion.py"
 #: builder it delegates the gate loop to), and every other licensed site.
 SHM_LOWERING_SITES = ("lower_kernel_gates", "kernel_lowering")
 KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
-    "fill_lowered_item", "kernel_fusion", "fill_fused_unitary", "_gate_on_shard",
+    "fill_lowered_item", "kernel_fusion", "fill_fused_unitary",
 )
 
 SEGMENT_COMPILER_SCOPE = "runtime/"
@@ -286,17 +292,23 @@ NATIVE_ENTRY = "sm_apply"
 FUSED_MATRIX_CALLS = {"fused_unitary", "kernel_fusion", "fill_fused_unitary"}
 FUSED_MATRIX_SCOPE = "runtime/"
 FUSED_MATRIX_HOME = ("runtime/compile.py", "_FusedSlot")
-#: The uncompiled paths — their kernel-op builders, memos' surface and
-#: degraded shard pass: named nowhere under ``src/`` (whole words).
+#: The uncompiled paths — their kernel-op builders, memos' surface,
+#: degraded shard pass and per-shard gate resolution: named nowhere under
+#: ``src/`` (whole words).
 RETIRED_KERNEL_NAMES = (
     "apply_lowered_items", "fused_unitary_cached", "fused_kernel_op",
     "configure_fusion_cache", "fusion_cache_stats",
     "kernel_op", "kernel_op_stats", "run_groups_on_shard",
+    "_gate_on_shard", "segment_relabels_shards", "shard_write_map",
 )
 RETIRED_KERNEL_WORDS = re.compile(r"\b(%s)\b" % "|".join(RETIRED_KERNEL_NAMES))
 #: The plan executor, and the parameter that selected a second tier.
 PLAN_EXECUTOR = "execute_plan"
 RETIRED_EXECUTOR_PARAM = "compiled"
+#: The engine's entry points, which bind on first sight of a matrix: no
+#: runtime calls them.
+ENTRY_POINTS = {"apply_gate_buffered", "apply_matrix", "apply_diagonal"}
+ENTRY_POINT_SCOPE = "runtime/"
 
 OP_BODY_SCOPE = "sim/"
 OP_BODY_TWIN = "run_batched"
@@ -617,6 +629,14 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                         f"{slot} and nowhere else under {FUSED_MATRIX_SCOPE}",
                         f"{where}:{name}",
                     )
+            if name in ENTRY_POINTS and rel_src.startswith(ENTRY_POINT_SCOPE):
+                flag(
+                    rel, node.lineno,
+                    f"`{name}` called in {where}: every op a runtime runs is "
+                    f"bound with its compiled program or shard schedule, not "
+                    f"on first sight of a matrix",
+                    f"{where}:{name}",
+                )
             if name in choice_calls:
                 choice_calls[name] += 1
                 if KERNEL_CHOICE_CALLER not in stack:
