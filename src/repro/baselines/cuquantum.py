@@ -60,4 +60,5 @@ class CuQuantumSimulator(BaselineSimulator):
             num_qubits=circuit.num_qubits,
             stages=staging.stages,
             circuit_name=f"{circuit.name}[cuquantum]",
+            gate_table=circuit.gate_table(),
         )

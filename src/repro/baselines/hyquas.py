@@ -59,4 +59,5 @@ class HyQuasSimulator(BaselineSimulator):
             num_qubits=circuit.num_qubits,
             stages=staging.stages,
             circuit_name=f"{circuit.name}[hyquas]",
+            gate_table=circuit.gate_table(),
         )

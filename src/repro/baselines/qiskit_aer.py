@@ -55,4 +55,5 @@ class QiskitAerSimulator(BaselineSimulator):
             num_qubits=circuit.num_qubits,
             stages=staging.stages,
             circuit_name=f"{circuit.name}[qiskit]",
+            gate_table=circuit.gate_table(),
         )

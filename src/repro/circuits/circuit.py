@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
 
-from .gates import Gate, cache_patterns, make_gate
+from .gates import Gate, GateTable, make_gate
 
 __all__ = ["Circuit", "CircuitStats"]
-
-
-@lru_cache(maxsize=4096)
-def _gate_header(name: str, qubits: tuple[int, ...]) -> bytes:
-    """The bytes :meth:`Circuit.structural_key` hashes per gate ahead of its
-    pattern: separator, name, little-endian int32 qubits."""
-    return b"|" + name.encode() + np.asarray(qubits, dtype=np.int32).tobytes()
 
 
 @dataclass
@@ -64,6 +56,8 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: list[Gate] = []
+        #: ``(gate table, structural key or None)``, dropped by :meth:`append`.
+        self._memo: tuple[GateTable, str | None] | None = None
         for g in gates:
             self.append(g)
 
@@ -106,6 +100,7 @@ class Circuit:
                     f"gate {gate} uses qubit {q} outside range [0, {self.num_qubits})"
                 )
         self._gates.append(gate)
+        self._memo = None
         return self
 
     def add(self, name: str, qubits: Iterable[int], params: Iterable[float] = ()) -> "Circuit":
@@ -230,6 +225,18 @@ class Circuit:
             depth=self.depth(),
         )
 
+    def gate_table(self) -> GateTable:
+        """The circuit's :class:`~repro.circuits.gates.GateTable` — every
+        gate's matrix, key pattern and exact signature as arrays, built in
+        one pass and memoised until the next :meth:`append`.  One table
+        feeds the :meth:`structural_key`, the compiled-program rebind guard
+        and every kernel's payload (a plan bound to this circuit carries
+        it, :func:`repro.session.cache.rebind_plan`)."""
+        memo = self._memo
+        if memo is None or len(memo[0]) != len(self._gates):
+            memo = self._memo = (GateTable(self._gates), None)
+        return memo[0]
+
     def structural_key(self) -> str:
         """Hex fingerprint of the circuit's *partitioning-relevant* structure.
 
@@ -244,20 +251,20 @@ class Circuit:
         staging.  The sparsity pattern also determines the per-axis
         diagonal/anti-diagonal classification the offload runtime segments
         stages by, so plans and stage schedules cached under this key can be
-        replayed for any circuit that shares it.
+        replayed for any circuit that shares it.  Read off the
+        :meth:`gate_table` (one array operation per matrix width for the
+        patterns) and memoised with it.
         """
-        cache_patterns(self._gates)
-        parts = [self.num_qubits.to_bytes(4, "little")]
-        for g in self._gates:
-            parts.append(_gate_header(g.name, g.qubits))
-            if g.params:
-                # The boolean non-zero pattern of the unitary: invariant
-                # across generic angles, distinct for structure-changing
-                # special angles (0, pi, ...).  Cached on the gate.
-                parts.append(g.pattern()[0])
-        # One update of the joined bytes: the digest of a stream does not
-        # depend on how it is chunked, and SharedPlanStore persists it.
-        return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
+        self.gate_table()
+        table, key = self._memo
+        if key is None:
+            # One update of the joined bytes: the digest of a stream does
+            # not depend on how it is chunked, and SharedPlanStore persists it.
+            key = hashlib.blake2b(
+                self.num_qubits.to_bytes(4, "little") + table.key_bytes(), digest_size=16
+            ).hexdigest()
+            self._memo = (table, key)
+        return key
 
     def canonical_relabeling(self) -> dict[int, int]:
         """Mapping of each logical qubit to its *first-use order* position.

@@ -21,7 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ __all__ = [
     "is_diagonal",
     "is_antidiagonal",
     "matrix_signature",
-    "cache_patterns",
+    "GateTable",
     "make_gate",
     "SUPPORTED_GATES",
 ]
@@ -58,61 +60,84 @@ _TDG = np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=np.complex128
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=np.complex128)
 
 
-def _rx(theta: float) -> np.ndarray:
+# Each parameterized gate has one formula: its matrix's entries, row-major,
+# as Python scalars.  :meth:`GateSpec.matrix` converts one row of them and a
+# :class:`GateTable` a whole stack, so a gate's matrix has the same bits
+# whichever built it.  Exact zeros and ones are complex (``_0``, ``_1``):
+# NumPy converts a list of one scalar type fastest.
+
+_0, _1 = 0j, 1 + 0j
+
+
+def _rx(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    return (c, -1j * s, -1j * s, c)
 
 
-def _ry(theta: float) -> np.ndarray:
+def _ry(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return (c, -s, s, c)
 
 
-def _rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[cmath.exp(-1j * theta / 2), 0], [0, cmath.exp(1j * theta / 2)]],
-        dtype=np.complex128,
+def _rz(theta: float) -> tuple:
+    return (cmath.exp(-1j * theta / 2), _0, _0, cmath.exp(1j * theta / 2))
+
+
+def _p(theta: float) -> tuple:
+    return (_1, _0, _0, cmath.exp(1j * theta))
+
+
+def _u3(theta: float, phi: float, lam: float) -> tuple:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return (
+        c, -cmath.exp(1j * lam) * s,
+        cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c,
     )
 
 
-def _p(theta: float) -> np.ndarray:
-    return np.array([[1, 0], [0, cmath.exp(1j * theta)]], dtype=np.complex128)
-
-
-def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _u2(phi: float, lam: float) -> np.ndarray:
+def _u2(phi: float, lam: float) -> tuple:
     return _u3(math.pi / 2, phi, lam)
 
 
-def _rzz(theta: float) -> np.ndarray:
+def _rzz(theta: float) -> tuple:
     e_m = cmath.exp(-1j * theta / 2)
     e_p = cmath.exp(1j * theta / 2)
-    return np.diag([e_m, e_p, e_p, e_m]).astype(np.complex128)
+    return (e_m, _0, _0, _0, _0, e_p, _0, _0, _0, _0, e_p, _0, _0, _0, _0, e_m)
 
 
-def _rxx(theta: float) -> np.ndarray:
+def _scaled_eye(c: float) -> tuple[complex, complex]:
+    """The diagonal and off-diagonal entries of ``c`` times the complex
+    identity, as complex arithmetic forms them (``0 * c`` keeps the sign of
+    ``c`` on the real part)."""
+    return (
+        complex(c - 0.0 * 0.0, 0.0 * 0.0 + 0.0 * c),
+        complex(0.0 * c - 0.0 * 0.0, 0.0 * 0.0 + 0.0 * c),
+    )
+
+
+def _rxx(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    m = np.eye(4, dtype=np.complex128) * c
-    m[0, 3] = m[3, 0] = m[1, 2] = m[2, 1] = -1j * s
-    return m
+    d, z = _scaled_eye(c)
+    a = -1j * s
+    return (d, z, z, a, z, d, a, z, z, a, d, z, a, z, z, d)
 
 
-def _ryy(theta: float) -> np.ndarray:
+def _ryy(theta: float) -> tuple:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    m = np.eye(4, dtype=np.complex128) * c
-    m[0, 3] = m[3, 0] = 1j * s
-    m[1, 2] = m[2, 1] = -1j * s
-    return m
+    d, z = _scaled_eye(c)
+    a, b = 1j * s, -1j * s
+    return (d, z, z, a, z, d, b, z, z, b, d, z, a, z, z, d)
+
+
+def _controlled(base):
+    """The entries of controlled-*base* (one control, 2×2 *base*): the
+    identity with *base* as its last 2×2 diagonal block."""
+
+    def entries(*params) -> tuple:
+        a, b, c, d = base(*params)
+        return (_1, _0, _0, _0, _0, _1, _0, _0, _0, _0, a, b, _0, _0, c, d)
+
+    return entries
 
 
 _SWAP = np.array(
@@ -191,30 +216,61 @@ def _split(data: bytes, count: int) -> list[bytes]:
     return [data[i : i + size] for i in range(0, len(data), size)]
 
 
-#: bool bytes of a ``> 1e-12`` pattern -> its ``np.packbits`` bytes (what
-#: :meth:`Circuit.structural_key` has always hashed).  A handful of entries:
-#: one per distinct sparsity pattern in the gate vocabulary.
-_PACKED_PATTERNS: dict[bytes, bytes] = {}
+def _key_patterns(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a ``(G, d, d)`` stack, the packed ``abs > 1e-12``
+    pattern :meth:`Circuit.structural_key` hashes — one row of bytes each."""
+    count, dim = len(stack), stack.shape[-1]
+    return np.packbits((np.abs(stack) > 1e-12).reshape(count, dim * dim), axis=1)
 
 
-def cache_patterns(gates: "Iterable[Gate]") -> None:
-    """Compute and store :meth:`Gate.pattern` for every parameterized gate
-    of *gates* that lacks it — in one NumPy pass per matrix size instead of
-    five small calls per gate (a fresh circuit's key is mostly this)."""
-    by_dim: dict[int, list[Gate]] = {}
-    for gate in gates:
-        if gate.params and "_pattern_cache" not in gate.__dict__:
-            by_dim.setdefault(len(gate.qubits), []).append(gate)
-    for group in by_dim.values():
-        stack = np.array([gate.matrix() for gate in group])
-        loose = _split((np.abs(stack) > 1e-12).tobytes(), len(group))
-        for gate, pattern, signature in zip(group, loose, _signatures(stack)):
-            packed = _PACKED_PATTERNS.get(pattern)
-            if packed is None:
-                packed = _PACKED_PATTERNS[pattern] = np.packbits(
-                    np.frombuffer(pattern, dtype=np.bool_)
-                ).tobytes()
-            gate.__dict__["_pattern_cache"] = (packed, signature)
+def _pattern_of(matrix: np.ndarray) -> tuple[bytes, bytes]:
+    """``(packed key pattern, exact signature)`` of one matrix — what
+    :meth:`Gate.pattern` returns: the table's array operations on a stack
+    of one."""
+    stack = matrix[None]
+    return _key_patterns(stack)[0].tobytes(), _signatures(stack)[0]
+
+
+@lru_cache(maxsize=4096)
+def _pattern_structure(name: str, pattern: bytes) -> tuple[bool, bool]:
+    """``(is_diagonal, is_antidiagonal)`` of a gate *name* matrix whose
+    packed ``> 1e-12`` pattern is *pattern* (``b""``: the parameter-free
+    gate's own matrix).  :func:`is_diagonal` at its ``1e-12`` tolerance
+    says exactly that no off-diagonal entry is above it, so the pattern
+    decides; keyed by structure, a sweep of new angles adds no entry."""
+    dim = 1 << GATE_SPECS[name].num_qubits
+    if pattern:
+        nonzero = np.unpackbits(
+            np.frombuffer(pattern, dtype=np.uint8), count=dim * dim
+        ).reshape(dim, dim).astype(bool)
+    else:
+        nonzero = np.abs(gate_matrix(name)) > 1e-12
+    off = ~np.eye(dim, dtype=bool)
+    return not nonzero[off].any(), not np.fliplr(nonzero)[off].any()
+
+
+@lru_cache(maxsize=4096)
+def _insular_slots(name: str, pattern: bytes) -> tuple[int, ...]:
+    """Which of a gate *name*'s qubit slots are insular (Definition 2) when
+    its packed ``> 1e-12`` pattern is *pattern* — :meth:`Gate.insular_qubits`
+    by slot."""
+    spec = GATE_SPECS[name]
+    k, controls = spec.num_qubits, spec.num_controls
+    slots = list(range(k - controls, k))
+    diagonal, antidiagonal = _pattern_structure(name, pattern)
+    if controls == 0 and k == 1:
+        if diagonal or antidiagonal:
+            slots.append(0)
+    elif controls > 0:
+        # Targets of a controlled gate are insular only when the whole
+        # gate matrix is diagonal (cz, cp, crz, ccz, ...): then every
+        # output amplitude depends on exactly one input amplitude along
+        # every qubit, which is the footnote-2 case of Definition 2.
+        if diagonal:
+            slots.extend(range(k - controls))
+    elif k == 2 and name == "rzz":
+        slots.extend(range(2))
+    return tuple(dict.fromkeys(slots))
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +293,17 @@ class GateSpec:
     num_controls:
         Number of control qubits (always the trailing qubits of the gate's
         qubit tuple).  Control qubits are insular (Definition 2).
-    matrix_fn:
-        Callable mapping the parameter tuple to the unitary matrix.
+    entries:
+        The gate's formula: the parameters to its matrix's entries,
+        row-major, as Python scalars.  :meth:`matrix` converts one row of
+        them, a :class:`GateTable` a stack.
     """
 
     name: str
     num_qubits: int
     num_params: int
     num_controls: int
-    matrix_fn: object
+    entries: Callable[..., Sequence[complex]]
 
     def matrix(self, params: Sequence[float] = ()) -> np.ndarray:
         if len(params) != self.num_params:
@@ -253,12 +311,15 @@ class GateSpec:
                 f"gate {self.name!r} expects {self.num_params} parameters, "
                 f"got {len(params)}"
             )
-        return self.matrix_fn(*params)
+        dim = 1 << self.num_qubits
+        return np.array(self.entries(*params), dtype=np.complex128).reshape(dim, dim)
 
 
 def _const(matrix: np.ndarray):
-    def fn() -> np.ndarray:
-        return matrix
+    entries = tuple(matrix.reshape(-1))
+
+    def fn() -> tuple:
+        return entries
 
     return fn
 
@@ -291,23 +352,23 @@ _register("u2", 1, 2, 0, _u2)
 _register("u3", 1, 3, 0, _u3)
 _register("u", 1, 3, 0, _u3)
 # Two-qubit gates: target first, control last.
-_register("cx", 2, 0, 1, lambda: controlled_matrix(_X))
-_register("cy", 2, 0, 1, lambda: controlled_matrix(_Y))
-_register("cz", 2, 0, 1, lambda: controlled_matrix(_Z))
-_register("ch", 2, 0, 1, lambda: controlled_matrix(_H))
-_register("cp", 2, 1, 1, lambda theta: controlled_matrix(_p(theta)))
-_register("cu1", 2, 1, 1, lambda theta: controlled_matrix(_p(theta)))
-_register("crx", 2, 1, 1, lambda theta: controlled_matrix(_rx(theta)))
-_register("cry", 2, 1, 1, lambda theta: controlled_matrix(_ry(theta)))
-_register("crz", 2, 1, 1, lambda theta: controlled_matrix(_rz(theta)))
+_register("cx", 2, 0, 1, _const(controlled_matrix(_X)))
+_register("cy", 2, 0, 1, _const(controlled_matrix(_Y)))
+_register("cz", 2, 0, 1, _const(controlled_matrix(_Z)))
+_register("ch", 2, 0, 1, _const(controlled_matrix(_H)))
+_register("cp", 2, 1, 1, _controlled(_p))
+_register("cu1", 2, 1, 1, _controlled(_p))
+_register("crx", 2, 1, 1, _controlled(_rx))
+_register("cry", 2, 1, 1, _controlled(_ry))
+_register("crz", 2, 1, 1, _controlled(_rz))
 _register("swap", 2, 0, 0, _const(_SWAP))
 _register("rzz", 2, 1, 0, _rzz)
 _register("rxx", 2, 1, 0, _rxx)
 _register("ryy", 2, 1, 0, _ryy)
 # Three-qubit gates.
-_register("ccx", 3, 0, 2, lambda: controlled_matrix(_X, 2))
-_register("ccz", 3, 0, 2, lambda: controlled_matrix(_Z, 2))
-_register("cswap", 3, 0, 1, lambda: controlled_matrix(_SWAP, 1))
+_register("ccx", 3, 0, 2, _const(controlled_matrix(_X, 2)))
+_register("ccz", 3, 0, 2, _const(controlled_matrix(_Z, 2)))
+_register("cswap", 3, 0, 1, _const(controlled_matrix(_SWAP, 1)))
 
 SUPPORTED_GATES = tuple(sorted(GATE_SPECS))
 
@@ -324,26 +385,198 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     """Return the unitary matrix of gate *name* with the given parameters.
 
     Matrices are cached by ``(name, params)`` and returned as read-only
-    arrays; callers that need to mutate the result must copy it.
+    arrays; callers that need to mutate the result must copy it.  Gates and
+    circuits do not read this cache (:meth:`Gate.matrix`,
+    :class:`GateTable`), so a parameter sweep does not fill it.
     """
     if name not in GATE_SPECS:
         raise ValueError(f"unsupported gate {name!r}")
     return _cached_matrix(name, tuple(params))
 
 
-@lru_cache(maxsize=65536)
-def _cached_structure(name: str, params: tuple[float, ...]) -> tuple[bool, bool]:
-    """(is_diagonal, is_antidiagonal) of the gate's full matrix, cached."""
-    matrix = _cached_matrix(name, params)
-    return is_diagonal(matrix), is_antidiagonal(matrix)
+# ---------------------------------------------------------------------------
+# Gate tables: the numbers of a gate sequence, one array per question
+# ---------------------------------------------------------------------------
+
+#: Every parameter-free gate's matrix, row-major, one after the other: the
+#: head of every table's ``flat`` (``_CONSTANT_AT[name]`` is its offset).
+_CONSTANT_AT: dict[str, int] = {}
+_CONSTANTS = np.concatenate([
+    GATE_SPECS[name].matrix().reshape(-1)
+    for name in SUPPORTED_GATES if not GATE_SPECS[name].num_params
+])
+_offset = 0
+for _name in SUPPORTED_GATES:
+    if not GATE_SPECS[_name].num_params:
+        _CONSTANT_AT[_name] = _offset
+        _offset += 4 ** GATE_SPECS[_name].num_qubits
+del _offset, _name
+_CONSTANTS.setflags(write=False)
+
+#: Gate name -> its one-byte code in a table's records.
+_NAME_CODE = {name: code for code, name in enumerate(SUPPORTED_GATES)}
+#: Bytes of a record: name code, three little-endian int16 qubits (-1
+#: pads), a pad byte, then a parameterized gate's packed exact signature —
+#: eight bytes of zero pattern, eight of ones pattern (from two qubits up).
+_RECORD = 24
 
 
-@lru_cache(maxsize=65536)
-def _cached_diagonal(name: str, params: tuple[float, ...]) -> np.ndarray:
-    """Diagonal entries of the gate's matrix as a cached read-only array."""
-    diagonal = np.ascontiguousarray(np.diag(_cached_matrix(name, params)))
-    diagonal.setflags(write=False)
-    return diagonal
+def _gate_bytes(name: str, qubits: tuple[int, ...]) -> tuple[bytes, bytes]:
+    """``(the bytes Circuit.structural_key hashes ahead of a gate's
+    pattern — separator, name, little-endian int32 qubits —, the first
+    eight bytes of its record)``."""
+    head = b"|" + name.encode() + np.asarray(qubits, dtype=np.int32).tobytes()
+    padded = tuple(qubits) + (-1,) * (3 - len(qubits))
+    record = bytes([_NAME_CODE[name]]) + np.asarray(padded, dtype="<i2").tobytes() + b"\0"
+    return head, record
+
+
+_NAME_QUBITS = attrgetter("name", "qubits")
+_PARAMS = attrgetter("params")
+
+
+class _Layout(NamedTuple):
+    """The angle-free half of a :class:`GateTable`, shared by every table
+    of one ``(name, qubits)`` sequence: per gate its key header, record
+    head, offset in ``flat`` and row in its width's stack; per matrix
+    width the positions of the parameterized gates and their formulas."""
+
+    heads: tuple[bytes, ...]
+    records: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    positions: tuple[list[int], ...]
+    formulas: tuple[tuple, ...]
+
+
+@lru_cache(maxsize=64)
+def _layout(sequence: tuple[tuple[str, tuple[int, ...]], ...]) -> _Layout:
+    """The :class:`_Layout` of a gate sequence given as ``(name, qubits)``
+    pairs — keyed by structure, so a sweep of new angles reuses one."""
+    positions: tuple[list[int], ...] = ([], [], [])
+    offsets = []
+    for position, (name, qubits) in enumerate(sequence):
+        if GATE_SPECS[name].num_params:
+            positions[len(qubits) - 1].append(position)
+        offsets.append(_CONSTANT_AT.get(name, 0))
+    offset_array = np.array(offsets, dtype=np.intp)
+    rows = np.full(len(sequence), -1, dtype=np.intp)
+    start = len(_CONSTANTS)
+    for width, group in enumerate(positions):
+        size = 4 << (2 * width)
+        if group:
+            rows[group] = np.arange(len(group))
+            offset_array[group] = start + size * np.arange(len(group))
+        start += len(group) * size
+    pairs = [_gate_bytes(name, qubits) for name, qubits in sequence]
+    records = np.zeros((len(sequence), _RECORD), dtype=np.uint8)
+    if sequence:
+        records[:, :8] = np.frombuffer(
+            b"".join([record for _head, record in pairs]), dtype=np.uint8
+        ).reshape(-1, 8)
+    for array in (offset_array, rows, records):
+        array.setflags(write=False)
+    return _Layout(
+        tuple([head for head, _record in pairs]), records, offset_array, rows, positions,
+        tuple(tuple(GATE_SPECS[sequence[i][0]].entries for i in group) for group in positions),
+    )
+
+
+class GateTable:
+    """The numbers of a gate sequence, built in one pass.
+
+    ``flat`` holds every parameter-free gate's matrix (the same head in
+    every table), then, per matrix width, the ``(G, d, d)`` stack of the
+    sequence's parameterized gates' matrices (``stacks``, views of
+    ``flat``), each row from its gate's formula (:attr:`GateSpec.entries`)
+    — the bits :meth:`Gate.matrix` returns.  ``offsets[i]`` is where gate
+    ``i``'s matrix starts in ``flat``, so any list of entries of the
+    sequence's matrices is one ``flat.take``.  ``records[i]`` is gate
+    ``i``'s name, qubits and (parameterized) exact zero/one pattern,
+    packed to :data:`_RECORD` bytes: the rebind guard compares
+    ``records`` at a structure's positions as one bytes string.  The
+    ``> 1e-12`` key pattern of :meth:`Circuit.structural_key` is one array
+    operation per stack too (:meth:`key_bytes`).
+
+    Read-only; a :class:`~repro.circuits.circuit.Circuit` memoises its own
+    (:meth:`~repro.circuits.circuit.Circuit.gate_table`).
+    """
+
+    __slots__ = ("gates", "flat", "offsets", "stacks", "records", "_layout", "_loose")
+
+    def __init__(self, gates: Iterable[Gate]) -> None:
+        self.gates = gates = tuple(gates)
+        layout = _layout(tuple(map(_NAME_QUBITS, gates)))
+        params = list(map(_PARAMS, gates))
+        parts = [_CONSTANTS]
+        for positions, formulas in zip(layout.positions, layout.formulas):
+            if positions:
+                parts.append(np.array(list(chain.from_iterable(
+                    [formula(*params[i]) for formula, i in zip(formulas, positions)]
+                )), dtype=np.complex128))
+        flat = np.concatenate(parts) if len(parts) > 1 else _CONSTANTS
+        flat.setflags(write=False)
+        records = layout.records.copy()
+        stacks = []
+        start = len(_CONSTANTS)
+        for width, positions in enumerate(layout.positions):
+            dim = 2 << width
+            size = dim * dim
+            stack = flat[start : start + len(positions) * size].reshape(-1, dim, dim)
+            stacks.append(stack)
+            if positions:
+                rows = stack.reshape(len(positions), size)
+                zeros = np.packbits(rows != 0, axis=1)
+                records[positions, 8 : 8 + zeros.shape[1]] = zeros
+                if dim > 2:
+                    ones = np.packbits(rows == 1, axis=1)
+                    records[positions, 16 : 16 + ones.shape[1]] = ones
+            start += len(positions) * size
+        records.setflags(write=False)
+        self.flat = flat
+        self.offsets = layout.offsets
+        self.stacks = tuple(stacks)
+        self.records = records
+        self._layout = layout
+        self._loose: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.gates)
+
+    def signature_blob(self, positions: np.ndarray) -> bytes:
+        """The records of the gates at *positions*, in that order, as one
+        bytes string: equal for two tables exactly when those gates agree
+        in name, qubits and — parameterized — exact signature."""
+        return self.records.take(positions, axis=0).tobytes()
+
+    def _key_patterns(self) -> list[np.ndarray]:
+        """Per matrix width, each parameterized gate's packed ``> 1e-12``
+        pattern — one array operation per stack, once per table."""
+        if self._loose is None:
+            self._loose = [_key_patterns(stack) for stack in self.stacks]
+        return self._loose
+
+    def key_bytes(self) -> bytes:
+        """What :meth:`Circuit.structural_key` hashes per gate, joined: the
+        gate's header, then — parameterized — its packed ``> 1e-12``
+        pattern."""
+        parts = list(self._layout.heads)
+        for packed, group in zip(self._key_patterns(), self._layout.positions):
+            if group:
+                for position, pattern in zip(group, _split(packed.tobytes(), len(group))):
+                    parts[position] += pattern
+        return b"".join(parts)
+
+    def non_insular_qubits(self, position: int) -> tuple[int, ...]:
+        """:meth:`Gate.non_insular_qubits` of gate *position*, read off its
+        key pattern here."""
+        gate = self.gates[position]
+        pattern = b""
+        if gate.params:
+            row = int(self._layout.rows[position])
+            pattern = self._key_patterns()[len(gate.qubits) - 1][row].tobytes()
+        insular = _insular_slots(gate.name, pattern)
+        return tuple(q for slot, q in enumerate(gate.qubits) if slot not in insular)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +634,21 @@ class Gate:
     def matrix(self) -> np.ndarray:
         """Unitary matrix of this gate (little-endian over ``self.qubits``).
 
-        The returned array is a cached, read-only instance shared between
-        equal gates; copy it before mutating.
+        The returned array is read-only; copy it before mutating.  A
+        parameterized gate's is built from its formula once per gate
+        instance (gates are immutable) — the same bits as its row in any
+        :class:`GateTable` — and not through the ``(name, params)`` cache
+        of :func:`gate_matrix`, so a parameter sweep leaves that cache as
+        it was.  A parameter-free gate's is its name's shared constant.
         """
-        return _cached_matrix(self.name, self.params)
+        if not self.params:
+            return _cached_matrix(self.name, ())
+        cached = self.__dict__.get("_matrix")
+        if cached is None:
+            cached = self.spec.matrix(self.params)
+            cached.setflags(write=False)
+            self.__dict__["_matrix"] = cached
+        return cached
 
     def pattern(self) -> tuple[bytes, bytes]:
         """``(key_pattern, signature)`` of a parameterized gate's matrix.
@@ -412,18 +656,17 @@ class Gate:
         ``key_pattern`` is the packed ``abs(matrix) > 1e-12`` sparsity
         pattern :meth:`Circuit.structural_key` hashes; ``signature`` is the
         exact :func:`matrix_signature` the compiled-program rebind guard
-        compares.  Both are computed once per gate instance (gates are
-        immutable; see :func:`cache_patterns`) — a job hashes its circuit
-        and binds its program from the same gate objects.  Parameter-free
-        gates need neither (their name fixes the matrix) and return empty
-        bytes.
+        compares.  Both come from the array operations a
+        :class:`GateTable` runs on its stacks, here on a stack of this
+        gate's matrix alone (:func:`_pattern_of`), once per gate instance.
+        Parameter-free gates need neither (their name fixes the matrix) and
+        return empty bytes.
         """
         if not self.params:
             return (b"", b"")
         cached = self.__dict__.get("_pattern_cache")
         if cached is None:
-            cache_patterns((self,))
-            cached = self.__dict__["_pattern_cache"]
+            cached = self.__dict__["_pattern_cache"] = _pattern_of(self.matrix())
         return cached
 
     def diagonal(self) -> np.ndarray:
@@ -432,7 +675,12 @@ class Gate:
         Only meaningful when :meth:`is_diagonal` is true; used by the
         simulator's in-place diagonal fast path.
         """
-        return _cached_diagonal(self.name, self.params)
+        cached = self.__dict__.get("_diagonal")
+        if cached is None:
+            cached = np.ascontiguousarray(np.diag(self.matrix()))
+            cached.setflags(write=False)
+            self.__dict__["_diagonal"] = cached
+        return cached
 
     # -- insularity (Definition 2) -------------------------------------------
 
@@ -460,28 +708,15 @@ class Gate:
           controlled operation itself is diagonal/anti-diagonal on a target
           (e.g. ``cz``, ``cp``, ``rzz``), that target is insular too.
 
-        The result is cached on the instance (gates are immutable).
+        Both follow from the gate's ``> 1e-12`` key pattern
+        (:meth:`pattern`, :func:`_insular_slots`); the result is cached on
+        the instance (gates are immutable).
         """
         cached = self.__dict__.get("_insular_cache")
-        if cached is not None:
-            return cached
-        insular: list[int] = list(self.control_qubits)
-        if self.spec.num_controls == 0 and self.num_qubits == 1:
-            m = self.matrix()
-            if is_diagonal(m) or is_antidiagonal(m):
-                insular.append(self.qubits[0])
-        elif self.spec.num_controls > 0:
-            # Targets of a controlled gate are insular only when the whole
-            # gate matrix is diagonal (cz, cp, crz, ccz, ...): then every
-            # output amplitude depends on exactly one input amplitude along
-            # every qubit, which is the footnote-2 case of Definition 2.
-            if self.is_diagonal():
-                insular.extend(self.target_qubits)
-        elif self.num_qubits == 2 and self.name in ("rzz",):
-            insular.extend(self.qubits)
-        result = tuple(dict.fromkeys(insular))
-        self.__dict__["_insular_cache"] = result
-        return result
+        if cached is None:
+            slots = _insular_slots(self.name, self.pattern()[0])
+            cached = self.__dict__["_insular_cache"] = tuple(self.qubits[s] for s in slots)
+        return cached
 
     def non_insular_qubits(self) -> tuple[int, ...]:
         """Qubits that are *not* insular — the ones the stager must keep local."""
@@ -489,12 +724,12 @@ class Gate:
         return tuple(q for q in self.qubits if q not in ins)
 
     def is_diagonal(self) -> bool:
-        """True if the full gate matrix is diagonal."""
-        return _cached_structure(self.name, self.params)[0]
+        """True if the full gate matrix is diagonal (within ``1e-12``)."""
+        return _pattern_structure(self.name, self.pattern()[0])[0]
 
     def is_antidiagonal(self) -> bool:
-        """True if the full gate matrix is anti-diagonal."""
-        return _cached_structure(self.name, self.params)[1]
+        """True if the full gate matrix is anti-diagonal (within ``1e-12``)."""
+        return _pattern_structure(self.name, self.pattern()[0])[1]
 
     # -- misc ----------------------------------------------------------------
 

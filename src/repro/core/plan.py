@@ -7,13 +7,13 @@ Algorithm 1's ``stagedKernels`` — and the input to the executors in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate
+from ..circuits.gates import Gate, GateTable
 from ..errors import PlanValidationError
-from .kernel import KernelSequence
+from .kernel import Kernel, KernelSequence
 
 __all__ = ["QubitPartition", "Stage", "ExecutionPlan"]
 
@@ -144,6 +144,17 @@ class ExecutionPlan:
     #: their work.  Carried through plan-cache rebinds so every executed
     #: plan can say where it came from.
     provenance: dict[str, Any] = field(default_factory=dict)
+    #: The gate table stage ``gate_indices`` are positions in: the
+    #: circuit's, for a plan the planner built or bound to a circuit
+    #: (:class:`~repro.planner.passes.FinalizePass`,
+    #: :func:`repro.session.cache.rebind_plan`); the plan compiler reads
+    #: every kernel's numbers there.  A plan built without one gets a table
+    #: of its own gates when it is constructed (:func:`_own_table`).
+    gate_table: GateTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.gate_table is None:
+            self.stages, self.gate_table = _own_table(self.stages)
 
     @property
     def num_stages(self) -> int:
@@ -207,3 +218,67 @@ class ExecutionPlan:
             "gates_per_stage": [s.num_gates for s in self.stages],
             "provenance": dict(self.provenance),
         }
+
+
+def _names(stage: Stage, kernel: Kernel) -> bool:
+    """Whether *kernel*'s ``gate_indices`` name its gates in *stage*."""
+    indices = kernel.gate_indices
+    return len(indices) == len(kernel.gates) and all(
+        0 <= j < stage.num_gates and stage.gates[j] == gate
+        for j, gate in zip(indices, kernel.gates)
+    )
+
+
+def _named_kernels(stage: Stage) -> KernelSequence | None:
+    """*stage*'s kernels with every kernel's ``gate_indices`` naming its
+    gates: the recorded ones where they all do, else — one kernel after
+    another, gate by gate — the first position of the stage holding an
+    equal gate that no earlier gate took.  A kernel gate the stage does
+    not hold leaves the kernels as they are (:func:`repro.check.verify_plan`
+    reports that plan; compiling it raises)."""
+    kernels = stage.kernels
+    if kernels is None or all(_names(stage, kernel) for kernel in kernels):
+        return kernels
+    free = list(range(stage.num_gates))
+    named: list[Kernel] = []
+    for kernel in kernels:
+        indices: list[int] = []
+        for gate in kernel.gates:
+            j = next((k for k in free if stage.gates[k] == gate), None)
+            if j is None:
+                return kernels
+            free.remove(j)
+            indices.append(j)
+        named.append(replace(kernel, gate_indices=tuple(indices)))
+    return KernelSequence(named)
+
+
+def _own_table(stages: list[Stage]) -> tuple[list[Stage], GateTable]:
+    """``(stages, the table of their gates)`` for a plan built without a
+    table.  Gate ``gate_indices[k]`` of a stage sits at that position when
+    the stages' indices number the plan's gates ``0..n-1`` once each (a
+    hand-built plan of a whole circuit); otherwise — no indices, or a
+    slice of a plan's stages — the stages are copied with indices in plan
+    order.  Kernels whose ``gate_indices`` do not name their gates are
+    copied with ones that do (:func:`_named_kernels`).  The caller's stage
+    and kernel objects are never written to."""
+    total = sum(stage.num_gates for stage in stages)
+    recorded = [j for stage in stages for j in stage.gate_indices]
+    numbered = sorted(recorded) == list(range(total)) and all(
+        len(stage.gate_indices) == stage.num_gates for stage in stages
+    )
+    placed: dict[int, Gate] = {}
+    out: list[Stage] = []
+    offset = 0
+    for stage in stages:
+        indices = (
+            list(stage.gate_indices) if numbered
+            else list(range(offset, offset + stage.num_gates))
+        )
+        offset += stage.num_gates
+        placed.update(zip(indices, stage.gates))
+        kernels = _named_kernels(stage)
+        if indices != stage.gate_indices or kernels is not stage.kernels:
+            stage = replace(stage, gate_indices=indices, kernels=kernels)
+        out.append(stage)
+    return out, GateTable([placed[j] for j in range(total)])

@@ -435,7 +435,9 @@ class RefinePass(PlanningPass):
 
 
 class FinalizePass(PlanningPass):
-    """Assemble the :class:`ExecutionPlan` and stamp plan provenance.
+    """Assemble the :class:`ExecutionPlan` — its stages' gate indices are
+    positions in the circuit's gate table, which it carries — and stamp
+    plan provenance.
 
     Options: ``validate`` (default False) runs
     :meth:`ExecutionPlan.validate` against the input circuit — cheap
@@ -451,6 +453,7 @@ class FinalizePass(PlanningPass):
             num_qubits=ctx.circuit.num_qubits,
             stages=ctx.staging.stages,
             circuit_name=ctx.circuit.name,
+            gate_table=ctx.circuit.gate_table(),
         )
         plan.provenance = {
             "preset": ctx.preset or "custom",

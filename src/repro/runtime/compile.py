@@ -26,18 +26,24 @@ flat run of that state.
 Compilation has two halves.  The **structure** (:class:`ProgramStructure`)
 is everything that follows from the plan's skeleton and each gate's name,
 qubits and exact zero/one pattern: the layout walk, which gates can break
-locality, every kernel's lowering, every op's template.  It is built once
-per plan structure and carried by the program.  The **bind** fills the
-templates with one job's gate matrices — block phases, fused matrices,
-dense payloads.  A cold compile is "build the structure, then bind";
+locality, every kernel's lowering, every op's template, and one gather
+program over the job's gate table for all its kernels
+(:class:`~repro.circuits.gates.GateTable`,
+:class:`~repro.sim.fusion.GatherProgram`).  It is built once per plan
+structure and carried by the program.  The **bind** fills the templates
+with one job's numbers — every pool gate's matrix in one gather out of the
+table, then every kernel's block phases, fold products and dense payloads
+as array work, no gate object touched.  A cold compile is "build the
+structure, then bind";
 ``compile_plan(new_plan, reuse=program)`` (a parameter-sweep rebind from
 the Session plan cache) is the same bind over the reuse program's
 structure, so warm and cold programs are bit-identical by construction.
 A rebind
 
 * first checks that the plan really has the structure (stage layouts,
-  kernel shapes, and per gate its name, qubits and
-  :func:`~repro.circuits.gates.matrix_signature`); a plan that does not —
+  kernel shapes and gate indices, and per gate its name, qubits and
+  :func:`~repro.circuits.gates.matrix_signature` — one bytes compare of
+  the table's records at the structure's positions); a plan that does not —
   ``rx(0)`` bound onto a generic ``rx`` — is compiled structurally from
   scratch, counted in ``ops_recompiled`` and never adopts the base's
   structure;
@@ -64,19 +70,22 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
-from ..circuits.gates import Gate, matrix_signature
+from ..circuits.gates import Gate, GateTable, matrix_signature
 from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import PlanValidationError
 from ..sim.apply import kernel_template
 from ..sim.fusion import (
-    ItemLowering,
+    GatherProgram,
+    GatherRun,
+    KernelGather,
     fill_fused_unitary,
-    fill_lowered_item,
     kernel_fusion,
     kernel_items,
     kernel_lowering,
@@ -97,18 +106,19 @@ __all__ = [
     "ProgramStructure",
     "SegmentStructure",
     "bind_structure",
-    "check_gate_locality",
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
+    "segment_table",
 ]
 
 
-def check_gate_locality(
-    gate: Gate, logical_to_physical: dict[int, int], local_qubits: int
+def _check_locality(
+    gate: Gate, non_insular, logical_to_physical: dict[int, int], local_qubits: int
 ) -> None:
-    """Raise when a non-insular qubit of *gate* is mapped non-locally."""
-    for q in gate.non_insular_qubits():
+    """Raise when a qubit of *non_insular* — *gate*'s non-insular qubits —
+    is mapped non-locally."""
+    for q in non_insular:
         if logical_to_physical[q] >= local_qubits:
             raise PlanValidationError(
                 f"staging invariant violated: non-insular qubit {q} of gate "
@@ -124,15 +134,22 @@ class _StructureChanged(Exception):
     structural compile of its own."""
 
 
-def _guard_signature(signatures: list, index: int, matrix) -> None:
-    """Hold product *index* of a slot to the exact signature of the first
-    *matrix* bound there — the structure's own plan's, inside
-    :func:`compile_plan`, before the program exists; an op template holds
-    for one signature, so another raises :class:`_StructureChanged`."""
-    signature = matrix_signature(matrix)
-    if signatures[index] is None:
-        signatures[index] = signature
-    elif signature != signatures[index]:
+def _picker(members: tuple[int, ...]):
+    """``pool -> the gates at members``, as a tuple."""
+    if len(members) == 1:
+        (member,) = members
+        return lambda pool: (pool[member],)
+    return itemgetter(*members)
+
+
+def _hold(holder, signature: bytes) -> None:
+    """Hold *holder*'s products to the exact *signature* of the first ones
+    bound — the structure's own plan's, inside :func:`compile_plan`, before
+    the program exists; an op template holds for one signature, so another
+    raises :class:`_StructureChanged`."""
+    if holder.signature is None:
+        holder.signature = signature
+    elif signature != holder.signature:
         raise _StructureChanged
 
 
@@ -143,36 +160,55 @@ class _KernelSlot:
     items — the monomial blocks, dense gates and folds of 1q dense gates —
     and applied as one op (:func:`repro.sim.apply.kernel_template`).
 
-    A fold's product is guarded — the item loop's template for it holds for
-    one signature: ``rx(a)`` then ``rx(-a)`` on one qubit multiply to an
-    exact diagonal.
+    Its numbers are described by ``gather``
+    (:class:`~repro.sim.fusion.KernelGather`) and computed with every other
+    kernel's by the structure's :class:`~repro.sim.fusion.GatherProgram`
+    (``kernel`` is the slot's index there): the native body's packed
+    payload, or the item loop's per-item arrays.  The folds' products are
+    guarded there — the item loop's template for one holds for one
+    signature: ``rx(a)`` then ``rx(-a)`` on one qubit multiply to an exact
+    diagonal.
     """
 
-    __slots__ = ("source", "pool", "parameterized", "signatures", "lowering", "template")
+    __slots__ = (
+        "source", "pool", "parameterized", "template", "gather", "pickers", "kernel", "gathered"
+    )
 
     def __init__(self, pool: int, gates, l2p, n: int) -> None:
         self.source = None
         self.pool = pool
         self.parameterized = any(g.params for g in gates)
-        self.lowering: tuple[ItemLowering, ...] = kernel_lowering(gates, l2p)
-        self.template = kernel_template(kernel_items(self.lowering, l2p), n)
-        self.signatures: list[bytes | None] = [None] * len(self.lowering)
+        lowering = kernel_lowering(gates, l2p)
+        self.template = kernel_template(kernel_items(lowering, l2p), n)
+        self.gather = KernelGather(
+            lowering, [len(g.qubits) for g in gates], self.template.fills
+        )
+        self.pickers = tuple([_picker(item.members) for item in lowering])
+        self.kernel = -1
+        #: Whether the structure's gather program computes this slot's
+        #: numbers (every kernel slot but a fused gemm).
+        self.gathered = True
 
-    def bind(self, gates, old):
-        """The op for the pool's *gates*.  *old* — the op an earlier bind of
-        this slot produced, if any — is kept when its gates compare equal
-        (angles included — Gate equality covers params), which a slot
-        without parameterized gates needs no comparison for."""
+    def bind(self, gates, old, entries: np.ndarray, run: GatherRun | None):
+        """The op for the pool's *gates*, whose matrices are *entries*
+        (row-major, one after another) and whose numbers *run* holds.
+        *old* — the op an earlier bind of this slot produced, if any — is
+        kept when its gates compare equal (angles included — Gate equality
+        covers params), which a slot without parameterized gates needs no
+        comparison for."""
         if old is not None and (not self.parameterized or old.gates == gates):
             return old
-        return self.fill(gates)
+        return self.fill(gates, entries, run)
 
-    def fill(self, gates) -> CompiledOp:
-        items = [fill_lowered_item(lowering, gates) for lowering in self.lowering]
-        for index, item in enumerate(items):
-            if item.factors is not None:
-                _guard_signature(self.signatures, index, item.matrix)
-        return self.template.op(items, self.source, gates)
+    def fill(self, gates, entries: np.ndarray, run: GatherRun | None) -> CompiledOp:
+        template, kernel = self.template, self.kernel
+        if template.native:
+            bound = template.bind_numbers(
+                run.numbers_of(kernel), lambda: template.loop(run.arrays_of(kernel))
+            )
+        else:
+            bound = template.loop(run.arrays_of(kernel))
+        return template.compiled(bound, self.source, gates, [pick(gates) for pick in self.pickers])
 
 
 class _FusedSlot(_KernelSlot):
@@ -183,15 +219,16 @@ class _FusedSlot(_KernelSlot):
     oracle, the item loop).
 
     Its fallback bind, where the template does not (no library, a kernel
-    that does not fit a tile), is the fused gemm: the gates multiplied into
-    one matrix through the kernel's fusion structure, resolved with the
-    slot, and applied as one op — what every fusion kernel ran before it
-    was a tile pass, bit for bit.  The first matrix filled chooses the op
-    template.  A signature change here: rz(0) ahead of a crx turns a dense
-    product into a controlled one.
+    that does not fit a tile), is the fused gemm: the gates' matrices —
+    slices of the table's gather — multiplied into one matrix through the
+    kernel's fusion structure, resolved with the slot, and applied as one
+    op — what every fusion kernel ran before it was a tile pass, bit for
+    bit.  The first matrix filled chooses the op template (``signature``,
+    :func:`_hold`).  A signature change here: rz(0) ahead of a crx turns a
+    dense product into a controlled one.
     """
 
-    __slots__ = ("physical", "n", "fusion", "gemm")
+    __slots__ = ("physical", "n", "fusion", "gemm", "signature")
 
     def __init__(self, pool: int, gates, l2p, n: int) -> None:
         super().__init__(pool, gates, l2p, n)
@@ -200,14 +237,15 @@ class _FusedSlot(_KernelSlot):
             self.physical = tuple(l2p[q] for q in self.fusion.qubits)
             self.n = n
             self.gemm: OpTemplate | None = None
-            self.signatures = [None]
+            self.signature: bytes | None = None
+            self.gathered = False
 
-    def fill(self, gates) -> CompiledOp:
+    def fill(self, gates, entries: np.ndarray, run: GatherRun | None) -> CompiledOp:
         if self.template.native:
-            return super().fill(gates)
-        matrix = fill_fused_unitary(self.fusion, gates)
+            return super().fill(gates, entries, run)
+        matrix = fill_fused_unitary(self.fusion, self.gather.matrices(entries))
         matrix.setflags(write=False)
-        _guard_signature(self.signatures, 0, matrix)
+        _hold(self, matrix_signature(matrix))
         if self.gemm is None:
             self.gemm = unitary_template(matrix, self.physical, self.n)
         return self.gemm.op(matrix, self.source, gates)
@@ -265,13 +303,16 @@ class _DynamicSlot:
     (:func:`_transitions`, :func:`_reduce`) on its local positions, through
     :func:`unitary_template` — or times the scalar left when no qubit is
     local; a non-local control at 0 is no op (``None``).  The templates
-    are built here, once; a bind fills them.  The axis table is part of
-    the structure (:meth:`SegmentStructure.admit`): ``rx(pi)`` and
+    and, per variant, which entries of the gate's matrix its block takes
+    (``picks``: :func:`_reduce` of the entry indices) are resolved here,
+    once; a bind takes every variant's block out of the gate table in one
+    gather and fills the templates.  The axis table is part of the
+    structure (:meth:`SegmentStructure.admit`): ``rx(pi)`` and
     ``rx(1e-13)`` share an exact signature, but the first relabels shards
     and the second does not.
     """
 
-    __slots__ = ("pool", "parameterized", "axes", "variants", "templates")
+    __slots__ = ("pool", "parameterized", "axes", "variants", "templates", "picks", "dims")
 
     def __init__(self, pool: int, gate: Gate, l2p: dict[int, int], local: int) -> None:
         self.pool = pool
@@ -282,6 +323,15 @@ class _DynamicSlot:
         )
         physical = tuple(l2p[q] for q in gate.qubits if l2p[q] < local)
         matrix = gate.matrix()
+        entries = np.arange(matrix.size).reshape(matrix.shape)
+        blocks = [
+            None if fixed is None else _reduce(entries, gate.qubits, fixed)
+            for fixed in self.variants
+        ]
+        self.picks = np.concatenate(
+            [block.reshape(-1) for block in blocks if block is not None] or [entries[:0, 0]]
+        ).astype(np.intp)
+        self.dims = tuple(0 if block is None else len(block) for block in blocks)
         self.templates = tuple(
             None if fixed is None or not physical
             else unitary_template(_reduce(matrix, gate.qubits, fixed), physical, local)
@@ -294,20 +344,21 @@ class _DynamicSlot:
             ((shard_index >> shift) & 1) << j for j, (_q, shift, _kind) in enumerate(self.axes)
         )
 
-    def bind(self, pool, old) -> tuple[CompiledOp | None, ...]:
-        """The variant ops for the pool's one gate.  *old* is kept when its
-        gate compares equal — read off its last variant, every bit 1, which
-        always has an op."""
+    def bind(self, pool, old, entries: np.ndarray, run=None) -> tuple[CompiledOp | None, ...]:
+        """The variant ops for the pool's one gate, whose matrix is
+        *entries* (row-major).  *old* is kept when its gate compares equal
+        — read off its last variant, every bit 1, which always has an op."""
         if old is not None and (not self.parameterized or old[-1].gates == pool):
             return old
-        (gate,) = pool
-        matrix = gate.matrix()
+        values = entries.take(self.picks)
         ops: list[CompiledOp | None] = []
-        for fixed, template in zip(self.variants, self.templates):
-            if fixed is None:
+        at = 0
+        for dim, template in zip(self.dims, self.templates):
+            if not dim:
                 ops.append(None)
                 continue
-            reduced = _reduce(matrix, gate.qubits, fixed)
+            reduced = values[at : at + dim * dim].reshape(dim, dim)
+            at += dim * dim
             ops.append(
                 compile_phase_op(reduced[0, 0], pool) if template is None
                 else template.op(reduced, None, pool)
@@ -321,21 +372,32 @@ class _Structure:
     ``slots`` has one entry per op of the stream, in order: a finished
     :class:`CompiledOp`, or a slot that binds an op (a dynamic slot: one
     per variant) from the gates of its *pool* — the gate tuple of one
-    kernel (or of one run of its gates), or a lone gate.  ``keys`` records,
-    per pool, each gate's name, qubits and exact signature: what
-    :meth:`matches` compares.
+    kernel (or of one run of its gates), or a lone gate.  ``positions``
+    are the pools' gates' positions in the job's gate table, pool after
+    pool (``starts[p]`` is pool ``p``'s first), and ``guard`` the table's
+    records there when the structure was built: what :meth:`matches`
+    compares.  A bind reads every pool gate's matrix out of the table in
+    one gather (:meth:`entries`; pool ``p``'s from ``entry_starts[p]``),
+    runs the kernels' :class:`~repro.sim.fusion.GatherProgram` over them
+    (``program``) and holds its fold products to one exact ``signature``
+    (:func:`_hold`).
     """
 
     def __init__(self, num_qubits: int) -> None:
         self.num_qubits = num_qubits
         self.slots: list = []
-        self.keys: list[tuple] = []
+        self.starts: list[int] = [0]
+        self.positions = np.zeros(0, dtype=np.intp)
+        self.position_list: list[int] = []
+        self.guard = b""
+        self.entry_positions = self.entry_offsets = self.positions
+        self.entry_starts: list[int] = [0]
+        self.program: GatherProgram | None = None
+        self.signature: bytes | None = None
 
     def open_pool(self, gates: tuple[Gate, ...]) -> int:
-        self.keys.append(tuple([
-            (g.name, g.qubits, g.pattern()[1] if g.params else b"") for g in gates
-        ]))
-        return len(self.keys) - 1
+        self.starts.append(self.starts[-1] + len(gates))
+        return len(self.starts) - 2
 
     def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> _KernelSlot:
         """Open a pool for *gates* — on local positions of the layout
@@ -347,29 +409,54 @@ class _Structure:
         self.slots.append(slot)
         return slot
 
-    def matches(self, pools: list[tuple[Gate, ...]]) -> bool:
-        """Whether *pools* are this structure's, gate for gate: the name,
-        the qubits and — for parameterized gates — the exact matrix
-        signature (stricter than :meth:`Circuit.structural_key`'s
-        ``> 1e-12`` pattern, so ``rx(1e-13)`` is not taken for ``rx(0)``)."""
-        if len(pools) != len(self.keys):
-            return False
-        for pool, key in zip(pools, self.keys):
-            if len(pool) != len(key):
-                return False
-            for gate, (name, qubits, signature) in zip(pool, key):
-                if (
-                    gate.name != name
-                    or gate.qubits != qubits
-                    or (signature and gate.pattern()[1] != signature)
-                ):
-                    return False
-        return True
+    def seal(self, positions, table: GateTable) -> None:
+        """Record the pools' *positions* in *table*, the guard read there
+        and where each pool gate's entries sit in :meth:`entries`."""
+        self.positions = np.asarray(positions, dtype=np.intp)
+        self.position_list = self.positions.tolist()
+        self.guard = table.signature_blob(self.positions)
+        sizes = [4 ** len(table.gates[p].qubits) for p in self.position_list]
+        self.entry_positions = np.repeat(self.positions, sizes)
+        self.entry_offsets = np.concatenate(
+            [np.arange(size, dtype=np.intp) for size in sizes] or [self.positions]
+        )
+        at = np.concatenate(([0], np.cumsum(sizes))).astype(int).tolist()
+        self.entry_starts = [at[start] for start in self.starts]
+        kernels = [
+            slot for slot in self.slots if isinstance(slot, _KernelSlot) and slot.gathered
+        ]
+        for index, slot in enumerate(kernels):
+            slot.kernel = index
+        if kernels:
+            self.program = GatherProgram(
+                [(slot.gather, self.entry_starts[slot.pool]) for slot in kernels], at[-1]
+            )
 
-    def bind(self, pools: list[tuple[Gate, ...]], reuse_ops: list | None) -> tuple[list, int]:
-        """The op stream for matching *pools*: ``(ops, ops taken verbatim
-        from reuse_ops)`` — *reuse_ops* aligned slot by slot, it was bound
-        from this structure (:meth:`_KernelSlot.bind`)."""
+    def entries(self, table: GateTable) -> np.ndarray:
+        """Every pool gate's matrix, row-major, pool after pool — one
+        gather out of *table*."""
+        return table.flat.take(table.offsets.take(self.entry_positions) + self.entry_offsets)
+
+    def matches(self, table: GateTable) -> bool:
+        """Whether *table* holds this structure's gates at its positions:
+        per gate the name, the qubits and — parameterized — the exact
+        matrix signature (stricter than :meth:`Circuit.structural_key`'s
+        ``> 1e-12`` pattern, so ``rx(1e-13)`` is not taken for ``rx(0)``);
+        one bytes compare."""
+        return table.signature_blob(self.positions) == self.guard
+
+    def bind(
+        self, pools: list[tuple[Gate, ...]], reuse_ops: list | None, table: GateTable
+    ) -> tuple[list, int]:
+        """The op stream for matching *pools*, their numbers read from
+        *table*: ``(ops, ops taken verbatim from reuse_ops)`` — *reuse_ops*
+        aligned slot by slot, it was bound from this structure
+        (:meth:`_KernelSlot.bind`)."""
+        entries, starts = self.entries(table), self.entry_starts
+        run = None
+        if self.program is not None:
+            run = self.program(entries)
+            _hold(self, run.signature)
         ops: list = []
         reused = 0
         for index, slot in enumerate(self.slots):
@@ -377,21 +464,31 @@ class _Structure:
                 ops.append(slot)
                 continue
             old = reuse_ops[index] if reuse_ops is not None else None
-            op = slot.bind(pools[slot.pool], old)
+            pool = slot.pool
+            op = slot.bind(pools[pool], old, entries[starts[pool] : starts[pool + 1]], run)
             reused += op is old
             ops.append(op)
         return ops, reused
+
+
+def _gate_table(plan: ExecutionPlan) -> GateTable:
+    """The table *plan*'s stage ``gate_indices`` point into (every plan
+    has one from construction on, :class:`ExecutionPlan`)."""
+    if plan.gate_table is None:
+        raise PlanValidationError("plan carries no gate table")
+    return plan.gate_table
 
 
 class ProgramStructure(_Structure):
     """Everything about a compiled plan that does not depend on angles.
 
     On top of the slots (layout transposes are finished ops) and pool
-    keys, ``stages`` records each stage's layout, local qubit count and
-    kernel types for :meth:`admit`, and ``nonlocal_gates`` lists the
-    ``(pool, position)`` of every gate with a qubit at a non-local
-    physical position, with that stage's layout and local count: the gates
-    :meth:`prove_locality` checks.
+    positions, ``stages`` records each stage's layout, local qubit count,
+    kernel types, gate positions and kernels' ``gate_indices`` for
+    :meth:`admit`, and ``nonlocal_gates`` lists the ``(pool, position)`` of
+    every gate with a qubit at a non-local physical position, with that
+    stage's layout and local count: the gates :meth:`prove_locality`
+    checks.
     """
 
     def __init__(self, plan: ExecutionPlan, machine: MachineConfig | None) -> None:
@@ -402,6 +499,7 @@ class ProgramStructure(_Structure):
         self.num_kernels = 0
         self.num_permutations = 0
         self.kernels_per_stage: list[int] = []
+        pool_positions: list[int] = []
 
         layout = QubitLayout(n)
         for stage_idx, stage in enumerate(plan.stages):
@@ -414,23 +512,37 @@ class ProgramStructure(_Structure):
                 self.num_permutations += 1
             l2p = layout.logical_to_physical()
             local = _local_count(stage, machine)
+            indices = list(stage.gate_indices)
+            if len(indices) != stage.num_gates:
+                raise PlanValidationError(
+                    f"stage {stage_idx} records {len(indices)} gate indices for "
+                    f"{stage.num_gates} gates"
+                )
 
             if stage.kernels is None:
                 # Un-kernelized stage: a kernel of one gate each.
-                self.stages.append((l2p, local, None))
+                self.stages.append((l2p, local, None, indices, None))
                 for offset, gate in enumerate(stage.gates):
                     self._add((gate,), False, l2p, local).source = ("gate", stage_idx, offset)
+                pool_positions.extend(indices)
                 self.kernels_per_stage.append(0)
                 continue
 
-            self.stages.append(
-                (l2p, local, tuple(kernel.kernel_type for kernel in stage.kernels))
-            )
+            self.stages.append((
+                l2p, local, tuple(kernel.kernel_type for kernel in stage.kernels), indices,
+                tuple(kernel.gate_indices for kernel in stage.kernels),
+            ))
             for group_idx, kernel in enumerate(stage.kernels):
+                if len(kernel.gate_indices) != len(kernel.gates):
+                    raise PlanValidationError(
+                        f"kernel {group_idx} of stage {stage_idx} records "
+                        f"{len(kernel.gate_indices)} gate indices for {len(kernel.gates)} gates"
+                    )
                 fused = kernel.kernel_type is KernelType.FUSION
                 self._add(tuple(kernel.gates), fused, l2p, local).source = (
                     "kernel" if fused else "sm", stage_idx, group_idx
                 )
+                pool_positions.extend(indices[j] for j in kernel.gate_indices)
             self.kernels_per_stage.append(len(stage.kernels))
             self.num_kernels += len(stage.kernels)
 
@@ -445,10 +557,11 @@ class ProgramStructure(_Structure):
         self.num_gate_ops = sum(
             not isinstance(slot, CompiledOp) for slot in self.slots
         )
+        self.seal(pool_positions, _gate_table(plan))
 
     def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> _KernelSlot:
         """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
-        pool = len(self.keys)
+        pool = len(self.starts) - 1
         far = {q for q, position in l2p.items() if position >= local}
         for position, gate in enumerate(gates):
             if not far.isdisjoint(gate.qubits):
@@ -457,19 +570,26 @@ class ProgramStructure(_Structure):
 
     def admit(
         self, plan: ExecutionPlan, machine: MachineConfig | None
-    ) -> list[tuple[Gate, ...]] | None:
-        """*plan*'s gate pools when it has this structure, else ``None``.
+    ) -> tuple[list[tuple[Gate, ...]], GateTable] | None:
+        """``(plan's gate pools, its gate table)`` when *plan* has this
+        structure, else ``None``.
 
         Compared: the qubit count; per stage the layout, the local qubit
-        count and the kernel types; per gate what :meth:`matches` does.
+        count, the kernel types and the recorded gate indices; that the
+        pools' gates are the plan table's at the structure's positions
+        (what the recorded indices claim); then the table there
+        (:meth:`matches`).
         """
         if plan.num_qubits != self.num_qubits or len(plan.stages) != len(self.stages):
             return None
         pools: list[tuple[Gate, ...]] = []
-        for stage, (l2p, local, kernel_types) in zip(plan.stages, self.stages):
+        for stage, (l2p, local, kernel_types, indices, kernel_indices) in zip(
+            plan.stages, self.stages
+        ):
             if (
                 stage.partition.logical_to_physical() != l2p
                 or _local_count(stage, machine) != local
+                or stage.gate_indices != indices
             ):
                 return None
             if stage.kernels is None:
@@ -479,17 +599,22 @@ class ProgramStructure(_Structure):
                 continue
             if kernel_types is None or len(stage.kernels) != len(kernel_types):
                 return None
-            for kernel, kernel_type in zip(stage.kernels, kernel_types):
-                if kernel.kernel_type is not kernel_type:
+            for kernel, kernel_type, gate_indices in zip(stage.kernels, kernel_types, kernel_indices):
+                if kernel.kernel_type is not kernel_type or kernel.gate_indices != gate_indices:
                     return None
                 pools.append(tuple(kernel.gates))
-        return pools if self.matches(pools) else None
+        table = _gate_table(plan)
+        gates = table.gates
+        if list(chain.from_iterable(pools)) != [gates[p] for p in self.position_list]:
+            return None
+        return (pools, table) if self.matches(table) else None
 
-    def prove_locality(self, pools: list[tuple[Gate, ...]]) -> None:
+    def prove_locality(self, pools: list[tuple[Gate, ...]], table: GateTable) -> None:
         """The staging invariant, for exactly the gates it is not vacuous
-        for."""
+        for — their insular qubits read off *table*."""
         for pool, position, l2p, local in self.nonlocal_gates:
-            check_gate_locality(pools[pool][position], l2p, local)
+            at = int(self.positions[self.starts[pool] + position])
+            _check_locality(pools[pool][position], table.non_insular_qubits(at), l2p, local)
 
 
 class SegmentStructure(_Structure):
@@ -501,10 +626,14 @@ class SegmentStructure(_Structure):
     ``("fused", gates)`` — a fusion kernel wholly on local positions —,
     ``("local", gates)`` — a run of local gates of any other kernel — and
     ``("dynamic", (gate,))`` for a gate touching a non-local qubit (a
-    :class:`_DynamicSlot`).
+    :class:`_DynamicSlot`).  Its gate *table* is the pieces' gates in
+    order (:func:`segment_table`).
     """
 
-    def __init__(self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int) -> None:
+    def __init__(
+        self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int,
+        table: GateTable,
+    ) -> None:
         super().__init__(local)
         self.layout = l2p
         self.kinds = [kind for kind, _gates in pieces]
@@ -515,25 +644,29 @@ class SegmentStructure(_Structure):
             else:
                 self.add_kernel(gates, kind == "fused", l2p)
         self.dynamic = [slot for slot in self.slots if isinstance(slot, _DynamicSlot)]
+        self.seal(np.arange(self.starts[-1]), table)
 
     def admit(
         self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int
-    ) -> list[tuple[Gate, ...]] | None:
-        """*pieces*' gate pools when the segment has this structure (shard
-        size, layout, the cut, gate for gate :meth:`matches`, and each
-        dynamic gate's axis table)."""
+    ) -> tuple[list[tuple[Gate, ...]], GateTable] | None:
+        """``(pieces' gate pools, their gate table)`` when the segment has
+        this structure (shard size, layout, the cut, gate for gate
+        :meth:`matches`, and each dynamic gate's axis table)."""
         if (
             local != self.num_qubits
             or l2p != self.layout
             or [kind for kind, _gates in pieces] != self.kinds
+            or [len(gates) for _kind, gates in pieces]
+            != [b - a for a, b in zip(self.starts, self.starts[1:])]
         ):
             return None
         pools = [gates for _kind, gates in pieces]
-        if not self.matches(pools) or any(
+        table = segment_table(pieces)
+        if not self.matches(table) or any(
             nonlocal_axes(pools[slot.pool][0], l2p, local) != slot.axes for slot in self.dynamic
         ):
             return None
-        return pools
+        return pools, table
 
     def shard_streams(self, ops: list) -> tuple[tuple[tuple[CompiledOp, ...], int], ...]:
         """Per shard index, ``(the ops of *ops* — bound from this structure,
@@ -554,27 +687,34 @@ class SegmentStructure(_Structure):
         return tuple(table)
 
 
+def segment_table(pieces: list[tuple[str, tuple[Gate, ...]]]) -> GateTable:
+    """The gate table of a shards-segment's *pieces*: their gates in order."""
+    return GateTable([gate for _kind, gates in pieces for gate in gates])
+
+
 def bind_structure(reuse, admit, build) -> tuple[_Structure, list, int, bool]:
     """The one admit → bind → else-cold sequence of every compile.
 
     *reuse* is ``(structure, ops bound from it)`` of an earlier compile, or
-    ``None``; ``admit(structure)`` returns the new job's pools when it has
-    that structure; ``build()`` returns ``(fresh structure, its pools)``.
-    A job that is not admitted — or whose products leave their templates'
-    class half way through the bind (:class:`_StructureChanged`) — is built
-    cold and never adopts the reuse structure.  Returns ``(structure, ops,
-    ops taken verbatim, whether the reuse structure was bound)``.
+    ``None``; ``admit(structure)`` returns ``(the new job's pools, its gate
+    table)`` when it has that structure; ``build()`` returns ``(fresh
+    structure, its pools, its table)``.  A job that is not admitted — or
+    whose products leave their templates' class half way through the bind
+    (:class:`_StructureChanged`) — is built cold and never adopts the reuse
+    structure.  Returns ``(structure, ops, ops taken verbatim, whether the
+    reuse structure was bound)``.
     """
     if reuse is not None:
         structure, reuse_ops = reuse
-        pools = admit(structure)
-        if pools is not None:
+        admitted = admit(structure)
+        if admitted is not None:
+            pools, table = admitted
             try:
-                return (structure, *structure.bind(pools, reuse_ops), True)
+                return (structure, *structure.bind(pools, reuse_ops, table), True)
             except _StructureChanged:
                 pass
-    structure, pools = build()
-    return (structure, *structure.bind(pools, None), False)
+    structure, pools, table = build()
+    return (structure, *structure.bind(pools, None, table), False)
 
 
 def _local_count(stage, machine: MachineConfig | None) -> int:
@@ -619,14 +759,19 @@ def compile_plan(
         raise PlanValidationError("reuse program spans a different qubit count")
 
     def admit(structure: ProgramStructure):
-        pools = structure.admit(plan, machine)
-        if check_locality and pools is not None:
-            structure.prove_locality(pools)
-        return pools
+        admitted = structure.admit(plan, machine)
+        if check_locality and admitted is not None:
+            structure.prove_locality(*admitted)
+        return admitted
 
     def build():
         structure = ProgramStructure(plan, machine)
-        return structure, admit(structure)
+        admitted = admit(structure)
+        if admitted is None:
+            raise PlanValidationError(
+                "a kernel's gate_indices do not name its gates in its stage"
+            )
+        return (structure, *admitted)
 
     held = reuse.structure if reuse is not None else None
     structure, ops, reused, rebound = bind_structure(

@@ -88,7 +88,7 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
-from .compile import SegmentStructure, bind_structure
+from .compile import SegmentStructure, bind_structure, segment_table
 from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
@@ -333,10 +333,7 @@ def compile_segment_ops(
     structure, bound, _reused, _rebound = bind_structure(
         None if reuse is None else (reuse.structure, [payload for _kind, payload in reuse]),
         lambda held: held.admit(pieces, logical_to_physical, local_qubits),
-        lambda: (
-            SegmentStructure(pieces, logical_to_physical, local_qubits),
-            [gates for _kind, gates in pieces],
-        ),
+        lambda: _build_segment(pieces, logical_to_physical, local_qubits),
     )
     ops = SegmentOps(
         ("dynamic" if kind == "dynamic" else "local", op)
@@ -345,6 +342,13 @@ def compile_segment_ops(
     ops.structure = structure
     ops.shards = structure.shard_streams(bound)
     return ops
+
+
+def _build_segment(pieces, logical_to_physical: dict[int, int], local_qubits: int):
+    """A cold segment: ``(structure, pools, table)`` for :func:`bind_structure`."""
+    table = segment_table(pieces)
+    structure = SegmentStructure(pieces, logical_to_physical, local_qubits, table)
+    return structure, [gates for _kind, gates in pieces], table
 
 
 def run_segment_ops(

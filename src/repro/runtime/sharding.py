@@ -326,11 +326,12 @@ def nonlocal_axes(
 ) -> tuple[tuple[int, int, str], ...]:
     """The :func:`_axis_table` of *gate* under the layout
     *logical_to_physical* — the one table the segmentation, the segment
-    compiler and the race detector read."""
-    return _axis_table(
-        gate.name, gate.pattern()[0], gate.qubits,
-        tuple(logical_to_physical[q] for q in gate.qubits), local_qubits,
-    )
+    compiler and the race detector read.  A gate with every qubit local has
+    none, and its matrix is not read."""
+    physical = tuple(logical_to_physical[q] for q in gate.qubits)
+    if all(p < local_qubits for p in physical):
+        return ()
+    return _axis_table(gate.name, gate.pattern()[0], gate.qubits, physical, local_qubits)
 
 
 def shard_out_index(axes: tuple[tuple[int, int, str], ...], shard_index: int) -> int:

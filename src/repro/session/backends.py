@@ -48,7 +48,7 @@ from ..runtime.offload import execute_plan_offloaded
 from ..runtime.parallel import ParallelRuntime
 from ..runtime.timeline import TimingBreakdown, model_simulation_time
 from ..sim.statevector import StateVector
-from .cache import freeze_config
+from .cache import frozen
 
 __all__ = [
     "BACKENDS",
@@ -316,7 +316,7 @@ class ParallelBackend(ExecutionBackend):
         self._runtimes: dict[object, ParallelRuntime] = {}
 
     def runtime_for(self, machine: MachineConfig) -> ParallelRuntime:
-        key = freeze_config(machine)
+        key = frozen(machine)
         runtime = self._runtimes.get(key)
         if runtime is None:
             runtime = self._runtimes[key] = ParallelRuntime(

@@ -39,6 +39,7 @@ The cache is an LRU over a bounded number of structures and is owned by a
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -54,6 +55,7 @@ __all__ = [
     "CacheStats",
     "PlanCache",
     "freeze_config",
+    "frozen",
     "plan_cache_key",
     "plan_fingerprint",
     "plan_skeleton",
@@ -64,6 +66,35 @@ __all__ = [
 ]
 
 
+#: ``id(config) -> (config, its frozen form)``, most recent last.
+_FROZEN: OrderedDict[int, tuple] = OrderedDict()
+_FROZEN_MAX = 16
+_FROZEN_LOCK = threading.Lock()
+
+
+def frozen(config):
+    """:func:`freeze_config` of *config* memoised on its identity, for a
+    configuration that does not change once built: a frozen
+    :class:`~repro.cluster.machine.MachineConfig` or
+    :class:`~repro.cluster.costmodel.CostModel` (never a mutable
+    :class:`~repro.planner.pipeline.PassManager`).  Another object — a
+    reassigned cost model, another machine — is another entry, so a stale
+    key is never served; the memo holds the few most recent."""
+    slot = id(config)
+    with _FROZEN_LOCK:
+        entry = _FROZEN.get(slot)
+        if entry is not None and entry[0] is config:
+            _FROZEN.move_to_end(slot)
+            return entry[1]
+    value = freeze_config(config)
+    with _FROZEN_LOCK:
+        _FROZEN[slot] = (config, value)
+        _FROZEN.move_to_end(slot)
+        while len(_FROZEN) > _FROZEN_MAX:
+            _FROZEN.popitem(last=False)
+    return value
+
+
 def plan_cache_key(circuit: Circuit, machine, planner_key: object) -> tuple:
     """The full cache key for planning *circuit* on *machine*.
 
@@ -71,7 +102,7 @@ def plan_cache_key(circuit: Circuit, machine, planner_key: object) -> tuple:
     the full pipeline signature and the cost model for the Atlas pipeline,
     or the baseline simulator identity for modelled baseline backends.
     """
-    return (circuit.structural_key(), freeze_config(machine), planner_key)
+    return (circuit.structural_key(), frozen(machine), planner_key)
 
 
 def shared_plan_key(circuit: Circuit, machine, planner_key: object) -> tuple[tuple, dict[int, int]]:
@@ -85,7 +116,7 @@ def shared_plan_key(circuit: Circuit, machine, planner_key: object) -> tuple[tup
     is stored in.
     """
     canonical, mapping = circuit.canonical_structural_key()
-    return (canonical, freeze_config(machine), planner_key), mapping
+    return (canonical, frozen(machine), planner_key), mapping
 
 
 def _structure_digest(num_qubits: int, stages) -> str:
@@ -281,6 +312,7 @@ def _bind(circuit: Circuit, what: str, num_qubits: int, stages, provenance) -> E
         stages=bound,
         circuit_name=circuit.name,
         provenance=dict(provenance),
+        gate_table=circuit.gate_table(),
     )
 
 

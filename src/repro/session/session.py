@@ -70,7 +70,7 @@ from .backends import (
 )
 from .cache import (
     PlanCache,
-    freeze_config,
+    frozen,
     plan_cache_key,
     plan_skeleton,
     rebind_plan,
@@ -567,13 +567,13 @@ class Session:
         complete pipeline signature (pass sequence, every pass's options,
         preset name, time budget) plus the cost model.  Two different
         presets/pipelines therefore can never share — or rebind from — one
-        structural cache entry.
+        structural cache entry.  The pipeline is mutable (``time_budget``,
+        ``preset``, each pass's options), so its signature is taken per
+        job; the cost model is frozen once per object
+        (:func:`~repro.session.cache.frozen`), and reassigning
+        ``cost_model`` is a new key.
         """
-        return (
-            "atlas-pipeline",
-            manager.signature(),
-            freeze_config(self.cost_model),
-        )
+        return ("atlas-pipeline", manager.signature(), frozen(self.cost_model))
 
     def plan_for(
         self,

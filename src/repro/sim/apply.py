@@ -1408,9 +1408,19 @@ class KernelTemplate(OpTemplate):
     """:func:`kernel_template`'s result: an :class:`OpTemplate` of kind
     ``"sm"`` whose payload is the kernel's filled items.  ``native`` says
     whether ``bind`` takes the C body; ``item_loop`` binds the loop over the
-    items' own op bodies whatever ``bind`` takes — the native body's oracle."""
+    items' own op bodies whatever ``bind`` takes — the native body's oracle.
 
-    __slots__ = ("items", "native", "item_loop")
+    Under both sit the binds of bare numbers, which the plan compiler
+    gathers from a gate table (:class:`repro.sim.fusion.GatherProgram`):
+    ``loop(arrays)`` — per item a block's phases or a dense item's matrix —
+    and, when ``native``, ``bind_numbers(numbers, fallback)`` — the one
+    complex payload the C body reads, packed as ``fills`` say (``(item,
+    mode, offset, index)``; :func:`_tile_program`), with
+    *fallback* returning the item loop's run for a buffer the C body cannot
+    walk.  ``bind`` packs filled items the same way (``pack``, the
+    oracle)."""
+
+    __slots__ = ("items", "native", "item_loop", "loop", "bind_numbers", "pack", "fills")
 
     def ulps(self) -> int:
         """The documented bound on how far the native body may sit from the
@@ -1439,11 +1449,22 @@ class KernelTemplate(OpTemplate):
     def op(
         self, payload: Sequence, source: tuple | None = None, gates: "tuple | None" = None
     ) -> CompiledOp:
-        op = super().op(payload, source, gates)
-        op.items = tuple([
-            (item.kind, item.qubits, filled.gates) for item, filled in zip(self.items, payload)
-        ])
-        return op
+        return self.compiled(
+            self.bind(payload), source, gates, [filled.gates for filled in payload]
+        )
+
+    def compiled(
+        self, run, source: tuple | None, gates: "tuple | None", item_gates: Sequence[tuple]
+    ) -> CompiledOp:
+        """The op of a *run* bound from this template, with its static
+        metadata; *item_gates* are, per item, the gates it absorbed."""
+        return CompiledOp(
+            self.kind, run, source, gates, qubits=self.qubits, tmp_slots=self.tmp_slots,
+            items=tuple([
+                (item.kind, item.qubits, absorbed)
+                for item, absorbed in zip(self.items, item_gates)
+            ]),
+        )
 
 
 def _deposit(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -1581,14 +1602,6 @@ def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
     return prog, table, fills, max(sizes[1], 1)
 
 
-def _item_template(item: KernelItem, payload, n: int) -> OpTemplate:
-    """The op template an item has on its own — what the item loop runs
-    (a dense item's is chosen from the matrix in *payload*)."""
-    if item.kind == "block":
-        return monomial_template(item.perm, item.qubits, n)
-    return unitary_template(payload.matrix, item.qubits, n)
-
-
 def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     """The template of one kernel — all its lowered *items* as **one**
     in-place op over ``(..., 2^n)`` buffers; its payload is the items
@@ -1624,14 +1637,15 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     qubits = tuple(sorted({q for item in items for q in item.qubits}))
     templates: list = [None] * len(items)
 
-    def item_loop(payloads):
+    def loop(arrays):
         runs = []
-        for index, (item, payload) in enumerate(zip(items, payloads)):
+        for index, (item, array) in enumerate(zip(items, arrays)):
             if templates[index] is None:
-                templates[index] = _item_template(item, payload, n)
-            runs.append(templates[index].bind(
-                payload.phases if item.kind == "block" else payload.matrix
-            ))
+                templates[index] = (
+                    monomial_template(item.perm, item.qubits, n) if item.kind == "block"
+                    else unitary_template(array, item.qubits, n)
+                )
+            runs.append(templates[index].bind(array))
 
         def run(states, scratch, ws):
             state, spare = states, scratch
@@ -1643,16 +1657,26 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
 
         return run
 
-    if not takes_native(items, n):
-        bind = item_loop
-    else:
+    def item_loop(payloads):
+        return loop([
+            payload.phases if item.kind == "block" else payload.matrix
+            for item, payload in zip(items, payloads)
+        ])
+
+    template = KernelTemplate("sm", qubits, item_loop, tmp_slots=(0, 1), uses_scratch=True)
+    template.items = items
+    template.item_loop = item_loop
+    template.loop = loop
+    template.native = takes_native(items, n)
+    template.fills, template.pack, template.bind_numbers = None, None, None
+    if template.native:
         lib = native.library()
         prog, tabs, fills, size = _tile_program(items, n, lib.sm_lane_bits())
         apply_tiles = lib.sm_apply
         row = 1 << n
         prog_at, tabs_at = prog.ctypes.data, tabs.ctypes.data
 
-        def bind(payloads):
+        def pack(payloads) -> np.ndarray:
             numbers = np.empty(size, dtype=np.complex128)
             for index, mode, offset, extra in fills:
                 payload = payloads[index]
@@ -1661,8 +1685,11 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
                 else:
                     matrix = payload.matrix if mode == 0 else payload.factors[extra]
                     numbers[offset : offset + matrix.size] = matrix.reshape(-1)
+            return numbers
+
+        def bind_numbers(numbers, fallback):
             numbers_at = numbers.ctypes.data
-            loop: list = []
+            held: list = []
 
             # The default argument keeps the arrays behind the three
             # addresses alive as long as the closure.
@@ -1670,9 +1697,9 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
                 if states.dtype != np.complex128 or not states.flags.c_contiguous:
                     # Not a buffer the C body can walk: the item loop, bound
                     # on first need.
-                    if not loop:
-                        loop.append(item_loop(payloads))
-                    return loop[0](states, scratch, ws)
+                    if not held:
+                        held.append(fallback())
+                    return held[0](states, scratch, ws)
                 failed = apply_tiles(
                     states.ctypes.data, states.size // row, row, prog_at, tabs_at, numbers_at
                 )
@@ -1682,10 +1709,8 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
 
             return run
 
-    template = KernelTemplate("sm", qubits, bind, tmp_slots=(0, 1), uses_scratch=True)
-    template.items = items
-    template.native = bind is not item_loop
-    template.item_loop = item_loop
+        template.bind = lambda payloads: bind_numbers(pack(payloads), lambda: item_loop(payloads))
+        template.bind_numbers, template.pack, template.fills = bind_numbers, pack, tuple(fills)
     return template
 
 

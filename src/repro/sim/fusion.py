@@ -17,11 +17,12 @@ stage's layout, which gates fold into which block or dense group, the
 block's permutation and its phase gather tables.  The **fill** (:func:`fill_fused_unitary`,
 :func:`fill_lowered_item`) does the arithmetic for one set of angles.
 :func:`fused_unitary` and :func:`lower_kernel_gates` are "structure, then
-fill", unmemoized.  Executors reach both halves through the plan
-compiler's kernel slots (:mod:`repro.runtime.compile`): a compiled program
-keeps the structures of its kernels and runs only the fills when it is
-rebound to new angles, and a shard schedule's segments hold the same
-slots.
+fill", unmemoized — the static verifier's oracle.  Executors reach both
+through the plan compiler's kernel slots (:mod:`repro.runtime.compile`),
+where a shared-memory kernel's fill is compiled once more, into a
+:class:`KernelGather` — the same products in the same order, as array
+work over a gate table — so a compiled program rebound to new angles, and
+a shard schedule's segments, run only that.
 
 The fused matrix is built by applying each gate to the columns of a
 ``2^m × 2^m`` identity, viewed as a state on ``2m`` qubits whose high bits
@@ -57,6 +58,9 @@ from .apply import (
 
 __all__ = [
     "ItemLowering",
+    "GatherProgram",
+    "GatherRun",
+    "KernelGather",
     "KernelFusion",
     "LoweredItem",
     "kernel_fusion",
@@ -138,19 +142,21 @@ def _fixed_step(name: str, qubits: tuple[int, ...], n: int) -> "tuple[OpTemplate
     return template, template.bind(matrix)
 
 
-def fill_fused_unitary(fusion: KernelFusion, gates: Sequence[Gate]) -> np.ndarray:
-    """The fused matrix of *gates* through *fusion* — the numeric half of
-    :func:`fused_unitary`: bind each angle-carrying gate's matrix to its
-    template and run the steps over the identity.  The work buffers are the
-    calling thread's (slots no op borrows); the result is a fresh array."""
+def fill_fused_unitary(fusion: KernelFusion, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """The fused matrix through *fusion* of gates whose matrices are
+    *matrices*, in order — the numeric half of :func:`fused_unitary`: bind
+    each angle-carrying gate's matrix to its template and run the steps
+    over the identity (a parameter-free step ignores its matrix).  The work
+    buffers are the calling thread's (slots no op borrows); the result is a
+    fresh array."""
     dim = 1 << len(fusion.qubits)
     ws = thread_workspace()
     buf, scratch = ws.tmp(dim * dim, slot=2), ws.tmp(dim * dim, slot=3)
     buf.fill(0)
     buf[:: dim + 1] = 1
-    for gate, (template, run) in zip(gates, fusion.steps):
+    for matrix, (template, run) in zip(matrices, fusion.steps):
         if run is None:
-            run = template.bind(gate.matrix())
+            run = template.bind(matrix)
         buf, scratch = run(buf, scratch, ws)
     return buf.reshape(dim, dim).copy()
 
@@ -174,7 +180,7 @@ def fused_unitary(
         The little-endian fused unitary and the qubit tuple it acts on.
     """
     fusion = kernel_fusion(gates, qubits)
-    return fill_fused_unitary(fusion, gates), fusion.qubits
+    return fill_fused_unitary(fusion, [gate.matrix() for gate in gates]), fusion.qubits
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +479,373 @@ def lower_kernel_gates(
         fill_lowered_item(item, gates)
         for item in kernel_lowering(gates, logical_to_physical)
     )
+
+
+class _Products:
+    """Ordered products of entries of a source vector, run as depth levels.
+
+    Built from *groups*, in output order: each a list of equal-length index
+    arrays, its columns — entry ``e`` of the group is the product of the
+    source at ``column[e]`` of every column, in order:
+    ``((s[t0] * s[t1]) * s[t2]) ...`` (*left*; one column is a plain
+    gather) or, not *left*, ``s[tk] * (... * (s[t1] * s[t0]))`` — NumPy's
+    complex product is not commutative bit for bit, so the operand order is
+    the oracle's.  Groups are kept deepest first, so every level multiplies
+    a prefix: one take and one multiply per depth, whatever the number of
+    entries."""
+
+    __slots__ = ("first", "levels", "unsort", "left")
+
+    def __init__(self, groups: Sequence[Sequence[np.ndarray]], left: bool) -> None:
+        self.left = left
+        order = sorted(range(len(groups)), key=lambda g: -len(groups[g]))
+        ranked = [groups[g] for g in order]
+        self.first = np.concatenate([group[0] for group in ranked]).astype(np.intp)
+        self.levels: list[tuple[int, np.ndarray]] = []
+        for depth in range(1, len(ranked[0])):
+            index = np.concatenate(
+                [group[depth] for group in ranked if len(group) > depth]
+            ).astype(np.intp)
+            self.levels.append((len(index), index))
+        self.unsort: np.ndarray | None = None
+        if order != sorted(order):
+            sizes = [len(group[0]) for group in groups]
+            starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+            position = np.concatenate([np.arange(starts[g], starts[g + 1]) for g in order])
+            self.unsort = np.empty(len(position), dtype=np.intp)
+            self.unsort[position] = np.arange(len(position))
+            if not self.levels:
+                self.first, self.unsort = self.first[self.unsort], None
+
+    def __call__(self, source: np.ndarray) -> np.ndarray:
+        out = source.take(self.first)
+        for count, index in self.levels:
+            head = out[:count]
+            if self.left:
+                np.multiply(head, source.take(index), out=head)
+            else:
+                np.multiply(source.take(index), head, out=head)
+        return out if self.unsort is None else out.take(self.unsort)
+
+
+@lru_cache(maxsize=256)
+def _cycle(dim: int, length: int) -> np.ndarray:
+    """``c mod length`` for each of ``dim`` indices (*length* a power of
+    two): where a table of *length* repeats over a block."""
+    cycle = np.arange(dim) & (length - 1)
+    cycle.setflags(write=False)
+    return cycle
+
+
+@lru_cache(maxsize=16)
+def _kron_selectors(k: int) -> tuple[np.ndarray, ...]:
+    """Per qubit ``j`` of a ``k``-qubit Kronecker product, row-major over
+    its ``(2^k)^2`` entries, the entry of qubit ``j``'s 2x2 factor each one
+    takes: ``(row bit j, col bit j)``."""
+    dim = 1 << k
+    row, col = np.divmod(np.arange(dim * dim), dim)
+    return tuple([(((row >> j) & 1) << 1) | ((col >> j) & 1) for j in range(k)])
+
+
+_ONE = np.ones(1, dtype=np.complex128)
+_ONE.setflags(write=False)
+
+
+class KernelGather:
+    """How a shared-memory kernel's numbers come out of its pool gates'
+    matrices: :func:`fill_lowered_item`'s arithmetic, in its order, as index
+    arrays — built once per kernel structure, run as part of a
+    :class:`GatherProgram`.
+
+    Built from the kernel's lowering, the qubit count of each gate of its
+    pool and — for the native body — the template's packing (``fills`` of
+    :func:`repro.sim.apply.kernel_template`, which cover the payload from
+    its first entry to its last).  Indices are local *sources*: the pool
+    gates' matrices, row-major, one after another (``entries`` of them);
+    then ``chains`` — per fold qubit with two or more gates, their 2x2
+    product, later gates on the left — four entries each; then the unit
+    ``1`` (``one``: whether any term reads it).  ``values`` are the item
+    loop's payloads, item by item (a block's phases — the running product
+    of its members' gathered phases — or a dense gate's matrix; ``spans``
+    say where), ``kron`` the folds' Kronecker products, the high qubit on
+    the left (``folds`` say where; ``ones`` are the entries whose exact
+    ones count too), each as groups of term columns for :class:`_Products`;
+    ``numbers`` index ``values`` followed by the sources: the packed
+    payload of the native body.  No gate object is kept.
+    """
+
+    __slots__ = (
+        "dims", "entries", "chains", "one", "values", "spans", "kron", "folds", "ones",
+        "numbers",
+    )
+
+    def __init__(
+        self,
+        lowering: Sequence[ItemLowering],
+        widths: Sequence[int],
+        fills: "Sequence[tuple] | None" = None,
+    ) -> None:
+        self.dims = [1 << width for width in widths]
+        sizes = [dim * dim for dim in self.dims]
+        start = [0]
+        for size in sizes:
+            start.append(start[-1] + size)
+        self.entries = start[-1]
+
+        # Per fold qubit its members; two or more multiply into a chain.
+        fold_members = [
+            [[m for m, s in zip(item.members, item.slots) if s == slot]
+             for slot in range(len(item.qubits))]
+            if item.dense and len(item.members) > 1 else None
+            for item in lowering
+        ]
+        self.chains = [
+            [start[m] for m in members]
+            for folds in fold_members if folds for members in folds if len(members) > 1
+        ]
+        one = self.entries + 4 * len(self.chains)
+        self.one = False
+
+        # The item loop's payloads; single-term entries gathered into one
+        # group.
+        self.values: list[list[np.ndarray]] = []
+        single: list[int] = []
+        self.spans: list[tuple[int, int, int]] = []
+        factors: dict[int, list[list[int]]] = {}
+        next_chain = 0
+        at = 0
+        for index, item in enumerate(lowering):
+            if fold_members[index] is not None:
+                factors[index] = []
+                for members in fold_members[index]:
+                    if len(members) == 1:
+                        first = start[members[0]]
+                    else:
+                        first = self.entries + 4 * next_chain
+                        next_chain += 1
+                    factors[index].append([first, first + 1, first + 2, first + 3])
+                self.spans.append((-1, 0, 0))
+                continue
+            dim = 1 << len(item.qubits)
+            if item.dense:
+                (m,) = item.members
+                single.extend(range(start[m], start[m] + sizes[m]))
+                count = sizes[m]
+            elif not item.factors:
+                single.extend([one] * dim)
+                self.one = True
+                count = dim
+            else:
+                if single:
+                    self.values.append([np.array(single, dtype=np.intp)])
+                    single = []
+                # Member j's phase at block index c is its table at c
+                # modulo the table's (power-of-two) length: the table,
+                # repeated.
+                self.values.append([
+                    (table.astype(np.intp) + start[m])[_cycle(dim, len(table))]
+                    for m, table in item.factors
+                ])
+                count = dim
+            self.spans.append((at, at + count, dim if item.dense else 0))
+            at += count
+        if single:
+            self.values.append([np.array(single, dtype=np.intp)])
+        shift = at  # where the sources start, after the values
+
+        # A fold's product over k qubits: entry (row, col) is, per qubit j,
+        # factor j's entry at (row bit j, col bit j).
+        self.kron: list[list[np.ndarray]] = []
+        self.folds: dict[int, tuple[int, int, int]] = {}
+        wide: list[int] = []
+        at = 0
+        for index, parts in factors.items():
+            dim = 1 << len(parts)
+            self.kron.append([
+                np.asarray(part, dtype=np.intp)[selector]
+                for part, selector in zip(parts, _kron_selectors(len(parts)))
+            ])
+            self.folds[index] = (at, at + dim * dim, dim)
+            if dim > 2:
+                wide.extend(range(at, at + dim * dim))
+            at += dim * dim
+        self.ones = np.array(wide, dtype=np.intp)
+
+        # The native body's payload: every entry is one of the values (a
+        # block's phase, a gate's matrix entry) or a fold's 2x2 factor
+        # straight from the sources.
+        self.numbers = None
+        if fills is not None:
+            parts: list = []
+            for index, mode, offset, extra in sorted(fills, key=lambda fill: fill[2]):
+                first, stop, _dim = self.spans[index]
+                if mode == 2:
+                    parts.append(first + np.asarray(extra, dtype=np.intp))
+                elif mode == 1:
+                    parts.append(np.array([shift + e for e in factors[index][extra]], dtype=np.intp))
+                else:
+                    parts.append(np.arange(first, stop, dtype=np.intp))
+            if not parts:  # a kernel with no payload still passes one number, unread
+                parts.append(np.array([shift + one], dtype=np.intp))
+                self.one = True
+            self.numbers = np.concatenate(parts)
+
+    def matrices(self, entries: np.ndarray) -> list[np.ndarray]:
+        """Per pool gate its matrix, out of its *entries* — what the fused
+        gemm multiplies."""
+        out, at = [], 0
+        for dim in self.dims:
+            out.append(entries[at : at + dim * dim].reshape(dim, dim))
+            at += dim * dim
+        return out
+
+
+class GatherProgram:
+    """The numbers of every kernel of an op stream, as one array program
+    over a gate table (:class:`~repro.circuits.gates.GateTable`).
+
+    Built from each kernel's :class:`KernelGather` and where its pool
+    gates' matrices start in *entries* — all of the stream's pool gates'
+    matrices, row-major, as the plan compiler takes them out of the table
+    in one gather.  The kernels' sources, values, products and payloads are
+    laid end to end, so a run is: per depth of the folds' 1q products one
+    stacked matmul (later gates on the left); per factor depth of every
+    block's phases one ``take`` and one multiply (circuit order — NumPy's
+    complex product is not commutative bit for bit, so the operand order is
+    the oracle's); the folds' Kronecker products the same way; one ``take``
+    into the native bodies' packed payloads.  :meth:`__call__` returns a
+    :class:`GatherRun`; every number is bit for bit what
+    :func:`lower_kernel_gates` gives the same gates.
+    """
+
+    __slots__ = ("kernels", "chains", "one", "values", "kron", "ones", "numbers", "offsets")
+
+    def __init__(self, kernels: Sequence[tuple[KernelGather, int]], entries: int) -> None:
+        self.kernels = [gather for gather, _start in kernels]
+        chains = [
+            [start + member for member in chain]
+            for gather, start in kernels for chain in gather.chains
+        ]
+        order = sorted(range(len(chains)), key=lambda c: -len(chains[c]))
+        rank = np.empty(len(chains), dtype=np.intp)
+        rank[order] = np.arange(len(chains))
+        quad = np.arange(4, dtype=np.intp)
+
+        def quads(members) -> np.ndarray:
+            return (np.asarray(members, dtype=np.intp)[:, None] + quad).reshape(-1)
+
+        self.chains = None
+        if chains:
+            self.chains = (
+                quads([chains[c][0] for c in order]),
+                [
+                    (count, quads([chains[c][depth] for c in order[:count]]))
+                    for depth in range(1, len(chains[order[0]]))
+                    for count in [sum(len(chain) > depth for chain in chains)]
+                ],
+            )
+        one = entries + 4 * len(chains)
+        self.one = any(gather.one for gather in self.kernels)
+
+        values: list = []
+        kron: list = []
+        numbers: list = []
+        ones: list = []
+        self.offsets: list[tuple[int, int, int, int]] = []
+        total_values = sum(len(column[0]) for gather in self.kernels for column in gather.values)
+        at_value = at_kron = at_number = 0
+        first_chain = 0
+        for gather, start in kernels:
+            # Local sources to this program's: entries shift by the pool's
+            # start, chains go to their rank, the unit to the shared one.
+            chain_at = entries + 4 * rank[first_chain : first_chain + len(gather.chains)]
+            first_chain += len(gather.chains)
+
+            def source(local: np.ndarray, gather=gather, start=start, chain_at=chain_at):
+                out = np.full(local.shape, one, dtype=np.intp)
+                entry = local < gather.entries
+                out[entry] = local[entry] + start
+                chained = ~entry & (local < gather.entries + 4 * len(chain_at))
+                offset = local[chained] - gather.entries
+                out[chained] = chain_at[offset // 4] + offset % 4
+                return out
+
+            values.extend([[source(column) for column in group] for group in gather.values])
+            kron.extend([[source(column) for column in group] for group in gather.kron])
+            count_values = sum(len(group[0]) for group in gather.values)
+            count_kron = sum(len(group[0]) for group in gather.kron)
+            ones.append(gather.ones + at_kron)
+            if gather.numbers is not None:
+                local = gather.numbers
+                numbers.append(np.where(
+                    local < count_values, local + at_value,
+                    total_values + source(local - count_values),
+                ))
+            size = len(gather.numbers) if gather.numbers is not None else 0
+            self.offsets.append((at_value, at_kron, at_number, at_number + size))
+            at_value += count_values
+            at_kron += count_kron
+            at_number += size
+        self.values = _Products(values, left=True) if values else None
+        self.kron = _Products(kron, left=False) if kron else None
+        self.ones = np.concatenate(ones).astype(np.intp) if ones else np.zeros(0, np.intp)
+        self.numbers = np.concatenate(numbers).astype(np.intp) if numbers else None
+
+    def signature(self, products: np.ndarray) -> bytes:
+        """The exact signature of every fold product at once: the
+        :func:`~repro.circuits.gates.matrix_signature` of each, joined."""
+        return (products != 0).tobytes() + (products.take(self.ones) == 1).tobytes()
+
+    def __call__(self, entries: np.ndarray) -> "GatherRun":
+        parts = [entries]
+        if self.chains is not None:
+            first, levels = self.chains
+            chain = entries.take(first).reshape(-1, 2, 2)
+            for count, index in levels:
+                chain[:count] = entries.take(index).reshape(-1, 2, 2) @ chain[:count]
+            parts.append(chain.reshape(-1))
+        if self.one:
+            parts.append(_ONE)
+        source = np.concatenate(parts) if len(parts) > 1 else entries
+        values = self.values(source) if self.values is not None else source[:0]
+        products = self.kron(source) if self.kron is not None else source[:0]
+        numbers = None
+        if self.numbers is not None:
+            numbers = np.concatenate((values, source)).take(self.numbers)
+        return GatherRun(self, values, products, numbers, self.signature(products))
+
+
+class GatherRun(NamedTuple):
+    """One run of a :class:`GatherProgram`: its values, fold products,
+    packed payloads and the products' exact ``signature``; per kernel
+    (by its index in the program) :meth:`numbers_of` and :meth:`arrays_of`."""
+
+    program: GatherProgram
+    values: np.ndarray
+    products: np.ndarray
+    numbers: "np.ndarray | None"
+    signature: bytes
+
+    def numbers_of(self, kernel: int) -> np.ndarray:
+        """Kernel *kernel*'s native payload."""
+        _value, _kron, first, stop = self.program.offsets[kernel]
+        return self.numbers[first:stop]
+
+    def arrays_of(self, kernel: int) -> list[np.ndarray]:
+        """Kernel *kernel*'s item-loop payloads: per item a block's phases,
+        a dense item's matrix (a fold's: its product)."""
+        gather = self.program.kernels[kernel]
+        at_value, at_kron, _first, _stop = self.program.offsets[kernel]
+        arrays = []
+        for index, (a, b, dim) in enumerate(gather.spans):
+            if a < 0:
+                a, b, dim = gather.folds[index]
+                arrays.append(self.products[at_kron + a : at_kron + b].reshape(dim, dim))
+            elif dim:
+                arrays.append(self.values[at_value + a : at_value + b].reshape(dim, dim))
+            else:
+                arrays.append(self.values[at_value + a : at_value + b])
+        return arrays
 
 
 def kernel_items(

@@ -1133,17 +1133,17 @@ class TestLintRepro:
     def test_kernel_template_keeps_two_named_bodies_and_two_callers(self, lint):
         engine_source = (
             "def kernel_template(items, n):\n"
-            "    def item_loop(payloads):\n"
+            "    def loop(arrays):\n"
             "        def run(states, scratch, ws):\n"
             "            return states, scratch\n"
             "        return run\n"
             "    lib = native.library()\n"
-            "    def bind(payloads):\n"
+            "    def bind_numbers(numbers, fallback):\n"
             "        def run(states, scratch, ws):\n"
             "            lib.sm_apply(states)\n"
             "            return states, scratch\n"
             "        return run\n"
-            "    return bind, item_loop\n"
+            "    return bind_numbers, loop\n"
         )
         kernel_set_rest = (
             "import threading\n"
@@ -1163,12 +1163,12 @@ class TestLintRepro:
         third = self.write(
             lint, "sim/apply.py",
             kernel_set_rest + engine_source.replace(
-                "    return bind, item_loop\n",
+                "    return bind_numbers, loop\n",
                 "    def tiled(payloads):\n"
                 "        def run(states, scratch, ws):\n"
                 "            return states, scratch\n"
                 "        return run\n"
-                "    return tiled if FAST else bind, item_loop\n",
+                "    return tiled if FAST else bind_numbers, loop\n",
             ),
         )
         assert [f.key.rpartition("::")[2] for f in lint.check_one_op_body([third])] == [
@@ -1187,7 +1187,7 @@ class TestLintRepro:
         # A body going missing is the rule left behind.
         engine.write_text(kernel_set_rest + "def kernel_template(items, n):\n    return None\n")
         assert sorted(f.key.rpartition("::")[2] for f in lint.check_one_op_body([engine])) == [
-            "kernel_template:bind:missing", "kernel_template:item_loop:missing",
+            "kernel_template:bind_numbers:missing", "kernel_template:loop:missing",
         ]
 
     def test_second_native_loader_flagged(self, lint):
@@ -1414,6 +1414,48 @@ class TestLintRepro:
         ]
         elsewhere = self.write(lint, "analysis/figures.py", pool.read_text())
         assert lint.check_one_layout_move([elsewhere]) == []
+
+    def test_slot_binds_read_the_gate_table(self, lint):
+        slots = self.write(
+            lint, "runtime/compile.py",
+            "class _KernelSlot:\n"
+            "    def bind(self, gates, old, flat, base):\n"
+            "        return self.fill(gates, flat, base)\n"
+            "    def fill(self, gates, flat, base):\n"
+            "        return self.gather.native(flat, base)\n"
+            "class _DynamicSlot:\n"
+            "    def __init__(self, gate):\n"
+            "        self.block = _reduce(gate.matrix(), gate.qubits, ())\n"
+            "    def bind(self, pool, old, flat, base):\n"
+            "        return flat.take(base[0] + self.picks)\n",
+        )
+        assert lint.check_one_gate_table([slots]) == []
+        # A per-gate bind growing back: a gate's own matrix, the oracle's
+        # per-item fill, a per-variant np.ix_ block — and the retired name.
+        slots.write_text(
+            "class _KernelSlot:\n"
+            "    def fill(self, gates, flat, base):\n"
+            "        items = [fill_lowered_item(low, gates) for low in self.lowering]\n"
+            "        return [g.matrix() for g in gates], items\n"
+            "class _DynamicSlot:\n"
+            "    def bind(self, pool, old, flat, base):\n"
+            "        return _reduce(pool[0].matrix(), pool[0].qubits, ())\n"
+        )
+        keyed = self.write(
+            lint, "circuits/circuit.py", "def key(gates):\n    cache_patterns(gates)\n"
+        )
+        findings = lint.check_one_gate_table([slots, keyed])
+        assert {f.rule for f in findings} == {"one-gate-table"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "_DynamicSlot.bind:_reduce", "_DynamicSlot.bind:matrix",
+            "_KernelSlot.fill:fill_lowered_item", "_KernelSlot.fill:matrix",
+            "cache_patterns",
+        ]
+        # The slots moving out of compile.py is the rule left behind.
+        slots.write_text("def compile_plan(plan):\n    return plan\n")
+        assert [f.key for f in lint.check_one_gate_table([slots])] == [
+            "src/repro/runtime/compile.py::one-gate-table::slots:missing"
+        ]
 
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")

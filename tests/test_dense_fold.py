@@ -346,8 +346,9 @@ class TestDenseFoldDifferential:
         like a fused kernel's.  No member's pattern has to move for the
         product's to: without fused multiply-add, rx(a) then rx(-a) on one
         qubit cancel to an exact diagonal (with it, as on this host, a
-        1e-17 residue survives) - so the cancellation is staged here."""
-        from repro.runtime import compile as compile_mod
+        1e-17 residue survives) - so the cancellation is staged here, on
+        the signature the slot's gather program reads off its products."""
+        from repro.sim.fusion import GatherProgram
 
         def plan_for(second):
             gates = [
@@ -361,7 +362,7 @@ class TestDenseFoldDifferential:
         generic = compile_plan(plan_for(2.1)[0], reuse=base)
         assert (generic.ops_rebound, generic.ops_recompiled) == (1, 0)
         plan, gates = plan_for(-0.4)
-        monkeypatch.setattr(compile_mod, "matrix_signature", lambda matrix: b"diagonal")
+        monkeypatch.setattr(GatherProgram, "signature", lambda self, products: b"diagonal")
         warm = compile_plan(plan, reuse=base)
         assert (warm.ops_rebound, warm.ops_recompiled) == (0, 1)
         assert warm.structure is not base.structure

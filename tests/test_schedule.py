@@ -28,6 +28,7 @@ from repro.session import session as session_mod
 from repro.session.cache import rebind_plan
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod, program as program_mod
+from repro.sim.fusion import GatherProgram
 from repro.sim.program import CompiledProgram
 
 from test_property_based import SETTINGS, _chunked_plan, rebind_cases
@@ -310,7 +311,7 @@ class TestSessionHoldsTheSchedule:
                 with monkeypatch.context() as patch:
                     if name == "fold":
                         patch.setattr(
-                            compile_mod, "matrix_signature", lambda matrix: b"moved"
+                            GatherProgram, "signature", lambda self, products: b"moved"
                         )
                     state = session.run(circuit).result().state.data
                 stats = session.stats

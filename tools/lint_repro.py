@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Fourteen rules, each enforcing an invariant the execution layer depends on
+Fifteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -45,10 +45,12 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     ``sim/fusion.py``, each a structure builder plus its numeric fill:
     ``kernel_lowering`` / ``fill_lowered_item`` (shared-memory kernels;
     ``lower_kernel_gates`` is the two in one call) and
-    ``kernel_fusion`` / ``fill_fused_unitary`` (fusion kernels) — the four
-    the plan compiler's slots, and through them ``compile_segment_ops``,
-    call (a gate on a non-local qubit is one gate, resolved by its own
-    slot without a loop over gates).  A second such loop is a
+    ``kernel_fusion`` / ``fill_fused_unitary`` (fusion kernels;
+    ``fused_unitary`` is the two in one call) — the structures the plan
+    compiler's slots, and through them ``compile_segment_ops``, build (their
+    numbers come out of a gate table, never a gate's ``matrix()``; a gate
+    on a non-local qubit is one gate, resolved by its own slot without a
+    loop over gates).  A second such loop is a
     gate-at-a-time executor growing back beside the lowering every
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
@@ -125,12 +127,13 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     these is the hand-written stacked twin of an op growing back.  The
     kernel template is the one op with two bodies, and it names them:
     inside ``kernel_template`` exactly two ``run`` closures are defined —
-    under ``bind``, the native tile pass, and under ``item_loop``, the
-    loop over the items' own op bodies, which is the native body's oracle
-    in the tests and a shared-memory kernel's only fallback (a fusion
-    kernel's is its fused gemm, bound by the compiler's slot, never a run
-    closure here).  A third is a third body; nothing but the host and the
-    input selects between the two.
+    under ``bind_numbers``, the native tile pass over a packed payload, and
+    under ``loop``, the loop over the items' own op bodies, which is the
+    native body's oracle in the tests (``item_loop``, over filled items)
+    and a shared-memory kernel's only fallback (a fusion kernel's is its
+    fused gemm, bound by the compiler's slot, never a run closure here).
+    A third is a third body; nothing but the host and the input selects
+    between the two.
 
 ``one-native-loader``
     ``ctypes`` / ``cffi`` / ``subprocess`` are imported, and ``CDLL`` is
@@ -195,6 +198,20 @@ Fourteen rules, each enforcing an invariant the execution layer depends on
     fallback moved without this rule following it.  Checked across files,
     whenever the linted set contains ``runtime/offload.py``.
 
+``one-gate-table``
+    A gate's numbers on the compile path come from one place, the job's
+    gate table (``circuits/gates.py::GateTable``), through each slot's
+    gather program: inside the ``bind`` / ``fill`` methods of the slot
+    classes of ``runtime/compile.py`` nothing calls ``.matrix()`` (a gate's
+    own matrix), ``fill_lowered_item`` (the per-item oracle fill) or
+    ``_reduce`` (the per-variant ``np.ix_`` block of a dynamic gate, which
+    is resolved into gather indices when the slot is built).  One of them
+    there is the per-gate bind growing back beside the table.  The name
+    ``cache_patterns`` — the per-gate pattern cache the table replaced —
+    appears nowhere under ``src/``.  Checked whenever the linted set
+    contains ``runtime/compile.py`` (a file without a slot ``bind`` is the
+    rule left behind).
+
 Usage::
 
     python tools/lint_repro.py [--baseline tools/lint_baseline.json]
@@ -251,7 +268,7 @@ KERNEL_LOWERING_HOME = "sim/fusion.py"
 #: builder it delegates the gate loop to), and every other licensed site.
 SHM_LOWERING_SITES = ("lower_kernel_gates", "kernel_lowering")
 KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
-    "fill_lowered_item", "kernel_fusion", "fill_fused_unitary",
+    "fill_lowered_item", "kernel_fusion", "fill_fused_unitary", "fused_unitary",
 )
 
 SEGMENT_COMPILER_SCOPE = "runtime/"
@@ -314,7 +331,7 @@ OP_BODY_SCOPE = "sim/"
 OP_BODY_TWIN = "run_batched"
 OP_BODY_CLASS = "CompiledOp"
 #: The kernel template's two bodies: the function each ``run`` is nested in.
-KERNEL_BODIES = {"bind": "native", "item_loop": "item loop"}
+KERNEL_BODIES = {"bind_numbers": "native", "loop": "item loop"}
 
 NATIVE_LOADER_HOME = "sim/native.py"
 NATIVE_LOADER_MODULES = {"ctypes", "cffi", "subprocess"}
@@ -1159,6 +1176,66 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
     return findings
 
 
+GATE_TABLE_HOME = "runtime/compile.py"
+GATE_TABLE_METHODS = ("bind", "fill")
+#: Calls that fetch a gate's numbers one gate (or one item) at a time.
+GATE_TABLE_BYPASS = ("matrix", "fill_lowered_item", "_reduce")
+GATE_TABLE_RETIRED = re.compile(r"\bcache_patterns\b")
+
+
+def check_one_gate_table(files: list[Path]) -> list[Finding]:
+    """The ``one-gate-table`` rule over the linted *files*."""
+    findings: list[Finding] = []
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-gate-table", message, symbol))
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
+        source = path.read_text()
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if GATE_TABLE_RETIRED.search(line):
+                flag(
+                    rel, lineno,
+                    "`cache_patterns` under src/: a gate's key pattern and exact "
+                    "signature are read off its circuit's GateTable",
+                    "cache_patterns",
+                )
+        if rel_src != GATE_TABLE_HOME:
+            continue
+        methods = 0
+        for cls in ast.walk(ast.parse(source, filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not (
+                    isinstance(method, ast.FunctionDef) and method.name in GATE_TABLE_METHODS
+                ):
+                    continue
+                methods += 1
+                where = f"{cls.name}.{method.name}"
+                for node in ast.walk(method):
+                    name = _call_name(node) if isinstance(node, ast.Call) else None
+                    if name in GATE_TABLE_BYPASS:
+                        flag(
+                            rel, node.lineno,
+                            f"`{name}` called in {where}: a slot binds its numbers "
+                            f"from the job's gate table through its gather "
+                            f"program, not gate by gate",
+                            f"{where}:{name}",
+                        )
+        if not methods:
+            flag(
+                rel, 0,
+                f"no slot `bind` / `fill` method in {GATE_TABLE_HOME}: the "
+                f"slots moved without this rule following them",
+                "slots:missing",
+            )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -1305,6 +1382,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_kernelizer_oracle(files))
     findings.extend(check_bench_host_free())
     findings.extend(check_one_layout_move(files))
+    findings.extend(check_one_gate_table(files))
 
     if args.write_baseline:
         args.baseline.write_text(
