@@ -211,8 +211,7 @@ def verify_schedule(
             write_map = segment.ops.write_map
             mixing = {
                 f"{gate}": q
-                for gates, _ktype in segment.payload
-                for gate in gates
+                for gate in segment.payload
                 for q, _shift, kind in nonlocal_axes(gate, l2p, local)
                 if kind == "mixing"
             }

@@ -549,6 +549,19 @@ class GateTable:
         in name, qubits and — parameterized — exact signature."""
         return self.records.take(positions, axis=0).tobytes()
 
+    def key_blob(self, positions: np.ndarray) -> bytes:
+        """The ``> 1e-12`` key patterns of the parameterized gates at
+        *positions*, in that order, as one bytes string: for two tables
+        whose :meth:`signature_blob` there agrees, equal exactly when those
+        gates' patterns do (``rx(pi)`` and ``rx(1e-13)`` share an exact
+        signature, not a pattern)."""
+        loose, rows = self._key_patterns(), self._layout.rows
+        gates = self.gates
+        return b"".join([
+            loose[len(gates[p].qubits) - 1][rows[p]].tobytes()
+            for p in positions.tolist() if rows[p] >= 0
+        ])
+
     def _key_patterns(self) -> list[np.ndarray]:
         """Per matrix width, each parameterized gate's packed ``> 1e-12``
         pattern — one array operation per stack, once per table."""

@@ -40,13 +40,14 @@ the Session plan cache) is the same bind over the reuse program's
 structure, so warm and cold programs are bit-identical by construction.
 A rebind
 
-* first checks that the plan really has the structure (stage layouts,
-  kernel shapes and gate indices, and per gate its name, qubits and
+* first admits the plan as a whole (:class:`PlanRecord`, the one admit
+  both lowerings share): stage layouts, kernel shapes and gate indices,
+  and per gate its name, qubits and
   :func:`~repro.circuits.gates.matrix_signature` — one bytes compare of
-  the table's records at the structure's positions); a plan that does not —
-  ``rx(0)`` bound onto a generic ``rx`` — is compiled structurally from
-  scratch, counted in ``ops_recompiled`` and never adopts the base's
-  structure;
+  the table's records at the structure's positions; a plan that does not
+  have the structure — ``rx(0)`` bound onto a generic ``rx`` — is
+  compiled structurally from scratch, counted in ``ops_recompiled`` and
+  never adopts the base's structure;
 * proves locality for exactly the gates with a qubit at a non-local
   position (the only ones for which the check is not vacuous);
 * takes verbatim every op whose gates compare equal to the reuse
@@ -57,11 +58,13 @@ A rebind
 A shards-segment of the sharded executors' schedule is the same thing over
 ``2^L`` shard buffers: :class:`SegmentStructure` holds the slots of the
 segment's local work, built by the per-kernel builder the plan walk uses
-(:meth:`_Structure.add_kernel`), and one slot per gate on a non-local
-qubit, which binds that gate's op for every assignment of the shard's
-fixed bits; :func:`repro.runtime.offload.compile_segment_ops` admits,
-binds or builds it through the same :func:`bind_structure` and records
-each shard's op stream and output index.  A full-state segment is one over
+(:meth:`_Structure.add_kernel`), one slot per gate on a non-local qubit,
+which binds that gate's op for every assignment of the shard's fixed bits,
+and each shard's op stream and output index.  A schedule's structure
+(:class:`repro.runtime.offload.ScheduleStructure`) is built from the same
+:class:`PlanRecord`, admitted by it and bound through the same
+:func:`bind_structure`, segment by segment, with every pool's numbers
+read out of the plan's one gate table.  A full-state segment is one over
 all ``n`` positions.  There is one way to build an op a schedule runs, and
 a lowering that fails raises its typed error.
 """
@@ -103,13 +106,13 @@ from . import faults
 from .sharding import QubitLayout, nonlocal_axes, permutation_axes, shard_out_index
 
 __all__ = [
+    "PlanRecord",
     "ProgramStructure",
     "SegmentStructure",
     "bind_structure",
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
-    "segment_table",
 ]
 
 
@@ -307,9 +310,11 @@ class _DynamicSlot:
     (``picks``: :func:`_reduce` of the entry indices) are resolved here,
     once; a bind takes every variant's block out of the gate table in one
     gather and fills the templates.  The axis table is part of the
-    structure (:meth:`SegmentStructure.admit`): ``rx(pi)`` and
-    ``rx(1e-13)`` share an exact signature, but the first relabels shards
-    and the second does not.
+    structure — a schedule admits a plan only when the ``> 1e-12`` key
+    pattern of every gate with a non-local qubit is the one it was built
+    from (:class:`repro.runtime.offload.ScheduleStructure`): ``rx(pi)``
+    and ``rx(1e-13)`` share an exact signature, but the first relabels
+    shards and the second does not.
     """
 
     __slots__ = ("pool", "parameterized", "axes", "variants", "templates", "picks", "dims")
@@ -374,9 +379,8 @@ class _Structure:
     per variant) from the gates of its *pool* — the gate tuple of one
     kernel (or of one run of its gates), or a lone gate.  ``positions``
     are the pools' gates' positions in the job's gate table, pool after
-    pool (``starts[p]`` is pool ``p``'s first), and ``guard`` the table's
-    records there when the structure was built: what :meth:`matches`
-    compares.  A bind reads every pool gate's matrix out of the table in
+    pool (``starts[p]`` is pool ``p``'s first).  A bind reads every pool
+    gate's matrix out of the table in
     one gather (:meth:`entries`; pool ``p``'s from ``entry_starts[p]``),
     runs the kernels' :class:`~repro.sim.fusion.GatherProgram` over them
     (``program``) and holds its fold products to one exact ``signature``
@@ -388,8 +392,6 @@ class _Structure:
         self.slots: list = []
         self.starts: list[int] = [0]
         self.positions = np.zeros(0, dtype=np.intp)
-        self.position_list: list[int] = []
-        self.guard = b""
         self.entry_positions = self.entry_offsets = self.positions
         self.entry_starts: list[int] = [0]
         self.program: GatherProgram | None = None
@@ -410,12 +412,10 @@ class _Structure:
         return slot
 
     def seal(self, positions, table: GateTable) -> None:
-        """Record the pools' *positions* in *table*, the guard read there
-        and where each pool gate's entries sit in :meth:`entries`."""
+        """Record the pools' *positions* in *table* and where each pool
+        gate's entries sit in :meth:`entries`."""
         self.positions = np.asarray(positions, dtype=np.intp)
-        self.position_list = self.positions.tolist()
-        self.guard = table.signature_blob(self.positions)
-        sizes = [4 ** len(table.gates[p].qubits) for p in self.position_list]
+        sizes = [4 ** len(table.gates[p].qubits) for p in self.positions.tolist()]
         self.entry_positions = np.repeat(self.positions, sizes)
         self.entry_offsets = np.concatenate(
             [np.arange(size, dtype=np.intp) for size in sizes] or [self.positions]
@@ -436,14 +436,6 @@ class _Structure:
         """Every pool gate's matrix, row-major, pool after pool — one
         gather out of *table*."""
         return table.flat.take(table.offsets.take(self.entry_positions) + self.entry_offsets)
-
-    def matches(self, table: GateTable) -> bool:
-        """Whether *table* holds this structure's gates at its positions:
-        per gate the name, the qubits and — parameterized — the exact
-        matrix signature (stricter than :meth:`Circuit.structural_key`'s
-        ``> 1e-12`` pattern, so ``rx(1e-13)`` is not taken for ``rx(0)``);
-        one bytes compare."""
-        return table.signature_blob(self.positions) == self.guard
 
     def bind(
         self, pools: list[tuple[Gate, ...]], reuse_ops: list | None, table: GateTable
@@ -479,77 +471,138 @@ def _gate_table(plan: ExecutionPlan) -> GateTable:
     return plan.gate_table
 
 
-class ProgramStructure(_Structure):
-    """Everything about a compiled plan that does not depend on angles.
+def _stage_record(stage, local: int | None) -> tuple:
+    """What a plan's *stage* must equal to take a structure built from
+    another plan: its layout, its local qubit count (*local*, else the
+    partition's), its recorded gate indices and — kernelized — each
+    kernel's type and ``gate_indices``."""
+    kernels = stage.kernels
+    return (
+        stage.partition.logical_to_physical(),
+        local if local is not None else stage.partition.num_local,
+        list(stage.gate_indices),
+        None if kernels is None else [(k.kernel_type, k.gate_indices) for k in kernels],
+    )
 
-    On top of the slots (layout transposes are finished ops) and pool
-    positions, ``stages`` records each stage's layout, local qubit count,
-    kernel types, gate positions and kernels' ``gate_indices`` for
-    :meth:`admit`, and ``nonlocal_gates`` lists the ``(pool, position)`` of
-    every gate with a qubit at a non-local physical position, with that
-    stage's layout and local count: the gates :meth:`prove_locality`
-    checks.
+
+class PlanRecord:
+    """What both lowerings of a plan — a compiled program and a shard
+    schedule — are built from, and the one admit of a warm plan they share.
+
+    ``stages`` holds each stage's :func:`_stage_record`; ``groups`` per
+    stage its layout, its local qubit count and its kernels as ``(gates,
+    kernel type, table positions)`` — an un-kernelized stage as one group
+    of type ``None`` per gate —, read through the recorded stage and kernel
+    ``gate_indices``; ``positions`` every group's positions, group after
+    group, and ``guard`` the plan table's records there.
     """
 
-    def __init__(self, plan: ExecutionPlan, machine: MachineConfig | None) -> None:
-        n = plan.num_qubits
-        super().__init__(n)
+    def __init__(self, plan: ExecutionPlan, local: int | None) -> None:
+        self.num_qubits = plan.num_qubits
         self.stages: list[tuple] = []
-        self.nonlocal_gates: list[tuple[int, int, dict[int, int], int]] = []
-        self.num_kernels = 0
-        self.num_permutations = 0
-        self.kernels_per_stage: list[int] = []
-        pool_positions: list[int] = []
-
-        layout = QubitLayout(n)
+        self.groups: list[tuple[dict[int, int], int, list[tuple]]] = []
+        layout = QubitLayout(plan.num_qubits)
         for stage_idx, stage in enumerate(plan.stages):
-            target = stage.partition.logical_to_physical()
-            if target != layout.logical_to_physical():
-                axes = permutation_axes(layout.logical_to_physical(), target, n)
-                if axes != list(range(n)):
-                    self.slots.append(compile_layout_op(axes, n, ("layout", stage_idx)))
-                layout.update(target)
-                self.num_permutations += 1
-            l2p = layout.logical_to_physical()
-            local = _local_count(stage, machine)
-            indices = list(stage.gate_indices)
+            l2p, stage_local, indices, _kernels = record = _stage_record(stage, local)
+            self.stages.append(record)
+            layout.update(l2p)
             if len(indices) != stage.num_gates:
                 raise PlanValidationError(
                     f"stage {stage_idx} records {len(indices)} gate indices for "
                     f"{stage.num_gates} gates"
                 )
-
             if stage.kernels is None:
-                # Un-kernelized stage: a kernel of one gate each.
-                self.stages.append((l2p, local, None, indices, None))
-                for offset, gate in enumerate(stage.gates):
-                    self._add((gate,), False, l2p, local).source = ("gate", stage_idx, offset)
-                pool_positions.extend(indices)
-                self.kernels_per_stage.append(0)
-                continue
+                groups = [((gate,), None, (index,)) for gate, index in zip(stage.gates, indices)]
+            else:
+                groups = []
+                for group_idx, kernel in enumerate(stage.kernels):
+                    if len(kernel.gate_indices) != len(kernel.gates):
+                        raise PlanValidationError(
+                            f"kernel {group_idx} of stage {stage_idx} records "
+                            f"{len(kernel.gate_indices)} gate indices for {len(kernel.gates)} gates"
+                        )
+                    groups.append((
+                        tuple(kernel.gates), kernel.kernel_type,
+                        tuple([indices[j] for j in kernel.gate_indices]),
+                    ))
+            self.groups.append((l2p, stage_local, groups))
+        self.position_list = [
+            p for _l2p, _local, groups in self.groups for _g, _t, at in groups for p in at
+        ]
+        self.positions = np.asarray(self.position_list, dtype=np.intp)
+        self.guard = _gate_table(plan).signature_blob(self.positions)
 
-            self.stages.append((
-                l2p, local, tuple(kernel.kernel_type for kernel in stage.kernels), indices,
-                tuple(kernel.gate_indices for kernel in stage.kernels),
-            ))
-            for group_idx, kernel in enumerate(stage.kernels):
-                if len(kernel.gate_indices) != len(kernel.gates):
-                    raise PlanValidationError(
-                        f"kernel {group_idx} of stage {stage_idx} records "
-                        f"{len(kernel.gate_indices)} gate indices for {len(kernel.gates)} gates"
-                    )
-                fused = kernel.kernel_type is KernelType.FUSION
-                self._add(tuple(kernel.gates), fused, l2p, local).source = (
-                    "kernel" if fused else "sm", stage_idx, group_idx
+    def admit(
+        self, plan: ExecutionPlan, local: int | None
+    ) -> tuple[list[Gate], GateTable] | None:
+        """``(plan's group gates in order, its gate table)`` when *plan*
+        has these stage records, its kernels' gates are its table's at
+        ``positions`` (what the recorded indices claim) and the table's
+        records there are the guard — per gate the name, the qubits and,
+        parameterized, the exact matrix signature (stricter than
+        :meth:`Circuit.structural_key`'s ``> 1e-12`` pattern, so
+        ``rx(1e-13)`` is not taken for ``rx(0)``): two list compares and
+        one bytes compare.  Else ``None``."""
+        if plan.num_qubits != self.num_qubits or [
+            _stage_record(stage, local) for stage in plan.stages
+        ] != self.stages:
+            return None
+        table = _gate_table(plan)
+        gates = [
+            gate for stage in plan.stages for gate in (
+                stage.gates if stage.kernels is None
+                else chain.from_iterable(kernel.gates for kernel in stage.kernels)
+            )
+        ]
+        held = table.gates
+        if gates != [held[p] for p in self.position_list] or (
+            table.signature_blob(self.positions) != self.guard
+        ):
+            return None
+        return gates, table
+
+
+class ProgramStructure(_Structure):
+    """Everything about a compiled plan that does not depend on angles.
+
+    On top of the slots (layout transposes are finished ops) and pool
+    positions, ``record`` is the plan's :class:`PlanRecord` — what
+    :meth:`admit` compares — and ``nonlocal_gates`` lists the ``(pool,
+    position)`` of every gate with a qubit at a non-local physical
+    position, with that stage's layout and local count: the gates
+    :meth:`prove_locality` checks.
+    """
+
+    def __init__(self, plan: ExecutionPlan, local: int | None) -> None:
+        n = plan.num_qubits
+        super().__init__(n)
+        self.record = PlanRecord(plan, local)
+        self.nonlocal_gates: list[tuple[int, int, dict[int, int], int]] = []
+        self.num_kernels = 0
+        self.num_permutations = 0
+        self.kernels_per_stage: list[int] = []
+
+        layout = identity = {q: q for q in range(n)}
+        for stage_idx, (l2p, stage_local, groups) in enumerate(self.record.groups):
+            if l2p != layout:
+                axes = permutation_axes(layout, l2p, n)
+                if axes != list(range(n)):
+                    self.slots.append(compile_layout_op(axes, n, ("layout", stage_idx)))
+                layout = l2p
+                self.num_permutations += 1
+            for group_idx, (gates, kernel_type, _positions) in enumerate(groups):
+                fused = kernel_type is KernelType.FUSION
+                self._add(gates, fused, l2p, stage_local).source = (
+                    "gate" if kernel_type is None else "kernel" if fused else "sm",
+                    stage_idx, group_idx,
                 )
-                pool_positions.extend(indices[j] for j in kernel.gate_indices)
-            self.kernels_per_stage.append(len(stage.kernels))
-            self.num_kernels += len(stage.kernels)
+            kernels = sum(kernel_type is not None for _g, kernel_type, _p in groups)
+            self.kernels_per_stage.append(kernels)
+            self.num_kernels += kernels
 
         # Permute back to the identity layout so callers see logical ordering.
-        identity = {q: q for q in range(n)}
-        if layout.logical_to_physical() != identity:
-            axes = permutation_axes(layout.logical_to_physical(), identity, n)
+        if layout != identity:
+            axes = permutation_axes(layout, identity, n)
             if axes != list(range(n)):
                 self.slots.append(compile_layout_op(axes, n, ("layout", "final")))
             self.num_permutations += 1
@@ -557,7 +610,7 @@ class ProgramStructure(_Structure):
         self.num_gate_ops = sum(
             not isinstance(slot, CompiledOp) for slot in self.slots
         )
-        self.seal(pool_positions, _gate_table(plan))
+        self.seal(self.record.position_list, _gate_table(plan))
 
     def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> _KernelSlot:
         """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
@@ -569,45 +622,16 @@ class ProgramStructure(_Structure):
         return self.add_kernel(gates, fused, l2p)
 
     def admit(
-        self, plan: ExecutionPlan, machine: MachineConfig | None
+        self, plan: ExecutionPlan, local: int | None
     ) -> tuple[list[tuple[Gate, ...]], GateTable] | None:
         """``(plan's gate pools, its gate table)`` when *plan* has this
-        structure, else ``None``.
-
-        Compared: the qubit count; per stage the layout, the local qubit
-        count, the kernel types and the recorded gate indices; that the
-        pools' gates are the plan table's at the structure's positions
-        (what the recorded indices claim); then the table there
-        (:meth:`matches`).
-        """
-        if plan.num_qubits != self.num_qubits or len(plan.stages) != len(self.stages):
+        structure (:meth:`PlanRecord.admit`), else ``None``."""
+        admitted = self.record.admit(plan, local)
+        if admitted is None:
             return None
-        pools: list[tuple[Gate, ...]] = []
-        for stage, (l2p, local, kernel_types, indices, kernel_indices) in zip(
-            plan.stages, self.stages
-        ):
-            if (
-                stage.partition.logical_to_physical() != l2p
-                or _local_count(stage, machine) != local
-                or stage.gate_indices != indices
-            ):
-                return None
-            if stage.kernels is None:
-                if kernel_types is not None:
-                    return None
-                pools.extend((gate,) for gate in stage.gates)
-                continue
-            if kernel_types is None or len(stage.kernels) != len(kernel_types):
-                return None
-            for kernel, kernel_type, gate_indices in zip(stage.kernels, kernel_types, kernel_indices):
-                if kernel.kernel_type is not kernel_type or kernel.gate_indices != gate_indices:
-                    return None
-                pools.append(tuple(kernel.gates))
-        table = _gate_table(plan)
-        gates = table.gates
-        if list(chain.from_iterable(pools)) != [gates[p] for p in self.position_list]:
-            return None
-        return (pools, table) if self.matches(table) else None
+        gates, table = admitted
+        starts = self.starts
+        return [tuple(gates[a:b]) for a, b in zip(starts, starts[1:])], table
 
     def prove_locality(self, pools: list[tuple[Gate, ...]], table: GateTable) -> None:
         """The staging invariant, for exactly the gates it is not vacuous
@@ -621,104 +645,82 @@ class SegmentStructure(_Structure):
     """A shards-segment's per-shard work over ``2^L`` shard buffers: the
     same slots a plan's kernels get, built by the same builder.
 
-    *pieces* is the segment cut at the shard boundary
-    (:func:`repro.runtime.offload.compile_segment_ops` does the cutting):
-    ``("fused", gates)`` — a fusion kernel wholly on local positions —,
-    ``("local", gates)`` — a run of local gates of any other kernel — and
-    ``("dynamic", (gate,))`` for a gate touching a non-local qubit (a
-    :class:`_DynamicSlot`).  Its gate *table* is the pieces' gates in
-    order (:func:`segment_table`).
+    *pieces* is the segment's cut at the shard boundary
+    (:func:`repro.runtime.offload.split_stage_segments`), each ``(kind,
+    gates, their positions in table)``: ``"fused"`` — a fusion kernel
+    wholly on local positions —, ``"local"`` — a run of local gates of any
+    other kernel — and ``"dynamic"`` for a gate touching a non-local qubit
+    (a :class:`_DynamicSlot`).  ``kinds`` names each piece's op
+    (``"local"`` or ``"dynamic"``).  ``shards`` is resolved here, once:
+    per shard index, which slot — and, dynamic, which variant — of a bind
+    runs on the shard, in order, and the index the shard is stored at; a
+    dynamic slot runs the variant its gate reads off the index as it
+    stands, and the index threads on through
+    :func:`~repro.runtime.sharding.shard_out_index`.
     """
 
     def __init__(
-        self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int,
-        table: GateTable,
+        self, pieces: list[tuple[str, tuple[Gate, ...], tuple[int, ...]]],
+        l2p: dict[int, int], local: int, table: GateTable,
     ) -> None:
         super().__init__(local)
-        self.layout = l2p
-        self.kinds = [kind for kind, _gates in pieces]
-        self.num_shards = 1 << (len(l2p) - local)
-        for kind, gates in pieces:
+        self.kinds: list[str] = []
+        for kind, gates, _positions in pieces:
             if kind == "dynamic":
                 self.slots.append(_DynamicSlot(self.open_pool(gates), gates[0], l2p, local))
             else:
                 self.add_kernel(gates, kind == "fused", l2p)
-        self.dynamic = [slot for slot in self.slots if isinstance(slot, _DynamicSlot)]
-        self.seal(np.arange(self.starts[-1]), table)
-
-    def admit(
-        self, pieces: list[tuple[str, tuple[Gate, ...]]], l2p: dict[int, int], local: int
-    ) -> tuple[list[tuple[Gate, ...]], GateTable] | None:
-        """``(pieces' gate pools, their gate table)`` when the segment has
-        this structure (shard size, layout, the cut, gate for gate
-        :meth:`matches`, and each dynamic gate's axis table)."""
-        if (
-            local != self.num_qubits
-            or l2p != self.layout
-            or [kind for kind, _gates in pieces] != self.kinds
-            or [len(gates) for _kind, gates in pieces]
-            != [b - a for a, b in zip(self.starts, self.starts[1:])]
-        ):
-            return None
-        pools = [gates for _kind, gates in pieces]
-        table = segment_table(pieces)
-        if not self.matches(table) or any(
-            nonlocal_axes(pools[slot.pool][0], l2p, local) != slot.axes for slot in self.dynamic
-        ):
-            return None
-        return pools, table
+            self.kinds.append("dynamic" if kind == "dynamic" else "local")
+        self.seal([p for _kind, _gates, positions in pieces for p in positions], table)
+        self.shards: list[tuple[list[tuple[int, int | None]], int]] = []
+        for shard_index in range(1 << (len(l2p) - local)):
+            index, picks = shard_index, []
+            for at, slot in enumerate(self.slots):
+                if not isinstance(slot, _DynamicSlot):
+                    picks.append((at, None))
+                    continue
+                variant = slot.variant(index)
+                if slot.variants[variant] is not None:
+                    picks.append((at, variant))
+                index = shard_out_index(slot.axes, index)
+            self.shards.append((picks, index))
 
     def shard_streams(self, ops: list) -> tuple[tuple[tuple[CompiledOp, ...], int], ...]:
         """Per shard index, ``(the ops of *ops* — bound from this structure,
-        slot by slot — that run on the shard, the index it is stored at)``:
-        a dynamic slot runs the variant its gate reads off the index as it
-        stands, and the index threads on through
-        :func:`~repro.runtime.sharding.shard_out_index`."""
-        table = []
-        for shard_index in range(self.num_shards):
-            index, stream = shard_index, []
-            for slot, op in zip(self.slots, ops):
-                if isinstance(slot, _DynamicSlot):
-                    op = op[slot.variant(index)]
-                    index = shard_out_index(slot.axes, index)
-                if op is not None:
-                    stream.append(op)
-            table.append((tuple(stream), index))
-        return tuple(table)
+        slot by slot — that run on the shard, the index it is stored at)``."""
+        return tuple(
+            (tuple([ops[at] if variant is None else ops[at][variant] for at, variant in picks]), out)
+            for picks, out in self.shards
+        )
 
 
-def segment_table(pieces: list[tuple[str, tuple[Gate, ...]]]) -> GateTable:
-    """The gate table of a shards-segment's *pieces*: their gates in order."""
-    return GateTable([gate for _kind, gates in pieces for gate in gates])
-
-
-def bind_structure(reuse, admit, build) -> tuple[_Structure, list, int, bool]:
+def bind_structure(reuse, admit, build) -> tuple:
     """The one admit → bind → else-cold sequence of every compile.
 
-    *reuse* is ``(structure, ops bound from it)`` of an earlier compile, or
-    ``None``; ``admit(structure)`` returns ``(the new job's pools, its gate
-    table)`` when it has that structure; ``build()`` returns ``(fresh
-    structure, its pools, its table)``.  A job that is not admitted — or
-    whose products leave their templates' class half way through the bind
-    (:class:`_StructureChanged`) — is built cold and never adopts the reuse
-    structure.  Returns ``(structure, ops, ops taken verbatim, whether the
-    reuse structure was bound)``.
+    *reuse* is ``(structure, what was bound from it)`` of an earlier
+    compile, or ``None``; ``admit(structure)`` returns ``(the new job's
+    gates — pools for a program —, its gate table)`` when it has that
+    structure, else ``None``; ``build()`` returns a fresh structure, which
+    must admit the job (a kernel whose ``gate_indices`` do not name its
+    gates is a :class:`PlanValidationError`).  A job that is not admitted
+    — or whose products leave their templates' class half way through the
+    bind (:class:`_StructureChanged`) — is built cold in full and never
+    adopts the reuse structure.  Returns ``(structure, what its bind
+    returned, whether the reuse structure was bound)``.
     """
     if reuse is not None:
-        structure, reuse_ops = reuse
+        structure, bound = reuse
         admitted = admit(structure)
         if admitted is not None:
-            pools, table = admitted
             try:
-                return (structure, *structure.bind(pools, reuse_ops, table), True)
+                return structure, structure.bind(admitted[0], bound, admitted[1]), True
             except _StructureChanged:
                 pass
-    structure, pools, table = build()
-    return (structure, *structure.bind(pools, None, table), False)
-
-
-def _local_count(stage, machine: MachineConfig | None) -> int:
-    return machine.local_qubits if machine is not None else stage.partition.num_local
+    structure = build()
+    admitted = admit(structure)
+    if admitted is None:
+        raise PlanValidationError("a kernel's gate_indices do not name its gates in its stage")
+    return structure, structure.bind(admitted[0], None, admitted[1]), False
 
 
 def compile_plan(
@@ -758,24 +760,18 @@ def compile_plan(
     if reuse is not None and reuse.num_qubits != plan.num_qubits:
         raise PlanValidationError("reuse program spans a different qubit count")
 
+    local = machine.local_qubits if machine is not None else None
+
     def admit(structure: ProgramStructure):
-        admitted = structure.admit(plan, machine)
+        admitted = structure.admit(plan, local)
         if check_locality and admitted is not None:
             structure.prove_locality(*admitted)
         return admitted
 
-    def build():
-        structure = ProgramStructure(plan, machine)
-        admitted = admit(structure)
-        if admitted is None:
-            raise PlanValidationError(
-                "a kernel's gate_indices do not name its gates in its stage"
-            )
-        return (structure, *admitted)
-
     held = reuse.structure if reuse is not None else None
-    structure, ops, reused, rebound = bind_structure(
-        (held, reuse.ops) if isinstance(held, ProgramStructure) else None, admit, build
+    structure, (ops, reused), rebound = bind_structure(
+        (held, reuse.ops) if isinstance(held, ProgramStructure) else None,
+        admit, lambda: ProgramStructure(plan, local),
     )
 
     return CompiledProgram(

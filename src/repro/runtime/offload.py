@@ -44,8 +44,9 @@ stage-level sweep of the state runs at all.
 **Who owns what.**  This module owns the stage loop: :func:`build_schedule`
 lowers a plan to a :class:`Schedule` — the sharded executors' *program*:
 per-stage segments whose shard-local work is compiled through the plan
-compiler's slots (:class:`repro.runtime.compile.SegmentStructure`) and
-bound per job, with each layout boundary decided once — and
+compiler's slots (:class:`repro.runtime.compile.SegmentStructure`) once
+per plan structure (:class:`ScheduleStructure`, with each layout boundary
+decided there) and bound per job from the plan's one gate table — and
 :func:`run_stages` is the one driver that walks it (state init, resume,
 the permutes no pass carries, guards, checkpoints) for every sharded
 executor.  An executor owns only its *shard
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..circuits.gates import Gate
+from ..circuits.gates import Gate, GateTable
 from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
@@ -88,7 +89,7 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
-from .compile import SegmentStructure, bind_structure, segment_table
+from .compile import PlanRecord, SegmentStructure, bind_structure
 from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
@@ -103,6 +104,7 @@ from .sharding import (
 __all__ = [
     "OffloadStats",
     "Schedule",
+    "ScheduleStructure",
     "WorkerStats",
     "build_schedule",
     "compile_segment_ops",
@@ -176,121 +178,71 @@ class OffloadStats:
 
 
 # ---------------------------------------------------------------------------
-# Stage segmentation (shared with the parallel runtime)
+# Stage segmentation and the segment bind
 # ---------------------------------------------------------------------------
 
 
-def _is_cross_shard(gate: Gate, logical_to_physical: dict[int, int], local_qubits: int) -> bool:
-    """True when *gate* cannot be resolved shard-locally and must run on the
-    full state.
-
-    That happens only when a qubit the gate *mixes* is mapped to a
-    non-local physical position — something the staging invariant rules out
-    for planner-produced plans.  Control, diagonal and anti-diagonal axes
-    (checked **per qubit**, so e.g. a gate that is diagonal along one
-    non-local qubit but not globally diagonal stays on the shard path) are
-    all resolved per shard, by the gate's variants in the segment's
-    compiled stream (:func:`compile_segment_ops`).
-    """
-    return any(
-        kind == "mixing"
-        for _q, _shift, kind in nonlocal_axes(gate, logical_to_physical, local_qubits)
-    )
-
-
-def stage_gate_groups(stage) -> list[tuple[list[Gate], object]]:
-    """The stage's kernels as ``(gates, kernel_type)`` groups (one
-    single-gate group with ``None`` type per gate of an un-kernelized
-    stage)."""
-    if stage.kernels is None:
-        return [([g], None) for g in stage.gates]
-    return [(list(k.gates), k.kernel_type) for k in stage.kernels]
-
-
 def split_stage_segments(
-    stage,
+    groups: list[tuple[tuple[Gate, ...], object, tuple[int, ...]]],
     logical_to_physical: dict[int, int],
     local_qubits: int,
-) -> list[tuple[str, object]]:
-    """Split a stage's kernel list into shard-parallel and full-state segments.
+) -> list[tuple[str, list]]:
+    """Cut a stage's kernel groups — ``(gates, kernel type, table
+    positions)``, as :class:`~repro.runtime.compile.PlanRecord` reads them
+    off the plan — at the shard boundary, from each gate's non-local axes
+    (:func:`~repro.runtime.sharding.nonlocal_axes`, per qubit: a gate that
+    is diagonal along one non-local qubit but not globally diagonal stays
+    on the shard path).
 
-    Returns ``("shards", groups)`` segments — runs of ``(gates,
-    kernel_type)`` groups every shard processes independently — separated by
-    ``("full", gate)`` segments for gates that genuinely mix amplitudes
-    across shards (hand-built plans only; staged plans never produce them).
-    A kernel holding such a gate is split around it, order preserved; its
-    pieces lose the kernel type and run like a shared-memory kernel.
+    Returns ``("shards", pieces)`` segments — pieces every shard processes
+    independently, each ``(kind, gates, positions)``: ``"fused"``, a
+    fusion kernel wholly on local positions; ``"local"``, a maximal run of
+    a kernel's gates on local positions; ``"dynamic"``, one gate touching
+    a non-local qubit, resolved per shard (one op per variant) — separated
+    by ``("full", [("local", (gate,), (position,))])`` segments for gates
+    that genuinely *mix* amplitudes along a non-local qubit (hand-built
+    plans only; staged plans never produce them), run over all ``n``
+    positions.  A kernel holding such a gate is split around it, order
+    preserved; its pieces lose the kernel type and run like a
+    shared-memory kernel.
     """
-    segments: list[tuple[str, object]] = []
-    current: list[tuple[list[Gate], object]] = []
-    for gates, ktype in stage_gate_groups(stage):
-        crossing = [_is_cross_shard(g, logical_to_physical, local_qubits) for g in gates]
-        if not any(crossing):
-            current.append((gates, ktype))
+    segments: list[tuple[str, list]] = []
+    pieces: list[tuple[str, tuple[Gate, ...], tuple[int, ...]]] = []
+    for gates, ktype, positions in groups:
+        axes = [nonlocal_axes(gate, logical_to_physical, local_qubits) for gate in gates]
+        if ktype is KernelType.FUSION and not any(axes):
+            pieces.append(("fused", gates, positions))
             continue
-        run: list[Gate] = []
-        for gate, crosses in zip(gates, crossing):
-            if not crosses:
-                run.append(gate)
+        start = 0
+        for j, gate_axes in enumerate(axes):
+            if not gate_axes:
                 continue
-            if run:
-                current.append((run, None))
-                run = []
-            if current:
-                segments.append(("shards", current))
-                current = []
-            segments.append(("full", gate))
-        if run:
-            current.append((run, None))
-    if current:
-        segments.append(("shards", current))
+            if start < j:
+                pieces.append(("local", gates[start:j], positions[start:j]))
+            start = j + 1
+            one = (gates[j : j + 1], positions[j : j + 1])
+            if any(kind == "mixing" for _q, _shift, kind in gate_axes):
+                if pieces:
+                    segments.append(("shards", pieces))
+                    pieces = []
+                segments.append(("full", [("local", *one)]))
+            else:
+                pieces.append(("dynamic", *one))
+        if start < len(gates):
+            pieces.append(("local", gates[start:], positions[start:]))
+    if pieces:
+        segments.append(("shards", pieces))
     return segments
-
-
-def group_uses_fusion(
-    gates: list[Gate],
-    ktype,
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-) -> bool:
-    """Whether a kernel group is a fusion kernel wholly on local positions
-    — one op over the shard (a fused slot of the segment's structure)."""
-    return ktype is KernelType.FUSION and all(
-        logical_to_physical[q] < local_qubits
-        for gate in gates
-        for q in gate.qubits
-    )
-
-
-def _local_runs(
-    gates: list[Gate], logical_to_physical: dict[int, int], local_qubits: int
-):
-    """Split a kernel group's gates, in order, into ``("local", gates)`` —
-    maximal runs acting on local physical positions only — and
-    ``("dynamic", gate)`` for each gate touching a non-local qubit (its
-    reduction depends on the shard index: one op per variant)."""
-    run: list[Gate] = []
-    for gate in gates:
-        if all(logical_to_physical[q] < local_qubits for q in gate.qubits):
-            run.append(gate)
-            continue
-        if run:
-            yield "local", tuple(run)
-            run = []
-        yield "dynamic", gate
-    if run:
-        yield "local", tuple(run)
 
 
 class SegmentOps(list):
     """A shards-segment's bound stream — one entry per piece: ``("local",
     op)``, or ``("dynamic", variant ops)`` for a gate on a non-local qubit
-    (``None`` where a variant is no op) — with the structure it was bound
-    from, which the next job's rebind fills again, and ``shards``: per
-    shard index the ops that run on that shard and the index it is stored
-    at, which :func:`run_segment_ops` reads."""
+    (``None`` where a variant is no op) — the next job's rebind takes ops
+    from, with ``shards``: per shard index the ops that run on that shard
+    and the index it is stored at, which :func:`run_segment_ops` reads."""
 
-    __slots__ = ("structure", "shards")
+    __slots__ = ("shards",)
 
     @property
     def write_map(self) -> list[int]:
@@ -299,56 +251,34 @@ class SegmentOps(list):
 
 
 def compile_segment_ops(
-    groups: list[tuple[list[Gate], object]],
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
+    structure: SegmentStructure,
+    gates: list[Gate],
+    table: GateTable,
     reuse: SegmentOps | None = None,
 ) -> SegmentOps:
-    """Compile a shards-segment's kernel groups into per-shard ops.
+    """Bind one segment of a schedule's structure to a job's *gates* — the
+    segment's, in order — whose numbers *table* holds.
 
-    The segment is cut at the shard boundary — a fusion kernel wholly on
-    local positions, runs of local gates of the other kernels, and the
-    gates touching a non-local qubit between them — and compiled like a
-    plan over ``2^L`` buffers: every piece lowers **once** to
-    :class:`~repro.sim.program.CompiledOp` closures through the slots of a
-    :class:`~repro.runtime.compile.SegmentStructure` — a gate touching
-    non-local qubits to one op per assignment of the shard's fixed bits
-    on them — and the shard index is threaded through those gates here,
-    so every shard of every execution replays a pre-resolved stream and
-    is stored at a recorded index.  *reuse* — this segment of an earlier
-    job of the same structure — is admitted and bound as
-    ``compile_plan(reuse=)`` binds a program: ops whose gates compare equal
-    are taken verbatim, the rest refilled, a segment that does not have the
-    structure built cold.  A full-state segment's gate is the same call
-    with *local_qubits* ``= n``: one local op over the whole state.
+    *structure* is the segment compiled like a plan over ``2^L`` buffers,
+    once per plan structure (:class:`ScheduleStructure`): every piece
+    lowered to :class:`~repro.sim.program.CompiledOp` templates through the
+    slots of a :class:`~repro.runtime.compile.SegmentStructure` — a gate
+    touching non-local qubits to one op per assignment of the shard's fixed
+    bits on them — and every shard's op stream and output index resolved.
+    The bind fills the templates as ``compile_plan(reuse=)`` binds a
+    program: ops of *reuse* — this segment of an earlier job bound from the
+    same structure — whose gates compare equal are taken verbatim, the
+    rest refilled; every shard of every execution replays its stream.
     """
     faults.check("compile")
-    pieces: list[tuple[str, tuple[Gate, ...]]] = []
-    for gates, ktype in groups:
-        if group_uses_fusion(gates, ktype, logical_to_physical, local_qubits):
-            pieces.append(("fused", tuple(gates)))
-            continue
-        for kind, payload in _local_runs(gates, logical_to_physical, local_qubits):
-            pieces.append((kind, payload if kind == "local" else (payload,)))
-    structure, bound, _reused, _rebound = bind_structure(
-        None if reuse is None else (reuse.structure, [payload for _kind, payload in reuse]),
-        lambda held: held.admit(pieces, logical_to_physical, local_qubits),
-        lambda: _build_segment(pieces, logical_to_physical, local_qubits),
+    starts = structure.starts
+    bound, _reused = structure.bind(
+        [tuple(gates[a:b]) for a, b in zip(starts, starts[1:])],
+        None if reuse is None else [op for _kind, op in reuse], table,
     )
-    ops = SegmentOps(
-        ("dynamic" if kind == "dynamic" else "local", op)
-        for kind, op in zip(structure.kinds, bound)
-    )
-    ops.structure = structure
+    ops = SegmentOps(zip(structure.kinds, bound))
     ops.shards = structure.shard_streams(bound)
     return ops
-
-
-def _build_segment(pieces, logical_to_physical: dict[int, int], local_qubits: int):
-    """A cold segment: ``(structure, pools, table)`` for :func:`bind_structure`."""
-    table = segment_table(pieces)
-    structure = SegmentStructure(pieces, logical_to_physical, local_qubits, table)
-    return structure, [gates for _kind, gates in pieces], table
 
 
 def run_segment_ops(
@@ -387,11 +317,11 @@ def run_segment_ops(
 
 class Segment(NamedTuple):
     """One segment of a stage: ``("full", gate, ops, True)`` with *ops* the
-    gate's op over the whole state, or ``("shards", groups, ops, in_place,
-    load_from, store_to)`` with *ops* the groups' compiled per-shard
-    stream.
+    gate's op over the whole state, or ``("shards", gates, ops, in_place,
+    load_from, store_to)`` with *gates* the segment's, in order, and *ops*
+    their compiled per-shard stream.
 
-    A shards-segment may carry a stage boundary (:func:`build_schedule`):
+    A shards-segment may carry a stage boundary (:class:`ScheduleStructure`):
     *load_from* — its loads gather the stage's shards through views of the
     array still in that earlier layout — or *store_to* — its stores scatter
     into the second array in that next layout.  *in_place* says its
@@ -408,6 +338,116 @@ class Segment(NamedTuple):
     store_to: dict[int, int] | None = None
 
 
+class _Cut(NamedTuple):
+    """A segment of a :class:`ScheduleStructure`: its kind, its compiled
+    :class:`SegmentStructure`, the range ``[start, stop)`` of the plan's
+    group gates it runs, and the :class:`Segment` flags a bind copies."""
+
+    kind: str
+    structure: SegmentStructure
+    start: int
+    stop: int
+    in_place: bool
+    load_from: dict[int, int] | None = None
+    store_to: dict[int, int] | None = None
+
+
+class ScheduleStructure:
+    """Everything about a plan's :class:`Schedule` that does not depend on
+    angles, built once per plan structure — what a
+    :class:`~repro.runtime.compile.ProgramStructure` is to a compiled
+    program.
+
+    ``record`` is the plan's :class:`~repro.runtime.compile.PlanRecord`,
+    the one the plan compiler builds, and ``stages`` per stage the layout
+    and the segment cut (:func:`split_stage_segments`): per segment a
+    :class:`_Cut` — positions into the plan's gate table through
+    ``record``, the segment's compiled structure, store flag and layout
+    moves.  Each layout boundary — into stage 0, between stages, and back
+    to logical order — is decided here by :func:`in_pass_moves`: a
+    gather-in on the next stage's first segment or a scatter-out on the
+    previous stage's last one, when that segment is a shards-segment; a
+    boundary neither carries is left to the driver's full-state permute.
+    ``far`` holds the table positions of every gate with a non-local qubit
+    (a dynamic piece or a full-state segment), and ``key_guard`` their
+    ``> 1e-12`` key patterns, which the cut and the axis tables follow.
+    """
+
+    def __init__(self, plan: ExecutionPlan, local_qubits: int) -> None:
+        n = plan.num_qubits
+        table = plan.gate_table
+        self.record = PlanRecord(plan, local_qubits)
+        self.stages: list[tuple[dict[int, int], list[_Cut]]] = []
+        far: list[int] = []
+        at = 0
+        for l2p, _local, groups in self.record.groups:
+            cuts = []
+            for kind, pieces in split_stage_segments(groups, l2p, local_qubits):
+                structure = SegmentStructure(
+                    pieces, l2p, n if kind == "full" else local_qubits, table
+                )
+                outs = [out for _picks, out in structure.shards]
+                cuts.append(_Cut(
+                    kind, structure, at, at + structure.starts[-1],
+                    outs == list(range(len(outs))),
+                ))
+                at = cuts[-1].stop
+                far.extend(
+                    positions[0] for piece, _gates, positions in pieces
+                    if kind == "full" or piece == "dynamic"
+                )
+            self.stages.append((l2p, cuts))
+        identity = {q: q for q in range(n)}
+        layouts = [identity] + [l2p for l2p, _cuts in self.stages] + [identity]
+        for k, (old, new) in enumerate(zip(layouts, layouts[1:])):
+            if old == new:
+                continue
+            after = self.stages[k][1] if k < len(self.stages) else []
+            before = self.stages[k - 1][1] if k else []
+            for move in in_pass_moves(old, new, local_qubits):
+                if move == "gather" and after and after[0].kind == "shards":
+                    after[0] = after[0]._replace(in_place=False, load_from=old)
+                    break
+                if move == "scatter" and before and before[-1].kind == "shards":
+                    before[-1] = before[-1]._replace(in_place=False, store_to=new)
+                    break
+        self.far = np.asarray(far, dtype=np.intp)
+        self.key_guard = table.key_blob(self.far)
+
+    def admit(self, plan: ExecutionPlan, local_qubits: int) -> tuple[list[Gate], GateTable] | None:
+        """``(plan's group gates, its gate table)`` when *plan* has this
+        structure — the plan compiler's admit
+        (:meth:`~repro.runtime.compile.PlanRecord.admit`), then one bytes
+        compare of the key patterns at ``far`` — else ``None``."""
+        admitted = self.record.admit(plan, local_qubits)
+        if admitted is None or admitted[1].key_blob(self.far) != self.key_guard:
+            return None
+        return admitted
+
+    def bind(
+        self, gates: list[Gate], reuse_stages, table: GateTable
+    ) -> list[tuple[dict[int, int], list[Segment]]]:
+        """The schedule stages of a job's *gates*: every segment bound
+        through :func:`compile_segment_ops`, with the segment of
+        *reuse_stages* — stages bound from this structure, if any — as its
+        ``reuse``."""
+        stages = []
+        for index, (l2p, cuts) in enumerate(self.stages):
+            held = reuse_stages[index][1] if reuse_stages is not None else [None] * len(cuts)
+            segments = []
+            for cut, old in zip(cuts, held):
+                run = gates[cut.start : cut.stop]
+                ops = compile_segment_ops(
+                    cut.structure, run, table, None if old is None else old.ops
+                )
+                segments.append(Segment(
+                    cut.kind, run[0] if cut.kind == "full" else run, ops,
+                    cut.in_place, cut.load_from, cut.store_to,
+                ))
+            stages.append((l2p, segments))
+        return stages
+
+
 @dataclass
 class Schedule:
     """A plan lowered for the sharded executors: what they run, as a
@@ -416,8 +456,12 @@ class Schedule:
 
     #: Per stage ``(logical_to_physical, segments)``.
     stages: list[tuple[dict[int, int], list[Segment]]]
-    #: Whether every segment was bound over the ``reuse`` schedule's
-    #: structure (false for a cold build, and when any segment was).
+    #: What it was bound from, built once per plan structure; the next
+    #: job's rebind admits its plan against it and binds it again.
+    structure: ScheduleStructure
+    #: Whether the job's plan was admitted whole and bound over the
+    #: ``reuse`` schedule's structure (false for a cold build: no
+    #: ``reuse``, or a plan without its structure).
     rebound: bool = False
 
 
@@ -425,63 +469,28 @@ def build_schedule(
     plan: ExecutionPlan, local_qubits: int, reuse: Schedule | None = None
 ) -> Schedule:
     """Lower *plan* to a :class:`Schedule`: the layout walk, each stage's
-    :func:`split_stage_segments`, and every segment's work compiled
-    **once** (:func:`compile_segment_ops`; a full-state segment's gate
-    over all ``n`` positions), so every shard of every execution replays
+    segment cut, every segment's work compiled **once**
+    (:class:`ScheduleStructure`; a full-state segment's gate over all
+    ``n`` positions), and every segment bound through
+    :func:`compile_segment_ops`, so every shard of every execution replays
     the compiled stream instead of re-deriving fusion, analysis and gemm
     planning.  A lowering that fails raises its typed error.
 
-    Each layout boundary — into stage 0, between stages, and back to
-    logical order — is decided here, once, by :func:`in_pass_moves`: a
-    gather-in on the next stage's first segment or a scatter-out on the
-    previous stage's last one, when that segment is a shards-segment.  A
-    boundary neither carries is left to the driver's full-state permute.
-
     *reuse* is an earlier schedule of the same structure (the Session plan
-    cache's, for a parameter sweep): segment by segment its structures are
-    admitted and bound to this plan's gates, and whatever does not match is
-    built cold, so the result equals a cold build bit for bit and never
-    carries another circuit's angles.
+    cache's, for a parameter sweep).  It is admitted as
+    ``compile_plan(reuse=)`` admits a program — the whole plan or nothing
+    (:meth:`ScheduleStructure.admit`) — and its structure is bound to this
+    plan's gates, segment by segment; a plan that is not admitted, or whose
+    products leave their templates' class, is built cold in full.  Either
+    way the result equals a cold build bit for bit and never carries
+    another circuit's angles.
     """
-    n = plan.num_qubits
-    layout = QubitLayout(n)
-    stages = []
-    rebound = reuse is not None
-    for stage_index, stage in enumerate(plan.stages):
-        layout.update(stage.partition.logical_to_physical())
-        logical_to_physical = layout.logical_to_physical()
-        held = (
-            reuse.stages[stage_index][1]
-            if reuse is not None and stage_index < len(reuse.stages) else ()
-        )
-        segments = []
-        for index, (kind, payload) in enumerate(
-            split_stage_segments(stage, logical_to_physical, local_qubits)
-        ):
-            old = held[index].ops if index < len(held) else None
-            if kind == "full":
-                ops = compile_segment_ops([([payload], None)], logical_to_physical, n, old)
-            else:
-                ops = compile_segment_ops(payload, logical_to_physical, local_qubits, old)
-            rebound = rebound and old is not None and ops.structure is old.structure
-            in_place = ops.write_map == list(range(len(ops.shards)))
-            segments.append(Segment(kind, payload, ops, in_place))
-        stages.append((logical_to_physical, segments))
-    identity = {q: q for q in range(n)}
-    layouts = [identity] + [l2p for l2p, _segments in stages] + [identity]
-    for k, (old, new) in enumerate(zip(layouts, layouts[1:])):
-        if old == new:
-            continue
-        after = stages[k][1] if k < len(stages) else []
-        before = stages[k - 1][1] if k else []
-        for move in in_pass_moves(old, new, local_qubits):
-            if move == "gather" and after and after[0].kind == "shards":
-                after[0] = after[0]._replace(in_place=False, load_from=old)
-                break
-            if move == "scatter" and before and before[-1].kind == "shards":
-                before[-1] = before[-1]._replace(in_place=False, store_to=new)
-                break
-    return Schedule(stages, rebound)
+    structure, stages, rebound = bind_structure(
+        None if reuse is None else (reuse.structure, reuse.stages),
+        lambda held: held.admit(plan, local_qubits),
+        lambda: ScheduleStructure(plan, local_qubits),
+    )
+    return Schedule(stages, structure, rebound)
 
 
 def run_stages(

@@ -721,8 +721,10 @@ class Session:
         job's, the cache entry's)``.
 
         Acquired once per job: rebound from the entry's *held* schedule (a
-        hit), or built cold (a miss) when the entry has none or the rebind
-        had to build any segment cold.  A cold build becomes the entry's.
+        hit: the plan admitted whole, every segment bound over its
+        structure), or built cold (a miss) when the entry has none or the
+        plan does not have its structure.  A cold build becomes the
+        entry's.
         """
         schedule = build_schedule(plan, machine.local_qubits, reuse=held)
         if schedule.rebound:

@@ -32,6 +32,7 @@ from repro.check import (
     verify_schedule,
 )
 from repro.circuits import Circuit, make_gate
+from repro.circuits.gates import GateTable
 from repro.circuits.library import CIRCUIT_FAMILIES, get_circuit, qft
 from repro.cluster import MachineConfig
 from repro.core import partition
@@ -39,9 +40,12 @@ from repro.core.plan import QubitPartition
 from repro.errors import PlanValidationError, StaticCheckError
 from repro.planner import build_plan
 from repro.runtime import compile_plan, execute_plan_offloaded
-from repro.runtime.offload import build_schedule, compile_segment_ops, run_segment_ops
+from repro.runtime.compile import SegmentStructure
+from repro.runtime.offload import build_schedule, run_segment_ops
 from repro.session import Session
 from repro.sim import StateVector, simulate_reference
+
+from test_property_based import segment_ops
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -311,7 +315,7 @@ def mutate_mixing_gate(schedule):
     far = next(q for q, p in l2p.items() if p >= LOCAL)
     segment = segments[index]
     segments[index] = segment._replace(
-        payload=segment.payload + [([make_gate("h", [far])], None)]
+        payload=segment.payload + [make_gate("h", [far])]
     )
 
 
@@ -549,7 +553,7 @@ class TestWriteMapDifferential:
         """Each shard of a random state, run through its recorded stream,
         is the reference's shard at its recorded index — the control of the
         last case reads the bit the x before it flipped."""
-        ops = compile_segment_ops([(gates, None)], IDENTITY, LOCAL)
+        ops = segment_ops(gates, IDENTITY, LOCAL)
         init = StateVector.random_state(N, seed=7)
         want = simulate_reference(Circuit(N, gates), init).data
         size = 1 << LOCAL
@@ -565,7 +569,7 @@ class TestWriteMapDifferential:
     def test_gate_sequence_threads_indices(self):
         # Two anti-diagonal flips on distinct non-local qubits compose.
         gates = [make_gate("x", [N - 1]), make_gate("x", [N - 2])]
-        ops = compile_segment_ops([(gates, None)], IDENTITY, LOCAL)
+        ops = segment_ops(gates, IDENTITY, LOCAL)
         assert ops.write_map == [s ^ 0b11 for s in range(NUM_SHARDS)]
 
     def test_mixing_gate_is_flagged(self):
@@ -573,7 +577,8 @@ class TestWriteMapDifferential:
         one planted in a schedule is the race detector's `schedule.mixing`
         (the mutation table)."""
         with pytest.raises(PlanValidationError, match="mixes amplitudes"):
-            compile_segment_ops([([make_gate("h", [N - 1])], None)], IDENTITY, LOCAL)
+            h = make_gate("h", [N - 1])
+            SegmentStructure([("dynamic", (h,), (0,))], IDENTITY, LOCAL, GateTable([h]))
 
     def test_round_robin_is_a_partition(self):
         for workers in (1, 2, 3, 4, 7):
@@ -1429,9 +1434,24 @@ class TestLintRepro:
             "    def bind(self, pool, old, flat, base):\n"
             "        return flat.take(base[0] + self.picks)\n",
         )
-        assert lint.check_one_gate_table([slots]) == []
+        # A table is built by the circuit's memo and a hand-built plan's
+        # own table; tests and tools build tables of their own gates freely.
+        builders = [
+            self.write(
+                lint, "circuits/circuit.py",
+                "def table(self):\n    return GateTable(self._gates)\n",
+            ),
+            self.write(
+                lint, "core/plan.py", "def _own_table(stages):\n    return GateTable([])\n"
+            ),
+        ]
+        tool = lint.REPO / "tools" / "tables.py"
+        tool.parent.mkdir(parents=True, exist_ok=True)
+        tool.write_text("TABLE = GateTable([])\n")
+        assert lint.check_one_gate_table([slots, *builders, tool]) == []
         # A per-gate bind growing back: a gate's own matrix, the oracle's
-        # per-item fill, a per-variant np.ix_ block — and the retired name.
+        # per-item fill, a per-variant np.ix_ block — the retired names,
+        # and a second per-job table built anywhere else under src/.
         slots.write_text(
             "class _KernelSlot:\n"
             "    def fill(self, gates, flat, base):\n"
@@ -1444,12 +1464,17 @@ class TestLintRepro:
         keyed = self.write(
             lint, "circuits/circuit.py", "def key(gates):\n    cache_patterns(gates)\n"
         )
-        findings = lint.check_one_gate_table([slots, keyed])
+        segments = self.write(
+            lint, "runtime/offload.py",
+            "def segment_table(pieces):\n"
+            "    return gates_mod.GateTable([g for _k, gs in pieces for g in gs])\n",
+        )
+        findings = lint.check_one_gate_table([slots, keyed, segments])
         assert {f.rule for f in findings} == {"one-gate-table"}
         assert sorted(f.key.rpartition("::")[2] for f in findings) == [
-            "_DynamicSlot.bind:_reduce", "_DynamicSlot.bind:matrix",
+            "GateTable", "_DynamicSlot.bind:_reduce", "_DynamicSlot.bind:matrix",
             "_KernelSlot.fill:fill_lowered_item", "_KernelSlot.fill:matrix",
-            "cache_patterns",
+            "cache_patterns", "segment_table",
         ]
         # The slots moving out of compile.py is the rule left behind.
         slots.write_text("def compile_plan(plan):\n    return plan\n")

@@ -459,28 +459,51 @@ SCATTER_ORDERS = [
 ]
 
 
+def _scatter_plan(angle):
+    """One stage per layout of ``SCATTER_ORDERS``, stage k's gates at
+    *angle* + k."""
+    return _layout_plan(N, LOCAL, [
+        (order, _insular_gates(order[:LOCAL], order[LOCAL:], angle + k))
+        for k, order in enumerate(SCATTER_ORDERS)
+    ])[0]
+
+
+RESUME_EXECUTORS = ["offload", 1, 2, 4]
+
+
 class TestResumeAcrossLayoutMoves:
     @pytest.fixture()
     def scatter_plan(self):
-        plan, _circuit = _layout_plan(N, LOCAL, [
-            (order, _insular_gates(order[:LOCAL], order[LOCAL:], 0.3 + k))
-            for k, order in enumerate(SCATTER_ORDERS)
-        ])
+        plan = _scatter_plan(0.3)
         layouts = [dict(zip(order, range(N))) for order in SCATTER_ORDERS]
         schedule = build_schedule(plan, LOCAL)
         assert [segs[-1].store_to for _l2p, segs in schedule.stages] == layouts[1:] + [None]
         return plan, layouts
 
-    @pytest.mark.parametrize("executor", ["offload", 1, 2, 4])
+    @pytest.mark.parametrize(
+        "executor, rebound",
+        [(executor, False) for executor in RESUME_EXECUTORS]
+        + [(executor, True) for executor in RESUME_EXECUTORS],
+        ids=[str(e) for e in RESUME_EXECUTORS] + [f"{e}-rebound" for e in RESUME_EXECUTORS],
+    )
     def test_resume_at_every_stage_of_a_scatter_plan_is_bit_exact(
-        self, machine, scatter_plan, tmp_path, executor
+        self, machine, scatter_plan, tmp_path, executor, rebound
     ):
         """A snapshot after stage k holds the array the scatter left: in
         stage k+1's layout, and the checkpoint says so.  Resuming from it
-        needs no move into stage k+1 and is bit-exact."""
+        needs no move into stage k+1 and is bit-exact.  The same holds
+        through a schedule rebound from the plan at other angles (moves and
+        store flags are structure): every run and every resume equals the
+        uninterrupted one, with a cold schedule's layout counts."""
         plan, layouts = scatter_plan
+        run = {}
+        if rebound:
+            base, plan = plan, _scatter_plan(1.1)
+            schedule = build_schedule(plan, LOCAL, reuse=build_schedule(base, LOCAL))
+            assert schedule.rebound
+            run = {"schedule": schedule}
         reference, stats = execute_on(
-            executor, plan, machine, checkpoint=CheckpointConfig(tmp_path, keep=99)
+            executor, plan, machine, checkpoint=CheckpointConfig(tmp_path, keep=99), **run
         )
         assert (stats.layout_permutes, stats.layout_in_pass) == (1, 3)
         snapshots = sorted(tmp_path.glob("*.ckpt"))
@@ -495,10 +518,18 @@ class TestResumeAcrossLayoutMoves:
             assert np.array_equal(
                 permute_state(logical, QubitLayout(N), layouts[k + 1]), ck.state
             )
-            resumed, rstats = execute_on(executor, plan, machine, resume_from=snapshot)
+            resumed, rstats = execute_on(
+                executor, plan, machine, resume_from=snapshot, **run
+            )
             assert np.array_equal(resumed, reference), f"resume after stage {k}"
             assert rstats.resumed_from_stage == k
             assert rstats.layout_permutes == 1  # the final one, as uninterrupted
+            if rebound:
+                cold, cstats = execute_on(executor, plan, machine, resume_from=snapshot)
+                assert np.array_equal(cold, reference)
+                assert (rstats.layout_permutes, rstats.layout_in_pass) == (
+                    cstats.layout_permutes, cstats.layout_in_pass
+                )
 
     def test_a_snapshot_in_another_layout_resumes_through_the_permute(
         self, machine, scatter_plan, tmp_path

@@ -26,7 +26,7 @@ from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.errors import PlanValidationError
 from repro.runtime.compile import (
-    SegmentStructure, _DynamicSlot, _FusedSlot, _KernelSlot, _reduce, compile_plan, segment_table,
+    SegmentStructure, _DynamicSlot, _FusedSlot, _KernelSlot, _reduce, compile_plan,
 )
 from repro.session.cache import frozen, plan_cache_key, rebind_plan
 from repro.sim.apply import Workspace, unitary_template
@@ -157,7 +157,7 @@ def _slot_cases(program, plan):
         kind, stage_index, index = slot.source
         stage = plan.stages[stage_index]
         gates = (stage.gates[index],) if kind == "gate" else tuple(stage.kernels.kernels[index].gates)
-        l2p = structure.stages[stage_index][0]
+        l2p = structure.record.stages[stage_index][0]
         start, stop = structure.entry_starts[slot.pool], structure.entry_starts[slot.pool + 1]
         yield slot, gates, l2p, entries[start:stop], run
 
@@ -228,13 +228,13 @@ def test_dynamic_variants_read_the_table():
         make_gate("cp", [1, 4], [0.7]), make_gate("rz", [3], [1.3]),
         make_gate("crz", [4, 0], [2.1]), make_gate("rzz", [2, 3], [0.4]),
     ]
-    pieces = [("dynamic", (gate,)) for gate in gates]
-    table = segment_table(pieces)
+    pieces = [("dynamic", (gate,), (at,)) for at, gate in enumerate(gates)]
+    table = GateTable(gates)
     structure = SegmentStructure(pieces, l2p, local, table)
     entries = structure.entries(table)
     state = rng.normal(size=1 << local) + 1j * rng.normal(size=1 << local)
     checked = 0
-    for slot, (_kind, (gate,)) in zip(structure.slots, pieces):
+    for slot, (_kind, (gate,), _at) in zip(structure.slots, pieces):
         assert isinstance(slot, _DynamicSlot)
         start, stop = structure.entry_starts[slot.pool], structure.entry_starts[slot.pool + 1]
         ops = slot.bind((gate,), None, entries[start:stop], None)

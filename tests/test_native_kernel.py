@@ -44,11 +44,12 @@ from repro.runtime import (
 )
 from repro.errors import KernelError
 from repro.runtime.faults import FaultInjector
-from repro.runtime.offload import compile_segment_ops
 from repro.sim import StateVector, native
 from repro.sim.apply import Workspace, apply_matrix_reference, kernel_template
 from repro.sim.fusion import LoweredItem, fused_unitary, kernel_items, lower_kernel_gates
 from repro.sim.program import compile_unitary_op
+
+from test_property_based import segment_ops
 
 REPO = Path(__file__).resolve().parent.parent
 needs_native = pytest.mark.skipif(
@@ -342,7 +343,7 @@ def _segment_op(gates, l2p, n, fused):
     """The op of the kernel *gates* in a segment over all *n* positions —
     what a full-state segment of a shard schedule is built by."""
     ktype = KernelType.FUSION if fused else None
-    ((_kind, op),) = compile_segment_ops([(list(gates), ktype)], l2p, n)
+    ((_kind, op),) = segment_ops(gates, l2p, n, ktype)
     return op
 
 

@@ -38,7 +38,7 @@ from repro.runtime import (
 )
 from repro.errors import PlanValidationError
 from repro.planner import legacy_pipeline
-from repro.runtime.offload import build_schedule, compile_segment_ops, run_segment_ops, split_stage_segments
+from repro.runtime.offload import build_schedule, run_segment_ops
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim import fusion as fusion_mod
@@ -558,9 +558,9 @@ class TestOffloadAndParallelPaths:
         logical_to_physical = stage.partition.logical_to_physical()
         assert logical_to_physical == {q: q for q in range(6)}
         local = 3
-        ((kind, groups),) = split_stage_segments(stage, logical_to_physical, local)
-        assert kind == "shards"
-        ops = compile_segment_ops(groups, logical_to_physical, local)
+        ((_l2p, (segment,)),) = build_schedule(ExecutionPlan(6, [stage]), local).stages
+        assert segment.kind == "shards"
+        ops = segment.ops
         init = StateVector.random_state(6, seed=0)
         want = simulate_reference(circuit, init).data
         stored = []
@@ -647,7 +647,7 @@ class TestLoweredKernels:
         for _l2p, segments in build_schedule(plan, machine.local_qubits).stages:
             for segment in segments:
                 assert segment.kind == "shards"
-                assert len(segment.ops) <= sum(len(gates) for gates, _ in segment.payload)
+                assert len(segment.ops) <= len(segment.payload)
 
     def test_degenerate_angles_rebuild_the_block_on_rebind(self):
         """rx(0) is the identity (a diagonal), ry(pi) a permutation: a

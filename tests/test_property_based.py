@@ -21,13 +21,14 @@ from repro.ilp import IlpModel, lin_sum, solve_with_branch_and_bound, solve_with
 from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
-from repro.runtime.offload import compile_segment_ops
+from repro.runtime.compile import SegmentStructure
+from repro.runtime.offload import compile_segment_ops, split_stage_segments
 from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim import apply as apply_mod
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered, kernel_template
 from repro.sim.fusion import kernel_items, lower_kernel_gates
 from repro.sim.program import Workspace, compile_unitary_op, monomial_template
-from repro.circuits.gates import GATE_SPECS, gate_matrix
+from repro.circuits.gates import GATE_SPECS, GateTable, gate_matrix
 
 # Hypothesis settings: these tests build circuits and run simulators, so we
 # keep example counts modest and disable the too-slow health check.
@@ -36,6 +37,21 @@ SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+
+def segment_ops(gates, l2p, local, ktype=None):
+    """The bound segment of one kernel group of *gates* (type *ktype*) in
+    the layout *l2p* over ``2^local`` buffers: cut, built and bound as a
+    shard schedule's segments are, its numbers read from the gates' own
+    table."""
+    gates = tuple(gates)
+    table = GateTable(gates)
+    ((_kind, pieces),) = split_stage_segments(
+        [(gates, ktype, tuple(range(len(gates))))], l2p, local
+    )
+    return compile_segment_ops(SegmentStructure(pieces, l2p, local, table), list(gates), table)
+
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -176,7 +192,7 @@ class TestLoweringProperties:
         with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
             # A run of gates over all n positions: the slot a full-state
             # segment (or a compiled program's kernel) is built by.
-            ((_kind, op),) = compile_segment_ops([(list(gates), None)], l2p, n)
+            ((_kind, op),) = segment_ops(gates, l2p, n)
             items = lower_kernel_gates(gates, l2p)
             ws = Workspace()
             lowered, _ = op.run(init.data.copy(), np.empty_like(init.data), ws)

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from repro import MachineConfig, Session
 from repro.circuits import Circuit, make_gate
+from repro.circuits.gates import GateTable
 from repro.circuits.library import CIRCUIT_FAMILIES, qft, vqc
 from repro.core import KernelizeConfig, partition
 from repro.errors import KernelError, TransientError
 from repro.runtime import ParallelRuntime, compile as compile_mod, execute_plan_offloaded
-from repro.runtime import sharding as sharding_mod
+from repro.runtime import offload as offload_mod, sharding as sharding_mod
 from repro.runtime.offload import Schedule, build_schedule
 from repro.session.backends import BACKENDS, ParallelBackend, register_backend
 from repro.session import session as session_mod
@@ -69,14 +70,7 @@ def assert_rebind_equals_cold(base_plan, plan, machine, seed):
     cold = build_schedule(plan, local)
     assert not cold.rebound and not base.rebound
     assert entries(warm) == entries(cold)
-    shared = [
-        new.ops.structure is old.ops.structure
-        for (_l2p, news), (_l2p_old, olds) in zip(warm.stages, base.stages)
-        for new, old in zip(news, olds)
-        if new.kind == old.kind
-    ]
-    if warm.rebound:
-        assert all(shared)
+    assert (warm.structure is base.structure) == warm.rebound
     for init in (None, StateVector.random_state(n, seed=seed)):
         want = execute_plan_offloaded(plan, machine, init, schedule=cold)[0].data
         assert np.array_equal(execute_plan_offloaded(plan, machine, init)[0].data, want)
@@ -162,22 +156,35 @@ class TestScheduleRebindDifferential:
                         refilled += op is not was
         assert kept and refilled
 
-    def test_a_rebind_of_new_angles_misses_no_axis_kind(self):
-        """The non-local axis memo is keyed by what a kind depends on — the
-        gate's name, its ``> 1e-12`` pattern and the positions — not by the
-        angle-bearing gate: a second job of new angles finds every entry."""
+    def test_a_rebind_of_new_angles_misses_no_axis_kind(self, monkeypatch):
+        """A warm schedule is a bind: a job of new angles admitted whole
+        against the cached structure cuts no segment, builds no gate table
+        (it reads its circuit's, which the plan carries) and classifies no
+        axis — the non-local axis memos see no new miss."""
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
         base_plan, _ = partition(vqc(8, seed=0), machine)
+        plan = rebind_plan(base_plan, vqc(8, seed=1))
+        calls = {"split_stage_segments": 0, "GateTable": 0}
+
+        def counted(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(offload_mod, "split_stage_segments", "split_stage_segments")
+        counted(GateTable, "__init__", "GateTable")
         base = build_schedule(base_plan, machine.local_qubits)
+        assert calls == {"split_stage_segments": len(base_plan.stages), "GateTable": 0}
+        calls.update(split_stage_segments=0)
         memos = (sharding_mod._axis_kind, sharding_mod._axis_table)
-        before = [memo.cache_info() for memo in memos]
-        warm = build_schedule(
-            rebind_plan(base_plan, vqc(8, seed=1)), machine.local_qubits, reuse=base
-        )
-        after = [memo.cache_info() for memo in memos]
+        before = [memo.cache_info().misses for memo in memos]
+        warm = build_schedule(plan, machine.local_qubits, reuse=base)
         assert warm.rebound
-        assert [info.misses for info in after] == [info.misses for info in before]
-        assert after[1].hits > before[1].hits
+        assert calls == {"split_stage_segments": 0, "GateTable": 0}
+        assert [memo.cache_info().misses for memo in memos] == before
 
     def test_a_warm_shard_pass_binds_nothing(self, monkeypatch):
         """Every op a shard pass runs is bound with its schedule: running a
@@ -214,10 +221,12 @@ class TestScheduleRebindDifferential:
         assert calls == []
 
     def test_a_rebind_across_the_pattern_boundary_equals_the_cold_build(self):
-        """rx(pi) on a non-local qubit relabels shards and rx(1e-13) does
-        not, yet the two share an exact signature: each gate's axis table
-        is part of its segment's structure, so a rebind either way is built
-        cold — write map, store flag and ops — and runs bit for bit."""
+        """rx(pi) on a non-local qubit relabels shards, rx(1e-13) does not
+        and rx(0.3) mixes them (a full-state segment of its own), yet all
+        three share an exact signature: the segment cut and each gate's
+        axis table are part of the schedule's structure, so a rebind from
+        one to another is built cold — cut, write map, store flag and ops —
+        and runs bit for bit."""
         n, local = 6, 4
         machine = MachineConfig.for_circuit(n, local_qubits=local)
 
@@ -234,7 +243,9 @@ class TestScheduleRebindDifferential:
         ((_l2p, (relabels,)),), ((_l2p2, (stays,)),) = relabel.stages, phase.stages
         assert not relabels.in_place and relabels.ops.write_map == [2, 3, 0, 1]
         assert stays.in_place and stays.ops.write_map == [0, 1, 2, 3]
-        for base, angle in ((1e-13, np.pi), (np.pi, 1e-13)):
+        ((_l2p3, mixes),) = build_schedule(plan(0.3), local).stages
+        assert [segment.kind for segment in mixes] == ["shards", "full", "shards"]
+        for base, angle in ((1e-13, np.pi), (np.pi, 1e-13), (0.3, 1e-13), (1e-13, 0.3)):
             warm = assert_rebind_equals_cold(plan(base), plan(angle), machine, seed=4)
             assert not warm.rebound
 

@@ -63,8 +63,12 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     ``gate_step`` / ``kernel_lowering`` / ``kernel_fusion`` — the calls
     that turn gates into op templates — are made from
     ``runtime/compile.py`` and nowhere else: a shards-segment is compiled
-    by the slots a plan is (``SegmentStructure``), so one of them called
-    from ``runtime/offload.py`` or ``runtime/parallel.py`` is the second
+    by the slots a plan is (``SegmentStructure``), once per plan structure
+    (``runtime/offload.py::ScheduleStructure``), and a warm job's plan is
+    admitted whole by the record both lowerings share (``PlanRecord``) and
+    bound segment by segment from the plan's one gate table — no segment is
+    admitted or cut again per job.  One of those calls made from
+    ``runtime/offload.py`` or ``runtime/parallel.py`` is the second
     segment compiler growing back.  And the text ``schedule_key`` appears
     nowhere under ``src/``: a shard schedule lives in the Session plan
     cache and reaches the executors as ``schedule=``; a structure-name
@@ -206,9 +210,14 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     own matrix), ``fill_lowered_item`` (the per-item oracle fill) or
     ``_reduce`` (the per-variant ``np.ix_`` block of a dynamic gate, which
     is resolved into gather indices when the slot is built).  One of them
-    there is the per-gate bind growing back beside the table.  The name
-    ``cache_patterns`` — the per-gate pattern cache the table replaced —
-    appears nowhere under ``src/``.  Checked whenever the linted set
+    there is the per-gate bind growing back beside the table.  A
+    ``GateTable(...)`` is constructed under ``src/`` only in
+    ``circuits/circuit.py`` (the circuit's memo) and ``core/plan.py``
+    (``_own_table``, for a plan built without one): one anywhere else is a
+    second per-job table growing back.  The names ``cache_patterns`` — the
+    per-gate pattern cache the table replaced — and ``segment_table`` — the
+    per-segment table a warm shard schedule built for itself — appear
+    nowhere under ``src/``.  The slot check runs whenever the linted set
     contains ``runtime/compile.py`` (a file without a slot ``bind`` is the
     rule left behind).
 
@@ -1180,7 +1189,17 @@ GATE_TABLE_HOME = "runtime/compile.py"
 GATE_TABLE_METHODS = ("bind", "fill")
 #: Calls that fetch a gate's numbers one gate (or one item) at a time.
 GATE_TABLE_BYPASS = ("matrix", "fill_lowered_item", "_reduce")
-GATE_TABLE_RETIRED = re.compile(r"\bcache_patterns\b")
+#: Retired names, each with why it is gone.
+GATE_TABLE_RETIRED = {
+    "cache_patterns": "a gate's key pattern and exact signature are read off its "
+    "circuit's GateTable",
+    "segment_table": "a shard schedule's segments read the plan's one gate table, "
+    "admitted with the whole plan",
+}
+GATE_TABLE_RETIRED_WORDS = re.compile(r"\b(%s)\b" % "|".join(GATE_TABLE_RETIRED))
+#: Where a ``GateTable`` may be constructed: the circuit's memo and a
+#: hand-built plan's own table (``core/plan.py::_own_table``).
+GATE_TABLE_BUILDERS = ("circuits/circuit.py", "core/plan.py")
 
 
 def check_one_gate_table(files: list[Path]) -> list[Finding]:
@@ -1196,17 +1215,24 @@ def check_one_gate_table(files: list[Path]) -> list[Finding]:
         rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
         source = path.read_text()
         for lineno, line in enumerate(source.splitlines(), 1):
-            if GATE_TABLE_RETIRED.search(line):
-                flag(
-                    rel, lineno,
-                    "`cache_patterns` under src/: a gate's key pattern and exact "
-                    "signature are read off its circuit's GateTable",
-                    "cache_patterns",
-                )
+            for match in GATE_TABLE_RETIRED_WORDS.finditer(line):
+                name = match.group(1)
+                flag(rel, lineno, f"`{name}` under src/: {GATE_TABLE_RETIRED[name]}", name)
+        tree = ast.parse(source, filename=str(path))
+        if rel_src not in GATE_TABLE_BUILDERS:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and _call_name(node) == "GateTable":
+                    flag(
+                        rel, node.lineno,
+                        f"`GateTable(...)` built in {rel_src}: a job's numbers come "
+                        f"from its circuit's one table (or a hand-built plan's own, "
+                        f"core/plan.py), not a second per-job table",
+                        "GateTable",
+                    )
         if rel_src != GATE_TABLE_HOME:
             continue
         methods = 0
-        for cls in ast.walk(ast.parse(source, filename=str(path))):
+        for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for method in cls.body:
