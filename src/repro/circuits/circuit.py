@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import networkx as nx
 import numpy as np
 
-from .gates import Gate, GateTable, make_gate
+from .gates import Gate, GateTable, content_bytes, make_gate
 
 __all__ = ["Circuit", "CircuitStats"]
 
@@ -311,15 +311,9 @@ class Circuit:
         parameters on the same qubits — the dedup condition for identical
         batch submissions (:meth:`repro.service.SimulationService.submit_many`).
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.num_qubits.to_bytes(4, "little"))
-        for g in self._gates:
-            h.update(b"|")
-            h.update(g.name.encode())
-            h.update(np.asarray(g.qubits, dtype=np.int32).tobytes())
-            if g.params:
-                h.update(np.asarray(g.params, dtype=np.float64).tobytes())
-        return h.hexdigest()
+        return hashlib.blake2b(
+            self.num_qubits.to_bytes(4, "little") + content_bytes(self._gates), digest_size=16
+        ).hexdigest()
 
     def dependency_edges(self) -> list[tuple[int, int]]:
         """Adjacent-gate dependency pairs ``E`` (paper Section IV).

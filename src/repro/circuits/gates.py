@@ -421,14 +421,28 @@ _NAME_CODE = {name: code for code, name in enumerate(SUPPORTED_GATES)}
 _RECORD = 24
 
 
+def _gate_head(name: str, qubits: tuple[int, ...]) -> bytes:
+    """A gate's header — separator, name, little-endian int32 qubits: what
+    both keys of a circuit hash ahead of a gate's pattern or parameters."""
+    return b"|" + name.encode() + np.asarray(qubits, dtype=np.int32).tobytes()
+
+
 def _gate_bytes(name: str, qubits: tuple[int, ...]) -> tuple[bytes, bytes]:
-    """``(the bytes Circuit.structural_key hashes ahead of a gate's
-    pattern — separator, name, little-endian int32 qubits —, the first
-    eight bytes of its record)``."""
-    head = b"|" + name.encode() + np.asarray(qubits, dtype=np.int32).tobytes()
+    """``(the gate's header, the first eight bytes of its record)``."""
     padded = tuple(qubits) + (-1,) * (3 - len(qubits))
     record = bytes([_NAME_CODE[name]]) + np.asarray(padded, dtype="<i2").tobytes() + b"\0"
-    return head, record
+    return _gate_head(name, qubits), record
+
+
+def content_bytes(gates: Iterable[Gate]) -> bytes:
+    """Every gate's full content, joined: its header, then its parameters
+    as float64 — the one encoding :meth:`Circuit.content_key` and the
+    checkpoint fingerprint (:func:`repro.runtime.checkpoint.checkpoint_fingerprint`)
+    hash."""
+    return b"".join([
+        _gate_head(gate.name, gate.qubits) + np.asarray(gate.params, dtype=np.float64).tobytes()
+        for gate in gates
+    ])
 
 
 _NAME_QUBITS = attrgetter("name", "qubits")

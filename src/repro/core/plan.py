@@ -7,6 +7,7 @@ Algorithm 1's ``stagedKernels`` — and the input to the executors in
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
@@ -15,7 +16,7 @@ from ..circuits.gates import Gate, GateTable
 from ..errors import PlanValidationError
 from .kernel import Kernel, KernelSequence
 
-__all__ = ["QubitPartition", "Stage", "ExecutionPlan"]
+__all__ = ["QubitPartition", "Stage", "ExecutionPlan", "structure_digest"]
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,23 @@ class ExecutionPlan:
     def gate_count(self) -> int:
         return sum(s.num_gates for s in self.stages)
 
+    def skeleton(self) -> list[tuple]:
+        """The plan's structure without its gates: per stage ``(gate
+        indices, partition, kernels | None)``, a kernel given as ``(gate
+        indices, qubits, kernel type, cost)``.  The one walk every
+        structural use of a plan reads — its digest
+        (:func:`structure_digest`), its JSON skeleton and its rebind onto
+        another circuit's gates (:mod:`repro.session.cache`)."""
+        return [
+            (
+                stage.gate_indices,
+                stage.partition,
+                None if stage.kernels is None
+                else [(k.gate_indices, k.qubits, k.kernel_type, k.cost) for k in stage.kernels],
+            )
+            for stage in self.stages
+        ]
+
     def validate(self, circuit: Circuit) -> None:
         """Validate the plan against the original circuit.
 
@@ -218,6 +236,24 @@ class ExecutionPlan:
             "gates_per_stage": [s.num_gates for s in self.stages],
             "provenance": dict(self.provenance),
         }
+
+
+def structure_digest(num_qubits: int, stages: Iterable[tuple]) -> str:
+    """The one integrity checksum of a plan structure: blake2b over the
+    repr of ``(num_qubits, per-stage (gate indices, sorted logical →
+    physical items, kernel gate indices or None))``.  *stages* is in
+    :meth:`ExecutionPlan.skeleton`'s form.  The layout is persisted —
+    shared-store entries and checkpoints carry the digest — so it must
+    not change."""
+    body = tuple(
+        (
+            tuple(gate_indices),
+            tuple(sorted(partition.logical_to_physical().items())),
+            None if kernels is None else tuple(tuple(kernel[0]) for kernel in kernels),
+        )
+        for gate_indices, partition, kernels in stages
+    )
+    return hashlib.blake2b(repr((num_qubits, body)).encode(), digest_size=8).hexdigest()
 
 
 def _names(stage: Stage, kernel: Kernel) -> bool:

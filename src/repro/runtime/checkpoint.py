@@ -42,15 +42,13 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..circuits.gates import content_bytes
+from ..core.plan import ExecutionPlan, structure_digest
 from ..errors import CacheCorruptionError, PlanValidationError
 from . import faults
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime ← session)
-    from ..core.plan import ExecutionPlan
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -215,27 +213,20 @@ class Checkpoint:
         return {logical: physical for logical, physical in enumerate(self.layout)}
 
 
-def checkpoint_fingerprint(plan: "ExecutionPlan") -> str:
+def checkpoint_fingerprint(plan: ExecutionPlan) -> str:
     """The fingerprint a checkpoint is validated against.
 
     Deliberately *stricter* than the plan cache's structural
-    :func:`~repro.session.cache.plan_fingerprint` (imported lazily — the
-    session package imports this runtime package): the structural
-    fingerprint ignores rotation angles so a parameter sweep shares one
-    cache entry, but resuming a sweep sibling's state would silently
-    compute garbage.  Checkpoints therefore also hash every gate's
-    parameters — a resume is valid only for the bit-identical computation.
+    :func:`~repro.core.plan.structure_digest` of the plan's skeleton, which
+    it starts from: the structural digest ignores rotation angles so a
+    parameter sweep shares one cache entry, but resuming a sweep sibling's
+    state would silently compute garbage.  Checkpoints therefore also hash
+    every gate's parameters, in plan order, through the circuit content
+    encoding (:func:`~repro.circuits.gates.content_bytes`) — a resume is
+    valid only for the bit-identical computation.
     """
-    from ..session.cache import plan_fingerprint
-
-    h = hashlib.blake2b(plan_fingerprint(plan).encode(), digest_size=16)
-    for gate in plan.all_gates():
-        h.update(b"|")
-        h.update(gate.name.encode())
-        h.update(np.asarray(gate.qubits, dtype=np.int32).tobytes())
-        if gate.params:
-            h.update(np.asarray(gate.params, dtype=np.float64).tobytes())
-    return h.hexdigest()
+    structure = structure_digest(plan.num_qubits, plan.skeleton()).encode()
+    return hashlib.blake2b(structure + content_bytes(plan.all_gates()), digest_size=16).hexdigest()
 
 
 # ---------------------------------------------------------------------------

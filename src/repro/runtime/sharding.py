@@ -279,8 +279,11 @@ def _axis_kind(name: str, pattern: bytes, pos: int) -> str:
         Amplitude genuinely moves between the two bit values — the gate
         cannot be resolved per shard along this axis.
 
-    Keyed by what it reads, not by the angle-bearing gate: a warm job of
-    new angles finds every kind here.
+    Keyed by what it reads, not by the angle-bearing gate: a cold cut
+    (:func:`nonlocal_axes` over every gate of a plan) meets the same
+    ``(name, pattern, pos)`` triple gate after gate — every layer of a
+    sweep ansatz — and classifies it once.  A warm rebind classifies
+    nothing here: it admits the cached cut whole.
     """
     spec = GATE_SPECS[name]
     if pos >= spec.num_qubits - spec.num_controls:

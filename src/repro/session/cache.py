@@ -38,16 +38,16 @@ The cache is an LRU over a bounded number of structures and is owned by a
 
 from __future__ import annotations
 
-import hashlib
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ..circuits.circuit import Circuit
 from ..core.kernel import Kernel, KernelSequence, KernelType
 from ..core.partitioner import PartitionReport
-from ..core.plan import ExecutionPlan, QubitPartition, Stage
+from ..core.plan import ExecutionPlan, QubitPartition, Stage, structure_digest
 from ..errors import CacheCorruptionError, PlanValidationError
 from ..planner.pipeline import freeze_config
 
@@ -119,45 +119,18 @@ def shared_plan_key(circuit: Circuit, machine, planner_key: object) -> tuple[tup
     return (canonical, frozen(machine), planner_key), mapping
 
 
-def _structure_digest(num_qubits: int, stages) -> str:
-    """The one integrity checksum of a plan structure: blake2b over the
-    repr of ``(num_qubits, per-stage (gate indices, sorted logical →
-    physical items, kernel gate indices or None))``.  *stages* yields
-    ``(gate_indices, partition, kernel_gate_indices | None)``.  The layout
-    is persisted — shared-store entries and checkpoints carry the digest —
-    so it must not change."""
-    body = tuple(
-        (
-            tuple(gate_indices),
-            tuple(sorted(partition.logical_to_physical().items())),
-            None if kernels is None else tuple(tuple(k) for k in kernels),
-        )
-        for gate_indices, partition, kernels in stages
-    )
-    return hashlib.blake2b(repr((num_qubits, body)).encode(), digest_size=8).hexdigest()
-
-
 def plan_fingerprint(plan: ExecutionPlan) -> str:
     """A cheap structural checksum of *plan* for cache-integrity checks.
 
     Covers the skeleton a rebind relies on — qubit count, per-stage gate
-    membership, the stage partitions, and the kernel boundaries — via one
-    blake2b digest.  Deliberately *not* the full plan repr: the fingerprint
-    is recomputed on every cache hit, so it must stay cheap relative to the
-    rebind + program-recompile work the hit performs anyway.
+    membership, the stage partitions, and the kernel boundaries — via the
+    one digest of a plan structure (:func:`~repro.core.plan.structure_digest`
+    of :meth:`~repro.core.plan.ExecutionPlan.skeleton`).  Deliberately *not*
+    the full plan repr: the fingerprint is recomputed on every cache hit,
+    so it must stay cheap relative to the rebind + program-recompile work
+    the hit performs anyway.
     """
-    return _structure_digest(
-        plan.num_qubits,
-        (
-            (
-                stage.gate_indices,
-                stage.partition,
-                None if stage.kernels is None
-                else [k.gate_indices for k in stage.kernels],
-            )
-            for stage in plan.stages
-        ),
-    )
+    return structure_digest(plan.num_qubits, plan.skeleton())
 
 
 @dataclass
@@ -269,10 +242,9 @@ class PlanCache:
 def _bind(circuit: Circuit, what: str, num_qubits: int, stages, provenance) -> ExecutionPlan:
     """An :class:`ExecutionPlan` of *circuit*'s own gates over a stored
     structure — the one stage → kernel rebuild behind :func:`rebind_plan`
-    and :func:`skeleton_to_plan`.  *stages* holds, per stage, ``(gate
-    indices, partition, kernels | None)`` with a kernel given as ``(gate
-    indices, qubits, kernel type, cost)``; *what* names the structure in
-    the error of one that does not fit the circuit."""
+    and :func:`skeleton_to_plan`.  *stages* is in
+    :meth:`~repro.core.plan.ExecutionPlan.skeleton`'s form; *what* names
+    the structure in the error of one that does not fit the circuit."""
     if num_qubits != circuit.num_qubits:
         raise PlanValidationError(
             f"{what} spans {num_qubits} qubits, circuit has {circuit.num_qubits}"
@@ -326,21 +298,7 @@ def rebind_plan(plan: ExecutionPlan, circuit: Circuit) -> ExecutionPlan:
     *circuit* via the recorded ``gate_indices``, so the executed angles are
     always the new circuit's.  The cached plan is not modified.
     """
-    return _bind(
-        circuit,
-        "plan",
-        plan.num_qubits,
-        (
-            (
-                stage.gate_indices,
-                stage.partition,
-                None if stage.kernels is None
-                else [(k.gate_indices, k.qubits, k.kernel_type, k.cost) for k in stage.kernels],
-            )
-            for stage in plan.stages
-        ),
-        plan.provenance,
-    )
+    return _bind(circuit, "plan", plan.num_qubits, plan.skeleton(), plan.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -366,35 +324,33 @@ def plan_skeleton(
     never be stale.  With a *mapping* every qubit label — stage partitions,
     kernel qubit sets — is stored relabelled through it (gate indices are
     label-free): a plan published in its circuit's canonical labels binds
-    to any relabelled twin.
+    to any relabelled twin.  The plan's provenance is kept whole, every
+    value that survives a JSON round trip, so a plan bound from the
+    skeleton says where it came from as the built one does.
     ``program`` (the plan's :class:`~repro.sim.program.CompiledProgram`, if
     one was compiled) contributes metadata only — op count and workspace
     shape — used for telemetry and warm-start validation, never replayed
     from disk.
     """
     relabel = (lambda q: q) if mapping is None else mapping.__getitem__
-    stages = []
-    for stage in plan.stages:
-        kernels = None
-        if stage.kernels is not None:
-            kernels = [
+    stages = [
+        {
+            "gate_indices": list(gate_indices),
+            "local": sorted(map(relabel, partition.local)),
+            "regional": sorted(map(relabel, partition.regional)),
+            "global": sorted(map(relabel, partition.global_)),
+            "kernels": None if kernels is None else [
                 {
-                    "gate_indices": list(kernel.gate_indices),
-                    "qubits": sorted(relabel(q) for q in kernel.qubits),
-                    "kernel_type": kernel.kernel_type.value,
-                    "cost": kernel.cost,
+                    "gate_indices": list(indices),
+                    "qubits": sorted(map(relabel, qubits)),
+                    "kernel_type": kernel_type.value,
+                    "cost": cost,
                 }
-                for kernel in stage.kernels
-            ]
-        stages.append(
-            {
-                "gate_indices": list(stage.gate_indices),
-                "local": sorted(relabel(q) for q in stage.partition.local),
-                "regional": sorted(relabel(q) for q in stage.partition.regional),
-                "global": sorted(relabel(q) for q in stage.partition.global_),
-                "kernels": kernels,
-            }
-        )
+                for indices, qubits, kernel_type, cost in kernels
+            ],
+        }
+        for gate_indices, partition, kernels in plan.skeleton()
+    ]
     program_meta = None
     if program is not None:
         program_meta = {
@@ -407,9 +363,9 @@ def plan_skeleton(
         "circuit_name": plan.circuit_name,
         "stages": stages,
         "provenance": {
-            k: v
-            for k, v in plan.provenance.items()
-            if isinstance(v, (str, int, float, bool, type(None)))
+            key: value
+            for key, value in plan.provenance.items()
+            if _survives_json(value)
         },
         "program_meta": program_meta,
     }
@@ -417,26 +373,48 @@ def plan_skeleton(
     return skeleton
 
 
+def _survives_json(value) -> bool:
+    """Whether *value* comes back equal from a JSON round trip — what a
+    skeleton's provenance keeps of a plan's."""
+    try:
+        return json.loads(json.dumps(value)) == value
+    except (TypeError, ValueError):
+        return False
+
+
+def _stored_stages(skeleton: Mapping, relabel) -> Iterator[tuple]:
+    """A stored skeleton's stages in
+    :meth:`~repro.core.plan.ExecutionPlan.skeleton`'s form, every qubit
+    label read through *relabel* (stored → circuit labels): the one reader
+    behind :func:`skeleton_fingerprint` and :func:`skeleton_to_plan`."""
+    for stage in skeleton["stages"]:
+        kernels = stage.get("kernels")
+        yield (
+            stage["gate_indices"],
+            QubitPartition.from_sets(
+                *(map(relabel, stage[level]) for level in ("local", "regional", "global"))
+            ),
+            None if kernels is None else [
+                (
+                    tuple(k["gate_indices"]),
+                    tuple(sorted(map(relabel, k["qubits"]))),
+                    KernelType(k["kernel_type"]),
+                    float(k["cost"]),
+                )
+                for k in kernels
+            ],
+        )
+
+
 def skeleton_fingerprint(skeleton: Mapping) -> str:
     """Recompute the integrity checksum of a parsed skeleton.
 
     Produces exactly the digest :func:`plan_fingerprint` would for the
-    plan the skeleton describes (both go through one digest helper), so a
-    skeleton loaded from disk can be verified against its stored
-    ``fingerprint`` without first materialising a plan.
+    plan the skeleton describes (both read one stage form into one digest
+    helper), so a skeleton loaded from disk can be verified against its
+    stored ``fingerprint`` without first materialising a plan.
     """
-    return _structure_digest(
-        skeleton["num_qubits"],
-        (
-            (
-                stage["gate_indices"],
-                QubitPartition.from_sets(stage["local"], stage["regional"], stage["global"]),
-                None if stage.get("kernels") is None
-                else [k["gate_indices"] for k in stage["kernels"]],
-            )
-            for stage in skeleton["stages"]
-        ),
-    )
+    return structure_digest(skeleton["num_qubits"], _stored_stages(skeleton, lambda q: q))
 
 
 def skeleton_to_plan(
@@ -457,28 +435,5 @@ def skeleton_to_plan(
         inverse = {q: q for q in range(circuit.num_qubits)}
     else:
         inverse = {canonical: original for original, canonical in mapping.items()}
-    return _bind(
-        circuit,
-        "skeleton",
-        skeleton["num_qubits"],
-        (
-            (
-                stage["gate_indices"],
-                QubitPartition.from_sets(
-                    *((inverse[q] for q in stage[level]) for level in ("local", "regional", "global"))
-                ),
-                None if stage["kernels"] is None
-                else [
-                    (
-                        tuple(k["gate_indices"]),
-                        tuple(sorted(inverse[q] for q in k["qubits"])),
-                        KernelType(k["kernel_type"]),
-                        float(k["cost"]),
-                    )
-                    for k in stage["kernels"]
-                ],
-            )
-            for stage in skeleton["stages"]
-        ),
-        skeleton.get("provenance") or {},
-    )
+    stages = _stored_stages(skeleton, inverse.__getitem__)
+    return _bind(circuit, "skeleton", skeleton["num_qubits"], stages, skeleton.get("provenance") or {})

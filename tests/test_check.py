@@ -1261,6 +1261,38 @@ class TestLintRepro:
         entry = self.write(lint, "core/partitioner.py", second.read_text())
         assert lint.check_one_planning_surface([entry]) == []
 
+    def test_lower_layer_reaching_into_the_session_flagged(self, lint):
+        clean = self.write(
+            lint, "runtime/checkpoint.py",
+            "from ..core.plan import structure_digest\n"
+            "from . import faults\n"
+            "def fingerprint(plan):\n"
+            "    'repro.session may be mentioned in prose.'\n"
+            "    return structure_digest(plan.num_qubits, plan.skeleton())\n",
+        )
+        assert lint.check_layering([clean]) == []
+        # Absolute and relative, at module level and inside a function,
+        # a module or a name out of one: each is the upper layer imported.
+        reaching = self.write(
+            lint, "core/sub/bad.py",
+            "import repro.service.persistence\n"
+            "from repro.session import Session\n"
+            "from ... import session\n"
+            "def f(plan):\n"
+            "    from ...session.cache import plan_fingerprint\n"
+            "    from ..plan import ExecutionPlan\n"
+            "    return plan_fingerprint(plan)\n",
+        )
+        findings = lint.check_layering([clean, reaching])
+        assert {f.rule for f in findings} == {"layering"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (1, "repro.service.persistence"), (2, "repro.session"),
+            (3, "repro.session"), (5, "repro.session.cache"),
+        ]
+        # The figure drivers sit above the session; the session itself too.
+        for rel in ("analysis/experiments.py", "session/session.py", "service/service.py"):
+            assert lint.check_layering([self.write(lint, rel, reaching.read_text())]) == []
+
     def test_second_staging_bound_or_solver_bypass_flagged(self, lint):
         home = self.write(
             lint, "core/stage.py",

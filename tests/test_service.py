@@ -60,6 +60,91 @@ def _relabeled(circuit, shift: int):
     return circuit.remap_qubits({q: (q + shift) % n for q in range(n)})
 
 
+def _pinned_plan(name: str):
+    """``(circuit, plan)`` of one hand-built plan of
+    :data:`PINNED_IDENTITIES`.  Per stage: the circuit's gate indices, the
+    ``(local, regional, global)`` qubit sets and the kernels as ``(stage
+    positions, kernel type, cost)``, or ``None`` for an unkernelized
+    stage."""
+    from repro.circuits import Circuit
+    from repro.core.kernel import Kernel, KernelSequence, KernelType
+    from repro.core.plan import ExecutionPlan, QubitPartition, Stage
+
+    provenance = {}
+    if name == "kernels":
+        circuit = (Circuit(5, name="pin-kernels").h(0).cx(0, 1).rz(0.4, 1).cx(1, 2)
+                   .h(3).cp(0.3, 3, 4).rx(1.1, 2).cz(2, 4))
+        stages = [
+            ([0, 1, 2, 3], ({0, 1, 2}, {3}, {4}), [([0, 1, 2], "fusion", 1.5), ([3], "shm", 0.75)]),
+            ([4, 5, 6, 7], ({2, 3, 4}, {0}, {1}), [([0, 1], "shm", 2.25), ([2, 3], "fusion", 1.1)]),
+        ]
+        provenance = {"preset": "pinned", "pipeline": ["analyze", "stage"],
+                      "passes_skipped": {"refine": "off"}}
+    elif name == "unkernelized":
+        circuit = Circuit(5, name="pin-bare").h(0).cx(0, 1).rz(0.4, 1).cx(1, 2).h(3).cp(0.3, 3, 4)
+        stages = [([0, 1, 2, 3, 4, 5], ({0, 1, 2}, {3}, {4}), None)]
+    elif name == "order":
+        # Plan order is not circuit order: the checkpoint hashes the former.
+        circuit = Circuit(4, name="pin-order").h(0).h(3).ry(0.7, 0).rzz(0.25, 2, 3).cx(0, 1)
+        stages = [
+            ([0, 2, 4], ({0, 1}, {2}, {3}), [([0, 1, 2], "shm", 3.0)]),
+            ([1, 3], ({2, 3}, {0}, {1}), [([0], "fusion", 0.5), ([1], "shm", 1.25)]),
+        ]
+    else:  # "relabel": no qubit is in its first-use position
+        circuit = (Circuit(6, name="pin-relabel").cx(5, 2).crz(0.9, 4, 5).h(1).swap(0, 3)
+                   .ccx(2, 4, 1).p(0.2, 0))
+        stages = [
+            ([0, 1, 2], ({1, 2, 4, 5}, {0}, {3}), [([0, 1], "fusion", 2.0), ([2], "shm", 0.5)]),
+            ([3, 4, 5], ({0, 1, 3, 4}, {2}, {5}), [([0, 1, 2], "shm", 4.5)]),
+        ]
+    built = []
+    for indices, sets, kernels in stages:
+        gates = [circuit.gates[i] for i in indices]
+        if kernels is not None:
+            kernels = KernelSequence([
+                Kernel(
+                    gates=tuple(gates[j] for j in at),
+                    qubits=tuple(sorted({q for j in at for q in gates[j].qubits})),
+                    kernel_type=KernelType(kind),
+                    cost=cost,
+                    gate_indices=tuple(at),
+                )
+                for at, kind, cost in kernels
+            ])
+        built.append(Stage(gates=gates, partition=QubitPartition.from_sets(*sets),
+                           kernels=kernels, gate_indices=list(indices)))
+    return circuit, ExecutionPlan(circuit.num_qubits, built, circuit.name, provenance)
+
+
+#: Per hand-built plan (:func:`_pinned_plan`): ``plan_fingerprint``, the
+#: ``skeleton_fingerprint`` of its skeleton in its own and in canonical
+#: labels, the first 16 hex digits of the SHA-256 of both skeletons'
+#: ``stages`` JSON, ``checkpoint_fingerprint`` and ``Circuit.content_key``.
+#: Shared-store entries and checkpoints persist the digests: none may change.
+PINNED_IDENTITIES = {
+    "kernels": (
+        "945630310fd3d0a8", "945630310fd3d0a8", "945630310fd3d0a8",
+        "ed2b1eca6e6082a3", "ed2b1eca6e6082a3",
+        "1a9531a10e3e9493e1bf7842957ea98c", "a97fa80454444ed354c7ce8430c4df21",
+    ),
+    "order": (
+        "65714ae0ae89f4d3", "65714ae0ae89f4d3", "1707b26dcfdd7a10",
+        "2a88aabecef13bfd", "d9c8bc5007f5defe",
+        "24a176bcc0349da1278508e9af201f17", "e35cfc9dcb99f49e78ac60a690b51431",
+    ),
+    "relabel": (
+        "821ee90b4b00d7b1", "821ee90b4b00d7b1", "3d2c2cb2aef8a7db",
+        "cb7374ffc64dffcc", "d772453c987ed1eb",
+        "782832832b834aec7884aec23fa1010f", "19180498c0fd701a3e8b01db12408df1",
+    ),
+    "unkernelized": (
+        "df963237be101652", "df963237be101652", "df963237be101652",
+        "969cf2488fc65f80", "969cf2488fc65f80",
+        "7a12ec67b04c186579d17f805aeef55d", "97ced838e10756e91953fd0c8ef20655",
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # Fair-share scheduling
 # ---------------------------------------------------------------------------
@@ -401,24 +486,29 @@ class TestSharedPlanStore:
         loaded = reborn.get(("k",))
         assert loaded == skeleton
         assert skeleton_fingerprint(loaded) == loaded["fingerprint"]
+        # A plan bound from the store through disk, and every local hit
+        # rebinding it after, says where it came from as the built one
+        # does: preset, pipeline and skipped passes, not the preset alone.
+        shared_dir = tmp_path / "shared"
+        with Session(machine, shared_cache=SharedPlanStore(persist_dir=shared_dir)) as builder:
+            built = builder.run(qft(N)).result()
+        with Session(machine, shared_cache=SharedPlanStore(persist_dir=shared_dir)) as other:
+            shared, local = (other.run(qft(N)).result() for _ in range(2))
+            assert (other.stats.shared_cache_hits, other.stats.cache_hits) == (1, 1)
+        assert {"preset", "pipeline", "passes_skipped"} <= set(built.plan.provenance)
+        assert shared.plan.provenance == local.plan.provenance == built.plan.provenance
+        assert shared.summary()["plan_provenance"] == built.summary()["plan_provenance"]
 
     def test_persisted_fingerprints_are_pinned(self):
         """Stores and checkpoints written by earlier versions carry these
         digests: a plan and its skeleton hash through one helper, byte for
         byte as before (recorded at the commit that introduced the helper)."""
-        from repro.circuits import Circuit
-        from repro.core.plan import ExecutionPlan, QubitPartition, Stage
         from repro.session import plan_fingerprint
 
         sharded_machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
         with Session(sharded_machine, planner="fast") as session:
             sharded, *_ = session.plan_for(qft(8), sharded_machine, "offload")
-        circuit = Circuit(5).h(0).cx(0, 1).rz(0.4, 1).cx(1, 2).h(3).cp(0.3, 3, 4)
-        unkernelized = ExecutionPlan(num_qubits=5, stages=[Stage(
-            gates=list(circuit.gates),
-            partition=QubitPartition.from_sets({0, 1, 2}, {3}, {4}),
-            gate_indices=list(range(len(circuit.gates))),
-        )])
+        _, unkernelized = _pinned_plan("unkernelized")
         assert all(stage.kernels for stage in sharded.stages)
         assert [
             digest(plan)
@@ -429,14 +519,49 @@ class TestSharedPlanStore:
             )
         ] == ["495386e278cf8e8e"] * 2 + ["df963237be101652"] * 2
 
+    @pytest.mark.parametrize("name", sorted(PINNED_IDENTITIES))
+    def test_plan_identities_are_pinned(self, name):
+        """Every persisted identity of a hand-built plan — fixed stages,
+        partitions, kernels and angles, so no planner change re-pins it —
+        is byte for byte what it was before the plan's skeleton became one
+        walk (values recorded at the commit before): the structural
+        fingerprint of the plan and of its stored skeleton, the SHA-256 of
+        the stored stages in the circuit's own and its canonical labels,
+        the checkpoint fingerprint and the circuit's content key.  The
+        canonical skeleton binds back to a plan of the same fingerprint."""
+        import hashlib
+
+        from repro.runtime.checkpoint import checkpoint_fingerprint
+        from repro.session import plan_fingerprint, skeleton_to_plan
+
+        circuit, plan = _pinned_plan(name)
+        mapping = circuit.canonical_structural_key()[1]
+        own = json.loads(json.dumps(plan_skeleton(plan)))
+        canonical = json.loads(json.dumps(plan_skeleton(plan, None, mapping)))
+
+        def stages_sha(skeleton):
+            stages = json.dumps(skeleton["stages"], sort_keys=True).encode()
+            return hashlib.sha256(stages).hexdigest()[:16]
+
+        assert (
+            plan_fingerprint(plan), skeleton_fingerprint(own), skeleton_fingerprint(canonical),
+            stages_sha(own), stages_sha(canonical),
+            checkpoint_fingerprint(plan), circuit.content_key(),
+        ) == PINNED_IDENTITIES[name]
+        bound = skeleton_to_plan(canonical, circuit, mapping)
+        assert plan_fingerprint(bound) == plan_fingerprint(plan)
+        assert bound.provenance == plan.provenance
+
     def test_relabelled_skeletons_are_pinned(self):
         """A plan is published in canonical labels by relabelling its
         skeleton's qubit sets only (it used to remap every gate of the plan
         first, for the skeleton to drop the gates again): for the three
         structures of the repo benchmark's service workload under three
         relabellings each, the skeleton — JSON and ``fingerprint`` — is what
-        the skeleton of the fully relabelled plan was at the commit before
-        (digests recorded there), and binds back to the relabelled circuit."""
+        the skeleton of the fully relabelled plan was at the commit before,
+        and binds back to the relabelled circuit.  The JSON digest leaves
+        out the provenance, which a skeleton has kept whole since (digests
+        recorded at the commit before that): it is the plan's own."""
         import hashlib
 
         from repro import build_plan
@@ -452,23 +577,25 @@ class TestSharedPlanStore:
                 perm = np.random.default_rng(seed).permutation(n)
                 mapping = {q: int(perm[q]) for q in range(n)}
                 skeleton = plan_skeleton(plan, mapping=mapping)
+                assert skeleton["provenance"] == plan.provenance
+                structure = {k: v for k, v in skeleton.items() if k != "provenance"}
                 digest = hashlib.blake2b(
-                    json.dumps(skeleton, sort_keys=True).encode(), digest_size=8
+                    json.dumps(structure, sort_keys=True).encode(), digest_size=8
                 ).hexdigest()
                 recorded[f"{name}/{seed}"] = (digest, skeleton["fingerprint"])
                 assert skeleton_fingerprint(skeleton) == skeleton["fingerprint"]
                 twin = circuit.remap_qubits(mapping)
                 skeleton_to_plan(skeleton, twin).validate(twin)
         assert recorded == {
-            "qsvm/0": ("567b4d11eecf2826", "bf0665107d0010f9"),
-            "qsvm/1": ("ee31e19891af9c93", "fb1dae99d4c04db2"),
-            "qsvm/2": ("56e51231c049a599", "47d03269759482d0"),
-            "ising/0": ("57367fd19a5f2d92", "06d760231889cb53"),
-            "ising/1": ("4f9d5f2dbd9c21b4", "8f9630d79381fc5a"),
-            "ising/2": ("23f4b289c56ffcde", "7fce5c6f5613d13f"),
-            "vqc/0": ("6edc17a2f3d31d54", "75491ad41a3573fb"),
-            "vqc/1": ("d3681927c377b471", "33314365af628302"),
-            "vqc/2": ("56bb5798ebf722c4", "72fd4211b1fb1f0b"),
+            "qsvm/0": ("8ee04eb83497c147", "bf0665107d0010f9"),
+            "qsvm/1": ("97dbc15373e51d6d", "fb1dae99d4c04db2"),
+            "qsvm/2": ("2212bce3f7c98aeb", "47d03269759482d0"),
+            "ising/0": ("1c0461c06ac20f26", "06d760231889cb53"),
+            "ising/1": ("07db7464ddcfaea2", "8f9630d79381fc5a"),
+            "ising/2": ("5ba87b481c07537d", "7fce5c6f5613d13f"),
+            "vqc/0": ("fdc3c8eb9c01fa92", "75491ad41a3573fb"),
+            "vqc/1": ("161f003c7a1707ff", "33314365af628302"),
+            "vqc/2": ("a99b0fecee668629", "72fd4211b1fb1f0b"),
         }
 
     def test_on_disk_tampering_evicted_at_load(self, machine, tmp_path):

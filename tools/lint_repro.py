@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Fifteen rules, each enforcing an invariant the execution layer depends on
+Sixteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -220,6 +220,17 @@ Fifteen rules, each enforcing an invariant the execution layer depends on
     nowhere under ``src/``.  The slot check runs whenever the linted set
     contains ``runtime/compile.py`` (a file without a slot ``bind`` is the
     rule left behind).
+
+``layering``
+    No module under ``core/``, ``circuits/``, ``sim/``, ``runtime/``,
+    ``planner/``, ``check/``, ``cluster/``, ``ilp/`` or ``baselines/``
+    imports ``repro.session`` or ``repro.service`` (or anything under
+    them), at module level or inside a function, absolutely or
+    relatively: the session and the service sit on top of those layers,
+    and what a lower layer needs of them belongs below (the plan
+    skeleton and its digest live in ``core/plan.py``, which the session's
+    plan cache and the runtime's checkpoints both read).  Only
+    ``analysis/``, the figure drivers, may import them.
 
 Usage::
 
@@ -1262,6 +1273,56 @@ def check_one_gate_table(files: list[Path]) -> list[Finding]:
     return findings
 
 
+#: The layers below the session: none of them imports an upper one.
+LAYERING_SCOPE = (
+    "core/", "circuits/", "sim/", "runtime/", "planner/", "check/", "cluster/", "ilp/",
+    "baselines/",
+)
+LAYERING_UPPER = ("repro.session", "repro.service")
+
+
+def _imported_modules(node: ast.AST, package: str) -> list[str]:
+    """The absolute module names an import *node* of a module in
+    *package* can bind (an imported name may itself be a module)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    parts = package.split(".")
+    base = ".".join(parts[: len(parts) - node.level + 1]) if node.level else ""
+    module = ".".join(filter(None, (base, node.module)))
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def check_layering(files: list[Path]) -> list[Finding]:
+    """The ``layering`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        rel_src = _rel_src(path)
+        if SRC not in path.parents or not rel_src.startswith(LAYERING_SCOPE):
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        package = "repro." + rel_src.rpartition("/")[0].replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            upper = next(
+                (
+                    name for name in _imported_modules(node, package)
+                    if any(name == top or name.startswith(top + ".") for top in LAYERING_UPPER)
+                ),
+                None,
+            )
+            if upper is not None:
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "layering",
+                        f"`{upper}` imported under {rel_src.split('/')[0]}/: a lower "
+                        f"layer never reaches into the session or the service — "
+                        f"move what both need down to it",
+                        upper,
+                    )
+                )
+    return findings
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -1409,6 +1470,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_bench_host_free())
     findings.extend(check_one_layout_move(files))
     findings.extend(check_one_gate_table(files))
+    findings.extend(check_layering(files))
 
     if args.write_baseline:
         args.baseline.write_text(
