@@ -21,60 +21,78 @@ from __future__ import annotations
 import ast
 import math
 import re
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from .circuit import Circuit
-from .gates import GATE_SPECS, Gate
+from .gates import GATE_SPECS, Gate, _NAME_QUBITS, _PARAMS
 
 __all__ = ["to_qasm", "from_qasm", "QasmError"]
 
 
 class QasmError(ValueError):
-    """Raised when a QASM document cannot be parsed."""
+    """Raised when a QASM document cannot be parsed, or a circuit cannot be
+    written as one."""
 
 
 # ---------------------------------------------------------------------------
 # Writer
 # ---------------------------------------------------------------------------
 
-# Internal order is (targets..., controls...); QASM order is (controls..., targets...).
-def _qasm_qubit_order(gate: Gate) -> tuple[int, ...]:
-    nc = gate.spec.num_controls
-    if nc == 0:
-        return gate.qubits
-    targets = gate.qubits[:-nc]
-    controls = gate.qubits[-nc:]
-    return controls + targets
+#: The ``±pi/2^k`` values the writer spells symbolically, keyed by their
+#: ``repr``: ``repr`` is exact for floats, so only a value *equal* to one
+#: of them is written as its symbol and every other one round-trips bits.
+_PI_SYMBOLS = {
+    repr(sign * math.pi / mult): sign_text + ("pi" if mult == 1 else f"pi/{mult}")
+    for mult in (1, 2, 4, 8, 16)
+    for sign, sign_text in ((1, ""), (-1, "-"))
+}
+#: What ``repr`` writes for the values QASM has no spelling for.
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+#: Where a template is cut for a parameter (no gate name or qubit holds it).
+_SLOT = "{}"
+
+
+@lru_cache(maxsize=64)
+def _template(
+    num_qubits: int, sequence: tuple[tuple[str, tuple[int, ...]], ...]
+) -> tuple[str, ...]:
+    """The angle-free text of every circuit of one ``(name, qubits)``
+    *sequence*: the header, each gate's name (``p`` spelled ``u1``) and
+    its qubits with the controls first (the internal order is
+    ``(targets..., controls...)``), cut at each parameter's slot — keyed by
+    structure, so a sweep of new angles reuses one."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{num_qubits}];"]
+    for name, qubits in sequence:
+        spec = GATE_SPECS[name]
+        if spec.num_controls:
+            qubits = qubits[-spec.num_controls:] + qubits[: -spec.num_controls]
+        head = "u1" if name == "p" else name
+        if spec.num_params:
+            head += "(" + ",".join([_SLOT] * spec.num_params) + ")"
+        lines.append(head + " " + ",".join([f"q[{q}]" for q in qubits]) + ";")
+    return tuple(("\n".join(lines) + "\n").split(_SLOT))
 
 
 def to_qasm(circuit: Circuit) -> str:
-    """Serialise *circuit* to an OpenQASM 2.0 string."""
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.num_qubits}];",
-    ]
-    for gate in circuit:
-        name = gate.name
-        if name == "p":
-            name = "u1"  # qelib1 spelling
-        if gate.params:
-            params = ",".join(_format_param(p) for p in gate.params)
-            head = f"{name}({params})"
-        else:
-            head = name
-        qubits = ",".join(f"q[{q}]" for q in _qasm_qubit_order(gate))
-        lines.append(f"{head} {qubits};")
-    return "\n".join(lines) + "\n"
+    """Serialise *circuit* to an OpenQASM 2.0 string.
 
-
-def _format_param(value: float) -> str:
-    for mult in (1, 2, 4, 8, 16):
-        if abs(value - math.pi / mult) < 1e-12:
-            return "pi" if mult == 1 else f"pi/{mult}"
-        if abs(value + math.pi / mult) < 1e-12:
-            return "-pi" if mult == 1 else f"-pi/{mult}"
-    return repr(float(value))
+    The text is its structure's template (built once per structure) with
+    the angles filled in: a value equal to ``±pi/2^k`` (``k <= 4``) as that
+    symbol, every other one as its ``repr``, so :func:`from_qasm` reads back
+    the same bits.  Raises :class:`QasmError` on a non-finite angle, which
+    the reader could not rebuild.
+    """
+    gates = circuit.gates
+    pieces = _template(circuit.num_qubits, tuple(map(_NAME_QUBITS, gates)))
+    angles = list(map(repr, map(float, chain.from_iterable(map(_PARAMS, gates)))))
+    if not _NON_FINITE.isdisjoint(angles):
+        raise QasmError(f"circuit {circuit.name!r} has a non-finite parameter")
+    text = [""] * (2 * len(angles) + 1)
+    text[0::2] = pieces
+    text[1::2] = map(_PI_SYMBOLS.get, angles, angles)
+    return "".join(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1514,6 +1514,39 @@ class TestLintRepro:
             "src/repro/runtime/compile.py::one-gate-table::slots:missing"
         ]
 
+    def test_tolerance_comparison_in_a_persisted_format_flagged(self, lint):
+        source = (
+            "import math\n"
+            "import numpy as np\n"
+            "def fmt(value):\n"
+            "    if abs(value - math.pi) < 1e-12:\n"
+            "        return 'pi'\n"
+            "    if 1e-9 >= abs(value) or math.isclose(value, 1.0):\n"
+            "        return '0'\n"
+            "    return repr(value)\n"
+            "def same(a, b):\n"
+            "    return np.allclose(a, b) and abs(a - b) <= -0.0\n"
+            "def exact(value, limit):\n"
+            "    return value == math.pi or abs(value) < limit or abs(value) > 1.0\n"
+        )
+        files = [
+            self.write(lint, rel, source)
+            for rel in (
+                "circuits/qasm.py", "service/journal.py", "service/persistence.py",
+                "runtime/checkpoint.py",
+            )
+        ]
+        findings = lint.check_exact_persisted_formats(files)
+        assert {f.rule for f in findings} == {"exact-persisted-formats"}
+        assert sorted({(f.line, f.key.rpartition("::")[2]) for f in findings}) == [
+            (4, "fmt:abs<"), (6, "fmt:abs<="), (6, "fmt:isclose"),
+            (10, "same:abs<="), (10, "same:allclose"),
+        ]
+        assert len(findings) == 4 * 5
+        # Tolerances are the business of every other module.
+        elsewhere = self.write(lint, "circuits/gates.py", source)
+        assert lint.check_exact_persisted_formats([elsewhere]) == []
+
     def test_baseline_suppresses_known_findings(self, lint, tmp_path):
         self.write(lint, "runtime/bad.py", "def f():\n    raise ValueError('x')\n")
         baseline = tmp_path / "baseline.json"

@@ -17,6 +17,7 @@ The subprocess tests in :class:`TestCrashRecovery` are the ones CI's
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -629,9 +630,12 @@ class TestServiceRecovery:
     ):
         from repro.circuits import to_qasm
 
-        # Forge a crashed service's journal: one finished job, one orphan.
+        # Forge a crashed service's journal: one finished job, two orphans.
+        # The second orphan's last angle sits 3e-13 off pi/4: its text must
+        # carry those bits, not the symbol.
         journal = JobJournal(tmp_path, fsync=False)
         circuit = vqc(N, seed=0)
+        near_pi = vqc(N, seed=2).rz(math.pi / 4 - 3e-13, 0)
         journal.append(
             "submitted", 0, tenant="acme", priority=0, weight=1.0,
             durable=True, circuits=[to_qasm(circuit)],
@@ -642,28 +646,37 @@ class TestServiceRecovery:
             "submitted", 1, tenant="acme", priority=0, weight=1.0,
             durable=False,
         )
+        journal.append(
+            "submitted", 2, tenant="acme", priority=0, weight=1.0,
+            durable=True, circuits=[to_qasm(near_pi)],
+            run_kwargs={"backend": "parallel"},
+        )
         journal.close()
 
-        reference, _ = run_state(machine, circuit, "parallel")
+        references = {
+            0: run_state(machine, circuit, "parallel")[0],
+            2: run_state(machine, near_pi, "parallel")[0],
+        }
         service = SimulationService(
             machine, journal_dir=tmp_path, journal_fsync=False, planner="fast"
         )
         try:
-            assert service.recovered == 1
+            assert service.recovered == 2
             assert service.abandoned == 1
-            job = service.recovered_jobs[0]
-            state = np.asarray(job.results()[0].state.data)
-            assert np.array_equal(state, reference)
+            assert sorted(service.recovered_jobs) == [0, 2]
+            for jid, reference in references.items():
+                job = service.recovered_jobs[jid]
+                state = np.asarray(job.results()[0].state.data)
+                assert np.array_equal(state, reference)
             stats = service.stats()
-            assert stats["journal"]["recovered"] == 1
+            assert stats["journal"]["recovered"] == 2
             assert stats["journal"]["abandoned"] == 1
             # New submissions continue the journal's id sequence.
             service.submit(vqc(N, seed=1), backend="parallel").results()
         finally:
             service.close()
         replay = replay_journal(tmp_path / "journal.jsonl")
-        assert replay.jobs[0]["type"] == "completed"
-        assert replay.jobs[2]["type"] == "completed"
+        assert [replay.jobs[jid]["type"] for jid in (0, 2, 3)] == ["completed"] * 3
 
     def test_watchdog_flags_stuck_job(self, machine):
         service = SimulationService(

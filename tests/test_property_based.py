@@ -320,6 +320,7 @@ class TestQasmProperties:
         parsed = from_qasm(to_qasm(circuit))
         assert len(parsed) == len(circuit)
         assert simulate_reference(circuit).allclose(simulate_reference(parsed))
+        assert parsed == circuit
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 
 from repro import (
     AdmissionError,
+    Circuit,
     JobCancelledError,
     JobStatus,
     MachineConfig,
@@ -450,6 +451,18 @@ class TestService:
             assert svc.queue_depth > 0 or all(j.done() for j in flood)
             for job in flood:
                 job.result(timeout=120)
+
+    def test_non_finite_angle_is_journalled_non_durable(self, machine, tmp_path):
+        # QASM has no spelling for ``nan``: the record must not promise a
+        # recovery the reader could not make.
+        with SimulationService(machine, journal_dir=tmp_path, journal_fsync=False) as svc:
+            job = svc.submit(Circuit(N).h(0).rz(float("nan"), 1), tenant="t")
+            job.wait(timeout=60)
+        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+        submitted = [r for r in map(json.loads, lines) if r["type"] == "submitted"]
+        assert len(submitted) == 1
+        assert submitted[0]["durable"] is False
+        assert "circuits" not in submitted[0]
 
     def test_per_tenant_accounting(self, machine):
         with SimulationService(machine) as svc:

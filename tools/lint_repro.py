@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Sixteen rules, each enforcing an invariant the execution layer depends on
+Seventeen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -231,6 +231,16 @@ Sixteen rules, each enforcing an invariant the execution layer depends on
     skeleton and its digest live in ``core/plan.py``, which the session's
     plan cache and the runtime's checkpoints both read).  Only
     ``analysis/``, the figure drivers, may import them.
+
+``exact-persisted-formats``
+    The modules that write a persisted format — ``circuits/qasm.py`` (the
+    journal's circuit text), ``service/journal.py``,
+    ``service/persistence.py`` and ``runtime/checkpoint.py`` — make no
+    tolerance comparison: no ``abs(...) <`` / ``<=`` against a literal
+    (either way round) and no ``isclose`` / ``allclose`` call.  What they
+    write is read back as the bits it holds; a value snapped to a
+    neighbour within a tolerance is a recovered job running other
+    numbers.
 
 Usage::
 
@@ -1273,6 +1283,74 @@ def check_one_gate_table(files: list[Path]) -> list[Finding]:
     return findings
 
 
+#: The modules that write a persisted format, read back bit for bit.
+EXACT_FORMAT_FILES = (
+    "circuits/qasm.py", "service/journal.py", "service/persistence.py",
+    "runtime/checkpoint.py",
+)
+TOLERANCE_CALLS = {"isclose", "allclose"}
+_BELOW = {ast.Lt: "<", ast.LtE: "<="}
+#: ``literal > abs(x)`` is ``abs(x) < literal``.
+_MIRRORED = {ast.Gt: "<", ast.GtE: "<="}
+
+
+def _is_abs(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abs"
+
+
+def _is_literal(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+
+def _tolerance_test(node: ast.AST) -> str | None:
+    """What makes *node* a tolerance comparison — ``abs<`` for an
+    ``abs(...)`` bounded by a literal, the call's name for
+    ``isclose`` / ``allclose`` — or None."""
+    if isinstance(node, ast.Call) and _call_name(node) in TOLERANCE_CALLS:
+        return _call_name(node)
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if type(op) in _BELOW and _is_abs(left) and _is_literal(right):
+                return "abs" + _BELOW[type(op)]
+            if type(op) in _MIRRORED and _is_literal(left) and _is_abs(right):
+                return "abs" + _MIRRORED[type(op)]
+    return None
+
+
+def check_exact_persisted_formats(files: list[Path]) -> list[Finding]:
+    """The ``exact-persisted-formats`` rule over the linted *files*."""
+    findings: list[Finding] = []
+
+    def visit(node: ast.AST, stack: list[str], rel: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack = stack + [node.name]
+        test = _tolerance_test(node)
+        if test is not None:
+            where = _enclosing(stack)
+            findings.append(
+                Finding(
+                    rel, node.lineno, "exact-persisted-formats",
+                    f"tolerance comparison `{test}` in {where}: a persisted "
+                    f"format is read back as the bits it holds — compare "
+                    f"exactly, or a recovered job runs other numbers",
+                    f"{where}:{test}",
+                )
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel)
+
+    for path in files:
+        if SRC in path.parents and _rel_src(path) in EXACT_FORMAT_FILES:
+            visit(
+                ast.parse(path.read_text(), filename=str(path)), [],
+                path.relative_to(REPO).as_posix(),
+            )
+    return findings
+
+
 #: The layers below the session: none of them imports an upper one.
 LAYERING_SCOPE = (
     "core/", "circuits/", "sim/", "runtime/", "planner/", "check/", "cluster/", "ilp/",
@@ -1471,6 +1549,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_layout_move(files))
     findings.extend(check_one_gate_table(files))
     findings.extend(check_layering(files))
+    findings.extend(check_exact_persisted_formats(files))
 
     if args.write_baseline:
         args.baseline.write_text(
