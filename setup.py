@@ -22,8 +22,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # sim/smkernel.c is built on first use (repro.sim.native), never at
-    # install time: it ships as source.
+    # sim/smkernel.c and sim/beam.c are built on first use
+    # (repro.sim.native), never at install time: they ship as source.
     package_data={"repro": ["py.typed", "sim/*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],

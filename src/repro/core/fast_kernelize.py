@@ -1,22 +1,33 @@
-"""FAST-KERNELIZE — the beam DP of :mod:`repro.core.kernelize` on bitmasks.
+"""FAST-KERNELIZE — the beam DP of :mod:`repro.core.kernelize`, run native.
 
 Same algorithm, same search, same answers — only faster.  The reference
 implementation in :mod:`repro.core.kernelize` mirrors the paper's data
 structures (frozensets for qubit sets, dataclasses for DP states), which
-makes it easy to audit against Algorithms 3/4 but slow: the inner loop is
-dominated by set algebra and object construction.  This module replays the
-*identical* dynamic program with the cheap representations Python is good
-at:
+makes it easy to audit against Algorithms 3/4 but slow.  This module replays
+the *identical* dynamic program over flat inputs (:class:`_Flat`): per-gate
+qubit masks and shared-memory costs, per-position suffix masks, the fusion
+cost by kernel width, and the cost model's and config's scalars.  One search
+has three bodies, and nothing but the host and the input selects between the
+two that plan — no parameter, no environment variable:
 
-* qubit sets are **int bitmasks** (``qubits < 64`` everywhere in this
-  repository), so union/intersection/subset tests are single machine ops
-  and widths come from :meth:`int.bit_count`;
+* ``beam_kernelize`` in ``repro/sim/beam.c``, one foreign call per stage
+  through the library :mod:`repro.sim.native` builds, caches and loads —
+  what runs wherever that library loads and every qubit is below 64;
+* :func:`_beam_loop`, the same search on Python ints — the fallback when the
+  host has no library, or a stage has a qubit >= 64, which the C body's
+  64-bit masks cannot hold;
+* the reference :func:`repro.core.kernelize.kernelize`, the audit oracle.
+
+The Python loop's representation, which the C body keeps field for field:
+
+* qubit sets are **int bitmasks**, so union/intersection/subset tests are
+  single operations and widths come from :meth:`int.bit_count`;
 * an open kernel is a plain tuple carrying its gate set (an int with one bit
-  per gate index), qubit mask, extensible mask (``-1`` standing in for the
+  per gate index; the C body interns gate sets instead — a kernel's gates
+  are appended in increasing index order, so ``(parent set, gate)`` names a
+  set once), qubit mask, extensible mask (``-1`` standing in for the
   paper's ``ALLQUBITS`` marker), running shared-memory cost, and current
   closing cost;
-* per-position suffix masks, per-gate shm costs, and the fusion table are
-  precomputed flat lists indexed by position;
 * a transition costs what changed, not the whole state: Algorithm 4's EXTQ
   update and the dead-kernel test are computed once per state and shared by
   its branches, a child's open kernels and key are a splice of its parent's,
@@ -25,39 +36,44 @@ at:
 
 Equivalence contract
 --------------------
-For every input and :class:`~repro.core.kernelize.KernelizeConfig` the
-function explores the same beam states in the same order as the reference,
-so it returns the same ordered kernels with the same types and costs.  What
-that rests on, operation for operation:
+For every input and :class:`~repro.core.kernelize.KernelizeConfig` each body
+explores the same beam states in the same order as the reference, so it
+returns the same ordered kernels with the same types and costs.  What that
+rests on, operation for operation:
 
 * the state key identifies the same states (the reference's sorted tuple of
   open kernels' ``gate_indices`` is the open order itself, because kernels
   are created in increasing first-gate order and never reordered);
-* dominance is first-come on ``closed_cost <``, and ``closed_cost`` grows by
-  the closing costs of the kernels that die, added in open order;
+* dominance is first-come on ``closed_cost <``, a dominating state replaces
+  the old one where it stood (a dict's assignment), and ``closed_cost``
+  grows by the closing costs of the kernels that die, added in open order;
 * the ranking estimate is ``closed_cost + (0.0 + c1 + c2 + ...)`` over the
   open kernels' closing costs in open order — exactly this association:
   adding ``closed_cost`` first instead differs in the last bit, which
   re-orders ties and changes the kernelization (the reference's
-  ``_estimate`` is pinned to the same expression);
+  ``_estimate`` is pinned to the same expression; the C body is built with
+  ``-ffp-contract=off``, so nothing fuses it);
 * the sort is stable over first-insertion order, and the final pick is the
   first state with the least ``closed_cost + c1 + c2 + ...``.
 
 The differential tests in ``tests/test_planner.py`` compare the ordered
-``(gate_indices, kernel_type, cost)`` lists with ``==`` across the circuit
-library, benchmark-sized stages and randomized circuits; the planning
-pipeline's presets rely on it when they substitute this implementation for
-the reference one.
+``(gate_indices, kernel_type, cost)`` lists of all three bodies with ``==``
+across the circuit library, benchmark-sized stages and randomized circuits;
+the planning pipeline's presets rely on it when they substitute this
+implementation for the reference one.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
+
+import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
 from ..cluster.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..sim import native
 from .kernel import KernelSequence
 from .kernelize import KernelizeConfig, _build_kernel_sequence
 
@@ -67,50 +83,112 @@ __all__ = ["fast_kernelize"]
 _ESTIMATE = itemgetter(4)
 
 
+class _Flat(NamedTuple):
+    """A stage as the beam reads it: everything the search needs of the
+    gates, the cost model and the config, as flat lists and scalars."""
+
+    #: Per gate: its qubits as a bitmask, its shared-memory cost.
+    masks: list[int]
+    costs: list[float]
+    #: ``suffix[i + 1]``: the qubits of the gates after position ``i``;
+    #: ``suffix[0]`` every qubit of the stage.
+    suffix: list[int]
+    #: Fusion cost by kernel width, up to the stage's width (``inf`` past
+    #: ``max_fusion_qubits``).
+    fusion: list[float]
+    shm_load: float
+    max_shm: int
+    max_width: int
+    subsume: bool
+    beam_width: int
+
+
 def fast_kernelize(
     stage: Circuit | Sequence[Gate],
     cost_model: CostModel = DEFAULT_COST_MODEL,
     config: KernelizeConfig = KernelizeConfig(),
 ) -> KernelSequence:
-    """Bitmask replay of :func:`repro.core.kernelize.kernelize`.
+    """The DP of :func:`repro.core.kernelize.kernelize`, one native pass per
+    stage.
 
-    Drop-in compatible: same signature, same result, several times faster.
-    See the module docstring for the equivalence contract.
+    Drop-in compatible: same signature, same result, many times faster.  See
+    the module docstring for the three bodies and the equivalence contract.
     """
     gates: list[Gate] = list(stage.gates) if isinstance(stage, Circuit) else list(stage)
-    if not gates:
-        return KernelSequence(kernels=[])
+    flat = _flatten(gates, cost_model, config)
+    lib = native.library()
+    kernels: Sequence[Sequence[int]]
+    # No library on this host, or a qubit past the C body's 64-bit masks.
+    if lib is None or flat.suffix[0] >> 64:
+        kernels = _beam_loop(flat)
+    else:
+        kernels = _native_beam(lib, flat)
+    return _build_kernel_sequence(gates, kernels, cost_model)
 
+
+def _flatten(gates: Sequence[Gate], cost_model: CostModel, config: KernelizeConfig) -> _Flat:
+    """The flat inputs of one stage's search."""
     max_width = config.max_kernel_width
     if max_width is None:
         max_width = max(cost_model.max_fusion_qubits, cost_model.max_shm_qubits)
-    subsume = config.subsume
-    beam_width = config.pruning_threshold
-
-    # Per-gate precomputation: qubit masks and shared-memory costs.
-    gate_masks: list[int] = []
+    masks: list[int] = []
     for gate in gates:
         mask = 0
         for q in gate.qubits:
             mask |= 1 << q
-        gate_masks.append(mask)
-    shm_gate_cost = [cost_model.gate_cost(g) for g in gates]
-    shm_load = cost_model.shm_load_cost
-    max_shm = cost_model.max_shm_qubits
-    inf = float("inf")
-
-    # Suffix qubit masks: qubits appearing at or after position i+1.
+        masks.append(mask)
     n = len(gates)
     suffix = [0] * (n + 1)
     running = 0
     for i in range(n - 1, -1, -1):
         suffix[i + 1] = running
-        running |= gate_masks[i]
+        running |= masks[i]
     suffix[0] = running
     # A kernel's closing cost is min(fusion, shm_load + shm_sum), each inf
     # beyond its width limit; fusion_cost is already inf past max_fusion, and
     # no kernel is wider than the stage.
-    fusion_table = [cost_model.fusion_cost(w) for w in range(running.bit_count() + 1)]
+    return _Flat(
+        masks,
+        [cost_model.gate_cost(g) for g in gates],
+        suffix,
+        [cost_model.fusion_cost(w) for w in range(running.bit_count() + 1)],
+        cost_model.shm_load_cost,
+        cost_model.max_shm_qubits,
+        max_width,
+        config.subsume,
+        config.pruning_threshold,
+    )
+
+
+def _native_beam(lib: Any, flat: _Flat) -> list[list[int]]:
+    """The search in ``beam_kernelize`` (``repro/sim/beam.c``): one call,
+    which writes each gate's kernel as a position in the closing order."""
+    n = len(flat.masks)
+    masks = np.array(flat.masks, dtype=np.uint64)
+    costs = np.array(flat.costs, dtype=np.float64)
+    suffix = np.array(flat.suffix, dtype=np.uint64)
+    fusion = np.array(flat.fusion, dtype=np.float64)
+    kernel_of = np.empty(n, dtype=np.int64)
+    count = lib.beam_kernelize(
+        n, masks.ctypes.data, costs.ctypes.data, suffix.ctypes.data, fusion.ctypes.data,
+        flat.shm_load, flat.max_shm, flat.max_width, flat.subsume, flat.beam_width,
+        kernel_of.ctypes.data,
+    )
+    if count < 0:
+        raise MemoryError("the native kernelizer could not allocate its beam")
+    kernels: list[list[int]] = [[] for _ in range(count)]
+    for gate, kernel in enumerate(kernel_of.tolist()):
+        kernels[kernel].append(gate)
+    return kernels
+
+
+def _beam_loop(flat: _Flat) -> list[tuple[int, ...]]:
+    """The search on Python ints: the winner's kernels as gate indices, closed
+    ones in closing order, then the still-open ones."""
+    gate_masks, shm_gate_cost, suffix, fusion_table = flat.masks, flat.costs, flat.suffix, flat.fusion
+    shm_load, max_shm, max_width = flat.shm_load, flat.max_shm, flat.max_width
+    subsume, beam_width = flat.subsume, flat.beam_width
+    inf = float("inf")
 
     # A DP state is (kernels, keys, closed_cost, closed, estimate).  An open
     # kernel is (gate_bits, qubit_mask, ext_mask, shm_sum, close_now):
@@ -126,7 +204,7 @@ def fast_kernelize(
     # The beam is the list of surviving states in ranked order.
     beam: list[tuple] = [((), (), 0.0, None, 0.0)]
 
-    for i in range(n):
+    for i in range(len(gate_masks)):
         gmask = gate_masks[i]
         not_gmask = ~gmask
         future = suffix[i + 1]
@@ -253,7 +331,7 @@ def fast_kernelize(
         chain.append(kbits)
     chain.reverse()
     chain.extend(keys)
-    return _build_kernel_sequence(gates, [_gate_indices(b) for b in chain], cost_model)
+    return [_gate_indices(b) for b in chain]
 
 
 def _gate_indices(bits: int) -> tuple[int, ...]:

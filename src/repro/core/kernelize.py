@@ -32,10 +32,9 @@ role as in the paper (Figure 13).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import networkx as nx
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
@@ -129,12 +128,14 @@ class _CostCache:
         self.gate_shm_cost = [cost_model.gate_cost(g) for g in gates]
         self.shm_load = cost_model.shm_load_cost
         self.max_shm = cost_model.max_shm_qubits
-        self.fusion = [cost_model.fusion_cost(w) for w in range(cost_model.max_shm_qubits + 2)]
-        self.max_fusion = cost_model.max_fusion_qubits
+        # One entry per width up to the stage's (fusion_cost is inf past
+        # max_fusion_qubits), as fast_kernelize's table: no kernel is wider.
+        width = len({q for gate in gates for q in gate.qubits})
+        self.fusion = [cost_model.fusion_cost(w) for w in range(width + 1)]
 
     def close_cost(self, gate_indices: Sequence[int], qubits: frozenset[int]) -> float:
         width = len(qubits)
-        fusion = self.fusion[width] if width <= self.max_fusion else float("inf")
+        fusion = self.fusion[width]
         if width <= self.max_shm:
             # Left-to-right accumulation, not sum(): builtin sum() over
             # floats is compensated from Python 3.12, and the closing cost
@@ -297,10 +298,15 @@ def kernelize(
 
 def _build_kernel_sequence(
     gates: Sequence[Gate],
-    kernel_gate_indices: Sequence[tuple[int, ...]],
+    kernel_gate_indices: Sequence[Sequence[int]],
     cost_model: CostModel,
 ) -> KernelSequence:
-    """Order the kernels topologically and materialise :class:`Kernel` objects."""
+    """Order the kernels topologically and materialise :class:`Kernel` objects.
+
+    Among the kernels ready to run, the lowest index goes first (Kahn's
+    algorithm over a min-heap: a lexicographic topological sort), so the
+    DP's closing order breaks the ties.
+    """
     # Kernel dependency DAG: kernel A must run before kernel B if some gate
     # of A precedes a gate of B on a shared qubit (in the original order).
     owner: dict[int, int] = {}
@@ -308,21 +314,30 @@ def _build_kernel_sequence(
         for gi in indices:
             owner[gi] = k_idx
 
-    dag = nx.DiGraph()
-    dag.add_nodes_from(range(len(kernel_gate_indices)))
-    last_gate_on_qubit: dict[int, int] = {}
+    count = len(kernel_gate_indices)
+    successors: list[set[int]] = [set() for _ in range(count)]
+    waiting = [0] * count
+    last_on_qubit: dict[int, int] = {}
     for gi in sorted(owner):
-        gate = gates[gi]
-        for q in gate.qubits:
-            prev = last_gate_on_qubit.get(q)
-            if prev is not None and owner[prev] != owner[gi]:
-                dag.add_edge(owner[prev], owner[gi])
-            last_gate_on_qubit[q] = gi
+        k_idx = owner[gi]
+        for q in gates[gi].qubits:
+            prev = last_on_qubit.get(q)
+            if prev is not None and prev != k_idx and k_idx not in successors[prev]:
+                successors[prev].add(k_idx)
+                waiting[k_idx] += 1
+            last_on_qubit[q] = k_idx
 
-    try:
-        order = list(nx.lexicographical_topological_sort(dag))
-    except nx.NetworkXUnfeasible as exc:  # pragma: no cover - Constraint 1 prevents this
-        raise RuntimeError("kernelization produced cyclic kernel dependencies") from exc
+    ready = [k_idx for k_idx in range(count) if not waiting[k_idx]]  # sorted: a heap
+    order: list[int] = []
+    while ready:
+        k_idx = heapq.heappop(ready)
+        order.append(k_idx)
+        for succ in successors[k_idx]:
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                heapq.heappush(ready, succ)
+    if len(order) < count:  # pragma: no cover - Constraint 1 prevents this
+        raise RuntimeError("kernelization produced cyclic kernel dependencies")
 
     kernels: list[Kernel] = []
     for k_idx in order:

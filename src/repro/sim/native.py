@@ -1,16 +1,19 @@
-"""The native shared-memory kernel body: build, cache and load ``smkernel.c``.
+"""The native library: build, cache and load ``smkernel.c`` and ``beam.c``.
 
-The one module that talks to a compiler and to ``ctypes``.  :func:`library`
+The one module that talks to a compiler and to ``ctypes``.  The library
+holds two bodies: the shared-memory kernel's tile pass (``sm_apply``,
+:func:`repro.sim.apply.kernel_template`) and the kernelizer's beam DP
+(``beam_kernelize``, :func:`repro.core.fast_kernelize`).  :func:`library`
 returns the loaded library or ``None``; it is built on first use, never at
-import, and nothing selects it — no parameter, no configuration: the engine
-takes the native body when this host can build and load it, the item loop
-otherwise (:func:`repro.sim.apply.kernel_template`).  :func:`status`
+import, and nothing selects it — no parameter, no configuration: each caller
+takes the native body when this host can build and load it, its Python
+fallback otherwise (the item loop; the beam's Python loop).  :func:`status`
 says which and why; :func:`engine` is the one word ``Result.summary()`` and
 ``service.stats()`` carry.
 
 The library is cached under this package's ``__pycache__/`` — or, when that
 is not writable, a per-user ``0700`` directory whose ownership is checked
-before anything is loaded from it — keyed by the source, the compiler's
+before anything is loaded from it — keyed by the sources, the compiler's
 version and the CPU's flags (``-march=native`` ties a build to its host), and
 written by atomic rename, so racing processes and threads end with one file.
 A failed build or load is recorded once and never raises.
@@ -31,8 +34,9 @@ from pathlib import Path
 
 __all__ = ["FLAGS", "engine", "library", "status"]
 
-SOURCE = Path(__file__).with_name("smkernel.c")
-PACKAGE_CACHE = SOURCE.parent / "__pycache__"
+#: Compiled together into one library, under one cache key.
+SOURCES = (Path(__file__).with_name("smkernel.c"), Path(__file__).with_name("beam.c"))
+PACKAGE_CACHE = SOURCES[0].parent / "__pycache__"
 #: No -ffast-math and no contraction: nothing reassociates or fuses, so the
 #: bits are a function of the source, not of the vector width.
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
@@ -40,7 +44,7 @@ COMPILERS = ("cc", "gcc", "clang")
 
 
 class _Unavailable(Exception):
-    """Why this host gets the item loop; its text is ``status()["reason"]``."""
+    """Why this host gets the fallbacks; its text is ``status()["reason"]``."""
 
 
 _LOCK = threading.Lock()
@@ -80,7 +84,7 @@ def _build(compiler: str, target: Path) -> None:
     partial = target.with_name(f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         done = subprocess.run(
-            [compiler, *FLAGS, "-o", str(partial), str(SOURCE)],
+            [compiler, *FLAGS, "-o", str(partial), *map(str, SOURCES)],
             capture_output=True, text=True, timeout=120,
         )
         if done.returncode != 0:
@@ -99,6 +103,12 @@ def _load(path: Path) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     )
+    lib.beam_kernelize.restype = ctypes.c_int64
+    lib.beam_kernelize.argtypes = (
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+    )
     return lib
 
 
@@ -116,8 +126,8 @@ def _attempt() -> dict:
             [compiler, "--version"], capture_output=True, text=True, timeout=30
         ).stdout
         key = hashlib.sha256(
-            b"\0".join([SOURCE.read_bytes(), version.encode(), _cpu_flags().encode(),
-                        " ".join(FLAGS).encode()])
+            b"\0".join([*(source.read_bytes() for source in SOURCES), version.encode(),
+                        _cpu_flags().encode(), " ".join(FLAGS).encode()])
         ).hexdigest()[:16]
         path = _cache_dir() / f"smkernel-{key}.so"
         state["path"] = str(path)
@@ -146,7 +156,7 @@ def _state() -> dict:
 
 
 def library() -> ctypes.CDLL | None:
-    """The loaded kernel library, built on first use; ``None`` when this
+    """The loaded native library, built on first use; ``None`` when this
     host cannot build or load it (:func:`status` says why)."""
     return _state()["library"]
 

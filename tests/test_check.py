@@ -1379,6 +1379,70 @@ class TestLintRepro:
             "atlas-ref:missing"
         ]
 
+    def test_beam_body_chosen_other_than_by_host_and_input_flagged(self, lint):
+        loader = self.write(
+            lint, "sim/native.py",
+            "def _load(lib):\n"
+            "    lib.beam_kernelize.restype = 1\n"
+            "    lib.beam_kernelize.argtypes = ()\n",
+        )
+        entry = (
+            "def fast_kernelize(stage, cost_model, config):\n"
+            "    flat = _flatten(stage, cost_model, config)\n"
+            "    lib = native.library()\n"
+            "    if lib is None or flat.suffix[0] >> 64:\n"
+            "        kernels = _beam_loop(flat)\n"
+            "    else:\n"
+            "        kernels = _native_beam(lib, flat)\n"
+            "    return kernels\n"
+        )
+        bodies = (
+            "def _native_beam(lib, flat):\n"
+            "    return lib.beam_kernelize(flat)\n"
+            "def _beam_loop(flat):\n"
+            "    return []\n"
+        )
+        home = self.write(lint, "core/fast_kernelize.py", entry + bodies)
+        assert lint.check_kernelizer_oracle([loader, home]) == []
+        # A switch: a parameter, a config field or an environment variable
+        # picking the body; the loop called outside the fallback branch; the
+        # foreign symbol declared or called elsewhere.
+        switched = self.write(
+            lint, "core/fast_kernelize.py",
+            entry.replace("config):", "config, native=True):")
+            .replace("lib is None", "lib is None or config.python or os.environ.get('X')")
+            + bodies
+            + "def plan_twice(flat, lib):\n"
+            "    lib.beam_kernelize.restype = 2\n"
+            "    return _beam_loop(flat)\n",
+        )
+        planner = self.write(
+            lint, "planner/refine.py",
+            "from ..core.fast_kernelize import _beam_loop\n"
+            "def refine(lib, flat):\n"
+            "    return lib.beam_kernelize(flat) or _beam_loop(flat)\n",
+        )
+        undeclared = self.write(lint, "sim/native.py", "def _load(lib):\n    return lib\n")
+        findings = lint.check_kernelizer_oracle([undeclared, switched, planner])
+        assert {f.rule for f in findings} == {"kernelizer-oracle"}
+        assert sorted((f.path.rpartition("/")[2], f.line, f.key.rpartition("::")[2])
+                      for f in findings) == [
+            ("fast_kernelize.py", 1, "fast_kernelize:parameters"),
+            ("fast_kernelize.py", 4, "environ"),
+            ("fast_kernelize.py", 4, "fast_kernelize:selects-on-config"),
+            ("fast_kernelize.py", 14, "beam_kernelize"),
+            ("fast_kernelize.py", 15, "_beam_loop"),
+            ("native.py", 0, "beam_kernelize:undeclared"),
+            ("refine.py", 1, "_beam_loop"),
+            ("refine.py", 3, "_beam_loop"),
+            ("refine.py", 3, "beam_kernelize"),
+        ]
+        # The fallback branch going missing means the body moved without the rule.
+        home.write_text(entry.replace("_native_beam(lib, flat)", "None") + bodies)
+        assert [f.key.rpartition("::")[2] for f in lint.check_kernelizer_oracle([home])] == [
+            "_beam_loop:fallback", "_beam_loop",
+        ]
+
     def test_second_or_stage_loop_in_the_micro_gate_flagged(self, lint, tmp_path):
         gate = tmp_path / "benchmarks" / "run_bench.py"
         gate.parent.mkdir()

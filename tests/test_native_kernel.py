@@ -195,7 +195,7 @@ class TestNativeAgainstTheItemLoop:
         scalar = tmp_path / "scalar.so"
         subprocess.run(
             [native.status()["compiler"], *native.FLAGS, "-DSM_SCALAR", "-o", str(scalar),
-             str(native.SOURCE)], check=True, capture_output=True, timeout=120,
+             *map(str, native.SOURCES)], check=True, capture_output=True, timeout=120,
         )
         builds = (native.library(), native._load(scalar))
         rng = np.random.default_rng(17)

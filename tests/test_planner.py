@@ -2,12 +2,12 @@
 
 Four properties are pinned here:
 
-1. **Fast-DP equivalence** — the bitmask beam DP
-   (:func:`repro.core.fast_kernelize`) returns the *identical*
+1. **Fast-DP equivalence** — the beam DP's native body (what
+   :func:`repro.core.fast_kernelize` runs where the library loads), its
+   Python loop and the reference implementation return the *identical*
    kernelization (the ordered kernels, their types and their costs,
-   compared with ``==``) as the reference implementation for every
-   configuration, which is what lets the presets substitute it without a
-   quality gate.
+   compared with ``==``) for every configuration, which is what lets the
+   presets substitute it without a quality gate.
 2. **Preset correctness** — every registered preset produces
    ``ExecutionPlan.validate()``-clean plans that execute to the reference
    state across library circuits, machine shapes, and the
@@ -23,18 +23,25 @@ Four properties are pinned here:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro import MachineConfig, Session, simulate_reference
 from repro.circuits.circuit import Circuit
+from repro.circuits.gates import make_gate
 from repro.circuits.library import ae, ghz, ising, qft, qpeexact, qsvm, su2random, vqc
-from repro.circuits.library.random_circuits import random_circuit
-from repro.cluster.costmodel import CostModel
+from repro.circuits.library import PAPER_FAMILIES, get_circuit
+from repro.circuits.library.random_circuits import brickwork_circuit, random_circuit
+from repro.cluster.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.core import KernelizeConfig, fast_kernelize, kernelize, partition
+from repro.core.fast_kernelize import _beam_loop, _flatten
 from repro.core.kernel import KernelSequence
+from repro.core.kernelize import _build_kernel_sequence
 from repro.core.ordered_kernelize import ordered_kernelize
+from repro.sim import native
 from repro.planner import (
     KERNELIZERS,
     PASSES,
@@ -50,6 +57,8 @@ from repro.planner import (
 )
 
 FAST_CONFIG = KernelizeConfig(pruning_threshold=8)
+#: The module, not the function ``repro.core`` re-exports under its name.
+FAST_MODULE = importlib.import_module("repro.core.fast_kernelize")
 
 #: (circuit factory, qubits) families the differential tests sweep.
 FAMILIES = [(qft, 8), (ghz, 8), (vqc, 8)]
@@ -72,10 +81,57 @@ DP_CONFIGS = {
     "default": KernelizeConfig(),
     "width3": KernelizeConfig(max_kernel_width=3),
     "width4": KernelizeConfig(max_kernel_width=4),
+    "width1": KernelizeConfig(max_kernel_width=1),
     "beam1": KernelizeConfig(pruning_threshold=1),
     "beam5": KernelizeConfig(pruning_threshold=5),
+    "beam500": KernelizeConfig(pruning_threshold=500),
     "no-subsume": KernelizeConfig(subsume=False),
 }
+
+#: A fusion kernel may be wider than a shared-memory one here; the
+#: reference's fusion table was sized by the latter and raised IndexError.
+WIDE_FUSION = CostModel(max_fusion_qubits=7, max_shm_qubits=3)
+
+
+def _loop_kernelize(stage, cost_model=DEFAULT_COST_MODEL, config=KernelizeConfig()):
+    """The beam's Python loop, called by its private name."""
+    gates = list(stage.gates) if isinstance(stage, Circuit) else list(stage)
+    return _build_kernel_sequence(gates, _beam_loop(_flatten(gates, cost_model, config)), cost_model)
+
+
+def _agree(stage, cost_model=DEFAULT_COST_MODEL, config=KernelizeConfig()) -> list[tuple]:
+    """The reference, the Python loop and ``fast_kernelize`` (the native body
+    wherever the library loads) return one kernelization, under ``==``."""
+    ref = _kernels(kernelize(stage, cost_model, config))
+    assert _kernels(_loop_kernelize(stage, cost_model, config)) == ref
+    assert _kernels(fast_kernelize(stage, cost_model, config)) == ref
+    return ref
+
+
+def _wide_stage() -> list:
+    """Gates on qubits 63 to 70 and a few low ones: masks past 64 bits."""
+    rng = np.random.default_rng(64)
+    qubits = [0, 1, 2, 63, 64, 65, 70]
+    gates = []
+    for _ in range(30):
+        a, b = rng.choice(qubits, size=2, replace=False).tolist()
+        gates.append(make_gate("cx", [a, b]) if rng.random() < 0.5 else make_gate("h", [a]))
+    return gates
+
+
+def _lexicographic_order(gates, kernel_gate_indices) -> list[tuple]:
+    """networkx's lexicographic topological sort over the kernel DAG: the
+    oracle for ``_build_kernel_sequence``'s order."""
+    owner = {gi: k for k, indices in enumerate(kernel_gate_indices) for gi in indices}
+    dag = nx.DiGraph()
+    dag.add_nodes_from(range(len(kernel_gate_indices)))
+    last: dict[int, int] = {}
+    for gi in sorted(owner):
+        for q in gates[gi].qubits:
+            if q in last and owner[last[q]] != owner[gi]:
+                dag.add_edge(owner[last[q]], owner[gi])
+            last[q] = gi
+    return [tuple(sorted(kernel_gate_indices[k])) for k in nx.lexicographical_topological_sort(dag)]
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +140,14 @@ DP_CONFIGS = {
 
 
 class TestFastKernelizeEquivalence:
-    """``fast_kernelize`` == ``kernelize``: ordered kernels, types, costs, exactly.
+    """Native body == Python loop == ``kernelize``: ordered kernels, types,
+    costs, exactly.
 
     The comparison is ``==`` on floats on purpose: a last-bit difference in
     the ranking estimate re-orders ties and selects another kernelization
     (widths 3/4 below and the three benchmark stages are where it showed).
+    Without a compiler ``fast_kernelize`` runs the loop, and the cells still
+    hold the loop to the reference.
     """
 
     @pytest.mark.parametrize("family,n", FAMILIES)
@@ -96,21 +155,17 @@ class TestFastKernelizeEquivalence:
         circuit = family(n)
         machine = MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - 2)
         plan, _ = partition(circuit, machine, kernelize_config=FAST_CONFIG)
-        for threshold in (100, 8, 2):
+        for threshold in (500, 100, 8, 2, 1):
             config = KernelizeConfig(pruning_threshold=threshold)
             for stage in plan.stages:
-                ref = kernelize(stage.gates, config=config)
-                fast = fast_kernelize(stage.gates, config=config)
-                assert _kernels(ref) == _kernels(fast)
+                _agree(stage.gates, config=config)
 
     @pytest.mark.parametrize("name", sorted(DP_CONFIGS))
     def test_random_circuits_identical(self, name):
         config = DP_CONFIGS[name]
-        for seed in range(1000, 1200):
-            circuit = random_circuit(6, 30, seed=seed)
-            ref = kernelize(circuit, config=config)
-            fast = fast_kernelize(circuit, config=config)
-            assert _kernels(ref) == _kernels(fast), seed
+        # The reference at beam 500 takes ~0.1 s a cell: fewer of them.
+        for seed in range(1000, 1200 if config.pruning_threshold <= 100 else 1040):
+            _agree(random_circuit(6, 30, seed=seed), config=config)
 
     @pytest.mark.parametrize(
         "circuit,machine",
@@ -127,9 +182,7 @@ class TestFastKernelizeEquivalence:
         # config while their estimates were associated differently.
         plan, _ = partition(circuit, machine)
         for stage in plan.stages:
-            ref = kernelize(stage.gates)
-            assert _kernels(ref) == _kernels(fast_kernelize(stage.gates))
-            assert _kernels(ref) == _kernels(stage.kernels)
+            assert _agree(stage.gates) == _kernels(stage.kernels)
 
     def test_custom_cost_model(self):
         cheap_wide = CostModel(
@@ -138,23 +191,31 @@ class TestFastKernelizeEquivalence:
             max_fusion_qubits=6,
         )
         for seed in range(4):
-            circuit = random_circuit(6, 25, seed=100 + seed)
-            ref = kernelize(circuit, cheap_wide)
-            fast = fast_kernelize(circuit, cheap_wide)
-            assert _kernels(ref) == _kernels(fast)
+            _agree(random_circuit(6, 25, seed=100 + seed), cheap_wide)
+
+    def test_fusion_wider_than_shared_memory(self):
+        # The reference raised IndexError here: its fusion table stopped at
+        # max_shm_qubits + 1 while a fusion kernel may reach max_fusion_qubits.
+        kernels = _agree(qft(8), WIDE_FUSION)
+        assert len(kernels) == 3 and sum(cost for *_, cost in kernels) == pytest.approx(4.4)
+        for seed in range(20):
+            _agree(random_circuit(8, 30, seed=300 + seed), WIDE_FUSION)
 
     def test_empty_stage(self):
-        assert len(fast_kernelize([])) == 0
+        assert _agree([]) == []
 
     def test_unpriceable_gates_are_not_dropped(self):
         # No strategy takes a two-qubit kernel here, so every kernelization
         # costs inf; "nothing beats inf" used to return no kernels at all.
         narrow = CostModel(max_fusion_qubits=1, max_shm_qubits=1)
         circuit = qft(4)
-        fast = fast_kernelize(circuit, narrow)
-        assert sorted(fast.all_gate_indices()) == list(range(len(circuit.gates)))
-        assert fast.total_cost == float("inf")
-        assert _kernels(kernelize(circuit, narrow)) == _kernels(fast)
+        kernels = _agree(circuit, narrow)
+        assert sorted(g for indices, *_ in kernels for g in indices) == list(
+            range(len(circuit.gates))
+        )
+        assert sum(cost for *_, cost in kernels) == float("inf")
+        for seed in range(10):
+            _agree(random_circuit(6, 25, seed=400 + seed), narrow)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -169,10 +230,53 @@ class TestFastKernelizeEquivalence:
     def test_width_one_kernels_still_plan(self):
         config = KernelizeConfig(max_kernel_width=1)
         circuit = qft(5)
-        fast = fast_kernelize(circuit, config=config)
-        assert len(fast) == 12
-        assert sorted(fast.all_gate_indices()) == list(range(len(circuit.gates)))
-        assert _kernels(kernelize(circuit, config=config)) == _kernels(fast)
+        kernels = _agree(circuit, config=config)
+        assert len(kernels) == 12
+        assert sorted(g for indices, *_ in kernels for g in indices) == list(
+            range(len(circuit.gates))
+        )
+
+    def test_a_qubit_past_64_takes_the_loop(self, monkeypatch):
+        # The native body's masks are 64 bits wide: such a stage runs the
+        # Python loop whatever the host, and still plans.
+        stage = _wide_stage()
+        for config in (KernelizeConfig(), KernelizeConfig(pruning_threshold=3)):
+            _agree(stage, config=config)
+
+        def unreachable(*args):
+            raise AssertionError("the native body was called")
+
+        monkeypatch.setattr(FAST_MODULE, "_native_beam", unreachable)
+        assert _kernels(fast_kernelize(stage)) == _kernels(kernelize(stage))
+
+    def test_the_native_body_plans_on_a_compiler_host(self, monkeypatch):
+        if native.library() is None:
+            pytest.skip(f"no native library: {native.status()['reason']}")
+        circuit = qft(12)
+        want = _kernels(kernelize(circuit))
+
+        def unreachable(*args):
+            raise AssertionError("the Python loop was called")
+
+        monkeypatch.setattr(FAST_MODULE, "_beam_loop", unreachable)
+        assert _kernels(fast_kernelize(circuit)) == want
+        with pytest.raises(AssertionError, match="Python loop"):
+            fast_kernelize(_wide_stage())
+
+    def test_kernel_order_is_the_lexicographic_topological_sort(self):
+        stages = [list(get_circuit(family, 10).gates) for family in PAPER_FAMILIES]
+        stages += [list(random_circuit(8, 40, seed=seed).gates) for seed in range(20)]
+        stages += [list(brickwork_circuit(8, 6, seed=seed).gates) for seed in range(10)]
+        for gates in stages:
+            for config in (KernelizeConfig(), KernelizeConfig(max_kernel_width=2)):
+                chain = _beam_loop(_flatten(gates, DEFAULT_COST_MODEL, config))
+                built = _build_kernel_sequence(gates, chain, DEFAULT_COST_MODEL)
+                assert [k.gate_indices for k in built] == _lexicographic_order(gates, chain)
+                # A permuted closing order changes the ties, not the rule.
+                assert [
+                    k.gate_indices
+                    for k in _build_kernel_sequence(gates, chain[::-1], DEFAULT_COST_MODEL)
+                ] == _lexicographic_order(gates, chain[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -175,11 +175,22 @@ Seventeen rules, each enforcing an invariant the execution layer depends on
     places outside its own module: ``core/__init__.py`` re-exports it and
     ``planner/passes.py`` imports it for the ``"atlas-ref"`` entry of the
     ``KERNELIZERS`` registry.  Production plans through
-    ``fast_kernelize``, which the differential tests hold to the same
-    ordered kernels, types and costs; the reference is several times
-    slower and exists to be audited against Algorithms 3/4 and compared
+    ``fast_kernelize``, whose beam runs native (``beam_kernelize`` in
+    ``sim/beam.c``, many times faster than the reference) and which the
+    differential tests hold to the same ordered kernels, types and costs;
+    the reference exists to be audited against Algorithms 3/4 and compared
     against.  Any other reference is the slow DP becoming a production
-    path unnoticed.
+    path unnoticed.  And the beam's two planning bodies are selected by
+    the host and the input alone: the foreign symbol ``beam_kernelize`` is
+    declared (``argtypes`` / ``restype``) only in ``sim/native.py`` and
+    named elsewhere only as the call in
+    ``core/fast_kernelize.py::_native_beam``; the Python loop
+    ``_beam_loop`` is called once under ``src/`` — from ``fast_kernelize``,
+    in the branch of the ``if`` whose other branch calls ``_native_beam``
+    (tests call it by name); and ``fast_kernelize`` takes ``(stage,
+    cost_model, config)`` and nothing more, that ``if`` names none of them,
+    and its module reads no environment variable (no ``environ``, no
+    ``getenv``).
 
 ``bench-host-free``
     ``benchmarks/run_bench.py`` writes counts and ratios of two timings of
@@ -386,6 +397,13 @@ KERNELIZER_ORACLE_HOME = "core/kernelize.py"
 KERNELIZER_ORACLE_REEXPORT = "core/__init__.py"
 KERNELIZER_REGISTRY_HOME = "planner/passes.py"
 KERNELIZER_REGISTRY_KEY = "atlas-ref"
+#: The beam's planning bodies and the one function that picks between them.
+BEAM_HOME = "core/fast_kernelize.py"
+BEAM_ENTRY = "fast_kernelize"
+BEAM_ENTRY_PARAMS = ["stage", "cost_model", "config"]
+BEAM_NATIVE_SYMBOL = "beam_kernelize"
+BEAM_NATIVE_CALLER = "_native_beam"
+BEAM_LOOP = "_beam_loop"
 
 
 BENCH_HOST_FREE_FILE = "benchmarks/run_bench.py"
@@ -1110,11 +1128,136 @@ def check_kernelizer_oracle(files: list[Path]) -> list[Finding]:
                         f"{KERNELIZER_ORACLE_REEXPORT}'s re-export and the "
                         f"\"{KERNELIZER_REGISTRY_KEY}\" registry entry: production "
                         f"code plans through fast_kernelize — same kernels, types "
-                        f"and costs, several times faster",
+                        f"and costs, many times faster",
                         KERNELIZER_ORACLE,
                     )
                 )
+    return findings + _check_beam_bodies(files)
+
+
+def _check_beam_bodies(files: list[Path]) -> list[Finding]:
+    """``kernelizer-oracle``'s half on the beam's two planning bodies."""
+    findings = []
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "kernelizer-oracle", message, symbol))
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        licensed: set[int] = set()
+        if rel_src == NATIVE_LOADER_HOME:
+            declared = {
+                target.attr
+                for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Attribute)
+                and target.value.attr == BEAM_NATIVE_SYMBOL
+            }
+            if declared != {"argtypes", "restype"}:
+                flag(
+                    rel, 0,
+                    f"{NATIVE_LOADER_HOME} does not declare `{BEAM_NATIVE_SYMBOL}`'s "
+                    f"argtypes and restype: the beam's foreign symbol moved without "
+                    f"this rule following it",
+                    f"{BEAM_NATIVE_SYMBOL}:undeclared",
+                )
+            licensed.update(
+                id(n) for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == BEAM_NATIVE_SYMBOL
+            )
+        if rel_src == BEAM_HOME:
+            licensed.update(_check_beam_selection(tree, rel, flag))
+        for node in ast.walk(tree):
+            named = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if rel_src == BEAM_HOME and named in NATIVE_ENV_WORDS:
+                flag(
+                    rel, node.lineno,
+                    f"`{named}` in {BEAM_HOME}: nothing but the host and the input "
+                    f"picks the beam's body",
+                    named,
+                )
+            if named in (BEAM_NATIVE_SYMBOL, BEAM_LOOP) and id(node) not in licensed:
+                flag(
+                    rel, node.lineno,
+                    f"`{named}` named outside its place: the beam's foreign symbol "
+                    f"is declared in {NATIVE_LOADER_HOME} and called by "
+                    f"{BEAM_HOME}::{BEAM_NATIVE_CALLER}, the Python loop called only "
+                    f"from {BEAM_ENTRY}'s fallback branch",
+                    named,
+                )
     return findings
+
+
+def _check_beam_selection(tree: ast.Module, rel: str, flag) -> set[int]:
+    """The nodes of ``core/fast_kernelize.py`` that may name the beam's
+    bodies: the native symbol's call in ``_native_beam`` and the loop's one
+    call in ``fast_kernelize``'s fallback branch.  Flags the entry's
+    signature and selection."""
+    licensed: set[int] = set()
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    caller = functions.get(BEAM_NATIVE_CALLER)
+    if caller is not None:
+        licensed.update(
+            id(n.func) for n in ast.walk(caller)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == BEAM_NATIVE_SYMBOL
+        )
+    entry = functions.get(BEAM_ENTRY)
+    if entry is None:
+        flag(rel, 0, f"{BEAM_HOME} defines no `{BEAM_ENTRY}`", f"{BEAM_ENTRY}:missing")
+        return licensed
+    params = entry.args
+    if (
+        [a.arg for a in params.posonlyargs + params.args] != BEAM_ENTRY_PARAMS
+        or params.vararg or params.kwonlyargs or params.kwarg
+    ):
+        flag(
+            rel, entry.lineno,
+            f"`{BEAM_ENTRY}` takes more than ({', '.join(BEAM_ENTRY_PARAMS)}): no "
+            f"parameter selects the beam's body",
+            f"{BEAM_ENTRY}:parameters",
+        )
+
+    def calls(nodes: list[ast.stmt], name: str) -> list[ast.Call]:
+        return [
+            n for stmt in nodes for n in ast.walk(stmt)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+        ]
+
+    selections = [
+        node for node in ast.walk(entry)
+        if isinstance(node, ast.If)
+        and len(calls(node.body, BEAM_LOOP)) == 1 and calls(node.orelse, BEAM_NATIVE_CALLER)
+    ]
+    if len(selections) != 1:
+        flag(
+            rel, entry.lineno,
+            f"`{BEAM_ENTRY}` has no one `if` calling `{BEAM_LOOP}` in its branch and "
+            f"`{BEAM_NATIVE_CALLER}` in the other: the fallback moved without this "
+            f"rule following it",
+            f"{BEAM_LOOP}:fallback",
+        )
+        return licensed
+    (selection,) = selections
+    licensed.update(id(call.func) for call in calls(selection.body, BEAM_LOOP))
+    for node in ast.walk(selection.test):
+        if isinstance(node, ast.Name) and node.id in BEAM_ENTRY_PARAMS:
+            flag(
+                rel, node.lineno,
+                f"`{node.id}` in `{BEAM_ENTRY}`'s choice of body: the host and the "
+                f"input pick it, no setting does",
+                f"{BEAM_ENTRY}:selects-on-{node.id}",
+            )
+    return licensed
 
 
 def check_bench_host_free() -> list[Finding]:
