@@ -23,9 +23,10 @@ keeps what that benchmark cannot say, in six sections:
 * **kernel_lowering** — the compiled op stream against one op per gate of
   every shared-memory kernel: the exact fold and the speedup;
 * **sm_kernel** — the kernel op's native body against its fallback, in
-  state copies: the item loop per shared-memory kernel, the fused gemm per
-  fusion kernel — and there the item loop too, the record of why the gemm
-  stays the fusion kernels' fallback.
+  state copies: the item loop (every kernel's fallback, the same bits) per
+  shared-memory and per fusion kernel — and per fusion kernel the fused
+  gemm that was its fallback before the item loop computed the C body's
+  bits, the record of what the change costs a host without the library.
 
 :data:`RULES` is the whole gate: one row per gated path, walked by
 :func:`check_regression`.  Usage::
@@ -430,15 +431,16 @@ def run_kernel_lowering_bench(num_qubits: int, repeats: int) -> dict:
 
 
 def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
-    """The kernel op's native body against its fallbacks, in state copies,
+    """The kernel op's native body against its fallback, in state copies,
     one row per kernel of in-core plans: per shared-memory kernel of the
-    lowering families (``families``) against the item loop (a sweep per
-    item), per fusion kernel of :data:`FUSION_FAMILIES` (``fusion``)
-    against the fused gemm it binds without the library and against the
-    item loop it could bind instead (the go / no-go record on retiring the
-    gemm: where ``item_loop_copies`` exceeds ``gemm_copies``, the item loop
-    loses).  Recorded as unavailable, with the reason, where
-    :func:`repro.sim.native.status` says the library was not built."""
+    lowering families (``families``) and per fusion kernel of
+    :data:`FUSION_FAMILIES` (``fusion``) against the item loop — the body
+    every kernel binds without the library, the same bits — and per fusion
+    kernel against the fused gemm it bound there before (where
+    ``item_loop_copies`` exceeds ``gemm_copies``, a host without the
+    library pays for the bits).  Recorded as unavailable, with the reason,
+    where :func:`repro.sim.native.status` says the library was not
+    built."""
     status = native.status()
     if not status["available"]:
         return {"available": False, "reason": status["reason"]}
@@ -448,9 +450,8 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
     state[:] = 1.0 / (1 << (num_qubits // 2))
 
     def row(kernel, l2p: dict[int, int], fused: bool) -> dict:
-        """One kernel: the native body and the fallbacks — the item loop,
-        and for a fusion kernel the fused gemm — timed side by side with
-        the copy."""
+        """One kernel: the native body, the item loop and, for a fusion
+        kernel, the fused gemm, timed side by side with the copy."""
         items = lower_kernel_gates(kernel.gates, l2p)
         template = kernel_template(kernel_items(items, l2p), num_qubits)
         runs = {"native": template.bind(items), "item_loop": template.item_loop(items)}

@@ -221,13 +221,10 @@ def expected_op_stream(
     one op carries, as ``items``, the ``(kind, physical positions, gates)``
     of every item of :func:`repro.sim.fusion.lower_kernel_gates`, the
     lowering and fill of the compiler's kernel slot, whose op every
-    executor runs.  So does a fusion kernel wherever its
-    items take the native body (:func:`repro.sim.apply.takes_native`); where
-    they do not it is one fused op.  ``gates`` is ``None`` for layout ops,
-    ``items`` for layout ops and fused ops.
+    executor runs — a fusion kernel's too.  ``gates`` and ``items`` are
+    ``None`` for layout ops.
     """
     from ..runtime.sharding import QubitLayout, permutation_axes
-    from ..sim.apply import takes_native
     from ..sim.fusion import kernel_items, lower_kernel_gates
 
     n = plan.num_qubits
@@ -235,8 +232,6 @@ def expected_op_stream(
     def lowered(source: tuple, gates: tuple, l2p: dict[int, int]) -> tuple:
         items = lower_kernel_gates(gates, l2p)
         described = kernel_items(items, l2p)
-        if source[0] == "kernel" and not takes_native(described, n):
-            return source, gates, None
         return source, gates, tuple([
             (shape.kind, shape.qubits, item.gates) for shape, item in zip(described, items)
         ])
@@ -432,8 +427,8 @@ def _check_op_locality(
             machine.local_qubits if machine is not None
             else stage.partition.num_local
         )
-        # An op acts on the union of its gates' qubits — one gate's, a
-        # fused kernel's, or a folded block's — in the stage's layout.
+        # An op acts on the union of its gates' qubits — one gate's or a
+        # kernel's — in the stage's layout.
         touched = {q for gate in op.gates or () for q in gate.qubits}
         if op.qubits is not None and touched <= l2p.keys():
             positions = sorted(l2p[q] for q in touched)

@@ -6,11 +6,10 @@ would re-derive on every execution:
 * the stage-by-stage layout walk — each boundary permutation becomes a
   precomputed axis-transpose op (and no-op permutations are elided);
 * the staging-invariant locality check;
-* the lowering of each kernel — its monomial runs folded into blocks,
-  neighbouring 1q dense gates into folds
-  (:func:`repro.sim.fusion.kernel_lowering`) — into **one** op
-  (:func:`repro.sim.apply.kernel_template`), a fusion kernel's fused
-  matrix where that op has no native body, and the logical→physical
+* the lowering of each kernel — shared-memory and fusion kernels alike —
+  its monomial runs folded into blocks, neighbouring 1q dense gates into
+  folds (:func:`repro.sim.fusion.kernel_lowering`) — into **one** op
+  (:func:`repro.sim.apply.kernel_template`), and the logical→physical
   index translation;
 * matrix structure analysis, dense gemm planning, diagonal broadcast
   vectors, permutation cycle tables, controlled-block reduction, the
@@ -32,7 +31,7 @@ program over the job's gate table for all its kernels
 :class:`~repro.sim.fusion.GatherProgram`).  It is built once per plan
 structure and carried by the program.  The **bind** fills the templates
 with one job's numbers — every pool gate's matrix in one gather out of the
-table, then every kernel's block phases, fold products and dense payloads
+table, then every kernel's block phases, fold factors and dense payloads
 as array work, no gate object touched.  A cold compile is "build the
 structure, then bind";
 ``compile_plan(new_plan, reuse=program)`` (a parameter-sweep rebind from
@@ -78,7 +77,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..circuits.gates import Gate, GateTable, matrix_signature
+from ..circuits.gates import Gate, GateTable
 from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
@@ -88,15 +87,12 @@ from ..sim.fusion import (
     GatherProgram,
     GatherRun,
     KernelGather,
-    fill_fused_unitary,
-    kernel_fusion,
     kernel_items,
     kernel_lowering,
 )
 from ..sim.program import (
     CompiledOp,
     CompiledProgram,
-    OpTemplate,
     Workspace,
     compile_layout_op,
     compile_phase_op,
@@ -130,30 +126,12 @@ def _check_locality(
             )
 
 
-class _StructureChanged(Exception):
-    """A product's matrix — a fused kernel's, a dense fold's — left the
-    class its op template was built for (a product can gain exact zeros or
-    ones that none of its factors' signatures show): the plan needs a
-    structural compile of its own."""
-
-
 def _picker(members: tuple[int, ...]):
     """``pool -> the gates at members``, as a tuple."""
     if len(members) == 1:
         (member,) = members
         return lambda pool: (pool[member],)
     return itemgetter(*members)
-
-
-def _hold(holder, signature: bytes) -> None:
-    """Hold *holder*'s products to the exact *signature* of the first ones
-    bound — the structure's own plan's, inside :func:`compile_plan`, before
-    the program exists; an op template holds for one signature, so another
-    raises :class:`_StructureChanged`."""
-    if holder.signature is None:
-        holder.signature = signature
-    elif signature != holder.signature:
-        raise _StructureChanged
 
 
 class _KernelSlot:
@@ -167,15 +145,11 @@ class _KernelSlot:
     (:class:`~repro.sim.fusion.KernelGather`) and computed with every other
     kernel's by the structure's :class:`~repro.sim.fusion.GatherProgram`
     (``kernel`` is the slot's index there): the native body's packed
-    payload, or the item loop's per-item arrays.  The folds' products are
-    guarded there — the item loop's template for one holds for one
-    signature: ``rx(a)`` then ``rx(-a)`` on one qubit multiply to an exact
-    diagonal.
+    payload, or the item loop's per-item arrays — the same bits.  A fusion
+    kernel is this slot too.
     """
 
-    __slots__ = (
-        "source", "pool", "parameterized", "template", "gather", "pickers", "kernel", "gathered"
-    )
+    __slots__ = ("source", "pool", "parameterized", "template", "gather", "pickers", "kernel")
 
     def __init__(self, pool: int, gates, l2p, n: int) -> None:
         self.source = None
@@ -188,9 +162,6 @@ class _KernelSlot:
         )
         self.pickers = tuple([_picker(item.members) for item in lowering])
         self.kernel = -1
-        #: Whether the structure's gather program computes this slot's
-        #: numbers (every kernel slot but a fused gemm).
-        self.gathered = True
 
     def bind(self, gates, old, entries: np.ndarray, run: GatherRun | None):
         """The op for the pool's *gates*, whose matrices are *entries*
@@ -212,46 +183,6 @@ class _KernelSlot:
         else:
             bound = template.loop(run.arrays_of(kernel))
         return template.compiled(bound, self.source, gates, [pick(gates) for pick in self.pickers])
-
-
-class _FusedSlot(_KernelSlot):
-    """One fusion kernel: the kernel slot — its lowered items in one pass
-    over the state, no fused matrix built — wherever the kernel template
-    takes the native body (:func:`repro.sim.apply.takes_native`; a buffer
-    the C body cannot walk, which no executor hands over, runs that body's
-    oracle, the item loop).
-
-    Its fallback bind, where the template does not (no library, a kernel
-    that does not fit a tile), is the fused gemm: the gates' matrices —
-    slices of the table's gather — multiplied into one matrix through the
-    kernel's fusion structure, resolved with the slot, and applied as one
-    op — what every fusion kernel ran before it was a tile pass, bit for
-    bit.  The first matrix filled chooses the op template (``signature``,
-    :func:`_hold`).  A signature change here: rz(0) ahead of a crx turns a
-    dense product into a controlled one.
-    """
-
-    __slots__ = ("physical", "n", "fusion", "gemm", "signature")
-
-    def __init__(self, pool: int, gates, l2p, n: int) -> None:
-        super().__init__(pool, gates, l2p, n)
-        if not self.template.native:
-            self.fusion = kernel_fusion(gates)
-            self.physical = tuple(l2p[q] for q in self.fusion.qubits)
-            self.n = n
-            self.gemm: OpTemplate | None = None
-            self.signature: bytes | None = None
-            self.gathered = False
-
-    def fill(self, gates, entries: np.ndarray, run: GatherRun | None) -> CompiledOp:
-        if self.template.native:
-            return super().fill(gates, entries, run)
-        matrix = fill_fused_unitary(self.fusion, self.gather.matrices(entries))
-        matrix.setflags(write=False)
-        _hold(self, matrix_signature(matrix))
-        if self.gemm is None:
-            self.gemm = unitary_template(matrix, self.physical, self.n)
-        return self.gemm.op(matrix, self.source, gates)
 
 
 def _transitions(gate: Gate, axes, variant: int) -> tuple | None:
@@ -383,8 +314,7 @@ class _Structure:
     gate's matrix out of the table in
     one gather (:meth:`entries`; pool ``p``'s from ``entry_starts[p]``),
     runs the kernels' :class:`~repro.sim.fusion.GatherProgram` over them
-    (``program``) and holds its fold products to one exact ``signature``
-    (:func:`_hold`).
+    (``program``).
     """
 
     def __init__(self, num_qubits: int) -> None:
@@ -395,19 +325,16 @@ class _Structure:
         self.entry_positions = self.entry_offsets = self.positions
         self.entry_starts: list[int] = [0]
         self.program: GatherProgram | None = None
-        self.signature: bytes | None = None
 
     def open_pool(self, gates: tuple[Gate, ...]) -> int:
         self.starts.append(self.starts[-1] + len(gates))
         return len(self.starts) - 2
 
-    def add_kernel(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int]) -> _KernelSlot:
+    def add_kernel(self, gates: tuple[Gate, ...], l2p: dict[int, int]) -> _KernelSlot:
         """Open a pool for *gates* — on local positions of the layout
         *l2p* — and append its slot, which is returned: one op, all the
-        items of its lowering — or, for a *fused* kernel the native body
-        does not take, its fused matrix."""
-        pool, n = self.open_pool(gates), self.num_qubits
-        slot = (_FusedSlot if fused else _KernelSlot)(pool, gates, l2p, n)
+        items of its lowering."""
+        slot = _KernelSlot(self.open_pool(gates), gates, l2p, self.num_qubits)
         self.slots.append(slot)
         return slot
 
@@ -422,9 +349,7 @@ class _Structure:
         )
         at = np.concatenate(([0], np.cumsum(sizes))).astype(int).tolist()
         self.entry_starts = [at[start] for start in self.starts]
-        kernels = [
-            slot for slot in self.slots if isinstance(slot, _KernelSlot) and slot.gathered
-        ]
+        kernels = [slot for slot in self.slots if isinstance(slot, _KernelSlot)]
         for index, slot in enumerate(kernels):
             slot.kernel = index
         if kernels:
@@ -445,10 +370,7 @@ class _Structure:
         aligned slot by slot, it was bound from this structure
         (:meth:`_KernelSlot.bind`)."""
         entries, starts = self.entries(table), self.entry_starts
-        run = None
-        if self.program is not None:
-            run = self.program(entries)
-            _hold(self, run.signature)
+        run = self.program(entries) if self.program is not None else None
         ops: list = []
         reused = 0
         for index, slot in enumerate(self.slots):
@@ -591,9 +513,9 @@ class ProgramStructure(_Structure):
                 layout = l2p
                 self.num_permutations += 1
             for group_idx, (gates, kernel_type, _positions) in enumerate(groups):
-                fused = kernel_type is KernelType.FUSION
-                self._add(gates, fused, l2p, stage_local).source = (
-                    "gate" if kernel_type is None else "kernel" if fused else "sm",
+                self._add(gates, l2p, stage_local).source = (
+                    "gate" if kernel_type is None
+                    else "kernel" if kernel_type is KernelType.FUSION else "sm",
                     stage_idx, group_idx,
                 )
             kernels = sum(kernel_type is not None for _g, kernel_type, _p in groups)
@@ -612,14 +534,14 @@ class ProgramStructure(_Structure):
         )
         self.seal(self.record.position_list, _gate_table(plan))
 
-    def _add(self, gates: tuple[Gate, ...], fused: bool, l2p: dict[int, int], local: int) -> _KernelSlot:
+    def _add(self, gates: tuple[Gate, ...], l2p: dict[int, int], local: int) -> _KernelSlot:
         """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
         pool = len(self.starts) - 1
         far = {q for q, position in l2p.items() if position >= local}
         for position, gate in enumerate(gates):
             if not far.isdisjoint(gate.qubits):
                 self.nonlocal_gates.append((pool, position, l2p, local))
-        return self.add_kernel(gates, fused, l2p)
+        return self.add_kernel(gates, l2p)
 
     def admit(
         self, plan: ExecutionPlan, local: int | None
@@ -647,11 +569,10 @@ class SegmentStructure(_Structure):
 
     *pieces* is the segment's cut at the shard boundary
     (:func:`repro.runtime.offload.split_stage_segments`), each ``(kind,
-    gates, their positions in table)``: ``"fused"`` — a fusion kernel
-    wholly on local positions —, ``"local"`` — a run of local gates of any
-    other kernel — and ``"dynamic"`` for a gate touching a non-local qubit
-    (a :class:`_DynamicSlot`).  ``kinds`` names each piece's op
-    (``"local"`` or ``"dynamic"``).  ``shards`` is resolved here, once:
+    gates, their positions in table)``: ``"local"`` — a run of a kernel's
+    gates on local positions — or ``"dynamic"`` for a gate touching a
+    non-local qubit (a :class:`_DynamicSlot`).  ``kinds`` names each
+    piece's op.  ``shards`` is resolved here, once:
     per shard index, which slot — and, dynamic, which variant — of a bind
     runs on the shard, in order, and the index the shard is stored at; a
     dynamic slot runs the variant its gate reads off the index as it
@@ -669,8 +590,8 @@ class SegmentStructure(_Structure):
             if kind == "dynamic":
                 self.slots.append(_DynamicSlot(self.open_pool(gates), gates[0], l2p, local))
             else:
-                self.add_kernel(gates, kind == "fused", l2p)
-            self.kinds.append("dynamic" if kind == "dynamic" else "local")
+                self.add_kernel(gates, l2p)
+            self.kinds.append(kind)
         self.seal([p for _kind, _gates, positions in pieces for p in positions], table)
         self.shards: list[tuple[list[tuple[int, int | None]], int]] = []
         for shard_index in range(1 << (len(l2p) - local)):
@@ -703,19 +624,15 @@ def bind_structure(reuse, admit, build) -> tuple:
     structure, else ``None``; ``build()`` returns a fresh structure, which
     must admit the job (a kernel whose ``gate_indices`` do not name its
     gates is a :class:`PlanValidationError`).  A job that is not admitted
-    — or whose products leave their templates' class half way through the
-    bind (:class:`_StructureChanged`) — is built cold in full and never
-    adopts the reuse structure.  Returns ``(structure, what its bind
-    returned, whether the reuse structure was bound)``.
+    is built cold in full and never adopts the reuse structure.  Returns
+    ``(structure, what its bind returned, whether the reuse structure was
+    bound)``.
     """
     if reuse is not None:
         structure, bound = reuse
         admitted = admit(structure)
         if admitted is not None:
-            try:
-                return structure, structure.bind(admitted[0], bound, admitted[1]), True
-            except _StructureChanged:
-                pass
+            return structure, structure.bind(admitted[0], bound, admitted[1]), True
     structure = build()
     admitted = admit(structure)
     if admitted is None:

@@ -69,7 +69,6 @@ import numpy as np
 
 from ..circuits.gates import Gate, GateTable
 from ..cluster.machine import MachineConfig
-from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import (
     DEFAULT_RETRY_POLICY,
@@ -195,24 +194,20 @@ def split_stage_segments(
     on the shard path).
 
     Returns ``("shards", pieces)`` segments — pieces every shard processes
-    independently, each ``(kind, gates, positions)``: ``"fused"``, a
-    fusion kernel wholly on local positions; ``"local"``, a maximal run of
-    a kernel's gates on local positions; ``"dynamic"``, one gate touching
+    independently, each ``(kind, gates, positions)``: ``"local"``, a
+    maximal run of a kernel's gates on local positions (a kernel wholly on
+    them is one piece); ``"dynamic"``, one gate touching
     a non-local qubit, resolved per shard (one op per variant) — separated
     by ``("full", [("local", (gate,), (position,))])`` segments for gates
     that genuinely *mix* amplitudes along a non-local qubit (hand-built
     plans only; staged plans never produce them), run over all ``n``
     positions.  A kernel holding such a gate is split around it, order
-    preserved; its pieces lose the kernel type and run like a
-    shared-memory kernel.
+    preserved.
     """
     segments: list[tuple[str, list]] = []
     pieces: list[tuple[str, tuple[Gate, ...], tuple[int, ...]]] = []
-    for gates, ktype, positions in groups:
+    for gates, _ktype, positions in groups:
         axes = [nonlocal_axes(gate, logical_to_physical, local_qubits) for gate in gates]
-        if ktype is KernelType.FUSION and not any(axes):
-            pieces.append(("fused", gates, positions))
-            continue
         start = 0
         for j, gate_axes in enumerate(axes):
             if not gate_axes:

@@ -27,9 +27,9 @@ pattern and every class has a cheapest NumPy/BLAS form:
 **Op templates.**  :func:`unitary_template` is the one function that turns
 a classification and a position into a kernel choice; it,
 :func:`monomial_template` (a folded run of diagonal/permutation gates) and
-:func:`kernel_template` (a whole shared-memory kernel: all its lowered items
-in one pass over the state, through the C body of :mod:`repro.sim.native`
-when the host has it, else through the items' own templates in turn)
+:func:`kernel_template` (a whole kernel: all its lowered items in one pass
+over the state, through the C body of :mod:`repro.sim.native` when the
+host has it, else through the item loop, which computes the same bits)
 return an :class:`OpTemplate` — everything that follows from *where* the op
 acts and from the zero/one structure of its matrix — whose ``bind`` does
 the numeric fill and returns **one** closure, ``run(states, scratch, ws)``,
@@ -44,8 +44,8 @@ tensordot over the stack) within ``2^k`` ulp.  Structured kinds update the
 state buffer in place, streaming kinds write the scratch buffer in full and
 the ping-pong roles swap; temporaries and memoized slice views come from a
 :class:`Workspace`, one per thread (:func:`thread_workspace`).  Compiled
-programs (:mod:`repro.sim.program`, :mod:`repro.runtime.compile`), shard
-segments and fused-matrix fills bind these templates ahead of time.
+programs (:mod:`repro.sim.program`, :mod:`repro.runtime.compile`) and
+shard segments bind these templates ahead of time.
 
 **Entry points.**  :func:`apply_gate_buffered`, :func:`apply_matrix` and
 :func:`apply_diagonal` are the same templates bound on first sight of a
@@ -1396,7 +1396,7 @@ class KernelItem(NamedTuple):
     phase is one by construction), ``"gate"`` (one dense gate) or ``"fold"``
     (commuting 1q dense gates, one 2×2 per position).  An item's numbers
     arrive at bind time as an object with ``phases`` (block), ``matrix``
-    (gate; a fold's Kronecker product) and ``factors`` (a fold's 2×2s)."""
+    (gate) and ``factors`` (a fold's 2×2s, in item-qubit order)."""
 
     qubits: tuple[int, ...]
     kind: str
@@ -1407,12 +1407,14 @@ class KernelItem(NamedTuple):
 class KernelTemplate(OpTemplate):
     """:func:`kernel_template`'s result: an :class:`OpTemplate` of kind
     ``"sm"`` whose payload is the kernel's filled items.  ``native`` says
-    whether ``bind`` takes the C body; ``item_loop`` binds the loop over the
-    items' own op bodies whatever ``bind`` takes — the native body's oracle.
+    whether ``bind`` takes the C body; ``item_loop`` binds the NumPy item
+    loop whatever ``bind`` takes — the same bits, and the native body's
+    oracle.
 
     Under both sit the binds of bare numbers, which the plan compiler
     gathers from a gate table (:class:`repro.sim.fusion.GatherProgram`):
-    ``loop(arrays)`` — per item a block's phases or a dense item's matrix —
+    ``loop(arrays)`` — per item a block's phases, a gate's matrix or a
+    fold's 2×2 factors —
     and, when ``native``, ``bind_numbers(numbers, fallback)`` — the one
     complex payload the C body reads, packed as ``fills`` say (``(item,
     mode, offset, index)``; :func:`_tile_program`), with
@@ -1421,30 +1423,6 @@ class KernelTemplate(OpTemplate):
     oracle)."""
 
     __slots__ = ("items", "native", "item_loop", "loop", "bind_numbers", "pack", "fills")
-
-    def ulps(self) -> int:
-        """The documented bound on how far the native body may sit from the
-        item loop, in ulp of the state's largest amplitude: two per
-        elementary step — a block, a gate, each 2×2 of a fold.  Both bodies
-        compute the same products; they differ in what is fused (BLAS and
-        NumPy's loops use multiply-add, the C body never does) and in how a
-        fold is associated (one Kronecker gemm against a 2×2 per qubit).
-        Measured: at most 2 for one step, 4 over kernels of up to 13 items
-        (3000 random kernels, 4–14 qubits)."""
-        return 2 * sum(len(item.qubits) if item.kind == "fold" else 1 for item in self.items)
-
-    def gemm_ulps(self) -> int:
-        """The documented bound on how far the native body of a *fusion*
-        kernel may sit from its fused gemm — the body it binds where the
-        native one is not taken — in ulp of the state's largest amplitude:
-        :meth:`ulps` for the product of the same steps the fused matrix
-        multiplies out, plus ``2^k`` for the gemm's ``2^k``-term sums over
-        the kernel's ``k`` positions.  Measured: at most 9, and never over a
-        sixth of the bound (every fusion kernel the planner emits for qft,
-        ising, qsvm, vqc, ae, qpeexact and su2random at 4–14 qubits, 15
-        random layouts each: 1245 cases, kernels of 4–7 qubits and up to
-        119 gates)."""
-        return self.ulps() + (1 << len(self.qubits))
 
     def op(
         self, payload: Sequence, source: tuple | None = None, gates: "tuple | None" = None
@@ -1488,8 +1466,7 @@ def takes_native(items: Sequence[KernelItem], n: int) -> bool:
     amplitudes to the native body (its ``native``): the library loads, the
     state has a whole tile row (``n >= 4``) and the kernel fits one tile —
     at most 13 tile bits, no dense gate wider than 4 qubits.  Host and
-    structure decide it, never the numbers; the static verifier reads it to
-    know what a fusion kernel compiles to."""
+    structure decide it, never the numbers."""
     tile = {q for item in items for q in item.qubits} | set(range(_TILE_LOW))
     return (
         n >= _MIN_NATIVE_QUBITS
@@ -1602,6 +1579,125 @@ def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
     return prog, table, fills, max(sizes[1], 1)
 
 
+# The item loop: smkernel.c's float expressions, one ufunc per C operation,
+# over the whole state as two float64 planes (re, then im).  A step reads
+# the planes ``src`` and writes ``dst`` in full; ``tmp`` holds half of them.
+
+
+def _products(out, tmp, a, x, b, y, add: bool) -> None:
+    """``out = a*x ± b*y``, every product rounded on its own."""
+    np.multiply(x, a, out=out)
+    np.multiply(y, b, out=tmp)
+    (np.add if add else np.subtract)(out, tmp, out=out)
+
+
+#: A 1q gate whose position leaves contiguous runs this short or shorter
+#: runs one strided pass per run offset instead (at 16 qubits a gate on
+#: position 1 took 4.1 ms as runs of two, position 15 0.4 ms).
+_SHORT_RUN = 4
+
+
+def _gate1_step(position: int, matrix: np.ndarray) -> Callable:
+    """``gate1_stride``: a 2×2 on *position*, in the form its exact zeros
+    pick (``gate1_form``) — the forms differ in signed zeros only."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = [(v.real, v.imag) for v in matrix.reshape(-1).tolist()]
+    r0, i0, r1, i1 = range(4)  # inputs and outputs: (plane, bit) = (0, 0), (1, 0), (0, 1), (1, 1)
+    if ai == bi == ci == di == 0.0:
+        rows = [[(ar, r0, br, r1, True)], [(ar, i0, br, i1, True)],
+                [(cr, r0, dr, r1, True)], [(cr, i0, dr, i1, True)]]
+    elif ai == di == br == cr == 0.0:
+        rows = [[(ar, r0, bi, i1, False)], [(ar, i0, bi, r1, True)],
+                [(dr, r1, ci, i0, False)], [(dr, i1, ci, r0, True)]]
+    else:
+        rows = [[(ar, r0, ai, i0, False), (br, r1, bi, i1, False)],
+                [(ar, i0, ai, r0, True), (br, i1, bi, r1, True)],
+                [(cr, r0, ci, i0, False), (dr, r1, di, i1, False)],
+                [(cr, i0, ci, r0, True), (dr, i1, di, r1, True)]]
+    low = 1 << position
+
+    def step(src, dst, tmp, size):
+        x, y = src.reshape(2, -1, 2, low), dst.reshape(2, -1, 2, low)
+        if low > _SHORT_RUN:
+            parts = [(x, y, *tmp.reshape(2, -1, low))]
+        else:  # runs too short for a ufunc's inner loop: one strided pass each
+            half = size // (2 * low)
+            parts = [(x[..., j], y[..., j], tmp[:half], tmp[half : 2 * half]) for j in range(low)]
+        for xj, yj, t, u in parts:
+            ins = (xj[0, :, 0], xj[1, :, 0], xj[0, :, 1], xj[1, :, 1])
+            outs = (yj[0, :, 0], yj[1, :, 0], yj[0, :, 1], yj[1, :, 1])
+            for out, pairs in zip(outs, rows):
+                for at, (a, p, b, q, add) in zip((out, t), pairs):
+                    _products(at, u, a, ins[p], b, ins[q], add)
+                if len(pairs) == 2:
+                    np.add(out, t, out=out)
+
+    return step
+
+
+def _dense_step(n: int, qubits: tuple, matrix: np.ndarray) -> Callable:
+    """``dense_each``: row ``r``'s sum over the offsets ``dense_terms``
+    keeps, term ``m[r][r ^ t] * x[r ^ t]``, the first one not added to
+    zero."""
+    d = len(matrix)
+    re, im = matrix.real.tolist(), matrix.imag.tolist()
+    terms = [t for t in range(d) if any(re[r][r ^ t] or im[r][r ^ t] for r in range(d))]
+    rows = [[(r ^ t, re[r][r ^ t], im[r][r ^ t]) for t in terms] for r in range(d)]
+
+    def step(src, dst, tmp, size):
+        xs = _basis_views(src.reshape(2, -1, 1 << n), n, qubits, lead=2)
+        ys = _basis_views(dst.reshape(2, -1, 1 << n), n, qubits, lead=2)
+        t, u = tmp[: 2 * (size // d)].reshape((2,) + xs[0].shape[1:])
+        for (yr, yi), row in zip(ys, rows):
+            if not row:
+                yr.fill(0.0)
+                yi.fill(0.0)
+            for i, (c, mr, mi) in enumerate(row):
+                xr, xi = xs[c]
+                if i == 0:
+                    _products(yr, u, mr, xr, mi, xi, False)
+                    _products(yi, u, mr, xi, mi, xr, True)
+                    continue
+                _products(t, u, mr, xr, mi, xi, False)
+                np.add(yr, t, out=yr)
+                _products(t, u, mr, xi, mi, xr, True)
+                np.add(yi, t, out=yi)
+
+    return step
+
+
+def _copy_step(gather: np.ndarray) -> Callable:
+    """A permuting block's copy: amplitude ``j`` of each chunk of
+    ``len(gather)`` is amplitude ``gather[j]`` of the input's."""
+    chunk = len(gather)
+
+    def step(src, dst, tmp, size):
+        np.take(src.reshape(-1, chunk), gather, axis=1, out=dst.reshape(-1, chunk), mode="clip")
+
+    return step
+
+
+def _phase_step(n: int, index: np.ndarray, phases: np.ndarray) -> Callable:
+    """``diag``: each amplitude times the phase at its entry of *index*,
+    broadcast over the ``(2,)*n`` state tensor."""
+    pr, pi = phases.real.take(index), phases.imag.take(index)
+    shape = (-1,) + (2,) * n
+
+    def step(src, dst, tmp, size):
+        x, y, t = src.reshape((2,) + shape), dst.reshape((2,) + shape), tmp.reshape(shape)
+        _products(y[0], t, pr, x[0], pi, x[1], False)
+        _products(y[1], t, pr, x[1], pi, x[0], True)
+
+    return step
+
+
+def _planes(buf: np.ndarray, size: int, ws, slot: int) -> np.ndarray:
+    """*buf*'s memory as ``2 * size`` float64, or a workspace temporary's
+    when it is not a contiguous ``complex128`` buffer of *size*."""
+    if buf.dtype != np.complex128 or not buf.flags.c_contiguous or buf.size != size:
+        buf = ws.tmp(size, slot=slot)
+    return buf.reshape(-1).view(np.float64)
+
+
 def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     """The template of one kernel — all its lowered *items* as **one**
     in-place op over ``(..., 2^n)`` buffers; its payload is the items
@@ -1616,54 +1712,82 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     call looped over rows, so row ``b`` is the flat run bit for bit.  It is
     taken when :func:`takes_native` says so — the library loads, the state
     has a whole tile row (``n >= 4``) and the kernel fits a tile — and the
-    buffer is a contiguous ``complex128`` one.  The **item loop** runs each
-    item's own op body (:func:`monomial_template` / :func:`unitary_template`)
-    in turn — what a kernel executed before it was one op; it is a
-    shared-memory kernel's fallback and, as :attr:`KernelTemplate.item_loop`,
-    the named oracle the native body is tested against (they agree within a
-    pinned ulp bound, not bit for bit: the C body neither fuses nor blocks
-    its sums as BLAS does).  A fusion kernel is this template wherever it
-    takes the native body, and the fused gemm elsewhere
-    (:mod:`repro.runtime.compile`).
-    Every executor reaches a kernel through this template, so within one
-    process they agree bit for bit whichever body runs.
+    buffer is a contiguous ``complex128`` one.  The **item loop** computes
+    the C body's bits in NumPy: the state as two float64 planes (in the
+    scratch buffer), one ufunc per C operation in the C body's order —
+    products unfused, a dense item's sum in ``dense_terms`` order, a fold as
+    its 2×2s in item-qubit order, a permuting block's copy before its
+    phases.  It is every kernel's body where the native one is not taken
+    and, as :attr:`KernelTemplate.item_loop`, the named oracle the native
+    body is tested against, byte for byte.  Every executor reaches a kernel
+    through this template, so every executor agrees with every other bit
+    for bit, on any host.
 
-    The items' own templates are built when the item loop is first bound,
-    a dense item's from the matrix bound then (a template holds for one
-    matrix signature — the plan compiler's slots guard that,
-    :mod:`repro.runtime.compile`).
+    The item loop's shapes and index tables are built once per template,
+    at its first bind (never, for a kernel that only runs natively); a
+    bind picks each 2×2's form and each dense item's terms by its exact
+    zeros.
     """
     items = tuple(items)
     qubits = tuple(sorted({q for item in items for q in item.qubits}))
-    templates: list = [None] * len(items)
+    plans: list = []
+
+    def plan(item: KernelItem) -> tuple:
+        """A block's ``(gather, phase index)``: within a chunk up to its top
+        position, each amplitude's source, and the entry of its phase —
+        its source's."""
+        source, gather = np.arange(1 << len(item.qubits)), None
+        if item.kind == "block" and item.perm is not None:
+            source[item.perm] = np.arange(len(item.perm))
+            amplitudes = np.arange(2 << max(item.qubits))
+            target = _extract(amplitudes, item.qubits)
+            gather = _index_array(amplitudes ^ _deposit(target ^ source[target], item.qubits))
+        return gather, _index_array(_diag_broadcast(source, n, item.qubits))
 
     def loop(arrays):
-        runs = []
-        for index, (item, array) in enumerate(zip(items, arrays)):
-            if templates[index] is None:
-                templates[index] = (
-                    monomial_template(item.perm, item.qubits, n) if item.kind == "block"
-                    else unitary_template(array, item.qubits, n)
+        if not plans:
+            plans.extend(plan(item) for item in items)
+        steps: list = []
+        for item, (gather, index), array in zip(items, plans, arrays):
+            if item.kind == "fold":
+                steps += [_gate1_step(q, factor) for q, factor in zip(item.qubits, array)]
+            elif item.kind == "gate":
+                steps.append(
+                    _gate1_step(item.qubits[0], array) if len(item.qubits) == 1
+                    else _dense_step(n, item.qubits, array)
                 )
-            runs.append(templates[index].bind(array))
+            else:
+                if gather is not None:
+                    steps.append(_copy_step(gather))
+                if item.phased:
+                    steps.append(_phase_step(n, index, array))
 
         def run(states, scratch, ws):
-            state, spare = states, scratch
-            for step in runs:
-                state, spare = step(state, spare, ws)
-            if state is not states:  # an odd number of streaming items
-                np.copyto(states, state)
+            size = states.size
+            here, there = _planes(scratch, size, ws, 1), _planes(states, size, ws, 2)
+            tmp = ws.tmp((size + 1) // 2, slot=0).view(np.float64)[:size]
+            np.copyto(here[:size].reshape(states.shape), states.real)
+            np.copyto(here[size:].reshape(states.shape), states.imag)
+            for step in steps:
+                step(here, there, tmp, size)
+                here, there = there, here
+            if np.may_share_memory(here, states):
+                np.copyto(there, here)
+                here = there
+            np.copyto(states.real, here[:size].reshape(states.shape))
+            np.copyto(states.imag, here[size:].reshape(states.shape))
             return states, scratch
 
         return run
 
     def item_loop(payloads):
         return loop([
-            payload.phases if item.kind == "block" else payload.matrix
+            payload.phases if item.kind == "block"
+            else payload.factors if item.kind == "fold" else payload.matrix
             for item, payload in zip(items, payloads)
         ])
 
-    template = KernelTemplate("sm", qubits, item_loop, tmp_slots=(0, 1), uses_scratch=True)
+    template = KernelTemplate("sm", qubits, item_loop, tmp_slots=(0, 1, 2), uses_scratch=True)
     template.items = items
     template.item_loop = item_loop
     template.loop = loop

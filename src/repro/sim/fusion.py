@@ -5,38 +5,31 @@ applies its *items* in one pass over the state: one item per run of
 diagonal/permutation gates, one per group of 1q dense gates on
 neighbouring physical positions and one per wider dense gate
 (:func:`lower_kernel_gates`).  A *fusion kernel* (Section VI-B of the
-paper) does too wherever that pass has its native body; elsewhere it
-executes as a single matrix: the product of all gate matrices embedded
-into the space of the kernel's qubit set.
+paper) does too, on every host: its items in the same pass, no fused
+matrix built.
 
-Both lowerings come in two halves.  The **structure**
-(:func:`kernel_fusion`, :func:`kernel_lowering`) is everything that
-follows from each gate's name, qubits and the zero pattern of its matrix —
-the row positions and dispatch of every gate of a fused kernel; in a
-stage's layout, which gates fold into which block or dense group, the
-block's permutation and its phase gather tables.  The **fill** (:func:`fill_fused_unitary`,
-:func:`fill_lowered_item`) does the arithmetic for one set of angles.
-:func:`fused_unitary` and :func:`lower_kernel_gates` are "structure, then
-fill", unmemoized — the static verifier's oracle.  Executors reach both
-through the plan compiler's kernel slots (:mod:`repro.runtime.compile`),
-where a shared-memory kernel's fill is compiled once more, into a
-:class:`KernelGather` — the same products in the same order, as array
-work over a gate table — so a compiled program rebound to new angles, and
-a shard schedule's segments, run only that.
+The lowering comes in two halves.  The **structure**
+(:func:`kernel_lowering`) is everything that follows from each gate's
+name, qubits and the zero pattern of its matrix: in a stage's layout,
+which gates fold into which block or dense group, the block's permutation
+and its phase gather tables.  The **fill** (:func:`fill_lowered_item`)
+does the arithmetic for one set of angles.  :func:`lower_kernel_gates` is
+"structure, then fill", unmemoized — the static verifier's oracle.
+Executors reach it through the plan compiler's kernel slots
+(:mod:`repro.runtime.compile`), where a kernel's fill is compiled once
+more, into a :class:`KernelGather` — the same products in the same order,
+as array work over a gate table — so a compiled program rebound to new
+angles, and a shard schedule's segments, run only that.
 
-The fused matrix is built by applying each gate to the columns of a
-``2^m × 2^m`` identity, viewed as a state on ``2m`` qubits whose high bits
-are the matrix rows.  Each gate therefore costs ``O(2^m · 4^k)`` through
-the specialized kernels of :mod:`repro.sim.apply` instead of the
-``O(8^m)`` dense matmul per gate (``expand_matrix`` + ``@``) the seed
-implementation paid; the two work buffers belong to the calling thread's
-workspace and are reused from kernel to kernel.
+:func:`fused_unitary` is a kernel's matrix, for the callers that want one
+(tests, benchmarks, ``StateVector`` users): the gates applied through the
+engine to the identity, viewed as a state on ``2m`` qubits.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,14 +39,12 @@ from .apply import (
     MONOMIAL_WIDTH,
     _GEMM_EDGE,
     KernelItem,
-    OpTemplate,
     _check_qubits,
     _num_qubits,
     analyze_matrix,
     kernel_template,
     thread_workspace,
     tracked_empty,
-    unitary_template,
 )
 
 __all__ = [
@@ -61,11 +52,7 @@ __all__ = [
     "GatherProgram",
     "GatherRun",
     "KernelGather",
-    "KernelFusion",
     "LoweredItem",
-    "kernel_fusion",
-    "gate_step",
-    "fill_fused_unitary",
     "kernel_lowering",
     "fill_lowered_item",
     "fused_unitary",
@@ -84,83 +71,6 @@ def kernel_qubits(gates: Iterable[Gate]) -> tuple[int, ...]:
     return tuple(sorted(qubits))
 
 
-class KernelFusion(NamedTuple):
-    """The angle-independent part of :func:`fused_unitary` for one kernel
-    (:func:`kernel_fusion`): the qubit tuple the fused matrix spans and, per
-    gate, the compiled template of its application to the matrix rows —
-    row positions and dispatch resolved — plus the bound ``run`` closure
-    for parameter-free gates (``None`` where the gate carries angles)."""
-
-    qubits: tuple[int, ...]
-    steps: tuple[tuple[OpTemplate, "Callable | None"], ...]
-
-
-def kernel_fusion(
-    gates: Sequence[Gate], qubits: Sequence[int] | None = None
-) -> KernelFusion:
-    """Resolve how *gates* fuse over *qubits* (default: their sorted union).
-
-    The fused matrix is the identity, viewed flat as a state on ``2m``
-    qubits — flat index bit ``j`` (``j < m``) is matrix-column bit ``j``,
-    bit ``m + j`` is matrix-row bit ``j`` — to which every gate is applied
-    on the row bits (a gate left-multiplies the fused matrix).  Each
-    application is an op template of :mod:`repro.sim.apply`
-    (:func:`~repro.sim.apply.unitary_template`), the one
-    :func:`~repro.sim.apply.apply_gate_buffered` would bind for the same
-    matrix and position.  The result is valid for every gate tuple whose gates match *gates* in
-    name, qubits and :func:`~repro.circuits.gates.matrix_signature`.
-    """
-    qubits = kernel_qubits(gates) if qubits is None else tuple(qubits)
-    m = len(qubits)
-    pos = {q: i for i, q in enumerate(qubits)}
-    return KernelFusion(qubits, tuple([
-        gate_step(gate, tuple([m + pos[q] for q in gate.qubits]), 2 * m)
-        for gate in gates
-    ]))
-
-
-def gate_step(
-    gate: Gate, qubits: tuple[int, ...], n: int
-) -> "tuple[OpTemplate, Callable | None]":
-    """The template of *gate* applied at *qubits* of an ``n``-qubit buffer
-    and, when the gate carries no angle, its bound ``run`` closure (else
-    ``None``: the template is bound per job)."""
-    if gate.params:
-        return unitary_template(gate.matrix(), qubits, n), None
-    return _fixed_step(gate.name, qubits, n)
-
-
-@lru_cache(maxsize=1024)
-def _fixed_step(name: str, qubits: tuple[int, ...], n: int) -> "tuple[OpTemplate, Callable]":
-    """:func:`gate_step` of a parameter-free gate.  Nothing here depends on
-    a circuit, so kernels and programs share these process-wide (like the
-    analysis and bound-op memos of :mod:`repro.sim.apply`, which key on
-    the same matrices); the closures are pure functions of the buffers
-    they are handed."""
-    matrix = gate_matrix(name)
-    template = unitary_template(matrix, qubits, n)
-    return template, template.bind(matrix)
-
-
-def fill_fused_unitary(fusion: KernelFusion, matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """The fused matrix through *fusion* of gates whose matrices are
-    *matrices*, in order — the numeric half of :func:`fused_unitary`: bind
-    each angle-carrying gate's matrix to its template and run the steps
-    over the identity (a parameter-free step ignores its matrix).  The work
-    buffers are the calling thread's (slots no op borrows); the result is a
-    fresh array."""
-    dim = 1 << len(fusion.qubits)
-    ws = thread_workspace()
-    buf, scratch = ws.tmp(dim * dim, slot=2), ws.tmp(dim * dim, slot=3)
-    buf.fill(0)
-    buf[:: dim + 1] = 1
-    for matrix, (template, run) in zip(matrices, fusion.steps):
-        if run is None:
-            run = template.bind(matrix)
-        buf, scratch = run(buf, scratch, ws)
-    return buf.reshape(dim, dim).copy()
-
-
 def fused_unitary(
     gates: Sequence[Gate], qubits: Sequence[int] | None = None
 ) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -172,15 +82,28 @@ def fused_unitary(
         Gate sequence, applied left-to-right (``gates[0]`` first).
     qubits:
         Optional explicit qubit ordering for the fused matrix; defaults to
-        the sorted union of the gates' qubits.
+        the sorted union of the gates' qubits.  It must hold every gate's
+        qubits, each once.
 
     Returns
     -------
     (matrix, qubits):
-        The little-endian fused unitary and the qubit tuple it acts on.
+        The little-endian fused unitary and the qubit tuple it acts on:
+        the gates applied through the engine to the ``2^m × 2^m`` identity,
+        viewed as a state on ``2m`` qubits whose high bits are the rows.
     """
-    fusion = kernel_fusion(gates, qubits)
-    return fill_fused_unitary(fusion, [gate.matrix() for gate in gates]), fusion.qubits
+    gates = tuple(gates)
+    qubits = kernel_qubits(gates) if qubits is None else tuple(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubits in target {list(qubits)}")  # lint: config-error
+    missing = sorted(set(kernel_qubits(gates)) - set(qubits))
+    if missing:
+        raise ValueError(f"gate qubits {missing} not contained in target {list(qubits)}")  # lint: config-error
+    m = len(qubits)
+    rows = {q: m + j for j, q in enumerate(qubits)}
+    identity = np.eye(1 << m, dtype=np.complex128).reshape(-1)
+    fused = apply_gate_sequence(identity, [gate.remap(rows) for gate in gates])
+    return fused.reshape(1 << m, 1 << m), qubits
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +114,17 @@ def fused_unitary(
 class LoweredItem(NamedTuple):
     """One step of a lowered shared-memory kernel (:func:`lower_kernel_gates`).
 
-    A *monomial block* (``matrix is None``) is a run of diagonal and
+    A *monomial block* (``phases`` set) is a run of diagonal and
     permutation gates folded into one phased permutation over ``qubits``:
     the amplitude at block index ``c`` (bit ``j`` of ``c`` is
     ``qubits[j]``) moves to index ``perm[c]`` scaled by ``phases[c]``;
     ``perm`` is ``None`` when the run composes to the identity permutation
-    (a diagonal block — ``cx·rz·cx`` is one).  A *dense* item
-    (``matrix is not None``) is a single gate carried with its matrix, or a
-    fold of commuting 1q dense gates on physically adjacent qubits carried
-    with their product (``qubits`` in ascending physical position) and, as
-    ``factors``, the 2×2 per qubit that product is the Kronecker product of.
-    ``gates`` are the gates the item absorbed, in circuit order.
+    (a diagonal block — ``cx·rz·cx`` is one).  A *dense* item is a single
+    gate carried with its ``matrix``, or a fold of commuting 1q dense gates
+    on physically adjacent qubits (``qubits`` in ascending physical
+    position) carried as its ``factors``: the 2×2 per qubit, applied one
+    after another (their Kronecker product is never formed).  ``gates`` are the gates
+    the item absorbed, in circuit order.
     """
 
     qubits: tuple[int, ...]
@@ -227,7 +150,7 @@ class ItemLowering(NamedTuple):
     all one by name) have no table.  A ``dense`` item is one gate
     (``slots`` empty) or a fold of 1q gates: ``slots[i]`` is the index in
     ``qubits`` of the qubit ``members[i]`` acts on, and the item's matrix
-    is the Kronecker product over ``qubits`` of each qubit's 2×2 product.
+    is, per qubit of ``qubits``, the product of that qubit's 2×2s.
     ``parameterized`` says whether any member has angles.
     """
 
@@ -424,8 +347,8 @@ def fill_lowered_item(
     lowering: ItemLowering, gates: Sequence[Gate], members: tuple[Gate, ...] | None = None
 ) -> LoweredItem:
     """The :class:`LoweredItem` of *lowering* for the kernel's *gates* — the
-    numeric half of :func:`lower_kernel_gates`: a dense item's matrix (the
-    gate's own, or a fold's Kronecker product), or a block's phases as the
+    numeric half of :func:`lower_kernel_gates`: a dense gate's matrix, a
+    fold's per-qubit 2×2 products, or a block's phases as the
     running product of its members' phases in circuit order (gates that
     only permute contribute exact ones and are skipped).  *members* are the
     item's gates when the caller already picked them."""
@@ -434,18 +357,12 @@ def fill_lowered_item(
     if lowering.dense:
         if len(members) == 1:
             return LoweredItem(lowering.qubits, members, matrix=members[0].matrix())
-        # Per qubit the product of its gates, later gates on the left ...
+        # Per qubit the product of its gates, later gates on the left.
         per_qubit: list = [None] * len(lowering.qubits)
         for gate, slot in zip(members, lowering.slots):
             earlier = per_qubit[slot]
             per_qubit[slot] = gate.matrix() if earlier is None else gate.matrix() @ earlier
-        # ... then the Kronecker product, the last qubit the top index bit.
-        matrix = per_qubit[0]
-        for high in per_qubit[1:]:
-            dim = 2 * len(matrix)
-            matrix = (high[:, None, :, None] * matrix[None, :, None, :]).reshape(dim, dim)
-        matrix.setflags(write=False)
-        return LoweredItem(lowering.qubits, members, matrix=matrix, factors=tuple(per_qubit))
+        return LoweredItem(lowering.qubits, members, factors=tuple(per_qubit))
     dim = 1 << len(lowering.qubits)
     phases = None
     for member, table in lowering.factors:
@@ -487,17 +404,15 @@ class _Products:
     Built from *groups*, in output order: each a list of equal-length index
     arrays, its columns — entry ``e`` of the group is the product of the
     source at ``column[e]`` of every column, in order:
-    ``((s[t0] * s[t1]) * s[t2]) ...`` (*left*; one column is a plain
-    gather) or, not *left*, ``s[tk] * (... * (s[t1] * s[t0]))`` — NumPy's
-    complex product is not commutative bit for bit, so the operand order is
-    the oracle's.  Groups are kept deepest first, so every level multiplies
-    a prefix: one take and one multiply per depth, whatever the number of
-    entries."""
+    ``((s[t0] * s[t1]) * s[t2]) ...`` (one column is a plain gather) —
+    NumPy's complex product is not commutative bit for bit, so the operand
+    order is the oracle's.  Groups are kept deepest first, so every level
+    multiplies a prefix: one take and one multiply per depth, whatever the
+    number of entries."""
 
-    __slots__ = ("first", "levels", "unsort", "left")
+    __slots__ = ("first", "levels", "unsort")
 
-    def __init__(self, groups: Sequence[Sequence[np.ndarray]], left: bool) -> None:
-        self.left = left
+    def __init__(self, groups: Sequence[Sequence[np.ndarray]]) -> None:
         order = sorted(range(len(groups)), key=lambda g: -len(groups[g]))
         ranked = [groups[g] for g in order]
         self.first = np.concatenate([group[0] for group in ranked]).astype(np.intp)
@@ -521,10 +436,7 @@ class _Products:
         out = source.take(self.first)
         for count, index in self.levels:
             head = out[:count]
-            if self.left:
-                np.multiply(head, source.take(index), out=head)
-            else:
-                np.multiply(source.take(index), head, out=head)
+            np.multiply(head, source.take(index), out=head)
         return out if self.unsort is None else out.take(self.unsort)
 
 
@@ -537,18 +449,9 @@ def _cycle(dim: int, length: int) -> np.ndarray:
     return cycle
 
 
-@lru_cache(maxsize=16)
-def _kron_selectors(k: int) -> tuple[np.ndarray, ...]:
-    """Per qubit ``j`` of a ``k``-qubit Kronecker product, row-major over
-    its ``(2^k)^2`` entries, the entry of qubit ``j``'s 2x2 factor each one
-    takes: ``(row bit j, col bit j)``."""
-    dim = 1 << k
-    row, col = np.divmod(np.arange(dim * dim), dim)
-    return tuple([(((row >> j) & 1) << 1) | ((col >> j) & 1) for j in range(k)])
-
-
 _ONE = np.ones(1, dtype=np.complex128)
 _ONE.setflags(write=False)
+_QUAD = np.arange(4, dtype=np.intp)
 
 
 class KernelGather:
@@ -564,20 +467,16 @@ class KernelGather:
     gates' matrices, row-major, one after another (``entries`` of them);
     then ``chains`` — per fold qubit with two or more gates, their 2x2
     product, later gates on the left — four entries each; then the unit
-    ``1`` (``one``: whether any term reads it).  ``values`` are the item
-    loop's payloads, item by item (a block's phases — the running product
-    of its members' gathered phases — or a dense gate's matrix; ``spans``
-    say where), ``kron`` the folds' Kronecker products, the high qubit on
-    the left (``folds`` say where; ``ones`` are the entries whose exact
-    ones count too), each as groups of term columns for :class:`_Products`;
-    ``numbers`` index ``values`` followed by the sources: the packed
-    payload of the native body.  No gate object is kept.
+    ``1`` (``one``: whether any term reads it).  ``values`` are the blocks'
+    phases — the running product of their members' gathered phases — and
+    the dense gates' matrices, item by item (``spans`` say where), as
+    groups of term columns for :class:`_Products`; ``factors`` per fold
+    item the sources of its 2x2s, in item-qubit order; ``numbers`` index
+    ``values`` followed by the sources: the packed payload of the native
+    body.  No gate object is kept.
     """
 
-    __slots__ = (
-        "dims", "entries", "chains", "one", "values", "spans", "kron", "folds", "ones",
-        "numbers",
-    )
+    __slots__ = ("entries", "chains", "one", "values", "spans", "factors", "numbers")
 
     def __init__(
         self,
@@ -585,8 +484,7 @@ class KernelGather:
         widths: Sequence[int],
         fills: "Sequence[tuple] | None" = None,
     ) -> None:
-        self.dims = [1 << width for width in widths]
-        sizes = [dim * dim for dim in self.dims]
+        sizes = [4 ** width for width in widths]
         start = [0]
         for size in sizes:
             start.append(start[-1] + size)
@@ -611,19 +509,19 @@ class KernelGather:
         self.values: list[list[np.ndarray]] = []
         single: list[int] = []
         self.spans: list[tuple[int, int, int]] = []
-        factors: dict[int, list[list[int]]] = {}
+        self.factors: dict[int, np.ndarray] = {}
         next_chain = 0
         at = 0
         for index, item in enumerate(lowering):
             if fold_members[index] is not None:
-                factors[index] = []
+                firsts = []
                 for members in fold_members[index]:
                     if len(members) == 1:
-                        first = start[members[0]]
+                        firsts.append(start[members[0]])
                     else:
-                        first = self.entries + 4 * next_chain
+                        firsts.append(self.entries + 4 * next_chain)
                         next_chain += 1
-                    factors[index].append([first, first + 1, first + 2, first + 3])
+                self.factors[index] = (np.asarray(firsts, dtype=np.intp)[:, None] + _QUAD).reshape(-1)
                 self.spans.append((-1, 0, 0))
                 continue
             dim = 1 << len(item.qubits)
@@ -653,24 +551,6 @@ class KernelGather:
             self.values.append([np.array(single, dtype=np.intp)])
         shift = at  # where the sources start, after the values
 
-        # A fold's product over k qubits: entry (row, col) is, per qubit j,
-        # factor j's entry at (row bit j, col bit j).
-        self.kron: list[list[np.ndarray]] = []
-        self.folds: dict[int, tuple[int, int, int]] = {}
-        wide: list[int] = []
-        at = 0
-        for index, parts in factors.items():
-            dim = 1 << len(parts)
-            self.kron.append([
-                np.asarray(part, dtype=np.intp)[selector]
-                for part, selector in zip(parts, _kron_selectors(len(parts)))
-            ])
-            self.folds[index] = (at, at + dim * dim, dim)
-            if dim > 2:
-                wide.extend(range(at, at + dim * dim))
-            at += dim * dim
-        self.ones = np.array(wide, dtype=np.intp)
-
         # The native body's payload: every entry is one of the values (a
         # block's phase, a gate's matrix entry) or a fold's 2x2 factor
         # straight from the sources.
@@ -682,22 +562,13 @@ class KernelGather:
                 if mode == 2:
                     parts.append(first + np.asarray(extra, dtype=np.intp))
                 elif mode == 1:
-                    parts.append(np.array([shift + e for e in factors[index][extra]], dtype=np.intp))
+                    parts.append(shift + self.factors[index][4 * extra : 4 * extra + 4])
                 else:
                     parts.append(np.arange(first, stop, dtype=np.intp))
             if not parts:  # a kernel with no payload still passes one number, unread
                 parts.append(np.array([shift + one], dtype=np.intp))
                 self.one = True
             self.numbers = np.concatenate(parts)
-
-    def matrices(self, entries: np.ndarray) -> list[np.ndarray]:
-        """Per pool gate its matrix, out of its *entries* — what the fused
-        gemm multiplies."""
-        out, at = [], 0
-        for dim in self.dims:
-            out.append(entries[at : at + dim * dim].reshape(dim, dim))
-            at += dim * dim
-        return out
 
 
 class GatherProgram:
@@ -707,18 +578,17 @@ class GatherProgram:
     Built from each kernel's :class:`KernelGather` and where its pool
     gates' matrices start in *entries* — all of the stream's pool gates'
     matrices, row-major, as the plan compiler takes them out of the table
-    in one gather.  The kernels' sources, values, products and payloads are
-    laid end to end, so a run is: per depth of the folds' 1q products one
-    stacked matmul (later gates on the left); per factor depth of every
-    block's phases one ``take`` and one multiply (circuit order — NumPy's
-    complex product is not commutative bit for bit, so the operand order is
-    the oracle's); the folds' Kronecker products the same way; one ``take``
-    into the native bodies' packed payloads.  :meth:`__call__` returns a
-    :class:`GatherRun`; every number is bit for bit what
-    :func:`lower_kernel_gates` gives the same gates.
+    in one gather.  The kernels' sources, values and payloads are laid end
+    to end, so a run is: per depth of the folds' 1q products one stacked
+    matmul (later gates on the left); per factor depth of every block's
+    phases one ``take`` and one multiply (circuit order — NumPy's complex
+    product is not commutative bit for bit, so the operand order is the
+    oracle's); one ``take`` into the native bodies' packed payloads.
+    :meth:`__call__` returns a :class:`GatherRun`; every number is bit for
+    bit what :func:`lower_kernel_gates` gives the same gates.
     """
 
-    __slots__ = ("kernels", "chains", "one", "values", "kron", "ones", "numbers", "offsets")
+    __slots__ = ("kernels", "chains", "one", "values", "factors", "numbers", "offsets")
 
     def __init__(self, kernels: Sequence[tuple[KernelGather, int]], entries: int) -> None:
         self.kernels = [gather for gather, _start in kernels]
@@ -729,10 +599,9 @@ class GatherProgram:
         order = sorted(range(len(chains)), key=lambda c: -len(chains[c]))
         rank = np.empty(len(chains), dtype=np.intp)
         rank[order] = np.arange(len(chains))
-        quad = np.arange(4, dtype=np.intp)
 
         def quads(members) -> np.ndarray:
-            return (np.asarray(members, dtype=np.intp)[:, None] + quad).reshape(-1)
+            return (np.asarray(members, dtype=np.intp)[:, None] + _QUAD).reshape(-1)
 
         self.chains = None
         if chains:
@@ -748,12 +617,12 @@ class GatherProgram:
         self.one = any(gather.one for gather in self.kernels)
 
         values: list = []
-        kron: list = []
         numbers: list = []
-        ones: list = []
-        self.offsets: list[tuple[int, int, int, int]] = []
+        #: Per kernel, per fold item the program's sources of its 2x2s.
+        self.factors: list[dict[int, np.ndarray]] = []
+        self.offsets: list[tuple[int, int, int]] = []
         total_values = sum(len(column[0]) for gather in self.kernels for column in gather.values)
-        at_value = at_kron = at_number = 0
+        at_value = at_number = 0
         first_chain = 0
         for gather, start in kernels:
             # Local sources to this program's: entries shift by the pool's
@@ -771,10 +640,8 @@ class GatherProgram:
                 return out
 
             values.extend([[source(column) for column in group] for group in gather.values])
-            kron.extend([[source(column) for column in group] for group in gather.kron])
+            self.factors.append({index: source(local) for index, local in gather.factors.items()})
             count_values = sum(len(group[0]) for group in gather.values)
-            count_kron = sum(len(group[0]) for group in gather.kron)
-            ones.append(gather.ones + at_kron)
             if gather.numbers is not None:
                 local = gather.numbers
                 numbers.append(np.where(
@@ -782,19 +649,11 @@ class GatherProgram:
                     total_values + source(local - count_values),
                 ))
             size = len(gather.numbers) if gather.numbers is not None else 0
-            self.offsets.append((at_value, at_kron, at_number, at_number + size))
+            self.offsets.append((at_value, at_number, at_number + size))
             at_value += count_values
-            at_kron += count_kron
             at_number += size
-        self.values = _Products(values, left=True) if values else None
-        self.kron = _Products(kron, left=False) if kron else None
-        self.ones = np.concatenate(ones).astype(np.intp) if ones else np.zeros(0, np.intp)
+        self.values = _Products(values) if values else None
         self.numbers = np.concatenate(numbers).astype(np.intp) if numbers else None
-
-    def signature(self, products: np.ndarray) -> bytes:
-        """The exact signature of every fold product at once: the
-        :func:`~repro.circuits.gates.matrix_signature` of each, joined."""
-        return (products != 0).tobytes() + (products.take(self.ones) == 1).tobytes()
 
     def __call__(self, entries: np.ndarray) -> "GatherRun":
         parts = [entries]
@@ -806,41 +665,40 @@ class GatherProgram:
             parts.append(chain.reshape(-1))
         if self.one:
             parts.append(_ONE)
-        source = np.concatenate(parts) if len(parts) > 1 else entries
-        values = self.values(source) if self.values is not None else source[:0]
-        products = self.kron(source) if self.kron is not None else source[:0]
+        sources = np.concatenate(parts) if len(parts) > 1 else entries
+        values = self.values(sources) if self.values is not None else sources[:0]
         numbers = None
         if self.numbers is not None:
-            numbers = np.concatenate((values, source)).take(self.numbers)
-        return GatherRun(self, values, products, numbers, self.signature(products))
+            numbers = np.concatenate((values, sources)).take(self.numbers)
+        return GatherRun(self, values, sources, numbers)
 
 
 class GatherRun(NamedTuple):
-    """One run of a :class:`GatherProgram`: its values, fold products,
-    packed payloads and the products' exact ``signature``; per kernel
-    (by its index in the program) :meth:`numbers_of` and :meth:`arrays_of`."""
+    """One run of a :class:`GatherProgram`: its values, its sources (the
+    entries, the folds' 1q chains, the unit) and the packed payloads; per
+    kernel (by its index in the program) :meth:`numbers_of` and
+    :meth:`arrays_of`."""
 
     program: GatherProgram
     values: np.ndarray
-    products: np.ndarray
+    sources: np.ndarray
     numbers: "np.ndarray | None"
-    signature: bytes
 
     def numbers_of(self, kernel: int) -> np.ndarray:
         """Kernel *kernel*'s native payload."""
-        _value, _kron, first, stop = self.program.offsets[kernel]
+        _value, first, stop = self.program.offsets[kernel]
         return self.numbers[first:stop]
 
     def arrays_of(self, kernel: int) -> list[np.ndarray]:
         """Kernel *kernel*'s item-loop payloads: per item a block's phases,
-        a dense item's matrix (a fold's: its product)."""
+        a dense gate's matrix, a fold's ``(k, 2, 2)`` factors."""
         gather = self.program.kernels[kernel]
-        at_value, at_kron, _first, _stop = self.program.offsets[kernel]
+        factors = self.program.factors[kernel]
+        at_value = self.program.offsets[kernel][0]
         arrays = []
         for index, (a, b, dim) in enumerate(gather.spans):
             if a < 0:
-                a, b, dim = gather.folds[index]
-                arrays.append(self.products[at_kron + a : at_kron + b].reshape(dim, dim))
+                arrays.append(self.sources.take(factors[index]).reshape(-1, 2, 2))
             elif dim:
                 arrays.append(self.values[at_value + a : at_value + b].reshape(dim, dim))
             else:
@@ -866,7 +724,7 @@ def kernel_items(
                 out.append(KernelItem(physical, "gate" if len(item.members) == 1 else "fold"))
             else:
                 out.append(KernelItem(physical, "block", item.perm, bool(item.factors)))
-        elif item.matrix is None:
+        elif item.phases is not None:
             out.append(KernelItem(physical, "block", item.perm, not bool(np.all(item.phases == 1))))
         else:
             out.append(KernelItem(physical, "fold" if item.factors else "gate"))

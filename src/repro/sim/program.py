@@ -21,8 +21,8 @@ BLAS sees per state exactly the operands of a flat run: row ``b`` of
 ``run_batched(states)`` equals ``run(states[b])`` **bit for bit**.  The one
 exception is ``big`` (the tensordot fallback contracts the whole stack at
 once), which agrees within ``2^k`` ulp of the state's largest amplitude per
-op of width ``k`` (:meth:`CompiledProgram.stack_ulps`; 0 ulp measured on the
-build host).
+op of width ``k``; a compiled plan holds none (every kernel is one ``sm``
+op).
 
 :class:`CompiledProgram` strings ops into an executable program.  Its
 :class:`Workspace` preallocates and owns every buffer the program needs —
@@ -195,13 +195,6 @@ class CompiledProgram:
         for op in self.ops:
             counts[op.kind] = counts.get(op.kind, 0) + 1
         return counts
-
-    def stack_ulps(self) -> int:
-        """The documented bound on how far row ``b`` of a stacked run may
-        sit from the flat run of state ``b``, in ulp of that state's largest
-        amplitude: 0 — bit for bit — unless the program holds ``big`` ops,
-        each adding the length ``2^k`` of its contraction's sums."""
-        return sum(1 << len(op.qubits) for op in self.ops if op.kind == "big")
 
     # ------------------------------------------------------------------
     # Execution

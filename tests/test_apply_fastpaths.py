@@ -28,7 +28,6 @@ from repro.sim import (
     simulate_reference,
 )
 from repro.sim import apply as apply_mod
-from repro.sim import native
 
 
 def _random_state(n: int, seed: int) -> np.ndarray:
@@ -418,13 +417,12 @@ class TestCompiledProgramAllocations:
         log = apply_mod.allocation_log()
         assert log == [1 << n]
 
-    def test_unplannable_big_ops_are_counted_exactly(self):
-        """A hand-built plan with one scattered wide fusion kernel logs
-        exactly one tensordot workspace per re-execution — nothing else —
-        where it binds the fused gemm; where the native body takes it, the
-        kernel is one tile pass and logs nothing (re-pinned per engine
-        when fusion kernels became tile passes: the body changed, not the
-        result)."""
+    def test_a_scattered_wide_fusion_kernel_allocates_nothing(self):
+        """A hand-built plan with one scattered wide fusion kernel (the
+        tensordot contraction, as a fused gemm) is one kernel op on either
+        body — the tile pass, or the item loop, whose planes and
+        temporaries come from the workspace — and a re-execution logs no
+        allocation."""
         from repro.circuits import Circuit
         from repro.core.plan import ExecutionPlan, QubitPartition, Stage
         from repro.runtime.compile import compile_plan
@@ -452,13 +450,11 @@ class TestCompiledProgramAllocations:
         )
         plan = ExecutionPlan(num_qubits=n, stages=[stage])
         program = compile_plan(plan)
-        tiled = native.engine() == "native"
-        assert program.op_counts() == ({"sm": 1} if tiled else {"big": 1})
+        assert program.op_counts() == {"sm": 1}
         program.run_view()  # warm
         apply_mod.reset_allocation_log()
         program.run_view()
-        log = apply_mod.allocation_log()
-        assert log == ([] if tiled else [1 << n])
+        assert apply_mod.allocation_log() == []
         assert simulate_reference(circuit).allclose(
             StateVector(n, program.run_view().copy())
         )

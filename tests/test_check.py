@@ -809,7 +809,7 @@ class TestLintRepro:
             lint, "sim/fusion.py",
             "def lower_kernel_gates(gates):\n"
             "    return [g.matrix() for g in gates]\n"
-            "def fill_fused_unitary(fusion, gates):\n"
+            "def fill_lowered_item(lowering, gates):\n"
             "    for gate in gates:\n"
             "        apply(gate.matrix())\n",
         )
@@ -858,7 +858,8 @@ class TestLintRepro:
             "    return schedule\n",
         )
         lowering = self.write(
-            lint, "sim/fusion.py", "def step(gate):\n    return gate_step(gate, (0,), 1)\n"
+            lint, "sim/fusion.py",
+            "def step(gate):\n    return unitary_template(gate.matrix(), (0,), 1)\n",
         )
         files = [home, offload, lowering]
         assert lint.check_one_segment_compiler(files) == []
@@ -1010,46 +1011,28 @@ class TestLintRepro:
         elsewhere = self.write(lint, "runtime/compile.py", twin.read_text())
         assert lint.check_one_op_body([elsewhere]) == []
 
-    #: The compiler's two slots: the kernel template, and the fusion slot's
-    #: fallback bind — the one place a fused matrix is built under runtime/
-    #: (its structure with the slot, its fill per bind).
-    SLOTS = (
-        "def fill(items, n):\n"
-        "    return kernel_template(items, n)\n"
-        "class _FusedSlot:\n"
-        "    def __init__(self, gates):\n"
-        "        self.fusion = kernel_fusion(gates)\n"
-        "    def fill(self, gates):\n"
-        "        return fill_fused_unitary(self.fusion, gates)\n"
-    )
+    #: The compiler's kernel slot: the kernel template, for every kernel.
+    SLOTS = "def fill(items, n):\n    return kernel_template(items, n)\n"
 
-    def test_a_fusion_kernel_has_one_fused_gemm(self, lint):
+    def test_no_runtime_builds_a_fused_matrix(self, lint):
         slot = self.write(lint, "runtime/compile.py", self.SLOTS)
         assert lint.check_one_kernel_set([slot]) == []
-        # An executor fusing a kernel by itself again: flagged, with or
-        # without the slot in the linted set.
+        # An executor fusing a kernel by itself again, and the retired
+        # fused-gemm fallback's names coming back with it.
         executor = self.write(
             lint, "runtime/executor.py",
             "def _apply_kernel(state, kernel):\n"
             "    matrix, _qubits = fused_unitary(kernel.gates)\n"
             "    return fill_fused_unitary(kernel_fusion(kernel.gates), kernel.gates)\n",
         )
-        flagged = [
-            "_apply_kernel:fill_fused_unitary", "_apply_kernel:fused_unitary",
-            "_apply_kernel:kernel_fusion",
+        findings = lint.check_one_kernel_set([slot, executor])
+        assert {f.rule for f in findings} == {"one-kernel-set"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (2, "_apply_kernel:fused_unitary"), (3, "fill_fused_unitary"), (3, "kernel_fusion"),
         ]
-        for files in ([slot, executor], [executor]):
-            findings = lint.check_one_kernel_set(files)
-            assert {f.rule for f in findings} == {"one-kernel-set"}
-            assert sorted(f.key.rpartition("::")[2] for f in findings) == flagged
-        # Under sim/ the fusion is someone else's; the fallback going
-        # missing is the rule left behind.
+        # Under sim/ a kernel's matrix is the callers' who want one.
         sim = self.write(lint, "sim/fusion.py", "def f(gates):\n    return fused_unitary(gates)\n")
         assert lint.check_one_kernel_set([slot, sim]) == []
-        slot.write_text("def fill(items, n):\n    return kernel_template(items, n)\n")
-        assert [f.key.rpartition("::")[2] for f in lint.check_one_kernel_set([slot])] == [
-            "_FusedSlot:missing"
-        ]
 
     def test_the_uncompiled_paths_stay_retired(self, lint):
         """The uncompiled paths' op builders, their memos' surface, the
@@ -1096,14 +1079,25 @@ class TestLintRepro:
             "def apply(state, scratch, m, q):\n"
             "    return apply_gate_buffered(state, scratch, m, q)\n",
         )
+        compiler = self.write(
+            lint, "runtime/compile.py",
+            "class _FusedSlot:\n"
+            "    changed = _StructureChanged\n"
+            "    steps = gate_step(gate)  # within gemm_ulps(); stack_ulps() reads 0\n",
+        )
         outside = lint.REPO / "tests" / "test_x.py"
         outside.parent.mkdir(parents=True, exist_ok=True)
         outside.write_text("from repro.sim.fusion import configure_fusion_cache\n")
         findings = lint.check_one_kernel_set(
-            [fusion, session, shards, races, statevector, outside]
+            [fusion, session, shards, races, statevector, compiler, outside]
         )
         assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
             ("src/repro/check/races.py", 1, "shard_write_map"),
+            ("src/repro/runtime/compile.py", 1, "_FusedSlot"),
+            ("src/repro/runtime/compile.py", 2, "_StructureChanged"),
+            ("src/repro/runtime/compile.py", 3, "gate_step"),
+            ("src/repro/runtime/compile.py", 3, "gemm_ulps"),
+            ("src/repro/runtime/compile.py", 3, "stack_ulps"),
             ("src/repro/runtime/offload.py", 2, "run_groups_on_shard"),
             ("src/repro/runtime/offload.py", 5, "_gate_on_shard"),
             ("src/repro/runtime/offload.py", 6, "segment_relabels_shards"),
@@ -1193,6 +1187,56 @@ class TestLintRepro:
         engine.write_text(kernel_set_rest + "def kernel_template(items, n):\n    return None\n")
         assert sorted(f.key.rpartition("::")[2] for f in lint.check_one_op_body([engine])) == [
             "kernel_template:bind_numbers:missing", "kernel_template:loop:missing",
+        ]
+
+    def test_the_item_loop_keeps_the_c_bodys_expressions(self, lint):
+        source = (
+            "def _products(out, tmp, a, x, b, y, add):\n"
+            "    np.multiply(x, a, out=out)\n"
+            "def _gate1_step(position, matrix):\n"
+            "    def step(src, dst, tmp, size):\n"
+            "        _products(dst, tmp, 1.0, src, 0.0, src, True)\n"
+            "    return step\n"
+            "def _dense_step(shape, basis, matrix):\n"
+            "    return None\n"
+            "def _copy_step(shape, basis, source):\n"
+            "    return None\n"
+            "def _phase_step(shape, index, phases):\n"
+            "    return None\n"
+            "def kernel_template(items, n):\n"
+            "    def loop(arrays):\n"
+            "        def run(states, scratch, ws):\n"
+            "            here = _planes(scratch, states.size, ws, 1)\n"
+            "            np.copyto(here[: states.size], states.real)\n"
+            "            np.copyto(states.imag, here[states.shape[-1] :])\n"
+            "            return states, scratch\n"
+            "        return run\n"
+            "    return loop\n"
+        )
+        engine = self.write(lint, "sim/apply.py", source)
+        assert lint.check_one_float_expression([engine]) == []
+        # A blocked sum, a fused one, and arithmetic on the complex state.
+        engine.write_text(source.replace(
+            "    return None\n", "    return matrix @ basis\n", 1,
+        ).replace(
+            "            return states, scratch\n",
+            "            states *= 2\n"
+            "            np.einsum('i,i', states.real, scratch)\n"
+            "            return states, scratch\n",
+        ))
+        findings = lint.check_one_float_expression([engine])
+        assert {f.rule for f in findings} == {"one-float-expression"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (8, "_dense_step:@"), (19, "loop:states"), (20, "loop:einsum"),
+            (20, "loop:scratch"), (20, "loop:states"),
+        ]
+        # Outside sim/apply.py the names are someone else's; a step builder
+        # going missing is the rule left behind.
+        elsewhere = self.write(lint, "sim/program.py", engine.read_text())
+        assert lint.check_one_float_expression([elsewhere]) == []
+        engine.write_text(source.replace("def _copy_step", "def _old_copy_step"))
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_float_expression([engine])] == [
+            "_copy_step:missing"
         ]
 
     def test_second_native_loader_flagged(self, lint):

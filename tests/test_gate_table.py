@@ -26,14 +26,13 @@ from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.errors import PlanValidationError
 from repro.runtime.compile import (
-    SegmentStructure, _DynamicSlot, _FusedSlot, _KernelSlot, _reduce, compile_plan,
+    SegmentStructure, _DynamicSlot, _KernelSlot, _reduce, compile_plan,
 )
 from repro.session.cache import frozen, plan_cache_key, rebind_plan
 from repro.sim.apply import Workspace, unitary_template
 from repro.sim import simulate_reference
 from repro.sim.fusion import (
-    GatherProgram, KernelGather, fill_fused_unitary, fused_unitary, kernel_lowering,
-    lower_kernel_gates,
+    GatherProgram, KernelGather, kernel_lowering, lower_kernel_gates,
 )
 
 SPECIAL = (0.0, math.pi, -math.pi, 2 * math.pi, 1e-13, -1e-13)
@@ -145,9 +144,9 @@ class TestTheTable:
 
 
 def _slot_cases(program, plan):
-    """``(slot, pool gates, layout, entries, run)`` of every kernel slot:
-    *entries* are its pool gates' matrices out of the plan's table, *run*
-    the structure's gather program run over all of them."""
+    """``(slot, pool gates, layout, run)`` of every kernel slot: *run* is
+    the structure's gather program run over every pool gate's matrix out
+    of the plan's table."""
     structure = program.structure
     entries = structure.entries(plan.gate_table)
     run = structure.program(entries) if structure.program is not None else None
@@ -158,20 +157,22 @@ def _slot_cases(program, plan):
         stage = plan.stages[stage_index]
         gates = (stage.gates[index],) if kind == "gate" else tuple(stage.kernels.kernels[index].gates)
         l2p = structure.record.stages[stage_index][0]
-        start, stop = structure.entry_starts[slot.pool], structure.entry_starts[slot.pool + 1]
-        yield slot, gates, l2p, entries[start:stop], run
+        yield slot, gates, l2p, run
 
 
-def _assert_slot_matches_oracle(slot, gates, l2p, entries, run):
+def _loop_array(item):
+    """What the item loop reads of a filled item: a block's phases, a
+    gate's matrix, a fold's 2x2 factors."""
+    if item.factors is not None:
+        return np.array(item.factors)
+    return item.phases if item.matrix is None else item.matrix
+
+
+def _assert_slot_matches_oracle(slot, gates, l2p, run):
     oracle = lower_kernel_gates(gates, l2p)
     template = slot.template
-    if isinstance(slot, _FusedSlot) and not template.native:  # the fused gemm
-        fused = fill_fused_unitary(slot.fusion, slot.gather.matrices(entries))
-        assert fused.tobytes() == fused_unitary(gates, slot.fusion.qubits)[0].tobytes()
-        return
     for item, array in zip(oracle, run.arrays_of(slot.kernel), strict=True):
-        want = item.phases if item.matrix is None else item.matrix
-        assert array.tobytes() == want.tobytes()
+        assert array.tobytes() == _loop_array(item).tobytes()
     if template.native and template.fills:  # (no fill: one unread entry)
         assert run.numbers_of(slot.kernel).tobytes() == template.pack(oracle).tobytes()
 
@@ -187,9 +188,9 @@ class TestGatherBind:
     def test_every_slot_payload_is_the_oracles(self, family, n):
         """Random layouts (a seeded qubit relabelling and local-qubit count),
         a cold plan and a rebind to new angles: every kernel slot's gathered
-        payload — native packing, item-loop arrays, a fusion kernel's gemm
-        input — is bit for bit what the oracle fills for the same gates in
-        the same layout."""
+        payload — native packing, item-loop arrays (a fold's 2x2 factors) —
+        is bit for bit what the oracle fills for the same gates in the same
+        layout."""
         rng = np.random.default_rng(n * 7 + len(family))
         template = self.FAMILIES[family](n)
         relabel = dict(enumerate(rng.permutation(n).tolist()))
@@ -210,8 +211,8 @@ class TestGatherBind:
         warm = compile_plan(plan, machine, reuse=base)
         assert warm.ops_recompiled == 0 and warm.structure is base.structure
         checked = 0
-        for slot, gates, l2p, entries, run in _slot_cases(warm, plan):
-            _assert_slot_matches_oracle(slot, gates, l2p, entries, run)
+        for slot, gates, l2p, run in _slot_cases(warm, plan):
+            _assert_slot_matches_oracle(slot, gates, l2p, run)
             checked += 1
         assert checked == sum(isinstance(s, _KernelSlot) for s in warm.structure.slots) > 0
         cold = compile_plan(plan, machine)
@@ -473,6 +474,5 @@ def test_kernel_gather_needs_no_gate_objects():
     entries = np.concatenate([_row(table, i).reshape(-1) for i in range(len(gates))])
     run = program(entries)
     for item, array in zip(lower_kernel_gates(gates, None), run.arrays_of(0), strict=True):
-        want = item.phases if item.matrix is None else item.matrix
-        assert array.tobytes() == want.tobytes()
+        assert array.tobytes() == _loop_array(item).tobytes()
     assert any(item.dense and len(item.members) > 1 for item in lowering)

@@ -1,17 +1,19 @@
 """The kernel op's two bodies: the native tile pass against its fallback.
 
-A kernel is one op (`repro.sim.apply.kernel_template`) with two bodies and
-no switch: the C tile pass of `repro.sim.native` when the host can build
-and load it, otherwise the loop over the items' own NumPy ops — or, for a
-fusion kernel, its fused gemm.  The item loop is the native body's oracle
-here — generated kernels over every lowered item kind, lowest position,
-state size, buffer shape and layout — within the documented bound
-`KernelTemplate.ulps()`, and the fused gemm is every planner fusion
-kernel's within `KernelTemplate.gemm_ulps()`; on either body every
-executor runs the compiler's op bit for bit; the loader's cache, races
-and failure modes are exercised on private cache directories; and the
-engine, program, schedule and session test modules are run, unedited, with
-the loader reporting "unavailable" (`conftest.py` starts those runs at
+A kernel — shared-memory or fusion — is one op
+(`repro.sim.apply.kernel_template`) with two bodies and no switch: the C
+tile pass of `repro.sim.native` when the host can build and load it,
+otherwise the item loop, which computes the C body's float expressions in
+NumPy.  The item loop is the native body's oracle here, byte for byte —
+generated kernels over every lowered item kind, lowest position, state
+size, buffer shape and layout, hand-built dense items, every kernel of the
+library plans, the scalar build; both are held to the seed contraction
+(`apply_matrix_reference`) within a tolerance; on either body every
+executor runs the compiler's op bit for bit, and the same pinned digests
+hold with and without the library; the loader's cache, races and failure
+modes are exercised on private cache directories; and the engine,
+program, schedule and session test modules are run, unedited, with the
+loader reporting "unavailable" (`conftest.py` starts those runs at
 collection).
 """
 
@@ -46,8 +48,7 @@ from repro.errors import KernelError
 from repro.runtime.faults import FaultInjector
 from repro.sim import StateVector, native
 from repro.sim.apply import Workspace, apply_matrix_reference, kernel_template
-from repro.sim.fusion import LoweredItem, fused_unitary, kernel_items, lower_kernel_gates
-from repro.sim.program import compile_unitary_op
+from repro.sim.fusion import LoweredItem, kernel_items, lower_kernel_gates
 
 from test_property_based import segment_ops
 
@@ -134,12 +135,12 @@ class TestNativeAgainstTheItemLoop:
         states = _random_states(n, 3, seed)
 
         flat = [_apply(run, row) for row in states]
-        # Native vs the item loop: within the documented bound.
+        # Native vs the item loop: the same bytes, exact zeros included.
+        zeros = states.copy()
+        zeros[np.random.default_rng(seed).random(zeros.shape) < 0.3] = 0.0
+        assert _apply(run, zeros).tobytes() == _apply(oracle, zeros).tobytes()
         for row, got in zip(states, flat):
-            want = _apply(oracle, row)
-            bound = template.ulps() * np.spacing(np.abs(row).max())
-            assert np.abs(got.real - want.real).max() <= bound
-            assert np.abs(got.imag - want.imag).max() <= bound
+            assert got.tobytes() == _apply(oracle, row).tobytes()
         # ... and the seed contraction, gate by gate.
         reference = states[0]
         for gate in gates:
@@ -164,15 +165,15 @@ class TestNativeAgainstTheItemLoop:
         template = kernel_template(kernel_items(items, l2p), n)
         (state,) = _random_states(n, 1, lowest)
         got = _apply(template.bind(items), state)
-        want = _apply(template.item_loop(items), state)
-        assert np.abs(got - want).max() <= template.ulps() * np.spacing(np.abs(state).max())
+        assert got.tobytes() == _apply(template.item_loop(items), state).tobytes()
 
-    @pytest.mark.parametrize("width", [3, 4])
+    @pytest.mark.parametrize("width", [2, 3, 4])
     @pytest.mark.parametrize("lowest", [0, 2, 3, 7])
     def test_wide_dense_items(self, width, lowest):
-        """A 3q / 4q dense matrix (no library gate is one; built by hand):
-        the generic gather-matvec-scatter, across the vector and clear of
-        it."""
+        """A dense 2q / 3q / 4q matrix built by hand (every entry non-zero;
+        no library gate is a dense 3q or 4q one): the generic
+        gather-matvec-scatter, across the vector and clear of it — the item
+        loop's bytes, and the seed contraction's values."""
         n = 11
         rng = np.random.default_rng(width * 16 + lowest)
         dim = 1 << width
@@ -183,15 +184,16 @@ class TestNativeAgainstTheItemLoop:
         assert template.native
         (state,) = _random_states(n, 1, lowest)
         got = _apply(template.bind(items), state)
+        assert got.tobytes() == _apply(template.item_loop(items), state).tobytes()
         want = apply_matrix_reference(state, unitary, positions)
         assert np.abs(got - want).max() <= dim * np.spacing(np.abs(state).max())
 
     def test_the_scalar_build_computes_the_same_bytes(self, tmp_path, monkeypatch):
         """`-DSM_SCALAR` — no vector extensions: every dense item the plain
         gather–matvec–scatter, no lane permutes — against this host's
-        vector build, byte for byte on states with exact zeros: an
-        amplitude's bits follow from the source and the payload, not from
-        the vector width or the lane it sat in."""
+        vector build and the item loop, byte for byte on states with exact
+        zeros: an amplitude's bits follow from the source and the payload,
+        not from the vector width or the lane it sat in."""
         scalar = tmp_path / "scalar.so"
         subprocess.run(
             [native.status()["compiler"], *native.FLAGS, "-DSM_SCALAR", "-o", str(scalar),
@@ -215,7 +217,8 @@ class TestNativeAgainstTheItemLoop:
                 template = kernel_template(kernel_items(items, l2p), n)
                 assert template.native
                 outs.append(_apply(template.bind(items), state).tobytes())
-            assert outs[0] == outs[1], (n, l2p, [g.name for g in gates])
+            outs.append(_apply(template.item_loop(items), state).tobytes())
+            assert outs[0] == outs[1] == outs[2], (n, l2p, [g.name for g in gates])
 
     def test_a_buffer_the_c_body_cannot_walk_takes_the_item_loop(self):
         """Facts of the input pick the body: a strided view runs the item
@@ -240,19 +243,6 @@ class TestNativeAgainstTheItemLoop:
         assert not wide.native
         tiny = kernel_template(kernel_items(lower_kernel_gates(gates[:2], {0: 0, 2: 1}), {0: 0, 2: 1}), 3)
         assert not tiny.native
-
-    def test_pinned_digest_of_a_fixed_circuit(self):
-        """qft-10 through the native body, bit for bit: a flag, compiler or
-        source change that moves a bit shows here.  (The payload comes from
-        libm's sin/cos and NumPy's complex products; the pin is for
-        x86-64 glibc hosts, where both are stable.)"""
-        circuit = qft(10)
-        plan, _ = partition(circuit, MachineConfig.for_circuit(10))
-        program = compile_plan(plan)
-        assert program.op_counts().get("sm", 0) > 0
-        init = _random_states(10, 1, 2024)[0]
-        digest = hashlib.sha256(program.run(init).data.tobytes()).hexdigest()
-        assert digest == PINNED_QFT10_DIGEST
 
     def test_pool_threads_run_kernels_concurrently(self):
         """The foreign call releases the GIL and tile buffers are
@@ -294,11 +284,8 @@ class TestNativeAgainstTheItemLoop:
             assert np.array_equal(a, b)
 
 
-PINNED_QFT10_DIGEST = "00ad2b5cb53babd240489def30cb523136c73bc26e8ce6e5495f3a98fd80913e"
-
-
 # ---------------------------------------------------------------------------
-# Fusion kernels: the same op, the fused gemm its fallback
+# Fusion kernels and whole plans: the same op, on either body
 # ---------------------------------------------------------------------------
 
 FUSION_FAMILIES = {
@@ -329,7 +316,7 @@ def _executor_case(case: str) -> tuple:
 @pytest.fixture(params=["native", "numpy"])
 def engine(request, monkeypatch):
     """Each body in turn: the host's native one, and the loader forced
-    "unavailable" — the item loop, and the fused gemm for fusion kernels."""
+    "unavailable" — the item loop."""
     if request.param == "native" and not native.status()["available"]:
         pytest.skip(f"no native body: {native.status()['reason']}")
     if request.param == "numpy":
@@ -370,22 +357,28 @@ def fusion_cases(draw):
     return n, gates, dict(enumerate(draw(st.permutations(range(n)))))
 
 
-def _fused_gemm(gates, l2p, n):
-    """The op a fusion kernel bound before it was a tile pass: its fused
-    matrix over the kernel's positions."""
-    matrix, qubits = fused_unitary(gates)
-    return compile_unitary_op(matrix, [l2p[q] for q in qubits], n)
-
-
 def _run_op(op, state):
     out, _ = op.run(state.copy(), np.empty_like(state), Workspace())
     return out
 
 
+def _unavailable_state(monkeypatch, compute):
+    """*compute()* with the loader "unavailable": every kernel on the item
+    loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "_STATE", UNAVAILABLE)
+        clear_program_cache()  # ops bound under the native body
+        try:
+            return compute()
+        finally:
+            clear_program_cache()
+
+
 class TestFusionKernels:
-    """A fusion kernel is the kernel op: its lowered items in one native
-    tile pass where the host has the body, its fused gemm otherwise — one
-    template either way, so every executor agrees bit for bit."""
+    """A fusion kernel is the kernel op: its lowered items in one pass —
+    the native tile pass where the host has the body, the item loop
+    otherwise, the same bits — so every executor agrees bit for bit on any
+    host."""
 
     @needs_native
     @given(fusion_cases(), st.integers(0, 999))
@@ -393,9 +386,9 @@ class TestFusionKernels:
         max_examples=60, deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     )
-    def test_planner_kernels_against_the_fused_gemm(self, case, seed):
+    def test_planner_kernels_against_the_item_loop(self, case, seed):
         n, gates, l2p = case
-        self._check_against_the_gemm(n, gates, l2p, seed)
+        self._check_against_the_item_loop(n, gates, l2p, seed)
 
     @needs_native
     def test_ae_12_dense_items_in_the_vector(self):
@@ -412,61 +405,60 @@ class TestFusionKernels:
         ]
         assert len(inside) == 3 and all(g.name == "cry" for item in inside for g in item.gates)
         for seed in range(3):
-            self._check_against_the_gemm(n, gates, l2p, seed)
+            self._check_against_the_item_loop(n, gates, l2p, seed)
 
     @staticmethod
-    def _check_against_the_gemm(n, gates, l2p, seed):
-        """Native within `gemm_ulps()` of the fused gemm; a `(1, 2^n)` and a
-        `(B, 2^n)` stack are the flat runs bit for bit."""
+    def _check_against_the_item_loop(n, gates, l2p, seed):
+        """Native is the item loop byte for byte and the seed contraction
+        within a tolerance; a `(1, 2^n)` and a `(B, 2^n)` stack are the flat
+        runs bit for bit."""
         op = _segment_op(gates, l2p, n, True)
         assert op.kind == "sm"
         items = lower_kernel_gates(gates, l2p)
-        template = kernel_template(kernel_items(items, l2p), n)
-        gemm = _fused_gemm(gates, l2p, n)
+        oracle = kernel_template(kernel_items(items, l2p), n).item_loop(items)
         states = _random_states(n, 3, seed)
         flat = [_apply(op.run, row) for row in states]
         for row, got in zip(states, flat):
-            want = _run_op(gemm, row)
-            bound = template.gemm_ulps() * np.spacing(np.abs(row).max())
-            assert np.abs(got.real - want.real).max() <= bound
-            assert np.abs(got.imag - want.imag).max() <= bound
+            assert got.tobytes() == _apply(oracle, row).tobytes()
+        reference = states[0]
+        for gate in gates:
+            reference = apply_matrix_reference(
+                reference, gate.matrix(), [l2p[q] for q in gate.qubits]
+            )
+        assert np.allclose(flat[0], reference, rtol=0.0, atol=1e-12)
         assert np.array_equal(_apply(op.run, states[:1])[0], flat[0])
         for row, want in zip(_apply(op.run, states), flat):
             assert np.array_equal(row, want)
 
-    def test_without_the_library_fusion_kernels_keep_the_fused_gemm(self, monkeypatch):
-        """The loader "unavailable": every fusion kernel of the service
-        structures binds the fused gemm — the bits it had before the tile
-        pass existed, ising-12's and qsvm-12's one `big` op included."""
-        monkeypatch.setattr(native, "_STATE", UNAVAILABLE)
-        clear_program_cache()  # ops bound under the native body
-        try:
-            machine = MachineConfig.for_circuit(12, num_shards=4)
-            (state,) = _random_states(12, 1, 7)
-            for family, build in SERVICE_STRUCTURES.items():
-                plan, _ = partition(build(12), machine)
-                program = compile_plan(plan, machine)
-                layouts = [stage.partition.logical_to_physical() for stage in plan.stages]
-                fused = [op for op in program.ops if op.source[0] == "kernel"]
-                assert fused and all(op.kind != "sm" for op in fused), family
-                assert ("big" in program.op_counts()) == (family != "vqc"), family
-                for op in fused:
-                    want = _run_op(_fused_gemm(op.gates, layouts[op.source[1]], 12), state)
-                    assert np.array_equal(_run_op(op, state), want), family
-                    again = _segment_op(op.gates, layouts[op.source[1]], 12, True)
-                    assert np.array_equal(_run_op(again, state), want), family
-        finally:
-            clear_program_cache()
-
     @needs_native
+    def test_without_the_library_fusion_kernels_run_the_item_loop(self, monkeypatch):
+        """The loader "unavailable": every fusion kernel of the service
+        structures is an `sm` op, and each program's final state is the one
+        computed in this process with the library, byte for byte."""
+        machine = MachineConfig.for_circuit(12, num_shards=4)
+        (state,) = _random_states(12, 1, 7)
+        for family, build in SERVICE_STRUCTURES.items():
+            plan, _ = partition(build(12), machine)
+            want = compile_plan(plan, machine).run(state).data.tobytes()
+
+            def compute():
+                program = compile_plan(plan, machine)
+                fused = [op for op in program.ops if op.source[0] == "kernel"]
+                assert fused and all(op.kind == "sm" for op in fused), family
+                return program.run(state).data.tobytes()
+
+            assert _unavailable_state(monkeypatch, compute) == want, family
+
     @pytest.mark.parametrize("family", sorted(SERVICE_STRUCTURES))
-    def test_no_fused_op_is_left_on_the_service_structures(self, family):
-        """No fused op is left, so a stack is the flat run bit for bit —
-        `stack_ulps()` 0 where ising-12 and qsvm-12 each had a `big` op."""
+    def test_no_fused_op_is_left_on_the_service_structures(self, engine, family):
+        """Every kernel is an `sm` op on either body, so a stack is the flat
+        run bit for bit."""
         plan, machine = _executor_case(family)
         program = compile_plan(plan, machine)
-        assert program.stack_ulps() == 0
-        assert all(op.kind == "sm" for op in program.ops if op.source[0] == "kernel")
+        assert all(op.kind == "sm" for op in program.ops if op.source[0] != "layout")
+        states = [StateVector.random_state(plan.num_qubits, seed=s) for s in range(2)]
+        for got, state in zip(program.run_batched(states), states):
+            assert got.data.tobytes() == program.run(state).data.tobytes()
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_a_segment_op_is_the_compiled_op(self, engine, case):
@@ -485,8 +477,7 @@ class TestFusionKernels:
         for op in kernels:
             again = _segment_op(op.gates, layouts[op.source[1]], n, op.source[0] == "kernel")
             assert (again.kind, again.qubits, again.items) == (op.kind, op.qubits, op.items)
-            if engine == "numpy" and op.source[0] == "kernel":
-                assert op.kind != "sm", op.source  # the fused gemm
+            assert op.kind == "sm", op.source
             assert np.array_equal(_run_op(again, state), _run_op(op, state)), op.source
 
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
@@ -517,6 +508,94 @@ class TestFusionKernels:
             with ParallelRuntime(machine, num_workers=workers) as runtime:
                 parallel = run(lambda: runtime.execute(plan, init))
             assert np.array_equal(parallel, want), workers
+
+
+@needs_native
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("family", sorted(FUSION_FAMILIES))
+def test_library_plans_kernel_by_kernel(family, n):
+    """Every shared-memory and fusion kernel of the seven library families'
+    plans on four shards (134 kernels over the 14 cells), in its stage's
+    layout over all n positions: the native body is the item loop, byte
+    for byte."""
+    plan, _ = partition(FUSION_FAMILIES[family](n), MachineConfig.for_circuit(n, num_shards=4))
+    (state,) = _random_states(n, 1, n)
+    checked = 0
+    for stage in plan.stages:
+        l2p = stage.partition.logical_to_physical()
+        for kernel in stage.kernels or ():
+            items = lower_kernel_gates(kernel.gates, l2p)
+            template = kernel_template(kernel_items(items, l2p), n)
+            assert template.native
+            got = _apply(template.bind(items), state)
+            assert got.tobytes() == _apply(template.item_loop(items), state).tobytes()
+            checked += 1
+    assert checked
+
+
+# ---------------------------------------------------------------------------
+# Pinned digests: one set of bits for both bodies
+# ---------------------------------------------------------------------------
+
+#: Per family at 10 qubits on four shards, the SHA-256 of the final state
+#: in core and through both shard executors.  These apply a diagonal gate
+#: on a non-local qubit per shard, as an op of its own, where the in-core
+#: run folds it into a block's phases: ae, qft and qpeexact end a last bit
+#: apart.
+PINNED_DIGESTS = {
+    "ae": (
+        "55dc4bcb536e98696a782369d8717584a96239fb92eb9a6360e9df8c83c253ce",
+        "4f970e5019e29b389c3c804dd5531dd134e76af523a9fcfbddbca75c9aabefb9",
+    ),
+    "ising": (
+        "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
+        "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
+    ),
+    "qft": (
+        "00ad2b5cb53babd240489def30cb523136c73bc26e8ce6e5495f3a98fd80913e",
+        "8be0bc6ee23ba55c3f6fb84a7f01afe312d7fddf383a2064a35c160f35f8abbb",
+    ),
+    "qpeexact": (
+        "c1db25fd23a186acb3fc49d3da282925e78b4d7ebaa2df4de3a78a465c852720",
+        "64fbf6e2d82729bf434030d183cf36e19658c2257e86d11f5f2a3517ae632ecd",
+    ),
+    "qsvm": (
+        "a68a47157d8a788fde33a891d792a1d779f4c87b027b0712055045eabd201109",
+        "a68a47157d8a788fde33a891d792a1d779f4c87b027b0712055045eabd201109",
+    ),
+    "su2random": (
+        "683cd14a26ff4c95fe53843f210c4dd5a663b4264ea1860461a45a28fdb006be",
+        "683cd14a26ff4c95fe53843f210c4dd5a663b4264ea1860461a45a28fdb006be",
+    ),
+    "vqc": (
+        "f576c98cc97da9b1379d9ebd586e63029d9ef3190b654bbc64abef004a45b16c",
+        "f576c98cc97da9b1379d9ebd586e63029d9ef3190b654bbc64abef004a45b16c",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FUSION_FAMILIES))
+def test_pinned_digest_of_a_fixed_circuit(family):
+    """The seven families at 10 qubits through the in-core, offload and
+    parallel (W=2) executors, bit for bit on whichever body the host has:
+    a flag, compiler or source change that moves a bit shows here, and so
+    does an item loop that leaves the C body's float expressions — the
+    same pins hold with and without a compiler.  (The payload comes from
+    libm's sin/cos and NumPy's complex products; the pins are for x86-64
+    glibc hosts, where both are stable.)"""
+    machine = MachineConfig.for_circuit(10, num_shards=4)
+    plan, _ = partition(FUSION_FAMILIES[family](10), machine)
+    init = StateVector(10, _random_states(10, 1, 2024)[0])
+    clear_program_cache()
+    with ParallelRuntime(machine, num_workers=2) as runtime:
+        states = [
+            execute_plan(plan, init, machine=machine)[0],
+            execute_plan_offloaded(plan, machine, init)[0],
+            runtime.execute(plan, init)[0],
+        ]
+    incore, sharded = PINNED_DIGESTS[family]
+    digests = [hashlib.sha256(state.data.tobytes()).hexdigest() for state in states]
+    assert digests == [incore, sharded, sharded]
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class TestLoweringProperties:
         for item in items:
             assert set(item.qubits) == {q for g in item.gates for q in g.qubits}
             assert len(item.qubits) <= MONOMIAL_WIDTH
-            assert (item.matrix is None) != (item.phases is None)
+            assert sum(a is None for a in (item.phases, item.matrix, item.factors)) == 2
         # Every gate lands in exactly one item (equal gates are
         # interchangeable: match each to its earliest unused original) ...
         unused = list(range(len(gates)))
@@ -185,8 +185,8 @@ class TestLoweringProperties:
         moves), the lowered items equal the per-gate stream to 1e-12 and
         the reference oracle; the compiler's kernel op (what every executor
         runs) is the kernel template bound to the items lowered in that
-        layout, bit for bit, and the template's item loop is exactly the
-        items' own ops run in turn."""
+        layout, bit for bit, on either body its template's item loop, and
+        the items' own ops run in turn to 1e-12."""
         n, gates, l2p = case
         init = StateVector.random_state(n, seed=seed)
         with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
@@ -206,14 +206,17 @@ class TestLoweringProperties:
             state, scratch = init.data.copy(), np.empty_like(init.data)
             for item in items:
                 physical = tuple(l2p[q] for q in item.qubits)
-                if item.matrix is None:
-                    op = monomial_template(item.perm, physical, n).op(item.phases)
+                if item.phases is not None:
+                    ops = [monomial_template(item.perm, physical, n).op(item.phases)]
+                elif item.factors is not None:
+                    ops = [compile_unitary_op(f, (p,), n) for f, p in zip(item.factors, physical)]
                 else:
-                    op = compile_unitary_op(item.matrix, physical, n)
-                state, scratch = op.run(state, scratch, ws)
+                    ops = [compile_unitary_op(item.matrix, physical, n)]
+                for op in ops:
+                    state, scratch = op.run(state, scratch, ws)
         assert np.array_equal(compiled, lowered)
-        assert np.array_equal(state, looped)
-        assert np.abs(looped - lowered).max() <= 1e-12
+        assert compiled.tobytes() == looped.tobytes()
+        assert np.abs(state - looped).max() <= 1e-12
         per_gate, scratch = init.data.copy(), np.empty_like(init.data)
         for gate in gates:
             per_gate, scratch = apply_gate_buffered(

@@ -193,6 +193,18 @@ class TestFusion:
         assert q1 != q2
         assert not np.allclose(m1, m2)  # different bit conventions
 
+    @pytest.mark.parametrize(
+        "qubits, message",
+        [([0, 1], "not contained in target"), ([0, 2, 2], "duplicate")],
+        ids=["missing", "duplicate"],
+    )
+    def test_fused_unitary_validates_explicit_qubits(self, qubits, message):
+        """An explicit order must hold every gate's qubits, each once: a
+        missing one is a ValueError worded like `expand_matrix`'s, not a
+        bare KeyError, and a repeated one is no phantom qubit."""
+        with pytest.raises(ValueError, match=message):
+            fused_unitary([make_gate("h", [0]), make_gate("cx", [0, 2])], qubits=qubits)
+
     def test_apply_gate_sequence(self):
         circuit = random_circuit(4, 12, seed=4)
         state = np.zeros(16, dtype=complex)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Seventeen rules, each enforcing an invariant the execution layer depends on
+Eighteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -41,12 +41,10 @@ Seventeen rules, each enforcing an invariant the execution layer depends on
 ``one-kernel-lowering``
     Under ``sim/`` and ``runtime/``, a loop over gates that calls
     ``<gate>.matrix()`` — iterating a kernel's or group's gates to apply
-    them — exists only inside the two kernel lowerings of
-    ``sim/fusion.py``, each a structure builder plus its numeric fill:
-    ``kernel_lowering`` / ``fill_lowered_item`` (shared-memory kernels;
-    ``lower_kernel_gates`` is the two in one call) and
-    ``kernel_fusion`` / ``fill_fused_unitary`` (fusion kernels;
-    ``fused_unitary`` is the two in one call) — the structures the plan
+    them — exists only inside the kernel lowering of ``sim/fusion.py``, a
+    structure builder plus its numeric fill: ``kernel_lowering`` /
+    ``fill_lowered_item`` (every kernel, shared-memory or fusion;
+    ``lower_kernel_gates`` is the two in one call) — the structure the plan
     compiler's slots, and through them ``compile_segment_ops``, build (their
     numbers come out of a gate table, never a gate's ``matrix()``; a gate
     on a non-local qubit is one gate, resolved by its own slot without a
@@ -60,8 +58,8 @@ Seventeen rules, each enforcing an invariant the execution layer depends on
 
 ``one-segment-compiler``
     Under ``runtime/``, ``unitary_template`` / ``monomial_template`` /
-    ``gate_step`` / ``kernel_lowering`` / ``kernel_fusion`` — the calls
-    that turn gates into op templates — are made from
+    ``kernel_lowering`` — the calls that turn gates into op templates — are
+    made from
     ``runtime/compile.py`` and nowhere else: a shards-segment is compiled
     by the slots a plan is (``SegmentStructure``), once per plan structure
     (``runtime/offload.py::ScheduleStructure``), and a warm job's plan is
@@ -98,27 +96,27 @@ Seventeen rules, each enforcing an invariant the execution layer depends on
     and from ``sim/fusion.py::apply_gate_sequence`` (a gate list applied
     outside any plan) and nowhere else, and the native library's entry
     point ``sm_apply`` is named nowhere but inside it — a second caller of
-    either is a second way for a kernel to run.  A fusion kernel too: where
-    the native body does not take it, the fusion slot binds its fused gemm,
-    so under ``runtime/`` ``fused_unitary`` / ``kernel_fusion`` /
-    ``fill_fused_unitary`` are called only inside
-    ``runtime/compile.py::_FusedSlot``, and anywhere else is an executor
-    fusing a kernel by itself again.  The retired uncompiled paths — the
-    second op builder ``apply_lowered_items``, ``fused_unitary_cached``,
+    either is a second way for a kernel to run.  A fusion kernel too, on
+    every host: under ``runtime/`` ``fused_unitary`` is called nowhere — a
+    call there is an executor fusing a kernel by itself again.  The
+    retired uncompiled paths — the second op builder
+    ``apply_lowered_items``, ``fused_unitary_cached``,
     ``fused_kernel_op``, ``configure_fusion_cache``,
     ``fusion_cache_stats``, and after it ``kernel_op``, ``kernel_op_stats``
     and the degraded shard pass ``run_groups_on_shard``, and then the
     per-shard gate resolution ``_gate_on_shard`` with its relabel predicate
     ``segment_relabels_shards`` and the race detector's restatement of it,
-    ``shard_write_map`` — are named nowhere under ``src/`` (as whole
-    words), and ``execute_plan`` takes no ``compiled`` parameter: a plan
+    ``shard_write_map``; then the fused-gemm fallback ``_FusedSlot`` with
+    ``kernel_fusion``, ``fill_fused_unitary`` and ``gate_step``, its guard
+    ``_StructureChanged`` and the bounds ``gemm_ulps`` and ``stack_ulps``
+    — are named nowhere under ``src/`` (as whole words), and
+    ``execute_plan`` takes no ``compiled`` parameter: a plan
     runs as a compiled program or a shard schedule, and a failed lowering
     raises.  Under ``runtime/`` no entry point of ``sim/apply.py``
     (``apply_gate_buffered`` / ``apply_matrix`` / ``apply_diagonal``, which
     bind a template on first sight of a matrix) is called: every op a shard
     pass runs is bound with its schedule.  Checked across files, whenever
-    the linted set contains ``sim/apply.py`` (the fused-matrix site:
-    ``runtime/compile.py``).
+    the linted set contains ``sim/apply.py``.
 
 ``one-op-body``
     Under ``sim/`` an op has one body, ``run(states, scratch, ws)``,
@@ -132,12 +130,24 @@ Seventeen rules, each enforcing an invariant the execution layer depends on
     kernel template is the one op with two bodies, and it names them:
     inside ``kernel_template`` exactly two ``run`` closures are defined —
     under ``bind_numbers``, the native tile pass over a packed payload, and
-    under ``loop``, the loop over the items' own op bodies, which is the
-    native body's oracle in the tests (``item_loop``, over filled items)
-    and a shared-memory kernel's only fallback (a fusion kernel's is its
-    fused gemm, bound by the compiler's slot, never a run closure here).
-    A third is a third body; nothing but the host and the input selects
-    between the two.
+    under ``loop``, the item loop, which is the native body's oracle in the
+    tests (``item_loop``, over filled items) and every kernel's only
+    fallback, fusion kernels included.  A third is a third body; nothing
+    but the host and the input selects between the two.
+
+``one-float-expression``
+    The item loop computes the native body's bits, so it runs the C
+    body's float expressions and nothing else: inside the kernel
+    template's ``loop`` and the step builders of ``sim/apply.py`` it binds
+    (``_products``, ``_gate1_step``, ``_dense_step``, ``_copy_step``,
+    ``_phase_step``) there is no ``@`` and no call of ``matmul`` / ``dot``
+    / ``vdot`` / ``einsum`` / ``tensordot`` (a fused or blocked sum), and
+    the complex buffers an op is handed (``states``, ``scratch``) appear
+    only as planes (``_planes``), in a copy in or out (``np.copyto`` of
+    them or their ``.real`` / ``.imag``), in ``np.may_share_memory``, as
+    ``.size`` / ``.shape``, or in the returned pair — no arithmetic on
+    the complex state.  Any of those functions missing means the item
+    loop moved without this rule following it.
 
 ``one-native-loader``
     ``ctypes`` / ``cffi`` / ``subprocess`` are imported, and ``CDLL`` is
@@ -308,16 +318,11 @@ KERNEL_LOWERING_HOME = "sim/fusion.py"
 #: The shared-memory lowering (its public entry point and the structure
 #: builder it delegates the gate loop to), and every other licensed site.
 SHM_LOWERING_SITES = ("lower_kernel_gates", "kernel_lowering")
-KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + (
-    "fill_lowered_item", "kernel_fusion", "fill_fused_unitary", "fused_unitary",
-)
+KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + ("fill_lowered_item",)
 
 SEGMENT_COMPILER_SCOPE = "runtime/"
 SEGMENT_COMPILER_HOME = "runtime/compile.py"
-SEGMENT_COMPILER_CALLS = {
-    "unitary_template", "monomial_template", "gate_step", "kernel_lowering",
-    "kernel_fusion",
-}
+SEGMENT_COMPILER_CALLS = {"unitary_template", "monomial_template", "kernel_lowering"}
 SCHEDULE_KEY_WORD = "schedule_key"
 
 KERNEL_SET_SCOPE = ("sim/", "runtime/", "analysis/")
@@ -344,20 +349,21 @@ THREAD_LOCAL_SCOPE = "sim/"
 KERNEL_TEMPLATE = "kernel_template"
 KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py": "", "sim/fusion.py": "apply_gate_sequence"}
 NATIVE_ENTRY = "sm_apply"
-#: The fused matrix of a fusion kernel: under ``runtime/`` built only by the
-#: fallback bind of the compiler's fusion slot (its structure with the
-#: slot, its fill per bind).
-FUSED_MATRIX_CALLS = {"fused_unitary", "kernel_fusion", "fill_fused_unitary"}
+#: A fusion kernel's matrix: no runtime builds one (a fusion kernel is the
+#: kernel op, on every host).
+FUSED_MATRIX_CALL = "fused_unitary"
 FUSED_MATRIX_SCOPE = "runtime/"
-FUSED_MATRIX_HOME = ("runtime/compile.py", "_FusedSlot")
 #: The uncompiled paths — their kernel-op builders, memos' surface,
-#: degraded shard pass and per-shard gate resolution: named nowhere under
-#: ``src/`` (whole words).
+#: degraded shard pass and per-shard gate resolution — and the fused-gemm
+#: fallback with its guard and its bounds: named nowhere under ``src/``
+#: (whole words).
 RETIRED_KERNEL_NAMES = (
     "apply_lowered_items", "fused_unitary_cached", "fused_kernel_op",
     "configure_fusion_cache", "fusion_cache_stats",
     "kernel_op", "kernel_op_stats", "run_groups_on_shard",
     "_gate_on_shard", "segment_relabels_shards", "shard_write_map",
+    "kernel_fusion", "fill_fused_unitary", "gate_step", "_FusedSlot",
+    "_StructureChanged", "gemm_ulps", "stack_ulps",
 )
 RETIRED_KERNEL_WORDS = re.compile(r"\b(%s)\b" % "|".join(RETIRED_KERNEL_NAMES))
 #: The plan executor, and the parameter that selected a second tier.
@@ -373,6 +379,21 @@ OP_BODY_TWIN = "run_batched"
 OP_BODY_CLASS = "CompiledOp"
 #: The kernel template's two bodies: the function each ``run`` is nested in.
 KERNEL_BODIES = {"bind_numbers": "native", "loop": "item loop"}
+
+#: The item loop: the kernel template's ``loop`` and the step builders of
+#: ``sim/apply.py`` it binds — float64 planes only, one ufunc per C
+#: operation.
+FLOAT_EXPRESSION_HOME = "sim/apply.py"
+FLOAT_EXPRESSION_FUNCS = (
+    "loop", "_products", "_gate1_step", "_dense_step", "_copy_step", "_phase_step",
+)
+FLOAT_EXPRESSION_FUSED = {"matmul", "dot", "vdot", "einsum", "tensordot"}
+#: The complex buffers an op is handed, and what the item loop may do with
+#: them: view them as planes, copy in and out of their halves, ask for
+#: their size or shape, hand them back.
+FLOAT_EXPRESSION_STATE = {"states", "scratch"}
+FLOAT_EXPRESSION_STATE_CALLS = {"_planes", "copyto", "may_share_memory"}
+FLOAT_EXPRESSION_STATE_ATTRS = {"real", "imag", "size", "shape"}
 
 NATIVE_LOADER_HOME = "sim/native.py"
 NATIVE_LOADER_MODULES = {"ctypes", "cffi", "subprocess"}
@@ -653,14 +674,12 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
     findings: list[Finding] = []
     choice_calls = {name: 0 for name in KERNEL_CHOICE_FUNCS}
     thread_locals: list[tuple[str, int]] = []
-    fused_matrix_at_home = 0
-    home_linted = fused_home_linted = False
+    home_linted = False
 
     def flag(rel: str, line: int, message: str, symbol: str) -> None:
         findings.append(Finding(rel, line, "one-kernel-set", message, symbol))
 
     def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
-        nonlocal fused_matrix_at_home
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             stack = stack + [node.name]
         where = _enclosing(stack)
@@ -681,19 +700,14 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
             )
         if isinstance(node, ast.Call):
             name = _call_name(node)
-            if name in FUSED_MATRIX_CALLS and rel_src.startswith(FUSED_MATRIX_SCOPE):
-                home, slot = FUSED_MATRIX_HOME
-                if rel_src == home and slot in stack:
-                    fused_matrix_at_home += 1
-                else:
-                    flag(
-                        rel, node.lineno,
-                        f"`{name}` called in {where}: a fusion kernel reaches "
-                        f"execution through the compiler's slot — kernel_template, "
-                        f"or its fused-gemm fallback built in src/repro/{home}::"
-                        f"{slot} and nowhere else under {FUSED_MATRIX_SCOPE}",
-                        f"{where}:{name}",
-                    )
+            if name == FUSED_MATRIX_CALL and rel_src.startswith(FUSED_MATRIX_SCOPE):
+                flag(
+                    rel, node.lineno,
+                    f"`{name}` called in {where}: a fusion kernel reaches "
+                    f"execution through the compiler's slot as one kernel op, "
+                    f"on every host — no runtime builds its matrix",
+                    f"{where}:{name}",
+                )
             if name in ENTRY_POINTS and rel_src.startswith(ENTRY_POINT_SCOPE):
                 flag(
                     rel, node.lineno,
@@ -785,16 +799,7 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
         if not rel_src.startswith(KERNEL_SET_SCOPE):
             continue
         home_linted = home_linted or rel_src == KERNEL_SET_HOME
-        fused_home_linted = fused_home_linted or rel_src == FUSED_MATRIX_HOME[0]
         visit(ast.parse(source, filename=str(path)), [], rel, rel_src)
-    if fused_home_linted and not fused_matrix_at_home:
-        home, slot = FUSED_MATRIX_HOME
-        flag(
-            f"src/repro/{home}", 0,
-            f"no call to {' / '.join(sorted(FUSED_MATRIX_CALLS))} in {slot}: the "
-            f"fusion slot's fallback bind moved without this rule following it",
-            f"{slot}:missing",
-        )
     if not home_linted:
         return findings
     if choice_calls[KERNEL_CHOICE_FUNCS[0]] == 0:
@@ -910,6 +915,72 @@ def _check_kernel_bodies(template: ast.FunctionDef, rel: str, flag) -> None:
                 f"{body} body moved without this rule following it",
                 f"{KERNEL_TEMPLATE}:{parent}:missing",
             )
+
+
+def check_one_float_expression(files: list[Path]) -> list[Finding]:
+    """The ``one-float-expression`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    for path in files:
+        if SRC not in path.parents or _rel_src(path) != FLOAT_EXPRESSION_HOME:
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = set()
+
+        def flag(line: int, message: str, symbol: str) -> None:
+            findings.append(Finding(rel, line, "one-float-expression", message, symbol))
+
+        for func in ast.walk(tree):
+            if not (isinstance(func, ast.FunctionDef) and func.name in FLOAT_EXPRESSION_FUNCS):
+                continue
+            found.add(func.name)
+            parents = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(func):
+                fused = None
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    fused = "@"
+                elif isinstance(node, ast.Call) and _call_name(node) in FLOAT_EXPRESSION_FUSED:
+                    fused = _call_name(node)
+                if fused is not None:
+                    flag(
+                        node.lineno,
+                        f"`{fused}` in {func.name}: the item loop computes the C "
+                        f"body's sums term by term, one ufunc per C operation",
+                        f"{func.name}:{fused}",
+                    )
+                if not (isinstance(node, ast.Name) and node.id in FLOAT_EXPRESSION_STATE):
+                    continue
+                target, parent = node, parents.get(node)
+                if isinstance(parent, ast.Attribute):
+                    if parent.attr not in FLOAT_EXPRESSION_STATE_ATTRS:
+                        parent = None
+                    elif parent.attr in ("size", "shape"):
+                        continue
+                    else:
+                        target, parent = parent, parents.get(parent)
+                if (
+                    isinstance(parent, ast.Call) and target in parent.args
+                    and _call_name(parent) in FLOAT_EXPRESSION_STATE_CALLS
+                ) or isinstance(parent, ast.Return) or (
+                    isinstance(parent, ast.Tuple) and isinstance(parents.get(parent), ast.Return)
+                ):
+                    continue
+                flag(
+                    node.lineno,
+                    f"`{node.id}` used in {func.name} other than as planes, a "
+                    f"copy in or out, or the result: the item loop reads and "
+                    f"writes only the float64 planes",
+                    f"{func.name}:{node.id}",
+                )
+        for name in FLOAT_EXPRESSION_FUNCS:
+            if name not in found:
+                flag(
+                    0,
+                    f"no `{name}` in {FLOAT_EXPRESSION_HOME}: the item loop moved "
+                    f"without this rule following it",
+                    f"{name}:missing",
+                )
+    return findings
 
 
 def check_one_native_loader(files: list[Path]) -> list[Finding]:
@@ -1684,6 +1755,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_segment_compiler(files))
     findings.extend(check_one_kernel_set(files))
     findings.extend(check_one_op_body(files))
+    findings.extend(check_one_float_expression(files))
     findings.extend(check_one_native_loader(files))
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_one_staging_bound(files))
