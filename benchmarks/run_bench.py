@@ -803,6 +803,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="how much worse than the baseline's a ratio may read")
     args = parser.parse_args(argv)
 
+    # Every number here is timed on this thread's CPU clock, which a tile
+    # pass cut across helper threads would undercount: keep passes whole.
+    native.one_tile_thread()
     results = run_suite({key: value[0 if args.quick else 1] for key, value in SIZES.items()})
     report(results)
     if args.dump is not None:

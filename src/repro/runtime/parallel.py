@@ -74,6 +74,7 @@ from ..errors import (
     SessionClosedError,
     TransientError,
 )
+from ..sim import native
 from ..sim.apply import tracked_empty
 from ..sim.statevector import StateVector
 from . import faults
@@ -214,9 +215,12 @@ class ParallelRuntime:
         if self._closed:
             raise SessionClosedError("ParallelRuntime is closed")
         if self._compute_pool is None:
+            # A worker's passes stay on it: the workers already share the
+            # cores one shard each, and a split on top of that nests.
             self._compute_pool = ThreadPoolExecutor(
                 max_workers=self.num_workers,
                 thread_name_prefix="repro-shard-worker",
+                initializer=native.one_tile_thread,
             )
             self._loader_pool = ThreadPoolExecutor(
                 max_workers=self.num_workers,

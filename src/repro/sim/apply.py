@@ -1709,7 +1709,9 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     ``2^T`` amplitudes, applies every item there and scatters them back —
     a fold as its 2×2s, a block as phases looked up through a structural
     index map, a wider gate as a gather–matvec–scatter; a stack is the same
-    call looped over rows, so row ``b`` is the flat run bit for bit.  It is
+    call looped over rows, so row ``b`` is the flat run bit for bit, and a
+    large pass is cut across the host's cores
+    (:func:`repro.sim.native.apply_tiles`), the same bytes for any cut.  It is
     taken when :func:`takes_native` says so — the library loads, the state
     has a whole tile row (``n >= 4``) and the kernel fits a tile — and the
     buffer is a contiguous ``complex128`` one.  The **item loop** computes
@@ -1796,8 +1798,7 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     if template.native:
         lib = native.library()
         prog, tabs, fills, size = _tile_program(items, n, lib.sm_lane_bits())
-        apply_tiles = lib.sm_apply
-        row = 1 << n
+        row, outer_bits = 1 << n, int(prog[2])
         prog_at, tabs_at = prog.ctypes.data, tabs.ctypes.data
 
         def pack(payloads) -> np.ndarray:
@@ -1824,8 +1825,9 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
                     if not held:
                         held.append(fallback())
                     return held[0](states, scratch, ws)
-                failed = apply_tiles(
-                    states.ctypes.data, states.size // row, row, prog_at, tabs_at, numbers_at
+                rows = states.size // row
+                failed = native.apply_tiles(
+                    states.ctypes.data, rows, row, rows << outer_bits, prog_at, tabs_at, numbers_at
                 )
                 if failed:
                     raise KernelError(f"native kernel rejected its program (code {failed})")

@@ -11,6 +11,19 @@ fallback otherwise (the item loop; the beam's Python loop).  :func:`status`
 says which and why; :func:`engine` is the one word ``Result.summary()`` and
 ``service.stats()`` carry.
 
+:func:`apply_tiles` is the one caller of the tile pass, and it splits a pass
+across this process's cores: a pass of at least
+:data:`SPLIT_MIN_AMPLITUDES` amplitudes is cut into :data:`TILE_THREADS`
+contiguous tile ranges (the CPUs this process may run on), all but the last
+run on a process-wide set of helper threads and the last on the caller.  Each
+tile reads and writes only its own amplitudes, and an amplitude's bits follow
+from the source and the payload alone, so a pass computes the same bytes
+whatever it is cut into.  Three kinds of pass stay on the calling thread:
+one below the cut-off (the thread handoff costs more than the cut saves),
+every pass of a process allowed one CPU, and every pass a
+:func:`one_tile_thread` thread makes — the parallel runtime's shard
+workers, which already keep the cores busy with one shard each.
+
 The library is cached under this package's ``__pycache__/`` — or, when that
 is not writable, a per-user ``0700`` directory whose ownership is checked
 before anything is loaded from it — keyed by the sources, the compiler's
@@ -30,9 +43,14 @@ import subprocess
 import tempfile
 import threading
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-__all__ = ["FLAGS", "engine", "library", "status"]
+__all__ = [
+    "FLAGS", "SPLIT_MIN_AMPLITUDES", "TILE_THREADS", "apply_tiles", "engine", "library",
+    "one_tile_thread", "status",
+]
 
 #: Compiled together into one library, under one cache key.
 SOURCES = (Path(__file__).with_name("smkernel.c"), Path(__file__).with_name("beam.c"))
@@ -41,6 +59,14 @@ PACKAGE_CACHE = SOURCES[0].parent / "__pycache__"
 #: bits are a function of the source, not of the vector width.
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 COMPILERS = ("cc", "gcc", "clang")
+#: How many tile ranges a pass is cut into: the CPUs this process may run on
+#: (one where the platform cannot say).
+TILE_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+#: A smaller pass stays on the calling thread.  Measured on a 2-vCPU host
+#: (``docs/performance.md``, "A kernel pass on every core"): two ranges gain
+#: 1.5x at 2^17 amplitudes, 1.1-1.4x with a wide spread at 2^16, and lose
+#: at 2^14 and below, where the ~90 us handoff outweighs the pass.
+SPLIT_MIN_AMPLITUDES = 1 << 17
 
 
 class _Unavailable(Exception):
@@ -100,7 +126,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.sm_lane_bits.argtypes = ()
     lib.sm_apply.restype = ctypes.c_int64
     lib.sm_apply.argtypes = (
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     )
     lib.beam_kernelize.restype = ctypes.c_int64
@@ -163,14 +189,74 @@ def library() -> ctypes.CDLL | None:
 
 def status() -> dict:
     """``{available, reason, path, compiler, flags, build_seconds}`` of the
-    one build-and-load attempt this process makes (made now if not yet)."""
-    return {key: value for key, value in _state().items() if key != "library"}
+    one build-and-load attempt this process makes (made now if not yet),
+    with ``tile_threads`` — how many ranges a pass of at least
+    ``split_min_amplitudes`` is cut into."""
+    state = {key: value for key, value in _state().items() if key != "library"}
+    return {**state, "tile_threads": TILE_THREADS, "split_min_amplitudes": SPLIT_MIN_AMPLITUDES}
 
 
 def engine() -> str:
     """``"native"`` when shared-memory kernels run the C body in this
     process, else ``"numpy"`` (the item loop).  Never triggers a build."""
     return "native" if _STATE is not None and _STATE["available"] else "numpy"
+
+
+_HELPERS: ThreadPoolExecutor | None = None
+#: The threads :func:`one_tile_thread` marked.
+_ONE_THREAD: "weakref.WeakSet[threading.Thread]" = weakref.WeakSet()
+
+
+def _forget_helpers() -> None:
+    """A forked child has none of its parent's threads: start over."""
+    global _HELPERS
+    _HELPERS = None
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The process-wide helper threads, started on the first cut pass."""
+    global _HELPERS
+    if _HELPERS is None:
+        with _LOCK:
+            if _HELPERS is None:
+                _HELPERS = ThreadPoolExecutor(
+                    max_workers=max(TILE_THREADS - 1, 1), thread_name_prefix="repro-tiles"
+                )
+    return _HELPERS
+
+
+def one_tile_thread() -> None:
+    """Keep every pass the calling thread makes on that thread (a thread
+    pool's ``initializer``: its threads already share the cores)."""
+    _ONE_THREAD.add(threading.current_thread())
+
+
+def apply_tiles(
+    state: int, rows: int, row: int, tiles: int, prog: int, tabs: int, payload: int
+) -> int:
+    """Run the tile pass ``prog`` / ``tabs`` / ``payload`` (addresses) over
+    tiles ``[0, tiles)`` of the ``(rows, row)`` complex128 buffer at
+    *state*; the pass's code — 0, or the first non-zero code of any range,
+    once every range has returned."""
+    apply = _state()["library"].sm_apply
+    threads = TILE_THREADS
+    if (
+        threads < 2 or rows * row < SPLIT_MIN_AMPLITUDES
+        or threading.current_thread() in _ONE_THREAD
+    ):
+        return apply(state, rows, row, 0, tiles, prog, tabs, payload)
+    cuts = [tiles * part // threads for part in range(threads + 1)]
+    pool = _helpers()
+    helped = [
+        pool.submit(apply, state, rows, row, lo, hi, prog, tabs, payload)
+        for lo, hi in zip(cuts[:-2], cuts[1:-1])
+    ]
+    codes = [apply(state, rows, row, cuts[-2], cuts[-1], prog, tabs, payload)]
+    codes += [future.result() for future in helped]
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":

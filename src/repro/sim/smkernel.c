@@ -4,7 +4,10 @@
  * the 2^T amplitudes that differ only in the kernel's tile bits (its active
  * positions, index bits 0-2 and the next-lowest free bits), gathered into a
  * thread-local split re/im buffer in physical bit order, run through every
- * item of the kernel there, and scattered back in place.  Everything
+ * item of the kernel there, and scattered back in place.  A call walks the
+ * flat tile range [lo, hi) of rows << outer_bits (row-major), so disjoint
+ * ranges touch disjoint amplitudes and may run on as many threads at once
+ * (repro.sim.native splits a pass that way).  Everything
  * structural (tile bits, chunk offsets, index maps) arrives precomputed in
  * `prog` / `tabs` (repro.sim.apply.kernel_template); `payload` holds one
  * job's numbers (block phases, 2x2s, dense matrices) as complex128.
@@ -377,70 +380,81 @@ static void dense_lane(double *re, double *im, int tile_bits, int k, const int64
 }
 #endif
 
-/* Apply the kernel `prog` to every row of `state`; 0 on success. */
-int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, const int64_t *prog,
-                 const uint16_t *tabs, const double *payload)
+/* Apply the kernel `prog` to tiles [lo, hi) of `state`'s rows << outer_bits;
+ * 0 on success, else the first check the program or the range fails -
+ * before any amplitude is touched. */
+int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, int64_t lo, int64_t hi,
+                 const int64_t *prog, const uint16_t *tabs, const double *payload)
 {
-    const int tile_bits = (int)prog[0], chunk_bits = (int)prog[1];
-    const int outer_bits = (int)prog[2], num_items = (int)prog[3];
+    const int64_t tile_bits = prog[0], chunk_bits = prog[1], outer_bits = prog[2];
+    const int64_t num_items = prog[3];
     if (tile_bits < LB || tile_bits > SM_MAX_TILE_BITS || chunk_bits < LB || chunk_bits > tile_bits)
         return 1;
+    if (outer_bits < 0)
+        return 4;
+    if (tile_bits + outer_bits > 62)
+        return 5;
     const int64_t *outer = prog + 4;
     const int64_t *chunk_at = outer + outer_bits;
     const int64_t *items = chunk_at + ((int64_t)1 << (tile_bits - chunk_bits));
     const int64_t size = (int64_t)1 << tile_bits, chunk = (int64_t)1 << chunk_bits;
     if (row_amplitudes != size << outer_bits)
         return 2;
-    for (int i = 0; i < num_items; i++) {
+    for (int64_t i = 0; i < num_items; i++) {
         const int64_t *it = items + i * SM_ITEM_WORDS;
         if (it[0] < SM_GATE1 || it[0] > SM_DENSE || (it[0] == SM_DENSE && it[1] > SM_MAX_DENSE))
             return 3;
     }
+    if (rows < 0)
+        return 6;
+    /* hi <= rows << outer_bits, without forming the shift */
+    if (lo < 0 || hi < lo || (hi > 0 && (hi - 1) >> outer_bits >= rows))
+        return 7;
 
-    for (int64_t row = 0; row < rows; row++)
-        for (int64_t tile = 0; tile < (int64_t)1 << outer_bits; tile++) {
-            int64_t base = 0;
-            for (int b = 0; b < outer_bits; b++) base |= ((tile >> b) & 1) << outer[b];
-            double *at = state + 2 * (row * row_amplitudes + base);
-            double *re = tile_buf[0][0], *im = tile_buf[0][1];
-            double *ore = tile_buf[1][0], *oim = tile_buf[1][1], *swap;
-            for (int64_t h = 0; h < size >> chunk_bits; h++)
-                load_chunk(at + 2 * chunk_at[h], re + h * chunk, im + h * chunk, chunk);
-            for (int i = 0; i < num_items; i++) {
-                const int64_t *it = items + i * SM_ITEM_WORDS;
-                const uint16_t *tab = tabs + it[4];
-                const double *pay = payload + 2 * it[5];
-                switch (it[0]) {
-                case SM_GATE1:
+    for (int64_t flat = lo; flat < hi; flat++) {
+        const int64_t row = flat >> outer_bits, tile = flat & (((int64_t)1 << outer_bits) - 1);
+        int64_t base = 0;
+        for (int b = 0; b < outer_bits; b++) base |= ((tile >> b) & 1) << outer[b];
+        double *at = state + 2 * (row * row_amplitudes + base);
+        double *re = tile_buf[0][0], *im = tile_buf[0][1];
+        double *ore = tile_buf[1][0], *oim = tile_buf[1][1], *swap;
+        for (int64_t h = 0; h < size >> chunk_bits; h++)
+            load_chunk(at + 2 * chunk_at[h], re + h * chunk, im + h * chunk, chunk);
+        for (int i = 0; i < num_items; i++) {
+            const int64_t *it = items + i * SM_ITEM_WORDS;
+            const uint16_t *tab = tabs + it[4];
+            const double *pay = payload + 2 * it[5];
+            switch (it[0]) {
+            case SM_GATE1:
 #if LB
-                    if (it[1] < LB) { gate1_lane(re, im, size, (int)it[1], pay); break; }
+                if (it[1] < LB) { gate1_lane(re, im, size, (int)it[1], pay); break; }
 #endif
-                    gate1_stride(re, im, size, (int)it[1], pay);
-                    break;
-                case SM_DIAG:
-                    diag(re, im, size, (int)it[1], (int)it[2], tab, pay);
-                    break;
-                case SM_MOVE:
-                case SM_GATHER: /* into the second buffer, which becomes the tile */
-                    if (it[0] == SM_MOVE)
-                        move_runs(re, im, ore, oim, size, (int)it[1], (int)it[2], tab,
-                                  tab + (size >> it[1]), pay);
-                    else
-                        for (int64_t j = 0; j < size; j++) { ore[j] = re[tab[j]]; oim[j] = im[tab[j]]; }
-                    swap = re; re = ore; ore = swap;
-                    swap = im; im = oim; oim = swap;
-                    break;
-                default: /* SM_DENSE */
+                gate1_stride(re, im, size, (int)it[1], pay);
+                break;
+            case SM_DIAG:
+                diag(re, im, size, (int)it[1], (int)it[2], tab, pay);
+                break;
+            case SM_MOVE:
+            case SM_GATHER: /* into the second buffer, which becomes the tile */
+                if (it[0] == SM_MOVE)
+                    move_runs(re, im, ore, oim, size, (int)it[1], (int)it[2], tab,
+                              tab + (size >> it[1]), pay);
+                else
+                    for (int64_t j = 0; j < size; j++) { ore[j] = re[tab[j]]; oim[j] = im[tab[j]]; }
+                swap = re; re = ore; ore = swap;
+                swap = im; im = oim; oim = swap;
+                break;
+            default: /* SM_DENSE */
 #if LB
-                    if (it[3]) dense_wide(re, im, tile_bits, (int)it[1], it + 6, pay);
-                    else dense_lane(re, im, tile_bits, (int)it[1], it + 6, pay);
-                    break;
+                if (it[3]) dense_wide(re, im, tile_bits, (int)it[1], it + 6, pay);
+                else dense_lane(re, im, tile_bits, (int)it[1], it + 6, pay);
+                break;
 #endif
-                    dense_each(re, im, tile_bits, (int)it[1], it + 6, pay);
-                }
+                dense_each(re, im, tile_bits, (int)it[1], it + 6, pay);
             }
-            for (int64_t h = 0; h < size >> chunk_bits; h++)
-                store_chunk(at + 2 * chunk_at[h], re + h * chunk, im + h * chunk, chunk);
         }
+        for (int64_t h = 0; h < size >> chunk_bits; h++)
+            store_chunk(at + 2 * chunk_at[h], re + h * chunk, im + h * chunk, chunk);
+    }
     return 0;
 }

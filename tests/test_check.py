@@ -1139,7 +1139,7 @@ class TestLintRepro:
             "    lib = native.library()\n"
             "    def bind_numbers(numbers, fallback):\n"
             "        def run(states, scratch, ws):\n"
-            "            lib.sm_apply(states)\n"
+            "            native.apply_tiles(states)\n"
             "            return states, scratch\n"
             "        return run\n"
             "    return bind_numbers, loop\n"
@@ -1157,8 +1157,9 @@ class TestLintRepro:
         )
         assert lint.check_one_op_body([engine]) == []
         assert lint.check_one_kernel_set([engine, slot, loader]) == []
-        # A third body (selected by a flag), a second caller of the
-        # template, and a second binder of the native entry point.
+        # A third body (selected by a flag) and a second caller of the
+        # template.  (Who may name the native entry point is
+        # one-native-loader's: test_the_tile_pass_has_one_caller.)
         third = self.write(
             lint, "sim/apply.py",
             kernel_set_rest + engine_source.replace(
@@ -1176,12 +1177,11 @@ class TestLintRepro:
         shortcut = self.write(
             lint, "runtime/offload.py",
             "def run_groups(items, n, lib):\n"
-            "    lib.sm_apply(items)\n"
             "    return kernel_template(items, n)\n",
         )
         findings = lint.check_one_kernel_set([third, slot, loader, shortcut])
         assert sorted(f.key.rpartition("::")[2] for f in findings) == [
-            "run_groups:kernel_template", "run_groups:sm_apply",
+            "run_groups:kernel_template",
         ]
         # A body going missing is the rule left behind.
         engine.write_text(kernel_set_rest + "def kernel_template(items, n):\n    return None\n")
@@ -1239,17 +1239,34 @@ class TestLintRepro:
             "_copy_step:missing"
         ]
 
+    #: A loader that declares the tile pass, calls it from its one split
+    #: helper, and takes the thread count from the affinity.
+    LOADER = (
+        "import ctypes\nimport os\nimport subprocess\n"
+        "TILE_THREADS = len(os.sched_getaffinity(0))\n"
+        "def _load(path):\n"
+        "    lib = ctypes.CDLL(path)\n"
+        "    lib.sm_apply.restype = ctypes.c_int64\n"
+        "    lib.sm_apply.argtypes = ()\n"
+        "    return lib\n"
+        "def apply_tiles(state, rows):\n"
+        "    return library().sm_apply(state, rows)\n"
+    )
+    #: The kernel template, binding the pass through the helper.
+    TEMPLATE = (
+        "from . import native\n"
+        "def kernel_template(items, n):\n"
+        "    def bind_numbers(numbers):\n"
+        "        def run(states, scratch, ws):\n"
+        "            native.apply_tiles(states.ctypes.data, 1)\n"  # NumPy's ctypes
+        "            return states, scratch\n"
+        "        return run\n"
+        "    return bind_numbers\n"
+    )
+
     def test_second_native_loader_flagged(self, lint):
-        home = self.write(
-            lint, "sim/native.py",
-            "import ctypes\nimport subprocess\n"
-            "def _load(path):\n    return ctypes.CDLL(path)\n",
-        )
-        user = self.write(
-            lint, "sim/apply.py",
-            "from . import native\n"
-            "def run(states):\n    return states.ctypes.data\n",  # NumPy's, not the module
-        )
+        home = self.write(lint, "sim/native.py", self.LOADER)
+        user = self.write(lint, "sim/apply.py", self.TEMPLATE)
         assert lint.check_one_native_loader([home, user]) == []
         second = self.write(
             lint, "runtime/fast.py",
@@ -1265,6 +1282,52 @@ class TestLintRepro:
         assert sorted((f.path.rpartition("/")[2], f.key.rpartition("::")[2]) for f in findings) == [
             ("fast.py", "CDLL"), ("fast.py", "cffi"), ("fast.py", "ctypes"),
             ("fast.py", "subprocess"), ("native.py", "environ"),
+        ]
+
+    def test_the_tile_pass_has_one_caller(self, lint):
+        """The symbol is declared and called in the loader only, inside its
+        module-level split helper; the helper is called by the kernel
+        template only; the affinity is read once."""
+        home = self.write(lint, "sim/native.py", self.LOADER)
+        engine = self.write(lint, "sim/apply.py", self.TEMPLATE)
+        assert lint.check_one_native_loader([home, engine]) == []
+        # The template binding the symbol itself again, an executor calling
+        # the helper, and a second thread count.
+        bypass = self.write(
+            lint, "sim/apply.py",
+            self.TEMPLATE.replace("native.apply_tiles(", "native.library().sm_apply("),
+        )
+        executor = self.write(
+            lint, "runtime/offload.py",
+            "import os\nfrom ..sim import native\n"
+            "WORKERS = len(os.sched_getaffinity(0))\n"
+            "def run_shard(state):\n    return native.apply_tiles(state, 1)\n",
+        )
+        findings = lint.check_one_native_loader([home, bypass, executor])
+        assert {f.rule for f in findings} == {"one-native-loader"}
+        assert sorted((f.path.rpartition("/")[2], f.line, f.key.rpartition("::")[2])
+                      for f in findings) == [
+            ("apply.py", 5, "sm_apply"), ("offload.py", 3, "sched_getaffinity"),
+            ("offload.py", 5, "apply_tiles"),
+        ]
+        # The split moved into a per-op closure (and the declarations and the
+        # affinity went with it): the rule says it lost its footing.
+        engine.write_text(self.TEMPLATE)
+        closure = self.write(
+            lint, "sim/native.py",
+            "import ctypes\n"
+            "def _load(path):\n    return ctypes.CDLL(path)\n"
+            "def bind(lib):\n"
+            "    def run(states):\n"
+            "        return lib.sm_apply(states)\n"
+            "    return run\n",
+        )
+        assert sorted(
+            (f.line, f.key.rpartition("::")[2])
+            for f in lint.check_one_native_loader([closure, engine])
+        ) == [
+            (0, "apply_tiles:missing"), (0, "sched_getaffinity:missing"),
+            (0, "sm_apply:undeclared"), (6, "sm_apply"),
         ]
 
     def test_no_built_object_is_tracked(self):

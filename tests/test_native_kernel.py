@@ -23,6 +23,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -47,7 +48,8 @@ from repro.runtime import (
 from repro.errors import KernelError
 from repro.runtime.faults import FaultInjector
 from repro.sim import StateVector, native
-from repro.sim.apply import Workspace, apply_matrix_reference, kernel_template
+from repro.session import Session
+from repro.sim.apply import Workspace, _tile_program, apply_matrix_reference, kernel_template
 from repro.sim.fusion import LoweredItem, kernel_items, lower_kernel_gates
 
 from test_property_based import segment_ops
@@ -574,6 +576,27 @@ PINNED_DIGESTS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _pinned_plan(family: str) -> tuple:
+    machine = MachineConfig.for_circuit(10, num_shards=4)
+    return partition(FUSION_FAMILIES[family](10), machine)[0], machine
+
+
+def _pinned_digests(family: str) -> list:
+    """The final state's SHA-256 of *family* at 10 qubits through the
+    in-core, offload and parallel (W=2) executors."""
+    plan, machine = _pinned_plan(family)
+    init = StateVector(10, _random_states(10, 1, 2024)[0])
+    clear_program_cache()
+    with ParallelRuntime(machine, num_workers=2) as runtime:
+        states = [
+            execute_plan(plan, init, machine=machine)[0],
+            execute_plan_offloaded(plan, machine, init)[0],
+            runtime.execute(plan, init)[0],
+        ]
+    return [hashlib.sha256(state.data.tobytes()).hexdigest() for state in states]
+
+
 @pytest.mark.parametrize("family", sorted(FUSION_FAMILIES))
 def test_pinned_digest_of_a_fixed_circuit(family):
     """The seven families at 10 qubits through the in-core, offload and
@@ -583,19 +606,202 @@ def test_pinned_digest_of_a_fixed_circuit(family):
     same pins hold with and without a compiler.  (The payload comes from
     libm's sin/cos and NumPy's complex products; the pins are for x86-64
     glibc hosts, where both are stable.)"""
-    machine = MachineConfig.for_circuit(10, num_shards=4)
-    plan, _ = partition(FUSION_FAMILIES[family](10), machine)
-    init = StateVector(10, _random_states(10, 1, 2024)[0])
-    clear_program_cache()
-    with ParallelRuntime(machine, num_workers=2) as runtime:
-        states = [
-            execute_plan(plan, init, machine=machine)[0],
-            execute_plan_offloaded(plan, machine, init)[0],
-            runtime.execute(plan, init)[0],
-        ]
     incore, sharded = PINNED_DIGESTS[family]
-    digests = [hashlib.sha256(state.data.tobytes()).hexdigest() for state in states]
-    assert digests == [incore, sharded, sharded]
+    assert _pinned_digests(family) == [incore, sharded, sharded]
+
+
+# ---------------------------------------------------------------------------
+# One pass cut across threads: the same bytes for any cut
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def helper_calls(monkeypatch):
+    """The names of the threads that handed ranges to the helper threads,
+    one entry per cut pass."""
+    calls: list = []
+    real = native._helpers
+
+    def spy():
+        calls.append(threading.current_thread().name)
+        return real()
+
+    monkeypatch.setattr(native, "_helpers", spy)
+    return calls
+
+
+@pytest.fixture(params=[1, 2, 4])
+def forced_threads(request, monkeypatch, helper_calls):
+    """Every pass, however small, cut into W ranges."""
+    monkeypatch.setattr(native, "TILE_THREADS", request.param)
+    monkeypatch.setattr(native, "SPLIT_MIN_AMPLITUDES", 0)
+    return request.param
+
+
+class _FailingOnHelpers:
+    """The library, except that a range run on a helper thread returns
+    *code* without touching the state."""
+
+    def __init__(self, real, code):
+        self.real, self.code, self.returned = real, code, []
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def sm_apply(self, *args):
+        if threading.current_thread().name.startswith("repro-tiles"):
+            self.returned.append(self.code)
+            return self.code
+        return self.real.sm_apply(*args)
+
+
+@needs_native
+class TestSplitPass:
+    @pytest.mark.parametrize("family", sorted(FUSION_FAMILIES))
+    def test_pinned_digests_hold_for_any_cut(self, family, forced_threads, helper_calls):
+        """In core and offload cut every pass into W ranges; the parallel
+        runtime's shard workers never cut theirs."""
+        incore, sharded = PINNED_DIGESTS[family]
+        assert _pinned_digests(family) == [incore, sharded, sharded]
+        assert bool(helper_calls) == (forced_threads > 1)
+        assert not [name for name in helper_calls if name.startswith("repro-shard")]
+
+    def test_a_stack_cut_across_rows(self, forced_threads, helper_calls):
+        """Three rows of two tiles each: W=4 cuts [0, 1, 3, 4, 6), so ranges
+        cross row boundaries and the count does not divide the tiles; every
+        row is still the flat run of its state, bit for bit."""
+        n, l2p = 14, {0: 1, 1: 13, 2: 6}
+        gates = tuple(
+            g for kind in ("fold", "permuting block", "2q dense", "diagonal block")
+            for g in ITEM_KINDS[kind]([0, 1, 2], [0.7, 1.9, 2.3])
+        )
+        items = lower_kernel_gates(gates, l2p)
+        template = kernel_template(kernel_items(items, l2p), n)
+        assert template.native
+        states = _random_states(n, 3, 23)
+        got = _apply(template.bind(items), states)
+        for row, state in zip(got, states):
+            assert np.array_equal(row, _apply(template.item_loop(items), state))
+        assert len(helper_calls) == (forced_threads > 1)
+
+    def test_a_code_on_a_helper_thread_is_one_kernel_error(self, monkeypatch, helper_calls):
+        """A range that fails on a helper thread fails the pass once, on the
+        caller, after every range has returned; the session's next run is a
+        fresh session's bits."""
+        monkeypatch.setattr(native, "TILE_THREADS", 2)
+        monkeypatch.setattr(native, "SPLIT_MIN_AMPLITUDES", 0)
+        circuit = ising(10)
+        machine = MachineConfig.for_circuit(10)
+        real = native.library()
+        failing = _FailingOnHelpers(real, 9)
+        clear_program_cache()
+        with Session(machine, backend="incore") as session:
+            monkeypatch.setitem(native._STATE, "library", failing)
+            with pytest.raises(KernelError, match=r"\(code 9\)"):
+                session.run(circuit)
+            assert failing.returned == [9] and helper_calls
+            monkeypatch.setitem(native._STATE, "library", real)
+            got = session.run(circuit).result().state.data
+        clear_program_cache()
+        with Session(machine, backend="incore") as fresh:
+            want = fresh.run(circuit).result().state.data
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # a fork beside live threads
+    def test_a_forked_child_starts_its_own_helpers(self, monkeypatch):
+        """A child forked after a cut pass has none of its parent's helper
+        threads: its own cut passes start new ones instead of waiting on
+        threads that do not exist there."""
+        monkeypatch.setattr(native, "TILE_THREADS", 2)
+        monkeypatch.setattr(native, "SPLIT_MIN_AMPLITUDES", 0)
+        n, l2p = 10, {0: 0, 1: 4, 2: 9}
+        items = lower_kernel_gates(tuple(ITEM_KINDS["fold"]([0, 1, 2], [0.3, 0.8, 1.3])), l2p)
+        run = kernel_template(kernel_items(items, l2p), n).bind(items)
+        (state,) = _random_states(n, 1, 3)
+        want = _apply(run, state)
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit code only
+            code = 2
+            try:
+                code = 0 if np.array_equal(_apply(run, state), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's helper threads")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_who_cuts(self, helper_calls):
+        """This host's CPUs set W; a pass below the cut-off, and any pass on
+        a one-CPU affinity, stays on the caller."""
+        assert native.TILE_THREADS == len(os.sched_getaffinity(0))
+        status = native.status()
+        assert (status["tile_threads"], status["split_min_amplitudes"]) == (
+            native.TILE_THREADS, native.SPLIT_MIN_AMPLITUDES
+        )
+        cuts = native.TILE_THREADS > 1
+        for n, cut in ((16, False), (17, cuts)):
+            l2p = {0: 0, 1: 5, 2: n - 1}
+            items = lower_kernel_gates(tuple(ITEM_KINDS["fold"]([0, 1, 2], [0.3, 0.8, 1.3])), l2p)
+            template = kernel_template(kernel_items(items, l2p), n)
+            (state,) = _random_states(n, 1, n)
+            helper_calls.clear()
+            got = _apply(template.bind(items), state)
+            assert bool(helper_calls) == cut
+            assert np.array_equal(got, _apply(template.item_loop(items), state))
+
+    def test_the_program_check_rejects_before_touching_the_state(self):
+        """Corrupted copies of a real program, and ranges outside its tiles:
+        each its own code, and the buffer byte for byte as it was."""
+        n, l2p = 15, {0: 0, 1: 9, 2: 4}
+        gates = tuple(
+            g for kind in ("fold", "2q dense") for g in ITEM_KINDS[kind]([0, 1, 2], [0.4, 1.1, 2.9])
+        )
+        items = lower_kernel_gates(gates, l2p)
+        lib = native.library()
+        prog, tabs, _fills, _size = _tile_program(kernel_items(items, l2p), n, lib.sm_lane_bits())
+        numbers = kernel_template(kernel_items(items, l2p), n).pack(items)
+        rows, row = 2, 1 << n
+        tiles = rows << int(prog[2])
+        assert tiles == rows * row >> int(prog[0]) > 2
+
+        def call(program, rows=rows, row=row, lo=0, hi=tiles):
+            states = _random_states(n, 2, 31)
+            before = states.tobytes()
+            code = lib.sm_apply(
+                states.ctypes.data, rows, row, lo, hi, program.ctypes.data,
+                tabs.ctypes.data, numbers.ctypes.data,
+            )
+            return code, states.tobytes() == before
+
+        def corrupt(word, value):
+            program = prog.copy()
+            program[word] = value
+            return program
+
+        assert call(prog) == (0, False)
+        cases = [
+            (1, corrupt(0, 14), {}),  # tile bits past a tile
+            (2, prog, {"row": row // 2}),  # rows of another size
+            (3, corrupt(4 + int(prog[2]) + (1 << int(prog[0] - prog[1])), 7), {}),  # item kind
+            (4, corrupt(2, -1), {}),  # outer bits below zero
+            (5, corrupt(2, 63 - int(prog[0])), {}),  # a row past 2^62
+            (5, corrupt(2, 1 << 40), {}),
+            (6, prog, {"rows": -1, "hi": 0}),
+            (7, prog, {"lo": -1}),
+            (7, prog, {"lo": 2, "hi": 1}),
+            (7, prog, {"hi": tiles + 1}),
+            (7, prog, {"rows": 1}),
+        ]
+        for code, program, changes in cases:
+            assert call(program, **changes) == (code, True), (code, changes)
+        # Empty and partial ranges are in range.
+        assert call(prog, lo=tiles, hi=tiles) == (0, True)
+        assert call(prog, lo=1, hi=tiles - 1) == (0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +839,10 @@ needs_compiler = pytest.mark.skipif(
 class TestLoader:
     def test_status_names_the_build(self):
         status = native.status()
-        assert set(status) == {"available", "reason", "path", "compiler", "flags", "build_seconds"}
+        assert set(status) == {
+            "available", "reason", "path", "compiler", "flags", "build_seconds",
+            "tile_threads", "split_min_amplitudes",
+        }
         assert native.engine() == ("native" if status["available"] else "numpy")
         assert "-ffp-contract=off" in native.FLAGS and "-ffast-math" not in native.FLAGS
 

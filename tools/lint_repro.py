@@ -94,9 +94,9 @@ Eighteen rules, each enforcing an invariant the execution layer depends on
     slot, which every executor's kernel op comes from — a compiled
     program's, or a shard schedule's segment, full-state ones included)
     and from ``sim/fusion.py::apply_gate_sequence`` (a gate list applied
-    outside any plan) and nowhere else, and the native library's entry
-    point ``sm_apply`` is named nowhere but inside it — a second caller of
-    either is a second way for a kernel to run.  A fusion kernel too, on
+    outside any plan) and nowhere else — a second caller is a second way
+    for a kernel to run (the native library's entry point is
+    ``one-native-loader``'s).  A fusion kernel too, on
     every host: under ``runtime/`` ``fused_unitary`` is called nowhere — a
     call there is an executor fusing a kernel by itself again.  The
     retired uncompiled paths — the second op builder
@@ -156,7 +156,15 @@ Eighteen rules, each enforcing an invariant the execution layer depends on
     environment variable (no ``environ``, no ``getenv``): nothing but the
     host — a compiler on ``PATH``, a writable cache — decides whether the
     native body runs.  And no ``.so`` / ``.o`` file is tracked by git: the
-    library is built on first use, never shipped.
+    library is built on first use, never shipped.  The tile pass is
+    reached one way: its symbol ``sm_apply`` is declared (``argtypes`` /
+    ``restype``) in ``sim/native.py``'s ``_load`` and named elsewhere only
+    inside ``apply_tiles``, a module-level function there (so the split
+    across threads never sits in a per-op ``run`` closure, and
+    ``hot-alloc`` holds unchanged); ``apply_tiles`` is called only by
+    ``sim/apply.py::kernel_template``; and ``sched_getaffinity`` — where
+    the cut's thread count comes from — is named once under ``src/``, in
+    ``sim/native.py``.
 
 ``one-planning-surface``
     Nothing under ``session/`` or ``service/`` names ``legacy_pipeline``
@@ -343,12 +351,10 @@ MATRIX_KIND_SITES = {
 CYCLE_WALK_SITE = "_permutation_moves"
 THREAD_LOCAL_SCOPE = "sim/"
 
-#: The kernel template, where it may be called — module, and the function
-#: there (``""``: anywhere in it) — and the native entry point only it may
-#: name.
+#: The kernel template, and where it may be called — module, and the
+#: function there (``""``: anywhere in it).
 KERNEL_TEMPLATE = "kernel_template"
 KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py": "", "sim/fusion.py": "apply_gate_sequence"}
-NATIVE_ENTRY = "sm_apply"
 #: A fusion kernel's matrix: no runtime builds one (a fusion kernel is the
 #: kernel op, on every host).
 FUSED_MATRIX_CALL = "fused_unitary"
@@ -400,6 +406,13 @@ NATIVE_LOADER_MODULES = {"ctypes", "cffi", "subprocess"}
 NATIVE_LOADER_NAME = "CDLL"
 NATIVE_ENV_WORDS = ("environ", "getenv")
 NATIVE_ARTIFACT_SUFFIXES = ("*.so", "*.o")
+#: The tile pass's foreign symbol, the one function of the loader that calls
+#: it (and cuts a pass across threads), and the one caller of that.
+NATIVE_ENTRY = "sm_apply"
+NATIVE_SPLIT = "apply_tiles"
+NATIVE_SPLIT_CALLER = ("sim/apply.py", "kernel_template")
+#: Where the cut's thread count comes from: named once under ``src/``.
+NATIVE_THREAD_SOURCE = "sched_getaffinity"
 
 PLANNING_SURFACE_SCOPE = ("session/", "service/")
 PLANNING_SURFACE_NAME = "legacy_pipeline"
@@ -744,17 +757,6 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                 and isinstance(f.value, ast.Name) and f.value.id == "threading"
             ):
                 thread_locals.append((rel, node.lineno))
-        if (
-            isinstance(node, ast.Attribute) and node.attr == NATIVE_ENTRY
-            and not (rel_src == KERNEL_SET_HOME and KERNEL_TEMPLATE in stack)
-            and rel_src != NATIVE_LOADER_HOME  # declares its signature
-        ):
-            flag(
-                rel, node.lineno,
-                f"`{NATIVE_ENTRY}` named in {where}: the native body is bound "
-                f"in sim/apply.py::{KERNEL_TEMPLATE} and nowhere else",
-                f"{where}:{NATIVE_ENTRY}",
-            )
         if isinstance(node, ast.Compare) and not MATRIX_KIND_SITES.intersection(stack):
             if any(_names_matrix_info(side) for side in [node.left, *node.comparators]):
                 flag(
@@ -986,6 +988,8 @@ def check_one_float_expression(files: list[Path]) -> list[Finding]:
 def check_one_native_loader(files: list[Path]) -> list[Finding]:
     """The ``one-native-loader`` rule over the linted *files*."""
     findings: list[Finding] = []
+    #: Where the thread-count source is named: ``(rel, line, in the loader)``.
+    affinity: list[tuple[str, int, bool]] = []
 
     def flag(rel: str, line: int, message: str, symbol: str) -> None:
         findings.append(Finding(rel, line, "one-native-loader", message, symbol))
@@ -996,7 +1000,8 @@ def check_one_native_loader(files: list[Path]) -> list[Finding]:
         rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
         source = path.read_text()
         home = rel_src == NATIVE_LOADER_HOME
-        for node in ast.walk(ast.parse(source, filename=str(path))):
+        tree = ast.parse(source, filename=str(path))
+        for node in ast.walk(tree):
             modules: list[str] = []
             if isinstance(node, ast.Import):
                 modules = [alias.name.split(".")[0] for alias in node.names]
@@ -1019,6 +1024,7 @@ def check_one_native_loader(files: list[Path]) -> list[Finding]:
                     f"`{NATIVE_LOADER_NAME}` named outside {NATIVE_LOADER_HOME}",
                     NATIVE_LOADER_NAME,
                 )
+        findings.extend(_check_tile_split(tree, rel, rel_src, home, affinity))
         if home:
             for lineno, line in enumerate(source.splitlines(), 1):
                 for word in NATIVE_ENV_WORDS:
@@ -1029,6 +1035,21 @@ def check_one_native_loader(files: list[Path]) -> list[Finding]:
                             f"host decides whether the native body runs",
                             word,
                         )
+    at_home = [(rel, line) for rel, line, home in affinity if home]
+    for rel, line in [(rel, line) for rel, line, home in affinity if not home] + at_home[1:]:
+        flag(
+            rel, line,
+            f"`{NATIVE_THREAD_SOURCE}` named a second time under src/: one place "
+            f"({NATIVE_LOADER_HOME}) decides how many threads a pass is cut into",
+            NATIVE_THREAD_SOURCE,
+        )
+    if not at_home and any(_rel_src(path) == NATIVE_LOADER_HOME for path in files):
+        flag(
+            f"src/repro/{NATIVE_LOADER_HOME}", 0,
+            f"`{NATIVE_THREAD_SOURCE}` named nowhere under src/: the pass's thread "
+            f"count moved without this rule following it",
+            f"{NATIVE_THREAD_SOURCE}:missing",
+        )
     try:
         tracked = subprocess.run(
             ["git", "ls-files", "--", *NATIVE_ARTIFACT_SUFFIXES], cwd=REPO,
@@ -1043,6 +1064,92 @@ def check_one_native_loader(files: list[Path]) -> list[Finding]:
             "first use, never shipped",
             "tracked-artifact",
         )
+    return findings
+
+
+def _walk(node: ast.AST | None):
+    """``ast.walk`` of *node*, nothing for ``None``."""
+    return () if node is None else ast.walk(node)
+
+
+def _check_tile_split(
+    tree: ast.Module, rel: str, rel_src: str, home: bool, affinity: list
+) -> list[Finding]:
+    """``one-native-loader``'s half on the tile pass in one module: the
+    foreign symbol is declared and called in the loader only — its call
+    inside the split helper, a function of the module itself, never of a
+    per-op closure — and the helper is called only by the kernel
+    template.  Appends where *tree* names the thread-count source to
+    *affinity*, which the caller holds to one place."""
+    findings: list[Finding] = []
+
+    def flag(line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-native-loader", message, symbol))
+
+    licensed: set[int] = set()
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    if home:
+        declared = {
+            target.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Attribute) and target.value.attr == NATIVE_ENTRY
+        }
+        if declared != {"argtypes", "restype"}:
+            flag(
+                0,
+                f"{NATIVE_LOADER_HOME} does not declare `{NATIVE_ENTRY}`'s argtypes "
+                f"and restype: the tile pass's symbol moved without this rule "
+                f"following it",
+                f"{NATIVE_ENTRY}:undeclared",
+            )
+        licensed.update(id(n) for n in _walk(functions.get("_load")))
+        split = functions.get(NATIVE_SPLIT)
+        if split is None:
+            flag(
+                0,
+                f"{NATIVE_LOADER_HOME} defines no module-level `{NATIVE_SPLIT}`: "
+                f"the one caller of `{NATIVE_ENTRY}` moved (into a per-op closure?) "
+                f"without this rule following it",
+                f"{NATIVE_SPLIT}:missing",
+            )
+        else:
+            licensed.update(id(n) for n in ast.walk(split))
+    caller_module, caller_function = NATIVE_SPLIT_CALLER
+    caller = functions.get(caller_function) if rel_src == caller_module else None
+    calls = {
+        id(n.func) for n in _walk(caller)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == NATIVE_SPLIT
+    }
+    for node in ast.walk(tree):
+        named = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, (ast.FunctionDef, ast.alias))
+            else None
+        )
+        if named == NATIVE_THREAD_SOURCE:
+            affinity.append((rel, node.lineno, home))
+        elif named == NATIVE_ENTRY and id(node) not in licensed:
+            flag(
+                node.lineno,
+                f"`{NATIVE_ENTRY}` named outside {NATIVE_LOADER_HOME}'s `_load` and "
+                f"`{NATIVE_SPLIT}`: every tile pass goes through the one function "
+                f"that cuts it across threads",
+                NATIVE_ENTRY,
+            )
+        elif (
+            named == NATIVE_SPLIT and id(node) not in calls
+            and not (home and node is functions.get(NATIVE_SPLIT))
+        ):
+            flag(
+                node.lineno,
+                f"`{NATIVE_SPLIT}` named outside its definition and its call in "
+                f"{caller_module}::{caller_function}: one op binds the tile pass",
+                NATIVE_SPLIT,
+            )
     return findings
 
 
