@@ -17,12 +17,19 @@ This module implements:
   give a lower bound on the stage count and fix the ``F`` variables outside
   the windows,
 * :func:`solve_staging` — one solve for a fixed number of stages ``s``,
-* :func:`stage_circuit` — Algorithm 2: iterate ``s`` upward from the
-  windows' lower bound and return the first feasible (hence
-  stage-count-minimal) solution,
-* the extraction of per-stage subcircuits and qubit partitions from the
-  ILP solution, including the re-insertion of fully-insular gates that the
-  ILP does not need to see (an optimisation described in DESIGN.md).
+* :func:`stage_circuit` — Algorithm 2: certify before solving, then iterate
+  ``s`` upward from the windows' lower bound and return the first feasible
+  (hence stage-count-minimal) solution,
+* the certificate: at the windows' lower bound, a window-driven staging
+  (:func:`_window_staging`) and a lower bound on Equation (3)
+  (:func:`_staging_bound`); when the staging's cost meets the bound it is
+  optimal and no model is built,
+* :func:`transition_cost` — Equation (3) of a staging, the one evaluator
+  every stager reports,
+* the extraction both paths share (:func:`_assemble`): per-stage
+  subcircuits and qubit partitions, including the re-insertion of
+  fully-insular gates that the ILP does not need to see, each in the first
+  stage of its legal range where its qubits are local.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "solve_staging",
     "stage_circuit",
     "stage_windows",
+    "transition_cost",
 ]
 
 
@@ -67,6 +75,14 @@ class StagingResult:
     #: ``(rows, columns, columns fixed by their bounds)`` of each model
     #: solved, in solve order.
     model_sizes: list[tuple[int, int, int]] = field(default_factory=list)
+    #: The certificate's proven lower bound on Equation (3) at the stage
+    #: count ``lower_bound`` (0.0 when no ILP stager ran).
+    stage_bound: float = 0.0
+    #: Cost of the certificate's window-driven staging minus
+    #: ``stage_bound`` (0.0 when it was returned; ``None`` when none was built).
+    certificate_gap: float | None = None
+    #: Why the certificate built no staging ("forced set exceeds L"), or "".
+    certificate_declined: str = ""
 
     def partitions(self) -> list[QubitPartition]:
         return [s.partition for s in self.stages]
@@ -185,6 +201,10 @@ def _admission_rounds(
     return rounds
 
 
+def _mask(qubits: Sequence[int]) -> int:
+    return sum(1 << q for q in qubits)
+
+
 def _stage_windows(
     gates: Sequence[_IlpGate], deps: Sequence[tuple[int, int]], local_qubits: int
 ) -> StageWindows:
@@ -201,7 +221,7 @@ def _stage_windows(
                 f"{len(gate.non_insular)} non-insular qubits but only "
                 f"L={local_qubits} qubits are local"
             )
-    masks = [sum(1 << q for q in gate.non_insular) for gate in gates]
+    masks = [_mask(gate.non_insular) for gate in gates]
     preds: list[list[int]] = [[] for _ in gates]
     succs: list[list[int]] = [[] for _ in gates]
     for g1, g2 in deps:
@@ -398,7 +418,7 @@ def _solve_once(
     solution = solve(model, backend=backend, time_limit=time_limit)
     if not solution.status.is_feasible:
         return None, model
-    return _extract_stages(circuit, num_stages, variables, solution, problem.relabel), model
+    return _extract_stages(problem, num_stages, variables, solution, inter_node_cost_factor), model
 
 
 def solve_staging(
@@ -420,64 +440,259 @@ def solve_staging(
     return result
 
 
+def transition_cost(partitions: Sequence[QubitPartition], inter_node_cost_factor: float) -> float:
+    """Equation (3) of a staging: 1 per qubit that newly becomes local, ``c`` per newly global.
+
+    The one evaluator of a staging's communication cost: the ILP's
+    extraction, the certificate and the heuristic stagers all report this
+    value, summed as integers before the factor is applied, so an integer
+    cost compares exactly.
+    """
+    new_local = new_global = 0
+    for before, after in zip(partitions, partitions[1:]):
+        new_local += len(set(after.local) - set(before.local))
+        new_global += len(set(after.global_) - set(before.global_))
+    return float(new_local + inter_node_cost_factor * new_global)
+
+
+def _place_gates(
+    circuit: Circuit, ilp_stage: Mapping[int, int], partitions: Sequence[QubitPartition]
+) -> list[int]:
+    """Stage of every gate: the ILP gates' as given, the fully-insular ones chosen here.
+
+    A fully-insular gate may run in any stage of its legal range, from the
+    latest stage of its predecessors (ASAP) to the earliest stage of its
+    successors (ALAP, which a backward pass over the qubit wires gives).
+    It goes to the first stage of that range in which all of its qubits
+    are local, so that a kernel rather than a non-local op applies it, and
+    to ASAP when there is none.
+    """
+    s = len(partitions)
+    alap = [0] * len(circuit)
+    following = [s - 1] * circuit.num_qubits
+    for idx in range(len(circuit) - 1, -1, -1):
+        qubits = circuit[idx].qubits
+        k = ilp_stage.get(idx)
+        if k is None:
+            k = min((following[q] for q in qubits), default=s - 1)
+        alap[idx] = k
+        for q in qubits:
+            following[q] = k
+    local_sets = [set(p.local) for p in partitions]
+    stage_of_gate: list[int] = []
+    last_stage_on_qubit = [0] * circuit.num_qubits
+    for idx, gate in enumerate(circuit):
+        k = ilp_stage.get(idx)
+        if k is None:
+            asap = max((last_stage_on_qubit[q] for q in gate.qubits), default=0)
+            k = next(
+                (j for j in range(asap, alap[idx] + 1) if local_sets[j].issuperset(gate.qubits)),
+                asap,
+            )
+        stage_of_gate.append(k)
+        for q in gate.qubits:
+            last_stage_on_qubit[q] = max(last_stage_on_qubit[q], k)
+    return stage_of_gate
+
+
+def _assemble(
+    problem: _CanonicalProblem,
+    local_sets: Sequence[set[int]],
+    global_sets: Sequence[set[int]],
+    ilp_stage: Sequence[int],
+    inter_node_cost_factor: float,
+    status: str,
+) -> StagingResult:
+    """One staging from canonical per-stage local / global sets and ILP-gate stages.
+
+    The extraction both paths share, the solver's and the certificate's:
+    ILP qubit ``relabel[q]`` is the circuit's qubit ``q``, ``ilp_stage[g]``
+    the stage of ILP gate ``g``; every other gate is placed by
+    :func:`_place_gates`, and the cost is :func:`transition_cost`.
+    """
+    circuit, relabel = problem.circuit, problem.relabel
+    everyone = set(range(circuit.num_qubits))
+    partitions: list[QubitPartition] = []
+    for local_canon, global_canon in zip(local_sets, global_sets):
+        local = {q for q in everyone if relabel[q] in local_canon}
+        global_ = {q for q in everyone if relabel[q] in global_canon}
+        partitions.append(QubitPartition.from_sets(local, everyone - local - global_, global_))
+    stage_of_gate = _place_gates(
+        circuit,
+        {gate.original_index: k for gate, k in zip(problem.gates, ilp_stage)},
+        partitions,
+    )
+    stages: list[Stage] = []
+    for k, partition in enumerate(partitions):
+        indices = [i for i, sk in enumerate(stage_of_gate) if sk == k]
+        gates = [circuit[i] for i in indices]
+        stages.append(Stage(gates=gates, partition=partition, gate_indices=indices))
+    return StagingResult(
+        stages=stages,
+        num_stages=len(stages),
+        communication_cost=transition_cost(partitions, inter_node_cost_factor),
+        ilp_feasible=True,
+        solver_status=status,
+    )
+
+
 def _extract_stages(
-    circuit: Circuit,
+    problem: _CanonicalProblem,
     num_stages: int,
     variables: dict,
     solution,
-    relabel: Mapping[int, int],
+    inter_node_cost_factor: float,
 ) -> StagingResult:
-    """Turn an ILP solution into per-stage subcircuits and qubit partitions.
-
-    The ILP's qubit ``relabel[q]`` is the circuit's qubit ``q``.
-    """
-    n = circuit.num_qubits
+    """Turn an ILP solution (in canonical labels) into a staging."""
+    n = problem.circuit.num_qubits
     a_vars, b_vars, f_vars = variables["A"], variables["B"], variables["F"]
-    ilp_gates = variables["gates"]
-
-    partitions: list[QubitPartition] = []
-    for k in range(num_stages):
-        local = {q for q in range(n) if solution.int_value(a_vars[relabel[q]][k]) == 1}
-        global_ = {q for q in range(n) if solution.int_value(b_vars[relabel[q]][k]) == 1}
-        regional = set(range(n)) - local - global_
-        partitions.append(QubitPartition.from_sets(local, regional, global_))
-
+    local_sets = [
+        {q for q in range(n) if solution.int_value(a_vars[q][k]) == 1} for k in range(num_stages)
+    ]
+    global_sets = [
+        {q for q in range(n) if solution.int_value(b_vars[q][k]) == 1} for k in range(num_stages)
+    ]
     # Stage index of each ILP gate: min{k | F[g][k] = 1}.
-    ilp_stage_of_gate: dict[int, int] = {}
-    for g, gate in enumerate(ilp_gates):
-        for k in range(num_stages):
-            if solution.int_value(f_vars[g][k]) == 1:
-                ilp_stage_of_gate[gate.original_index] = k
-                break
-
-    # Assign every gate (including fully-insular ones) to a stage.  Insular
-    # gates go to the latest stage of any predecessor on their qubits, which
-    # always exists between their neighbours' stages.
-    stage_of_gate: list[int] = [0] * len(circuit)
-    last_stage_on_qubit = [0] * n
-    for idx, gate in enumerate(circuit):
-        if idx in ilp_stage_of_gate:
-            k = ilp_stage_of_gate[idx]
-        else:
-            k = max((last_stage_on_qubit[q] for q in gate.qubits), default=0)
-        stage_of_gate[idx] = k
-        for q in gate.qubits:
-            last_stage_on_qubit[q] = max(last_stage_on_qubit[q], k)
-
-    stages: list[Stage] = []
-    for k in range(num_stages):
-        indices = [i for i, sk in enumerate(stage_of_gate) if sk == k]
-        gates = [circuit[i] for i in indices]
-        stages.append(Stage(gates=gates, partition=partitions[k], gate_indices=indices))
-
-    cost = float(solution.objective) if solution.objective is not None else 0.0
-    return StagingResult(
-        stages=stages,
-        num_stages=num_stages,
-        communication_cost=cost,
-        ilp_feasible=True,
-        solver_status=solution.status.value,
+    ilp_stage = [
+        next(k for k in range(num_stages) if solution.int_value(f_vars[g][k]) == 1)
+        for g in range(len(problem.gates))
+    ]
+    return _assemble(
+        problem, local_sets, global_sets, ilp_stage, inter_node_cost_factor,
+        solution.status.value,
     )
+
+
+def _bits(mask: int) -> set[int]:
+    return {q for q in range(mask.bit_length()) if mask >> q & 1}
+
+
+def _open_and_close(windows: StageWindows) -> tuple[list[int], list[int]]:
+    """Each ILP gate's window ``[opens, closes]`` as 0-based stages at the lower bound."""
+    s = windows.lower_bound
+    return [e - 1 for e in windows.earliest], [s - b for b in windows.latest_from_end]
+
+
+def _staging_bound(
+    problem: _CanonicalProblem,
+    windows: StageWindows,
+    local_qubits: int,
+    global_qubits: int,
+    inter_node_cost_factor: float,
+) -> float:
+    """A lower bound on Equation (3) over every staging with ``windows.lower_bound`` stages.
+
+    With ``m = n - L`` non-local slots and ``P_k`` the qubits that may stay
+    non-local across the transition ``k -> k+1`` (at most ``m``, and none
+    that a gate whose window lies inside ``{k, k+1}`` needs local), the
+    transition makes at least ``m - P_k`` qubits newly local and at least
+    ``G - P_k`` newly global.  It also makes at least one qubit newly
+    local: two equal consecutive local sets would merge into a staging
+    with one stage fewer, which the windows exclude.  Over the whole
+    staging, every qubit of the non-insular union ``U`` outside the first
+    local set becomes local once, so at least ``|U| - L``.  The bound holds
+    only at the windows' lower bound, where the merge argument does.
+    """
+    s = windows.lower_bound
+    n = problem.circuit.num_qubits
+    m = n - local_qubits
+    opens, closes = _open_and_close(windows)
+    union = 0
+    pinned = [0] * max(s - 1, 0)  # qubits some gate confined to {k, k+1} needs local
+    for gate, first, last in zip(problem.gates, opens, closes):
+        mask = _mask(gate.non_insular)
+        union |= mask
+        for k in range(max(last - 1, 0), min(first, s - 2) + 1):
+            pinned[k] |= mask
+    free = [min(m, n - p.bit_count()) for p in pinned]
+    local_term = max(union.bit_count() - local_qubits, s - 1, sum(max(1, m - p) for p in free))
+    global_term = sum(max(0, global_qubits - p) for p in free)
+    return float(local_term + inter_node_cost_factor * global_term)
+
+
+def _window_staging(
+    problem: _CanonicalProblem, windows: StageWindows, local_qubits: int, global_qubits: int
+) -> tuple[list[set[int]], list[set[int]], list[int]] | str:
+    """A staging with exactly ``windows.lower_bound`` stages, driven by the windows.
+
+    Stage ``k`` makes local the non-insular qubits of every gate whose
+    window closes at ``k`` and of its unfinished ancestors, fills the other
+    local slots by next need (earliest window opening, then deadline;
+    among equals a qubit some gate touches sooner, then a qubit that was
+    local, then the lower canonical index), and runs every ready gate whose
+    non-insular qubits are local.  Its global qubits are the previous
+    stage's while they stay non-local, then the non-local qubits needed
+    latest.  Every gate is forced by the stage its window closes at, so a
+    staging built is a finished one.  Returns canonical local / global sets
+    and each ILP gate's stage, or why no staging was built.
+    """
+    s = windows.lower_bound
+    n = problem.circuit.num_qubits
+    masks = [_mask(gate.non_insular) for gate in problem.gates]
+    opens, closes = _open_and_close(windows)
+    preds: list[list[int]] = [[] for _ in masks]
+    for g1, g2 in problem.deps:
+        preds[g2].append(g1)
+    # Every qubit of each ILP gate, insular ones included: among qubits
+    # needed alike, one a gate touches sooner stays local, so that gate's
+    # kernel does too.
+    touches = [
+        _mask([problem.relabel[q] for q in problem.circuit[gate.original_index].qubits])
+        for gate in problem.gates
+    ]
+    stage_of = [-1] * len(masks)
+    never = (s, s)
+
+    def next_need(undone: list[int], k: int, of: list[int] = masks) -> list[tuple[int, int]]:
+        """``(window opening, deadline)`` of the first unfinished gate that needs each qubit."""
+        need = [never] * n
+        for g in undone:
+            when = (max(opens[g], k), closes[g])
+            mask = of[g]
+            while mask:
+                low = mask & -mask
+                q = low.bit_length() - 1
+                need[q] = min(need[q], when)
+                mask ^= low
+        return need
+
+    local = global_ = 0
+    local_sets: list[set[int]] = []
+    global_sets: list[set[int]] = []
+    for k in range(s):
+        undone = [g for g, done in enumerate(stage_of) if done < 0]
+        forced = 0
+        stack = [g for g in undone if closes[g] == k]
+        seen = set(stack)
+        while stack:
+            g = stack.pop()
+            forced |= masks[g]
+            for p in preds[g]:
+                if stage_of[p] < 0 and p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        if forced.bit_count() > local_qubits:
+            return "forced set exceeds L"
+        need = next_need(undone, k)
+        touch = next_need(undone, k, touches)
+        fill = sorted(
+            (q for q in range(n) if not forced >> q & 1),
+            key=lambda q: (need[q], touch[q], not local >> q & 1, q),
+        )
+        local = forced | _mask(fill[: local_qubits - forced.bit_count()])
+        for g in undone:  # topological order: a predecessor taken here is seen first
+            if not masks[g] & ~local and all(stage_of[p] >= 0 for p in preds[g]):
+                stage_of[g] = k
+        need = next_need([g for g in undone if stage_of[g] < 0], k + 1)
+        kept = global_ & ~local
+        latest = sorted(
+            (q for q in range(n) if not (local | kept) >> q & 1),
+            key=need.__getitem__, reverse=True,  # stable: lower index first among equals
+        )
+        global_ = kept | _mask(latest[: global_qubits - kept.bit_count()])
+        local_sets.append(_bits(local))
+        global_sets.append(_bits(global_))
+    return local_sets, global_sets, stage_of
 
 
 def stage_circuit(
@@ -492,12 +707,17 @@ def stage_circuit(
 ) -> StagingResult:
     """Algorithm 2: find the minimum feasible number of stages via the ILP.
 
-    The iteration starts at the stage windows' lower bound (stage counts
-    below it are provably infeasible, so their solves are skipped) and every
-    model has its ``F`` variables fixed outside the windows; neither changes
-    the stage count or the communication cost returned.  The circuit is
-    staged in its canonical (first-use-order) qubit labels, so staging
-    commutes with qubit relabelling.
+    No stage count below the stage windows' lower bound is feasible.  At
+    that count the certificate runs first: a window-driven staging with
+    exactly that many stages and a proven lower bound on Equation (3).  When
+    the staging's cost equals the bound, it is a minimum-cost staging with
+    the minimum stage count and is returned with ``solver_status
+    "certified"`` and no solve.  Otherwise the ILP iteration starts at the
+    lower bound (stage counts below it are skipped) and every model has its
+    ``F`` variables fixed outside the windows; none of this changes the
+    stage count or the communication cost returned.  The circuit is staged
+    in its canonical (first-use-order) qubit labels, so staging commutes
+    with qubit relabelling.
 
     Raises :class:`RuntimeError` if a gate has more non-insular qubits than
     ``L`` (before any model is built) or if no feasible staging exists
@@ -507,6 +727,21 @@ def stage_circuit(
     start = time.perf_counter()
     problem = _CanonicalProblem.of(circuit)
     windows = _stage_windows(problem.gates, problem.deps, local_qubits)
+    bound = _staging_bound(problem, windows, local_qubits, global_qubits, inter_node_cost_factor)
+    candidate = _window_staging(problem, windows, local_qubits, global_qubits)
+    gap: float | None = None
+    declined = ""
+    if isinstance(candidate, str):
+        declined = candidate
+    else:
+        certified = _assemble(problem, *candidate, inter_node_cost_factor, "certified")
+        gap = certified.communication_cost - bound
+        if gap <= 0:
+            certified.lower_bound = windows.lower_bound
+            certified.stage_bound = bound
+            certified.certificate_gap = gap
+            certified.solver_seconds = time.perf_counter() - start
+            return certified
     model_sizes: list[tuple[int, int, int]] = []
     for s in range(windows.lower_bound, max_stages + 1):
         result, model = _solve_once(
@@ -522,6 +757,9 @@ def stage_circuit(
             result.lower_bound = windows.lower_bound
             result.model_sizes = model_sizes
             result.num_solves = len(model_sizes)
+            result.stage_bound = bound
+            result.certificate_gap = gap
+            result.certificate_declined = declined
             result.solver_seconds = time.perf_counter() - start
             return result
     raise RuntimeError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..circuits.circuit import Circuit
 from .plan import QubitPartition, Stage
-from .stage import StagingResult
+from .stage import StagingResult, transition_cost
 
 __all__ = ["snuqs_stage_circuit", "greedy_stage_circuit"]
 
@@ -92,8 +92,6 @@ def snuqs_stage_circuit(
 
     remaining = list(range(len(circuit)))
     stages: list[Stage] = []
-    prev_partition: QubitPartition | None = None
-    comm_cost = 0.0
 
     while remaining:
         if len(stages) >= max_stages:
@@ -117,18 +115,13 @@ def snuqs_stage_circuit(
             )
         gates = [circuit[i] for i in taken]
         stages.append(Stage(gates=gates, partition=partition, gate_indices=taken))
-        if prev_partition is not None:
-            new_local = set(partition.local) - set(prev_partition.local)
-            new_global = set(partition.global_) - set(prev_partition.global_)
-            comm_cost += len(new_local) + inter_node_cost_factor * len(new_global)
-        prev_partition = partition
         taken_set = set(taken)
         remaining = [i for i in remaining if i not in taken_set]
 
     return StagingResult(
         stages=stages,
         num_stages=len(stages),
-        communication_cost=comm_cost,
+        communication_cost=transition_cost([stage.partition for stage in stages], inter_node_cost_factor),
         ilp_feasible=False,
         solver_status="heuristic",
     )
@@ -166,8 +159,6 @@ def greedy_stage_circuit(
         stages_indices.append(current)
 
     stages: list[Stage] = []
-    prev_partition: QubitPartition | None = None
-    comm_cost = 0.0
     for indices in stages_indices:
         used = set()
         for i in indices:
@@ -187,17 +178,11 @@ def greedy_stage_circuit(
         stages.append(
             Stage(gates=[circuit[i] for i in indices], partition=partition, gate_indices=list(indices))
         )
-        if prev_partition is not None:
-            comm_cost += len(set(partition.local) - set(prev_partition.local))
-            comm_cost += inter_node_cost_factor * len(
-                set(partition.global_) - set(prev_partition.global_)
-            )
-        prev_partition = partition
 
     return StagingResult(
         stages=stages,
         num_stages=len(stages),
-        communication_cost=comm_cost,
+        communication_cost=transition_cost([stage.partition for stage in stages], inter_node_cost_factor),
         ilp_feasible=False,
         solver_status="heuristic",
     )

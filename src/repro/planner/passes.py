@@ -274,7 +274,11 @@ class StagePass(PlanningPass):
     Besides the staging's stage count and cost the pass reports the ILP's
     size as counts: ``stage_lower_bound`` (the stage windows' proven bound,
     where the iteration starts) and, one entry per solve, ``ilp_rows``,
-    ``ilp_cols`` and ``ilp_fixed_vars`` (columns the windows fixed).
+    ``ilp_cols`` and ``ilp_fixed_vars`` (columns the windows fixed).  Why
+    the solver ran or not: ``stage_bound`` (the certificate's bound on
+    Equation (3)), ``certificate_gap`` (its staging's cost minus that bound:
+    0.0 when ``solver_status`` is ``"certified"`` and no solve ran, ``None``
+    when it built none) and ``certificate_declined`` (why it built none).
     """
 
     name = "stage"
@@ -314,6 +318,9 @@ class StagePass(PlanningPass):
             solver_seconds=ctx.staging.solver_seconds,
             num_solves=ctx.staging.num_solves,
             stage_lower_bound=ctx.staging.lower_bound,
+            stage_bound=ctx.staging.stage_bound,
+            certificate_gap=ctx.staging.certificate_gap,
+            certificate_declined=ctx.staging.certificate_declined,
             ilp_rows=[rows for rows, _, _ in ctx.staging.model_sizes],
             ilp_cols=[cols for _, cols, _ in ctx.staging.model_sizes],
             ilp_fixed_vars=[fixed for _, _, fixed in ctx.staging.model_sizes],

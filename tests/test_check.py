@@ -451,7 +451,11 @@ class TestMisexecutionDemos:
         assert not simulate_reference(qft(N)).allclose(program.run())
 
     def test_reorder_misexecutes(self):
-        reference = simulate_reference(qft(N))
+        # From a random state: qft on |0...0> is H on every qubit (each
+        # controlled phase meets its control at 0), which the plan's two
+        # kernel ops still compute when swapped across the layout change.
+        init = StateVector.random_state(N, seed=5)
+        reference = simulate_reference(qft(N), init)
         program, plan, machine = fresh_program()
         gate_ops = [
             i for i, op in enumerate(program.ops)
@@ -467,7 +471,7 @@ class TestMisexecutionDemos:
                     continue
                 program.ops[a], program.ops[b] = program.ops[b], program.ops[a]
                 assert not verify_program(program, plan=plan, machine=machine).ok
-                if not reference.allclose(program.run()):
+                if not reference.allclose(program.run(init)):
                     return
                 program.ops[a], program.ops[b] = program.ops[b], program.ops[a]
         raise AssertionError("no op swap misexecuted")
@@ -1432,6 +1436,51 @@ class TestLintRepro:
         assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
             (0, "solve:missing"), (2, "solve_with_scipy"), (4, ".solve"),
             (4, "solve_with_scipy"),
+        ]
+
+    def test_staging_cost_outside_the_one_evaluator_flagged(self, lint):
+        home = self.write(
+            lint, "core/stage.py",
+            "def _assemble(stages, partitions, c):\n"
+            "    return StagingResult(stages, len(stages), transition_cost(partitions, c), True)\n",
+        )
+        heuristic = self.write(
+            lint, "core/stage_heuristics.py",
+            "def greedy(stages, c):\n"
+            "    return StagingResult(\n"
+            "        stages=stages, num_stages=len(stages),\n"
+            "        communication_cost=transition_cost([s.partition for s in stages], c),\n"
+            "        ilp_feasible=False,\n"
+            "    )\n",
+        )
+        # Outside core/, a staging built without a transition is free to say 0.
+        shortcut = self.write(
+            lint, "planner/passes.py",
+            "def single(stage):\n"
+            "    return StagingResult(stages=[stage], num_stages=1,\n"
+            "                         communication_cost=solution.objective, ilp_feasible=False)\n",
+        )
+        assert lint.check_one_staging_cost([home, heuristic, shortcut]) == []
+        # The solver's float objective, and a stager's own running sum.
+        solver = self.write(
+            lint, "core/stage.py",
+            "def _extract(stages, solution):\n"
+            "    cost = float(solution.objective) if solution.objective is not None else 0.0\n"
+            "    return StagingResult(stages=stages, num_stages=len(stages),\n"
+            "                         communication_cost=cost, ilp_feasible=True)\n",
+        )
+        running = self.write(
+            lint, "core/stage_heuristics.py",
+            "def snuqs(stages, new_local, new_global, c):\n"
+            "    return StagingResult(stages, len(stages), new_local + c * new_global, False)\n",
+        )
+        findings = lint.check_one_staging_cost([solver, running])
+        assert {f.rule for f in findings} == {"one-staging-cost"}
+        assert sorted((f.path, f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            ("src/repro/core/stage.py", 2, ".objective"),
+            ("src/repro/core/stage.py", 2, ".objective"),
+            ("src/repro/core/stage.py", 3, "StagingResult:communication_cost"),
+            ("src/repro/core/stage_heuristics.py", 2, "StagingResult:communication_cost"),
         ]
 
     def test_reference_kernelizer_outside_its_registry_entry_flagged(self, lint):

@@ -303,6 +303,12 @@ UNAVAILABLE = dict(
 #: The executor cases: the service structures on the service machine, and
 #: ising-20 on the shard-stream machine (8 shards of 2^17).
 EXECUTOR_CASES = (*sorted(SERVICE_STRUCTURES), "ising-20")
+#: The executor cases whose plan has a gate on a non-local qubit inside a
+#: multi-gate kernel: the shard executors apply it per shard, as an op of
+#: its own, where the in-core run folds it into the kernel (the caveat of
+#: :data:`PINNED_DIGESTS`), so in-core and sharded end a last bit apart.
+#: vqc joined when staging began to certify a window-driven staging.
+SHARDED_APART = {"vqc"}
 
 
 @lru_cache(maxsize=None)
@@ -485,8 +491,10 @@ class TestFusionKernels:
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_executors_agree(self, engine, case):
         """Compiled, offload and parallel W ∈ {1, 2, 4}, on either body:
-        bit for bit.  Each first has its compile fail, which raises the
-        `KernelError` and leaves the next run the same bits."""
+        bit for bit — in core against sharded too, except on the
+        :data:`SHARDED_APART` plans, which end a last bit apart.  Each first
+        has its compile fail, which raises the `KernelError` and leaves the
+        next run the same bits."""
         plan, machine = _executor_case(case)
         init = StateVector.random_state(plan.num_qubits, seed=3)
         want = compile_plan(plan, machine).run(init).data
@@ -505,11 +513,16 @@ class TestFusionKernels:
             return state.data
 
         assert np.array_equal(run(lambda: execute_plan(plan, init, machine=machine)), want)
-        assert np.array_equal(run(lambda: execute_plan_offloaded(plan, machine, init)), want)
+        sharded = run(lambda: execute_plan_offloaded(plan, machine, init))
         for workers in (1, 2, 4):
             with ParallelRuntime(machine, num_workers=workers) as runtime:
                 parallel = run(lambda: runtime.execute(plan, init))
-            assert np.array_equal(parallel, want), workers
+            assert np.array_equal(parallel, sharded), workers
+        if case in SHARDED_APART:
+            assert not np.array_equal(sharded, want)
+            assert np.allclose(sharded, want, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(sharded, want)
 
 
 @needs_native
@@ -542,36 +555,37 @@ def test_library_plans_kernel_by_kernel(family, n):
 #: Per family at 10 qubits on four shards, the SHA-256 of the final state
 #: in core and through both shard executors.  These apply a diagonal gate
 #: on a non-local qubit per shard, as an op of its own, where the in-core
-#: run folds it into a block's phases: ae, qft and qpeexact end a last bit
-#: apart.
+#: run folds it into a block's phases: ae, qft, qpeexact and vqc end a last
+#: bit apart.  (Re-pinned when staging began to certify a window-driven
+#: staging instead of solving the ILP: the plans, not the bodies, changed.)
 PINNED_DIGESTS = {
     "ae": (
-        "55dc4bcb536e98696a782369d8717584a96239fb92eb9a6360e9df8c83c253ce",
-        "4f970e5019e29b389c3c804dd5531dd134e76af523a9fcfbddbca75c9aabefb9",
+        "065b8b616e29c8cd9a8bf0bc9849c8a411fcb47b9927d1d63e37c0f3585f192b",
+        "dc213e30bdae61e8bb990bb509af9a4709a40325af4232199f47cadaf03e1466",
     ),
     "ising": (
         "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
         "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
     ),
     "qft": (
-        "00ad2b5cb53babd240489def30cb523136c73bc26e8ce6e5495f3a98fd80913e",
-        "8be0bc6ee23ba55c3f6fb84a7f01afe312d7fddf383a2064a35c160f35f8abbb",
+        "f0dd4c78e4bd7b5c8bab8760b5f355ac38c8a3e8ed6c22606f54cf71cadeb092",
+        "065929ff3edc7265bf70c172fa78eec8300f840e8c1b72abad48275c83ea4bf3",
     ),
     "qpeexact": (
-        "c1db25fd23a186acb3fc49d3da282925e78b4d7ebaa2df4de3a78a465c852720",
-        "64fbf6e2d82729bf434030d183cf36e19658c2257e86d11f5f2a3517ae632ecd",
+        "7a3aaf80d4943a23d05a87c8ed09ec57222c764a80c2dcbc5ea171845fc7eeba",
+        "a88604cb6b840191ef4153e88c80ee1ebb007d2eb9f429e5bc1fdc462a26fecb",
     ),
     "qsvm": (
-        "a68a47157d8a788fde33a891d792a1d779f4c87b027b0712055045eabd201109",
-        "a68a47157d8a788fde33a891d792a1d779f4c87b027b0712055045eabd201109",
+        "b501e07c81138465725e69fe7c3094c4da0be9a5e8c755f3bb73e6f8b43d6a1e",
+        "b501e07c81138465725e69fe7c3094c4da0be9a5e8c755f3bb73e6f8b43d6a1e",
     ),
     "su2random": (
-        "683cd14a26ff4c95fe53843f210c4dd5a663b4264ea1860461a45a28fdb006be",
-        "683cd14a26ff4c95fe53843f210c4dd5a663b4264ea1860461a45a28fdb006be",
+        "431abce8929c101aed2515ee3e62ffdfd76cbe0adf347c523787a50c6be791dd",
+        "431abce8929c101aed2515ee3e62ffdfd76cbe0adf347c523787a50c6be791dd",
     ),
     "vqc": (
-        "f576c98cc97da9b1379d9ebd586e63029d9ef3190b654bbc64abef004a45b16c",
-        "f576c98cc97da9b1379d9ebd586e63029d9ef3190b654bbc64abef004a45b16c",
+        "1b806edf502fb2f0871b9b963b7aa98542282f8273e470a3e64c3a8f59e61803",
+        "58b6220d921b7d80f6d507bec3faa4378dd0d6705d612a4fd05c50245e6b17a8",
     ),
 }
 

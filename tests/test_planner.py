@@ -41,6 +41,7 @@ from repro.core.fast_kernelize import _beam_loop, _flatten
 from repro.core.kernel import KernelSequence
 from repro.core.kernelize import _build_kernel_sequence
 from repro.core.ordered_kernelize import ordered_kernelize
+from repro.core.stage import solve_staging
 from repro.sim import native
 from repro.planner import (
     KERNELIZERS,
@@ -356,17 +357,36 @@ class TestPresetPlans:
         assert report.pass_metrics["stage"]["num_solves"] == 0
 
     def test_lower_bound_start_skips_infeasible_solves(self):
-        n = 8
-        circuit = qft(n)  # every qubit in the non-insular union
-        machine = MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - 2)
-        plan, report = build_plan(circuit, machine, planner="fast")
+        # A figure-9 cell the certificate leaves to the solver (dj at 16
+        # qubits, L = 8, R = 2, G = 6): the iteration starts at the windows'
+        # bound and reports each solve's model size.
+        n = 16
+        machine = MachineConfig.for_circuit(n, num_shards=256, local_qubits=8)
+        assert (machine.regional_qubits, machine.global_qubits) == (2, 6)
+        plan, report = build_plan(get_circuit("dj", n), machine, planner="fast")
         metrics = report.pass_metrics["stage"]
-        assert metrics["stage_lower_bound"] >= 2  # at least ceil(8 / 6)
+        assert metrics["solver_status"] == "optimal"
+        assert metrics["stage_lower_bound"] >= 2  # at least ceil(16 / 8)
         assert metrics["num_solves"] == plan.num_stages - metrics["stage_lower_bound"] + 1
         # Model size is reported as counts, one entry per solve.
         for key in ("ilp_rows", "ilp_cols", "ilp_fixed_vars"):
             assert len(metrics[key]) == metrics["num_solves"]
         assert 0 < metrics["ilp_fixed_vars"][-1] < metrics["ilp_cols"][-1]
+        # Why the solver ran: the certificate's staging missed its bound.
+        assert (metrics["stage_bound"], metrics["certificate_gap"]) == (8.0, 18.0)
+        assert metrics["communication_cost"] == 26.0
+        assert metrics["certificate_declined"] == ""
+
+    def test_declined_certificate_says_why(self):
+        # The windows prove 4 stages here, but no local set can finish the
+        # gates whose windows close at one stage: the certificate builds no
+        # staging, and the loop solves 4 (infeasible) and 5 stages.
+        machine = MachineConfig.for_circuit(6, num_shards=8, local_qubits=3)
+        plan, report = build_plan(random_circuit(6, 40, seed=1), machine, planner="fast")
+        metrics = report.pass_metrics["stage"]
+        assert (metrics["stage_lower_bound"], plan.num_stages, metrics["num_solves"]) == (4, 5, 2)
+        assert metrics["certificate_declined"] == "forced set exceeds L"
+        assert metrics["certificate_gap"] is None
 
     @pytest.mark.parametrize(
         "family,n",
@@ -375,13 +395,22 @@ class TestPresetPlans:
     )
     def test_window_bound_is_tight_on_the_benchmark_structures(self, family, n):
         # The six structures of the repo benchmark's cold-plan workload, on
-        # its machine shape: the window bound equals the ILP's minimum, so
-        # the only solve is the feasible one.
+        # its machine shape: the window bound equals the ILP's minimum (the
+        # MILP is feasible there), and the certificate meets its own bound
+        # on Equation (3), so nothing is solved.
         machine = MachineConfig.for_circuit(n, num_shards=4)
-        plan, report = build_plan(family(n), machine, planner="fast")
+        circuit = family(n)
+        plan, report = build_plan(circuit, machine, planner="fast")
         metrics = report.pass_metrics["stage"]
-        assert metrics["num_solves"] == 1
         assert metrics["stage_lower_bound"] == plan.num_stages
+        assert solve_staging(
+            circuit, plan.num_stages, machine.local_qubits, machine.regional_qubits,
+            machine.global_qubits,
+        ) is not None
+        assert (metrics["solver_status"], metrics["num_solves"]) == ("certified", 0)
+        assert metrics["certificate_gap"] == 0.0
+        assert metrics["stage_bound"] == metrics["communication_cost"]
+        assert metrics["ilp_rows"] == metrics["ilp_cols"] == metrics["ilp_fixed_vars"] == []
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="unknown planner preset"):

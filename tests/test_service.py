@@ -515,7 +515,10 @@ class TestSharedPlanStore:
     def test_persisted_fingerprints_are_pinned(self):
         """Stores and checkpoints written by earlier versions carry these
         digests: a plan and its skeleton hash through one helper, byte for
-        byte as before (recorded at the commit that introduced the helper)."""
+        byte as before (recorded at the commit that introduced the helper).
+        The planner-made plan's digest was re-recorded when staging began to
+        certify a window-driven staging (it was ``495386e278cf8e8e``): the
+        plan changed, not the hash; the hand-built plan's is the original."""
         from repro.session import plan_fingerprint
 
         sharded_machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
@@ -530,7 +533,7 @@ class TestSharedPlanStore:
                 plan_fingerprint,
                 lambda p: skeleton_fingerprint(json.loads(json.dumps(plan_skeleton(p)))),
             )
-        ] == ["495386e278cf8e8e"] * 2 + ["df963237be101652"] * 2
+        ] == ["0c2173a24b6bf9a8"] * 2 + ["df963237be101652"] * 2
 
     @pytest.mark.parametrize("name", sorted(PINNED_IDENTITIES))
     def test_plan_identities_are_pinned(self, name):
@@ -574,7 +577,9 @@ class TestSharedPlanStore:
         the skeleton of the fully relabelled plan was at the commit before,
         and binds back to the relabelled circuit.  The JSON digest leaves
         out the provenance, which a skeleton has kept whole since (digests
-        recorded at the commit before that): it is the plan's own."""
+        recorded at the commit before that): it is the plan's own.  The
+        digests were re-recorded once more when staging began to certify a
+        window-driven staging, which changed the planner's plans."""
         import hashlib
 
         from repro import build_plan
@@ -600,15 +605,15 @@ class TestSharedPlanStore:
                 twin = circuit.remap_qubits(mapping)
                 skeleton_to_plan(skeleton, twin).validate(twin)
         assert recorded == {
-            "qsvm/0": ("8ee04eb83497c147", "bf0665107d0010f9"),
-            "qsvm/1": ("97dbc15373e51d6d", "fb1dae99d4c04db2"),
-            "qsvm/2": ("2212bce3f7c98aeb", "47d03269759482d0"),
-            "ising/0": ("1c0461c06ac20f26", "06d760231889cb53"),
-            "ising/1": ("07db7464ddcfaea2", "8f9630d79381fc5a"),
-            "ising/2": ("5ba87b481c07537d", "7fce5c6f5613d13f"),
-            "vqc/0": ("fdc3c8eb9c01fa92", "75491ad41a3573fb"),
-            "vqc/1": ("161f003c7a1707ff", "33314365af628302"),
-            "vqc/2": ("a99b0fecee668629", "72fd4211b1fb1f0b"),
+            "qsvm/0": ("5fc64e0fb7d6e6aa", "c7f40478758b26e8"),
+            "qsvm/1": ("5fbdad8b0de8ecf4", "8e85c8a5fb361de9"),
+            "qsvm/2": ("2df9009d047a18d0", "6b01488d4cbdab72"),
+            "ising/0": ("cc1eea7eb365030e", "521f7330736f2b2f"),
+            "ising/1": ("e216047ce9f2f0ab", "b259522c179f2b20"),
+            "ising/2": ("a04ce3da9ab98884", "edf95bf0b7f753d4"),
+            "vqc/0": ("d1ee6f1ea2d13457", "a1ab496528e9d50f"),
+            "vqc/1": ("b85df97a94b42a97", "30ca467d9920ba1c"),
+            "vqc/2": ("aec36eb4e5fdffcc", "f6a0c0cfc69c9032"),
         }
 
     def test_on_disk_tampering_evicted_at_load(self, machine, tmp_path):

@@ -1,12 +1,15 @@
-"""Differential tests of the staging ILP's windows, row store and canonical labels.
+"""Differential tests of the staging ILP's windows, row store, canonical labels and certificate.
 
 ``core/stage.py`` proves a lower bound on the stage count and fixes ``F``
 variables before the solver runs, emits the model straight into
-``IlpModel``'s row store, and stages every circuit in its canonical
-(first-use-order) labels.  None of the three may change what staging
-returns; this file pins that against :func:`oracle_staging_ilp` — the
+``IlpModel``'s row store, stages every circuit in its canonical
+(first-use-order) labels, and at the lower bound certifies a window-driven
+staging against a proven bound on Equation (3) before building any model.
+None of the four may change the stage count or the cost staging returns;
+this file pins that against :func:`oracle_staging_ilp` — the
 expression-algebra construction of Equations (3)–(11) that
-``build_staging_ilp`` was before, kept here, unfixed, as the named oracle.
+``build_staging_ilp`` was before, kept here, unfixed, as the named oracle —
+and against the MILP itself.
 """
 
 from unittest import mock
@@ -17,16 +20,19 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import repro.core.stage as stage_mod
 from repro.circuits import Circuit
-from repro.circuits.library import random_circuit
+from repro.circuits.library import PAPER_FAMILIES, get_circuit, random_circuit
 from repro.core import KernelizeConfig, fast_kernelize
 from repro.core.plan import QubitPartition
 from repro.core.stage import (
     _ilp_dependencies,
     _ilp_gates,
     build_staging_ilp,
+    solve_staging,
     stage_circuit,
     stage_windows,
+    transition_cost,
 )
+from repro.core.stage_heuristics import greedy_stage_circuit, snuqs_stage_circuit
 from repro.ilp import IlpModel, lin_sum, solve
 from repro.ilp.scipy_backend import lower_model
 
@@ -103,8 +109,11 @@ _PARAM_COUNT = {"rx": 1, "ry": 1, "rz": 1, "cp": 1, "rzz": 1, "cry": 1}
 
 
 @st.composite
-def staging_problems(draw, min_qubits=3, max_qubits=6, max_gates=18):
-    """``(circuit, L, R, G)`` with every gate's non-insular qubits fitting ``L``."""
+def staging_problems(draw, min_qubits=3, max_qubits=6, max_gates=18, with_global=None):
+    """``(circuit, L, R, G)`` with every gate's non-insular qubits fitting ``L``.
+
+    *with_global* ``True`` / ``False`` draws only ``G > 0`` / ``G = 0``.
+    """
     n = draw(st.integers(min_qubits, max_qubits))
     circuit = Circuit(n, name="hypothesis")
     for _ in range(draw(st.integers(1, max_gates))):
@@ -114,9 +123,12 @@ def staging_problems(draw, min_qubits=3, max_qubits=6, max_gates=18):
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=width, unique=True))
         params = [draw(st.floats(0.01, 6.28)) for _ in range(_PARAM_COUNT.get(name, 0))]
         circuit.add(name, qubits, params)
-    local = draw(st.integers(1, n))
+    local = draw(st.integers(1, n - 1 if with_global else n))
     assume(all(len(g.non_insular_qubits()) <= local for g in circuit))
-    global_ = draw(st.integers(0, n - local))
+    if with_global is None:
+        global_ = draw(st.integers(0, n - local))
+    else:
+        global_ = draw(st.integers(1, n - local)) if with_global else 0
     return circuit, local, n - local - global_, global_
 
 
@@ -208,7 +220,10 @@ class TestWindowsAreValid:
         assert result.num_stages == s
         assert result.communication_cost == pytest.approx(oracle_solution.objective, abs=1e-6)
         assert result.lower_bound == windows.lower_bound
-        assert result.num_solves == s - windows.lower_bound + 1
+        if result.solver_status == "certified":  # no model built, none solved
+            assert (s, result.num_solves, result.model_sizes) == (windows.lower_bound, 0, [])
+        else:
+            assert result.num_solves == s - windows.lower_bound + 1
 
     @given(staging_problems(max_qubits=5, max_gates=10))
     @settings(**{**SETTINGS, "max_examples": 15})
@@ -233,20 +248,133 @@ class TestWindowsAreValid:
         assert oracle_minimum_stages(circuit, 3, 1, 2)[0] == 5
 
 
+def _ilp_point(result, circuit, variables):
+    """*result* as values of ``build_staging_ilp``'s A/B/F/S/T variables (circuit labels)."""
+    stage_of = {i: k for k, stage in enumerate(result.stages) for i in stage.gate_indices}
+    a = [[q in stage.partition.local for stage in result.stages] for q in range(circuit.num_qubits)]
+    b = [[q in stage.partition.global_ for stage in result.stages] for q in range(circuit.num_qubits)]
+    values = {}
+    for q in range(circuit.num_qubits):
+        for k in range(result.num_stages):
+            values[variables["A"][q][k].index] = float(a[q][k])
+            values[variables["B"][q][k].index] = float(b[q][k])
+        for k in range(result.num_stages - 1):
+            values[variables["S"][q][k].index] = float(a[q][k + 1] and not a[q][k])
+            values[variables["T"][q][k].index] = float(b[q][k + 1] and not b[q][k])
+    for g, gate in enumerate(variables["gates"]):
+        for k in range(result.num_stages):
+            values[variables["F"][g][k].index] = float(stage_of[gate.original_index] <= k)
+    return values
+
+
+class TestCertificate:
+    """The certificate against the MILP, the named oracle for its cost."""
+
+    @pytest.mark.parametrize("with_global", [False, True], ids=["G=0", "G>0"])
+    @given(data=st.data())
+    @settings(**SETTINGS)
+    def test_bound_and_certified_staging_against_the_milp(self, with_global, data):
+        circuit, local, regional, global_ = data.draw(staging_problems(with_global=with_global))
+        windows = stage_windows(circuit, local)
+        s = windows.lower_bound
+        milp = solve_staging(circuit, s, local, regional, global_)
+        result = stage_circuit(circuit, local, regional, global_)
+        if milp is None:  # the windows are loose here: nothing can be certified
+            assert result.solver_status != "certified"
+            return
+        assert result.stage_bound <= milp.communication_cost
+        if result.solver_status != "certified":
+            assert result.certificate_declined or result.certificate_gap > 0
+            return
+        assert (result.num_stages, result.num_solves, result.certificate_gap) == (s, 0, 0.0)
+        assert result.num_stages == milp.num_stages
+        assert result.communication_cost == milp.communication_cost
+        model, variables = build_staging_ilp(
+            circuit, s, local, regional, global_, windows=windows
+        )
+        values = _ilp_point(result, circuit, variables)
+        assert model.check_solution(values)
+        assert model.objective.evaluate(values) == result.communication_cost
+        for stage in result.stages:
+            stage.validate_locality()
+
+    #: Figure 9 at 16 qubits (the reduced-scale grid of
+    #: ``benchmarks/test_fig9_staging.py``, R = 2): the MILP's stage count and
+    #: cost per cell, family by family in ``PAPER_FAMILIES`` order.
+    FIG9_16 = {
+        8: [(3, 52), (3, 26), (2, 26), (2, 26), (3, 26), (2, 26), (3, 44), (3, 26),
+            (7, 156), (9, 208), (3, 26)],
+        10: [(3, 36), (2, 18), (2, 18), (2, 18), (2, 18), (2, 18), (3, 28), (2, 18),
+             (6, 90), (8, 110), (2, 18)],
+        12: [(3, 20), (2, 10), (2, 10), (2, 10), (2, 10), (2, 10), (3, 12), (2, 10),
+             (5, 40), (7, 60), (2, 10)],
+        14: [(3, 4), (2, 2), (2, 2), (2, 2), (2, 2), (2, 2), (3, 2), (2, 2),
+             (5, 8), (6, 10), (2, 2)],
+    }
+    FIG9_16_FALLBACKS = {(8, "dj"), (8, "ising"), (8, "qsvm"), (8, "wstate"), (10, "vqc")}
+
+    def test_fig9_grid_certifies_39_of_44_cells_at_the_milp_cost(self):
+        fallbacks = set()
+        for local, cells in self.FIG9_16.items():
+            for family, (stages, cost) in zip(PAPER_FAMILIES, cells):
+                result = stage_circuit(get_circuit(family, 16), local, 2, 14 - local)
+                assert (result.num_stages, result.communication_cost) == (stages, cost)
+                assert result.stage_bound <= cost
+                if result.solver_status != "certified":
+                    fallbacks.add((local, family))
+                    assert result.certificate_gap > 0 and result.num_solves == 1
+        assert fallbacks == self.FIG9_16_FALLBACKS
+
+
+class TestOneCostEvaluator:
+    def test_milp_cost_is_exact_on_integer_costs(self):
+        # HiGHS reports this optimum as 26.000000000000007; the extraction
+        # reports Equation (3) of the partitions it extracted.
+        result = stage_circuit(get_circuit("dj", 16), 8, 2, 6)
+        assert result.solver_status == "optimal"
+        assert result.communication_cost == 26.0
+
+    @pytest.mark.parametrize("stager", [snuqs_stage_circuit, greedy_stage_circuit])
+    def test_heuristics_report_the_same_evaluator(self, stager):
+        result = stager(get_circuit("qft", 12), 8, 2, 2)
+        assert result.communication_cost == transition_cost(result.partitions(), 3.0)
+        assert result.communication_cost == int(result.communication_cost) > 0
+
+    def test_transition_cost_counts_newly_local_and_newly_global(self):
+        a = QubitPartition.from_sets([0, 1], [2], [3])
+        b = QubitPartition.from_sets([1, 2], [3], [0])
+        assert transition_cost([a], 3.0) == 0.0
+        assert transition_cost([a, b], 3.0) == 1 + 3 * 1
+        assert transition_cost([a, b, a], 0.5) == (1 + 0.5) + (1 + 0.5)
+
+
 class TestStagingCommutesWithRelabelling:
     @given(staging_problems(), st.data())
     @settings(**SETTINGS)
     def test_relabelled_circuit_stages_to_the_image(self, problem, data):
-        # (d) exact: gate indices and partitions.  Qubits no gate touches
-        # are interchangeable and keep their relative order in the canonical
-        # labels, so the property is stated for circuits that use every qubit.
+        # (d) exact: gate indices and partitions, certified or solved.
+        # Qubits no gate touches are interchangeable and keep their relative
+        # order in the canonical labels, so the property is stated for
+        # circuits that use every qubit.
         circuit, local, regional, global_ = problem
         assume({q for g in circuit for q in g.qubits} == set(range(circuit.num_qubits)))
         pi = dict(enumerate(data.draw(st.permutations(range(circuit.num_qubits)))))
+        self._assert_image(circuit, local, regional, global_, pi)
+
+    @pytest.mark.parametrize("family,n,local", [("qft", 8, 6), ("su2random", 8, 6), ("ae", 8, 5)])
+    def test_certified_stagings_relabel_to_the_image(self, family, n, local):
+        circuit = get_circuit(family, n)
+        pi = dict(enumerate(np.random.default_rng(7).permutation(n).tolist()))
+        ours = self._assert_image(circuit, local, n - local - 1, 1, pi)
+        assert ours.solver_status == "certified"
+
+    @staticmethod
+    def _assert_image(circuit, local, regional, global_, pi):
         ours = stage_circuit(circuit, local, regional, global_)
         theirs = stage_circuit(circuit.remap_qubits(pi), local, regional, global_)
-        assert theirs.num_stages == ours.num_stages
+        assert (theirs.num_stages, theirs.solver_status) == (ours.num_stages, ours.solver_status)
         assert theirs.communication_cost == ours.communication_cost
+        assert theirs.stage_bound == ours.stage_bound
         for mine, image in zip(ours.stages, theirs.stages):
             assert image.gate_indices == mine.gate_indices
             assert image.partition == QubitPartition.from_sets(
@@ -254,6 +382,7 @@ class TestStagingCommutesWithRelabelling:
                 (pi[q] for q in mine.partition.regional),
                 (pi[q] for q in mine.partition.global_),
             )
+        return ours
 
 
 class TestKernelizationCommutesWithRelabelling:

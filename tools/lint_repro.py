@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Eighteen rules, each enforcing an invariant the execution layer depends on
+Nineteen rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -187,6 +187,17 @@ Eighteen rules, each enforcing an invariant the execution layer depends on
     import): that name is the seam ``benchmarks/perf/layers.py`` traces
     ``ilp.solve`` through, so a backend called directly — or ``solve``
     reached through another object — would run unpriced.
+
+``one-staging-cost``
+    Under ``core/``, nothing reads an ``.objective`` and no
+    ``StagingResult(...)`` computes its ``communication_cost`` inline: the
+    cost of a staging is Equation (3) of its partitions, evaluated by
+    ``core/stage.py::transition_cost`` — a call of it, or a numeric
+    constant, is the only value the field takes.  The ILP's extraction,
+    the certificate and both heuristic stagers report that one value, so
+    an integer cost compares exactly; a solver's float objective
+    (26.000000000000007 for an optimum of 26) or a stager's own running
+    sum is a second evaluator growing back.
 
 ``kernelizer-oracle``
     Under ``src/repro`` the reference DP ``kernelize`` is named in two
@@ -425,6 +436,10 @@ STAGING_SOLVER_SEAM = "solve"
 STAGING_SOLVER_BYPASSES = {
     "solve_with_scipy", "solve_with_branch_and_bound", "milp", "linprog", "BACKENDS",
 }
+
+STAGING_COST_SCOPE = "core/"
+STAGING_COST_EVALUATOR = "transition_cost"
+STAGING_COST_FIELD = "communication_cost"
 
 KERNELIZER_ORACLE = "kernelize"
 KERNELIZER_ORACLE_HOME = "core/kernelize.py"
@@ -1251,6 +1266,53 @@ def check_one_staging_bound(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def _inline_staging_cost(node: ast.Call) -> ast.AST | None:
+    """The cost a ``StagingResult(...)`` call computes inline, if it does."""
+    values = [k.value for k in node.keywords if k.arg == STAGING_COST_FIELD]
+    values += node.args[2:3]  # (stages, num_stages, communication_cost, ...)
+    for value in values:
+        evaluated = isinstance(value, ast.Call) and _call_name(value) == STAGING_COST_EVALUATOR
+        constant = isinstance(value, ast.Constant) and isinstance(value.value, (int, float))
+        if not (evaluated or constant):
+            return value
+    return None
+
+
+def check_one_staging_cost(files: list[Path]) -> list[Finding]:
+    """The ``one-staging-cost`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        if SRC not in path.parents or not _rel_src(path).startswith(STAGING_COST_SCOPE):
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "objective":
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "one-staging-cost",
+                        "`.objective` under core/: a staging's cost is "
+                        f"`{STAGING_COST_EVALUATOR}` of its partitions, never the "
+                        "solver's float objective",
+                        ".objective",
+                    )
+                )
+            if (
+                isinstance(node, ast.Call)
+                and _call_name(node) == "StagingResult"
+                and _inline_staging_cost(node) is not None
+            ):
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "one-staging-cost",
+                        f"`StagingResult(...)` computes its {STAGING_COST_FIELD} "
+                        f"inline: report `{STAGING_COST_EVALUATOR}(partitions, c)`, "
+                        "the one evaluator of Equation (3)",
+                        f"StagingResult:{STAGING_COST_FIELD}",
+                    )
+                )
+    return findings
+
+
 def check_kernelizer_oracle(files: list[Path]) -> list[Finding]:
     """The ``kernelizer-oracle`` rule over the linted *files*."""
     findings = []
@@ -1866,6 +1928,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_native_loader(files))
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_one_staging_bound(files))
+    findings.extend(check_one_staging_cost(files))
     findings.extend(check_kernelizer_oracle(files))
     findings.extend(check_bench_host_free())
     findings.extend(check_one_layout_move(files))
