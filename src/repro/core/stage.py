@@ -618,13 +618,16 @@ def _window_staging(
     Stage ``k`` makes local the non-insular qubits of every gate whose
     window closes at ``k`` and of its unfinished ancestors, fills the other
     local slots by next need (earliest window opening, then deadline;
-    among equals a qubit some gate touches sooner, then a qubit that was
-    local, then the lower canonical index), and runs every ready gate whose
-    non-insular qubits are local.  Its global qubits are the previous
-    stage's while they stay non-local, then the non-local qubits needed
-    latest.  Every gate is forced by the stage its window closes at, so a
-    staging built is a finished one.  Returns canonical local / global sets
-    and each ILP gate's stage, or why no staging was built.
+    among equals a qubit some gate touches sooner, insular qubits included,
+    then a qubit that was local, then the lower canonical index), and runs
+    every ready gate whose non-insular qubits are local.  Its
+    global qubits are the previous stage's while they stay non-local, then
+    the non-local qubits needed latest.  Every gate is forced by the stage
+    its window closes at, so a staging built is a finished one.  The local
+    sets fixed, :func:`_settle_gates` moves each gate to the first stage
+    of its legal range where all of its qubits are local.  Returns
+    canonical local / global sets and each ILP gate's stage, or why no
+    staging was built.
     """
     s = windows.lower_bound
     n = problem.circuit.num_qubits
@@ -633,9 +636,8 @@ def _window_staging(
     preds: list[list[int]] = [[] for _ in masks]
     for g1, g2 in problem.deps:
         preds[g2].append(g1)
-    # Every qubit of each ILP gate, insular ones included: among qubits
-    # needed alike, one a gate touches sooner stays local, so that gate's
-    # kernel does too.
+    # Every qubit of each ILP gate: a gate whose controls are local too
+    # needs no op per shard for them (fewer ops on a sharded machine).
     touches = [
         _mask([problem.relabel[q] for q in problem.circuit[gate.original_index].qubits])
         for gate in problem.gates
@@ -690,9 +692,46 @@ def _window_staging(
             key=need.__getitem__, reverse=True,  # stable: lower index first among equals
         )
         global_ = kept | _mask(latest[: global_qubits - kept.bit_count()])
-        local_sets.append(_bits(local))
+        local_sets.append(local)
         global_sets.append(_bits(global_))
-    return local_sets, global_sets, stage_of
+    stage_of = _settle_gates(masks, touches, preds, local_sets)
+    return [_bits(local) for local in local_sets], global_sets, stage_of
+
+
+def _settle_gates(
+    masks: Sequence[int],
+    touches: Sequence[int],
+    preds: Sequence[Sequence[int]],
+    local_sets: Sequence[int],
+) -> list[int]:
+    """Each ILP gate's stage under fixed local sets: the first stage of its
+    legal range where all of its qubits (*touches*) are local.
+
+    A gate's legal range runs from the latest stage of its predecessors to
+    the latest stage, no later than any successor's, where its non-insular
+    qubits (*masks*) are local; it is never empty, since the window-driven
+    placement is a valid one.  The gate goes to the first stage of that
+    range in which its insular qubits are local too, so that no op applies
+    it per shard, and to the first in which its non-insular ones are when
+    there is none.  The local sets, and so the cost, do not change.
+    """
+    s = len(local_sets)
+    succs: list[list[int]] = [[] for _ in masks]
+    for g2, before in enumerate(preds):
+        for g1 in before:
+            succs[g1].append(g2)
+    latest = [s - 1] * len(masks)
+    for g in range(len(masks) - 1, -1, -1):
+        k = min((latest[x] for x in succs[g]), default=s - 1)
+        while masks[g] & ~local_sets[k]:
+            k -= 1
+        latest[g] = k
+    settled = [0] * len(masks)
+    for g in range(len(masks)):
+        first = max((settled[p] for p in preds[g]), default=0)
+        legal = [k for k in range(first, latest[g] + 1) if not masks[g] & ~local_sets[k]]
+        settled[g] = next((k for k in legal if not touches[g] & ~local_sets[k]), legal[0])
+    return settled
 
 
 def stage_circuit(
@@ -721,27 +760,35 @@ def stage_circuit(
 
     Raises :class:`RuntimeError` if a gate has more non-insular qubits than
     ``L`` (before any model is built) or if no feasible staging exists
-    within ``max_stages``.
+    within ``max_stages`` (the certificate runs only when the windows'
+    lower bound is within it), and :class:`AssertionError` if a staging
+    costs less than its proven bound, which would make the bound wrong.
     """
     _check_qubit_classes(circuit.num_qubits, local_qubits, regional_qubits, global_qubits)
     start = time.perf_counter()
     problem = _CanonicalProblem.of(circuit)
     windows = _stage_windows(problem.gates, problem.deps, local_qubits)
     bound = _staging_bound(problem, windows, local_qubits, global_qubits, inter_node_cost_factor)
-    candidate = _window_staging(problem, windows, local_qubits, global_qubits)
     gap: float | None = None
     declined = ""
-    if isinstance(candidate, str):
-        declined = candidate
-    else:
-        certified = _assemble(problem, *candidate, inter_node_cost_factor, "certified")
-        gap = certified.communication_cost - bound
-        if gap <= 0:
-            certified.lower_bound = windows.lower_bound
-            certified.stage_bound = bound
-            certified.certificate_gap = gap
-            certified.solver_seconds = time.perf_counter() - start
-            return certified
+    if windows.lower_bound <= max_stages:
+        candidate = _window_staging(problem, windows, local_qubits, global_qubits)
+        if isinstance(candidate, str):
+            declined = candidate
+        else:
+            certified = _assemble(problem, *candidate, inter_node_cost_factor, "certified")
+            gap = certified.communication_cost - bound
+            if gap < 0:
+                raise AssertionError(
+                    f"staging of {circuit.name!r} costs {certified.communication_cost}, "
+                    f"below its proven bound {bound}"
+                )
+            if gap == 0:
+                certified.lower_bound = windows.lower_bound
+                certified.stage_bound = bound
+                certified.certificate_gap = gap
+                certified.solver_seconds = time.perf_counter() - start
+                return certified
     model_sizes: list[tuple[int, int, int]] = []
     for s in range(windows.lower_bound, max_stages + 1):
         result, model = _solve_once(

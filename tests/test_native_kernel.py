@@ -303,12 +303,6 @@ UNAVAILABLE = dict(
 #: The executor cases: the service structures on the service machine, and
 #: ising-20 on the shard-stream machine (8 shards of 2^17).
 EXECUTOR_CASES = (*sorted(SERVICE_STRUCTURES), "ising-20")
-#: The executor cases whose plan has a gate on a non-local qubit inside a
-#: multi-gate kernel: the shard executors apply it per shard, as an op of
-#: its own, where the in-core run folds it into the kernel (the caveat of
-#: :data:`PINNED_DIGESTS`), so in-core and sharded end a last bit apart.
-#: vqc joined when staging began to certify a window-driven staging.
-SHARDED_APART = {"vqc"}
 
 
 @lru_cache(maxsize=None)
@@ -491,10 +485,8 @@ class TestFusionKernels:
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_executors_agree(self, engine, case):
         """Compiled, offload and parallel W ∈ {1, 2, 4}, on either body:
-        bit for bit — in core against sharded too, except on the
-        :data:`SHARDED_APART` plans, which end a last bit apart.  Each first
-        has its compile fail, which raises the `KernelError` and leaves the
-        next run the same bits."""
+        bit for bit.  Each first has its compile fail, which raises the
+        `KernelError` and leaves the next run the same bits."""
         plan, machine = _executor_case(case)
         init = StateVector.random_state(plan.num_qubits, seed=3)
         want = compile_plan(plan, machine).run(init).data
@@ -513,16 +505,11 @@ class TestFusionKernels:
             return state.data
 
         assert np.array_equal(run(lambda: execute_plan(plan, init, machine=machine)), want)
-        sharded = run(lambda: execute_plan_offloaded(plan, machine, init))
+        assert np.array_equal(run(lambda: execute_plan_offloaded(plan, machine, init)), want)
         for workers in (1, 2, 4):
             with ParallelRuntime(machine, num_workers=workers) as runtime:
                 parallel = run(lambda: runtime.execute(plan, init))
-            assert np.array_equal(parallel, sharded), workers
-        if case in SHARDED_APART:
-            assert not np.array_equal(sharded, want)
-            assert np.allclose(sharded, want, rtol=0.0, atol=1e-15)
-        else:
-            assert np.array_equal(sharded, want)
+            assert np.array_equal(parallel, want), workers
 
 
 @needs_native
@@ -555,9 +542,9 @@ def test_library_plans_kernel_by_kernel(family, n):
 #: Per family at 10 qubits on four shards, the SHA-256 of the final state
 #: in core and through both shard executors.  These apply a diagonal gate
 #: on a non-local qubit per shard, as an op of its own, where the in-core
-#: run folds it into a block's phases: ae, qft, qpeexact and vqc end a last
-#: bit apart.  (Re-pinned when staging began to certify a window-driven
-#: staging instead of solving the ILP: the plans, not the bodies, changed.)
+#: run folds it into a block's phases: ae, qft and qpeexact end a last bit
+#: apart.  (Re-pinned when staging began to certify a window-driven staging
+#: instead of solving the ILP: the plans, not the bodies, changed.)
 PINNED_DIGESTS = {
     "ae": (
         "065b8b616e29c8cd9a8bf0bc9849c8a411fcb47b9927d1d63e37c0f3585f192b",
@@ -580,12 +567,12 @@ PINNED_DIGESTS = {
         "b501e07c81138465725e69fe7c3094c4da0be9a5e8c755f3bb73e6f8b43d6a1e",
     ),
     "su2random": (
-        "431abce8929c101aed2515ee3e62ffdfd76cbe0adf347c523787a50c6be791dd",
-        "431abce8929c101aed2515ee3e62ffdfd76cbe0adf347c523787a50c6be791dd",
+        "f71ee6653e8b953f02621d0aeac914ef0ffa4767674662f8613338c9ca21e4b4",
+        "f71ee6653e8b953f02621d0aeac914ef0ffa4767674662f8613338c9ca21e4b4",
     ),
     "vqc": (
-        "1b806edf502fb2f0871b9b963b7aa98542282f8273e470a3e64c3a8f59e61803",
-        "58b6220d921b7d80f6d507bec3faa4378dd0d6705d612a4fd05c50245e6b17a8",
+        "96e33213d3d75834155f8b33b4d7ba3b5371dd3068c1957f71cee23fbb90524d",
+        "96e33213d3d75834155f8b33b4d7ba3b5371dd3068c1957f71cee23fbb90524d",
     ),
 }
 

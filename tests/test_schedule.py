@@ -138,7 +138,9 @@ class TestScheduleRebindDifferential:
             )
 
     def test_a_rebind_takes_unchanged_ops_verbatim_and_refills_the_rest(self):
-        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
+        # L = 5: the plan has a local op free of vqc's angles (at L = 6 it
+        # has none), so both branches of the bind run.
+        machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=5)
         base_plan, _ = partition(vqc(8, seed=0), machine)
         base = build_schedule(base_plan, machine.local_qubits)
         warm = build_schedule(

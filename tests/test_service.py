@@ -611,9 +611,9 @@ class TestSharedPlanStore:
             "ising/0": ("cc1eea7eb365030e", "521f7330736f2b2f"),
             "ising/1": ("e216047ce9f2f0ab", "b259522c179f2b20"),
             "ising/2": ("a04ce3da9ab98884", "edf95bf0b7f753d4"),
-            "vqc/0": ("d1ee6f1ea2d13457", "a1ab496528e9d50f"),
-            "vqc/1": ("b85df97a94b42a97", "30ca467d9920ba1c"),
-            "vqc/2": ("aec36eb4e5fdffcc", "f6a0c0cfc69c9032"),
+            "vqc/0": ("bcbd9854d1efaf15", "748fed2125b6b204"),
+            "vqc/1": ("365f80db212be375", "efe68f576d7f0bb4"),
+            "vqc/2": ("247fe686156b697b", "21d886d96538e548"),
         }
 
     def test_on_disk_tampering_evicted_at_load(self, machine, tmp_path):

@@ -426,3 +426,25 @@ class TestFailFast:
                 stage_circuit(circuit, 1, 1, 1)
         solver.assert_not_called()
         builder.assert_not_called()
+
+    def test_a_lower_bound_beyond_max_stages_raises_without_a_staging(self):
+        # Each swap needs both of its qubits local and L = 2: the windows
+        # prove 3 stages, so max_stages = 2 admits no staging, certified or
+        # solved.
+        circuit = Circuit(4).swap(0, 1).swap(1, 2).swap(2, 3)
+        assert stage_windows(circuit, 2).lower_bound == 3
+        assert stage_circuit(circuit, 2, 1, 1).num_stages == 3
+        with mock.patch.object(stage_mod, "_window_staging") as certificate, \
+                mock.patch.object(stage_mod, "solve") as solver:
+            with pytest.raises(RuntimeError, match=r"within 2 stages"):
+                stage_circuit(circuit, 2, 1, 1, max_stages=2)
+        certificate.assert_not_called()
+        solver.assert_not_called()
+
+    def test_a_staging_below_its_bound_raises(self):
+        # A bound above a staging's cost is a wrong bound: it must not pass
+        # for a certificate, nor be stepped over to the solver.
+        circuit = Circuit(4).swap(0, 1).swap(1, 2).swap(2, 3)
+        with mock.patch.object(stage_mod, "_staging_bound", return_value=99.0):
+            with pytest.raises(AssertionError, match="below its proven bound 99.0"):
+                stage_circuit(circuit, 2, 1, 1)
