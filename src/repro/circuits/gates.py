@@ -516,7 +516,7 @@ class GateTable:
     (:meth:`~repro.circuits.circuit.Circuit.gate_table`).
     """
 
-    __slots__ = ("gates", "flat", "offsets", "stacks", "records", "_layout", "_loose")
+    __slots__ = ("gates", "flat", "offsets", "stacks", "records", "_layout", "_loose", "_patterns")
 
     def __init__(self, gates: Iterable[Gate]) -> None:
         self.gates = gates = tuple(gates)
@@ -553,6 +553,7 @@ class GateTable:
         self.records = records
         self._layout = layout
         self._loose: list | None = None
+        self._patterns: list[tuple[bytes, bytes]] | None = None
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -593,6 +594,27 @@ class GateTable:
                 for position, pattern in zip(group, _split(packed.tobytes(), len(group))):
                     parts[position] += pattern
         return b"".join(parts)
+
+    def patterns(self) -> list[tuple[bytes, bytes]]:
+        """Per gate its ``(key pattern, exact signature)`` — what
+        :meth:`Gate.pattern` returns, ``(b"", b"")`` for a parameter-free
+        gate — as two array operations per stack, once per table.  Each
+        parameterized gate keeps its pair (gates are immutable), so the
+        planner's passes, the cost model and the kernel lowering read the
+        table's bytes instead of re-deriving them gate by gate."""
+        if self._patterns is None:
+            pairs = [(b"", b"")] * len(self.gates)
+            gates = self.gates
+            for packed, stack, group in zip(
+                self._key_patterns(), self.stacks, self._layout.positions
+            ):
+                if not group:
+                    continue
+                keys = _split(packed.tobytes(), len(group))
+                for position, pair in zip(group, zip(keys, _signatures(stack))):
+                    pairs[position] = gates[position].__dict__["_pattern_cache"] = pair
+            self._patterns = pairs
+        return self._patterns
 
     def non_insular_qubits(self, position: int) -> tuple[int, ...]:
         """:meth:`Gate.non_insular_qubits` of gate *position*, read off its
@@ -684,10 +706,11 @@ class Gate:
         pattern :meth:`Circuit.structural_key` hashes; ``signature`` is the
         exact :func:`matrix_signature` the compiled-program rebind guard
         compares.  Both come from the array operations a
-        :class:`GateTable` runs on its stacks, here on a stack of this
-        gate's matrix alone (:func:`_pattern_of`), once per gate instance.
-        Parameter-free gates need neither (their name fixes the matrix) and
-        return empty bytes.
+        :class:`GateTable` runs on its stacks: a gate of a table whose
+        :meth:`GateTable.patterns` ran holds the table's pair; any other
+        runs them on a stack of its matrix alone (:func:`_pattern_of`),
+        once per gate instance.  Parameter-free gates need neither (their
+        name fixes the matrix) and return empty bytes.
         """
         if not self.params:
             return (b"", b"")

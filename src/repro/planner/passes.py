@@ -192,13 +192,19 @@ class PreprocessPass(PlanningPass):
 
 
 class AnalyzePass(PlanningPass):
-    """Cheap structural facts later passes key their adaptive skips on."""
+    """Cheap structural facts later passes key their adaptive skips on.
+
+    Every gate's pattern comes out of the circuit's gate table
+    (:meth:`~repro.circuits.gates.GateTable.patterns`, array work per
+    matrix width), which hands each gate its pair: this pass, staging and
+    the cost model read a gate's insularity from it."""
 
     name = "analyze"
 
     def run(self, ctx: PlanningContext, record: PassRecord) -> None:
         union: set[int] = set()
         non_insular_gates = 0
+        ctx.circuit.gate_table().patterns()
         for gate in ctx.circuit:
             non_insular = gate.non_insular_qubits()
             if non_insular:

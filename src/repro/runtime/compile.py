@@ -499,6 +499,7 @@ class ProgramStructure(_Structure):
         n = plan.num_qubits
         super().__init__(n)
         self.record = PlanRecord(plan, local)
+        _gate_table(plan).patterns()  # every gate's signature, for its lowering shape
         self.nonlocal_gates: list[tuple[int, int, dict[int, int], int]] = []
         self.num_kernels = 0
         self.num_permutations = 0
@@ -585,6 +586,7 @@ class SegmentStructure(_Structure):
         l2p: dict[int, int], local: int, table: GateTable,
     ) -> None:
         super().__init__(local)
+        table.patterns()  # every gate's signature, for its lowering shape
         self.kinds: list[str] = []
         for kind, gates, _positions in pieces:
             if kind == "dynamic":

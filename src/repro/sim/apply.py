@@ -1445,20 +1445,29 @@ class KernelTemplate(OpTemplate):
         )
 
 
-def _deposit(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Bit ``j`` of each value moved to bit ``positions[j]``."""
-    out = np.zeros_like(values)
-    for j, position in enumerate(positions):
-        out |= ((values >> j) & 1) << position
+def _bits_to(count: int, moves) -> np.ndarray:
+    """Per index of *count* bits, the value with bit ``to`` set wherever
+    the index has bit ``frm`` set, for each ``(frm, to)`` of *moves* — a
+    map linear in the bits (a deposit, an extract), built by doubling: one
+    vector operation per index bit."""
+    weights = [0] * count
+    for frm, to in moves:
+        weights[frm] |= 1 << to
+    out = np.zeros(1 << count, dtype=np.int64)
+    for bit, weight in enumerate(weights):
+        np.bitwise_or(out[: 1 << bit], weight, out=out[1 << bit : 2 << bit])
     return out
 
 
-def _extract(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Bit ``positions[j]`` of each value moved to bit ``j``."""
-    out = np.zeros_like(values)
-    for j, position in enumerate(positions):
-        out |= ((values >> position) & 1) << j
-    return out
+def _relocation(count: int, where: Sequence[int], source: np.ndarray) -> np.ndarray:
+    """Per index of *count* bits, the index its amplitude comes from when
+    a block over bits *where* takes its block index ``t`` from
+    ``source[t]``: the index with those bits replaced.  The replacement is
+    linear in the block index, so it is two gathers over ``2^k`` and one
+    over the indices."""
+    target = _bits_to(count, [(position, j) for j, position in enumerate(where)])
+    spread = _bits_to(len(where), enumerate(where))
+    return np.arange(1 << count) ^ (spread ^ spread.take(source)).take(target)
 
 
 def takes_native(items: Sequence[KernelItem], n: int) -> bool:
@@ -1495,7 +1504,7 @@ def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
     bits = len(tile)
     local = {position: bit for bit, position in enumerate(tile)}
     chunk_bits = next((i for i, p in enumerate(tile) if p != i), bits)
-    chunk_at = _deposit(np.arange(1 << (bits - chunk_bits)), tile[chunk_bits:])
+    chunk_at = _bits_to(bits - chunk_bits, enumerate(tile[chunk_bits:]))
 
     words: list[list[int]] = []
     tabs: list[np.ndarray] = []
@@ -1516,20 +1525,16 @@ def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
         low = [j for j, bit in enumerate(where) if bit < lane_bits]
         high = [j for j, bit in enumerate(where) if bit >= lane_bits]
         run_bits = min([where[j] for j in high], default=bits)
-        starts = np.arange(1 << (bits - run_bits)) << run_bits
-        entries = _deposit(np.arange(1 << len(high)), high)
+        entries = _bits_to(len(high), enumerate(high))
         if low:  # the block reaches into the vector: an entry is VL phases
-            lanes = np.arange(1 << lane_bits)
-            entries = entries[:, None] | _deposit(
-                _extract(lanes, [where[j] for j in low]), low
-            )[None, :]
+            entries = entries[:, None] | _bits_to(lane_bits, [(where[j], j) for j in low])[None, :]
         entries = entries.reshape(-1)
         if order is not None:
             entries = order[entries]
-        offset = emit(
-            _SM_DIAG, run_bits, bool(low),
-            table=[_extract(starts, [where[j] for j in high])], payload=entries.size,
-        )
+        # Per run of the tile (its start's bits above run_bits), its block
+        # index's high part.
+        runs = _bits_to(bits - run_bits, [(where[j] - run_bits, t) for t, j in enumerate(high)])
+        offset = emit(_SM_DIAG, run_bits, bool(low), table=[runs], payload=entries.size)
         fills.append((index, 2, offset, _index_array(entries)))
 
     for index, item in enumerate(items):
@@ -1552,20 +1557,17 @@ def _tile_program(items: Sequence[KernelItem], n: int, lane_bits: int):
             source[item.perm] = np.arange(len(item.perm))
             run_bits = min(where)
             if run_bits >= lane_bits:  # whole runs move, scaled on the way
-                starts = np.arange(1 << (bits - run_bits)) << run_bits
-                target = _extract(starts, where)
-                moved = starts ^ _deposit(target ^ source[target], where)
+                shifted = [bit - run_bits for bit in where]
+                target = _bits_to(bits - run_bits, [(bit, j) for j, bit in enumerate(shifted)])
                 offset = emit(
                     _SM_MOVE, run_bits, item.phased,
-                    table=[moved >> run_bits, source[target]],
+                    table=[_relocation(bits - run_bits, shifted, source), source[target]],
                     payload=len(source) if item.phased else 0,
                 )
                 if item.phased:
                     fills.append((index, 2, offset, _index_array(np.arange(len(source)))))
             else:
-                amplitudes = np.arange(1 << bits)
-                target = _extract(amplitudes, where)
-                emit(_SM_GATHER, table=[amplitudes ^ _deposit(target ^ source[target], where)])
+                emit(_SM_GATHER, table=[_relocation(bits, where, source)])
                 if item.phased:
                     emit_phases(index, where, order=source)
 
@@ -1741,9 +1743,7 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
         source, gather = np.arange(1 << len(item.qubits)), None
         if item.kind == "block" and item.perm is not None:
             source[item.perm] = np.arange(len(item.perm))
-            amplitudes = np.arange(2 << max(item.qubits))
-            target = _extract(amplitudes, item.qubits)
-            gather = _index_array(amplitudes ^ _deposit(target ^ source[target], item.qubits))
+            gather = _index_array(_relocation(1 + max(item.qubits), item.qubits, source))
         return gather, _index_array(_diag_broadcast(source, n, item.qubits))
 
     def loop(arrays):

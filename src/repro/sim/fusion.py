@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..circuits.gates import Gate, gate_matrix
+from ..circuits.gates import GATE_SPECS, Gate, gate_matrix
 from .apply import (
     DENSE_FOLD_WIDTH,
     MONOMIAL_WIDTH,
@@ -41,7 +41,6 @@ from .apply import (
     KernelItem,
     _check_qubits,
     _num_qubits,
-    analyze_matrix,
     kernel_template,
     thread_workspace,
     tracked_empty,
@@ -142,12 +141,10 @@ class ItemLowering(NamedTuple):
     ``members`` are the positions, in the kernel's gate tuple, of the gates
     the item absorbs (circuit order).  A block (``dense`` false) carries
     its composed ``perm`` (``None``: identity) and, per phase-carrying
-    member, a gather table over the block index *at the width the block had
-    when it absorbed the gate* (qubits that joined later are top index bits
-    the gate's phase does not depend on): the item's phases are the running
-    product, in member order, of ``gate.matrix().take(table)`` repeated up
-    to the full width.  Gates that only permute (cx, swap, ccx, x: phases
-    all one by name) have no table.  A ``dense`` item is one gate
+    member, a gather table over the block index: the item's phases are
+    the running product, in member order, of ``gate.matrix().take(table)``.
+    Gates that only permute (cx, swap, ccx, x: phases all one by name) have
+    no table.  A ``dense`` item is one gate
     (``slots`` empty) or a fold of 1q gates: ``slots[i]`` is the index in
     ``qubits`` of the qubit ``members[i]`` acts on, and the item's matrix
     is, per qubit of ``qubits``, the product of that qubit's 2×2s.
@@ -163,27 +160,96 @@ class ItemLowering(NamedTuple):
     slots: tuple[int, ...] = ()
 
 
-def _absorb(
-    qubits: tuple[int, ...], perm: np.ndarray, gate: Gate, info
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The block ``(qubits, perm)`` followed by monomial *gate*: the grown
-    qubit tuple, the composed permutation, and ``sub`` — per block index,
-    the gate's own sub-index there — ``O(2^k)`` vector work, no matrix is
-    ever built."""
-    for q in gate.qubits:
-        if q not in qubits:
-            # A new qubit becomes the block's top index bit; so far the
-            # block is the identity along it.
-            perm = np.concatenate((perm, perm + len(perm)))
-            qubits = qubits + (q,)
-    pos = tuple(qubits.index(q) for q in gate.qubits)
-    # The gate acts on the block's *output* index: read its sub-index there.
-    sub = (perm >> pos[0]) & 1
-    for j in range(1, len(pos)):
-        sub |= ((perm >> pos[j]) & 1) << j
-    if info.kind == "permutation":
-        perm = perm ^ _flip_table(info.perm, pos)[sub]
-    return qubits, perm, sub
+class GateShape(NamedTuple):
+    """How one gate lowers (:func:`_gate_shape`).  ``kind`` is
+    ``"diagonal"``, ``"permutation"`` (one non-zero per row and column, not
+    all on the diagonal: ``perm[c]`` is column ``c``'s row) — the two
+    *monomial* kinds of :func:`repro.sim.apply.analyze_matrix` — or
+    ``"dense"`` for every other matrix.  A monomial gate's ``phases`` are,
+    per sub-index, the flat position of its phase in the gate's matrix;
+    ``only_permutes`` says those phases are all exactly one by name (x, cx,
+    swap, ccx: a parameter-free gate that moves amplitudes and scales
+    nothing)."""
+
+    kind: str
+    perm: "tuple[int, ...] | None" = None
+    phases: "np.ndarray | None" = None
+    only_permutes: bool = False
+
+
+@lru_cache(maxsize=4096)
+def _gate_shape(name: str, signature: bytes) -> GateShape:
+    """The :class:`GateShape` of a gate *name* whose exact signature
+    (:func:`~repro.circuits.gates.matrix_signature`; ``b""``: a
+    parameter-free gate, its name's own matrix) is *signature*: every
+    decision the lowering takes of a gate's matrix is a function of its
+    zero pattern, so keyed by structure, a sweep of new angles adds no
+    entry and no matrix is read."""
+    dim = 1 << GATE_SPECS[name].num_qubits
+    if signature:
+        nonzero = np.frombuffer(signature, dtype=bool, count=dim * dim).reshape(dim, dim)
+    else:
+        matrix = gate_matrix(name)
+        nonzero = matrix != 0
+    if not nonzero[~np.eye(dim, dtype=bool)].any():
+        perm = None
+    elif (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        perm = tuple(np.argmax(nonzero, axis=0).tolist())
+    else:
+        return GateShape("dense")
+    return GateShape(
+        "diagonal" if perm is None else "permutation", perm, _phase_positions(perm, dim),
+        not signature and bool(np.all(matrix[nonzero] == 1)),
+    )
+
+
+def _block(
+    gates: Sequence[Gate], shapes: Sequence[GateShape], run: Sequence[int], qubits: tuple[int, ...]
+) -> tuple[np.ndarray | None, list[tuple[int, np.ndarray]]]:
+    """Compose the monomial block of *run* (members, circuit order) over
+    *qubits* (bit ``j`` of a block index is ``qubits[j]``): its permutation
+    (``None``: the identity) and, per phase-carrying member, its gather
+    table — per block index, the flat position in the gate's matrix of its
+    phase there.  Built at the block's final width, so each member costs a
+    few index operations on one ``2^k`` vector and no matrix is built; a
+    member that acts before a qubit joins the block does not depend on
+    that qubit's bit, so its table is the one at its own width, repeated."""
+    width = len(qubits)
+    at = {q: j for j, q in enumerate(qubits)}
+    perm = None
+    factors = []
+    for member in run:
+        pos = tuple([at[q] for q in gates[member].qubits])
+        # The gate acts on the block's *output* index: its sub-index there.
+        sub = _sub_index(width, pos)
+        if perm is not None:
+            sub = sub.take(perm)
+        shape = shapes[member]
+        if shape.perm is not None:
+            flips = _flip_table(shape.perm, pos).take(sub)
+            perm = flips ^ (np.arange(1 << width) if perm is None else perm)
+        if not shape.only_permutes:
+            table = shape.phases.take(sub)
+            table.setflags(write=False)
+            factors.append((member, table))
+    if perm is not None:
+        if np.array_equal(perm, np.arange(len(perm))):
+            perm = None
+        else:
+            perm.setflags(write=False)
+    return perm, factors
+
+
+@lru_cache(maxsize=1024)
+def _sub_index(width: int, pos: tuple[int, ...]) -> np.ndarray:
+    """Per index of a ``2^width`` block, the sub-index of a gate whose
+    index bit ``j`` sits at block bit ``pos[j]``."""
+    index = np.arange(1 << width)
+    sub = np.zeros_like(index)
+    for j, p in enumerate(pos):
+        sub |= ((index >> p) & 1) << j
+    sub.setflags(write=False)
+    return sub
 
 
 @lru_cache(maxsize=4096)
@@ -197,8 +263,6 @@ def _flip_table(gate_perm: tuple[int, ...], pos: tuple[int, ...]) -> np.ndarray:
 
 
 _NO_QUBITS: tuple[int, ...] = ()
-_UNIT_PERM = np.zeros(1, dtype=np.int64)
-_UNIT_PERM.setflags(write=False)
 
 
 def _fold_positions(positions: Sequence[int]) -> list[list[int]]:
@@ -255,11 +319,11 @@ def kernel_lowering(
     :func:`fill_lowered_item` supplies the angles.
     """
     items: list[ItemLowering] = []
-    # The open block: the members absorbed so far, their composition, and
-    # per phase-carrying member its gather table.
+    # Each gate's shape, read off its name and exact signature.
+    shapes = [_gate_shape(gate.name, gate.pattern()[1]) for gate in gates]
+    # The open block: its members so far and its qubits, in order of use.
     run: list[int] = []
-    factors: list[tuple[int, np.ndarray]] = []
-    qubits, perm = _NO_QUBITS, _UNIT_PERM
+    qubits = _NO_QUBITS
     # The 1q dense gates ahead of the open block, by qubit, in circuit order.
     waiting: dict[int, list[int]] = {}
     position = (lambda q: q) if logical_to_physical is None else logical_to_physical.__getitem__
@@ -277,23 +341,18 @@ def kernel_lowering(
         waiting.clear()
 
     def flush() -> None:
-        nonlocal run, factors, qubits, perm
+        nonlocal run, qubits
         flush_dense()
         if run:
-            identity = np.array_equal(perm, np.arange(len(perm)))
-            if not identity:
-                perm.setflags(write=False)
+            perm, factors = _block(gates, shapes, run, qubits)
             items.append(ItemLowering(
                 qubits, tuple(run), any(gates[i].params for i in run),
-                perm=None if identity else perm, factors=tuple(factors),
+                perm=perm, factors=tuple(factors),
             ))
-        run, factors = [], []
-        qubits, perm = _NO_QUBITS, _UNIT_PERM
+        run, qubits = [], _NO_QUBITS
 
-    for member, gate in enumerate(gates):
-        matrix = gate.matrix()
-        info = analyze_matrix(matrix)
-        if info.kind not in ("diagonal", "permutation"):
+    for member, (gate, shape) in enumerate(zip(gates, shapes)):
+        if shape.phases is None:
             # A dense gate on other qubits commutes with the open block and
             # goes ahead of it; one that overlaps closes the block.
             if not set(gate.qubits).isdisjoint(qubits):
@@ -306,25 +365,14 @@ def kernel_lowering(
                     ItemLowering(gate.qubits, (member,), bool(gate.params), dense=True)
                 )
             continue
-        if len(set(qubits).union(gate.qubits)) > MONOMIAL_WIDTH:
+        grown = qubits + tuple([q for q in gate.qubits if q not in qubits])
+        if len(grown) > MONOMIAL_WIDTH:
             flush()
-        qubits, perm, sub = _absorb(qubits, perm, gate, info)
+            grown = gate.qubits
+        qubits = grown
         run.append(member)
-        if gate.params or not _only_permutes(gate.name):
-            table = _phase_positions(info.perm, len(matrix))[sub]
-            table.setflags(write=False)
-            factors.append((member, table))
     flush()
     return tuple(items)
-
-
-@lru_cache(maxsize=None)
-def _only_permutes(name: str) -> bool:
-    """Whether parameter-free monomial gate *name* has no phase but one
-    (x, cx, swap, ccx, ...): it moves amplitudes and scales nothing."""
-    info = analyze_matrix(gate_matrix(name))
-    values = info.diagonal if info.kind == "diagonal" else info.phases
-    return bool(np.all(values == 1))
 
 
 @lru_cache(maxsize=256)
@@ -363,19 +411,15 @@ def fill_lowered_item(
             earlier = per_qubit[slot]
             per_qubit[slot] = gate.matrix() if earlier is None else gate.matrix() @ earlier
         return LoweredItem(lowering.qubits, members, factors=tuple(per_qubit))
-    dim = 1 << len(lowering.qubits)
     phases = None
     for member, table in lowering.factors:
         factor = gates[member].matrix().take(table)
         if phases is None:
-            phases = np.tile(factor, dim // len(factor))
+            phases = factor
         else:
-            # Widths only grow along a block: each row of the view is one
-            # repetition of the factor.
-            rows = phases.reshape(-1, len(factor))
-            np.multiply(rows, factor, out=rows)
+            np.multiply(phases, factor, out=phases)
     if phases is None:
-        phases = _unit_phases(dim)
+        phases = _unit_phases(1 << len(lowering.qubits))
     phases.setflags(write=False)
     return LoweredItem(lowering.qubits, members, lowering.perm, phases)
 
@@ -438,15 +482,6 @@ class _Products:
             head = out[:count]
             np.multiply(head, source.take(index), out=head)
         return out if self.unsort is None else out.take(self.unsort)
-
-
-@lru_cache(maxsize=256)
-def _cycle(dim: int, length: int) -> np.ndarray:
-    """``c mod length`` for each of ``dim`` indices (*length* a power of
-    two): where a table of *length* repeats over a block."""
-    cycle = np.arange(dim) & (length - 1)
-    cycle.setflags(write=False)
-    return cycle
 
 
 _ONE = np.ones(1, dtype=np.complex128)
@@ -537,12 +572,8 @@ class KernelGather:
                 if single:
                     self.values.append([np.array(single, dtype=np.intp)])
                     single = []
-                # Member j's phase at block index c is its table at c
-                # modulo the table's (power-of-two) length: the table,
-                # repeated.
                 self.values.append([
-                    (table.astype(np.intp) + start[m])[_cycle(dim, len(table))]
-                    for m, table in item.factors
+                    table.astype(np.intp) + start[m] for m, table in item.factors
                 ])
                 count = dim
             self.spans.append((at, at + count, dim if item.dense else 0))
@@ -625,28 +656,23 @@ class GatherProgram:
         at_value = at_number = 0
         first_chain = 0
         for gather, start in kernels:
-            # Local sources to this program's: entries shift by the pool's
-            # start, chains go to their rank, the unit to the shared one.
+            # Local sources to this program's, as one index array: entries
+            # shift by the pool's start, chains go to their rank, the unit
+            # to the shared one.
             chain_at = entries + 4 * rank[first_chain : first_chain + len(gather.chains)]
             first_chain += len(gather.chains)
-
-            def source(local: np.ndarray, gather=gather, start=start, chain_at=chain_at):
-                out = np.full(local.shape, one, dtype=np.intp)
-                entry = local < gather.entries
-                out[entry] = local[entry] + start
-                chained = ~entry & (local < gather.entries + 4 * len(chain_at))
-                offset = local[chained] - gather.entries
-                out[chained] = chain_at[offset // 4] + offset % 4
-                return out
-
-            values.extend([[source(column) for column in group] for group in gather.values])
-            self.factors.append({index: source(local) for index, local in gather.factors.items()})
+            source = np.concatenate((
+                np.arange(start, start + gather.entries, dtype=np.intp),
+                (chain_at[:, None] + _QUAD).reshape(-1), [one],
+            ))
+            values.extend([[source.take(column) for column in group] for group in gather.values])
+            self.factors.append({index: source.take(local) for index, local in gather.factors.items()})
             count_values = sum(len(group[0]) for group in gather.values)
             if gather.numbers is not None:
                 local = gather.numbers
                 numbers.append(np.where(
                     local < count_values, local + at_value,
-                    total_values + source(local - count_values),
+                    total_values + source.take(local - count_values, mode="clip"),
                 ))
             size = len(gather.numbers) if gather.numbers is not None else 0
             self.offsets.append((at_value, at_number, at_number + size))

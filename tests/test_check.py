@@ -1734,6 +1734,48 @@ class TestLintRepro:
             "src/repro/runtime/compile.py::one-gate-table::slots:missing"
         ]
 
+    def test_one_gate_shape(self, lint):
+        """The lowering's structure half reads each gate's shape keyed on
+        its name and exact signature: no matrix analysis and no gate matrix
+        in ``kernel_lowering``, ``_block`` or ``_gate_shape``; the numeric
+        fill keeps its gate matrices."""
+        fusion = self.write(
+            lint, "sim/fusion.py",
+            "def _gate_shape(name, signature):\n"
+            "    return GateShape(name, gate_matrix(name))\n"
+            "def _block(gates, shapes, run, qubits):\n"
+            "    return [shapes[m].phases for m in run]\n"
+            "def kernel_lowering(gates, logical_to_physical=None):\n"
+            "    return [_gate_shape(g.name, g.pattern()[1]) for g in gates]\n"
+            "def fill_lowered_item(lowering, gates):\n"
+            "    return [gate.matrix() for gate in gates]\n",
+        )
+        elsewhere = self.write(
+            lint, "sim/apply.py", "def unitary_template(m):\n    return analyze_matrix(m)\n"
+        )
+        assert lint.check_one_gate_shape([fusion, elsewhere]) == []
+        # The per-gate analysis growing back, in each of the three sites.
+        fusion.write_text(
+            "def _gate_shape(name, signature):\n"
+            "    return apply.analyze_matrix(gate_matrix(name))\n"
+            "def _block(gates, shapes, run, qubits):\n"
+            "    return [gates[m].matrix() for m in run]\n"
+            "def kernel_lowering(gates, logical_to_physical=None):\n"
+            "    for member, gate in enumerate(gates):\n"
+            "        info = analyze_matrix(gate.matrix())\n"
+        )
+        findings = lint.check_one_gate_shape([fusion])
+        assert {f.rule for f in findings} == {"one-gate-shape"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "_block:matrix", "_gate_shape:analyze_matrix",
+            "kernel_lowering:analyze_matrix", "kernel_lowering:matrix",
+        ]
+        # The lowering moving out of fusion.py is the rule left behind.
+        fusion.write_text("def lower_kernel_gates(gates):\n    return gates\n")
+        assert [f.key for f in lint.check_one_gate_shape([fusion])] == [
+            "src/repro/sim/fusion.py::one-gate-shape::kernel_lowering:missing"
+        ]
+
     def test_tolerance_comparison_in_a_persisted_format_flagged(self, lint):
         source = (
             "import math\n"

@@ -29,10 +29,10 @@ from repro.runtime.compile import (
     SegmentStructure, _DynamicSlot, _KernelSlot, _reduce, compile_plan,
 )
 from repro.session.cache import frozen, plan_cache_key, rebind_plan
-from repro.sim.apply import Workspace, unitary_template
+from repro.sim.apply import Workspace, analyze_matrix, unitary_template
 from repro.sim import simulate_reference
 from repro.sim.fusion import (
-    GatherProgram, KernelGather, kernel_lowering, lower_kernel_gates,
+    GatherProgram, KernelGather, _gate_shape, kernel_lowering, lower_kernel_gates,
 )
 
 SPECIAL = (0.0, math.pi, -math.pi, 2 * math.pi, 1e-13, -1e-13)
@@ -141,6 +141,65 @@ class TestTheTable:
             assert gate.is_diagonal() == diagonal, gate
             assert gate.is_antidiagonal() == gates_mod.is_antidiagonal(matrix), gate
             assert table.non_insular_qubits(position) == gate.non_insular_qubits(), gate
+
+
+#: The shape cases: every gate at two seeded random angles and at the
+#: angles where a matrix gains or loses exact zeros and ones.
+SHAPE_ANGLES = (None, None, 0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e-13)
+
+
+def _shape_cases():
+    rng = np.random.default_rng(39)
+    for name in SUPPORTED_GATES:
+        spec = GATE_SPECS[name]
+        qubits = tuple(range(spec.num_qubits))[::-1]
+        for angle in SHAPE_ANGLES if spec.num_params else (None,):
+            yield Gate(name, qubits, _params(spec, rng, angle))
+
+
+class TestShapesFromTheTable:
+    """Differential: what the cold path reads off the gate table against
+    the per-gate derivations it replaced — :func:`analyze_matrix` (the
+    oracle for a gate's kind and permutation) and a fresh
+    ``_pattern_of(gate.matrix())``."""
+
+    def test_table_patterns_are_each_gates_own(self):
+        cases = list(_shape_cases())
+        fresh = [Gate(g.name, g.qubits, g.params) for g in cases]  # never in a table
+        pairs = GateTable(cases).patterns()
+        for gate, copy, pair in zip(cases, fresh, pairs, strict=True):
+            if not gate.params:
+                assert pair == (b"", b""), gate
+                continue
+            assert pair == gates_mod._pattern_of(copy.matrix()), gate
+            assert pair[1] == matrix_signature(copy.matrix()), gate
+            assert gate.pattern() is pair  # handed to the gate, not recomputed
+
+    def test_table_shape_is_the_analysis(self):
+        cases = list(_shape_cases())
+        pairs = GateTable(cases).patterns()
+        for gate, (_key, signature) in zip(cases, pairs, strict=True):
+            matrix = GATE_SPECS[gate.name].matrix(gate.params)
+            info = analyze_matrix(matrix)
+            shape = _gate_shape(gate.name, signature)
+            monomial = info.kind in ("diagonal", "permutation")
+            assert shape.kind == (info.kind if monomial else "dense"), gate
+            assert shape.perm == (info.perm if info.kind == "permutation" else None), gate
+            if not monomial:
+                assert shape.phases is None, gate
+                continue
+            values = info.diagonal if info.kind == "diagonal" else info.phases
+            assert np.array_equal(matrix.reshape(-1).take(shape.phases), values), gate
+            assert shape.only_permutes == (not gate.params and bool(np.all(values == 1))), gate
+
+    def test_table_insularity_is_each_gates_own(self):
+        cases = list(_shape_cases())
+        table = GateTable(cases)
+        table.patterns()
+        for position, gate in enumerate(cases):
+            copy = Gate(gate.name, gate.qubits, gate.params)
+            assert table.non_insular_qubits(position) == copy.non_insular_qubits(), gate
+            assert gate.non_insular_qubits() == copy.non_insular_qubits(), gate
 
 
 def _slot_cases(program, plan):

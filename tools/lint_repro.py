@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Nineteen rules, each enforcing an invariant the execution layer depends on
+Twenty rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -261,6 +261,18 @@ Nineteen rules, each enforcing an invariant the execution layer depends on
     contains ``runtime/compile.py`` (a file without a slot ``bind`` is the
     rule left behind).
 
+``one-gate-shape``
+    A gate's structure on the lowering path comes from one lookup: inside
+    ``sim/fusion.py``'s ``kernel_lowering``, its block composer ``_block``
+    and the shape lookup ``_gate_shape`` nothing calls ``analyze_matrix``
+    (a matrix's classification, gate by gate) or ``.matrix()`` (a gate's
+    own matrix).  The lowering reads each gate's ``GateShape`` keyed on its
+    name and exact signature — the bytes the circuit's gate table hands
+    every gate — and a parameter-free gate's shape from its name's
+    constant (``gate_matrix``).  One of those calls there is the per-gate
+    analysis growing back beside the table; a ``fusion.py`` without a
+    ``kernel_lowering`` is the rule left behind.
+
 ``layering``
     No module under ``core/``, ``circuits/``, ``sim/``, ``runtime/``,
     ``planner/``, ``check/``, ``cluster/``, ``ilp/`` or ``baselines/``
@@ -352,13 +364,10 @@ KERNEL_CHOICE_FUNCS = ("_effective_kind", "_inplace_preferred")
 KERNEL_CHOICE_CALLER = "unitary_template"
 #: Names a ``MatrixInfo`` goes by where its ``.kind`` is compared, and the
 #: functions licensed to compare it: the analysis that builds it, the
-#: position refinement, the one template chooser, and the shared-memory
-#: lowering's "is this gate monomial" classification.
+#: position refinement and the one template chooser (the shared-memory
+#: lowering reads a gate's shape, never a ``MatrixInfo``).
 MATRIX_INFO_NAMES = {"info", "reduced_info"}
-MATRIX_KIND_SITES = {
-    "_analyze_impl", "_effective_kind", "unitary_template",
-    "kernel_lowering", "_absorb", "_only_permutes",
-}
+MATRIX_KIND_SITES = {"_analyze_impl", "_effective_kind", "unitary_template"}
 CYCLE_WALK_SITE = "_permutation_moves"
 THREAD_LOCAL_SCOPE = "sim/"
 
@@ -599,9 +608,7 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
                 ):
                     continue
                 if any(name in KERNEL_LOWERING_SITES for name in stack):
-                    lowering_seen = lowering_seen or any(
-                        name in SHM_LOWERING_SITES for name in stack
-                    )
+                    lowering_seen = True
                     continue
                 where = _enclosing(stack)
                 findings.append(
@@ -631,8 +638,9 @@ def check_one_kernel_lowering(files: list[Path]) -> list[Finding]:
         findings.append(
             Finding(
                 f"src/repro/{KERNEL_LOWERING_HOME}", 0, "one-kernel-lowering",
-                "no gate loop inside `lower_kernel_gates`: the shared-memory "
-                "kernel lowering moved without this rule following it",
+                "no gate loop inside the lowering's fill (`lower_kernel_gates` / "
+                "`fill_lowered_item`): the shared-memory kernel lowering moved "
+                "without this rule following it",
                 "lower_kernel_gates:missing",
             )
         )
@@ -1589,6 +1597,51 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
     return findings
 
 
+GATE_SHAPE_HOME = "sim/fusion.py"
+#: The lowering's structure half: the gate loop, the block composer and
+#: the shape lookup.
+GATE_SHAPE_SITES = ("kernel_lowering", "_block", "_gate_shape")
+#: What re-derives a gate's structure one gate at a time.
+GATE_SHAPE_BYPASS = ("analyze_matrix", "matrix")
+
+
+def check_one_gate_shape(files: list[Path]) -> list[Finding]:
+    """The ``one-gate-shape`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    for path in files:
+        if _rel_src(path) != GATE_SHAPE_HOME:
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in GATE_SHAPE_SITES
+        ]
+        if not any(site.name == "kernel_lowering" for site in sites):
+            findings.append(Finding(
+                rel, 0, "one-gate-shape",
+                f"no `kernel_lowering` in {GATE_SHAPE_HOME}: the lowering moved "
+                f"without this rule following it",
+                "kernel_lowering:missing",
+            ))
+        for site in sites:
+            for node in ast.walk(site):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = _call_name(node)
+                if name == "matrix" and not isinstance(node.func, ast.Attribute):
+                    continue
+                if name in GATE_SHAPE_BYPASS:
+                    findings.append(Finding(
+                        rel, node.lineno, "one-gate-shape",
+                        f"`{name}` called in {site.name}: the lowering reads each "
+                        f"gate's shape keyed on its name and exact signature "
+                        f"(`_gate_shape`), never a matrix gate by gate",
+                        f"{site.name}:{name}",
+                    ))
+    return findings
+
+
 GATE_TABLE_HOME = "runtime/compile.py"
 GATE_TABLE_METHODS = ("bind", "fill")
 #: Calls that fetch a gate's numbers one gate (or one item) at a time.
@@ -1933,6 +1986,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_bench_host_free())
     findings.extend(check_one_layout_move(files))
     findings.extend(check_one_gate_table(files))
+    findings.extend(check_one_gate_shape(files))
     findings.extend(check_layering(files))
     findings.extend(check_exact_persisted_formats(files))
 
