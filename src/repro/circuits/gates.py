@@ -510,7 +510,10 @@ class GateTable:
     packed to :data:`_RECORD` bytes: the rebind guard compares
     ``records`` at a structure's positions as one bytes string.  The
     ``> 1e-12`` key pattern of :meth:`Circuit.structural_key` is one array
-    operation per stack too (:meth:`key_bytes`).
+    operation per stack too (:meth:`key_bytes`), and so is every gate's
+    ``(key pattern, exact signature)`` pair (:meth:`patterns`), which the
+    cold path — planning passes and kernel lowering — reads instead of
+    deriving it gate by gate.
 
     Read-only; a :class:`~repro.circuits.circuit.Circuit` memoises its own
     (:meth:`~repro.circuits.circuit.Circuit.gate_table`).

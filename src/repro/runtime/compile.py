@@ -11,9 +11,12 @@ would re-derive on every execution:
   folds (:func:`repro.sim.fusion.kernel_lowering`) — into **one** op
   (:func:`repro.sim.apply.kernel_template`), and the logical→physical
   index translation;
-* matrix structure analysis, dense gemm planning, diagonal broadcast
-  vectors, permutation cycle tables, controlled-block reduction, the
-  kernel ops' tile bits and index maps.
+* each kernel gate's lowering shape, read off the job's gate table
+  (every gate's exact signature, :meth:`~repro.circuits.gates.GateTable.patterns`)
+  rather than analysed from its matrix; a dynamic gate's matrix structure
+  analysis, dense gemm planning, diagonal broadcast vectors, permutation
+  cycle tables, controlled-block reduction; the kernel ops' tile bits and
+  index maps.
 
 The result is a flat stream of :class:`repro.sim.program.CompiledOp` whose
 execution is a tight loop with zero per-gate analysis, hashing or dict

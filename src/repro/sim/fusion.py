@@ -10,9 +10,10 @@ matrix built.
 
 The lowering comes in two halves.  The **structure**
 (:func:`kernel_lowering`) is everything that follows from each gate's
-name, qubits and the zero pattern of its matrix: in a stage's layout,
-which gates fold into which block or dense group, the block's permutation
-and its phase gather tables.  The **fill** (:func:`fill_lowered_item`)
+name, qubits and the zero pattern of its matrix — its shape, looked up by
+name and exact signature — in a stage's layout: which gates fold into
+which block or dense group, the block's permutation and its phase gather
+tables.  The **fill** (:func:`fill_lowered_item`)
 does the arithmetic for one set of angles.  :func:`lower_kernel_gates` is
 "structure, then fill", unmemoized — the static verifier's oracle.
 Executors reach it through the plan compiler's kernel slots
@@ -39,6 +40,7 @@ from .apply import (
     MONOMIAL_WIDTH,
     _GEMM_EDGE,
     KernelItem,
+    _bits_to,
     _check_qubits,
     _num_qubits,
     kernel_template,
@@ -210,10 +212,10 @@ def _block(
     *qubits* (bit ``j`` of a block index is ``qubits[j]``): its permutation
     (``None``: the identity) and, per phase-carrying member, its gather
     table — per block index, the flat position in the gate's matrix of its
-    phase there.  Built at the block's final width, so each member costs a
-    few index operations on one ``2^k`` vector and no matrix is built; a
-    member that acts before a qubit joins the block does not depend on
-    that qubit's bit, so its table is the one at its own width, repeated."""
+    phase there.  Built at the block's final width — a member does not
+    depend on the bits of qubits that join the block after it, so its
+    table there is its table at its own width, repeated — each member costs
+    a few index operations on one ``2^k`` vector, and no matrix is read."""
     width = len(qubits)
     at = {q: j for j, q in enumerate(qubits)}
     perm = None
@@ -244,10 +246,7 @@ def _block(
 def _sub_index(width: int, pos: tuple[int, ...]) -> np.ndarray:
     """Per index of a ``2^width`` block, the sub-index of a gate whose
     index bit ``j`` sits at block bit ``pos[j]``."""
-    index = np.arange(1 << width)
-    sub = np.zeros_like(index)
-    for j, p in enumerate(pos):
-        sub |= ((index >> p) & 1) << j
+    sub = _bits_to(width, [(p, j) for j, p in enumerate(pos)])
     sub.setflags(write=False)
     return sub
 
@@ -316,7 +315,10 @@ def kernel_lowering(
     the zero pattern of its matrix, so the result is valid for every gate
     tuple that matches *gates* in those
     (:func:`~repro.circuits.gates.matrix_signature`);
-    :func:`fill_lowered_item` supplies the angles.
+    :func:`fill_lowered_item` supplies the angles.  Each gate's part is its
+    :class:`GateShape`, looked up by its name and exact signature
+    (:meth:`Gate.pattern`, which a circuit's gate table hands every gate),
+    so no gate's matrix is read or classified here.
     """
     items: list[ItemLowering] = []
     # Each gate's shape, read off its name and exact signature.
@@ -670,6 +672,8 @@ class GatherProgram:
             count_values = sum(len(group[0]) for group in gather.values)
             if gather.numbers is not None:
                 local = gather.numbers
+                # (A value's index, negative once shifted, is clipped
+                # there and not taken.)
                 numbers.append(np.where(
                     local < count_values, local + at_value,
                     total_values + source.take(local - count_values, mode="clip"),
