@@ -230,7 +230,7 @@ def _block(
         if shape.perm is not None:
             flips = _flip_table(shape.perm, pos).take(sub)
             perm = flips ^ (np.arange(1 << width) if perm is None else perm)
-        if not shape.only_permutes:
+        if shape.phases is not None and not shape.only_permutes:
             table = shape.phases.take(sub)
             table.setflags(write=False)
             factors.append((member, table))
