@@ -491,12 +491,11 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
 
 
 def _seed_planner() -> PassManager:
-    """The seed planner as a pipeline: the ILP stager with no pass-level
-    shortcut (a fits-locally circuit still goes through the solver) plus
-    the reference beam DP — the pre-pipeline ``partition()`` code path,
-    pass for pass.  Staging itself is ``stage_circuit``, the same for
-    every planner, so the stage counts must agree exactly."""
-    stage = {"stager": "ilp", "single_stage_shortcut": False, "ilp_time_limit": 120.0}
+    """The seed planner as a pipeline: the ILP stager plus the reference
+    beam DP — the pre-pipeline ``partition()`` code path, pass for pass.
+    Staging itself is ``stage_circuit``, the same for every planner, so the
+    stage counts must agree exactly."""
+    stage = {"stager": "ilp", "ilp_time_limit": 120.0}
     return PassManager(
         [
             ("analyze", {}),
@@ -511,8 +510,8 @@ def _seed_planner() -> PassManager:
 def run_plan_pipeline_bench(sweep, repeats: int) -> dict:
     """Plan quality and in-run cold-plan speedup per preset vs the seed
     planner: every (family, qubits) entry is planned on two machine shapes —
-    a 4-shard split (staging required) and a single-shard machine (the
-    fits-locally shortcut territory) — by the seed planner and by each
+    a 4-shard split (staging required) and a single-shard machine (one
+    certified stage, no solve) — by the seed planner and by each
     preset, taking turns.  ``ladder_slack`` is how far the preset quality
     ladder (quality <= balanced <= fast kernel cost) is from monotone: the
     larger of the two steps, <= 0 when it holds."""

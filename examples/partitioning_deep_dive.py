@@ -108,11 +108,15 @@ def preset_study() -> None:
             f"{report.total_kernel_cost:6.2f}  stages {report.num_stages}  "
             f"pipeline {' -> '.join(report.pipeline)}  skipped: {skipped}"
         )
-    # The fits-locally shortcut: a single-shard machine needs no staging
-    # solver at all — the stage pass records why it skipped it.
+    # A single-shard machine needs no staging solver at all: the staging
+    # certificate proves its one zero-cost stage optimal.
     local_machine = MachineConfig.for_circuit(num_qubits, num_shards=1)
     _plan, report = build_plan(circuit, local_machine, planner="fast")
-    print(f"  single-shard machine: {report.passes_skipped['stage']}")
+    stage = report.pass_metrics["stage"]
+    print(
+        f"  single-shard machine: staging {stage['solver_status']}, "
+        f"{stage['num_solves']} solves"
+    )
     print()
 
 

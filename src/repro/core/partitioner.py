@@ -54,8 +54,8 @@ class PartitionReport:
     pipeline: tuple[str, ...] = ()
     #: Wall seconds per pass, in run order.
     pass_seconds: dict[str, float] = field(default_factory=dict)
-    #: Skipped pass name -> why it skipped its work (e.g. the stage pass
-    #: after the fits-locally shortcut).
+    #: Skipped pass name -> why it skipped its work (e.g. the refine pass
+    #: when the time budget ran out).
     passes_skipped: dict[str, str] = field(default_factory=dict)
     #: Pass name -> that pass's metrics dictionary.
     pass_metrics: dict[str, dict] = field(default_factory=dict)

@@ -23,7 +23,8 @@ This module implements:
 * the certificate: at the windows' lower bound, a window-driven staging
   (:func:`_window_staging`) and a lower bound on Equation (3)
   (:func:`_staging_bound`); when the staging's cost meets the bound it is
-  optimal and no model is built,
+  optimal and no model is built (at one stage the staging is built in
+  closed form, :func:`_one_stage_staging`),
 * :func:`transition_cost` — Equation (3) of a staging, the one evaluator
   every stager reports,
 * the extraction both paths share (:func:`_assemble`): per-stage
@@ -734,6 +735,52 @@ def _settle_gates(
     return settled
 
 
+def _one_stage_staging(
+    circuit: Circuit, local_qubits: int, global_qubits: int, inter_node_cost_factor: float
+) -> StagingResult | None:
+    """The certificate's staging when the non-insular union fits locally, in closed form.
+
+    The windows' lower bound is 1 exactly when the union ``U`` of the
+    gates' non-insular qubits has at most ``L`` members; the bound on
+    Equation (3) is then 0, and :func:`_window_staging` (with
+    :func:`_settle_gates` and :func:`_assemble`) builds one stage of cost 0
+    holding every gate: local are ``U`` and then, by lowest canonical
+    label, the qubits an ILP gate touches and the rest; global the lowest
+    canonical labels left.  This returns that staging without building the
+    canonical problem or the windows (``tests/test_stage_windows.py``
+    holds the two equal); ``None`` as soon as ``|U| > L``.
+    """
+    union: set[int] = set()
+    touched: set[int] = set()
+    for gate in circuit:
+        non_insular = gate.non_insular_qubits()
+        if non_insular:
+            union.update(non_insular)
+            if len(union) > local_qubits:
+                return None
+            touched.update(gate.qubits)
+    relabel = circuit.canonical_relabeling()
+    rest = sorted(
+        (q for q in range(circuit.num_qubits) if q not in union),
+        key=lambda q: (q not in touched, relabel[q]),
+    )
+    local = union | set(rest[: local_qubits - len(union)])
+    non_local = sorted((q for q in rest if q not in local), key=relabel.__getitem__)
+    global_ = set(non_local[:global_qubits])
+    partition = QubitPartition.from_sets(local, set(non_local) - global_, global_)
+    stage = Stage(gates=list(circuit), partition=partition, gate_indices=list(range(len(circuit))))
+    return StagingResult(
+        stages=[stage],
+        num_stages=1,
+        communication_cost=transition_cost([partition], inter_node_cost_factor),
+        ilp_feasible=True,
+        solver_status="certified",
+        lower_bound=1,
+        stage_bound=0.0,
+        certificate_gap=0.0,
+    )
+
+
 def stage_circuit(
     circuit: Circuit,
     local_qubits: int,
@@ -751,7 +798,9 @@ def stage_circuit(
     exactly that many stages and a proven lower bound on Equation (3).  When
     the staging's cost equals the bound, it is a minimum-cost staging with
     the minimum stage count and is returned with ``solver_status
-    "certified"`` and no solve.  Otherwise the ILP iteration starts at the
+    "certified"`` and no solve (at one stage, the case of a non-insular
+    union that fits locally, :func:`_one_stage_staging` gives that staging
+    directly).  Otherwise the ILP iteration starts at the
     lower bound (stage counts below it are skipped) and every model has its
     ``F`` variables fixed outside the windows; none of this changes the
     stage count or the communication cost returned.  The circuit is staged
@@ -766,6 +815,11 @@ def stage_circuit(
     """
     _check_qubit_classes(circuit.num_qubits, local_qubits, regional_qubits, global_qubits)
     start = time.perf_counter()
+    if max_stages >= 1:
+        single = _one_stage_staging(circuit, local_qubits, global_qubits, inter_node_cost_factor)
+        if single is not None:
+            single.solver_seconds = time.perf_counter() - start
+            return single
     problem = _CanonicalProblem.of(circuit)
     windows = _stage_windows(problem.gates, problem.deps, local_qubits)
     bound = _staging_bound(problem, windows, local_qubits, global_qubits, inter_node_cost_factor)

@@ -3,8 +3,8 @@
 A :class:`PlanningContext` is the Plan IR threaded through every pass of a
 :class:`~repro.planner.pipeline.PassManager` run: the immutable inputs
 (circuit, machine, cost model, per-pass options, optional time budget), the
-mutable working state the passes grow (analysis facts, the staging, the
-final :class:`~repro.core.plan.ExecutionPlan`), and a
+mutable working state the passes grow (the staging, the final
+:class:`~repro.core.plan.ExecutionPlan`), and a
 :class:`PlanningDiagnostics` ledger recording, for every pass, how long it
 ran, what it produced, and — when it decided to skip work — why.
 """
@@ -31,7 +31,7 @@ class PassRecord:
     name: str
     seconds: float = 0.0
     #: True when the pass decided not to do its main work (the record's
-    #: ``skip_reason`` says why — e.g. "circuit fits locally").
+    #: ``skip_reason`` says why — e.g. "time budget exhausted").
     skipped: bool = False
     skip_reason: str = ""
     #: Pass-specific quality/size facts (stage counts, kernel costs, ...).
@@ -92,8 +92,7 @@ class PlanningContext:
     which budgeted passes should stop starting new work; ``None`` = no
     budget).
 
-    Working state (written by passes): ``facts`` — cheap analysis results
-    keyed by name (e.g. ``non_insular_union``); ``staging`` — the
+    Working state (written by passes): ``staging`` — the
     :class:`~repro.core.stage.StagingResult` the stage pass produced;
     ``plan`` — the assembled :class:`~repro.core.plan.ExecutionPlan` (set
     by the finalize pass).
@@ -108,7 +107,6 @@ class PlanningContext:
     pipeline: tuple[str, ...] = ()
     deadline: float | None = None
 
-    facts: dict[str, Any] = field(default_factory=dict)
     staging: StagingResult | None = None
     plan: ExecutionPlan | None = None
     diagnostics: PlanningDiagnostics = field(default_factory=PlanningDiagnostics)

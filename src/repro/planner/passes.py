@@ -13,15 +13,14 @@ Built-in pipeline (the order the presets use)::
 
     analyze  ->  stage  ->  kernelize  ->  refine  ->  finalize
 
-* **analyze** — cheap structural facts (non-insular qubit union, gate
-  counts) that later passes use for their adaptive skips;
+* **analyze** — the circuit's gate and qubit counts, with its gate
+  table's patterns computed up front;
 * **stage** — circuit staging through the unified stager registry
-  (``"ilp"``, ``"snuqs"``, ``"greedy"``), with one provably lossless
-  cost-model-adaptive shortcut: a circuit whose non-insular union fits the
-  local set is staged directly (no solver).  That the ILP stager starts
-  its stage-count iteration at a proven lower bound is not an option of
-  this pass: :func:`repro.core.stage.stage_circuit` does so for every
-  caller;
+  (``"ilp"``, ``"snuqs"``, ``"greedy"``).  That the ILP stager certifies
+  before it solves and starts its stage-count iteration at a proven lower
+  bound is not an option of this pass: :func:`repro.core.stage.stage_circuit`
+  does so for every caller, and a circuit that fits the local set certifies
+  as one stage at cost 0 without a solve;
 * **kernelize** — per-stage kernelization through the unified kernelizer
   registry (``"atlas"``, ``"atlas-ref"``, ``"atlas-naive"``, ``"greedy"``);
 * **refine** — quality escalation that can only improve the plan: per
@@ -44,7 +43,7 @@ from ..core.greedy_kernelize import greedy_kernelize
 from ..core.kernel import KernelSequence
 from ..core.kernelize import KernelizeConfig, kernelize
 from ..core.ordered_kernelize import ordered_kernelize
-from ..core.plan import ExecutionPlan, QubitPartition, Stage
+from ..core.plan import ExecutionPlan
 from ..core.stage import StagingResult, stage_circuit
 from ..core.stage_heuristics import greedy_stage_circuit, snuqs_stage_circuit
 from .context import PassRecord, PlanningContext
@@ -192,88 +191,27 @@ class PreprocessPass(PlanningPass):
 
 
 class AnalyzePass(PlanningPass):
-    """Cheap structural facts later passes key their adaptive skips on.
+    """The circuit's size, and its gate table's patterns computed up front.
 
     Every gate's pattern comes out of the circuit's gate table
     (:meth:`~repro.circuits.gates.GateTable.patterns`, array work per
-    matrix width), which hands each gate its pair: this pass, staging and
-    the cost model read a gate's insularity from it."""
+    matrix width), which hands each gate its pair: staging and the cost
+    model read a gate's insularity from it."""
 
     name = "analyze"
 
     def run(self, ctx: PlanningContext, record: PassRecord) -> None:
-        union: set[int] = set()
-        non_insular_gates = 0
         ctx.circuit.gate_table().patterns()
-        for gate in ctx.circuit:
-            non_insular = gate.non_insular_qubits()
-            if non_insular:
-                non_insular_gates += 1
-                union.update(non_insular)
-        ctx.facts["non_insular_union"] = frozenset(union)
-        ctx.facts["non_insular_gates"] = non_insular_gates
-        ctx.facts["fits_locally"] = len(union) <= ctx.machine.local_qubits
-        record.metrics.update(
-            num_gates=len(ctx.circuit),
-            num_qubits=ctx.circuit.num_qubits,
-            non_insular_gates=non_insular_gates,
-            non_insular_union=len(union),
-            fits_locally=ctx.facts["fits_locally"],
-        )
-
-
-def _single_stage_staging(ctx: PlanningContext) -> StagingResult:
-    """Directly build the provably optimal single-stage staging.
-
-    Valid exactly when the non-insular union ``U`` fits the local set: one
-    stage with ``U`` local (padded with the lowest-index unused qubits) is
-    feasible, and no staging can beat one stage with zero communication.
-    The gate order is the circuit order — the same order the ILP extraction
-    produces for a one-stage solution — so downstream kernelization sees
-    identical input.
-    """
-    machine = ctx.machine
-    n = ctx.circuit.num_qubits
-    union = ctx.facts["non_insular_union"]
-    local = sorted(union)
-    for q in range(n):
-        if len(local) >= machine.local_qubits:
-            break
-        if q not in union:
-            local.append(q)
-    local_set = set(local)
-    rest = [q for q in range(n) if q not in local_set]
-    partition = QubitPartition.from_sets(
-        local_set, rest[: machine.regional_qubits], rest[machine.regional_qubits :]
-    )
-    stage = Stage(
-        gates=list(ctx.circuit.gates),
-        partition=partition,
-        gate_indices=list(range(len(ctx.circuit))),
-    )
-    return StagingResult(
-        stages=[stage],
-        num_stages=1,
-        communication_cost=0.0,
-        ilp_feasible=False,
-        solver_status="fits-locally",
-    )
+        record.metrics.update(num_gates=len(ctx.circuit), num_qubits=ctx.circuit.num_qubits)
 
 
 class StagePass(PlanningPass):
-    """Staging through the stager registry, with lossless adaptive skips.
+    """Staging through the stager registry.
 
     Options
     -------
     stager:
         Registry name (default ``"ilp"``).
-    single_stage_shortcut:
-        When the analyze pass proved the circuit fits locally, build the
-        (provably optimal) single-stage staging directly and skip the
-        solver entirely.  Default True.  Only applied with the ``"ilp"``
-        stager: the shortcut reproduces the ILP's optimal answer, whereas
-        heuristic stagers are often run precisely to study *their*
-        behaviour, which must not be silently replaced.
     ilp_backend, ilp_time_limit, max_stages:
         Passed to the ILP stager.
 
@@ -296,27 +234,13 @@ class StagePass(PlanningPass):
             raise ValueError(f"unknown stager {stager!r}; known: {sorted(STAGERS)}")
         record.metrics["stager"] = stager
 
-        if (
-            stager == "ilp"
-            and options.get("single_stage_shortcut", True)
-            and ctx.facts.get("fits_locally")
-        ):
-            ctx.staging = _single_stage_staging(ctx)
-            union = len(ctx.facts["non_insular_union"])
-            record.skipped = True
-            record.skip_reason = (
-                f"circuit fits locally (|U|={union} <= L="
-                f"{ctx.machine.local_qubits}): single-stage staging built "
-                f"directly, staging solver skipped"
-            )
-        else:
-            ctx.staging = STAGERS[stager](
-                ctx.circuit,
-                ctx.machine,
-                ilp_backend=options.get("ilp_backend", "scipy"),
-                ilp_time_limit=options.get("ilp_time_limit", 120.0),
-                max_stages=options.get("max_stages", 32),
-            )
+        ctx.staging = STAGERS[stager](
+            ctx.circuit,
+            ctx.machine,
+            ilp_backend=options.get("ilp_backend", "scipy"),
+            ilp_time_limit=options.get("ilp_time_limit", 120.0),
+            max_stages=options.get("max_stages", 32),
+        )
         record.metrics.update(
             num_stages=ctx.staging.num_stages,
             communication_cost=ctx.staging.communication_cost,

@@ -13,12 +13,11 @@ planner is accepted (``Session(planner=...)``, ``session.run(planner=...)``,
 :func:`build_plan`):
 
 =============  =============================================================
-``"fast"``     latency-critical cold planning: the lossless staging
-               shortcut (fits-locally direct staging), a tighter per-solve
-               ILP time limit, the bitmask beam DP, no refinement.  Same
-               plan quality as the seed planner — the shortcut is provably
-               lossless and the fast DP is result-identical to the
-               reference.
+``"fast"``     latency-critical cold planning: a tighter per-solve ILP
+               time limit, the bitmask beam DP, no refinement.  Same plan
+               quality as the seed planner — staging is the same
+               ``stage_circuit`` and the fast DP is result-identical to
+               the reference.
 ``"balanced"`` the default: fast's pipeline plus the cheap ``ordered``
                refinement guard (contiguous-optimal DP per stage, keep the
                cheaper kernelization) — never worse than ``"fast"``.
@@ -225,14 +224,7 @@ def _fast_preset() -> PassManager:
     return PassManager(
         [
             ("analyze", {}),
-            (
-                "stage",
-                {
-                    "stager": "ilp",
-                    "single_stage_shortcut": True,
-                    "ilp_time_limit": 15.0,
-                },
-            ),
+            ("stage", {"stager": "ilp", "ilp_time_limit": 15.0}),
             ("kernelize", {"kernelizer": "atlas"}),
             ("finalize", {}),
         ],
@@ -244,14 +236,7 @@ def _balanced_preset() -> PassManager:
     return PassManager(
         [
             ("analyze", {}),
-            (
-                "stage",
-                {
-                    "stager": "ilp",
-                    "single_stage_shortcut": True,
-                    "ilp_time_limit": 120.0,
-                },
-            ),
+            ("stage", {"stager": "ilp", "ilp_time_limit": 120.0}),
             ("kernelize", {"kernelizer": "atlas"}),
             ("refine", {"strategies": ("ordered",)}),
             ("finalize", {}),
@@ -264,14 +249,7 @@ def _quality_preset() -> PassManager:
     return PassManager(
         [
             ("analyze", {}),
-            (
-                "stage",
-                {
-                    "stager": "ilp",
-                    "single_stage_shortcut": True,
-                    "ilp_time_limit": 120.0,
-                },
-            ),
+            ("stage", {"stager": "ilp", "ilp_time_limit": 120.0}),
             ("kernelize", {"kernelizer": "atlas"}),
             (
                 "refine",
@@ -348,12 +326,7 @@ def legacy_pipeline(
     structure, kernel boundaries and costs exactly) and the paper's
     stager × kernelizer ablation axes.  A :class:`~repro.session.Session`
     takes the result like any other ``planner=``; it is not a degradation
-    target.  The staging shortcut stays on — it is provably lossless —
-    and ``"atlas"`` resolves to the result-identical fast DP.  (One
-    cosmetic freedom remains: on fits-locally machines the single-stage
-    shortcut pads the zero-communication qubit partition with the
-    lowest-index unused qubits, where the ILP would pick arbitrarily among
-    the equally-optimal assignments.)
+    target.  ``"atlas"`` resolves to the result-identical fast DP.
     """
     return PassManager(
         [
@@ -362,7 +335,6 @@ def legacy_pipeline(
                 "stage",
                 {
                     "stager": stager,
-                    "single_stage_shortcut": True,
                     "ilp_backend": ilp_backend,
                     "ilp_time_limit": ilp_time_limit,
                 },

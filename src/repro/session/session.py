@@ -106,7 +106,7 @@ class SessionStats:
     #: Cumulative wall seconds per planning pass across cache misses.
     planning_pass_seconds: dict[str, float] = field(default_factory=dict)
     #: Planning-pass skip counters: pass name -> times it skipped its work
-    #: (e.g. the stage pass after the fits-locally shortcut).
+    #: (e.g. the refine pass when the time budget ran out).
     planning_passes_skipped: dict[str, int] = field(default_factory=dict)
     #: Shard schedules the sharded backends' jobs acquired: rebound from
     #: the plan cache's (hits), or built cold (misses — the first job of a

@@ -25,8 +25,7 @@ pattern and every class has a cheapest NumPy/BLAS form:
     Genuinely scattered wide tuples: the ``tensordot`` contraction.
 
 **Op templates.**  :func:`unitary_template` is the one function that turns
-a classification and a position into a kernel choice; it,
-:func:`monomial_template` (a folded run of diagonal/permutation gates) and
+a classification and a position into a kernel choice; it and
 :func:`kernel_template` (a whole kernel: all its lowered items in one pass
 over the state, through the C body of :mod:`repro.sim.native` when the
 host has it, else through the item loop, which computes the same bits)
@@ -125,7 +124,6 @@ __all__ = [
     "INPLACE_KINDS",
     "STREAM_KINDS",
     "unitary_template",
-    "monomial_template",
     "KernelItem",
     "KernelTemplate",
     "kernel_template",
@@ -639,14 +637,6 @@ DENSE_FOLD_WIDTH = 2
 #: from 16 to 20 qubits (table in docs/performance.md).
 MONOMIAL_WIDTH = 10
 
-#: A permuting block whose qubits all sit below this position is applied as
-#: one ``np.take`` through a ``2^h``-entry source index (``h`` = its top
-#: qubit + 1, so the index is at most 512 KiB) instead of ``2^k`` slice
-#: moves: two NumPy calls whatever the block width, which is what keeps
-#: wide blocks from losing to gate-at-a-time execution on small states.
-_MONOMIAL_GATHER_BITS = 16
-
-
 #: Widest contiguous run the stacked wide-gemm plan accepts.  Beyond it the
 #: batched matmul's short post dimension starves BLAS (measured: 1.35x over
 #: tensordot at k=8, 0.86x at k=10) and the tensordot fallback wins.
@@ -932,60 +922,6 @@ def _controlled_gather_gemm_inplace(
         np.matmul(m, compact.reshape(shape), out=subspace.reshape(shape))
 
 
-def monomial_gather_index(
-    perm: np.ndarray, qubits: Sequence[int], n: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Gather form of a permuting block — its angle-independent part — or
-    ``None`` when it does not apply.
-
-    A block whose qubits all sit below :data:`_MONOMIAL_GATHER_BITS` acts
-    within every contiguous chunk of ``2^h`` amplitudes, ``h = max(qubits)
-    + 1``, so it is one ``np.take`` along the rows of ``state.reshape(-1,
-    2^h)`` whatever its width.  Returns ``(source, phase_index)``:
-    ``source[j]`` is the chunk index whose amplitude lands at ``j``;
-    ``phases.take(phase_index)`` is the block's phases by *output* index,
-    broadcast over the ``(2,)*n`` state tensor.
-    """
-    h = max(qubits) + 1
-    if h > _MONOMIAL_GATHER_BITS:
-        return None
-    dim = len(perm)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(dim)
-    # Index bits to flip on the way from an output block index back to its
-    # source, deposited at the block's qubit positions.
-    flip = inverse ^ np.arange(dim)
-    deposit = np.zeros(dim, dtype=np.int64)
-    for j, q in enumerate(qubits):
-        deposit |= ((flip >> j) & 1) << q
-    source = np.arange(1 << h).reshape((2,) * h) ^ _diag_broadcast(deposit, h, qubits)
-    return source.reshape(-1), np.ascontiguousarray(_diag_broadcast(inverse, n, qubits))
-
-
-def run_monomial_gather(
-    plan: tuple[np.ndarray, np.ndarray | None],
-    state: np.ndarray,
-    tmp: np.ndarray,
-    n: int,
-) -> None:
-    """Execute the gather form ``(source, phase_b)`` of a permuting block
-    (:func:`monomial_gather_index` filled with a phase vector; ``phase_b``
-    is ``None`` when every phase is 1) in place on *state* — flat
-    ``(2^n,)`` or a ``(B, 2^n)`` stack — through *tmp* (``state.size``
-    elements, contents lost): one gather, then the copy back carries the
-    phases."""
-    source, phase_b = plan
-    np.take(
-        state.reshape(-1, source.size), source, axis=1,
-        out=tmp.reshape(-1, source.size), mode="clip",
-    )
-    shape = state.shape[:-1] + (2,) * n
-    if phase_b is None:
-        np.copyto(state.reshape(shape), tmp.reshape(shape))
-    else:
-        np.multiply(tmp.reshape(shape), phase_b, out=state.reshape(shape))
-
-
 #: Buffer discipline per op kind: structured kinds update the state buffer
 #: in place; streaming kinds read the state buffer and write the scratch
 #: buffer in full, swapping the ping-pong roles.  The static verifier
@@ -1078,13 +1014,10 @@ class OpTemplate:
 
     A template built by :func:`unitary_template` is valid for every matrix
     with the :func:`~repro.circuits.gates.matrix_signature` of the one it
-    was built from; one built by :func:`monomial_template` for every phase
-    vector over its permutation.  ``uses_scratch`` marks the one in-place
-    form that works through the scratch buffer (contents lost) — every
-    other in-place op never touches it.
+    was built from.
     """
 
-    __slots__ = ("kind", "qubits", "tmp_slots", "bind", "uses_scratch")
+    __slots__ = ("kind", "qubits", "tmp_slots", "bind")
 
     def __init__(
         self,
@@ -1092,13 +1025,11 @@ class OpTemplate:
         qubits: tuple[int, ...],
         bind: "Callable[[np.ndarray], Callable]",
         tmp_slots: tuple[int, ...] = (),
-        uses_scratch: bool = False,
     ) -> None:
         self.kind = kind
         self.qubits = qubits
         self.bind = bind
         self.tmp_slots = tmp_slots
-        self.uses_scratch = uses_scratch
 
     def op(
         self, payload: np.ndarray, source: tuple | None = None, gates: "tuple | None" = None
@@ -1132,37 +1063,6 @@ def unitary_template(matrix: np.ndarray, qubits: Sequence[int], n: int) -> OpTem
     if kind == "dense":
         return _dense_template(qubits, n)
     return _big_template(qubits, n)
-
-
-def monomial_template(
-    perm: "Sequence[int] | None", qubits: Sequence[int], n: int
-) -> OpTemplate:
-    """The template of one monomial block — amplitude ``c`` of the block
-    index over *qubits* moves to ``perm[c]``; ``perm=None`` is the
-    identity.  Its payload is the block's phase vector.  A block that
-    permutes is one gather when :func:`monomial_gather_index` applies, else
-    slice moves over its ``2^k`` views."""
-    qubits = tuple(qubits)
-    if perm is None:
-        return _diag_template(np.arange(1 << len(qubits)), qubits, n)
-    index = monomial_gather_index(perm, qubits, n)
-    if index is None:
-        return _moves_template(np.asarray(perm).tolist(), None, qubits, n)
-    source, phase_index = index
-    phase_index = _index_array(phase_index)
-
-    def bind(phases):
-        plan = (source, None if np.all(phases == 1) else phases.take(phase_index))
-
-        def run(states, scratch, ws):
-            # An in-place op owes the scratch buffer nothing (the next
-            # streaming op overwrites it in full), so it is the gather target.
-            run_monomial_gather(plan, states, scratch, n)
-            return states, scratch
-
-        return run
-
-    return OpTemplate("permutation", qubits, bind, uses_scratch=True)
 
 
 def _diag_template(positions: np.ndarray, qubits: tuple[int, ...], n: int) -> OpTemplate:
@@ -1256,18 +1156,15 @@ def _run_moves(views, moves, phases, tmp) -> None:
 
 
 def _moves_template(
-    perm: Sequence[int], positions: "np.ndarray | None", qubits: tuple[int, ...], n: int
+    perm: Sequence[int], positions: np.ndarray, qubits: tuple[int, ...], n: int
 ) -> OpTemplate:
     """A phased permutation as slice moves over its ``2^k`` views.  Phase
-    ``c`` sits at flat position ``positions[c]`` of the payload (a matrix),
-    or the payload is the phase vector itself (``positions=None``)."""
+    ``c`` sits at flat position ``positions[c]`` of the payload (a matrix)."""
     skeleton = _permutation_moves(perm)
     k = len(qubits)
 
     def bind(payload):
-        moves, phases = _bind_moves(
-            skeleton, payload if positions is None else payload.take(positions)
-        )
+        moves, phases = _bind_moves(skeleton, payload.take(positions))
 
         def run(states, scratch, ws):
             views = ws.views(states, n, qubits, lead=states.ndim - 1)
@@ -1789,7 +1686,7 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
             for item, payload in zip(items, payloads)
         ])
 
-    template = KernelTemplate("sm", qubits, item_loop, tmp_slots=(0, 1, 2), uses_scratch=True)
+    template = KernelTemplate("sm", qubits, item_loop, tmp_slots=(0, 1, 2))
     template.items = items
     template.item_loop = item_loop
     template.loop = loop
@@ -1863,8 +1760,8 @@ def apply_matrix_reference(
 
 
 #: The bound ops of the entry points: ``(id(matrix), qubits, n)`` →
-#: ``(matrix, inplace, run)`` and ``(id(phases), id(perm), qubits, n)`` →
-#: ``(phases, perm, uses_scratch, run)``.  For callers outside any plan
+#: ``(matrix, inplace, run)`` and ``("diagonal", id(diagonal), qubits, n)``
+#: → ``(diagonal, run)``.  For callers outside any plan
 #: that apply the same payload *object* again and again —
 #: :class:`~repro.sim.statevector.StateVector`, whose gate matrices are
 #: cached instances.  The payload is kept referenced so its id stays valid,
@@ -1904,28 +1801,25 @@ def _unitary_op(
     )
 
 
-def _monomial_op(
-    state: np.ndarray, perm: "np.ndarray | None", phases: np.ndarray, qubits: Sequence[int]
-) -> tuple:
-    """``(phases, perm, uses_scratch, run)``: :func:`monomial_template` bound
-    to *phases*, and whether it works through the scratch buffer."""
+def _diagonal_op(
+    state: np.ndarray, diagonal: np.ndarray, qubits: Sequence[int]
+) -> tuple[np.ndarray, Callable]:
+    """``(diagonal, run)``: the diagonal template bound to the phase vector
+    *diagonal* for *qubits* of *state*."""
     qubits = tuple(qubits)
     n = _num_qubits(state)
-    key = (id(phases), id(perm), qubits, n)
+    key = ("diagonal", id(diagonal), qubits, n)
     hit = _BOUND_OPS.get(key)
-    if hit is not None and hit[0] is phases and hit[1] is perm:
+    if hit is not None and hit[0] is diagonal:
         return hit
     k = len(qubits)
-    for name, vector in (("phase vector", phases), ("permutation", perm)):
-        if vector is not None and len(vector) != 1 << k:
-            raise ValueError(  # lint: config-error
-                f"{name} of length {len(vector)} does not match {k} qubits"
-            )
+    if len(diagonal) != 1 << k:
+        raise ValueError(  # lint: config-error
+            f"phase vector of length {len(diagonal)} does not match {k} qubits"
+        )
     _check_qubits(qubits, n)
-    template = monomial_template(perm, qubits, n)
-    return _remember(
-        key, (phases, perm, template.uses_scratch, template.bind(phases))
-    )
+    template = _diag_template(np.arange(1 << k), qubits, n)
+    return _remember(key, (diagonal, template.bind(diagonal)))
 
 
 def _out_buffer(state: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -2009,7 +1903,7 @@ def apply_diagonal(
     :func:`apply_matrix`: pass ``out=state`` for the in-place update (the
     historical behaviour of this function), ``out=None`` for a pure call.
     """
-    run = _monomial_op(state, None, diagonal, qubits)[-1]
+    run = _diagonal_op(state, diagonal, qubits)[-1]
     out = _inplace_target(state, out)
     run(out, None, thread_workspace().for_caller_buffers())
     return out

@@ -45,7 +45,6 @@ from .apply import (
     CompiledOp,
     OpTemplate,
     Workspace,
-    monomial_template,
     release_thread_workspace,
     thread_workspace,
     tracked_empty,
@@ -61,7 +60,6 @@ __all__ = [
     "Workspace",
     "OpTemplate",
     "unitary_template",
-    "monomial_template",
     "compile_unitary_op",
     "compile_layout_op",
     "compile_phase_op",

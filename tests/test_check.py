@@ -851,7 +851,7 @@ class TestLintRepro:
         home = self.write(
             lint, "runtime/compile.py",
             "def add_kernel(gates, l2p):\n"
-            "    return [monomial_template(i.perm, i.qubits, 5) for i in kernel_lowering(gates, l2p)]\n",
+            "    return [unitary_template(i.matrix, i.qubits, 5) for i in kernel_lowering(gates, l2p)]\n",
         )
         offload = self.write(
             lint, "runtime/offload.py",
@@ -1453,7 +1453,7 @@ class TestLintRepro:
             "        ilp_feasible=False,\n"
             "    )\n",
         )
-        # Outside core/, a staging built without a transition is free to say 0.
+        # Outside core/ this rule is silent (one-staging-path flags the call).
         shortcut = self.write(
             lint, "planner/passes.py",
             "def single(stage):\n"
@@ -1481,6 +1481,48 @@ class TestLintRepro:
             ("src/repro/core/stage.py", 2, ".objective"),
             ("src/repro/core/stage.py", 3, "StagingResult:communication_cost"),
             ("src/repro/core/stage_heuristics.py", 2, "StagingResult:communication_cost"),
+        ]
+
+    def test_staging_built_outside_the_stagers_flagged(self, lint):
+        home = self.write(
+            lint, "core/stage.py",
+            "def _assemble(stages, partitions, c):\n"
+            "    return StagingResult(stages, len(stages), transition_cost(partitions, c), True)\n",
+        )
+        baseline = self.write(
+            lint, "core/stage_heuristics.py",
+            "def greedy_stage_circuit(stages, c):\n"
+            "    return StagingResult(stages=stages, num_stages=len(stages),\n"
+            "                         communication_cost=0.0, ilp_feasible=False)\n",
+        )
+        # Reading a staging, or naming its type, is not building one.
+        reader = self.write(
+            lint, "planner/context.py",
+            "from ..core.stage import StagingResult\n"
+            "def cost(staging: StagingResult) -> float:\n"
+            "    return staging.communication_cost\n",
+        )
+        assert lint.check_one_staging_path([home, baseline, reader]) == []
+        # The stage pass's fits-locally shortcut, and a core/ module that is
+        # not a stager.
+        shortcut = self.write(
+            lint, "planner/passes.py",
+            "def _single_stage_staging(ctx):\n"
+            "    stage = Stage(gates=list(ctx.circuit.gates), partition=None)\n"
+            "    return StagingResult(stages=[stage], num_stages=1, communication_cost=0.0,\n"
+            "                         ilp_feasible=False, solver_status='fits-locally')\n",
+        )
+        partitioner = self.write(
+            lint, "core/partitioner.py",
+            "class Planner:\n"
+            "    def stage(self, stages):\n"
+            "        return StagingResult(stages, len(stages), 0.0, False)\n",
+        )
+        findings = lint.check_one_staging_path([shortcut, partitioner])
+        assert {f.rule for f in findings} == {"one-staging-path"}
+        assert sorted(f.key for f in findings) == [
+            "src/repro/core/partitioner.py::one-staging-path::StagingResult:stage",
+            "src/repro/planner/passes.py::one-staging-path::StagingResult:_single_stage_staging",
         ]
 
     def test_reference_kernelizer_outside_its_registry_entry_flagged(self, lint):

@@ -332,8 +332,8 @@ class TestPresetPlans:
             )
 
     def test_fast_preset_matches_seed_cost(self):
-        # The fast preset's shortcuts are lossless: same kernel cost as the
-        # legacy (seed) planner configuration on every tested family/shape.
+        # The fast preset stages like the legacy (seed) planner and its DP
+        # is result-identical: same kernel cost on every family/shape.
         for family, n in FAMILIES:
             circuit = family(n)
             for machine in _machines(n):
@@ -345,16 +345,20 @@ class TestPresetPlans:
                 )
 
     def test_fits_locally_shortcut(self):
+        # A circuit that fits the local set is staged by stage_circuit like
+        # any other: the certificate returns one stage at cost 0, no solve.
         n = 8
         circuit = qft(n)
         machine = MachineConfig.for_circuit(n, num_shards=1)
         plan, report = build_plan(circuit, machine, planner="fast")
         plan.validate(circuit)
         assert plan.num_stages == 1
-        assert "stage" in report.passes_skipped
-        assert "fits locally" in report.passes_skipped["stage"]
-        assert report.pass_metrics["stage"]["solver_status"] == "fits-locally"
-        assert report.pass_metrics["stage"]["num_solves"] == 0
+        assert "stage" not in report.passes_skipped
+        stage = report.pass_metrics["stage"]
+        assert stage["solver_status"] == "certified"
+        assert (stage["num_stages"], stage["communication_cost"]) == (1, 0.0)
+        assert stage["num_solves"] == 0
+        assert (stage["stage_bound"], stage["certificate_gap"]) == (0.0, 0.0)
 
     def test_lower_bound_start_skips_infeasible_solves(self):
         # A figure-9 cell the certificate leaves to the solver (dj at 16
@@ -474,9 +478,10 @@ class TestPlannerCacheKeys:
         assert hash(a) is not None
         # ... and, through the one ``freeze_config``, the plan-cache keys are
         # pinned byte for byte.  (Digests re-recorded when the
-        # ``lower_bound_start`` stage option was deleted from the presets:
-        # stores written before that were staged in the submitter's labels,
-        # not the canonical ones, and rightly stop hitting.)
+        # ``lower_bound_start`` and then the ``single_stage_shortcut`` stage
+        # options were deleted from the presets: stores written before each
+        # were staged in the submitter's labels, not the canonical ones, and
+        # rightly stop hitting.)
         import hashlib
 
         from repro.session.cache import plan_cache_key, shared_plan_key
@@ -490,7 +495,7 @@ class TestPlannerCacheKeys:
         )
         assert [
             hashlib.blake2b(repr(k).encode(), digest_size=16).hexdigest() for k in keys
-        ] == ["f13639d00b679a8b16975475860e12aa", "9033215190ff25d56469acc1b732e238"]
+        ] == ["69ef1bf384cd727c00c853edbec24f3c", "2bbaff76b07e48b0598fe1cca4a21f06"]
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +540,8 @@ class TestPlanningTelemetry:
             assert second.cache_hit
             stats = session.stats.as_dict()
             assert stats["planning_pass_seconds"]["kernelize"] >= 0.0
-            # The fits-locally shortcut fired once (one cold plan).
-            assert stats["planning_passes_skipped"] == {"stage": 1}
+            # No pass skipped its work on the one cold plan.
+            assert stats["planning_passes_skipped"] == {}
 
     def test_provenance_in_plan_summary(self):
         n = 8

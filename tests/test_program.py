@@ -747,14 +747,11 @@ class TestLoweredKernels:
                 for row, want in zip(got, flat):
                     assert np.array_equal(row, want), (op.kind, batch)
 
-    @pytest.mark.parametrize("gather_bits", [apply_mod._MONOMIAL_GATHER_BITS, 0])
-    def test_view_memo_is_bounded_over_200_rebinds(self, monkeypatch, gather_bits):
+    def test_view_memo_is_bounded_over_200_rebinds(self):
         """Angle-carrying blocks are rebuilt on every rebind.  The view memo
         is keyed by what the views are, not by which op asked, so a rebound
         block finds its predecessor's views: 200 rebinds of su2random-14
-        neither grow the memo nor allocate (``gather_bits=0`` forces every
-        permuting block onto the slice-view path)."""
-        monkeypatch.setattr(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits)
+        neither grow the memo nor allocate."""
         machine = MachineConfig.for_circuit(14)
         template = su2random(14, reps=1)
         plan = _staged_plan(template, machine)

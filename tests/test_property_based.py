@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +23,9 @@ from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
 from repro.runtime.compile import SegmentStructure
 from repro.runtime.offload import compile_segment_ops, split_stage_segments
 from repro.sim import StateVector, apply_matrix, simulate_reference
-from repro.sim import apply as apply_mod
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered, kernel_template
 from repro.sim.fusion import kernel_items, lower_kernel_gates
-from repro.sim.program import Workspace, compile_unitary_op, monomial_template
+from repro.sim.program import Workspace, compile_unitary_op
 from repro.circuits.gates import GATE_SPECS, GateTable, gate_matrix
 
 # Hypothesis settings: these tests build circuits and run simulators, so we
@@ -178,42 +176,46 @@ class TestLoweringProperties:
                 if later < first:
                     assert not set(gates[first].qubits) & set(gates[later].qubits)
 
-    @given(laid_out_gate_sequences(), st.sampled_from([16, 0]), st.integers(0, 999))
+    @given(laid_out_gate_sequences(), st.integers(0, 999))
     @settings(**SETTINGS)
-    def test_lowered_matches_gate_at_a_time_and_the_oracle(self, case, gather_bits, seed):
-        """In any layout, on either permutation path (gather / slice
-        moves), the lowered items equal the per-gate stream to 1e-12 and
-        the reference oracle; the compiler's kernel op (what every executor
-        runs) is the kernel template bound to the items lowered in that
-        layout, bit for bit, on either body its template's item loop, and
-        the items' own ops run in turn to 1e-12."""
+    def test_lowered_matches_gate_at_a_time_and_the_oracle(self, case, seed):
+        """In any layout the lowered items equal the per-gate stream to
+        1e-12 and the reference oracle; the compiler's kernel op (what every
+        executor runs) is the kernel template bound to the items lowered in
+        that layout, bit for bit, on either body its template's item loop,
+        and the items' own ops (a block as the unitary op of its monomial
+        matrix) run in turn to 1e-12."""
         n, gates, l2p = case
         init = StateVector.random_state(n, seed=seed)
-        with mock.patch.object(apply_mod, "_MONOMIAL_GATHER_BITS", gather_bits):
-            # A run of gates over all n positions: the slot a full-state
-            # segment (or a compiled program's kernel) is built by.
-            ((_kind, op),) = segment_ops(gates, l2p, n)
-            items = lower_kernel_gates(gates, l2p)
-            ws = Workspace()
-            lowered, _ = op.run(init.data.copy(), np.empty_like(init.data), ws)
-            template = kernel_template(kernel_items(items, l2p), n)
-            compiled, _ = template.op(items).run(
-                init.data.copy(), np.empty_like(init.data), ws
-            )
-            looped, _ = template.item_loop(items)(
-                init.data.copy(), np.empty_like(init.data), ws
-            )
-            state, scratch = init.data.copy(), np.empty_like(init.data)
-            for item in items:
-                physical = tuple(l2p[q] for q in item.qubits)
-                if item.phases is not None:
-                    ops = [monomial_template(item.perm, physical, n).op(item.phases)]
-                elif item.factors is not None:
-                    ops = [compile_unitary_op(f, (p,), n) for f, p in zip(item.factors, physical)]
-                else:
-                    ops = [compile_unitary_op(item.matrix, physical, n)]
-                for op in ops:
-                    state, scratch = op.run(state, scratch, ws)
+        # A run of gates over all n positions: the slot a full-state
+        # segment (or a compiled program's kernel) is built by.
+        ((_kind, op),) = segment_ops(gates, l2p, n)
+        items = lower_kernel_gates(gates, l2p)
+        ws = Workspace()
+        lowered, _ = op.run(init.data.copy(), np.empty_like(init.data), ws)
+        template = kernel_template(kernel_items(items, l2p), n)
+        compiled, _ = template.op(items).run(
+            init.data.copy(), np.empty_like(init.data), ws
+        )
+        looped, _ = template.item_loop(items)(
+            init.data.copy(), np.empty_like(init.data), ws
+        )
+        state, scratch = init.data.copy(), np.empty_like(init.data)
+        for item in items:
+            physical = tuple(l2p[q] for q in item.qubits)
+            if item.phases is not None:
+                # Block index c moves to perm[c], scaled by phases[c].
+                dim = len(item.phases)
+                perm = np.arange(dim) if item.perm is None else item.perm
+                matrix = np.zeros((dim, dim), dtype=complex)
+                matrix[perm, np.arange(dim)] = item.phases
+                ops = [compile_unitary_op(matrix, physical, n)]
+            elif item.factors is not None:
+                ops = [compile_unitary_op(f, (p,), n) for f, p in zip(item.factors, physical)]
+            else:
+                ops = [compile_unitary_op(item.matrix, physical, n)]
+            for op in ops:
+                state, scratch = op.run(state, scratch, ws)
         assert np.array_equal(compiled, lowered)
         assert compiled.tobytes() == looped.tobytes()
         assert np.abs(state - looped).max() <= 1e-12

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import repro.core.stage as stage_mod
+from repro import MachineConfig
 from repro.circuits import Circuit
 from repro.circuits.library import PAPER_FAMILIES, get_circuit, random_circuit
 from repro.core import KernelizeConfig, fast_kernelize
@@ -35,6 +36,7 @@ from repro.core.stage import (
 from repro.core.stage_heuristics import greedy_stage_circuit, snuqs_stage_circuit
 from repro.ilp import IlpModel, lin_sum, solve
 from repro.ilp.scipy_backend import lower_model
+from repro.planner import PassManager, build_plan
 
 SETTINGS = dict(
     max_examples=25,
@@ -325,6 +327,48 @@ class TestCertificate:
                     assert result.certificate_gap > 0 and result.num_solves == 1
         assert fallbacks == self.FIG9_16_FALLBACKS
 
+    def test_one_stage_closed_form_is_the_window_staging(self):
+        # Where the non-insular union fits locally, stage_circuit returns
+        # _one_stage_staging; it must be what the window-driven staging
+        # builds at the windows' lower bound of 1, with a bound of 0.
+        probe = Circuit(8).h(0).h(1).h(2).h(3).rz(0.4, 6)  # qubits 4, 5, 7 idle
+        # Qubit 2 (a control: insular, touched by an ILP gate) fills the
+        # second local slot before qubit 3, which is first in use order.
+        touched = Circuit(5).rz(0.4, 3).h(0).cx(2, 0)
+        circuits = [probe, touched, Circuit(3)] + [
+            get_circuit(family, n) for family in ("ghz", "qft", "vqc", "ising") for n in (6, 9)
+        ] + [random_circuit(n, 4 * n, seed=n) for n in range(4, 11)]
+        checked = 0
+        for circuit in circuits:
+            n = circuit.num_qubits
+            for local in range(1, n + 1):
+                for global_ in sorted({0, (n - local) // 2, n - local}):
+                    closed = stage_mod._one_stage_staging(circuit, local, global_, 3.0)
+                    problem = stage_mod._CanonicalProblem.of(circuit)
+                    windows = stage_mod._stage_windows(problem.gates, problem.deps, local) \
+                        if all(len(g.non_insular) <= local for g in problem.gates) else None
+                    if windows is None or windows.lower_bound > 1:
+                        assert closed is None
+                        continue
+                    bound = stage_mod._staging_bound(problem, windows, local, global_, 3.0)
+                    built = stage_mod._assemble(
+                        problem, *stage_mod._window_staging(problem, windows, local, global_),
+                        3.0, "certified",
+                    )
+                    assert [(s.gate_indices, s.partition) for s in closed.stages] == [
+                        (s.gate_indices, s.partition) for s in built.stages
+                    ]
+                    assert closed.communication_cost == built.communication_cost == bound == 0.0
+                    assert (closed.lower_bound, closed.stage_bound, closed.certificate_gap) == (
+                        1, 0.0, 0.0
+                    )
+                    checked += 1
+        assert checked > 50
+
+    def test_max_stages_below_one_admits_no_staging(self):
+        with pytest.raises(RuntimeError, match=r"within 0 stages"):
+            stage_circuit(Circuit(3).h(0), 3, 0, 0, max_stages=0)
+
 
 class TestOneCostEvaluator:
     def test_milp_cost_is_exact_on_integer_costs(self):
@@ -367,6 +411,54 @@ class TestStagingCommutesWithRelabelling:
         pi = dict(enumerate(np.random.default_rng(7).permutation(n).tolist()))
         ours = self._assert_image(circuit, local, n - local - 1, 1, pi)
         assert ours.solver_status == "certified"
+
+    @staticmethod
+    def _fits_locally():
+        # |U| = 4 <= L = 5 < n = 8, and every qubit is used (the phases are
+        # diagonal, so only the h qubits are non-insular).
+        n = 8
+        circuit = Circuit(n)
+        for q in range(4):
+            circuit.h(q)
+        for a in range(n):
+            for b in range(a + 1, n):
+                circuit.cp(0.3 + 0.01 * a + 0.001 * b, a, b)
+        machine = MachineConfig.for_circuit(n, num_shards=8, local_qubits=5)
+        pi = dict(enumerate(np.random.default_rng(7).permutation(n).tolist()))
+        return circuit, machine, pi
+
+    @pytest.mark.parametrize("preset", ["fast", "balanced", "quality"])
+    def test_fits_locally_plans_relabel_to_the_image(self, preset):
+        # The whole plan, not only stage_circuit: no stager of a preset pads
+        # the local set by qubit label.
+        circuit, machine, pi = self._fits_locally()
+        ours, _ = build_plan(circuit, machine, planner=preset)
+        theirs, report = build_plan(circuit.remap_qubits(pi), machine, planner=preset)
+        assert len(theirs.stages) == len(ours.stages) == 1
+        for mine, image in zip(ours.stages, theirs.stages):
+            assert image.gate_indices == mine.gate_indices
+            assert image.partition == QubitPartition.from_sets(
+                (pi[q] for q in mine.partition.local),
+                (pi[q] for q in mine.partition.regional),
+                (pi[q] for q in mine.partition.global_),
+            )
+        assert report.pass_metrics["stage"]["solver_status"] == "certified"
+
+    def test_staging_does_not_depend_on_the_analyze_pass(self):
+        circuit, machine, pi = self._fits_locally()
+        twin = circuit.remap_qubits(pi)
+        rest = [("stage", {}), ("kernelize", {}), ("finalize", {})]
+        plans = [
+            PassManager(passes).run(twin, machine)
+            for passes in ([("analyze", {})] + rest, rest)
+        ]
+        (with_plan, with_report), (without_plan, without_report) = plans
+        assert [s.partition for s in with_plan.stages] == [s.partition for s in without_plan.stages]
+        assert (
+            with_report.pass_metrics["stage"]["solver_status"]
+            == without_report.pass_metrics["stage"]["solver_status"]
+            == "certified"
+        )
 
     @staticmethod
     def _assert_image(circuit, local, regional, global_, pi):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty rules, each enforcing an invariant the execution layer depends on
+Twenty-one rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -57,9 +57,8 @@ Twenty rules, each enforcing an invariant the execution layer depends on
     layout: the dense fold pairs gates by physical position.
 
 ``one-segment-compiler``
-    Under ``runtime/``, ``unitary_template`` / ``monomial_template`` /
-    ``kernel_lowering`` — the calls that turn gates into op templates — are
-    made from
+    Under ``runtime/``, ``unitary_template`` / ``kernel_lowering`` — the
+    calls that turn gates into op templates — are made from
     ``runtime/compile.py`` and nowhere else: a shards-segment is compiled
     by the slots a plan is (``SegmentStructure``), once per plan structure
     (``runtime/offload.py::ScheduleStructure``), and a warm job's plan is
@@ -198,6 +197,16 @@ Twenty rules, each enforcing an invariant the execution layer depends on
     an integer cost compares exactly; a solver's float objective
     (26.000000000000007 for an optimum of 26) or a stager's own running
     sum is a second evaluator growing back.
+
+``one-staging-path``
+    Under ``src/repro``, ``StagingResult(...)`` is built only in
+    ``core/stage.py`` (``stage_circuit``: the certificate and the ILP
+    iteration) and ``core/stage_heuristics.py`` (the paper's SnuQS and
+    greedy baselines).  Every staging a plan carries comes out of a stager;
+    a staging assembled anywhere else — a planning pass that stages a
+    special case itself, as the stage pass's fits-locally shortcut once
+    did — is a second staging path beside Algorithm 2, and it need not
+    commute with qubit relabelling or report the certificate's bound.
 
 ``kernelizer-oracle``
     Under ``src/repro`` the reference DP ``kernelize`` is named in two
@@ -353,7 +362,7 @@ KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + ("fill_lowered_item",)
 
 SEGMENT_COMPILER_SCOPE = "runtime/"
 SEGMENT_COMPILER_HOME = "runtime/compile.py"
-SEGMENT_COMPILER_CALLS = {"unitary_template", "monomial_template", "kernel_lowering"}
+SEGMENT_COMPILER_CALLS = {"unitary_template", "kernel_lowering"}
 SCHEDULE_KEY_WORD = "schedule_key"
 
 KERNEL_SET_SCOPE = ("sim/", "runtime/", "analysis/")
@@ -449,6 +458,9 @@ STAGING_SOLVER_BYPASSES = {
 STAGING_COST_SCOPE = "core/"
 STAGING_COST_EVALUATOR = "transition_cost"
 STAGING_COST_FIELD = "communication_cost"
+
+STAGING_RESULT = "StagingResult"
+STAGING_PATH_HOMES = ("core/stage.py", "core/stage_heuristics.py")
 
 KERNELIZER_ORACLE = "kernelize"
 KERNELIZER_ORACLE_HOME = "core/kernelize.py"
@@ -1321,6 +1333,33 @@ def check_one_staging_cost(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_one_staging_path(files: list[Path]) -> list[Finding]:
+    """The ``one-staging-path`` rule over the linted *files*."""
+    findings = []
+    for path in files:
+        if SRC not in path.parents or _rel_src(path) in STAGING_PATH_HOMES:
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # The innermost function around each call (ast.walk visits an outer
+        # function before the functions nested in it).
+        owner: dict[int, str] = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _call_name(node) == STAGING_RESULT:
+                findings.append(
+                    Finding(
+                        rel, node.lineno, "one-staging-path",
+                        f"`{STAGING_RESULT}(...)` outside the stagers "
+                        f"({', '.join(STAGING_PATH_HOMES)}): a second staging path",
+                        f"{STAGING_RESULT}:{owner.get(id(node), '<module>')}",
+                    )
+                )
+    return findings
+
+
 def check_kernelizer_oracle(files: list[Path]) -> list[Finding]:
     """The ``kernelizer-oracle`` rule over the linted *files*."""
     findings = []
@@ -1982,6 +2021,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_planning_surface(files))
     findings.extend(check_one_staging_bound(files))
     findings.extend(check_one_staging_cost(files))
+    findings.extend(check_one_staging_path(files))
     findings.extend(check_kernelizer_oracle(files))
     findings.extend(check_bench_host_free())
     findings.extend(check_one_layout_move(files))
