@@ -133,6 +133,21 @@ class CostModel:
             return float(self.shm_gate_cost.get("control", 0.05))
         return float(self.shm_gate_cost.get("default", 0.08))
 
+    def gate_costs(self, gates: Sequence[Gate]) -> list[float]:
+        """:meth:`gate_cost` of each of *gates*, in order — what a
+        kernelizer's flat inputs hold.  A gate's cost follows from its name
+        and its matrix's sparsity pattern (diagonal or not, controls or
+        not), so it is looked up once per ``(name, pattern)`` of a call."""
+        by_structure: dict[tuple[str, bytes], float] = {}
+        costs: list[float] = []
+        for gate in gates:
+            key = (gate.name, gate.pattern()[0])
+            cost = by_structure.get(key)
+            if cost is None:
+                cost = by_structure[key] = self.gate_cost(gate)
+            costs.append(cost)
+        return costs
+
     def shm_cost(self, gates: Sequence[Gate], num_qubits: int) -> float:
         """Cost units of a shared-memory kernel containing *gates*."""
         if num_qubits > self.max_shm_qubits:

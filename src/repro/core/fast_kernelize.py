@@ -149,7 +149,7 @@ def _flatten(gates: Sequence[Gate], cost_model: CostModel, config: KernelizeConf
     # no kernel is wider than the stage.
     return _Flat(
         masks,
-        [cost_model.gate_cost(g) for g in gates],
+        cost_model.gate_costs(gates),
         suffix,
         [cost_model.fusion_cost(w) for w in range(running.bit_count() + 1)],
         cost_model.shm_load_cost,

@@ -1,4 +1,7 @@
-/* The kernelizer's beam DP: one pass per stage (repro.core.fast_kernelize).
+/* The kernelizers' two DPs, one pass per stage each: the beam DP
+ * (beam_kernelize, repro.core.fast_kernelize) and, at the end of this file,
+ * the contiguous-segment DP of Algorithm 5 (ordered_segments,
+ * repro.core.ordered_kernelize).
  *
  * beam_kernelize() runs the search of fast_kernelize's Python loop, state for
  * state and in the same order, over flat inputs: per-gate qubit masks and
@@ -21,8 +24,8 @@
  * Every float is one double operation in the Python loop's order, and the
  * library is built with -ffp-contract=off, so none is fused.
  *
- * Plain C11 plus __builtin_popcountll; allocates per call, holds no state
- * between calls, so concurrent calls are safe.
+ * Plain C11 plus __builtin_popcountll; both entries allocate per call and
+ * hold no state between calls, so concurrent calls are safe.
  */
 #include <math.h>
 #include <stdint.h>
@@ -335,4 +338,51 @@ done:
     free(order.data);
     free(table.data);
     return result;
+}
+
+/* Algorithm 5 (Appendix A, "Atlas-Naive"): the contiguous-segment DP of
+ * repro.core.ordered_kernelize, over flat inputs — per-gate qubit masks and
+ * shared-memory costs, the fusion cost by kernel width up to max_fusion,
+ * the shared-memory load cost and the width limits.  dp[i] is the least
+ * cost of the first i gates, and prev[i] (written for i in [0, n]) the
+ * start of the last kernel of that answer.  Returns 0, or -1 when the dp
+ * row cannot be allocated.
+ *
+ * The Python loop's expressions, in its order: the segment's shared-memory
+ * sum accumulates backwards from gate i - 1, a kernel costs min(fusion,
+ * shm) (fusion unless shm is strictly less), a split replaces the best
+ * only on a strict dp[j] + cost < dp[i], so the first of equal splits —
+ * the one of largest j — stands, and the segment stops growing once it is
+ * wider than max_width and holds more than one gate. */
+int64_t ordered_segments(int64_t n, const uint64_t *masks, const double *costs,
+                         const double *fusion, double shm_load, int64_t max_fusion,
+                         int64_t max_shm, int64_t max_width, int64_t *prev)
+{
+    double *dp = malloc((size_t)(n + 1) * sizeof(double));
+    if (!dp)
+        return -1;
+    dp[0] = 0.0;
+    prev[0] = 0;
+    for (int64_t i = 1; i <= n; i++) {
+        dp[i] = INFINITY;
+        prev[i] = 0;
+        uint64_t mask = 0;
+        double shm_sum = 0.0;
+        for (int64_t j = i - 1; j >= 0; j--) {
+            mask |= masks[j];
+            shm_sum += costs[j];
+            const int64_t width = __builtin_popcountll(mask);
+            if (width > max_width && j < i - 1)
+                break;
+            const double fuse = width <= max_fusion ? fusion[width] : INFINITY;
+            const double shm = width <= max_shm ? shm_load + shm_sum : INFINITY;
+            const double total = dp[j] + (shm < fuse ? shm : fuse);
+            if (total < dp[i]) {
+                dp[i] = total;
+                prev[i] = j;
+            }
+        }
+    }
+    free(dp);
+    return 0;
 }

@@ -1,13 +1,15 @@
 """The native library: build, cache and load ``smkernel.c`` and ``beam.c``.
 
 The one module that talks to a compiler and to ``ctypes``.  The library
-holds two bodies: the shared-memory kernel's tile pass (``sm_apply``,
-:func:`repro.sim.apply.kernel_template`) and the kernelizer's beam DP
-(``beam_kernelize``, :func:`repro.core.fast_kernelize`).  :func:`library`
-returns the loaded library or ``None``; it is built on first use, never at
-import, and nothing selects it — no parameter, no configuration: each caller
-takes the native body when this host can build and load it, its Python
-fallback otherwise (the item loop; the beam's Python loop).  :func:`status`
+holds three bodies: the shared-memory kernel's tile pass (``sm_apply``,
+:func:`repro.sim.apply.kernel_template`), the kernelizer's beam DP
+(``beam_kernelize``, :func:`repro.core.fast_kernelize`) and the
+contiguous-segment DP of Algorithm 5 (``ordered_segments``,
+:func:`repro.core.ordered_kernelize`).  :func:`library` returns the loaded
+library or ``None``; it is built on first use, never at import, and nothing
+selects it — no parameter, no configuration: each caller takes the native
+body when this host can build and load it, its Python fallback otherwise
+(the item loop; the beam's Python loop; the segment DP's).  :func:`status`
 says which and why; :func:`engine` is the one word ``Result.summary()`` and
 ``service.stats()`` carry.
 
@@ -134,6 +136,11 @@ def _load(path: Path) -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_void_p, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+    )
+    lib.ordered_segments.restype = ctypes.c_int64
+    lib.ordered_segments.argtypes = (
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
     )
     return lib
 

@@ -1582,7 +1582,9 @@ class TestLintRepro:
             lint, "sim/native.py",
             "def _load(lib):\n"
             "    lib.beam_kernelize.restype = 1\n"
-            "    lib.beam_kernelize.argtypes = ()\n",
+            "    lib.beam_kernelize.argtypes = ()\n"
+            "    lib.ordered_segments.restype = 1\n"
+            "    lib.ordered_segments.argtypes = ()\n",
         )
         entry = (
             "def fast_kernelize(stage, cost_model, config):\n"
@@ -1631,6 +1633,7 @@ class TestLintRepro:
             ("fast_kernelize.py", 14, "beam_kernelize"),
             ("fast_kernelize.py", 15, "_beam_loop"),
             ("native.py", 0, "beam_kernelize:undeclared"),
+            ("native.py", 0, "ordered_segments:undeclared"),
             ("refine.py", 1, "_beam_loop"),
             ("refine.py", 3, "_beam_loop"),
             ("refine.py", 3, "beam_kernelize"),
@@ -1639,6 +1642,72 @@ class TestLintRepro:
         home.write_text(entry.replace("_native_beam(lib, flat)", "None") + bodies)
         assert [f.key.rpartition("::")[2] for f in lint.check_kernelizer_oracle([home])] == [
             "_beam_loop:fallback", "_beam_loop",
+        ]
+
+    def test_ordered_body_chosen_other_than_by_host_and_input_flagged(self, lint):
+        # Algorithm 5's two bodies are held as the beam's are.
+        loader = self.write(
+            lint, "sim/native.py",
+            "def _load(lib):\n"
+            "    lib.beam_kernelize.restype = 1\n"
+            "    lib.beam_kernelize.argtypes = ()\n"
+            "    lib.ordered_segments.restype = 1\n"
+            "    lib.ordered_segments.argtypes = ()\n",
+        )
+        entry = (
+            "def ordered_kernelize(stage, cost_model):\n"
+            "    flat = _flatten(stage, cost_model)\n"
+            "    lib = native.library()\n"
+            "    if lib is None or flat.union >> 64:\n"
+            "        prev = _ordered_loop(flat)\n"
+            "    else:\n"
+            "        prev = _native_ordered(lib, flat)\n"
+            "    return prev\n"
+        )
+        bodies = (
+            "def _native_ordered(lib, flat):\n"
+            "    return lib.ordered_segments(flat)\n"
+            "def _ordered_loop(flat):\n"
+            "    return [0]\n"
+        )
+        home = self.write(lint, "core/ordered_kernelize.py", entry + bodies)
+        assert lint.check_kernelizer_oracle([loader, home]) == []
+        # A switch picking the body, the loop called a second time, the
+        # foreign symbol called from the refine pass, its declaration gone.
+        switched = self.write(
+            lint, "core/ordered_kernelize.py",
+            entry.replace("cost_model):", "cost_model, native=True):")
+            .replace("lib is None", "lib is None or cost_model.python or os.getenv('X')")
+            + bodies
+            + "def oracle(flat):\n"
+            "    return _ordered_loop(flat)\n",
+        )
+        refine = self.write(
+            lint, "planner/refine.py",
+            "def refine(lib, flat):\n"
+            "    return lib.ordered_segments(flat)\n",
+        )
+        undeclared = self.write(
+            lint, "sim/native.py",
+            "def _load(lib):\n"
+            "    lib.beam_kernelize.restype = 1\n"
+            "    lib.beam_kernelize.argtypes = ()\n",
+        )
+        findings = lint.check_kernelizer_oracle([undeclared, switched, refine])
+        assert {f.rule for f in findings} == {"kernelizer-oracle"}
+        assert sorted((f.path.rpartition("/")[2], f.line, f.key.rpartition("::")[2])
+                      for f in findings) == [
+            ("native.py", 0, "ordered_segments:undeclared"),
+            ("ordered_kernelize.py", 1, "ordered_kernelize:parameters"),
+            ("ordered_kernelize.py", 4, "getenv"),
+            ("ordered_kernelize.py", 4, "ordered_kernelize:selects-on-cost_model"),
+            ("ordered_kernelize.py", 14, "_ordered_loop"),
+            ("refine.py", 2, "ordered_segments"),
+        ]
+        # The fallback branch going missing means the body moved without the rule.
+        home.write_text(entry.replace("_native_ordered(lib, flat)", "None") + bodies)
+        assert [f.key.rpartition("::")[2] for f in lint.check_kernelizer_oracle([home])] == [
+            "_ordered_loop:fallback", "_ordered_loop",
         ]
 
     def test_second_or_stage_loop_in_the_micro_gate_flagged(self, lint, tmp_path):

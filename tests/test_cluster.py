@@ -115,6 +115,20 @@ class TestCostModel:
         dense = make_gate("h", [0])
         assert cm.gate_cost(diag) < cm.gate_cost(ctrl) <= cm.gate_cost(dense)
 
+    def test_gate_costs_is_gate_cost_per_gate(self):
+        # One lookup per (name, pattern): an rx or u3 at angle 0 is diagonal
+        # and priced as such, at another angle it is not.
+        cm = CostModel(shm_gate_cost={"diagonal": 0.01, "control": 0.02, "default": 0.04})
+        gates = [
+            make_gate("rx", [0], [0.0]), make_gate("rx", [1], [0.5]),
+            make_gate("u3", [0], [0.0, 0.2, 0.3]), make_gate("u3", [2], [0.4, 0.2, 0.3]),
+            make_gate("cx", [0, 1]), make_gate("cp", [1, 2], [0.7]), make_gate("h", [0]),
+            make_gate("rx", [2], [0.0]), make_gate("ccx", [0, 1, 2]),
+        ]
+        assert cm.gate_costs(gates) == [cm.gate_cost(g) for g in gates]
+        assert cm.gate_costs(gates)[:4] == [0.01, 0.04, 0.01, 0.04]
+        assert cm.gate_costs([]) == []
+
     def test_shm_cost_includes_load(self):
         cm = CostModel()
         gates = [make_gate("h", [0])]

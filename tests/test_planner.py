@@ -38,9 +38,10 @@ from repro.circuits.library.random_circuits import brickwork_circuit, random_cir
 from repro.cluster.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.core import KernelizeConfig, fast_kernelize, kernelize, partition
 from repro.core.fast_kernelize import _beam_loop, _flatten
-from repro.core.kernel import KernelSequence
+from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.kernelize import _build_kernel_sequence
-from repro.core.ordered_kernelize import ordered_kernelize
+from repro.core.ordered_kernelize import _flatten as _ordered_flatten
+from repro.core.ordered_kernelize import _kernel_sequence, _ordered_loop, ordered_kernelize
 from repro.core.stage import solve_staging
 from repro.sim import native
 from repro.planner import (
@@ -58,8 +59,9 @@ from repro.planner import (
 )
 
 FAST_CONFIG = KernelizeConfig(pruning_threshold=8)
-#: The module, not the function ``repro.core`` re-exports under its name.
+#: The modules, not the functions ``repro.core`` re-exports under their names.
 FAST_MODULE = importlib.import_module("repro.core.fast_kernelize")
+ORDERED_MODULE = importlib.import_module("repro.core.ordered_kernelize")
 
 #: (circuit factory, qubits) families the differential tests sweep.
 FAMILIES = [(qft, 8), (ghz, 8), (vqc, 8)]
@@ -278,6 +280,120 @@ class TestFastKernelizeEquivalence:
                     k.gate_indices
                     for k in _build_kernel_sequence(gates, chain[::-1], DEFAULT_COST_MODEL)
                 ] == _lexicographic_order(gates, chain[::-1])
+
+
+def _ordered_by_loop(stage, cost_model=DEFAULT_COST_MODEL) -> KernelSequence:
+    """Algorithm 5's Python loop, called by its private name."""
+    gates = list(stage.gates) if isinstance(stage, Circuit) else list(stage)
+    flat = _ordered_flatten(gates, cost_model)
+    return _kernel_sequence(gates, flat, _ordered_loop(flat))
+
+
+def _ordered_agree(stage, cost_model=DEFAULT_COST_MODEL) -> KernelSequence:
+    """``ordered_kernelize`` (the native body wherever the library loads) and
+    the Python loop return one ``KernelSequence`` under ``==``, whose kernels
+    are the ones ``Kernel.from_gates`` builds for its segments."""
+    got = ordered_kernelize(stage, cost_model)
+    assert got == _ordered_by_loop(stage, cost_model)
+    assert got.kernels == [Kernel.from_gates(k.gates, cost_model, k.gate_indices) for k in got]
+    return got
+
+
+#: The six structures of the repo benchmark's cold-plan workload.
+COLD_PLAN = [(su2random, 12), (qft, 16), (ising, 16), (ae, 16), (qpeexact, 16), (qsvm, 16)]
+
+#: Every strategy one price: equal splits are everywhere, and only the
+#: strict ``<`` picks the split of largest start.
+UNIFORM = CostModel(
+    fusion_cost_per_qubits={w: 1.0 for w in range(11)},
+    shm_load_cost=0.5,
+    shm_gate_cost={"diagonal": 0.25, "control": 0.25, "default": 0.25},
+)
+
+
+class TestOrderedKernelizeEquivalence:
+    """Algorithm 5's native body == its Python loop: the whole
+    ``KernelSequence`` — gates, qubits, types, cost floats, gate indices —
+    with ``==``.  Without a compiler both sides run the loop, and the cells
+    still hold the kernels to ``Kernel.from_gates``."""
+
+    @pytest.mark.parametrize("family,n", COLD_PLAN, ids=[f.__name__ for f, _ in COLD_PLAN])
+    def test_cold_plan_stages_identical(self, family, n):
+        plan, _ = partition(family(n), MachineConfig.for_circuit(n, num_shards=4))
+        for stage in plan.stages:
+            _ordered_agree(stage.gates)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_library_families_identical(self, n):
+        for family in PAPER_FAMILIES:
+            _ordered_agree(get_circuit(family, n))
+
+    def test_random_stages_identical(self):
+        for seed in range(60):
+            circuit = random_circuit(8, 60, seed=2000 + seed)
+            for cost_model in (DEFAULT_COST_MODEL, WIDE_FUSION, UNIFORM):
+                _ordered_agree(circuit, cost_model)
+
+    def test_unpriceable_gate_is_kept(self):
+        # A three-qubit gate no strategy can price: every segment through it
+        # costs inf, and no gate is dropped.
+        narrow = CostModel(max_fusion_qubits=2, max_shm_qubits=2)
+        gates = list(qft(4).gates)
+        gates[3:3] = [make_gate("ccx", [0, 1, 2])]
+        for stage in (gates, gates[3:4], gates[:4]):
+            got = _ordered_agree(stage, narrow)
+            assert got.all_gate_indices() == list(range(len(stage)))
+            assert got.total_cost == float("inf")
+
+    def test_ties_keep_the_split_of_largest_start(self):
+        # Under UNIFORM every kernel of 2 to 7 qubits costs 1.0 as a fusion
+        # kernel, so many splits of a stage cost the same; a "<=" in either
+        # body picks the smallest start instead and moves the boundaries
+        # (ghz-12 to starts [0, 6]; every seed below moves too).
+        for seed in range(10):
+            _ordered_agree(random_circuit(12, 60, seed=3000 + seed), UNIFORM)
+        got = _ordered_agree(ghz(12), UNIFORM)
+        assert [k.gate_indices[0] for k in got] == [0, 7]
+        assert [k.kernel_type for k in got] == [KernelType.FUSION] * 2
+
+    def test_empty_stage(self):
+        assert _ordered_agree([]) == KernelSequence(kernels=[])
+
+    def test_a_qubit_past_64_takes_the_loop(self, monkeypatch):
+        stage = _wide_stage()
+        want = _ordered_by_loop(stage)
+
+        def unreachable(*args):
+            raise AssertionError("the native body was called")
+
+        monkeypatch.setattr(ORDERED_MODULE, "_native_ordered", unreachable)
+        assert ordered_kernelize(stage) == want
+        assert want.all_gate_indices() == list(range(len(stage)))
+
+    def test_no_library_takes_the_loop(self, monkeypatch):
+        circuit = qft(12)
+        want = ordered_kernelize(circuit)
+
+        def unreachable(*args):
+            raise AssertionError("the native body was called")
+
+        monkeypatch.setattr(native, "library", lambda: None)
+        monkeypatch.setattr(ORDERED_MODULE, "_native_ordered", unreachable)
+        assert ordered_kernelize(circuit) == want
+
+    def test_the_native_body_plans_on_a_compiler_host(self, monkeypatch):
+        if native.library() is None:
+            pytest.skip(f"no native library: {native.status()['reason']}")
+        circuit = qft(12)
+        want = _ordered_by_loop(circuit)
+
+        def unreachable(*args):
+            raise AssertionError("the Python loop was called")
+
+        monkeypatch.setattr(ORDERED_MODULE, "_ordered_loop", unreachable)
+        assert ordered_kernelize(circuit) == want
+        with pytest.raises(AssertionError, match="Python loop"):
+            ordered_kernelize(_wide_stage())
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,12 @@ Twenty-one rules, each enforcing an invariant the execution layer depends on
     (tests call it by name); and ``fast_kernelize`` takes ``(stage,
     cost_model, config)`` and nothing more, that ``if`` names none of them,
     and its module reads no environment variable (no ``environ``, no
-    ``getenv``).
+    ``getenv``).  The contiguous-segment DP of Algorithm 5 is held the same
+    way (:data:`NATIVE_DPS`): ``ordered_segments`` declared only in
+    ``sim/native.py`` and called only by
+    ``core/ordered_kernelize.py::_native_ordered``, ``_ordered_loop`` called
+    once, from ``ordered_kernelize``'s fallback branch, and
+    ``ordered_kernelize`` taking ``(stage, cost_model)`` and nothing more.
 
 ``bench-host-free``
     ``benchmarks/run_bench.py`` writes counts and ratios of two timings of
@@ -323,6 +328,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -467,13 +473,27 @@ KERNELIZER_ORACLE_HOME = "core/kernelize.py"
 KERNELIZER_ORACLE_REEXPORT = "core/__init__.py"
 KERNELIZER_REGISTRY_HOME = "planner/passes.py"
 KERNELIZER_REGISTRY_KEY = "atlas-ref"
-#: The beam's planning bodies and the one function that picks between them.
-BEAM_HOME = "core/fast_kernelize.py"
-BEAM_ENTRY = "fast_kernelize"
-BEAM_ENTRY_PARAMS = ["stage", "cost_model", "config"]
-BEAM_NATIVE_SYMBOL = "beam_kernelize"
-BEAM_NATIVE_CALLER = "_native_beam"
-BEAM_LOOP = "_beam_loop"
+
+
+class NativeDP(NamedTuple):
+    """A kernelizer DP with two planning bodies: its module, the one function
+    that picks between them and its parameters, the foreign symbol and its
+    one caller, and the Python loop."""
+
+    home: str
+    entry: str
+    params: list[str]
+    symbol: str
+    caller: str
+    loop: str
+
+
+NATIVE_DPS = (
+    NativeDP("core/fast_kernelize.py", "fast_kernelize", ["stage", "cost_model", "config"],
+             "beam_kernelize", "_native_beam", "_beam_loop"),
+    NativeDP("core/ordered_kernelize.py", "ordered_kernelize", ["stage", "cost_model"],
+             "ordered_segments", "_native_ordered", "_ordered_loop"),
+)
 
 
 BENCH_HOST_FREE_FILE = "benchmarks/run_bench.py"
@@ -1419,11 +1439,11 @@ def check_kernelizer_oracle(files: list[Path]) -> list[Finding]:
                         KERNELIZER_ORACLE,
                     )
                 )
-    return findings + _check_beam_bodies(files)
+    return findings + _check_native_dps(files)
 
 
-def _check_beam_bodies(files: list[Path]) -> list[Finding]:
-    """``kernelizer-oracle``'s half on the beam's two planning bodies."""
+def _check_native_dps(files: list[Path]) -> list[Finding]:
+    """``kernelizer-oracle``'s half on the planning bodies of :data:`NATIVE_DPS`."""
     findings = []
 
     def flag(rel: str, line: int, message: str, symbol: str) -> None:
@@ -1434,84 +1454,88 @@ def _check_beam_bodies(files: list[Path]) -> list[Finding]:
             continue
         rel, rel_src = path.relative_to(REPO).as_posix(), _rel_src(path)
         tree = ast.parse(path.read_text(), filename=str(path))
-        licensed: set[int] = set()
-        if rel_src == NATIVE_LOADER_HOME:
-            declared = {
-                target.attr
-                for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                for target in node.targets
-                if isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == BEAM_NATIVE_SYMBOL
-            }
-            if declared != {"argtypes", "restype"}:
-                flag(
-                    rel, 0,
-                    f"{NATIVE_LOADER_HOME} does not declare `{BEAM_NATIVE_SYMBOL}`'s "
-                    f"argtypes and restype: the beam's foreign symbol moved without "
-                    f"this rule following it",
-                    f"{BEAM_NATIVE_SYMBOL}:undeclared",
-                )
-            licensed.update(
-                id(n) for n in ast.walk(tree)
-                if isinstance(n, ast.Attribute) and n.attr == BEAM_NATIVE_SYMBOL
-            )
-        if rel_src == BEAM_HOME:
-            licensed.update(_check_beam_selection(tree, rel, flag))
-        for node in ast.walk(tree):
-            named = (
-                node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias)
-                else None
-            )
-            if rel_src == BEAM_HOME and named in NATIVE_ENV_WORDS:
-                flag(
-                    rel, node.lineno,
-                    f"`{named}` in {BEAM_HOME}: nothing but the host and the input "
-                    f"picks the beam's body",
-                    named,
-                )
-            if named in (BEAM_NATIVE_SYMBOL, BEAM_LOOP) and id(node) not in licensed:
-                flag(
-                    rel, node.lineno,
-                    f"`{named}` named outside its place: the beam's foreign symbol "
-                    f"is declared in {NATIVE_LOADER_HOME} and called by "
-                    f"{BEAM_HOME}::{BEAM_NATIVE_CALLER}, the Python loop called only "
-                    f"from {BEAM_ENTRY}'s fallback branch",
-                    named,
-                )
+        for dp in NATIVE_DPS:
+            _check_native_dp(dp, tree, rel, rel_src, flag)
     return findings
 
 
-def _check_beam_selection(tree: ast.Module, rel: str, flag) -> set[int]:
-    """The nodes of ``core/fast_kernelize.py`` that may name the beam's
-    bodies: the native symbol's call in ``_native_beam`` and the loop's one
-    call in ``fast_kernelize``'s fallback branch.  Flags the entry's
-    signature and selection."""
+def _check_native_dp(dp: NativeDP, tree: ast.Module, rel: str, rel_src: str, flag) -> None:
+    """One DP's foreign symbol and Python loop, named only in their places."""
+    licensed: set[int] = set()
+    if rel_src == NATIVE_LOADER_HOME:
+        declared = {
+            target.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Attribute)
+            and target.value.attr == dp.symbol
+        }
+        if declared != {"argtypes", "restype"}:
+            flag(
+                rel, 0,
+                f"{NATIVE_LOADER_HOME} does not declare `{dp.symbol}`'s argtypes and "
+                f"restype: the foreign symbol moved without this rule following it",
+                f"{dp.symbol}:undeclared",
+            )
+        licensed.update(
+            id(n) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == dp.symbol
+        )
+    if rel_src == dp.home:
+        licensed.update(_check_native_dp_selection(dp, tree, rel, flag))
+    for node in ast.walk(tree):
+        named = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        if rel_src == dp.home and named in NATIVE_ENV_WORDS:
+            flag(
+                rel, node.lineno,
+                f"`{named}` in {dp.home}: nothing but the host and the input picks "
+                f"`{dp.entry}`'s body",
+                named,
+            )
+        if named in (dp.symbol, dp.loop) and id(node) not in licensed:
+            flag(
+                rel, node.lineno,
+                f"`{named}` named outside its place: the foreign symbol `{dp.symbol}` "
+                f"is declared in {NATIVE_LOADER_HOME} and called by "
+                f"{dp.home}::{dp.caller}, the Python loop called only from "
+                f"{dp.entry}'s fallback branch",
+                named,
+            )
+
+
+def _check_native_dp_selection(dp: NativeDP, tree: ast.Module, rel: str, flag) -> set[int]:
+    """The nodes of *dp*'s module that may name its bodies: the foreign
+    symbol's call in its caller and the loop's one call in the entry's
+    fallback branch.  Flags the entry's signature and selection."""
     licensed: set[int] = set()
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    caller = functions.get(BEAM_NATIVE_CALLER)
+    caller = functions.get(dp.caller)
     if caller is not None:
         licensed.update(
             id(n.func) for n in ast.walk(caller)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-            and n.func.attr == BEAM_NATIVE_SYMBOL
+            and n.func.attr == dp.symbol
         )
-    entry = functions.get(BEAM_ENTRY)
+    entry = functions.get(dp.entry)
     if entry is None:
-        flag(rel, 0, f"{BEAM_HOME} defines no `{BEAM_ENTRY}`", f"{BEAM_ENTRY}:missing")
+        flag(rel, 0, f"{dp.home} defines no `{dp.entry}`", f"{dp.entry}:missing")
         return licensed
     params = entry.args
     if (
-        [a.arg for a in params.posonlyargs + params.args] != BEAM_ENTRY_PARAMS
+        [a.arg for a in params.posonlyargs + params.args] != dp.params
         or params.vararg or params.kwonlyargs or params.kwarg
     ):
         flag(
             rel, entry.lineno,
-            f"`{BEAM_ENTRY}` takes more than ({', '.join(BEAM_ENTRY_PARAMS)}): no "
-            f"parameter selects the beam's body",
-            f"{BEAM_ENTRY}:parameters",
+            f"`{dp.entry}` takes more than ({', '.join(dp.params)}): no parameter "
+            f"selects its body",
+            f"{dp.entry}:parameters",
         )
 
     def calls(nodes: list[ast.stmt], name: str) -> list[ast.Call]:
@@ -1523,26 +1547,26 @@ def _check_beam_selection(tree: ast.Module, rel: str, flag) -> set[int]:
     selections = [
         node for node in ast.walk(entry)
         if isinstance(node, ast.If)
-        and len(calls(node.body, BEAM_LOOP)) == 1 and calls(node.orelse, BEAM_NATIVE_CALLER)
+        and len(calls(node.body, dp.loop)) == 1 and calls(node.orelse, dp.caller)
     ]
     if len(selections) != 1:
         flag(
             rel, entry.lineno,
-            f"`{BEAM_ENTRY}` has no one `if` calling `{BEAM_LOOP}` in its branch and "
-            f"`{BEAM_NATIVE_CALLER}` in the other: the fallback moved without this "
-            f"rule following it",
-            f"{BEAM_LOOP}:fallback",
+            f"`{dp.entry}` has no one `if` calling `{dp.loop}` in its branch and "
+            f"`{dp.caller}` in the other: the fallback moved without this rule "
+            f"following it",
+            f"{dp.loop}:fallback",
         )
         return licensed
     (selection,) = selections
-    licensed.update(id(call.func) for call in calls(selection.body, BEAM_LOOP))
+    licensed.update(id(call.func) for call in calls(selection.body, dp.loop))
     for node in ast.walk(selection.test):
-        if isinstance(node, ast.Name) and node.id in BEAM_ENTRY_PARAMS:
+        if isinstance(node, ast.Name) and node.id in dp.params:
             flag(
                 rel, node.lineno,
-                f"`{node.id}` in `{BEAM_ENTRY}`'s choice of body: the host and the "
-                f"input pick it, no setting does",
-                f"{BEAM_ENTRY}:selects-on-{node.id}",
+                f"`{node.id}` in `{dp.entry}`'s choice of body: the host and the input "
+                f"pick it, no setting does",
+                f"{dp.entry}:selects-on-{node.id}",
             )
     return licensed
 
