@@ -10,10 +10,10 @@ file and gets the same verdict.  What a job costs in seconds, end to end and
 per layer, is ``benchmarks/perf``'s question (``BENCHMARK.json``); this file
 keeps what that benchmark cannot say, in six sections:
 
-* **micro** — per gate class, the engine at **every** position of a ``2^n``
-  state (``position_copies``, ``position_ratio``, ``mean_copies``) and its
-  ``speedup`` over the seed tensordot reference; ``wide_low`` — k = 4..8 runs
-  at position 1 through the planner's pick and the stacked matmul;
+* **micro** — per gate class, the engine's one op for a gate (a broadcast
+  diagonal or a one-item kernel) at **every** position of a ``2^n`` state
+  (``position_copies``, ``position_ratio``, ``mean_copies``) and its
+  ``speedup`` over the seed tensordot reference;
 * **plan** — every family x machine shape planned by the seed planner and by
   each preset: stage counts, kernel costs and the in-run speedups;
 * **compile** — the ops one plan compiles to, and a ``(B, 2^n)`` stack
@@ -24,9 +24,7 @@ keeps what that benchmark cannot say, in six sections:
   every shared-memory kernel: the exact fold and the speedup;
 * **sm_kernel** — the kernel op's native body against its fallback, in
   state copies: the item loop (every kernel's fallback, the same bits) per
-  shared-memory and per fusion kernel — and per fusion kernel the fused
-  gemm that was its fallback before the item loop computed the C body's
-  bits, the record of what the change costs a host without the library.
+  shared-memory and per fusion kernel.
 
 :data:`RULES` is the whole gate: one row per gated path, walked by
 :func:`check_regression`.  Usage::
@@ -78,13 +76,12 @@ from repro.planner import PassManager, resolve_planner
 from repro.runtime import compile_plan
 from repro.session.cache import rebind_plan
 from repro.sim import StateVector, apply_matrix_reference, native
-from repro.sim import apply as apply_mod
 from repro.sim.apply import apply_gate_buffered, kernel_template
-from repro.sim.fusion import fused_unitary, kernel_items, lower_kernel_gates
+from repro.sim.fusion import kernel_items, lower_kernel_gates
 from repro.sim.program import Workspace, compile_unitary_op
 
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_simcore.json"
-SCHEMA = 15
+SCHEMA = 16
 
 #: Gate classes of the micro benchmark: name -> (matrix factory, #qubits).
 GATE_CLASSES = {
@@ -95,12 +92,6 @@ GATE_CLASSES = {
     "controlled": (lambda: gate_matrix("ch"), 2),
     "fused_3q": (lambda: _random_unitary(8, seed=9), 3),
 }
-
-#: Widths past the position sweep (a fusion kernel holds up to 8 qubits),
-#: timed at the one start position where the planner's rule for them is not
-#: the mid-register one: a run starting at position 1 takes the 2x-inflated
-#: right gemm instead of the stacked matmul with a post dimension of 2.
-WIDE_LOW_WIDTHS = (4, 5, 6, 7, 8)
 
 #: Circuit families of the planning sweep, by name.
 PLAN_FAMILIES = {f.__name__: f for f in (qft, ghz, vqc, ising, graphstate, wstate)}
@@ -226,10 +217,10 @@ def _paired_ratio(pairs: int, slow: Callable[[], object], fast: Callable[[], obj
 
 
 def _sweep_positions(n: int, k: int) -> list[list[int]]:
-    """Every contiguous run of *k* positions, bottom to top — the dense
-    planner's cliffs sit at single positions, and sampling low / middle /
-    high is how they stayed unseen — then, for 2q gates, a reversed, a
-    register-spanning and a mid-distance pair."""
+    """Every contiguous run of *k* positions, bottom to top — a position
+    cliff sits at single positions, and sampling low / middle / high is how
+    one stays unseen — then, for 2q gates, a reversed, a register-spanning
+    and a mid-distance pair."""
     runs = [list(range(q0, q0 + k)) for q0 in range(n - k + 1)]
     if k == 2:
         runs += [[1, 0], [0, n - 1], [2, n // 2]]
@@ -237,11 +228,12 @@ def _sweep_positions(n: int, k: int) -> list[list[int]]:
 
 
 def run_micro(num_qubits: int, repeats: int) -> dict:
-    """Per gate class, the engine position by position, in state copies:
+    """Per gate class, the engine position by position, in state copies —
+    each gate through :func:`apply_gate_buffered`, the one op the engine
+    has for it (a broadcast diagonal or a one-item kernel):
     ``position_copies`` is the cost at each contiguous position, lowest
-    first (the table the dense planner's thresholds and the dense-run fold
-    are read off), ``position_ratio`` the worst of them over the median one
-    (``worst_run`` names it) — the number that shows a planner cliff —
+    first, ``position_ratio`` the worst of them over the median one
+    (``worst_run`` names it) — the number that shows a position cliff —
     ``mean_copies`` the class mean over every swept tuple, ``speedup`` the
     seed tensordot reference against the engine over every fourth tuple (the
     reference does the same work wherever the gate sits), the median of
@@ -290,34 +282,7 @@ def run_micro(num_qubits: int, repeats: int) -> dict:
         }
     speedups = [results[c]["speedup"] for c, (_, k) in GATE_CLASSES.items() if k <= 2]
     results["mix_1q2q_speedup"] = float(np.exp(np.mean(np.log(speedups))))
-    results["wide_low"] = _wide_low_runs(num_qubits, buffers, copy, repeats)
     return results
-
-
-def _wide_low_runs(num_qubits: int, buffers: list, copy, repeats: int) -> list[dict]:
-    """Per width of :data:`WIDE_LOW_WIDTHS`, the run starting at position 1
-    through the planner's pick and through the stacked matmul it is chosen
-    over, both in state copies — so that rule stays a measurement too."""
-    rows = []
-    for k in WIDE_LOW_WIDTHS:
-        qubits = tuple(range(1, 1 + k))
-        matrix = _random_unitary(1 << k, seed=k)
-        plan = apply_mod._dense_plan_impl(matrix, num_qubits, qubits)
-        stacked = ("stacked", matrix, 1 << (num_qubits - k - 1), 1 << k, 2)
-        best = _side_by_side(
-            repeats,
-            ("pick", lambda: apply_mod.run_dense_plan(plan, buffers[0], buffers[1])),
-            ("stacked", lambda: apply_mod.run_dense_plan(stacked, buffers[0], buffers[1])),
-            *[("copy", copy)] * WARM_COPIES,
-        )
-        rows.append({
-            "k": k,
-            "plan": plan[0],
-            "copies": round(best["pick"] / best["copy"], 2),
-            "stacked_copies": round(best["stacked"] / best["copy"], 2),
-            "vs_stacked": best["pick"] / best["stacked"],
-        })
-    return rows
 
 
 # --- Compiled programs: stacked against looped, rebind ---
@@ -474,12 +439,9 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
     one row per kernel of in-core plans: per shared-memory kernel of the
     lowering families (``families``) and per fusion kernel of
     :data:`FUSION_FAMILIES` (``fusion``) against the item loop — the body
-    every kernel binds without the library, the same bits — and per fusion
-    kernel against the fused gemm it bound there before (where
-    ``item_loop_copies`` exceeds ``gemm_copies``, a host without the
-    library pays for the bits).  Recorded as unavailable, with the reason,
-    where :func:`repro.sim.native.status` says the library was not
-    built."""
+    every kernel binds without the library, the same bits.  Recorded as
+    unavailable, with the reason, where :func:`repro.sim.native.status`
+    says the library was not built."""
     status = native.status()
     if not status["available"]:
         return {"available": False, "reason": status["reason"]}
@@ -488,15 +450,12 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
     state, scratch = ws.pair(1 << num_qubits)
     state[:] = 1.0 / (1 << (num_qubits // 2))
 
-    def row(kernel, l2p: dict[int, int], fused: bool) -> dict:
-        """One kernel: the native body, the item loop and, for a fusion
-        kernel, the fused gemm, timed side by side with the copy."""
+    def row(kernel, l2p: dict[int, int]) -> dict:
+        """One kernel: the native body and the item loop, timed side by
+        side with the copy."""
         items = lower_kernel_gates(kernel.gates, l2p)
         template = kernel_template(kernel_items(items, l2p), num_qubits)
         runs = {"native": template.bind(items), "item_loop": template.item_loop(items)}
-        if fused:
-            matrix, qubits = fused_unitary(kernel.gates)
-            runs["gemm"] = compile_unitary_op(matrix, [l2p[q] for q in qubits], num_qubits).run
         best = _side_by_side(
             repeats,
             *[(name, lambda run=run: run(state, scratch, ws)) for name, run in runs.items()],
@@ -520,8 +479,7 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
             (stage,) = plan.stages
             l2p = stage.partition.logical_to_physical()
             out[section][family] = [
-                row(kernel, l2p, kind is KernelType.FUSION)
-                for kernel in stage.kernels if kernel.kernel_type is kind
+                row(kernel, l2p) for kernel in stage.kernels if kernel.kernel_type is kind
             ]
     return out
 
@@ -627,15 +585,13 @@ class Rule(NamedTuple):
 
 RULES = (
     Rule("micro.*.fused_3q.speedup", "floor", 1.5,
-         "a fused 3q matrix runs as one streaming gemm, ahead of the tensordot reference"),
+         "a fused 3q matrix runs as one one-item kernel, ahead of the tensordot reference"),
     # A position cliff moves this ratio, not the class mean; gated for the
-    # classes the dense planner places at every position (a structured
-    # gate's median is an in-place kernel too short for a stable ratio).
+    # dense classes (a structured gate's median pass skips so much that its
+    # ratio is not stable).
     Rule("micro.*.dense_1q|dense_2q|fused_3q.position_ratio", "ratio", "lower",
-         "worst position over the median one: a dense-planner cliff"),
+         "worst position over the median one: a position cliff"),
     Rule("micro.*.*.mean_copies", "ratio", "lower", "class mean cost, in state copies"),
-    Rule("micro.*.wide_low.*.vs_stacked", "ceiling", 1.25,
-         "the planner's pick for a wide run at position 1 must not lose to the stacked matmul"),
     Rule("plan.fast_median_speedup_vs_seed", "floor", 2.0,
          "the fast preset plans at least 2x faster than the seed planner at the median"),
     Rule("plan.entries.*.presets.*.num_stages", "count", "seed_stages",
@@ -666,8 +622,6 @@ RULES = (
     Rule("sm_kernel.*.families.*.*.native_copies", "ceiling", "item_loop_copies",
          "on a kernel of three or more items the native body is no slower than the item loop",
          when=lambda kernel: kernel["items"] >= 3),
-    Rule("sm_kernel.*.fusion.*.*.native_copies", "within", "gemm_copies",
-         "a fusion kernel's tile pass is no slower than the fused gemm it replaced"),
 )
 
 #: What must hold between a value and its bound, per kind, and how a finding
@@ -773,10 +727,6 @@ def report(results: dict) -> None:
                 f"{m['position_ratio']:.1f}x the median, at {m['worst_run']})"
             )
         print(f"  1q/2q mix speedup: {micro['mix_1q2q_speedup']:.1f}x")
-        print("  wide runs at position 1 (pick vs stacked, state copies): " + ", ".join(
-            f"{row['k']}q {row['plan']} {row['copies']:.1f} vs {row['stacked_copies']:.1f}"
-            for row in micro["wide_low"]
-        ))
     for c in results["compile"].values():
         print(
             f"compile (vqc-{c['num_qubits']}, {c['num_gates']} gates -> {c['num_ops']} ops, "
@@ -800,19 +750,14 @@ def report(results: dict) -> None:
     for size, section in results["sm_kernel"].items():
         if not section["available"]:
             print(f"sm_kernel ({size} qubits): skipped, no native body ({section['reason']})")
-        for family, kernels in section.get("families", {}).items():
-            print(f"sm_kernel ({family}-{size}, items: native vs item loop, state copies): " + ", ".join(
-                f"{k['items']}: {k['native_copies']:.1f} vs {k['item_loop_copies']:.1f}"
-                for k in kernels
-            ))
-        for family, kernels in section.get("fusion", {}).items():
-            if kernels:
-                print(f"fusion kernels ({family}-{size}, items: native vs fused gemm vs item loop, "
-                      "state copies): " + ", ".join(
-                          f"{k['items']}: {k['native_copies']:.1f} vs {k['gemm_copies']:.1f} "
-                          f"vs {k['item_loop_copies']:.1f}"
-                          for k in kernels
-                      ))
+        for label, kernels_of in (("sm_kernel", "families"), ("fusion kernels", "fusion")):
+            for family, kernels in section.get(kernels_of, {}).items():
+                if kernels:
+                    print(f"{label} ({family}-{size}, items: native vs item loop, state copies): "
+                          + ", ".join(
+                              f"{k['items']}: {k['native_copies']:.1f} vs {k['item_loop_copies']:.1f}"
+                              for k in kernels
+                          ))
     planner = results["plan"]
     print(
         f"plan (pipeline, {len(planner['entries'])} entries): fast preset median "

@@ -51,7 +51,6 @@ def test_fig9_staging_31_qubits(benchmark, paper_scale, families):
     _run(benchmark, num_qubits, local_range, families)
 
 
-@pytest.mark.paper_scale_only
 def test_fig12_staging_42_qubits(benchmark, paper_scale):
     if not paper_scale:
         pytest.skip("42-qubit staging sweep only runs with REPRO_PAPER_SCALE=1")

@@ -9,9 +9,10 @@ NumPy engine — so that the cost model's *relative* shape (which width is
 most cost-efficient, how much a diagonal gate saves, ...) is measured rather
 than guessed.  What is timed is :func:`repro.sim.apply.apply_matrix`, which
 runs the same bound op template a compiled program stores for that matrix
-and position (one engine), so these are the ops programs execute; with a
-distinct ``out`` a structured gate's time includes the state copy that
-precedes its in-place update.  Still missing for ROADMAP item 2(b): pricing
+and position (one engine: a broadcast diagonal or a one-item kernel, the
+item loop for a dense matrix wider than the native body's four qubits), so
+these are the ops programs execute; with a distinct ``out`` every time
+includes the state copy that precedes the in-place update.  Still missing for ROADMAP item 2(b): pricing
 the *lowered* item list (blocks, folds) rather than single gates, and a
 persisted per-host profile.
 

@@ -342,15 +342,15 @@ def _check_op_metadata(report: CheckReport, program: "CompiledProgram") -> None:
                     op_index=op_index,
                 )
         for kind, positions, _gates in (op.items or ()) if op.kind == "sm" else ():
-            # A fold of 1q dense gates exists to share one gemm in the item
-            # loop: its positions are one contiguous run (which always plans
-            # to a single matmul, no temporary).
+            # The lowering folds 1q dense gates on physical neighbours only
+            # (`repro.sim.fusion._fold_positions`): a fold's positions are
+            # one contiguous run.
             if kind == "fold" and max(positions) - min(positions) + 1 != len(positions):
                 report.add(
                     "program.fold",
                     f"folded dense item on positions {positions} is not one "
-                    f"contiguous run: it plans to a split gemm, dearer than "
-                    f"the sweeps the fold replaced",
+                    f"contiguous run: the lowering folds physical neighbours "
+                    f"only",
                     site="program.fold",
                     op_index=op_index,
                 )
@@ -467,7 +467,7 @@ def verify_program(
     Always proves the ping-pong parity discipline (declared mode vs op
     kind, with an abstract two-buffer interpretation flagging stale /
     uninitialized reads), per-op qubit bounds, that every fold of dense
-    gates is one contiguous single-gemm run, and workspace-temporary
+    gates is one contiguous run of positions, and workspace-temporary
     alias freedom.  Given the source *plan*, additionally proves the
     stream is exactly the compiler's expected emission (no op dropped,
     duplicated or reordered) and that every op's gates respect their

@@ -188,13 +188,14 @@ def matrix_signature(matrix: np.ndarray) -> bytes:
     """Exact structural signature of a unitary: which entries are zero and
     — from two qubits up — which are exactly one.
 
-    Every structural decision of :func:`repro.sim.apply.analyze_matrix`
-    (diagonal / permutation / controlled / dense, the permutation table,
-    the control and target bits, the reduced block's class) is a function
-    of these two patterns and nothing else, so two matrices with equal
-    signatures lower to the same op shape and differ only in payload.
-    Single-qubit matrices need no ones pattern: control detection starts
-    at two qubits.  This is the guard compiled-program rebinds compare
+    Every structural decision the engine makes about a gate — its
+    :func:`repro.sim.apply.analyze_matrix` kind and permutation table, its
+    lowering shape (:func:`repro.sim.fusion.kernel_lowering`), which terms
+    a kernel's bind keeps — is a function of these two patterns and nothing
+    else, so two matrices with equal signatures lower to the same op shape
+    and differ only in payload.  The ones pattern tells a control apart
+    from a phase, so it starts at two qubits.  This is the guard
+    compiled-program rebinds compare
     (:func:`repro.runtime.compile.compile_plan`), deliberately stricter
     than the ``> 1e-12`` pattern of :meth:`Circuit.structural_key`.
     """

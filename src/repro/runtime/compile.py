@@ -13,10 +13,9 @@ would re-derive on every execution:
   index translation;
 * each kernel gate's lowering shape, read off the job's gate table
   (every gate's exact signature, :meth:`~repro.circuits.gates.GateTable.patterns`)
-  rather than analysed from its matrix; a dynamic gate's matrix structure
-  analysis, dense gemm planning, diagonal broadcast vectors, permutation
-  cycle tables, controlled-block reduction; the kernel ops' tile bits and
-  index maps.
+  rather than analysed from its matrix; a dynamic gate's variants, each a
+  diagonal broadcast vector or a one-gate kernel; the kernel ops' tile bits
+  and index maps.
 
 The result is a flat stream of :class:`repro.sim.program.CompiledOp` whose
 execution is a tight loop with zero per-gate analysis, hashing or dict

@@ -468,8 +468,8 @@ def build_schedule(
     (:class:`ScheduleStructure`; a full-state segment's gate over all
     ``n`` positions), and every segment bound through
     :func:`compile_segment_ops`, so every shard of every execution replays
-    the compiled stream instead of re-deriving fusion, analysis and gemm
-    planning.  A lowering that fails raises its typed error.
+    the compiled stream instead of re-deriving the lowering and the kernels'
+    tile programs.  A lowering that fails raises its typed error.
 
     *reuse* is an earlier schedule of the same structure (the Session plan
     cache's, for a parameter sweep).  It is admitted as
@@ -636,9 +636,7 @@ def run_stages(
             deadline.check("segment")
             if kind == "full":
                 ((_local, op),) = segment_ops
-                state, state_scratch = op.run(
-                    state, state_scratch, thread_workspace().for_caller_buffers()
-                )
+                state, state_scratch = op.run(state, state_scratch, thread_workspace())
                 continue
             if generated:
                 shards = zero_state_shards(state, local)

@@ -233,8 +233,7 @@ class InCoreBackend(ExecutionBackend):
     parameter sweep).  Batch items that share one program — a circuit
     fanned out over many initial states, a shots/observables sweep —
     execute as a single stacked ``(B, 2^n)`` pass through the same op
-    closures, every row bit-identical to its own run (``big`` ops within
-    their documented bound).  A failure raises its typed error.
+    closures, every row bit-identical to its own run.  A failure raises its typed error.
     """
 
     name = "incore"

@@ -3,48 +3,28 @@
 Everything that applies a gate to a dense state vector — or to one shard of
 it — lives here, once.  Three layers, bottom up:
 
-**Kernels.**  :func:`analyze_matrix` classifies a matrix by its exact zero
-pattern and every class has a cheapest NumPy/BLAS form:
+**Kernels.**  There are two ways to apply gates.  A *diagonal* is one
+broadcast multiply over the state.  Everything else is a *kernel*
+(:func:`kernel_template`): all its lowered items — monomial blocks, folds
+of 2×2s, dense gates — in one pass over the state, through the C body of
+:mod:`repro.sim.native` when the host has it and the kernel fits a tile,
+else through the item loop, which computes the same bits.  A single gate
+that is not diagonal is a one-item kernel.  :func:`analyze_matrix`
+classifies a matrix by its exact zeros; only "diagonal or not" picks the
+kernel, and a kernel's bind drops the matrix's exact zeros itself.
 
-``diagonal``
-    Elementwise multiply — one pass over the state, no data movement.
-``permutation``
-    The matrix has exactly one non-zero per row/column (X, Y, CX, SWAP,
-    CCX, ...).  Applied as slice copies: only the moved slices are touched
-    (a CX touches half the state, never the control-0 half).
-``controlled``
-    Identity except on the subspace where every control bit is 1 (CH,
-    CRX, CRY, CU, ...).  The reduced target unitary is applied on the
-    controlled subspace only — a 2× flop/byte win per control qubit.
-``dense``
-    One streaming BLAS ``matmul`` (a few for a 2q gate outside every
-    window of the position table, :func:`_gemm_strategy`) writing straight
-    into the output buffer — no intermediate copies.  Wide fused matrices
-    (k ≥ 3) run here whenever the planner covers their qubit tuple.
-``big``
-    Genuinely scattered wide tuples: the ``tensordot`` contraction.
-
-**Op templates.**  :func:`unitary_template` is the one function that turns
-a classification and a position into a kernel choice; it and
-:func:`kernel_template` (a whole kernel: all its lowered items in one pass
-over the state, through the C body of :mod:`repro.sim.native` when the
-host has it, else through the item loop, which computes the same bits)
-return an :class:`OpTemplate` — everything that follows from *where* the op
-acts and from the zero/one structure of its matrix — whose ``bind`` does
-the numeric fill and returns **one** closure, ``run(states, scratch, ws)``,
-written against ``(..., 2^n)`` buffers: a flat state is a stack of one.
-Leading axes are taken from ``states.ndim``; elementwise and copy kernels
-just loop longer (no multiply runs from one view into another of the same
-buffer, and a view keeps ``2^_MIN_VIEW_BITS`` amplitudes, so a longer loop
-rounds no differently), and the gemm forms keep the stack a *looped* leading
-matmul axis, never a gemm dimension (:func:`run_dense_plan`), so row ``b``
-of a stacked run is the flat run of row ``b`` bit for bit — ``big`` (one
-tensordot over the stack) within ``2^k`` ulp.  Structured kinds update the
-state buffer in place, streaming kinds write the scratch buffer in full and
-the ping-pong roles swap; temporaries and memoized slice views come from a
-:class:`Workspace`, one per thread (:func:`thread_workspace`).  Compiled
-programs (:mod:`repro.sim.program`, :mod:`repro.runtime.compile`) and
-shard segments bind these templates ahead of time.
+**Op templates.**  :func:`unitary_template` (one gate) and
+:func:`kernel_template` (a whole kernel) return an :class:`OpTemplate` —
+everything that follows from *where* the op acts and from the zero/one
+structure of its payload — whose ``bind`` does the numeric fill and returns
+**one** closure, ``run(states, scratch, ws)``, written against
+``(..., 2^n)`` buffers: a flat state is a stack of one, and row ``b`` of a
+stacked run is the flat run of row ``b`` bit for bit.  Both update the
+state buffer in place; a kernel's item loop works in the scratch buffer
+and in temporaries of a :class:`Workspace`, one per thread
+(:func:`thread_workspace`).  Compiled programs (:mod:`repro.sim.program`,
+:mod:`repro.runtime.compile`) and shard segments bind these templates ahead
+of time.
 
 **Entry points.**  :func:`apply_gate_buffered`, :func:`apply_matrix` and
 :func:`apply_diagonal` are the same templates bound on first sight of a
@@ -69,14 +49,12 @@ buffer:
   ``out`` must not overlap ``state`` (other than being the same array).
 * ``out is state`` — true in-place update; ``state`` is returned.
 
-A structured gate asked for a distinct ``out`` is "copy, then update in
-place"; a streaming gate asked for ``out is state`` is "snapshot into a
-workspace temporary, then stream back".  :func:`apply_gate_buffered` is the
-ping-pong idiom itself: it hands the op the caller's buffer pair and
-returns it with the roles possibly swapped, so a full circuit runs with
-O(1) state-sized allocations.  Every buffer the engine allocates is
-recorded in an allocation log so tests can regression-check allocation
-counts.
+A gate asked for a distinct ``out`` is "copy, then update in place".
+:func:`apply_gate_buffered` is the ping-pong idiom of a compiled program: it
+hands the op the caller's buffer pair and returns the pair, so a full
+circuit runs with O(1) state-sized allocations.  Every buffer the engine
+allocates is recorded in an allocation log so tests can regression-check
+allocation counts.
 
 Conventions
 -----------
@@ -86,7 +64,7 @@ Conventions
   qubit ``q`` corresponds to tensor axis ``n - 1 - q``.
 * Gate matrices are little-endian over their ``qubits`` tuple: matrix index
   bit ``k`` corresponds to ``qubits[k]``.
-* Matrices passed to the engine must not be mutated afterwards: dispatch
+* Matrices passed to the engine must not be mutated afterwards: the
   analysis and bound ops are memoized per matrix object (gate matrices are
   cached read-only instances, so this holds throughout the package).
 """
@@ -111,7 +89,6 @@ __all__ = [
     "qubit_axis",
     "expand_matrix",
     "analyze_matrix",
-    "run_dense_plan",
     "MatrixInfo",
     "tracked_empty",
     "reset_allocation_log",
@@ -175,13 +152,13 @@ def allocation_log() -> list[int]:
 
 @dataclass(frozen=True)
 class MatrixInfo:
-    """Dispatch classification of a gate matrix.
+    """Structural classification of a gate matrix by its exact zeros.
 
-    ``kind`` is one of ``"diagonal"``, ``"permutation"``, ``"controlled"``,
-    ``"dense"`` (k ≤ 2) or ``"big"`` (tensordot fallback).  For
-    ``controlled``, ``controls``/``targets`` are bit positions within the
-    gate's little-endian index and ``reduced_info`` classifies the target
-    block (never itself ``controlled``: control detection is maximal).
+    ``kind`` is ``"diagonal"`` (``diagonal`` holds the entries),
+    ``"permutation"`` (one nonzero per row and column: column ``c``'s sits
+    in row ``perm[c]`` and is ``phases[c]``) or ``"dense"``.
+    :func:`unitary_template` reads the first; the gate shape table of
+    :mod:`repro.sim.fusion` is tested against all three.
     """
 
     kind: str
@@ -189,10 +166,6 @@ class MatrixInfo:
     diagonal: np.ndarray | None = None
     perm: tuple[int, ...] | None = None
     phases: np.ndarray | None = None
-    controls: tuple[int, ...] = ()
-    targets: tuple[int, ...] = ()
-    reduced_matrix: np.ndarray | None = None
-    reduced_info: "MatrixInfo | None" = None
 
 
 # Shared across threads: entries are immutable and CPython dict get/set are
@@ -202,7 +175,8 @@ _ANALYSIS_CACHE_MAX = 4096
 
 
 def analyze_matrix(matrix: np.ndarray) -> MatrixInfo:
-    """Classify *matrix* for dispatch.  Memoized by matrix object identity."""
+    """Classify *matrix* by its exact zeros.  Memoized by matrix object
+    identity."""
     key = id(matrix)
     hit = _ANALYSIS_CACHE.get(key)
     if hit is not None and hit[0] is matrix:
@@ -220,7 +194,7 @@ def _analyze_impl(matrix: np.ndarray) -> MatrixInfo:
 
     # Structure detection is exact (== 0), not tolerance-based: library gate
     # matrices have exact zeros, and a numerically-noisy fused matrix must
-    # fall through to the dense paths to stay correct.
+    # stay dense to stay correct.
     diag = np.diag(matrix)
     if np.count_nonzero(matrix) == np.count_nonzero(diag) and np.array_equal(
         np.diag(diag), matrix
@@ -238,38 +212,7 @@ def _analyze_impl(matrix: np.ndarray) -> MatrixInfo:
             kind="permutation", k=k, perm=tuple(int(r) for r in rows), phases=phases
         )
 
-    if k >= 2:
-        eye = np.eye(dim, dtype=matrix.dtype)
-        controls = []
-        for p in range(k):
-            zero = (np.arange(dim) >> p) & 1 == 0
-            if np.array_equal(matrix[zero], eye[zero]) and np.array_equal(
-                matrix[:, zero], eye[:, zero]
-            ):
-                controls.append(p)
-        if controls and len(controls) < k:
-            targets = tuple(p for p in range(k) if p not in controls)
-            all_ones = np.all(
-                [((np.arange(dim) >> p) & 1).astype(bool) for p in controls], axis=0
-            )
-            sel = np.flatnonzero(all_ones)
-            reduced = np.ascontiguousarray(matrix[np.ix_(sel, sel)])
-            reduced_info = _analyze_impl(reduced)
-            # Never diagonal or monomial here: identity ⊕ monomial is itself
-            # monomial and was classified above.
-            if reduced_info.kind == "dense":
-                return MatrixInfo(
-                    kind="controlled",
-                    k=k,
-                    controls=tuple(controls),
-                    targets=targets,
-                    reduced_matrix=reduced,
-                    reduced_info=reduced_info,
-                )
-
-    if k <= 2:
-        return MatrixInfo(kind="dense", k=k)
-    return MatrixInfo(kind="big", k=k)
+    return MatrixInfo(kind="dense", k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +244,19 @@ def _validate(state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]) -> i
 
 
 def _basis_views(
-    buf: np.ndarray,
-    n: int,
-    qubits: Sequence[int],
-    fixed: Sequence[tuple[int, int]] = (),
-    lead: int = 0,
+    buf: np.ndarray, n: int, qubits: Sequence[int], lead: int = 0
 ) -> list[np.ndarray]:
     """The ``2^k`` sub-views of *buf* — ``2^n`` amplitudes behind ``lead``
     batch axes — indexed by the basis of *qubits*.
 
-    ``fixed`` pins additional ``(axis, bit)`` pairs of the ``(2,)*n``
-    tensor (used to restrict to a controlled subspace).  The leading axes
-    are kept whole in every view.  View ``b`` fixes qubit ``qubits[j]`` to
-    bit ``j`` of ``b``.
+    The leading axes are kept whole in every view.  View ``b`` fixes qubit
+    ``qubits[j]`` to bit ``j`` of ``b``.
     """
     axes = [lead + qubit_axis(n, q) for q in qubits]
     # Trailing dummy axis so a fully-indexed result is still a (1,)-shaped
     # writable view rather than a 0-d scalar copy.
     tensor = buf.reshape(buf.shape[:lead] + (2,) * n + (1,))
     base: list = [slice(None)] * (lead + n + 1)
-    for ax, bit in fixed:
-        base[lead + ax] = bit
     views = []
     for b in range(1 << len(qubits)):
         idx = list(base)
@@ -351,20 +286,6 @@ def _diag_broadcast(diagonal: np.ndarray, n: int, qubits: Sequence[int]) -> np.n
 # ---------------------------------------------------------------------------
 
 
-class _CallerOwned:
-    """What an op sees of a :class:`Workspace` when it runs on buffers the
-    caller owns (the entry points at the bottom of this module): the same
-    temporaries, but slice views built per call.  The view memo is keyed by
-    buffer identity and its views hold their base alive — fed buffers
-    nobody keeps, it would pin every state ever passed in."""
-
-    __slots__ = ("tmp",)
-    views = staticmethod(_basis_views)
-
-    def __init__(self, workspace: "Workspace") -> None:
-        self.tmp = workspace.tmp
-
-
 class Workspace:
     """Preallocated, reusable buffer set for op execution.
 
@@ -380,7 +301,7 @@ class Workspace:
     :func:`thread_workspace`.
     """
 
-    __slots__ = ("_pairs", "_pairs2d", "_tmps", "_views", "_views_held")
+    __slots__ = ("_pairs", "_pairs2d", "_tmps")
 
     #: LRU bounds per pool.  Pairs are state-sized (the expensive ones);
     #: tmps are at most half a (possibly batched) state and more varied in
@@ -389,36 +310,20 @@ class Workspace:
     #: pairs are B× a full state and workspaces are retained by the
     #: Session plan cache, so only the most recent batch width is kept: a
     #: fan-out at B=16, n=24 would otherwise pin gigabytes per width long
-    #: after the job finished.  The view memo is bounded by the total
-    #: number of views it holds (an entry is the 2^k views of one qubit
-    #: tuple over one buffer); entries for evicted buffers are dropped
-    #: eagerly so they never pin dead pairs.
+    #: after the job finished.
     _MAX_PAIRS = 4
     _MAX_PAIRS2D = 1
     _MAX_TMPS = 64
-    _MAX_VIEWS = 1 << 15
 
     def __init__(self) -> None:
         #: size -> [state, scratch] flat ping-pong pair.
         self._pairs: "OrderedDict[int, list[np.ndarray]]" = OrderedDict()
         #: (batch, size) -> [(B, size) states, scratch] ping-pong pair.
-        #: Persistent array objects (not per-call reshapes) so the view
-        #: memo keyed by buffer identity stays warm across runs.
         self._pairs2d: "OrderedDict[tuple[int, int], list[np.ndarray]]" = (
             OrderedDict()
         )
         #: (size, slot) -> flat temporary.
         self._tmps: "OrderedDict[tuple[int, int], np.ndarray]" = OrderedDict()
-        #: (view key, buffer id) -> (buffer, views).  The key names *which*
-        #: views — ``(lead, n, qubits, fixed bits)`` — not which op asked:
-        #: a rebound program's new ops (same qubits, new phases) reuse the
-        #: views their predecessors built instead of orphaning them.
-        #: Per-workspace — and a workspace belongs to exactly one thread —
-        #: so the memo needs no lock and scales with however many workers
-        #: exist, each warming its own entries (a shared fixed-size cache
-        #: would thrash once worker buffers outnumbered it).
-        self._views: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._views_held = 0
 
     def pair(self, size: int) -> list[np.ndarray]:
         """The ping-pong buffer pair for *size* amplitudes (a mutable list,
@@ -426,7 +331,7 @@ class Workspace:
         got = self._pairs.get(size)
         if got is None:
             if len(self._pairs) >= self._MAX_PAIRS:
-                self._drop_views_for(self._pairs.popitem(last=False)[1])
+                self._pairs.popitem(last=False)
             got = self._pairs[size] = [tracked_empty(size), tracked_empty(size)]
         else:
             self._pairs.move_to_end(size)
@@ -438,7 +343,7 @@ class Workspace:
         got = self._pairs2d.get(key)
         if got is None:
             if len(self._pairs2d) >= self._MAX_PAIRS2D:
-                self._drop_views_for(self._pairs2d.popitem(last=False)[1])
+                self._pairs2d.popitem(last=False)
             got = self._pairs2d[key] = [
                 tracked_empty(batch * size).reshape(batch, size),
                 tracked_empty(batch * size).reshape(batch, size),
@@ -459,63 +364,10 @@ class Workspace:
             self._tmps.move_to_end(key)
         return buf
 
-    def views(
-        self,
-        buf: np.ndarray,
-        n: int,
-        qubits: tuple[int, ...],
-        fixed: tuple[tuple[int, int], ...] = (),
-        lead: int = 0,
-    ) -> list[np.ndarray]:
-        """Memoized :func:`_basis_views` of *buf*: the
-        ``2^k`` slice views over *qubits* (``fixed`` pins further
-        ``(axis, bit)`` pairs, ``lead=1`` keeps a leading batch axis).
-
-        A program's ping-pong buffers (and a shard worker's device
-        buffers) are stable across executions, so the views a structured
-        op needs are built once per (qubit tuple, buffer) — the dominant
-        Python overhead of in-place ops on small states.  Entries are
-        verified by buffer identity and evicted LRU once the memo holds
-        more than ``_MAX_VIEWS`` views in total.
-        """
-        key = (lead, n, qubits, fixed, id(buf))
-        hit = self._views.get(key)
-        if hit is not None and hit[0] is buf:
-            self._views.move_to_end(key)
-            return hit[1]
-        value = _basis_views(buf, n, qubits, fixed, lead)
-        if hit is not None:  # a recycled id: the old buffer is gone
-            self._views_held -= len(self._views.pop(key)[1])
-        self._views[key] = (buf, value)
-        self._views_held += len(value)
-        while self._views_held > self._MAX_VIEWS and len(self._views) > 1:
-            _key, (_buf, dropped) = self._views.popitem(last=False)
-            self._views_held -= len(dropped)
-        return value
-
-    def for_caller_buffers(self) -> _CallerOwned:
-        """This workspace as handed to an op run on the caller's own
-        buffers.  Built per call: a face kept on the workspace would close
-        a reference cycle, and a discarded program's state-sized buffers
-        would wait for the cycle collector instead of going with it."""
-        return _CallerOwned(self)
-
-    def _drop_views_for(self, bufs: list[np.ndarray]) -> None:
-        """Forget view entries over evicted buffers (views hold their base
-        array alive — without this, dead pairs would stay pinned)."""
-        dead = [
-            key for key, (buf, _views) in self._views.items()
-            if any(buf is b for b in bufs)
-        ]
-        for key in dead:
-            self._views_held -= len(self._views.pop(key)[1])
-
     def clear(self) -> None:
         self._pairs.clear()
         self._pairs2d.clear()
         self._tmps.clear()
-        self._views.clear()
-        self._views_held = 0
 
 
 _WS_TLS = threading.local()
@@ -540,7 +392,7 @@ def thread_workspace() -> Workspace:
 
 def release_thread_workspace() -> None:
     """Drop the calling thread's workspace buffers (state-sized ping-pong
-    pairs, batch pairs, temporaries, view memos).  The next execution on
+    pairs, batch pairs, temporaries).  The next execution on
     this thread re-allocates them."""
     ws = getattr(_WS_TLS, "ws", None)
     if ws is not None:
@@ -548,387 +400,14 @@ def release_thread_workspace() -> None:
         _WS_TLS.ws = None
 
 
-# ---------------------------------------------------------------------------
-# Specialized kernels
-# ---------------------------------------------------------------------------
-
-
-def _dense_accumulate(
-    in_views: list[np.ndarray],
-    out_views: list[np.ndarray],
-    matrix: np.ndarray,
-    tmp: np.ndarray,
-) -> None:
-    """``out_views[r] = Σ_c matrix[r, c] · in_views[c]`` with zero-skipping.
-
-    ``out_views`` must not alias ``in_views``; ``tmp`` is a work buffer of
-    the common view shape.
-    """
-    d = len(in_views)
-    for r in range(d):
-        ov = out_views[r]
-        started = False
-        for c in range(d):
-            coef = matrix[r, c]
-            if coef == 0:
-                continue
-            if not started:
-                np.multiply(in_views[c], coef, out=ov)
-                started = True
-            else:
-                np.multiply(in_views[c], coef, out=tmp)
-                ov += tmp
-        if not started:
-            ov[...] = 0
-
-
-def _dense_views_inplace(
-    views: list[np.ndarray], matrix: np.ndarray, snap: np.ndarray, tmp: np.ndarray
-) -> None:
-    """In-place dense update of basis *views* via a snapshot: ``snap``
-    (``d · view.size`` elements) and ``tmp`` (``view.size``) are workspace
-    buffers."""
-    d = len(views)
-    vsize = views[0].size
-    vshape = views[0].shape
-    snap_views = [snap[c * vsize : (c + 1) * vsize].reshape(vshape) for c in range(d)]
-    for c in range(d):
-        np.copyto(snap_views[c], views[c])
-    _dense_accumulate(snap_views, views, matrix, tmp.reshape(vshape))
-
-
-#: A contiguous run of qubits whose top position is below this is applied by
-#: a single right-multiply gemm with the matrix expanded over all lower index
-#: bits (at most ``2**_GEMM_EDGE`` = 32 columns).  The per-position table in
-#: docs/performance.md puts the crossover here for every width: a 32-column
-#: gemm (≈ 5 state copies) beats the batched matmul it replaces, whose post
-#: dimension would be ``2**q0`` ≤ 16; a 64-column one (≈ 9) loses to it.
-#: Above the edge a run is one batched ("stacked") matmul, which reaches its
-#: plateau (≈ 2 copies) only once the post dimension passes ~128: positions
-#: 3–5 have no cheap plan at any width, which is why the dense-run fold
-#: (:data:`DENSE_FOLD_WIDTH`) shares those sweeps between gates instead.
-_GEMM_EDGE = 5
-
-#: Lowest position a stacked run may start at: with a post dimension of 1 or
-#: 2 the batched matmul is pure dispatch (3q at position 1: 15 state copies
-#: against 3.4 through the 2x-inflated right gemm).  Measured at every width
-#: a fused kernel can have (k = 3..8 at 16, 17 and 20 qubits, "Wide runs at
-#: position 1" in docs/performance.md: the right gemm costs 0.4–0.8x the
-#: stacked matmul even as a 512-column one); ``run_bench`` times both per
-#: width (``wide_low``) and gates the pick.  From position 2 up the stacked
-#: matmul wins for k ≥ 4.
-_STACKED_MIN_LOW = 2
-
-#: The dense-run fold of :func:`repro.sim.fusion.kernel_lowering`, read off
-#: the same table: commuting 1q dense gates on adjacent physical positions
-#: fold into one gemm.  Below :data:`_GEMM_EDGE` a group keeps growing — it
-#: is one right gemm whose cost is set by its top position, not by how many
-#: gates it carries; above, groups hold this many positions (a 2q stacked
-#: matmul costs 2.1–2.6 copies where a 1q one costs 1.7–2.4; a third qubit
-#: doubles the flops for a gain inside this host's noise).
-DENSE_FOLD_WIDTH = 2
-
-#: Widest monomial block (a folded run of diagonal/permutation gates, see
-#: :func:`repro.sim.fusion.lower_kernel_gates`): the cost model's 10-qubit
-#: shared-memory kernel limit, so a kernel of monomial gates is one op.  A
-#: diagonal block is one broadcast multiply whatever its width; a block that
-#: permutes is one gather or ``2^k`` slice moves of ``2^(n-k)`` amplitudes,
-#: and narrower caps (4/6/8) measured slower than 10 at every state size
-#: from 16 to 20 qubits (table in docs/performance.md).
-MONOMIAL_WIDTH = 10
-
-#: Widest contiguous run the stacked wide-gemm plan accepts.  Beyond it the
-#: batched matmul's short post dimension starves BLAS (measured: 1.35x over
-#: tensordot at k=8, 0.86x at k=10) and the tensordot fallback wins.
-_WIDE_STACKED_MAX = 8
-
-#: Widest gate for which a one-spare-bit (2x flop inflation) low/high
-#: window is accepted: the doubled gemm only beats tensordot's transpose
-#: overhead while the expanded matrix is small (≤ 2^6 = 64 columns).
-_WIDE_HOLE_MAX = 6
-
-
-def _gemm_strategy(qubits: Sequence[int], n: int) -> str | None:
-    """The dense planner's position table: the single-matmul strategy for
-    a dense gate on *qubits* of an ``n``-qubit state — ``"gemm_right"``,
-    ``"gemm_left"`` or ``"stacked"`` — or ``None`` when only the fallbacks
-    remain (the split plans for a 2q gate, the tensordot contraction for a
-    wider one).  Every threshold lives here: :func:`_dense_plan_impl` builds
-    the operands of whatever this returns and
-    :func:`_single_gemm_plannable` is "not ``None``".
-
-    A contiguous run (every 1q gate is one) goes through the right gemm
-    while its expanded matrix stays within ``2**_GEMM_EDGE`` columns or the
-    run starts below :data:`_STACKED_MIN_LOW`, else through one stacked
-    matmul with the run merged into a single ``2^k`` axis — also at the top
-    of the register, where an expanded left gemm is never cheaper (its
-    inflation is paid in flops; the stacked plan's batch count only
-    shrinks).  Mid-register runs wider than :data:`_WIDE_STACKED_MAX` have
-    no plan.  Qubits with holes between them plan when they fit a low
-    (right gemm) or high (left gemm) window: six index bits for a 2q gate,
-    one spare bit for a wider one while the window stays within
-    :data:`_WIDE_HOLE_MAX` bits.
-    """
-    k = len(qubits)
-    q0, q1 = min(qubits), max(qubits)
-    if q1 - q0 + 1 == k:
-        if k > _WIDE_STACKED_MAX:
-            # Only at a register edge, where the run is one exact gemm.
-            return "gemm_right" if q0 == 0 else "stacked" if q1 == n - 1 else None
-        if q1 < _GEMM_EDGE or q0 < _STACKED_MIN_LOW:
-            return "gemm_right"
-        return "stacked"
-    if k == 2:
-        window = _GEMM_EDGE + 1
-    elif k + 1 <= _WIDE_HOLE_MAX:
-        window = k + 1
-    else:
-        return None
-    if q1 < window:
-        return "gemm_right"
-    if q0 >= n - window:
-        return "gemm_left"
-    return None
-
-
-def _reorder_matrix_bits(matrix: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Permute *matrix* index bits so bit ``p`` maps to ``sorted(qubits)[p]``.
-
-    The engine's little-endian convention ties matrix index bit ``j`` to
-    ``qubits[j]``; the stacked wide-gemm plan needs the bits in ascending
-    qubit order so the contiguous qubit run merges into one tensor axis.
-    """
-    if list(qubits) == sorted(qubits):
-        return matrix
-    k = len(qubits)
-    pos = {q: p for p, q in enumerate(sorted(qubits))}
-    ar = np.arange(1 << k)
-    idx = np.zeros(1 << k, dtype=np.int64)
-    for j, q in enumerate(qubits):
-        idx |= ((ar >> pos[q]) & 1) << j
-    return matrix[np.ix_(idx, idx)]
-
-
-def _dense_plan_impl(matrix: np.ndarray, n: int, qubits: tuple[int, ...]) -> tuple:
-    """Choose (:func:`_gemm_strategy`) and precompute the gemm plan of a
-    dense gate: one BLAS ``matmul`` — or, for a 2q gate outside every
-    window, a few — writing directly into the output buffer, no transpose
-    copies of the state.  A wider gate outside every window has no plan
-    (callers route it to the tensordot contraction first).
-    """
-    strategy = _gemm_strategy(qubits, n)
-    q0, q1 = min(qubits), max(qubits)
-    if strategy == "gemm_right":
-        # out_row = state_row @ B^T with B over index bits 0..q1.
-        b = expand_matrix(matrix, qubits, range(q1 + 1))
-        return ("gemm_right", np.ascontiguousarray(b.T), 1 << (q1 + 1))
-    if strategy == "gemm_left":
-        # out_col = B @ state_col with B over index bits q0..n-1.
-        b = expand_matrix(matrix, [q - q0 for q in qubits], range(n - q0))
-        return ("gemm_left", np.ascontiguousarray(b), 1 << (n - q0))
-    if strategy == "stacked":
-        # Batched (2^k, 2^k) @ (2^k, post): the run merges into one axis.
-        m = np.ascontiguousarray(_reorder_matrix_bits(matrix, tuple(qubits)))
-        return ("stacked", m, 1 << (n - q1 - 1), 1 << len(qubits), 1 << q0)
-    if len(qubits) != 2:
-        raise KernelError(f"no gemm plan for qubits {tuple(qubits)} of {n}")
-    # Non-adjacent: block over the high qubit (outer axis, so each block is
-    # a reshapeable view) and contract the low qubit inside each block.
-    g = matrix.reshape(2, 2, 2, 2)  # (out_b1, out_b0, in_b1, in_b0)
-    if qubits[1] == q1:
-        blocks = [[g[a, :, c, :] for c in (0, 1)] for a in (0, 1)]
-    else:
-        blocks = [[g[:, a, :, c] for c in (0, 1)] for a in (0, 1)]
-    pre = 1 << (n - q1 - 1)
-    if q0 >= _GEMM_EDGE:
-        mats = [[np.ascontiguousarray(blocks[a][c]) for c in (0, 1)] for a in (0, 1)]
-        return ("split_stacked", mats, pre, 1 << (q1 - q0 - 1), 1 << q0)
-    cols = 1 << (q0 + 1)
-    bts = [
-        [
-            np.ascontiguousarray(expand_matrix(blocks[a][c], [q0], range(q0 + 1)).T)
-            for c in (0, 1)
-        ]
-        for a in (0, 1)
-    ]
-    return ("split_gemm", bts, pre, (1 << q1) // cols, cols)
-
-
-def run_dense_plan(
-    plan: tuple, state: np.ndarray, out: np.ndarray, tmp: np.ndarray | None = None
-) -> None:
-    """Execute a precomputed dense gemm *plan*, writing straight into *out*.
-
-    *state* and *out* are ``(..., 2^n)``: a flat state or a stack of them.
-    The stack is always a *looped* leading matmul axis, never folded into a
-    gemm dimension, so NumPy issues per state exactly the gemm a flat run
-    issues and row ``b`` of a stacked result equals the flat run of row
-    ``b`` bit for bit.
-
-    ``tmp`` (split plans only) is a work buffer of ``state.size // 2``
-    elements; when omitted it comes from the calling thread's workspace.
-    This is the run-time half of the dense path: a bound op stores the plan
-    tuple and calls this with its workspace's temporary.
-    """
-    kind = plan[0]
-    lead = state.shape[:-1]
-    if kind == "gemm_right":
-        _, bt, cols = plan
-        shape = lead + (-1, cols)
-        np.matmul(state.reshape(shape), bt, out=out.reshape(shape))
-        return
-    if kind == "gemm_left":
-        _, b, rows = plan
-        shape = lead + (rows, -1)
-        np.matmul(b, state.reshape(shape), out=out.reshape(shape))
-        return
-    if kind == "stacked":
-        _, m, _pre, d, post = plan
-        np.matmul(m, state.reshape(-1, d, post), out=out.reshape(-1, d, post))
-        return
-    if tmp is None:
-        tmp = thread_workspace().tmp(state.size // 2, slot=1)
-    if kind == "split_stacked":
-        _, mats, _pre, mid, post = plan
-        src = state.reshape(-1, 2, mid, 2, post)
-        dst = out.reshape(-1, 2, mid, 2, post)
-        tmp = tmp.reshape(-1, mid, 2, post)
-        for a in (0, 1):
-            dst_a = dst[:, a]
-            np.matmul(mats[a][0], src[:, 0], out=dst_a)
-            np.matmul(mats[a][1], src[:, 1], out=tmp)
-            dst_a += tmp
-    else:  # split_gemm
-        _, bts, _pre, mid, cols = plan
-        src = state.reshape(-1, 2, mid, cols)
-        dst = out.reshape(-1, 2, mid, cols)
-        tmp = tmp.reshape(-1, mid, cols)
-        for a in (0, 1):
-            dst_a = dst[:, a]
-            np.matmul(src[:, 0], bts[a][0], out=dst_a)
-            np.matmul(src[:, 1], bts[a][1], out=tmp)
-            dst_a += tmp
-
-
-def _big_to_out(
-    state: np.ndarray,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-    n: int,
-    out: np.ndarray | None,
-) -> np.ndarray:
-    """Reference tensordot contraction (k ≥ 3 dense fallback).
-
-    *state* (and *out*) may carry leading batch axes, ``(B, 2^n)``: the
-    stack is then one contraction, not B of them.
-    """
-    k = len(qubits)
-    lead = state.ndim - 1
-    tensor = state.reshape(state.shape[:-1] + (2,) * n)
-    gate_tensor = np.ascontiguousarray(matrix).reshape((2,) * (2 * k))
-    # Contract gate input axes with the state axes of the target qubits.
-    # Matrix tensor axis order is (out_{k-1},...,out_0, in_{k-1},...,in_0):
-    # the most-significant matrix bit comes first in C order.
-    axes = [lead + qubit_axis(n, q) for q in reversed(qubits)]
-    # tensordot allocates its state-sized result (plus internal transpose
-    # workspace); record it so the allocation log stays honest — the k >= 3
-    # fallback is the one dispatch path that is not allocation-free.
-    _ALLOCATION_LOG.append(int(state.size))
-    result = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), axes))
-    result = np.moveaxis(result, range(k), axes)
-    if out is None:
-        return np.ascontiguousarray(result).reshape(state.shape)
-    # tensordot produced a fresh array, so writing into out is safe even
-    # when out is state.
-    np.copyto(out.reshape(result.shape), result)
-    return out
-
-
-def _single_gemm_plannable(qubits: Sequence[int], n: int) -> bool:
-    """True when the dense gemm planner covers *qubits* with one matmul
-    (:func:`_gemm_strategy`); a 2q gate it does not cover runs a split
-    plan, a wider one falls back to the tensordot contraction."""
-    return _gemm_strategy(qubits, n) is not None
-
-
-#: A view kernel (slice moves, the strided controlled update) needs at least
-#: this many qubits outside the op.  The views of a ``(B, 2^n)`` stack can
-#: merge with its leading axis into one NumPy loop, and a loop's rounding
-#: (fused or not) depends on its length: a single-element call takes NumPy's
-#: scalar complex multiply, a vector's tail may.  With ``2^3`` amplitudes per
-#: view a state's share of any loop is whole vectors on every build
-#: (AVX-512: 4 complex128), so the stacked pass rounds as the flat one; an op
-#: spanning (almost) the whole of a tiny state goes to the gemm path, where
-#: the stack is a looped axis.
-_MIN_VIEW_BITS = 3
-
-
-def _effective_kind(info: MatrixInfo, qubits: Sequence[int], n: int) -> str:
-    """Position-aware dispatch refinement.
-
-    The slice-based structured kernels operate on views whose contiguous
-    runs have length ``2^min(qubits)``; for very low positions a streaming
-    BLAS gemm beats them.  Permutation cycles tolerate short runs well
-    (they are plain strided copies), so they reroute only at the very
-    bottom; controlled subspace updates reroute whenever the dense planner
-    has a single-gemm strategy for the position pair.  Wide (k ≥ 3)
-    matrices keep their structured kernel while its views hold
-    :data:`_MIN_VIEW_BITS` qubits; otherwise, and when dense, they reroute
-    to the streaming gemm path whenever the planner covers their qubit
-    tuple (see :func:`_single_gemm_plannable`), else to the tensordot
-    contraction.
-    """
-    if info.kind in ("diagonal", "dense"):
-        return info.kind
-    plannable = _single_gemm_plannable(qubits, n)
-    if info.kind == "permutation":
-        views = info.k > 2 or max(qubits) > 2
-    else:
-        views = info.kind == "controlled" and (info.k > 2 or not plannable)
-    if views and n - info.k >= _MIN_VIEW_BITS:
-        return info.kind
-    return "dense" if plannable or info.k <= 2 else "big"
-
-
-def _controlled_gather_gemm_inplace(
-    state: np.ndarray, control_qubit: int, plan: tuple, compact: np.ndarray
-) -> None:
-    """In-place controlled-1q update via gather + one streaming gemm.
-
-    The control-1 subspace (a strided half-state view whose rows are the
-    contiguous low ``2^control_qubit`` blocks) is compacted into *compact*
-    (``state.size // 2`` elements), then the target unitary is applied with
-    a single batched matmul writing straight back into the strided view.
-    Requires ``target < control`` so the target bit lives inside the
-    contiguous rows: each compact row is a ``control_qubit``-qubit
-    sub-state with the target at its original position, and *plan* is the
-    dense 1q gemm plan of the reduced matrix on it.
-
-    *state* may be a ``(B, 2^n)`` stack: the rows of every state join the
-    looped leading matmul axis, each still its own gemm.
-    """
-    post_c = 1 << control_qubit
-    rows = state.size // (2 * post_c)
-    subspace = state.reshape(rows, 2, post_c)[:, 1, :]
-    compact = compact[: rows * post_c].reshape(rows, post_c)
-    np.copyto(compact, subspace)
-    if plan[0] == "gemm_right":
-        _, bt, cols = plan
-        shape = (rows, post_c // cols, cols)
-        np.matmul(compact.reshape(shape), bt, out=subspace.reshape(shape))
-    else:  # stacked
-        _, m, pre_t, _, post_t = plan
-        shape = (rows, pre_t, 2, post_t)
-        np.matmul(m, compact.reshape(shape), out=subspace.reshape(shape))
-
-
-#: Buffer discipline per op kind: structured kinds update the state buffer
-#: in place; streaming kinds read the state buffer and write the scratch
-#: buffer in full, swapping the ping-pong roles.  The static verifier
+#: Buffer discipline per op kind: every op that applies gates — a broadcast
+#: diagonal or a kernel (``"sm"``) — updates the state buffer in place; a
+#: layout transpose reads the state buffer and writes the scratch buffer in
+#: full, swapping the ping-pong roles.  The static verifier
 #: (:mod:`repro.check`) proves each op's declared ``mode`` against this
 #: table without executing anything.
-INPLACE_KINDS = frozenset({"diagonal", "permutation", "controlled", "sm"})
-STREAM_KINDS = frozenset({"dense", "big", "layout"})
+INPLACE_KINDS = frozenset({"diagonal", "sm"})
+STREAM_KINDS = frozenset({"layout"})
 
 
 class CompiledOp:
@@ -936,9 +415,9 @@ class CompiledOp:
 
     ``run(states, scratch, ws)`` operates on ``(..., 2^n)`` buffers — a
     flat state is a stack of one — and returns the ``(states, scratch)``
-    pair with roles possibly swapped (streaming ops write into scratch,
-    structured ops update in place).  Row ``b`` of a stacked run equals the
-    flat run of row ``b`` bit for bit (``big`` within a documented bound).
+    pair with roles possibly swapped (a layout op writes into scratch,
+    every other op updates in place).  Row ``b`` of a stacked run equals the
+    flat run of row ``b`` bit for bit.
     ``source`` names where in the plan the op came from and ``gates`` the
     gate objects its payload was resolved from — the rebind machinery
     reuses an op verbatim when a structurally identical plan binds equal
@@ -1002,13 +481,11 @@ class OpTemplate:
     """The angle-independent part of one op.
 
     Everything that follows from *where* an op acts and from the zero/one
-    structure of its matrix — the kind, the views' qubit tuple, the
-    permutation move table, the gather index, the gemm-plan shape — is
-    resolved once, when the template is built.  ``bind(payload)`` does only the numeric fill
-    (gathering a diagonal, phases or a reduced block out of the matrix,
-    preparing gemm operands) and returns the one ``run(states, scratch,
-    ws)`` closure, written against ``(..., 2^n)`` buffers; :meth:`op` wraps
-    it with the op's static metadata.  A cold
+    structure of its payload — the kind, the gather index, a kernel's tile
+    program — is resolved once, when the template is built.
+    ``bind(payload)`` does only the numeric fill and returns the one
+    ``run(states, scratch, ws)`` closure, written against ``(..., 2^n)``
+    buffers; :meth:`op` wraps it with the op's static metadata.  A cold
     compile builds the template and binds it once; a rebind to new angles
     binds it again — the same code, so warm and cold programs cannot differ.
 
@@ -1040,29 +517,30 @@ class OpTemplate:
         )
 
 
+class _GateFill(NamedTuple):
+    """The filled item of a one-gate kernel (:func:`unitary_template`)."""
+
+    matrix: np.ndarray
+
+
 def unitary_template(matrix: np.ndarray, qubits: Sequence[int], n: int) -> OpTemplate:
     """The template of one unitary application; its payload is the matrix.
 
-    The one place a classification (:func:`analyze_matrix`) and a position
-    (:func:`_effective_kind`) become a kernel: a diagonal is a broadcast
-    multiply wherever it sits, a permutation or controlled gate the
-    refinement leaves alone updates in place, everything else streams into
-    the scratch buffer.
+    A diagonal is a broadcast multiply wherever it sits.  Every other
+    matrix is a one-item kernel (:func:`kernel_template` of one ``"gate"``
+    item), the op every kernel of a plan runs: the tile pass where the
+    kernel fits one, else the item loop.  Either drops the matrix's exact
+    zeros at bind time, so a permutation or a controlled block costs only
+    its nonzero terms.
     """
     qubits = tuple(qubits)
-    info = analyze_matrix(matrix)
-    dim = 1 << info.k
-    if info.kind == "diagonal":
+    if analyze_matrix(matrix).kind == "diagonal":
+        dim = 1 << len(qubits)
         return _diag_template(np.arange(dim) * (dim + 1), qubits, n)
-    kind = _effective_kind(info, qubits, n)
-    if kind == "permutation":
-        positions = np.asarray(info.perm) * dim + np.arange(dim)
-        return _moves_template(info.perm, _index_array(positions), qubits, n)
-    if kind == "controlled":
-        return _controlled_template(info, qubits, n)
-    if kind == "dense":
-        return _dense_template(qubits, n)
-    return _big_template(qubits, n)
+    kernel = kernel_template([KernelItem(qubits, "gate")], n)
+    return OpTemplate(
+        kernel.kind, qubits, lambda payload: kernel.bind((_GateFill(payload),)), kernel.tmp_slots
+    )
 
 
 def _diag_template(positions: np.ndarray, qubits: tuple[int, ...], n: int) -> OpTemplate:
@@ -1084,185 +562,6 @@ def _diag_template(positions: np.ndarray, qubits: tuple[int, ...], n: int) -> Op
     return OpTemplate("diagonal", qubits, bind)
 
 
-def _permutation_moves(perm) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Lower a permutation to its move skeleton ``(cycle moves, fixed points)``.
-
-    Amplitudes flow ``cycle[i] -> cycle[i+1]``; each cycle is walked
-    backwards from a saved last view so every source is still unmodified
-    when read, and fixed points are untouched (an in-place CX moves half
-    the state).  Cycle discovery happens here, once, not at execution.  Codes:
-    0 = copy view ``b``→``a`` scaled by ``phases[b]``, 1 = save view ``a``
-    to tmp, 2 = restore tmp to view ``a`` scaled by ``phases[b]``.  Fixed
-    points only ever need scaling (code 3, added per phase vector by
-    :func:`_bind_moves`); distinct cycles touch disjoint views, so running
-    the scales after the cycles changes no value.
-    """
-    d = len(perm)
-    visited = [False] * d
-    moves: list[tuple[int, int, int]] = []
-    fixed: list[int] = []
-    for start in range(d):
-        if visited[start]:
-            continue
-        cycle = [start]
-        visited[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            visited[nxt] = True
-            nxt = perm[nxt]
-        if len(cycle) == 1:
-            fixed.append(start)
-            continue
-        last = cycle[-1]
-        moves.append((1, last, 0))
-        for i in range(len(cycle) - 1, 0, -1):
-            moves.append((0, cycle[i], cycle[i - 1]))
-        moves.append((2, cycle[0], last))
-    return moves, fixed
-
-
-def _bind_moves(
-    skeleton: tuple[list[tuple[int, int, int]], list[int]], phases: np.ndarray
-) -> tuple[list[tuple[int, int, int]], list[complex]]:
-    """The skeleton's moves for one phase vector: the shared cycle moves
-    plus a scale (code 3) per fixed point whose phase is not 1."""
-    moves, fixed = skeleton
-    values = phases.tolist()
-    scales = [(3, a, a) for a in fixed if values[a] != 1]
-    return (moves + scales if scales else moves), values
-
-
-def _run_moves(views, moves, phases, tmp) -> None:
-    for code, a, b in moves:
-        if code == 0:
-            # Copy, then scale in place — never one multiply from view to
-            # view: the two interleave in one buffer, and whether NumPy
-            # then rounds through its SIMD (fused) or scalar complex loop
-            # depends on an overlap heuristic that reads the stack depth.
-            np.copyto(views[a], views[b])
-            if phases[b] != 1:
-                views[a] *= phases[b]
-        elif code == 1:
-            np.copyto(tmp, views[a])
-        elif code == 2:
-            phase = phases[b]
-            if phase == 1:
-                np.copyto(views[a], tmp)
-            else:
-                np.multiply(tmp, phase, out=views[a])
-        else:
-            views[a] *= phases[b]
-
-
-def _moves_template(
-    perm: Sequence[int], positions: np.ndarray, qubits: tuple[int, ...], n: int
-) -> OpTemplate:
-    """A phased permutation as slice moves over its ``2^k`` views.  Phase
-    ``c`` sits at flat position ``positions[c]`` of the payload (a matrix)."""
-    skeleton = _permutation_moves(perm)
-    k = len(qubits)
-
-    def bind(payload):
-        moves, phases = _bind_moves(skeleton, payload.take(positions))
-
-        def run(states, scratch, ws):
-            views = ws.views(states, n, qubits, lead=states.ndim - 1)
-            tmp = ws.tmp(states.size >> k, slot=1).reshape(views[0].shape)
-            _run_moves(views, moves, phases, tmp)
-            return states, scratch
-
-        return run
-
-    return OpTemplate("permutation", qubits, bind, tmp_slots=(1,))
-
-
-def _controlled_template(info: MatrixInfo, qubits: tuple[int, ...], n: int) -> OpTemplate:
-    """The dense all-controls-1 block (``info.reduced_info`` is never
-    anything else: a diagonal or monomial block makes the whole matrix
-    monomial, which :func:`analyze_matrix` classifies first) applied on the
-    controlled subspace only."""
-    target_qubits = tuple(qubits[p] for p in info.targets)
-    # Flat positions of the all-controls-1 block inside the matrix.
-    dim = 1 << info.k
-    sel = np.flatnonzero(
-        np.all([(np.arange(dim) >> p) & 1 for p in info.controls], axis=0)
-    )
-    block = _index_array(sel[:, None] * dim + sel[None, :])
-
-    if (
-        len(info.controls) == 1
-        and len(info.targets) == 1
-        and target_qubits[0] < qubits[info.controls[0]]
-    ):
-        # Gather + one streaming gemm; a stack only lengthens the row loop.
-        ctrl = qubits[info.controls[0]]
-        tgt = target_qubits[0]
-
-        def bind(matrix):
-            plan = _dense_plan_impl(matrix.take(block), ctrl, (tgt,))
-
-            def run(states, scratch, ws):
-                _controlled_gather_gemm_inplace(
-                    states, ctrl, plan, ws.tmp(states.size // 2, slot=0)
-                )
-                return states, scratch
-
-            return run
-
-        return OpTemplate("controlled", qubits, bind, tmp_slots=(0,))
-
-    fixed = tuple((qubit_axis(n, qubits[p]), 1) for p in info.controls)
-    d = 1 << len(target_qubits)
-    k = len(qubits)
-
-    def bind(matrix):
-        reduced = matrix.take(block)
-
-        def run(states, scratch, ws):
-            views = ws.views(states, n, target_qubits, fixed, lead=states.ndim - 1)
-            view_size = states.size >> k
-            _dense_views_inplace(
-                views, reduced, ws.tmp(d * view_size, slot=0), ws.tmp(view_size, slot=1)
-            )
-            return states, scratch
-
-        return run
-
-    return OpTemplate("controlled", qubits, bind, tmp_slots=(0, 1))
-
-
-def _dense_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
-    # Whether the plan needs a temporary follows from (n, qubits) alone.
-    needs_tmp = _gemm_strategy(qubits, n) is None
-
-    def bind(matrix):
-        plan = _dense_plan_impl(matrix, n, qubits)
-
-        def run(states, scratch, ws):
-            tmp = ws.tmp(states.size // 2, slot=1) if needs_tmp else None
-            run_dense_plan(plan, states, scratch, tmp=tmp)
-            return scratch, states
-
-        return run
-
-    return OpTemplate("dense", qubits, bind, tmp_slots=(1,) if needs_tmp else ())
-
-
-def _big_template(qubits: tuple[int, ...], n: int) -> OpTemplate:
-    # Genuinely scattered wide matrix: the tensordot fallback (the one op
-    # kind whose application is not allocation-free — tensordot builds its
-    # own result; the cost is logged).
-    def bind(matrix):
-        def run(states, scratch, ws):
-            _big_to_out(states, matrix, qubits, n, scratch)
-            return scratch, states
-
-        return run
-
-    return OpTemplate("big", qubits, bind)
-
-
 # ---------------------------------------------------------------------------
 # The kernel template: a shared-memory kernel is one op
 # ---------------------------------------------------------------------------
@@ -1281,6 +580,13 @@ _MAX_TILE_BITS = 13
 _MAX_DENSE = 4
 #: Below this a state is not worth a tile (and has no whole vector).
 _MIN_NATIVE_QUBITS = 4
+#: Widest monomial block (a folded run of diagonal/permutation gates, see
+#: :func:`repro.sim.fusion.lower_kernel_gates`): the cost model's 10-qubit
+#: shared-memory kernel limit, so a kernel of monomial gates is one item and
+#: its ten positions plus index bits 0–2 fill :data:`_MAX_TILE_BITS`.
+#: Narrower caps (4/6/8) measured slower than 10 at every state size from
+#: 16 to 20 qubits (table in docs/performance.md).
+MONOMIAL_WIDTH = 10
 _SM_GATE1, _SM_DIAG, _SM_MOVE, _SM_GATHER, _SM_DENSE = range(5)
 
 
@@ -1589,10 +895,11 @@ def _phase_step(n: int, index: np.ndarray, phases: np.ndarray) -> Callable:
     return step
 
 
-def _planes(buf: np.ndarray, size: int, ws, slot: int) -> np.ndarray:
+def _planes(buf: "np.ndarray | None", size: int, ws, slot: int) -> np.ndarray:
     """*buf*'s memory as ``2 * size`` float64, or a workspace temporary's
-    when it is not a contiguous ``complex128`` buffer of *size*."""
-    if buf.dtype != np.complex128 or not buf.flags.c_contiguous or buf.size != size:
+    when it is ``None`` or not a contiguous ``complex128`` buffer of
+    *size*."""
+    if buf is None or buf.dtype != np.complex128 or not buf.flags.c_contiguous or buf.size != size:
         buf = ws.tmp(size, slot=slot)
     return buf.reshape(-1).view(np.float64)
 
@@ -1751,17 +1058,31 @@ def apply_matrix_reference(
     """Apply a unitary via the dense tensordot contraction, unconditionally.
 
     This is the seed implementation of :func:`apply_matrix`, kept as the
-    correctness oracle for the specialized kernels and as the baseline the
-    benchmarks measure speedups against.  Same ``out`` contract as
-    :func:`apply_matrix`.
+    correctness oracle for the engine's kernels — it shares no code with
+    them — and as the baseline the benchmarks measure speedups against.
+    Same ``out`` contract as :func:`apply_matrix`.
     """
     n = _validate(state, matrix, qubits)
-    return _big_to_out(state, matrix, qubits, n, out)
+    k = len(qubits)
+    gate_tensor = np.ascontiguousarray(matrix).reshape((2,) * (2 * k))
+    # Contract the gate's input axes with the state axes of its qubits.  The
+    # matrix tensor's axes are (out_{k-1}, ..., out_0, in_{k-1}, ..., in_0):
+    # the most significant matrix bit comes first in C order.
+    axes = [qubit_axis(n, q) for q in reversed(qubits)]
+    result = np.tensordot(gate_tensor, state.reshape((2,) * n), axes=(list(range(k, 2 * k)), axes))
+    result = np.moveaxis(result, range(k), axes)
+    if out is None:
+        return np.ascontiguousarray(result).reshape(state.shape)
+    # tensordot built a fresh array, so writing into out is safe even when
+    # out is state.
+    np.copyto(out.reshape(result.shape), result)
+    return out
 
 
-#: The bound ops of the entry points: ``(id(matrix), qubits, n)`` →
-#: ``(matrix, inplace, run)`` and ``("diagonal", id(diagonal), qubits, n)``
-#: → ``(diagonal, run)``.  For callers outside any plan
+#: The bound ops of the entry points: ``(id(matrix), qubits, n, native)`` →
+#: ``(matrix, run)`` and ``("diagonal", id(diagonal), qubits, n)``
+#: → ``(diagonal, run)``, where ``native`` says whether the library loads —
+#: a kernel is bound to the body the host has.  For callers outside any plan
 #: that apply the same payload *object* again and again —
 #: :class:`~repro.sim.statevector.StateVector`, whose gate matrices are
 #: cached instances.  The payload is kept referenced so its id stays valid,
@@ -1785,20 +1106,17 @@ def _remember(key: tuple, entry: tuple) -> tuple:
 
 def _unitary_op(
     state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
-) -> tuple[np.ndarray, bool, Callable]:
-    """``(matrix, inplace, run)``: :func:`unitary_template` bound to *matrix*
-    for *qubits* of *state*, and whether it updates in place."""
+) -> tuple[np.ndarray, Callable]:
+    """``(matrix, run)``: :func:`unitary_template` bound to *matrix* for
+    *qubits* of *state*."""
     qubits = tuple(qubits)
     n = _num_qubits(state)
-    key = (id(matrix), qubits, n)
+    key = (id(matrix), qubits, n, native.library() is not None)
     hit = _BOUND_OPS.get(key)
     if hit is not None and hit[0] is matrix:
         return hit
     _validate(state, matrix, qubits)
-    template = unitary_template(matrix, qubits, n)
-    return _remember(
-        key, (matrix, template.kind in INPLACE_KINDS, template.bind(matrix))
-    )
+    return _remember(key, (matrix, unitary_template(matrix, qubits, n).bind(matrix)))
 
 
 def _diagonal_op(
@@ -1822,22 +1140,16 @@ def _diagonal_op(
     return _remember(key, (diagonal, template.bind(diagonal)))
 
 
-def _out_buffer(state: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """*out* under the ``out`` contract: allocated when ``None``, else
-    checked to hold as many amplitudes as *state*."""
-    if out is None:
-        return tracked_empty(state.size)
-    if out.size != state.size:
-        raise ValueError(f"out has {out.size} amplitudes, expected {state.size}")  # lint: config-error
-    return out
-
-
 def _inplace_target(state: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """The buffer an in-place op updates under the ``out`` contract:
-    *state* itself, or *out* holding a copy of it."""
+    """The buffer an op updates under the ``out`` contract: *state* itself,
+    or *out* holding a copy of it — allocated when ``None``, else checked
+    to hold as many amplitudes as *state*."""
     if out is state:
         return state
-    out = _out_buffer(state, out)
+    if out is None:
+        out = tracked_empty(state.size)
+    elif out.size != state.size:
+        raise ValueError(f"out has {out.size} amplitudes, expected {state.size}")  # lint: config-error
     np.copyto(out.reshape(state.shape), state)
     return out
 
@@ -1872,20 +1184,9 @@ def apply_matrix(
         The array holding the transformed state: ``out`` when provided,
         otherwise a new C-contiguous array.
     """
-    _matrix, inplace, run = _unitary_op(state, matrix, qubits)
-    ws = thread_workspace()
-    if inplace:
-        out = _inplace_target(state, out)
-        run(out, None, ws.for_caller_buffers())
-        return out
-    if out is state:
-        # In-place streaming: snapshot the state, then stream back.
-        snap = ws.tmp(state.size, slot=0)
-        np.copyto(snap.reshape(state.shape), state)
-        run(snap, state, ws.for_caller_buffers())
-        return state
-    out = _out_buffer(state, out)
-    run(state, out, ws.for_caller_buffers())
+    run = _unitary_op(state, matrix, qubits)[-1]
+    out = _inplace_target(state, out)
+    run(out, None, thread_workspace())
     return out
 
 
@@ -1905,7 +1206,7 @@ def apply_diagonal(
     """
     run = _diagonal_op(state, diagonal, qubits)[-1]
     out = _inplace_target(state, out)
-    run(out, None, thread_workspace().for_caller_buffers())
+    run(out, None, thread_workspace())
     return out
 
 
@@ -1917,16 +1218,14 @@ def apply_gate_buffered(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ping-pong gate application: returns ``(new_state, new_scratch)``.
 
-    Structured gates on high qubit positions run in place on *state*
-    (touching only the amplitudes they move); everything else streams
-    *state* into *scratch* and the buffers swap roles.  Callers must thread
-    both returned arrays into the next call — after a swap the old
-    ``state`` array holds stale data.  This is :func:`unitary_template`
-    bound to *matrix* (memoized per matrix object) and run on the caller's
-    buffer pair.
+    This is :func:`unitary_template` bound to *matrix* (memoized per matrix
+    object) and run on the caller's buffer pair, as a compiled program runs
+    its ops: the gate updates *state* in place, and a kernel's item loop
+    works in *scratch*.  Callers thread both returned arrays into the next
+    call, as they would a program's.
     """
     run = _unitary_op(state, matrix, qubits)[-1]
-    return run(state, scratch, thread_workspace().for_caller_buffers())
+    return run(state, scratch, thread_workspace())
 
 
 def expand_matrix(

@@ -36,9 +36,7 @@ import numpy as np
 
 from ..circuits.gates import GATE_SPECS, Gate, gate_matrix
 from .apply import (
-    DENSE_FOLD_WIDTH,
     MONOMIAL_WIDTH,
-    _GEMM_EDGE,
     KernelItem,
     _bits_to,
     _check_qubits,
@@ -263,18 +261,26 @@ def _flip_table(gate_perm: tuple[int, ...], pos: tuple[int, ...]) -> np.ndarray:
 
 _NO_QUBITS: tuple[int, ...] = ()
 
+#: The fold grouping of :func:`_fold_positions`: below this position a group
+#: of neighbouring 1q dense positions keeps growing; from it up a group holds
+#: at most :data:`DENSE_FOLD_WIDTH` positions.  The two values decide how a
+#: kernel's 1q gates are cut into items, so they fix in-core plans' op
+#: streams and the pinned digests; re-measuring them for the tile body,
+#: which applies a fold as its 2×2s, is ROADMAP item 2.
+_FOLD_EDGE = 5
+DENSE_FOLD_WIDTH = 2
+
 
 def _fold_positions(positions: Sequence[int]) -> list[list[int]]:
     """Cut ascending physical *positions* into the groups one dense item
     each covers.  Only neighbours share a group, so a group is a contiguous
-    run and always plans to a single gemm; it grows while its top stays
-    below the right-gemm edge (one gemm whose cost the top position sets)
-    or it holds fewer than :data:`~repro.sim.apply.DENSE_FOLD_WIDTH`
+    run of positions; it grows while its top stays below
+    :data:`_FOLD_EDGE` or it holds fewer than :data:`DENSE_FOLD_WIDTH`
     positions."""
     groups: list[list[int]] = []
     for p in positions:
         if groups and p == groups[-1][-1] + 1 and (
-            p < _GEMM_EDGE or len(groups[-1]) < DENSE_FOLD_WIDTH
+            p < _FOLD_EDGE or len(groups[-1]) < DENSE_FOLD_WIDTH
         ):
             groups[-1].append(p)
         else:
@@ -305,11 +311,10 @@ def kernel_lowering(
     The 1q dense gates waiting ahead of the open block commute when they
     act on distinct qubits and multiply when they share one, so they fold
     too: per qubit into one 2×2 product, and across qubits whose *physical*
-    positions are adjacent into one item (:func:`_fold_positions`) — a gemm
-    on two neighbouring positions costs what a gemm on one does.  The fold
-    has to see the layout: logically adjacent qubits that sit apart would
-    plan to a split gemm or the tensordot contraction, dearer than the two
-    sweeps they replace.  Wider dense gates stay items of their own.
+    positions are adjacent into one item (:func:`_fold_positions`).  The
+    fold has to see the layout: it groups physical neighbours, so logically
+    adjacent qubits that sit apart stay items of their own.  Wider dense
+    gates stay items of their own.
 
     All of this follows from the layout and each gate's name, qubits and
     the zero pattern of its matrix, so the result is valid for every gate
@@ -774,5 +779,5 @@ def apply_gate_sequence(state: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
     np.copyto(buf, state)
     items = lower_kernel_gates(gates, None)  # no stage: the identity layout
     run = kernel_template(kernel_items(items), n).bind(items)
-    buf, _scratch = run(buf, tracked_empty(state.size), thread_workspace().for_caller_buffers())
+    buf, _scratch = run(buf, tracked_empty(state.size), thread_workspace())
     return buf

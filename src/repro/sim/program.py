@@ -1,28 +1,21 @@
 """Compiled op streams: pre-resolved gate application, flat or stacked.
 
-:mod:`repro.sim.apply` holds the engine — the kernels, the
-:class:`OpTemplate` builders that turn a matrix and a position into a
-``run`` closure, and the :class:`Workspace` it borrows buffers from.  Its
-entry points bind a template on first sight of a payload; this module binds
-them *ahead of time*: :func:`compile_unitary_op` classifies a matrix once
-and returns a :class:`CompiledOp` whose closure carries the fully-resolved
-payload — the broadcast diagonal vector, the permutation move table, the
-reduced controlled block, or the dense gemm plan with its prepared small
-matrices — so executing the op is a tight sequence of NumPy/BLAS calls with
-zero analysis, zero hashing and zero dict lookups.
+:mod:`repro.sim.apply` holds the engine — the kernel op, the
+:class:`OpTemplate` builders that turn a payload's structure and a position
+into a ``run`` closure, and the :class:`Workspace` it borrows buffers from.
+Its entry points bind a template on first sight of a payload; this module
+binds them *ahead of time*: :func:`compile_unitary_op` returns a
+:class:`CompiledOp` whose closure carries the fully-resolved payload — the
+broadcast diagonal vector, or a one-gate kernel's packed numbers — so
+executing the op is one native call or a fixed sequence of NumPy calls
+with zero analysis, zero hashing and zero dict lookups.
 
 Ops follow the ping-pong buffer contract of
 :func:`repro.sim.apply.apply_gate_buffered`, which runs the very same
 closures.  An op has **one body**, written against ``(..., 2^n)`` buffers:
 a flat state is a stack of one, and a ``(B, 2^n)`` stack runs the same
-payload with one NumPy call per op instead of ``B`` passes.  In the gemm
-forms the stack is a looped leading matmul axis, never a gemm dimension, so
-BLAS sees per state exactly the operands of a flat run: row ``b`` of
-``run_batched(states)`` equals ``run(states[b])`` **bit for bit**.  The one
-exception is ``big`` (the tensordot fallback contracts the whole stack at
-once), which agrees within ``2^k`` ulp of the state's largest amplitude per
-op of width ``k``; a compiled plan holds none (every kernel is one ``sm``
-op).
+payload row by row: row ``b`` of ``run_batched(states)`` equals
+``run(states[b])`` **bit for bit**.
 
 :class:`CompiledProgram` strings ops into an executable program.  Its
 :class:`Workspace` preallocates and owns every buffer the program needs —
@@ -268,8 +261,7 @@ class CompiledProgram:
         states; returns the stacked final states as a view into the
         workspace batch buffer (invalidated by the next run).  The same op
         loop as :meth:`run_view`: row ``b`` equals ``run_view`` of state
-        ``b`` bit for bit (module docstring; ``big`` ops within their
-        bound)."""
+        ``b`` bit for bit (module docstring)."""
         batch = len(initial_states)
         if batch == 0:
             raise ValueError("empty batch")  # lint: config-error

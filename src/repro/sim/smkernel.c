@@ -43,6 +43,12 @@ typedef int64_t vi __attribute__((vector_size(64)));
 #define SHUF2(a, b, ...) __builtin_shuffle(a, b, (vi){__VA_ARGS__})
 #endif
 #define SPLAT(x) ((vd){(x), (x), (x), (x), (x), (x), (x), (x)})
+/* Unroll the next loop in full (its trip count is a constant). */
+#if defined(__clang__)
+#define UNROLL _Pragma("unroll")
+#else
+#define UNROLL _Pragma("GCC unroll 8")
+#endif
 static inline vd ld(const double *p) { return *(const vd_tile *)p; }
 static inline void st(double *p, vd v) { *(vd_tile *)p = v; }
 #else
@@ -296,6 +302,55 @@ DENSE(dense_each, double, 1, 0, LOAD1, STORE1, SAME)
 #if LB
 DENSE(dense_wide, vd, VL, LB, ld, st, SPLAT)
 
+/* Whether the d x d matrix m keeps every offset: the unrolled forms below
+ * then compute dense_terms' sums with k known at compile time. */
+static int all_terms(int d, const double *m)
+{
+    int terms[1 << SM_MAX_DENSE];
+    return dense_terms(d, m, terms) == d;
+}
+
+/* dense_wide of a matrix that keeps every offset, k known: the same sums in
+ * the same order, unrolled so a group's vectors stay in registers. */
+#define DENSE_FULL(NAME, K)                                                             \
+    static void NAME(double *re, double *im, int tile_bits, const int64_t *bits,        \
+                     const double *m)                                                   \
+    {                                                                                   \
+        enum { D = 1 << K };                                                            \
+        int64_t off[D], sorted[K];                                                      \
+        for (int c = 0; c < D; c++) {                                                   \
+            off[c] = 0;                                                                 \
+            for (int j = 0; j < K; j++) off[c] |= (int64_t)((c >> j) & 1) << bits[j];   \
+        }                                                                               \
+        dense_sorted(K, bits, LB, sorted);                                              \
+        for (int64_t g = 0; g < (int64_t)1 << (tile_bits - LB - K); g++) {              \
+            const int64_t base = dense_base(g, K, sorted) * VL;                         \
+            vd xr[D], xi[D];                                                            \
+            UNROLL                                                                      \
+            for (int c = 0; c < D; c++) {                                               \
+                xr[c] = ld(re + base + off[c]);                                         \
+                xi[c] = ld(im + base + off[c]);                                         \
+            }                                                                           \
+            UNROLL                                                                      \
+            for (int r = 0; r < D; r++) {                                               \
+                vd yr = SPLAT(0.0), yi = SPLAT(0.0);                                    \
+                UNROLL                                                                  \
+                for (int t = 0; t < D; t++) {                                           \
+                    const int c = r ^ t;                                                \
+                    const vd mr = SPLAT(m[2 * (r * D + c)]), mi = SPLAT(m[2 * (r * D + c) + 1]); \
+                    const vd pr = mr * xr[c] - mi * xi[c];                              \
+                    const vd pi = mr * xi[c] + mi * xr[c];                              \
+                    yr = t ? yr + pr : pr;                                              \
+                    yi = t ? yi + pi : pi;                                              \
+                }                                                                       \
+                st(re + base + off[r], yr);                                             \
+                st(im + base + off[r], yi);                                             \
+            }                                                                           \
+        }                                                                               \
+    }
+DENSE_FULL(dense_full2, 2)
+DENSE_FULL(dense_full3, 3)
+
 /* Lane l of the result is lane l ^ s of x. */
 static inline vd lane_xor(vd x, int s)
 {
@@ -309,6 +364,53 @@ static inline vd lane_xor(vd x, int s)
     case 7: return SHUF2(x, x, 7, 6, 5, 4, 3, 2, 1, 0);
     default: return x;
     }
+}
+
+/* dense_lane of a matrix that keeps every offset, k known, every bit inside
+ * the vector (one vector is a group): the same sums in the same order,
+ * unrolled. */
+#define DENSE_LANES(NAME, K)                                                            \
+    static void NAME(double *re, double *im, int64_t size, const int64_t *bits,         \
+                     const double *m)                                                   \
+    {                                                                                   \
+        enum { D = 1 << K };                                                            \
+        int shift[D];                                                                   \
+        vd cr[D], ci[D];                                                                \
+        for (int c = 0; c < D; c++) {                                                   \
+            shift[c] = 0;                                                               \
+            for (int j = 0; j < K; j++)                                                 \
+                if ((c >> j) & 1) shift[c] |= 1 << bits[j];                             \
+        }                                                                               \
+        for (int t = 0; t < D; t++) /* lane l holds m[r][r ^ t], r = l's item index */  \
+            for (int lane = 0; lane < VL; lane++) {                                     \
+                int r = 0;                                                              \
+                for (int j = 0; j < K; j++) r |= ((lane >> bits[j]) & 1) << j;          \
+                cr[t][lane] = m[2 * (r * D + (r ^ t))];                                 \
+                ci[t][lane] = m[2 * (r * D + (r ^ t)) + 1];                             \
+            }                                                                           \
+        for (int64_t j = 0; j < size; j += VL) {                                        \
+            const vd vr = ld(re + j), vi = ld(im + j);                                  \
+            vd yr = SPLAT(0.0), yi = SPLAT(0.0);                                        \
+            UNROLL                                                                      \
+            for (int t = 0; t < D; t++) {                                               \
+                const vd xr = lane_xor(vr, shift[t]), xi = lane_xor(vi, shift[t]);      \
+                const vd pr = cr[t] * xr - ci[t] * xi;                                  \
+                const vd pi = cr[t] * xi + ci[t] * xr;                                  \
+                yr = t ? yr + pr : pr;                                                  \
+                yi = t ? yi + pi : pi;                                                  \
+            }                                                                           \
+            st(re + j, yr);                                                             \
+            st(im + j, yi);                                                             \
+        }                                                                               \
+    }
+DENSE_LANES(dense_lanes2, 2)
+DENSE_LANES(dense_lanes3, 3)
+
+static int inside_vector(int k, const int64_t *bits)
+{
+    for (int j = 0; j < k; j++)
+        if (bits[j] >= LB) return 0;
+    return 1;
 }
 
 /* A dense item with bits inside the vector: the move gate1_lane makes, per
@@ -446,9 +548,18 @@ int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, int64_t lo
                 break;
             default: /* SM_DENSE */
 #if LB
-                if (it[3]) dense_wide(re, im, tile_bits, (int)it[1], it + 6, pay);
-                else dense_lane(re, im, tile_bits, (int)it[1], it + 6, pay);
+            {
+                const int k = (int)it[1];
+                const int full = (k == 2 || k == 3) && all_terms(1 << k, pay);
+                if (it[3]) {
+                    if (full) (k == 2 ? dense_full2 : dense_full3)(re, im, tile_bits, it + 6, pay);
+                    else dense_wide(re, im, tile_bits, k, it + 6, pay);
+                } else if (full && inside_vector(k, it + 6))
+                    (k == 2 ? dense_lanes2 : dense_lanes3)(re, im, size, it + 6, pay);
+                else
+                    dense_lane(re, im, tile_bits, k, it + 6, pay);
                 break;
+            }
 #endif
                 dense_each(re, im, tile_bits, (int)it[1], it + 6, pay);
             }

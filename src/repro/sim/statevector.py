@@ -78,10 +78,13 @@ class StateVector:
     def data(self) -> np.ndarray:
         """The underlying flat amplitude array (a view, not a copy).
 
-        Gate application ping-pongs between two internal buffers, so any
-        array obtained here is invalidated by the next mutating call
-        (``apply_gate``/``apply_matrix``/``apply_circuit``): it may end up
-        holding scratch contents.  Copy it if you need a stable snapshot.
+        Gate application runs on this buffer and an internal scratch
+        buffer under the ping-pong contract of
+        :func:`~repro.sim.apply.apply_gate_buffered`, so any array obtained
+        here is invalidated by the next mutating call
+        (``apply_gate``/``apply_matrix``/``apply_circuit``): it is
+        overwritten, or left holding scratch contents.  Copy it if you need
+        a stable snapshot.
         """
         return self._data
 

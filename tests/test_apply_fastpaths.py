@@ -1,11 +1,12 @@
-"""Randomized equivalence suite for the specialized gate-application paths.
+"""Randomized equivalence suite for the gate-application entry points.
 
-Every dispatch path of :mod:`repro.sim.apply` (diagonal, permutation,
-controlled, dense-gemm variants, tensordot fallback, fused kernels) is
-checked against the tensordot reference (:func:`apply_matrix_reference`)
-on random states, under all three ``out`` modes of the buffer contract.
-An allocation regression test pins the O(1)-state-sized-allocations
-property of :func:`repro.runtime.execute_plan`.
+Every gate the entry points of :mod:`repro.sim.apply` apply — a broadcast
+diagonal, or a one-item kernel whose bind drops the matrix's exact zeros
+(permutations, controlled blocks, dense gates) — is checked against the
+tensordot reference (:func:`apply_matrix_reference`) on random states,
+under all three ``out`` modes of the buffer contract.  An allocation
+regression test pins the O(1)-state-sized-allocations property of
+:func:`repro.runtime.execute_plan`.
 """
 
 import itertools
@@ -43,7 +44,8 @@ def _random_unitary(dim: int, seed: int) -> np.ndarray:
     return unitary
 
 
-#: (gate name, params, expected dispatch kind) — one exemplar per path.
+#: (gate name, params, the analysis kind): a diagonal binds the broadcast
+#: multiply, every other matrix a one-item kernel.
 PATH_CASES = [
     ("rz", (0.7,), "diagonal"),
     ("cz", (), "diagonal"),
@@ -55,9 +57,9 @@ PATH_CASES = [
     ("swap", (), "permutation"),
     ("ccx", (), "permutation"),
     ("cswap", (), "permutation"),
-    ("ch", (), "controlled"),
-    ("crx", (0.8,), "controlled"),
-    ("cry", (0.4,), "controlled"),
+    ("ch", (), "dense"),
+    ("crx", (0.8,), "dense"),
+    ("cry", (0.4,), "dense"),
     ("h", (), "dense"),
     ("u3", (0.3, 0.9, 0.2), "dense"),
     ("rxx", (0.5,), "dense"),
@@ -65,11 +67,9 @@ PATH_CASES = [
 ]
 
 
-#: The ``out`` contract through the bound templates, at n = 13 (wide enough
-#: for the split gemm plans and the controlled gather-gemm): (label, matrix,
-#: qubit lists — low, middle and top of the register).  Where a position
-#: reroutes the kind (a permutation at the very bottom and a plannable
-#: controlled pair run as a gemm) the list says so.
+#: The ``out`` contract through the bound templates, at n = 13: (label,
+#: matrix, qubit lists — low, middle and top of the register, in and out of
+#: the native body's contiguous low bits).
 _U3Q = _random_unitary(8, seed=21)
 # x·rz on qubits[0], rz on qubits[1]: two phased 2-cycles between views
 # that differ in qubits[0] alone.
@@ -78,43 +78,39 @@ OUT_CONTRACT_N = 13
 OUT_CONTRACT_CASES = [
     ("diagonal-1q", gate_matrix("rz", (0.7,)), ([0], [6], [12])),
     ("diagonal-2q", gate_matrix("cp", (1.1,)), ([0, 1], [8, 5], [12, 11])),
-    ("permutation-2q", gate_matrix("cx"), ([1, 2], [4, 9], [9, 4], [11, 12])),  # [1, 2]: gemm
+    ("permutation-2q", gate_matrix("cx"), ([1, 2], [4, 9], [9, 4], [11, 12])),
     ("permutation-swap", gate_matrix("swap"), ([0, 2], [3, 8], [12, 10])),
     ("permutation-3q", gate_matrix("ccx"), ([0, 1, 2], [3, 7, 9], [10, 12, 11])),
-    # Generic phases: the cycle moves scale what they copy.  At [0, 12] and
-    # [1, 11] source and destination interleave under a fixed top qubit.
+    # Generic phases on a permutation: only the nonzero terms are kept.
     ("permutation-phased", _PHASED_X, ([0, 1], [0, 12], [1, 11], [4, 9], [12, 0])),
-    # qubits = [target, control]: target below control is the gather-gemm,
-    # above it the strided views; [0, 1] and [11, 12] plan to one gemm.
+    # qubits = [target, control], target below and above the control.
     ("controlled", gate_matrix("ch"), ([0, 1], [3, 9], [9, 3], [2, 12], [12, 2], [11, 12])),
     ("controlled-crx", gate_matrix("crx", (0.8,)), ([4, 10], [10, 4])),
     ("dense-1q", gate_matrix("h"), ([0], [4], [5], [12])),
-    # [2, 9] is a split gemm, [6, 11] a split stacked plan, [8, 12] a left gemm.
     ("dense-2q", gate_matrix("rxx", (0.5,)), ([0, 1], [1, 0], [6, 7], [2, 9], [6, 11], [8, 12], [11, 12])),
-    ("big-plannable", _U3Q, ([0, 1, 2], [0, 1, 3], [5, 6, 7], [7, 5, 6], [10, 11, 12])),
-    ("big-scattered", _U3Q, ([0, 5, 11], [2, 6, 12])),
+    ("dense-3q", _U3Q, ([0, 1, 2], [0, 1, 3], [5, 6, 7], [7, 5, 6], [10, 11, 12])),
+    ("dense-3q-scattered", _U3Q, ([0, 5, 11], [2, 6, 12])),
 ]
 
 
 class TestDispatchClassification:
     @pytest.mark.parametrize("name,params,kind", PATH_CASES)
-    def test_gate_matrices_hit_their_specialized_path(self, name, params, kind):
-        info = apply_mod.analyze_matrix(gate_matrix(name, params))
-        assert info.kind == kind
+    def test_a_diagonal_is_a_broadcast_and_any_other_gate_a_kernel(self, name, params, kind):
+        from repro.sim.program import compile_unitary_op
 
-    def test_a_controlled_block_is_always_dense(self):
-        """identity ⊕ (diagonal or monomial block) is itself monomial and
-        classifies as such before control detection runs: no library gate,
-        at generic or degenerate angles, and no generated controlled-monomial
-        matrix is ever `controlled` with a structured block — the templates
-        carry no such branch."""
-        from repro.circuits.gates import GATE_SPECS
+        matrix = gate_matrix(name, params)
+        assert apply_mod.analyze_matrix(matrix).kind == kind
+        k = int(np.log2(matrix.shape[0]))
+        op = compile_unitary_op(matrix, tuple(range(k)), 6)
+        assert op.kind == ("diagonal" if kind == "diagonal" else "sm")
+        assert op.mode == "inplace"
 
-        for name, spec in sorted(GATE_SPECS.items()):
-            for angle in (0.0, 0.7, np.pi / 2, np.pi, 2 * np.pi):
-                info = apply_mod.analyze_matrix(gate_matrix(name, (angle,) * spec.num_params))
-                if info.kind == "controlled":
-                    assert info.reduced_info.kind == "dense", (name, angle)
+    def test_identity_plus_a_monomial_block_is_monomial(self):
+        """identity ⊕ (diagonal or monomial block) is itself monomial: no
+        library gate at generic or degenerate angles and no generated
+        controlled-monomial matrix, controls on any index bits, classifies
+        otherwise — the shape table (`sim/fusion.py::_gate_shape`) folds
+        every such gate into a block."""
         rng = np.random.default_rng(5)
         for k in (2, 3):
             dim = 1 << k
@@ -126,19 +122,16 @@ class TestDispatchClassification:
                     block[perm, np.arange(block_dim)] = np.exp(1j * rng.uniform(0, 6, block_dim))
                     matrix = np.eye(dim, dtype=complex)
                     matrix[dim - block_dim :, dim - block_dim :] = block
-                    # Controls on any index bits, not just the top ones.
                     bits = rng.permutation(k)
                     index = sum(((np.arange(dim) >> j) & 1) << bits[j] for j in range(k))
                     matrix = matrix[np.ix_(index, index)]
                     info = apply_mod.analyze_matrix(matrix)
                     assert info.kind in ("diagonal", "permutation"), (k, controls, trial)
 
-    def test_view_kernels_keep_whole_vectors_per_state(self):
-        """A view kernel needs `_MIN_VIEW_BITS` qubits outside the op: with
-        fewer, a stack's views merge with its leading axis into NumPy loops
-        whose length — a single element on a flat state — picks the
-        rounding.  Such ops go to the gemm path; either way every stacked
-        row is the flat run, bit for bit."""
+    def test_a_stack_is_the_flat_run_on_small_states(self):
+        """An op spanning (almost) the whole of a tiny state — below the
+        native body's four qubits, the item loop — runs a ``(B, 2^n)``
+        stack row by row as the flat run, bit for bit."""
         from repro.sim.program import Workspace, compile_unitary_op
 
         rng = np.random.default_rng(8)
@@ -146,21 +139,15 @@ class TestDispatchClassification:
         phased[rng.permutation(8), np.arange(8)] = np.exp(1j * rng.uniform(0, 6, 8))
         controlled = np.eye(8, dtype=complex)
         controlled[4:, 4:] = _random_unitary(4, seed=9)
-        for matrix, kind in ((phased, "permutation"), (controlled, "controlled")):
-            assert apply_mod.analyze_matrix(matrix).kind == kind
-            for n in range(3, 3 + apply_mod._MIN_VIEW_BITS + 1):
+        for matrix in (phased, controlled, _random_unitary(8, seed=10)):
+            for n in range(3, 7):
                 op = compile_unitary_op(matrix, (0, 1, 2), n)
-                views = n - 3 >= apply_mod._MIN_VIEW_BITS
-                assert op.kind == (kind if views else "dense"), (kind, n)
+                assert op.kind == "sm"
                 stack = np.stack([_random_state(n, seed=b) for b in range(5)])
                 flat = [op.run(row.copy(), np.empty_like(row), Workspace())[0] for row in stack]
                 rows, _ = op.run(stack.copy(), np.empty_like(stack), Workspace())
                 for row, want in zip(rows, flat):
-                    assert np.array_equal(row, want), (kind, n)
-
-    def test_wide_dense_matrix_falls_back_to_tensordot(self):
-        info = apply_mod.analyze_matrix(_random_unitary(8, seed=0))
-        assert info.kind == "big"
+                    assert np.array_equal(row, want), n
 
 
 class TestFastPathEquivalence:
@@ -225,10 +212,7 @@ class TestFastPathEquivalence:
             assert np.array_equal(got, compiled), (qubits, op.kind)
             assert np.allclose(got, apply_matrix_reference(before, matrix, qubits)), qubits
             # One body: the same closure on a stack — of one, two, five —
-            # gives every row the flat run's bits (`big`: its bound).
-            bound = 0.0
-            if op.kind == "big":
-                bound = (1 << len(qubits)) * np.spacing(np.max(np.abs(compiled)))
+            # gives every row the flat run's bits.
             for batch in (1, 2, 5):
                 stack = np.stack([_random_state(n, seed=trial + b) for b in range(batch)])
                 flat = [
@@ -237,7 +221,7 @@ class TestFastPathEquivalence:
                 rows, _ = op.run(stack.copy(), np.empty_like(stack), Workspace())
                 assert rows.shape == stack.shape
                 for row, want in zip(rows, flat):
-                    assert np.max(np.abs(row - want)) <= bound, (qubits, op.kind, batch)
+                    assert np.array_equal(row, want), (qubits, op.kind, batch)
 
     def test_dense_1q_all_positions(self):
         unitary = _random_unitary(2, seed=3)
@@ -248,8 +232,6 @@ class TestFastPathEquivalence:
                 assert np.allclose(apply_matrix(state, unitary, [q]), reference)
 
     def test_dense_2q_all_pairs(self):
-        # n=12 reaches the split_stacked/split_gemm plans (they need a
-        # non-adjacent pair with q0 below the gemm edge and q1 above it).
         unitary = _random_unitary(4, seed=4)
         for n in (3, 6, 9, 12):
             state = _random_state(n, seed=n)
@@ -259,9 +241,6 @@ class TestFastPathEquivalence:
                 assert np.allclose(got, reference), (n, qubits)
 
     def test_controlled_all_pairs_wide_register(self):
-        # n=13 exercises the gather-gemm controlled subspace path (target
-        # below control, non-single-gemm positions) and the strided
-        # structured fallback (target above control).
         matrix = gate_matrix("ch")
         n = 13
         state = _random_state(n, seed=0)
@@ -313,8 +292,7 @@ class TestFusedUnitary:
 
 class TestAllocationRegression:
     def test_execute_plan_state_allocations_are_constant(self):
-        """A warm plan execution allocates the ping-pong buffer pair plus
-        one tensordot workspace per wide (k >= 3) fused-kernel application —
+        """A warm plan execution allocates the ping-pong buffer pair —
         never O(#gates)."""
         n = 10
         circuit = qft(n)
@@ -324,19 +302,16 @@ class TestAllocationRegression:
         # Warm run: populates the scratch pool and the program memo.
         execute_plan(plan)
 
-        # Kernel applications that go through the k>=3 tensordot fallback
-        # each log one state-sized workspace allocation.
-        big_applications = compiled_program_for(plan).op_counts().get("big", 0)
+        assert set(compiled_program_for(plan).op_counts()) <= {"sm", "diagonal", "layout"}
 
         apply_mod.reset_allocation_log()
         result, _ = execute_plan(plan)
         log = apply_mod.allocation_log()
         state_sized = [size for size in log if size >= 1 << n]
-        budget = 2 + big_applications
+        budget = 2
         assert len(state_sized) <= budget, (
-            f"expected ping-pong pair + {big_applications} tensordot "
-            f"workspaces, got {len(state_sized)} state-sized allocations: "
-            f"{state_sized}"
+            f"expected the ping-pong pair, got {len(state_sized)} state-sized "
+            f"allocations: {state_sized}"
         )
         # The bound must not scale with the gate count (qft(10) has 55+
         # gates but only a handful of kernels).
@@ -368,12 +343,10 @@ class TestAllocationRegression:
 
 class TestCompiledProgramAllocations:
     """Compiled programs preallocate their whole workspace at compile/warmup
-    time: steady-state re-execution performs **zero** engine allocations
-    (the one exception is the tensordot fallback for genuinely scattered
-    wide kernels, which logs its workspace per application — counted
-    exactly below).  Note `reset_allocation_log` clears only the log, never
-    the warm workspaces, so these counts are deterministic however many
-    runs preceded them."""
+    time: steady-state re-execution performs **zero** engine allocations.
+    Note `reset_allocation_log` clears only the log, never the warm
+    workspaces, so these counts are deterministic however many runs
+    preceded them."""
 
     def _program(self, n=10):
         from repro.runtime.compile import compile_plan
@@ -385,10 +358,6 @@ class TestCompiledProgramAllocations:
 
     def test_steady_state_reexecution_allocates_nothing(self):
         program, circuit = self._program()
-        unplannable = sum(1 for op in program.ops if op.kind == "big")
-        # qft at this size lowers entirely to gemm/diagonal/permutation
-        # ops, so the pin below really is *zero*.
-        assert unplannable == 0, program.op_counts()
         result = program.run_view()  # warm: buffers and tmps allocate here
         assert simulate_reference(circuit).allclose(
             StateVector(program.num_qubits, result.copy())
@@ -418,9 +387,8 @@ class TestCompiledProgramAllocations:
         assert log == [1 << n]
 
     def test_a_scattered_wide_fusion_kernel_allocates_nothing(self):
-        """A hand-built plan with one scattered wide fusion kernel (the
-        tensordot contraction, as a fused gemm) is one kernel op on either
-        body — the tile pass, or the item loop, whose planes and
+        """A hand-built plan with one scattered wide fusion kernel is one
+        kernel op on either body — the tile pass, or the item loop, whose planes and
         temporaries come from the workspace — and a re-execution logs no
         allocation."""
         from repro.circuits import Circuit

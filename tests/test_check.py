@@ -920,22 +920,19 @@ class TestLintRepro:
             lint, "sim/apply.py",
             "import threading\n"
             "_WS_TLS = threading.local()\n"
-            "def _effective_kind(info, qubits, n):\n"
-            "    return 'dense' if info.kind == 'big' else info.kind\n"
-            "def _permutation_moves(perm):\n"
-            "    nxt = perm[0]\n"
-            "    while nxt != 0:\n"
-            "        nxt = perm[nxt]\n"
+            "def _analyze_impl(matrix):\n"
+            "    info = MatrixInfo('dense', 1)\n"
+            "    return info if info.kind == 'dense' else None\n"
             "def unitary_template(matrix, qubits, n):\n"
             "    info = analyze_matrix(matrix)\n"
             "    if info.kind == 'diagonal':\n"
-            "        return 0\n"
-            "    return _effective_kind(info, qubits, n)\n"
+            "        return _diag_template(matrix, qubits, n)\n"
+            "    return kernel_template([KernelItem(qubits, 'gate')], n)\n"
             "def apply_gate_buffered(state, scratch, matrix, qubits):\n"
             "    return unitary_template(matrix, qubits, 3).bind(matrix)\n",
         )
         assert lint.check_one_kernel_set([engine]) == []
-        # A second executor's own dispatch, cycle walk and scratch pool
+        # A second executor's own dispatch, kernel and scratch pool
         # growing back beside the templates.
         fork = self.write(
             lint, "sim/statevector.py",
@@ -943,27 +940,47 @@ class TestLintRepro:
             "_POOL = threading.local()\n"
             "def apply(state, matrix, qubits):\n"
             "    info = analyze_matrix(matrix)\n"
-            "    kind = _effective_kind(info, qubits, 3)\n"
-            "    if info.reduced_info.kind == 'permutation':\n"
-            "        nxt = perm[0]\n"
-            "        while nxt != 0:\n"
-            "            nxt = perm[nxt]\n",
+            "    if info.kind == 'permutation':\n"
+            "        return kernel_template([KernelItem(qubits, 'gate')], 3)\n",
         )
         findings = lint.check_one_kernel_set([engine, fork])
         assert {f.rule for f in findings} == {"one-kernel-set"}
         assert sorted(f.key.rpartition("::")[2] for f in findings) == [
-            "apply:_effective_kind", "apply:cycles", "apply:kind",
-            "threading.local", "threading.local",
+            "apply:kernel_template", "apply:kind", "threading.local", "threading.local",
         ]
         # Outside the engine's scope a `.kind` comparison is someone else's.
         elsewhere = self.write(
             lint, "check/verify.py", "def f(info):\n    return info.kind == 'x'\n"
         )
         assert lint.check_one_kernel_set([engine, elsewhere]) == []
-        # The choice moving away without the rule following is flagged too.
-        engine.write_text("import threading\n_WS_TLS = threading.local()\n")
-        assert [f.key for f in lint.check_one_kernel_set([engine])] == [
-            "src/repro/sim/apply.py::one-kernel-set::_effective_kind:missing"
+
+    def test_the_dense_planner_stays_retired(self, lint):
+        """The BLAS dense planner and the templates built on it are named
+        nowhere under src/ — in code or in prose, as whole words: a
+        reintroduced `run_dense_plan` is a second engine beside the kernel
+        op."""
+        engine = self.write(
+            lint, "sim/apply.py",
+            "import threading\n"
+            "_WS_TLS = threading.local()\n"
+            "def unitary_template(matrix, qubits, n):\n"
+            "    return kernel_template([KernelItem(qubits, 'gate')], n)\n",
+        )
+        assert lint.check_one_kernel_set([engine]) == []
+        engine.write_text(
+            engine.read_text()
+            + "def run_dense_plan(plan, state, out):\n"
+            "    return np.matmul(plan[1], state, out=out)\n"
+            "def _dense_template(qubits, n):\n"
+            '    """Binds `_gemm_strategy`\'s pick; a run_dense_plans or\n'
+            '    my_run_dense_plan are other words."""\n'
+            "    return OpTemplate('dense', qubits, run_dense_plan)\n",
+        )
+        findings = lint.check_one_kernel_set([engine])
+        assert {f.rule for f in findings} == {"one-kernel-set"}
+        assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
+            (5, "run_dense_plan"), (7, "_dense_template"), (8, "_gemm_strategy"),
+            (10, "run_dense_plan"),
         ]
 
     def test_second_op_body_flagged(self, lint):
@@ -1152,7 +1169,7 @@ class TestLintRepro:
             "import threading\n"
             "_WS_TLS = threading.local()\n"
             "def unitary_template(matrix, qubits, n):\n"
-            "    return _effective_kind(None, qubits, n)\n"
+            "    return kernel_template([KernelItem(qubits, 'gate')], n)\n"
         )
         engine = self.write(lint, "sim/apply.py", kernel_set_rest + engine_source)
         slot = self.write(lint, "runtime/compile.py", self.SLOTS)

@@ -1,15 +1,11 @@
-"""The dense planner's position table and the dense-run fold.
+"""The dense-run fold.
 
-Two contracts.  The planner (`sim/apply.py::_gemm_strategy`) is the one
-place that decides which single-matmul strategy a dense gate gets, and
-`_single_gemm_plannable` / `_dense_plan_impl` read it.  The shared-memory
-lowering (`sim/fusion.py::kernel_lowering`) folds commuting 1q dense gates
-on physically adjacent positions into one item — for every consumer alike
-(compiler, both shard executors, the verifier's expected stream), never into an item that plans to a split or tensordot path, and
-as a numeric fill on rebinds.
+The shared-memory lowering (`sim/fusion.py::kernel_lowering`) folds
+commuting 1q dense gates on physically adjacent positions into one item —
+for every consumer alike (compiler, both shard executors, the verifier's
+expected stream), never over positions that sit apart, and as a numeric
+fill on rebinds.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +18,6 @@ from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
-from repro.errors import KernelError
 from repro.runtime import (
     ParallelRuntime,
     compile_plan,
@@ -31,13 +26,6 @@ from repro.runtime import (
 from repro.session.cache import rebind_plan
 from repro.sim import StateVector, simulate_reference
 from repro.sim import apply as apply_mod
-from repro.sim.apply import (
-    _dense_plan_impl,
-    _gemm_strategy,
-    _single_gemm_plannable,
-    apply_matrix_reference,
-    run_dense_plan,
-)
 from repro.sim.fusion import _fold_positions, kernel_lowering, lower_kernel_gates
 
 SETTINGS = dict(
@@ -45,68 +33,6 @@ SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-SINGLE_GEMM = {"gemm_right", "gemm_left", "stacked"}
-
-
-def _unitary(k, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(1 << k,) * 2) + 1j * rng.normal(size=(1 << k,) * 2)
-    return np.linalg.qr(raw)[0]
-
-
-# ---------------------------------------------------------------------------
-# One position table
-# ---------------------------------------------------------------------------
-
-
-class TestPositionTable:
-    @pytest.mark.parametrize("n", [6, 12, 17, 20])
-    def test_plannable_iff_the_planner_returns_a_single_gemm(self, n):
-        """Over every qubit tuple of width <= 3: `_single_gemm_plannable`
-        holds exactly when `_dense_plan_impl` returns a one-matmul plan (a
-        2q gate otherwise gets a split plan, a 3q gate none at all)."""
-        matrices = {k: _unitary(k, k) for k in (1, 2, 3)}
-        for k in (1, 2, 3):
-            for qubits in itertools.permutations(range(n), k):
-                if k == 3 and n > 12 and qubits[0] % 5:
-                    continue  # thin the 3q sweep on the big registers
-                try:
-                    kind = _dense_plan_impl(matrices[k], n, qubits)[0]
-                except KernelError:
-                    kind = None
-                assert _single_gemm_plannable(qubits, n) == (kind in SINGLE_GEMM), qubits
-                if kind not in SINGLE_GEMM:
-                    assert kind in (("split_stacked", "split_gemm") if k == 2 else (None,))
-
-    @pytest.mark.parametrize("n", [6, 9])
-    def test_every_plan_computes_the_gate(self, n):
-        rng = np.random.default_rng(n)
-        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        for k in (1, 2, 3):
-            matrix = _unitary(k, 10 + k)
-            for qubits in itertools.permutations(range(n), k):
-                if not (k == 2 or _single_gemm_plannable(qubits, n)):
-                    continue
-                out = np.empty_like(state)
-                run_dense_plan(_dense_plan_impl(matrix, n, qubits), state, out)
-                want = apply_matrix_reference(state, matrix, list(qubits))
-                assert np.allclose(out, want, atol=1e-12), qubits
-
-    @pytest.mark.parametrize("qubits,n,strategy", [
-        ((4,), 20, "gemm_right"), ((5,), 20, "stacked"), ((19,), 20, "stacked"),
-        ((3, 4), 20, "gemm_right"), ((4, 5), 20, "stacked"),    # was a 64-column right gemm
-        ((14, 15), 20, "stacked"), ((11, 12), 17, "stacked"),   # were 64x-inflated left gemms
-        ((18, 19), 20, "stacked"),
-        ((1, 2, 3), 20, "gemm_right"), ((2, 3, 4), 17, "gemm_right"),  # were post-2/4 stacked
-        ((3, 4, 5), 20, "stacked"), ((1, 2, 3, 4, 5), 16, "gemm_right"),
-        ((2, 3, 4, 5, 6), 16, "stacked"),
-        ((0, 5), 20, "gemm_right"), ((14, 19), 20, "gemm_left"), ((0, 6), 20, None),
-        ((0, 1, 3), 20, "gemm_right"), ((16, 18, 19), 20, "gemm_left"), ((0, 2, 4), 20, None),
-    ])
-    def test_the_re_measured_table(self, qubits, n, strategy):
-        assert _gemm_strategy(qubits, n) == strategy
-
 
 # ---------------------------------------------------------------------------
 # The fold rule
@@ -156,7 +82,7 @@ class TestFoldRule:
 
 
 # ---------------------------------------------------------------------------
-# Planner-memo hygiene
+# Memo hygiene
 # ---------------------------------------------------------------------------
 
 
@@ -175,12 +101,12 @@ def _ising_plan(rng):
     return machine, template, plan
 
 
-def test_rebinds_leave_the_dense_plan_memo_alone():
+def test_rebinds_leave_the_entry_point_memo_alone():
     """A template's bind fills without memoizing: 200 rebinds of ising-12
-    leave `_BOUND_OPS` (the entry points' memo, where gemm plans live
-    now) where the cold compile left it (50 rebinds used to grow its
-    predecessor 49 -> 1899 entries, each pinning a dead matrix and its
-    expanded copy, until the wipe at 4096 dropped the live ones)."""
+    leave `_BOUND_OPS` (the entry points' memo) where the cold compile left
+    it (50 rebinds used to grow a per-matrix plan memo 49 -> 1899 entries,
+    each pinning a dead matrix, until the wipe at 4096 dropped the live
+    ones)."""
     rng = np.random.default_rng(3)
     machine, template, base_plan = _ising_plan(rng)
     base = compile_plan(base_plan, machine)
@@ -285,11 +211,10 @@ class TestDenseFoldDifferential:
         assert np.array_equal(offloaded.data, parallel.data)
         assert offloaded.allclose(compiled, atol=1e-10)
         assert simulate_reference(Circuit(n, gates), init).allclose(compiled)
-        # No fold spans positions a single gemm would not plan (the grouping
-        # rule of `_fold_positions`).
+        # No fold spans positions that sit apart (the grouping rule of
+        # `_fold_positions`).
         for positions, _gates in _folded_items(program):
             assert max(positions) - min(positions) + 1 == len(positions)
-            assert _gemm_strategy(positions, n) in SINGLE_GEMM
 
     @given(folded_kernel_cases(), st.integers(0, 999))
     @settings(**SETTINGS)

@@ -169,26 +169,37 @@ class TestNativeAgainstTheItemLoop:
         got = _apply(template.bind(items), state)
         assert got.tobytes() == _apply(template.item_loop(items), state).tobytes()
 
-    @pytest.mark.parametrize("width", [2, 3, 4])
-    @pytest.mark.parametrize("lowest", [0, 2, 3, 7])
-    def test_wide_dense_items(self, width, lowest):
+    @pytest.mark.parametrize("positions", [
+        *[tuple((lowest + 3 * j) % 11 for j in range(width))
+          for width in (2, 3, 4) for lowest in (0, 2, 3, 7)],
+        (0, 1), (1, 0), (2, 0), (0, 1, 2), (2, 0, 1), (1, 2, 0),  # inside the vector
+        (3, 4), (7, 3), (3, 4, 5), (9, 4, 6),                     # clear of it
+    ])
+    def test_wide_dense_items(self, positions):
         """A dense 2q / 3q / 4q matrix built by hand (every entry non-zero;
-        no library gate is a dense 3q or 4q one): the generic
-        gather-matvec-scatter, across the vector and clear of it — the item
-        loop's bytes, and the seed contraction's values."""
+        no library gate is a dense 3q or 4q one), and the same matrix with
+        offsets dropped (a controlled block): across the vector, inside it
+        and clear of it — the C body's generic gather-matvec-scatter, and
+        its unrolled forms for a 2q / 3q matrix that keeps every offset,
+        give the item loop's bytes on a state with exact zeros, and the
+        seed contraction's values."""
         n = 11
-        rng = np.random.default_rng(width * 16 + lowest)
+        width = len(positions)
+        rng = np.random.default_rng(sum(p << (4 * j) for j, p in enumerate(positions)))
         dim = 1 << width
         unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        positions = tuple((lowest + 3 * j) % n for j in range(width))
-        items = (LoweredItem(positions, (), matrix=np.ascontiguousarray(unitary)),)
-        template = kernel_template(kernel_items(items), n)
-        assert template.native
-        (state,) = _random_states(n, 1, lowest)
-        got = _apply(template.bind(items), state)
-        assert got.tobytes() == _apply(template.item_loop(items), state).tobytes()
-        want = apply_matrix_reference(state, unitary, positions)
-        assert np.abs(got - want).max() <= dim * np.spacing(np.abs(state).max())
+        controlled = np.eye(dim, dtype=complex)
+        controlled[dim // 2 :, dim // 2 :] = unitary[: dim // 2, : dim // 2]
+        (state,) = _random_states(n, 1, width)
+        state[rng.random(state.shape) < 0.3] = 0.0
+        for matrix in (unitary, controlled):
+            items = (LoweredItem(positions, (), matrix=np.ascontiguousarray(matrix)),)
+            template = kernel_template(kernel_items(items), n)
+            assert template.native
+            got = _apply(template.bind(items), state)
+            assert got.tobytes() == _apply(template.item_loop(items), state).tobytes()
+            want = apply_matrix_reference(state, matrix, positions)
+            assert np.abs(got - want).max() <= dim * np.spacing(np.abs(state).max())
 
     def test_the_scalar_build_computes_the_same_bytes(self, tmp_path, monkeypatch):
         """`-DSM_SCALAR` — no vector extensions: every dense item the plain

@@ -4,9 +4,8 @@ The contract under test: lowering a plan to a :class:`CompiledProgram` and
 executing the op stream matches the reference simulator, and is
 **bit-exact** with the offload executor running the same plan as one shard
 (every kernel then lowers over the same ``n`` positions) on staged and
-hand-built plans; batched ``(B, 2^n)`` execution matches B looped single-state runs
-to tight tolerance (the B-wide gemm fold can change BLAS summation order,
-so exact bit equality is not guaranteed there); rebound (plan-cache-hit)
+hand-built plans; batched ``(B, 2^n)`` execution matches B looped
+single-state runs; rebound (plan-cache-hit)
 programs execute the new circuit's angles while reusing every
 constant-structure op; and the offload/parallel runtimes, now replaying
 compiled segment ops, keep their bit-exactness guarantees.
@@ -180,27 +179,27 @@ class TestBatchedExecution:
         for got, want in zip(batched, looped):
             assert np.max(np.abs(got.data - want.data)) <= self.ATOL
 
-    def test_batched_tensordot_fallback_is_one_contraction(self):
-        # A scattered wide kernel (no gemm plan) contracts the whole stack
-        # at once: one allocation of B states, not B of one.
+    def test_batched_wide_scattered_gate_is_the_looped_run(self):
+        """A scattered 4q dense gate is a one-item kernel like any other:
+        its stacked pass is the looped runs bit for bit and, once warm,
+        allocates nothing."""
         from repro.sim.program import Workspace, compile_unitary_op
 
         n, qubits, batch = 9, (7, 0, 4, 2), 5
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         op = compile_unitary_op(np.linalg.qr(raw)[0], qubits, n)
-        assert op.kind == "big"
+        assert op.kind == "sm"
         ws = Workspace()
         states = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
         looped = [op.run(row.copy(), np.empty_like(row), ws)[0].copy() for row in states]
+        scratch = np.empty_like(states)
+        op.run(states.copy(), scratch, ws)  # warm
         apply_mod.reset_allocation_log()
-        got, _ = op.run(states, np.empty_like(states), ws)
-        assert apply_mod.allocation_log() == [batch << n]
-        # The one op whose stacked pass is not the flat one by construction
-        # (tensordot's gemm spans the whole stack): its documented bound.
+        got, _ = op.run(states, scratch, ws)
+        assert apply_mod.allocation_log() == []
         for row, want in zip(got, looped):
-            bound = (1 << len(qubits)) * np.spacing(np.max(np.abs(want)))
-            assert np.max(np.abs(row - want)) <= bound
+            assert np.array_equal(row, want)
 
     def test_batched_default_initial_states(self):
         circuit = qft(8)
@@ -702,10 +701,9 @@ class TestLoweredKernels:
     @pytest.mark.parametrize("n", [9, 17])
     def test_batched_blocks_bit_exact_with_looped_runs(self, n):
         """An op has one body: the stacked pass equals looped runs bit for
-        bit at every width, a stack of one included — blocks (broadcast and
-        copy ops), gemms (the stack is a looped matmul axis) and layout
-        transposes alike.  At 17 qubits the block reaching qubit 16 runs as
-        slice moves, the low one as a gather."""
+        bit at every width, a stack of one included — kernels and layout
+        transposes alike.  At 17 qubits the block reaching qubit 16 moves
+        whole runs, the low one is a gather."""
         top = n - 1
         gates = [
             make_gate("cx", [0, 1]), make_gate("rz", [1], [0.3]), make_gate("cx", [1, 2]),
@@ -747,11 +745,10 @@ class TestLoweredKernels:
                 for row, want in zip(got, flat):
                     assert np.array_equal(row, want), (op.kind, batch)
 
-    def test_view_memo_is_bounded_over_200_rebinds(self):
-        """Angle-carrying blocks are rebuilt on every rebind.  The view memo
-        is keyed by what the views are, not by which op asked, so a rebound
-        block finds its predecessor's views: 200 rebinds of su2random-14
-        neither grow the memo nor allocate."""
+    def test_200_rebinds_run_without_allocating(self):
+        """Angle-carrying kernels are rebound on every rebind, on the one
+        workspace the family shares: 200 rebinds of su2random-14 never
+        allocate when they run."""
         machine = MachineConfig.for_circuit(14)
         template = su2random(14, reps=1)
         plan = _staged_plan(template, machine)
@@ -775,28 +772,12 @@ class TestLoweredKernels:
             return final
 
         rebind(), rebind()  # warm: both ping-pong buffers have met every op
-        held, entries = workspace._views_held, len(workspace._views)
-        assert held <= workspace._MAX_VIEWS
         allocated.clear()
         for _ in range(200):
             final = rebind()
         # Every kernel is one `sm` op on either body: no run allocates.
         assert allocated == []
-        assert (workspace._views_held, len(workspace._views)) == (held, entries)
         assert abs(np.vdot(final, final).real - 1.0) < 1e-9
-
-    def test_view_memo_evicts_by_total_views(self):
-        from repro.sim.program import Workspace
-
-        ws = Workspace()
-        bufs = [np.zeros(1 << 12, dtype=complex) for _ in range(40)]
-        for buf in bufs:  # 40 entries of 2^10 views: past the 2^15 bound
-            assert len(ws.views(buf, 12, tuple(range(10)))) == 1 << 10
-        assert ws._views_held <= ws._MAX_VIEWS
-        assert ws._views_held == sum(len(v) for _b, v in ws._views.values())
-        # The survivors are the most recent buffers, still served from memo.
-        views = ws.views(bufs[-1], 12, tuple(range(10)))
-        assert views is ws.views(bufs[-1], 12, tuple(range(10)))
 
     def test_lowering_is_read_only(self):
         gates = tuple(su2random(6, reps=1).gates)
@@ -837,11 +818,10 @@ class TestMemoryControls:
         state, _ = execute_plan(plan)
         assert simulate_reference(qft(8)).allclose(state)
 
-    def test_workspace_view_memo_survives_many_buffers(self):
-        """A workspace view memo entry is per (op, buffer); cycling more
-        buffers than any fixed per-op bound must neither error nor corrupt
-        results (regression: a shared 32-entry cache thrashed and could
-        KeyError under concurrent eviction)."""
+    def test_fresh_workspaces_give_the_same_result(self):
+        """A program run on a fresh workspace each time — as many workers'
+        buffers — gives the same bits (regression: a shared 32-entry view
+        cache thrashed and could KeyError under concurrent eviction)."""
         program = compile_plan(_staged_plan(vqc(8, seed=0), _machine(8)))
         from repro.sim.program import Workspace
 
@@ -854,10 +834,9 @@ class TestMemoryControls:
 
     def test_entry_points_do_not_retain_caller_buffers(self):
         """The entry points run the compiler's bound ops on the thread
-        workspace, whose view memo is keyed by buffer identity and holds
-        its base alive — so they must not feed it buffers nobody owns: a
-        buffer pair that is dropped after a permutation, a controlled and a
-        dense gate went over it is really gone."""
+        workspace, which must not keep buffers nobody owns: a buffer pair
+        that is dropped after a permutation, a controlled and a dense gate
+        went over it is really gone."""
         import gc
         import weakref
 
@@ -891,7 +870,7 @@ class TestMemoryControls:
         gc.disable()
         try:
             ws = Workspace()
-            ws.for_caller_buffers().tmp(1 << 8)
+            ws.tmp(1 << 8)
             ref = weakref.ref(ws.pair(1 << 10)[0])
             del ws
             assert ref() is None
@@ -901,17 +880,15 @@ class TestMemoryControls:
     def test_reference_backend_loop_leaves_the_thread_workspace_flat(self):
         """200 fresh 14-qubit states through the reference backend (the
         entry points, gate by gate): the thread workspace ends up holding
-        O(1) state-sized arrays and no view of any of them."""
+        O(1) state-sized arrays."""
         from repro.sim.program import thread_workspace
 
         n = 14
         circuit = random_circuit(n, 12, seed=5)
         ws = thread_workspace()
-        views_before = ws._views_held
         with Session(_machine(n), backend="reference") as session:
             for seed in range(200):
                 session.run(circuit, initial_state=StateVector.basis_state(n, seed))
-        assert ws._views_held == views_before
         state_sized = [size for size, _slot in ws._tmps if size >= 1 << n]
         assert len(state_sized) <= 2 and len(ws._pairs) <= ws._MAX_PAIRS
 
@@ -928,21 +905,22 @@ class TestMemoryControls:
         }
 
 
-class TestWideGemmRouting:
-    """Satellite: k>=3 fused matrices route through single-GEMM dense plans."""
+class TestWideGates:
+    """k >= 3 dense matrices, contiguous or scattered, in any qubit order."""
 
     @pytest.mark.parametrize(
         "qubits",
         [
-            (0, 1, 2),        # low window (exact, gemm_right)
-            (0, 2, 3),        # low window with a hole
-            (4, 5, 6),        # contiguous mid run (stacked)
+            (0, 1, 2),        # the low, contiguous bits of a tile
+            (0, 2, 3),        # low, with a hole
+            (4, 5, 6),        # contiguous mid run
             (2, 1, 3),        # contiguous, scrambled order
-            (7, 8, 9),        # high window (gemm_left / stacked)
-            (6, 8, 9),        # high window with a hole
-            (0, 4, 8),        # scattered: tensordot fallback
+            (7, 8, 9),        # high run
+            (6, 8, 9),        # high, with a hole
+            (0, 4, 8),        # scattered
             (3, 4, 5, 6),     # contiguous 4q
             (9, 8, 7, 6),     # descending order, high run
+            (0, 2, 4, 6, 8),  # 5q: wider than the native body, the item loop
         ],
     )
     def test_wide_apply_matches_reference(self, qubits):
@@ -965,15 +943,3 @@ class TestWideGemmRouting:
         assert np.allclose(want, got_pure, atol=1e-12)
         assert np.allclose(want, got_out, atol=1e-12)
         assert np.allclose(want, inplace, atol=1e-12)
-
-    def test_contiguous_wide_run_is_gemm_planned(self):
-        from repro.sim.apply import _single_gemm_plannable
-
-        assert _single_gemm_plannable((4, 5, 6), 10)
-        assert _single_gemm_plannable((0, 1, 2, 3), 10)
-        assert not _single_gemm_plannable((0, 4, 8), 10)
-        # Very wide contiguous runs stay on tensordot (measured slower as
-        # stacked gemm), except at the register edges.
-        assert not _single_gemm_plannable(tuple(range(5, 15)), 20)
-        assert _single_gemm_plannable(tuple(range(10, 20)), 20)
-        assert _single_gemm_plannable(tuple(range(0, 10)), 20)

@@ -75,26 +75,23 @@ Twenty-one rules, each enforcing an invariant the execution layer depends on
 
 ``one-kernel-set``
     Under ``sim/``, ``runtime/`` and ``analysis/`` there is one
-    gate-application engine: the op templates of ``sim/apply.py``.
-    ``_effective_kind`` (and ``_inplace_preferred``, should it come back)
-    is called from ``unitary_template`` and nowhere else — that call is
-    where a matrix classification and a position become a kernel; a
-    comparison on a ``MatrixInfo``'s ``.kind`` (``info.kind``,
-    ``….reduced_info.kind``) appears only in the analysis, the position
-    refinement, ``unitary_template`` and the monomial-run classification
-    of ``sim/fusion.py``; only ``_permutation_moves`` walks permutation
-    cycles (a ``while`` loop stepping through ``perm[...]``); and
-    ``threading.local()`` appears once under ``sim/`` — the thread
-    workspace is the only per-thread buffer set.  Any of these growing a
-    second site is a second executor's own kernels, dispatch or scratch
-    pool coming back beside the templates.  A kernel reaches execution
-    through one template, ``kernel_template``: under ``sim/``, ``runtime/``
-    and ``analysis/`` it is called from ``runtime/compile.py`` (the kernel
+    gate-application engine: the op templates of ``sim/apply.py``, where
+    an op is a broadcast diagonal or a kernel.  A comparison on a
+    ``MatrixInfo``'s ``.kind`` (``info.kind``) appears only in the
+    analysis and in ``unitary_template``, which reads "diagonal or not";
+    and ``threading.local()`` appears once under ``sim/`` — the thread
+    workspace is the only per-thread buffer set.  Either growing a second
+    site is a second executor's own dispatch or scratch pool coming back
+    beside the templates.  A kernel reaches execution through one
+    template, ``kernel_template``: under ``sim/``, ``runtime/`` and
+    ``analysis/`` it is called from ``runtime/compile.py`` (the kernel
     slot, which every executor's kernel op comes from — a compiled
-    program's, or a shard schedule's segment, full-state ones included)
-    and from ``sim/fusion.py::apply_gate_sequence`` (a gate list applied
-    outside any plan) and nowhere else — a second caller is a second way
-    for a kernel to run (the native library's entry point is
+    program's, or a shard schedule's segment, full-state ones included),
+    from ``sim/apply.py::unitary_template`` (one gate that is not
+    diagonal, a one-item kernel) and from
+    ``sim/fusion.py::apply_gate_sequence`` (a gate list applied outside
+    any plan) and nowhere else — a second caller is a second way for a
+    kernel to run (the native library's entry point is
     ``one-native-loader``'s).  A fusion kernel too, on
     every host: under ``runtime/`` ``fused_unitary`` is called nowhere — a
     call there is an executor fusing a kernel by itself again.  The
@@ -107,8 +104,13 @@ Twenty-one rules, each enforcing an invariant the execution layer depends on
     ``segment_relabels_shards`` and the race detector's restatement of it,
     ``shard_write_map``; then the fused-gemm fallback ``_FusedSlot`` with
     ``kernel_fusion``, ``fill_fused_unitary`` and ``gate_step``, its guard
-    ``_StructureChanged`` and the bounds ``gemm_ulps`` and ``stack_ulps``
-    — are named nowhere under ``src/`` (as whole words), and
+    ``_StructureChanged`` and the bounds ``gemm_ulps`` and ``stack_ulps``;
+    then the BLAS dense planner (``_gemm_strategy``, ``_dense_plan_impl``,
+    ``run_dense_plan`` and its helpers and thresholds), the position
+    refinement ``_effective_kind`` and the templates built on them — the
+    controlled, dense, tensordot and slice-move templates with the cycle
+    walk ``_permutation_moves`` — are named nowhere under ``src/`` (as
+    whole words), and
     ``execute_plan`` takes no ``compiled`` parameter: a plan
     runs as a compiled program or a shard schedule, and a failed lowering
     raises.  Under ``runtime/`` no entry point of ``sim/apply.py``
@@ -373,31 +375,29 @@ SCHEDULE_KEY_WORD = "schedule_key"
 
 KERNEL_SET_SCOPE = ("sim/", "runtime/", "analysis/")
 KERNEL_SET_HOME = "sim/apply.py"
-#: The functions that refine a classification by position, and the one
-#: function allowed to call them.
-KERNEL_CHOICE_FUNCS = ("_effective_kind", "_inplace_preferred")
-KERNEL_CHOICE_CALLER = "unitary_template"
-#: Names a ``MatrixInfo`` goes by where its ``.kind`` is compared, and the
-#: functions licensed to compare it: the analysis that builds it, the
-#: position refinement and the one template chooser (the shared-memory
-#: lowering reads a gate's shape, never a ``MatrixInfo``).
-MATRIX_INFO_NAMES = {"info", "reduced_info"}
-MATRIX_KIND_SITES = {"_analyze_impl", "_effective_kind", "unitary_template"}
-CYCLE_WALK_SITE = "_permutation_moves"
+#: The name a ``MatrixInfo`` goes by where its ``.kind`` is compared, and
+#: the functions licensed to compare it: the analysis that builds it and
+#: the one template chooser (the shared-memory lowering reads a gate's
+#: shape, never a ``MatrixInfo``).
+MATRIX_INFO_NAMES = {"info"}
+MATRIX_KIND_SITES = {"_analyze_impl", "unitary_template"}
 THREAD_LOCAL_SCOPE = "sim/"
 
 #: The kernel template, and where it may be called — module, and the
 #: function there (``""``: anywhere in it).
 KERNEL_TEMPLATE = "kernel_template"
-KERNEL_TEMPLATE_CALLERS = {"runtime/compile.py": "", "sim/fusion.py": "apply_gate_sequence"}
+KERNEL_TEMPLATE_CALLERS = {
+    "runtime/compile.py": "", "sim/apply.py": "unitary_template",
+    "sim/fusion.py": "apply_gate_sequence",
+}
 #: A fusion kernel's matrix: no runtime builds one (a fusion kernel is the
 #: kernel op, on every host).
 FUSED_MATRIX_CALL = "fused_unitary"
 FUSED_MATRIX_SCOPE = "runtime/"
 #: The uncompiled paths — their kernel-op builders, memos' surface,
-#: degraded shard pass and per-shard gate resolution — and the fused-gemm
-#: fallback with its guard and its bounds: named nowhere under ``src/``
-#: (whole words).
+#: degraded shard pass and per-shard gate resolution — the fused-gemm
+#: fallback with its guard and its bounds, and the BLAS dense planner with
+#: the templates built on it: named nowhere under ``src/`` (whole words).
 RETIRED_KERNEL_NAMES = (
     "apply_lowered_items", "fused_unitary_cached", "fused_kernel_op",
     "configure_fusion_cache", "fusion_cache_stats",
@@ -405,6 +405,13 @@ RETIRED_KERNEL_NAMES = (
     "_gate_on_shard", "segment_relabels_shards", "shard_write_map",
     "kernel_fusion", "fill_fused_unitary", "gate_step", "_FusedSlot",
     "_StructureChanged", "gemm_ulps", "stack_ulps",
+    "_gemm_strategy", "_dense_plan_impl", "run_dense_plan", "_dense_accumulate",
+    "_dense_views_inplace", "_big_to_out", "_reorder_matrix_bits",
+    "_single_gemm_plannable", "_STACKED_MIN_LOW", "_WIDE_STACKED_MAX",
+    "_WIDE_HOLE_MAX", "_MIN_VIEW_BITS", "_effective_kind",
+    "_controlled_gather_gemm_inplace", "_controlled_template", "_dense_template",
+    "_big_template", "_permutation_moves", "_bind_moves", "_run_moves",
+    "_moves_template",
 )
 RETIRED_KERNEL_WORDS = re.compile(r"\b(%s)\b" % "|".join(RETIRED_KERNEL_NAMES))
 #: The plan executor, and the parameter that selected a second tier.
@@ -740,7 +747,6 @@ def _names_matrix_info(node: ast.AST) -> bool:
 def check_one_kernel_set(files: list[Path]) -> list[Finding]:
     """The cross-file ``one-kernel-set`` rule over the linted *files*."""
     findings: list[Finding] = []
-    choice_calls = {name: 0 for name in KERNEL_CHOICE_FUNCS}
     thread_locals: list[tuple[str, int]] = []
     home_linted = False
 
@@ -784,25 +790,14 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                     f"on first sight of a matrix",
                     f"{where}:{name}",
                 )
-            if name in choice_calls:
-                choice_calls[name] += 1
-                if KERNEL_CHOICE_CALLER not in stack:
-                    flag(
-                        rel, node.lineno,
-                        f"`{name}` called in {where}: a classification and a "
-                        f"position become a kernel in sim/apply.py::"
-                        f"{KERNEL_CHOICE_CALLER} and nowhere else — bind its "
-                        f"template instead of dispatching again",
-                        f"{where}:{name}",
-                    )
             caller = KERNEL_TEMPLATE_CALLERS.get(rel_src)
             if name == KERNEL_TEMPLATE and (caller is None or (caller and caller not in stack)):
                 flag(
                     rel, node.lineno,
                     f"`{KERNEL_TEMPLATE}` called in {where}: every executor's "
                     f"kernel op is built by the compiler's kernel slot "
-                    f"(runtime/compile.py); "
-                    f"sim/fusion.py::apply_gate_sequence is the one other caller",
+                    f"(runtime/compile.py); sim/apply.py::unitary_template and "
+                    f"sim/fusion.py::apply_gate_sequence are the other callers",
                     f"{where}:{KERNEL_TEMPLATE}",
                 )
             f = node.func
@@ -816,23 +811,10 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
             if any(_names_matrix_info(side) for side in [node.left, *node.comparators]):
                 flag(
                     rel, node.lineno,
-                    f"comparison on a MatrixInfo's `.kind` in {where}: kernels "
-                    f"are chosen by the template builders of sim/apply.py, "
-                    f"not per call site",
+                    f"comparison on a MatrixInfo's `.kind` in {where}: an op "
+                    f"is chosen by sim/apply.py::unitary_template, not per "
+                    f"call site",
                     f"{where}:kind",
-                )
-        if isinstance(node, ast.While) and CYCLE_WALK_SITE not in stack:
-            walks = any(
-                isinstance(inner, ast.Subscript)
-                and isinstance(inner.value, ast.Name) and inner.value.id == "perm"
-                for inner in ast.walk(node)
-            )
-            if walks:
-                flag(
-                    rel, node.lineno,
-                    f"permutation cycle walk in {where}: cycles are lowered "
-                    f"to moves once, in sim/apply.py::{CYCLE_WALK_SITE}",
-                    f"{where}:cycles",
                 )
         for child in ast.iter_child_nodes(node):
             visit(child, stack, rel, rel_src)
@@ -847,10 +829,10 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
                 name = match.group(1)
                 flag(
                     rel, lineno,
-                    f"`{name}` under src/: nothing runs outside a compiled "
-                    f"program or a shard schedule — every kernel op comes from "
-                    f"their slots, with no per-kernel op memo, and a failed "
-                    f"lowering raises",
+                    f"`{name}` under src/: a retired second path — every "
+                    f"gate runs as a broadcast diagonal or a kernel op, a "
+                    f"plan's from the compiler's slots, with no per-kernel op "
+                    f"memo, and a failed lowering raises",
                     name,
                 )
         if not rel_src.startswith(KERNEL_SET_SCOPE):
@@ -859,13 +841,6 @@ def check_one_kernel_set(files: list[Path]) -> list[Finding]:
         visit(ast.parse(source, filename=str(path)), [], rel, rel_src)
     if not home_linted:
         return findings
-    if choice_calls[KERNEL_CHOICE_FUNCS[0]] == 0:
-        flag(
-            f"src/repro/{KERNEL_SET_HOME}", 0,
-            f"no call to `{KERNEL_CHOICE_FUNCS[0]}`: the kernel choice moved "
-            f"without this rule following it",
-            f"{KERNEL_CHOICE_FUNCS[0]}:missing",
-        )
     if len(thread_locals) != 1:
         for rel, line in thread_locals or [(f"src/repro/{KERNEL_SET_HOME}", 0)]:
             flag(
