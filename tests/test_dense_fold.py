@@ -7,6 +7,8 @@ expected stream), never over positions that sit apart, and as a numeric
 fill on rebinds.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -33,6 +35,77 @@ SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _unitary(k, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(1 << k,) * 2) + 1j * rng.normal(size=(1 << k,) * 2)
+    return np.linalg.qr(raw)[0]
+
+
+# ---------------------------------------------------------------------------
+# One op at every position
+# ---------------------------------------------------------------------------
+
+
+class TestPositionTable:
+    """A dense gate is one op kind wherever it sits: a one-item kernel,
+    never a strategy picked by position.  The positions a BLAS planner
+    once told apart (low, high, straddling the tile edge, with holes)
+    all compute the gate."""
+
+    @pytest.mark.parametrize("n", [6, 12, 17, 20])
+    def test_every_position_binds_a_one_item_kernel(self, n):
+        """Over every qubit tuple of width <= 3 a dense matrix binds a
+        kernel and a diagonal a broadcast, whatever the positions."""
+        matrices = {k: _unitary(k, k) for k in (1, 2, 3)}
+        for k in (1, 2, 3):
+            phases = np.diag(np.exp(1j * np.arange(1 << k)))
+            for qubits in itertools.permutations(range(n), k):
+                if k == 3 and n > 12 and qubits[0] % 5:
+                    continue  # thin the 3q sweep on the big registers
+                template = apply_mod.unitary_template(matrices[k], qubits, n)
+                assert (template.kind, template.qubits) == ("sm", qubits)
+                if qubits[0] % 7 == 0:  # a diagonal's broadcast index is state-sized
+                    assert apply_mod.unitary_template(phases, qubits, n).kind == "diagonal"
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_every_position_computes_the_gate(self, n):
+        rng = np.random.default_rng(n)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for k in (1, 2, 3):
+            matrix = _unitary(k, 10 + k)
+            for qubits in itertools.permutations(range(n), k):
+                out = np.empty_like(state)
+                apply_mod.apply_matrix(state, matrix, list(qubits), out=out)
+                want = apply_mod.apply_matrix_reference(state, matrix, list(qubits))
+                assert np.allclose(out, want, atol=1e-12), qubits
+
+    @pytest.mark.parametrize("qubits,n", [
+        ((4,), 20), ((5,), 20), ((19,), 20),
+        ((3, 4), 20), ((4, 5), 20),
+        ((14, 15), 20), ((11, 12), 17),
+        ((18, 19), 20),
+        ((1, 2, 3), 20), ((2, 3, 4), 17),
+        ((3, 4, 5), 20), ((1, 2, 3, 4, 5), 16),
+        ((2, 3, 4, 5, 6), 16),
+        ((0, 5), 20), ((14, 19), 20), ((0, 6), 20),
+        ((0, 1, 3), 20), ((16, 18, 19), 20), ((0, 2, 4), 20),
+    ])
+    def test_the_former_table_positions(self, qubits, n):
+        """The BLAS planner's re-measured table (right / left gemm, stacked,
+        or none) on 16-20 qubits: each entry is the same one-item kernel,
+        in place and into a distinct buffer."""
+        rng = np.random.default_rng(n + sum(qubits))
+        matrix = _unitary(len(qubits), len(qubits) + n)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        want = apply_mod.apply_matrix_reference(state, matrix, list(qubits))
+        out = np.empty_like(state)
+        apply_mod.apply_matrix(state, matrix, list(qubits), out=out)
+        assert np.allclose(out, want, atol=1e-12)
+        apply_mod.apply_matrix(state, matrix, list(qubits), out=state)
+        assert np.array_equal(state, out)
+
 
 # ---------------------------------------------------------------------------
 # The fold rule
