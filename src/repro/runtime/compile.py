@@ -56,6 +56,15 @@ A rebind
   returning new ops — programs and their arrays are never written to.
   An op is a kernel (or a lone gate), so the counts are in kernels.
 
+A bind takes a **stack** of jobs: ``compile_plan([plan_1, ..., plan_B],
+reuse=)`` admits each plan on its own, runs the gather program once over
+the ``(entries, B)`` stack of their tables and gives every kernel op one
+payload row per admitted plan, so the program runs the ``(B, 2^n)`` stack
+of their states in one pass (:meth:`CompiledProgram.run_batched`), row
+``b`` bit for bit plan ``b``'s solo program.  A plan the structure
+declines is listed in ``declined`` and compiles alone.  A solo job is a
+stack of one: there is no other bind.
+
 A shards-segment of the sharded executors' schedule is the same thing over
 ``2^L`` shard buffers: :class:`SegmentStructure` holds the slots of the
 segment's local work, built by the per-kernel builder the plan walk uses
@@ -72,10 +81,12 @@ a lowering that fails raises its typed error.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from itertools import chain
 from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -111,6 +122,7 @@ __all__ = [
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
+    "program_row",
 ]
 
 
@@ -165,25 +177,27 @@ class _KernelSlot:
         self.pickers = tuple([_picker(item.members) for item in lowering])
         self.kernel = -1
 
-    def bind(self, gates, old, entries: np.ndarray, run: GatherRun | None):
-        """The op for the pool's *gates*, whose matrices are *entries*
-        (row-major, one after another) and whose numbers *run* holds.
-        *old* — the op an earlier bind of this slot produced, if any — is
-        kept when its gates compare equal (angles included — Gate equality
-        covers params), which a slot without parameterized gates needs no
-        comparison for."""
-        if old is not None and (not self.parameterized or old.gates == gates):
+    def bind(self, rows, old, entries: np.ndarray, run: GatherRun | None):
+        """The op for the pool's gates in each of *rows* (one gate tuple per
+        job of the stack), whose numbers *run* holds row by row.  *old* —
+        the op an earlier one-row bind of this slot produced, if any — is
+        kept when every row's gates compare equal to its gates (angles
+        included — Gate equality covers params), which a slot without
+        parameterized gates needs no comparison for: its one payload serves
+        every row."""
+        if old is not None and (not self.parameterized or all(gates == old.gates for gates in rows)):
             return old
-        return self.fill(gates, entries, run)
+        return self.fill(rows[0], run)
 
-    def fill(self, gates, entries: np.ndarray, run: GatherRun | None) -> CompiledOp:
+    def fill(self, gates, run: GatherRun | None) -> CompiledOp:
+        """The stacked fill: one payload row per row of *run*, bound into
+        one op (its metadata names *gates*, the first row's)."""
         template, kernel = self.template, self.kernel
-        if template.native:
-            bound = template.bind_numbers(
-                run.numbers_of(kernel), lambda: template.loop(run.arrays_of(kernel))
-            )
-        else:
-            bound = template.loop(run.arrays_of(kernel))
+
+        def item_loop():
+            return template.loop(run.arrays_of(kernel))
+
+        bound = template.bind_numbers(run.numbers_of(kernel), item_loop) if template.native else item_loop()
         return template.compiled(bound, self.source, gates, [pick(gates) for pick in self.pickers])
 
 
@@ -282,10 +296,12 @@ class _DynamicSlot:
             ((shard_index >> shift) & 1) << j for j, (_q, shift, _kind) in enumerate(self.axes)
         )
 
-    def bind(self, pool, old, entries: np.ndarray, run=None) -> tuple[CompiledOp | None, ...]:
+    def bind(self, rows, old, entries: np.ndarray, run=None) -> tuple[CompiledOp | None, ...]:
         """The variant ops for the pool's one gate, whose matrix is
-        *entries* (row-major).  *old* is kept when its gate compares equal
-        — read off its last variant, every bit 1, which always has an op."""
+        *entries* (row-major) — of one job: a shards-segment binds one row.
+        *old* is kept when its gate compares equal — read off its last
+        variant, every bit 1, which always has an op."""
+        ((pool,), (entries,)) = rows, entries
         if old is not None and (not self.parameterized or old[-1].gates == pool):
             return old
         values = entries.take(self.picks)
@@ -359,19 +375,25 @@ class _Structure:
                 [(slot.gather, self.entry_starts[slot.pool]) for slot in kernels], at[-1]
             )
 
-    def entries(self, table: GateTable) -> np.ndarray:
-        """Every pool gate's matrix, row-major, pool after pool — one
-        gather out of *table*."""
-        return table.flat.take(table.offsets.take(self.entry_positions) + self.entry_offsets)
+    def entries(self, tables: list[GateTable]) -> np.ndarray:
+        """Every pool gate's matrix, row-major, pool after pool, one column
+        per table of *tables* — one gather out of each."""
+        at, positions = self.entry_offsets, self.entry_positions
+        return np.stack(
+            [table.flat.take(table.offsets.take(positions) + at) for table in tables], axis=1
+        )
 
     def bind(
-        self, pools: list[tuple[Gate, ...]], reuse_ops: list | None, table: GateTable
+        self, rows: list[list[tuple[Gate, ...]]], reuse_ops: list | None,
+        tables: list[GateTable],
     ) -> tuple[list, int]:
-        """The op stream for matching *pools*, their numbers read from
-        *table*: ``(ops, ops taken verbatim from reuse_ops)`` — *reuse_ops*
-        aligned slot by slot, it was bound from this structure
-        (:meth:`_KernelSlot.bind`)."""
-        entries, starts = self.entries(table), self.entry_starts
+        """The op stream of a stack — per job its matching pools (*rows*),
+        its numbers read from its table of *tables* — every kernel's
+        numbers for every row out of one gather-program run:
+        ``(ops, ops taken verbatim from reuse_ops)`` — *reuse_ops* aligned
+        slot by slot, bound from this structure for one row
+        (:meth:`_KernelSlot.bind`).  A solo job is a stack of one."""
+        entries, starts = self.entries(tables), self.entry_starts
         run = self.program(entries) if self.program is not None else None
         ops: list = []
         reused = 0
@@ -381,7 +403,10 @@ class _Structure:
                 continue
             old = reuse_ops[index] if reuse_ops is not None else None
             pool = slot.pool
-            op = slot.bind(pools[pool], old, entries[starts[pool] : starts[pool + 1]], run)
+            op = slot.bind(
+                [pools[pool] for pools in rows], old,
+                entries[starts[pool] : starts[pool + 1]].T, run,
+            )
             reused += op is old
             ops.append(op)
         return ops, reused
@@ -619,33 +644,47 @@ class SegmentStructure(_Structure):
         )
 
 
-def bind_structure(reuse, admit, build) -> tuple:
+def bind_structure(reuse, rows: list, admit, build) -> tuple:
     """The one admit → bind → else-cold sequence of every compile.
 
-    *reuse* is ``(structure, what was bound from it)`` of an earlier
-    compile, or ``None``; ``admit(structure)`` returns ``(the new job's
+    *rows* are the jobs bound together — a stack; a shard schedule binds
+    one.  *reuse* is ``(structure, what was bound from it)`` of an earlier
+    compile, or ``None``; ``admit(structure, row)`` returns ``(the job's
     gates — pools for a program —, its gate table)`` when it has that
     structure, else ``None``; ``build()`` returns a fresh structure, which
-    must admit the job (a kernel whose ``gate_indices`` do not name its
-    gates is a :class:`PlanValidationError`).  A job that is not admitted
-    is built cold in full and never adopts the reuse structure.  Returns
+    must admit the first row (a kernel whose ``gate_indices`` do not name
+    its gates is a :class:`PlanValidationError`).  The rows the reuse
+    structure admits are bound over it; when it admits none, the first row
+    is built cold in full — never adopting the reuse structure — and every
+    row the cold structure admits is bound over that.  Returns
     ``(structure, what its bind returned, whether the reuse structure was
-    bound)``.
+    bound, the indices of the rows it declined)``.
     """
     if reuse is not None:
         structure, bound = reuse
-        admitted = admit(structure)
-        if admitted is not None:
-            return structure, structure.bind(admitted[0], bound, admitted[1]), True
+        admitted = [admit(structure, row) for row in rows]
+        if any(entry is not None for entry in admitted):
+            result, declined = _bind_rows(structure, admitted, bound)
+            return structure, result, True, declined
     structure = build()
-    admitted = admit(structure)
-    if admitted is None:
+    admitted = [admit(structure, row) for row in rows]
+    if admitted[0] is None:
         raise PlanValidationError("a kernel's gate_indices do not name its gates in its stage")
-    return structure, structure.bind(admitted[0], None, admitted[1]), False
+    result, declined = _bind_rows(structure, admitted, None)
+    return structure, result, False, declined
+
+
+def _bind_rows(structure, admitted: list, bound) -> tuple:
+    """Bind the admitted rows of a stack over *structure*, in row order:
+    ``(its bind's result, the declined rows' indices)``."""
+    declined = tuple([index for index, entry in enumerate(admitted) if entry is None])
+    taken = [entry for entry in admitted if entry is not None]
+    result = structure.bind([gates for gates, _t in taken], bound, [table for _g, table in taken])
+    return result, declined
 
 
 def compile_plan(
-    plan: ExecutionPlan,
+    plan: "ExecutionPlan | Sequence[ExecutionPlan]",
     machine: MachineConfig | None = None,
     check_locality: bool = True,
     reuse: CompiledProgram | None = None,
@@ -656,7 +695,18 @@ def compile_plan(
     Parameters
     ----------
     plan:
-        A kernelized execution plan (or a rebound copy of one).
+        A kernelized execution plan (or a rebound copy of one) — or a
+        stack of them, plans of one structure (a structural-key group of a
+        parameter sweep, a service burst): every kernel op of the program
+        then carries one payload row per plan and runs the ``(B, 2^n)``
+        stack of their states through
+        :meth:`~repro.sim.program.CompiledProgram.run_batched`, row ``b``
+        bit for bit the program of plan ``b`` alone.  Each plan is admitted
+        on its own; ``declined`` lists the ones the stack's structure does
+        not admit (``rx(0)`` bound onto a generic ``rx``), which the
+        program does not run — compile each alone, through the counted
+        fallback.  A stack of one plan object repeated is one payload row
+        that serves every row, as a single plan is.
     machine:
         Optional machine config; its ``local_qubits`` drives the locality
         check, otherwise each stage's partition local-set size is used.
@@ -670,37 +720,43 @@ def compile_plan(
         When *plan* passes the structure guard, ops whose source gates
         compare equal are taken verbatim and the rest are refilled through
         the structure; when it does not, the plan is compiled from scratch
-        (``ops_recompiled``) — still correct, just not a rebind.
+        (``ops_recompiled``) — still correct, just not a rebind.  Only a
+        one-row program's ops are taken verbatim.
     workspace:
         Buffer set for the program; defaults to the reuse program's (so a
         rebound family shares one ping-pong pair) or a fresh one.
     """
     faults.check("compile")
+    rows = [plan] if isinstance(plan, ExecutionPlan) else list(plan)
+    if all(row is rows[0] for row in rows):
+        rows = rows[:1]
+    first = rows[0]
     if workspace is None:
         workspace = reuse.workspace if reuse is not None else Workspace()
-    if reuse is not None and reuse.num_qubits != plan.num_qubits:
+    if reuse is not None and reuse.num_qubits != first.num_qubits:
         raise PlanValidationError("reuse program spans a different qubit count")
 
     local = machine.local_qubits if machine is not None else None
 
-    def admit(structure: ProgramStructure):
-        admitted = structure.admit(plan, local)
+    def admit(structure: ProgramStructure, row: ExecutionPlan):
+        admitted = structure.admit(row, local)
         if check_locality and admitted is not None:
             structure.prove_locality(*admitted)
         return admitted
 
     held = reuse.structure if reuse is not None else None
-    structure, (ops, reused), rebound = bind_structure(
-        (held, reuse.ops) if isinstance(held, ProgramStructure) else None,
-        admit, lambda: ProgramStructure(plan, local),
+    structure, (ops, reused), rebound, declined = bind_structure(
+        (held, reuse.ops if reuse.rows == 1 else None)
+        if isinstance(held, ProgramStructure) else None,
+        rows, admit, lambda: ProgramStructure(first, local),
     )
 
     return CompiledProgram(
-        num_qubits=plan.num_qubits,
+        num_qubits=first.num_qubits,
         ops=ops,
         workspace=workspace,
-        num_stages=len(plan.stages),
-        num_gates=plan.gate_count(),
+        num_stages=len(first.stages),
+        num_gates=first.gate_count(),
         num_kernels=structure.num_kernels,
         num_permutations=structure.num_permutations,
         kernels_per_stage=list(structure.kernels_per_stage),
@@ -708,9 +764,37 @@ def compile_plan(
         ops_reused=reused,
         ops_rebound=structure.num_gate_ops - reused if rebound else 0,
         ops_recompiled=structure.num_gate_ops if reuse is not None and not rebound else 0,
-        provenance=plan.provenance,
+        provenance=first.provenance,
         structure=structure,
+        rows=len(rows) - len(declined),
+        declined=declined,
     )
+
+
+def program_row(
+    program: CompiledProgram, plan: ExecutionPlan, machine: MachineConfig | None = None
+) -> CompiledProgram:
+    """*program* as the static verifier reads it for *plan*, one of the
+    plans it was bound from: a stacked program's ops name its first row's
+    gates, so the row's view takes the same op closures with *plan*'s
+    gates and items (:func:`repro.check.verify_program` compares them
+    with the plan).  A one-row program is its own view."""
+    structure = program.structure
+    if program.rows == 1 or not isinstance(structure, ProgramStructure):
+        return program
+    admitted = structure.admit(plan, machine.local_qubits if machine is not None else None)
+    if admitted is None:
+        raise PlanValidationError("plan is not a row of this stacked program")
+    pools = admitted[0]
+    view = copy.copy(program)
+    view.ops = [
+        op if isinstance(slot, CompiledOp) else slot.template.compiled(
+            op.run, slot.source, pools[slot.pool],
+            [pick(pools[slot.pool]) for pick in slot.pickers],
+        )
+        for slot, op in zip(structure.slots, program.ops)
+    ]
+    return view
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,8 @@ def compile_segment_ops(
     faults.check("compile")
     starts = structure.starts
     bound, _reused = structure.bind(
-        [tuple(gates[a:b]) for a, b in zip(starts, starts[1:])],
-        None if reuse is None else [op for _kind, op in reuse], table,
+        [[tuple(gates[a:b]) for a, b in zip(starts, starts[1:])]],
+        None if reuse is None else [op for _kind, op in reuse], [table],
     )
     ops = SegmentOps(zip(structure.kinds, bound))
     ops.shards = structure.shard_streams(bound)
@@ -420,12 +420,14 @@ class ScheduleStructure:
         return admitted
 
     def bind(
-        self, gates: list[Gate], reuse_stages, table: GateTable
+        self, rows: list[list[Gate]], reuse_stages, tables: list[GateTable]
     ) -> list[tuple[dict[int, int], list[Segment]]]:
-        """The schedule stages of a job's *gates*: every segment bound
+        """The schedule stages of a job's gates — *rows* holds the one job a
+        schedule binds, *tables* its gate table: every segment bound
         through :func:`compile_segment_ops`, with the segment of
         *reuse_stages* — stages bound from this structure, if any — as its
         ``reuse``."""
+        ((gates,), (table,)) = rows, tables
         stages = []
         for index, (l2p, cuts) in enumerate(self.stages):
             held = reuse_stages[index][1] if reuse_stages is not None else [None] * len(cuts)
@@ -480,9 +482,9 @@ def build_schedule(
     way the result equals a cold build bit for bit and never carries
     another circuit's angles.
     """
-    structure, stages, rebound = bind_structure(
-        None if reuse is None else (reuse.structure, reuse.stages),
-        lambda held: held.admit(plan, local_qubits),
+    structure, stages, rebound, _declined = bind_structure(
+        None if reuse is None else (reuse.structure, reuse.stages), [plan],
+        lambda held, row: held.admit(row, local_qubits),
         lambda: ScheduleStructure(plan, local_qubits),
     )
     return Schedule(stages, structure, rebound)

@@ -13,6 +13,13 @@ implements *deficit round-robin* (DRR) across tenants:
 * A tenant whose queue empties forfeits its remaining deficit — credit
   never accumulates while idle, so a returning tenant cannot burst past
   its share.
+* Jobs the service runs beside the one DRR picked — queued jobs of one
+  structure, stacked into one dispatch (:meth:`FairShareScheduler.drain`)
+  — are charged to their own tenants: the cost comes off each one's
+  deficit, which may go negative.  A debt is never forfeited; the
+  tenant's later visits repay it before it dispatches again, so stacking
+  moves a job earlier but leaves every tenant's share of dispatched cost
+  as it was.
 
 DRR gives each tenant with weight :math:`w_i` a long-run share of
 :math:`w_i / \\sum_j w_j` of dispatched cost, and — because every active
@@ -174,8 +181,8 @@ class FairShareScheduler:
                 queue = self._queues[names[self._cursor]]
                 head = queue.peek()
                 if head is None:
-                    # Idle tenants forfeit accumulated credit.
-                    queue.deficit = 0.0
+                    # Idle tenants forfeit accumulated credit (not a debt).
+                    queue.deficit = min(queue.deficit, 0.0)
                     queue.visit_credited = False
                     self._cursor += 1
                     continue
@@ -190,7 +197,7 @@ class FairShareScheduler:
                     job = queue.pop()
                     nxt = queue.peek()
                     if nxt is None:
-                        queue.deficit = 0.0
+                        queue.deficit = min(queue.deficit, 0.0)
                     if nxt is None or queue.deficit < nxt.cost:
                         # Visit over: credit spent (or queue empty).
                         queue.visit_credited = False
@@ -198,3 +205,30 @@ class FairShareScheduler:
                     return queue.tenant, job
                 queue.visit_credited = False
                 self._cursor += 1
+
+    def queued(self) -> "list[QueuedJob]":
+        """Every queued job, in submission order."""
+        return sorted(
+            (job for queue in self._queues.values() for job in queue._heap),
+            key=lambda job: job.seq,
+        )
+
+    def drain(self, match, limit: int) -> "list[tuple[str, QueuedJob]]":
+        """Take up to *limit* queued jobs whose payload *match* accepts,
+        from any tenant, in submission order — never waiting for more —
+        each charged to its own tenant: its cost comes off that tenant's
+        deficit (which may go negative, a debt its later visits repay) and
+        counts as dispatched."""
+        found = sorted(
+            (job.seq, tenant, job)
+            for tenant, queue in self._queues.items()
+            for job in queue._heap
+            if match(job.payload)
+        )[: max(limit, 0)]
+        for _seq, tenant, job in found:
+            queue = self._queues[tenant]
+            queue.remove(job)
+            queue.deficit -= job.cost
+            queue.dispatched_cost += job.cost
+            queue.dispatched_jobs += 1
+        return [(tenant, job) for _seq, tenant, job in found]

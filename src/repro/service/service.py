@@ -126,6 +126,15 @@ class _WorkItem:
     modelled_seconds: "float | None" = None
 
 
+def _shape(circuit: Circuit) -> tuple:
+    """What two circuits of one structural key always share and is read in
+    constant time: qubit and gate counts, and the first and last gates'
+    names and qubits (a qubit relabelling moves them)."""
+    gates = circuit.gates
+    ends = (gates[0].name, gates[0].qubits, gates[-1].name, gates[-1].qubits) if gates else ()
+    return circuit.num_qubits, len(gates), ends
+
+
 def parse_circuit_spec(spec: str) -> Circuit:
     """Build a circuit from a one-line textual spec.
 
@@ -241,6 +250,10 @@ class SimulationService:
         self.rejected = 0
         self.deduplicated = 0
         self.peak_queue_depth = 0
+        #: Dispatches that ran two or more jobs as one stack, and the jobs
+        #: they ran (``docs/service.md``).
+        self.stacked_dispatches = 0
+        self.stacked_rows = 0
         # Durability: write-ahead journal, crash recovery, watchdog.
         self.recovered = 0
         self.abandoned = 0
@@ -661,7 +674,77 @@ class SimulationService:
     # Scheduler thread
     # ------------------------------------------------------------------
 
+    #: Run keywords a job may carry and still share a dispatch: they act
+    #: the same on each circuit of a stack.  (``seed``, ``deadline`` and
+    #: ``initial_states`` would act on the stack as a whole.)
+    _STACKABLE_KWARGS = frozenset(
+        {"backend", "machine", "planner", "shots", "observables", "normalize"}
+    )
+
+    def _stack_match(self, item: _WorkItem):
+        """What a queued item must be to share *item*'s dispatch — one
+        circuit, equal run keywords and the same structural key, on a
+        backend that runs compiled programs — as a predicate over payloads;
+        ``None`` when *item* runs alone.  (A shard backend's schedule binds
+        one job, so it keeps one dispatch per job.)"""
+        kwargs = item.run_kwargs
+        if len(item.circuits) != 1 or not self._STACKABLE_KWARGS.issuperset(kwargs):
+            return None
+        (circuit,) = item.circuits
+        session = self.session
+        try:
+            machine = kwargs.get("machine") or session.machine
+            backend = session.backend_instance(
+                session.resolve_backend(circuit.num_qubits, machine, kwargs.get("backend"))
+            )
+        except Exception:
+            return None
+        if not (backend.uses_programs and backend.program_kind == "program"):
+            return None
+        key = circuit.structural_key()
+        shape = _shape(circuit)
+
+        def match(other: _WorkItem) -> bool:
+            # The cheap shape first: a queued circuit's key is computed (and
+            # memoised for its own dispatch) only when it could match.
+            if len(other.circuits) != 1:
+                return False
+            (candidate,) = other.circuits
+            if _shape(candidate) != shape or candidate.structural_key() != key:
+                return False
+            try:
+                return bool(other.run_kwargs == kwargs)
+            except Exception:  # keywords that do not compare (arrays)
+                return False
+
+        return match
+
+    def _claim(self, entries) -> list:
+        """``(tenant, item, claimed jobs)`` of each scheduled entry with a
+        job still to run; an entry whose every job was cancelled while
+        queued is accounted (and journalled) as cancelled here."""
+        group = []
+        for tenant, queued in entries:
+            item: _WorkItem = queued.payload
+            claimed = [job for job in item.jobs if job._mark_running()]
+            if claimed:
+                group.append((tenant, item, claimed))
+                continue
+            stats = self._tenant(tenant)
+            self.cancelled += len(item.jobs)
+            stats.cancelled += len(item.jobs)
+            if self._journal is not None and item.job_id is not None:
+                self._journal.append("cancelled", item.job_id, tenant=tenant)
+        return group
+
     def _scheduler_loop(self) -> None:
+        """Dispatch under DRR, one structure at a time: the item DRR picks,
+        with every queued item of its structure (:meth:`_stack_match`,
+        :meth:`FairShareScheduler.drain` — at most a stack's
+        :meth:`Session.stack_limit`, charged to their own tenants), runs as
+        one :meth:`Session.run` — a solo item is a group of one.  Journal
+        records stay per job: ``running`` for each before, ``completed`` /
+        ``failed`` for each after."""
         while True:
             with self._cond:
                 self._heartbeat = time.monotonic()
@@ -673,113 +756,124 @@ class SimulationService:
                 entry = self._scheduler.next_job()
                 if entry is None:
                     continue
-                tenant, queued = entry
-                item: _WorkItem = queued.payload
-                claimed = [job for job in item.jobs if job._mark_running()]
-                stats = self._tenant(tenant)
-                if not claimed:
-                    # Every job of the item was cancelled while queued.
-                    self.cancelled += len(item.jobs)
-                    stats.cancelled += len(item.jobs)
-                    if self._journal is not None and item.job_id is not None:
-                        self._journal.append(
-                            "cancelled", item.job_id, tenant=tenant
-                        )
+                group = self._claim([entry])
+                if not group:
                     self._cond.notify_all()
                     continue
                 self._inflight += 1
-                self.dispatched += 1
-                if item.job_id is not None:
-                    self._running_since[item.job_id] = (
-                        time.monotonic(),
-                        item.modelled_seconds,
-                        tenant,
+                queued = [job.payload for job in self._scheduler.queued()]
+            # Which queued items share the pick's structure is worked out
+            # outside the service lock (a circuit's first key costs a gate
+            # table), so a client's submit never waits on it.
+            item = group[0][1]
+            match = self._stack_match(item) if queued else None
+            chosen = {id(other) for other in queued if match(other)} if match else set()
+            with self._cond:
+                if chosen:
+                    limit = Session.stack_limit(item.circuits[0].num_qubits)
+                    group += self._claim(
+                        self._scheduler.drain(lambda other: id(other) in chosen, limit - 1)
                     )
-            run_kwargs = dict(item.run_kwargs)
-            if self._journal is not None and item.job_id is not None:
-                # Write-ahead: the transition precedes the execution, so
-                # a crash mid-run replays this job as an orphan.
-                self._journal.append("running", item.job_id, tenant=tenant)
-                # Durable dispatch: stage checkpoints land under the
-                # journal with a per-job tag; recovered jobs resume from
-                # whatever their crashed run already completed.
-                run_kwargs.setdefault(
-                    "checkpoint",
-                    CheckpointConfig(
-                        self._journal.checkpoint_dir, tag=f"job{item.job_id}"
-                    ),
-                )
-                if item.recovered:
+                self.dispatched += len(group)
+                if len(group) > 1:
+                    self.stacked_dispatches += 1
+                    self.stacked_rows += len(group)
+                now = time.monotonic()
+                for tenant, member, _claimed in group:
+                    if member.job_id is not None:
+                        self._running_since[member.job_id] = (
+                            now, member.modelled_seconds, tenant,
+                        )
+            first = group[0][1]
+            run_kwargs = dict(first.run_kwargs)
+            if self._journal is not None:
+                for tenant, item, _claimed in group:
+                    if item.job_id is not None:
+                        # Write-ahead: the transition precedes the execution,
+                        # so a crash mid-run replays this job as an orphan.
+                        self._journal.append("running", item.job_id, tenant=tenant)
+                if first.job_id is not None:
+                    # Durable dispatch: stage checkpoints land under the
+                    # journal with a per-job tag; recovered jobs resume from
+                    # whatever their crashed run already completed.  (A
+                    # stack runs in core, where neither applies.)
                     run_kwargs.setdefault(
-                        "resume_from", self._journal.checkpoint_dir
+                        "checkpoint",
+                        CheckpointConfig(self._journal.checkpoint_dir, tag=f"job{first.job_id}"),
                     )
+                    if first.recovered:
+                        run_kwargs.setdefault("resume_from", self._journal.checkpoint_dir)
             started = time.monotonic()
+            session_stats = self.session.stats
             stats_before = (
-                self.session.stats.cache_hits,
-                self.session.stats.shared_cache_hits,
-                self.session.stats.plans_built,
+                session_stats.cache_hits, session_stats.shared_cache_hits,
+                session_stats.plans_built,
             )
             error = None
             inner = None
+            circuits = [c for _tenant, item, _claimed in group for c in item.circuits]
             try:
-                inner = self.session.run(
-                    item.circuits, execute=True, **run_kwargs
-                )
+                inner = self.session.run(circuits, execute=True, **run_kwargs)
             except BaseException as exc:  # propagate through every Job
                 error = exc
             finished = time.monotonic()
-            if self._journal is not None and item.job_id is not None:
-                if error is None:
-                    self._journal.append(
-                        "completed",
-                        item.job_id,
-                        tenant=tenant,
-                        wall_seconds=finished - started,
-                    )
-                else:
-                    self._journal.append(
-                        "failed",
-                        item.job_id,
-                        tenant=tenant,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-            if error is None:
-                results = inner.results()
+            if self._journal is not None:
+                for tenant, item, _claimed in group:
+                    if item.job_id is None:
+                        continue
+                    if error is None:
+                        self._journal.append(
+                            "completed", item.job_id, tenant=tenant,
+                            wall_seconds=finished - started,
+                        )
+                    else:
+                        self._journal.append(
+                            "failed", item.job_id, tenant=tenant,
+                            error=f"{type(error).__name__}: {error}",
+                        )
+            results = inner.results() if error is None else []
+            at = 0
+            for _tenant, item, claimed in group:
+                own = results[at : at + len(item.circuits)]
+                at += len(item.circuits)
                 for job in claimed:
-                    job._complete(
-                        results,
-                        backend=inner.backend,
-                        wall_seconds=inner.wall_seconds,
-                        cache_hits=inner.cache_hits,
-                    )
-            else:
-                for job in claimed:
-                    job._fail(error)
+                    if error is None:
+                        job._complete(
+                            own, backend=inner.backend, wall_seconds=inner.wall_seconds,
+                            cache_hits=sum(1 for r in own if r.cache_hit),
+                        )
+                    else:
+                        job._fail(error)
             with self._cond:
                 self._inflight -= 1
                 self._heartbeat = time.monotonic()
-                if item.job_id is not None:
-                    self._running_since.pop(item.job_id, None)
-                delta = (
-                    self.session.stats.cache_hits - stats_before[0],
-                    self.session.stats.shared_cache_hits - stats_before[1],
-                    self.session.stats.plans_built - stats_before[2],
-                )
-                stats.cache_hits += delta[0]
-                stats.shared_cache_hits += delta[1]
-                stats.plans_built += delta[2]
-                stats.wait_seconds += started - item.submitted_at
-                stats.turnaround_seconds += finished - item.submitted_at
-                if error is None:
-                    self.completed += len(claimed)
-                    stats.completed += len(claimed)
-                else:
-                    self.failed += len(claimed)
-                    stats.failed += len(claimed)
-                skipped = len(item.jobs) - len(claimed)
-                if skipped:
-                    self.cancelled += skipped
-                    stats.cancelled += skipped
+                # Planning happens for the stack's first row; every later
+                # row is a local hit.
+                hits = session_stats.cache_hits - stats_before[0]
+                for index, (tenant, item, claimed) in enumerate(group):
+                    stats = self._tenant(tenant)
+                    if item.job_id is not None:
+                        self._running_since.pop(item.job_id, None)
+                    if index == 0:
+                        stats.cache_hits += max(hits - (len(group) - 1), 0)
+                        stats.shared_cache_hits += (
+                            session_stats.shared_cache_hits - stats_before[1]
+                        )
+                        stats.plans_built += session_stats.plans_built - stats_before[2]
+                    else:
+                        stats.cache_hits += 1
+                    stats.wait_seconds += started - item.submitted_at
+                    stats.turnaround_seconds += finished - item.submitted_at
+                    if error is None:
+                        self.completed += len(claimed)
+                        stats.completed += len(claimed)
+                    else:
+                        self.failed += len(claimed)
+                        stats.failed += len(claimed)
+                    skipped = len(item.jobs) - len(claimed)
+                    if skipped:
+                        self.cancelled += skipped
+                        stats.cancelled += skipped
                 self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -844,6 +938,8 @@ class SimulationService:
                 "cancelled": self.cancelled,
                 "rejected": self.rejected,
                 "deduplicated": self.deduplicated,
+                "stacked_dispatches": self.stacked_dispatches,
+                "stacked_rows": self.stacked_rows,
                 "tenants": {
                     name: stats.as_dict()
                     for name, stats in sorted(self._tenants.items())

@@ -230,10 +230,12 @@ class InCoreBackend(ExecutionBackend):
 
     Runs the compiled program the Session's plan cache carries (zero
     per-gate dispatch; the structural cache rebinds programs across a
-    parameter sweep).  Batch items that share one program — a circuit
-    fanned out over many initial states, a shots/observables sweep —
-    execute as a single stacked ``(B, 2^n)`` pass through the same op
-    closures, every row bit-identical to its own run.  A failure raises its typed error.
+    parameter sweep).  Consecutive batch items that share one program — a
+    stacked bind of a structure's circuits (one payload row each), a
+    circuit fanned out over many initial states (one payload row for
+    all), a solo job (a stack of one) — execute as a single ``(B, 2^n)``
+    pass through the same op closures, every row bit-identical to its own
+    run.  A failure raises its typed error.
     """
 
     name = "incore"
@@ -253,21 +255,21 @@ class InCoreBackend(ExecutionBackend):
         while index < len(items):
             deadline.check("batch item")
             program = programs[index]
-            span = index + 1
-            while program is not None and span < len(items) and programs[span] is program:
-                span += 1
-            if span - index > 1:
-                # One program, many initial states: a single (B, 2^n) pass.
-                states = [state for _plan, state, _circuit in items[index:span]]
-                faults.check("kernel_apply")
-                for offset, final in enumerate(program.run_batched(states)):
-                    results[index + offset] = (final, trace_for_program(program))
-            else:
+            if program is None:
                 plan, state, circuit = items[index]
                 results[index] = self.run_plan(
-                    plan, machine, initial_state=state, circuit=circuit,
-                    program=program, deadline=deadline,
+                    plan, machine, initial_state=state, circuit=circuit, deadline=deadline
                 )
+                index += 1
+                continue
+            span = index + 1
+            while span < len(items) and programs[span] is program:
+                span += 1
+            # One program, one (B, 2^n) pass: its rows' states.
+            states = [state for _plan, state, _circuit in items[index:span]]
+            faults.check("kernel_apply")
+            for offset, final in enumerate(program.run_batched(states)):
+                results[index + offset] = (final, trace_for_program(program))
             index = span
         return results
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,7 +55,7 @@ from ..errors import (
 )
 from ..planner.pipeline import PassManager, resolve_planner
 from ..runtime import faults as _faults
-from ..runtime.compile import compile_plan
+from ..runtime.compile import compile_plan, program_row
 from ..runtime.faults import FaultInjector
 from ..runtime.offload import Schedule, build_schedule
 from ..sim.program import CompiledProgram
@@ -79,7 +78,14 @@ from .cache import (
 )
 from .result import Job, Result, normalize_observable
 
-__all__ = ["Session", "SessionStats"]
+__all__ = ["STACK_AMPLITUDES", "Session", "SessionStats"]
+
+#: A stacked bind holds as many distinct circuits of one structure as keep
+#: its ``(B, 2^n)`` stack within this many amplitudes (at least one): the
+#: rows share the per-job glue, not the engine, so a state this large is
+#: worth a stack no more (and a sweep of large states keeps today's two
+#: buffers).  The native pass splits across cores from the same size.
+STACK_AMPLITUDES = 1 << 17
 
 
 @dataclass
@@ -161,6 +167,10 @@ class SessionStats:
     #: the "pool convoying vs stuck job" signal the service watchdog uses.
     exec_lock_acquisitions: int = 0
     exec_lock_wait_seconds: float = 0.0
+    #: Rows run by stacked binds — programs whose kernel ops carry one
+    #: payload row per circuit of a structural-key group, two or more
+    #: (``docs/api.md``): which path a job took, from emitted data.
+    stacked_rows: int = 0
 
     def as_dict(self) -> dict:
         """Every field by name (dict-valued ones copied) plus the derived
@@ -191,6 +201,11 @@ class _Request(NamedTuple):
     planner: "str | PassManager | None"
     checkpoint: object
     resume_from: object
+
+
+#: What :meth:`Session.plan_for` returns per circuit: ``(plan, report,
+#: cache_hit, program)``.
+_Planned = tuple[ExecutionPlan, "PartitionReport | None", bool, "CompiledProgram | Schedule | None"]
 
 
 class _Item(NamedTuple):
@@ -428,14 +443,43 @@ class Session:
         return chain[chain.index(name):] if name in chain else (name,)
 
     @staticmethod
+    def stack_limit(num_qubits: int) -> int:
+        """How many distinct circuits of *num_qubits* one stacked bind
+        takes: as many as keep the stack within :data:`STACK_AMPLITUDES`
+        amplitudes, at least one."""
+        return max(1, STACK_AMPLITUDES >> num_qubits)
+
+    @staticmethod
+    def stack_groups(circuits: Sequence[Circuit]) -> list[list[int]]:
+        """The indices of *circuits* per stack, in order of first
+        appearance: circuits of one structural key, at most
+        :meth:`stack_limit` distinct circuit objects each (a circuit
+        object repeated — one fanned out over initial states — joins its
+        group's stack however often).  A group plans through one cache
+        lookup and, on a backend that runs compiled programs, binds once,
+        as one ``(width, 2^n)`` stack."""
+        groups: list[list[int]] = []
+        open_groups: dict[str, tuple[list[int], set[int]]] = {}
+        for index, circuit in enumerate(circuits):
+            key = circuit.structural_key()
+            group = open_groups.get(key)
+            if group is None or (
+                id(circuit) not in group[1]
+                and len(group[1]) >= Session.stack_limit(circuit.num_qubits)
+            ):
+                group = open_groups[key] = ([], set())
+                groups.append(group[0])
+            group[0].append(index)
+            group[1].add(id(circuit))
+        return groups
+
+    @staticmethod
     def stack_widths(circuits: Sequence[Circuit]) -> list[tuple[Circuit, int]]:
-        """``(circuit, width)`` per run of one circuit object in *circuits*:
-        the items that share a plan and a compiled program, which a backend
-        that runs compiled programs executes as one ``(width, 2^n)`` stack."""
-        return [
-            (run[0], len(run))
-            for run in (list(group) for _id, group in groupby(circuits, key=id))
-        ]
+        """``(first circuit, width)`` per stack of *circuits*
+        (:meth:`stack_groups`): the items that share one structure, which a
+        backend that runs compiled programs executes as one ``(width,
+        2^n)`` stack."""
+        return [(circuits[group[0]], len(group)) for group in Session.stack_groups(circuits)]
 
     def modelled_device_bytes(
         self, backend_name: str, machine: MachineConfig, num_qubits: int,
@@ -577,12 +621,12 @@ class Session:
 
     def plan_for(
         self,
-        circuit: Circuit,
+        circuit: "Circuit | Sequence[Circuit]",
         machine: MachineConfig | None = None,
         backend: str | None = None,
         compile_programs: bool = True,
         planner: "str | PassManager | None" = None,
-    ) -> "tuple[ExecutionPlan, PartitionReport | None, bool, CompiledProgram | Schedule | None]":
+    ) -> "_Planned | list[_Planned]":
         """Plan *circuit* through the structural cache.
 
         Returns ``(plan, report, cache_hit, program)``.  On a hit the plan
@@ -607,6 +651,15 @@ class Session:
         it (``run`` passes it for ``execute=False`` jobs, which never
         execute a program).
 
+        *circuit* may be a stack — circuits of one structural key
+        (:meth:`stack_groups`) — and then the result is a list of those
+        tuples, one per circuit: the group makes one cache lookup under one
+        planner signature, every later circuit is a hit rebound from what
+        the first acquired, and an in-core backend's programs are bound as
+        one stacked program (``compile_plan`` of the group's plans; a plan
+        its structure declines compiles alone, counted as a rebind
+        fallback).  A single circuit is a stack of one.
+
         With a ``shared_cache`` configured, a local miss consults the
         cross-tenant store under the circuit's canonical structural key:
         a shared hit binds the stored plan skeleton to this circuit
@@ -614,29 +667,49 @@ class Session:
         partitioner, and every pipeline-built plan is published back.
 
         Whatever the source it is one flow: key → :meth:`_acquire_plan`
-        (local hit | shared hit | build) → program → store → static check.
+        (local hit | shared hit | build) → programs → store → static check.
         """
         with self._lock:
+            rows = [circuit] if isinstance(circuit, Circuit) else list(circuit)
+            first = rows[0]
             machine = self._resolve_machine(machine)
-            backend_name = self.resolve_backend(circuit.num_qubits, machine, backend)
+            backend_name = self.resolve_backend(first.num_qubits, machine, backend)
             backend_obj = self.backend_instance(backend_name)
             manager = self.resolve_planner_manager(planner)
 
             planner_key = backend_obj.planner_key()
             if planner_key is None:
                 planner_key = self._planner_key(manager)
-            key = plan_cache_key(circuit, machine, planner_key)
+            key = plan_cache_key(first, machine, planner_key)
+            if any(row.structural_key() != key[0] for row in rows):
+                raise ValueError(  # lint: config-error
+                    "plan_for stacks circuits of one structural key only"
+                )
 
             source, base, report, programs, publish = self._acquire_plan(
-                circuit, machine, key, planner_key, backend_obj, manager
+                first, machine, key, planner_key, backend_obj, manager
             )
-            plan = rebind_plan(base, circuit) if source == "local" else base
+            # Later circuits of the stack bind the entry the first acquired.
+            own: dict[int, ExecutionPlan] = {
+                id(first): rebind_plan(base, first) if source == "local" else base
+            }
+            for row in rows:
+                if id(row) not in own:
+                    own[id(row)] = rebind_plan(base, row)
+                    self.stats.cache_hits += 1
+            plans = [own[id(row)] for row in rows]
             kind = backend_obj.program_kind
             held = keep = programs.get(kind)
-            program = None
+            bound: list = [None] * len(rows)
             if compile_programs and backend_obj.uses_programs:
-                acquire = self._schedule_for if kind == "schedule" else self._compiled_for
-                program, keep = acquire(plan, machine, held)
+                if kind == "schedule":
+                    by_plan: dict[int, object] = {}
+                    for index, plan in enumerate(plans):
+                        if id(plan) not in by_plan:
+                            by_plan[id(plan)], keep = self._schedule_for(plan, machine, keep)
+                        bound[index] = by_plan[id(plan)]
+                else:
+                    bound, keep = self._compiled_for(plans, machine, held)
             if source != "local" or keep is not held:
                 # A shared hit is stored too, so later same-structure jobs
                 # rebind (and share the program workspace) locally.
@@ -647,12 +720,23 @@ class Session:
                 shared_key, mapping = publish
                 self.shared_cache.put(
                     shared_key,
-                    plan_skeleton(plan, program if kind == "program" else None, mapping),
+                    plan_skeleton(plans[0], bound[0] if kind == "program" else None, mapping),
                 )
             if self.check != "off":
-                self._static_check(plan, machine, circuit, program, kind == "schedule")
+                checked: set[int] = set()
+                for row, plan, program in zip(rows, plans, bound):
+                    if id(row) in checked:
+                        continue
+                    checked.add(id(row))
+                    if kind == "program" and program is not None:
+                        program = program_row(program, plan, machine)
+                    self._static_check(plan, machine, row, program, kind == "schedule")
             hit = source != "built"
-            return plan, None if hit else report, hit, program
+            out = [
+                (plan, None if hit or row is not first else report, hit or row is not first, program)
+                for row, plan, program in zip(rows, plans, bound)
+            ]
+            return out[0] if isinstance(circuit, Circuit) else out
 
     def _acquire_plan(
         self,
@@ -736,30 +820,56 @@ class Session:
         return schedule, held
 
     def _compiled_for(
-        self, plan: ExecutionPlan, machine: MachineConfig, held: "CompiledProgram | None"
-    ) -> "tuple[CompiledProgram, CompiledProgram]":
-        """The compiled program of the job's own *plan*, counted: ``(the
-        job's, the cache entry's)`` — :meth:`_schedule_for`'s shape.
+        self, plans: list[ExecutionPlan], machine: MachineConfig,
+        held: "CompiledProgram | None",
+    ) -> "tuple[list[CompiledProgram], CompiledProgram]":
+        """The compiled programs of a stack's own *plans*, one per plan,
+        counted: ``(the stack's, the cache entry's)`` —
+        :meth:`_schedule_for`'s shape.
 
-        Rebound from the entry's *held* program — ops whose gates changed
-        get their payload refilled through its structure, the rest are
-        kept — or compiled cold when the entry has none (a fresh plan, or a
-        local entry stored by a job that ran no program: a sharded backend,
-        they share the Atlas planner key, or ``execute=False``) and then
-        kept as the entry's, so later hits only rebind.  A lowering that
-        fails raises its typed error.
+        Without a *held* program (a fresh plan, or a local entry stored by
+        a job that ran no program: a sharded backend, they share the Atlas
+        planner key, or ``execute=False``) the first plan is compiled cold
+        and kept as the entry's, so later hits only rebind.  The rest —
+        every plan, given one — are bound over the entry's structure as one
+        stacked program (ops whose gates changed get their payload
+        refilled, the rest are kept); a plan the structure declines
+        compiles alone, counted as a rebind fallback.  A plan object
+        repeated over the whole stack (one circuit fanned out over initial
+        states) binds one payload row that serves every row.  A lowering
+        that fails raises its typed error.
         """
-        t0 = time.perf_counter()
-        program = compile_plan(plan, machine, reuse=held)
+        stats = self.stats
+        programs: list = [None] * len(plans)
+        rest = list(range(len(plans)))
         if held is None:
-            self.stats.programs_compiled += 1
-            return program, program
-        self.stats.program_rebind_seconds += time.perf_counter() - t0
-        self.stats.programs_rebound += 1
-        self.stats.program_ops_reused += program.ops_reused
-        self.stats.program_ops_rebound += program.ops_rebound
-        self.stats.program_rebind_fallbacks += bool(program.ops_recompiled)
-        return program, held
+            held = compile_plan(plans[0], machine)
+            stats.programs_compiled += 1
+            rest = [index for index in rest if plans[index] is not plans[0]]
+            for index in range(len(plans)):
+                if plans[index] is plans[0]:
+                    programs[index] = held
+            if not rest:
+                return programs, held
+        t0 = time.perf_counter()
+        stack = compile_plan([plans[index] for index in rest], machine, reuse=held)
+        rows = [stack]
+        for position in stack.declined:
+            fallback = compile_plan(plans[rest[position]], machine, reuse=held)
+            programs[rest[position]] = fallback
+            rows.append(fallback)
+        for position, index in enumerate(rest):
+            if programs[index] is None:
+                programs[index] = stack
+        stats.program_rebind_seconds += time.perf_counter() - t0
+        for program in rows:
+            stats.programs_rebound += program.rows
+            stats.program_ops_reused += program.ops_reused * program.rows
+            stats.program_ops_rebound += program.ops_rebound * program.rows
+            stats.program_rebind_fallbacks += program.rows if program.ops_recompiled else 0
+        if stack.rows > 1:
+            stats.stacked_rows += stack.rows
+        return programs, held
 
     def _lookup(self, store, key: tuple, bind=None):
         """``store.get(key)`` — run through *bind* when given — or ``None``
@@ -1058,39 +1168,43 @@ class Session:
         )
 
     def _plan_items(self, req: _Request, backend_name: str) -> list[_Item]:
-        """Plan each distinct circuit object once, in request order."""
-        planned: dict[int, tuple] = {}
-        items = []
-        for circuit, state in zip(req.circuits, req.states):
+        """Plan the request stack by stack (:meth:`stack_groups`): one
+        :meth:`plan_for` per group of one structure; items in request
+        order."""
+        items: list = [None] * len(req.circuits)
+        for group in self.stack_groups(req.circuits):
             req.deadline.check("planning")
-            if id(circuit) not in planned:
-                planned[id(circuit)] = self.plan_for(
-                    circuit, req.machine, backend_name,
-                    compile_programs=req.execute, planner=req.planner,
-                )
-            # The same circuit object fanned out over several initial
-            # states reuses the exact plan and compiled program (not even a
-            # rebind) — the backend batches these into one stacked
-            # (B, 2^n) execution.
-            items.append(_Item(circuit, state, *planned[id(circuit)]))
+            planned = self.plan_for(
+                [req.circuits[index] for index in group], req.machine, backend_name,
+                compile_programs=req.execute, planner=req.planner,
+            )
+            for index, entry in zip(group, planned):
+                items[index] = _Item(req.circuits[index], req.states[index], *entry)
         return items
 
     def _execute(
         self, req: _Request, items: list[_Item], chain: list[str]
     ) -> tuple[list, float]:
         """Run the planned items as one batch on the admitted backend
-        (``chain[-1]``); returns ``(outs, wall_seconds)``.  A real
-        allocation failure degrades down the backend chain — appending to
-        *chain* — and re-runs the batch, planned again for the successor (a
-        cache hit that binds the kind of program *it* runs).
+        (``chain[-1]``); returns ``(outs, wall_seconds)`` in item order.  The
+        items that share a program run next to each other, in order — a
+        stacked program's rows are its plans' (:meth:`_compiled_for`).  A
+        real allocation failure degrades down the backend chain — appending
+        to *chain* — and re-runs the batch, planned again for the successor
+        (a cache hit that binds the kind of program *it* runs).
         """
         t0 = time.perf_counter()
         while True:
+            first: dict[int, int] = {}
+            order = sorted(
+                range(len(items)), key=lambda i: first.setdefault(id(items[i].program), i)
+            )
+            ordered = [items[i] for i in order]
             try:
                 outs = self.backend_instance(chain[-1]).run_batch(
-                    [(item.plan, item.state, item.circuit) for item in items],
+                    [(item.plan, item.state, item.circuit) for item in ordered],
                     req.machine,
-                    programs=[item.program for item in items],
+                    programs=[item.program for item in ordered],
                     deadline=req.deadline,
                     checkpoint=req.checkpoint,
                     resume_from=req.resume_from,
@@ -1105,12 +1219,15 @@ class Session:
                 chain.append(successors[0])
                 self._session_fallbacks += 1
                 items = self._plan_items(req, chain[-1])
+        in_order: list = [None] * len(items)
+        for position, index in enumerate(order):
+            in_order[index] = outs[position]
         execute_seconds = time.perf_counter() - t0
         self.stats.execute_seconds += execute_seconds
         self.stats.backend_runs[chain[-1]] = (
             self.stats.backend_runs.get(chain[-1], 0) + len(items)
         )
-        return outs, execute_seconds
+        return in_order, execute_seconds
 
     def _assemble(
         self, req: _Request, items: list[_Item], outs: list, chain: list[str],
@@ -1132,7 +1249,12 @@ class Session:
 
         per_item_wall = execute_seconds / len(items)
         results = []
+        # One modelled timing per structure: the rows of a stack share it.
+        timings: dict[str, object] = {}
         for item, (out_state, exec_stats) in zip(items, outs):
+            structure = item.circuit.structural_key()
+            if structure not in timings:
+                timings[structure] = backend_obj.timing(item.plan, req.machine, self.cost_model)
             samples = None
             expectations: dict[tuple[int, ...], float] = {}
             if out_state is not None:
@@ -1145,7 +1267,7 @@ class Session:
                     circuit_name=item.circuit.name,
                     backend=chain[-1],
                     state=out_state,
-                    timing=backend_obj.timing(item.plan, req.machine, self.cost_model),
+                    timing=timings[structure],
                     plan=item.plan,
                     report=item.report,
                     cache_hit=item.cache_hit,

@@ -243,29 +243,6 @@ def _validate(state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]) -> i
     return n
 
 
-def _basis_views(
-    buf: np.ndarray, n: int, qubits: Sequence[int], lead: int = 0
-) -> list[np.ndarray]:
-    """The ``2^k`` sub-views of *buf* — ``2^n`` amplitudes behind ``lead``
-    batch axes — indexed by the basis of *qubits*.
-
-    The leading axes are kept whole in every view.  View ``b`` fixes qubit
-    ``qubits[j]`` to bit ``j`` of ``b``.
-    """
-    axes = [lead + qubit_axis(n, q) for q in qubits]
-    # Trailing dummy axis so a fully-indexed result is still a (1,)-shaped
-    # writable view rather than a 0-d scalar copy.
-    tensor = buf.reshape(buf.shape[:lead] + (2,) * n + (1,))
-    base: list = [slice(None)] * (lead + n + 1)
-    views = []
-    for b in range(1 << len(qubits)):
-        idx = list(base)
-        for j, ax in enumerate(axes):
-            idx[ax] = (b >> j) & 1
-        views.append(tensor[tuple(idx)])
-    return views
-
-
 def _diag_broadcast(diagonal: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
     """Reshape ``2^k`` diagonal entries to broadcast over the state tensor."""
     k = len(qubits)
@@ -615,15 +592,17 @@ class KernelTemplate(OpTemplate):
     oracle.
 
     Under both sit the binds of bare numbers, which the plan compiler
-    gathers from a gate table (:class:`repro.sim.fusion.GatherProgram`):
-    ``loop(arrays)`` — per item a block's phases, a gate's matrix or a
-    fold's 2×2 factors —
-    and, when ``native``, ``bind_numbers(numbers, fallback)`` — the one
-    complex payload the C body reads, packed as ``fills`` say (``(item,
-    mode, offset, index)``; :func:`_tile_program`), with
+    gathers from a gate table (:class:`repro.sim.fusion.GatherProgram`),
+    one payload row per row of a ``(B, 2^n)`` stack or one row that serves
+    every row: ``loop(rows)`` — per row, per item a block's phases, a
+    gate's matrix or a fold's 2×2 factors —
+    and, when ``native``, ``bind_numbers(numbers, fallback)`` — per row the
+    one complex payload the C body reads (a ``(rows, size)`` array whose
+    rows may sit apart), packed as ``fills`` say (``(item, mode, offset,
+    index)``; :func:`_tile_program`), with
     *fallback* returning the item loop's run for a buffer the C body cannot
     walk.  ``bind`` packs filled items the same way (``pack``, the
-    oracle)."""
+    oracle) into one shared row."""
 
     __slots__ = ("items", "native", "item_loop", "loop", "bind_numbers", "pack", "fills")
 
@@ -821,7 +800,7 @@ def _gate1_step(position: int, matrix: np.ndarray) -> Callable:
     low = 1 << position
 
     def step(src, dst, tmp, size):
-        x, y = src.reshape(2, -1, 2, low), dst.reshape(2, -1, 2, low)
+        x, y, tmp = src.reshape(2, -1, 2, low), dst.reshape(2, -1, 2, low), tmp[:size]
         if low > _SHORT_RUN:
             parts = [(x, y, *tmp.reshape(2, -1, low))]
         else:  # runs too short for a ufunc's inner loop: one strided pass each
@@ -842,30 +821,42 @@ def _gate1_step(position: int, matrix: np.ndarray) -> Callable:
 def _dense_step(n: int, qubits: tuple, matrix: np.ndarray) -> Callable:
     """``dense_each``: row ``r``'s sum over the offsets ``dense_terms``
     keeps, term ``m[r][r ^ t] * x[r ^ t]``, the first one not added to
-    zero."""
+    zero.  A term is applied to every row ``r`` at once — ``x[r ^ t]`` is
+    the state tensor with the axes of ``t``'s bits reversed, and the
+    coefficients broadcast over it — so each row's products and sums run
+    in the same order as one row at a time, at six ufunc calls a term."""
     d = len(matrix)
-    re, im = matrix.real.tolist(), matrix.imag.tolist()
-    terms = [t for t in range(d) if any(re[r][r ^ t] or im[r][r ^ t] for r in range(d))]
-    rows = [[(r ^ t, re[r][r ^ t], im[r][r ^ t]) for t in terms] for r in range(d)]
+    r = np.arange(d)
+    terms = [t for t in range(d) if np.any(matrix[r, r ^ t] != 0)]
+    axes = [1 + qubit_axis(n, q) for q in qubits]  # behind the row axis
+    coefficients = []
+    for t in terms:
+        flip = [slice(None)] * (1 + n)
+        for j, axis in enumerate(axes):
+            if (t >> j) & 1:
+                flip[axis] = slice(None, None, -1)
+        entries = matrix[r, r ^ t]
+        coefficients.append((
+            _diag_broadcast(entries.real.copy(), n, qubits),
+            _diag_broadcast(entries.imag.copy(), n, qubits), tuple(flip),
+        ))
 
     def step(src, dst, tmp, size):
-        xs = _basis_views(src.reshape(2, -1, 1 << n), n, qubits, lead=2)
-        ys = _basis_views(dst.reshape(2, -1, 1 << n), n, qubits, lead=2)
-        t, u = tmp[: 2 * (size // d)].reshape((2,) + xs[0].shape[1:])
-        for (yr, yi), row in zip(ys, rows):
-            if not row:
-                yr.fill(0.0)
-                yi.fill(0.0)
-            for i, (c, mr, mi) in enumerate(row):
-                xr, xi = xs[c]
-                if i == 0:
-                    _products(yr, u, mr, xr, mi, xi, False)
-                    _products(yi, u, mr, xi, mi, xr, True)
-                    continue
-                _products(t, u, mr, xr, mi, xi, False)
-                np.add(yr, t, out=yr)
-                _products(t, u, mr, xi, mi, xr, True)
-                np.add(yi, t, out=yi)
+        x, y = src.reshape((2, -1) + (2,) * n), dst.reshape((2, -1) + (2,) * n)
+        yr, yi = y
+        t, u = tmp[:size].reshape(yr.shape), tmp[size : 2 * size].reshape(yr.shape)
+        if not coefficients:
+            dst.fill(0.0)
+        for i, (mr, mi, flip) in enumerate(coefficients):
+            xr, xi = x[0][flip], x[1][flip]
+            if i == 0:
+                _products(yr, u, mr, xr, mi, xi, False)
+                _products(yi, u, mr, xi, mi, xr, True)
+                continue
+            _products(t, u, mr, xr, mi, xi, False)
+            np.add(yr, t, out=yr)
+            _products(t, u, mr, xi, mi, xr, True)
+            np.add(yi, t, out=yi)
 
     return step
 
@@ -888,7 +879,7 @@ def _phase_step(n: int, index: np.ndarray, phases: np.ndarray) -> Callable:
     shape = (-1,) + (2,) * n
 
     def step(src, dst, tmp, size):
-        x, y, t = src.reshape((2,) + shape), dst.reshape((2,) + shape), tmp.reshape(shape)
+        x, y, t = src.reshape((2,) + shape), dst.reshape((2,) + shape), tmp[:size].reshape(shape)
         _products(y[0], t, pr, x[0], pi, x[1], False)
         _products(y[1], t, pr, x[1], pi, x[0], True)
 
@@ -904,6 +895,31 @@ def _planes(buf: "np.ndarray | None", size: int, ws, slot: int) -> np.ndarray:
     return buf.reshape(-1).view(np.float64)
 
 
+def _rows(buf: np.ndarray, count: int) -> list[np.ndarray]:
+    """*buf* as *count* row views — one row: the buffer as it is."""
+    return [buf] if count == 1 else list(buf.reshape(count, -1))
+
+
+def _item_pass(steps: Sequence[Callable], states, scratch, ws) -> None:
+    """One item-loop pass of *steps* over the ``(..., 2^n)`` buffer
+    *states*, in place: the state as two float64 planes (in *scratch*, or
+    a workspace temporary), each step reading one set of planes and
+    writing the other, the result copied back."""
+    size = states.size
+    here, there = _planes(scratch, size, ws, 1), _planes(states, size, ws, 2)
+    tmp = ws.tmp(size, slot=0).view(np.float64)
+    np.copyto(here[:size].reshape(states.shape), states.real)
+    np.copyto(here[size:].reshape(states.shape), states.imag)
+    for step in steps:
+        step(here, there, tmp, size)
+        here, there = there, here
+    if np.may_share_memory(here, states):
+        np.copyto(there, here)
+        here = there
+    np.copyto(states.real, here[:size].reshape(states.shape))
+    np.copyto(states.imag, here[size:].reshape(states.shape))
+
+
 def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     """The template of one kernel — all its lowered *items* as **one**
     in-place op over ``(..., 2^n)`` buffers; its payload is the items
@@ -915,8 +931,8 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
     ``2^T`` amplitudes, applies every item there and scatters them back —
     a fold as its 2×2s, a block as phases looked up through a structural
     index map, a wider gate as a gather–matvec–scatter; a stack is the same
-    call looped over rows, so row ``b`` is the flat run bit for bit, and a
-    large pass is cut across the host's cores
+    call looped over rows, each row reading the one payload or its own, so
+    row ``b`` is the flat run of its payload bit for bit, and a large pass is cut across the host's cores
     (:func:`repro.sim.native.apply_tiles`), the same bytes for any cut.  It is
     taken when :func:`takes_native` says so — the library loads, the state
     has a whole tile row (``n >= 4``) and the kernel fits a tile — and the
@@ -950,7 +966,7 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
             gather = _index_array(_relocation(1 + max(item.qubits), item.qubits, source))
         return gather, _index_array(_diag_broadcast(source, n, item.qubits))
 
-    def loop(arrays):
+    def steps_of(arrays) -> list:
         if not plans:
             plans.extend(plan(item) for item in items)
         steps: list = []
@@ -967,31 +983,30 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
                     steps.append(_copy_step(gather))
                 if item.phased:
                     steps.append(_phase_step(n, index, array))
+        return steps
+
+    def loop(rows):
+        """*rows*: per payload row, its items' arrays — one row serves
+        every row of a buffer, else row ``b`` of the buffer runs row ``b``'s."""
+        bound = [steps_of(arrays) for arrays in rows]
 
         def run(states, scratch, ws):
-            size = states.size
-            here, there = _planes(scratch, size, ws, 1), _planes(states, size, ws, 2)
-            tmp = ws.tmp((size + 1) // 2, slot=0).view(np.float64)[:size]
-            np.copyto(here[:size].reshape(states.shape), states.real)
-            np.copyto(here[size:].reshape(states.shape), states.imag)
-            for step in steps:
-                step(here, there, tmp, size)
-                here, there = there, here
-            if np.may_share_memory(here, states):
-                np.copyto(there, here)
-                here = there
-            np.copyto(states.real, here[:size].reshape(states.shape))
-            np.copyto(states.imag, here[size:].reshape(states.shape))
+            if len(bound) > 1 and states.size != len(bound) << n:
+                raise KernelError(f"a kernel bound for {len(bound)} rows ran {states.size >> n}")
+            for steps, row, spare in zip(
+                bound, _rows(states, len(bound)), _rows(scratch, len(bound))
+            ):
+                _item_pass(steps, row, spare, ws)
             return states, scratch
 
         return run
 
     def item_loop(payloads):
-        return loop([
+        return loop([[
             payload.phases if item.kind == "block"
             else payload.factors if item.kind == "fold" else payload.matrix
             for item, payload in zip(items, payloads)
-        ])
+        ]])
 
     template = KernelTemplate("sm", qubits, item_loop, tmp_slots=(0, 1, 2))
     template.items = items
@@ -1017,6 +1032,11 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
             return numbers
 
         def bind_numbers(numbers, fallback):
+            # *numbers*: one payload row per row of a buffer, or one row
+            # that serves every row (stride 0); a row's numbers are
+            # contiguous, the rows may sit anywhere.
+            bound_rows = len(numbers)
+            stride = numbers.strides[0] // numbers.itemsize if bound_rows > 1 else 0
             numbers_at = numbers.ctypes.data
             held: list = []
 
@@ -1030,8 +1050,11 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
                         held.append(fallback())
                     return held[0](states, scratch, ws)
                 rows = states.size // row
+                if stride and rows != bound_rows:
+                    raise KernelError(f"a kernel bound for {bound_rows} rows ran {rows}")
                 failed = native.apply_tiles(
-                    states.ctypes.data, rows, row, rows << outer_bits, prog_at, tabs_at, numbers_at
+                    states.ctypes.data, rows, row, rows << outer_bits, prog_at, tabs_at,
+                    numbers_at, stride,
                 )
                 if failed:
                     raise KernelError(f"native kernel rejected its program (code {failed})")
@@ -1039,7 +1062,9 @@ def kernel_template(items: Sequence[KernelItem], n: int) -> KernelTemplate:
 
             return run
 
-        template.bind = lambda payloads: bind_numbers(pack(payloads), lambda: item_loop(payloads))
+        template.bind = lambda payloads: bind_numbers(
+            pack(payloads)[None], lambda: item_loop(payloads)
+        )
         template.bind_numbers, template.pack, template.fills = bind_numbers, pack, tuple(fills)
     return template
 

@@ -459,7 +459,10 @@ class _Products:
     NumPy's complex product is not commutative bit for bit, so the operand
     order is the oracle's.  Groups are kept deepest first, so every level
     multiplies a prefix: one take and one multiply per depth, whatever the
-    number of entries."""
+    number of entries.  A run takes a ``(sources, B)`` stack, one column
+    per job: a level's prefix is one contiguous block, multiplied in
+    place by a contiguous gather, so NumPy takes the same loop — and gives
+    each job the same bits — for any ``B``."""
 
     __slots__ = ("first", "levels", "unsort")
 
@@ -484,11 +487,11 @@ class _Products:
                 self.first, self.unsort = self.first[self.unsort], None
 
     def __call__(self, source: np.ndarray) -> np.ndarray:
-        out = source.take(self.first)
+        out = source.take(self.first, axis=0)
         for count, index in self.levels:
             head = out[:count]
-            np.multiply(head, source.take(index), out=head)
-        return out if self.unsort is None else out.take(self.unsort)
+            np.multiply(head, source.take(index, axis=0), out=head)
+        return out if self.unsort is None else out.take(self.unsort, axis=0)
 
 
 _ONE = np.ones(1, dtype=np.complex128)
@@ -622,8 +625,11 @@ class GatherProgram:
     phases one ``take`` and one multiply (circuit order — NumPy's complex
     product is not commutative bit for bit, so the operand order is the
     oracle's); one ``take`` into the native bodies' packed payloads.
-    :meth:`__call__` returns a :class:`GatherRun`; every number is bit for
-    bit what :func:`lower_kernel_gates` gives the same gates.
+    :meth:`__call__` takes an ``(entries, B)`` stack — one column per job
+    of a stacked bind, one for a solo one — and returns a
+    :class:`GatherRun` whose packed payloads have one row per job; every
+    number of job ``b`` is bit for bit what :func:`lower_kernel_gates`
+    gives job ``b``'s gates, and what a stack of that job alone gives.
     """
 
     __slots__ = ("kernels", "chains", "one", "values", "factors", "numbers", "offsets")
@@ -691,27 +697,35 @@ class GatherProgram:
         self.numbers = np.concatenate(numbers).astype(np.intp) if numbers else None
 
     def __call__(self, entries: np.ndarray) -> "GatherRun":
+        rows = entries.shape[1]
         parts = [entries]
         if self.chains is not None:
+            # Per job its chains' contiguous 2x2s (a view for one job).
             first, levels = self.chains
-            chain = entries.take(first).reshape(-1, 2, 2)
+            chain = entries.take(first, axis=0).T.reshape(rows, -1, 2, 2)
             for count, index in levels:
-                chain[:count] = entries.take(index).reshape(-1, 2, 2) @ chain[:count]
-            parts.append(chain.reshape(-1))
+                chain[:, :count] = (
+                    entries.take(index, axis=0).T.reshape(rows, -1, 2, 2) @ chain[:, :count]
+                )
+            parts.append(chain.reshape(rows, -1).T)
         if self.one:
-            parts.append(_ONE)
-        sources = np.concatenate(parts) if len(parts) > 1 else entries
+            parts.append(np.broadcast_to(_ONE[:, None], (1, rows)))
+        sources = np.concatenate(parts, axis=0) if len(parts) > 1 else entries
         values = self.values(sources) if self.values is not None else sources[:0]
         numbers = None
         if self.numbers is not None:
-            numbers = np.concatenate((values, sources)).take(self.numbers)
+            # One contiguous payload row per job.
+            numbers = np.ascontiguousarray(
+                np.concatenate((values, sources), axis=0).take(self.numbers, axis=0).T
+            )
         return GatherRun(self, values, sources, numbers)
 
 
 class GatherRun(NamedTuple):
-    """One run of a :class:`GatherProgram`: its values, its sources (the
-    entries, the folds' 1q chains, the unit) and the packed payloads; per
-    kernel (by its index in the program) :meth:`numbers_of` and
+    """One run of a :class:`GatherProgram` over an ``(entries, B)`` stack:
+    its values and its sources (the entries, the folds' 1q chains, the
+    unit), one column per job, and the packed payloads, one row per job;
+    per kernel (by its index in the program) :meth:`numbers_of` and
     :meth:`arrays_of`."""
 
     program: GatherProgram
@@ -720,25 +734,30 @@ class GatherRun(NamedTuple):
     numbers: "np.ndarray | None"
 
     def numbers_of(self, kernel: int) -> np.ndarray:
-        """Kernel *kernel*'s native payload."""
+        """Kernel *kernel*'s native payload, ``(B, size)``: a view whose
+        rows are contiguous and sit one run's width apart."""
         _value, first, stop = self.program.offsets[kernel]
-        return self.numbers[first:stop]
+        return self.numbers[:, first:stop]
 
-    def arrays_of(self, kernel: int) -> list[np.ndarray]:
-        """Kernel *kernel*'s item-loop payloads: per item a block's phases,
-        a dense gate's matrix, a fold's ``(k, 2, 2)`` factors."""
+    def arrays_of(self, kernel: int) -> list[list[np.ndarray]]:
+        """Kernel *kernel*'s item-loop payloads, per row: per item a
+        block's phases, a dense gate's matrix, a fold's ``(k, 2, 2)``
+        factors."""
         gather = self.program.kernels[kernel]
         factors = self.program.factors[kernel]
         at_value = self.program.offsets[kernel][0]
-        arrays = []
-        for index, (a, b, dim) in enumerate(gather.spans):
-            if a < 0:
-                arrays.append(self.sources.take(factors[index]).reshape(-1, 2, 2))
-            elif dim:
-                arrays.append(self.values[at_value + a : at_value + b].reshape(dim, dim))
-            else:
-                arrays.append(self.values[at_value + a : at_value + b])
-        return arrays
+        rows = []
+        for values, sources in zip(self.values.T, self.sources.T):
+            arrays = []
+            for index, (a, b, dim) in enumerate(gather.spans):
+                if a < 0:
+                    arrays.append(sources.take(factors[index]).reshape(-1, 2, 2))
+                elif dim:
+                    arrays.append(values[at_value + a : at_value + b].reshape(dim, dim))
+                else:
+                    arrays.append(values[at_value + a : at_value + b])
+            rows.append(arrays)
+        return rows
 
 
 def kernel_items(

@@ -129,7 +129,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.sm_apply.restype = ctypes.c_int64
     lib.sm_apply.argtypes = (
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
     )
     lib.beam_kernelize.restype = ctypes.c_int64
     lib.beam_kernelize.argtypes = (
@@ -242,26 +242,28 @@ def one_tile_thread() -> None:
 
 
 def apply_tiles(
-    state: int, rows: int, row: int, tiles: int, prog: int, tabs: int, payload: int
+    state: int, rows: int, row: int, tiles: int, prog: int, tabs: int, payload: int,
+    stride: int,
 ) -> int:
     """Run the tile pass ``prog`` / ``tabs`` / ``payload`` (addresses) over
     tiles ``[0, tiles)`` of the ``(rows, row)`` complex128 buffer at
-    *state*; the pass's code — 0, or the first non-zero code of any range,
-    once every range has returned."""
+    *state*, row ``b`` reading its payload at ``payload + b * stride``
+    complexes (0: one payload for every row); the pass's code — 0, or the
+    first non-zero code of any range, once every range has returned."""
     apply = _state()["library"].sm_apply
     threads = TILE_THREADS
     if (
         threads < 2 or rows * row < SPLIT_MIN_AMPLITUDES
         or threading.current_thread() in _ONE_THREAD
     ):
-        return apply(state, rows, row, 0, tiles, prog, tabs, payload)
+        return apply(state, rows, row, 0, tiles, prog, tabs, payload, stride)
     cuts = [tiles * part // threads for part in range(threads + 1)]
     pool = _helpers()
     helped = [
-        pool.submit(apply, state, rows, row, lo, hi, prog, tabs, payload)
+        pool.submit(apply, state, rows, row, lo, hi, prog, tabs, payload, stride)
         for lo, hi in zip(cuts[:-2], cuts[1:-1])
     ]
-    codes = [apply(state, rows, row, cuts[-2], cuts[-1], prog, tabs, payload)]
+    codes = [apply(state, rows, row, cuts[-2], cuts[-1], prog, tabs, payload, stride)]
     codes += [future.result() for future in helped]
     return next((code for code in codes if code), 0)
 

@@ -146,6 +146,8 @@ class CompiledProgram:
         ops_rebound: int = 0,
         ops_recompiled: int = 0,
         structure: object | None = None,
+        rows: int = 1,
+        declined: tuple[int, ...] = (),
     ) -> None:
         self.num_qubits = num_qubits
         self.ops = ops
@@ -168,6 +170,14 @@ class CompiledProgram:
         self.ops_reused = ops_reused
         self.ops_rebound = ops_rebound
         self.ops_recompiled = ops_recompiled
+        #: Payload rows its kernel ops carry: 1 — one payload that serves a
+        #: state or any stack of states — or ``B`` for a stacked bind, which
+        #: runs exactly the ``(B, 2^n)`` stack of its plans' states
+        #: (:meth:`run_batched`), row ``b`` with plan ``b``'s numbers; and
+        #: which plans of the stack it was given it does not run (their
+        #: structure differs; each compiles alone).
+        self.rows = rows
+        self.declined = declined
         #: The angle-independent half of the compilation
         #: (:class:`repro.runtime.compile.ProgramStructure`), shared by the
         #: whole family of programs rebound from this one.
@@ -266,7 +276,10 @@ class CompiledProgram:
         if batch == 0:
             raise ValueError("empty batch")  # lint: config-error
         ws = workspace if workspace is not None else self.workspace
-        pair = ws.pair2d(batch, 1 << self.num_qubits)
+        size = 1 << self.num_qubits
+        # A stack of one runs in the flat pair, the buffers a solo job
+        # always ran in.
+        pair = ws.pair2d(batch, size) if batch > 1 else [buf.reshape(1, size) for buf in ws.pair(size)]
         for row, initial in zip(pair[0], initial_states):
             self._load(row, initial)
         return self._run_ops(pair, ws)

@@ -10,7 +10,10 @@
  * (repro.sim.native splits a pass that way).  Everything
  * structural (tile bits, chunk offsets, index maps) arrives precomputed in
  * `prog` / `tabs` (repro.sim.apply.kernel_template); `payload` holds one
- * job's numbers (block phases, 2x2s, dense matrices) as complex128.
+ * job's numbers (block phases, 2x2s, dense matrices) as complex128, and row
+ * b of the buffer reads them at payload + b * stride (in complexes): a
+ * stride of 0 shares one payload across every row, a stacked bind gives
+ * each row its own.
  *
  * Numerics: every complex product is (ar*br - ai*bi, ar*bi + ai*br), sums
  * run in one fixed order (a dense item's: dense_terms), nothing is fused or
@@ -482,11 +485,13 @@ static void dense_lane(double *re, double *im, int tile_bits, int k, const int64
 }
 #endif
 
-/* Apply the kernel `prog` to tiles [lo, hi) of `state`'s rows << outer_bits;
- * 0 on success, else the first check the program or the range fails -
- * before any amplitude is touched. */
+/* Apply the kernel `prog` to tiles [lo, hi) of `state`'s rows << outer_bits,
+ * row b with the payload at payload + b * stride complexes; 0 on success,
+ * else the first check the program or the range fails - before any
+ * amplitude is touched. */
 int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, int64_t lo, int64_t hi,
-                 const int64_t *prog, const uint16_t *tabs, const double *payload)
+                 const int64_t *prog, const uint16_t *tabs, const double *payload,
+                 int64_t stride)
 {
     const int64_t tile_bits = prog[0], chunk_bits = prog[1], outer_bits = prog[2];
     const int64_t num_items = prog[3];
@@ -512,12 +517,15 @@ int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, int64_t lo
     /* hi <= rows << outer_bits, without forming the shift */
     if (lo < 0 || hi < lo || (hi > 0 && (hi - 1) >> outer_bits >= rows))
         return 7;
+    if (stride < 0)
+        return 8;
 
     for (int64_t flat = lo; flat < hi; flat++) {
         const int64_t row = flat >> outer_bits, tile = flat & (((int64_t)1 << outer_bits) - 1);
         int64_t base = 0;
         for (int b = 0; b < outer_bits; b++) base |= ((tile >> b) & 1) << outer[b];
         double *at = state + 2 * (row * row_amplitudes + base);
+        const double *row_payload = payload + 2 * row * stride;
         double *re = tile_buf[0][0], *im = tile_buf[0][1];
         double *ore = tile_buf[1][0], *oim = tile_buf[1][1], *swap;
         for (int64_t h = 0; h < size >> chunk_bits; h++)
@@ -525,7 +533,7 @@ int64_t sm_apply(double *state, int64_t rows, int64_t row_amplitudes, int64_t lo
         for (int i = 0; i < num_items; i++) {
             const int64_t *it = items + i * SM_ITEM_WORDS;
             const uint16_t *tab = tabs + it[4];
-            const double *pay = payload + 2 * it[5];
+            const double *pay = row_payload + 2 * it[5];
             switch (it[0]) {
             case SM_GATE1:
 #if LB

@@ -1224,12 +1224,16 @@ class TestLintRepro:
             "    return None\n"
             "def _phase_step(shape, index, phases):\n"
             "    return None\n"
+            "def _item_pass(steps, states, scratch, ws):\n"
+            "    return None\n"
             "def kernel_template(items, n):\n"
             "    def loop(arrays):\n"
             "        def run(states, scratch, ws):\n"
             "            here = _planes(scratch, states.size, ws, 1)\n"
             "            np.copyto(here[: states.size], states.real)\n"
             "            np.copyto(states.imag, here[states.shape[-1] :])\n"
+            "            for row in _rows(states, 2):\n"
+            "                _item_pass(arrays, row, scratch, ws)\n"
             "            return states, scratch\n"
             "        return run\n"
             "    return loop\n"
@@ -1248,8 +1252,8 @@ class TestLintRepro:
         findings = lint.check_one_float_expression([engine])
         assert {f.rule for f in findings} == {"one-float-expression"}
         assert sorted((f.line, f.key.rpartition("::")[2]) for f in findings) == [
-            (8, "_dense_step:@"), (19, "loop:states"), (20, "loop:einsum"),
-            (20, "loop:scratch"), (20, "loop:states"),
+            (8, "_dense_step:@"), (23, "loop:states"), (24, "loop:einsum"),
+            (24, "loop:scratch"), (24, "loop:states"),
         ]
         # Outside sim/apply.py the names are someone else's; a step builder
         # going missing is the rule left behind.
@@ -1944,6 +1948,67 @@ class TestLintRepro:
         assert lint.main(["--baseline", str(baseline)]) == 0
         self.write(lint, "runtime/worse.py", "def g():\n    raise RuntimeError('y')\n")
         assert lint.main(["--baseline", str(baseline)]) == 1
+
+    #: The compile slot's stacked fill and the structure's one gather run.
+    BIND_HOME = (
+        "class _KernelSlot:\n"
+        "    def fill(self, gates, run):\n"
+        "        return self.template.bind_numbers(run.numbers_of(self.kernel), None)\n"
+        "class _Structure:\n"
+        "    def bind(self, rows, reuse_ops, tables):\n"
+        "        run = self.program(self.entries(tables))\n"
+        "        return [slot.bind(rows, run) for slot in self.slots]\n"
+    )
+    #: The service's one grouped dispatch, and admission's pricing run.
+    DISPATCH = (
+        "class SimulationService:\n"
+        "    def submit(self, circuits):\n"
+        "        return self.session.run(circuits, execute=False)\n"
+        "    def _scheduler_loop(self):\n"
+        "        circuits = [c for _t, item, _j in group for c in item.circuits]\n"
+        "        return self.session.run(circuits, execute=True)\n"
+    )
+
+    def test_one_bind_path(self, lint):
+        """Numbers reach a kernel op through the stacked fill only, and the
+        scheduler dispatches the group only."""
+        home = self.write(lint, "runtime/compile.py", self.BIND_HOME)
+        service = self.write(lint, "service/service.py", self.DISPATCH)
+        assert lint.check_one_bind_path([home, service]) == []
+        # A per-job bind beside the stacked one, and a second gather run.
+        solo = self.write(
+            lint, "runtime/offload.py",
+            "def bind_solo(structure, template, table):\n"
+            "    run = structure.program(structure.entries([table]))\n"
+            "    return template.bind_numbers(run.numbers_of(0)[0], None)\n"
+            "def gather_again(program, entries):\n"
+            "    return GatherProgram(program, 1)(entries)\n",
+        )
+        findings = lint.check_one_bind_path([home, service, solo])
+        assert {f.rule for f in findings} == {"one-bind-path"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "bind_solo:bind_numbers", "bind_solo:program", "gather_again:program",
+        ]
+        # The single-job branch beside the grouped dispatch, and a job run
+        # from another method.
+        service.write_text(self.DISPATCH.replace(
+            "        circuits = [",
+            "        if len(group) == 1:\n"
+            "            return self.session.run(item.circuits, execute=True)\n"
+            "        circuits = [",
+        ) + "    def run_now(self, circuit):\n        return self.session.run(circuit)\n")
+        findings = lint.check_one_bind_path([home, service])
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "SimulationService._scheduler_loop:single-job",
+            "SimulationService.run_now:session.run", "_scheduler_loop:dispatch",
+        ]
+        # The fill losing its call, and the loop its dispatch: the rule
+        # left behind.
+        home.write_text(self.BIND_HOME.replace("self.template.bind_numbers(", "pack("))
+        service.write_text(self.DISPATCH.replace("self.session.run(circuits, execute=True)", "None"))
+        assert sorted(
+            f.key.rpartition("::")[2] for f in lint.check_one_bind_path([home, service])
+        ) == ["_KernelSlot.fill:bind_numbers:missing", "_scheduler_loop:dispatch"]
 
     def test_repo_tree_is_clean_against_committed_baseline(self):
         result = subprocess.run(

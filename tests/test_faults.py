@@ -64,8 +64,9 @@ def machine():
 
 @pytest.fixture(scope="module")
 def sweep():
-    # Two structurally identical circuits: the second plans as a cache hit,
-    # so the ``cache_rebind`` site fires inside every matrix job.
+    # Two structurally identical circuits: one stack, planned through one
+    # cache lookup — a hit on the entry each matrix cell plans first, so the
+    # ``cache_rebind`` site fires inside every matrix job.
     return [vqc(N, seed=0), vqc(N, seed=1)]
 
 
@@ -143,6 +144,8 @@ class TestFaultMatrix:
         spec = f"{site}:{flavor}:1"
         with make_session(machine, backend, workers, faults=spec) as session:
             injector = session._injector
+            session.run(sweep[0], execute=False)  # the entry the stack's lookup hits
+            assert injector.total_fired == 0
             try:
                 job = session.run(sweep)
             except ReproError as exc:
@@ -450,6 +453,7 @@ class TestCacheCorruption:
         with make_session(
             machine, "incore", None, faults="cache_rebind:transient:1"
         ) as session:
+            session.run(sweep[0], execute=False)  # the entry the stack's lookup hits
             clean = [r.state.data.copy() for r in session.run(sweep)]
             assert session.stats.cache_corruptions == 1
             # The poisoned entry was evicted and rebuilt; later sweeps hit

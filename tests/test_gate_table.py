@@ -207,7 +207,7 @@ def _slot_cases(program, plan):
     the structure's gather program run over every pool gate's matrix out
     of the plan's table."""
     structure = program.structure
-    entries = structure.entries(plan.gate_table)
+    entries = structure.entries([plan.gate_table])
     run = structure.program(entries) if structure.program is not None else None
     for slot in structure.slots:
         if not isinstance(slot, _KernelSlot):
@@ -230,10 +230,12 @@ def _loop_array(item):
 def _assert_slot_matches_oracle(slot, gates, l2p, run):
     oracle = lower_kernel_gates(gates, l2p)
     template = slot.template
-    for item, array in zip(oracle, run.arrays_of(slot.kernel), strict=True):
+    (arrays,) = run.arrays_of(slot.kernel)  # a stack of one row
+    for item, array in zip(oracle, arrays, strict=True):
         assert array.tobytes() == _loop_array(item).tobytes()
     if template.native and template.fills:  # (no fill: one unread entry)
-        assert run.numbers_of(slot.kernel).tobytes() == template.pack(oracle).tobytes()
+        (numbers,) = run.numbers_of(slot.kernel)
+        assert numbers.tobytes() == template.pack(oracle).tobytes()
 
 
 class TestGatherBind:
@@ -291,13 +293,13 @@ def test_dynamic_variants_read_the_table():
     pieces = [("dynamic", (gate,), (at,)) for at, gate in enumerate(gates)]
     table = GateTable(gates)
     structure = SegmentStructure(pieces, l2p, local, table)
-    entries = structure.entries(table)
+    entries = structure.entries([table])
     state = rng.normal(size=1 << local) + 1j * rng.normal(size=1 << local)
     checked = 0
     for slot, (_kind, (gate,), _at) in zip(structure.slots, pieces):
         assert isinstance(slot, _DynamicSlot)
         start, stop = structure.entry_starts[slot.pool], structure.entry_starts[slot.pool + 1]
-        ops = slot.bind((gate,), None, entries[start:stop], None)
+        ops = slot.bind([(gate,)], None, entries[start:stop].T, None)
         physical = tuple(l2p[q] for q in gate.qubits if l2p[q] < local)
         for fixed, op in zip(slot.variants, ops):
             if fixed is None:
@@ -531,7 +533,8 @@ def test_kernel_gather_needs_no_gate_objects():
     program = GatherProgram([(gather, 0)], gather.entries)
     table = GateTable(gates)
     entries = np.concatenate([_row(table, i).reshape(-1) for i in range(len(gates))])
-    run = program(entries)
-    for item, array in zip(lower_kernel_gates(gates, None), run.arrays_of(0), strict=True):
+    run = program(entries[:, None])
+    (arrays,) = run.arrays_of(0)
+    for item, array in zip(lower_kernel_gates(gates, None), arrays, strict=True):
         assert array.tobytes() == _loop_array(item).tobytes()
     assert any(item.dense and len(item.members) > 1 for item in lowering)

@@ -781,12 +781,12 @@ class TestSplitPass:
         tiles = rows << int(prog[2])
         assert tiles == rows * row >> int(prog[0]) > 2
 
-        def call(program, rows=rows, row=row, lo=0, hi=tiles):
+        def call(program, rows=rows, row=row, lo=0, hi=tiles, stride=0):
             states = _random_states(n, 2, 31)
             before = states.tobytes()
             code = lib.sm_apply(
                 states.ctypes.data, rows, row, lo, hi, program.ctypes.data,
-                tabs.ctypes.data, numbers.ctypes.data,
+                tabs.ctypes.data, numbers.ctypes.data, stride,
             )
             return code, states.tobytes() == before
 
@@ -808,6 +808,7 @@ class TestSplitPass:
             (7, prog, {"lo": 2, "hi": 1}),
             (7, prog, {"hi": tiles + 1}),
             (7, prog, {"rows": 1}),
+            (8, prog, {"stride": -1}),  # a payload row before the first
         ]
         for code, program, changes in cases:
             assert call(program, **changes) == (code, True), (code, changes)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty-one rules, each enforcing an invariant the execution layer depends on
+Twenty-two rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -146,9 +146,11 @@ Twenty-one rules, each enforcing an invariant the execution layer depends on
     the complex buffers an op is handed (``states``, ``scratch``) appear
     only as planes (``_planes``), in a copy in or out (``np.copyto`` of
     them or their ``.real`` / ``.imag``), in ``np.may_share_memory``, as
-    ``.size`` / ``.shape``, or in the returned pair — no arithmetic on
-    the complex state.  Any of those functions missing means the item
-    loop moved without this rule following it.
+    ``.size`` / ``.shape``, handed to the one pass over a buffer
+    (``_item_pass``, held to the same rule) or split into its rows
+    (``_rows``, a stack's row views), or in the returned pair — no
+    arithmetic on the complex state.  Any of those functions missing means
+    the item loop moved without this rule following it.
 
 ``one-native-loader``
     ``ctypes`` / ``cffi`` / ``subprocess`` are imported, and ``CDLL`` is
@@ -310,6 +312,24 @@ Twenty-one rules, each enforcing an invariant the execution layer depends on
     neighbour within a tolerance is a recovered job running other
     numbers.
 
+``one-bind-path``
+    A job's numbers reach a kernel op one way, a stack of one or more
+    jobs at a time: under ``src/`` a gather program is run
+    (``<structure>.program(...)``, ``GatherProgram.__call__``) only in
+    ``runtime/compile.py::_Structure.bind`` and ``.bind_numbers(...)`` —
+    the native template's bind of bare numbers — is called only in
+    ``runtime/compile.py::_KernelSlot.fill``, the compile slot's stacked
+    fill (one payload row per job).  A call anywhere else is a second,
+    per-job bind path growing back beside the stacked one; the slot losing
+    its call is the rule left behind.  And the service dispatches one way:
+    ``service/service.py::_scheduler_loop`` makes exactly one
+    ``session.run`` call, over the circuits of the whole dispatched group
+    — never ``<item>.circuits`` of one job, the single-job branch beside
+    the grouped one — and every other ``session.run`` in that module
+    passes ``execute=False`` (admission's pricing, which runs nothing).
+    Checked across files, whenever the linted set contains
+    ``runtime/compile.py`` or ``service/service.py``.
+
 Usage::
 
     python tools/lint_repro.py [--baseline tools/lint_baseline.json]
@@ -433,14 +453,15 @@ KERNEL_BODIES = {"bind_numbers": "native", "loop": "item loop"}
 #: operation.
 FLOAT_EXPRESSION_HOME = "sim/apply.py"
 FLOAT_EXPRESSION_FUNCS = (
-    "loop", "_products", "_gate1_step", "_dense_step", "_copy_step", "_phase_step",
+    "loop", "_item_pass", "_products", "_gate1_step", "_dense_step", "_copy_step",
+    "_phase_step",
 )
 FLOAT_EXPRESSION_FUSED = {"matmul", "dot", "vdot", "einsum", "tensordot"}
 #: The complex buffers an op is handed, and what the item loop may do with
 #: them: view them as planes, copy in and out of their halves, ask for
 #: their size or shape, hand them back.
 FLOAT_EXPRESSION_STATE = {"states", "scratch"}
-FLOAT_EXPRESSION_STATE_CALLS = {"_planes", "copyto", "may_share_memory"}
+FLOAT_EXPRESSION_STATE_CALLS = {"_planes", "copyto", "may_share_memory", "_rows", "_item_pass"}
 FLOAT_EXPRESSION_STATE_ATTRS = {"real", "imag", "size", "shape"}
 
 NATIVE_LOADER_HOME = "sim/native.py"
@@ -1635,6 +1656,111 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
     return findings
 
 
+BIND_PATH_HOME = "runtime/compile.py"
+#: ``(called attribute, class, method)``: where each may be called.
+BIND_PATH_SITES = {"program": ("_Structure", "bind"), "bind_numbers": ("_KernelSlot", "fill")}
+BIND_PATH_PROGRAM_CLASS = "GatherProgram"
+DISPATCH_HOME = "service/service.py"
+DISPATCH_LOOP = "_scheduler_loop"
+
+
+def _is_session_run(node: ast.AST) -> bool:
+    """``<...>.session.run(...)`` or ``session.run(...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    owner = node.func.value
+    named = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+    return node.func.attr == "run" and named == "session"
+
+
+def check_one_bind_path(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-bind-path`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    seen = {name: False for name in BIND_PATH_SITES}
+    home_linted = dispatch_linted = False
+    dispatch_runs = 0
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-bind-path", message, symbol))
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        nonlocal dispatch_runs
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack = stack + [node.name]
+        where = _enclosing(stack)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else None
+            if isinstance(f, ast.Call) and _call_name(f) == BIND_PATH_PROGRAM_CLASS:
+                name = "program"
+            if name in BIND_PATH_SITES:
+                if rel_src == BIND_PATH_HOME and stack[-2:] == list(BIND_PATH_SITES[name]):
+                    seen[name] = True
+                else:
+                    cls, method = BIND_PATH_SITES[name]
+                    flag(
+                        rel, node.lineno,
+                        f"`{name}` called in {where}: a job's numbers are bound "
+                        f"only by {BIND_PATH_HOME}::{cls}.{method}, the stacked "
+                        f"bind a solo job is a stack of one of",
+                        f"{where}:{name}",
+                    )
+            if rel_src == DISPATCH_HOME and _is_session_run(node):
+                if DISPATCH_LOOP in stack:
+                    dispatch_runs += 1
+                    first = node.args[0] if node.args else None
+                    if isinstance(first, ast.Attribute) and first.attr == "circuits":
+                        flag(
+                            rel, node.lineno,
+                            f"`session.run` of one job's `{first.attr}` in {where}: "
+                            f"the scheduler runs the dispatched group, a solo job "
+                            f"as a group of one",
+                            f"{where}:single-job",
+                        )
+                elif not any(
+                    kw.arg == "execute" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False
+                    for kw in node.keywords
+                ):
+                    flag(
+                        rel, node.lineno,
+                        f"`session.run` in {where} executes: the service runs "
+                        f"jobs only from {DISPATCH_LOOP}'s grouped dispatch",
+                        f"{where}:session.run",
+                    )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel_src = _rel_src(path)
+        home_linted = home_linted or rel_src == BIND_PATH_HOME
+        dispatch_linted = dispatch_linted or rel_src == DISPATCH_HOME
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(), rel_src,
+        )
+    if home_linted:
+        for name, found in seen.items():
+            if not found:
+                cls, method = BIND_PATH_SITES[name]
+                flag(
+                    f"src/repro/{BIND_PATH_HOME}", 0,
+                    f"no `{name}` call in {BIND_PATH_HOME}::{cls}.{method}: the "
+                    f"stacked bind moved without this rule following it",
+                    f"{cls}.{method}:{name}:missing",
+                )
+    if dispatch_linted and dispatch_runs != 1:
+        flag(
+            f"src/repro/{DISPATCH_HOME}", 0,
+            f"{dispatch_runs} `session.run` calls in {DISPATCH_HOME}::{DISPATCH_LOOP}: "
+            f"the scheduler has one dispatch, the grouped one",
+            f"{DISPATCH_LOOP}:dispatch",
+        )
+    return findings
+
+
 GATE_SHAPE_HOME = "sim/fusion.py"
 #: The lowering's structure half: the gate loop, the block composer and
 #: the shape lookup.
@@ -2026,6 +2152,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_layout_move(files))
     findings.extend(check_one_gate_table(files))
     findings.extend(check_one_gate_shape(files))
+    findings.extend(check_one_bind_path(files))
     findings.extend(check_layering(files))
     findings.extend(check_exact_persisted_formats(files))
 
