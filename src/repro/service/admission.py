@@ -141,22 +141,33 @@ class AdmissionController:
             )
 
     def _check_memory(self, circuits, tenant: str) -> None:
-        """Admit if any backend in the degradation chain fits the budget."""
+        """Admit if some backend in the degradation chain runs every stack
+        of the job within the budget — stacked as that backend would run
+        them under it (:meth:`Session.stack_limit`)."""
         session = self._session
         budget = self.policy.memory_budget_bytes
-        for circuit, width in session.stack_widths(circuits):
-            if not any(
-                session.modelled_device_bytes(
-                    backend, session.machine, circuit.num_qubits, width
-                ) <= budget
-                for backend in session.backend_chain()
-            ):
-                raise AdmissionError(
-                    f"circuit {circuit.name!r} ({circuit.num_qubits} qubits) "
-                    f"exceeds the service memory budget of {budget} bytes on "
-                    "every backend",
-                    site="service.admit",
-                    tenant=tenant,
-                    num_qubits=circuit.num_qubits,
-                    budget_bytes=budget,
-                )
+        machine = session.machine
+        refused = None
+        for backend in session.backend_chain():
+            limit = session.stack_limit(backend, machine, circuits[0].num_qubits, budget)
+            unfit = [
+                circuit
+                for circuit, width in session.stack_widths(circuits, limit)
+                if session.modelled_device_bytes(
+                    backend, machine, circuit.num_qubits, width
+                ) > budget
+            ]
+            if not unfit:
+                return
+            if refused is None:
+                refused = unfit[0]
+        circuit = refused
+        raise AdmissionError(
+            f"circuit {circuit.name!r} ({circuit.num_qubits} qubits) "
+            f"exceeds the service memory budget of {budget} bytes on "
+            "every backend",
+            site="service.admit",
+            tenant=tenant,
+            num_qubits=circuit.num_qubits,
+            budget_bytes=budget,
+        )

@@ -19,7 +19,10 @@ implements *deficit round-robin* (DRR) across tenants:
   deficit, which may go negative.  A debt is never forfeited; the
   tenant's later visits repay it before it dispatches again, so stacking
   moves a job earlier but leaves every tenant's share of dispatched cost
-  as it was.
+  as it was.  A job moves earlier only past jobs of its own priority
+  (never ahead of a higher-priority job of its tenant), and only while
+  its tenant stays at most one visit's credit in debt: no tenant runs
+  more than one visit ahead of its share.
 
 DRR gives each tenant with weight :math:`w_i` a long-run share of
 :math:`w_i / \\sum_j w_j` of dispatched cost, and — because every active
@@ -206,29 +209,52 @@ class FairShareScheduler:
                 queue.visit_credited = False
                 self._cursor += 1
 
-    def queued(self) -> "list[QueuedJob]":
-        """Every queued job, in submission order."""
-        return sorted(
-            (job for queue in self._queues.values() for job in queue._heap),
-            key=lambda job: job.seq,
-        )
+    def _drainable(self):
+        """``(tenant, job)`` of every queued job a stack may take now: one
+        that no higher-priority job of its own tenant is queued ahead of,
+        and whose cost leaves its tenant at most one visit's credit
+        (``quantum × weight``) in debt."""
+        for tenant, queue in self._queues.items():
+            head = queue.peek()
+            if head is None:
+                continue
+            floor = queue.deficit + self.quantum * queue.weight
+            for job in queue._heap:
+                if job.priority == head.priority and job.cost <= floor:
+                    yield tenant, job
+
+    def drainable(self) -> "list[object]":
+        """The payload of every job :meth:`drain` may take now."""
+        return [job.payload for _tenant, job in self._drainable()]
 
     def drain(self, match, limit: int) -> "list[tuple[str, QueuedJob]]":
         """Take up to *limit* queued jobs whose payload *match* accepts,
         from any tenant, in submission order — never waiting for more —
         each charged to its own tenant: its cost comes off that tenant's
-        deficit (which may go negative, a debt its later visits repay) and
-        counts as dispatched."""
-        found = sorted(
-            (job.seq, tenant, job)
-            for tenant, queue in self._queues.items()
-            for job in queue._heap
-            if match(job.payload)
-        )[: max(limit, 0)]
-        for _seq, tenant, job in found:
+        deficit (a debt its later visits repay) and counts as dispatched.
+
+        A job is taken only while it may run early without breaking the
+        order DRR keeps: no higher-priority job of its own tenant is queued
+        ahead of it, and its tenant stays at most one visit's credit in
+        debt — so no tenant runs more than one visit ahead of its share.
+        """
+        taken: list[tuple[str, QueuedJob]] = []
+        while len(taken) < limit:
+            found = min(
+                (
+                    (job.seq, tenant, job)
+                    for tenant, job in self._drainable()
+                    if match(job.payload)
+                ),
+                default=None,
+            )
+            if found is None:
+                break
+            _seq, tenant, job = found
             queue = self._queues[tenant]
             queue.remove(job)
             queue.deficit -= job.cost
             queue.dispatched_cost += job.cost
             queue.dispatched_jobs += 1
-        return [(tenant, job) for _seq, tenant, job in found]
+            taken.append((tenant, job))
+        return taken

@@ -684,9 +684,13 @@ class SimulationService:
     def _stack_match(self, item: _WorkItem):
         """What a queued item must be to share *item*'s dispatch — one
         circuit, equal run keywords and the same structural key, on a
-        backend that runs compiled programs — as a predicate over payloads;
-        ``None`` when *item* runs alone.  (A shard backend's schedule binds
-        one job, so it keeps one dispatch per job.)"""
+        backend that runs compiled programs — as ``(predicate over
+        payloads, how many rows the stack takes)``; ``None`` when *item*
+        runs alone.  (A shard backend's schedule binds one job, so it
+        keeps one dispatch per job.)  The rows are as many as both the
+        session's and the admission policy's memory budgets hold
+        (:meth:`Session.stack_limit`), so a stack never runs a job over a
+        budget it fits alone."""
         kwargs = item.run_kwargs
         if len(item.circuits) != 1 or not self._STACKABLE_KWARGS.issuperset(kwargs):
             return None
@@ -694,12 +698,19 @@ class SimulationService:
         session = self.session
         try:
             machine = kwargs.get("machine") or session.machine
-            backend = session.backend_instance(
-                session.resolve_backend(circuit.num_qubits, machine, kwargs.get("backend"))
+            backend_name = session.resolve_backend(
+                circuit.num_qubits, machine, kwargs.get("backend")
             )
+            backend = session.backend_instance(backend_name)
         except Exception:
             return None
         if not (backend.uses_programs and backend.program_kind == "program"):
+            return None
+        limit = min(
+            session.stack_limit(backend_name, machine, circuit.num_qubits, budget)
+            for budget in (session.memory_budget_bytes, self.policy.memory_budget_bytes)
+        )
+        if limit < 2:
             return None
         key = circuit.structural_key()
         shape = _shape(circuit)
@@ -717,7 +728,7 @@ class SimulationService:
             except Exception:  # keywords that do not compare (arrays)
                 return False
 
-        return match
+        return match, limit
 
     def _claim(self, entries) -> list:
         """``(tenant, item, claimed jobs)`` of each scheduled entry with a
@@ -739,12 +750,13 @@ class SimulationService:
 
     def _scheduler_loop(self) -> None:
         """Dispatch under DRR, one structure at a time: the item DRR picks,
-        with every queued item of its structure (:meth:`_stack_match`,
-        :meth:`FairShareScheduler.drain` — at most a stack's
-        :meth:`Session.stack_limit`, charged to their own tenants), runs as
-        one :meth:`Session.run` — a solo item is a group of one.  Journal
-        records stay per job: ``running`` for each before, ``completed`` /
-        ``failed`` for each after."""
+        with the queued items of its structure that may run early
+        (:meth:`_stack_match`, :meth:`FairShareScheduler.drain` — at most
+        a stack's rows, charged to their own tenants), runs as one
+        :meth:`Session.run` — a solo item is a group of one.  A group that
+        fails runs again item by item, so only an item whose own run fails
+        is failed.  Journal records stay per job: ``running`` for each
+        before, ``completed`` / ``failed`` for each after."""
         while True:
             with self._cond:
                 self._heartbeat = time.monotonic()
@@ -761,19 +773,21 @@ class SimulationService:
                     self._cond.notify_all()
                     continue
                 self._inflight += 1
-                queued = [job.payload for job in self._scheduler.queued()]
             # Which queued items share the pick's structure is worked out
             # outside the service lock (a circuit's first key costs a gate
             # table), so a client's submit never waits on it.
-            item = group[0][1]
-            match = self._stack_match(item) if queued else None
-            chosen = {id(other) for other in queued if match(other)} if match else set()
-            with self._cond:
+            stack = self._stack_match(group[0][1])
+            if stack is not None:
+                match, limit = stack
+                with self._cond:
+                    candidates = self._scheduler.drainable()
+                chosen = {id(other) for other in candidates if match(other)}
                 if chosen:
-                    limit = Session.stack_limit(item.circuits[0].num_qubits)
-                    group += self._claim(
-                        self._scheduler.drain(lambda other: id(other) in chosen, limit - 1)
-                    )
+                    with self._cond:
+                        group += self._claim(
+                            self._scheduler.drain(lambda other: id(other) in chosen, limit - 1)
+                        )
+            with self._cond:
                 self.dispatched += len(group)
                 if len(group) > 1:
                     self.stacked_dispatches += 1
@@ -809,16 +823,31 @@ class SimulationService:
                 session_stats.cache_hits, session_stats.shared_cache_hits,
                 session_stats.plans_built,
             )
-            error = None
-            inner = None
-            circuits = [c for _tenant, item, _claimed in group for c in item.circuits]
-            try:
-                inner = self.session.run(circuits, execute=True, **run_kwargs)
-            except BaseException as exc:  # propagate through every Job
-                error = exc
+            # Per item: (its results, the Job that ran them, the error).  A
+            # stack's failure is no one job's yet: each of its items then
+            # runs alone, and only one whose own run fails is failed.
+            outcomes: list = []
+            parts = [group]
+            while parts:
+                part = parts.pop(0)
+                try:
+                    inner = self.session.run(
+                        [c for _tenant, item, _claimed in part for c in item.circuits],
+                        execute=True, **run_kwargs,
+                    )
+                except BaseException as exc:  # propagate through every Job
+                    if len(part) > 1 and isinstance(exc, Exception):
+                        parts[:0] = [[member] for member in part]
+                    else:
+                        outcomes += [([], None, exc)] * len(part)
+                    continue
+                results, at = inner.results(), 0
+                for _tenant, item, _claimed in part:
+                    outcomes.append((results[at : at + len(item.circuits)], inner, None))
+                    at += len(item.circuits)
             finished = time.monotonic()
             if self._journal is not None:
-                for tenant, item, _claimed in group:
+                for (tenant, item, _claimed), (_own, _inner, error) in zip(group, outcomes):
                     if item.job_id is None:
                         continue
                     if error is None:
@@ -831,11 +860,7 @@ class SimulationService:
                             "failed", item.job_id, tenant=tenant,
                             error=f"{type(error).__name__}: {error}",
                         )
-            results = inner.results() if error is None else []
-            at = 0
-            for _tenant, item, claimed in group:
-                own = results[at : at + len(item.circuits)]
-                at += len(item.circuits)
+            for (_tenant, _item, claimed), (own, inner, error) in zip(group, outcomes):
                 for job in claimed:
                     if error is None:
                         job._complete(
@@ -850,7 +875,9 @@ class SimulationService:
                 # Planning happens for the stack's first row; every later
                 # row is a local hit.
                 hits = session_stats.cache_hits - stats_before[0]
-                for index, (tenant, item, claimed) in enumerate(group):
+                for index, ((tenant, item, claimed), (_own, _inner, error)) in enumerate(
+                    zip(group, outcomes)
+                ):
                     stats = self._tenant(tenant)
                     if item.job_id is not None:
                         self._running_since.pop(item.job_id, None)

@@ -256,13 +256,15 @@ def _bind(circuit: Circuit, what: str, num_qubits: int, stages, provenance) -> E
             f"{what} covers {total} gates, circuit has {len(circuit)}"
         )
     bound = []
+    of_circuit = circuit.gates.__getitem__
     for gate_indices, partition, kernels in stages:
-        gates = [circuit.gates[i] for i in gate_indices]
+        gates = list(map(of_circuit, gate_indices))
         if kernels is not None:
+            of_stage = gates.__getitem__
             kernels = KernelSequence(
                 kernels=[
                     Kernel(
-                        gates=tuple(gates[i] for i in indices),
+                        gates=tuple(map(of_stage, indices)),
                         qubits=qubits,
                         kernel_type=kernel_type,
                         cost=cost,

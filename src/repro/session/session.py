@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, fields
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,14 +79,15 @@ from .cache import (
 )
 from .result import Job, Result, normalize_observable
 
-__all__ = ["STACK_AMPLITUDES", "Session", "SessionStats"]
+__all__ = ["Session", "SessionStats"]
 
-#: A stacked bind holds as many distinct circuits of one structure as keep
-#: its ``(B, 2^n)`` stack within this many amplitudes (at least one): the
-#: rows share the per-job glue, not the engine, so a state this large is
-#: worth a stack no more (and a sweep of large states keeps today's two
-#: buffers).  The native pass splits across cores from the same size.
-STACK_AMPLITUDES = 1 << 17
+#: A stacked bind holds as many rows as keep its ``(B, 2^n)`` stack within
+#: this many amplitudes (at least one).  The rows share the per-job glue,
+#: not the engine: on a 2-vCPU host a stack of two saved 19-28 % a row at
+#: 12 qubits and 13-18 % at 14-15, and nothing measurable from a row of
+#: 2^16 amplitudes on (-6 to +2 %; ``docs/performance.md``, "A burst binds
+#: once per structure"), where a wider stack would only hold more memory.
+_STACK_AMPLITUDES = 1 << 16
 
 
 @dataclass
@@ -442,44 +444,54 @@ class Session:
             return chain
         return chain[chain.index(name):] if name in chain else (name,)
 
-    @staticmethod
-    def stack_limit(num_qubits: int) -> int:
-        """How many distinct circuits of *num_qubits* one stacked bind
-        takes: as many as keep the stack within :data:`STACK_AMPLITUDES`
-        amplitudes, at least one."""
-        return max(1, STACK_AMPLITUDES >> num_qubits)
+    def stack_limit(
+        self, backend_name: str, machine: MachineConfig, num_qubits: int,
+        budget: "int | None",
+    ) -> int:
+        """How many rows one stacked bind of *num_qubits*-qubit circuits
+        takes on *backend_name*: as many as keep the ``(B, 2^n)`` stack
+        within ``_STACK_AMPLITUDES`` amplitudes and, under a memory
+        *budget* (bytes, ``None`` for none), as many one-row working sets
+        (:meth:`modelled_device_bytes`) as the budget holds — at least one.
+        So a stack never makes a job that fits the budget alone
+        inadmissible."""
+        limit = max(1, _STACK_AMPLITUDES >> num_qubits)
+        if budget is not None:
+            one = self.modelled_device_bytes(backend_name, machine, num_qubits)
+            limit = min(limit, max(1, budget // one))
+        return limit
 
     @staticmethod
-    def stack_groups(circuits: Sequence[Circuit]) -> list[list[int]]:
+    def stack_groups(circuits: Sequence[Circuit], limit: int) -> list[list[int]]:
         """The indices of *circuits* per stack, in order of first
-        appearance: circuits of one structural key, at most
-        :meth:`stack_limit` distinct circuit objects each (a circuit
-        object repeated — one fanned out over initial states — joins its
-        group's stack however often).  A group plans through one cache
-        lookup and, on a backend that runs compiled programs, binds once,
-        as one ``(width, 2^n)`` stack."""
+        appearance: circuits of one structural key, at most *limit* rows
+        each (:meth:`stack_limit`).  A run of one circuit object — one
+        circuit fanned out over initial states — is never split: it joins a
+        stack only whole, and alone may exceed *limit*.  A group plans
+        through one cache lookup and, on a backend that runs compiled
+        programs, binds once, as one ``(rows, 2^n)`` stack."""
         groups: list[list[int]] = []
-        open_groups: dict[str, tuple[list[int], set[int]]] = {}
-        for index, circuit in enumerate(circuits):
-            key = circuit.structural_key()
+        open_groups: dict[str, list[int]] = {}
+        for _id, run in groupby(range(len(circuits)), key=lambda index: id(circuits[index])):
+            run = list(run)
+            key = circuits[run[0]].structural_key()
             group = open_groups.get(key)
-            if group is None or (
-                id(circuit) not in group[1]
-                and len(group[1]) >= Session.stack_limit(circuit.num_qubits)
-            ):
-                group = open_groups[key] = ([], set())
-                groups.append(group[0])
-            group[0].append(index)
-            group[1].add(id(circuit))
+            if group is None or len(group) + len(run) > limit:
+                group = open_groups[key] = []
+                groups.append(group)
+            group.extend(run)
         return groups
 
     @staticmethod
-    def stack_widths(circuits: Sequence[Circuit]) -> list[tuple[Circuit, int]]:
+    def stack_widths(circuits: Sequence[Circuit], limit: int) -> list[tuple[Circuit, int]]:
         """``(first circuit, width)`` per stack of *circuits*
         (:meth:`stack_groups`): the items that share one structure, which a
         backend that runs compiled programs executes as one ``(width,
         2^n)`` stack."""
-        return [(circuits[group[0]], len(group)) for group in Session.stack_groups(circuits)]
+        return [
+            (circuits[group[0]], len(group))
+            for group in Session.stack_groups(circuits, limit)
+        ]
 
     def modelled_device_bytes(
         self, backend_name: str, machine: MachineConfig, num_qubits: int,
@@ -1098,14 +1110,21 @@ class Session:
         try:
             # Admission: degrade down the backend chain before allocating a
             # working set the modelled device memory cannot hold.
-            chain = self._admit(
-                req.backend_name, req.machine, req.circuits[0].num_qubits, req.execute,
-                max(width for _circuit, width in self.stack_widths(req.circuits)),
+            num_qubits = req.circuits[0].num_qubits
+            groups = self.stack_groups(
+                req.circuits,
+                self.stack_limit(
+                    req.backend_name, req.machine, num_qubits, self.memory_budget_bytes
+                ),
             )
-            items = self._plan_items(req, chain[-1])
+            chain = self._admit(
+                req.backend_name, req.machine, num_qubits, req.execute,
+                max(len(group) for group in groups),
+            )
+            items = self._plan_items(req, chain[-1], groups)
             outs, execute_seconds = [(None, None)] * len(items), 0.0
             if req.execute:
-                outs, execute_seconds = self._execute(req, items, chain)
+                outs, execute_seconds = self._execute(req, items, chain, groups)
         finally:
             if injector is not None:
                 _faults.deactivate(injector)
@@ -1167,12 +1186,14 @@ class Session:
             resume_from=resume_from,
         )
 
-    def _plan_items(self, req: _Request, backend_name: str) -> list[_Item]:
-        """Plan the request stack by stack (:meth:`stack_groups`): one
-        :meth:`plan_for` per group of one structure; items in request
-        order."""
+    def _plan_items(
+        self, req: _Request, backend_name: str, groups: list[list[int]]
+    ) -> list[_Item]:
+        """Plan the request stack by stack (*groups*, from
+        :meth:`stack_groups`): one :meth:`plan_for` per group of one
+        structure; items in request order."""
         items: list = [None] * len(req.circuits)
-        for group in self.stack_groups(req.circuits):
+        for group in groups:
             req.deadline.check("planning")
             planned = self.plan_for(
                 [req.circuits[index] for index in group], req.machine, backend_name,
@@ -1183,15 +1204,17 @@ class Session:
         return items
 
     def _execute(
-        self, req: _Request, items: list[_Item], chain: list[str]
+        self, req: _Request, items: list[_Item], chain: list[str],
+        groups: list[list[int]],
     ) -> tuple[list, float]:
         """Run the planned items as one batch on the admitted backend
         (``chain[-1]``); returns ``(outs, wall_seconds)`` in item order.  The
         items that share a program run next to each other, in order — a
         stacked program's rows are its plans' (:meth:`_compiled_for`).  A
         real allocation failure degrades down the backend chain — appending
-        to *chain* — and re-runs the batch, planned again for the successor
-        (a cache hit that binds the kind of program *it* runs).
+        to *chain* — and re-runs the batch, planned again (in the same
+        *groups*) for the successor (a cache hit that binds the kind of
+        program *it* runs).
         """
         t0 = time.perf_counter()
         while True:
@@ -1218,7 +1241,7 @@ class Session:
                     raise
                 chain.append(successors[0])
                 self._session_fallbacks += 1
-                items = self._plan_items(req, chain[-1])
+                items = self._plan_items(req, chain[-1], groups)
         in_order: list = [None] * len(items)
         for position, index in enumerate(order):
             in_order[index] = outs[position]

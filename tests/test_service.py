@@ -260,18 +260,18 @@ class TestAdmission:
         class InCoreOnly(Session):
             _BACKEND_CHAIN = ("incore",)
 
-        # Circuits of one structure run in-core as one stack: the budget is
-        # checked against the stack, not against one state.
-        a, b, other = qft(N), qft(N), ghz(N)
+        # One circuit object repeated runs in-core as one stack: the budget
+        # is checked against the stack, not against one state.  Distinct
+        # circuits of one structure stack only as far as the budget holds.
+        a, b = qft(N), qft(N)
         with InCoreOnly(machine) as session:
             one_state = session.modelled_device_bytes("incore", machine, N)
             controller = AdmissionController(
                 AdmissionPolicy(memory_budget_bytes=one_state), session
             )
-            controller.admit([a, other], tenant="t", pending_total=0, pending_tenant=0)
-            for stacked in ([a, b], [a, a], [a, other, b]):
-                with pytest.raises(AdmissionError):
-                    controller.admit(stacked, tenant="t", pending_total=0, pending_tenant=0)
+            controller.admit([a, b, a, b], tenant="t", pending_total=0, pending_tenant=0)
+            with pytest.raises(AdmissionError):
+                controller.admit([a, a, b], tenant="t", pending_total=0, pending_tenant=0)
 
     def test_modelled_time_ceiling(self, machine):
         svc = SimulationService(
@@ -448,13 +448,8 @@ class TestService:
             flood = [svc.submit(vqc(N, seed=i), tenant="flood") for i in range(30)]
             late = svc.submit(qft(N), tenant="late")
             late.result(timeout=60)
-            # The late tenant finished while the flood still queues work —
-            # or runs it: queued flood jobs of one structure leave the
-            # queue as one stacked dispatch.
-            stats = svc.stats()
-            assert stats["queue_depth"] > 0 or stats["inflight"] > 0 or all(
-                j.done() for j in flood
-            )
+            # The late tenant finished while the flood still queues work.
+            assert svc.queue_depth > 0 or all(j.done() for j in flood)
             for job in flood:
                 job.result(timeout=120)
 

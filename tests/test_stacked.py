@@ -199,8 +199,9 @@ class TestStackedDispatch:
         rng = np.random.default_rng(7)
         machine = MachineConfig.for_circuit(N, num_shards=4)
         templates = [FAMILIES[name]() for name in sorted(FAMILIES)]
+        # Each tenant submits one job of each structure.
         jobs = [
-            (tenant, _redrawn(templates[i % 3], rng))
+            (tenant, _redrawn(templates[i // 3], rng))
             for i, tenant in enumerate(["a", "b", "c"] * 3)
         ]
         with SimulationService(machine, journal_dir=tmp_path, journal_fsync=False) as svc:
@@ -245,28 +246,84 @@ class TestStackedDispatch:
             ["submitted", "running", "completed"],
         ]
 
-    def test_a_fault_in_a_stacked_dispatch_fails_each_job(self, tmp_path):
-        """An injected kernel fault fails the dispatch it fires in: every job
-        of the stack fails with it and journals its own "failed"; the next
-        dispatch runs clean."""
+    def test_a_fault_in_a_stacked_dispatch_is_retried_per_job(self, tmp_path):
+        """An injected kernel fault fails the stacked run it fires in: each
+        job of the stack then runs alone — as a solo job would have run —
+        and, the fault spent, each completes with its solo bits, one
+        "running" and one "completed" record apiece."""
         rng = np.random.default_rng(9)
         machine = MachineConfig.for_circuit(N, num_shards=4)
         template = FAMILIES["qsvm"]()
+        circuits = [_redrawn(template, rng) for _ in "abc"]
         with SimulationService(
             machine, journal_dir=tmp_path, journal_fsync=False,
             faults="kernel_apply:KernelError:1",
         ) as svc:
-            failed = _burst(svc, [(t, _redrawn(template, rng)) for t in "abc"])
-            for job in failed:
-                with pytest.raises(KernelError):
-                    job.result(timeout=60)
-            again = _redrawn(template, rng)
-            result = svc.submit(again, tenant="a").result(timeout=60)
+            jobs = _burst(svc, zip("abc", circuits))
+            results = [job.result(timeout=60) for job in jobs]
             stats = svc.stats()
-        assert result.state.data.tobytes() == _solo(machine, again)
-        assert (stats["failed"], stats["completed"], stats["stacked_rows"]) == (3, 1, 3)
-        outcomes = [r["type"] for r in _records(tmp_path) if r["type"] in ("failed", "completed")]
-        assert outcomes == ["failed"] * 3 + ["completed"]
+            assert svc.session._injector.total_fired == 1
+        for circuit, result in zip(circuits, results):
+            assert result.state.data.tobytes() == _solo(machine, circuit)
+        assert (stats["failed"], stats["completed"], stats["stacked_rows"]) == (0, 3, 3)
+        records = [r["type"] for r in _records(tmp_path) if r["type"] != "submitted"]
+        assert records == ["running"] * 3 + ["completed"] * 3
+
+    def test_only_the_job_whose_own_run_fails_is_failed(self, tmp_path, monkeypatch):
+        """A job that fails on its own fails its stack's run; its stack
+        mates, run alone, complete — one failed job, as the solo path
+        gives, not three."""
+        rng = np.random.default_rng(11)
+        machine = MachineConfig.for_circuit(N, num_shards=4)
+        template = FAMILIES["ising"]()
+        circuits = [_redrawn(template, rng) for _ in "abc"]
+        poisoned = circuits[1]
+        with SimulationService(machine, journal_dir=tmp_path, journal_fsync=False) as svc:
+            run = svc.session.run
+
+            def failing_run(batch, **kwargs):
+                if any(c is poisoned for c in batch):
+                    raise KernelError("this job's own fault", site="kernel_apply")
+                return run(batch, **kwargs)
+
+            monkeypatch.setattr(svc.session, "run", failing_run)
+            jobs = _burst(svc, zip("abc", circuits))
+            with pytest.raises(KernelError):
+                jobs[1].result(timeout=60)
+            results = [jobs[0].result(timeout=60), jobs[2].result(timeout=60)]
+            stats = svc.stats()
+        for circuit, result in zip([circuits[0], circuits[2]], results):
+            assert result.state.data.tobytes() == _solo(machine, circuit)
+        assert (stats["failed"], stats["completed"], stats["stacked_rows"]) == (1, 2, 3)
+        by_job: dict[int, list[str]] = {}
+        for record in _records(tmp_path):
+            by_job.setdefault(record["job"], []).append(record["type"])
+        assert list(by_job.values()) == [
+            ["submitted", "running", "completed"],
+            ["submitted", "running", "failed"],
+            ["submitted", "running", "completed"],
+        ]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_stack_fits_the_memory_budget(self, rows):
+        """Under a budget of *rows* one-job working sets and no
+        degradation, queued jobs of one structure stack at most *rows* at a
+        time, and every one runs in core: a job admissible alone is never
+        refused for the jobs it is stacked with."""
+        rng = np.random.default_rng(12)
+        machine = MachineConfig.for_circuit(N, num_shards=4)
+        template = FAMILIES["vqc"]()
+        one = 2 * 16 * (1 << N)
+        with SimulationService(
+            machine, memory_budget_bytes=rows * one, degrade=False
+        ) as svc:
+            jobs = _burst(svc, [(t, _redrawn(template, rng)) for t in "abcabc"])
+            backends = [job.result(timeout=60).backend for job in jobs]
+            stats = svc.stats()
+        assert backends == ["incore"] * 6
+        assert (stats["completed"], stats["failed"]) == (6, 0)
+        assert stats["stacked_rows"] == rows * stats["stacked_dispatches"]
+        assert (stats["stacked_dispatches"] > 0) == (rows > 1)
 
     def test_jobs_that_cannot_share_a_pass_run_alone(self):
         """A shard backend binds one schedule per job, and keywords that act
@@ -311,6 +368,25 @@ class TestFairShareOverStacks:
         # a, back with work, pays its debt on its first visit: b goes first.
         assert scheduler.next_job()[1].payload == "T2"
         assert scheduler.next_job()[1].payload == "U1"
+
+    def test_a_drain_keeps_priority_and_one_visit_of_debt(self):
+        """A job runs early only past jobs of its own priority, and only
+        while its tenant stays at most one visit's credit in debt."""
+        scheduler = FairShareScheduler()
+        for label in ("S1", "S2", "S3"):
+            scheduler.enqueue("a", label)
+        scheduler.enqueue("b", "H", priority=5)
+        scheduler.enqueue("b", "S4")
+        scheduler.enqueue("c", "S5")
+        tenant, job = scheduler.next_job()
+        assert (tenant, job.payload) == ("a", "S1")
+        assert scheduler.drainable() == ["S2", "S3", "H", "S5"]
+        drained = scheduler.drain(lambda payload: payload.startswith("S"), 8)
+        # S3 would put a two visits in debt; S4 waits behind b's H.
+        assert [(t, j.payload) for t, j in drained] == [("a", "S2"), ("c", "S5")]
+        assert scheduler.drainable() == ["H"]
+        queues = scheduler._queues
+        assert (queues["a"].deficit, queues["c"].deficit) == (-1, -1)
 
     def test_over_a_burst_each_tenant_gets_its_share(self):
         """Three equal tenants, three structures, a stack of at most four:
