@@ -16,7 +16,14 @@ from ..circuits.gates import Gate, GateTable
 from ..errors import PlanValidationError
 from .kernel import Kernel, KernelSequence
 
-__all__ = ["QubitPartition", "Stage", "ExecutionPlan", "structure_digest"]
+__all__ = [
+    "ExecutionPlan",
+    "QubitPartition",
+    "Stage",
+    "digest_of_body",
+    "structure_body",
+    "structure_digest",
+]
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,45 @@ class ExecutionPlan:
             for stage in self.stages
         ]
 
+    def digest(self) -> str:
+        """:func:`structure_digest` of the plan's :meth:`skeleton`: what a
+        compiled structure admits a plan by (with its gate table's bytes,
+        :class:`repro.runtime.compile.PlanRecord`), and what the plan cache
+        and checkpoints persist."""
+        return structure_digest(self.num_qubits, self.skeleton())
+
+    def kernel_types(self) -> tuple:
+        """Per stage its kernels' types in order, ``None`` for a stage
+        without kernels: what a compiled structure's lowering reads of a
+        kernel besides its gate indices, which :meth:`digest` leaves out."""
+        return tuple(
+            None if stage.kernels is None
+            else tuple([kernel.kernel_type for kernel in stage.kernels])
+            for stage in self.stages
+        )
+
+    def names_its_gates(self) -> bool:
+        """Whether every stage's gates — a kernelized stage's as its kernels
+        hold them — are its :attr:`gate_table`'s at the positions the
+        stage's and kernels' ``gate_indices`` record: what a compiled
+        structure reads a plan's gates from."""
+        held = self.gate_table.gates
+        try:
+            for stage in self.stages:
+                indices = stage.gate_indices
+                if len(indices) != stage.num_gates:
+                    return False
+                if stage.kernels is None:
+                    if stage.gates != [held[p] for p in indices]:
+                        return False
+                    continue
+                for kernel in stage.kernels:
+                    if list(kernel.gates) != [held[indices[j]] for j in kernel.gate_indices]:
+                        return False
+        except IndexError:
+            return False
+        return True
+
     def validate(self, circuit: Circuit) -> None:
         """Validate the plan against the original circuit.
 
@@ -238,14 +284,14 @@ class ExecutionPlan:
         }
 
 
-def structure_digest(num_qubits: int, stages: Iterable[tuple]) -> str:
-    """The one integrity checksum of a plan structure: blake2b over the
-    repr of ``(num_qubits, per-stage (gate indices, sorted logical →
-    physical items, kernel gate indices or None))``.  *stages* is in
-    :meth:`ExecutionPlan.skeleton`'s form.  The layout is persisted —
-    shared-store entries and checkpoints carry the digest — so it must
-    not change."""
-    body = tuple(
+def structure_body(num_qubits: int, stages: Iterable[tuple]) -> tuple:
+    """What :func:`structure_digest` hashes: ``(num_qubits, per-stage (gate
+    indices, sorted logical → physical items, kernel gate indices or
+    None))``, all tuples.  *stages* is in :meth:`ExecutionPlan.skeleton`'s
+    form.  Two bodies compare equal exactly when the structures do, which
+    is stricter than comparing their digests (the plan cache's integrity
+    check)."""
+    return num_qubits, tuple(
         (
             tuple(gate_indices),
             tuple(sorted(partition.logical_to_physical().items())),
@@ -253,7 +299,19 @@ def structure_digest(num_qubits: int, stages: Iterable[tuple]) -> str:
         )
         for gate_indices, partition, kernels in stages
     )
-    return hashlib.blake2b(repr((num_qubits, body)).encode(), digest_size=8).hexdigest()
+
+
+def structure_digest(num_qubits: int, stages: Iterable[tuple]) -> str:
+    """The one integrity checksum of a plan structure: blake2b over the
+    repr of its :func:`structure_body`.  The layout is persisted —
+    shared-store entries and checkpoints carry the digest — so it must
+    not change."""
+    return digest_of_body(structure_body(num_qubits, stages))
+
+
+def digest_of_body(body: tuple) -> str:
+    """:func:`structure_digest` of a :func:`structure_body` already built."""
+    return hashlib.blake2b(repr(body).encode(), digest_size=8).hexdigest()
 
 
 def _names(stage: Stage, kernel: Kernel) -> bool:

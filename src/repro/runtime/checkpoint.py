@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from ..circuits.gates import content_bytes
-from ..core.plan import ExecutionPlan, structure_digest
+from ..core.plan import ExecutionPlan
 from ..errors import CacheCorruptionError, PlanValidationError
 from . import faults
 
@@ -216,16 +216,15 @@ class Checkpoint:
 def checkpoint_fingerprint(plan: ExecutionPlan) -> str:
     """The fingerprint a checkpoint is validated against.
 
-    Deliberately *stricter* than the plan cache's structural
-    :func:`~repro.core.plan.structure_digest` of the plan's skeleton, which
-    it starts from: the structural digest ignores rotation angles so a
+    Deliberately *stricter* than the plan's structural
+    :meth:`~repro.core.plan.ExecutionPlan.digest`, which it starts from: the structural digest ignores rotation angles so a
     parameter sweep shares one cache entry, but resuming a sweep sibling's
     state would silently compute garbage.  Checkpoints therefore also hash
     every gate's parameters, in plan order, through the circuit content
     encoding (:func:`~repro.circuits.gates.content_bytes`) — a resume is
     valid only for the bit-identical computation.
     """
-    structure = structure_digest(plan.num_qubits, plan.skeleton()).encode()
+    structure = plan.digest().encode()
     return hashlib.blake2b(structure + content_bytes(plan.all_gates()), digest_size=16).hexdigest()
 
 

@@ -41,14 +41,21 @@ the Session plan cache) is the same bind over the reuse program's
 structure, so warm and cold programs are bit-identical by construction.
 A rebind
 
-* first admits the plan as a whole (:class:`PlanRecord`, the one admit
-  both lowerings share): stage layouts, kernel shapes and gate indices,
-  and per gate its name, qubits and
-  :func:`~repro.circuits.gates.matrix_signature` — one bytes compare of
-  the table's records at the structure's positions; a plan that does not
-  have the structure — ``rx(0)`` bound onto a generic ``rx`` — is
-  compiled structurally from scratch, counted in ``ops_recompiled`` and
-  never adopts the base's structure;
+* first admits the plan as a whole against what its structure recorded
+  when it was built (:class:`PlanRecord`, the one admit both lowerings
+  share): the plan's structure digest
+  (:meth:`~repro.core.plan.ExecutionPlan.digest` — stage layouts, stage
+  and kernel gate indices), its kernel types, its local qubit count,
+  whether its gates are its table's at those indices, and per gate its
+  name, qubits and :func:`~repro.circuits.gates.matrix_signature` — one
+  bytes compare of the table's records at the structure's positions.  No
+  stage, kernel or gate list of a warm row is walked: a row of the
+  Session's plan cache carries its entry's digest and kernel types and
+  builds its stages only when read (:class:`repro.session.cache.BoundPlan`).
+  A plan that does not have the
+  structure — ``rx(0)`` bound onto a generic ``rx`` — is compiled
+  structurally from scratch, counted in ``ops_recompiled`` and never
+  adopts the base's structure;
 * proves locality for exactly the gates with a qubit at a non-local
   position (the only ones for which the check is not vacuous);
 * takes verbatim every op whose gates compare equal to the reuse
@@ -84,9 +91,8 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,12 +123,14 @@ from .sharding import QubitLayout, nonlocal_axes, permutation_axes, shard_out_in
 __all__ = [
     "PlanRecord",
     "ProgramStructure",
+    "Row",
     "SegmentStructure",
     "bind_structure",
     "clear_program_cache",
     "compile_plan",
     "compiled_program_for",
     "program_row",
+    "row_of",
 ]
 
 
@@ -420,17 +428,30 @@ def _gate_table(plan: ExecutionPlan) -> GateTable:
     return plan.gate_table
 
 
-def _stage_record(stage, local: int | None) -> tuple:
-    """What a plan's *stage* must equal to take a structure built from
-    another plan: its layout, its local qubit count (*local*, else the
-    partition's), its recorded gate indices and — kernelized — each
-    kernel's type and ``gate_indices``."""
-    kernels = stage.kernels
-    return (
-        stage.partition.logical_to_physical(),
-        local if local is not None else stage.partition.num_local,
-        list(stage.gate_indices),
-        None if kernels is None else [(k.kernel_type, k.gate_indices) for k in kernels],
+class Row(NamedTuple):
+    """What the admit reads of a plan (:meth:`PlanRecord.admit`): its
+    :meth:`~repro.core.plan.ExecutionPlan.digest` and
+    :meth:`~repro.core.plan.ExecutionPlan.kernel_types`, its local qubit
+    count — the machine's, else each stage partition's (one number when
+    the stages agree) —, whether its gates are its table's at its recorded
+    indices (:meth:`~repro.core.plan.ExecutionPlan.names_its_gates`) and
+    its gate table.  :func:`row_of` takes it, once per plan."""
+
+    digest: str
+    kinds: tuple
+    local: "int | tuple[int, ...]"
+    named: bool
+    table: GateTable
+
+
+def row_of(plan: ExecutionPlan, local: int | None) -> Row:
+    """*plan*'s :class:`Row` under *local* (``None``: each stage's own
+    local count)."""
+    if local is None:
+        counts = tuple([stage.partition.num_local for stage in plan.stages])
+        local = counts[0] if len(set(counts)) == 1 else counts
+    return Row(
+        plan.digest(), plan.kernel_types(), local, plan.names_its_gates(), _gate_table(plan)
     )
 
 
@@ -438,23 +459,29 @@ class PlanRecord:
     """What both lowerings of a plan — a compiled program and a shard
     schedule — are built from, and the one admit of a warm plan they share.
 
-    ``stages`` holds each stage's :func:`_stage_record`; ``groups`` per
-    stage its layout, its local qubit count and its kernels as ``(gates,
-    kernel type, table positions)`` — an un-kernelized stage as one group
-    of type ``None`` per gate —, read through the recorded stage and kernel
+    Built once per structure, from the plan the structure is built from
+    (and its :class:`Row`): ``groups`` per stage its layout, its local
+    qubit count and its kernels as ``(gates, kernel type, table
+    positions)`` — an un-kernelized stage as one group of type ``None``
+    per gate —, read through the recorded stage and kernel
     ``gate_indices``; ``positions`` every group's positions, group after
-    group, and ``guard`` the plan table's records there.
+    group, and ``guard`` the plan table's records there.  ``digest``,
+    ``kinds`` and ``local`` are the row's: a plan with that digest and
+    those kernel types has these stages, layouts, kernel ``gate_indices``
+    and lowerings, so a row whose gates are its table's at its indices is
+    admitted by three compares and one bytes compare, and its gates are
+    its table's at ``positions`` (:meth:`gates`).
     """
 
-    def __init__(self, plan: ExecutionPlan, local: int | None) -> None:
-        self.num_qubits = plan.num_qubits
-        self.stages: list[tuple] = []
+    def __init__(self, plan: ExecutionPlan, row: Row) -> None:
+        self.digest, self.kinds, self.local = row.digest, row.kinds, row.local
+        self.num_stages = len(plan.stages)
         self.groups: list[tuple[dict[int, int], int, list[tuple]]] = []
         layout = QubitLayout(plan.num_qubits)
         for stage_idx, stage in enumerate(plan.stages):
-            l2p, stage_local, indices, _kernels = record = _stage_record(stage, local)
-            self.stages.append(record)
+            l2p = stage.partition.logical_to_physical()
             layout.update(l2p)
+            indices = stage.gate_indices
             if len(indices) != stage.num_gates:
                 raise PlanValidationError(
                     f"stage {stage_idx} records {len(indices)} gate indices for "
@@ -474,41 +501,38 @@ class PlanRecord:
                         tuple(kernel.gates), kernel.kernel_type,
                         tuple([indices[j] for j in kernel.gate_indices]),
                     ))
+            stage_local = row.local if isinstance(row.local, int) else row.local[stage_idx]
             self.groups.append((l2p, stage_local, groups))
         self.position_list = [
             p for _l2p, _local, groups in self.groups for _g, _t, at in groups for p in at
         ]
+        if not row.named:
+            raise PlanValidationError("a kernel's gate_indices do not name its gates in its stage")
         self.positions = np.asarray(self.position_list, dtype=np.intp)
-        self.guard = _gate_table(plan).signature_blob(self.positions)
+        self.guard = row.table.signature_blob(self.positions)
+        self._gates = _picker(tuple(self.position_list)) if self.position_list else lambda _g: ()
 
-    def admit(
-        self, plan: ExecutionPlan, local: int | None
-    ) -> tuple[list[Gate], GateTable] | None:
-        """``(plan's group gates in order, its gate table)`` when *plan*
-        has these stage records, its kernels' gates are its table's at
-        ``positions`` (what the recorded indices claim) and the table's
-        records there are the guard — per gate the name, the qubits and,
-        parameterized, the exact matrix signature (stricter than
+    def admit(self, row: Row) -> GateTable | None:
+        """*row*'s gate table when the row has this structure — its digest,
+        kernel types and local count are the record's, its gates are its
+        table's at its indices, and the table's records at ``positions``
+        are the guard: per gate the name, the qubits and, parameterized,
+        the exact matrix signature (stricter than
         :meth:`Circuit.structural_key`'s ``> 1e-12`` pattern, so
-        ``rx(1e-13)`` is not taken for ``rx(0)``): two list compares and
-        one bytes compare.  Else ``None``."""
-        if plan.num_qubits != self.num_qubits or [
-            _stage_record(stage, local) for stage in plan.stages
-        ] != self.stages:
-            return None
-        table = _gate_table(plan)
-        gates = [
-            gate for stage in plan.stages for gate in (
-                stage.gates if stage.kernels is None
-                else chain.from_iterable(kernel.gates for kernel in stage.kernels)
-            )
-        ]
-        held = table.gates
-        if gates != [held[p] for p in self.position_list] or (
-            table.signature_blob(self.positions) != self.guard
+        ``rx(1e-13)`` is not taken for ``rx(0)``) — else ``None``."""
+        if not row.named or (row.digest, row.kinds, row.local) != (
+            self.digest, self.kinds, self.local
         ):
             return None
-        return gates, table
+        table = row.table
+        if table.signature_blob(self.positions) != self.guard:
+            return None
+        return table
+
+    def gates(self, table: GateTable) -> list[Gate]:
+        """The gates of an admitted row's *table* at ``positions``: every
+        group's, group after group."""
+        return list(self._gates(table.gates))
 
 
 class ProgramStructure(_Structure):
@@ -522,11 +546,12 @@ class ProgramStructure(_Structure):
     :meth:`prove_locality` checks.
     """
 
-    def __init__(self, plan: ExecutionPlan, local: int | None) -> None:
+    def __init__(self, plan: ExecutionPlan, row: Row) -> None:
         n = plan.num_qubits
         super().__init__(n)
-        self.record = PlanRecord(plan, local)
-        _gate_table(plan).patterns()  # every gate's signature, for its lowering shape
+        self.record = PlanRecord(plan, row)
+        table = row.table
+        table.patterns()  # every gate's signature, for its lowering shape
         self.nonlocal_gates: list[tuple[int, int, dict[int, int], int]] = []
         self.num_kernels = 0
         self.num_permutations = 0
@@ -560,7 +585,17 @@ class ProgramStructure(_Structure):
         self.num_gate_ops = sum(
             not isinstance(slot, CompiledOp) for slot in self.slots
         )
-        self.seal(self.record.position_list, _gate_table(plan))
+        self.seal(self.record.position_list, table)
+        self.pools = [
+            _picker(tuple(self.record.position_list[a:b]))
+            for a, b in zip(self.starts, self.starts[1:])
+        ]
+        #: ``(table position, layout, local count)`` of each gate of
+        #: ``nonlocal_gates``.
+        self._checked = [
+            (int(self.positions[self.starts[pool] + at]), l2p, local)
+            for pool, at, l2p, local in self.nonlocal_gates
+        ]
 
     def _add(self, gates: tuple[Gate, ...], l2p: dict[int, int], local: int) -> _KernelSlot:
         """:meth:`add_kernel`, noting the gates :meth:`prove_locality` checks."""
@@ -572,23 +607,26 @@ class ProgramStructure(_Structure):
         return self.add_kernel(gates, l2p)
 
     def admit(
-        self, plan: ExecutionPlan, local: int | None
+        self, row: Row, check_locality: bool
     ) -> tuple[list[tuple[Gate, ...]], GateTable] | None:
-        """``(plan's gate pools, its gate table)`` when *plan* has this
-        structure (:meth:`PlanRecord.admit`), else ``None``."""
-        admitted = self.record.admit(plan, local)
-        if admitted is None:
+        """``(the row's gate pools, its gate table)`` when *row* has this
+        structure (:meth:`PlanRecord.admit`), else ``None``; with
+        *check_locality* an admitted row is proved local
+        (:meth:`prove_locality`, which raises)."""
+        table = self.record.admit(row)
+        if table is None:
             return None
-        gates, table = admitted
-        starts = self.starts
-        return [tuple(gates[a:b]) for a, b in zip(starts, starts[1:])], table
+        if check_locality:
+            self.prove_locality(table)
+        held = table.gates
+        return [pick(held) for pick in self.pools], table
 
-    def prove_locality(self, pools: list[tuple[Gate, ...]], table: GateTable) -> None:
-        """The staging invariant, for exactly the gates it is not vacuous
-        for — their insular qubits read off *table*."""
-        for pool, position, l2p, local in self.nonlocal_gates:
-            at = int(self.positions[self.starts[pool] + position])
-            _check_locality(pools[pool][position], table.non_insular_qubits(at), l2p, local)
+    def prove_locality(self, table: GateTable) -> None:
+        """The staging invariant for the gates of *table* at the structure's
+        positions, for exactly the gates it is not vacuous for — their
+        insular qubits read off *table*."""
+        for at, l2p, local in self._checked:
+            _check_locality(table.gates[at], table.non_insular_qubits(at), l2p, local)
 
 
 class SegmentStructure(_Structure):
@@ -648,12 +686,13 @@ def bind_structure(reuse, rows: list, admit, build) -> tuple:
     """The one admit → bind → else-cold sequence of every compile.
 
     *rows* are the jobs bound together — a stack; a shard schedule binds
-    one.  *reuse* is ``(structure, what was bound from it)`` of an earlier
-    compile, or ``None``; ``admit(structure, row)`` returns ``(the job's
-    gates — pools for a program —, its gate table)`` when it has that
-    structure, else ``None``; ``build()`` returns a fresh structure, which
-    must admit the first row (a kernel whose ``gate_indices`` do not name
-    its gates is a :class:`PlanValidationError`).  The rows the reuse
+    one — each a :class:`Row`.  *reuse* is ``(structure, what was bound
+    from it)`` of an earlier compile, or ``None``; ``admit(structure,
+    row)`` returns ``(the job's gates — pools for a program —, its gate
+    table)`` when it has that structure, else ``None``; ``build()`` returns
+    a fresh structure built from the first row's plan, which admits that
+    row (a kernel whose ``gate_indices`` do not name its gates is a
+    :class:`PlanValidationError` of the build).  The rows the reuse
     structure admits are bound over it; when it admits none, the first row
     is built cold in full — never adopting the reuse structure — and every
     row the cold structure admits is bound over that.  Returns
@@ -668,8 +707,6 @@ def bind_structure(reuse, rows: list, admit, build) -> tuple:
             return structure, result, True, declined
     structure = build()
     admitted = [admit(structure, row) for row in rows]
-    if admitted[0] is None:
-        raise PlanValidationError("a kernel's gate_indices do not name its gates in its stage")
     result, declined = _bind_rows(structure, admitted, None)
     return structure, result, False, declined
 
@@ -727,36 +764,31 @@ def compile_plan(
         rebound family shares one ping-pong pair) or a fresh one.
     """
     faults.check("compile")
-    rows = [plan] if isinstance(plan, ExecutionPlan) else list(plan)
-    if all(row is rows[0] for row in rows):
-        rows = rows[:1]
-    first = rows[0]
+    plans = [plan] if isinstance(plan, ExecutionPlan) else list(plan)
+    if all(row is plans[0] for row in plans):
+        plans = plans[:1]
+    first = plans[0]
     if workspace is None:
         workspace = reuse.workspace if reuse is not None else Workspace()
     if reuse is not None and reuse.num_qubits != first.num_qubits:
         raise PlanValidationError("reuse program spans a different qubit count")
 
     local = machine.local_qubits if machine is not None else None
-
-    def admit(structure: ProgramStructure, row: ExecutionPlan):
-        admitted = structure.admit(row, local)
-        if check_locality and admitted is not None:
-            structure.prove_locality(*admitted)
-        return admitted
-
+    rows = [row_of(row, local) for row in plans]
     held = reuse.structure if reuse is not None else None
     structure, (ops, reused), rebound, declined = bind_structure(
         (held, reuse.ops if reuse.rows == 1 else None)
         if isinstance(held, ProgramStructure) else None,
-        rows, admit, lambda: ProgramStructure(first, local),
+        rows, lambda structure, row: structure.admit(row, check_locality),
+        lambda: ProgramStructure(first, rows[0]),
     )
 
     return CompiledProgram(
         num_qubits=first.num_qubits,
         ops=ops,
         workspace=workspace,
-        num_stages=len(first.stages),
-        num_gates=first.gate_count(),
+        num_stages=structure.record.num_stages,
+        num_gates=len(structure.record.position_list),
         num_kernels=structure.num_kernels,
         num_permutations=structure.num_permutations,
         kernels_per_stage=list(structure.kernels_per_stage),
@@ -766,7 +798,7 @@ def compile_plan(
         ops_recompiled=structure.num_gate_ops if reuse is not None and not rebound else 0,
         provenance=first.provenance,
         structure=structure,
-        rows=len(rows) - len(declined),
+        rows=len(plans) - len(declined),
         declined=declined,
     )
 
@@ -782,7 +814,9 @@ def program_row(
     structure = program.structure
     if program.rows == 1 or not isinstance(structure, ProgramStructure):
         return program
-    admitted = structure.admit(plan, machine.local_qubits if machine is not None else None)
+    admitted = structure.admit(
+        row_of(plan, machine.local_qubits if machine is not None else None), False
+    )
     if admitted is None:
         raise PlanValidationError("plan is not a row of this stacked program")
     pools = admitted[0]

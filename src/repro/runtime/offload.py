@@ -88,7 +88,7 @@ from .checkpoint import (
     find_checkpoint,
     write_checkpoint,
 )
-from .compile import PlanRecord, SegmentStructure, bind_structure
+from .compile import PlanRecord, Row, SegmentStructure, bind_structure, row_of
 from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
@@ -368,10 +368,10 @@ class ScheduleStructure:
     ``> 1e-12`` key patterns, which the cut and the axis tables follow.
     """
 
-    def __init__(self, plan: ExecutionPlan, local_qubits: int) -> None:
-        n = plan.num_qubits
-        table = plan.gate_table
-        self.record = PlanRecord(plan, local_qubits)
+    def __init__(self, plan: ExecutionPlan, row: Row) -> None:
+        n, local_qubits = plan.num_qubits, row.local
+        table = row.table
+        self.record = PlanRecord(plan, row)
         self.stages: list[tuple[dict[int, int], list[_Cut]]] = []
         far: list[int] = []
         at = 0
@@ -409,15 +409,15 @@ class ScheduleStructure:
         self.far = np.asarray(far, dtype=np.intp)
         self.key_guard = table.key_blob(self.far)
 
-    def admit(self, plan: ExecutionPlan, local_qubits: int) -> tuple[list[Gate], GateTable] | None:
-        """``(plan's group gates, its gate table)`` when *plan* has this
+    def admit(self, row: Row) -> tuple[list[Gate], GateTable] | None:
+        """``(the row's group gates, its gate table)`` when *row* has this
         structure — the plan compiler's admit
         (:meth:`~repro.runtime.compile.PlanRecord.admit`), then one bytes
         compare of the key patterns at ``far`` — else ``None``."""
-        admitted = self.record.admit(plan, local_qubits)
-        if admitted is None or admitted[1].key_blob(self.far) != self.key_guard:
+        table = self.record.admit(row)
+        if table is None or table.key_blob(self.far) != self.key_guard:
             return None
-        return admitted
+        return self.record.gates(table), table
 
     def bind(
         self, rows: list[list[Gate]], reuse_stages, tables: list[GateTable]
@@ -482,10 +482,11 @@ def build_schedule(
     way the result equals a cold build bit for bit and never carries
     another circuit's angles.
     """
+    row = row_of(plan, local_qubits)
     structure, stages, rebound, _declined = bind_structure(
-        None if reuse is None else (reuse.structure, reuse.stages), [plan],
-        lambda held, row: held.admit(row, local_qubits),
-        lambda: ScheduleStructure(plan, local_qubits),
+        None if reuse is None else (reuse.structure, reuse.stages), [row],
+        lambda held, row: held.admit(row),
+        lambda: ScheduleStructure(plan, row),
     )
     return Schedule(stages, structure, rebound)
 

@@ -65,14 +65,42 @@ _FILENAME = "journal.jsonl"
 _APPEND_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
 
 
+#: The canonical encoding: sorted keys, no whitespace (``json.dumps`` with
+#: these options, without building an encoder per call).
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _digest(canonical: str) -> str:
+    return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
+
+
 def _checked(record: dict) -> dict:
     """Return *record* with its ``check`` digest filled in."""
     core = {k: v for k, v in record.items() if k != "check"}
-    digest = hashlib.blake2b(
-        json.dumps(core, sort_keys=True, separators=(",", ":")).encode(),
-        digest_size=16,
-    ).hexdigest()
-    return {**core, "check": digest}
+    return {**core, "check": _digest(_ENCODE(core))}
+
+
+def _join(before: str, after: str) -> str:
+    """Two canonical objects, every key of *before* sorting below every key
+    of *after*, as the canonical encoding of their union."""
+    if before == "{}":
+        return after
+    if after == "{}":
+        return before
+    return before[:-1] + "," + after[1:]
+
+
+def _line(record: dict) -> bytes:
+    """*record*'s journal line — ``_checked(record)`` in the canonical
+    encoding — with each value encoded once: the keys below ``check`` (the
+    journal's own sort after it) and the keys above it are encoded apart,
+    the digest is taken over the two joined (the canonical record), and the
+    line is the two with ``"check":…`` between them (its sorted place)."""
+    below = {k: v for k, v in record.items() if k < "check"}
+    above = {k: v for k, v in record.items() if k > "check"} if below else record
+    below, above = _ENCODE(below), _ENCODE(above)
+    check = '{"check":"%s"}' % _digest(_join(below, above))
+    return _join(_join(below, check), above).encode() + b"\n"
 
 
 def _verify(record: dict) -> bool:
@@ -111,6 +139,36 @@ class JournalReplay:
             for _jid, payload in sorted(self.jobs.items())
             if payload.get("type") in ("submitted", "running", "recovered")
         ]
+
+
+class _Batch:
+    """:meth:`JobJournal.batch`'s block: it holds the journal's lock, and
+    its appends wait in ``pending`` until it ends (a block inside another
+    joins the outer one's)."""
+
+    __slots__ = ("journal", "outer")
+
+    def __init__(self, journal: "JobJournal") -> None:
+        self.journal = journal
+        self.outer = False
+
+    def __enter__(self) -> "JobJournal":
+        journal = self.journal
+        journal._lock.acquire()
+        self.outer = journal._pending is None
+        if self.outer:
+            journal._pending = []
+        return journal
+
+    def __exit__(self, *exc) -> None:
+        journal = self.journal
+        try:
+            if self.outer:
+                lines, journal._pending = journal._pending, None
+                if lines:
+                    journal._attempt(lines, site=False, write=True)
+        finally:
+            journal._lock.release()
 
 
 def replay_journal(path: Path, strict: bool = False) -> JournalReplay:
@@ -165,7 +223,9 @@ class JobJournal:
 
     Thread-safe: submissions and the scheduler thread append concurrently.
     ``fsync=False`` trades durability of the last few records for append
-    latency (the tests use it; production keeps the default).
+    latency (the tests use it; production keeps the default).  Records
+    appended inside :meth:`batch` — a dispatch's ``running`` records, then
+    its outcomes — reach the file in one write and one flush (one fsync).
     """
 
     def __init__(
@@ -180,8 +240,10 @@ class JobJournal:
         self.path = self.directory / _FILENAME
         self.fsync = fsync
         self.strict = strict
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._handle = None
+        #: Lines appended inside :meth:`batch`, not yet written.
+        self._pending: list[bytes] | None = None
         #: Append accounting (surfaced in service stats).
         self.appends = 0
         self.append_errors = 0
@@ -211,7 +273,8 @@ class JobJournal:
         return self._handle
 
     def append(self, type: str, job: int, **fields) -> bool:
-        """Durably append one record; True when it reached the journal.
+        """Durably append one record; True when it reached the journal (or,
+        inside :meth:`batch`, the batch).
 
         Never raises in non-strict mode: a failed append (after bounded
         retries) degrades the journal to non-durable and returns False —
@@ -221,44 +284,61 @@ class JobJournal:
             if self.degraded:
                 self.append_errors += 1
                 return False
-            record = _checked(
-                {"v": JOURNAL_VERSION, "seq": self._seq, "type": type,
-                 "job": job, **fields}
+            line = _line(
+                {"v": JOURNAL_VERSION, "seq": self._seq, "type": type, "job": job, **fields}
             )
-            line = (
-                json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-                + b"\n"
-            )
-            attempt = 1
-            while True:
-                try:
+            pending = self._pending
+            if not self._attempt([line], site=True, write=pending is None):
+                return False
+            if pending is not None:
+                pending.append(line)
+            self._seq += 1
+            return True
+
+    def batch(self) -> "_Batch":
+        """A block whose appends — made on this thread, which holds the
+        journal until the block ends — reach the file with one write and
+        one flush (one fsync with ``fsync=True``).  Each line, its ``seq``
+        and the ``journal_append`` fault site are what :meth:`append` gives
+        it alone; a record that fails lands none after it, and the records
+        before it are written when the block ends."""
+        return _Batch(self)
+
+    def _write(self, lines: list[bytes]) -> None:
+        handle = self._ensure_handle()
+        handle.write(b"".join(lines))
+        if self.fsync:
+            fsync_file(handle)
+        else:
+            handle.flush()
+        self.appends += len(lines)
+
+    def _attempt(self, lines: list[bytes], site: bool, write: bool) -> bool:
+        """Pass the ``journal_append`` fault site (*site*) and write *lines*
+        (*write*) under the append retry policy: True once that succeeds.
+        A permanent typed failure or an exhausted budget counts *lines* in
+        ``append_errors`` and raises in strict mode, else degrades the
+        journal and returns False."""
+        attempt = 1
+        while True:
+            try:
+                if site:
                     faults.check("journal_append")
-                    handle = self._ensure_handle()
-                    handle.write(line)
-                    if self.fsync:
-                        fsync_file(handle)
-                    else:
-                        handle.flush()
-                    self._seq += 1
-                    self.appends += 1
-                    return True
-                except (ReproError, OSError) as exc:
-                    if isinstance(exc, ReproError) and not exc.transient:
-                        # A permanent typed failure (e.g. an injected
-                        # IntegrityError): no retry can help.
-                        self.append_errors += 1
-                        if self.strict:
-                            raise
-                        self.degraded = True
-                        return False
-                    if attempt >= _APPEND_RETRY.max_attempts:
-                        self.append_errors += 1
-                        if self.strict:
-                            raise
-                        self.degraded = True
-                        return False
-                    _APPEND_RETRY.sleep(attempt)
-                    attempt += 1
+                if write:
+                    self._write(lines)
+                return True
+            except (ReproError, OSError) as exc:
+                # A permanent typed failure (e.g. an injected
+                # IntegrityError): no retry can help.
+                permanent = isinstance(exc, ReproError) and not exc.transient
+                if permanent or attempt >= _APPEND_RETRY.max_attempts:
+                    self.append_errors += len(lines)
+                    if self.strict:
+                        raise
+                    self.degraded = True
+                    return False
+                _APPEND_RETRY.sleep(attempt)
+                attempt += 1
 
     def close(self) -> None:
         with self._lock:

@@ -756,7 +756,8 @@ class SimulationService:
         :meth:`Session.run` — a solo item is a group of one.  A group that
         fails runs again item by item, so only an item whose own run fails
         is failed.  Journal records stay per job: ``running`` for each
-        before, ``completed`` / ``failed`` for each after."""
+        before, ``completed`` / ``failed`` for each after, each set written
+        as one batch (:meth:`JobJournal.batch`)."""
         while True:
             with self._cond:
                 self._heartbeat = time.monotonic()
@@ -801,11 +802,13 @@ class SimulationService:
             first = group[0][1]
             run_kwargs = dict(first.run_kwargs)
             if self._journal is not None:
-                for tenant, item, _claimed in group:
-                    if item.job_id is not None:
-                        # Write-ahead: the transition precedes the execution,
-                        # so a crash mid-run replays this job as an orphan.
-                        self._journal.append("running", item.job_id, tenant=tenant)
+                with self._journal.batch():
+                    for tenant, item, _claimed in group:
+                        if item.job_id is not None:
+                            # Write-ahead: the transition precedes the
+                            # execution, so a crash mid-run replays this job
+                            # as an orphan.
+                            self._journal.append("running", item.job_id, tenant=tenant)
                 if first.job_id is not None:
                     # Durable dispatch: stage checkpoints land under the
                     # journal with a per-job tag; recovered jobs resume from
@@ -831,9 +834,11 @@ class SimulationService:
             while parts:
                 part = parts.pop(0)
                 try:
+                    # Stacked as admitted: under the policy's budget too.
                     inner = self.session.run(
                         [c for _tenant, item, _claimed in part for c in item.circuits],
-                        execute=True, **run_kwargs,
+                        execute=True, _stack_budget=self.policy.memory_budget_bytes,
+                        **run_kwargs,
                     )
                 except BaseException as exc:  # propagate through every Job
                     if len(part) > 1 and isinstance(exc, Exception):
@@ -847,19 +852,20 @@ class SimulationService:
                     at += len(item.circuits)
             finished = time.monotonic()
             if self._journal is not None:
-                for (tenant, item, _claimed), (_own, _inner, error) in zip(group, outcomes):
-                    if item.job_id is None:
-                        continue
-                    if error is None:
-                        self._journal.append(
-                            "completed", item.job_id, tenant=tenant,
-                            wall_seconds=finished - started,
-                        )
-                    else:
-                        self._journal.append(
-                            "failed", item.job_id, tenant=tenant,
-                            error=f"{type(error).__name__}: {error}",
-                        )
+                with self._journal.batch():
+                    for (tenant, item, _claimed), (_own, _inner, error) in zip(group, outcomes):
+                        if item.job_id is None:
+                            continue
+                        if error is None:
+                            self._journal.append(
+                                "completed", item.job_id, tenant=tenant,
+                                wall_seconds=finished - started,
+                            )
+                        else:
+                            self._journal.append(
+                                "failed", item.job_id, tenant=tenant,
+                                error=f"{type(error).__name__}: {error}",
+                            )
             for (_tenant, _item, claimed), (own, inner, error) in zip(group, outcomes):
                 for job in claimed:
                     if error is None:

@@ -20,6 +20,7 @@ from .backends import (
     select_auto_backend,
 )
 from .cache import (
+    BoundPlan,
     CacheStats,
     PlanCache,
     plan_cache_key,
@@ -41,6 +42,7 @@ __all__ = [
     "Result",
     "normalize_observable",
     "PlanCache",
+    "BoundPlan",
     "CacheStats",
     "plan_cache_key",
     "plan_fingerprint",

@@ -42,18 +42,27 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from ..circuits.circuit import Circuit
 from ..core.kernel import Kernel, KernelSequence, KernelType
 from ..core.partitioner import PartitionReport
-from ..core.plan import ExecutionPlan, QubitPartition, Stage, structure_digest
+from ..core.plan import (
+    ExecutionPlan,
+    QubitPartition,
+    Stage,
+    digest_of_body,
+    structure_body,
+    structure_digest,
+)
 from ..errors import CacheCorruptionError, PlanValidationError
 from ..planner.pipeline import freeze_config
 
 __all__ = [
+    "BoundPlan",
     "CacheStats",
     "PlanCache",
+    "Stamp",
     "freeze_config",
     "frozen",
     "plan_cache_key",
@@ -124,13 +133,11 @@ def plan_fingerprint(plan: ExecutionPlan) -> str:
 
     Covers the skeleton a rebind relies on — qubit count, per-stage gate
     membership, the stage partitions, and the kernel boundaries — via the
-    one digest of a plan structure (:func:`~repro.core.plan.structure_digest`
-    of :meth:`~repro.core.plan.ExecutionPlan.skeleton`).  Deliberately *not*
-    the full plan repr: the fingerprint is recomputed on every cache hit,
-    so it must stay cheap relative to the rebind + program-recompile work
-    the hit performs anyway.
+    one digest of a plan structure (:meth:`~repro.core.plan.ExecutionPlan.digest`,
+    :func:`~repro.core.plan.structure_digest` of its skeleton).  A
+    :class:`BoundPlan` whose stages nobody has read yet is its base's.
     """
-    return structure_digest(plan.num_qubits, plan.skeleton())
+    return plan.digest()
 
 
 @dataclass
@@ -159,6 +166,19 @@ class CacheStats:
         return out
 
 
+class Stamp(NamedTuple):
+    """What a cache hit says of its entry's plan besides the plan: its
+    :func:`plan_fingerprint` and
+    :meth:`~repro.core.plan.ExecutionPlan.kernel_types` — what a warm row
+    is admitted by (:class:`repro.runtime.compile.Row`) — and the entry's
+    modelled timings by ``(backend, machine, cost model)``, a dict every
+    row bound from the entry shares (the model reads the structure only)."""
+
+    digest: str
+    kinds: tuple
+    timings: dict
+
+
 class PlanCache:
     """Bounded LRU cache from structural plan keys to ``(plan, report)``.
 
@@ -171,7 +191,9 @@ class PlanCache:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")  # lint: config-error
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        #: key -> [plan, report, programs, structure body, digest or None,
+        #: timings]
+        self._entries: OrderedDict[tuple, list] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -183,21 +205,24 @@ class PlanCache:
     def get(self, key: tuple) -> tuple | None:
         """Look up *key*, counting a hit or miss and refreshing LRU order.
 
-        Returns ``(plan, report, programs)`` — ``programs`` maps a kind
-        (``"program"``, ``"schedule"``) to what was stored for it, and is
-        empty when the entry was stored with neither.  Every hit is
-        verified against the structural checksum recorded at :meth:`put`
-        time; an entry that no longer matches (a mutated or corrupted plan)
-        is evicted and surfaced as a
-        :class:`~repro.errors.CacheCorruptionError` — the caller replans
-        instead of executing a poisoned structure.
+        Returns ``(plan, report, programs, stamp)`` — ``programs`` maps a
+        kind (``"program"``, ``"schedule"``) to what was stored for it, and
+        is empty when the entry was stored with neither; ``stamp`` is the
+        plan's :class:`Stamp`.  Every hit is verified against the
+        structure recorded at :meth:`put` time — the plan's
+        :func:`~repro.core.plan.structure_body`, compared whole, which is
+        stricter than comparing digests and spares hashing it; an entry
+        that no longer matches (a mutated or corrupted plan) is evicted and
+        surfaced as a :class:`~repro.errors.CacheCorruptionError` — the
+        caller replans instead of executing a poisoned structure.
         """
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
-        plan, report, programs, checksum = entry
-        if checksum is not None and plan_fingerprint(plan) != checksum:
+        plan, report, programs, body, digest, timings = entry
+        skeleton = plan.skeleton()
+        if structure_body(plan.num_qubits, skeleton) != body:
             del self._entries[key]
             self.stats.corruptions += 1
             self.stats.misses += 1
@@ -205,9 +230,15 @@ class PlanCache:
                 "cached plan failed its integrity check; entry evicted",
                 site="cache_rebind",
             )
+        if digest is None:  # hashed on the entry's first hit, not at put
+            digest = entry[4] = digest_of_body(body)
+        kinds = tuple(
+            None if kernels is None else tuple([kernel[2] for kernel in kernels])
+            for _indices, _partition, kernels in skeleton
+        )
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return plan, report, programs
+        return plan, report, programs, Stamp(digest, kinds, timings)
 
     def put(
         self,
@@ -220,13 +251,21 @@ class PlanCache:
         entry if full.  ``programs`` holds, by kind, what backends lowered
         the structure to — the compiled op stream (its workspace is shared
         with every rebind served from this entry), the shard schedule —
-        so backends sharing a key never evict each other's."""
-        if key in self._entries:
+        so backends sharing a key never evict each other's.  Storing the
+        entry's own plan again (a new program) keeps its digest and
+        timings."""
+        body = structure_body(plan.num_qubits, plan.skeleton())
+        old = self._entries.get(key)
+        if old is not None:
             self._entries.move_to_end(key)
         elif len(self._entries) >= self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        self._entries[key] = (plan, report, dict(programs or {}), plan_fingerprint(plan))
+        kept = old is not None and old[0] is plan and old[3] == body
+        self._entries[key] = [
+            plan, report, dict(programs or {}), body,
+            old[4] if kept else None, old[5] if kept else {},
+        ]
 
     def evict(self, key: tuple) -> bool:
         """Drop *key* if present (used on corruption detected downstream)."""
@@ -301,6 +340,71 @@ def rebind_plan(plan: ExecutionPlan, circuit: Circuit) -> ExecutionPlan:
     always the new circuit's.  The cached plan is not modified.
     """
     return _bind(circuit, "plan", plan.num_qubits, plan.skeleton(), plan.provenance)
+
+
+class BoundPlan(ExecutionPlan):
+    """:func:`rebind_plan` of a cached plan *base* onto *circuit*, whose
+    stages are built the first time they are read.
+
+    A warm row of a stack is admitted, bound and run without its stages:
+    the plan compiler admits it by its digest, kernel types and gate table
+    (:class:`repro.runtime.compile.PlanRecord`), the in-core executor runs
+    its program and the modelled timing is the entry's.  So the row
+    carries what those read — the base's qubit count and provenance, the
+    *stamp* of the cache lookup that served *base* (its :meth:`digest` and
+    :meth:`kernel_types`, and the entry's timings), the circuit's name and
+    gate table — and its ``stages`` are those of ``bind(base, circuit)``
+    (:func:`rebind_plan` by default), built on first read: of
+    ``Result.plan``'s stages or ``summary()``, by a static check, a
+    declined row's fallback compile or a sharded executor.  Until then its
+    gates are its table's by construction (:meth:`names_its_gates`); from
+    then on it is the rebound plan, read as its stages stand.  It pickles
+    and copies as a plain :class:`ExecutionPlan`.
+    """
+
+    def __init__(self, base: ExecutionPlan, circuit: Circuit, stamp: Stamp, bind=None) -> None:
+        # Not the dataclass __init__: nothing of the structure is built yet.
+        self.num_qubits = base.num_qubits
+        self.circuit_name = circuit.name
+        self.provenance = dict(base.provenance)
+        self.gate_table = circuit.gate_table()
+        #: The cached plan this one rebinds, and what its lookup said of it.
+        self.base, self.stamp = base, stamp
+        self._source = (circuit, rebind_plan if bind is None else bind)
+        self._stages: list[Stage] | None = None
+
+    @property
+    def stages(self) -> list[Stage]:
+        if self._stages is None:
+            circuit, bind = self._source
+            self._stages = bind(self.base, circuit).stages
+        return self._stages
+
+    @stages.setter
+    def stages(self, value: list[Stage]) -> None:
+        self._stages = value
+
+    def digest(self) -> str:
+        return self.stamp.digest if self._stages is None else super().digest()
+
+    def kernel_types(self) -> tuple:
+        return self.stamp.kinds if self._stages is None else super().kernel_types()
+
+    def names_its_gates(self) -> bool:
+        return self._stages is None or super().names_its_gates()
+
+    def __eq__(self, other):
+        # The dataclass comparison, across the two classes.
+        if not isinstance(other, ExecutionPlan):
+            return NotImplemented
+        return (self.num_qubits, self.stages, self.circuit_name, self.provenance) == (
+            other.num_qubits, other.stages, other.circuit_name, other.provenance
+        )
+
+    def __reduce__(self):
+        return ExecutionPlan, (
+            self.num_qubits, self.stages, self.circuit_name, self.provenance, self.gate_table,
+        )
 
 
 # ---------------------------------------------------------------------------

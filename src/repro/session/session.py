@@ -69,7 +69,9 @@ from .backends import (
     select_auto_backend,
 )
 from .cache import (
+    BoundPlan,
     PlanCache,
+    Stamp,
     frozen,
     plan_cache_key,
     plan_skeleton,
@@ -642,8 +644,10 @@ class Session:
         """Plan *circuit* through the structural cache.
 
         Returns ``(plan, report, cache_hit, program)``.  On a hit the plan
-        is the cached structure re-bound to this circuit's gates and
-        ``report`` is ``None`` (no preprocessing happened); on a miss the
+        is the cached structure re-bound to this circuit's gates — a
+        :class:`~repro.session.cache.BoundPlan`, whose stages are built
+        when first read (compiling it reads its digest and gate table
+        only) — and ``report`` is ``None`` (no preprocessing happened); on a miss the
         partitioner runs and the result is cached.  ``program`` is what the
         resolved backend executes when it ``uses_programs`` (``None``
         otherwise), lowered once per structure and bound per job:
@@ -698,16 +702,23 @@ class Session:
                     "plan_for stacks circuits of one structural key only"
                 )
 
-            source, base, report, programs, publish = self._acquire_plan(
+            source, base, report, programs, publish, stamp = self._acquire_plan(
                 first, machine, key, planner_key, backend_obj, manager
             )
+            if stamp is None and len(rows) > 1:
+                stamp = Stamp(base.digest(), base.kernel_types(), {})
+
+            def bound(row: Circuit) -> BoundPlan:
+                # The row's plan, rebound from the entry when first read.
+                return BoundPlan(base, row, stamp, rebind_plan)
+
             # Later circuits of the stack bind the entry the first acquired.
             own: dict[int, ExecutionPlan] = {
-                id(first): rebind_plan(base, first) if source == "local" else base
+                id(first): bound(first) if source == "local" else base
             }
             for row in rows:
                 if id(row) not in own:
-                    own[id(row)] = rebind_plan(base, row)
+                    own[id(row)] = bound(row)
                     self.stats.cache_hits += 1
             plans = [own[id(row)] for row in rows]
             kind = backend_obj.program_kind
@@ -762,18 +773,21 @@ class Session:
         """The local cache entry for *circuit*'s structure from the cheapest
         source that has it, counted.
 
-        Returns ``(source, plan, report, programs, publish)``.  ``"local"``:
-        the cached entry — ``plan`` has yet to be rebound to *circuit*, and
-        ``programs`` holds what was lowered for it so far, by kind.
-        ``"shared"`` (bound from the cross-tenant store) and ``"built"``:
-        ``plan`` is *circuit*'s own and the entry is yet to be stored.
+        Returns ``(source, plan, report, programs, publish, stamp)``.
+        ``"local"``: the cached entry — ``plan`` has yet to be rebound to
+        *circuit*, ``programs`` holds what was lowered for it so far, by
+        kind, and ``stamp`` is the lookup's
+        :class:`~repro.session.cache.Stamp`.  ``"shared"`` (bound from the
+        cross-tenant store) and ``"built"``: ``plan`` is *circuit*'s own,
+        the entry is yet to be stored and ``stamp`` is ``None``.
         ``publish`` is ``(shared_key, mapping)`` when a built plan goes to
         the shared store.
         """
         cached = self._lookup(self.cache, key)
         if cached is not None:
             self.stats.cache_hits += 1
-            return ("local", *cached, None)
+            plan, report, programs, stamp = cached
+            return "local", plan, report, programs, None, stamp
         self.stats.cache_misses += 1
 
         # Local miss: try the cross-tenant shared store under the circuit's
@@ -789,7 +803,7 @@ class Session:
             )
             if plan is not None:
                 self.stats.shared_cache_hits += 1
-                return "shared", plan, None, {}, None
+                return "shared", plan, None, {}, None, None
             self.stats.shared_cache_misses += 1
 
         t0 = time.perf_counter()
@@ -808,7 +822,7 @@ class Session:
         self.stats.plans_built += 1
         # Only pipeline-built plans (the ones with a report) are published;
         # a backend's own partitioner keeps to the local cache.
-        return "built", plan, report, {}, shared_slot if report is not None else None
+        return "built", plan, report, {}, shared_slot if report is not None else None, None
 
     def _schedule_for(
         self, plan: ExecutionPlan, machine: MachineConfig, held: "Schedule | None"
@@ -1008,6 +1022,7 @@ class Session:
         normalize: bool = False,
         checkpoint=None,
         resume_from=None,
+        _stack_budget: "int | None" = None,
     ) -> Job:
         """Run one circuit or a batch and return a :class:`Job`.
 
@@ -1069,6 +1084,11 @@ class Session:
             and restarts after its last completed stage, bit-exact with
             an uninterrupted run (corrupt snapshots are evicted, never
             trusted).  See ``docs/robustness.md`` § Durable execution.
+
+        (``_stack_budget`` is internal: a second memory budget, in bytes,
+        the run's stacks keep to besides ``memory_budget_bytes`` — a
+        :class:`~repro.service.SimulationService`'s admission policy's, so
+        a job runs in the stacks it was admitted as.)
         """
         request = dict(
             shots=shots,
@@ -1085,20 +1105,23 @@ class Session:
             resume_from=resume_from,
         )
         with self._lock:
-            job = self._run_locked(circuits, execute=execute, **request)
+            job = self._run_locked(
+                circuits, execute=execute, stack_budget=_stack_budget, **request
+            )
         if execute:
             return job
         return Job.deferred(
-            lambda: self.run(circuits, execute=True, **request),
+            lambda: self.run(circuits, execute=True, _stack_budget=_stack_budget, **request),
             modelled=job.results(),
             backend=job.backend,
         )
 
-    def _run_locked(self, circuits, **request) -> Job:
+    def _run_locked(self, circuits, stack_budget=None, **request) -> Job:
         """Synchronous core of :meth:`run`, which passes its keywords on
         (caller holds the session lock): normalise the request, admit it,
-        plan its distinct circuits, execute them as one batch, assemble
-        the results."""
+        plan its distinct circuits, group them into stacks under both
+        ``memory_budget_bytes`` and *stack_budget*, execute them as one
+        batch, assemble the results."""
         if self._closed:
             raise SessionClosedError("Session is closed")
         req = self._normalize_request(circuits, **request)
@@ -1113,8 +1136,9 @@ class Session:
             num_qubits = req.circuits[0].num_qubits
             groups = self.stack_groups(
                 req.circuits,
-                self.stack_limit(
-                    req.backend_name, req.machine, num_qubits, self.memory_budget_bytes
+                min(
+                    self.stack_limit(req.backend_name, req.machine, num_qubits, budget)
+                    for budget in (self.memory_budget_bytes, stack_budget)
                 ),
             )
             chain = self._admit(
@@ -1272,12 +1296,7 @@ class Session:
 
         per_item_wall = execute_seconds / len(items)
         results = []
-        # One modelled timing per structure: the rows of a stack share it.
-        timings: dict[str, object] = {}
         for item, (out_state, exec_stats) in zip(items, outs):
-            structure = item.circuit.structural_key()
-            if structure not in timings:
-                timings[structure] = backend_obj.timing(item.plan, req.machine, self.cost_model)
             samples = None
             expectations: dict[tuple[int, ...], float] = {}
             if out_state is not None:
@@ -1290,7 +1309,7 @@ class Session:
                     circuit_name=item.circuit.name,
                     backend=chain[-1],
                     state=out_state,
-                    timing=timings[structure],
+                    timing=self._timing(backend_obj, item.plan, req.machine),
                     plan=item.plan,
                     report=item.report,
                     cache_hit=item.cache_hit,
@@ -1320,6 +1339,22 @@ class Session:
         stats.jobs += 1
         stats.circuits_run += len(results)
         return results
+
+    def _timing(self, backend_obj: ExecutionBackend, plan: ExecutionPlan, machine: MachineConfig):
+        """The modelled timing of *plan*'s structure on *backend_obj*.  A
+        :class:`BoundPlan` reads its cache entry's (``stamp.timings``),
+        modelled once per backend, machine and cost model — the model reads
+        the structure, the machine and the cost model only (kernel costs
+        and partitions), and a reassigned machine or cost model is another
+        key; any other plan is modelled directly."""
+        if not isinstance(plan, BoundPlan):
+            return backend_obj.timing(plan, machine, self.cost_model)
+        timings = plan.stamp.timings
+        key = (backend_obj.name, frozen(machine), frozen(self.cost_model))
+        timing = timings.get(key)
+        if timing is None:
+            timing = timings[key] = backend_obj.timing(plan.base, machine, self.cost_model)
+        return timing
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2010,6 +2010,82 @@ class TestLintRepro:
             f.key.rpartition("::")[2] for f in lint.check_one_bind_path([home, service])
         ) == ["_KernelSlot.fill:bind_numbers:missing", "_scheduler_loop:dispatch"]
 
+    #: The structure's record, the one digest of a plan, and the admit.
+    ADMIT_HOME = (
+        "class PlanRecord:\n"
+        "    def __init__(self, plan, row):\n"
+        "        self.groups = [s.partition.logical_to_physical() for s in plan.stages]\n"
+        "    def admit(self, row):\n"
+        "        return row.table if row.digest == self.digest else None\n"
+        "def row_of(plan, local):\n"
+        "    return plan.digest(), plan.kernel_types(), local, plan.gate_table\n"
+        "class ProgramStructure:\n"
+        "    def __init__(self, plan, row):\n"
+        "        self.record = PlanRecord(plan, row)\n"
+        "    def admit(self, row, check):\n"
+        "        if check:\n"
+        "            self.prove_locality(row.table)\n"
+        "        return self.record.admit(row)\n"
+    )
+    #: A row's plan handed over lazily; the timing memo.
+    ADMIT_SESSION = (
+        "class Session:\n"
+        "    def plan_for(self, base, row, digest):\n"
+        "        return BoundPlan(base, row, digest, rebind_plan)\n"
+        "    def _timing(self, backend, plan, machine):\n"
+        "        return backend.timing(plan, machine, self.cost_model)\n"
+    )
+
+    def test_one_admit_path(self, lint):
+        """A warm row is admitted by what its structure recorded: no stage
+        walk, digest or locality proof per row, and no eager rebind."""
+        home = self.write(lint, "runtime/compile.py", self.ADMIT_HOME)
+        session = self.write(lint, "session/session.py", self.ADMIT_SESSION)
+        assert lint.check_one_admit_path([home, session]) == []
+        # The per-row admit growing back: stage records and a gate list
+        # walked in the admit, a second digest, a proof in the compile.
+        home.write_text(self.ADMIT_HOME.replace(
+            "        return row.table if",
+            "        records = [s.kernels for s in row.plan.stages]\n"
+            "        return row.table if",
+        ) + (
+            "def compile_plan(plan, structure, table):\n"
+            "    structure.prove_locality(table)\n"
+            "    return plan.digest()\n"
+        ))
+        schedule = self.write(
+            lint, "runtime/offload.py",
+            "class ScheduleStructure:\n"
+            "    def admit(self, plan):\n"
+            "        return [k.gate_indices for s in plan.stages for k in s.kernels]\n",
+        )
+        findings = lint.check_one_admit_path([home, session, schedule])
+        assert {f.rule for f in findings} == {"one-admit-path"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "PlanRecord.admit:.kernels", "PlanRecord.admit:.stages",
+            "ScheduleStructure.admit:.gate_indices", "ScheduleStructure.admit:.kernels",
+            "ScheduleStructure.admit:.stages",
+            "compile_plan:digest", "compile_plan:prove_locality",
+        ]
+        # An eager rebind in plan_for and a timing per result.
+        session.write_text(self.ADMIT_SESSION + (
+            "    def _assemble(self, backend, base, row, machine):\n"
+            "        return rebind_plan(base, row), backend.timing(base, machine, None)\n"
+        ))
+        home.write_text(self.ADMIT_HOME)
+        assert sorted(
+            f.key.rpartition("::")[2] for f in lint.check_one_admit_path([home, session])
+        ) == ["Session._assemble:rebind_plan", "Session._assemble:timing"]
+        # The record losing its walk, and the session its lazy plan: the
+        # rule left behind.
+        home.write_text(self.ADMIT_HOME.replace(
+            "[s.partition.logical_to_physical() for s in plan.stages]", "[]"
+        ))
+        session.write_text(self.ADMIT_SESSION.replace(", rebind_plan)", ", None)"))
+        assert sorted(
+            f.key.rpartition("::")[2] for f in lint.check_one_admit_path([home, session])
+        ) == ["BoundPlan:missing", "PlanRecord.__init__:missing"]
+
     def test_repo_tree_is_clean_against_committed_baseline(self):
         result = subprocess.run(
             [sys.executable, str(REPO / "tools" / "lint_repro.py")],

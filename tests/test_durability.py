@@ -619,6 +619,108 @@ class TestJournal:
             replay_journal(journal.path, strict=True)
 
 
+#: A dispatch of three jobs: each one's submission, then the three
+#: "running" records as one batch and the three outcomes as another.
+DISPATCH = [
+    [("submitted", job, dict(tenant="t", durable=True, circuits=["OPENQASM 2.0;\nqreg q[2];\n"],
+                             run_kwargs={"shots": 4}, priority=0, weight=1.0)) for job in range(3)],
+    [("running", job, dict(tenant="t")) for job in range(3)],
+    [("completed", 0, dict(tenant="t", wall_seconds=0.25)),
+     ("failed", 1, dict(tenant="t", error="KernelError: boom")),
+     ("completed", 2, dict(tenant="t", wall_seconds=0.25))],
+]
+
+
+def _journal_of(directory, batched: bool, fsync: bool = False, strict: bool = False):
+    """*DISPATCH* appended record by record, or with its last two sets as
+    batches, under the active fault injector: ``(journal, the lines)``."""
+    journal = JobJournal(directory, fsync=fsync, strict=strict)
+    for index, records in enumerate(DISPATCH):
+        if batched and index:
+            with journal.batch():
+                for kind, job, fields in records:
+                    journal.append(kind, job, **fields)
+        else:
+            for kind, job, fields in records:
+                journal.append(kind, job, **fields)
+    journal.close()
+    return journal, journal.path.read_bytes().splitlines(keepends=True)
+
+
+class TestJournalBatch:
+    """A batch writes once what per-record appends write, and fails where
+    they fail."""
+
+    def test_a_batch_writes_the_per_record_lines(self, tmp_path, monkeypatch):
+        import repro.service.journal as journal_mod
+
+        per_record, want = _journal_of(tmp_path / "one", batched=False)
+        writes = []
+        write = JobJournal._write
+        monkeypatch.setattr(
+            JobJournal, "_write", lambda self, lines: (writes.append(len(lines)), write(self, lines))
+        )
+        fsyncs = []
+        monkeypatch.setattr(journal_mod, "fsync_file", lambda handle: fsyncs.append(handle.flush()))
+        batched, got = _journal_of(tmp_path / "batch", batched=True, fsync=True)
+        assert got == want and len(got) == 9
+        assert writes == [1, 1, 1, 3, 3] and len(fsyncs) == 5
+        assert batched.appends == per_record.appends == 9
+        # Each line is the canonical encoding of the checked record, with
+        # seq in append order, and replays as it did.
+        for seq, line in enumerate(got):
+            record = json.loads(line)
+            assert record["seq"] == seq
+            assert line == json.dumps(
+                journal_mod._checked(record), sort_keys=True, separators=(",", ":")
+            ).encode() + b"\n"
+        replay = replay_journal(batched.path)
+        assert replay.records_read == 9 and replay.corrupt_records == 0
+        assert [replay.jobs[job]["type"] for job in range(3)] == ["completed", "failed", "completed"]
+
+    def test_a_batch_inside_a_batch_joins_it(self, tmp_path):
+        journal = JobJournal(tmp_path, fsync=False)
+        with journal.batch():
+            journal.append("running", 0, tenant="t")
+            with journal.batch():
+                journal.append("running", 1, tenant="t")
+            assert journal.appends == 0
+            journal.append("running", 2, tenant="t")
+        assert journal.appends == 3
+        journal.close()
+        assert [r["job"] for r in map(json.loads, journal.path.read_text().splitlines())] == [0, 1, 2]
+
+    @pytest.mark.parametrize("after", [3, 4, 7])
+    def test_a_fault_in_a_batch_fails_where_an_append_fails(self, tmp_path, after):
+        """The ``journal_append`` site fires once per record: the record
+        after the first *after* fails, every record before it lands, none
+        after it — batched or not."""
+        outcomes = []
+        for batched in (False, True):
+            injector = FaultInjector(f"journal_append:permanent:1:{after}")
+            faults.activate(injector)
+            try:
+                journal, lines = _journal_of(tmp_path / str(batched), batched=batched)
+            finally:
+                faults.deactivate(injector)
+            assert injector.total_fired == 1
+            outcomes.append((lines, journal.appends, journal.append_errors, journal.degraded))
+        assert outcomes[0] == outcomes[1]
+        lines, appends, errors, degraded = outcomes[1]
+        assert len(lines) == appends == after and errors == 9 - after and degraded
+
+    def test_a_strict_batch_raises_and_keeps_what_came_before(self, tmp_path):
+        injector = FaultInjector("journal_append:permanent:1:4")
+        faults.activate(injector)
+        try:
+            with pytest.raises(IntegrityError):
+                _journal_of(tmp_path, batched=True, strict=True)
+        finally:
+            faults.deactivate(injector)
+        records = replay_journal(tmp_path / "journal.jsonl")
+        assert records.records_read == 4 and records.last_seq == 3
+
+
 # ---------------------------------------------------------------------------
 # Service-level recovery (in-process)
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def _slot_cases(program, plan):
         kind, stage_index, index = slot.source
         stage = plan.stages[stage_index]
         gates = (stage.gates[index],) if kind == "gate" else tuple(stage.kernels.kernels[index].gates)
-        l2p = structure.record.stages[stage_index][0]
+        l2p = structure.record.groups[stage_index][0]
         yield slot, gates, l2p, run
 
 

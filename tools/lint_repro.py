@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty-two rules, each enforcing an invariant the execution layer depends on
+Twenty-three rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -329,6 +329,26 @@ Twenty-two rules, each enforcing an invariant the execution layer depends on
     passes ``execute=False`` (admission's pricing, which runs nothing).
     Checked across files, whenever the linted set contains
     ``runtime/compile.py`` or ``service/service.py``.
+
+``one-admit-path``
+    A warm row is admitted one way, by what its structure recorded when it
+    was built: in ``runtime/compile.py`` a plan's stages are walked — an
+    attribute ``.stages`` / ``.kernels`` / ``.gate_indices`` read, or
+    ``.logical_to_physical()`` called — only in ``PlanRecord.__init__``
+    (the stage records and the gate positions, once per structure) and in
+    ``row_of`` (the local counts a plan without a machine has), and
+    ``.digest()`` is called only in ``row_of`` (a plan is digested once per
+    compile); no function named ``admit`` under ``runtime/`` walks a
+    plan's stages or digests one; and ``prove_locality`` is called only by
+    ``ProgramStructure.admit``.  In ``session/session.py`` ``rebind_plan``
+    is never called — it is handed to ``BoundPlan``, which builds a row's
+    plan when it is read — and a backend's ``.timing(...)`` is called only
+    in ``Session._timing``, which keeps a warm row's in its cache entry.
+    A call elsewhere is a second, per-row admit (or
+    rebind) growing back beside the recorded one.  Checked across files,
+    whenever the linted set contains ``runtime/compile.py`` or
+    ``session/session.py``; either losing its site is the rule left
+    behind.
 
 Usage::
 
@@ -1761,6 +1781,123 @@ def check_one_bind_path(files: list[Path]) -> list[Finding]:
     return findings
 
 
+ADMIT_HOME = "runtime/compile.py"
+#: What walks a plan's stages: attributes read, and the layout call.
+ADMIT_STAGE_READS = ("stages", "kernels", "gate_indices")
+ADMIT_LAYOUT_CALL = "logical_to_physical"
+#: ``(class, function)`` suffixes of the enclosing scopes allowed to walk
+#: stages, to digest a plan, and to prove locality.
+ADMIT_WALKERS = (("PlanRecord", "__init__"), ("row_of",))
+ADMIT_DIGESTERS = (("row_of",),)
+ADMIT_PROVERS = (("ProgramStructure", "admit"),)
+ADMIT_SESSION = "session/session.py"
+ADMIT_TIMING = ("Session", "_timing")
+
+
+def _within(stack: list[str], sites) -> bool:
+    return any(stack[-len(site):] == list(site) for site in sites)
+
+
+def check_one_admit_path(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-admit-path`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    home_linted = session_linted = walked = handed = False
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-admit-path", message, symbol))
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        nonlocal walked, handed
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack = stack + [node.name]
+        where = _enclosing(stack)
+        in_admit = "admit" in stack and rel_src.startswith("runtime/")
+        walk = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr in ADMIT_STAGE_READS:
+                walk = f".{node.attr}"
+        if isinstance(node, ast.Call) and _call_name(node) == ADMIT_LAYOUT_CALL:
+            walk = f".{ADMIT_LAYOUT_CALL}()"
+        if walk is not None and (rel_src == ADMIT_HOME or in_admit):
+            if rel_src == ADMIT_HOME and _within(stack, ADMIT_WALKERS) and not in_admit:
+                walked = True
+            else:
+                flag(
+                    rel, node.lineno,
+                    f"`{walk}` in {where}: a plan's stages are walked only where "
+                    f"its structure is built (PlanRecord.__init__) — a warm row "
+                    f"is admitted by its digest and gate table",
+                    f"{where}:{walk}",
+                )
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name == "digest" and (rel_src == ADMIT_HOME or in_admit) and not (
+                rel_src == ADMIT_HOME and _within(stack, ADMIT_DIGESTERS)
+            ):
+                flag(
+                    rel, node.lineno,
+                    f"`.digest()` in {where}: a plan is digested once per "
+                    f"compile, by {ADMIT_HOME}::row_of",
+                    f"{where}:digest",
+                )
+            if name == "prove_locality" and not _within(stack, ADMIT_PROVERS):
+                flag(
+                    rel, node.lineno,
+                    f"`prove_locality` called in {where}: an admitted row is "
+                    f"proved local by ProgramStructure.admit",
+                    f"{where}:prove_locality",
+                )
+            if name == "timing" and rel_src == ADMIT_SESSION and not _within(
+                stack, (ADMIT_TIMING,)
+            ):
+                flag(
+                    rel, node.lineno,
+                    f"`.timing(...)` in {where}: the modelled timing is kept "
+                    f"once per cache entry, by Session._timing",
+                    f"{where}:timing",
+                )
+        if rel_src == ADMIT_SESSION and isinstance(node, ast.Call):
+            if _call_name(node) == "rebind_plan":
+                flag(
+                    rel, node.lineno,
+                    f"`rebind_plan` called in {where}: a row's plan is built "
+                    f"when it is read — hand rebind_plan to BoundPlan",
+                    f"{where}:rebind_plan",
+                )
+            if _call_name(node) == "BoundPlan" and any(
+                isinstance(arg, ast.Name) and arg.id == "rebind_plan" for arg in node.args
+            ):
+                handed = True
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel_src = _rel_src(path)
+        home_linted = home_linted or rel_src == ADMIT_HOME
+        session_linted = session_linted or rel_src == ADMIT_SESSION
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(), rel_src,
+        )
+    if home_linted and not walked:
+        flag(
+            f"src/repro/{ADMIT_HOME}", 0,
+            f"no stage walk in {ADMIT_HOME}::PlanRecord.__init__: the "
+            f"structure's record moved without this rule following it",
+            "PlanRecord.__init__:missing",
+        )
+    if session_linted and not handed:
+        flag(
+            f"src/repro/{ADMIT_SESSION}", 0,
+            f"no `BoundPlan(..., rebind_plan)` in {ADMIT_SESSION}: the lazy "
+            f"row plan moved without this rule following it",
+            "BoundPlan:missing",
+        )
+    return findings
+
+
 GATE_SHAPE_HOME = "sim/fusion.py"
 #: The lowering's structure half: the gate loop, the block composer and
 #: the shape lookup.
@@ -2153,6 +2290,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_gate_table(files))
     findings.extend(check_one_gate_shape(files))
     findings.extend(check_one_bind_path(files))
+    findings.extend(check_one_admit_path(files))
     findings.extend(check_layering(files))
     findings.extend(check_exact_persisted_formats(files))
 
