@@ -13,9 +13,8 @@ would re-derive on every execution:
   index translation;
 * each kernel gate's lowering shape, read off the job's gate table
   (every gate's exact signature, :meth:`~repro.circuits.gates.GateTable.patterns`)
-  rather than analysed from its matrix; a dynamic gate's variants, each a
-  diagonal broadcast vector or a one-gate kernel; the kernel ops' tile bits
-  and index maps.
+  rather than analysed from its matrix; the kernel ops' tile bits and
+  index maps.
 
 The result is a flat stream of :class:`repro.sim.program.CompiledOp` whose
 execution is a tight loop with zero per-gate analysis, hashing or dict
@@ -73,11 +72,13 @@ declines is listed in ``declined`` and compiles alone.  A solo job is a
 stack of one: there is no other bind.
 
 A shards-segment of the sharded executors' schedule is the same thing over
-``2^L`` shard buffers: :class:`SegmentStructure` holds the slots of the
-segment's local work, built by the per-kernel builder the plan walk uses
-(:meth:`_Structure.add_kernel`), one slot per gate on a non-local qubit,
-which binds that gate's op for every assignment of the shard's fixed bits,
-and each shard's op stream and output index.  A schedule's structure
+``2^L`` shard buffers: :class:`SegmentStructure` holds one slot per kernel
+of the segment, built by the per-kernel builder the plan walk uses
+(:meth:`_Structure.add_kernel`) from the kernel's in-core lowering — a
+kernel with gates on non-local qubits binds its op once per assignment of
+the shard's fixed bits there, its items restricted to the local positions
+and its numbers taken from the in-core ones (:func:`_restrict`) — and each
+shard's op stream and output index.  A schedule's structure
 (:class:`repro.runtime.offload.ScheduleStructure`) is built from the same
 :class:`PlanRecord`, admitted by it and bound through the same
 :func:`bind_structure`, segment by segment, with every pool's numbers
@@ -101,7 +102,7 @@ from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
 from ..errors import PlanValidationError
-from ..sim.apply import kernel_template
+from ..sim.apply import KernelItem, KernelTemplate, _bits_to, kernel_template
 from ..sim.fusion import (
     GatherProgram,
     GatherRun,
@@ -114,8 +115,6 @@ from ..sim.program import (
     CompiledProgram,
     Workspace,
     compile_layout_op,
-    compile_phase_op,
-    unitary_template,
 )
 from . import faults
 from .sharding import QubitLayout, nonlocal_axes, permutation_axes, shard_out_index
@@ -156,184 +155,224 @@ def _picker(members: tuple[int, ...]):
     return itemgetter(*members)
 
 
-class _KernelSlot:
-    """One op of a stream, minus the angles: a shared-memory kernel (or a
-    run of its gates on local positions, or the lone gate of an
-    un-kernelized stage) — its gates are the slot's *pool* — lowered to
-    items — the monomial blocks, dense gates and folds of 1q dense gates —
-    and applied as one op (:func:`repro.sim.apply.kernel_template`).
+def _restrict(lowering, axes, l2p: dict[int, int], local: int, index: int):
+    """The kernel of *lowering* — over its stage's ``n``-qubit layout
+    *l2p* — on the shard at *index*: its items restricted to the ``local``
+    positions, with the shard's fixed bits resolved.
 
-    Its numbers are described by ``gather``
+    The shard's index threads through the items in order, each gate's
+    :func:`~repro.runtime.sharding.shard_out_index` read off its non-local
+    *axes*; an item sees the bits its gates find.  A monomial block's
+    phases and permutation are taken at those bits (a block over non-local
+    qubits only is its one phase, a ``()`` block — or nothing when it only
+    permutes); a dense gate keeps the block from its input bits to its
+    output bits (a scalar when no qubit is local) and is dropped when a
+    control is 0; a fold keeps its local 2x2s and leaves a non-local
+    qubit's entry as a scalar.  Returns ``(items, numbers, members, index
+    after the kernel)``: the :class:`~repro.sim.apply.KernelItem` s, per
+    item ``(kernel item, which of its numbers, their shape)`` for
+    :class:`~repro.sim.fusion.KernelGather`, and per item the pool
+    positions of the gates it absorbed."""
+    items, numbers, members = [], [], []
+
+    def scalar(at: int, entry, absorbed) -> None:
+        items.append(KernelItem((), "block"))
+        numbers.append((at, np.asarray([entry], dtype=np.intp), (1,)))
+        members.append(absorbed)
+
+    for at, item in enumerate(lowering):
+        after = index
+        for m in item.members:
+            after = shard_out_index(axes[m], after)
+        physical = [l2p[q] for q in item.qubits]
+        near = [j for j, p in enumerate(physical) if p < local]
+        far = [j for j, p in enumerate(physical) if p >= local]
+        fixed_in = sum(((index >> (physical[j] - local)) & 1) << j for j in far)
+        fixed_out = sum(((after >> (physical[j] - local)) & 1) << j for j in far)
+        here = tuple([physical[j] for j in near])
+        inside = _bits_to(len(near), enumerate(near))
+        before, index = index, after
+        if item.dense and len(item.members) > 1:  # a fold: a 2x2 per qubit
+            if near:
+                items.append(KernelItem(here, "fold"))
+                numbers.append((at, (4 * np.asarray(near)[:, None] + np.arange(4)).reshape(-1),
+                                (len(near), 2, 2)))
+                members.append(item.members)
+            for j in far:
+                scalar(at, 4 * j + 2 * ((fixed_out >> j) & 1) + ((fixed_in >> j) & 1), item.members)
+            continue
+        if item.dense:
+            (member,) = item.members
+            if any(kind == "control" and not (before >> shift) & 1 for _q, shift, kind in axes[member]):
+                continue  # a control at 0 on this shard: the gate is the identity
+            d = 1 << len(physical)
+            block = ((inside | fixed_out)[:, None] * d + (inside | fixed_in)[None, :]).reshape(-1)
+            if not near:
+                scalar(at, block[0], item.members)
+                continue
+            items.append(KernelItem(here, "gate"))
+            numbers.append((at, block, (len(inside), len(inside))))
+            members.append(item.members)
+            continue
+        source = inside | fixed_in
+        target = source if item.perm is None else item.perm.take(source)
+        perm = _bits_to(len(physical), [(bit, j) for j, bit in enumerate(near)]).take(target)
+        perm = None if np.array_equal(perm, np.arange(len(perm))) else perm
+        phased = bool(item.factors)
+        if not phased and perm is None:
+            continue  # it only relabels the shard
+        if not near:
+            scalar(at, source[0], item.members)
+            continue
+        items.append(KernelItem(here, "block", perm, phased))
+        numbers.append((at, source, (len(source),)))
+        members.append(item.members)
+    return items, numbers, members, index
+
+
+class _Variant(NamedTuple):
+    """What one op of a :class:`_KernelSlot` runs: its template and, per
+    item, a picker of the pool gates it absorbed."""
+
+    template: KernelTemplate
+    pickers: tuple
+
+
+class _KernelSlot:
+    """One kernel of a stream, minus the angles: a shared-memory kernel
+    (or the run of its gates a full-state gate leaves, or the lone gate of
+    an un-kernelized stage) — its gates are the slot's *pool* — lowered to
+    items in the stage's ``n``-qubit layout — the monomial blocks, dense
+    gates and folds of 1q dense gates — and applied as one op
+    (:func:`repro.sim.apply.kernel_template`) over ``2^local`` buffers.
+
+    In core (``local == n``), and on a shard whose kernel has every qubit
+    local, the op is the kernel's (``far`` is empty).  A kernel with
+    qubits at positions ``>= local`` is one op per assignment of a shard's
+    bits there — a *variant*, bit ``j`` of variant ``v`` on index bit
+    ``far[j]`` — its items restricted to the local positions
+    (:func:`_restrict`); ``None`` where no item is left.  ``flips[v]`` is
+    what the kernel XORs into the index of a shard it runs on (an
+    anti-diagonal axis relabels the shard).
+
+    Every variant's numbers are described by ``gather``
     (:class:`~repro.sim.fusion.KernelGather`) and computed with every other
     kernel's by the structure's :class:`~repro.sim.fusion.GatherProgram`
-    (``kernel`` is the slot's index there): the native body's packed
-    payload, or the item loop's per-item arrays — the same bits.  A fusion
-    kernel is this slot too.
+    (``kernel`` is the slot's index there): the kernel's block phases,
+    dense matrices and fold factors, computed as in core, then taken at the
+    variant's bits — the native body's packed payload, or the item loop's
+    per-item arrays, the same bits.  So a shard multiplies the numbers the
+    in-core pass does, in its order.  A fusion kernel is this slot too.
     """
 
-    __slots__ = ("source", "pool", "parameterized", "template", "gather", "pickers", "kernel")
+    __slots__ = ("source", "pool", "parameterized", "variants", "far", "flips", "gather", "kernel")
 
-    def __init__(self, pool: int, gates, l2p, n: int) -> None:
+    def __init__(self, pool: int, gates, l2p, local: int) -> None:
         self.source = None
         self.pool = pool
         self.parameterized = any(g.params for g in gates)
         lowering = kernel_lowering(gates, l2p)
-        self.template = kernel_template(kernel_items(lowering, l2p), n)
-        self.gather = KernelGather(
-            lowering, [len(g.qubits) for g in gates], self.template.fills
-        )
-        self.pickers = tuple([_picker(item.members) for item in lowering])
+        widths = [len(g.qubits) for g in gates]
+        self.far = tuple(sorted({
+            l2p[q] - local for g in gates for q in g.qubits if l2p[q] >= local
+        }))
         self.kernel = -1
+        if not self.far:
+            template = kernel_template(kernel_items(lowering, l2p), local)
+            self.variants = (_Variant(template, tuple([_picker(i.members) for i in lowering])),)
+            self.flips = (0,)
+            self.gather = KernelGather(lowering, widths, [(template.fills, None)])
+            return
+        axes = [nonlocal_axes(gate, l2p, local) for gate in gates]
+        for gate, gate_axes in zip(gates, axes):
+            for q, _shift, kind in gate_axes:
+                if kind == "mixing":
+                    raise PlanValidationError(
+                        f"gate {gate} mixes amplitudes along non-local qubit {q}; "
+                        f"it must be executed on the full state"
+                    )
+        templates: dict[tuple, KernelTemplate] = {}
+        variants: list[_Variant | None] = []
+        restrictions: list[tuple | None] = []
+        flips = []
+        for variant in range(1 << len(self.far)):
+            index = sum(((variant >> j) & 1) << shift for j, shift in enumerate(self.far))
+            items, numbers, members, out = _restrict(lowering, axes, l2p, local, index)
+            flips.append(index ^ out)
+            if not items:
+                variants.append(None)
+                restrictions.append(None)
+                continue
+            key = tuple([
+                (i.qubits, i.kind, None if i.perm is None else i.perm.tobytes(), i.phased)
+                for i in items
+            ])
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = kernel_template(items, local)
+            variants.append(_Variant(template, tuple([_picker(m) for m in members])))
+            restrictions.append((template.fills, numbers))
+        self.variants, self.flips = tuple(variants), tuple(flips)
+        self.gather = KernelGather(lowering, widths, restrictions)
 
-    def bind(self, rows, old, entries: np.ndarray, run: GatherRun | None):
-        """The op for the pool's gates in each of *rows* (one gate tuple per
-        job of the stack), whose numbers *run* holds row by row.  *old* —
-        the op an earlier one-row bind of this slot produced, if any — is
-        kept when every row's gates compare equal to its gates (angles
-        included — Gate equality covers params), which a slot without
-        parameterized gates needs no comparison for: its one payload serves
-        every row."""
-        if old is not None and (not self.parameterized or all(gates == old.gates for gates in rows)):
-            return old
-        return self.fill(rows[0], run)
+    @property
+    def template(self) -> KernelTemplate:
+        """The kernel's template (its first variant's)."""
+        return self.variants[0].template
 
-    def fill(self, gates, run: GatherRun | None) -> CompiledOp:
-        """The stacked fill: one payload row per row of *run*, bound into
-        one op (its metadata names *gates*, the first row's)."""
-        template, kernel = self.template, self.kernel
-
-        def item_loop():
-            return template.loop(run.arrays_of(kernel))
-
-        bound = template.bind_numbers(run.numbers_of(kernel), item_loop) if template.native else item_loop()
-        return template.compiled(bound, self.source, gates, [pick(gates) for pick in self.pickers])
-
-
-def _transitions(gate: Gate, axes, variant: int) -> tuple | None:
-    """``(qubit, bit_in, bit_out)`` per non-local axis of *gate* on a shard
-    whose bit on ``axes[j]`` is bit ``j`` of *variant*: a control is kept
-    at 1 (``None`` when it is 0: no op), a diagonal qubit keeps its bit and
-    an anti-diagonal one flips it."""
-    fixed = []
-    for j, (q, _shift, kind) in enumerate(axes):
-        bit = (variant >> j) & 1
-        if kind == "control":
-            if not bit:
-                return None
-            fixed.append((q, 1, 1))
-        elif kind == "diagonal":
-            fixed.append((q, bit, bit))
-        elif kind == "antidiagonal":
-            fixed.append((q, bit, 1 - bit))
-        else:
-            raise PlanValidationError(
-                f"gate {gate} mixes amplitudes along non-local qubit {q}; "
-                f"it must be executed on the full state"
-            )
-    return tuple(fixed)
-
-
-def _reduce(matrix: np.ndarray, qubits, fixed) -> np.ndarray:
-    """*matrix* over *qubits* with each ``(qubit, bit_in, bit_out)`` of
-    *fixed* resolved: the block taking that qubit's *bit_in* to its
-    *bit_out*, over the remaining qubits in order.  Amplitude the block
-    drops would leak between shards; the axis kinds say there is none
-    above ``1e-12``."""
-    qubits = list(qubits)
-    for q, bit_in, bit_out in fixed:
-        pos = qubits.index(q)
-        del qubits[pos]
-        index = np.arange(len(matrix))
-        bits = (index >> pos) & 1
-        matrix = matrix[np.ix_(index[bits == bit_out], index[bits == bit_in])]
-    matrix = np.ascontiguousarray(matrix)
-    matrix.setflags(write=False)
-    return matrix
-
-
-class _DynamicSlot:
-    """A gate of a shards-segment with a qubit at a non-local position.
-
-    A shard's index fixes the bits of those qubits — the gate's non-local
-    *axes* (:func:`~repro.runtime.sharding.nonlocal_axes`) — so the gate is
-    one op per assignment of them, a *variant* (bit ``j`` of variant ``v``
-    on ``axes[j]``): the gate's matrix with its non-local qubits resolved
-    (:func:`_transitions`, :func:`_reduce`) on its local positions, through
-    :func:`unitary_template` — or times the scalar left when no qubit is
-    local; a non-local control at 0 is no op (``None``).  The templates
-    and, per variant, which entries of the gate's matrix its block takes
-    (``picks``: :func:`_reduce` of the entry indices) are resolved here,
-    once; a bind takes every variant's block out of the gate table in one
-    gather and fills the templates.  The axis table is part of the
-    structure — a schedule admits a plan only when the ``> 1e-12`` key
-    pattern of every gate with a non-local qubit is the one it was built
-    from (:class:`repro.runtime.offload.ScheduleStructure`): ``rx(pi)``
-    and ``rx(1e-13)`` share an exact signature, but the first relabels
-    shards and the second does not.
-    """
-
-    __slots__ = ("pool", "parameterized", "axes", "variants", "templates", "picks", "dims")
-
-    def __init__(self, pool: int, gate: Gate, l2p: dict[int, int], local: int) -> None:
-        self.pool = pool
-        self.parameterized = bool(gate.params)
-        self.axes = nonlocal_axes(gate, l2p, local)
-        self.variants = tuple(
-            _transitions(gate, self.axes, v) for v in range(1 << len(self.axes))
-        )
-        physical = tuple(l2p[q] for q in gate.qubits if l2p[q] < local)
-        matrix = gate.matrix()
-        entries = np.arange(matrix.size).reshape(matrix.shape)
-        blocks = [
-            None if fixed is None else _reduce(entries, gate.qubits, fixed)
-            for fixed in self.variants
-        ]
-        self.picks = np.concatenate(
-            [block.reshape(-1) for block in blocks if block is not None] or [entries[:0, 0]]
-        ).astype(np.intp)
-        self.dims = tuple(0 if block is None else len(block) for block in blocks)
-        self.templates = tuple(
-            None if fixed is None or not physical
-            else unitary_template(_reduce(matrix, gate.qubits, fixed), physical, local)
-            for fixed in self.variants
-        )
+    @property
+    def pickers(self) -> tuple:
+        return self.variants[0].pickers
 
     def variant(self, shard_index: int) -> int:
         """The variant a shard at *shard_index* runs."""
-        return sum(
-            ((shard_index >> shift) & 1) << j for j, (_q, shift, _kind) in enumerate(self.axes)
-        )
+        return sum(((shard_index >> shift) & 1) << j for j, shift in enumerate(self.far))
 
-    def bind(self, rows, old, entries: np.ndarray, run=None) -> tuple[CompiledOp | None, ...]:
-        """The variant ops for the pool's one gate, whose matrix is
-        *entries* (row-major) — of one job: a shards-segment binds one row.
-        *old* is kept when its gate compares equal — read off its last
-        variant, every bit 1, which always has an op."""
-        ((pool,), (entries,)) = rows, entries
-        if old is not None and (not self.parameterized or old[-1].gates == pool):
-            return old
-        values = entries.take(self.picks)
+    def bind(self, rows, old, run: GatherRun | None):
+        """The op for the pool's gates in each of *rows* (one gate tuple per
+        job of the stack), whose numbers *run* holds row by row — a tuple
+        of variant ops when ``far`` is set.  *old* — what an earlier
+        one-row bind of this slot produced, if any — is kept when every
+        row's gates compare equal to its gates (angles included — Gate
+        equality covers params), which a slot without parameterized gates
+        needs no comparison for: its one payload serves every row."""
+        if old is not None:
+            held = old.gates if isinstance(old, CompiledOp) else next(
+                (op.gates for op in old if op is not None), None
+            )
+            if not self.parameterized or all(gates == held for gates in rows):
+                return old
+        return self.fill(rows[0], run)
+
+    def fill(self, gates, run: GatherRun | None):
+        """The stacked fill: one payload row per row of *run*, bound into
+        one op per variant (its metadata names *gates*, the first row's)."""
         ops: list[CompiledOp | None] = []
-        at = 0
-        for dim, template in zip(self.dims, self.templates):
-            if not dim:
+        for at, variant in enumerate(self.variants):
+            if variant is None:
                 ops.append(None)
                 continue
-            reduced = values[at : at + dim * dim].reshape(dim, dim)
-            at += dim * dim
-            ops.append(
-                compile_phase_op(reduced[0, 0], pool) if template is None
-                else template.op(reduced, None, pool)
+            template = variant.template
+
+            def item_loop(template=template, at=at):
+                return template.loop(run.arrays_of(self.kernel, at))
+
+            bound = (
+                template.bind_numbers(run.numbers_of(self.kernel, at), item_loop)
+                if template.native else item_loop()
             )
-        return tuple(ops)
+            ops.append(template.compiled(
+                bound, self.source, gates, [pick(gates) for pick in variant.pickers]
+            ))
+        return tuple(ops) if self.far else ops[0]
 
 
 class _Structure:
     """The angle-independent half of an op stream over ``2^n`` buffers.
 
     ``slots`` has one entry per op of the stream, in order: a finished
-    :class:`CompiledOp`, or a slot that binds an op (a dynamic slot: one
-    per variant) from the gates of its *pool* — the gate tuple of one
+    :class:`CompiledOp`, or a slot that binds an op (on a shard, one per
+    variant) from the gates of its *pool* — the gate tuple of one
     kernel (or of one run of its gates), or a lone gate.  ``positions``
     are the pools' gates' positions in the job's gate table, pool after
     pool (``starts[p]`` is pool ``p``'s first).  A bind reads every pool
@@ -401,8 +440,7 @@ class _Structure:
         ``(ops, ops taken verbatim from reuse_ops)`` — *reuse_ops* aligned
         slot by slot, bound from this structure for one row
         (:meth:`_KernelSlot.bind`).  A solo job is a stack of one."""
-        entries, starts = self.entries(tables), self.entry_starts
-        run = self.program(entries) if self.program is not None else None
+        run = self.program(self.entries(tables)) if self.program is not None else None
         ops: list = []
         reused = 0
         for index, slot in enumerate(self.slots):
@@ -410,11 +448,7 @@ class _Structure:
                 ops.append(slot)
                 continue
             old = reuse_ops[index] if reuse_ops is not None else None
-            pool = slot.pool
-            op = slot.bind(
-                [pools[pool] for pools in rows], old,
-                entries[starts[pool] : starts[pool + 1]].T, run,
-            )
+            op = slot.bind([pools[slot.pool] for pools in rows], old, run)
             reused += op is old
             ops.append(op)
         return ops, reused
@@ -634,43 +668,39 @@ class SegmentStructure(_Structure):
     same slots a plan's kernels get, built by the same builder.
 
     *pieces* is the segment's cut at the shard boundary
-    (:func:`repro.runtime.offload.split_stage_segments`), each ``(kind,
-    gates, their positions in table)``: ``"local"`` — a run of a kernel's
-    gates on local positions — or ``"dynamic"`` for a gate touching a
-    non-local qubit (a :class:`_DynamicSlot`).  ``kinds`` names each
-    piece's op.  ``shards`` is resolved here, once:
-    per shard index, which slot — and, dynamic, which variant — of a bind
-    runs on the shard, in order, and the index the shard is stored at; a
-    dynamic slot runs the variant its gate reads off the index as it
-    stands, and the index threads on through
-    :func:`~repro.runtime.sharding.shard_out_index`.
+    (:func:`repro.runtime.offload.split_stage_segments`), each ``(gates,
+    their positions in table)``: a kernel group, lowered in the stage's
+    ``n``-qubit layout *l2p* as the in-core program lowers it — one slot,
+    one op per shard; a kernel with qubits at non-local positions binds
+    one op per variant of the shard's bits there
+    (:class:`_KernelSlot`).  ``shards`` is resolved here, once: per shard
+    index, which slot — and which variant — of a bind runs on the shard,
+    in order, and the index the shard is stored at; a slot runs the
+    variant it reads off the index as it stands, and the index threads on
+    through the slot's ``flips``
+    (:func:`~repro.runtime.sharding.shard_out_index`, gate by gate).
     """
 
     def __init__(
-        self, pieces: list[tuple[str, tuple[Gate, ...], tuple[int, ...]]],
+        self, pieces: list[tuple[tuple[Gate, ...], tuple[int, ...]]],
         l2p: dict[int, int], local: int, table: GateTable,
     ) -> None:
         super().__init__(local)
         table.patterns()  # every gate's signature, for its lowering shape
-        self.kinds: list[str] = []
-        for kind, gates, _positions in pieces:
-            if kind == "dynamic":
-                self.slots.append(_DynamicSlot(self.open_pool(gates), gates[0], l2p, local))
-            else:
-                self.add_kernel(gates, l2p)
-            self.kinds.append(kind)
-        self.seal([p for _kind, _gates, positions in pieces for p in positions], table)
+        for gates, _positions in pieces:
+            self.add_kernel(gates, l2p)
+        self.seal([p for _gates, positions in pieces for p in positions], table)
         self.shards: list[tuple[list[tuple[int, int | None]], int]] = []
         for shard_index in range(1 << (len(l2p) - local)):
             index, picks = shard_index, []
             for at, slot in enumerate(self.slots):
-                if not isinstance(slot, _DynamicSlot):
+                if not slot.far:
                     picks.append((at, None))
                     continue
                 variant = slot.variant(index)
                 if slot.variants[variant] is not None:
                     picks.append((at, variant))
-                index = shard_out_index(slot.axes, index)
+                index ^= slot.flips[variant]
             self.shards.append((picks, index))
 
     def shard_streams(self, ops: list) -> tuple[tuple[tuple[CompiledOp, ...], int], ...]:

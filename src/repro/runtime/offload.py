@@ -14,11 +14,11 @@ qubits are handled per shard from the shard's fixed high-order bits.  The
 classification is **per qubit axis**
 (:func:`repro.runtime.sharding.nonlocal_axes`), not per whole-gate matrix:
 
-* a *control* on a non-local qubit selects which shards the reduced gate is
-  applied to,
+* a *control* on a non-local qubit selects which shards keep the gate's
+  control-1 block,
 * a qubit along which the gate is *diagonal* (the matrix never changes that
-  bit) contributes a per-shard reduced gate — even when the gate as a whole
-  is not diagonal,
+  bit) fixes which block of the gate a shard applies — even when the gate
+  as a whole is not diagonal,
 * a qubit along which the gate is *anti-diagonal* (X/Y-like: the bit always
   flips) exchanges amplitudes between shard pairs.  The executor realises
   this as a shard-index relabel: the shard is processed once and stored at
@@ -27,8 +27,11 @@ classification is **per qubit axis**
   would never place non-locally) forces the gate onto the full-state path,
   splitting the stage into extra shard passes.
 
-All of it is resolved when a segment is compiled: each shard index has a
-recorded op stream and output index, and a shard pass only replays them.
+All of it is resolved when a segment is compiled, inside the kernel the
+gate belongs to: a shard runs the kernel the in-core program runs, its
+items taken at the shard's fixed bits (one op per kernel per shard), each
+shard index has a recorded op stream and output index, and a shard pass
+only replays them.
 
 The executor counts shard loads/stores so tests can verify the
 one-load-per-stage-per-shard property that the paper's speedup over QDAO
@@ -194,45 +197,39 @@ def split_stage_segments(
     on the shard path).
 
     Returns ``("shards", pieces)`` segments — pieces every shard processes
-    independently, each ``(kind, gates, positions)``: ``"local"``, a
-    maximal run of a kernel's gates on local positions (a kernel wholly on
-    them is one piece); ``"dynamic"``, one gate touching
-    a non-local qubit, resolved per shard (one op per variant) — separated
-    by ``("full", [("local", (gate,), (position,))])`` segments for gates
-    that genuinely *mix* amplitudes along a non-local qubit (hand-built
-    plans only; staged plans never produce them), run over all ``n``
-    positions.  A kernel holding such a gate is split around it, order
-    preserved.
+    independently, each ``(gates, positions)``: a kernel group, whole,
+    non-local gates and all (its slot resolves them per shard, as the
+    kernel's own items) — separated by ``("full", [((gate,),
+    (position,))])`` segments for gates that genuinely *mix* amplitudes
+    along a non-local qubit (hand-built plans only; staged plans never
+    produce them), run over all ``n`` positions.  A kernel holding such a
+    gate is split around it, order preserved.
     """
     segments: list[tuple[str, list]] = []
-    pieces: list[tuple[str, tuple[Gate, ...], tuple[int, ...]]] = []
+    pieces: list[tuple[tuple[Gate, ...], tuple[int, ...]]] = []
     for gates, _ktype, positions in groups:
-        axes = [nonlocal_axes(gate, logical_to_physical, local_qubits) for gate in gates]
         start = 0
-        for j, gate_axes in enumerate(axes):
-            if not gate_axes:
+        for j, gate in enumerate(gates):
+            axes = nonlocal_axes(gate, logical_to_physical, local_qubits)
+            if not any(kind == "mixing" for _q, _shift, kind in axes):
                 continue
             if start < j:
-                pieces.append(("local", gates[start:j], positions[start:j]))
+                pieces.append((gates[start:j], positions[start:j]))
+            if pieces:
+                segments.append(("shards", pieces))
+                pieces = []
+            segments.append(("full", [(gates[j : j + 1], positions[j : j + 1])]))
             start = j + 1
-            one = (gates[j : j + 1], positions[j : j + 1])
-            if any(kind == "mixing" for _q, _shift, kind in gate_axes):
-                if pieces:
-                    segments.append(("shards", pieces))
-                    pieces = []
-                segments.append(("full", [("local", *one)]))
-            else:
-                pieces.append(("dynamic", *one))
         if start < len(gates):
-            pieces.append(("local", gates[start:], positions[start:]))
+            pieces.append((gates[start:], positions[start:]))
     if pieces:
         segments.append(("shards", pieces))
     return segments
 
 
 class SegmentOps(list):
-    """A shards-segment's bound stream — one entry per piece: ``("local",
-    op)``, or ``("dynamic", variant ops)`` for a gate on a non-local qubit
+    """A shards-segment's bound stream — one entry per kernel slot: its op,
+    or, for a kernel with qubits at non-local positions, its variant ops
     (``None`` where a variant is no op) — the next job's rebind takes ops
     from, with ``shards``: per shard index the ops that run on that shard
     and the index it is stored at, which :func:`run_segment_ops` reads."""
@@ -255,23 +252,23 @@ def compile_segment_ops(
     segment's, in order — whose numbers *table* holds.
 
     *structure* is the segment compiled like a plan over ``2^L`` buffers,
-    once per plan structure (:class:`ScheduleStructure`): every piece
-    lowered to :class:`~repro.sim.program.CompiledOp` templates through the
-    slots of a :class:`~repro.runtime.compile.SegmentStructure` — a gate
-    touching non-local qubits to one op per assignment of the shard's fixed
-    bits on them — and every shard's op stream and output index resolved.
-    The bind fills the templates as ``compile_plan(reuse=)`` binds a
-    program: ops of *reuse* — this segment of an earlier job bound from the
+    once per plan structure (:class:`ScheduleStructure`): every kernel
+    lowered as the in-core program lowers it, to
+    :class:`~repro.sim.program.CompiledOp` templates through the slots of
+    a :class:`~repro.runtime.compile.SegmentStructure` — a kernel touching
+    non-local qubits to one op per assignment of the shard's fixed bits on
+    them — and every shard's op stream and output index resolved.  The
+    bind fills the templates as ``compile_plan(reuse=)`` binds a program:
+    entries of *reuse* — this segment of an earlier job bound from the
     same structure — whose gates compare equal are taken verbatim, the
     rest refilled; every shard of every execution replays its stream.
     """
     faults.check("compile")
     starts = structure.starts
     bound, _reused = structure.bind(
-        [[tuple(gates[a:b]) for a, b in zip(starts, starts[1:])]],
-        None if reuse is None else [op for _kind, op in reuse], [table],
+        [[tuple(gates[a:b]) for a, b in zip(starts, starts[1:])]], reuse, [table],
     )
-    ops = SegmentOps(zip(structure.kinds, bound))
+    ops = SegmentOps(bound)
     ops.shards = structure.shard_streams(bound)
     return ops
 
@@ -364,8 +361,9 @@ class ScheduleStructure:
     previous stage's last one, when that segment is a shards-segment; a
     boundary neither carries is left to the driver's full-state permute.
     ``far`` holds the table positions of every gate with a non-local qubit
-    (a dynamic piece or a full-state segment), and ``key_guard`` their
-    ``> 1e-12`` key patterns, which the cut and the axis tables follow.
+    (in a shards-segment's kernel or a full-state segment), and
+    ``key_guard`` their ``> 1e-12`` key patterns, which the cut, the axis
+    tables and every kernel's variants follow.
     """
 
     def __init__(self, plan: ExecutionPlan, row: Row) -> None:
@@ -388,8 +386,10 @@ class ScheduleStructure:
                 ))
                 at = cuts[-1].stop
                 far.extend(
-                    positions[0] for piece, _gates, positions in pieces
-                    if kind == "full" or piece == "dynamic"
+                    position for gates, positions in pieces
+                    for gate, position in zip(gates, positions)
+                    if kind == "full"
+                    or any(l2p[q] >= local_qubits for q in gate.qubits)
                 )
             self.stages.append((l2p, cuts))
         identity = {q: q for q in range(n)}
@@ -638,7 +638,7 @@ def run_stages(
         for kind, _payload, segment_ops, in_place, _load_from, store_to in segments:
             deadline.check("segment")
             if kind == "full":
-                ((_local, op),) = segment_ops
+                (op,) = segment_ops
                 state, state_scratch = op.run(state, state_scratch, thread_workspace())
                 continue
             if generated:

@@ -31,8 +31,8 @@ of time.
 payload object and memoized by its identity, run on the calling thread's
 workspace.  They are what :class:`~repro.sim.statevector.StateVector`
 calls; no runtime does: every op an executor runs — a kernel, or a shard's
-variant of a gate on non-local qubits — is the plan compiler's, bound with
-its program or shard schedule.  The kernels' numerics are
+variant of a kernel with gates on non-local qubits — is the plan
+compiler's, bound with its program or shard schedule.  The kernels' numerics are
 pinned by two implementations that share nothing with the templates:
 :func:`apply_matrix_reference` (the seed tensordot contraction) and
 ``benchmarks/perf/oracle.py``.

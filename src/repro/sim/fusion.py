@@ -29,6 +29,7 @@ engine to the identity, viewed as a state on ``2m`` qubits.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -506,28 +507,37 @@ class KernelGather:
     :class:`GatherProgram`.
 
     Built from the kernel's lowering, the qubit count of each gate of its
-    pool and — for the native body — the template's packing (``fills`` of
+    pool and its *variants*: what each op bound from the kernel reads of
+    its items — the kernel itself (the default: every item whole), or one
+    per assignment of a shard's fixed bits, each item restricted to them
+    (:class:`repro.runtime.compile.SegmentStructure`).  A variant is
+    ``None`` (no op) or ``(fills, items)``: ``fills`` the template's
+    packing for the native body (``fills`` of
     :func:`repro.sim.apply.kernel_template`, which cover the payload from
-    its first entry to its last).  Indices are local *sources*: the pool
-    gates' matrices, row-major, one after another (``entries`` of them);
-    then ``chains`` — per fold qubit with two or more gates, their 2x2
-    product, later gates on the left — four entries each; then the unit
-    ``1`` (``one``: whether any term reads it).  ``values`` are the blocks'
-    phases — the running product of their members' gathered phases — and
-    the dense gates' matrices, item by item (``spans`` say where), as
-    groups of term columns for :class:`_Products`; ``factors`` per fold
-    item the sources of its 2x2s, in item-qubit order; ``numbers`` index
-    ``values`` followed by the sources: the packed payload of the native
-    body.  No gate object is kept.
+    its first entry to its last; ``None`` without one) and ``items`` per
+    item of the op ``(kernel item, which of that item's numbers, their
+    shape)`` — ``None``: every item whole.  Indices are local
+    *sources*: the pool gates' matrices, row-major, one after another
+    (``entries`` of them); then ``chains`` — per fold qubit with two or
+    more gates, their 2x2 product, later gates on the left — four entries
+    each; then the unit ``1`` (``one``: whether any term reads it).
+    ``values`` are the blocks' phases — the running product of their
+    members' gathered phases — and the dense gates' matrices, item by item,
+    as groups of term columns for :class:`_Products`; a fold's 2x2s are
+    sources, in item-qubit order.  ``variants`` per variant ``None`` or
+    ``(numbers, loop, shapes)``: ``numbers`` index ``values`` followed by
+    the sources (the packed payload of the native body, or ``None``),
+    ``loop`` the item loop's arrays, end to end, in the same space.  No
+    gate object is kept.
     """
 
-    __slots__ = ("entries", "chains", "one", "values", "spans", "factors", "numbers")
+    __slots__ = ("entries", "chains", "one", "values", "variants")
 
     def __init__(
         self,
         lowering: Sequence[ItemLowering],
         widths: Sequence[int],
-        fills: "Sequence[tuple] | None" = None,
+        variants: "Sequence[tuple | None]" = ((None, None),),
     ) -> None:
         sizes = [4 ** width for width in widths]
         start = [0]
@@ -553,8 +563,8 @@ class KernelGather:
         # group.
         self.values: list[list[np.ndarray]] = []
         single: list[int] = []
-        self.spans: list[tuple[int, int, int]] = []
-        self.factors: dict[int, np.ndarray] = {}
+        spans: list[tuple[int, int, int]] = []
+        factors: dict[int, np.ndarray] = {}
         next_chain = 0
         at = 0
         for index, item in enumerate(lowering):
@@ -566,8 +576,8 @@ class KernelGather:
                     else:
                         firsts.append(self.entries + 4 * next_chain)
                         next_chain += 1
-                self.factors[index] = (np.asarray(firsts, dtype=np.intp)[:, None] + _QUAD).reshape(-1)
-                self.spans.append((-1, 0, 0))
+                factors[index] = (np.asarray(firsts, dtype=np.intp)[:, None] + _QUAD).reshape(-1)
+                spans.append((-1, 0, 0))
                 continue
             dim = 1 << len(item.qubits)
             if item.dense:
@@ -586,30 +596,56 @@ class KernelGather:
                     table.astype(np.intp) + start[m] for m, table in item.factors
                 ])
                 count = dim
-            self.spans.append((at, at + count, dim if item.dense else 0))
+            spans.append((at, at + count, dim if item.dense else 0))
             at += count
         if single:
             self.values.append([np.array(single, dtype=np.intp)])
         shift = at  # where the sources start, after the values
 
-        # The native body's payload: every entry is one of the values (a
-        # block's phase, a gate's matrix entry) or a fold's 2x2 factor
-        # straight from the sources.
-        self.numbers = None
-        if fills is not None:
-            parts: list = []
-            for index, mode, offset, extra in sorted(fills, key=lambda fill: fill[2]):
-                first, stop, _dim = self.spans[index]
-                if mode == 2:
-                    parts.append(first + np.asarray(extra, dtype=np.intp))
-                elif mode == 1:
-                    parts.append(shift + self.factors[index][4 * extra : 4 * extra + 4])
-                else:
-                    parts.append(np.arange(first, stop, dtype=np.intp))
-            if not parts:  # a kernel with no payload still passes one number, unread
-                parts.append(np.array([shift + one], dtype=np.intp))
-                self.one = True
-            self.numbers = np.concatenate(parts)
+        self.variants: list = []
+        for variant in variants:
+            if variant is None:
+                self.variants.append(None)
+                continue
+            fills, items = variant
+            # Per item of the op, where its numbers sit: a block's phases
+            # and a dense gate's matrix among the values, a fold's 2x2s
+            # among the sources.
+            if items is None:
+                at_item = [
+                    shift + factors[index] if first < 0 else np.arange(first, stop)
+                    for index, (first, stop, _dim) in enumerate(spans)
+                ]
+                shapes = [
+                    (len(factors[index]) // 4, 2, 2) if first < 0
+                    else (dim, dim) if dim else (stop - first,)
+                    for index, (first, stop, dim) in enumerate(spans)
+                ]
+            else:
+                at_item = [
+                    shift + factors[index].take(local) if spans[index][0] < 0
+                    else spans[index][0] + local
+                    for index, local, _shape in items
+                ]
+                shapes = [shape for _i, _l, shape in items]
+            loop = np.concatenate(at_item) if at_item else np.zeros(0, np.intp)
+            numbers = None
+            if fills is not None:
+                # The native body's payload: every entry is one of the
+                # values (a block's phase, a gate's matrix entry) or a
+                # fold's 2x2 factor straight from the sources.
+                parts: list = []
+                for item, mode, offset, extra in sorted(fills, key=lambda fill: fill[2]):
+                    where = at_item[item]
+                    parts.append(
+                        where.take(extra) if mode == 2
+                        else where[4 * extra : 4 * extra + 4] if mode == 1 else where
+                    )
+                if not parts:  # a kernel with no payload still passes one number, unread
+                    parts.append(np.array([shift + one], dtype=np.intp))
+                    self.one = True
+                numbers = np.concatenate(parts).astype(np.intp)
+            self.variants.append((numbers, loop, shapes))
 
 
 class GatherProgram:
@@ -624,7 +660,8 @@ class GatherProgram:
     matmul (later gates on the left); per factor depth of every block's
     phases one ``take`` and one multiply (circuit order — NumPy's complex
     product is not commutative bit for bit, so the operand order is the
-    oracle's); one ``take`` into the native bodies' packed payloads.
+    oracle's); one ``take`` into the native bodies' packed payloads, every
+    variant of every kernel.
     :meth:`__call__` takes an ``(entries, B)`` stack — one column per job
     of a stacked bind, one for a solo one — and returns a
     :class:`GatherRun` whose packed payloads have one row per job; every
@@ -632,7 +669,7 @@ class GatherProgram:
     gives job ``b``'s gates, and what a stack of that job alone gives.
     """
 
-    __slots__ = ("kernels", "chains", "one", "values", "factors", "numbers", "offsets")
+    __slots__ = ("kernels", "chains", "one", "values", "numbers", "variants", "kernel_sources", "total")
 
     def __init__(self, kernels: Sequence[tuple[KernelGather, int]], entries: int) -> None:
         self.kernels = [gather for gather, _start in kernels]
@@ -662,10 +699,15 @@ class GatherProgram:
 
         values: list = []
         numbers: list = []
-        #: Per kernel, per fold item the program's sources of its 2x2s.
-        self.factors: list[dict[int, np.ndarray]] = []
-        self.offsets: list[tuple[int, int, int]] = []
-        total_values = sum(len(column[0]) for gather in self.kernels for column in gather.values)
+        #: Per kernel, per variant ``None`` or ``(its payload's slice of a
+        #: run's numbers, or None; its item loop's kernel-local indices,
+        #: which :meth:`indices` maps into a run's values and sources;
+        #: their shapes)``.
+        self.variants: list[list] = []
+        #: Per kernel ``(its local sources' indices among the program's,
+        #: its value count, its first value)``.
+        self.kernel_sources: list[tuple[np.ndarray, int, int]] = []
+        self.total = sum(len(column[0]) for gather in self.kernels for column in gather.values)
         at_value = at_number = 0
         first_chain = 0
         for gather, start in kernels:
@@ -679,22 +721,35 @@ class GatherProgram:
                 (chain_at[:, None] + _QUAD).reshape(-1), [one],
             ))
             values.extend([[source.take(column) for column in group] for group in gather.values])
-            self.factors.append({index: source.take(local) for index, local in gather.factors.items()})
             count_values = sum(len(group[0]) for group in gather.values)
-            if gather.numbers is not None:
-                local = gather.numbers
-                # (A value's index, negative once shifted, is clipped
-                # there and not taken.)
-                numbers.append(np.where(
-                    local < count_values, local + at_value,
-                    total_values + source.take(local - count_values, mode="clip"),
-                ))
-            size = len(gather.numbers) if gather.numbers is not None else 0
-            self.offsets.append((at_value, at_number, at_number + size))
+            self.kernel_sources.append((source, count_values, at_value))
+            kernel_variants = []
+            for variant in gather.variants:
+                if variant is None:
+                    kernel_variants.append(None)
+                    continue
+                local, loop, shapes = variant
+                span = None
+                if local is not None:
+                    numbers.append(self.indices(len(self.kernel_sources) - 1, local))
+                    span = (at_number, at_number + len(local))
+                    at_number += len(local)
+                kernel_variants.append((span, loop, shapes))
+            self.variants.append(kernel_variants)
             at_value += count_values
-            at_number += size
         self.values = _Products(values) if values else None
         self.numbers = np.concatenate(numbers).astype(np.intp) if numbers else None
+
+    def indices(self, kernel: int, local: np.ndarray) -> np.ndarray:
+        """Kernel *kernel*'s *local* indices — its values, then its
+        sources — as indices into a run's values followed by its sources.
+        (A value's index, negative once shifted, is clipped there and not
+        taken.)"""
+        source, count, first = self.kernel_sources[kernel]
+        return np.where(
+            local < count, local + first,
+            self.total + source.take(local - count, mode="clip"),
+        )
 
     def __call__(self, entries: np.ndarray) -> "GatherRun":
         rows = entries.shape[1]
@@ -711,51 +766,46 @@ class GatherProgram:
         if self.one:
             parts.append(np.broadcast_to(_ONE[:, None], (1, rows)))
         sources = np.concatenate(parts, axis=0) if len(parts) > 1 else entries
-        values = self.values(sources) if self.values is not None else sources[:0]
+        if self.values is not None:
+            sources = np.concatenate((self.values(sources), sources), axis=0)
         numbers = None
         if self.numbers is not None:
             # One contiguous payload row per job.
-            numbers = np.ascontiguousarray(
-                np.concatenate((values, sources), axis=0).take(self.numbers, axis=0).T
-            )
-        return GatherRun(self, values, sources, numbers)
+            numbers = np.ascontiguousarray(sources.take(self.numbers, axis=0).T)
+        return GatherRun(self, sources, numbers)
 
 
 class GatherRun(NamedTuple):
     """One run of a :class:`GatherProgram` over an ``(entries, B)`` stack:
-    its values and its sources (the entries, the folds' 1q chains, the
-    unit), one column per job, and the packed payloads, one row per job;
-    per kernel (by its index in the program) :meth:`numbers_of` and
-    :meth:`arrays_of`."""
+    its values followed by its sources (the entries, the folds' 1q chains,
+    the unit), one column per job, and the packed payloads, one row per
+    job; per variant of a kernel (by the kernel's index in the program)
+    :meth:`numbers_of` and :meth:`arrays_of`."""
 
     program: GatherProgram
     values: np.ndarray
-    sources: np.ndarray
     numbers: "np.ndarray | None"
 
-    def numbers_of(self, kernel: int) -> np.ndarray:
-        """Kernel *kernel*'s native payload, ``(B, size)``: a view whose
-        rows are contiguous and sit one run's width apart."""
-        _value, first, stop = self.program.offsets[kernel]
+    def numbers_of(self, kernel: int, variant: int = 0) -> np.ndarray:
+        """The native payload of variant *variant* of kernel *kernel*,
+        ``(B, size)``: a view whose rows are contiguous and sit one run's
+        width apart."""
+        first, stop = self.program.variants[kernel][variant][0]
         return self.numbers[:, first:stop]
 
-    def arrays_of(self, kernel: int) -> list[list[np.ndarray]]:
-        """Kernel *kernel*'s item-loop payloads, per row: per item a
-        block's phases, a dense gate's matrix, a fold's ``(k, 2, 2)``
-        factors."""
-        gather = self.program.kernels[kernel]
-        factors = self.program.factors[kernel]
-        at_value = self.program.offsets[kernel][0]
+    def arrays_of(self, kernel: int, variant: int = 0) -> list[list[np.ndarray]]:
+        """The item-loop payloads of variant *variant* of kernel *kernel*,
+        per row: per item a block's phases, a dense gate's matrix, a fold's
+        ``(k, 2, 2)`` factors — one ``take`` a row."""
+        _span, loop, shapes = self.program.variants[kernel][variant]
+        loop = self.program.indices(kernel, loop)
         rows = []
-        for values, sources in zip(self.values.T, self.sources.T):
-            arrays = []
-            for index, (a, b, dim) in enumerate(gather.spans):
-                if a < 0:
-                    arrays.append(sources.take(factors[index]).reshape(-1, 2, 2))
-                elif dim:
-                    arrays.append(values[at_value + a : at_value + b].reshape(dim, dim))
-                else:
-                    arrays.append(values[at_value + a : at_value + b])
+        for column in self.values.T:
+            flat, arrays, at = column.take(loop), [], 0
+            for shape in shapes:
+                size = math.prod(shape)
+                arrays.append(flat[at : at + size].reshape(shape))
+                at += size
             rows.append(arrays)
         return rows
 

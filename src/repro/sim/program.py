@@ -55,7 +55,6 @@ __all__ = [
     "unitary_template",
     "compile_unitary_op",
     "compile_layout_op",
-    "compile_phase_op",
     "release_thread_workspace",
     "thread_workspace",
 ]
@@ -91,19 +90,6 @@ def compile_layout_op(
         return scratch, states
 
     return CompiledOp("layout", run, source, None, qubits=None)
-
-
-def compile_phase_op(phase: complex, gates: "tuple | None" = None) -> CompiledOp:
-    """A gate that leaves a buffer nothing but the scalar *phase* — a
-    shard's variant of a gate on non-local qubits only
-    (:class:`repro.runtime.compile.SegmentStructure`): every amplitude
-    times *phase*, in place."""
-
-    def run(states, scratch, ws):
-        states *= phase
-        return states, scratch
-
-    return CompiledOp("diagonal", run, None, gates, qubits=())
 
 
 # ---------------------------------------------------------------------------

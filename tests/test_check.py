@@ -582,7 +582,7 @@ class TestWriteMapDifferential:
         (the mutation table)."""
         with pytest.raises(PlanValidationError, match="mixes amplitudes"):
             h = make_gate("h", [N - 1])
-            SegmentStructure([("dynamic", (h,), (0,))], IDENTITY, LOCAL, GateTable([h]))
+            SegmentStructure([((h,), (0,))], IDENTITY, LOCAL, GateTable([h]))
 
     def test_round_robin_is_a_partition(self):
         for workers in (1, 2, 3, 4, 7):
@@ -817,12 +817,13 @@ class TestLintRepro:
             "    for gate in gates:\n"
             "        apply(gate.matrix())\n",
         )
-        # One gate's matrix, resolved per variant: a loop, not over gates.
+        # A matrix read in a loop over a kernel's shard variants: a loop,
+        # not over gates.
         dynamic = self.write(
             lint, "runtime/compile.py",
-            "class _DynamicSlot:\n"
-            "    def bind(self, pool, old):\n"
-            "        return [reduce(pool[0].matrix(), f) for f in self.variants]\n",
+            "class _KernelSlot:\n"
+            "    def check(self, pool):\n"
+            "        return [pool[0].matrix() for v in self.variants]\n",
         )
         assert lint.check_one_kernel_lowering([lowering, dynamic]) == []
         # A gate-at-a-time loop over a kernel's gates growing back.
@@ -851,7 +852,7 @@ class TestLintRepro:
         home = self.write(
             lint, "runtime/compile.py",
             "def add_kernel(gates, l2p):\n"
-            "    return [unitary_template(i.matrix, i.qubits, 5) for i in kernel_lowering(gates, l2p)]\n",
+            "    return kernel_template(kernel_items(kernel_lowering(gates, l2p), l2p), 5)\n",
         )
         offload = self.write(
             lint, "runtime/offload.py",
@@ -886,6 +887,22 @@ class TestLintRepro:
             ("src/repro/runtime/offload.py", 3, "kernel_lowering"),
             ("src/repro/runtime/offload.py", 4, "unitary_template"),
             ("src/repro/session/session.py", 2, "schedule_key"),
+        ]
+        # A gate inside a kernel given an op of its own on the shard path —
+        # the per-gate slot and its names growing back in the compiler
+        # itself — is flagged too.
+        home.write_text(
+            "class _DynamicSlot:\n"
+            "    def __init__(self, gate, l2p, local):\n"
+            "        fixed = _transitions(gate, l2p, local)\n"
+            "        self.op = unitary_template(_reduce(gate.matrix(), fixed), (0,), local)\n"
+            "def add_kernel(gates, l2p):\n"
+            "    return kernel_template(kernel_items(kernel_lowering(gates, l2p), l2p), 5)\n"
+        )
+        assert sorted(
+            (f.line, f.key.rpartition("::")[2]) for f in lint.check_one_segment_compiler([home])
+        ) == [
+            (1, "_DynamicSlot"), (3, "_transitions"), (4, "_reduce"), (4, "unitary_template"),
         ]
         # The compiler moving away is flagged too.
         home.write_text("def add_kernel(gates, l2p):\n    return []\n")
@@ -1812,9 +1829,9 @@ class TestLintRepro:
             "        return self.fill(gates, flat, base)\n"
             "    def fill(self, gates, flat, base):\n"
             "        return self.gather.native(flat, base)\n"
-            "class _DynamicSlot:\n"
-            "    def __init__(self, gate):\n"
-            "        self.block = _reduce(gate.matrix(), gate.qubits, ())\n"
+            "class _Variants:\n"
+            "    def __init__(self, lowering, far):\n"
+            "        self.items = [_restrict(lowering, v) for v in range(1 << far)]\n"
             "    def bind(self, pool, old, flat, base):\n"
             "        return flat.take(base[0] + self.picks)\n",
         )
@@ -1834,16 +1851,17 @@ class TestLintRepro:
         tool.write_text("TABLE = GateTable([])\n")
         assert lint.check_one_gate_table([slots, *builders, tool]) == []
         # A per-gate bind growing back: a gate's own matrix, the oracle's
-        # per-item fill, a per-variant np.ix_ block — the retired names,
-        # and a second per-job table built anywhere else under src/.
+        # per-item fill, a shard variant restricted again per job — the
+        # retired names, and a second per-job table built anywhere else
+        # under src/.
         slots.write_text(
             "class _KernelSlot:\n"
             "    def fill(self, gates, flat, base):\n"
             "        items = [fill_lowered_item(low, gates) for low in self.lowering]\n"
             "        return [g.matrix() for g in gates], items\n"
-            "class _DynamicSlot:\n"
+            "class _Variants:\n"
             "    def bind(self, pool, old, flat, base):\n"
-            "        return _reduce(pool[0].matrix(), pool[0].qubits, ())\n"
+            "        return _restrict(self.lowering, pool[0].matrix())\n"
         )
         keyed = self.write(
             lint, "circuits/circuit.py", "def key(gates):\n    cache_patterns(gates)\n"
@@ -1856,8 +1874,8 @@ class TestLintRepro:
         findings = lint.check_one_gate_table([slots, keyed, segments])
         assert {f.rule for f in findings} == {"one-gate-table"}
         assert sorted(f.key.rpartition("::")[2] for f in findings) == [
-            "GateTable", "_DynamicSlot.bind:_reduce", "_DynamicSlot.bind:matrix",
-            "_KernelSlot.fill:fill_lowered_item", "_KernelSlot.fill:matrix",
+            "GateTable", "_KernelSlot.fill:fill_lowered_item", "_KernelSlot.fill:matrix",
+            "_Variants.bind:_restrict", "_Variants.bind:matrix",
             "cache_patterns", "segment_table",
         ]
         # The slots moving out of compile.py is the rule left behind.

@@ -26,13 +26,13 @@ from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.errors import PlanValidationError
 from repro.runtime.compile import (
-    SegmentStructure, _DynamicSlot, _KernelSlot, _reduce, compile_plan,
+    SegmentStructure, _KernelSlot, compile_plan,
 )
 from repro.session.cache import frozen, plan_cache_key, rebind_plan
-from repro.sim.apply import Workspace, analyze_matrix, unitary_template
+from repro.sim.apply import Workspace, analyze_matrix, kernel_template
 from repro.sim import simulate_reference
 from repro.sim.fusion import (
-    GatherProgram, KernelGather, _gate_shape, kernel_lowering, lower_kernel_gates,
+    GatherProgram, KernelGather, _gate_shape, kernel_items, kernel_lowering, lower_kernel_gates,
 )
 
 SPECIAL = (0.0, math.pi, -math.pi, 2 * math.pi, 1e-13, -1e-13)
@@ -280,42 +280,48 @@ class TestGatherBind:
         assert np.array_equal(warm.run().data, cold.run().data)
 
 
-def test_dynamic_variants_read_the_table():
-    """A gate on a non-local qubit binds one op per assignment of the
-    shard's fixed bits, each block taken out of the gate table: every
-    variant acts as the one built from its own np.ix_ block does."""
+def test_kernel_variants_read_the_table():
+    """A kernel with gates on non-local qubits binds one op per assignment
+    of the shard's fixed bits, every variant's numbers taken out of the
+    kernel's gathered payload: on every shard the variant it runs — the
+    bound op and the item loop of the same numbers — is the in-core
+    kernel's pass there, bit for bit, stored where the in-core pass puts
+    the shard.  The kernel holds every non-local axis kind: diagonals,
+    declared controls on dense targets, controlled permutations, an
+    anti-diagonal that relabels shards and a block over non-local qubits
+    only."""
     rng = np.random.default_rng(9)
-    local, l2p = 3, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-    gates = [
+    n, local = 6, 4
+    l2p = {q: q for q in range(n)}
+    gates = (
         make_gate("cp", [1, 4], [0.7]), make_gate("rz", [3], [1.3]),
-        make_gate("crz", [4, 0], [2.1]), make_gate("rzz", [2, 3], [0.4]),
-    ]
-    pieces = [("dynamic", (gate,), (at,)) for at, gate in enumerate(gates)]
+        make_gate("crz", [0, 4], [2.1]), make_gate("rzz", [2, 5], [0.4]),
+        make_gate("cry", [1, 5], [0.9]), make_gate("ch", [3, 4]),
+        make_gate("x", [5]), make_gate("ccx", [0, 4, 5]), make_gate("h", [2]),
+        make_gate("cp", [4, 5], [1.7]), make_gate("ry", [2], [0.3]),
+    )
     table = GateTable(gates)
-    structure = SegmentStructure(pieces, l2p, local, table)
-    entries = structure.entries([table])
-    state = rng.normal(size=1 << local) + 1j * rng.normal(size=1 << local)
-    checked = 0
-    for slot, (_kind, (gate,), _at) in zip(structure.slots, pieces):
-        assert isinstance(slot, _DynamicSlot)
-        start, stop = structure.entry_starts[slot.pool], structure.entry_starts[slot.pool + 1]
-        ops = slot.bind([(gate,)], None, entries[start:stop].T, None)
-        physical = tuple(l2p[q] for q in gate.qubits if l2p[q] < local)
-        for fixed, op in zip(slot.variants, ops):
-            if fixed is None:
-                assert op is None
-                continue
-            block = _reduce(gate.matrix(), gate.qubits, fixed)
-            got = op.run(state.copy(), np.empty_like(state), Workspace())[0]
-            if physical:
-                want = unitary_template(block, physical, local).bind(block)(
-                    state.copy(), np.empty_like(state), Workspace()
-                )[0]
-            else:
-                want = state * block[0, 0]
-            assert got.tobytes() == want.tobytes()
-            checked += 1
-    assert checked >= 4
+    structure = SegmentStructure([(gates, tuple(range(len(gates))))], l2p, local, table)
+    (slot,) = structure.slots
+    assert slot.far == (0, 1)
+    run = structure.program(structure.entries([table]))
+    ops = slot.bind([gates], None, run)
+    items = lower_kernel_gates(gates, l2p)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    want = kernel_template(kernel_items(items, l2p), n).bind(items)(
+        state.copy(), np.empty_like(state), Workspace()
+    )[0]
+    size = 1 << local
+    for shard, (_picks, out) in enumerate(structure.shards):
+        variant = slot.variant(shard)
+        assert out == shard ^ slot.flips[variant]
+        template = slot.variants[variant].template
+        for bound in (ops[variant].run, template.loop(run.arrays_of(slot.kernel, variant))):
+            data = state[shard * size : (shard + 1) * size].copy()
+            got = bound(data, np.empty_like(data), Workspace())[0]
+            assert got.tobytes() == want[out * size : (out + 1) * size].tobytes()
+    assert sorted(structure.shards[s][1] for s in range(4)) == [0, 1, 2, 3]
+    assert [out for _picks, out in structure.shards] != [0, 1, 2, 3]
 
 
 class TestPlanIndices:

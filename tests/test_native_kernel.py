@@ -343,7 +343,7 @@ def _segment_op(gates, l2p, n, fused):
     """The op of the kernel *gates* in a segment over all *n* positions —
     what a full-state segment of a shard schedule is built by."""
     ktype = KernelType.FUSION if fused else None
-    ((_kind, op),) = segment_ops(gates, l2p, n, ktype)
+    (op,) = segment_ops(gates, l2p, n, ktype)
     return op
 
 
@@ -550,41 +550,20 @@ def test_library_plans_kernel_by_kernel(family, n):
 # Pinned digests: one set of bits for both bodies
 # ---------------------------------------------------------------------------
 
-#: Per family at 10 qubits on four shards, the SHA-256 of the final state
-#: in core and through both shard executors.  These apply a diagonal gate
-#: on a non-local qubit per shard, as an op of its own, where the in-core
-#: run folds it into a block's phases: ae, qft and qpeexact end a last bit
-#: apart.  (Re-pinned when staging began to certify a window-driven staging
-#: instead of solving the ILP: the plans, not the bodies, changed.)
+#: Per family at 10 qubits on four shards, the SHA-256 of the final state:
+#: one value for the in-core run and both shard executors, which bind
+#: each kernel as the in-core program lowers it, its non-local bits
+#: resolved per shard variant.  (Re-pinned when staging began to certify
+#: a window-driven staging instead of solving the ILP: the plans, not the
+#: bodies, changed.)
 PINNED_DIGESTS = {
-    "ae": (
-        "065b8b616e29c8cd9a8bf0bc9849c8a411fcb47b9927d1d63e37c0f3585f192b",
-        "dc213e30bdae61e8bb990bb509af9a4709a40325af4232199f47cadaf03e1466",
-    ),
-    "ising": (
-        "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
-        "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
-    ),
-    "qft": (
-        "f0dd4c78e4bd7b5c8bab8760b5f355ac38c8a3e8ed6c22606f54cf71cadeb092",
-        "065929ff3edc7265bf70c172fa78eec8300f840e8c1b72abad48275c83ea4bf3",
-    ),
-    "qpeexact": (
-        "7a3aaf80d4943a23d05a87c8ed09ec57222c764a80c2dcbc5ea171845fc7eeba",
-        "a88604cb6b840191ef4153e88c80ee1ebb007d2eb9f429e5bc1fdc462a26fecb",
-    ),
-    "qsvm": (
-        "b501e07c81138465725e69fe7c3094c4da0be9a5e8c755f3bb73e6f8b43d6a1e",
-        "b501e07c81138465725e69fe7c3094c4da0be9a5e8c755f3bb73e6f8b43d6a1e",
-    ),
-    "su2random": (
-        "f71ee6653e8b953f02621d0aeac914ef0ffa4767674662f8613338c9ca21e4b4",
-        "f71ee6653e8b953f02621d0aeac914ef0ffa4767674662f8613338c9ca21e4b4",
-    ),
-    "vqc": (
-        "96e33213d3d75834155f8b33b4d7ba3b5371dd3068c1957f71cee23fbb90524d",
-        "96e33213d3d75834155f8b33b4d7ba3b5371dd3068c1957f71cee23fbb90524d",
-    ),
+    "ae": "065b8b616e29c8cd9a8bf0bc9849c8a411fcb47b9927d1d63e37c0f3585f192b",
+    "ising": "70439f8bd588b1c53a7abae51cd19fc3d6233d54a611805afc25628a50cecc6c",
+    "qft": "f0dd4c78e4bd7b5c8bab8760b5f355ac38c8a3e8ed6c22606f54cf71cadeb092",
+    "qpeexact": "7a3aaf80d4943a23d05a87c8ed09ec57222c764a80c2dcbc5ea171845fc7eeba",
+    "qsvm": "b501e07c81138465725e69fe7c3094c4da0be9a5e8c755f3bb73e6f8b43d6a1e",
+    "su2random": "f71ee6653e8b953f02621d0aeac914ef0ffa4767674662f8613338c9ca21e4b4",
+    "vqc": "96e33213d3d75834155f8b33b4d7ba3b5371dd3068c1957f71cee23fbb90524d",
 }
 
 
@@ -618,8 +597,7 @@ def test_pinned_digest_of_a_fixed_circuit(family):
     same pins hold with and without a compiler.  (The payload comes from
     libm's sin/cos and NumPy's complex products; the pins are for x86-64
     glibc hosts, where both are stable.)"""
-    incore, sharded = PINNED_DIGESTS[family]
-    assert _pinned_digests(family) == [incore, sharded, sharded]
+    assert _pinned_digests(family) == [PINNED_DIGESTS[family]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +651,7 @@ class TestSplitPass:
     def test_pinned_digests_hold_for_any_cut(self, family, forced_threads, helper_calls):
         """In core and offload cut every pass into W ranges; the parallel
         runtime's shard workers never cut theirs."""
-        incore, sharded = PINNED_DIGESTS[family]
-        assert _pinned_digests(family) == [incore, sharded, sharded]
+        assert _pinned_digests(family) == [PINNED_DIGESTS[family]] * 3
         assert bool(helper_calls) == (forced_threads > 1)
         assert not [name for name in helper_calls if name.startswith("repro-shard")]
 

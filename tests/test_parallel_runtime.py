@@ -144,10 +144,10 @@ class TestDifferential:
         ((_l2p, segments),) = schedule.stages
         (full,) = [segment for segment in segments if segment.kind == "full"]
         assert full.payload.name == "h"
-        ((kind, op),) = full.ops
+        (op,) = full.ops
         program = compile_plan(plan, check_locality=False)
         (twin,) = [o for o in program.ops if o.gates == (full.payload,)]
-        assert (kind, op.kind, op.qubits, op.items) == ("local", twin.kind, twin.qubits, twin.items)
+        assert (op.kind, op.qubits, op.items) == (twin.kind, twin.qubits, twin.items)
         state = StateVector.random_state(6, seed=4).data
         ours, _ = op.run(state.copy(), np.empty_like(state), Workspace())
         theirs, _ = twin.run(state.copy(), np.empty_like(state), Workspace())

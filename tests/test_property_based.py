@@ -189,7 +189,7 @@ class TestLoweringProperties:
         init = StateVector.random_state(n, seed=seed)
         # A run of gates over all n positions: the slot a full-state
         # segment (or a compiled program's kernel) is built by.
-        ((_kind, op),) = segment_ops(gates, l2p, n)
+        (op,) = segment_ops(gates, l2p, n)
         items = lower_kernel_gates(gates, l2p)
         ws = Workspace()
         lowered, _ = op.run(init.data.copy(), np.empty_like(init.data), ws)

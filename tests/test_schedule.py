@@ -21,7 +21,7 @@ from repro.circuits.gates import GateTable
 from repro.circuits.library import CIRCUIT_FAMILIES, qft, vqc
 from repro.core import KernelizeConfig, partition
 from repro.errors import KernelError, TransientError
-from repro.runtime import ParallelRuntime, compile as compile_mod, execute_plan_offloaded
+from repro.runtime import ParallelRuntime, compile as compile_mod, compile_plan, execute_plan_offloaded
 from repro.runtime import offload as offload_mod, sharding as sharding_mod
 from repro.runtime.offload import Schedule, build_schedule
 from repro.session.backends import BACKENDS, ParallelBackend, register_backend
@@ -37,25 +37,51 @@ WORKERS = (1, 2, 4)
 
 
 def op_entry(op):
-    return None if op is None else (op.kind, op.qubits, op.gates)
+    return None if op is None else (op.kind, op.qubits, op.gates, op.items)
 
 
 def entries(schedule):
     """What a schedule executes, comparable with ``==``: per stage the
     layout, per segment its kind, store flag, layout moves, recorded write
-    map and compiled entries — a dynamic gate's op per variant (``None``:
-    no op on those shards)."""
+    map and compiled entries — a kernel on non-local qubits as its op per
+    variant (``None``: no op on those shards)."""
     return [
         (l2p, [
             (seg.kind, seg.in_place, seg.load_from, seg.store_to, seg.ops.write_map, [
-                (kind, [op_entry(op) for op in payload] if kind == "dynamic"
-                 else op_entry(payload))
-                for kind, payload in seg.ops
+                [op_entry(op) for op in entry] if isinstance(entry, tuple) else op_entry(entry)
+                for entry in seg.ops
             ])
             for seg in segments
         ])
         for l2p, segments in schedule.stages
     ]
+
+
+def _drops_nothing(gate):
+    """Whether *gate*'s matrix has no entry a shard drops: none that is
+    non-zero yet within the key pattern's 1e-12 (``rx(pi)``'s cos term
+    is one) — a shard keeps its ``bit_in -> bit_out`` block of a gate on a
+    non-local qubit, and the in-core pass adds the dropped entry's term."""
+    if not gate.params:
+        return True
+    key, exact = gate.pattern()
+    count = 4 ** len(gate.qubits)
+    loose = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count).astype(bool)
+    return np.array_equal(loose, np.frombuffer(exact, dtype=bool, count=count))
+
+
+def bit_equal_in_core(schedule, local):
+    """Whether *schedule* must equal the in-core program bit for bit: it
+    has no full-state segment — every kernel runs as the in-core pass runs
+    it, its non-local bits resolved per shard — and no gate on a
+    non-local qubit drops an entry there."""
+    return all(
+        seg.kind == "shards" and all(
+            _drops_nothing(gate) for gate in seg.payload
+            if any(l2p[q] >= local for q in gate.qubits)
+        )
+        for l2p, segments in schedule.stages for seg in segments
+    )
 
 
 def assert_rebind_equals_cold(base_plan, plan, machine, seed):
@@ -72,6 +98,10 @@ def assert_rebind_equals_cold(base_plan, plan, machine, seed):
     assert (warm.structure is base.structure) == warm.rebound
     for init in (None, StateVector.random_state(n, seed=seed)):
         want = execute_plan_offloaded(plan, machine, init, schedule=cold)[0].data
+        if bit_equal_in_core(cold, local):
+            # (A hand-built plan need not keep the staging invariant.)
+            incore = compile_plan(plan, check_locality=False).run(init).data
+            assert np.array_equal(incore, want)
         assert np.array_equal(execute_plan_offloaded(plan, machine, init)[0].data, want)
         assert np.array_equal(
             execute_plan_offloaded(plan, machine, init, schedule=warm)[0].data, want
@@ -138,24 +168,35 @@ class TestScheduleRebindDifferential:
             )
 
     def test_a_rebind_takes_unchanged_ops_verbatim_and_refills_the_rest(self):
-        # L = 5: the plan has a local op free of vqc's angles (at L = 6 it
-        # has none), so both branches of the bind run.
+        """A job that moves two of vqc's angles, one per stage: the kernels
+        that hold neither — a kernel's op, or its variant ops when it
+        touches non-local qubits — are taken verbatim, the ones that hold
+        one are refilled."""
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=5)
-        base_plan, _ = partition(vqc(8, seed=0), machine)
+        circuit = vqc(8, seed=0)
+        base_plan, _ = partition(circuit, machine)
+        gates = list(circuit.gates)
+        for stage in (base_plan.stages[0], base_plan.stages[-1]):
+            at = next(i for i in stage.gate_indices if gates[i].params)
+            gates[at] = make_gate(gates[at].name, gates[at].qubits, [p + 0.5 for p in gates[at].params])
         base = build_schedule(base_plan, machine.local_qubits)
         warm = build_schedule(
-            rebind_plan(base_plan, vqc(8, seed=1)), machine.local_qubits, reuse=base
+            rebind_plan(base_plan, Circuit(8, gates)), machine.local_qubits, reuse=base
         )
         assert warm.rebound
-        kept = refilled = 0
+
+        def gates_of(entry):
+            if isinstance(entry, tuple):
+                entry = next(op for op in entry if op is not None)
+            return entry.gates
+
+        kept, refilled = {False: 0, True: 0}, {False: 0, True: 0}
         for (_l2p, news), (_l2p_old, olds) in zip(warm.stages, base.stages):
             for new, old in zip(news, olds):
-                for (kind, op), (_kind, was) in zip(new.ops, old.ops):
-                    if kind == "local":
-                        assert (op is was) == (op.gates == was.gates)
-                        kept += op is was
-                        refilled += op is not was
-        assert kept and refilled
+                for op, was in zip(new.ops, old.ops):
+                    assert (op is was) == (gates_of(op) == gates_of(was))
+                    (kept if op is was else refilled)[isinstance(op, tuple)] += 1
+        assert kept[False] and kept[True] and sum(refilled.values()) >= 2
 
     def test_a_rebind_of_new_angles_misses_no_axis_kind(self, monkeypatch):
         """A warm schedule is a bind: a job of new angles admitted whole
@@ -189,10 +230,10 @@ class TestScheduleRebindDifferential:
 
     def test_a_warm_shard_pass_binds_nothing(self, monkeypatch):
         """Every op a shard pass runs is bound with its schedule: running a
-        rebound schedule classifies no matrix and binds no template on any
-        executor — the gates on non-local qubits included (qft-8 here has
-        15, each bound once per shard per job while the pass resolved
-        them)."""
+        rebound schedule classifies no matrix, builds no template and binds
+        none on any executor — the kernels on non-local qubits included
+        (qft-8 here has 15 gates there, each one op per shard variant of
+        its kernel)."""
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=5)
         rng = np.random.default_rng(5)
         base_plan, _ = partition(redrawn(qft(8), rng), machine)
@@ -201,13 +242,14 @@ class TestScheduleRebindDifferential:
         warm = build_schedule(plan, local, reuse=build_schedule(base_plan, local))
         assert warm.rebound
         assert any(
-            kind == "dynamic"
-            for _l2p, segments in warm.stages for seg in segments for kind, _op in seg.ops
+            isinstance(entry, tuple)
+            for _l2p, segments in warm.stages for seg in segments for entry in seg.ops
         )
         calls = []
         for module, name in (
             (apply_mod, "_unitary_op"), (apply_mod, "unitary_template"),
-            (program_mod, "unitary_template"), (compile_mod, "unitary_template"),
+            (program_mod, "unitary_template"), (apply_mod, "kernel_template"),
+            (compile_mod, "kernel_template"),
         ):
             real = getattr(module, name)
             monkeypatch.setattr(

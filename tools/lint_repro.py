@@ -47,8 +47,8 @@ Twenty-three rules, each enforcing an invariant the execution layer depends on
     ``lower_kernel_gates`` is the two in one call) — the structure the plan
     compiler's slots, and through them ``compile_segment_ops``, build (their
     numbers come out of a gate table, never a gate's ``matrix()``; a gate
-    on a non-local qubit is one gate, resolved by its own slot without a
-    loop over gates).  A second such loop is a
+    on a non-local qubit is one of its kernel's items, restricted per
+    shard variant with the rest of them).  A second such loop is a
     gate-at-a-time executor growing back beside the lowering every
     executor and the verifier share; a missing one means the lowering
     moved without this rule following it.  Checked across files, whenever
@@ -57,21 +57,30 @@ Twenty-three rules, each enforcing an invariant the execution layer depends on
     layout: the dense fold pairs gates by physical position.
 
 ``one-segment-compiler``
-    Under ``runtime/``, ``unitary_template`` / ``kernel_lowering`` — the
+    Under ``runtime/``, ``kernel_lowering`` / ``kernel_template`` — the
     calls that turn gates into op templates — are made from
     ``runtime/compile.py`` and nowhere else: a shards-segment is compiled
-    by the slots a plan is (``SegmentStructure``), once per plan structure
+    by the slots a plan is (``SegmentStructure``), each kernel lowered as
+    the in-core program lowers it and restricted per shard variant
+    (``_restrict``), once per plan structure
     (``runtime/offload.py::ScheduleStructure``), and a warm job's plan is
     admitted whole by the record both lowerings share (``PlanRecord``) and
     bound segment by segment from the plan's one gate table — no segment is
     admitted or cut again per job.  One of those calls made from
     ``runtime/offload.py`` or ``runtime/parallel.py`` is the second
-    segment compiler growing back.  And the text ``schedule_key`` appears
-    nowhere under ``src/``: a shard schedule lives in the Session plan
-    cache and reaches the executors as ``schedule=``; a structure-name
-    string threaded towards a runtime is the second cache's plumbing.
-    Checked across files; ``runtime/compile.py`` making none of the calls
-    means the compiler moved without this rule following it.
+    segment compiler growing back.  A gate inside a kernel gets no op of
+    its own on the shard path: under ``runtime/`` nothing — not
+    ``runtime/compile.py`` either — calls ``unitary_template`` /
+    ``compile_unitary_op`` (a one-gate op), and the names of the per-gate
+    shard path the kernel variants replaced — ``_DynamicSlot`` (a gate on
+    a non-local qubit as ops of its own), ``_transitions`` and ``_reduce``
+    (its per-variant axis walk and ``np.ix_`` block) — appear nowhere
+    under ``src/``.  And the text ``schedule_key`` appears nowhere under
+    ``src/``: a shard schedule lives in the Session plan cache and reaches
+    the executors as ``schedule=``; a structure-name string threaded
+    towards a runtime is the second cache's plumbing.  Checked across
+    files; ``runtime/compile.py`` making none of the calls means the
+    compiler moved without this rule following it.
 
 ``one-kernel-set``
     Under ``sim/``, ``runtime/`` and ``analysis/`` there is one
@@ -266,9 +275,10 @@ Twenty-three rules, each enforcing an invariant the execution layer depends on
     gather program: inside the ``bind`` / ``fill`` methods of the slot
     classes of ``runtime/compile.py`` nothing calls ``.matrix()`` (a gate's
     own matrix), ``fill_lowered_item`` (the per-item oracle fill) or
-    ``_reduce`` (the per-variant ``np.ix_`` block of a dynamic gate, which
+    ``_restrict`` (a kernel's items restricted to a shard variant, which
     is resolved into gather indices when the slot is built).  One of them
-    there is the per-gate bind growing back beside the table.  A
+    there is the per-gate or per-shard bind growing back beside the
+    table.  A
     ``GateTable(...)`` is constructed under ``src/`` only in
     ``circuits/circuit.py`` (the circuit's memo) and ``core/plan.py``
     (``_own_table``, for a plan built without one): one anywhere else is a
@@ -410,7 +420,19 @@ KERNEL_LOWERING_SITES = SHM_LOWERING_SITES + ("fill_lowered_item",)
 
 SEGMENT_COMPILER_SCOPE = "runtime/"
 SEGMENT_COMPILER_HOME = "runtime/compile.py"
-SEGMENT_COMPILER_CALLS = {"unitary_template", "kernel_lowering"}
+SEGMENT_COMPILER_CALLS = {"kernel_template", "kernel_lowering"}
+#: The one-gate op builders: under runtime/ a gate runs inside its kernel.
+ONE_GATE_OPS = {"unitary_template", "compile_unitary_op"}
+#: The per-gate shard path's names, each with what replaced it.
+SHARD_PATH_RETIRED = {
+    "_DynamicSlot": "a gate on a non-local qubit is an item of its kernel, "
+    "bound per shard variant (runtime/compile.py::_KernelSlot)",
+    "_transitions": "a kernel's items are restricted per shard variant by "
+    "runtime/compile.py::_restrict",
+    "_reduce": "a variant's numbers are one take of its kernel's gathered "
+    "numbers (sim/fusion.py::KernelGather)",
+}
+SHARD_PATH_RETIRED_WORDS = re.compile(r"\b(%s)\b" % "|".join(SHARD_PATH_RETIRED))
 SCHEDULE_KEY_WORD = "schedule_key"
 
 KERNEL_SET_SCOPE = ("sim/", "runtime/", "analysis/")
@@ -746,12 +768,28 @@ def check_one_segment_compiler(files: list[Path]) -> list[Finding]:
                         SCHEDULE_KEY_WORD,
                     )
                 )
+            for match in SHARD_PATH_RETIRED_WORDS.finditer(line):
+                name = match.group(1)
+                findings.append(Finding(
+                    rel, lineno, "one-segment-compiler",
+                    f"`{name}` under src/: {SHARD_PATH_RETIRED[name]}", name,
+                ))
         if not rel_src.startswith(SEGMENT_COMPILER_SCOPE):
             continue
-        calls = [
+        every = [
             node for node in ast.walk(ast.parse(source, filename=str(path)))
-            if isinstance(node, ast.Call) and _call_name(node) in SEGMENT_COMPILER_CALLS
+            if isinstance(node, ast.Call)
         ]
+        for node in every:
+            if _call_name(node) in ONE_GATE_OPS:
+                findings.append(Finding(
+                    rel, node.lineno, "one-segment-compiler",
+                    f"`{_call_name(node)}` called under runtime/: a gate runs "
+                    f"inside its kernel's op (on a shard, the kernel's variant), "
+                    f"never as an op of its own",
+                    _call_name(node),
+                ))
+        calls = [node for node in every if _call_name(node) in SEGMENT_COMPILER_CALLS]
         if rel_src == SEGMENT_COMPILER_HOME:
             if not calls:
                 findings.append(
@@ -1946,7 +1984,7 @@ def check_one_gate_shape(files: list[Path]) -> list[Finding]:
 GATE_TABLE_HOME = "runtime/compile.py"
 GATE_TABLE_METHODS = ("bind", "fill")
 #: Calls that fetch a gate's numbers one gate (or one item) at a time.
-GATE_TABLE_BYPASS = ("matrix", "fill_lowered_item", "_reduce")
+GATE_TABLE_BYPASS = ("matrix", "fill_lowered_item", "_restrict")
 #: Retired names, each with why it is gone.
 GATE_TABLE_RETIRED = {
     "cache_patterns": "a gate's key pattern and exact signature are read off its "
