@@ -72,7 +72,7 @@ from repro.circuits.library import (
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.kernel import KernelType
-from repro.planner import PassManager, resolve_planner
+from repro.planner import legacy_pipeline, resolve_planner
 from repro.runtime import compile_plan
 from repro.session.cache import rebind_plan
 from repro.sim import StateVector, apply_matrix_reference, native
@@ -102,7 +102,7 @@ PLAN_SWEEP = (
     ("qft", 12), ("ising", 12), ("graphstate", 12), ("wstate", 12), ("vqc", 10),
 )
 PLAN_SWEEP_QUICK = PLAN_SWEEP[:3]
-PLAN_PRESETS = ("fast", "balanced", "quality")
+PLAN_PRESETS = ("balanced", "quality")
 
 #: Batch width B of the compile scenario's stacked pass.
 COMPILE_BATCH = 16
@@ -487,31 +487,17 @@ def run_sm_kernel_bench(num_qubits: int, repeats: int) -> dict:
 # --- Planning pipeline (cold path) ---
 
 
-def _seed_planner() -> PassManager:
-    """The seed planner as a pipeline: the ILP stager plus the reference
-    beam DP — the pre-pipeline ``partition()`` code path, pass for pass.
-    Staging itself is ``stage_circuit``, the same for every planner, so the
-    stage counts must agree exactly."""
-    stage = {"stager": "ilp", "ilp_time_limit": 120.0}
-    return PassManager(
-        [
-            ("analyze", {}),
-            ("stage", stage),
-            ("kernelize", {"kernelizer": "atlas-ref"}),
-            ("finalize", {}),
-        ],
-        preset="seed",
-    )
-
-
 def run_plan_pipeline_bench(sweep, repeats: int) -> dict:
     """Plan quality and in-run cold-plan speedup per preset vs the seed
     planner: every (family, qubits) entry is planned on two machine shapes —
     a 4-shard split (staging required) and a single-shard machine (one
     certified stage, no solve) — by the seed planner and by each
-    preset, taking turns.  ``ladder_slack`` is how far the preset quality
-    ladder (quality <= balanced <= fast kernel cost) is from monotone: the
-    larger of the two steps, <= 0 when it holds."""
+    preset, taking turns.  The seed planner is the ILP stager plus the
+    reference beam DP (``legacy_pipeline(kernelizer="atlas-ref")``, the
+    pre-pipeline ``partition()`` path); staging itself is ``stage_circuit``,
+    the same for every planner, so the stage counts must agree exactly.
+    ``ladder_slack`` is how far the preset quality ladder (quality <=
+    balanced kernel cost) is from monotone, <= 0 when it holds."""
     entries: dict[str, dict] = {}
     for family_name, n in sweep:
         circuit = PLAN_FAMILIES[family_name](n)
@@ -519,7 +505,7 @@ def run_plan_pipeline_bench(sweep, repeats: int) -> dict:
             ("sharded", MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - 2)),
             ("local", MachineConfig.for_circuit(n, num_shards=1)),
         ):
-            managers = {"seed": _seed_planner()}
+            managers = {"seed": legacy_pipeline(kernelizer="atlas-ref")}
             managers.update({preset: resolve_planner(preset) for preset in PLAN_PRESETS})
             planned = {}
             best = _side_by_side(repeats, *(
@@ -550,14 +536,14 @@ def run_plan_pipeline_bench(sweep, repeats: int) -> dict:
                 "shape": shape,
                 "seed_kernel_cost": seed_report.total_kernel_cost,
                 "seed_stages": seed_report.num_stages,
-                "ladder_slack": max(costs[1] - costs[0], costs[2] - costs[1]),
+                "ladder_slack": costs[1] - costs[0],
                 "presets": presets,
             }
-    speedups = [entry["presets"]["fast"]["speedup_vs_seed"] for entry in entries.values()]
+    speedups = [entry["presets"]["balanced"]["speedup_vs_seed"] for entry in entries.values()]
     return {
         "entries": entries,
-        "fast_median_speedup_vs_seed": float(np.median(speedups)),
-        "fast_min_speedup_vs_seed": float(np.min(speedups)),
+        "balanced_median_speedup_vs_seed": float(np.median(speedups)),
+        "balanced_min_speedup_vs_seed": float(np.min(speedups)),
     }
 
 
@@ -592,18 +578,18 @@ RULES = (
     Rule("micro.*.dense_1q|dense_2q|fused_3q.position_ratio", "ratio", "lower",
          "worst position over the median one: a position cliff"),
     Rule("micro.*.*.mean_copies", "ratio", "lower", "class mean cost, in state copies"),
-    Rule("plan.fast_median_speedup_vs_seed", "floor", 2.0,
-         "the fast preset plans at least 2x faster than the seed planner at the median"),
+    Rule("plan.balanced_median_speedup_vs_seed", "floor", 2.0,
+         "the default preset plans at least 2x faster than the seed planner at the median"),
     Rule("plan.entries.*.presets.*.num_stages", "count", "seed_stages",
          "every planner stages through stage_circuit: another count is a second staging"),
-    Rule("plan.entries.*.presets.fast.staging_matches_seed", "count", True,
-         "the fast preset holds the seed planner's stages"),
-    Rule("plan.entries.*.presets.fast.kernel_cost", "count", "seed_kernel_cost",
+    Rule("plan.entries.*.presets.balanced.staging_matches_seed", "count", True,
+         "the default preset holds the seed planner's stages"),
+    Rule("plan.entries.*.presets.balanced.kernel_cost", "count", "seed_kernel_cost",
          "same stages, same kernels, the same float: fast_kernelize != the reference kernelize"),
     Rule("plan.entries.*.ladder_slack", "ceiling", 1e-9,
-         "the preset quality ladder is monotone (quality <= balanced <= fast kernel cost)"),
-    Rule("plan.entries.*.presets.fast.speedup_vs_seed", "ratio", "higher",
-         "the fast preset's lead over the seed planner"),
+         "the preset quality ladder is monotone (quality <= balanced kernel cost)"),
+    Rule("plan.entries.*.presets.balanced.speedup_vs_seed", "ratio", "higher",
+         "the default preset's lead over the seed planner"),
     Rule("compile.*.num_ops|rebind_ops_reused", "count", None,
          "ops a plan compiles to, ops a rebind keeps verbatim"),
     Rule("compile.*.batched.speedup_vs_loop", "floor", 1.5,
@@ -760,9 +746,9 @@ def report(results: dict) -> None:
                           ))
     planner = results["plan"]
     print(
-        f"plan (pipeline, {len(planner['entries'])} entries): fast preset median "
-        f"{planner['fast_median_speedup_vs_seed']:.2f}x / min "
-        f"{planner['fast_min_speedup_vs_seed']:.2f}x vs seed planner"
+        f"plan (pipeline, {len(planner['entries'])} entries): balanced preset median "
+        f"{planner['balanced_median_speedup_vs_seed']:.2f}x / min "
+        f"{planner['balanced_min_speedup_vs_seed']:.2f}x vs seed planner"
     )
     for key, entry in planner["entries"].items():
         print(

@@ -61,8 +61,8 @@ def synthetic() -> dict:
             "mix_1q2q_speedup": 5.0,
         }},
         "plan": {
-            "fast_median_speedup_vs_seed": 4.0,
-            "fast_min_speedup_vs_seed": 4.0,
+            "balanced_median_speedup_vs_seed": 4.0,
+            "balanced_min_speedup_vs_seed": 4.0,
             "entries": {"qft-10/sharded": {
                 "seed_kernel_cost": 19.0, "seed_stages": 2, "ladder_slack": 0.0,
                 "presets": {name: dict(preset) for name in run_bench.PLAN_PRESETS},
@@ -124,8 +124,8 @@ class TestTheRule:
         # 18.68 against the reference's 19.0 passed a `<=` gate: on the seed
         # planner's own stages a different cost — cheaper included — means
         # the two DPs returned different kernelizations.
-        ("plan.entries.qft-10/sharded.presets.fast.kernel_cost", lambda cost: 18.68),
-        ("plan.entries.qft-10/sharded.presets.fast.staging_matches_seed", lambda _: False),
+        ("plan.entries.qft-10/sharded.presets.balanced.kernel_cost", lambda cost: 18.68),
+        ("plan.entries.qft-10/sharded.presets.balanced.staging_matches_seed", lambda _: False),
         ("rebind.vqc.rebind_fallbacks", lambda _: 1),
         ("rebind.vqc.rebind_ops_reused", lambda ops: ops + 1),
         ("rebind.vqc.rebind_ops_rebound", lambda ops: ops - 1),
@@ -142,7 +142,7 @@ class TestTheRule:
         # worst-position / median-position ratio is what shows it.
         ("micro.16.dense_2q.position_ratio", 2.5),
         ("micro.16.diagonal.mean_copies", 2.5),
-        ("plan.entries.qft-10/sharded.presets.fast.speedup_vs_seed", 1 / 2.5),
+        ("plan.entries.qft-10/sharded.presets.balanced.speedup_vs_seed", 1 / 2.5),
         ("rebind.vqc.rebind_vs_run", 2.5),
         ("kernel_lowering.14.qft.speedup_vs_per_gate", 1 / 2.5),
     ]
@@ -168,7 +168,7 @@ class TestTheRule:
 
     BOUNDS = [
         ("micro.16.fused_3q.speedup", 1.4),
-        ("plan.fast_median_speedup_vs_seed", 1.9),
+        ("plan.balanced_median_speedup_vs_seed", 1.9),
         ("plan.entries.qft-10/sharded.ladder_slack", 0.5),
         ("compile.10.batched.speedup_vs_loop", 1.4),
         ("rebind.vqc.rebind_vs_budget", 1.1),
@@ -273,7 +273,7 @@ class TestKernelLowering:
 class TestBaselineRegression:
     def test_quick_run_has_no_regression_vs_committed_baseline(self):
         # Every within-run floor of RULES rides along: batched >= 1.5x the
-        # loop, fast >= 2x the seed planner at its cost and stage count, the
+        # loop, balanced >= 2x the seed planner at its cost and stage count, the
         # monotone ladder, rebind budgets.
         baseline = json.loads(run_bench.DEFAULT_BASELINE.read_text())
         current = run_bench.run_suite({key: quick for key, (quick, _) in run_bench.SIZES.items()})

@@ -14,16 +14,17 @@ times:
 * plan provenance — the same pipeline driven through the
   :class:`repro.Session` facade, showing what its structural plan cache
   stores and when a second circuit hits it;
-* planning presets — the PassManager pipeline's ``fast`` / ``balanced`` /
-  ``quality`` presets on one circuit: cold-plan latency, kernel cost, and
-  the per-pass telemetry each report carries (see ``docs/planning.md``).
+* planning presets — every registered preset of the PassManager pipeline
+  (``balanced``, the default, and ``quality``) on one circuit: cold-plan
+  latency, kernel cost, and the per-pass telemetry each report carries
+  (see ``docs/planning.md``).
 
 Run with:  python examples/partitioning_deep_dive.py
 """
 
 import time
 
-from repro import MachineConfig, Session, build_plan
+from repro import MachineConfig, Session, available_presets, build_plan
 from repro.circuits.library import ising, qft, vqc
 from repro.core import (
     KernelizeConfig,
@@ -98,7 +99,7 @@ def preset_study() -> None:
     circuit = qft(num_qubits)
     machine = MachineConfig.for_circuit(num_qubits, num_shards=4, local_qubits=10)
     print("Planning presets on", circuit.name)
-    for preset in ("fast", "balanced", "quality"):
+    for preset in available_presets():
         start = time.perf_counter()
         plan, report = build_plan(circuit, machine, planner=preset)
         elapsed = time.perf_counter() - start
@@ -111,7 +112,7 @@ def preset_study() -> None:
     # A single-shard machine needs no staging solver at all: the staging
     # certificate proves its one zero-cost stage optimal.
     local_machine = MachineConfig.for_circuit(num_qubits, num_shards=1)
-    _plan, report = build_plan(circuit, local_machine, planner="fast")
+    _plan, report = build_plan(circuit, local_machine)
     stage = report.pass_metrics["stage"]
     print(
         f"  single-shard machine: staging {stage['solver_status']}, "

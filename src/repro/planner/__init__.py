@@ -5,7 +5,7 @@ runtimes, a structural plan cache); this package gives the *cold* path one
 too.  Planning — partitioning a circuit into stages and kernels for a
 machine — runs as a pipeline of registered passes over a shared
 :class:`PlanningContext`, with per-pass telemetry, cost-model-adaptive
-shortcuts, named presets (``"fast"``, ``"balanced"``, ``"quality"``), and
+shortcuts, named presets (``"balanced"``, the default, and ``"quality"``), and
 the same extension-point style as the execution side
 (:func:`register_pass` / :func:`register_preset` mirror
 :func:`repro.session.register_backend`).
@@ -13,12 +13,12 @@ the same extension-point style as the execution side
 Quick start::
 
     from repro.planner import build_plan
-    plan, report = build_plan(circuit, machine, planner="fast")
+    plan, report = build_plan(circuit, machine, planner="balanced")
     print(report.pass_seconds, report.passes_skipped)
 
 or through a session::
 
-    with Session(machine, planner="fast") as session:
+    with Session(machine, planner="balanced") as session:
         result = session.run(circuit).result()
 
 See ``docs/planning.md`` for the architecture and the extension guide.

@@ -1,26 +1,24 @@
 """The PassManager: composable planning pipelines and named presets.
 
-A :class:`PassManager` is an ordered list of ``(pass_name, options)``
+A :class:`PassManager` is an ordered tuple of ``(pass_name, options)``
 steps run over one :class:`~repro.planner.context.PlanningContext`.  It is
-stateless and reusable: :meth:`PassManager.run` builds a fresh context per
-call, so one manager may serve many circuits (and many sessions)
-concurrently.
+a value: frozen at construction, its option mappings read-only and its
+:attr:`~PassManager.signature` built once, so one manager may serve many
+circuits (and many sessions) concurrently, and :meth:`PassManager.run`
+builds a fresh context per call.
 
 Presets
 -------
-Three cost-guided presets ship by default, selectable by name everywhere a
+Two cost-guided presets ship by default, selectable by name everywhere a
 planner is accepted (``Session(planner=...)``, ``session.run(planner=...)``,
-:func:`build_plan`):
+:func:`build_plan`); each name is one shared manager:
 
 =============  =============================================================
-``"fast"``     latency-critical cold planning: a tighter per-solve ILP
-               time limit, the bitmask beam DP, no refinement.  Same plan
-               quality as the seed planner — staging is the same
-               ``stage_circuit`` and the fast DP is result-identical to
-               the reference.
-``"balanced"`` the default: fast's pipeline plus the cheap ``ordered``
-               refinement guard (contiguous-optimal DP per stage, keep the
-               cheaper kernelization) — never worse than ``"fast"``.
+``"balanced"`` the default and the one cold preset: ILP staging
+               (``stage_circuit``, a 120 s per-solve limit), the bitmask
+               beam DP (result-identical to the reference DP), and the
+               cheap ``ordered`` refinement guard (contiguous-optimal DP
+               per stage, keep the cheaper kernelization).
 ``"quality"``  balanced plus wide-beam re-kernelization (the paper's C++
                beam width of 500) under a 30 s time budget, and plan
                validation.  Never worse than ``"balanced"``.
@@ -35,7 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, Sequence
 
 from ..circuits.circuit import Circuit
 from ..cluster.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -66,7 +65,7 @@ def freeze_config(obj: Any) -> Any:
     tuples; scalars pass through.  Two trees freeze equal exactly when
     every field compares equal — the correctness condition for sharing a
     plan-cache entry, and the one definition of it: behind
-    :meth:`PassManager.signature` and the keys of :mod:`repro.session.cache`.
+    :attr:`PassManager.signature` and the keys of :mod:`repro.session.cache`.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return (
@@ -84,14 +83,29 @@ def freeze_config(obj: Any) -> Any:
     return obj
 
 
+def _read_only(value: Any) -> Any:
+    """A copy of an option tree whose mappings, lists and sets cannot be
+    changed in place; it freezes (:func:`freeze_config`) as *value* does."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if type(value) in (list, tuple):
+        return tuple(_read_only(v) for v in value)
+    if isinstance(value, set):
+        return frozenset(value)
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
 class PassManager:
-    """An ordered, configured planning pipeline.
+    """An ordered, configured planning pipeline; immutable once built.
 
     Parameters
     ----------
     passes:
         Sequence of ``(pass_name, options)`` pairs; every name must be
-        registered in :data:`repro.planner.PASSES` at run time.
+        registered in :data:`repro.planner.PASSES` at run time.  Stored as
+        a tuple of read-only copies of the options (mappings become
+        read-only views, lists tuples, sets frozensets).
     preset:
         Display name stamped into diagnostics and plan provenance
         (``""`` for ad-hoc pipelines).
@@ -101,35 +115,28 @@ class PassManager:
         disables the deadline.
     """
 
-    def __init__(
-        self,
-        passes: Sequence[tuple[str, Mapping[str, Any]]],
-        preset: str = "",
-        time_budget: float | None = None,
-    ):
-        self.passes: tuple[tuple[str, dict], ...] = tuple(
-            (name, dict(options)) for name, options in passes
-        )
-        self.preset = preset
-        self.time_budget = time_budget
+    passes: Sequence[tuple[str, Mapping[str, Any]]] = dataclasses.field(compare=False)
+    preset: str = ""
+    time_budget: float | None = None
+    #: Hashable identity of the *full* pipeline configuration, built once:
+    #: the pass sequence, every pass's options, the preset name and the
+    #: time budget.  Structural plan caches key on it (plus circuit,
+    #: machine and cost model), so two different pipelines never alias
+    #: each other's cache entries; managers compare equal by it.
+    signature: tuple = dataclasses.field(init=False, repr=False)
 
-    def pass_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _options in self.passes)
-
-    def signature(self) -> tuple:
-        """Hashable identity of the *full* pipeline configuration.
-
-        Everything that can change the produced plan is included: the pass
-        sequence, every pass's options, and the time budget.  Structural
-        plan caches key on this (plus circuit, machine and cost model), so
-        two different pipelines can never alias each other's cache entries.
-        """
-        return (
+    def __post_init__(self) -> None:
+        passes = tuple((name, _read_only(options)) for name, options in self.passes)
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "signature", (
             "pass-manager",
             self.preset,
             self.time_budget,
-            tuple((name, freeze_config(options)) for name, options in self.passes),
-        )
+            tuple((name, freeze_config(options)) for name, options in passes),
+        ))
+
+    def pass_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _options in self.passes)
 
     def run(
         self,
@@ -206,13 +213,13 @@ class PassManager:
 # Presets
 # ---------------------------------------------------------------------------
 
-#: Preset factories by name; each call returns a fresh PassManager.
-PRESETS: dict[str, Callable[[], PassManager]] = {}
+#: Presets by name; every caller of a name gets its one shared manager.
+PRESETS: dict[str, PassManager] = {}
 
 
-def register_preset(name: str, factory: Callable[[], PassManager]) -> None:
-    """Register a preset *factory* under *name* (overwrites existing)."""
-    PRESETS[name] = factory
+def register_preset(name: str, manager: PassManager) -> None:
+    """Register *manager* as the preset *name* (overwrites existing)."""
+    PRESETS[name] = manager
 
 
 def available_presets() -> list[str]:
@@ -220,59 +227,36 @@ def available_presets() -> list[str]:
     return sorted(PRESETS)
 
 
-def _fast_preset() -> PassManager:
-    return PassManager(
-        [
-            ("analyze", {}),
-            ("stage", {"stager": "ilp", "ilp_time_limit": 15.0}),
-            ("kernelize", {"kernelizer": "atlas"}),
-            ("finalize", {}),
-        ],
-        preset="fast",
-    )
-
-
-def _balanced_preset() -> PassManager:
-    return PassManager(
-        [
-            ("analyze", {}),
-            ("stage", {"stager": "ilp", "ilp_time_limit": 120.0}),
-            ("kernelize", {"kernelizer": "atlas"}),
-            ("refine", {"strategies": ("ordered",)}),
-            ("finalize", {}),
-        ],
-        preset="balanced",
-    )
-
-
-def _quality_preset() -> PassManager:
-    return PassManager(
-        [
-            ("analyze", {}),
-            ("stage", {"stager": "ilp", "ilp_time_limit": 120.0}),
-            ("kernelize", {"kernelizer": "atlas"}),
-            (
-                "refine",
-                {"strategies": ("ordered", "beam"), "beam_threshold": 500},
-            ),
-            ("finalize", {"validate": True}),
-            ("verify", {}),
-        ],
-        preset="quality",
-        time_budget=30.0,
-    )
-
-
-register_preset("fast", _fast_preset)
-register_preset("balanced", _balanced_preset)
-register_preset("quality", _quality_preset)
+#: The steps both presets start with: ILP staging (120 s a solve: a
+#: timed-out solve counts as infeasible, so the limit can change a plan)
+#: and the fast DP.
+_COLD = (
+    ("analyze", {}),
+    ("stage", {"stager": "ilp", "ilp_time_limit": 120.0}),
+    ("kernelize", {"kernelizer": "atlas"}),
+)
+register_preset("balanced", PassManager(
+    [*_COLD, ("refine", {"strategies": ("ordered",)}), ("finalize", {})],
+    preset="balanced",
+))
+register_preset("quality", PassManager(
+    [
+        *_COLD,
+        ("refine", {"strategies": ("ordered", "beam"), "beam_threshold": 500}),
+        ("finalize", {"validate": True}),
+        ("verify", {}),
+    ],
+    preset="quality",
+    time_budget=30.0,
+))
 
 
 def resolve_planner(planner: "str | PassManager | None") -> PassManager:
     """Resolve a planner spec into a :class:`PassManager`.
 
-    ``None`` means the default (``"balanced"``); a string names a preset;
-    a :class:`PassManager` passes through.
+    ``None`` means the default (``"balanced"``); a string names a preset,
+    whose shared manager is returned; a :class:`PassManager` passes
+    through.
     """
     if planner is None:
         planner = "balanced"
@@ -280,12 +264,11 @@ def resolve_planner(planner: "str | PassManager | None") -> PassManager:
         return planner
     if isinstance(planner, str):
         try:
-            factory = PRESETS[planner]
+            return PRESETS[planner]
         except KeyError as exc:
             raise ValueError(
                 f"unknown planner preset {planner!r}; known: {available_presets()}"
             ) from exc
-        return factory()
     raise TypeError(
         f"planner must be a preset name, a PassManager, or None; got {planner!r}"
     )
@@ -300,8 +283,8 @@ def build_plan(
 ) -> tuple[ExecutionPlan, PartitionReport]:
     """One-call planning through a preset or custom pipeline.
 
-    ``planner`` is a preset name (``"fast"`` / ``"balanced"`` /
-    ``"quality"`` or anything registered with :func:`register_preset`), a
+    ``planner`` is a preset name (``"balanced"`` / ``"quality"`` or
+    anything registered with :func:`register_preset`), a
     :class:`PassManager`, or ``None`` for the default.  Returns the same
     ``(plan, report)`` pair as :func:`repro.core.partition`.
     """

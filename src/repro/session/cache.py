@@ -63,7 +63,6 @@ __all__ = [
     "CacheStats",
     "PlanCache",
     "Stamp",
-    "freeze_config",
     "frozen",
     "plan_cache_key",
     "plan_fingerprint",
@@ -85,8 +84,9 @@ def frozen(config):
     """:func:`freeze_config` of *config* memoised on its identity, for a
     configuration that does not change once built: a frozen
     :class:`~repro.cluster.machine.MachineConfig` or
-    :class:`~repro.cluster.costmodel.CostModel` (never a mutable
-    :class:`~repro.planner.pipeline.PassManager`).  Another object — a
+    :class:`~repro.cluster.costmodel.CostModel` (a
+    :class:`~repro.planner.pipeline.PassManager` carries its own
+    ``signature``).  Another object — a
     reassigned cost model, another machine — is another entry, so a stale
     key is never served; the memo holds the few most recent."""
     slot = id(config)

@@ -238,8 +238,8 @@ class Session:
         ``"incore"``, ``"offload"``, ``"parallel"``), or a modelled
         baseline (``"hyquas"``, ``"cuquantum"``, ``"qiskit"``).
     planner:
-        Planning pipeline: a preset name (``"fast"`` / ``"balanced"`` /
-        ``"quality"`` or anything registered with
+        Planning pipeline: a preset name (``"balanced"`` / ``"quality"``
+        or anything registered with
         :func:`repro.planner.register_preset`), a
         :class:`repro.planner.PassManager`, or ``None`` for the default
         (``"balanced"``; per-:meth:`run` override available).  This is the
@@ -610,28 +610,18 @@ class Session:
     # Planning (through the structural cache)
     # ------------------------------------------------------------------
 
-    def resolve_planner_manager(
-        self, planner: "str | PassManager | None" = None
-    ) -> PassManager:
-        """The pipeline a job with this *planner* override will plan with."""
-        if planner is None:
-            return self.planner
-        return resolve_planner(planner)
-
     def _planner_key(self, manager: PassManager) -> tuple:
         """Cache-key component identifying the full planning configuration.
 
         Everything that can influence the produced plan is folded in: the
-        complete pipeline signature (pass sequence, every pass's options,
-        preset name, time budget) plus the cost model.  Two different
-        presets/pipelines therefore can never share — or rebind from — one
-        structural cache entry.  The pipeline is mutable (``time_budget``,
-        ``preset``, each pass's options), so its signature is taken per
-        job; the cost model is frozen once per object
-        (:func:`~repro.session.cache.frozen`), and reassigning
-        ``cost_model`` is a new key.
+        pipeline's signature (pass sequence, every pass's options, preset
+        name, time budget — built once, the manager being immutable) plus
+        the cost model, frozen once per object
+        (:func:`~repro.session.cache.frozen`; reassigning ``cost_model`` is
+        a new key).  Two different presets/pipelines therefore can never
+        share — or rebind from — one structural cache entry.
         """
-        return ("atlas-pipeline", manager.signature(), frozen(self.cost_model))
+        return ("atlas-pipeline", manager.signature, frozen(self.cost_model))
 
     def plan_for(
         self,
@@ -691,7 +681,7 @@ class Session:
             machine = self._resolve_machine(machine)
             backend_name = self.resolve_backend(first.num_qubits, machine, backend)
             backend_obj = self.backend_instance(backend_name)
-            manager = self.resolve_planner_manager(planner)
+            manager = self.planner if planner is None else resolve_planner(planner)
 
             planner_key = backend_obj.planner_key()
             if planner_key is None:
@@ -972,11 +962,11 @@ class Session:
     ) -> tuple[ExecutionPlan, PartitionReport]:
         """Run the planning pipeline, degrading once on failure when allowed.
 
-        Chain (``degrade=True``): the configured pipeline → the ``"fast"``
-        preset → the *original* error (the fallback was an attempt to save
-        the job, not the authoritative diagnosis).  The hop is counted in
-        ``SessionStats.fallbacks``; a failing ``"fast"`` has nowhere to go
-        and re-raises uncounted.
+        Chain (``degrade=True``): the configured pipeline → the default
+        preset (``"balanced"``) → the *original* error (the fallback was an
+        attempt to save the job, not the authoritative diagnosis).  The hop
+        is counted in ``SessionStats.fallbacks``; a failing default has
+        nowhere to go and re-raises uncounted.
 
         Configuration errors — a plain ``ValueError``/``TypeError`` that is
         not a typed :class:`ReproError` (unknown stager, unknown pass, bad
@@ -987,11 +977,11 @@ class Session:
         try:
             return manager.run(circuit, machine, cost_model=self.cost_model)
         except Exception as exc:
-            fallback = resolve_planner("fast")
+            fallback = resolve_planner(None)
             if (
                 not self.degrade
                 or (isinstance(exc, (ValueError, TypeError)) and not isinstance(exc, ReproError))
-                or fallback.signature() == manager.signature()
+                or fallback == manager
             ):
                 raise
             original = exc

@@ -38,7 +38,7 @@ from repro.cluster import MachineConfig
 from repro.core import partition
 from repro.core.plan import QubitPartition
 from repro.errors import PlanValidationError, StaticCheckError
-from repro.planner import build_plan
+from repro.planner import build_plan, legacy_pipeline
 from repro.runtime import compile_plan, execute_plan_offloaded
 from repro.runtime.compile import SegmentStructure
 from repro.runtime.offload import build_schedule, run_segment_ops
@@ -510,11 +510,14 @@ class TestMisexecutionDemos:
 
 class TestCleanSweep:
     @pytest.mark.parametrize("family", sorted(CIRCUIT_FAMILIES))
-    @pytest.mark.parametrize("preset", ["fast", "balanced", "quality"])
+    @pytest.mark.parametrize("preset", ["balanced", "quality", "legacy"])
     def test_library_circuit_verifies_clean(self, family, preset):
+        # "legacy": the pipeline partition() and simulate() plan with, the
+        # one built-in pipeline without a refine pass.
         circuit = get_circuit(family, N)
         machine = fresh_machine()
-        plan, _report = build_plan(circuit, machine, planner=preset)
+        planner = legacy_pipeline() if preset == "legacy" else preset
+        plan, _report = build_plan(circuit, machine, planner=planner)
         program = compile_plan(plan, machine)
         assert verify_plan(plan, machine=machine, circuit=circuit).ok
         assert verify_program(program, plan=plan, machine=machine).ok
@@ -638,7 +641,7 @@ class TestSessionIntegration:
             Session(fresh_machine(), check="paranoid")
 
     def test_check_off_runs_no_checks(self):
-        with Session(fresh_machine(), backend="offload", planner="fast") as s:
+        with Session(fresh_machine(), backend="offload", planner="balanced") as s:
             job = s.run(qft(N))
             assert job.results()[0].state.allclose(simulate_reference(qft(N)))
             assert s.stats.static_checks == 0
@@ -647,7 +650,7 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("mode", ["plans", "full"])
     def test_checked_run_matches_reference(self, mode, backend):
         with Session(
-            fresh_machine(), backend=backend, planner="fast", check=mode
+            fresh_machine(), backend=backend, planner="balanced", check=mode
         ) as s:
             job = s.run(qft(N))
             assert job.results()[0].state.allclose(simulate_reference(qft(N)))
@@ -656,7 +659,7 @@ class TestSessionIntegration:
 
     def test_cache_hit_path_is_checked(self):
         with Session(
-            fresh_machine(), backend="offload", planner="fast", check="full"
+            fresh_machine(), backend="offload", planner="balanced", check="full"
         ) as s:
             s.run(qft(N))
             before = s.stats.static_checks
@@ -669,7 +672,7 @@ class TestSessionIntegration:
         with Session(
             fresh_machine(),
             backend="offload",
-            planner="fast",
+            planner="balanced",
             check="full",
             faults="shard_load:transient:2",
         ) as s:
@@ -1409,6 +1412,56 @@ class TestLintRepro:
         # The keyword-style entry points live outside session/ and service/.
         entry = self.write(lint, "core/partitioner.py", second.read_text())
         assert lint.check_one_planning_surface([entry]) == []
+
+    def test_pipeline_signature_built_once_and_presets_in_one_place(self, lint):
+        home = self.write(
+            lint, "planner/pipeline.py",
+            "def freeze_config(obj):\n"
+            "    return tuple(freeze_config(v) for v in obj)\n"
+            "class PassManager:\n"
+            "    def __post_init__(self):\n"
+            "        self.signature = tuple((n, freeze_config(o)) for n, o in self.passes)\n"
+            "register_preset('balanced', PassManager(()))\n",
+        )
+        memo = self.write(
+            lint, "session/cache.py",
+            "def frozen(config):\n    return freeze_config(config)\n",
+        )
+        reader = self.write(
+            lint, "session/session.py",
+            "def _planner_key(self, manager):\n"
+            "    'freeze_config and register_preset may be mentioned in prose.'\n"
+            "    return ('atlas-pipeline', manager.signature, frozen(self.cost_model))\n",
+        )
+        assert lint.check_one_pipeline_signature([home, memo, reader]) == []
+        # The signature walked per call again (the method a mutable manager
+        # had), a session freezing the pipeline per job, and a second cold
+        # preset registered beside the session.
+        method = self.write(
+            lint, "planner/pipeline.py",
+            "def freeze_config(obj):\n"
+            "    return tuple(freeze_config(v) for v in obj)\n"
+            "class PassManager:\n"
+            "    def signature(self):\n"
+            "        return tuple((n, freeze_config(o)) for n, o in self.passes)\n",
+        )
+        per_job = self.write(
+            lint, "session/session.py",
+            "register_preset('fast', PassManager(()))\n"
+            "def _planner_key(self, manager):\n"
+            "    return ('atlas-pipeline', freeze_config(manager.passes))\n",
+        )
+        findings = lint.check_one_pipeline_signature([method, memo, per_job])
+        assert {f.rule for f in findings} == {"one-pipeline-signature"}
+        assert sorted(f.key.partition("::one-pipeline-signature::")[2] for f in findings) == [
+            "<module>:register_preset", "PassManager.signature:freeze_config",
+            "PassManager:no-signature", "_planner_key:freeze_config",
+        ]
+        # Outside src/ (tests, tools) the rule does not look.
+        outside = lint.REPO / "tests" / "test_x.py"
+        outside.parent.mkdir(parents=True)
+        outside.write_text(per_job.read_text())
+        assert lint.check_one_pipeline_signature([outside]) == []
 
     def test_lower_layer_reaching_into_the_session_flagged(self, lint):
         clean = self.write(

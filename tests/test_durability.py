@@ -68,13 +68,13 @@ def machine():
 
 @pytest.fixture(scope="module")
 def plan(machine):
-    with Session(machine, backend="offload", planner="fast") as session:
+    with Session(machine, backend="offload", planner="balanced") as session:
         plan, *_ = session.plan_for(vqc(N, seed=0), machine, "offload")
     return plan
 
 
 def run_state(machine, circuit, backend, workers=None, **kwargs):
-    with Session(machine, backend=backend, planner="fast") as session:
+    with Session(machine, backend=backend, planner="balanced") as session:
         if workers is not None:
             session.backend_instance(backend).num_workers = workers
         job = session.run(circuit, execute=True, **kwargs)
@@ -193,7 +193,7 @@ class TestCheckpointFormat:
         # The plan cache's fingerprint is deliberately structural; the
         # checkpoint fingerprint must NOT be — resuming a parameter-sweep
         # sibling's state would silently compute garbage.
-        with Session(machine, backend="offload", planner="fast") as session:
+        with Session(machine, backend="offload", planner="balanced") as session:
             plan_a, *_ = session.plan_for(vqc(N, seed=0), machine, "offload")
             plan_b, *_ = session.plan_for(vqc(N, seed=1), machine, "offload")
         assert checkpoint_fingerprint(plan_a) != checkpoint_fingerprint(plan_b)
@@ -267,7 +267,7 @@ class TestResume:
         assert np.array_equal(resumed, reference)
 
     def test_session_surfaces_durability_stats(self, machine, tmp_path):
-        with Session(machine, backend="parallel", planner="fast", monitor=True) as s:
+        with Session(machine, backend="parallel", planner="balanced", monitor=True) as s:
             job = s.run(vqc(N, seed=0), execute=True, checkpoint=str(tmp_path))
             job.results()
             assert s.stats.checkpoints_written >= 1
@@ -336,7 +336,7 @@ class TestIntegrityMonitor:
         # the instance's own telemetry accumulates.
         monitor = IntegrityMonitor()
         circuit = vqc(N, seed=0)
-        with Session(machine, backend=backend, planner="fast", monitor=monitor) as s:
+        with Session(machine, backend=backend, planner="balanced", monitor=monitor) as s:
             batch = s.run([circuit, circuit], execute=True).results()
             again = s.run(circuit, execute=True).results()
             assert s.stats.integrity_checks == 3 * plan.num_stages
@@ -760,7 +760,7 @@ class TestServiceRecovery:
             2: run_state(machine, near_pi, "parallel")[0],
         }
         service = SimulationService(
-            machine, journal_dir=tmp_path, journal_fsync=False, planner="fast"
+            machine, journal_dir=tmp_path, journal_fsync=False, planner="balanced"
         )
         try:
             assert service.recovered == 2
@@ -783,7 +783,7 @@ class TestServiceRecovery:
     def test_watchdog_flags_stuck_job(self, machine):
         service = SimulationService(
             machine,
-            planner="fast",
+            planner="balanced",
             watchdog_interval=0.02,
             stuck_grace_seconds=0.0,
             stuck_slack=0.0,
@@ -814,7 +814,7 @@ class TestServiceRecovery:
             "definitely_not_a_family:3\n"
             "qft:7\n"
         )
-        service = SimulationService(machine, planner="fast")
+        service = SimulationService(machine, planner="balanced")
         try:
             jobs = service.submit_file(spec_file, backend="parallel")
             assert len(jobs) == 3
@@ -836,7 +836,7 @@ import sys
 from repro import MachineConfig, Session
 from repro.circuits.library import vqc
 machine = MachineConfig.for_circuit({n}, num_gpus=4, local_qubits={local})
-with Session(machine, backend={backend!r}, planner="fast") as session:
+with Session(machine, backend={backend!r}, planner="balanced") as session:
     session.run(vqc({n}, seed=0), execute=True, checkpoint={ckpt!r}).results()
 """
 
@@ -846,7 +846,7 @@ from repro.circuits.library import vqc
 from repro.service import SimulationService
 machine = MachineConfig.for_circuit({n}, num_gpus=4, local_qubits={local})
 service = SimulationService(
-    machine, journal_dir={journal!r}, journal_fsync=False, planner="fast"
+    machine, journal_dir={journal!r}, journal_fsync=False, planner="balanced"
 )
 for seed in range(3):
     service.submit(vqc({n}, seed=seed), backend="parallel", tenant="t%d" % seed)
@@ -910,7 +910,7 @@ class TestCrashRecovery:
         assert orphans, "SIGKILL landed after all jobs finished; nothing to test"
 
         service = SimulationService(
-            machine, journal_dir=tmp_path, journal_fsync=False, planner="fast"
+            machine, journal_dir=tmp_path, journal_fsync=False, planner="balanced"
         )
         try:
             assert service.recovered == len(orphans)

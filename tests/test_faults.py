@@ -71,7 +71,6 @@ def sweep():
 
 
 def make_session(machine, backend, workers, **kwargs):
-    kwargs.setdefault("planner", "fast")
     kwargs.setdefault("retry", FAST_RETRY)
     session = Session(machine, backend=backend, **kwargs)
     if workers is not None:
@@ -621,7 +620,7 @@ class TestGracefulDegradation:
         try:
             broken = PassManager([("chaos_fail", {})], preset="broken")
             circuit = qft(N)
-            # Planning-time failure: degrade to the "fast" preset and plan.
+            # Planning-time failure: degrade to the default preset and plan.
             with Session(machine, backend="incore", planner=broken) as session:
                 job = session.run(circuit)
                 assert job.result().state is not None

@@ -448,7 +448,7 @@ class TestPatternBoundary:
     def test_a_session_counts_the_crossing(self):
         machine = MachineConfig.for_circuit(5)
         circuits = [self._plan(theta, machine)[0] for theta in (0.0, 1e-13, 0.0, math.pi)]
-        with Session(machine, backend="incore", planner="fast") as session:
+        with Session(machine, backend="incore", planner="balanced") as session:
             results = session.run(circuits).results()
             stats = session.stats
         assert stats.program_rebind_fallbacks == 1  # rx(1e-13) on rx(0)'s entry
@@ -470,7 +470,7 @@ class TestWarmPathHoldsNothing:
                 Gate(g.name, g.qubits, _params(g.spec, rng)) for g in template.gates
             ])
 
-        with Session(machine, backend=backend, planner="fast") as session:
+        with Session(machine, backend=backend, planner="balanced") as session:
             session.run(redraw())
             before = gates_mod._cached_matrix.cache_info().currsize
             for _ in range(5):
@@ -482,7 +482,7 @@ class TestPlannerKeyMemo:
     def test_frozen_configs_freeze_once_per_object(self):
         machine = MachineConfig.for_circuit(6)
         assert frozen(machine) is frozen(machine)
-        with Session(machine, planner="fast") as session:
+        with Session(machine, planner="balanced") as session:
             manager = session.planner
             key = session._planner_key(manager)
             assert session._planner_key(manager) == key
@@ -493,7 +493,7 @@ class TestPlannerKeyMemo:
 
         circuit = qsvm(6)
         machine = MachineConfig.for_circuit(6)
-        with Session(machine, planner="fast") as session:
+        with Session(machine, planner="balanced") as session:
             manager = session.planner
             before = session._planner_key(manager)
             session.cost_model = replace(session.cost_model, shm_load_cost=7.0)
@@ -506,27 +506,63 @@ class TestPlannerKeyMemo:
             assert twin is not machine
             assert plan_cache_key(circuit, twin, after) == plan_cache_key(circuit, machine, after)
 
-    def test_changing_the_pipeline_in_place_is_a_new_key(self):
-        """The pipeline is mutable: a new time budget, preset name or pass
-        option on the session's own manager is a new planner key, and a
-        job planned after the change does not reuse the earlier entry."""
+    def test_a_pipeline_is_frozen_and_a_replaced_one_is_a_new_key(self):
+        """The pipeline is a value: no field or pass option of the session's
+        manager can be assigned, and a manager replaced by another — a new
+        time budget, preset name or pass option — is a new planner key, so
+        a job planned with it does not reuse the earlier entry."""
+        from dataclasses import FrozenInstanceError, replace
+
+        from repro.planner import PassManager
+
         machine = MachineConfig.for_circuit(6)
-        with Session(machine, planner="fast") as session:
+        with Session(machine, planner="balanced") as session:
             manager = session.planner
-            keys = [session._planner_key(manager)]
-            manager.time_budget = 12.5
-            keys.append(session._planner_key(manager))
-            manager.preset = "renamed"
-            keys.append(session._planner_key(manager))
-            options = manager.passes[-1][1]
-            options["validate"] = not options.get("validate", False)
-            keys.append(session._planner_key(manager))
+            with pytest.raises(FrozenInstanceError):
+                manager.time_budget = 12.5
+            with pytest.raises(FrozenInstanceError):
+                manager.preset = "renamed"
+            name, options = manager.passes[-1]
+            with pytest.raises(TypeError):
+                options["validate"] = True
+            # Nested containers are copied read-only, and freeze as before.
+            listed = PassManager([("refine", {"strategies": ["ordered"], "cfg": {"k": [1]}})])
+            assert listed.passes[0][1]["strategies"] == ("ordered",)
+            with pytest.raises(TypeError):
+                listed.passes[0][1]["cfg"]["k"] = ()
+            assert listed.signature == PassManager(
+                [("refine", {"strategies": ("ordered",), "cfg": {"k": (1,)}})]
+            ).signature
+            flipped = {**options, "validate": not options.get("validate", False)}
+            variants = [
+                replace(manager, time_budget=12.5),
+                replace(manager, preset="renamed"),
+                PassManager([*manager.passes[:-1], (name, flipped)], preset=manager.preset),
+            ]
+            keys = [session._planner_key(m) for m in (manager, *variants)]
             assert len(set(keys)) == len(keys)
             session.run(qsvm(6))
             built = session.stats.plans_built
-            manager.time_budget = 20.0
-            session.run(qsvm(6))
+            session.run(qsvm(6), planner=variants[0])
             assert session.stats.plans_built == built + 1
+
+    def test_a_warm_stacked_run_walks_no_pipeline(self, monkeypatch):
+        """A manager's signature is built with it: once it exists, a warm
+        stacked run keys its stack without walking the pipeline again."""
+        import repro.planner.pipeline as pipeline
+
+        def walk(config):
+            raise AssertionError("the pipeline was walked after construction")
+
+        machine = MachineConfig.for_circuit(6)
+        circuits = [vqc(6, seed=seed) for seed in range(4)]
+        with Session(machine, backend="incore") as session:
+            session.run(circuits[0])
+            monkeypatch.setattr(pipeline, "freeze_config", walk)
+            results = session.run(circuits[1:]).results()
+            assert session.stats.cache_hits == 3 and session.stats.stacked_rows == 3
+        for circuit, result in zip(circuits[1:], results):
+            assert simulate_reference(circuit).allclose(result.state)
 def test_kernel_gather_needs_no_gate_objects():
     """A kernel's gather is built from its lowering and its pool's widths
     alone; a run reads only the gathered matrices."""

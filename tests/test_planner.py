@@ -401,21 +401,30 @@ class TestOrderedKernelizeEquivalence:
 # ---------------------------------------------------------------------------
 
 
+#: Every preset, and "legacy": the pipeline partition() and simulate() plan
+#: with, the one built-in pipeline without a refine pass.
+PLANNERS = [*sorted(PRESETS), "legacy"]
+
+
+def _planner(name: str):
+    return legacy_pipeline() if name == "legacy" else name
+
+
 class TestPresetPlans:
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("preset", PLANNERS)
     @pytest.mark.parametrize("family,n", FAMILIES + [(lambda n: random_circuit(n, 24, seed=5), 8)])
     def test_presets_validate_and_match_reference(self, preset, family, n):
         circuit = family(n)
         reference = simulate_reference(circuit)
         for machine in _machines(n):
-            plan, report = build_plan(circuit, machine, planner=preset)
+            plan, report = build_plan(circuit, machine, planner=_planner(preset))
             plan.validate(circuit)
-            with Session(machine, backend="incore", planner=preset) as session:
+            with Session(machine, backend="incore", planner=_planner(preset)) as session:
                 result = session.run(circuit).result()
             assert reference.allclose(result.state)
             assert report.total_kernel_cost > 0
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("preset", PLANNERS)
     def test_presets_offload_and_parallel_paths(self, preset):
         n = 8
         circuit = qft(n)
@@ -423,7 +432,7 @@ class TestPresetPlans:
         reference = simulate_reference(circuit)
         states = {}
         for backend in ("incore", "offload", "parallel"):
-            with Session(machine, backend=backend, planner=preset) as session:
+            with Session(machine, backend=backend, planner=_planner(preset)) as session:
                 result = session.run(circuit).result()
                 result.plan.validate(circuit)
                 assert reference.allclose(result.state)
@@ -431,34 +440,40 @@ class TestPresetPlans:
         # The shard-streaming paths are bit-exact with each other.
         assert np.array_equal(states["offload"], states["parallel"])
 
-    def test_quality_never_worse_than_fast(self):
+    def test_quality_never_worse_than_balanced(self):
         for family, n in FAMILIES:
             circuit = family(n)
             machine = MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - 2)
-            _, fast_report = build_plan(circuit, machine, planner="fast")
             _, balanced_report = build_plan(circuit, machine, planner="balanced")
             _, quality_report = build_plan(circuit, machine, planner="quality")
-            assert (
-                balanced_report.total_kernel_cost
-                <= fast_report.total_kernel_cost + 1e-9
-            )
             assert (
                 quality_report.total_kernel_cost
                 <= balanced_report.total_kernel_cost + 1e-9
             )
 
-    def test_fast_preset_matches_seed_cost(self):
-        # The fast preset stages like the legacy (seed) planner and its DP
-        # is result-identical: same kernel cost on every family/shape.
+    def test_balanced_preset_matches_seed_cost(self):
+        # The balanced preset stages like the seed planner (the reference
+        # DP), and its kernelize pass — the fast DP — is result-identical
+        # to the reference: the same kernel cost on every family/shape
+        # before the refine guard, which only keeps a cheaper one.
         for family, n in FAMILIES:
             circuit = family(n)
             for machine in _machines(n):
-                _, seed_report = legacy_pipeline().run(circuit, machine)
-                _, fast_report = build_plan(circuit, machine, planner="fast")
+                seed_plan, seed_report = legacy_pipeline(kernelizer="atlas-ref").run(
+                    circuit, machine
+                )
+                plan, report = build_plan(circuit, machine, planner="balanced")
+                assert [s.gate_indices for s in plan.stages] == [
+                    s.gate_indices for s in seed_plan.stages
+                ]
                 assert (
-                    abs(fast_report.total_kernel_cost - seed_report.total_kernel_cost)
+                    abs(
+                        report.pass_metrics["kernelize"]["total_kernel_cost"]
+                        - seed_report.total_kernel_cost
+                    )
                     < 1e-9
                 )
+                assert report.total_kernel_cost <= seed_report.total_kernel_cost + 1e-9
 
     def test_fits_locally_shortcut(self):
         # A circuit that fits the local set is staged by stage_circuit like
@@ -466,7 +481,7 @@ class TestPresetPlans:
         n = 8
         circuit = qft(n)
         machine = MachineConfig.for_circuit(n, num_shards=1)
-        plan, report = build_plan(circuit, machine, planner="fast")
+        plan, report = build_plan(circuit, machine, planner="balanced")
         plan.validate(circuit)
         assert plan.num_stages == 1
         assert "stage" not in report.passes_skipped
@@ -483,7 +498,7 @@ class TestPresetPlans:
         n = 16
         machine = MachineConfig.for_circuit(n, num_shards=256, local_qubits=8)
         assert (machine.regional_qubits, machine.global_qubits) == (2, 6)
-        plan, report = build_plan(get_circuit("dj", n), machine, planner="fast")
+        plan, report = build_plan(get_circuit("dj", n), machine, planner="balanced")
         metrics = report.pass_metrics["stage"]
         assert metrics["solver_status"] == "optimal"
         assert metrics["stage_lower_bound"] >= 2  # at least ceil(16 / 8)
@@ -502,7 +517,7 @@ class TestPresetPlans:
         # gates whose windows close at one stage: the certificate builds no
         # staging, and the loop solves 4 (infeasible) and 5 stages.
         machine = MachineConfig.for_circuit(6, num_shards=8, local_qubits=3)
-        plan, report = build_plan(random_circuit(6, 40, seed=1), machine, planner="fast")
+        plan, report = build_plan(random_circuit(6, 40, seed=1), machine, planner="balanced")
         metrics = report.pass_metrics["stage"]
         assert (metrics["stage_lower_bound"], plan.num_stages, metrics["num_solves"]) == (4, 5, 2)
         assert metrics["certificate_declined"] == "forced set exceeds L"
@@ -520,7 +535,7 @@ class TestPresetPlans:
         # on Equation (3), so nothing is solved.
         machine = MachineConfig.for_circuit(n, num_shards=4)
         circuit = family(n)
-        plan, report = build_plan(circuit, machine, planner="fast")
+        plan, report = build_plan(circuit, machine, planner="balanced")
         metrics = report.pass_metrics["stage"]
         assert metrics["stage_lower_bound"] == plan.num_stages
         assert solve_staging(
@@ -550,9 +565,9 @@ class TestPlannerCacheKeys:
         machine = MachineConfig.for_circuit(n, num_shards=4, local_qubits=n - 2)
         circuit = vqc(n, seed=0)
         with Session(machine, backend="incore") as session:
-            session.run(circuit, planner="fast")
+            session.run(circuit, planner="balanced")
             assert session.stats.plans_built == 1
-            # Same circuit, different preset: must *not* hit the fast
+            # Same circuit, different preset: must *not* hit the balanced
             # preset's entry — a different pipeline may produce a different
             # plan, and rebinding across pipelines would corrupt provenance
             # and quality guarantees.
@@ -560,7 +575,7 @@ class TestPlannerCacheKeys:
             assert session.stats.plans_built == 2
             assert session.stats.cache_hits == 0
             # Re-running either preset is a hit within its own entry.
-            session.run(vqc(n, seed=1), planner="fast")
+            session.run(vqc(n, seed=1), planner="balanced")
             session.run(vqc(n, seed=2), planner="quality")
             assert session.stats.plans_built == 2
             assert session.stats.cache_hits == 2
@@ -586,32 +601,39 @@ class TestPlannerCacheKeys:
         session.close()
 
     def test_signature_covers_full_configuration(self):
-        a = resolve_planner("fast").signature()
-        b = resolve_planner("balanced").signature()
-        c = resolve_planner("fast").signature()
+        balanced = resolve_planner("balanced")
+        a = balanced.signature
+        b = resolve_planner("quality").signature
         assert a != b
-        assert a == c
+        # One shared manager per preset; a manager built anew with the same
+        # configuration is the same value.
+        assert resolve_planner(None) is balanced
+        twin = PassManager(list(balanced.passes), preset="balanced")
+        assert twin.signature == a and twin == balanced
         assert hash(a) is not None
         # ... and, through the one ``freeze_config``, the plan-cache keys are
         # pinned byte for byte.  (Digests re-recorded when the
         # ``lower_bound_start`` and then the ``single_stage_shortcut`` stage
         # options were deleted from the presets: stores written before each
         # were staged in the submitter's labels, not the canonical ones, and
-        # rightly stop hitting.)
+        # rightly stop hitting.  Re-pointed at the default preset when
+        # ``"fast"`` folded into ``"balanced"``: these are the balanced
+        # preset's digests from before the merge, so stores written by a
+        # default-configured service keep hitting.)
         import hashlib
 
         from repro.session.cache import plan_cache_key, shared_plan_key
 
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
         with Session(machine) as session:
-            planner_key = session._planner_key(resolve_planner("fast"))
+            planner_key = session._planner_key(resolve_planner("balanced"))
         keys = (
             plan_cache_key(qft(8), machine, planner_key),
             shared_plan_key(qft(8), machine, planner_key)[0],
         )
         assert [
             hashlib.blake2b(repr(k).encode(), digest_size=16).hexdigest() for k in keys
-        ] == ["69ef1bf384cd727c00c853edbec24f3c", "2bbaff76b07e48b0598fe1cca4a21f06"]
+        ] == ["ae2bef1ce5db04c498bf0c1d15d42dac", "159a0bd6d21cf1a20e2482c2b6a4e162"]
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +665,16 @@ class TestPlanningTelemetry:
     def test_result_and_stats_surface_telemetry(self):
         n = 8
         machine = MachineConfig.for_circuit(n, num_shards=1)
-        with Session(machine, backend="incore", planner="fast") as session:
+        with Session(machine, backend="incore", planner="balanced") as session:
             job = session.run([vqc(n, seed=0), vqc(n, seed=1)])
             first, second = job.results()
             # The cold plan carries the report; the cache hit does not (no
             # planning happened), but both carry plan provenance.
             assert first.report is not None
             assert second.report is None
-            assert first.summary()["planning"]["preset"] == "fast"
-            assert first.plan.provenance["preset"] == "fast"
-            assert second.plan.provenance["preset"] == "fast"
+            assert first.summary()["planning"]["preset"] == "balanced"
+            assert first.plan.provenance["preset"] == "balanced"
+            assert second.plan.provenance["preset"] == "balanced"
             assert second.cache_hit
             stats = session.stats.as_dict()
             assert stats["planning_pass_seconds"]["kernelize"] >= 0.0
@@ -693,7 +715,7 @@ class TestExtensionPoints:
                 ],
                 preset="counted",
             )
-            register_preset("counted", lambda: manager)
+            register_preset("counted", manager)
             try:
                 assert "counted" in available_presets()
                 n = 8

@@ -897,7 +897,7 @@ class TestMemoryControls:
         """Every kernel op is a program's or a schedule's: the
         ``fusion_cache_*`` fields stay in ``SessionStats`` and read 0."""
         sweep = [vqc(8, seed=s) for s in range(3)]
-        with Session(_machine(8), backend=backend, planner="fast") as s:
+        with Session(_machine(8), backend=backend, planner="balanced") as s:
             s.run(sweep)
             stats = s.stats.as_dict()
         assert {key: stats[key] for key in stats if key.startswith("fusion_cache_")} == {

@@ -336,7 +336,7 @@ class TestSessionHoldsTheSchedule:
 
     @staticmethod
     def cold_state(machine, backend, circuit):
-        with Session(machine, backend=backend, planner="fast") as solo:
+        with Session(machine, backend=backend, planner="balanced") as solo:
             return solo.run(circuit).result().state.data
 
     @pytest.mark.parametrize("backend", SHARDED)
@@ -357,7 +357,7 @@ class TestSessionHoldsTheSchedule:
             ("rx(1e-13)-on-rx(0)", self.circuit(1e-13, 1.1, 0.9, seed=6), (3, 4)),
             ("rx(0)-again", self.circuit(0.0, 2.1, 0.3, seed=7), (4, 4)),
         ]
-        with Session(machine, backend=backend, planner="fast") as session:
+        with Session(machine, backend=backend, planner="balanced") as session:
             for name, circuit, counts in walk:
                 state = session.run(circuit).result().state.data
                 stats = session.stats
@@ -371,7 +371,7 @@ class TestSessionHoldsTheSchedule:
         keeps a program and a schedule, neither evicts the other, and the
         two sharded backends share the schedule."""
         sweep = [vqc(self.N, seed=s) for s in range(4)]
-        with Session(machine, planner="fast") as session:
+        with Session(machine, planner="balanced") as session:
             states = [
                 session.run(circuit, backend=backend).result().state
                 for circuit, backend in zip(sweep, ("incore", "parallel", "offload", "incore"))
@@ -392,7 +392,7 @@ class TestSessionHoldsTheSchedule:
         with the built-in ones."""
         register_backend("two-workers", lambda: ParallelBackend(num_workers=2))
         try:
-            with Session(machine, planner="fast") as session:
+            with Session(machine, planner="balanced") as session:
                 a, b = vqc(self.N, seed=0), vqc(self.N, seed=1)
                 mine = session.run(a, backend="two-workers").result().state.data
                 session.run(b, backend="offload")
@@ -410,7 +410,7 @@ class TestSessionHoldsTheSchedule:
         that is cached), the one after rebinds."""
         sweep = [vqc(self.N, seed=s) for s in range(3)]
         with Session(
-            machine, backend=backend, planner="fast", faults="compile:transient:1"
+            machine, backend=backend, planner="balanced", faults="compile:transient:1"
         ) as session:
             with pytest.raises(TransientError):
                 session.run(sweep[0])
@@ -436,7 +436,7 @@ class TestSessionHoldsTheSchedule:
         )
         circuit = vqc(self.N, seed=0)
         inits = [StateVector.random_state(self.N, seed=s) for s in range(3)]
-        with Session(machine, backend=backend, planner="fast") as session:
+        with Session(machine, backend=backend, planner="balanced") as session:
             job = session.run(circuit, initial_states=inits)
             assert len(builds) == 1 and session.stats.schedule_cache_misses == 1
             plan = job[0].plan

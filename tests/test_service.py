@@ -523,7 +523,7 @@ class TestSharedPlanStore:
         from repro.session import plan_fingerprint
 
         sharded_machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
-        with Session(sharded_machine, planner="fast") as session:
+        with Session(sharded_machine, planner="balanced") as session:
             sharded, *_ = session.plan_for(qft(8), sharded_machine, "offload")
         _, unkernelized = _pinned_plan("unkernelized")
         assert all(stage.kernels for stage in sharded.stages)

@@ -571,25 +571,25 @@ ACQUISITION_GOLDENS = {
     ('incore', False): {
         'cold': dict(backend_runs={'incore': 1}, cache_misses=1, circuits_run=1,
             execute_seconds=True, jobs=1, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=1, programs_compiled=1, shared_cache_misses=1),
         'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=1,
             cache_misses=1, circuits_run=2, execute_seconds=True, jobs=2,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, program_ops_rebound=8,
+            'kernelize', 'refine', 'stage'], plans_built=1, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=1,
             programs_rebound=1, shared_cache_misses=1),
         'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.3333333333333333,
             cache_hits=1, cache_misses=2, circuits_run=3, execute_seconds=True,
             jobs=3, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=2, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=1, programs_rebound=1,
             shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.5,
             cache_hits=2, cache_misses=2, circuits_run=4, execute_seconds=True,
             jobs=4, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=2, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=2, programs_rebound=1,
             shared_cache_misses=2),
@@ -603,37 +603,37 @@ ACQUISITION_GOLDENS = {
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
             execute_seconds=True, fallbacks=1, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, program_ops_rebound=8,
+            'kernelize', 'refine', 'stage'], plans_built=2, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=3,
             programs_rebound=1, shared_cache_hits=1, shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
             jobs=3, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=1, programs_compiled=3, shared_cache_hits=2,
             shared_cache_misses=1),
     },
     ('incore', True): {
         'cold': dict(backend_runs={'incore': 1}, cache_misses=2, circuits_run=1,
             execute_seconds=True, jobs=1, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=2, programs_compiled=1, shared_cache_misses=2),
         'local-hit': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=2,
             cache_misses=2, circuits_run=2, execute_seconds=True, jobs=2,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, program_ops_rebound=8,
+            'kernelize', 'refine', 'stage'], plans_built=2, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=1,
             programs_rebound=1, shared_cache_misses=2),
         'plan-only': dict(backend_runs={'incore': 2}, cache_hit_rate=0.5, cache_hits=3,
             cache_misses=3, circuits_run=4, execute_seconds=True, jobs=4,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=3, program_ops_rebound=8,
+            'kernelize', 'refine', 'stage'], plans_built=3, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=1,
             programs_rebound=1, shared_cache_misses=3),
         'local-hit-no-program': dict(backend_runs={'incore': 3}, cache_hit_rate=0.625,
             cache_hits=5, cache_misses=3, circuits_run=5, execute_seconds=True, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=3, program_ops_rebound=8,
+            'kernelize', 'refine', 'stage'], plans_built=3, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=2,
             programs_rebound=1, shared_cache_misses=3),
         'shared-hit': dict(backend_runs={'incore': 1}, cache_misses=2, circuits_run=1,
@@ -644,38 +644,38 @@ ACQUISITION_GOLDENS = {
         'corrupt-local': dict(backend_runs={'incore': 4}, cache_corruptions=1,
             cache_hit_rate=0.5, cache_hits=5, cache_misses=5, circuits_run=6,
             execute_seconds=True, fallbacks=1, jobs=6, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=3, program_ops_rebound=8,
             program_rebind_seconds=True, programs_compiled=3, programs_rebound=1,
             shared_cache_hits=2, shared_cache_misses=3),
         'corrupt-shared': dict(backend_runs={'incore': 3}, cache_corruptions=1,
             cache_misses=6, circuits_run=3, execute_seconds=True, fallbacks=1, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, programs_compiled=3,
+            'kernelize', 'refine', 'stage'], plans_built=2, programs_compiled=3,
             shared_cache_hits=4, shared_cache_misses=2),
     },
     ('offload', False): {
         'cold': dict(backend_runs={'offload': 1}, cache_misses=1,
             circuits_run=1, execute_seconds=True, jobs=1,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=1, schedule_cache_misses=1,
+            'kernelize', 'refine', 'stage'], plans_built=1, schedule_cache_misses=1,
             shared_cache_misses=1),
         'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5,
             cache_hits=1, cache_misses=1, circuits_run=2, execute_seconds=True,
             jobs=2, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=1, schedule_cache_hits=1, schedule_cache_misses=1,
             shared_cache_misses=1),
         'plan-only': dict(backend_runs={'offload': 2},
             cache_hit_rate=0.3333333333333333, cache_hits=1, cache_misses=2,
             circuits_run=3, execute_seconds=True, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
+            'kernelize', 'refine', 'stage'], plans_built=2, schedule_cache_hits=1,
             schedule_cache_misses=1, shared_cache_misses=2),
         'local-hit-no-program': dict(backend_runs={'offload': 3},
             cache_hit_rate=0.5, cache_hits=2, cache_misses=2, circuits_run=4,
             execute_seconds=True, jobs=4, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=2, schedule_cache_hits=1, schedule_cache_misses=2,
             shared_cache_misses=2),
         'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=1,
@@ -689,34 +689,34 @@ ACQUISITION_GOLDENS = {
             cache_hit_rate=0.4, cache_hits=2, cache_misses=3, circuits_run=5,
             execute_seconds=True, fallbacks=1, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
+            'kernelize', 'refine', 'stage'], plans_built=2, schedule_cache_hits=1,
             schedule_cache_misses=3, shared_cache_hits=1, shared_cache_misses=2),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=3, circuits_run=3, execute_seconds=True, fallbacks=1,
             jobs=3, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=1, schedule_cache_misses=3, shared_cache_hits=2,
             shared_cache_misses=1),
     },
     ('offload', True): {
         'cold': dict(backend_runs={'offload': 1}, cache_misses=2, circuits_run=1,
             execute_seconds=True, jobs=1, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=2, schedule_cache_misses=1, shared_cache_misses=2),
         'local-hit': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=2,
             cache_misses=2, circuits_run=2, execute_seconds=True, jobs=2,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, schedule_cache_hits=1,
+            'kernelize', 'refine', 'stage'], plans_built=2, schedule_cache_hits=1,
             schedule_cache_misses=1, shared_cache_misses=2),
         'plan-only': dict(backend_runs={'offload': 2}, cache_hit_rate=0.5, cache_hits=3,
             cache_misses=3, circuits_run=4, execute_seconds=True, jobs=4,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=3, schedule_cache_hits=1,
+            'kernelize', 'refine', 'stage'], plans_built=3, schedule_cache_hits=1,
             schedule_cache_misses=1, shared_cache_misses=3),
         'local-hit-no-program': dict(backend_runs={'offload': 3}, cache_hit_rate=0.625,
             cache_hits=5, cache_misses=3, circuits_run=5, execute_seconds=True, jobs=5,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=3, schedule_cache_hits=1,
+            'kernelize', 'refine', 'stage'], plans_built=3, schedule_cache_hits=1,
             schedule_cache_misses=2, shared_cache_misses=3),
         'shared-hit': dict(backend_runs={'offload': 1}, cache_misses=2, circuits_run=1,
             execute_seconds=True, jobs=1, schedule_cache_misses=1, shared_cache_hits=2),
@@ -726,13 +726,13 @@ ACQUISITION_GOLDENS = {
         'corrupt-local': dict(backend_runs={'offload': 4}, cache_corruptions=1,
             cache_hit_rate=0.5, cache_hits=5, cache_misses=5, circuits_run=6,
             execute_seconds=True, fallbacks=1, jobs=6, plan_seconds=True,
-            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'stage'],
+            planning_pass_seconds=['analyze', 'finalize', 'kernelize', 'refine', 'stage'],
             plans_built=3, schedule_cache_hits=1, schedule_cache_misses=3,
             shared_cache_hits=2, shared_cache_misses=3),
         'corrupt-shared': dict(backend_runs={'offload': 3}, cache_corruptions=1,
             cache_misses=6, circuits_run=3, execute_seconds=True, fallbacks=1, jobs=3,
             plan_seconds=True, planning_pass_seconds=['analyze', 'finalize',
-            'kernelize', 'stage'], plans_built=2, schedule_cache_misses=3,
+            'kernelize', 'refine', 'stage'], plans_built=2, schedule_cache_misses=3,
             shared_cache_hits=4, shared_cache_misses=2),
     },
 }
@@ -797,8 +797,8 @@ class TestPlanAcquisitionMatrix:
                 state = job.result().state.data.copy()
             trail.append((name, _counted(session.stats.as_dict()), circuit, state))
 
-        with Session(machine, backend=backend, planner="fast", shared_cache=store) as a, \
-                Session(machine, backend=backend, planner="fast", shared_cache=store) as b:
+        with Session(machine, backend=backend, planner="balanced", shared_cache=store) as a, \
+                Session(machine, backend=backend, planner="balanced", shared_cache=store) as b:
             step("cold", a, vqc(n, seed=0))
             step("local-hit", a, vqc(n, seed=1))
             step("plan-only", a, qft(n), execute=False)
@@ -826,7 +826,7 @@ class TestPlanAcquisitionMatrix:
         trail = self.walk(sweep_machine, backend, inject)
         for name, counted, _circuit, _state in trail:
             assert counted == ACQUISITION_GOLDENS[backend, inject][name], (backend, inject, name)
-        with Session(sweep_machine, backend=backend, planner="fast") as solo:
+        with Session(sweep_machine, backend=backend, planner="balanced") as solo:
             for name, _counted_stats, circuit, state in trail:
                 if state is not None:
                     expected = solo.run(circuit).result().state.data
@@ -834,7 +834,7 @@ class TestPlanAcquisitionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Planner degradation: configured pipeline -> "fast" -> the original error
+# Planner degradation: configured pipeline -> the default preset -> the original error
 # ---------------------------------------------------------------------------
 
 
@@ -856,35 +856,35 @@ class TestPlannerDegradation:
         yield PassManager([("explode", {})], preset="broken")
         del PASSES["explode"]
 
-    def test_failing_pipeline_takes_exactly_one_counted_hop_to_fast(self, sweep_machine, broken):
+    def test_failing_pipeline_takes_exactly_one_counted_hop_to_the_default(self, sweep_machine, broken):
         with Session(sweep_machine, backend="incore", planner=broken) as session:
             result = session.run(qft(8)).result()
-            assert result.report.preset == "fast"
+            assert result.report.preset == "balanced"
             assert result.recovery == {"fallbacks": 1}
             assert session.stats.fallbacks == 1
         assert simulate_reference(qft(8)).allclose(result.state)
 
-    def test_when_fast_fails_too_the_original_error_propagates(
+    def test_when_the_default_fails_too_the_original_error_propagates(
         self, sweep_machine, broken, monkeypatch
     ):
         from repro.planner.passes import PASSES
 
         with Session(sweep_machine, backend="incore", planner=broken) as session:
             with monkeypatch.context() as patch:
-                patch.setitem(PASSES, "finalize", _Exploding("fast failed too"))
+                patch.setitem(PASSES, "finalize", _Exploding("the default failed too"))
                 with pytest.raises(RuntimeError, match="configured pipeline failed"):
                     session.run(qft(8))
             # The hop was taken and counted, once; the session is usable.
             session.run(qft(8))
             assert session.stats.fallbacks == 2
 
-    def test_failing_fast_has_nowhere_to_go_zero_hops(self, sweep_machine, monkeypatch):
+    def test_failing_default_has_nowhere_to_go_zero_hops(self, sweep_machine, monkeypatch):
         from repro.planner.passes import PASSES
 
-        with Session(sweep_machine, backend="incore", planner="fast") as session:
+        with Session(sweep_machine, backend="incore", planner="balanced") as session:
             with monkeypatch.context() as patch:
-                patch.setitem(PASSES, "finalize", _Exploding("fast failed"))
-                with pytest.raises(RuntimeError, match="fast failed"):
+                patch.setitem(PASSES, "finalize", _Exploding("the default failed"))
+                with pytest.raises(RuntimeError, match="the default failed"):
                     session.run(qft(8))
             session.run(qft(8))
             assert session.stats.fallbacks == 0
@@ -894,7 +894,7 @@ class TestPlannerDegradation:
         with Session(sweep_machine, backend="incore", planner=typo) as session:
             with pytest.raises(ValueError, match="unknown stager"):
                 session.run(qft(8))
-            session.run(qft(8), planner="fast")
+            session.run(qft(8), planner="balanced")
             assert session.stats.fallbacks == 0
 
 

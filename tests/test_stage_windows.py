@@ -36,7 +36,7 @@ from repro.core.stage import (
 from repro.core.stage_heuristics import greedy_stage_circuit, snuqs_stage_circuit
 from repro.ilp import IlpModel, lin_sum, solve
 from repro.ilp.scipy_backend import lower_model
-from repro.planner import PassManager, build_plan
+from repro.planner import PassManager, build_plan, legacy_pipeline
 
 SETTINGS = dict(
     max_examples=25,
@@ -427,13 +427,15 @@ class TestStagingCommutesWithRelabelling:
         pi = dict(enumerate(np.random.default_rng(7).permutation(n).tolist()))
         return circuit, machine, pi
 
-    @pytest.mark.parametrize("preset", ["fast", "balanced", "quality"])
+    @pytest.mark.parametrize("preset", ["balanced", "quality", "legacy"])
     def test_fits_locally_plans_relabel_to_the_image(self, preset):
-        # The whole plan, not only stage_circuit: no stager of a preset pads
-        # the local set by qubit label.
+        # The whole plan, not only stage_circuit: no stager of a preset (or
+        # of the keyword entry points' pipeline, "legacy") pads the local
+        # set by qubit label.
         circuit, machine, pi = self._fits_locally()
-        ours, _ = build_plan(circuit, machine, planner=preset)
-        theirs, report = build_plan(circuit.remap_qubits(pi), machine, planner=preset)
+        planner = legacy_pipeline() if preset == "legacy" else preset
+        ours, _ = build_plan(circuit, machine, planner=planner)
+        theirs, report = build_plan(circuit.remap_qubits(pi), machine, planner=planner)
         assert len(theirs.stages) == len(ours.stages) == 1
         for mine, image in zip(ours.stages, theirs.stages):
             assert image.gate_indices == mine.gate_indices

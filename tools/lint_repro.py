@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty-three rules, each enforcing an invariant the execution layer depends on
+Twenty-four rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -188,6 +188,19 @@ Twenty-three rules, each enforcing an invariant the execution layer depends on
     ``legacy_pipeline`` and hand it over like any other pipeline; the name
     reappearing here is the second configuration surface, or the third
     planner-degradation hop, growing back.
+
+``one-pipeline-signature``
+    Under ``src/``, ``freeze_config`` — the walk that turns a planning
+    configuration into a hashable key — is called only in
+    ``PassManager``'s constructor (``planner/pipeline.py``, where the
+    immutable manager builds its ``signature`` once), in
+    ``freeze_config`` itself (its recursion) and in
+    ``session/cache.py::frozen`` (a machine or a cost model, frozen once
+    per object); and ``register_preset(...)`` is called only in
+    ``planner/pipeline.py``.  A call elsewhere is a per-job signature walk,
+    or a second cold preset, growing back.  Checked across files; a
+    ``planner/pipeline.py`` whose ``PassManager`` constructor makes no call
+    is the rule left behind.
 
 ``one-staging-bound``
     Nothing under ``src/`` names ``min_stages`` or ``lower_bound_start``:
@@ -522,6 +535,15 @@ NATIVE_THREAD_SOURCE = "sched_getaffinity"
 PLANNING_SURFACE_SCOPE = ("session/", "service/")
 PLANNING_SURFACE_NAME = "legacy_pipeline"
 PLANNING_SURFACE_KEYWORDS = {"stager", "kernelizer"}
+
+#: Where a planning configuration is frozen into a key, by module: the
+#: manager's constructor (and the walk's own recursion), and the session's
+#: per-object memo.
+PIPELINE_SIGNATURE_SITES = {
+    "planner/pipeline.py": (("PassManager", "__post_init__"), ("freeze_config",)),
+    "session/cache.py": (("frozen",),),
+}
+PIPELINE_HOME = "planner/pipeline.py"
 
 STAGING_BOUND_WORDS = ("min_stages", "lower_bound_start")
 STAGING_HOME = "core/stage.py"
@@ -1292,6 +1314,57 @@ def check_one_planning_surface(files: list[Path]) -> list[Finding]:
                         symbol,
                     )
                 )
+    return findings
+
+
+def check_one_pipeline_signature(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-pipeline-signature`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    home_linted = built = False
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        nonlocal built
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack = stack + [node.name]
+        name = _call_name(node) if isinstance(node, ast.Call) else None
+        where = _enclosing(stack)
+        if name == "freeze_config":
+            sites = PIPELINE_SIGNATURE_SITES.get(rel_src, ())
+            if _within(stack, sites):
+                built = built or (rel_src == PIPELINE_HOME and _within(stack, sites[:1]))
+            else:
+                findings.append(Finding(
+                    rel, node.lineno, "one-pipeline-signature",
+                    f"`freeze_config` in {where}: a PassManager builds its signature "
+                    f"once, in its constructor, and the session freezes a machine or "
+                    f"cost model once per object (session/cache.py::frozen)",
+                    f"{where}:freeze_config",
+                ))
+        if name == "register_preset" and rel_src != PIPELINE_HOME:
+            findings.append(Finding(
+                rel, node.lineno, "one-pipeline-signature",
+                f"`register_preset` in {where}: the presets are registered in "
+                f"{PIPELINE_HOME} only — one cold preset and its quality step",
+                f"{where}:register_preset",
+            ))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel_src = _rel_src(path)
+        home_linted = home_linted or rel_src == PIPELINE_HOME
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(), rel_src,
+        )
+    if home_linted and not built:
+        findings.append(Finding(
+            f"src/repro/{PIPELINE_HOME}", 0, "one-pipeline-signature",
+            "PassManager's constructor builds no signature: the rule lost its site",
+            "PassManager:no-signature",
+        ))
     return findings
 
 
@@ -2319,6 +2392,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_float_expression(files))
     findings.extend(check_one_native_loader(files))
     findings.extend(check_one_planning_surface(files))
+    findings.extend(check_one_pipeline_signature(files))
     findings.extend(check_one_staging_bound(files))
     findings.extend(check_one_staging_cost(files))
     findings.extend(check_one_staging_path(files))
