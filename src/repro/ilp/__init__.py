@@ -36,13 +36,12 @@ __all__ = [
 
 BACKENDS = {
     "scipy": solve_with_scipy,
-    "highs": solve_with_scipy,
     "branch-and-bound": solve_with_branch_and_bound,
 }
 
 
 def solve(model: IlpModel, backend: str = "scipy", time_limit: float | None = None) -> Solution:
-    """Solve *model* with the named backend (``scipy``/``highs`` or ``branch-and-bound``).
+    """Solve *model* with the named backend: ``scipy`` (SciPy's HiGHS MILP) or ``branch-and-bound``.
 
     The returned solution carries the measured ``wall_seconds`` of this
     solve as a per-call diagnostic for callers that time individual

@@ -22,10 +22,10 @@ runs a plan another way.
 This single-stream executor is the correctness reference for the
 shard-level runtimes: :mod:`repro.runtime.offload` replays the same plan
 shard by shard, and :mod:`repro.runtime.parallel` schedules those shards
-across a worker pool.  The tested contract: offload and parallel agree bit
-for bit at every worker count, and with this executor within ``1e-10``
-on staged plans (a shards-segment cuts a kernel at its gates on non-local
-qubits and runs those as reduced matrices, so the arithmetic differs).
+across a worker pool.  The tested contract: all three agree bit for bit,
+at every worker count — a shards-segment runs each kernel as this
+executor lowers it, restricted per shard variant, so the arithmetic is the
+same (``tests/test_native_kernel.py`` pins the final states' digests).
 """
 
 from __future__ import annotations

@@ -9,15 +9,15 @@ the reason at the call site, never as a deferred failure:
 * :class:`~repro.errors.TenantQuotaError` — this tenant's pending quota is
   exhausted; other tenants are unaffected.
 * :class:`~repro.errors.AdmissionError` — the job itself is oversized:
-  its modelled memory footprint exceeds the budget even on the most
-  capable backend, its modelled runtime exceeds the ceiling, or it bundles
-  more circuits than a single job may carry.
+  the session would refuse it for its memory budget, its modelled runtime
+  exceeds the ceiling, or it bundles more circuits than a single job may
+  carry.
 
-The memory check reuses the session's own cost model
-(:meth:`~repro.session.Session.modelled_device_bytes`) and its own
-degradation chain (:meth:`~repro.session.Session.backend_chain`): a job is
-admitted if *any* backend in the chain can hold it — the fallback the
-session will perform at execution time.
+The memory check is the session's own admission
+(:meth:`~repro.session.Session.admission`), walked on the job's own
+``backend`` and ``machine``: a job is admitted exactly when the session
+would run it, on the backend its degradation chain reaches.  The budget is
+the session's ``memory_budget_bytes``; the policy holds none.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class AdmissionPolicy:
     max_pending_jobs: "int | None" = 256
     #: Per-tenant cap on queued jobs (per-tenant backpressure).
     max_pending_per_tenant: "int | None" = 64
-    #: Ceiling on a job's modelled device footprint, bytes.  ``None``
-    #: defers entirely to the session's own per-backend admission.
-    memory_budget_bytes: "int | None" = None
     #: Ceiling on a job's modelled wall-clock, seconds.
     max_modelled_seconds: "float | None" = None
     #: Ceiling on circuits bundled into one job.
@@ -52,7 +49,6 @@ class AdmissionPolicy:
         for name in (
             "max_pending_jobs",
             "max_pending_per_tenant",
-            "memory_budget_bytes",
             "max_circuits_per_job",
         ):
             value = getattr(self, name)
@@ -69,7 +65,7 @@ class AdmissionController:
 
     Stateless between calls — queue depths are supplied by the service,
     which owns the queues; the controller owns only the policy and the
-    rejection taxonomy.
+    rejection taxonomy.  Without a *session* it prices no memory.
     """
 
     def __init__(self, policy: AdmissionPolicy, session):
@@ -84,9 +80,12 @@ class AdmissionController:
         pending_total: int,
         pending_tenant: int,
         modelled_seconds: "float | None" = None,
+        backend: "str | None" = None,
+        machine=None,
     ) -> None:
         """Raise a typed admission error if this submission must be
-        rejected; return silently if it may be queued."""
+        rejected; return silently if it may be queued.  *backend* and
+        *machine* are the job's run keywords (``None``: the session's)."""
         policy = self.policy
         if (
             policy.max_circuits_per_job is not None
@@ -124,8 +123,17 @@ class AdmissionController:
                 depth=pending_tenant,
                 limit=policy.max_pending_per_tenant,
             )
-        if policy.memory_budget_bytes is not None:
-            self._check_memory(circuits, tenant)
+        if self._session is not None:
+            try:
+                self._session.admission(circuits, backend, machine)
+            except AdmissionError as exc:
+                raise AdmissionError(
+                    str(exc),
+                    site="service.admit",
+                    tenant=tenant,
+                    num_qubits=circuits[0].num_qubits,
+                    budget_bytes=exc.context["budget"],
+                ) from exc
         if (
             policy.max_modelled_seconds is not None
             and modelled_seconds is not None
@@ -139,35 +147,3 @@ class AdmissionController:
                 modelled_seconds=modelled_seconds,
                 limit=policy.max_modelled_seconds,
             )
-
-    def _check_memory(self, circuits, tenant: str) -> None:
-        """Admit if some backend in the degradation chain runs every stack
-        of the job within the budget — stacked as that backend would run
-        them under it (:meth:`Session.stack_limit`)."""
-        session = self._session
-        budget = self.policy.memory_budget_bytes
-        machine = session.machine
-        refused = None
-        for backend in session.backend_chain():
-            limit = session.stack_limit(backend, machine, circuits[0].num_qubits, budget)
-            unfit = [
-                circuit
-                for circuit, width in session.stack_widths(circuits, limit)
-                if session.modelled_device_bytes(
-                    backend, machine, circuit.num_qubits, width
-                ) > budget
-            ]
-            if not unfit:
-                return
-            if refused is None:
-                refused = unfit[0]
-        circuit = refused
-        raise AdmissionError(
-            f"circuit {circuit.name!r} ({circuit.num_qubits} qubits) "
-            f"exceeds the service memory budget of {budget} bytes on "
-            "every backend",
-            site="service.admit",
-            tenant=tenant,
-            num_qubits=circuit.num_qubits,
-            budget_bytes=budget,
-        )

@@ -450,6 +450,8 @@ class SimulationService:
                     pending_total=self._scheduler.pending(),
                     pending_tenant=self._scheduler.pending_for(tenant),
                     modelled_seconds=modelled_seconds,
+                    backend=run_kwargs.get("backend"),
+                    machine=run_kwargs.get("machine"),
                 )
             except Exception:
                 self.rejected += 1
@@ -687,10 +689,9 @@ class SimulationService:
         backend that runs compiled programs — as ``(predicate over
         payloads, how many rows the stack takes)``; ``None`` when *item*
         runs alone.  (A shard backend's schedule binds one job, so it
-        keeps one dispatch per job.)  The rows are as many as both the
-        session's and the admission policy's memory budgets hold
-        (:meth:`Session.stack_limit`), so a stack never runs a job over a
-        budget it fits alone."""
+        keeps one dispatch per job.)  The rows are as many as the session's
+        memory budget holds (:meth:`Session.stack_limit`), so a stack never
+        runs a job over a budget it fits alone."""
         kwargs = item.run_kwargs
         if len(item.circuits) != 1 or not self._STACKABLE_KWARGS.issuperset(kwargs):
             return None
@@ -706,10 +707,7 @@ class SimulationService:
             return None
         if not (backend.uses_programs and backend.program_kind == "program"):
             return None
-        limit = min(
-            session.stack_limit(backend_name, machine, circuit.num_qubits, budget)
-            for budget in (session.memory_budget_bytes, self.policy.memory_budget_bytes)
-        )
+        limit = session.stack_limit(backend_name, machine, circuit.num_qubits)
         if limit < 2:
             return None
         key = circuit.structural_key()
@@ -834,11 +832,9 @@ class SimulationService:
             while parts:
                 part = parts.pop(0)
                 try:
-                    # Stacked as admitted: under the policy's budget too.
                     inner = self.session.run(
                         [c for _tenant, item, _claimed in part for c in item.circuits],
-                        execute=True, _stack_budget=self.policy.memory_budget_bytes,
-                        **run_kwargs,
+                        execute=True, **run_kwargs,
                     )
                 except BaseException as exc:  # propagate through every Job
                     if len(part) > 1 and isinstance(exc, Exception):

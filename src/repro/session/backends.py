@@ -1,18 +1,19 @@
 """Pluggable execution backends — every executor behind one protocol.
 
-The repository grew four ways to run a plan (:func:`repro.runtime.execute_plan`,
+There are four ways to run a plan (:func:`repro.runtime.execute_plan`,
 :func:`repro.runtime.execute_plan_offloaded`,
 :class:`repro.runtime.ParallelRuntime`, and the gate-by-gate reference), plus
 the modelled baseline simulators in :mod:`repro.baselines`.  Each is wrapped
-in an :class:`ExecutionBackend` adapter exposing one ``run_plan`` protocol so
-the :class:`repro.session.Session` facade (and tests, and benchmarks) can
-treat them uniformly:
+in an :class:`ExecutionBackend` adapter so the :class:`repro.session.Session`
+facade (and tests, and benchmarks) can treat them uniformly: the Session
+drives a job through :meth:`ExecutionBackend.run_batch`, whose default runs
+the items one by one through the adapter's :meth:`ExecutionBackend.run_plan`:
 
 =============  ==============================================================
 ``reference``  gate-by-gate on the full state; the correctness oracle
 ``incore``     single-stream staged executor (ping-pong buffers, fused kernels)
 ``offload``    sequential DRAM shard streaming (Section VII-C)
-``parallel``   multi-worker shard scheduler with prefetch (PR 2's runtime)
+``parallel``   multi-worker shard scheduler with prefetch
 ``hyquas`` / ``cuquantum`` / ``qiskit``
                modelled baseline strategies: plans from the baseline's own
                partitioner, functional execution for correctness, timings

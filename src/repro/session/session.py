@@ -269,7 +269,9 @@ class Session:
         preset fallback).  ``False`` turns every degradation point into an
         immediate typed error.
     memory_budget_bytes:
-        Modelled device-memory budget for the admission check: jobs whose
+        Modelled device-memory budget, bytes — the one a job is admitted
+        under (:meth:`admission`), here and at a
+        :class:`~repro.service.SimulationService`'s ``submit``: jobs whose
         modelled working set exceeds it are degraded down the backend
         chain (``incore`` → ``offload`` → ``parallel``) or rejected with
         :class:`~repro.errors.AdmissionError`.  ``None`` disables the
@@ -437,9 +439,9 @@ class Session:
     def backend_chain(self, name: str | None = None) -> tuple[str, ...]:
         """The degradation chain from backend *name* on (all of it by default).
 
-        What the session walks when a job is over its memory budget or an
-        allocation fails, and what the service's admission control checks
-        a job against.  A backend outside the chain degrades to nothing.
+        What the session walks when a job is over its memory budget
+        (:meth:`admission`) or an allocation fails.  A backend outside the
+        chain degrades to nothing.
         """
         chain = self._BACKEND_CHAIN
         if name is None:
@@ -447,17 +449,17 @@ class Session:
         return chain[chain.index(name):] if name in chain else (name,)
 
     def stack_limit(
-        self, backend_name: str, machine: MachineConfig, num_qubits: int,
-        budget: "int | None",
+        self, backend_name: str, machine: MachineConfig, num_qubits: int
     ) -> int:
         """How many rows one stacked bind of *num_qubits*-qubit circuits
         takes on *backend_name*: as many as keep the ``(B, 2^n)`` stack
-        within ``_STACK_AMPLITUDES`` amplitudes and, under a memory
-        *budget* (bytes, ``None`` for none), as many one-row working sets
+        within ``_STACK_AMPLITUDES`` amplitudes and, under
+        ``memory_budget_bytes``, as many one-row working sets
         (:meth:`modelled_device_bytes`) as the budget holds — at least one.
         So a stack never makes a job that fits the budget alone
         inadmissible."""
         limit = max(1, _STACK_AMPLITUDES >> num_qubits)
+        budget = self.memory_budget_bytes
         if budget is not None:
             one = self.modelled_device_bytes(backend_name, machine, num_qubits)
             limit = min(limit, max(1, budget // one))
@@ -484,28 +486,16 @@ class Session:
             group.extend(run)
         return groups
 
-    @staticmethod
-    def stack_widths(circuits: Sequence[Circuit], limit: int) -> list[tuple[Circuit, int]]:
-        """``(first circuit, width)`` per stack of *circuits*
-        (:meth:`stack_groups`): the items that share one structure, which a
-        backend that runs compiled programs executes as one ``(width,
-        2^n)`` stack."""
-        return [
-            (circuits[group[0]], len(group))
-            for group in Session.stack_groups(circuits, limit)
-        ]
-
     def modelled_device_bytes(
         self, backend_name: str, machine: MachineConfig, num_qubits: int,
         stack_width: int = 1,
     ) -> int:
         """Modelled device-memory working set of one job on *backend_name*.
 
-        The admission model of this session and of the service layer's
-        :class:`repro.service.AdmissionController`.  Complex128 amplitudes:
+        The cost :meth:`admission` holds to the budget.  Complex128 amplitudes:
         the in-core executors ping-pong two full state buffers — two
         ``(stack_width, 2^n)`` stacks when the backend runs one program
-        over a fan-out (:meth:`stack_widths`) as a single pass; the shard
+        over a stack (:meth:`stack_groups`) as a single pass; the shard
         runtimes hold two buffer pairs of ``2^L`` amplitudes per worker
         (the double-buffered prefetch), with the state itself residing in
         DRAM.
@@ -523,34 +513,38 @@ class Session:
         workers = max(1, min(machine.num_shards, machine.physical_gpus))
         return workers * shard_pairs
 
-    def _admit(
+    def admission(
         self,
-        backend_name: str,
-        machine: MachineConfig,
-        num_qubits: int,
-        execute: bool,
-        stack_width: int = 1,
-    ) -> list[str]:
-        """Admission check: reject or degrade over-budget jobs up front.
+        circuits: Sequence[Circuit],
+        backend: str | None = None,
+        machine: MachineConfig | None = None,
+    ) -> tuple[list[list[int]], list[str]]:
+        """How an executed job of *circuits* is admitted — on *backend* and
+        *machine*, the session's own by default: ``(groups, chain)``, its
+        stacks (:meth:`stack_groups`, :meth:`stack_limit` rows at most) and
+        the backend chain walked to the first backend whose modelled
+        working set at the widest stack fits ``memory_budget_bytes``
+        (``chain[-1]``, the one the job runs on).  With no budget the chain
+        is the resolved backend alone.  With ``degrade=False``, or when the
+        chain is exhausted, raises :class:`~repro.errors.AdmissionError`.
 
-        With ``memory_budget_bytes`` unset this is a no-op.  Otherwise the
-        job's modelled working set — at the widest stack it fans out into —
-        must fit the budget; when it does not,
-        ``degrade=True`` walks the backend chain to the first admissible
-        backend (each hop counted as a fallback) and ``degrade=False`` —
-        or an exhausted chain — raises
-        :class:`~repro.errors.AdmissionError`.
-        Returns the chain walked; its last entry is the admitted backend.
+        The one admission rule: :meth:`run` walks it, counting each hop as
+        a fallback, and a :class:`~repro.service.SimulationService` prices
+        a job with it at ``submit``.  Read-only; it counts nothing.
         """
+        machine = self._resolve_machine(machine)
+        num_qubits = circuits[0].num_qubits
+        backend = self.resolve_backend(num_qubits, machine, backend)
+        groups = self.stack_groups(circuits, self.stack_limit(backend, machine, num_qubits))
         budget = self.memory_budget_bytes
-        if not execute or budget is None:
-            return [backend_name]
-        candidates = self.backend_chain(backend_name) if self.degrade else (backend_name,)
+        if budget is None:
+            return groups, [backend]
+        width = max(len(group) for group in groups)
+        candidates = self.backend_chain(backend) if self.degrade else (backend,)
         for hops, name in enumerate(candidates):
-            need = self.modelled_device_bytes(name, machine, num_qubits, stack_width)
+            need = self.modelled_device_bytes(name, machine, num_qubits, width)
             if need <= budget:
-                self._session_fallbacks += hops
-                return list(candidates[: hops + 1])
+                return groups, list(candidates[: hops + 1])
         raise AdmissionError(
             f"modelled working set of {need} bytes on backend "
             f"{name!r} exceeds the memory budget of {budget} bytes"
@@ -1012,7 +1006,6 @@ class Session:
         normalize: bool = False,
         checkpoint=None,
         resume_from=None,
-        _stack_budget: "int | None" = None,
     ) -> Job:
         """Run one circuit or a batch and return a :class:`Job`.
 
@@ -1074,11 +1067,6 @@ class Session:
             and restarts after its last completed stage, bit-exact with
             an uninterrupted run (corrupt snapshots are evicted, never
             trusted).  See ``docs/robustness.md`` § Durable execution.
-
-        (``_stack_budget`` is internal: a second memory budget, in bytes,
-        the run's stacks keep to besides ``memory_budget_bytes`` — a
-        :class:`~repro.service.SimulationService`'s admission policy's, so
-        a job runs in the stacks it was admitted as.)
         """
         request = dict(
             shots=shots,
@@ -1095,23 +1083,20 @@ class Session:
             resume_from=resume_from,
         )
         with self._lock:
-            job = self._run_locked(
-                circuits, execute=execute, stack_budget=_stack_budget, **request
-            )
+            job = self._run_locked(circuits, execute=execute, **request)
         if execute:
             return job
         return Job.deferred(
-            lambda: self.run(circuits, execute=True, _stack_budget=_stack_budget, **request),
+            lambda: self.run(circuits, execute=True, **request),
             modelled=job.results(),
             backend=job.backend,
         )
 
-    def _run_locked(self, circuits, stack_budget=None, **request) -> Job:
+    def _run_locked(self, circuits, **request) -> Job:
         """Synchronous core of :meth:`run`, which passes its keywords on
-        (caller holds the session lock): normalise the request, admit it,
-        plan its distinct circuits, group them into stacks under both
-        ``memory_budget_bytes`` and *stack_budget*, execute them as one
-        batch, assemble the results."""
+        (caller holds the session lock): normalise the request, admit it
+        (:meth:`admission`), plan its stacks, execute them as one batch,
+        assemble the results."""
         if self._closed:
             raise SessionClosedError("Session is closed")
         req = self._normalize_request(circuits, **request)
@@ -1122,19 +1107,16 @@ class Session:
             _faults.activate(injector)
         try:
             # Admission: degrade down the backend chain before allocating a
-            # working set the modelled device memory cannot hold.
-            num_qubits = req.circuits[0].num_qubits
-            groups = self.stack_groups(
-                req.circuits,
-                min(
-                    self.stack_limit(req.backend_name, req.machine, num_qubits, budget)
-                    for budget in (self.memory_budget_bytes, stack_budget)
-                ),
-            )
-            chain = self._admit(
-                req.backend_name, req.machine, num_qubits, req.execute,
-                max(len(group) for group in groups),
-            )
+            # working set the modelled device memory cannot hold.  A
+            # modelled run allocates none, so no budget applies to it.
+            if req.execute:
+                groups, chain = self.admission(req.circuits, req.backend_name, req.machine)
+                self._session_fallbacks += len(chain) - 1
+            else:
+                limit = self.stack_limit(
+                    req.backend_name, req.machine, req.circuits[0].num_qubits
+                )
+                groups, chain = self.stack_groups(req.circuits, limit), [req.backend_name]
             items = self._plan_items(req, chain[-1], groups)
             outs, execute_seconds = [(None, None)] * len(items), 0.0
             if req.execute:

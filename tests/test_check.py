@@ -2157,6 +2157,65 @@ class TestLintRepro:
             f.key.rpartition("::")[2] for f in lint.check_one_admit_path([home, session])
         ) == ["BoundPlan:missing", "PlanRecord.__init__:missing"]
 
+    #: The budget read, and the stack limit taking none.
+    BUDGET_SESSION = (
+        "class Session:\n"
+        "    def stack_limit(self, backend_name, machine, num_qubits):\n"
+        "        return self.memory_budget_bytes // num_qubits\n"
+        "    def admission(self, circuits, backend=None, machine=None):\n"
+        "        return self.stack_limit(backend, machine, len(circuits))\n"
+    )
+
+    def test_one_memory_budget(self, lint):
+        """One budget, the session's, and one admission walk: the service
+        passes the budget on and reads none."""
+        session = self.write(lint, "session/session.py", self.BUDGET_SESSION)
+        service = self.write(
+            lint, "service/service.py",
+            "def make(machine, budget):\n"
+            "    'memory_budget_bytes and _stack_budget may be mentioned in prose.'\n"
+            "    return Session(machine, memory_budget_bytes=budget)\n"
+            "def match(session, item):\n"
+            "    return session.stack_limit(item.backend, item.machine, 12)\n",
+        )
+        assert lint.check_one_memory_budget([session, service]) == []
+        # A policy budget and its own walk growing back: a field, its
+        # validation by name, a read, a stack limit handed that budget and
+        # the run that keeps a second one.
+        admission = self.write(
+            lint, "service/admission.py",
+            "class AdmissionPolicy:\n"
+            "    memory_budget_bytes: int = None\n"
+            "    def __post_init__(self):\n"
+            "        getattr(self, 'memory_budget_bytes')\n"
+            "def check(session, policy, circuits):\n"
+            "    budget = policy.memory_budget_bytes\n"
+            "    return session.stack_limit('incore', None, 12, budget)\n"
+            "def dispatch(session, circuits, policy):\n"
+            "    return session.run(circuits, _stack_budget=policy.budget)\n",
+        )
+        session.write_text(self.BUDGET_SESSION.replace(
+            "machine, num_qubits):", "machine, num_qubits, budget=None):"
+        ))
+        findings = lint.check_one_memory_budget([session, service, admission])
+        assert {f.rule for f in findings} == {"one-memory-budget"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "AdmissionPolicy.__post_init__:memory_budget_bytes",
+            "AdmissionPolicy:memory_budget_bytes",
+            "check:memory_budget_bytes", "check:stack_limit",
+            "dispatch:_stack_budget", "stack_limit:budget",
+        ]
+        # Outside src/ (tests, tools) the rule does not look.
+        outside = lint.REPO / "tests" / "test_x.py"
+        outside.parent.mkdir(parents=True)
+        outside.write_text(admission.read_text())
+        assert lint.check_one_memory_budget([outside]) == []
+        # The session losing its stack limit: the rule left behind.
+        session.write_text("class Session:\n    pass\n")
+        assert [
+            f.key.rpartition("::")[2] for f in lint.check_one_memory_budget([session])
+        ] == ["stack_limit:missing"]
+
     def test_repo_tree_is_clean_against_committed_baseline(self):
         result = subprocess.run(
             [sys.executable, str(REPO / "tools" / "lint_repro.py")],

@@ -242,17 +242,16 @@ class TestAdmission:
             svc.close()
 
     def test_memory_budget_uses_modelled_cost(self, machine):
-        with Session(machine) as session:
-            controller = AdmissionController(
-                AdmissionPolicy(memory_budget_bytes=1), session
-            )
+        """The controller prices memory with the session's own admission,
+        under the session's budget."""
+        with Session(machine, memory_budget_bytes=1) as session:
+            controller = AdmissionController(AdmissionPolicy(), session)
             with pytest.raises(AdmissionError):
                 controller.admit(
                     [qft(N)], tenant="t", pending_total=0, pending_tenant=0
                 )
-            generous = AdmissionController(
-                AdmissionPolicy(memory_budget_bytes=1 << 40), session
-            )
+        with Session(machine, memory_budget_bytes=1 << 40) as session:
+            generous = AdmissionController(AdmissionPolicy(), session)
             generous.admit(
                 [qft(N)], tenant="t", pending_total=0, pending_tenant=0
             )
@@ -264,14 +263,61 @@ class TestAdmission:
         # is checked against the stack, not against one state.  Distinct
         # circuits of one structure stack only as far as the budget holds.
         a, b = qft(N), qft(N)
-        with InCoreOnly(machine) as session:
-            one_state = session.modelled_device_bytes("incore", machine, N)
-            controller = AdmissionController(
-                AdmissionPolicy(memory_budget_bytes=one_state), session
-            )
+        one_state = 2 * 16 * (1 << N)
+        with InCoreOnly(machine, memory_budget_bytes=one_state) as session:
+            assert session.modelled_device_bytes("incore", machine, N) == one_state
+            controller = AdmissionController(AdmissionPolicy(), session)
             controller.admit([a, b, a, b], tenant="t", pending_total=0, pending_tenant=0)
             with pytest.raises(AdmissionError):
                 controller.admit([a, a, b], tenant="t", pending_total=0, pending_tenant=0)
+
+    def test_a_job_is_admitted_as_the_session_runs_it(self):
+        """Under a session budget of offload's working set, an ``auto``
+        12-qubit job is admitted at ``submit`` and runs on ``offload``."""
+        machine = MachineConfig.for_circuit(12, num_shards=4)
+        with Session(machine) as session:
+            budget = session.modelled_device_bytes("offload", machine, 12)
+            assert budget < session.modelled_device_bytes("incore", machine, 12)
+        circuit = qft(12)
+        with SimulationService(machine, memory_budget_bytes=budget) as svc:
+            # The price is the session's own walk, and asking counts nothing.
+            assert svc.session.admission([circuit]) == ([[0]], ["incore", "offload"])
+            assert svc.session.stats.fallbacks == 0
+            result = svc.submit(circuit, tenant="t").result(timeout=60)
+            stats = svc.stats()
+        assert result.backend == "offload"
+        assert result.recovery["backend_chain"] == ["incore", "offload"]
+        assert (stats["rejected"], stats["completed"], stats["failed"]) == (0, 1, 0)
+
+    def test_a_job_is_priced_on_its_own_machine(self):
+        """A job's ``machine=`` run keyword is the machine it is priced on:
+        a state over the session machine's budget fits a machine whose
+        shards are smaller."""
+        big = MachineConfig.for_circuit(12, num_shards=1)
+        small = MachineConfig.for_circuit(12, num_shards=4)
+        with Session(big) as session:
+            budget = session.modelled_device_bytes("offload", small, 12)
+            assert budget < session.modelled_device_bytes("offload", big, 12)
+        with Session(big, memory_budget_bytes=budget) as session:
+            controller = AdmissionController(AdmissionPolicy(), session)
+            with pytest.raises(AdmissionError):
+                controller.admit([qft(12)], tenant="t", pending_total=0, pending_tenant=0)
+            controller.admit(
+                [qft(12)], tenant="t", pending_total=0, pending_tenant=0, machine=small
+            )
+
+    def test_an_over_budget_job_is_rejected_at_submit(self, machine):
+        """With ``degrade=False`` a job over the session's budget is
+        refused at ``submit`` with the typed error, never queued to fail."""
+        with SimulationService(machine, memory_budget_bytes=1, degrade=False) as svc:
+            with pytest.raises(AdmissionError) as excinfo:
+                svc.submit(qft(N), tenant="t")
+            stats = svc.stats()
+        error = excinfo.value
+        assert error.site == "service.admit"
+        assert error.context["tenant"] == "t"
+        assert (error.context["num_qubits"], error.context["budget_bytes"]) == (N, 1)
+        assert (stats["rejected"], stats["failed"], stats["submitted"]) == (1, 0, 0)
 
     def test_modelled_time_ceiling(self, machine):
         svc = SimulationService(

@@ -20,7 +20,7 @@ from repro.circuits import Circuit
 from repro.circuits.gates import make_gate
 from repro.circuits.library import ising, qsvm, vqc
 from repro.errors import KernelError
-from repro.service import AdmissionPolicy, SimulationService
+from repro.service import SimulationService
 from repro.service.scheduling import FairShareScheduler
 from repro.sim import native
 from repro.sim.apply import KernelItem, kernel_template
@@ -325,19 +325,17 @@ class TestStackedDispatch:
         assert stats["stacked_rows"] == rows * stats["stacked_dispatches"]
         assert (stats["stacked_dispatches"] > 0) == (rows > 1)
 
-    def test_a_job_runs_stacked_as_its_policy_admitted_it(self):
-        """A policy budget of one state admits a job of three same-structure
-        circuits as three stacks of one: the session, which has no budget of
-        its own, runs it so (no stacked row) and computes each row's bits."""
+    def test_a_job_runs_stacked_as_its_session_admitted_it(self):
+        """A session budget of one state admits a job of three same-structure
+        circuits as three stacks of one, and the session runs it so (no
+        stacked row) and computes each row's bits."""
         rng = np.random.default_rng(13)
         machine = MachineConfig.for_circuit(N, num_shards=4)
         template = FAMILIES["qsvm"]()
         circuits = [_redrawn(template, rng) for _ in range(3)]
         one = 2 * 16 * (1 << N)
-        with SimulationService(
-            machine, policy=AdmissionPolicy(memory_budget_bytes=one)
-        ) as svc:
-            assert svc.session.memory_budget_bytes is None
+        with SimulationService(machine, memory_budget_bytes=one) as svc:
+            assert svc.session.memory_budget_bytes == one
             svc.submit(_redrawn(template, rng)).result(timeout=60)  # a warm entry
             results = svc.submit(circuits).results(timeout=60)
             stats = svc.stats()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty-four rules, each enforcing an invariant the execution layer depends on
+Twenty-five rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -372,6 +372,23 @@ Twenty-four rules, each enforcing an invariant the execution layer depends on
     whenever the linted set contains ``runtime/compile.py`` or
     ``session/session.py``; either losing its site is the rule left
     behind.
+
+``one-memory-budget``
+    A job is admitted under one memory budget by one rule, the session's
+    chain walk (``Session.admission``): under ``src/repro``,
+    ``memory_budget_bytes`` — as an attribute, a name, a parameter or a
+    string (a ``getattr`` or a field list) — appears only in
+    ``session/session.py``.  Passing it on as a keyword
+    (``Session(machine, memory_budget_bytes=...)``) is not a read.
+    ``Session.stack_limit`` takes no budget: its definition has no
+    parameter and no call of it an argument or keyword beyond
+    ``(backend_name, machine, num_qubits)``; and no name, parameter or
+    keyword spelled ``stack_budget`` (``_stack_budget`` included) appears
+    under ``src/repro``.  Each is a second budget, or a second admission
+    walk beside the session's, growing back — the service's policy budget
+    and its own chain walk once admitted a job the session then ran
+    otherwise.  Checked across files; ``session/session.py`` linted without
+    a ``stack_limit`` is the rule left behind.
 
 Usage::
 
@@ -2249,6 +2266,93 @@ def check_layering(files: list[Path]) -> list[Finding]:
                 )
     return findings
 
+MEMORY_BUDGET_NAME = "memory_budget_bytes"
+MEMORY_BUDGET_HOME = "session/session.py"
+STACK_LIMIT = "stack_limit"
+STACK_LIMIT_PARAMS = ("self", "backend_name", "machine", "num_qubits")
+STACK_BUDGET_WORD = "stack_budget"
+
+
+def check_one_memory_budget(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-memory-budget`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    home_linted = limit_defined = False
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-memory-budget", message, symbol))
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        nonlocal limit_defined
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef) and node.name == STACK_LIMIT:
+                limit_defined = True
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                for name in [a.arg for a in params if a is not None]:
+                    if name in STACK_LIMIT_PARAMS:
+                        continue
+                    flag(
+                        rel, node.lineno,
+                        f"`{STACK_LIMIT}` takes `{name}`: the stack limit reads the "
+                        f"session's own budget and takes no other",
+                        f"{node.name}:{name}",
+                    )
+            stack = stack + [node.name]
+        where = _enclosing(stack)
+        named = None
+        if isinstance(node, ast.Attribute):
+            named = node.attr
+        elif isinstance(node, ast.Name):
+            named = node.id
+        elif isinstance(node, ast.arg):
+            named = node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named = node.value
+        if named == MEMORY_BUDGET_NAME and rel_src != MEMORY_BUDGET_HOME:
+            flag(
+                rel, node.lineno,
+                f"`{MEMORY_BUDGET_NAME}` read in {where}: the budget is the "
+                f"session's, and a job is priced by `Session.admission`",
+                f"{where}:{MEMORY_BUDGET_NAME}",
+            )
+        spelled = node.arg if isinstance(node, ast.keyword) else named
+        if spelled is not None and spelled.lstrip("_") == STACK_BUDGET_WORD:
+            flag(
+                rel, node.lineno,
+                f"`{spelled}` in {where}: a second budget for a run's stacks; "
+                f"`Session.stack_limit` reads the session's",
+                f"{where}:{spelled}",
+            )
+        if isinstance(node, ast.Call) and _call_name(node) == STACK_LIMIT and (
+            len(node.args) > len(STACK_LIMIT_PARAMS) - 1 or node.keywords
+        ):
+            flag(
+                rel, node.lineno,
+                f"`{STACK_LIMIT}` called with a budget in {where}: it reads the "
+                f"session's own",
+                f"{where}:{STACK_LIMIT}",
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel_src = _rel_src(path)
+        home_linted |= rel_src == MEMORY_BUDGET_HOME
+        visit(
+            ast.parse(path.read_text(), filename=str(path)), [],
+            path.relative_to(REPO).as_posix(), rel_src,
+        )
+    if home_linted and not limit_defined:
+        flag(
+            f"src/repro/{MEMORY_BUDGET_HOME}", 1,
+            f"no `{STACK_LIMIT}` defined: the rule lost its site",
+            f"{STACK_LIMIT}:missing",
+        )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -2403,6 +2507,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_gate_shape(files))
     findings.extend(check_one_bind_path(files))
     findings.extend(check_one_admit_path(files))
+    findings.extend(check_one_memory_budget(files))
     findings.extend(check_layering(files))
     findings.extend(check_exact_persisted_formats(files))
 
