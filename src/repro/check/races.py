@@ -1,34 +1,35 @@
 """Static race detection for parallel shard schedules.
 
 The offload/parallel runtimes rely on one property for correctness without
-locks: within a barrier interval (one shards-segment of one stage), the
-DRAM write-slice footprints of all workers are pairwise disjoint.  Shards
-are round-robined to workers, each worker stores every shard it processed
-at its (possibly relabelled) output index, and — when a segment relabels —
-the per-segment relabel map must be a bijection so the second DRAM array
-is written exactly once per slice.  PR 6's quarantine/redistribution keeps
-the *assignment* a partition of the shard set; nothing before this module
-ever proved the property.
+locks: within a barrier interval (the one shard pass of a stage), the DRAM
+write-slice footprints of all workers are pairwise disjoint.  Shards are
+round-robined to workers, each worker stores every shard it processed at
+its (possibly relabelled) output index, and — when a pass relabels — the
+pass's relabel map must be a bijection so the second DRAM array is written
+exactly once per slice.  Quarantine and redistribution keep the
+*assignment* a partition of the shard set; this module proves the
+property.
 
-A segment that carries a stage boundary reads or writes DRAM through
+A pass that carries a stage boundary reads or writes DRAM through
 strided views instead of contiguous slices: a gather-in loads the stage's
 shards from the array still in the previous layout, a scatter-out stores
 them into the second array in the next layout
 (:func:`repro.runtime.sharding.shard_views`).
 
 :func:`verify_schedule` proves it statically over the
-:class:`~repro.runtime.offload.Schedule` the executors run — its stages,
-segments, store flags, recorded boundary moves and recorded write maps
+:class:`~repro.runtime.offload.Schedule` the executors run — one pass
+per stage, its store flag, recorded boundary moves and recorded write map
 (the index every shard is stored at, which the executors read off the
 compiled segment: ``Segment.ops.write_map``), read as they are and not
 re-derived, without touching any amplitude data — and checks (1)
 the worker assignment covers every shard exactly once and stays in bounds,
-(2) the relabel map of every segment that stores out of place is a
-bijection, (3) segments flagged in place really have the identity map and
+(2) the relabel map of every pass that stores out of place is a
+bijection, (3) passes flagged in place really have the identity map and
 move no layout (their in-place stores depend on both), (4) every gather-in
 and scatter-out view set partitions the ``2^n`` amplitudes, (5) per-worker
 write footprints are pairwise disjoint, and (6) no shard-resolved gate
-actually mixes amplitudes across shards.
+actually mixes amplitudes across shards (the schedule build refuses such a
+plan; the check holds for a schedule edited after it was built).
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ def _check_assignment(
     assignment: dict[int, list[int]],
     num_shards: int,
     stage_idx: int,
-    segment_idx: int,
 ) -> None:
     seen: dict[int, list[int]] = {}
     for worker, shards in assignment.items():
@@ -94,11 +94,10 @@ def _check_assignment(
                 report.add(
                     "schedule.out-of-range",
                     f"worker {worker} is assigned shard {shard} but the "
-                    f"segment has only {num_shards} shards — an orphan "
+                    f"pass has only {num_shards} shards — an orphan "
                     f"prefetch-write outside the DRAM slices",
                     site="schedule.out-of-range",
                     stage=stage_idx,
-                    segment=segment_idx,
                     worker=worker,
                 )
                 continue
@@ -110,7 +109,6 @@ def _check_assignment(
                     f"slice twice in one barrier interval",
                     site="schedule.duplicate-assignment",
                     stage=stage_idx,
-                    segment=segment_idx,
                     worker=worker,
                 )
             local_seen.add(shard)
@@ -123,7 +121,6 @@ def _check_assignment(
                 f"concurrent loads and stores of one DRAM slice",
                 site="schedule.duplicate-assignment",
                 stage=stage_idx,
-                segment=segment_idx,
                 shard=shard,
             )
     orphans = sorted(set(range(num_shards)) - set(seen))
@@ -134,7 +131,6 @@ def _check_assignment(
             f"would carry stale amplitudes through the barrier",
             site="schedule.orphan-shard",
             stage=stage_idx,
-            segment=segment_idx,
             orphans=orphans,
         )
 
@@ -145,7 +141,6 @@ def _check_write_disjointness(
     write_map: list[int],
     num_shards: int,
     stage_idx: int,
-    segment_idx: int,
 ) -> None:
     writers: dict[int, int] = {}
     for worker, shards in sorted(assignment.items()):
@@ -161,7 +156,6 @@ def _check_write_disjointness(
                     f"{out} in one barrier interval — a data race",
                     site="schedule.overlap",
                     stage=stage_idx,
-                    segment=segment_idx,
                     slice=out,
                 )
             writers[out] = worker
@@ -179,11 +173,10 @@ def verify_schedule(
     Reads *schedule* — the :func:`repro.runtime.offload.build_schedule`
     of *plan* that :func:`repro.runtime.offload.execute_plan_offloaded`
     and :class:`repro.runtime.parallel.ParallelRuntime` run; built here
-    when not given — stage by stage and segment by segment, then proves
-    the write-exclusivity properties listed in the module docstring.
-    *assignments* overrides the default round-robin shard→worker map for
-    every shards-segment (the hook the differential tests use to model a
-    corrupted redistribution).
+    when not given — one pass per stage, then proves the write-exclusivity
+    properties listed in the module docstring.  *assignments* overrides
+    the default round-robin shard→worker map for every pass (the hook the
+    differential tests use to model a corrupted redistribution).
     """
     from ..runtime.offload import build_schedule
     from ..runtime.sharding import nonlocal_axes
@@ -199,79 +192,71 @@ def verify_schedule(
     if schedule is None:
         schedule = build_schedule(plan, local)
 
-    for stage_idx, (l2p, segments) in enumerate(schedule.stages):
-        for segment_idx, segment in enumerate(segments):
-            if segment.kind != "shards":
-                continue  # full-state segments run single-threaded
-            assignment = (
-                assignments if assignments is not None
-                else round_robin_assignment(num_shards, num_workers)
+    assignment = (
+        assignments if assignments is not None
+        else round_robin_assignment(num_shards, num_workers)
+    )
+    for stage_idx, (l2p, segment) in enumerate(schedule.stages):
+        if segment is None:
+            continue  # a stage without gates runs no pass
+        _check_assignment(report, assignment, num_shards, stage_idx)
+        write_map = segment.ops.write_map
+        mixing = {
+            f"{gate}": q
+            for gate in segment.payload
+            for q, _shift, kind in nonlocal_axes(gate, l2p, local)
+            if kind == "mixing"
+        }
+        for gate, q in mixing.items():
+            report.add(
+                "schedule.mixing",
+                f"gate {gate} mixes amplitudes along non-local qubit {q} — "
+                f"it cannot run in a shard pass",
+                site="schedule.mixing",
+                stage=stage_idx,
             )
-            _check_assignment(report, assignment, num_shards, stage_idx, segment_idx)
-            write_map = segment.ops.write_map
-            mixing = {
-                f"{gate}": q
-                for gate in segment.payload
-                for q, _shift, kind in nonlocal_axes(gate, l2p, local)
-                if kind == "mixing"
-            }
-            for gate, q in mixing.items():
-                report.add(
-                    "schedule.mixing",
-                    f"gate {gate} mixes amplitudes along non-local qubit {q} — "
-                    f"it cannot run in a shards-segment",
-                    site="schedule.mixing",
-                    stage=stage_idx,
-                    segment=segment_idx,
-                )
-            moves = {"gather-in": segment.load_from, "scatter-out": segment.store_to}
-            for move, other in moves.items():
-                if other is None:
-                    continue
-                for layout in (l2p, other):
-                    defect = _view_partition_defect(layout, n)
-                    if defect is not None:
-                        report.add(
-                            "schedule.transition-partition",
-                            f"{move} views do not partition the 2^{n} "
-                            f"amplitudes: {defect}",
-                            site="schedule.transition-partition",
-                            stage=stage_idx,
-                            segment=segment_idx,
-                            layout=dict(layout),
-                        )
-                if segment.in_place:
+        moves = {"gather-in": segment.load_from, "scatter-out": segment.store_to}
+        for move, other in moves.items():
+            if other is None:
+                continue
+            for layout in (l2p, other):
+                defect = _view_partition_defect(layout, n)
+                if defect is not None:
                     report.add(
-                        "schedule.transition-in-place",
-                        f"a {move} segment is flagged in place: its stores "
-                        f"would overwrite amplitudes other shards still load",
-                        site="schedule.transition-in-place",
+                        "schedule.transition-partition",
+                        f"{move} views do not partition the 2^{n} "
+                        f"amplitudes: {defect}",
+                        site="schedule.transition-partition",
                         stage=stage_idx,
-                        segment=segment_idx,
+                        layout=dict(layout),
                     )
-            identity = write_map == list(range(num_shards))
-            if segment.in_place and not identity:
+            if segment.in_place:
                 report.add(
-                    "schedule.relabel-flag",
-                    "segment is flagged in place but its write map is not "
-                    "the identity",
-                    site="schedule.relabel-flag",
+                    "schedule.transition-in-place",
+                    f"a {move} pass is flagged in place: its stores "
+                    f"would overwrite amplitudes other shards still load",
+                    site="schedule.transition-in-place",
                     stage=stage_idx,
-                    segment=segment_idx,
                 )
-            if not segment.in_place and sorted(write_map) != list(range(num_shards)):
-                missed = sorted(set(range(num_shards)) - set(write_map))
-                report.add(
-                    "schedule.relabel-bijection",
-                    f"segment relabel map is not a bijection: slices "
-                    f"{missed} are never written while others are written "
-                    f"more than once",
-                    site="schedule.relabel-bijection",
-                    stage=stage_idx,
-                    segment=segment_idx,
-                    write_map=list(write_map),
-                )
-            _check_write_disjointness(
-                report, assignment, write_map, num_shards, stage_idx, segment_idx
+        identity = write_map == list(range(num_shards))
+        if segment.in_place and not identity:
+            report.add(
+                "schedule.relabel-flag",
+                "pass is flagged in place but its write map is not "
+                "the identity",
+                site="schedule.relabel-flag",
+                stage=stage_idx,
             )
+        if not segment.in_place and sorted(write_map) != list(range(num_shards)):
+            missed = sorted(set(range(num_shards)) - set(write_map))
+            report.add(
+                "schedule.relabel-bijection",
+                f"pass relabel map is not a bijection: slices "
+                f"{missed} are never written while others are written "
+                f"more than once",
+                site="schedule.relabel-bijection",
+                stage=stage_idx,
+                write_map=list(write_map),
+            )
+        _check_write_disjointness(report, assignment, write_map, num_shards, stage_idx)
     return report

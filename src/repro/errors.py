@@ -22,7 +22,7 @@ RuntimeError`` around a closed session — keeps working unchanged.
 The module also provides the two recovery primitives shared by every
 runtime: :class:`RetryPolicy` (deterministic bounded exponential backoff)
 and :class:`Deadline` (an absolute wall-clock budget checked cooperatively
-at stage/segment boundaries).
+at stage and shard boundaries).
 
 See ``docs/robustness.md`` for the full taxonomy, the retry/backoff policy
 and the degradation chains.
@@ -226,7 +226,7 @@ class Deadline:
     """An absolute wall-clock budget with cooperative cancellation checks.
 
     Built from a relative budget in seconds (``Deadline(2.5)``); runtimes
-    call :meth:`check` at stage/segment/shard boundaries, which raises
+    call :meth:`check` at stage and shard boundaries, which raises
     :class:`DeadlineExceeded` once the budget is spent.  A ``None`` budget
     never expires (:meth:`check` is then a no-op), so call sites do not
     need to special-case the unbounded path.

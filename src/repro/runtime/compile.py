@@ -71,9 +71,9 @@ of their states in one pass (:meth:`CompiledProgram.run_batched`), row
 declines is listed in ``declined`` and compiles alone.  A solo job is a
 stack of one: there is no other bind.
 
-A shards-segment of the sharded executors' schedule is the same thing over
-``2^L`` shard buffers: :class:`SegmentStructure` holds one slot per kernel
-of the segment, built by the per-kernel builder the plan walk uses
+A stage of the sharded executors' schedule is the same thing over ``2^L``
+shard buffers: :class:`SegmentStructure` holds one slot per kernel of the
+stage, built by the per-kernel builder the plan walk uses
 (:meth:`_Structure.add_kernel`) from the kernel's in-core lowering — a
 kernel with gates on non-local qubits binds its op once per assignment of
 the shard's fixed bits there, its items restricted to the local positions
@@ -81,10 +81,12 @@ and its numbers taken from the in-core ones (:func:`_restrict`) — and each
 shard's op stream and output index.  A schedule's structure
 (:class:`repro.runtime.offload.ScheduleStructure`) is built from the same
 :class:`PlanRecord`, admitted by it and bound through the same
-:func:`bind_structure`, segment by segment, with every pool's numbers
-read out of the plan's one gate table.  A full-state segment is one over
-all ``n`` positions.  There is one way to build an op a schedule runs, and
-a lowering that fails raises its typed error.
+:func:`bind_structure`, stage by stage, with every pool's numbers read
+out of the plan's one gate table.  There is one way to build an op a
+schedule runs, and a lowering that fails raises its typed error.  Every
+executor refuses a plan that breaks the staging invariant: here
+:func:`compile_plan`'s locality check, on a shard the slot of a kernel
+with a gate that mixes amplitudes along a non-local qubit.
 """
 
 from __future__ import annotations
@@ -240,8 +242,8 @@ class _Variant(NamedTuple):
 
 class _KernelSlot:
     """One kernel of a stream, minus the angles: a shared-memory kernel
-    (or the run of its gates a full-state gate leaves, or the lone gate of
-    an un-kernelized stage) — its gates are the slot's *pool* — lowered to
+    (or the lone gate of an un-kernelized stage) — its gates are the
+    slot's *pool* — lowered to
     items in the stage's ``n``-qubit layout — the monomial blocks, dense
     gates and folds of 1q dense gates — and applied as one op
     (:func:`repro.sim.apply.kernel_template`) over ``2^local`` buffers.
@@ -253,7 +255,9 @@ class _KernelSlot:
     ``far[j]`` — its items restricted to the local positions
     (:func:`_restrict`); ``None`` where no item is left.  ``flips[v]`` is
     what the kernel XORs into the index of a shard it runs on (an
-    anti-diagonal axis relabels the shard).
+    anti-diagonal axis relabels the shard).  A gate that mixes amplitudes
+    along a non-local qubit cannot run on a shard, and no executor runs it
+    elsewhere: the slot raises :class:`PlanValidationError`.
 
     Every variant's numbers are described by ``gather``
     (:class:`~repro.sim.fusion.KernelGather`) and computed with every other
@@ -288,8 +292,8 @@ class _KernelSlot:
             for q, _shift, kind in gate_axes:
                 if kind == "mixing":
                     raise PlanValidationError(
-                        f"gate {gate} mixes amplitudes along non-local qubit {q}; "
-                        f"it must be executed on the full state"
+                        f"staging invariant violated: gate {gate} mixes amplitudes "
+                        f"along non-local qubit {q}"
                     )
         templates: dict[tuple, KernelTemplate] = {}
         variants: list[_Variant | None] = []
@@ -664,15 +668,14 @@ class ProgramStructure(_Structure):
 
 
 class SegmentStructure(_Structure):
-    """A shards-segment's per-shard work over ``2^L`` shard buffers: the
-    same slots a plan's kernels get, built by the same builder.
+    """A stage's per-shard work over ``2^L`` shard buffers: the same slots
+    a plan's kernels get, built by the same builder.
 
-    *pieces* is the segment's cut at the shard boundary
-    (:func:`repro.runtime.offload.split_stage_segments`), each ``(gates,
-    their positions in table)``: a kernel group, lowered in the stage's
-    ``n``-qubit layout *l2p* as the in-core program lowers it — one slot,
-    one op per shard; a kernel with qubits at non-local positions binds
-    one op per variant of the shard's bits there
+    *groups* are the stage's kernels as :class:`PlanRecord` reads them,
+    each ``(gates, kernel type, their positions in table)``, lowered in the
+    stage's ``n``-qubit layout *l2p* as the in-core program lowers them —
+    one slot, one op per shard; a kernel with qubits at non-local
+    positions binds one op per variant of the shard's bits there
     (:class:`_KernelSlot`).  ``shards`` is resolved here, once: per shard
     index, which slot — and which variant — of a bind runs on the shard,
     in order, and the index the shard is stored at; a slot runs the
@@ -682,14 +685,14 @@ class SegmentStructure(_Structure):
     """
 
     def __init__(
-        self, pieces: list[tuple[tuple[Gate, ...], tuple[int, ...]]],
+        self, groups: list[tuple[tuple[Gate, ...], object, tuple[int, ...]]],
         l2p: dict[int, int], local: int, table: GateTable,
     ) -> None:
         super().__init__(local)
         table.patterns()  # every gate's signature, for its lowering shape
-        for gates, _positions in pieces:
+        for gates, _kernel_type, _positions in groups:
             self.add_kernel(gates, l2p)
-        self.seal([p for _gates, positions in pieces for p in positions], table)
+        self.seal([p for _gates, _kernel_type, positions in groups for p in positions], table)
         self.shards: list[tuple[list[tuple[int, int | None]], int]] = []
         for shard_index in range(1 << (len(l2p) - local)):
             index, picks = shard_index, []

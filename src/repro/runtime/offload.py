@@ -23,15 +23,17 @@ classification is **per qubit axis**
   flips) exchanges amplitudes between shard pairs.  The executor realises
   this as a shard-index relabel: the shard is processed once and stored at
   its new index, so the one-load-per-stage-per-shard property still holds,
-* only a qubit the gate genuinely *mixes* (e.g. an H the staging invariant
-  would never place non-locally) forces the gate onto the full-state path,
-  splitting the stage into extra shard passes.
+* a qubit the gate genuinely *mixes* (e.g. an H) would move amplitudes
+  between shards, so the staging invariant keeps it local: every executor
+  refuses a plan that breaks the staging invariant, and here the schedule
+  build raises :class:`~repro.errors.PlanValidationError` before any shard
+  moves, as :func:`repro.runtime.compile.compile_plan` does in core.
 
-All of it is resolved when a segment is compiled, inside the kernel the
-gate belongs to: a shard runs the kernel the in-core program runs, its
-items taken at the shard's fixed bits (one op per kernel per shard), each
-shard index has a recorded op stream and output index, and a shard pass
-only replays them.
+All of it is resolved when a stage's segment is compiled, inside the
+kernel the gate belongs to: a shard runs the kernel the in-core program
+runs, its items taken at the shard's fixed bits (one op per kernel per
+shard), each shard index has a recorded op stream and output index, and a
+shard pass only replays them.  A stage is one shard pass.
 
 The executor counts shard loads/stores so tests can verify the
 one-load-per-stage-per-shard property that the paper's speedup over QDAO
@@ -46,14 +48,14 @@ stage-level sweep of the state runs at all.
 
 **Who owns what.**  This module owns the stage loop: :func:`build_schedule`
 lowers a plan to a :class:`Schedule` — the sharded executors' *program*:
-per-stage segments whose shard-local work is compiled through the plan
+per stage one segment whose shard-local work is compiled through the plan
 compiler's slots (:class:`repro.runtime.compile.SegmentStructure`) once
 per plan structure (:class:`ScheduleStructure`, with each layout boundary
 decided there) and bound per job from the plan's one gate table — and
 :func:`run_stages` is the one driver that walks it (state init, resume,
 the permutes no pass carries, guards, checkpoints) for every sharded
 executor.  An executor owns only its *shard
-pass* — how the shards of one segment are loaded, computed and stored:
+pass* — how the shards of one stage are loaded, computed and stored:
 sequentially with per-shard retry in :func:`execute_plan_offloaded` here,
 across a supervised worker pool in :mod:`repro.runtime.parallel`.  Neither
 keeps a schedule: both take one (``schedule=``) from a caller that does —
@@ -96,7 +98,6 @@ from .integrity import IntegrityMonitor
 from .sharding import (
     QubitLayout,
     in_pass_moves,
-    nonlocal_axes,
     permute_state,
     shard_slices,
     shard_views,
@@ -180,55 +181,12 @@ class OffloadStats:
 
 
 # ---------------------------------------------------------------------------
-# Stage segmentation and the segment bind
+# The segment bind
 # ---------------------------------------------------------------------------
 
 
-def split_stage_segments(
-    groups: list[tuple[tuple[Gate, ...], object, tuple[int, ...]]],
-    logical_to_physical: dict[int, int],
-    local_qubits: int,
-) -> list[tuple[str, list]]:
-    """Cut a stage's kernel groups — ``(gates, kernel type, table
-    positions)``, as :class:`~repro.runtime.compile.PlanRecord` reads them
-    off the plan — at the shard boundary, from each gate's non-local axes
-    (:func:`~repro.runtime.sharding.nonlocal_axes`, per qubit: a gate that
-    is diagonal along one non-local qubit but not globally diagonal stays
-    on the shard path).
-
-    Returns ``("shards", pieces)`` segments — pieces every shard processes
-    independently, each ``(gates, positions)``: a kernel group, whole,
-    non-local gates and all (its slot resolves them per shard, as the
-    kernel's own items) — separated by ``("full", [((gate,),
-    (position,))])`` segments for gates that genuinely *mix* amplitudes
-    along a non-local qubit (hand-built plans only; staged plans never
-    produce them), run over all ``n`` positions.  A kernel holding such a
-    gate is split around it, order preserved.
-    """
-    segments: list[tuple[str, list]] = []
-    pieces: list[tuple[tuple[Gate, ...], tuple[int, ...]]] = []
-    for gates, _ktype, positions in groups:
-        start = 0
-        for j, gate in enumerate(gates):
-            axes = nonlocal_axes(gate, logical_to_physical, local_qubits)
-            if not any(kind == "mixing" for _q, _shift, kind in axes):
-                continue
-            if start < j:
-                pieces.append((gates[start:j], positions[start:j]))
-            if pieces:
-                segments.append(("shards", pieces))
-                pieces = []
-            segments.append(("full", [(gates[j : j + 1], positions[j : j + 1])]))
-            start = j + 1
-        if start < len(gates):
-            pieces.append((gates[start:], positions[start:]))
-    if pieces:
-        segments.append(("shards", pieces))
-    return segments
-
-
 class SegmentOps(list):
-    """A shards-segment's bound stream — one entry per kernel slot: its op,
+    """A segment's bound stream — one entry per kernel slot: its op,
     or, for a kernel with qubits at non-local positions, its variant ops
     (``None`` where a variant is no op) — the next job's rebind takes ops
     from, with ``shards``: per shard index the ops that run on that shard
@@ -248,10 +206,10 @@ def compile_segment_ops(
     table: GateTable,
     reuse: SegmentOps | None = None,
 ) -> SegmentOps:
-    """Bind one segment of a schedule's structure to a job's *gates* — the
-    segment's, in order — whose numbers *table* holds.
+    """Bind one stage's segment of a schedule's structure to a job's
+    *gates* — the stage's, in order — whose numbers *table* holds.
 
-    *structure* is the segment compiled like a plan over ``2^L`` buffers,
+    *structure* is the stage compiled like a plan over ``2^L`` buffers,
     once per plan structure (:class:`ScheduleStructure`): every kernel
     lowered as the in-core program lowers it, to
     :class:`~repro.sim.program.CompiledOp` templates through the slots of
@@ -282,7 +240,7 @@ def run_segment_ops(
     shard_index: int,
     workspace=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Apply a compiled shards-segment (:func:`compile_segment_ops`) to one
+    """Apply a compiled segment (:func:`compile_segment_ops`) to one
     loaded shard: the op stream recorded for *shard_index*, as a compiled
     program runs its ops (the layout arguments are the recorded stream's,
     resolved when it was compiled).
@@ -308,22 +266,19 @@ def run_segment_ops(
 
 
 class Segment(NamedTuple):
-    """One segment of a stage: ``("full", gate, ops, True)`` with *ops* the
-    gate's op over the whole state, or ``("shards", gates, ops, in_place,
-    load_from, store_to)`` with *gates* the segment's, in order, and *ops*
-    their compiled per-shard stream.
+    """A stage's one shard pass: *payload* the stage's gates, in order, and
+    *ops* their compiled per-shard stream.
 
-    A shards-segment may carry a stage boundary (:class:`ScheduleStructure`):
+    It may carry a stage boundary (:class:`ScheduleStructure`):
     *load_from* — its loads gather the stage's shards through views of the
-    array still in that earlier layout — or *store_to* — its stores scatter
-    into the second array in that next layout.  *in_place* says its
-    stores update the slices it loaded; it is false when the segment
+    array still in that earlier layout — and *store_to* — its stores
+    scatter into the second array in that next layout.  *in_place* says
+    its stores update the slices it loaded; it is false when the pass
     relabels shards (its recorded ``ops.write_map`` is not the identity)
     or carries a boundary, and its stores then fill the second DRAM
     array."""
 
-    kind: str
-    payload: object
+    payload: list[Gate]
     ops: SegmentOps
     in_place: bool
     load_from: dict[int, int] | None = None
@@ -331,11 +286,10 @@ class Segment(NamedTuple):
 
 
 class _Cut(NamedTuple):
-    """A segment of a :class:`ScheduleStructure`: its kind, its compiled
+    """A stage's pass in a :class:`ScheduleStructure`: its compiled
     :class:`SegmentStructure`, the range ``[start, stop)`` of the plan's
     group gates it runs, and the :class:`Segment` flags a bind copies."""
 
-    kind: str
     structure: SegmentStructure
     start: int
     stop: int
@@ -352,59 +306,51 @@ class ScheduleStructure:
 
     ``record`` is the plan's :class:`~repro.runtime.compile.PlanRecord`,
     the one the plan compiler builds, and ``stages`` per stage the layout
-    and the segment cut (:func:`split_stage_segments`): per segment a
-    :class:`_Cut` — positions into the plan's gate table through
-    ``record``, the segment's compiled structure, store flag and layout
-    moves.  Each layout boundary — into stage 0, between stages, and back
-    to logical order — is decided here by :func:`in_pass_moves`: a
-    gather-in on the next stage's first segment or a scatter-out on the
-    previous stage's last one, when that segment is a shards-segment; a
+    and a :class:`_Cut` — the stage's kernel groups as one compiled
+    structure, positions into the plan's gate table through ``record``,
+    store flag and layout moves — or ``None`` for a stage without gates.
+    Each layout boundary — into stage 0, between stages, and back to
+    logical order — is decided here by :func:`in_pass_moves`: a gather-in
+    on the next stage's pass or a scatter-out on the previous stage's; a
     boundary neither carries is left to the driver's full-state permute.
-    ``far`` holds the table positions of every gate with a non-local qubit
-    (in a shards-segment's kernel or a full-state segment), and
-    ``key_guard`` their ``> 1e-12`` key patterns, which the cut, the axis
-    tables and every kernel's variants follow.
+    ``far`` holds the table positions of every gate with a non-local
+    qubit, and ``key_guard`` their ``> 1e-12`` key patterns, which the
+    axis tables and every kernel's variants follow.
     """
 
     def __init__(self, plan: ExecutionPlan, row: Row) -> None:
         n, local_qubits = plan.num_qubits, row.local
         table = row.table
         self.record = PlanRecord(plan, row)
-        self.stages: list[tuple[dict[int, int], list[_Cut]]] = []
+        self.stages: list[tuple[dict[int, int], _Cut | None]] = []
         far: list[int] = []
         at = 0
         for l2p, _local, groups in self.record.groups:
-            cuts = []
-            for kind, pieces in split_stage_segments(groups, l2p, local_qubits):
-                structure = SegmentStructure(
-                    pieces, l2p, n if kind == "full" else local_qubits, table
-                )
+            cut = None
+            if groups:
+                structure = SegmentStructure(groups, l2p, local_qubits, table)
                 outs = [out for _picks, out in structure.shards]
-                cuts.append(_Cut(
-                    kind, structure, at, at + structure.starts[-1],
-                    outs == list(range(len(outs))),
-                ))
-                at = cuts[-1].stop
+                cut = _Cut(structure, at, at + structure.starts[-1], outs == list(range(len(outs))))
+                at = cut.stop
                 far.extend(
-                    position for gates, positions in pieces
+                    position for gates, _kernel_type, positions in groups
                     for gate, position in zip(gates, positions)
-                    if kind == "full"
-                    or any(l2p[q] >= local_qubits for q in gate.qubits)
+                    if any(l2p[q] >= local_qubits for q in gate.qubits)
                 )
-            self.stages.append((l2p, cuts))
+            self.stages.append((l2p, cut))
         identity = {q: q for q in range(n)}
-        layouts = [identity] + [l2p for l2p, _cuts in self.stages] + [identity]
+        layouts = [identity] + [l2p for l2p, _cut in self.stages] + [identity]
         for k, (old, new) in enumerate(zip(layouts, layouts[1:])):
             if old == new:
                 continue
-            after = self.stages[k][1] if k < len(self.stages) else []
-            before = self.stages[k - 1][1] if k else []
+            after = self.stages[k][1] if k < len(self.stages) else None
+            before = self.stages[k - 1][1] if k else None
             for move in in_pass_moves(old, new, local_qubits):
-                if move == "gather" and after and after[0].kind == "shards":
-                    after[0] = after[0]._replace(in_place=False, load_from=old)
+                if move == "gather" and after is not None:
+                    self.stages[k] = (new, after._replace(in_place=False, load_from=old))
                     break
-                if move == "scatter" and before and before[-1].kind == "shards":
-                    before[-1] = before[-1]._replace(in_place=False, store_to=new)
+                if move == "scatter" and before is not None:
+                    self.stages[k - 1] = (old, before._replace(in_place=False, store_to=new))
                     break
         self.far = np.asarray(far, dtype=np.intp)
         self.key_guard = table.key_blob(self.far)
@@ -421,27 +367,22 @@ class ScheduleStructure:
 
     def bind(
         self, rows: list[list[Gate]], reuse_stages, tables: list[GateTable]
-    ) -> list[tuple[dict[int, int], list[Segment]]]:
+    ) -> list[tuple[dict[int, int], Segment | None]]:
         """The schedule stages of a job's gates — *rows* holds the one job a
-        schedule binds, *tables* its gate table: every segment bound
-        through :func:`compile_segment_ops`, with the segment of
+        schedule binds, *tables* its gate table: every stage's segment
+        bound through :func:`compile_segment_ops`, with the segment of
         *reuse_stages* — stages bound from this structure, if any — as its
         ``reuse``."""
         ((gates,), (table,)) = rows, tables
-        stages = []
-        for index, (l2p, cuts) in enumerate(self.stages):
-            held = reuse_stages[index][1] if reuse_stages is not None else [None] * len(cuts)
-            segments = []
-            for cut, old in zip(cuts, held):
-                run = gates[cut.start : cut.stop]
-                ops = compile_segment_ops(
-                    cut.structure, run, table, None if old is None else old.ops
-                )
-                segments.append(Segment(
-                    cut.kind, run[0] if cut.kind == "full" else run, ops,
-                    cut.in_place, cut.load_from, cut.store_to,
-                ))
-            stages.append((l2p, segments))
+        stages: list[tuple[dict[int, int], Segment | None]] = []
+        for index, (l2p, cut) in enumerate(self.stages):
+            if cut is None:
+                stages.append((l2p, None))
+                continue
+            old = reuse_stages[index][1] if reuse_stages is not None else None
+            run = gates[cut.start : cut.stop]
+            ops = compile_segment_ops(cut.structure, run, table, None if old is None else old.ops)
+            stages.append((l2p, Segment(run, ops, cut.in_place, cut.load_from, cut.store_to)))
         return stages
 
 
@@ -451,8 +392,9 @@ class Schedule:
     :class:`~repro.sim.program.CompiledProgram` is what the in-core one
     does."""
 
-    #: Per stage ``(logical_to_physical, segments)``.
-    stages: list[tuple[dict[int, int], list[Segment]]]
+    #: Per stage ``(logical_to_physical, its one shard pass)``; ``None``
+    #: for a stage without gates, which runs no pass.
+    stages: list[tuple[dict[int, int], Segment | None]]
     #: What it was bound from, built once per plan structure; the next
     #: job's rebind admits its plan against it and binds it again.
     structure: ScheduleStructure
@@ -466,18 +408,19 @@ def build_schedule(
     plan: ExecutionPlan, local_qubits: int, reuse: Schedule | None = None
 ) -> Schedule:
     """Lower *plan* to a :class:`Schedule`: the layout walk, each stage's
-    segment cut, every segment's work compiled **once**
-    (:class:`ScheduleStructure`; a full-state segment's gate over all
-    ``n`` positions), and every segment bound through
-    :func:`compile_segment_ops`, so every shard of every execution replays
-    the compiled stream instead of re-deriving the lowering and the kernels'
-    tile programs.  A lowering that fails raises its typed error.
+    work compiled **once** (:class:`ScheduleStructure`), and every stage's
+    segment bound through :func:`compile_segment_ops`, so every shard of
+    every execution replays the compiled stream instead of re-deriving the
+    lowering and the kernels' tile programs.  A lowering that fails raises
+    its typed error, and a gate that mixes amplitudes along a non-local
+    qubit — a plan that breaks the staging invariant — raises
+    :class:`~repro.errors.PlanValidationError`, before any shard moves.
 
     *reuse* is an earlier schedule of the same structure (the Session plan
     cache's, for a parameter sweep).  It is admitted as
     ``compile_plan(reuse=)`` admits a program — the whole plan or nothing
     (:meth:`ScheduleStructure.admit`) — and its structure is bound to this
-    plan's gates, segment by segment; a plan that is not admitted, or whose
+    plan's gates, stage by stage; a plan that is not admitted, or whose
     products leave their templates' class, is built cold in full.  Either
     way the result equals a cold build bit for bit and never carries
     another circuit's angles.
@@ -507,39 +450,39 @@ def run_stages(
     """The stage loop of every sharded executor (the paper's EXECUTE).
 
     Owns everything but how one shard pass is scheduled: state init,
-    resume, layout transitions, full-state segments, relabel swaps and the
-    final un-permute, over a *schedule* from :func:`build_schedule`.  An
-    executor supplies ``shard_pass(shards, out_shards, ops,
-    logical_to_physical, deadline)``, which must process every shard of
-    ``shards`` exactly once and store shard ``i`` at ``out_shards[j]`` for
-    the index ``j`` its kernels return, and the DRAM-side *state_scratch*
-    (permutations, cross-shard gates and every store that is not in place
-    ping-pong between it and the one state array allocated here).  A shard
+    resume, layout transitions, relabel swaps and the final un-permute,
+    over a *schedule* from :func:`build_schedule` — one shard pass per
+    stage, none for a stage without gates.  An executor supplies
+    ``shard_pass(shards, out_shards, ops, logical_to_physical, deadline)``,
+    which must process every shard of ``shards`` exactly once and store
+    shard ``i`` at ``out_shards[j]`` for the index ``j`` its kernels
+    return, and the DRAM-side *state_scratch* (permutations and every
+    store that is not in place ping-pong between it and the one state
+    array allocated here).  A shard
     or out-shard may be a strided ``(2,)*L`` view (:func:`shard_views`):
     the pass copies through ``reshape(view.shape)``.  Returns ``(state,
     spare)``: the final amplitudes in logical order and the other array,
     which the executor may keep as its next scratch.
 
     A layout boundary is a shard load or a shard store wherever the
-    schedule recorded one: the stage's first pass gathers from the array
-    still in the layout it expects (``load_from``), a stage's last pass
-    scatters into the next layout (``store_to``).  The full-state
+    schedule recorded one: the stage's pass gathers from the array still
+    in the layout it expects (``load_from``), or scatters into the next
+    layout (``store_to``).  The full-state
     :func:`permute_state` runs only where neither was recorded, or where
     the array is not in the recorded source layout (a resume from another
     boundary's snapshot).  A run from |0…0⟩ that resumes nothing and has
     no monitor moves no data into stage 0's layout (a qubit permutation
-    fixes |0…0⟩), and when stage 0 opens with a shards-segment that pass
-    loads generated shards (:func:`zero_state_shards`) instead of a
+    fixes |0…0⟩), and when stage 0 has gates its pass loads generated
+    shards (:func:`zero_state_shards`) instead of a
     zero-filled state.  ``stats.layout_permutes`` / ``layout_in_pass``
     count the two paths.
 
     The guards run inline, in this order, for every stage:
 
-    1. ``deadline.check("stage")`` (then ``"segment"`` before each segment;
-       the shard pass checks ``"shard"``);
+    1. ``deadline.check("stage")`` (the shard pass checks ``"shard"``);
     2. ``monitor.stage_begin`` — the state is bit-identical to what the
        previous ``stage_complete`` saw;
-    3. the permute, if the boundary needs one, then the stage's segments;
+    3. the permute, if the boundary needs one, then the stage's pass;
     4. ``monitor.stage_complete`` — norm conservation, boundary digest;
     5. the checkpoint write — advisory: a failed snapshot is counted
        (``checkpoint_errors``) and costs resumability, never the run; the
@@ -603,12 +546,12 @@ def run_stages(
             stats.stages_skipped = start_stage
 
     # A qubit permutation fixes |0…0⟩: a fresh run from it moves no data
-    # into stage 0's layout, and a first shards-segment loads generated
-    # shards instead of a zero-filled state.
+    # into stage 0's layout, and stage 0's pass loads generated shards
+    # instead of a zero-filled state.
     generated = False
     if initial_state is None and start_stage == 0 and mon is None and schedule.stages:
-        first_layout, first_segments = schedule.stages[0]
-        generated = bool(first_segments) and first_segments[0].kind == "shards"
+        first_layout, first_segment = schedule.stages[0]
+        generated = first_segment is not None
         if first_layout != layout.logical_to_physical():
             layout.update(first_layout)
             stats.layout_in_pass += 1
@@ -619,14 +562,14 @@ def run_stages(
         state[0] = 1.0
 
     for stage_index in range(start_stage, len(schedule.stages)):
-        logical_to_physical, segments = schedule.stages[stage_index]
+        logical_to_physical, segment = schedule.stages[stage_index]
         deadline.check("stage")
         if mon is not None:
             mon.stage_begin(state, stage_index)
         source = layout.logical_to_physical()
         gather = (
             source != logical_to_physical
-            and bool(segments) and segments[0].load_from == source
+            and segment is not None and segment.load_from == source
         )
         if gather:
             layout.update(logical_to_physical)
@@ -635,12 +578,7 @@ def run_stages(
             relayout(logical_to_physical)
 
         stage_loads = 0
-        for kind, _payload, segment_ops, in_place, _load_from, store_to in segments:
-            deadline.check("segment")
-            if kind == "full":
-                (op,) = segment_ops
-                state, state_scratch = op.run(state, state_scratch, thread_workspace())
-                continue
+        if segment is not None:
             if generated:
                 shards = zero_state_shards(state, local)
             elif gather:
@@ -652,19 +590,19 @@ def run_stages(
             # array (every amplitude written exactly once: the relabel map
             # is a bijection and the views partition the state), which
             # leaves its sources intact until the arrays swap after it.
-            out = state if in_place else state_scratch
+            out = state if segment.in_place else state_scratch
             out_shards = (
-                shard_slices(out, local) if store_to is None
-                else shard_views(out, store_to, logical_to_physical, local)
+                shard_slices(out, local) if segment.store_to is None
+                else shard_views(out, segment.store_to, logical_to_physical, local)
             )
-            shard_pass(shards, out_shards, segment_ops, logical_to_physical, deadline)
-            stage_loads += len(shards)
-            if not in_place:
+            shard_pass(shards, out_shards, segment.ops, logical_to_physical, deadline)
+            stage_loads = len(shards)
+            if not segment.in_place:
                 state, state_scratch = state_scratch, state
-            if store_to is not None:
-                layout.update(store_to)
+            if segment.store_to is not None:
+                layout.update(segment.store_to)
                 stats.layout_in_pass += 1
-            generated = gather = False
+            generated = False
         stats.per_stage_loads.append(stage_loads)
         stats.num_stages += 1
         if mon is not None:
@@ -725,8 +663,10 @@ def execute_plan_offloaded(
     retried from the DRAM copy under *retry* (bounded exponential backoff;
     bit-exact, since a shard's DRAM slice is only written once its
     computation finished); anything else raises its typed error; and
-    *deadline* is checked cooperatively at stage/segment/shard boundaries
-    (:class:`repro.errors.DeadlineExceeded`).
+    *deadline* is checked cooperatively at stage and shard boundaries
+    (:class:`repro.errors.DeadlineExceeded`).  A plan that breaks the
+    staging invariant raises :class:`~repro.errors.PlanValidationError`
+    when its schedule is built, before any shard moves.
 
     Durability: *checkpoint* (a :class:`CheckpointConfig` or directory
     path) snapshots the DRAM state at stage boundaries; *resume_from* (a

@@ -25,12 +25,13 @@ time on one thread.  This module maps the same shard passes onto a pool of
   paper's offload pipeline.  The alternation guarantees a prefetch never
   writes a buffer the compute still reads.
 * **Barriers only where the model requires them** — workers join at the
-  end of each shards-segment.  A stage boundary is the workers' own loads
-  (gathered from the old layout) or stores (scattered into the new one)
-  wherever the schedule recorded it; full-state gates (cross-shard mixing,
-  only reachable from hand-built plans) and the layout permutes no pass
+  end of each stage's one shard pass.  A stage boundary is the workers'
+  own loads (gathered from the old layout) or stores (scattered into the
+  new one) wherever the schedule recorded it; the layout permutes no pass
   carries run on the scheduling thread between barriers, exactly like the
-  sequential executor.
+  sequential executor.  A plan that breaks the staging invariant (a gate
+  mixing amplitudes along a non-local qubit) is refused when its schedule
+  is built, as every executor refuses it.
 
 The NumPy/BLAS kernels of :mod:`repro.sim.apply` release the GIL for the
 bulk of their work and keep their temporaries in thread-local scratch
@@ -140,11 +141,11 @@ class ParallelRuntime:
     is retried from its DRAM copy with bounded exponential backoff; a
     worker that exhausts the budget is *quarantined* for the rest of the
     run and its unfinished shards are redistributed across the surviving
-    workers (bit-exact — shards are independent within a segment).
+    workers (bit-exact — shards are independent within a stage).
     Permanent failures — in workers *or* the loader/prefetch thread —
     propagate promptly on the calling thread after every in-flight worker
     has drained (no hung barriers, no buffer left shared), and cooperative
-    ``deadline`` checks run at stage/segment/shard boundaries.
+    ``deadline`` checks run at stage and shard boundaries.
     """
 
     def __init__(
@@ -231,7 +232,7 @@ class ParallelRuntime:
         """The calling worker thread's two ping-pong buffer pairs.
 
         Allocated once per (worker thread, shard size) and reused for
-        every segment, stage, and execution — the worker's "device
+        every stage and execution — the worker's "device
         memory".  Two pairs, not one, so the prefetch of shard ``i+1``
         never touches the pair shard ``i`` is computing in.
         """
@@ -270,11 +271,11 @@ class ParallelRuntime:
         stats: WorkerStats,
         deadline: Deadline,
     ) -> None:
-        """Process this worker's shard indices for one shards-segment.
+        """Process this worker's shard indices for one stage's shard pass.
 
         Loads pipeline through the loader pool: while shard ``i`` computes
         in one buffer pair, shard ``i+1`` streams into the other.  The
-        segment arrives pre-compiled (``segment_ops``); temporaries come
+        stage's segment arrives pre-compiled (``segment_ops``); temporaries come
         from this worker thread's private workspace.
 
         Transient failures — whether raised here or inside a prefetch on
@@ -382,8 +383,8 @@ class ParallelRuntime:
 
         Bit-exact with :func:`repro.runtime.offload.execute_plan_offloaded`
         for any worker count: every shard sees the identical kernel
-        sequence on private buffers, and segment barriers impose the same
-        cross-segment ordering.  That equivalence survives recovery:
+        sequence on private buffers, and stage barriers impose the same
+        cross-stage ordering.  That equivalence survives recovery:
         retried shards recompute from their unmodified DRAM slice and
         redistributed shards run the identical kernel sequence on another
         worker's private buffers.
@@ -394,7 +395,7 @@ class ParallelRuntime:
         rebinds it per job); without one it is built cold here.
 
         ``deadline`` (optional, seconds or a :class:`~repro.errors.Deadline`)
-        is checked cooperatively at stage/segment/shard boundaries; an
+        is checked cooperatively at stage and shard boundaries; an
         expired deadline raises :class:`~repro.errors.DeadlineExceeded`
         with every worker drained and the runtime reusable.
 
@@ -467,14 +468,14 @@ class ParallelRuntime:
         logical_to_physical: dict[int, int],
         deadline: Deadline,
     ) -> None:
-        """Dispatch one shards-segment across the non-quarantined workers
+        """Dispatch one stage's shard pass across the non-quarantined workers
         (this runtime's shard pass under :func:`~repro.runtime.offload.run_stages`).
 
         The barrier is failure-safe: **every** submitted future is awaited
         before any exception propagates, so no worker is still touching a
         shard buffer when the caller sees the error.  Workers that exhaust
         their transient-retry budget are quarantined and their unfinished
-        shards redistributed round-robin across the survivors; the segment
+        shards redistributed round-robin across the survivors; the pass
         only completes once every shard index has been stored exactly once.
         When the last worker is quarantined the underlying transient error
         escalates to the caller.
@@ -483,8 +484,8 @@ class ParallelRuntime:
         local = self.machine.local_qubits
         active = [w for w in range(width) if w not in quarantined]
         if not active:
-            # Every worker was quarantined by an earlier segment; execute()
-            # can only get here if that segment still completed, which
+            # Every worker was quarantined by an earlier pass; execute()
+            # can only get here if that pass still completed, which
             # cannot happen — quarantining the last worker escalates below.
             raise PermanentError(
                 "no workers left to schedule"

@@ -416,9 +416,7 @@ class BoundPlan(ExecutionPlan):
 SKELETON_VERSION = 1
 
 
-def plan_skeleton(
-    plan: ExecutionPlan, program=None, mapping: Mapping[int, int] | None = None
-) -> dict:
+def plan_skeleton(plan: ExecutionPlan, mapping: Mapping[int, int] | None = None) -> dict:
     """Serialize *plan*'s structure into a JSON-able skeleton dict.
 
     The skeleton carries exactly what a rebind needs — per-stage gate
@@ -432,11 +430,8 @@ def plan_skeleton(
     label-free): a plan published in its circuit's canonical labels binds
     to any relabelled twin.  The plan's provenance is kept whole, every
     value that survives a JSON round trip, so a plan bound from the
-    skeleton says where it came from as the built one does.
-    ``program`` (the plan's :class:`~repro.sim.program.CompiledProgram`, if
-    one was compiled) contributes metadata only — op count and workspace
-    shape — used for telemetry and warm-start validation, never replayed
-    from disk.
+    skeleton says where it came from as the built one does.  Nothing
+    compiled is stored: a program is rebuilt from the bound plan.
     """
     relabel = (lambda q: q) if mapping is None else mapping.__getitem__
     stages = [
@@ -457,12 +452,6 @@ def plan_skeleton(
         }
         for gate_indices, partition, kernels in plan.skeleton()
     ]
-    program_meta = None
-    if program is not None:
-        program_meta = {
-            "num_ops": len(getattr(program, "ops", ()) or ()),
-            "num_qubits": getattr(program, "num_qubits", plan.num_qubits),
-        }
     skeleton = {
         "version": SKELETON_VERSION,
         "num_qubits": plan.num_qubits,
@@ -473,7 +462,6 @@ def plan_skeleton(
             for key, value in plan.provenance.items()
             if _survives_json(value)
         },
-        "program_meta": program_meta,
     }
     skeleton["fingerprint"] = skeleton_fingerprint(skeleton)
     return skeleton

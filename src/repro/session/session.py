@@ -498,11 +498,13 @@ class Session:
         over a stack (:meth:`stack_groups`) as a single pass; the shard
         runtimes hold two buffer pairs of ``2^L`` amplitudes per worker
         (the double-buffered prefetch), with the state itself residing in
-        DRAM.
+        DRAM.  A backend shards when it runs a shard schedule (its
+        ``program_kind``).
         """
         full = 2 * 16 * (1 << num_qubits)
-        if backend_name not in self._SHARDED_BACKENDS:
-            if stack_width > 1 and self.backend_instance(backend_name).uses_programs:
+        backend = self.backend_instance(backend_name)
+        if backend.program_kind != "schedule":
+            if stack_width > 1 and backend.uses_programs:
                 full *= stack_width
             return full
         if num_qubits <= machine.local_qubits:
@@ -727,7 +729,7 @@ class Session:
                 shared_key, mapping = publish
                 self.shared_cache.put(
                     shared_key,
-                    plan_skeleton(plans[0], bound[0] if kind == "program" else None, mapping),
+                    plan_skeleton(plans[0], mapping),
                 )
             if self.check != "off":
                 checked: set[int] = set()
@@ -904,11 +906,6 @@ class Session:
             self._session_fallbacks += 1
             return None
 
-    #: Backends the admission model charges shard buffers rather than the
-    #: full state (everything else about sharded execution follows the
-    #: backend object's ``program_kind``).
-    _SHARDED_BACKENDS = ("offload", "parallel")
-
     def _static_check(
         self,
         plan: ExecutionPlan,
@@ -1047,7 +1044,7 @@ class Session:
         deadline:
             Wall-clock budget in seconds (or a
             :class:`~repro.errors.Deadline`) for the whole job, checked
-            cooperatively at planning, batch-item, and stage/segment/shard
+            cooperatively at planning, batch-item, stage and shard
             boundaries.  Expiry raises
             :class:`~repro.errors.DeadlineExceeded` with the session still
             usable.

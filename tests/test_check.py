@@ -267,56 +267,55 @@ def assign(assignment):
 
 
 def mutate_transition_in_place(schedule):
-    """Stage 0's first pass gathers its shards from the logical layout but
-    is flagged in place: it stores over slices later shards still load."""
-    l2p, segments = schedule.stages[0]
-    segments[0] = segments[0]._replace(load_from={q: q for q in l2p}, in_place=True)
+    """Stage 0's pass gathers its shards from the logical layout but is
+    flagged in place: it stores over slices later shards still load."""
+    l2p, segment = schedule.stages[0]
+    schedule.stages[0] = (l2p, segment._replace(load_from={q: q for q in l2p}, in_place=True))
 
 
 def mutate_scatter_not_bijective(schedule):
     """The last pass scatters into a "layout" that puts qubits 0 and 1 on
     one position."""
-    l2p, segments = schedule.stages[-1]
-    segments[-1] = segments[-1]._replace(
+    l2p, segment = schedule.stages[-1]
+    schedule.stages[-1] = (l2p, segment._replace(
         in_place=False, store_to={q: max(q - 1, 0) for q in l2p}
-    )
+    ))
 
 
-def shards_segment(schedule, in_place=None):
-    """``(layout, segments, index)`` of the first shards-segment (whose
-    store flag is *in_place*, when given)."""
-    for l2p, segments in schedule.stages:
-        for index, segment in enumerate(segments):
-            if segment.kind == "shards" and in_place in (None, segment.in_place):
-                return l2p, segments, index
-    raise AssertionError("no such shards-segment")
+def shard_pass(schedule, in_place=None):
+    """The index of the first stage whose pass's store flag is
+    *in_place* (any pass, when not given)."""
+    for index, (_l2p, segment) in enumerate(schedule.stages):
+        if segment is not None and in_place in (None, segment.in_place):
+            return index
+    raise AssertionError("no such shard pass")
 
 
 def mutate_write_map_in_place(schedule):
-    """An in-place segment's recorded write map swaps shards 0 and 1: each
+    """An in-place pass's recorded write map swaps shards 0 and 1: each
     store overwrites the slice the other shard still loads."""
-    _l2p, segments, index = shards_segment(schedule, in_place=True)
-    ops = segments[index].ops
+    ops = schedule.stages[shard_pass(schedule, in_place=True)][1].ops
     swapped = [1, 0, *range(2, len(ops.shards))]
     ops.shards = tuple((stream, out) for (stream, _out), out in zip(ops.shards, swapped))
 
 
 def mutate_write_map_not_bijective(schedule):
-    """A segment that stores out of place records every shard at slice 0."""
-    _l2p, segments, index = shards_segment(schedule)
-    segments[index] = segments[index]._replace(in_place=False)
-    ops = segments[index].ops
-    ops.shards = tuple((stream, 0) for stream, _out in ops.shards)
+    """A pass that stores out of place records every shard at slice 0."""
+    index = shard_pass(schedule)
+    l2p, segment = schedule.stages[index]
+    schedule.stages[index] = (l2p, segment._replace(in_place=False))
+    segment.ops.shards = tuple((stream, 0) for stream, _out in segment.ops.shards)
 
 
 def mutate_mixing_gate(schedule):
-    """An H on a non-local qubit planted in a shards-segment."""
-    l2p, segments, index = shards_segment(schedule)
+    """An H on a non-local qubit planted in a stage's pass (the build
+    refuses such a plan; an edited schedule is the verifier's)."""
+    index = shard_pass(schedule)
+    l2p, segment = schedule.stages[index]
     far = next(q for q, p in l2p.items() if p >= LOCAL)
-    segment = segments[index]
-    segments[index] = segment._replace(
+    schedule.stages[index] = (l2p, segment._replace(
         payload=segment.payload + [make_gate("h", [far])]
-    )
+    ))
 
 
 SCHEDULE_MUTATIONS = [
@@ -585,7 +584,7 @@ class TestWriteMapDifferential:
         (the mutation table)."""
         with pytest.raises(PlanValidationError, match="mixes amplitudes"):
             h = make_gate("h", [N - 1])
-            SegmentStructure([((h,), (0,))], IDENTITY, LOCAL, GateTable([h]))
+            SegmentStructure([((h,), None, (0,))], IDENTITY, LOCAL, GateTable([h]))
 
     def test_round_robin_is_a_partition(self):
         for workers in (1, 2, 3, 4, 7):
@@ -2215,6 +2214,60 @@ class TestLintRepro:
         assert [
             f.key.rpartition("::")[2] for f in lint.check_one_memory_budget([session])
         ] == ["stack_limit:missing"]
+
+    def test_one_pass_per_stage(self, lint):
+        """A schedule stage is one shard pass: one call site in the stage
+        driver, in no inner loop, and no segment-kind literal under
+        runtime/ or in check/races.py (a ``__slots__`` entry is a name)."""
+        driver = self.write(
+            lint, "runtime/offload.py",
+            "class SegmentOps(list):\n"
+            "    __slots__ = ('shards',)\n"
+            "def run_stages(schedule, shard_pass):\n"
+            "    for l2p, segment in schedule.stages:\n"
+            "        if segment is not None:\n"
+            "            shard_pass(segment)\n",
+        )
+        races = self.write(
+            lint, "check/races.py",
+            "def verify(schedule):\n"
+            "    return [seg for _l2p, seg in schedule.stages if seg is not None]\n",
+        )
+        session = self.write(lint, "session/session.py", "CHECKS = ('off', 'plans', 'full')\n")
+        assert lint.check_one_pass_per_stage([driver, races, session]) == []
+        # The full-state segment path growing back: an inner segment loop
+        # with its kind test, a pass run after the loop, and the verifier
+        # skipping the other kind.
+        driver.write_text(
+            "def run_stages(schedule, shard_pass, full):\n"
+            "    for l2p, segments in schedule.stages:\n"
+            "        for kind, ops in segments:\n"
+            "            if kind == 'full':\n"
+            "                full(ops)\n"
+            "                continue\n"
+            "            shard_pass(ops)\n"
+            "    shard_pass(None)\n"
+        )
+        races.write_text(
+            "def verify(schedule):\n"
+            "    return [seg for seg in schedule if seg.kind == 'shards']\n"
+        )
+        findings = lint.check_one_pass_per_stage([driver, races, session])
+        assert {f.rule for f in findings} == {"one-pass-per-stage"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "full:literal", "run_stages:shard_pass:nested",
+            "run_stages:shard_pass:sites", "run_stages:shard_pass:sites", "shards:literal",
+        ]
+        # Outside src/ the rule does not look; the driver losing its call
+        # is the rule left behind.
+        outside = lint.REPO / "tests" / "test_x.py"
+        outside.parent.mkdir(parents=True)
+        outside.write_text(races.read_text())
+        assert lint.check_one_pass_per_stage([outside]) == []
+        driver.write_text("def run_stages(schedule):\n    return schedule\n")
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_pass_per_stage([driver])] == [
+            "run_stages:shard_pass:missing"
+        ]
 
     def test_repo_tree_is_clean_against_committed_baseline(self):
         result = subprocess.run(

@@ -478,7 +478,7 @@ class TestResumeAcrossLayoutMoves:
         plan = _scatter_plan(0.3)
         layouts = [dict(zip(order, range(N))) for order in SCATTER_ORDERS]
         schedule = build_schedule(plan, LOCAL)
-        assert [segs[-1].store_to for _l2p, segs in schedule.stages] == layouts[1:] + [None]
+        assert [seg.store_to for _l2p, seg in schedule.stages] == layouts[1:] + [None]
         return plan, layouts
 
     @pytest.mark.parametrize(

@@ -365,7 +365,7 @@ class TestFaultsOnLayoutMoves:
     ):
         plan, _circuit = boundary_kinds_plan()
         schedule = build_schedule(plan, LOCAL)
-        (segment,) = schedule.stages[stage][1]
+        segment = schedule.stages[stage][1]
         assert segment.load_from is not None and segment.store_to is not None
         machine = MachineConfig.for_circuit(N, local_qubits=LOCAL)
         init = StateVector.random_state(N, seed=12)

@@ -301,7 +301,7 @@ def test_kernel_variants_read_the_table():
         make_gate("cp", [4, 5], [1.7]), make_gate("ry", [2], [0.3]),
     )
     table = GateTable(gates)
-    structure = SegmentStructure([(gates, tuple(range(len(gates))))], l2p, local, table)
+    structure = SegmentStructure([(gates, None, tuple(range(len(gates))))], l2p, local, table)
     (slot,) = structure.slots
     assert slot.far == (0, 1)
     run = structure.program(structure.entries([table]))

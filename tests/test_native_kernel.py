@@ -341,7 +341,7 @@ def engine(request, monkeypatch):
 
 def _segment_op(gates, l2p, n, fused):
     """The op of the kernel *gates* in a segment over all *n* positions —
-    what a full-state segment of a shard schedule is built by."""
+    a shard schedule's segment on a one-shard layout."""
     ktype = KernelType.FUSION if fused else None
     (op,) = segment_ops(gates, l2p, n, ktype)
     return op
@@ -476,7 +476,7 @@ class TestFusionKernels:
     @pytest.mark.parametrize("case", EXECUTOR_CASES)
     def test_a_segment_op_is_the_compiled_op(self, engine, case):
         """Every kernel, on either body: the op a segment over all n
-        positions builds for it (a shard schedule's full-state segment) is
+        positions builds for it (a shard schedule's segment on one shard) is
         the compiled program's at that source — kind, positions, items —
         and writes the same bits."""
         plan, machine = _executor_case(case)

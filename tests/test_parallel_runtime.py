@@ -5,9 +5,10 @@ The contract under test: for any worker count, the parallel runtime is
 ``simulate_reference``), its shard accounting matches the sequential
 executor's stage for stage, and the per-worker statistics sum to the run
 totals.  The differential sweep covers staged planner output as well as
-hand-built plans with cross-shard (full-state) segments, non-local
-controls, shard-relabelling anti-diagonal gates, and pure-phase
-reductions; generated plans cover the stage boundaries the shard passes
+hand-built plans with non-local controls, shard-relabelling anti-diagonal
+gates, and pure-phase reductions; a gate that mixes amplitudes along a
+non-local qubit breaks the staging invariant and is refused by every
+executor.  Generated plans cover the stage boundaries the shard passes
 carry (gather-in loads, scatter-out stores, |0…0⟩ elision) against the
 always-permute schedule, bit for bit.
 """
@@ -26,7 +27,7 @@ from repro.circuits.library import ising, qft, random_circuit
 from repro.cluster import MachineConfig
 from repro.core import KernelizeConfig, partition
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
-from repro.errors import KernelError
+from repro.errors import KernelError, PlanValidationError
 from repro.runtime import (
     ParallelRuntime,
     compile_plan,
@@ -65,10 +66,9 @@ def _hand_built_plan():
     * ``cp(3, 4)`` — both qubits non-local: reduces to a pure per-shard
       phase,
     * ``crz(1, 5)`` — non-local *control*: the reduced gate applies only
-      to shards whose control bit is set,
-    * ``h(3)`` — genuinely mixes amplitude along a regional qubit: must be
-      routed to the full-state path, splitting the stage in two shard
-      passes.
+      to shards whose control bit is set.
+
+    The stage is one shard pass.
     """
     circuit = (
         Circuit(6)
@@ -78,7 +78,6 @@ def _hand_built_plan():
         .y(5)
         .cp(0.7, 3, 4)
         .crz(0.5, 1, 5)
-        .h(3)
         .cx(0, 1)
     )
     stage = Stage(
@@ -130,36 +129,17 @@ class TestDifferential:
             plan, offload_machine_6, initial_state=init, num_workers=workers
         )
         assert np.array_equal(parallel.data, sequential.data)
-        # The h(3) full-state segment splits the stage: two shard passes.
-        assert par_stats.per_stage_loads == [2 * par_stats.num_shards]
+        # One stage, one shard pass.
+        assert par_stats.per_stage_loads == [par_stats.num_shards]
         assert par_stats.per_stage_loads == seq_stats.per_stage_loads
 
-    def test_a_full_state_segment_runs_the_compiled_op_of_its_gate(self, offload_machine_6):
-        """The h(3) full-state segment is lowered with the schedule, by the
-        slot a compiled program builds for the same lone gate over all n
-        positions: the same op, the same bits; a rebind binds it again."""
-        _circuit, plan = _hand_built_plan()
-        local = offload_machine_6.local_qubits
-        schedule = build_schedule(plan, local)
-        ((_l2p, segments),) = schedule.stages
-        (full,) = [segment for segment in segments if segment.kind == "full"]
-        assert full.payload.name == "h"
-        (op,) = full.ops
-        program = compile_plan(plan, check_locality=False)
-        (twin,) = [o for o in program.ops if o.gates == (full.payload,)]
-        assert (op.kind, op.qubits, op.items) == (twin.kind, twin.qubits, twin.items)
-        state = StateVector.random_state(6, seed=4).data
-        ours, _ = op.run(state.copy(), np.empty_like(state), Workspace())
-        theirs, _ = twin.run(state.copy(), np.empty_like(state), Workspace())
-        assert np.array_equal(ours, theirs)
-        assert build_schedule(plan, local, reuse=schedule).rebound
-
-    def test_a_full_state_segment_that_fails_to_lower_fails_the_build(self, offload_machine_6):
-        """Segments lower in order — shards, the h(3) full-state gate,
-        shards: a compile failure at the second fails the build, before any
-        shard moves, and the next build is whole."""
-        _circuit, plan = _hand_built_plan()
-        local = offload_machine_6.local_qubits
+    def test_a_stage_that_fails_to_lower_fails_the_build(self, small_machine):
+        """Stages lower in order, one segment each: a compile failure at the
+        second fails the build, before any shard moves, and the next build
+        is whole."""
+        plan = _staged_plan(qft(10), small_machine)
+        assert plan.num_stages >= 2
+        local = small_machine.local_qubits
         injector = FaultInjector("compile:permanent:1:1")
         faults.activate(injector)
         try:
@@ -168,8 +148,9 @@ class TestDifferential:
         finally:
             faults.deactivate(injector)
         assert injector.total_fired == 1
-        kinds = [segment.kind for _l2p, segments in build_schedule(plan, local).stages for segment in segments]
-        assert kinds == ["shards", "full", "shards"]
+        stages = build_schedule(plan, local).stages
+        assert len(stages) == plan.num_stages
+        assert all(segment is not None for _l2p, segment in stages)
 
     def test_workers_beyond_shards_are_clamped(self, small_machine):
         plan = _staged_plan(qft(10), small_machine)
@@ -215,10 +196,11 @@ class TestShardPathRegression:
     """Pin the per-qubit insular classification (the `_is_cross_shard` fix).
 
     The old whole-gate ``is_diagonal()`` test routed any non-diagonal gate
-    with a non-local qubit to the full-state path, splitting the stage and
+    with a non-local qubit off the shard path, splitting the stage and
     doubling (or tripling) the shard loads.  Anti-diagonal axes must stay
     on the shard path as index relabels, preserving the
-    one-load-per-stage-per-shard property the module docstring promises.
+    one-load-per-stage-per-shard property the module docstring promises;
+    only a genuinely mixing axis is refused.
     """
 
     def _run(self, circuit, machine, partition_sets):
@@ -252,16 +234,39 @@ class TestShardPathRegression:
         )
         assert stats.per_stage_loads == [stats.num_shards]
 
-    def test_mixing_nonlocal_gate_still_splits_the_stage(
-        self, offload_machine_6
+    @pytest.mark.parametrize("name", ["incore", "offload", "parallel"])
+    def test_mixing_nonlocal_gate_is_refused_by_every_executor(
+        self, offload_machine_6, name
     ):
-        # h genuinely mixes its axis: the full-state path (and the extra
-        # shard pass) is required, not a regression.
+        """h(4) genuinely mixes its axis, and qubit 4 is not local: the plan
+        breaks the staging invariant, and every executor refuses it with
+        the same typed error before a shard is loaded (an armed
+        ``shard_load`` fault never fires).  The backend's runtime and its
+        session run the next job."""
         circuit = Circuit(6).h(0).h(4).h(1)
-        stats = self._run(
-            circuit, offload_machine_6, ({0, 1, 2}, {3, 4}, {5})
+        stage = Stage(
+            gates=list(circuit.gates),
+            partition=QubitPartition.from_sets({0, 1, 2}, {3, 4}, {5}),
+            gate_indices=list(range(len(circuit.gates))),
         )
-        assert stats.per_stage_loads == [2 * stats.num_shards]
+        plan = ExecutionPlan(num_qubits=6, stages=[stage])
+        with Session(offload_machine_6, backend=name) as session:
+            backend = session.backend_instance(name)
+            injector = FaultInjector("shard_load:permanent:99")
+            faults.activate(injector)
+            try:
+                with pytest.raises(PlanValidationError, match="staging invariant violated"):
+                    backend.run_plan(plan, offload_machine_6)
+            finally:
+                faults.deactivate(injector)
+            assert injector.total_fired == 0
+            result = session.run(qft(6)).result()
+            assert result.backend == name
+            assert simulate_reference(qft(6)).allclose(result.state)
+            if name == "parallel":
+                runtime = backend.runtime_for(offload_machine_6)
+                again, _ = runtime.execute(_staged_plan(qft(6), offload_machine_6))
+                assert simulate_reference(qft(6)).allclose(again)
 
 
 class TestWorkerStats:
@@ -399,8 +404,8 @@ def layout_cases(draw):
     layout random or one to three position swaps from the previous one —
     so over the examples every boundary kind fires: gather, scatter,
     permute, and elided on |0…0⟩ — with relabelling, controlled and phase
-    gates on non-local qubits, and a full-state segment (``h`` on a
-    non-local qubit) at a stage's start or end now and then."""
+    gates on non-local qubits, and now and then a stage without gates,
+    which runs no pass and so carries no boundary."""
     n = draw(st.integers(6, 12))
     local = draw(st.integers(3, n - 1))
     order = list(range(n))
@@ -415,9 +420,7 @@ def layout_cases(draw):
                 order[a], order[b] = order[b], order[a]
         low, high = order[:local], order[local:]
         gates = []
-        if draw(st.booleans()):
-            gates.append(make_gate("h", [draw(st.sampled_from(high))]))
-        for _gate in range(draw(st.integers(1, 6))):
+        for _gate in range(draw(st.integers(0, 6))):
             kind = draw(st.sampled_from(["dense", "pair", "relabel", "phase", "control"]))
             if kind == "dense":
                 gates.append(make_gate("ry", [draw(st.sampled_from(low))], [draw(_ANGLE)]))
@@ -435,8 +438,6 @@ def layout_cases(draw):
                     "crz", [draw(st.sampled_from(low)), draw(st.sampled_from(high))],
                     [draw(_ANGLE)],
                 ))
-        if draw(st.booleans()):
-            gates.append(make_gate("h", [draw(st.sampled_from(high))]))
         specs.append((list(order), gates))
     return (n, local, *_layout_plan(n, local, specs))
 
@@ -505,7 +506,7 @@ class TestLayoutTransitions:
         schedule = build_schedule(plan, 4)
         moves = [
             (seg.load_from, seg.store_to, seg.in_place)
-            for _l2p, (seg,) in schedule.stages
+            for _l2p, seg in schedule.stages
         ]
         assert moves == [
             (identity, layouts[1], False),
@@ -527,25 +528,35 @@ class TestLayoutTransitions:
             assert (stats.layout_permutes, stats.layout_in_pass) == (1, 4)
             assert stats.shard_loads == 4 * stats.num_shards
 
-    def test_a_stage_opening_with_a_full_state_gate_is_permuted_into(self):
-        """The gather needs the stage's first segment to be a shard pass;
-        a full-state gate there leaves the boundary to the permute."""
-        specs = [
-            (order, _insular_gates(order[:4], order[4:])) for order in BOUNDARY_KIND_ORDERS[:2]
-        ]
-        specs[0][1].insert(0, make_gate("h", [BOUNDARY_KIND_ORDERS[0][4]]))
+    def test_a_stage_without_gates_runs_no_pass(self):
+        """A gather needs the stage's pass: a stage without gates runs none,
+        loads no shard, and the boundary into it is left to the permute
+        (or, from |0…0⟩, elided); the next stage gathers out of its layout
+        and scatters back to logical order."""
+        order = BOUNDARY_KIND_ORDERS[3]
+        specs = [(BOUNDARY_KIND_ORDERS[2], []), (order, _insular_gates(order[:4], order[4:]))]
         plan, circuit = _layout_plan(7, 4, specs)
         machine = MachineConfig.for_circuit(7, local_qubits=4)
         schedule = build_schedule(plan, 4)
-        first = schedule.stages[0][1]
-        assert [seg.kind for seg in first] == ["full", "shards"]
-        assert first[0].load_from is None and first[-1].store_to is not None
+        empty, opened = schedule.stages[0][1], schedule.stages[1][1]
+        assert empty is None and opened.load_from == schedule.stages[0][0]
+        assert opened.store_to == {q: q for q in range(7)}
+        assert verify_schedule(plan, machine, num_workers=4, schedule=schedule).ok
         init = StateVector.random_state(7, seed=8)
-        got, stats = execute_plan_offloaded(plan, machine, init, schedule=schedule)
-        assert (stats.layout_permutes, stats.layout_in_pass) == (2, 1)
-        want = execute_plan_offloaded(plan, machine, init, schedule=_permute_oracle(plan, 4))[0]
-        assert np.array_equal(got.data, want.data)
-        assert simulate_reference(circuit, init).allclose(got)
+        for run_init, counts in ((init, (1, 2)), (None, (0, 3))):
+            got, stats = execute_plan_offloaded(plan, machine, run_init, schedule=schedule)
+            assert stats.per_stage_loads == [0, stats.num_shards]
+            assert (stats.layout_permutes, stats.layout_in_pass) == counts
+            want = execute_plan_offloaded(
+                plan, machine, run_init, schedule=_permute_oracle(plan, 4)
+            )[0]
+            assert np.array_equal(got.data, want.data)
+            assert simulate_reference(circuit, run_init).allclose(got)
+            for workers in WORKER_COUNTS:
+                with ParallelRuntime(machine, num_workers=workers) as runtime:
+                    par, par_stats = runtime.execute(plan, run_init, schedule=schedule)
+                assert np.array_equal(par.data, got.data), workers
+                assert par_stats.per_stage_loads == stats.per_stage_loads
 
     @pytest.mark.parametrize(
         "family,counts", [(qft, (1, 2)), (ising, (0, 2))], ids=["qft-20", "ising-20"]

@@ -554,8 +554,7 @@ class TestOffloadAndParallelPaths:
         logical_to_physical = stage.partition.logical_to_physical()
         assert logical_to_physical == {q: q for q in range(6)}
         local = 3
-        ((_l2p, (segment,)),) = build_schedule(ExecutionPlan(6, [stage]), local).stages
-        assert segment.kind == "shards"
+        ((_l2p, segment),) = build_schedule(ExecutionPlan(6, [stage]), local).stages
         ops = segment.ops
         init = StateVector.random_state(6, seed=0)
         want = simulate_reference(circuit, init).data
@@ -640,10 +639,8 @@ class TestLoweredKernels:
                 parallel, _ = runtime.execute(plan)
             assert np.array_equal(offloaded.data, parallel.data), workers
         # Compiled segments: the lowered items, fewer ops than gates.
-        for _l2p, segments in build_schedule(plan, machine.local_qubits).stages:
-            for segment in segments:
-                assert segment.kind == "shards"
-                assert len(segment.ops) <= len(segment.payload)
+        for _l2p, segment in build_schedule(plan, machine.local_qubits).stages:
+            assert len(segment.ops) <= len(segment.payload)
 
     def test_degenerate_angles_rebuild_the_block_on_rebind(self):
         """rx(0) is the identity (a diagonal), ry(pi) a permutation: a

@@ -21,7 +21,7 @@ from repro.core.kernel import Kernel, KernelSequence, KernelType
 from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.runtime import QubitLayout, compile_plan, execute_plan, permute_state
 from repro.runtime.compile import SegmentStructure
-from repro.runtime.offload import compile_segment_ops, split_stage_segments
+from repro.runtime.offload import compile_segment_ops
 from repro.sim import StateVector, apply_matrix, simulate_reference
 from repro.sim.apply import MONOMIAL_WIDTH, apply_gate_buffered, kernel_template
 from repro.sim.fusion import kernel_items, lower_kernel_gates
@@ -40,15 +40,12 @@ SETTINGS = dict(
 
 def segment_ops(gates, l2p, local, ktype=None):
     """The bound segment of one kernel group of *gates* (type *ktype*) in
-    the layout *l2p* over ``2^local`` buffers: cut, built and bound as a
-    shard schedule's segments are, its numbers read from the gates' own
-    table."""
+    the layout *l2p* over ``2^local`` buffers: built and bound as a shard
+    schedule's stage is, its numbers read from the gates' own table."""
     gates = tuple(gates)
     table = GateTable(gates)
-    ((_kind, pieces),) = split_stage_segments(
-        [(gates, ktype, tuple(range(len(gates))))], l2p, local
-    )
-    return compile_segment_ops(SegmentStructure(pieces, l2p, local, table), list(gates), table)
+    groups = [(gates, ktype, tuple(range(len(gates))))]
+    return compile_segment_ops(SegmentStructure(groups, l2p, local, table), list(gates), table)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,7 @@ class TestLoweringProperties:
         matrix) run in turn to 1e-12."""
         n, gates, l2p = case
         init = StateVector.random_state(n, seed=seed)
-        # A run of gates over all n positions: the slot a full-state
+        # A run of gates over all n positions: the slot a one-shard
         # segment (or a compiled program's kernel) is built by.
         (op,) = segment_ops(gates, l2p, n)
         items = lower_kernel_gates(gates, l2p)

@@ -160,7 +160,7 @@ class TestOffloadExecutor:
 
     def test_one_load_per_shard_per_stage_for_qft(self, small_machine):
         # The property behind the QDAO comparison: within a stage every shard
-        # is loaded exactly once (qft has no cross-shard segments).
+        # is loaded exactly once (a stage is one shard pass).
         circuit = qft(10)
         plan, _ = partition(circuit, small_machine)
         _, stats = execute_plan_offloaded(plan, small_machine)

@@ -1,13 +1,14 @@
 """A shard schedule is a program (`runtime/offload.py::build_schedule`).
 
 The contract under test: a sharded plan lowers to a :class:`Schedule` whose
-segments are bound through the plan compiler's slots; rebinding an
-earlier schedule of the same structure (``reuse=``) equals a cold build —
-entry for entry, and bit for bit on the sequential executor and on the
-parallel one at every worker count; what does not fit the structure is
-built cold; a lowering that fails raises and leaves nothing behind; the
-Session plan cache holds the schedule next to the in-core program and is
-the only thing that does.
+stages — one shard pass each — are bound through the plan compiler's
+slots; rebinding an earlier schedule of the same structure (``reuse=``)
+equals a cold build — entry for entry, and bit for bit on the sequential
+executor and on the parallel one at every worker count; what does not fit
+the structure is built cold; a plan with a gate that mixes amplitudes
+along a non-local qubit is refused by every executor; a lowering that
+fails raises and leaves nothing behind; the Session plan cache holds the
+schedule next to the in-core program and is the only thing that does.
 """
 
 import numpy as np
@@ -20,10 +21,11 @@ from repro.circuits import Circuit, make_gate
 from repro.circuits.gates import GateTable
 from repro.circuits.library import CIRCUIT_FAMILIES, qft, vqc
 from repro.core import KernelizeConfig, partition
-from repro.errors import KernelError, TransientError
+from repro.errors import KernelError, PlanValidationError, TransientError
 from repro.runtime import ParallelRuntime, compile as compile_mod, compile_plan, execute_plan_offloaded
 from repro.runtime import offload as offload_mod, sharding as sharding_mod
 from repro.runtime.offload import Schedule, build_schedule
+from repro.runtime.sharding import nonlocal_axes
 from repro.session.backends import BACKENDS, ParallelBackend, register_backend
 from repro.session import session as session_mod
 from repro.session.cache import rebind_plan
@@ -42,18 +44,18 @@ def op_entry(op):
 
 def entries(schedule):
     """What a schedule executes, comparable with ``==``: per stage the
-    layout, per segment its kind, store flag, layout moves, recorded write
-    map and compiled entries — a kernel on non-local qubits as its op per
-    variant (``None``: no op on those shards)."""
+    layout and its pass's store flag, layout moves, recorded write map and
+    compiled entries — a kernel on non-local qubits as its op per variant
+    (``None``: no op on those shards) — or ``None`` for a stage without a
+    pass."""
     return [
-        (l2p, [
-            (seg.kind, seg.in_place, seg.load_from, seg.store_to, seg.ops.write_map, [
+        (l2p, None if seg is None else (
+            seg.in_place, seg.load_from, seg.store_to, seg.ops.write_map, [
                 [op_entry(op) for op in entry] if isinstance(entry, tuple) else op_entry(entry)
                 for entry in seg.ops
-            ])
-            for seg in segments
-        ])
-        for l2p, segments in schedule.stages
+            ],
+        ))
+        for l2p, seg in schedule.stages
     ]
 
 
@@ -71,31 +73,64 @@ def _drops_nothing(gate):
 
 
 def bit_equal_in_core(schedule, local):
-    """Whether *schedule* must equal the in-core program bit for bit: it
-    has no full-state segment — every kernel runs as the in-core pass runs
-    it, its non-local bits resolved per shard — and no gate on a
-    non-local qubit drops an entry there."""
+    """Whether *schedule* must equal the in-core program bit for bit: every
+    kernel runs as the in-core pass runs it, its non-local bits resolved
+    per shard, so it must unless a gate on a non-local qubit drops an
+    entry there."""
     return all(
-        seg.kind == "shards" and all(
-            _drops_nothing(gate) for gate in seg.payload
-            if any(l2p[q] >= local for q in gate.qubits)
-        )
-        for l2p, segments in schedule.stages for seg in segments
+        _drops_nothing(gate)
+        for l2p, seg in schedule.stages if seg is not None
+        for gate in seg.payload if any(l2p[q] >= local for q in gate.qubits)
     )
+
+
+def breaks_invariant(plan, local):
+    """Whether a gate of *plan* mixes amplitudes along a non-local qubit —
+    the plan every executor refuses."""
+    return any(
+        kind == "mixing"
+        for stage in plan.stages
+        for gate in stage.gates
+        for _q, _shift, kind in nonlocal_axes(gate, stage.partition.logical_to_physical(), local)
+    )
+
+
+def assert_refused_everywhere(plan, machine, base):
+    """*plan* raises :class:`PlanValidationError` in core (with the
+    locality check), on the sequential executor — built cold or rebound
+    from *base* — and on the parallel one at every worker count."""
+    local = machine.local_qubits
+    with pytest.raises(PlanValidationError):
+        compile_plan(plan, check_locality=True)
+    with pytest.raises(PlanValidationError):
+        build_schedule(plan, local, reuse=base)
+    with pytest.raises(PlanValidationError):
+        execute_plan_offloaded(plan, machine)
+    for workers in WORKERS:
+        with ParallelRuntime(machine, num_workers=workers) as runtime:
+            with pytest.raises(PlanValidationError):
+                runtime.execute(plan)
 
 
 def assert_rebind_equals_cold(base_plan, plan, machine, seed):
     """``build_schedule(plan, reuse=base)`` against ``build_schedule(plan)``
     on every executor, from |0...0> and from a random state; the base
-    schedule still computes what it computed."""
+    schedule still computes what it computed.  A plan that breaks the
+    staging invariant is refused everywhere instead (``None``); a base
+    that breaks it has no schedule to rebind from."""
     local, n = machine.local_qubits, plan.num_qubits
-    base = build_schedule(base_plan, local)
-    base_before = execute_plan_offloaded(base_plan, machine, schedule=base)[0].data.copy()
+    base = None
+    if not breaks_invariant(base_plan, local):
+        base = build_schedule(base_plan, local)
+        base_before = execute_plan_offloaded(base_plan, machine, schedule=base)[0].data.copy()
+    if breaks_invariant(plan, local):
+        assert_refused_everywhere(plan, machine, base)
+        return None
     warm = build_schedule(plan, local, reuse=base)
     cold = build_schedule(plan, local)
-    assert not cold.rebound and not base.rebound
+    assert not cold.rebound and (base is None or not base.rebound)
     assert entries(warm) == entries(cold)
-    assert (warm.structure is base.structure) == warm.rebound
+    assert (base is not None and warm.structure is base.structure) == warm.rebound
     for init in (None, StateVector.random_state(n, seed=seed)):
         want = execute_plan_offloaded(plan, machine, init, schedule=cold)[0].data
         if bit_equal_in_core(cold, local):
@@ -111,9 +146,10 @@ def assert_rebind_equals_cold(base_plan, plan, machine, seed):
                 for schedule in (warm, cold, None):
                     got, _ = runtime.execute(plan, init, schedule=schedule)
                     assert np.array_equal(got.data, want), workers
-    assert np.array_equal(
-        execute_plan_offloaded(base_plan, machine, schedule=base)[0].data, base_before
-    )
+    if base is not None:
+        assert np.array_equal(
+            execute_plan_offloaded(base_plan, machine, schedule=base)[0].data, base_before
+        )
     return warm
 
 
@@ -133,16 +169,20 @@ class TestScheduleRebindDifferential:
     @settings(**{**SETTINGS, "max_examples": 15})
     def test_generated_plans(self, case, seed):
         """Every library gate in a random layout with a random shard size:
-        gates on non-local qubits are dynamic, relabelling or full-state,
-        and redrawn angles — degenerate ones included — move gates between
-        those classes, so some segments rebind and some cannot."""
+        gates on non-local qubits are resolved per shard, relabel shards or
+        mix amplitudes across them, and redrawn angles — degenerate ones
+        included — move gates between those classes, so some schedules
+        rebind and some cannot.  A plan with a mixing gate there (``rx(0.3)``
+        on a non-local qubit) breaks the staging invariant and is refused
+        by every executor; every other plan runs bit for bit alike on all
+        of them."""
         n, gates, rebound_gates, sets, chunks, kernelized = case
         machine = MachineConfig.for_circuit(n, local_qubits=len(sets[0]))
         base_plan = _chunked_plan(n, gates, sets, chunks, kernelized)
         plan = _chunked_plan(n, rebound_gates, sets, chunks, kernelized)
-        assert_rebind_equals_cold(base_plan, plan, machine, seed)
-        want = simulate_reference(Circuit(n, rebound_gates))
-        assert want.allclose(execute_plan_offloaded(plan, machine)[0])
+        if assert_rebind_equals_cold(base_plan, plan, machine, seed) is not None:
+            want = simulate_reference(Circuit(n, rebound_gates))
+            assert want.allclose(execute_plan_offloaded(plan, machine)[0])
 
     @pytest.mark.parametrize("family", sorted(CIRCUIT_FAMILIES))
     def test_library_families(self, family):
@@ -191,22 +231,21 @@ class TestScheduleRebindDifferential:
             return entry.gates
 
         kept, refilled = {False: 0, True: 0}, {False: 0, True: 0}
-        for (_l2p, news), (_l2p_old, olds) in zip(warm.stages, base.stages):
-            for new, old in zip(news, olds):
-                for op, was in zip(new.ops, old.ops):
-                    assert (op is was) == (gates_of(op) == gates_of(was))
-                    (kept if op is was else refilled)[isinstance(op, tuple)] += 1
+        for (_l2p, new), (_l2p_old, old) in zip(warm.stages, base.stages):
+            for op, was in zip(new.ops, old.ops):
+                assert (op is was) == (gates_of(op) == gates_of(was))
+                (kept if op is was else refilled)[isinstance(op, tuple)] += 1
         assert kept[False] and kept[True] and sum(refilled.values()) >= 2
 
     def test_a_rebind_of_new_angles_misses_no_axis_kind(self, monkeypatch):
         """A warm schedule is a bind: a job of new angles admitted whole
-        against the cached structure cuts no segment, builds no gate table
+        against the cached structure builds no stage structure, no gate table
         (it reads its circuit's, which the plan carries) and classifies no
         axis — the non-local axis memos see no new miss."""
         machine = MachineConfig.for_circuit(8, num_shards=4, local_qubits=6)
         base_plan, _ = partition(vqc(8, seed=0), machine)
         plan = rebind_plan(base_plan, vqc(8, seed=1))
-        calls = {"split_stage_segments": 0, "GateTable": 0}
+        calls = {"SegmentStructure": 0, "GateTable": 0}
 
         def counted(owner, name, key):
             real = getattr(owner, name)
@@ -216,16 +255,16 @@ class TestScheduleRebindDifferential:
                 return real(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(offload_mod, "split_stage_segments", "split_stage_segments")
+        counted(offload_mod, "SegmentStructure", "SegmentStructure")
         counted(GateTable, "__init__", "GateTable")
         base = build_schedule(base_plan, machine.local_qubits)
-        assert calls == {"split_stage_segments": len(base_plan.stages), "GateTable": 0}
-        calls.update(split_stage_segments=0)
+        assert calls == {"SegmentStructure": len(base_plan.stages), "GateTable": 0}
+        calls.update(SegmentStructure=0)
         memos = (sharding_mod._axis_kind, sharding_mod._axis_table)
         before = [memo.cache_info().misses for memo in memos]
         warm = build_schedule(plan, machine.local_qubits, reuse=base)
         assert warm.rebound
-        assert calls == {"split_stage_segments": 0, "GateTable": 0}
+        assert calls == {"SegmentStructure": 0, "GateTable": 0}
         assert [memo.cache_info().misses for memo in memos] == before
 
     def test_a_warm_shard_pass_binds_nothing(self, monkeypatch):
@@ -243,7 +282,7 @@ class TestScheduleRebindDifferential:
         assert warm.rebound
         assert any(
             isinstance(entry, tuple)
-            for _l2p, segments in warm.stages for seg in segments for entry in seg.ops
+            for _l2p, seg in warm.stages for entry in seg.ops
         )
         calls = []
         for module, name in (
@@ -265,11 +304,11 @@ class TestScheduleRebindDifferential:
 
     def test_a_rebind_across_the_pattern_boundary_equals_the_cold_build(self):
         """rx(pi) on a non-local qubit relabels shards, rx(1e-13) does not
-        and rx(0.3) mixes them (a full-state segment of its own), yet all
-        three share an exact signature: the segment cut and each gate's
-        axis table are part of the schedule's structure, so a rebind from
-        one to another is built cold — cut, write map, store flag and ops —
-        and runs bit for bit."""
+        and rx(0.3) mixes them, yet all three share an exact signature: each
+        gate's axis table is part of the schedule's structure, so a rebind
+        from one to another is built cold — write map, store flag and ops —
+        and runs bit for bit, and the mixing one breaks the staging
+        invariant: every executor refuses it, cold or rebound."""
         n, local = 6, 4
         machine = MachineConfig.for_circuit(n, local_qubits=local)
 
@@ -283,14 +322,15 @@ class TestScheduleRebindDifferential:
             return _chunked_plan(n, gates, sets, [(0, len(gates))], True)
 
         relabel, phase = build_schedule(plan(np.pi), local), build_schedule(plan(1e-13), local)
-        ((_l2p, (relabels,)),), ((_l2p2, (stays,)),) = relabel.stages, phase.stages
+        ((_l2p, relabels),), ((_l2p2, stays),) = relabel.stages, phase.stages
         assert not relabels.in_place and relabels.ops.write_map == [2, 3, 0, 1]
         assert stays.in_place and stays.ops.write_map == [0, 1, 2, 3]
-        ((_l2p3, mixes),) = build_schedule(plan(0.3), local).stages
-        assert [segment.kind for segment in mixes] == ["shards", "full", "shards"]
-        for base, angle in ((1e-13, np.pi), (np.pi, 1e-13), (0.3, 1e-13), (1e-13, 0.3)):
+        assert breaks_invariant(plan(0.3), local)
+        assert not any(breaks_invariant(plan(angle), local) for angle in (np.pi, 1e-13))
+        for base, angle in ((1e-13, np.pi), (np.pi, 1e-13), (0.3, 1e-13)):
             warm = assert_rebind_equals_cold(plan(base), plan(angle), machine, seed=4)
             assert not warm.rebound
+        assert assert_rebind_equals_cold(plan(1e-13), plan(0.3), machine, seed=4) is None
 
     def test_a_failed_segment_compile_raises_and_leaves_nothing_behind(self):
         """A segment that does not lower fails the build with its typed

@@ -40,7 +40,7 @@ from repro.service import (
     SharedPlanStore,
     SimulationService,
 )
-from repro.session import Job, plan_skeleton, skeleton_fingerprint
+from repro.session import Job, plan_skeleton, skeleton_fingerprint, skeleton_to_plan
 
 N = 8
 
@@ -489,15 +489,46 @@ class TestService:
         assert stats["rejected"] == 1
         assert stats["tenants"]["t"]["rejected"] == 1
 
-    def test_late_tenant_not_starved_by_flood(self, machine):
+    def test_late_tenant_not_starved_by_flood(self, machine, monkeypatch):
+        """The bound deficit round robin implies, read off the dispatch
+        order.  A visit credits its tenant one quantum — one single-circuit
+        job — and ends once the credit no longer funds the head, so a
+        flood visit picks at most one job (its credit never reaches two),
+        and the jobs a stack drains with it borrow at most one more visit's
+        credit: one dispatch.  Then the cursor moves on to ``late``.  So
+        once ``late`` is queued, at most one flood dispatch starts before
+        its own.  The first flood dispatch holds the scheduler until
+        ``late`` is queued, so the flood (at least 28 of its 30 jobs, at
+        most two a dispatch) is still queued: had ``late`` waited behind
+        it, many flood dispatches would start first, and the queue would
+        be empty at ``late``'s dispatch."""
         with SimulationService(machine) as svc:
+            real_run = svc.session.run
+            late_circuit = qft(N)
+            started, queued = threading.Event(), threading.Event()
+            order: list[tuple[str, int]] = []
+
+            def run(circuits, *args, **kwargs):
+                late_run = any(c is late_circuit for c in circuits)
+                order.append(("late" if late_run else "flood", svc.queue_depth))
+                started.set()
+                queued.wait(timeout=60)
+                return real_run(circuits, *args, **kwargs)
+
+            monkeypatch.setattr(svc.session, "run", run)
             flood = [svc.submit(vqc(N, seed=i), tenant="flood") for i in range(30)]
-            late = svc.submit(qft(N), tenant="late")
+            assert started.wait(timeout=60)
+            late = svc.submit(late_circuit, tenant="late")
+            queued.set()
             late.result(timeout=60)
-            # The late tenant finished while the flood still queues work.
-            assert svc.queue_depth > 0 or all(j.done() for j in flood)
             for job in flood:
                 job.result(timeout=120)
+        labels = [label for label, _depth in order]
+        assert labels.count("late") == 1
+        at = labels.index("late")
+        # Dispatch 0 started before ``late`` was queued.
+        assert labels[1:at].count("flood") <= 1
+        assert order[at][1] > 0
 
     def test_non_finite_angle_is_journalled_non_durable(self, machine, tmp_path):
         # QASM has no spelling for ``nan``: the record must not promise a
@@ -536,8 +567,15 @@ class TestSharedPlanStore:
             plan, *_ = session.plan_for(qft(N), machine, "incore")
         return plan_skeleton(plan)
 
-    def test_round_trip_through_disk(self, machine, tmp_path):
-        skeleton = self._skeleton(machine)
+    @pytest.mark.parametrize(
+        "written", [{}, {"program_meta": {"num_ops": 12, "num_qubits": N}}],
+        ids=["current", "with-program-meta"],
+    )
+    def test_round_trip_through_disk(self, machine, tmp_path, written):
+        """A skeleton comes back from disk as stored and binds; so does one
+        written before skeletons dropped their never-read ``program_meta``
+        field (``written``), which the fingerprint never covered."""
+        skeleton = {**self._skeleton(machine), **written}
         store = SharedPlanStore(persist_dir=tmp_path)
         store.put(("k",), skeleton)
         assert store.stats.saved == 1
@@ -546,6 +584,7 @@ class TestSharedPlanStore:
         loaded = reborn.get(("k",))
         assert loaded == skeleton
         assert skeleton_fingerprint(loaded) == loaded["fingerprint"]
+        skeleton_to_plan(loaded, qft(N)).validate(qft(N))
         # A plan bound from the store through disk, and every local hit
         # rebinding it after, says where it came from as the built one
         # does: preset, pipeline and skipped passes, not the preset alone.
@@ -595,12 +634,12 @@ class TestSharedPlanStore:
         import hashlib
 
         from repro.runtime.checkpoint import checkpoint_fingerprint
-        from repro.session import plan_fingerprint, skeleton_to_plan
+        from repro.session import plan_fingerprint
 
         circuit, plan = _pinned_plan(name)
         mapping = circuit.canonical_structural_key()[1]
         own = json.loads(json.dumps(plan_skeleton(plan)))
-        canonical = json.loads(json.dumps(plan_skeleton(plan, None, mapping)))
+        canonical = json.loads(json.dumps(plan_skeleton(plan, mapping)))
 
         def stages_sha(skeleton):
             stages = json.dumps(skeleton["stages"], sort_keys=True).encode()
@@ -626,12 +665,14 @@ class TestSharedPlanStore:
         out the provenance, which a skeleton has kept whole since (digests
         recorded at the commit before that): it is the plan's own.  The
         digests were re-recorded once more when staging began to certify a
-        window-driven staging, which changed the planner's plans."""
+        window-driven staging, which changed the planner's plans, and again
+        when skeletons dropped their never-read ``program_meta`` key (each
+        old digest is the new JSON with ``"program_meta": null`` put back;
+        the fingerprints did not move)."""
         import hashlib
 
         from repro import build_plan
         from repro.circuits.library import ising, qsvm
-        from repro.session import skeleton_to_plan
 
         n = 12
         burst_machine = MachineConfig.for_circuit(n, num_shards=4)
@@ -652,15 +693,15 @@ class TestSharedPlanStore:
                 twin = circuit.remap_qubits(mapping)
                 skeleton_to_plan(skeleton, twin).validate(twin)
         assert recorded == {
-            "qsvm/0": ("5fc64e0fb7d6e6aa", "c7f40478758b26e8"),
-            "qsvm/1": ("5fbdad8b0de8ecf4", "8e85c8a5fb361de9"),
-            "qsvm/2": ("2df9009d047a18d0", "6b01488d4cbdab72"),
-            "ising/0": ("cc1eea7eb365030e", "521f7330736f2b2f"),
-            "ising/1": ("e216047ce9f2f0ab", "b259522c179f2b20"),
-            "ising/2": ("a04ce3da9ab98884", "edf95bf0b7f753d4"),
-            "vqc/0": ("bcbd9854d1efaf15", "748fed2125b6b204"),
-            "vqc/1": ("365f80db212be375", "efe68f576d7f0bb4"),
-            "vqc/2": ("247fe686156b697b", "21d886d96538e548"),
+            "qsvm/0": ("7ac801cc3c0642da", "c7f40478758b26e8"),
+            "qsvm/1": ("84e78a8bb944418a", "8e85c8a5fb361de9"),
+            "qsvm/2": ("aff97d57ef8a5378", "6b01488d4cbdab72"),
+            "ising/0": ("8588e27373c9f105", "521f7330736f2b2f"),
+            "ising/1": ("77e76946bbe40a88", "b259522c179f2b20"),
+            "ising/2": ("660dd31baccb57ca", "edf95bf0b7f753d4"),
+            "vqc/0": ("93081ce6aeedd949", "748fed2125b6b204"),
+            "vqc/1": ("8ef1cb53b8418af2", "efe68f576d7f0bb4"),
+            "vqc/2": ("4c211fcee14e84ae", "21d886d96538e548"),
         }
 
     def test_on_disk_tampering_evicted_at_load(self, machine, tmp_path):

@@ -3,8 +3,8 @@
 The heart of the file is the parametrized differential suite: every
 registered backend must agree with :func:`simulate_reference` on staged
 plans (built by the Session's own pipeline) and on hand-built plans
-(full-state gates, non-local controls, relabels — the offload executor's
-hard cases), and the ``"auto"`` rule must pick the documented backend for
+(non-local controls, relabels and phases — the offload executor's hard
+cases), and the ``"auto"`` rule must pick the documented backend for
 in-core vs. oversized states.
 """
 
@@ -183,10 +183,11 @@ class TestPlanCache:
 
 
 def _hand_built_plan(num_qubits: int = 6, local: int = 4) -> tuple[ExecutionPlan, Circuit]:
-    """A plan the planner would never emit: full-state mixing gates on
-    non-local qubits, non-local controls, anti-diagonal relabels."""
+    """A plan the planner would never emit: one unkernelized stage with
+    non-local controls, anti-diagonal relabels and phases on non-local
+    qubits — every one of them insular, so it keeps the staging invariant."""
     circuit = Circuit(num_qubits)
-    circuit.h(0).h(5).cx(5, 1).x(4).cp(0.7, 4, 2).rz(0.3, 5).cx(1, 3).h(2)
+    circuit.h(0).cx(5, 1).x(4).cp(0.7, 4, 2).rz(0.3, 5).cx(1, 3).h(2)
     partition_ = QubitPartition.from_sets(
         local=range(local), regional=range(local, num_qubits), global_=[]
     )
@@ -216,11 +217,6 @@ class TestBackendEquivalence:
         assert simulate_reference(circuit, init).allclose(result.state)
 
     def test_hand_built_plan_matches_reference(self, backend_name):
-        if backend_name == "incore" or backend_name in BASELINE_BACKENDS:
-            pytest.skip(
-                "hand-built plans violate the staging invariant on purpose; "
-                "they target the shard executors (see TestHandBuiltPlans)"
-            )
         plan, circuit = _hand_built_plan()
         machine = MachineConfig.for_circuit(6, num_shards=4, local_qubits=4)
         backend = make_backend(backend_name)
@@ -234,7 +230,7 @@ class TestBackendEquivalence:
 class TestHandBuiltPlans:
     """Shard executors on hand-built plans, including bit-exactness."""
 
-    @pytest.mark.parametrize("backend_name", ["reference", "offload", "parallel"])
+    @pytest.mark.parametrize("backend_name", ["reference", "incore", "offload", "parallel"])
     def test_matches_reference(self, backend_name):
         plan, circuit = _hand_built_plan()
         machine = MachineConfig.for_circuit(6, num_shards=4, local_qubits=4)

@@ -81,9 +81,7 @@ def test_sharded_runs_equal_the_in_core_run(case, kernels, body):
     plan = _chunked_plan(N, gates, SETS, chunks, True)
     machine = MachineConfig.for_circuit(N, local_qubits=LOCAL)
     schedule = build_schedule(plan, LOCAL)
-    ((l2p, segments),) = schedule.stages
-    (segment,) = segments
-    assert segment.kind == "shards"
+    ((l2p, segment),) = schedule.stages
     assert any(isinstance(entry, tuple) for entry in segment.ops)
     assert segment.ops.write_map == _write_map(gates, l2p)
     init = StateVector.random_state(N, seed=len(gates))
@@ -105,7 +103,7 @@ def test_a_shard_runs_one_op_per_kernel():
         _g("x", [H]),  # a relabel only
     ]
     plan = _chunked_plan(N, gates, SETS, [(0, 3), (3, 4), (4, 5)], True)
-    ((_l2p, (segment,)),) = build_schedule(plan, LOCAL).stages
+    ((_l2p, segment),) = build_schedule(plan, LOCAL).stages
     shards = range(1 << (N - LOCAL))
     assert [len(stream) for stream, _out in segment.ops.shards] == [1 + ((s >> 1) & 1) for s in shards]
     assert {op.kind for stream, _out in segment.ops.shards for op in stream} == {"sm"}

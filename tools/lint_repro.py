@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty-five rules, each enforcing an invariant the execution layer depends on
+Twenty-six rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -59,14 +59,14 @@ Twenty-five rules, each enforcing an invariant the execution layer depends on
 ``one-segment-compiler``
     Under ``runtime/``, ``kernel_lowering`` / ``kernel_template`` — the
     calls that turn gates into op templates — are made from
-    ``runtime/compile.py`` and nowhere else: a shards-segment is compiled
+    ``runtime/compile.py`` and nowhere else: a stage's segment is compiled
     by the slots a plan is (``SegmentStructure``), each kernel lowered as
     the in-core program lowers it and restricted per shard variant
     (``_restrict``), once per plan structure
     (``runtime/offload.py::ScheduleStructure``), and a warm job's plan is
     admitted whole by the record both lowerings share (``PlanRecord``) and
-    bound segment by segment from the plan's one gate table — no segment is
-    admitted or cut again per job.  One of those calls made from
+    bound stage by stage from the plan's one gate table — no segment is
+    admitted again per job.  One of those calls made from
     ``runtime/offload.py`` or ``runtime/parallel.py`` is the second
     segment compiler growing back.  A gate inside a kernel gets no op of
     its own on the shard path: under ``runtime/`` nothing — not
@@ -95,7 +95,7 @@ Twenty-five rules, each enforcing an invariant the execution layer depends on
     template, ``kernel_template``: under ``sim/``, ``runtime/`` and
     ``analysis/`` it is called from ``runtime/compile.py`` (the kernel
     slot, which every executor's kernel op comes from — a compiled
-    program's, or a shard schedule's segment, full-state ones included),
+    program's, or a shard schedule's segment),
     from ``sim/apply.py::unitary_template`` (one gate that is not
     diagonal, a one-item kernel) and from
     ``sim/fusion.py::apply_gate_sequence`` (a gate list applied outside
@@ -281,6 +281,20 @@ Twenty-five rules, each enforcing an invariant the execution layer depends on
     back beside the in-pass moves; the driver losing its call means the
     fallback moved without this rule following it.  Checked across files,
     whenever the linted set contains ``runtime/offload.py``.
+
+``one-pass-per-stage``
+    A schedule stage is one shard pass, or none when it has no gates: in
+    ``runtime/offload.py::run_stages`` the executor's ``shard_pass`` is
+    called at exactly one site, and that site sits in no loop nested in
+    the stage loop; and under ``runtime/`` and in ``check/races.py`` no
+    ``"full"`` / ``"shards"`` string literal appears (a ``__slots__`` entry
+    is an attribute name, not a literal).  A second call site or an inner
+    loop is a stage cut into several passes again; a segment-kind literal
+    is the full-state segment path — a gate mixing amplitudes along a
+    non-local qubit run over the whole state beside the passes — growing
+    back, where every executor refuses a plan that breaks the staging
+    invariant.  Checked across files; ``runtime/offload.py`` linted without
+    the call is the rule left behind.
 
 ``one-gate-table``
     A gate's numbers on the compile path come from one place, the job's
@@ -615,6 +629,12 @@ LAYOUT_MOVE_CALL = "permute_state"
 LAYOUT_MOVE_DRIVER = "runtime/offload.py"
 LAYOUT_MOVE_SITE = "run_stages"
 
+#: The stage driver and the one call it makes per stage.
+PASS_PER_STAGE_CALL = "shard_pass"
+#: The retired segment kinds, and where they may not be spelled.
+SEGMENT_KIND_WORDS = {"full", "shards"}
+SEGMENT_KIND_SCOPE = ("runtime/", "check/races.py")
+
 
 class Finding:
     def __init__(self, path: str, line: int, rule: str, message: str, symbol: str):
@@ -845,7 +865,7 @@ def check_one_segment_compiler(files: list[Path]) -> list[Finding]:
                 Finding(
                     rel, node.lineno, "one-segment-compiler",
                     f"`{_call_name(node)}` called outside {SEGMENT_COMPILER_HOME}: "
-                    f"shards-segments compile through its slots "
+                    f"a stage's segment compiles through its slots "
                     f"(SegmentStructure), not through a second walk",
                     _call_name(node),
                 )
@@ -1804,6 +1824,81 @@ def check_one_layout_move(files: list[Path]) -> list[Finding]:
     return findings
 
 
+def check_one_pass_per_stage(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-pass-per-stage`` rule over the linted *files*."""
+    findings: list[Finding] = []
+    sites: list[tuple[str, int, int]] = []
+    driver_linted = False
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-pass-per-stage", message, symbol))
+
+    def visit(node: ast.AST, loops: int | None, rel: str, rel_src: str, named) -> None:
+        # *loops* counts the loops around *node* inside the driver (None
+        # outside it); *named* holds the ``__slots__`` entries of the file.
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            rel_src == LAYOUT_MOVE_DRIVER and node.name == LAYOUT_MOVE_SITE
+        ):
+            loops = 0
+        if loops is not None and isinstance(node, ast.Call) and (
+            _call_name(node) == PASS_PER_STAGE_CALL
+        ):
+            sites.append((rel, node.lineno, loops))
+        if (
+            isinstance(node, ast.Constant) and node.value in SEGMENT_KIND_WORDS
+            and id(node) not in named
+            and any(rel_src == scope or rel_src.startswith(scope) for scope in SEGMENT_KIND_SCOPE)
+        ):
+            flag(
+                rel, node.lineno,
+                f"segment-kind literal {node.value!r}: a stage is one shard pass, "
+                f"and a gate mixing amplitudes along a non-local qubit is refused "
+                f"when the schedule is built, not run over the full state",
+                f"{node.value}:literal",
+            )
+        if loops is not None and isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension)):
+            loops += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops, rel, rel_src, named)
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel_src = _rel_src(path)
+        driver_linted |= rel_src == LAYOUT_MOVE_DRIVER
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {
+            id(entry)
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+            for entry in ast.walk(node.value)
+        }
+        visit(tree, None, path.relative_to(REPO).as_posix(), rel_src, named)
+    for rel, line, loops in sites:
+        if len(sites) > 1:
+            flag(
+                rel, line,
+                f"`{PASS_PER_STAGE_CALL}` has {len(sites)} call sites in "
+                f"{LAYOUT_MOVE_SITE}: a stage is one shard pass",
+                f"{LAYOUT_MOVE_SITE}:{PASS_PER_STAGE_CALL}:sites",
+            )
+        if loops > 1:
+            flag(
+                rel, line,
+                f"`{PASS_PER_STAGE_CALL}` called in a loop nested in the stage loop "
+                f"of {LAYOUT_MOVE_SITE}: a stage is one shard pass",
+                f"{LAYOUT_MOVE_SITE}:{PASS_PER_STAGE_CALL}:nested",
+            )
+    if driver_linted and not sites:
+        flag(
+            f"src/repro/{LAYOUT_MOVE_DRIVER}", 0,
+            f"no `{PASS_PER_STAGE_CALL}` call in {LAYOUT_MOVE_DRIVER}::{LAYOUT_MOVE_SITE}: "
+            f"the stage driver moved without this rule following it",
+            f"{LAYOUT_MOVE_SITE}:{PASS_PER_STAGE_CALL}:missing",
+        )
+    return findings
+
+
 BIND_PATH_HOME = "runtime/compile.py"
 #: ``(called attribute, class, method)``: where each may be called.
 BIND_PATH_SITES = {"program": ("_Structure", "bind"), "bind_numbers": ("_KernelSlot", "fill")}
@@ -2503,6 +2598,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_kernelizer_oracle(files))
     findings.extend(check_bench_host_free())
     findings.extend(check_one_layout_move(files))
+    findings.extend(check_one_pass_per_stage(files))
     findings.extend(check_one_gate_table(files))
     findings.extend(check_one_gate_shape(files))
     findings.extend(check_one_bind_path(files))
