@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
+from ..circuits.gates import stray_qubits
 from .report import CheckReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -179,7 +180,6 @@ def verify_schedule(
     differential tests use to model a corrupted redistribution).
     """
     from ..runtime.offload import build_schedule
-    from ..runtime.sharding import nonlocal_axes
 
     report = CheckReport(target="schedule")
     report.checks_run += [
@@ -201,12 +201,11 @@ def verify_schedule(
             continue  # a stage without gates runs no pass
         _check_assignment(report, assignment, num_shards, stage_idx)
         write_map = segment.ops.write_map
-        mixing = {
-            f"{gate}": q
-            for gate in segment.payload
-            for q, _shift, kind in nonlocal_axes(gate, l2p, local)
-            if kind == "mixing"
-        }
+        mixing = {}
+        for gate in segment.payload:
+            bad = stray_qubits(gate.non_insular_qubits(), l2p, local)
+            if bad:
+                mixing[f"{gate}"] = bad[0]
         for gate, q in mixing.items():
             report.add(
                 "schedule.mixing",

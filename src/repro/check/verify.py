@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..circuits.gates import stray_qubits
 from ..core.kernel import KernelType
 from ..sim.program import INPLACE_KINDS, STREAM_KINDS
 from .report import CheckReport
@@ -93,7 +94,7 @@ def _check_locality(
     report: CheckReport, plan: "ExecutionPlan", machine: "Optional[MachineConfig]"
 ) -> None:
     for stage_idx, stage in enumerate(plan.stages):
-        local = set(stage.partition.local)
+        l2p, local = stage.partition.logical_to_physical(), stage.partition.num_local
         if machine is not None and stage.partition.num_local > machine.local_qubits:
             report.add(
                 "plan.locality",
@@ -103,12 +104,12 @@ def _check_locality(
                 stage=stage_idx,
             )
         for offset, gate in enumerate(stage.gates):
-            bad = set(gate.non_insular_qubits()) - local
+            bad = stray_qubits(gate.non_insular_qubits(), l2p, local)
             if bad:
                 report.add(
                     "plan.locality",
                     f"non-insular qubit(s) {sorted(bad)} of gate {gate} are "
-                    f"not in the stage's local set {sorted(local)}",
+                    f"not in the stage's local set {sorted(stage.partition.local)}",
                     site="plan.locality",
                     stage=stage_idx,
                     gate_offset=offset,
@@ -442,10 +443,7 @@ def _check_op_locality(
                     stage=stage_idx,
                 )
         for gate in op.gates or ():
-            bad = [
-                q for q in gate.non_insular_qubits()
-                if q in l2p and l2p[q] >= local_count
-            ]
+            bad = stray_qubits(gate.non_insular_qubits(), l2p, local_count)
             if bad:
                 report.add(
                     "program.locality",

@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Axes",
     "Gate",
     "GateSpec",
     "GATE_SPECS",
@@ -35,6 +36,8 @@ __all__ = [
     "controlled_matrix",
     "is_diagonal",
     "is_antidiagonal",
+    "axes_of",
+    "stray_qubits",
     "matrix_signature",
     "GateTable",
     "make_gate",
@@ -232,46 +235,77 @@ def _pattern_of(matrix: np.ndarray) -> tuple[bytes, bytes]:
     return _key_patterns(stack)[0].tobytes(), _signatures(stack)[0]
 
 
+class Axes(NamedTuple):
+    """How a gate's matrix acts along each of its qubit axes — Definition 2
+    read axis by axis (:func:`axes_of`).
+
+    ``kinds`` has one entry per qubit slot:
+
+    ``"control"``
+        A declared control qubit (never mixes, gates the gate on/off).
+    ``"diagonal"``
+        The matrix never changes this bit: every non-zero entry has equal
+        input and output bit.
+    ``"antidiagonal"``
+        The matrix always flips this bit (X/Y-like axis).
+    ``"mixing"``
+        Amplitude moves between the two bit values — the qubit must be
+        local in the gate's stage.
+
+    ``insular`` are the slots that are not ``"mixing"``; ``diagonal`` and
+    ``antidiagonal`` say whether the whole matrix is.
+    """
+
+    kinds: tuple[str, ...]
+    insular: tuple[int, ...]
+    diagonal: bool
+    antidiagonal: bool
+
+
 @lru_cache(maxsize=4096)
-def _pattern_structure(name: str, pattern: bytes) -> tuple[bool, bool]:
-    """``(is_diagonal, is_antidiagonal)`` of a gate *name* matrix whose
-    packed ``> 1e-12`` pattern is *pattern* (``b""``: the parameter-free
-    gate's own matrix).  :func:`is_diagonal` at its ``1e-12`` tolerance
-    says exactly that no off-diagonal entry is above it, so the pattern
-    decides; keyed by structure, a sweep of new angles adds no entry."""
-    dim = 1 << GATE_SPECS[name].num_qubits
+def axes_of(name: str, pattern: bytes) -> Axes:
+    """The :class:`Axes` of a gate *name* whose packed ``> 1e-12`` pattern
+    is *pattern* (:meth:`Gate.pattern`; ``b""``: the parameter-free gate's
+    own matrix).  A slot is insular exactly when no non-zero entry mixes
+    its bit: each output amplitude then depends on one input amplitude
+    along that axis.  :func:`is_diagonal` at its ``1e-12`` tolerance says
+    exactly that no off-diagonal entry is above it, so the pattern decides
+    every answer; keyed by structure, a sweep of new angles adds no entry.
+    """
+    spec = GATE_SPECS[name]
+    k = spec.num_qubits
+    dim = 1 << k
     if pattern:
         nonzero = np.unpackbits(
             np.frombuffer(pattern, dtype=np.uint8), count=dim * dim
-        ).reshape(dim, dim).astype(bool)
+        ).reshape(dim, dim)
     else:
         nonzero = np.abs(gate_matrix(name)) > 1e-12
-    off = ~np.eye(dim, dtype=bool)
-    return not nonzero[off].any(), not np.fliplr(nonzero)[off].any()
+    rows, cols = np.nonzero(nonzero)
+    flips = rows ^ cols
+    kinds = []
+    for pos in range(k):
+        flip = (flips >> pos) & 1
+        kinds.append(
+            "control" if pos >= k - spec.num_controls
+            else "diagonal" if not flip.any()
+            else "antidiagonal" if flip.all()
+            else "mixing"
+        )
+    return Axes(
+        tuple(kinds), tuple([s for s, kind in enumerate(kinds) if kind != "mixing"]),
+        not flips.any(), bool((flips == dim - 1).all()),
+    )
 
 
-@lru_cache(maxsize=4096)
-def _insular_slots(name: str, pattern: bytes) -> tuple[int, ...]:
-    """Which of a gate *name*'s qubit slots are insular (Definition 2) when
-    its packed ``> 1e-12`` pattern is *pattern* — :meth:`Gate.insular_qubits`
-    by slot."""
-    spec = GATE_SPECS[name]
-    k, controls = spec.num_qubits, spec.num_controls
-    slots = list(range(k - controls, k))
-    diagonal, antidiagonal = _pattern_structure(name, pattern)
-    if controls == 0 and k == 1:
-        if diagonal or antidiagonal:
-            slots.append(0)
-    elif controls > 0:
-        # Targets of a controlled gate are insular only when the whole
-        # gate matrix is diagonal (cz, cp, crz, ccz, ...): then every
-        # output amplitude depends on exactly one input amplitude along
-        # every qubit, which is the footnote-2 case of Definition 2.
-        if diagonal:
-            slots.extend(range(k - controls))
-    elif k == 2 and name == "rzz":
-        slots.extend(range(2))
-    return tuple(dict.fromkeys(slots))
+def stray_qubits(
+    non_insular: Iterable[int], logical_to_physical: Mapping[int, int], local_qubits: int
+) -> list[int]:
+    """The qubits of *non_insular* — a gate's non-insular qubits — that the
+    layout *logical_to_physical* maps to a position ``>= local_qubits``, or
+    does not map: empty exactly when the gate keeps the staging invariant
+    (Section IV) in that layout.  Every check of the invariant reads it."""
+    return [q for q in non_insular if logical_to_physical.get(q, local_qubits) >= local_qubits]
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +662,7 @@ class GateTable:
         if gate.params:
             row = int(self._layout.rows[position])
             pattern = self._key_patterns()[len(gate.qubits) - 1][row].tobytes()
-        insular = _insular_slots(gate.name, pattern)
+        insular = axes_of(gate.name, pattern).insular
         return tuple(q for slot, q in enumerate(gate.qubits) if slot not in insular)
 
 
@@ -754,21 +788,22 @@ class Gate:
         return self.qubits[:-nc]
 
     def insular_qubits(self) -> tuple[int, ...]:
-        """Qubits of this gate that are insular (Definition 2 of the paper).
+        """Qubits of this gate that are insular (Definition 2 of the paper),
+        in qubit order.
 
-        * For a single-qubit gate the qubit is insular iff the gate matrix is
-          diagonal or anti-diagonal.
-        * For a controlled-U gate all control qubits are insular.  If the
-          controlled operation itself is diagonal/anti-diagonal on a target
-          (e.g. ``cz``, ``cp``, ``rzz``), that target is insular too.
-
-        Both follow from the gate's ``> 1e-12`` key pattern
-        (:meth:`pattern`, :func:`_insular_slots`); the result is cached on
-        the instance (gates are immutable).
+        Read axis by axis: a qubit is insular unless the matrix mixes
+        amplitudes along it — it is a declared control, or every non-zero
+        entry keeps its bit (a diagonal axis) or every one flips it (an
+        anti-diagonal axis).  So both qubits of ``cz``, ``cp`` and ``rzz``
+        are insular, the target of ``cx`` is not, and ``rxx`` / ``ryy`` at
+        ``0`` or ``pi`` (± the identity or ``±i X(x)X``) are insular on both.
+        Decided by the gate's ``> 1e-12`` key pattern (:meth:`pattern`,
+        :func:`axes_of`); the result is cached on the instance (gates are
+        immutable).
         """
         cached = self.__dict__.get("_insular_cache")
         if cached is None:
-            slots = _insular_slots(self.name, self.pattern()[0])
+            slots = axes_of(self.name, self.pattern()[0]).insular
             cached = self.__dict__["_insular_cache"] = tuple(self.qubits[s] for s in slots)
         return cached
 
@@ -779,11 +814,11 @@ class Gate:
 
     def is_diagonal(self) -> bool:
         """True if the full gate matrix is diagonal (within ``1e-12``)."""
-        return _pattern_structure(self.name, self.pattern()[0])[0]
+        return axes_of(self.name, self.pattern()[0]).diagonal
 
     def is_antidiagonal(self) -> bool:
         """True if the full gate matrix is anti-diagonal (within ``1e-12``)."""
-        return _pattern_structure(self.name, self.pattern()[0])[1]
+        return axes_of(self.name, self.pattern()[0]).antidiagonal
 
     # -- misc ----------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, GateTable
+from ..circuits.gates import Gate, GateTable, stray_qubits
 from ..errors import PlanValidationError
 from .kernel import Kernel, KernelSequence
 
@@ -116,8 +116,8 @@ class Stage:
 
     def is_local(self) -> bool:
         """Whether the staging invariant holds: non-insular qubits all local."""
-        local = set(self.partition.local)
-        return all(set(g.non_insular_qubits()) <= local for g in self.gates)
+        l2p, local = self.partition.logical_to_physical(), self.partition.num_local
+        return not any(stray_qubits(g.non_insular_qubits(), l2p, local) for g in self.gates)
 
     def validate_locality(self, stage_index: int | None = None) -> None:
         """Enforce the staging invariant: non-insular qubits are all local.
@@ -126,14 +126,14 @@ class Stage:
         offending gate and qubit; use :meth:`is_local` for the boolean
         predicate.
         """
-        local = set(self.partition.local)
+        l2p, local = self.partition.logical_to_physical(), self.partition.num_local
         for offset, gate in enumerate(self.gates):
-            bad = set(gate.non_insular_qubits()) - local
+            bad = stray_qubits(gate.non_insular_qubits(), l2p, local)
             if bad:
                 raise PlanValidationError(
                     f"stage violates the locality invariant: non-insular "
                     f"qubit(s) {sorted(bad)} of gate {gate} are not in the "
-                    f"stage's local set {sorted(local)}",
+                    f"stage's local set {sorted(self.partition.local)}",
                     site="plan.locality",
                     stage=stage_index,
                     gate_offset=offset,

@@ -99,7 +99,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..circuits.gates import Gate, GateTable
+from ..circuits.gates import Gate, GateTable, stray_qubits
 from ..cluster.machine import MachineConfig
 from ..core.kernel import KernelType
 from ..core.plan import ExecutionPlan
@@ -139,14 +139,16 @@ def _check_locality(
     gate: Gate, non_insular, logical_to_physical: dict[int, int], local_qubits: int
 ) -> None:
     """Raise when a qubit of *non_insular* — *gate*'s non-insular qubits —
-    is mapped non-locally."""
-    for q in non_insular:
-        if logical_to_physical[q] >= local_qubits:
-            raise PlanValidationError(
-                f"staging invariant violated: non-insular qubit {q} of gate "
-                f"{gate} is mapped to non-local physical position "
-                f"{logical_to_physical[q]} (L={local_qubits})"
-            )
+    is mapped non-locally (:func:`~repro.circuits.gates.stray_qubits`): how
+    every executor, in core or on a shard, refuses a plan that breaks the
+    staging invariant."""
+    bad = stray_qubits(non_insular, logical_to_physical, local_qubits)
+    if bad:
+        raise PlanValidationError(
+            f"staging invariant violated: non-insular qubit {bad[0]} of gate "
+            f"{gate} is mapped to non-local physical position "
+            f"{logical_to_physical[bad[0]]} (L={local_qubits})"
+        )
 
 
 def _picker(members: tuple[int, ...]):
@@ -257,7 +259,9 @@ class _KernelSlot:
     what the kernel XORs into the index of a shard it runs on (an
     anti-diagonal axis relabels the shard).  A gate that mixes amplitudes
     along a non-local qubit cannot run on a shard, and no executor runs it
-    elsewhere: the slot raises :class:`PlanValidationError`.
+    elsewhere: the slot raises :class:`PlanValidationError`, through the
+    check the in-core program's :meth:`ProgramStructure.prove_locality`
+    makes (:func:`_check_locality`).
 
     Every variant's numbers are described by ``gather``
     (:class:`~repro.sim.fusion.KernelGather`) and computed with every other
@@ -287,14 +291,9 @@ class _KernelSlot:
             self.flips = (0,)
             self.gather = KernelGather(lowering, widths, [(template.fills, None)])
             return
+        for gate in gates:
+            _check_locality(gate, gate.non_insular_qubits(), l2p, local)
         axes = [nonlocal_axes(gate, l2p, local) for gate in gates]
-        for gate, gate_axes in zip(gates, axes):
-            for q, _shift, kind in gate_axes:
-                if kind == "mixing":
-                    raise PlanValidationError(
-                        f"staging invariant violated: gate {gate} mixes amplitudes "
-                        f"along non-local qubit {q}"
-                    )
         templates: dict[tuple, KernelTemplate] = {}
         variants: list[_Variant | None] = []
         restrictions: list[tuple | None] = []
@@ -825,7 +824,6 @@ def compile_plan(
         num_kernels=structure.num_kernels,
         num_permutations=structure.num_permutations,
         kernels_per_stage=list(structure.kernels_per_stage),
-        locality_checked=check_locality,
         ops_reused=reused,
         ops_rebound=structure.num_gate_ops - reused if rebound else 0,
         ops_recompiled=structure.num_gate_ops if reuse is not None and not rebound else 0,

@@ -49,7 +49,6 @@ class ExecutionTrace:
     num_kernels: int = 0
     num_permutations: int = 0
     kernels_per_stage: list[int] = field(default_factory=list)
-    locality_checked: bool = True
     #: Gates executed and the ops they were applied as — kernels (fused
     #: or shared-memory), lone gates, layout transposes — i.e. how many
     #: gates an op absorbed.
@@ -75,7 +74,6 @@ def trace_for_program(program: CompiledProgram) -> ExecutionTrace:
         num_kernels=program.num_kernels,
         num_permutations=program.num_permutations,
         kernels_per_stage=list(program.kernels_per_stage),
-        locality_checked=program.locality_checked,
         num_gates=program.num_gates,
         num_ops=len(program.ops),
         op_counts=program.op_counts(),

@@ -11,8 +11,9 @@ cheaper than gate-at-a-time offloading (the QDAO comparison of Figure 7).
 This module provides that shard-by-shard execution path.  Gates whose
 non-insular qubits are local act entirely within a shard; insular non-local
 qubits are handled per shard from the shard's fixed high-order bits.  The
-classification is **per qubit axis**
-(:func:`repro.runtime.sharding.nonlocal_axes`), not per whole-gate matrix:
+classification is **per qubit axis** — the one the stager's insularity is
+(:func:`repro.circuits.gates.axes_of`, read through
+:func:`repro.runtime.sharding.nonlocal_axes`), not per whole-gate matrix:
 
 * a *control* on a non-local qubit selects which shards keep the gate's
   control-1 block,

@@ -19,8 +19,10 @@ of the un-permuted array, so a stage boundary becomes the next pass's loads
 :func:`in_pass_moves` decides.
 
 A gate with a qubit at a non-local position acts on a shard whose index
-fixes that qubit's bit: :func:`nonlocal_axes` says how, axis by axis, and
-:func:`shard_out_index` where the shard goes.
+fixes that qubit's bit: :func:`nonlocal_axes` says how, axis by axis — the
+kinds of :func:`repro.circuits.gates.axes_of`, the one classification the
+stager's insularity reads too — and :func:`shard_out_index` where the
+shard goes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..circuits.gates import GATE_SPECS, Gate, gate_matrix
+from ..circuits.gates import Gate, axes_of
 from ..core.plan import QubitPartition
 from ..errors import PlanValidationError, StateValidationError
 
@@ -261,50 +263,6 @@ def in_pass_moves(
     return moves
 
 
-@lru_cache(maxsize=1024)
-def _axis_kind(name: str, pattern: bytes, pos: int) -> str:
-    """How a *name* gate whose matrix has the ``> 1e-12`` *pattern*
-    (:meth:`Gate.pattern`; empty for a parameter-free gate, whose name fixes
-    its matrix) acts along the axis of its qubit ``pos``.
-
-    ``"control"``
-        A declared control qubit (never mixes, gates the gate on/off).
-    ``"diagonal"``
-        The matrix never changes this bit: every non-zero entry has equal
-        input and output bit.  True for globally diagonal gates, but also
-        e.g. for the control axis of an undeclared controlled structure.
-    ``"antidiagonal"``
-        The matrix always flips this bit (X/Y-like axis).
-    ``"mixing"``
-        Amplitude genuinely moves between the two bit values — the gate
-        cannot be resolved per shard along this axis.
-
-    Keyed by what it reads, not by the angle-bearing gate: a cold cut
-    (:func:`nonlocal_axes` over every gate of a plan) meets the same
-    ``(name, pattern, pos)`` triple gate after gate — every layer of a
-    sweep ansatz — and classifies it once.  A warm rebind classifies
-    nothing here: it admits the cached cut whole.
-    """
-    spec = GATE_SPECS[name]
-    if pos >= spec.num_qubits - spec.num_controls:
-        return "control"
-    dim = 1 << spec.num_qubits
-    if pattern:
-        nonzero = np.unpackbits(
-            np.frombuffer(pattern, dtype=np.uint8), count=dim * dim
-        ).reshape(dim, dim)
-    else:
-        nonzero = np.abs(gate_matrix(name)) > 1e-12
-    rows, cols = np.nonzero(nonzero)
-    row_bits = (rows >> pos) & 1
-    col_bits = (cols >> pos) & 1
-    if np.array_equal(row_bits, col_bits):
-        return "diagonal"
-    if np.all(row_bits != col_bits):
-        return "antidiagonal"
-    return "mixing"
-
-
 @lru_cache(maxsize=16384)
 def _axis_table(
     name: str,
@@ -316,9 +274,12 @@ def _axis_table(
     """``(qubit, shift, kind)`` for every qubit of a gate at a non-local
     *physical* position ``p >= local_qubits``, in *qubits* order: bit
     ``shift = p - local_qubits`` of a shard's index is the qubit's fixed
-    value on that shard, ``kind`` its :func:`_axis_kind`."""
+    value on that shard, ``kind`` its axis kind
+    (:func:`repro.circuits.gates.axes_of`: ``"control"``, ``"diagonal"``,
+    ``"antidiagonal"`` or ``"mixing"``)."""
+    kinds = axes_of(name, pattern).kinds
     return tuple(
-        (q, p - local_qubits, _axis_kind(name, pattern, pos))
+        (q, p - local_qubits, kinds[pos])
         for pos, (q, p) in enumerate(zip(qubits, physical))
         if p >= local_qubits
     )

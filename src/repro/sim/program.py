@@ -126,7 +126,6 @@ class CompiledProgram:
         num_kernels: int = 0,
         num_permutations: int = 0,
         kernels_per_stage: list[int] | None = None,
-        locality_checked: bool = True,
         ops_reused: int = 0,
         provenance: dict | None = None,
         ops_rebound: int = 0,
@@ -146,7 +145,6 @@ class CompiledProgram:
         self.num_kernels = num_kernels
         self.num_permutations = num_permutations
         self.kernels_per_stage = kernels_per_stage or []
-        self.locality_checked = locality_checked
         #: Which path each gate-binding op took when this program was compiled
         #: with ``reuse=``: taken verbatim from the reuse program (equal
         #: gates), payload refilled through the shared structure (new

@@ -581,8 +581,9 @@ class TestWriteMapDifferential:
     def test_mixing_gate_is_flagged(self):
         """No segment compiles a gate that mixes along a non-local qubit;
         one planted in a schedule is the race detector's `schedule.mixing`
-        (the mutation table)."""
-        with pytest.raises(PlanValidationError, match="mixes amplitudes"):
+        (the mutation table).  The segment refuses it through the check the
+        in-core compiler makes, with its message."""
+        with pytest.raises(PlanValidationError, match="staging invariant violated: non-insular qubit 5 "):
             h = make_gate("h", [N - 1])
             SegmentStructure([((h,), None, (0,))], IDENTITY, LOCAL, GateTable([h]))
 
@@ -2267,6 +2268,58 @@ class TestLintRepro:
         driver.write_text("def run_stages(schedule):\n    return schedule\n")
         assert [f.key.rpartition("::")[2] for f in lint.check_one_pass_per_stage([driver])] == [
             "run_stages:shard_pass:missing"
+        ]
+
+    def test_one_insularity_rule(self, lint):
+        """A gate's axes are classified once, in circuits/gates.py: no other
+        module unpacks a pattern or compares the ``"mixing"`` literal."""
+        gates = self.write(
+            lint, "circuits/gates.py",
+            "import numpy as np\n"
+            "def axes_of(name, pattern):\n"
+            "    bits = np.unpackbits(pattern)\n"
+            "    return 'mixing' if bits.any() else 'diagonal'\n"
+            "def insular(kinds):\n"
+            "    return [s for s, kind in enumerate(kinds) if kind != 'mixing']\n",
+        )
+        races = self.write(
+            lint, "check/races.py",
+            "CHECKS = ['write-disjointness', 'mixing']\n"
+            "def verify(gates, l2p, local):\n"
+            "    return [g for g in gates if stray_qubits(g.non_insular_qubits(), l2p, local)]\n",
+        )
+        assert lint.check_one_insularity_rule([gates, races]) == []
+        # A second classification growing back: a pattern unpacked in the
+        # sharding module, and the mixing kind tested there and in the
+        # verifier (a tuple membership included).
+        sharding = self.write(
+            lint, "runtime/sharding.py",
+            "import numpy as np\n"
+            "def _axis_kind(name, pattern, pos):\n"
+            "    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8))\n"
+            "    return 'mixing' if nonzero.any() else 'diagonal'\n"
+            "class Slot:\n"
+            "    def check(self, axes):\n"
+            "        return [q for q, _s, kind in axes if kind == 'mixing']\n",
+        )
+        races.write_text(
+            "def verify(axes):\n"
+            "    return [q for q, _s, kind in axes if kind in ('antidiagonal', 'mixing')]\n"
+        )
+        findings = lint.check_one_insularity_rule([gates, races, sharding])
+        assert {f.rule for f in findings} == {"one-insularity-rule"}
+        assert sorted(f.key.rpartition("::")[2] for f in findings) == [
+            "Slot.check:mixing", "_axis_kind:unpackbits", "verify:mixing",
+        ]
+        # Outside src/ the rule does not look; the classifier leaving
+        # circuits/gates.py is the rule left behind.
+        outside = lint.REPO / "tests" / "test_x.py"
+        outside.parent.mkdir(parents=True)
+        outside.write_text(sharding.read_text())
+        assert lint.check_one_insularity_rule([outside]) == []
+        gates.write_text("def insular(kinds):\n    return kinds\n")
+        assert [f.key.rpartition("::")[2] for f in lint.check_one_insularity_rule([gates])] == [
+            "axes_of:missing"
         ]
 
     def test_repo_tree_is_clean_against_committed_baseline(self):

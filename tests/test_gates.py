@@ -234,3 +234,65 @@ class TestInsularity:
         assert Gate("cz", (0, 1)).is_diagonal()
         assert not Gate("cx", (0, 1)).is_diagonal()
         assert Gate("x", (0,)).is_antidiagonal()
+
+
+#: Angles at which a gate's structure degenerates (``rx(pi)`` is
+#: anti-diagonal, ``rxx(0)`` the identity), and two generic ones.
+DEGENERATE_ANGLES = (0.0, math.pi / 2, math.pi, -math.pi, 2 * math.pi, 0.3, 1.1)
+
+
+def _oracle_insular_slots(matrix):
+    """Definition 2 read per axis, straight off *matrix*: slot ``s`` is
+    insular when the 2x2 blocks of the matrix along qubit ``s`` — output
+    bit by input bit — are zero off the block diagonal or zero on it (at
+    ``1e-12``)."""
+    k = matrix.shape[0].bit_length() - 1
+    tensor = matrix.reshape((2,) * (2 * k))
+    slots = []
+    for s in range(k):
+        blocks = np.abs(np.moveaxis(tensor, (k - 1 - s, 2 * k - 1 - s), (0, 1)))
+        same = max(blocks[0, 0].max(), blocks[1, 1].max())
+        flip = max(blocks[0, 1].max(), blocks[1, 0].max())
+        if flip <= 1e-12 or same <= 1e-12:
+            slots.append(s)
+    return slots
+
+
+def _params_to_probe(spec, seed):
+    """Every parameter at each degenerate angle (all at once), then seeded
+    random draws."""
+    rng = np.random.default_rng(seed)
+    grid = [(angle,) * spec.num_params for angle in DEGENERATE_ANGLES]
+    if spec.num_params > 1:
+        grid += [
+            (angle,) + tuple(rng.uniform(-7, 7, spec.num_params - 1))
+            for angle in DEGENERATE_ANGLES
+        ]
+    randoms = [tuple(rng.uniform(-7, 7, spec.num_params)) for _ in range(12)]
+    return list(dict.fromkeys(grid + randoms)) if spec.num_params else [()]
+
+
+class TestInsularityOracle:
+    """Every gate's insularity, diagonality and anti-diagonality against an
+    independent reading of its matrix."""
+
+    @pytest.mark.parametrize("name", SUPPORTED_GATES)
+    def test_insular_qubits_are_the_per_axis_block_test(self, name):
+        spec = GATE_SPECS[name]
+        qubits = tuple(range(3, 3 + spec.num_qubits))
+        for params in _params_to_probe(spec, seed=len(name)):
+            gate = Gate(name, qubits, tuple(float(p) for p in params))
+            matrix = gate.matrix()
+            want = [qubits[s] for s in _oracle_insular_slots(matrix)]
+            assert list(gate.insular_qubits()) == want, (name, params)
+            assert set(gate.non_insular_qubits()) == set(qubits) - set(want)
+            assert gate.is_diagonal() == is_diagonal(matrix), (name, params)
+            assert gate.is_antidiagonal() == is_antidiagonal(matrix), (name, params)
+
+    @pytest.mark.parametrize("name", ["rxx", "ryy"])
+    @pytest.mark.parametrize("angle", [0.0, math.pi, -math.pi, 2 * math.pi])
+    def test_rxx_ryy_at_degenerate_angles_are_insular(self, name, angle):
+        """± the identity and ``±i X(x)X`` / ``±i Y(x)Y`` mix no axis."""
+        gate = Gate(name, (0, 3), (angle,))
+        assert gate.insular_qubits() == (0, 3)
+        assert gate.non_insular_qubits() == ()

@@ -11,16 +11,21 @@ fails raises and leaves nothing behind; the Session plan cache holds the
 schedule next to the in-core program and is the only thing that does.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MachineConfig, Session
+from repro.check import verify_plan
 from repro.circuits import Circuit, make_gate
+from repro.circuits import gates as gates_mod
 from repro.circuits.gates import GateTable
 from repro.circuits.library import CIRCUIT_FAMILIES, qft, vqc
 from repro.core import KernelizeConfig, partition
+from repro.core.plan import ExecutionPlan, QubitPartition, Stage
 from repro.errors import KernelError, PlanValidationError, TransientError
 from repro.runtime import ParallelRuntime, compile as compile_mod, compile_plan, execute_plan_offloaded
 from repro.runtime import offload as offload_mod, sharding as sharding_mod
@@ -237,7 +242,7 @@ class TestScheduleRebindDifferential:
                 (kept if op is was else refilled)[isinstance(op, tuple)] += 1
         assert kept[False] and kept[True] and sum(refilled.values()) >= 2
 
-    def test_a_rebind_of_new_angles_misses_no_axis_kind(self, monkeypatch):
+    def test_a_rebind_of_new_angles_misses_no_axes_of(self, monkeypatch):
         """A warm schedule is a bind: a job of new angles admitted whole
         against the cached structure builds no stage structure, no gate table
         (it reads its circuit's, which the plan carries) and classifies no
@@ -260,7 +265,7 @@ class TestScheduleRebindDifferential:
         base = build_schedule(base_plan, machine.local_qubits)
         assert calls == {"SegmentStructure": len(base_plan.stages), "GateTable": 0}
         calls.update(SegmentStructure=0)
-        memos = (sharding_mod._axis_kind, sharding_mod._axis_table)
+        memos = (gates_mod.axes_of, sharding_mod._axis_table)
         before = [memo.cache_info().misses for memo in memos]
         warm = build_schedule(plan, machine.local_qubits, reuse=base)
         assert warm.rebound
@@ -360,6 +365,108 @@ class TestScheduleRebindDifferential:
 
 
 SHARDED = ("offload", "parallel")
+
+
+def _one_stage_plan(gates, n=4, local=(0, 1)):
+    """One hand-built stage of *gates* whose local set is *local*."""
+    stage = Stage(
+        gates=list(gates),
+        partition=QubitPartition.from_sets(set(local), set(range(n)) - set(local), set()),
+        gate_indices=list(range(len(gates))),
+    )
+    return ExecutionPlan(num_qubits=n, stages=[stage])
+
+
+class TestOneInsularityRule:
+    """Insularity is decided once (``repro.circuits.gates.axes_of``), so the
+    stager, the in-core locality check and the shard executors agree on
+    which gates may sit on a non-local qubit: ``rxx`` / ``ryy`` at angles
+    where they mix no axis run everywhere, and a gate that mixes is
+    refused everywhere with one message."""
+
+    MACHINE = MachineConfig.for_circuit(4, num_shards=4, local_qubits=2)
+
+    def _run_everywhere(self, gate):
+        """``(in-core, offload, parallel per worker count, reference)`` of
+        a 4-qubit stage holding *gate* on qubits (0, 3) at ``L = 2``."""
+        gates = [make_gate("h", [0]), make_gate("h", [1]), gate, make_gate("h", [0])]
+        plan = _one_stage_plan(gates)
+        init = StateVector.random_state(4, seed=2)
+        incore = compile_plan(plan, machine=self.MACHINE, check_locality=True).run(init).data
+        offload = execute_plan_offloaded(plan, self.MACHINE, init)[0].data
+        parallel = []
+        for workers in WORKERS:
+            with ParallelRuntime(self.MACHINE, num_workers=workers) as runtime:
+                parallel.append(runtime.execute(plan, init)[0].data)
+        return incore, offload, parallel, simulate_reference(Circuit(4, gates), init).data
+
+    @pytest.mark.parametrize("name, angle", [("rxx", 0.0), ("ryy", 0.0)])
+    def test_an_identity_on_a_nonlocal_qubit_runs_bit_for_bit_everywhere(self, name, angle):
+        incore, offload, parallel, want = self._run_everywhere(make_gate(name, [0, 3], [angle]))
+        assert np.array_equal(incore, offload)
+        assert all(np.array_equal(got, offload) for got in parallel)
+        assert np.allclose(offload, want, atol=1e-12)
+
+    def test_rxx_pi_on_a_nonlocal_qubit_runs_everywhere(self):
+        """``rxx(pi)`` is ``-i X(x)X`` up to its ``cos(pi/2)`` terms, which
+        are under the key pattern's ``1e-12``: a shard drops them and the
+        in-core pass adds them (``_drops_nothing``), so the shard executors
+        agree bit for bit and in core agrees to ``1e-12``."""
+        gate = make_gate("rxx", [0, 3], [math.pi])
+        assert not _drops_nothing(gate)
+        incore, offload, parallel, want = self._run_everywhere(gate)
+        assert all(np.array_equal(got, offload) for got in parallel)
+        assert np.allclose(incore, offload, rtol=0, atol=1e-12)
+        assert np.allclose(offload, want, atol=1e-12)
+
+    def test_a_mixing_gate_is_refused_everywhere_with_one_message(self):
+        plan = _one_stage_plan([make_gate("h", [0]), make_gate("rx", [3], [0.3])])
+        local = self.MACHINE.local_qubits
+        messages = set()
+        attempts = [
+            lambda: compile_plan(plan, machine=self.MACHINE, check_locality=True),
+            lambda: build_schedule(plan, local),
+            lambda: execute_plan_offloaded(plan, self.MACHINE),
+        ]
+        for attempt in attempts:
+            with pytest.raises(PlanValidationError) as refused:
+                attempt()
+            messages.add(str(refused.value))
+        for workers in WORKERS:
+            with ParallelRuntime(self.MACHINE, num_workers=workers) as runtime:
+                with pytest.raises(PlanValidationError) as refused:
+                    runtime.execute(plan)
+                messages.add(str(refused.value))
+        assert messages == {
+            "staging invariant violated: non-insular qubit 3 of gate rx(0.3) [3] "
+            "is mapped to non-local physical position 3 (L=2)"
+        }
+
+    def test_a_planned_circuit_with_them_validates_and_matches_the_reference(self):
+        """The stager may leave these gates' qubits non-local; the plan
+        validates and every executor runs it."""
+        circuit = Circuit(6, [
+            *[make_gate("h", [q]) for q in range(6)],
+            make_gate("rxx", [0, 5], [0.0]), make_gate("ryy", [1, 4], [math.pi]),
+            make_gate("rxx", [2, 5], [math.pi]), make_gate("ryy", [3, 5], [0.0]),
+            make_gate("cx", [0, 1]), make_gate("rxx", [2, 3], [0.4]),
+            make_gate("rxx", [4, 5], [-math.pi]), make_gate("h", [5]),
+        ])
+        machine = MachineConfig.for_circuit(6, num_shards=4, local_qubits=4)
+        plan, _ = partition(circuit, machine)
+        assert any(
+            stage.partition.logical_to_physical()[q] >= machine.local_qubits
+            for stage in plan.stages for g in stage.gates if g.name in ("rxx", "ryy")
+            for q in g.qubits
+        )
+        plan.validate(circuit)
+        assert verify_plan(plan, machine, circuit).ok
+        want = simulate_reference(circuit)
+        offload = execute_plan_offloaded(plan, machine)[0]
+        assert want.allclose(offload)
+        assert want.allclose(compile_plan(plan, machine=machine, check_locality=True).run())
+        with ParallelRuntime(machine, num_workers=2) as runtime:
+            assert np.array_equal(runtime.execute(plan)[0].data, offload.data)
 
 
 class TestSessionHoldsTheSchedule:

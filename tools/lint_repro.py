@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific AST lint: rules the generic linters cannot express.
 
-Twenty-six rules, each enforcing an invariant the execution layer depends on
+Twenty-seven rules, each enforcing an invariant the execution layer depends on
 (see ``docs/static-analysis.md`` for the catalog):
 
 ``bare-raise``
@@ -403,6 +403,21 @@ Twenty-six rules, each enforcing an invariant the execution layer depends on
     and its own chain walk once admitted a job the session then ran
     otherwise.  Checked across files; ``session/session.py`` linted without
     a ``stack_limit`` is the rule left behind.
+
+``one-insularity-rule``
+    A gate's axes are classified once: ``circuits/gates.py::axes_of``
+    reads each axis of a gate — control, diagonal, anti-diagonal or mixing
+    — off its ``> 1e-12`` pattern, and insularity (Definition 2), the
+    whole-matrix diagonal flags and the shard executors' non-local axis
+    table all read that.  Under ``src/repro``, no module but
+    ``circuits/gates.py`` unpacks a pattern (``np.unpackbits``) or compares
+    the ``"mixing"`` literal (``==``, ``!=``, ``in``): either is a second
+    classification growing back — the stager and the shard executors once
+    disagreed on ``rxx(0)`` that way.  Every check of the staging
+    invariant finds its offending qubits through
+    ``circuits/gates.py::stray_qubits``.  Checked across files;
+    ``circuits/gates.py`` linted without an ``axes_of`` is the rule left
+    behind.
 
 Usage::
 
@@ -2448,6 +2463,72 @@ def check_one_memory_budget(files: list[Path]) -> list[Finding]:
     return findings
 
 
+INSULARITY_HOME = "circuits/gates.py"
+INSULARITY_CLASSIFIER = "axes_of"
+PATTERN_UNPACK = "unpackbits"
+MIXING_KIND = "mixing"
+
+
+def _names_mixing(node: ast.AST) -> bool:
+    """Whether a comparison operand is the ``"mixing"`` literal, or a
+    tuple, list or set of literals holding it."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_mixing(element) for element in node.elts)
+    return isinstance(node, ast.Constant) and node.value == MIXING_KIND
+
+
+def check_one_insularity_rule(files: list[Path]) -> list[Finding]:
+    """The cross-file ``one-insularity-rule`` rule over the linted *files*."""
+    findings: list[Finding] = []
+
+    def flag(rel: str, line: int, message: str, symbol: str) -> None:
+        findings.append(Finding(rel, line, "one-insularity-rule", message, symbol))
+
+    def visit(node: ast.AST, stack: list[str], rel: str, rel_src: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack = stack + [node.name]
+        where = _enclosing(stack)
+        if isinstance(node, ast.Call) and _call_name(node) == PATTERN_UNPACK:
+            flag(
+                rel, node.lineno,
+                f"`{PATTERN_UNPACK}` in {where}: a gate's pattern is read by "
+                f"`{INSULARITY_HOME}::{INSULARITY_CLASSIFIER}` and nowhere else",
+                f"{where}:{PATTERN_UNPACK}",
+            )
+        if isinstance(node, ast.Compare) and any(
+            _names_mixing(operand) for operand in [node.left, *node.comparators]
+        ):
+            flag(
+                rel, node.lineno,
+                f"{MIXING_KIND!r} compared in {where}: whether a gate mixes an "
+                f"axis is `{INSULARITY_CLASSIFIER}`'s answer — check the staging "
+                f"invariant through `stray_qubits`",
+                f"{where}:{MIXING_KIND}",
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack, rel, rel_src)
+
+    for path in files:
+        if SRC not in path.parents:
+            continue
+        rel_src = _rel_src(path)
+        rel = path.relative_to(REPO).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if rel_src != INSULARITY_HOME:
+            visit(tree, [], rel, rel_src)
+        elif not any(
+            isinstance(node, ast.FunctionDef) and node.name == INSULARITY_CLASSIFIER
+            for node in tree.body
+        ):
+            flag(
+                rel, 0,
+                f"no `{INSULARITY_CLASSIFIER}` in {INSULARITY_HOME}: the "
+                f"classification moved without this rule following it",
+                f"{INSULARITY_CLASSIFIER}:missing",
+            )
+    return findings
+
+
 def check_file(path: Path) -> list[Finding]:
     rel = path.relative_to(REPO).as_posix()
     rel_src = _rel_src(path)
@@ -2604,6 +2685,7 @@ def main(argv: list[str] | None = None) -> int:
     findings.extend(check_one_bind_path(files))
     findings.extend(check_one_admit_path(files))
     findings.extend(check_one_memory_budget(files))
+    findings.extend(check_one_insularity_rule(files))
     findings.extend(check_layering(files))
     findings.extend(check_exact_persisted_formats(files))
 
